@@ -81,13 +81,13 @@ impl A3cWorker {
         let tape = Tape::new();
         let actor = self.policy.actor.bind(&tape);
         let critic = self.policy.critic.bind(&tape);
-        let obs = tape.var(batch.obs.clone());
+        let obs = tape.constant(batch.obs.clone());
         let logits = actor.forward(&obs)?;
         let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
         let (log_prob, entropy) = categorical_stats(&logits, &idx)?;
-        let adv_t = tape.var(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?);
+        let adv_t = tape.constant(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?);
         let pg = log_prob.mul(&adv_t)?.mean().neg();
-        let ret_t = tape.var(Tensor::from_vec(returns, &[n]).map_err(FdgError::Tensor)?);
+        let ret_t = tape.constant(Tensor::from_vec(returns, &[n]).map_err(FdgError::Tensor)?);
         let v = critic.forward(&obs)?.reshape(&[n])?;
         let value_loss = v.sub(&ret_t)?.square().mean();
         let loss = pg

@@ -2,7 +2,7 @@
 //! `replay_buffer_insert` / `replay_buffer_sample` interaction API.
 
 use msrl_core::api::SampleBatch;
-use msrl_tensor::Tensor;
+use msrl_tensor::{Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -54,28 +54,65 @@ impl TrajectoryBuffer {
 
     /// Drains into *env-major* layout: all of env 0's steps, then env 1's,
     /// … with `segment_len` set to the step count, which is the layout
-    /// PPO's learner-side GAE requires. All buffered steps must hold the
-    /// same number of environments.
+    /// PPO's learner-side GAE requires. Rows are gathered straight into
+    /// the output tensors — no per-row batches in between.
     ///
     /// # Errors
     ///
-    /// Returns an error if buffered widths disagree.
+    /// Returns an error if a buffered step's field differs in shape from
+    /// the first step's (another width or another environment count).
     pub fn drain_env_major(&mut self) -> msrl_core::Result<SampleBatch> {
         let steps = std::mem::take(&mut self.steps);
         let t_len = steps.len();
-        if t_len == 0 {
-            return Ok(SampleBatch::default());
+        let n_envs = steps.first().map_or(0, SampleBatch::len);
+        if n_envs == 0 {
+            return Ok(SampleBatch { segment_len: t_len, ..SampleBatch::default() });
         }
-        let n_envs = steps[0].len();
-        let mut per_env: Vec<SampleBatch> = Vec::with_capacity(n_envs * t_len);
-        for e in 0..n_envs {
-            for step in &steps {
-                per_env.push(step.slice(e, e + 1));
+        let mismatch = |first: &[usize], other: &[usize]| TensorError::ShapeMismatch {
+            op: "drain_env_major",
+            lhs: first.to_vec(),
+            rhs: other.to_vec(),
+        };
+        if let Some(other) = steps.iter().find(|s| s.len() != n_envs) {
+            return Err(mismatch(&[n_envs], &[other.len()]).into());
+        }
+        let field = |f: fn(&SampleBatch) -> &Tensor| -> msrl_core::Result<Tensor> {
+            let first = f(&steps[0]);
+            if let Some(other) = steps.iter().map(f).find(|t| t.shape() != first.shape()) {
+                return Err(mismatch(first.shape(), other.shape()).into());
             }
+            // A field the algorithm leaves empty (no critic) stays empty.
+            if first.is_empty() {
+                return Ok(first.clone());
+            }
+            if first.shape().first() != Some(&n_envs) {
+                return Err(mismatch(&[n_envs], first.shape()).into());
+            }
+            let width = first.len() / n_envs;
+            let mut data = Vec::with_capacity(t_len * first.len());
+            for e in 0..n_envs {
+                for step in &steps {
+                    data.extend_from_slice(&f(step).data()[e * width..(e + 1) * width]);
+                }
+            }
+            let mut dims = first.shape().to_vec();
+            dims[0] = n_envs * t_len;
+            Ok(Tensor::from_vec(data, &dims)?)
+        };
+        let mut dones = Vec::with_capacity(n_envs * t_len);
+        for e in 0..n_envs {
+            dones.extend(steps.iter().map(|step| step.dones[e]));
         }
-        let mut out = SampleBatch::concat(&per_env)?;
-        out.segment_len = t_len;
-        Ok(out)
+        Ok(SampleBatch {
+            obs: field(|b| &b.obs)?,
+            actions: field(|b| &b.actions)?,
+            rewards: field(|b| &b.rewards)?,
+            next_obs: field(|b| &b.next_obs)?,
+            dones,
+            log_probs: field(|b| &b.log_probs)?,
+            values: field(|b| &b.values)?,
+            segment_len: t_len,
+        })
     }
 }
 
@@ -177,6 +214,87 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(all.rewards.data()[0], 1.0);
         assert_eq!(all.rewards.data()[7], 2.0);
+    }
+
+    /// A step batch whose every element is distinct and encodes
+    /// `(step, env, column)`, so any misplaced row shows.
+    fn distinct_step(t: usize, n_envs: usize, obs_dim: usize, critic: bool) -> SampleBatch {
+        let base = (t * 1000) as f32;
+        let col = |w: usize, off: f32| -> Vec<f32> {
+            (0..n_envs * w).map(|i| base + off + i as f32 * 0.5).collect()
+        };
+        SampleBatch {
+            obs: Tensor::from_vec(col(obs_dim, 0.1), &[n_envs, obs_dim]).unwrap(),
+            actions: Tensor::from_vec(col(2, 0.2), &[n_envs, 2]).unwrap(),
+            rewards: Tensor::from_vec(col(1, 0.3), &[n_envs]).unwrap(),
+            next_obs: Tensor::from_vec(col(obs_dim, 0.4), &[n_envs, obs_dim]).unwrap(),
+            dones: (0..n_envs).map(|e| (t + e).is_multiple_of(3)).collect(),
+            log_probs: Tensor::from_vec(col(1, 0.6), &[n_envs]).unwrap(),
+            values: if critic {
+                Tensor::from_vec(col(1, 0.7), &[n_envs]).unwrap()
+            } else {
+                Tensor::zeros(&[0])
+            },
+            segment_len: 0,
+        }
+    }
+
+    /// The composition `drain_env_major` used to be: one-row slices,
+    /// env-major, concatenated.
+    fn drain_env_major_reference(steps: &[SampleBatch]) -> SampleBatch {
+        let n_envs = steps[0].len();
+        let mut per_env = Vec::new();
+        for e in 0..n_envs {
+            for step in steps {
+                per_env.push(step.slice(e, e + 1));
+            }
+        }
+        let mut out = SampleBatch::concat(&per_env).unwrap();
+        out.segment_len = steps.len();
+        out
+    }
+
+    #[test]
+    fn drain_env_major_matches_slice_concat_reference() {
+        for &(n_envs, t_len, obs_dim) in &[(1, 1, 1), (1, 5, 3), (4, 1, 2), (3, 7, 4), (16, 9, 17)]
+        {
+            for critic in [true, false] {
+                let steps: Vec<SampleBatch> =
+                    (0..t_len).map(|t| distinct_step(t, n_envs, obs_dim, critic)).collect();
+                let expect = drain_env_major_reference(&steps);
+                let mut buf = TrajectoryBuffer::new();
+                steps.into_iter().for_each(|s| buf.insert(s));
+                let got = buf.drain_env_major().unwrap();
+                assert!(buf.is_empty());
+                let what = format!("({n_envs},{t_len},{obs_dim}) critic={critic}");
+                assert_eq!(got.obs, expect.obs, "obs {what}");
+                assert_eq!(got.actions, expect.actions, "actions {what}");
+                assert_eq!(got.rewards, expect.rewards, "rewards {what}");
+                assert_eq!(got.next_obs, expect.next_obs, "next_obs {what}");
+                assert_eq!(got.dones, expect.dones, "dones {what}");
+                assert_eq!(got.log_probs, expect.log_probs, "log_probs {what}");
+                assert_eq!(got.values, expect.values, "values {what}");
+                assert_eq!(got.segment_len, t_len, "segment_len {what}");
+            }
+        }
+        let empty = TrajectoryBuffer::new().drain_env_major().unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn drain_env_major_rejects_mismatched_steps() {
+        // Another observation width, as `concat` used to report.
+        let mut buf = TrajectoryBuffer::new();
+        buf.insert(distinct_step(0, 3, 4, true));
+        buf.insert(distinct_step(1, 3, 5, true));
+        assert!(matches!(
+            buf.drain_env_major(),
+            Err(msrl_core::FdgError::Tensor(TensorError::ShapeMismatch { .. }))
+        ));
+        // Another environment count (the slice composition panicked).
+        buf.insert(distinct_step(0, 3, 4, true));
+        buf.insert(distinct_step(1, 2, 4, true));
+        assert!(buf.drain_env_major().is_err());
     }
 
     #[test]

@@ -159,11 +159,11 @@ impl Learner for Dqn {
 
         let tape = Tape::new();
         let qnet = self.q.bind(&tape);
-        let obs = tape.var(batch.obs.clone());
+        let obs = tape.constant(batch.obs.clone());
         let qv = qnet.forward(&obs)?;
         let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
         let taken = qv.select_per_row(&idx)?;
-        let target_t = tape.var(Tensor::from_vec(targets, &[n]).map_err(FdgError::Tensor)?);
+        let target_t = tape.constant(Tensor::from_vec(targets, &[n]).map_err(FdgError::Tensor)?);
         let loss = taken.sub(&target_t)?.square().mean();
         let mut grads = tape.backward(&loss)?;
         let mut gs = qnet.take_grads(&mut grads);

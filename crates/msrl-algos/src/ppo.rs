@@ -410,7 +410,7 @@ impl PpoLearner {
         let tape = Tape::new();
         let actor = self.policy.actor.bind(&tape);
         let critic = self.policy.critic.bind(&tape);
-        let obs = tape.var(batch.obs.clone());
+        let obs = tape.constant(batch.obs.clone());
         let out = actor.forward(&obs)?;
 
         let mut log_std_var = None;
@@ -424,14 +424,14 @@ impl PpoLearner {
             stats
         };
 
-        let adv_t = tape.var(Tensor::from_vec(adv.to_vec(), &[n]).map_err(FdgError::Tensor)?);
-        let old_lp = tape.var(batch.log_probs.clone());
+        let adv_t = tape.constant(Tensor::from_vec(adv.to_vec(), &[n]).map_err(FdgError::Tensor)?);
+        let old_lp = tape.constant(batch.log_probs.clone());
         let ratio = log_prob.sub(&old_lp)?.exp();
         let unclipped = ratio.mul(&adv_t)?;
         let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
         let policy_loss = unclipped.min(&clipped)?.mean().neg();
 
-        let ret_t = tape.var(Tensor::from_vec(ret.to_vec(), &[n]).map_err(FdgError::Tensor)?);
+        let ret_t = tape.constant(Tensor::from_vec(ret.to_vec(), &[n]).map_err(FdgError::Tensor)?);
         let values = critic.forward(&obs)?.reshape(&[n])?;
         let value_loss = values.sub(&ret_t)?.square().mean();
 

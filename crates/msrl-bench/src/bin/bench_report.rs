@@ -23,6 +23,13 @@
 //! always-on `attr.finish_iteration` histogram over the macro runs) is
 //! held to the same 5% bound as a share of a DP-A iteration period.
 //!
+//! The `matmul_at` section prices the weight-gradient product `aᵀ·b`
+//! at the shapes the learners actually run (25,600-row hidden layer and
+//! 2-column heads of DP-D, the 6-wide head of the wide DP-C model):
+//! naive transpose-then-matmul vs the blocked row kernel, GFLOP/s both
+//! ways, with hard floors ≥2x / ≥6x / ≥8x on the ratios (the unblocked
+//! kernel sat at 0.7x / 0.4x / 1.6x on the reference host).
+//!
 //! The `kernel_reductions` section prices the reduction microkernels
 //! (sum_axis and softmax_rows, naive fold vs gathered row kernels, with
 //! GFLOP/s at both tiers) and the batched rollout forward (one
@@ -564,6 +571,72 @@ fn kernel_tier_cost() -> KernelTier {
     }
 }
 
+/// One weight-gradient product `aᵀ·b` (`a: [p, m]`, `b: [p, n]`) at a
+/// shape a real learner runs, priced both ways the tape can take it.
+struct MatmulAt {
+    /// `section.key` of the gated tiered÷naive ratio.
+    gate: &'static str,
+    p: usize,
+    m: usize,
+    n: usize,
+    /// Hard floor on the ratio.
+    floor: f64,
+    /// `matmul(transpose(a), b)` on the naive loops — the tape's route
+    /// with the tier off.
+    naive_ns: f64,
+    /// `ops::matmul_at` — the blocked row kernel, the tier-on route.
+    tiered_ns: f64,
+}
+
+impl MatmulAt {
+    fn speedup(&self) -> f64 {
+        self.naive_ns / self.tiered_ns.max(1.0)
+    }
+    fn gflops(&self, ns: f64) -> f64 {
+        2.0 * (self.p * self.m * self.n) as f64 / ns.max(1.0)
+    }
+    /// JSON key stem: the gate's key without `_speedup`.
+    fn stem(&self) -> &'static str {
+        let (_, key) = self.gate.split_once('.').expect("gated names are section.key");
+        key.strip_suffix("_speedup").expect("gate keys end in _speedup")
+    }
+}
+
+/// The learner's real `xᵀ·g` shapes: the hidden layer and the 2-column
+/// policy/value heads of `dpd-cartpole-batched` (25,600 rows per learn
+/// pass) and the 6-wide action head of `dpc-cheetah-wide`. Square 512³
+/// says nothing about these — tall, thin, and for the heads narrower
+/// than one SIMD lane group. Interleaved minima on the scalar backend.
+fn matmul_at_cost() -> Vec<MatmulAt> {
+    let shapes = [
+        ("matmul_at.dpd_hidden_speedup", 25_600, 64, 64, 2.0),
+        ("matmul_at.dpd_heads_speedup", 25_600, 64, 2, 6.0),
+        ("matmul_at.dpc_head_speedup", 1024, 256, 6, 8.0),
+    ];
+    let fill = |rows: usize, cols: usize, seed: usize| {
+        let data = (0..rows * cols).map(|i| ((i * 31 + seed) % 199) as f32 / 100.0 - 1.0).collect();
+        Tensor::from_vec(data, &[rows, cols]).expect("volume matches")
+    };
+    par::with_backend(Backend::Scalar, || {
+        shapes
+            .into_iter()
+            .map(|(gate, p, m, n, floor)| {
+                let (a, b) = (fill(p, m, 1), fill(p, n, 2));
+                let mut naive = || {
+                    ops::matmul(&ops::transpose(&a).expect("matrix"), &b).expect("shapes conform")
+                };
+                let mut tiered = || ops::matmul_at(&a, &b).expect("shapes conform");
+                let (mut naive_ns, mut tiered_ns) = (f64::INFINITY, f64::INFINITY);
+                for _ in 0..5 {
+                    naive_ns = naive_ns.min(par::with_tier(false, || time_ns(3, &mut naive)));
+                    tiered_ns = tiered_ns.min(par::with_tier(true, || time_ns(3, &mut tiered)));
+                }
+                MatmulAt { gate, p, m, n, floor, naive_ns, tiered_ns }
+            })
+            .collect()
+    })
+}
+
 /// Measured effect of the reduction microkernels and the batched
 /// rollout forward on this host.
 struct KernelReductions {
@@ -885,6 +958,7 @@ fn main() {
     let tel = telemetry_cost();
     let gc = graph_compile_cost();
     let kt = kernel_tier_cost();
+    let mat = matmul_at_cost();
     let kr = kernel_reductions_cost();
     let fm = fastmath_cost();
     let overlap = comm_overlap_rows();
@@ -970,6 +1044,20 @@ fn main() {
         kt.threads1_threaded_ns,
         kt.threads1_speedup(),
     ));
+    json.push_str(&format!("  \"matmul_at\": {{\"dispatch\": \"{}\"", dispatch_label()));
+    for r in &mat {
+        json.push_str(&format!(
+            ", \"{0}_naive_ns\": {1:.0}, \"{0}_tiered_ns\": {2:.0}, \"{0}_naive_gflops\": {3:.2}, \
+             \"{0}_tiered_gflops\": {4:.2}, \"{0}_speedup\": {5:.2}",
+            r.stem(),
+            r.naive_ns,
+            r.tiered_ns,
+            r.gflops(r.naive_ns),
+            r.gflops(r.tiered_ns),
+            r.speedup(),
+        ));
+    }
+    json.push_str("},\n");
     // Reduction FLOP counts: one add per reduced element for sum_axis;
     // softmax priced at 4 ops/element (max cmp, sub+exp, sum, scale) —
     // approximate, but stable release over release.
@@ -1050,7 +1138,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let gated = [
+    let mut gated = vec![
         Gated {
             name: "graph_compile.fusion_speedup",
             higher_is_better: true,
@@ -1136,6 +1224,12 @@ fn main() {
             value: fm.actsrv_batch_speedup(),
         },
     ];
+    gated.extend(mat.iter().map(|r| Gated {
+        name: r.gate,
+        higher_is_better: true,
+        floor: 0.0,
+        value: r.speedup(),
+    }));
     let regressions = match std::fs::read_to_string(&out_path) {
         Ok(prev) => bench_trend(&prev, &gated, &rows),
         Err(_) => {
@@ -1211,6 +1305,21 @@ fn main() {
         kt.threads1_threaded_ns,
         kt.threads1_speedup(),
     );
+    for r in &mat {
+        println!(
+            "matmul_at [{}]: [{p},{}]ᵀ·[{p},{}] naive {:.0} ns ({:.2} GFLOP/s) / tiered {:.0} ns \
+             ({:.2} GFLOP/s, {:.2}x)",
+            dispatch_label(),
+            r.m,
+            r.n,
+            r.naive_ns,
+            r.gflops(r.naive_ns),
+            r.tiered_ns,
+            r.gflops(r.tiered_ns),
+            r.speedup(),
+            p = r.p,
+        );
+    }
     println!(
         "kernel_reductions [{}]: sum_axis[512,1024] naive {:.0} ns / tiered {:.0} ns ({:.2}x); \
          softmax_rows[512,64] tier1 naive {:.0} ns / tiered {:.0} ns ({:.2}x, exp stays scalar); \
@@ -1294,7 +1403,7 @@ fn main() {
     // hold its measured gain — the exp+sum pass has no bit-exact vector
     // form and stays scalar, so the bound reflects the vectorizable
     // (max fold + scale) share only.
-    let floors = [
+    let mut floors = vec![
         ("kernel_tier.matmul512_speedup", kt.matmul512_speedup(), 2.5),
         ("kernel_tier.mlp_fwd_bwd_speedup", kt.mlp_fwd_bwd_speedup(), 1.8),
         ("kernel_tier.threads1_speedup", kt.threads1_speedup(), 0.99),
@@ -1305,6 +1414,7 @@ fn main() {
         ("fastmath.rollout_tanh_tier2_speedup", fm.rollout_tanh_tier2_speedup(), 1.3),
         ("fastmath.actsrv_batch_speedup", fm.actsrv_batch_speedup(), 1.5),
     ];
+    floors.extend(mat.iter().map(|r| (r.gate, r.speedup(), r.floor)));
     let mut breached = false;
     for (name, value, floor) in floors {
         if value < floor {

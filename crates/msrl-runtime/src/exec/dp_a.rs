@@ -11,9 +11,12 @@
 //! weights, swapping buffers when the receive completes. A bounded
 //! staleness window (`DistPpoConfig::staleness`, default 1 iteration)
 //! keeps learning on-policy enough to converge: each weight message is
-//! version-stamped, and an actor blocks only when rolling out would
-//! exceed the bound. Overlap off degenerates to staleness 0 — the fully
-//! synchronous original — through the same code path.
+//! version-stamped, and at iteration `i` an actor runs on version
+//! `i − staleness` exactly, blocking only if that broadcast has not
+//! landed — the schedule is a function of the iteration, never of
+//! which thread got ahead, so a seed replays bit-identically. Overlap
+//! off degenerates to staleness 0 — the fully synchronous original —
+//! through the same code path.
 
 use std::collections::VecDeque;
 
@@ -97,22 +100,14 @@ where
                 for iter in 0..dist.iterations {
                     {
                         let _s = msrl_telemetry::span!("phase.weight_sync");
-                        // Swap in any broadcast that has already landed
-                        // (cost-free catch-up), oldest first.
-                        while let Some(front) = pending.front_mut() {
-                            if front.poll().map_err(comm_err)? {
-                                let w = pending
-                                    .pop_front()
-                                    .expect("front exists")
-                                    .wait()
-                                    .map_err(comm_err)?;
-                                swap(w, &mut version, actor.as_mut())?;
-                            } else {
-                                break;
-                            }
-                        }
-                        // Block only when rolling out now would exceed
-                        // the staleness bound.
+                        // Swap in broadcasts, oldest first, up to the
+                        // version the bound entitles this rollout to,
+                        // blocking only if that one has not landed. A
+                        // newer broadcast that happens to have landed
+                        // stays pending: whether it has is a matter of
+                        // thread scheduling, and the weights a rollout
+                        // sees must not be, or a fixed seed no longer
+                        // replays bit-identically.
                         while iter - version > stale_bound {
                             let w = pending
                                 .pop_front()

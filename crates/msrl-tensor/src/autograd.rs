@@ -25,8 +25,13 @@ type GradFn = Box<dyn Fn(&Tensor) -> Tensor>;
 
 struct Node {
     value: Tensor,
-    /// `(parent id, rule)` pairs; leaves have none.
+    /// `(parent id, rule)` pairs, only for parents that need a gradient;
+    /// leaves have none.
     parents: Vec<(usize, GradFn)>,
+    /// Whether the loss can have a gradient worth computing here: true
+    /// for [`Tape::var`] leaves, false for [`Tape::constant`] leaves,
+    /// and for an interior node whether any parent needs one.
+    needs_grad: bool,
 }
 
 #[derive(Default)]
@@ -132,6 +137,28 @@ fn fused_act_grad(act: ops::Act, g: &Tensor, out: &Tensor) -> Tensor {
     }
 }
 
+/// What the backward rules of one fused linear node share.
+struct FusedGrad {
+    act: ops::Act,
+    out: Tensor,
+    /// The activation-mapped output gradient, alive from the first rule
+    /// that fires in a backward run to rule `last`.
+    gp: RefCell<Option<Tensor>>,
+    /// Index (x = 0, w = 1, b = 2) of the last rule recorded.
+    last: usize,
+}
+
+impl FusedGrad {
+    fn with(&self, rule: usize, g: &Tensor, f: impl FnOnce(&Tensor) -> Tensor) -> Tensor {
+        let mut slot = self.gp.borrow_mut();
+        let res = f(slot.get_or_insert_with(|| fused_act_grad(self.act, g, &self.out)));
+        if rule == self.last {
+            *slot = None;
+        }
+        res
+    }
+}
+
 /// `g · bᵀ` for backward rules: the transpose-free kernel
 /// ([`ops::matmul_bt`]) when the kernel tier is on, the materialised
 /// transpose otherwise. Both produce bit-identical results; the tiered
@@ -170,16 +197,41 @@ impl Tape {
         self.len() == 0
     }
 
-    /// Records a leaf variable (input or parameter).
+    /// Records a differentiable leaf (a parameter, or an input whose
+    /// gradient the caller wants).
     pub fn var(&self, value: Tensor) -> Var {
-        self.record(value, Vec::new())
+        self.leaf(value, true)
     }
 
-    fn record(&self, value: Tensor, parents: Vec<(usize, GradFn)>) -> Var {
+    /// Records a non-differentiable leaf (observations, targets, masks).
+    /// [`Tape::backward`] computes nothing for it or for anything that
+    /// depends only on such leaves, and [`Gradients::get`] returns
+    /// `None` for its id.
+    pub fn constant(&self, value: Tensor) -> Var {
+        self.leaf(value, false)
+    }
+
+    fn leaf(&self, value: Tensor, needs_grad: bool) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
-        inner.nodes.push(Node { value, parents });
+        inner.nodes.push(Node { value, parents: Vec::new(), needs_grad });
         Var { tape: self.clone(), id }
+    }
+
+    /// Records an interior node, dropping the rules (and whatever they
+    /// captured) of parents that need no gradient — `backward` then has
+    /// nothing to skip.
+    fn record(&self, value: Tensor, mut parents: Vec<(usize, GradFn)>) -> Var {
+        let mut inner = self.inner.borrow_mut();
+        parents.retain(|(pid, _)| inner.nodes[*pid].needs_grad);
+        let id = inner.nodes.len();
+        let needs_grad = !parents.is_empty();
+        inner.nodes.push(Node { value, parents, needs_grad });
+        Var { tape: self.clone(), id }
+    }
+
+    fn needs_grad(&self, id: usize) -> bool {
+        self.inner.borrow().nodes[id].needs_grad
     }
 
     /// Runs reverse-mode differentiation from the scalar `loss`.
@@ -364,42 +416,26 @@ impl Var {
         let (x, wv, bv) = (self.value(), w.value(), b.value());
         let out = ops::linear_act(&x, &wv, &bv, act)?;
         let b_shape = bv.shape().to_vec();
-        // One shared copy of the output for the three backward rules
-        // (tanh/sigmoid/relu differentiate through it), and one shared
-        // slot for the activation-mapped gradient `gp`. `backward`
-        // visits a node at most once per run and invokes its parent
-        // rules in recorded order with the same output gradient, so the
-        // x-rule computes `gp` and stores it, the w-rule borrows it,
-        // and the b-rule takes it — the separate activation node of the
-        // unfused composition computes it exactly once too.
-        let out_x = out.clone();
-        let cache: Rc<RefCell<Option<Tensor>>> = Rc::new(RefCell::new(None));
-        let cache_x = Rc::clone(&cache);
-        let cache_w = Rc::clone(&cache);
+        // The three rules share the activation-mapped gradient `gp`, as
+        // the separate activation node of the unfused composition
+        // computes it exactly once too. `backward` visits a node at most
+        // once per run and fires its recorded rules in order with the
+        // same output gradient, so the first rule present computes `gp`
+        // and the last one frees it; which rules are present is fixed
+        // here, because `record` drops those of constant parents (`x`
+        // being the observations, for a first layer).
+        let last = [self.id, w.id, b.id]
+            .iter()
+            .rposition(|&id| self.tape.needs_grad(id))
+            .unwrap_or_default();
+        let fused = Rc::new(FusedGrad { act, out: out.clone(), gp: RefCell::new(None), last });
+        let (fused_x, fused_w) = (Rc::clone(&fused), Rc::clone(&fused));
         Ok(self.tape.record(
             out,
             vec![
-                (self.id, {
-                    Box::new(move |g| {
-                        let gp = fused_act_grad(act, g, &out_x);
-                        let gx = grad_matmul_bt(&gp, &wv);
-                        *cache_x.borrow_mut() = Some(gp);
-                        gx
-                    })
-                }),
-                (w.id, {
-                    Box::new(move |_g| {
-                        let cached = cache_w.borrow();
-                        let gp = cached.as_ref().expect("x-rule ran first and cached gp");
-                        grad_matmul_at(&x, gp)
-                    })
-                }),
-                (b.id, {
-                    Box::new(move |_g| {
-                        let gp = cache.borrow_mut().take().expect("w-rule left gp cached");
-                        reduce_grad(&gp, &b_shape)
-                    })
-                }),
+                (self.id, Box::new(move |g| fused_x.with(0, g, |gp| grad_matmul_bt(gp, &wv)))),
+                (w.id, Box::new(move |g| fused_w.with(1, g, |gp| grad_matmul_at(&x, gp)))),
+                (b.id, Box::new(move |g| fused.with(2, g, |gp| reduce_grad(gp, &b_shape)))),
             ],
         ))
     }
@@ -598,10 +634,11 @@ impl Var {
         Ok(self.unary(out, Box::new(move |g| g.reshape(&orig).expect("volume unchanged"))))
     }
 
-    /// Detaches the value from the tape: the result is a fresh leaf, so no
-    /// gradient flows through it (MSRL uses this for advantage targets).
+    /// Detaches the value from the tape: the result is a fresh constant
+    /// leaf, so no gradient flows through it (MSRL uses this for
+    /// advantage targets).
     pub fn detach(&self) -> Var {
-        self.tape.var(self.value())
+        self.tape.constant(self.value())
     }
 
     /// A handle to the tape this variable lives on.
@@ -609,12 +646,13 @@ impl Var {
         self.tape.clone()
     }
 
-    /// Registers a constant tensor as a fresh leaf on this variable's tape.
+    /// Registers a constant tensor as a fresh leaf on this variable's
+    /// tape ([`Tape::constant`]).
     ///
     /// Convenient for constants participating in traced expressions
     /// (index masks, ones vectors, targets).
     pub fn constant(&self, t: Tensor) -> Var {
-        self.tape.var(t)
+        self.tape.constant(t)
     }
 
     /// Transpose of a rank-2 value (gradient transposes back).
@@ -805,6 +843,98 @@ mod tests {
                     gu.get(u.id()).unwrap().data(),
                     "{act:?} grad {name} must be bit-identical"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_linear_with_constant_input_keeps_w_and_b_grads_bitwise() {
+        let xs: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
+        let ws: Vec<f32> = (0..4).map(|i| (i as f32 * 0.9).cos()).collect();
+        let bs = [0.1f32, -0.2];
+        for act in [ops::Act::Relu, ops::Act::Tanh, ops::Act::Sigmoid, ops::Act::Linear] {
+            let run = |leaf: fn(&Tape, Tensor) -> Var| {
+                let tape = Tape::new();
+                let x = leaf(&tape, t(&xs, &[3, 2]));
+                let w = tape.var(t(&ws, &[2, 2]));
+                let b = tape.var(t(&bs, &[2]));
+                let loss = x.linear(&w, &b, act).unwrap().square().sum();
+                // A second run over the same tape must recompute `gp`,
+                // not reuse or miss the first run's.
+                let first = tape.backward(&loss).unwrap();
+                let again = tape.backward(&loss).unwrap();
+                for v in [&w, &b] {
+                    assert_eq!(
+                        first.get(v.id()).unwrap().data(),
+                        again.get(v.id()).unwrap().data()
+                    );
+                }
+                (first.get(x.id()).cloned(), first.get_or_zeros(&w), first.get_or_zeros(&b))
+            };
+            let (gx_var, gw_var, gb_var) = run(Tape::var);
+            let (gx_const, gw_const, gb_const) = run(Tape::constant);
+            assert!(gx_var.is_some(), "{act:?}: a var input gets its gradient");
+            assert!(gx_const.is_none(), "{act:?}: a constant input gets none");
+            assert_eq!(gw_var.data(), gw_const.data(), "{act:?} grad w");
+            assert_eq!(gb_var.data(), gb_const.data(), "{act:?} grad b");
+        }
+    }
+
+    /// A PPO-shaped loss (clipped surrogate + value + entropy over two
+    /// networks sharing the observations) on a discrete and a continuous
+    /// policy: registering observations, actions and targets as
+    /// constants must leave every parameter gradient bit-identical to
+    /// registering them as variables, and give the constants none.
+    #[test]
+    fn constant_leaves_keep_policy_parameter_grads_bitwise() {
+        use crate::nn::{Activation, Mlp};
+        let n = 6;
+        let obs_t = t(&(0..n * 4).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[n, 4]);
+        let adv_t = t(&[0.5, -1.0, 0.25, 1.5, -0.75, 0.1], &[n]);
+        let ret_t = t(&[1.0, 0.5, -0.5, 2.0, 0.0, 0.3], &[n]);
+        let old_lp_t = t(&[-0.7, -0.6, -0.8, -0.65, -0.72, -0.69], &[n]);
+        let mut r = crate::init::rng(5);
+        let actor = Mlp::new(&[4, 8, 8, 2], Activation::Tanh, Activation::Linear, &mut r);
+        let critic = Mlp::new(&[4, 8, 1], Activation::Tanh, Activation::Linear, &mut r);
+        for discrete in [true, false] {
+            let run = |leaf: fn(&Tape, Tensor) -> Var| {
+                let tape = Tape::new();
+                let (pi, vf) = (actor.bind(&tape), critic.bind(&tape));
+                let obs = leaf(&tape, obs_t.clone());
+                let out = pi.forward(&obs).unwrap();
+                let log_std = tape.var(t(&[-0.3, 0.2], &[2]));
+                let (lp, ent) = if discrete {
+                    crate::dist::categorical_stats(&out, &[0, 1, 1, 0, 1, 0]).unwrap()
+                } else {
+                    let actions =
+                        t(&(0..n * 2).map(|i| (i as f32).cos()).collect::<Vec<_>>(), &[n, 2]);
+                    crate::dist::gaussian_stats(&out, &log_std, &actions).unwrap()
+                };
+                let adv = leaf(&tape, adv_t.clone());
+                let ratio = lp.sub(&leaf(&tape, old_lp_t.clone())).unwrap().exp();
+                let clipped = ratio.clamp(0.8, 1.2).mul(&adv).unwrap();
+                let policy_loss = ratio.mul(&adv).unwrap().min(&clipped).unwrap().mean().neg();
+                let values = vf.forward(&obs).unwrap().reshape(&[n]).unwrap();
+                let value_loss = values.sub(&leaf(&tape, ret_t.clone())).unwrap().square().mean();
+                let loss = policy_loss
+                    .add(&value_loss.mul_scalar(0.5))
+                    .unwrap()
+                    .add(&ent.mean().mul_scalar(-0.01))
+                    .unwrap();
+                let grads = tape.backward(&loss).unwrap();
+                let mut gs = pi.grads(&grads);
+                gs.extend(vf.grads(&grads));
+                gs.push(grads.get_or_zeros(&log_std));
+                (gs, [&obs, &adv].map(|v| grads.get(v.id()).is_some()))
+            };
+            let (as_vars, var_leaves) = run(Tape::var);
+            let (as_consts, const_leaves) = run(Tape::constant);
+            assert_eq!(var_leaves, [true, true]);
+            assert_eq!(const_leaves, [false, false], "constants get no gradient");
+            assert_eq!(as_vars.len(), as_consts.len());
+            for (i, (a, b)) in as_vars.iter().zip(&as_consts).enumerate() {
+                let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(a), bits(b), "discrete={discrete} param {i}");
             }
         }
     }

@@ -52,6 +52,45 @@
 //! accumulator swept over `k` ascending with separate multiply and
 //! add, so the results stay bit-identical — lanes hold *different*
 //! output elements, never partial sums of one.
+//!
+//! ## The `aᵀ × b` kernel: reduction blocks and row lanes
+//!
+//! Weight gradients are `xᵀ · g` with the batch as the reduction axis:
+//! `p` is 2,048 to 25,600 rows while the output is at most a few
+//! hundred elements a side, and for policy/value heads only 1–6
+//! columns wide. [`matmul_at_rows`] has one shape for all of it:
+//!
+//! * **Reduction blocks.** The sweep over `p` is cut into blocks of
+//!   [`AT_BLOCK`] rows, outermost. Within a block every output tile
+//!   re-reads the same `AT_BLOCK` rows of `a` and `b` from cache;
+//!   between blocks the tile's partial sums live in `out` (the first
+//!   block starts every accumulator from `0.0` — `out` is overwritten,
+//!   never accumulated into — and later blocks reload it). Both
+//!   operands therefore stream from memory once, where an unblocked
+//!   sweep streamed them once per 4-row output tile.
+//! * **Column lanes.** The `n − n mod L` leading columns run as in
+//!   [`matmul_simd_rows`]: a 4-row × `L`-column register tile, `b`'s
+//!   row loaded once and each of the four `a[kk][i]` broadcast. Tiles
+//!   are visited column block by column block, so `b`'s `L`-wide strip
+//!   of the block stays in L1 while `a`'s block is re-read from L2 —
+//!   `n / L` passes over it, where row-block-major order made `m / 4`
+//!   passes over `b`'s.
+//! * **Row lanes.** The `n mod L` right-edge columns — all of `n` for a
+//!   2- or 6-wide head — turn the tile around: lanes run across `L`
+//!   *output rows*, which are contiguous in `a`'s row `kk`, and
+//!   `b[kk][j]` is the broadcast. The tile is held transposed and
+//!   scattered into `out`'s column at the end of each block. Fewer than
+//!   `L` leftover rows under those columns take a scalar loop.
+//!
+//! None of this touches the bit-identity argument above. An output
+//! element still has exactly one accumulator; it still receives
+//! `a[kk][i] * b[kk][j]` for `kk = 0, 1, …, p − 1` in that order, as a
+//! multiply followed by an add; and parking the accumulator in `out`
+//! between blocks is a store and a load of the same `f32`, which
+//! changes no bit of it. Blocking alters *when* an element's next
+//! product arrives and row lanes alter *which neighbours* share its
+//! register, nothing else — for `p ≤ AT_BLOCK` and `n mod L = 0` the
+//! kernel runs exactly the column-lane tiles of the sweep it replaced.
 
 use std::sync::OnceLock;
 
@@ -228,11 +267,23 @@ pub fn matmul_simd_rows(
     rows_portable(a, k, bd, out_rows, n);
 }
 
+/// Rows of the reduction axis the `aᵀ × b` row kernels sweep before
+/// moving to the next output tile. 256 rows of both operands fit L2 up
+/// to 256 columns each (2 × 256 KB), so each operand streams from
+/// memory once however many output tiles re-read the block.
+pub const AT_BLOCK: usize = 256;
+
 /// Like [`matmul_simd_rows`], but for `aᵀ × b` without materialising
 /// the transpose: `ad` is the row-major `[p, m]` matrix whose *columns*
 /// are the left operand's rows. Output rows `row0..` land in
-/// `out_rows` (`[.., n]`). Per-element accumulation order matches the
-/// transpose-then-multiply composition exactly.
+/// `out_rows` (`[.., n]`), overwriting every element. Per-element
+/// accumulation order matches the transpose-then-multiply composition
+/// exactly.
+///
+/// # Panics
+///
+/// Panics when the operands are shorter than `p × m` / `p × n` or
+/// `out_rows` reaches past row `m` — the x86 bodies index unchecked.
 pub fn matmul_at_rows(
     ad: &[f32],
     row0: usize,
@@ -245,10 +296,18 @@ pub fn matmul_at_rows(
     if n == 0 || out_rows.is_empty() {
         return;
     }
+    assert!(
+        ad.len() >= p * m
+            && bd.len() >= p * n
+            && out_rows.len().is_multiple_of(n)
+            && row0 + out_rows.len() / n <= m,
+        "matmul_at_rows: operand extents"
+    );
     #[cfg(target_arch = "x86_64")]
     {
         match select() {
-            // SAFETY: as in `matmul_simd_rows`.
+            // SAFETY: as in `matmul_simd_rows`; the assert above bounds
+            // every index the bodies form.
             MatKernel::Avx512 => unsafe {
                 x86::at_rows_avx512(ad, row0, out_rows, p, m, n, bd);
                 return;
@@ -646,7 +705,9 @@ fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
     }
 }
 
-/// Portable transpose-free `aᵀ × b` row kernel.
+/// Portable transpose-free `aᵀ × b` row kernel — the safe-Rust
+/// spelling of the blocked shape described in the module docs, and the
+/// reference the x86 bodies are tested against.
 fn at_rows_portable(
     ad: &[f32],
     row0: usize,
@@ -657,28 +718,82 @@ fn at_rows_portable(
     bd: &[f32],
 ) {
     const L: usize = 16;
+    const RB: usize = 4;
     let rows = out.len() / n;
-    let blocks = n / L;
-    for r in 0..rows {
-        let i = row0 + r;
-        for jb in 0..blocks {
-            let j = jb * L;
-            let mut acc = [0.0f32; L];
-            for kk in 0..p {
-                let av = ad[kk * m + i];
-                let b: &[f32; L] = bd[kk * n + j..kk * n + j + L].try_into().expect("L block");
-                for (slot, &bv) in acc.iter_mut().zip(b) {
-                    *slot += av * bv;
+    let tail0 = n - n % L;
+    let lane_rows = rows - rows % L;
+    let mut k0 = 0;
+    // The first block runs even when `p == 0`, so `out` is always
+    // overwritten.
+    loop {
+        let k1 = (k0 + AT_BLOCK).min(p);
+        // Column lanes: RB output rows × one L-wide column block.
+        for j in (0..tail0).step_by(L) {
+            for r0 in (0..rows).step_by(RB) {
+                let rm = RB.min(rows - r0);
+                let mut acc = [[0.0f32; L]; RB];
+                if k0 > 0 {
+                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
+                        acc_r.copy_from_slice(&out[(r0 + r) * n + j..(r0 + r) * n + j + L]);
+                    }
+                }
+                for kk in k0..k1 {
+                    let b: &[f32; L] = bd[kk * n + j..kk * n + j + L].try_into().expect("L block");
+                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
+                        let av = ad[kk * m + row0 + r0 + r];
+                        for (slot, &bv) in acc_r.iter_mut().zip(b) {
+                            *slot += av * bv;
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().take(rm).enumerate() {
+                    out[(r0 + r) * n + j..(r0 + r) * n + j + L].copy_from_slice(acc_r);
                 }
             }
-            out[r * n + j..r * n + j + L].copy_from_slice(&acc);
         }
-        for j in blocks * L..n {
-            let mut acc = 0.0f32;
-            for kk in 0..p {
-                acc += ad[kk * m + i] * bd[kk * n + j];
+        // Row lanes: L output rows × up to RB right-edge columns, held
+        // transposed (`acc[c][l]` is `out[i0 + l][j + c]`).
+        for i0 in (0..lane_rows).step_by(L) {
+            for j in (tail0..n).step_by(RB) {
+                let cm = RB.min(n - j);
+                let mut acc = [[0.0f32; L]; RB];
+                if k0 > 0 {
+                    for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                        for (l, slot) in acc_c.iter_mut().enumerate() {
+                            *slot = out[(i0 + l) * n + j + c];
+                        }
+                    }
+                }
+                for kk in k0..k1 {
+                    let a: &[f32; L] =
+                        ad[kk * m + row0 + i0..kk * m + row0 + i0 + L].try_into().expect("L block");
+                    for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                        let bv = bd[kk * n + j + c];
+                        for (slot, &av) in acc_c.iter_mut().zip(a) {
+                            *slot += av * bv;
+                        }
+                    }
+                }
+                for (c, acc_c) in acc.iter().take(cm).enumerate() {
+                    for (l, &v) in acc_c.iter().enumerate() {
+                        out[(i0 + l) * n + j + c] = v;
+                    }
+                }
             }
-            out[r * n + j] = acc;
+        }
+        // Fewer than L rows left under the right-edge columns: scalar.
+        for r in lane_rows..rows {
+            for j in tail0..n {
+                let mut acc = if k0 > 0 { out[r * n + j] } else { 0.0 };
+                for kk in k0..k1 {
+                    acc += ad[kk * m + row0 + r] * bd[kk * n + j];
+                }
+                out[r * n + j] = acc;
+            }
+        }
+        k0 = k1;
+        if k0 >= p {
+            break;
         }
     }
 }
@@ -776,7 +891,7 @@ mod x86 {
         _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
     };
 
-    use super::{edge_scalar, reduce_rows_portable, RedOp};
+    use super::{edge_scalar, reduce_rows_portable, RedOp, AT_BLOCK};
 
     /// 8×32 zmm register-tile kernel.
     ///
@@ -907,111 +1022,134 @@ mod x86 {
         }
     }
 
-    /// Transpose-free `aᵀ × b` row kernel, zmm lanes across columns.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn at_rows_avx512(
-        ad: &[f32],
-        row0: usize,
-        out: &mut [f32],
-        p: usize,
-        m: usize,
-        n: usize,
-        bd: &[f32],
-    ) {
-        const L: usize = 16;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = ad.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = [_mm512_setzero_ps(); RB];
-                for kk in 0..p {
-                    let bv = _mm512_loadu_ps(bp.add(kk * n + j));
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm512_set1_ps(*ap.add(kk * m + row0 + r0 + r));
-                        *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, bv));
+    /// Generates a transpose-free `aᵀ × b` row kernel: the blocked shape
+    /// of [`super::at_rows_portable`] (see the module docs) spelled with
+    /// one ISA's vector intrinsics.
+    macro_rules! at_rows_x86 {
+        ($(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal,
+         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident) => {
+            $(#[$doc])*
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(
+                ad: &[f32],
+                row0: usize,
+                out: &mut [f32],
+                p: usize,
+                m: usize,
+                n: usize,
+                bd: &[f32],
+            ) {
+                const L: usize = $lanes;
+                const RB: usize = 4;
+                let rows = out.len() / n;
+                let tail0 = n - n % L;
+                let lane_rows = rows - rows % L;
+                let ap = ad.as_ptr();
+                let bp = bd.as_ptr();
+                let op = out.as_mut_ptr();
+                let mut k0 = 0;
+                // The first block runs even when `p == 0`, so `out` is
+                // always overwritten.
+                loop {
+                    let k1 = (k0 + AT_BLOCK).min(p);
+                    // Column lanes: RB output rows × one L-wide column block.
+                    for j in (0..tail0).step_by(L) {
+                        for r0 in (0..rows).step_by(RB) {
+                            let rm = RB.min(rows - r0);
+                            let mut acc = [$zero(); RB];
+                            if k0 > 0 {
+                                for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
+                                    *acc_r = $loadu(op.add((r0 + r) * n + j));
+                                }
+                            }
+                            for kk in k0..k1 {
+                                let bv = $loadu(bp.add(kk * n + j));
+                                for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
+                                    let av = $set1(*ap.add(kk * m + row0 + r0 + r));
+                                    *acc_r = $add(*acc_r, $mul(av, bv));
+                                }
+                            }
+                            for (r, acc_r) in acc.iter().take(rm).enumerate() {
+                                $storeu(op.add((r0 + r) * n + j), *acc_r);
+                            }
+                        }
+                    }
+                    // Row lanes: L output rows × up to RB right-edge
+                    // columns, held transposed (lane `l` of `acc[c]` is
+                    // `out[i0 + l][j + c]`).
+                    for i0 in (0..lane_rows).step_by(L) {
+                        for j in (tail0..n).step_by(RB) {
+                            let cm = RB.min(n - j);
+                            let mut acc = [$zero(); RB];
+                            let mut t = [0.0f32; L];
+                            if k0 > 0 {
+                                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                                    for (l, slot) in t.iter_mut().enumerate() {
+                                        *slot = *op.add((i0 + l) * n + j + c);
+                                    }
+                                    *acc_c = $loadu(t.as_ptr());
+                                }
+                            }
+                            for kk in k0..k1 {
+                                let av = $loadu(ap.add(kk * m + row0 + i0));
+                                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                                    let bv = $set1(*bp.add(kk * n + j + c));
+                                    *acc_c = $add(*acc_c, $mul(av, bv));
+                                }
+                            }
+                            for (c, acc_c) in acc.iter().take(cm).enumerate() {
+                                $storeu(t.as_mut_ptr(), *acc_c);
+                                for (l, &v) in t.iter().enumerate() {
+                                    *op.add((i0 + l) * n + j + c) = v;
+                                }
+                            }
+                        }
+                    }
+                    // Fewer than L rows left under the right-edge
+                    // columns: scalar.
+                    for r in lane_rows..rows {
+                        for j in tail0..n {
+                            let o = op.add(r * n + j);
+                            let mut acc = if k0 > 0 { *o } else { 0.0 };
+                            for kk in k0..k1 {
+                                acc += *ap.add(kk * m + row0 + r) * *bp.add(kk * n + j);
+                            }
+                            *o = acc;
+                        }
+                    }
+                    k0 = k1;
+                    if k0 >= p {
+                        break;
                     }
                 }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm512_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
-                }
             }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let i = row0 + r0 + r;
-                    let mut acc = 0.0f32;
-                    for kk in 0..p {
-                        acc += *ap.add(kk * m + i) * *bp.add(kk * n + j);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
-        }
+        };
     }
 
-    /// Transpose-free `aᵀ × b` row kernel, ymm lanes across columns.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn at_rows_avx2(
-        ad: &[f32],
-        row0: usize,
-        out: &mut [f32],
-        p: usize,
-        m: usize,
-        n: usize,
-        bd: &[f32],
-    ) {
-        const L: usize = 8;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = ad.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = [_mm256_setzero_ps(); RB];
-                for kk in 0..p {
-                    let bv = _mm256_loadu_ps(bp.add(kk * n + j));
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm256_set1_ps(*ap.add(kk * m + row0 + r0 + r));
-                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(av, bv));
-                    }
-                }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm256_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
-                }
-            }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let i = row0 + r0 + r;
-                    let mut acc = 0.0f32;
-                    for kk in 0..p {
-                        acc += *ap.add(kk * m + i) * *bp.add(kk * n + j);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
-        }
-    }
+    at_rows_x86!(
+        /// Transpose-free `aᵀ × b` row kernel on zmm lanes.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` (guaranteed by [`super::select`]), `ad` of
+        /// `p × m`, `bd` of `p × n` and `out` of whole `n`-wide rows with
+        /// `row0 + out.len() / n <= m`.
+        at_rows_avx512, "avx512f", 16,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps,
+        _mm512_add_ps, _mm512_mul_ps
+    );
+
+    at_rows_x86!(
+        /// Transpose-free `aᵀ × b` row kernel on ymm lanes.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx2` (guaranteed by [`super::select`]) and the
+        /// operand extents of [`at_rows_avx512`].
+        at_rows_avx2, "avx2", 8,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps,
+        _mm256_add_ps, _mm256_mul_ps
+    );
 
     /// Transpose-free `a × bᵀ` row kernel, zmm lanes across columns.
     ///
@@ -1617,23 +1755,107 @@ mod tests {
         }
     }
 
+    type AtRows = fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32]);
+
+    /// Every `aᵀ × b` body this host can run: the dispatched one, plus
+    /// the bodies the dispatcher passes over here (portable always, ymm
+    /// on an AVX-512 host).
+    fn at_bodies() -> Vec<(&'static str, AtRows)> {
+        let mut bodies: Vec<(&'static str, AtRows)> =
+            vec![("dispatched", matmul_at_rows), ("portable", at_rows_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", |ad, row0, out, p, m, n, bd| {
+                // SAFETY: avx2 was just detected, and the tests below pass
+                // exactly the extents `matmul_at_rows` asserts.
+                unsafe { x86::at_rows_avx2(ad, row0, out, p, m, n, bd) }
+            }));
+        }
+        bodies
+    }
+
+    /// Transposes `a: [p, m]` and runs the naive loop: the composition
+    /// the kernels must match bitwise.
+    fn at_naive(a: &[f32], b: &[f32], p: usize, m: usize, n: usize) -> Vec<f32> {
+        let mut at = vec![0.0f32; m * p];
+        for kk in 0..p {
+            for i in 0..m {
+                at[i * p + kk] = a[kk * m + i];
+            }
+        }
+        naive(&at, b, m, p, n)
+    }
+
     #[test]
     fn at_rows_match_transposed_naive_bitwise() {
-        // a is [p, m]; the reference transposes it and runs the naive loop.
-        for &(p, m, n) in &[(1, 1, 1), (2, 17, 32), (4, 5, 19), (6, 1, 40), (3, 7, 16)] {
+        // `out` arrives NaN-filled: the kernel overwrites, it never
+        // accumulates into what the caller passed.
+        let check = |p: usize, m: usize, n: usize| {
             let a = vals(p * m, 9);
             let b = vals(p * n, 10);
-            let mut at = vec![0.0f32; m * p];
-            for kk in 0..p {
-                for i in 0..m {
-                    at[i * p + kk] = a[kk * m + i];
+            let expect = at_naive(&a, &b, p, m, n);
+            for (name, body) in at_bodies() {
+                let mut out = vec![f32::NAN; m * n];
+                body(&a, 0, &mut out, p, m, n, &b);
+                assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n})"));
+            }
+        };
+        for &(p, m, n) in &[(1, 1, 1), (2, 17, 32), (4, 5, 19), (6, 1, 40), (3, 7, 16)] {
+            check(p, m, n);
+        }
+        // Reduction lengths on both sides of every block boundary ×
+        // column counts with no, only and mixed right-edge columns × row
+        // counts below, at and above a lane group.
+        const B: usize = AT_BLOCK;
+        for p in [0, 1, B - 1, B, B + 1, 3 * B + 7] {
+            for n in [1, 2, 6, 15, 16, 17, 40] {
+                for m in [1, 3, 4, 5, 17, 64] {
+                    check(p, m, n);
                 }
             }
-            let mut out = vec![f32::NAN; m * n];
-            matmul_at_rows(&a, 0, &mut out, p, m, n, &b);
-            let expect = naive(&at, &b, m, p, n);
-            let same = out.iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({p},{m},{n}) diverged from transpose + naive");
+        }
+    }
+
+    #[test]
+    fn at_rows_row_offset_and_poison_match_naive_bitwise() {
+        const B: usize = AT_BLOCK;
+        // The Threaded backend's partition: rows 5.. of a 27-row product,
+        // i.e. one full lane group of output rows plus a partial one.
+        for &(p, m, n) in &[(2 * B + 3, 27, 22), (B, 27, 6), (7, 27, 35)] {
+            let a = vals(p * m, 15);
+            let b = vals(p * n, 16);
+            let expect = at_naive(&a, &b, p, m, n);
+            for (name, body) in at_bodies() {
+                let mut part = vec![f32::NAN; (m - 5) * n];
+                body(&a, 5, &mut part, p, m, n, &b);
+                assert_bits_eq(&part, &expect[5 * n..], &format!("{name} row0=5 ({p},{m},{n})"));
+            }
+        }
+        // NaN/±∞ in either operand, in the first block and in a later
+        // one, must reach exactly the elements the naive loop poisons:
+        // output row 2 (from `a`), column 18 (from `b`, a right-edge
+        // column) and the `0 × ∞` at their neighbour. NaN payloads are
+        // not compared — scalar and vector adds may pick different ones.
+        let (p, m, n) = (2 * B + 5, 20, 19);
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for kk in [3, B + 1] {
+                let mut a = vals(p * m, 17);
+                let mut b = vals(p * n, 18);
+                a[kk * m + 2] = poison;
+                a[(kk + 1) * m + 17] = 0.0;
+                b[(kk + 1) * n + 18] = poison;
+                let expect = at_naive(&a, &b, p, m, n);
+                assert!(expect[17 * n + 18].is_nan() && expect[n].is_finite());
+                for (name, body) in at_bodies() {
+                    let mut out = vec![0.0f32; m * n];
+                    body(&a, 0, &mut out, p, m, n, &b);
+                    let same = out
+                        .iter()
+                        .zip(&expect)
+                        .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+                    assert!(same, "{name} poison {poison} at row {kk} diverged from naive");
+                }
+            }
         }
     }
 

@@ -280,6 +280,35 @@ proptest! {
         prop_assert_eq!(&s2, &bt_scalar);
     }
 
+    /// `matmul_at` carries partial sums across reduction blocks of
+    /// `AT_BLOCK` rows; with `p` on either side of one, two and three
+    /// block boundaries (and the Threaded backend splitting output rows
+    /// four ways) every element must still be the plain ascending-`kk`
+    /// fold, spelled out here so no global tier switch is involved.
+    #[test]
+    fn matmul_at_matches_naive_fold_across_reduction_blocks(
+        p in 0usize..3 * kernels::AT_BLOCK + 2, m in 1usize..24, n in 1usize..40,
+        av in small_vec(97), bv in small_vec(89)
+    ) {
+        let ad: Vec<f32> = av.iter().copied().cycle().take(p * m).collect();
+        let bd: Vec<f32> = bv.iter().copied().cycle().take(p * n).collect();
+        let mut expect = vec![0.0f32; m * n];
+        for kk in 0..p {
+            for i in 0..m {
+                for j in 0..n {
+                    expect[i * n + j] += ad[kk * m + i] * bd[kk * n + j];
+                }
+            }
+        }
+        let a = Tensor::from_vec(ad, &[p, m]).unwrap();
+        let b = Tensor::from_vec(bd, &[p, n]).unwrap();
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let (s, t) = on_both_backends(|| ops::matmul_at(&a, &b).unwrap());
+        prop_assert_eq!(s.shape(), &[m, n]);
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), bits(&expect));
+    }
+
     /// The fused policy head must match the separate
     /// matmul → bias-add → softmax chain bit-for-bit on both backends.
     #[test]
