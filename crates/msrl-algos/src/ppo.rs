@@ -239,14 +239,16 @@ impl PackedPpo {
 
 /// The data-collection half of PPO (`Actor.act()` in the paper's API).
 ///
-/// When the kernel tier and fusion are enabled, the actor lazily packs
-/// its policy weights once per weight version and runs every rollout
-/// forward of the iteration as a single panel sweep over the shared
-/// packed panels — the per-step observation batch (`[envs, obs]` rows
-/// collected by the rollout) stops paying per-forward dispatch and
-/// packing. [`Actor::set_policy_params`] invalidates the snapshot, so a
-/// weight sync triggers exactly one repack. Outputs are bit-identical
-/// to the unpacked path (`MSRL_TIER=0`).
+/// The actor lazily packs its policy weights once per weight version
+/// and runs every rollout forward of the iteration as a single panel
+/// sweep over the shared packed panels — the per-step observation batch
+/// (`[envs, obs]` rows collected by the rollout) stops paying
+/// per-forward dispatch and packing. [`Actor::set_policy_params`]
+/// invalidates the snapshot, so a weight sync triggers exactly one
+/// repack. The packed forward is the fused kernel, so with fusion off
+/// (the bitwise reference, see `msrl_tensor::par::with_fusion`) the
+/// actor forwards through the separate operators instead; outputs are
+/// bit-identical either way.
 pub struct PpoActor {
     /// The (replicated) policy.
     pub policy: PpoPolicy,
@@ -269,30 +271,28 @@ impl PpoActor {
 
 impl Actor for PpoActor {
     fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
-        if msrl_tensor::par::tier_enabled() && msrl_tensor::par::fusion_enabled() {
-            if self.packed.is_none() {
-                self.packed = Some(PackedPpo::pack(&self.policy));
-            }
+        let packed = if msrl_tensor::par::fusion_enabled() {
+            Some(&*self.packed.get_or_insert_with(|| PackedPpo::pack(&self.policy)))
         } else {
-            // Gates can flip between scoped test sections; never serve
-            // a packed forward the current mode wouldn't have built.
-            self.packed = None;
-        }
+            None
+        };
         if msrl_telemetry::take_audit_request() {
             // Tier-2 shadow audit (DESIGN §3.15): run this forward once
-            // on the normal path and once pinned at tier 1, record the
+            // on the normal path and once with fast-math off, record the
             // relative drift, and — crucially — sample the action from
             // the NORMAL-path output so an audited iteration stays
-            // bit-identical to an unaudited one.
-            let (out, values) = self.policy.forward_with(obs, self.packed.as_ref())?;
+            // bit-identical to an unaudited one. The fast-math override
+            // is scoped to this thread: peer actors mid-forward never
+            // see it.
+            let (out, values) = self.policy.forward_with(obs, packed)?;
             let (ref_out, ref_values) =
-                msrl_tensor::par::with_tier_level(1, || self.policy.forward_with(obs, None))?;
+                msrl_tensor::par::with_fastmath(false, || self.policy.forward_with(obs, None))?;
             let drift = msrl_telemetry::max_rel_err(out.data(), ref_out.data())
                 .max(msrl_telemetry::max_rel_err(values.data(), ref_values.data()));
             msrl_telemetry::record_audit(drift);
             return self.policy.sample_from(&out, values, &mut self.rng);
         }
-        self.policy.act_with(obs, &mut self.rng, self.packed.as_ref())
+        self.policy.act_with(obs, &mut self.rng, packed)
     }
 
     fn policy_params(&self) -> Vec<f32> {
@@ -619,13 +619,14 @@ mod tests {
         let policy = PpoPolicy::discrete(4, 3, &[32, 32], 5);
         let obs =
             Tensor::from_vec((0..24).map(|i| (i as f32 * 0.21).sin()).collect(), &[6, 4]).unwrap();
-        // Same seed → same sampling stream; tiered vs untiered actions,
-        // log-probs and values must agree bitwise.
-        let run = |tier: bool| {
-            msrl_tensor::par::with_tier(tier, || {
+        // Same seed → same sampling stream; packed (fused) vs unpacked
+        // (separate operators) actions, log-probs and values must agree
+        // bitwise.
+        let run = |fusion: bool| {
+            msrl_tensor::par::with_fusion(fusion, || {
                 let mut actor = PpoActor::new(policy.clone(), 9);
                 let out = actor.act(&obs).unwrap();
-                assert_eq!(actor.has_packed_weights(), tier, "pack cache gate");
+                assert_eq!(actor.has_packed_weights(), fusion, "pack cache gate");
                 out
             })
         };
@@ -636,17 +637,15 @@ mod tests {
         assert_eq!(on.values.unwrap().data(), off.values.unwrap().data());
         // A weight sync carrying *new* weights invalidates the
         // snapshot; the next act repacks.
-        msrl_tensor::par::with_tier(true, || {
-            let mut actor = PpoActor::new(policy.clone(), 9);
-            actor.act(&obs).unwrap();
-            assert!(actor.has_packed_weights());
-            let mut flat = actor.policy_params();
-            flat[0] += 0.125;
-            actor.set_policy_params(&flat).unwrap();
-            assert!(!actor.has_packed_weights(), "sync must drop the snapshot");
-            actor.act(&obs).unwrap();
-            assert!(actor.has_packed_weights(), "next act must repack");
-        });
+        let mut actor = PpoActor::new(policy.clone(), 9);
+        actor.act(&obs).unwrap();
+        assert!(actor.has_packed_weights());
+        let mut flat = actor.policy_params();
+        flat[0] += 0.125;
+        actor.set_policy_params(&flat).unwrap();
+        assert!(!actor.has_packed_weights(), "sync must drop the snapshot");
+        actor.act(&obs).unwrap();
+        assert!(actor.has_packed_weights(), "next act must repack");
     }
 
     /// The partial-update gap: a sync that delivers the *identical*
@@ -654,31 +653,29 @@ mod tests {
     /// invalidation, and no `pack_b` panel repacks on the next act.
     #[test]
     fn identical_weight_sync_does_not_repack() {
-        msrl_tensor::par::with_tier(true, || {
-            let policy = PpoPolicy::discrete(4, 3, &[16, 16], 7);
-            let obs = Tensor::from_vec((0..16).map(|i| (i as f32 * 0.3).cos()).collect(), &[4, 4])
-                .unwrap();
-            let mut actor = PpoActor::new(policy, 11);
-            actor.act(&obs).unwrap();
-            assert!(actor.has_packed_weights());
-            let flat = actor.policy_params();
-            let packs_before = msrl_telemetry::counter_total("tensor.pack_b");
-            actor.set_policy_params(&flat).unwrap();
-            assert!(actor.has_packed_weights(), "identical sync keeps the snapshot");
-            actor.act(&obs).unwrap();
-            let packs_after = msrl_telemetry::counter_total("tensor.pack_b");
-            assert_eq!(packs_before, packs_after, "identical sync must not repack");
-            // A genuinely new epoch still invalidates.
-            let mut changed = flat.clone();
-            changed[1] -= 0.25;
-            actor.set_policy_params(&changed).unwrap();
-            assert!(!actor.has_packed_weights());
-            actor.act(&obs).unwrap();
-            assert!(
-                msrl_telemetry::counter_total("tensor.pack_b") > packs_after,
-                "changed sync must repack"
-            );
-        });
+        let policy = PpoPolicy::discrete(4, 3, &[16, 16], 7);
+        let obs =
+            Tensor::from_vec((0..16).map(|i| (i as f32 * 0.3).cos()).collect(), &[4, 4]).unwrap();
+        let mut actor = PpoActor::new(policy, 11);
+        actor.act(&obs).unwrap();
+        assert!(actor.has_packed_weights());
+        let flat = actor.policy_params();
+        let packs_before = msrl_telemetry::counter_total("tensor.pack_b");
+        actor.set_policy_params(&flat).unwrap();
+        assert!(actor.has_packed_weights(), "identical sync keeps the snapshot");
+        actor.act(&obs).unwrap();
+        let packs_after = msrl_telemetry::counter_total("tensor.pack_b");
+        assert_eq!(packs_before, packs_after, "identical sync must not repack");
+        // A genuinely new epoch still invalidates.
+        let mut changed = flat.clone();
+        changed[1] -= 0.25;
+        actor.set_policy_params(&changed).unwrap();
+        assert!(!actor.has_packed_weights());
+        actor.act(&obs).unwrap();
+        assert!(
+            msrl_telemetry::counter_total("tensor.pack_b") > packs_after,
+            "changed sync must repack"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! operation sequence of the separate ops, so whole learn steps — loss,
 //! gradients, Adam updates — produce the same weights bit for bit.
 //!
-//! This is the end-to-end guarantee behind defaulting `MSRL_FUSION` on:
-//! flipping it can never change training results, only speed.
+//! This is the end-to-end guarantee behind fusion being on everywhere
+//! outside this comparison: it can never change training results, only
+//! speed.
 
 use msrl_algos::ppo::{PpoActor, PpoConfig, PpoLearner, PpoPolicy};
 use msrl_algos::rollout::collect;

@@ -26,24 +26,18 @@
 //! The `matmul_at` section prices the weight-gradient product `aᵀ·b`
 //! at the shapes the learners actually run (25,600-row hidden layer and
 //! 2-column heads of DP-D, the 6-wide head of the wide DP-C model):
-//! naive transpose-then-matmul vs the blocked row kernel, GFLOP/s both
-//! ways, with hard floors ≥2x / ≥6x / ≥8x on the ratios (the unblocked
-//! kernel sat at 0.7x / 0.4x / 1.6x on the reference host).
-//!
-//! The `kernel_reductions` section prices the reduction microkernels
-//! (sum_axis and softmax_rows, naive fold vs gathered row kernels, with
-//! GFLOP/s at both tiers) and the batched rollout forward (one
-//! `PackedMlp::infer` over all actors' observation rows vs the
-//! per-actor `Mlp::infer` loop), all as interleaved minima. Hard
-//! floors: sum_axis ≥2x, batched rollout ≥1.5x, softmax_tier1 ≥1.3x
-//! (the bit-exact tier's exp+sum pass has no bit-exact vector form and
-//! stays scalar, so only the max fold and the scale pass vectorize).
+//! `transpose` then `matmul` — both on the live kernels, the
+//! composition the tape would otherwise record — vs the blocked
+//! `matmul_at` row kernel, GFLOP/s both ways, with hard floors ≥2x /
+//! ≥20x / ≥12x on the ratios (2.9x / 44x / 24x on the reference host;
+//! the narrow heads are where a materialised transpose plus a packed
+//! matmul with a 2- or 6-column right edge hurts most).
 //!
 //! The `fastmath` section prices the opt-in `MSRL_TIER=2` kernels,
 //! which drop bit-exactness for vectorized polynomial exp/tanh (DESIGN
-//! §3.14): softmax_rows tier 2 vs tier 0 (floor ≥2.5x — the exp pass
-//! finally vectorizes), the tanh-MLP batched rollout forward tier 2 vs
-//! tier 1 on the e2e policy shape (floor ≥1.3x), and the act server's
+//! §3.14): softmax_rows tier 2 vs tier 1 (floor ≥2x — the exp pass
+//! finally vectorizes), the tanh-MLP batched rollout forward tier 2 vs tier 1
+//! on the e2e policy shape (floor ≥1.3x), and the act server's
 //! one-forward-per-round over all actors' rows vs the per-actor packed
 //! loop at 128 actors (floor ≥1.5x). Every kernel section also records
 //! `dispatch` — the microkernel family `kernels::select()` actually
@@ -470,127 +464,26 @@ fn graph_compile_cost() -> GraphCompile {
     GraphCompile { fwd_bwd_unfused_ns, fwd_bwd_fused_ns, plan_per_call_ns, plan_cached_ns }
 }
 
-/// Measured effect of the kernel tier on this host.
-struct KernelTier {
-    /// 512×512×512 matmul, naive loops (`MSRL_TIER=0` path) vs the
-    /// packed register-tiled microkernels, both on the scalar backend
-    /// so the gain is pure kernel quality.
-    matmul512_naive_ns: f64,
-    matmul512_tiered_ns: f64,
-    /// The same MLP forward+backward as `graph_compile`, everything off
-    /// (seed path) vs everything on (fusion + tier): the end-to-end
-    /// learn-phase win of the compiled kernel stack.
-    mlp_fwd_bwd_base_ns: f64,
-    mlp_fwd_bwd_tiered_ns: f64,
-    /// 256×256×256 matmul on the scalar backend vs the threaded backend
-    /// clamped to one worker: `threads=1` must dispatch straight to the
-    /// serial kernels, so this ratio must not dip below ~1.
-    threads1_scalar_ns: f64,
-    threads1_threaded_ns: f64,
-}
-
-impl KernelTier {
-    fn matmul512_speedup(&self) -> f64 {
-        self.matmul512_naive_ns / self.matmul512_tiered_ns.max(1.0)
-    }
-    fn mlp_fwd_bwd_speedup(&self) -> f64 {
-        self.mlp_fwd_bwd_base_ns / self.mlp_fwd_bwd_tiered_ns.max(1.0)
-    }
-    fn threads1_speedup(&self) -> f64 {
-        self.threads1_scalar_ns / self.threads1_threaded_ns.max(1.0)
-    }
-    /// GFLOP/s of one 512³ matmul at the given ns/iter.
-    fn gflops512(ns: f64) -> f64 {
-        2.0 * 512.0 * 512.0 * 512.0 / ns.max(1.0)
-    }
-}
-
-fn kernel_tier_cost() -> KernelTier {
-    let a = Tensor::full(&[512, 512], 0.5);
-    let b = Tensor::full(&[512, 512], 0.25);
-    let mut mm = || ops::matmul(&a, &b).expect("shapes conform");
-    let matmul512_naive_ns =
-        par::with_backend(Backend::Scalar, || par::with_tier(false, || time_ns(9, &mut mm)));
-    let matmul512_tiered_ns =
-        par::with_backend(Backend::Scalar, || par::with_tier(true, || time_ns(9, &mut mm)));
-
-    // End-to-end learn phase: the `graph_compile` MLP forward+backward
-    // with the whole kernel stack off vs on. The tier's contribution
-    // here is the transpose-free packed backward (`matmul_at`/`_bt`).
-    let mut rng = init::rng(42);
-    let mlp = Mlp::seven_layer(17, 6, 32, &mut rng);
-    let x = Tensor::full(&[2, 17], 0.1);
-    let mut fwd_bwd = || {
-        let tape = Tape::new();
-        let net = mlp.bind(&tape);
-        let xv = tape.var(x.clone());
-        let loss = net.forward(&xv).expect("shapes conform").square().sum();
-        let mut grads = tape.backward(&loss).expect("loss is scalar");
-        net.take_grads(&mut grads)
-    };
-    // Interleaved minima, as for threads=1 below: both configurations
-    // sample under the same load profile.
-    let (mlp_fwd_bwd_base_ns, mlp_fwd_bwd_tiered_ns) = par::with_backend(Backend::Scalar, || {
-        let mut base = f64::INFINITY;
-        let mut tiered = f64::INFINITY;
-        for _ in 0..5 {
-            base = base.min(par::with_fusion(false, || {
-                par::with_tier(false, || time_ns(3, &mut fwd_bwd))
-            }));
-            tiered = tiered
-                .min(par::with_fusion(true, || par::with_tier(true, || time_ns(3, &mut fwd_bwd))));
-        }
-        (base, tiered)
-    });
-
-    // threads=1 sanity: the threaded backend with one worker must cost
-    // the same as the scalar backend (no pool, no chunking overhead —
-    // `should_parallelize` short-circuits and both run the serial
-    // kernel). The samples interleave backends and keep each side's
-    // minimum so a load spike on this box can't skew the ratio.
-    let a = Tensor::full(&[256, 256], 0.5);
-    let b = Tensor::full(&[256, 256], 0.25);
-    let mut mm = || ops::matmul(&a, &b).expect("shapes conform");
-    let (threads1_scalar_ns, threads1_threaded_ns) = par::with_threads(1, || {
-        let mut scalar = f64::INFINITY;
-        let mut threaded = f64::INFINITY;
-        for _ in 0..5 {
-            scalar = scalar.min(par::with_backend(Backend::Scalar, || time_ns(3, &mut mm)));
-            threaded = threaded.min(par::with_backend(Backend::Threaded, || time_ns(3, &mut mm)));
-        }
-        (scalar, threaded)
-    });
-
-    KernelTier {
-        matmul512_naive_ns,
-        matmul512_tiered_ns,
-        mlp_fwd_bwd_base_ns,
-        mlp_fwd_bwd_tiered_ns,
-        threads1_scalar_ns,
-        threads1_threaded_ns,
-    }
-}
-
 /// One weight-gradient product `aᵀ·b` (`a: [p, m]`, `b: [p, n]`) at a
 /// shape a real learner runs, priced both ways the tape can take it.
 struct MatmulAt {
-    /// `section.key` of the gated tiered÷naive ratio.
+    /// `section.key` of the gated composed÷direct ratio.
     gate: &'static str,
     p: usize,
     m: usize,
     n: usize,
     /// Hard floor on the ratio.
     floor: f64,
-    /// `matmul(transpose(a), b)` on the naive loops — the tape's route
-    /// with the tier off.
-    naive_ns: f64,
-    /// `ops::matmul_at` — the blocked row kernel, the tier-on route.
-    tiered_ns: f64,
+    /// `matmul(transpose(a), b)`: the materialised transpose plus the
+    /// packed matmul kernel.
+    composed_ns: f64,
+    /// `ops::matmul_at` — the blocked row kernel the tape records.
+    direct_ns: f64,
 }
 
 impl MatmulAt {
     fn speedup(&self) -> f64 {
-        self.naive_ns / self.tiered_ns.max(1.0)
+        self.composed_ns / self.direct_ns.max(1.0)
     }
     fn gflops(&self, ns: f64) -> f64 {
         2.0 * (self.p * self.m * self.n) as f64 / ns.max(1.0)
@@ -610,8 +503,8 @@ impl MatmulAt {
 fn matmul_at_cost() -> Vec<MatmulAt> {
     let shapes = [
         ("matmul_at.dpd_hidden_speedup", 25_600, 64, 64, 2.0),
-        ("matmul_at.dpd_heads_speedup", 25_600, 64, 2, 6.0),
-        ("matmul_at.dpc_head_speedup", 1024, 256, 6, 8.0),
+        ("matmul_at.dpd_heads_speedup", 25_600, 64, 2, 20.0),
+        ("matmul_at.dpc_head_speedup", 1024, 256, 6, 12.0),
     ];
     let fill = |rows: usize, cols: usize, seed: usize| {
         let data = (0..rows * cols).map(|i| ((i * 31 + seed) % 199) as f32 / 100.0 - 1.0).collect();
@@ -622,140 +515,28 @@ fn matmul_at_cost() -> Vec<MatmulAt> {
             .into_iter()
             .map(|(gate, p, m, n, floor)| {
                 let (a, b) = (fill(p, m, 1), fill(p, n, 2));
-                let mut naive = || {
+                let mut composed = || {
                     ops::matmul(&ops::transpose(&a).expect("matrix"), &b).expect("shapes conform")
                 };
-                let mut tiered = || ops::matmul_at(&a, &b).expect("shapes conform");
-                let (mut naive_ns, mut tiered_ns) = (f64::INFINITY, f64::INFINITY);
+                let mut direct = || ops::matmul_at(&a, &b).expect("shapes conform");
+                let (mut composed_ns, mut direct_ns) = (f64::INFINITY, f64::INFINITY);
                 for _ in 0..5 {
-                    naive_ns = naive_ns.min(par::with_tier(false, || time_ns(3, &mut naive)));
-                    tiered_ns = tiered_ns.min(par::with_tier(true, || time_ns(3, &mut tiered)));
+                    composed_ns = composed_ns.min(time_ns(3, &mut composed));
+                    direct_ns = direct_ns.min(time_ns(3, &mut direct));
                 }
-                MatmulAt { gate, p, m, n, floor, naive_ns, tiered_ns }
+                MatmulAt { gate, p, m, n, floor, composed_ns, direct_ns }
             })
             .collect()
     })
 }
 
-/// Measured effect of the reduction microkernels and the batched
-/// rollout forward on this host.
-struct KernelReductions {
-    /// `sum_axis` over the last axis of [512, 1024]: naive scalar fold
-    /// (`MSRL_TIER=0`) vs the gathered row kernels that run lanes
-    /// across independent output rows.
-    sum_axis_naive_ns: f64,
-    sum_axis_tiered_ns: f64,
-    /// `softmax_rows` on [512, 64]. The tiered path vectorizes the max
-    /// fold and the scale pass across rows; the exp+sum stays scalar
-    /// per row (no bit-exact vector exp), so the gain is bounded by the
-    /// exp share of the pass.
-    softmax_naive_ns: f64,
-    softmax_tiered_ns: f64,
-    /// One rollout step's forwards for 128 actors × 1 observation row
-    /// (the batch a real `PpoActor::act` sees per step at the e2e
-    /// configs' `envs_per_actor: 1`, on a `hidden: 32` ReLU net so the
-    /// ratio prices dispatch, not libm tanh — which is scalar and
-    /// identical on both sides): the per-actor loop — 128 small
-    /// `Mlp::infer` calls, each paying its own per-layer dispatch and
-    /// output allocation — vs one batched `PackedMlp::infer` over the
-    /// shared pre-packed weights, the `PpoActor` pack-cache path.
-    rollout_per_actor_ns: f64,
-    rollout_batched_ns: f64,
-}
-
-impl KernelReductions {
-    fn sum_axis_speedup(&self) -> f64 {
-        self.sum_axis_naive_ns / self.sum_axis_tiered_ns.max(1.0)
-    }
-    fn softmax_speedup(&self) -> f64 {
-        self.softmax_naive_ns / self.softmax_tiered_ns.max(1.0)
-    }
-    fn rollout_batch_speedup(&self) -> f64 {
-        self.rollout_per_actor_ns / self.rollout_batched_ns.max(1.0)
-    }
-    /// GFLOP/s at `flops` floating-point ops per iteration.
-    fn gflops(flops: f64, ns: f64) -> f64 {
-        flops / ns.max(1.0)
-    }
-}
-
-fn kernel_reductions_cost() -> KernelReductions {
-    // Row reductions on the scalar backend, tier off vs on, interleaved
-    // minima so a load spike on this box can't skew either side.
-    let a = Tensor::from_vec(
-        (0..512 * 1024).map(|i| (i as f32 * 0.00137).sin()).collect(),
-        &[512, 1024],
-    )
-    .expect("shape matches");
-    let mut sum = || ops::sum_axis(&a, 1).expect("axis in range");
-    let s =
-        Tensor::from_vec((0..512 * 64).map(|i| (i as f32 * 0.0213).cos()).collect(), &[512, 64])
-            .expect("shape matches");
-    let mut soft = || ops::softmax_rows(&s).expect("rank 2");
-    let (sum_axis_naive_ns, sum_axis_tiered_ns, softmax_naive_ns, softmax_tiered_ns) =
-        par::with_backend(Backend::Scalar, || {
-            let mut v = [f64::INFINITY; 4];
-            for _ in 0..5 {
-                v[0] = v[0].min(par::with_tier(false, || time_ns(3, &mut sum)));
-                v[1] = v[1].min(par::with_tier(true, || time_ns(3, &mut sum)));
-                v[2] = v[2].min(par::with_tier(false, || time_ns(3, &mut soft)));
-                v[3] = v[3].min(par::with_tier(true, || time_ns(3, &mut soft)));
-            }
-            (v[0], v[1], v[2], v[3])
-        });
-
-    // Batched rollout forward: 128 actors' observation rows (one per
-    // actor, the batch a real rollout step sees) as one matrix over
-    // shared pre-packed weights vs the per-actor loop those rollouts
-    // paid before this optimization.
-    let mut rng = init::rng(42);
-    let mlp = Mlp::new(&[17, 32, 32, 6], Activation::Relu, Activation::Linear, &mut rng);
-    let packed = mlp.pack();
-    let big =
-        Tensor::from_vec((0..128 * 17).map(|i| (i as f32 * 0.011).sin()).collect(), &[128, 17])
-            .expect("shape matches");
-    let small: Vec<Tensor> = (0..128)
-        .map(|k| {
-            Tensor::from_vec(big.data()[k * 17..(k + 1) * 17].to_vec(), &[1, 17])
-                .expect("shape matches")
-        })
-        .collect();
-    let (rollout_per_actor_ns, rollout_batched_ns) = par::with_backend(Backend::Scalar, || {
-        par::with_fusion(true, || {
-            par::with_tier(true, || {
-                let mut per = f64::INFINITY;
-                let mut bat = f64::INFINITY;
-                for _ in 0..5 {
-                    per = per.min(time_ns(3, || {
-                        let mut outs = Vec::with_capacity(small.len());
-                        for x in &small {
-                            outs.push(mlp.infer(x).expect("shapes conform"));
-                        }
-                        outs
-                    }));
-                    bat = bat.min(time_ns(3, || packed.infer(&big).expect("shapes conform")));
-                }
-                (per, bat)
-            })
-        })
-    });
-
-    KernelReductions {
-        sum_axis_naive_ns,
-        sum_axis_tiered_ns,
-        softmax_naive_ns,
-        softmax_tiered_ns,
-        rollout_per_actor_ns,
-        rollout_batched_ns,
-    }
-}
-
 /// Measured effect of the opt-in fast-math tier (`MSRL_TIER=2`) and the
 /// cross-actor act server on this host.
 struct Fastmath {
-    /// `softmax_rows` on [512, 64]: tier 0 (naive scalar, libm exp) vs
-    /// tier 2 (vectorized max fold + polynomial exp + scale).
-    softmax_tier0_ns: f64,
+    /// `softmax_rows` on [512, 64]: tier 1 (vectorized max fold and
+    /// scale, scalar libm exp+sum) vs tier 2 (polynomial exp, every
+    /// pass vectorized).
+    softmax_tier1_ns: f64,
     softmax_tier2_ns: f64,
     /// The batched rollout forward on the e2e policy shape — a tanh
     /// [17, 32, 32, 6] MLP over 128 actors' rows through the pack
@@ -775,7 +556,7 @@ struct Fastmath {
 
 impl Fastmath {
     fn softmax_tier2_speedup(&self) -> f64 {
-        self.softmax_tier0_ns / self.softmax_tier2_ns.max(1.0)
+        self.softmax_tier1_ns / self.softmax_tier2_ns.max(1.0)
     }
     fn rollout_tanh_tier2_speedup(&self) -> f64 {
         self.rollout_tanh_tier1_ns / self.rollout_tanh_tier2_ns.max(1.0)
@@ -786,19 +567,19 @@ impl Fastmath {
 }
 
 fn fastmath_cost() -> Fastmath {
-    // softmax_rows tier 0 vs tier 2, scalar backend, interleaved minima.
+    // softmax_rows tier 1 vs tier 2, scalar backend, interleaved minima.
     let s =
         Tensor::from_vec((0..512 * 64).map(|i| (i as f32 * 0.0213).cos()).collect(), &[512, 64])
             .expect("shape matches");
     let mut soft = || ops::softmax_rows(&s).expect("rank 2");
-    let (softmax_tier0_ns, softmax_tier2_ns) = par::with_backend(Backend::Scalar, || {
-        let mut t0 = f64::INFINITY;
+    let (softmax_tier1_ns, softmax_tier2_ns) = par::with_backend(Backend::Scalar, || {
+        let mut t1 = f64::INFINITY;
         let mut t2 = f64::INFINITY;
         for _ in 0..5 {
-            t0 = t0.min(par::with_tier_level(0, || time_ns(3, &mut soft)));
-            t2 = t2.min(par::with_tier_level(2, || time_ns(3, &mut soft)));
+            t1 = t1.min(par::with_fastmath(false, || time_ns(3, &mut soft)));
+            t2 = t2.min(par::with_fastmath(true, || time_ns(3, &mut soft)));
         }
-        (t0, t2)
+        (t1, t2)
     });
 
     // The e2e-shaped tanh rollout forward through the pack cache, tier 1
@@ -816,10 +597,10 @@ fn fastmath_cost() -> Fastmath {
             let mut t1 = f64::INFINITY;
             let mut t2 = f64::INFINITY;
             for _ in 0..5 {
-                t1 = t1.min(par::with_tier_level(1, || {
+                t1 = t1.min(par::with_fastmath(false, || {
                     time_ns(3, || packed.infer(&big).expect("shapes conform"))
                 }));
-                t2 = t2.min(par::with_tier_level(2, || {
+                t2 = t2.min(par::with_fastmath(true, || {
                     time_ns(3, || packed.infer(&big).expect("shapes conform"))
                 }));
             }
@@ -839,28 +620,26 @@ fn fastmath_cost() -> Fastmath {
         .collect();
     let (actsrv_per_actor_ns, actsrv_batched_ns) = par::with_backend(Backend::Scalar, || {
         par::with_fusion(true, || {
-            par::with_tier(true, || {
-                let mut per = f64::INFINITY;
-                let mut bat = f64::INFINITY;
-                for _ in 0..5 {
-                    per = per.min(time_ns(3, || {
-                        let mut outs = Vec::with_capacity(rows.len());
-                        for x in &rows {
-                            outs.push(policy.forward_with(x, Some(&ppacked)).expect("forwards"));
-                        }
-                        outs
-                    }));
-                    bat = bat.min(time_ns(3, || {
-                        policy.forward_with(&big, Some(&ppacked)).expect("forwards")
-                    }));
-                }
-                (per, bat)
-            })
+            let mut per = f64::INFINITY;
+            let mut bat = f64::INFINITY;
+            for _ in 0..5 {
+                per = per.min(time_ns(3, || {
+                    let mut outs = Vec::with_capacity(rows.len());
+                    for x in &rows {
+                        outs.push(policy.forward_with(x, Some(&ppacked)).expect("forwards"));
+                    }
+                    outs
+                }));
+                bat = bat.min(time_ns(3, || {
+                    policy.forward_with(&big, Some(&ppacked)).expect("forwards")
+                }));
+            }
+            (per, bat)
         })
     });
 
     Fastmath {
-        softmax_tier0_ns,
+        softmax_tier1_ns,
         softmax_tier2_ns,
         rollout_tanh_tier1_ns,
         rollout_tanh_tier2_ns,
@@ -929,6 +708,7 @@ fn comm_overlap_rows() -> Vec<OverlapRow> {
 }
 
 fn main() {
+    msrl_bench::runtime_config_or_exit();
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_backend.json".to_string());
     let threads = par::thread_count();
     let mut rows = Vec::new();
@@ -957,9 +737,7 @@ fn main() {
     rows.push(mlp_rows(16, 8));
     let tel = telemetry_cost();
     let gc = graph_compile_cost();
-    let kt = kernel_tier_cost();
     let mat = matmul_at_cost();
-    let kr = kernel_reductions_cost();
     let fm = fastmath_cost();
     let overlap = comm_overlap_rows();
 
@@ -1024,76 +802,29 @@ fn main() {
         gc.plan_cached_ns,
         gc.plan_cache_speedup(),
     ));
-    json.push_str(&format!(
-        "  \"kernel_tier\": {{\"dispatch\": \"{}\", \"matmul512_naive_ns\": {:.0}, \
-         \"matmul512_tiered_ns\": {:.0}, \"matmul512_naive_gflops\": {:.2}, \
-         \"matmul512_tiered_gflops\": {:.2}, \"matmul512_speedup\": {:.2}, \
-         \"mlp_fwd_bwd_base_ns\": {:.0}, \"mlp_fwd_bwd_tiered_ns\": {:.0}, \
-         \"mlp_fwd_bwd_speedup\": {:.2}, \"threads1_scalar_ns\": {:.0}, \
-         \"threads1_threaded_ns\": {:.0}, \"threads1_speedup\": {:.2}}},\n",
-        dispatch_label(),
-        kt.matmul512_naive_ns,
-        kt.matmul512_tiered_ns,
-        KernelTier::gflops512(kt.matmul512_naive_ns),
-        KernelTier::gflops512(kt.matmul512_tiered_ns),
-        kt.matmul512_speedup(),
-        kt.mlp_fwd_bwd_base_ns,
-        kt.mlp_fwd_bwd_tiered_ns,
-        kt.mlp_fwd_bwd_speedup(),
-        kt.threads1_scalar_ns,
-        kt.threads1_threaded_ns,
-        kt.threads1_speedup(),
-    ));
     json.push_str(&format!("  \"matmul_at\": {{\"dispatch\": \"{}\"", dispatch_label()));
     for r in &mat {
         json.push_str(&format!(
-            ", \"{0}_naive_ns\": {1:.0}, \"{0}_tiered_ns\": {2:.0}, \"{0}_naive_gflops\": {3:.2}, \
-             \"{0}_tiered_gflops\": {4:.2}, \"{0}_speedup\": {5:.2}",
+            ", \"{0}_composed_ns\": {1:.0}, \"{0}_direct_ns\": {2:.0}, \
+             \"{0}_composed_gflops\": {3:.2}, \"{0}_direct_gflops\": {4:.2}, \
+             \"{0}_speedup\": {5:.2}",
             r.stem(),
-            r.naive_ns,
-            r.tiered_ns,
-            r.gflops(r.naive_ns),
-            r.gflops(r.tiered_ns),
+            r.composed_ns,
+            r.direct_ns,
+            r.gflops(r.composed_ns),
+            r.gflops(r.direct_ns),
             r.speedup(),
         ));
     }
     json.push_str("},\n");
-    // Reduction FLOP counts: one add per reduced element for sum_axis;
-    // softmax priced at 4 ops/element (max cmp, sub+exp, sum, scale) —
-    // approximate, but stable release over release.
-    let sum_flops = 512.0 * 1023.0;
-    let softmax_flops = 4.0 * 512.0 * 64.0;
     json.push_str(&format!(
-        "  \"kernel_reductions\": {{\"dispatch\": \"{}\", \"sum_axis_naive_ns\": {:.0}, \
-         \"sum_axis_tiered_ns\": {:.0}, \"sum_axis_naive_gflops\": {:.2}, \
-         \"sum_axis_tiered_gflops\": {:.2}, \"sum_axis_speedup\": {:.2}, \
-         \"softmax_tier1_naive_ns\": {:.0}, \"softmax_tier1_tiered_ns\": {:.0}, \
-         \"softmax_tier1_naive_gflops\": {:.2}, \"softmax_tier1_tiered_gflops\": {:.2}, \
-         \"softmax_tier1_speedup\": {:.2}, \"rollout_per_actor_ns\": {:.0}, \
-         \"rollout_batched_ns\": {:.0}, \"rollout_batch_speedup\": {:.2}}},\n",
-        dispatch_label(),
-        kr.sum_axis_naive_ns,
-        kr.sum_axis_tiered_ns,
-        KernelReductions::gflops(sum_flops, kr.sum_axis_naive_ns),
-        KernelReductions::gflops(sum_flops, kr.sum_axis_tiered_ns),
-        kr.sum_axis_speedup(),
-        kr.softmax_naive_ns,
-        kr.softmax_tiered_ns,
-        KernelReductions::gflops(softmax_flops, kr.softmax_naive_ns),
-        KernelReductions::gflops(softmax_flops, kr.softmax_tiered_ns),
-        kr.softmax_speedup(),
-        kr.rollout_per_actor_ns,
-        kr.rollout_batched_ns,
-        kr.rollout_batch_speedup(),
-    ));
-    json.push_str(&format!(
-        "  \"fastmath\": {{\"dispatch\": \"{}\", \"softmax_tier0_ns\": {:.0}, \
+        "  \"fastmath\": {{\"dispatch\": \"{}\", \"softmax_tier1_ns\": {:.0}, \
          \"softmax_tier2_ns\": {:.0}, \"softmax_tier2_speedup\": {:.2}, \
          \"rollout_tanh_tier1_ns\": {:.0}, \"rollout_tanh_tier2_ns\": {:.0}, \
          \"rollout_tanh_tier2_speedup\": {:.2}, \"actsrv_per_actor_ns\": {:.0}, \
          \"actsrv_batched_ns\": {:.0}, \"actsrv_batch_speedup\": {:.2}}},\n",
         dispatch_label(),
-        fm.softmax_tier0_ns,
+        fm.softmax_tier1_ns,
         fm.softmax_tier2_ns,
         fm.softmax_tier2_speedup(),
         fm.rollout_tanh_tier1_ns,
@@ -1168,42 +899,6 @@ fn main() {
             higher_is_better: false,
             floor: 1.0,
             value: health_share_pct,
-        },
-        Gated {
-            name: "kernel_tier.matmul512_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kt.matmul512_speedup(),
-        },
-        Gated {
-            name: "kernel_tier.mlp_fwd_bwd_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kt.mlp_fwd_bwd_speedup(),
-        },
-        Gated {
-            name: "kernel_tier.threads1_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kt.threads1_speedup(),
-        },
-        Gated {
-            name: "kernel_reductions.sum_axis_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kr.sum_axis_speedup(),
-        },
-        Gated {
-            name: "kernel_reductions.softmax_tier1_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kr.softmax_speedup(),
-        },
-        Gated {
-            name: "kernel_reductions.rollout_batch_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: kr.rollout_batch_speedup(),
         },
         Gated {
             name: "fastmath.softmax_tier2_speedup",
@@ -1289,58 +984,27 @@ fn main() {
         gc.plan_cached_ns,
         gc.plan_cache_speedup(),
     );
-    println!(
-        "kernel_tier: matmul512 naive {:.0} ns ({:.2} GFLOP/s) / tiered {:.0} ns \
-         ({:.2} GFLOP/s, {:.2}x); mlp fwd+bwd base {:.0} ns / tiered {:.0} ns ({:.2}x); \
-         threads=1 scalar {:.0} ns / threaded {:.0} ns ({:.2}x)",
-        kt.matmul512_naive_ns,
-        KernelTier::gflops512(kt.matmul512_naive_ns),
-        kt.matmul512_tiered_ns,
-        KernelTier::gflops512(kt.matmul512_tiered_ns),
-        kt.matmul512_speedup(),
-        kt.mlp_fwd_bwd_base_ns,
-        kt.mlp_fwd_bwd_tiered_ns,
-        kt.mlp_fwd_bwd_speedup(),
-        kt.threads1_scalar_ns,
-        kt.threads1_threaded_ns,
-        kt.threads1_speedup(),
-    );
     for r in &mat {
         println!(
-            "matmul_at [{}]: [{p},{}]ᵀ·[{p},{}] naive {:.0} ns ({:.2} GFLOP/s) / tiered {:.0} ns \
-             ({:.2} GFLOP/s, {:.2}x)",
+            "matmul_at [{}]: [{p},{}]ᵀ·[{p},{}] transpose+matmul {:.0} ns ({:.2} GFLOP/s) / \
+             matmul_at {:.0} ns ({:.2} GFLOP/s, {:.2}x)",
             dispatch_label(),
             r.m,
             r.n,
-            r.naive_ns,
-            r.gflops(r.naive_ns),
-            r.tiered_ns,
-            r.gflops(r.tiered_ns),
+            r.composed_ns,
+            r.gflops(r.composed_ns),
+            r.direct_ns,
+            r.gflops(r.direct_ns),
             r.speedup(),
             p = r.p,
         );
     }
     println!(
-        "kernel_reductions [{}]: sum_axis[512,1024] naive {:.0} ns / tiered {:.0} ns ({:.2}x); \
-         softmax_rows[512,64] tier1 naive {:.0} ns / tiered {:.0} ns ({:.2}x, exp stays scalar); \
-         rollout fwd per-actor {:.0} ns / batched {:.0} ns ({:.2}x)",
-        dispatch_label(),
-        kr.sum_axis_naive_ns,
-        kr.sum_axis_tiered_ns,
-        kr.sum_axis_speedup(),
-        kr.softmax_naive_ns,
-        kr.softmax_tiered_ns,
-        kr.softmax_speedup(),
-        kr.rollout_per_actor_ns,
-        kr.rollout_batched_ns,
-        kr.rollout_batch_speedup(),
-    );
-    println!(
-        "fastmath [{}]: softmax_rows[512,64] tier0 {:.0} ns / tier2 {:.0} ns ({:.2}x); \
+        "fastmath [{}]: softmax_rows[512,64] tier1 {:.0} ns / tier2 {:.0} ns ({:.2}x); \
          tanh rollout fwd tier1 {:.0} ns / tier2 {:.0} ns ({:.2}x); \
          actsrv fwd per-actor {:.0} ns / batched {:.0} ns ({:.2}x)",
         dispatch_label(),
-        fm.softmax_tier0_ns,
+        fm.softmax_tier1_ns,
         fm.softmax_tier2_ns,
         fm.softmax_tier2_speedup(),
         fm.rollout_tanh_tier1_ns,
@@ -1393,24 +1057,11 @@ fn main() {
         eprintln!("bench_report: health-probe share {health_share_pct:.3}% breaches the 5% bound");
         std::process::exit(1);
     }
-    // Kernel-tier acceptance bounds: the packed microkernels must beat
-    // the naive loops ≥2.5x on the 512³ matmul, the full kernel stack
-    // must hold ≥1.8x on the learn-phase MLP, and one threaded worker
-    // must not cost more than the scalar backend (≥0.99x).
-    // Reduction-kernel acceptance bounds: the gathered row kernels must
-    // beat the scalar folds ≥2x on sum_axis, the batched rollout
-    // forward must beat the per-actor loop ≥1.5x, and softmax_rows must
-    // hold its measured gain — the exp+sum pass has no bit-exact vector
-    // form and stays scalar, so the bound reflects the vectorizable
-    // (max fold + scale) share only.
+    // Fast-math and weight-gradient kernel acceptance floors, each
+    // well under the ratio measured on the reference host so a loaded
+    // runner does not trip them.
     let mut floors = vec![
-        ("kernel_tier.matmul512_speedup", kt.matmul512_speedup(), 2.5),
-        ("kernel_tier.mlp_fwd_bwd_speedup", kt.mlp_fwd_bwd_speedup(), 1.8),
-        ("kernel_tier.threads1_speedup", kt.threads1_speedup(), 0.99),
-        ("kernel_reductions.sum_axis_speedup", kr.sum_axis_speedup(), 2.0),
-        ("kernel_reductions.softmax_tier1_speedup", kr.softmax_speedup(), 1.3),
-        ("kernel_reductions.rollout_batch_speedup", kr.rollout_batch_speedup(), 1.5),
-        ("fastmath.softmax_tier2_speedup", fm.softmax_tier2_speedup(), 2.5),
+        ("fastmath.softmax_tier2_speedup", fm.softmax_tier2_speedup(), 2.0),
         ("fastmath.rollout_tanh_tier2_speedup", fm.rollout_tanh_tier2_speedup(), 1.3),
         ("fastmath.actsrv_batch_speedup", fm.actsrv_batch_speedup(), 1.5),
     ];

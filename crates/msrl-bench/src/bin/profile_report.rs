@@ -280,6 +280,7 @@ fn fusion_analysis(fused: &PolicyProfile, unfused: &PolicyProfile) -> Vec<String
 }
 
 fn main() {
+    msrl_bench::runtime_config_or_exit();
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "results".to_string());
     let out_dir = Path::new(&out_dir);
     std::fs::create_dir_all(out_dir).expect("results directory is creatable");

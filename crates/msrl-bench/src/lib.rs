@@ -7,6 +7,18 @@
 
 #![warn(missing_docs)]
 
+use msrl_runtime::RuntimeConfig;
+
+/// Resolves the environment's [`RuntimeConfig`] before any work starts,
+/// so a rejected `MSRL_*` value ends the binary with the error message
+/// and exit status 2 instead of a panic somewhere inside a driver.
+pub fn runtime_config_or_exit() -> RuntimeConfig {
+    RuntimeConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Prints a figure banner with the paper's claim.
 pub fn banner(id: &str, title: &str, paper_claim: &str) {
     println!("==============================================================");

@@ -32,32 +32,7 @@ pub use fabric::{CommError, Endpoint, Fabric, PendingOp, PendingRecv};
 pub use model::{LinkModel, NetworkModel};
 pub use topology::{ClusterSpec, DeviceId, DeviceKind, NodeSpec};
 
-/// Whether communication/computation overlap is enabled (`MSRL_OVERLAP`,
-/// default on; `0`/`false`/`off` disable). Read per call so tests and
-/// report binaries can flip it between runs.
-pub fn overlap_enabled() -> bool {
-    match std::env::var("MSRL_OVERLAP") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    }
-}
-
-/// The bounded-staleness window for double-buffered weight sync
-/// (`MSRL_STALENESS`, default 1): actors may roll out on weights at most
-/// this many iterations old while the next broadcast is in flight.
-pub fn staleness_bound() -> usize {
-    std::env::var("MSRL_STALENESS").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(1)
-}
-
-/// Chunk size, in `f32` elements, for the chunked all-reduce
-/// (`MSRL_COMM_CHUNK`, default 32768, minimum 1).
-pub fn comm_chunk_elems() -> usize {
-    std::env::var("MSRL_COMM_CHUNK")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(32_768)
-        .max(1)
-}
+/// Chunk size, in `f32` elements, for the chunked all-reduce: large
+/// enough that per-chunk message overhead is noise, small enough that
+/// reducing chunk *k* overlaps the transfer of chunk *k + 1*.
+pub const COMM_CHUNK_ELEMS: usize = 32_768;

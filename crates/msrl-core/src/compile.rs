@@ -42,8 +42,7 @@
 //!    stealers, most-recent death offered first.
 //!
 //! All passes are gated on the fusion flag
-//! ([`msrl_tensor::par::fusion_enabled`], env `MSRL_FUSION`): with
-//! fusion off the plan reproduces the uncompiled interpreter's schedule
+//! ([`msrl_tensor::par::ExecCtx::fusion`]): with fusion off the plan reproduces the uncompiled interpreter's schedule
 //! exactly, op for op. Because fusion may elide dead computation, a
 //! *dead* node's missing binding no longer errors under fusion — live
 //! behaviour is unchanged.
@@ -113,7 +112,7 @@ impl EwProgram {
     /// inputs (stride 0 = scalar broadcast).
     /// `fm` selects the opt-in fast-math kernels for the
     /// Tanh/Sigmoid/Exp lanes (read once per executor entry from
-    /// [`par::fastmath_enabled`], tier level 2 only).
+    /// [`par::ExecCtx::fastmath`]).
     #[inline]
     fn eval_at(
         &self,
@@ -1161,11 +1160,12 @@ pub(crate) fn run_ew(prog: &EwProgram, ins: &[&Tensor], shape: &[usize]) -> Resu
     let strides = ew_strides(ins, vol, shape)?;
     let srcs: Vec<&[f32]> = ins.iter().map(|t| t.data()).collect();
     let mut data = msrl_tensor::alloc::take_zeroed(vol);
-    let fm = par::fastmath_enabled();
+    let ctx = par::ExecCtx::current();
+    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         run_ew_fill(prog, &srcs, &strides, offset, fm, chunk);
     };
-    if par::should_parallelize(vol, par::PAR_MIN_ELEMS) {
+    if ctx.should_parallelize(vol, par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
@@ -1419,7 +1419,7 @@ mod tests {
     /// variant and the scalar lane tail.
     #[test]
     fn run_ew_matches_separate_ops_under_fastmath() {
-        par::with_tier_level(2, || {
+        par::with_fastmath(true, || {
             let x =
                 Tensor::from_vec((0..21).map(|i| (i as f32 * 0.43).sin() * 3.0).collect(), &[3, 7])
                     .unwrap();
@@ -1441,7 +1441,7 @@ mod tests {
             assert_eq!(inplace.data(), expect.data());
             // And it genuinely differs from the libm tier on this input
             // (guards against the gate being wired to the wrong level).
-            let libm = par::with_tier(true, || {
+            let libm = par::with_fastmath(false, || {
                 ops::exp(&ops::sigmoid(&ops::tanh(&ops::mul(&x, &y).unwrap())))
             });
             assert_ne!(fused.data(), libm.data(), "tier 2 must actually engage");

@@ -35,12 +35,11 @@
 //! The always-on `interp.ops` counter totals evaluated nodes; with
 //! tracing enabled, per-op-class totals land under `interp.op.<Name>`.
 //!
-//! # Kernel tier
+//! # Hot-plan promotion
 //!
 //! A cached plan that keeps getting replayed is *hot*: once its
-//! execution count reaches `MSRL_TIER_THRESHOLD` (default 3) and
-//! `MSRL_TIER` is not `0`, the interpreter promotes it — every `MatMul`
-//! or fused-linear op whose weight input is a [`OpKind::Param`] of at
+//! execution count reaches [`TIER_THRESHOLD`], the interpreter promotes
+//! it — every `MatMul` or fused-linear op whose weight input is a [`OpKind::Param`] of at
 //! least 64×64 elements gets that weight packed once into the
 //! register-tiled layout of [`msrl_tensor::kernels`], and the packed
 //! buffers ride along inside the swapped-in plan. Steady-state hot-plan
@@ -49,14 +48,13 @@
 //! `interp.plan_cache.hit` keeps climbing). Rebinding any parameter
 //! bumps the interpreter's params epoch, which invalidates packed
 //! weights and triggers a repack at the next promotion check. Packed
-//! kernels replay the naive per-element accumulation order, so tiered
-//! results are bit-identical to `MSRL_TIER=0` (property-tested in
+//! kernels replay the naive per-element accumulation order, so a
+//! promoted plan's results are bit-identical to the evaluations before
+//! promotion (property-tested against the naive loops in
 //! `msrl-tensor`).
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use msrl_tensor::{kernels, ops, par, Tensor};
 
@@ -86,63 +84,19 @@ struct PlanKey {
     fusion: bool,
 }
 
-/// One cached plan plus the execution count and accumulated evaluation
-/// time that drive kernel-tier promotion.
+/// One cached plan plus the execution count that drives promotion.
 struct PlanEntry {
     plan: Rc<CompiledPlan>,
     execs: u64,
-    /// Wall time this plan has spent in [`Interpreter::run_plan`], in
-    /// nanoseconds — the per-plan share of the always-on `fragment.eval`
-    /// histogram's measurements. Accumulated only while a time floor is
-    /// configured ([`tier_min_ns`] > 0) and the tier gate is on; zero
-    /// otherwise.
-    eval_ns: u64,
 }
 
 /// Minimum weight element count (`k * n`) worth packing at promotion:
 /// below this the pack amortisation never pays for itself.
 const TIER_MIN_WEIGHT_ELEMS: usize = 64 * 64;
 
-/// Executions of a cached plan before it tiers up (`MSRL_TIER_THRESHOLD`,
-/// default 3), resolved once per process.
-fn tier_threshold() -> u64 {
-    static T: OnceLock<u64> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("MSRL_TIER_THRESHOLD").ok().and_then(|s| s.parse().ok()).unwrap_or(3)
-    })
-}
-
-/// Scoped override for [`tier_min_ns`]; `u64::MAX` means "no override,
-/// use the environment".
-static TIER_MIN_NS_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Accumulated per-plan evaluation time (ns) a count-hot plan must also
-/// reach before it pays packing (`MSRL_TIER_MIN_NS`, default 0 =
-/// promote on execution count alone, the pre-existing behaviour).
-///
-/// This is the time-aware half of tier-up: plans that are *frequent but
-/// cheap* — their share of the always-on `fragment.eval` histogram is
-/// negligible — stay tier-0 instead of paying pack cost they can never
-/// amortize, accounted by `interp.tier.skipped_cold`.
-fn tier_min_ns() -> u64 {
-    let o = TIER_MIN_NS_OVERRIDE.load(Ordering::Relaxed);
-    if o != u64::MAX {
-        return o;
-    }
-    static T: OnceLock<u64> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("MSRL_TIER_MIN_NS").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-    })
-}
-
-/// Runs `f` with the tier-up time floor forced to `ns` (test/bench
-/// hook; the environment value is restored afterwards).
-pub fn with_tier_min_ns<R>(ns: u64, f: impl FnOnce() -> R) -> R {
-    let prev = TIER_MIN_NS_OVERRIDE.swap(ns, Ordering::SeqCst);
-    let out = f();
-    TIER_MIN_NS_OVERRIDE.store(prev, Ordering::SeqCst);
-    out
-}
+/// Executions of a cached plan before it is promoted: the first replays
+/// prove the plan is reused at all before any weight is packed.
+pub const TIER_THRESHOLD: u64 = 3;
 
 /// Evaluates dataflow (sub)graphs.
 #[derive(Default)]
@@ -316,7 +270,7 @@ impl<'a> Interpreter<'a> {
         } else {
             msrl_telemetry::static_counter!("interp.plan_cache.miss").add(1);
             let p = Rc::new(compile::compile(graph, &key.ids, &key.presets, retain, key.fusion)?);
-            self.plans.insert(key.clone(), PlanEntry { plan: Rc::clone(&p), execs: 1, eval_ns: 0 });
+            self.plans.insert(key.clone(), PlanEntry { plan: Rc::clone(&p), execs: 1 });
             p
         };
         let plan = self.maybe_promote(graph, &key, plan);
@@ -330,27 +284,14 @@ impl<'a> Interpreter<'a> {
                 extra.push((id, v));
             }
         }
-        // Per-plan eval-time accounting for the time-aware tier-up:
-        // only measured while a time floor is configured and this plan
-        // could still promote — steady-state hot plans pay nothing.
-        let t0 = (par::tier_enabled()
-            && tier_min_ns() > 0
-            && plan.tier.as_ref().is_none_or(|t| t.epoch != self.params_epoch))
-        .then(std::time::Instant::now);
         self.run_plan(graph, &plan, &mut values, &extra)?;
-        if let Some(t0) = t0 {
-            if let Some(entry) = self.plans.get_mut(&key) {
-                entry.eval_ns = entry.eval_ns.saturating_add(t0.elapsed().as_nanos() as u64);
-            }
-        }
         Ok((values, extra))
     }
 
-    /// Kernel-tier promotion check, run once per evaluation: when the
-    /// plan is hot (execution count at [`tier_threshold`]), the tier
-    /// gate is on, and the plan has no tier data packed at the current
-    /// params epoch, pack every qualifying weight once and swap a
-    /// tiered clone of the plan into the cache. Qualifying ops are
+    /// Promotion check, run once per evaluation: when the plan is hot
+    /// (execution count at [`TIER_THRESHOLD`]) and has no tier data
+    /// packed at the current params epoch, pack every qualifying weight
+    /// once and swap a tiered clone of the plan into the cache. Qualifying ops are
     /// `MatMul` and fused-linear pure ops whose weight input is a
     /// rank-2 [`OpKind::Param`] of at least [`TIER_MIN_WEIGHT_ELEMS`]
     /// elements. Promotion happens at most once per (plan, epoch):
@@ -362,20 +303,8 @@ impl<'a> Interpreter<'a> {
         key: &PlanKey,
         plan: Rc<CompiledPlan>,
     ) -> Rc<CompiledPlan> {
-        if !par::tier_enabled() {
-            return plan;
-        }
-        let stats = self.plans.get(key).map(|e| (e.execs, e.eval_ns));
-        let hot = stats.is_some_and(|(execs, _)| execs >= tier_threshold());
+        let hot = self.plans.get(key).is_some_and(|e| e.execs >= TIER_THRESHOLD);
         if !hot || plan.tier.as_ref().is_some_and(|t| t.epoch == self.params_epoch) {
-            return plan;
-        }
-        // Time-aware gate: a count-hot plan must also be hot *in time*
-        // (its accumulated run_plan share, the per-plan slice of the
-        // always-on `fragment.eval` histogram) before packing pays.
-        let min_ns = tier_min_ns();
-        if min_ns > 0 && stats.is_some_and(|(_, ns)| ns < min_ns) {
-            msrl_telemetry::static_counter!("interp.tier.skipped_cold").add(1);
             return plan;
         }
         let mut packed = HashMap::new();
@@ -421,9 +350,9 @@ impl<'a> Interpreter<'a> {
         extra: &[(NodeId, Tensor)],
     ) -> Result<()> {
         let mut uses = plan.uses.clone();
-        // Resolve the tier gate once per replay; a stash holds buffers
-        // of dead donors until their planned cross-level stealer runs.
-        let tier = plan.tier.as_ref().filter(|_| par::tier_enabled());
+        // A stash holds buffers of dead donors until their planned
+        // cross-level stealer runs.
+        let tier = plan.tier.as_ref();
         let mut stash: HashMap<NodeId, Vec<f32>> = HashMap::new();
         let result = (|| {
             for step in &plan.steps {
@@ -1187,13 +1116,6 @@ mod tests {
             .unwrap();
         let wv = Tensor::from_vec((0..4096).map(|i| (i as f32 * 0.003).cos()).collect(), &[64, 64])
             .unwrap();
-        let reference = par::with_tier(false, || {
-            let mut plain = Interpreter::new();
-            plain.bind_input("x", xv.clone());
-            plain.bind_param("w", wv.clone());
-            plain.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap()
-        });
-
         let mut interp = Interpreter::new();
         interp.bind_input("x", xv.clone());
         interp.bind_param("w", wv.clone());
@@ -1201,107 +1123,37 @@ mod tests {
             let entry = interp.plans.values().next().expect("one cached plan");
             (entry.execs, entry.plan.tier.as_ref().map(|t| (t.packed.len(), t.epoch)))
         };
-        par::with_tier(true, || {
-            for i in 1..=2 {
-                let out = interp
-                    .eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()])
-                    .unwrap();
-                assert_eq!(out[&y.id()].data(), reference[&y.id()].data());
-                assert_eq!(tier_state(&interp), (i, None), "below the threshold: no packing");
-            }
-            // The third execution crosses the default threshold: the
-            // weight packs once and the tiered plan swaps into the cache.
-            let out =
+        // The oracle is the naive loop, not another interpreter mode.
+        let naive = |w: &Tensor| msrl_tensor::reference::matmul(xv.data(), w.data(), 4, 64, 64);
+        let eval = |interp: &mut Interpreter| {
+            let mut out =
                 interp.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap();
-            assert_eq!(out[&y.id()].data(), reference[&y.id()].data(), "tiered must be bitwise");
-            let (execs, tier) = tier_state(&interp);
-            assert_eq!(execs, 3);
-            let (packed, epoch) = tier.expect("hot plan promoted");
-            assert_eq!(packed, 1, "exactly the weight operand packs");
-            // Steady state: further hot evaluations never repack.
-            for _ in 0..5 {
-                let out = interp
-                    .eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()])
-                    .unwrap();
-                assert_eq!(out[&y.id()].data(), reference[&y.id()].data());
-                assert_eq!(tier_state(&interp).1, Some((1, epoch)), "steady state repacked");
-            }
-            // Rebinding a parameter bumps the epoch: the next hot
-            // evaluation repacks exactly once against the new weights.
-            let wv2 = Tensor::full(&[64, 64], 0.02);
-            interp.bind_param("w", wv2.clone());
-            let reference2 = par::with_tier(false, || {
-                let mut plain = Interpreter::new();
-                plain.bind_input("x", xv.clone());
-                plain.bind_param("w", wv2.clone());
-                plain.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap()
-            });
-            let out =
-                interp.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap();
-            assert_eq!(out[&y.id()].data(), reference2[&y.id()].data(), "repack must be bitwise");
-            let (_, tier) = tier_state(&interp);
-            let (packed2, epoch2) = tier.expect("still promoted");
-            assert_eq!(packed2, 1);
-            assert_ne!(epoch2, epoch, "rebind must bump the pack epoch");
-            // Tier off: the packed data is ignored and results still match.
-            let off = par::with_tier(false, || {
-                interp.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap()
-            });
-            assert_eq!(off[&y.id()].data(), reference2[&y.id()].data());
-        });
-    }
-
-    #[test]
-    fn time_cold_plans_skip_promotion_until_the_floor_is_met() {
-        let ctx = TraceCtx::new();
-        let x = ctx.input("x", &[4, 64]);
-        let w = ctx.param("w", &[64, 64]);
-        let y = x.matmul(&w);
-        let graph = ctx.finish();
-        let fdg = build_fdg(graph).unwrap();
-        let frag = &fdg.fragments[0];
-        let xv = Tensor::from_vec((0..256).map(|i| (i as f32 * 0.013).sin()).collect(), &[4, 64])
-            .unwrap();
-        let wv = Tensor::from_vec((0..4096).map(|i| (i as f32 * 0.007).cos()).collect(), &[64, 64])
-            .unwrap();
-        let run = |interp: &mut Interpreter| {
-            interp.eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[y.id()]).unwrap()
+            out.remove(&y.id()).expect("requested output")
         };
-        let tier_epoch = |interp: &Interpreter| {
-            let entry = interp.plans.values().next().expect("one cached plan");
-            entry.plan.tier.as_ref().map(|t| t.packed.len())
-        };
-        par::with_tier(true, || {
-            // An unreachable floor: count-hot evaluations keep skipping
-            // promotion and the skip is accounted.
-            with_tier_min_ns(u64::MAX - 1, || {
-                let mut interp = Interpreter::new();
-                interp.bind_input("x", xv.clone());
-                interp.bind_param("w", wv.clone());
-                let skipped = msrl_telemetry::static_counter!("interp.tier.skipped_cold");
-                let before = skipped.get();
-                for _ in 0..6 {
-                    run(&mut interp);
-                }
-                assert_eq!(tier_epoch(&interp), None, "time-cold plan must stay tier-0");
-                assert!(
-                    skipped.get() >= before + 3,
-                    "every count-hot, time-cold evaluation is accounted"
-                );
-            });
-            // A 1 ns floor: anything real accumulates past it, so the
-            // plan promotes exactly as with the floor disabled.
-            with_tier_min_ns(1, || {
-                let mut interp = Interpreter::new();
-                interp.bind_input("x", xv.clone());
-                interp.bind_param("w", wv.clone());
-                for _ in 0..3 {
-                    run(&mut interp);
-                }
-                assert_eq!(tier_epoch(&interp), Some(1), "time-hot plan promotes");
-                let hot_ns = interp.plans.values().next().unwrap().eval_ns;
-                assert!(hot_ns > 0, "eval time must accumulate while the floor is armed");
-            });
-        });
+        for i in 1..TIER_THRESHOLD {
+            assert_eq!(eval(&mut interp).data(), naive(&wv), "unpromoted must be bitwise");
+            assert_eq!(tier_state(&interp), (i, None), "below the threshold: no packing");
+        }
+        // The next execution crosses the threshold: the weight packs
+        // once and the tiered plan swaps into the cache.
+        assert_eq!(eval(&mut interp).data(), naive(&wv), "promoted must be bitwise");
+        let (execs, tier) = tier_state(&interp);
+        assert_eq!(execs, TIER_THRESHOLD);
+        let (packed, epoch) = tier.expect("hot plan promoted");
+        assert_eq!(packed, 1, "exactly the weight operand packs");
+        // Steady state: further hot evaluations never repack.
+        for _ in 0..5 {
+            assert_eq!(eval(&mut interp).data(), naive(&wv));
+            assert_eq!(tier_state(&interp).1, Some((1, epoch)), "steady state repacked");
+        }
+        // Rebinding a parameter bumps the epoch: the next hot
+        // evaluation repacks exactly once against the new weights.
+        let wv2 = Tensor::full(&[64, 64], 0.02);
+        interp.bind_param("w", wv2.clone());
+        assert_eq!(eval(&mut interp).data(), naive(&wv2), "repack must be bitwise");
+        let (_, tier) = tier_state(&interp);
+        let (packed2, epoch2) = tier.expect("still promoted");
+        assert_eq!(packed2, 1);
+        assert_ne!(epoch2, epoch, "rebind must bump the pack epoch");
     }
 }

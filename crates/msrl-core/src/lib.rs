@@ -81,6 +81,8 @@ pub enum FdgError {
     },
     /// A tensor-level error surfaced during interpretation.
     Tensor(msrl_tensor::TensorError),
+    /// A fragment's communication with a peer failed.
+    Comm(msrl_comm::CommError),
     /// Fusion was asked for an invalid replica count.
     InvalidFusion {
         /// The requested replica count.
@@ -99,6 +101,7 @@ impl std::fmt::Display for FdgError {
             }
             FdgError::MissingKernel { op } => write!(f, "no kernel registered for op {op}"),
             FdgError::Tensor(e) => write!(f, "tensor error: {e}"),
+            FdgError::Comm(e) => write!(f, "comm error: {e}"),
             FdgError::InvalidFusion { replicas } => {
                 write!(f, "cannot fuse {replicas} replicas")
             }
@@ -111,6 +114,12 @@ impl std::error::Error for FdgError {}
 impl From<msrl_tensor::TensorError> for FdgError {
     fn from(e: msrl_tensor::TensorError) -> Self {
         FdgError::Tensor(e)
+    }
+}
+
+impl From<msrl_comm::CommError> for FdgError {
+    fn from(e: msrl_comm::CommError) -> Self {
+        FdgError::Comm(e)
     }
 }
 

@@ -20,7 +20,7 @@ use crate::Environment;
 /// Instance count below which a threaded step is not worth the scoped
 /// spawn/join (environment steps are far heavier than one element-wise
 /// flop, so this is much lower than [`par::PAR_MIN_ELEMS`]). Tests
-/// override via `MSRL_PAR_MIN`.
+/// override via [`par::with_par_min`].
 const PAR_MIN_ENVS: usize = 8;
 
 /// A batch of environments stepped in lockstep.

@@ -5,8 +5,8 @@
 //! matrices. This module batches *across* actor fragments: every actor
 //! registered with an [`ActServer`] submits its observation rows once
 //! per rollout step, the last arriver (the *leader*) runs one fused
-//! forward over the concatenated row block against the shared policy —
-//! packed panels under the kernel tier — and each actor receives its
+//! forward over the concatenated row block against the shared policy's
+//! packed panels, and each actor receives its
 //! row slice back, sampling actions with its own generator.
 //!
 //! Matmul rows are independent and every epilogue in the fused forward
@@ -131,16 +131,14 @@ impl ActServer {
             rows.extend_from_slice(t.data());
         }
         let big = Tensor::from_vec(rows, &[total, obs_dim])?;
-        // Same gate as PpoActor: packed panels only when the kernel
-        // tier and fusion are both on.
-        if msrl_tensor::par::tier_enabled() && msrl_tensor::par::fusion_enabled() {
-            if st.packed.is_none() {
-                st.packed = Some(PackedPpo::pack(&st.policy));
-            }
+        // Same gate as PpoActor: the packed forward is the fused kernel,
+        // so the unfused reference forwards through separate operators.
+        let packed = if msrl_tensor::par::fusion_enabled() {
+            Some(&*st.packed.get_or_insert_with(|| PackedPpo::pack(&st.policy)))
         } else {
-            st.packed = None;
-        }
-        let (out, values) = st.policy.forward_with(&big, st.packed.as_ref())?;
+            None
+        };
+        let (out, values) = st.policy.forward_with(&big, packed)?;
         msrl_telemetry::static_counter!("actsrv.batches").add(1);
         msrl_telemetry::static_counter!("actsrv.rows").add(total as u64);
         msrl_telemetry::static_histogram!("actsrv.batch_rows").record(total as u64);
@@ -279,29 +277,27 @@ mod tests {
     /// Identical re-broadcasts must not repack; changed weights must.
     #[test]
     fn content_versioned_sync_packs_once() {
-        msrl_tensor::par::with_tier(true, || {
-            let policy = PpoPolicy::discrete(4, 2, &[8], 3);
-            let srv = ActServer::new(policy, 2);
-            let mut a = srv.client(0, 1);
-            let mut b = srv.client(1, 2);
-            std::thread::scope(|s| {
-                let o0 = obs_block(1, 4, 0);
-                let o1 = obs_block(1, 4, 1);
-                let h = s.spawn(move || b.act(&o1).map(|_| b));
-                a.act(&o0).unwrap();
-                b = h.join().unwrap().unwrap();
-                assert!(srv.has_packed_weights());
-                let flat = a.policy_params();
-                let packs = msrl_telemetry::counter_total("tensor.pack_b");
-                a.set_policy_params(&flat).unwrap();
-                b.set_policy_params(&flat).unwrap();
-                assert!(srv.has_packed_weights(), "identical syncs keep the panels");
-                assert_eq!(msrl_telemetry::counter_total("tensor.pack_b"), packs);
-                let mut changed = flat;
-                changed[0] += 1.0;
-                a.set_policy_params(&changed).unwrap();
-                assert!(!srv.has_packed_weights(), "new weights drop the panels");
-            });
+        let policy = PpoPolicy::discrete(4, 2, &[8], 3);
+        let srv = ActServer::new(policy, 2);
+        let mut a = srv.client(0, 1);
+        let mut b = srv.client(1, 2);
+        std::thread::scope(|s| {
+            let o0 = obs_block(1, 4, 0);
+            let o1 = obs_block(1, 4, 1);
+            let h = s.spawn(move || b.act(&o1).map(|_| b));
+            a.act(&o0).unwrap();
+            b = h.join().unwrap().unwrap();
+            assert!(srv.has_packed_weights());
+            let flat = a.policy_params();
+            let packs = msrl_telemetry::counter_total("tensor.pack_b");
+            a.set_policy_params(&flat).unwrap();
+            b.set_policy_params(&flat).unwrap();
+            assert!(srv.has_packed_weights(), "identical syncs keep the panels");
+            assert_eq!(msrl_telemetry::counter_total("tensor.pack_b"), packs);
+            let mut changed = flat;
+            changed[0] += 1.0;
+            a.set_policy_params(&changed).unwrap();
+            assert!(!srv.has_packed_weights(), "new weights drop the panels");
         });
     }
 

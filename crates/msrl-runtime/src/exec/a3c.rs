@@ -13,10 +13,10 @@ use msrl_algos::ppo::PpoPolicy;
 use msrl_algos::rollout::collect;
 use msrl_comm::Fabric;
 use msrl_core::api::{Actor, Learner};
-use msrl_core::{FdgError, Result};
+use msrl_core::Result;
 use msrl_env::{Environment, VecEnv};
 
-use super::{finish_run, mean_or_prev, RunObserver, TrainingReport};
+use super::{drive, enter_fragment, mean_or_prev, spawn_fragment, RunObserver, TrainingReport};
 
 /// Configuration for the asynchronous A3C driver.
 #[derive(Debug, Clone)]
@@ -34,8 +34,7 @@ pub struct A3cDistConfig {
     /// Base seed.
     pub seed: u64,
     /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path). Defaults from
-    /// `MSRL_FUSION`.
+    /// kernel (bit-identical to the unfused path). On by default.
     pub fusion: bool,
 }
 
@@ -63,7 +62,14 @@ where
     E: Environment + 'static,
     F: Fn(usize) -> E + Send + Sync,
 {
-    msrl_tensor::par::set_fusion(dist.fusion);
+    drive("a3c", dist.fusion, || a3c(make_env, dist))
+}
+
+fn a3c<E, F>(make_env: F, dist: &A3cDistConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize) -> E + Send + Sync,
+{
     let p = dist.workers.max(1);
     // Ranks 0..p are workers; rank p is the learner.
     let mut endpoints = Fabric::new(p + 1);
@@ -73,18 +79,14 @@ where
     let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
     drop(probe);
     let policy = PpoPolicy::discrete(obs_dim, spec.policy_width(), &dist.hidden, dist.seed);
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
 
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let make_env = &make_env;
             let cfg = dist.a3c.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                // One environment per A3C actor (the defining property).
-                let _frag = msrl_telemetry::span!("fragment.worker", rank);
-                msrl_telemetry::set_fragment("worker", rank as u64);
+            handles.push(spawn_fragment(scope, "fragment.worker", rank, move || -> Result<()> {
                 let mut worker = A3cWorker::new(policy, cfg, dist.seed + 1 + rank as u64);
                 let mut envs = VecEnv::new(vec![Box::new(make_env(rank)) as Box<dyn Environment>]);
                 for _ in 0..dist.pushes_per_worker {
@@ -101,9 +103,9 @@ where
                     };
                     // Asynchronous push: no coordination with peers.
                     let _s = msrl_telemetry::span!("phase.weight_sync");
-                    ep.send(p, grads).map_err(comm_err)?;
-                    ep.send(p, envs.take_finished_returns()).map_err(comm_err)?;
-                    let weights = ep.recv(p).map_err(comm_err)?;
+                    ep.send(p, grads)?;
+                    ep.send(p, envs.take_finished_returns())?;
+                    let weights = ep.recv(p)?;
                     worker.set_policy_params(&weights)?;
                 }
                 Ok(())
@@ -115,7 +117,7 @@ where
         // until *some* worker's push lands, so stragglers are never
         // waited on and an idle learner does not burn the CPU its
         // workers need.
-        msrl_telemetry::set_fragment("learner", p as u64);
+        let frag = enter_fragment("fragment.learner", p);
         let mut learner = A3cLearner::new(policy, &dist.a3c);
         let mut report = TrainingReport::default();
         let mut prev_reward = 0.0;
@@ -128,26 +130,26 @@ where
             // worker's endpoint may already be gone.
             let active: Vec<usize> =
                 remaining.iter().enumerate().filter(|(_, &r)| r > 0).map(|(r, _)| r).collect();
-            let (rank, grads) = learner_ep.recv_any(&active).map_err(comm_err)?;
-            let finished = learner_ep.recv(rank).map_err(comm_err)?;
+            let (rank, grads) = learner_ep.recv_any(&active)?;
+            let finished = learner_ep.recv(rank)?;
             {
                 let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Learn);
                 learner.apply_grads(&grads)?;
             }
-            learner_ep.send(rank, learner.policy_params()).map_err(comm_err)?;
+            learner_ep.send(rank, learner.policy_params())?;
             remaining[rank] -= 1;
             prev_reward = mean_or_prev(&finished, prev_reward);
             report.iteration_rewards.push(prev_reward);
             let params = msrl_telemetry::health_enabled().then(|| learner.policy_params());
             obs_stream.observe(prev_reward, None, None, params.as_deref());
         }
+        drop(frag);
         for h in handles {
             h.join().expect("worker thread must not panic")?;
         }
         report.final_params = learner.policy_params();
         Ok(report)
-    });
-    finish_run("a3c", result)
+    })
 }
 
 #[cfg(test)]

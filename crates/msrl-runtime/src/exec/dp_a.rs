@@ -24,12 +24,15 @@ use msrl_algos::ppo::{PpoActor, PpoLearner, PpoPolicy};
 use msrl_algos::rollout::collect;
 use msrl_comm::{Fabric, PendingRecv};
 use msrl_core::api::{Actor, Learner, SampleBatch};
-use msrl_core::{FdgError, Result};
+use msrl_core::Result;
 use msrl_env::{Environment, VecEnv};
 
 use crate::wire::{decode_batch, encode_batch};
 
-use super::{fault_nan_iter, finish_run, mean_or_prev, DistPpoConfig, RunObserver, TrainingReport};
+use super::{
+    drive, enter_fragment, mean_or_prev, spawn_fragment, DistPpoConfig, RunObserver, TrainingReport,
+};
+use crate::config::RuntimeConfig;
 
 /// Runs PPO under DP-A. `make_env(actor, instance)` constructs one
 /// environment.
@@ -42,8 +45,17 @@ where
     E: Environment + 'static,
     F: Fn(usize, usize) -> E + Send + Sync,
 {
-    dist.apply_fusion();
+    drive("dp_a", dist.fusion, || dp_a(make_env, dist))
+}
+
+fn dp_a<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
     let p = dist.actors.max(1);
+    // Resolved once, at entry: the fault hook is not a config field.
+    let fault_nan = RuntimeConfig::default().fault_nan_iter;
     // Ranks 0..p are actors; rank p is the learner.
     let mut endpoints = Fabric::with_latency(p + 1, dist.link_latency);
     let learner_ep = endpoints.pop().expect("fabric yields p+1 endpoints");
@@ -58,24 +70,20 @@ where
         PpoPolicy::continuous(obs_dim, spec.policy_width(), &dist.hidden, dist.seed)
     };
 
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
-
     // Cross-actor micro-batching: one shared act server collects every
     // fragment's observation rows per rollout step and runs one fused
     // forward over the concatenated block (bit-identical to the
     // per-actor path — see `crate::actsrv`).
     let srv = dist.act_server.then(|| crate::actsrv::ActServer::new(policy.clone(), p));
 
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let srv = srv.clone();
             let make_env = &make_env;
             let stale_bound = dist.stale_bound();
-            handles.push(scope.spawn(move || -> Result<()> {
-                let _frag = msrl_telemetry::span!("fragment.actor", rank);
-                msrl_telemetry::set_fragment("actor", rank as u64);
+            handles.push(spawn_fragment(scope, "fragment.actor", rank, move || -> Result<()> {
                 let seed = dist.seed + 1 + rank as u64;
                 let mut actor: Box<dyn Actor> = match &srv {
                     Some(srv) => Box::new(srv.client(rank, seed)),
@@ -112,8 +120,7 @@ where
                             let w = pending
                                 .pop_front()
                                 .expect("a broadcast is outstanding whenever version lags")
-                                .wait()
-                                .map_err(comm_err)?;
+                                .wait()?;
                             swap(w, &mut version, actor.as_mut())?;
                         }
                     }
@@ -136,9 +143,9 @@ where
                         collect(actor.as_mut(), &mut envs, dist.steps_per_iter)?
                     };
                     let _s = msrl_telemetry::span!("phase.weight_sync");
-                    ep.isend(p, encode_batch(&batch)).map_err(comm_err)?.wait();
-                    ep.isend(p, envs.take_finished_returns()).map_err(comm_err)?.wait();
-                    pending.push_back(ep.irecv(p).map_err(comm_err)?);
+                    ep.isend(p, encode_batch(&batch))?.wait();
+                    ep.isend(p, envs.take_finished_returns())?.wait();
+                    pending.push_back(ep.irecv(p)?);
                 }
                 // Drain outstanding broadcasts so the learner's final
                 // sends are consumed before the channel drops.
@@ -150,19 +157,17 @@ where
         }
 
         // Learner fragment body (runs on the calling thread).
-        let frag = msrl_telemetry::span!("fragment.learner", 0usize);
-        msrl_telemetry::set_fragment("learner", 0);
+        let frag = enter_fragment("fragment.learner", 0);
         let mut learner = PpoLearner::new(policy, dist.ppo.clone());
         let mut report = TrainingReport::default();
         let mut prev_reward = 0.0;
         let mut obs = RunObserver::new("dp_a", dist.stale_bound());
-        let fault_nan = fault_nan_iter();
         for iter in 0..dist.iterations {
             let mut batches = Vec::with_capacity(p);
             let mut finished = Vec::new();
             for rank in 0..p {
-                batches.push(decode_batch(&learner_ep.recv(rank).map_err(comm_err)?)?);
-                finished.extend(learner_ep.recv(rank).map_err(comm_err)?);
+                batches.push(decode_batch(&learner_ep.recv(rank)?)?);
+                finished.extend(learner_ep.recv(rank)?);
             }
             let batch = SampleBatch::concat(&batches)?;
             let loss = {
@@ -191,7 +196,7 @@ where
             {
                 let _s = msrl_telemetry::span!("phase.weight_sync");
                 for rank in 0..p {
-                    learner_ep.isend(rank, weights.clone()).map_err(comm_err)?.wait();
+                    learner_ep.isend(rank, weights.clone())?.wait();
                 }
             }
             prev_reward = mean_or_prev(&finished, prev_reward);
@@ -206,8 +211,7 @@ where
         }
         report.final_params = learner.policy_params();
         Ok(report)
-    });
-    finish_run("dp_a", result)
+    })
 }
 
 #[cfg(test)]
@@ -274,6 +278,47 @@ mod tests {
             msrl_telemetry::counter_total("actsrv.batches") >= 4 * 32,
             "act server must have run one batched forward per rollout step"
         );
+    }
+
+    /// An actor fragment that dies drops its endpoint; the learner
+    /// blocked on it must come back with the typed comm error, not a
+    /// `MissingKernel` string.
+    #[test]
+    fn a_dropped_peer_surfaces_as_a_comm_error() {
+        /// CartPole that claims `dim` observation columns.
+        struct Claims(usize, CartPole);
+        impl Environment for Claims {
+            fn obs_dim(&self) -> usize {
+                self.0
+            }
+            fn action_spec(&self) -> msrl_env::ActionSpec {
+                self.1.action_spec()
+            }
+            fn reset(&mut self) -> msrl_tensor::Tensor {
+                self.1.reset()
+            }
+            fn step(&mut self, action: &msrl_env::Action) -> msrl_env::Step {
+                self.1.step(action)
+            }
+        }
+        // The probe (first call) sizes the policy for 5 columns; the
+        // actor's real envs have 4, so its first forward is a shape
+        // error and the fragment returns early.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let make_env = |_: usize, i: usize| {
+            let probe = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
+            Claims(if probe { 5 } else { 4 }, CartPole::new(i as u64))
+        };
+        let dist = DistPpoConfig {
+            actors: 1,
+            envs_per_actor: 1,
+            steps_per_iter: 4,
+            iterations: 1,
+            hidden: vec![4],
+            ..DistPpoConfig::default()
+        };
+        let err = run_dp_a(make_env, &dist).expect_err("the learner's peer is gone");
+        assert_eq!(err, msrl_core::FdgError::Comm(msrl_comm::CommError::Disconnected));
     }
 
     #[test]

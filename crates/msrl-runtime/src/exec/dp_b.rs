@@ -17,7 +17,9 @@ use msrl_core::{FdgError, Result};
 use msrl_env::{Environment, VecEnv};
 use msrl_tensor::{ops, Tensor};
 
-use super::{finish_run, mean_or_prev, DistPpoConfig, RunObserver, TrainingReport};
+use super::{
+    drive, enter_fragment, mean_or_prev, spawn_fragment, DistPpoConfig, RunObserver, TrainingReport,
+};
 
 /// Runs PPO under DP-B.
 ///
@@ -29,7 +31,14 @@ where
     E: Environment + 'static,
     F: Fn(usize, usize) -> E + Send + Sync,
 {
-    dist.apply_fusion();
+    drive("dp_b", dist.fusion, || dp_b(make_env, dist))
+}
+
+fn dp_b<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
     let p = dist.actors.max(1);
     let mut endpoints = Fabric::with_latency(p + 1, dist.link_latency);
     let learner_ep = endpoints.pop().expect("fabric yields p+1 endpoints");
@@ -44,16 +53,11 @@ where
     };
     let envs_i = dist.envs_per_actor.max(1);
 
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
-
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, ep) in endpoints.into_iter().enumerate() {
             let make_env = &make_env;
-            handles.push(scope.spawn(move || -> Result<()> {
-                // The actor+env fragment: no policy, just the loop.
-                let _frag = msrl_telemetry::span!("fragment.actor", rank);
-                msrl_telemetry::set_fragment("actor", rank as u64);
+            handles.push(spawn_fragment(scope, "fragment.actor", rank, move || -> Result<()> {
                 let mut envs = VecEnv::new(
                     (0..envs_i)
                         .map(|i| Box::new(make_env(rank, i)) as Box<dyn Environment>)
@@ -69,9 +73,9 @@ where
                         // ship; the step itself is round-trip bound (the
                         // env cannot advance without the actions), which
                         // is exactly Tab. 2's "fine" granularity cost.
-                        ep.isend(p, obs.data().to_vec()).map_err(comm_err)?.wait();
-                        let pending = ep.irecv(p).map_err(comm_err)?;
-                        let wire_actions = pending.wait().map_err(comm_err)?;
+                        ep.isend(p, obs.data().to_vec())?.wait();
+                        let pending = ep.irecv(p)?;
+                        let wire_actions = pending.wait()?;
                         let actions_t = if spec.is_discrete() {
                             Tensor::from_vec(wire_actions, &[envs_i])
                         } else {
@@ -85,17 +89,16 @@ where
                         let mut fb = step.rewards.data().to_vec();
                         fb.extend(step.dones.iter().map(|&d| if d { 1.0 } else { 0.0 }));
                         fb.extend_from_slice(step.obs.data());
-                        ep.send(p, fb).map_err(comm_err)?;
+                        ep.send(p, fb)?;
                         obs = step.obs;
                     }
-                    ep.send(p, envs.take_finished_returns()).map_err(comm_err)?;
+                    ep.send(p, envs.take_finished_returns())?;
                 }
                 Ok(())
             }));
         }
 
-        let frag = msrl_telemetry::span!("fragment.learner", 0usize);
-        msrl_telemetry::set_fragment("learner", 0);
+        let frag = enter_fragment("fragment.learner", 0);
         let mut learner = PpoLearner::new(policy, dist.ppo.clone());
         let mut rng = msrl_tensor::init::rng(dist.seed + 17);
         let mut report = TrainingReport::default();
@@ -110,7 +113,7 @@ where
                 // Gather observations from every actor, infer centrally.
                 let mut per_actor_obs = Vec::with_capacity(p);
                 for rank in 0..p {
-                    let wire = learner_ep.recv(rank).map_err(comm_err)?;
+                    let wire = learner_ep.recv(rank)?;
                     per_actor_obs.push(
                         Tensor::from_vec(wire, &[envs_i, obs_dim]).map_err(FdgError::Tensor)?,
                     );
@@ -124,10 +127,10 @@ where
                 for rank in 0..p {
                     let lo = rank * envs_i * act_w;
                     let hi = lo + envs_i * act_w;
-                    learner_ep.send(rank, out.actions.data()[lo..hi].to_vec()).map_err(comm_err)?;
+                    learner_ep.send(rank, out.actions.data()[lo..hi].to_vec())?;
                 }
                 for (rank, buffer) in buffers.iter_mut().enumerate() {
-                    let fb = learner_ep.recv(rank).map_err(comm_err)?;
+                    let fb = learner_ep.recv(rank)?;
                     let rewards = Tensor::from_vec(fb[..envs_i].to_vec(), &[envs_i])
                         .map_err(FdgError::Tensor)?;
                     let dones: Vec<bool> =
@@ -170,7 +173,7 @@ where
             };
             let mut finished = Vec::new();
             for rank in 0..p {
-                finished.extend(learner_ep.recv(rank).map_err(comm_err)?);
+                finished.extend(learner_ep.recv(rank)?);
             }
             prev_reward = mean_or_prev(&finished, prev_reward);
             report.iteration_rewards.push(prev_reward);
@@ -184,8 +187,7 @@ where
         }
         report.final_params = learner.policy_params();
         Ok(report)
-    });
-    finish_run("dp_b", result)
+    })
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@ use msrl_algos::ppo::{PpoActor, PpoLearner, PpoPolicy};
 use msrl_algos::rollout::collect;
 use msrl_comm::Fabric;
 use msrl_core::api::{Actor, Learner};
-use msrl_core::{FdgError, Result};
+use msrl_core::Result;
 use msrl_env::{Environment, VecEnv};
 
-use super::{finish_run, mean_or_prev, DistPpoConfig, RunObserver, TrainingReport};
+use super::{drive, mean_or_prev, spawn_fragment, DistPpoConfig, RunObserver, TrainingReport};
 
 /// Runs PPO under DP-C.
 ///
@@ -35,7 +35,14 @@ where
     E: Environment + 'static,
     F: Fn(usize, usize) -> E + Send + Sync,
 {
-    dist.apply_fusion();
+    drive("dp_c", dist.fusion, || dp_c(make_env, dist))
+}
+
+fn dp_c<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
     let p = dist.actors.max(1);
     let endpoints = Fabric::with_latency(p, dist.link_latency);
 
@@ -48,18 +55,13 @@ where
         PpoPolicy::continuous(obs_dim, spec.policy_width(), &dist.hidden, dist.seed)
     };
 
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
-
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, mut ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let make_env = &make_env;
             let ppo = dist.ppo.clone();
-            handles.push(scope.spawn(move || -> Result<TrainingReport> {
-                // The fused actor+learner fragment.
-                let _frag = msrl_telemetry::span!("fragment.actor_learner", rank);
-                msrl_telemetry::set_fragment("actor_learner", rank as u64);
+            let body = move || -> Result<TrainingReport> {
                 let mut actor = PpoActor::new(policy.clone(), dist.seed + 1 + rank as u64);
                 let mut learner = PpoLearner::new(policy, ppo.clone());
                 let mut envs = VecEnv::new(
@@ -92,13 +94,12 @@ where
                         for epoch in 0..ppo.epochs {
                             let local = learner.grads(&batch)?;
                             let averaged = if fused && epoch + 1 == ppo.epochs {
-                                let (averaged, extras) = ep
-                                    .all_reduce_mean_concat(local, envs.take_finished_returns())
-                                    .map_err(comm_err)?;
+                                let (averaged, extras) =
+                                    ep.all_reduce_mean_concat(local, envs.take_finished_returns())?;
                                 fused_returns = Some(extras.into_iter().flatten().collect());
                                 averaged
                             } else {
-                                ep.all_reduce_mean(local).map_err(comm_err)?
+                                ep.all_reduce_mean(local)?
                             };
                             learner.apply_grads(&averaged)?;
                         }
@@ -109,8 +110,7 @@ where
                     let finished: Vec<f32> = match fused_returns {
                         Some(f) => f,
                         None => ep
-                            .all_gather(envs.take_finished_returns())
-                            .map_err(comm_err)?
+                            .all_gather(envs.take_finished_returns())?
                             .into_iter()
                             .flatten()
                             .collect(),
@@ -130,7 +130,8 @@ where
                 }
                 report.final_params = learner.policy_params();
                 Ok(report)
-            }));
+            };
+            handles.push(spawn_fragment(scope, "fragment.actor_learner", rank, body));
         }
         let mut reports: Vec<TrainingReport> = Vec::with_capacity(p);
         for h in handles {
@@ -146,8 +147,7 @@ where
             );
         }
         Ok(first)
-    });
-    finish_run("dp_c", result)
+    })
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@ use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
 use msrl_algos::ppo::{PpoConfig, PpoLearner, PpoPolicy};
 use msrl_comm::Fabric;
 use msrl_core::api::Learner;
-use msrl_core::{FdgError, Result};
+use msrl_core::Result;
 use msrl_env::batched::BatchedEnv;
 
-use super::{finish_run, RunObserver, TrainingReport};
+use super::{drive, spawn_fragment, RunObserver, TrainingReport};
+use crate::config::RuntimeConfig;
 
 /// Configuration for the fused GPU-only loop.
 #[derive(Debug, Clone)]
@@ -30,8 +31,7 @@ pub struct DpDConfig {
     /// Base seed.
     pub seed: u64,
     /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path). Defaults from
-    /// `MSRL_FUSION`.
+    /// kernel (bit-identical to the unfused path).
     pub fusion: bool,
 }
 
@@ -48,24 +48,32 @@ where
     B: BatchedEnv + 'static,
     F: Fn(usize) -> B + Send + Sync,
 {
-    msrl_tensor::par::set_fusion(cfg.fusion);
+    drive("dp_d", cfg.fusion, || dp_d(make_env, cfg))
+}
+
+fn dp_d<B, F>(make_env: F, cfg: &DpDConfig) -> Result<TrainingReport>
+where
+    B: BatchedEnv + 'static,
+    F: Fn(usize) -> B + Send + Sync,
+{
     let p = cfg.devices.max(1);
+    // Resolved once, at entry: `DpDConfig` has no overlap field, and a
+    // per-episode read would let the ambient environment change the
+    // sync path mid-run.
+    let overlap = RuntimeConfig::default().overlap;
     let endpoints = Fabric::new(p);
     let probe = make_env(0);
     let (obs_dim, n_actions) = (probe.obs_dim(), probe.n_actions());
     drop(probe);
     let policy = PpoPolicy::discrete(obs_dim, n_actions, &cfg.hidden, cfg.seed);
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
 
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, mut ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let make_env = &make_env;
             let ppo = cfg.ppo.clone();
-            handles.push(scope.spawn(move || -> Result<TrainingReport> {
-                let _frag = msrl_telemetry::span!("fragment.fused_loop", rank);
-                msrl_telemetry::set_fragment("fused_loop", rank as u64);
+            let body = move || -> Result<TrainingReport> {
                 let mut env = make_env(rank);
                 let mut learner = PpoLearner::new(policy, ppo);
                 let mut rng = msrl_tensor::init::rng(cfg.seed + 100 + rank as u64);
@@ -119,12 +127,11 @@ where
                     if p > 1 {
                         let _s = msrl_telemetry::span!("phase.weight_sync");
                         let params = learner.policy_params();
-                        let avg = if msrl_comm::overlap_enabled() {
-                            ep.all_reduce_mean_chunked(params, msrl_comm::comm_chunk_elems())
+                        let avg = if overlap {
+                            ep.all_reduce_mean_chunked(params, msrl_comm::COMM_CHUNK_ELEMS)
                         } else {
                             ep.all_reduce_mean(params)
-                        }
-                        .map_err(comm_err)?;
+                        }?;
                         learner.set_policy_params(&avg)?;
                     }
                     let denom = (env.total_agents() * steps.max(1)) as f32;
@@ -142,7 +149,8 @@ where
                 }
                 report.final_params = learner.policy_params();
                 Ok(report)
-            }));
+            };
+            handles.push(spawn_fragment(scope, "fragment.fused_loop", rank, body));
         }
         let mut reports = Vec::with_capacity(p);
         for h in handles {
@@ -157,8 +165,7 @@ where
         }
         merged.final_params = reports.swap_remove(0).final_params;
         Ok(merged)
-    });
-    finish_run("dp_d", result)
+    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use msrl_core::{FdgError, Result};
 use msrl_env::{Action, MultiAgentEnvironment};
 use msrl_tensor::Tensor;
 
-use super::{finish_run, RunObserver, TrainingReport};
+use super::{drive, enter_fragment, spawn_fragment, RunObserver, TrainingReport};
 
 /// Configuration for the DP-E MARL driver.
 #[derive(Debug, Clone)]
@@ -31,8 +31,7 @@ pub struct DpEConfig {
     /// Base seed.
     pub seed: u64,
     /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path). Defaults from
-    /// `MSRL_FUSION`.
+    /// kernel (bit-identical to the unfused path).
     pub fusion: bool,
 }
 
@@ -48,7 +47,14 @@ where
     M: MultiAgentEnvironment + 'static,
     F: FnOnce() -> M + Send,
 {
-    msrl_tensor::par::set_fusion(cfg.fusion);
+    drive("dp_e", cfg.fusion, || dp_e(make_env, cfg))
+}
+
+fn dp_e<M, F>(make_env: F, cfg: &DpEConfig) -> Result<TrainingReport>
+where
+    M: MultiAgentEnvironment + 'static,
+    F: FnOnce() -> M + Send,
+{
     let env = make_env();
     let n = env.n_agents();
     let obs_dim = env.obs_dim();
@@ -58,19 +64,16 @@ where
     let mut endpoints = Fabric::new(n + 1);
     let env_ep = endpoints.pop().expect("fabric yields n+1 endpoints");
     let policy = PpoPolicy::discrete(obs_dim, n_actions, &cfg.hidden, cfg.seed);
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
 
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, mut ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let ppo = cfg.ppo.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                // Agent fragment: act per step, learn per episode, share
-                // parameters with peers (ranks 0..n are agents; the env
-                // worker does not join the weight AllReduce).
-                let _frag = msrl_telemetry::span!("fragment.agent", rank);
-                msrl_telemetry::set_fragment("agent", rank as u64);
+            // Agent fragment: act per step, learn per episode, share
+            // parameters with peers (ranks 0..n are agents; the env
+            // worker does not join the weight AllReduce).
+            handles.push(spawn_fragment(scope, "fragment.agent", rank, move || -> Result<()> {
                 let mut actor = PpoActor::new(policy.clone(), cfg.seed + 1 + rank as u64);
                 let mut learner = PpoLearner::new(policy, ppo);
                 for _ in 0..cfg.episodes {
@@ -80,7 +83,7 @@ where
                     let rollout_attr = msrl_telemetry::step(msrl_telemetry::StepClass::Rollout);
                     loop {
                         // [done_flag, obs...] from the env worker.
-                        let msg = ep.recv(n).map_err(comm_err)?;
+                        let msg = ep.recv(n)?;
                         let done = msg[0] > 0.5;
                         let reward = msg[1];
                         let obs = Tensor::from_vec(msg[2..].to_vec(), &[1, obs_dim])
@@ -100,7 +103,7 @@ where
                             break;
                         }
                         let out = actor.act(&obs)?;
-                        ep.send(n, out.actions.data().to_vec()).map_err(comm_err)?;
+                        ep.send(n, out.actions.data().to_vec())?;
                         prev = Some((
                             obs,
                             out.actions,
@@ -121,7 +124,7 @@ where
                     let _sync = msrl_telemetry::span!("phase.weight_sync");
                     let avg = {
                         let mine = learner.policy_params();
-                        let parts = ep.all_gather(mine).map_err(comm_err)?;
+                        let parts = ep.all_gather(mine)?;
                         let agents = &parts[..n];
                         let len = agents[0].len();
                         let mut acc = vec![0.0f32; len];
@@ -143,8 +146,7 @@ where
         }
 
         // Environment-worker fragment.
-        let frag = msrl_telemetry::span!("fragment.env_worker", n);
-        msrl_telemetry::set_fragment("env_worker", n as u64);
+        let frag = enter_fragment("fragment.env_worker", n);
         let mut env = env;
         let mut env_ep = env_ep;
         let mut report = TrainingReport::default();
@@ -161,14 +163,14 @@ where
                 for (agent, o) in obs.iter().enumerate() {
                     let mut msg = vec![if done_now { 1.0 } else { 0.0 }, rewards[agent]];
                     msg.extend_from_slice(o.data());
-                    env_ep.send(agent, msg).map_err(comm_err)?;
+                    env_ep.send(agent, msg)?;
                 }
                 if done_now {
                     break;
                 }
                 let mut actions = Vec::with_capacity(n);
                 for agent in 0..n {
-                    let a = env_ep.recv(agent).map_err(comm_err)?;
+                    let a = env_ep.recv(agent)?;
                     actions.push(Action::Discrete(a[0] as usize));
                 }
                 let step = env.step(&actions);
@@ -182,14 +184,14 @@ where
                     for (agent, o) in obs.iter().enumerate() {
                         let mut msg = vec![1.0, rewards[agent]];
                         msg.extend_from_slice(o.data());
-                        env_ep.send(agent, msg).map_err(comm_err)?;
+                        env_ep.send(agent, msg)?;
                     }
                     break;
                 }
             }
             // The env worker participates in the agents' AllGather as a
             // passive rank so group semantics hold.
-            env_ep.all_gather(Vec::new()).map_err(comm_err)?;
+            env_ep.all_gather(Vec::new())?;
             let mean = total / (n * steps.max(1)) as f32;
             report.iteration_rewards.push(mean);
             // DP-E's driver thread owns no policy replica (the agent
@@ -201,8 +203,7 @@ where
             h.join().expect("agent thread must not panic")?;
         }
         Ok(report)
-    });
-    finish_run("dp_e", result)
+    })
 }
 
 #[cfg(test)]

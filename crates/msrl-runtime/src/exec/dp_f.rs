@@ -20,10 +20,12 @@ use msrl_algos::ppo::{PpoActor, PpoLearner, PpoPolicy};
 use msrl_algos::rollout::collect;
 use msrl_comm::{Fabric, PendingRecv};
 use msrl_core::api::{Actor, Learner};
-use msrl_core::{FdgError, Result};
+use msrl_core::Result;
 use msrl_env::{Environment, VecEnv};
 
-use super::{finish_run, mean_or_prev, DistPpoConfig, RunObserver, TrainingReport};
+use super::{
+    drive, enter_fragment, mean_or_prev, spawn_fragment, DistPpoConfig, RunObserver, TrainingReport,
+};
 
 /// Runs PPO under DP-F.
 ///
@@ -35,7 +37,14 @@ where
     E: Environment + 'static,
     F: Fn(usize, usize) -> E + Send + Sync,
 {
-    dist.apply_fusion();
+    drive("dp_f", dist.fusion, || dp_f(make_env, dist))
+}
+
+fn dp_f<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
     let p = dist.actors.max(1);
     // Ranks 0..p are workers; rank p is the parameter server.
     let mut endpoints = Fabric::with_latency(p + 1, dist.link_latency);
@@ -49,19 +58,14 @@ where
     } else {
         PpoPolicy::continuous(obs_dim, spec.policy_width(), &dist.hidden, dist.seed)
     };
-    let comm_err = |e: msrl_comm::CommError| FdgError::MissingKernel { op: format!("comm: {e}") };
 
-    let result = std::thread::scope(|scope| -> Result<TrainingReport> {
+    std::thread::scope(|scope| -> Result<TrainingReport> {
         let mut handles = Vec::new();
         for (rank, ep) in endpoints.into_iter().enumerate() {
             let policy = policy.clone();
             let make_env = &make_env;
             let ppo = dist.ppo.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                // A worker: local actor + gradient computation; weights
-                // live at the server.
-                let _frag = msrl_telemetry::span!("fragment.worker", rank);
-                msrl_telemetry::set_fragment("worker", rank as u64);
+            handles.push(spawn_fragment(scope, "fragment.worker", rank, move || -> Result<()> {
                 let mut actor = PpoActor::new(policy.clone(), dist.seed + 1 + rank as u64);
                 let mut grad_engine = PpoLearner::new(policy, ppo);
                 let mut envs = VecEnv::new(
@@ -79,15 +83,11 @@ where
                         // Swap in any pull that already landed, then block
                         // until within the outstanding-pull bound.
                         while let Some(front) = pending.front_mut() {
-                            let landed = front.poll().map_err(comm_err)?;
+                            let landed = front.poll()?;
                             if !landed && pending.len() <= stale_bound {
                                 break;
                             }
-                            let w = pending
-                                .pop_front()
-                                .expect("front exists")
-                                .wait()
-                                .map_err(comm_err)?;
+                            let w = pending.pop_front().expect("front exists").wait()?;
                             actor.set_policy_params(&w)?;
                             grad_engine.set_policy_params(&w)?;
                         }
@@ -112,9 +112,9 @@ where
                     // posted immediately and waited (at most) next
                     // iteration.
                     let _s = msrl_telemetry::span!("phase.weight_sync");
-                    ep.isend(p, grads).map_err(comm_err)?.wait();
-                    ep.isend(p, envs.take_finished_returns()).map_err(comm_err)?.wait();
-                    pending.push_back(ep.irecv(p).map_err(comm_err)?);
+                    ep.isend(p, grads)?.wait();
+                    ep.isend(p, envs.take_finished_returns())?.wait();
+                    pending.push_back(ep.irecv(p)?);
                 }
                 // Consume the remaining replies so the server's sends
                 // never hit a dropped channel.
@@ -126,8 +126,7 @@ where
         }
 
         // The parameter-server fragment.
-        let frag = msrl_telemetry::span!("fragment.param_server", p);
-        msrl_telemetry::set_fragment("param_server", p as u64);
+        let frag = enter_fragment("fragment.param_server", p);
         let mut server = PpoLearner::new(policy, dist.ppo.clone());
         let mut report = TrainingReport::default();
         let mut prev_reward = 0.0;
@@ -149,15 +148,15 @@ where
                     .filter(|(_, &n)| n > 0)
                     .map(|(r, _)| r)
                     .collect();
-                let (rank, grads) = server_ep.recv_any(&active).map_err(comm_err)?;
+                let (rank, grads) = server_ep.recv_any(&active)?;
                 outstanding[rank] -= 1;
-                finished.extend(server_ep.recv(rank).map_err(comm_err)?);
+                finished.extend(server_ep.recv(rank)?);
                 {
                     let _s = msrl_telemetry::span!("phase.learn");
                     let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Learn);
                     server.apply_grads(&grads)?;
                 }
-                server_ep.send(rank, server.policy_params()).map_err(comm_err)?;
+                server_ep.send(rank, server.policy_params())?;
             }
             prev_reward = mean_or_prev(&finished, prev_reward);
             report.iteration_rewards.push(prev_reward);
@@ -170,8 +169,7 @@ where
         }
         report.final_params = server.policy_params();
         Ok(report)
-    });
-    finish_run("dp_f", result)
+    })
 }
 
 #[cfg(test)]

@@ -23,6 +23,12 @@
 //! where `actors × MSRL_THREADS` would oversubscribe the machine, cap
 //! intra-op parallelism with `MSRL_THREADS=1` (or `MSRL_BACKEND=scalar`
 //! for the bit-exact reference path).
+//!
+//! Every fragment thread runs under the [`msrl_tensor::par::ExecCtx`] of
+//! the thread that called the driver, with `fusion` taken from the
+//! driver's config: [`drive`] scopes it and [`spawn_fragment`] hands it
+//! on, so two drivers running at once under different contexts (two
+//! tests, two backends) never see each other's.
 
 mod a3c;
 mod dp_a;
@@ -40,8 +46,13 @@ pub use dp_d::{run_dp_d, DpDConfig};
 pub use dp_e::{run_dp_e, DpEConfig};
 pub use dp_f::run_dp_f;
 
+use std::thread::{Scope, ScopedJoinHandle};
+
 use msrl_algos::ppo::PpoConfig;
 use msrl_core::Result;
+use msrl_tensor::par::{self, ExecCtx};
+
+use crate::config::RuntimeConfig;
 
 /// Configuration shared by the PPO distribution drivers.
 #[derive(Debug, Clone)]
@@ -62,7 +73,7 @@ pub struct DistPpoConfig {
     pub seed: u64,
     /// Overlap communication with computation (double-buffered weight
     /// sync under DP-A/DP-F, fused collective under DP-C). Defaults from
-    /// `MSRL_OVERLAP`; off means every sync is fully blocking.
+    /// `MSRL_OVERLAP` (on); off means every sync is fully blocking.
     pub overlap: bool,
     /// Bounded-staleness window for overlapped weight sync: actors may
     /// roll out on weights at most this many iterations old. Defaults
@@ -74,24 +85,19 @@ pub struct DistPpoConfig {
     pub link_latency: std::time::Duration,
     /// Route linear layers through the fused `MatMul+bias+activation`
     /// kernel and enable the graph compiler's fusion passes (both
-    /// bit-identical to the unfused path). Defaults from `MSRL_FUSION`
-    /// (on unless set to `0`/`off`/`false`/`no`).
+    /// bit-identical to the unfused path). On by default; off is the
+    /// reference the bitwise suites compare against.
     pub fusion: bool,
     /// Micro-batch policy forwards *across* actor fragments through the
     /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
     /// per-actor path; forces the staleness bound to zero (all actors
-    /// share one weight snapshot). Defaults from `MSRL_ACTSRV` (off
-    /// unless set to `1`/`on`/`true`/`yes`).
+    /// share one weight snapshot). Defaults from `MSRL_ACTSRV` (off).
     pub act_server: bool,
-}
-
-/// Resolves the `MSRL_ACTSRV` toggle (default off).
-pub fn act_server_enabled() -> bool {
-    matches!(std::env::var("MSRL_ACTSRV").as_deref(), Ok("1") | Ok("on") | Ok("true") | Ok("yes"))
 }
 
 impl Default for DistPpoConfig {
     fn default() -> Self {
+        let env = RuntimeConfig::default();
         DistPpoConfig {
             actors: 2,
             envs_per_actor: 4,
@@ -100,11 +106,11 @@ impl Default for DistPpoConfig {
             hidden: vec![32, 32],
             ppo: PpoConfig::default(),
             seed: 0,
-            overlap: msrl_comm::overlap_enabled(),
-            staleness: msrl_comm::staleness_bound(),
+            overlap: env.overlap,
+            staleness: env.staleness,
             link_latency: std::time::Duration::ZERO,
-            fusion: msrl_tensor::par::fusion_enabled(),
-            act_server: act_server_enabled(),
+            fusion: par::fusion_enabled(),
+            act_server: env.act_server,
         }
     }
 }
@@ -121,13 +127,39 @@ impl DistPpoConfig {
             0
         }
     }
+}
 
-    /// Applies the config's fusion choice to the process-global gate so
-    /// every thread a driver spawns sees it. Called once at each
-    /// driver's entry.
-    pub(crate) fn apply_fusion(&self) {
-        msrl_tensor::par::set_fusion(self.fusion);
-    }
+/// Declares the fragment the calling thread hosts: opens the
+/// `fragment.<role>` span named by `span` (held until the returned
+/// guard drops) and tags the thread's attribution stamps (comm waits
+/// deep in the fabric included) with `<role>` and `rank`.
+pub(crate) fn enter_fragment(span: &'static str, rank: usize) -> msrl_telemetry::SpanGuard {
+    let role = span.strip_prefix("fragment.").expect("fragment spans are named fragment.<role>");
+    msrl_telemetry::set_fragment(role, rank as u64);
+    msrl_telemetry::span!(span, rank)
+}
+
+/// Spawns one fragment thread on `scope`. The new thread inherits the
+/// spawning thread's [`ExecCtx`] — the one seam, besides the `par`
+/// fan-out helpers, where a context crosses threads — and runs `body`
+/// inside [`enter_fragment`].
+pub(crate) fn spawn_fragment<'scope, T, F>(
+    scope: &'scope Scope<'scope, '_>,
+    span: &'static str,
+    rank: usize,
+    body: F,
+) -> ScopedJoinHandle<'scope, T>
+where
+    F: FnOnce() -> T + Send + 'scope,
+    T: Send + 'scope,
+{
+    let ctx = ExecCtx::current();
+    scope.spawn(move || {
+        ctx.scope(|| {
+            let _frag = enter_fragment(span, rank);
+            body()
+        })
+    })
 }
 
 /// The outcome of a distributed training run.
@@ -342,7 +374,9 @@ impl RunObserver {
     }
 }
 
-/// Driver epilogue: flushes the metrics stream (and the
+/// A driver's frame. Runs `body` with the config's `fusion` choice in
+/// the calling thread's [`ExecCtx`] (fragments inherit it through
+/// [`spawn_fragment`]), then flushes the metrics stream (and the
 /// `MSRL_METRICS_TEXT_FILE` exposition) and, on an error outcome,
 /// writes a flight-recorder dump so failed runs leave evidence.
 ///
@@ -350,7 +384,12 @@ impl RunObserver {
 /// subsystem's evidence trail, and a silently truncated JSONL file
 /// would read as a healthy run. The `sink.io_errors` counter carries
 /// the same signal into the exposition snapshot.
-pub(crate) fn finish_run<T>(policy: &'static str, result: Result<T>) -> Result<T> {
+pub(crate) fn drive<T>(
+    policy: &'static str,
+    fusion: bool,
+    body: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    let result = par::with_fusion(fusion, body);
     if let Err(e) = msrl_telemetry::flush_metrics() {
         eprintln!("msrl: metrics stream write failed for {policy}: {e}");
     }
@@ -358,12 +397,4 @@ pub(crate) fn finish_run<T>(policy: &'static str, result: Result<T>) -> Result<T
         let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"));
     }
     result
-}
-
-/// Resolves `MSRL_FAULT_NAN_ITER`: a fault-injection hook for the
-/// health e2e — after finishing this (0-based) iteration, DP-A scales
-/// one learner weight to infinity so the next health pass must detect
-/// the poisoned parameter vector within one iteration.
-pub(crate) fn fault_nan_iter() -> Option<u64> {
-    std::env::var("MSRL_FAULT_NAN_ITER").ok()?.parse().ok()
 }

@@ -31,12 +31,14 @@
 
 pub mod actsrv;
 pub mod advisor;
+pub mod config;
 pub mod coordinator;
 pub mod exec;
 pub mod policy;
 pub mod trace_algos;
 pub mod wire;
 
+pub use config::{ConfigError, RuntimeConfig};
 pub use coordinator::{Coordinator, Deployment};
 pub use exec::TrainingReport;
 pub use policy::{Placement, Role};

@@ -159,26 +159,14 @@ impl FusedGrad {
     }
 }
 
-/// `g · bᵀ` for backward rules: the transpose-free kernel
-/// ([`ops::matmul_bt`]) when the kernel tier is on, the materialised
-/// transpose otherwise. Both produce bit-identical results; the tiered
-/// route skips one allocation and strided copy per gradient.
+/// `g · bᵀ` for backward rules, without materialising the transpose.
 fn grad_matmul_bt(g: &Tensor, b: &Tensor) -> Tensor {
-    if crate::par::tier_enabled() {
-        ops::matmul_bt(g, b).expect("fwd shapes")
-    } else {
-        ops::matmul(g, &ops::transpose(b).expect("matrix")).expect("fwd shapes")
-    }
+    ops::matmul_bt(g, b).expect("fwd shapes")
 }
 
-/// `aᵀ · g` for backward rules; the [`ops::matmul_at`] counterpart of
-/// [`grad_matmul_bt`].
+/// `aᵀ · g` for backward rules, without materialising the transpose.
 fn grad_matmul_at(a: &Tensor, g: &Tensor) -> Tensor {
-    if crate::par::tier_enabled() {
-        ops::matmul_at(a, g).expect("fwd shapes")
-    } else {
-        ops::matmul(&ops::transpose(a).expect("matrix"), g).expect("fwd shapes")
-    }
+    ops::matmul_at(a, g).expect("fwd shapes")
 }
 
 impl Tape {

@@ -1,11 +1,11 @@
-//! Opt-in fast-math transcendental kernels — kernel tier level 2.
+//! Opt-in fast-math transcendental kernels — kernel tier 2.
 //!
-//! Everything below tier 2 in this crate is bit-identical to the naive
+//! Everything else in this crate is bit-identical to the naive
 //! reference kernels by construction; that contract caps softmax and
 //! tanh-heavy forwards because scalar libm `exp`/`tanh` dominate their
 //! cost and have no bit-identical vector form. This module is the
 //! explicitly *opt-in* escape hatch (`MSRL_TIER=2`, see
-//! [`crate::par::tier_level`]): polynomial `exp`/`tanh`/`sigmoid`
+//! [`crate::par::ExecCtx::fastmath`]): polynomial `exp`/`tanh`/`sigmoid`
 //! evaluated 8 or 16 lanes at a time.
 //!
 //! # Accuracy contract
@@ -20,9 +20,9 @@
 //!
 //! # Determinism contract
 //!
-//! Fast-math is *not* bit-identical to tiers 0/1 — that is the point —
-//! but it **is** deterministic and ISA-independent: the AVX-512, AVX2
-//! and portable paths execute the exact scalar operation sequence
+//! Fast-math is *not* bit-identical to the default tier — that is the
+//! point — but it **is** deterministic and ISA-independent: the
+//! AVX-512, AVX2 and portable paths execute the exact scalar operation sequence
 //! (separate multiply and add, never an FMA; `floor`; truncating
 //! int-cast), so every lane rounds identically to the scalar reference
 //! and a tier-2 run reproduces bit-for-bit on any x86-64 host. Row
@@ -233,7 +233,7 @@ fn softmax_row_portable(row: &mut [f32]) {
 /// three bitwise-identical because the reduction tree is fixed at
 /// [`RLANES`] lanes on every level and the exp pass is elementwise.
 ///
-/// Not bit-identical to the tier-0/1 softmax: both the exponentials
+/// Not bit-identical to the default softmax: both the exponentials
 /// (polynomial vs libm) and the reduction order (lane tree vs serial)
 /// differ — tolerance-gated like the rest of tier 2.
 pub fn softmax_row_fast_inplace(row: &mut [f32]) {

@@ -1,9 +1,10 @@
-//! Packed, register-tiled matmul microkernels — the hot-plan kernel
-//! tier.
+//! Packed, register-tiled matmul microkernels and gathered reductions —
+//! the only bodies [`crate::ops`] executes.
 //!
-//! The naive matmul in [`crate::ops`] streams `b` row by row and
-//! accumulates directly into the output, which bounds it at one scalar
-//! multiply–add per element per pass. The kernels here restructure the
+//! The naive matmul ([`crate::reference::matmul`], kept as the test
+//! oracle) streams `b` row by row and accumulates directly into the
+//! output, which bounds it at one scalar multiply–add per element per
+//! pass. The kernels here restructure the
 //! *memory layout and instruction schedule only*: `b` is packed once
 //! into [`PackedB`] column panels ([`NR`][PackedB::nr] columns wide,
 //! k-major within each panel, zero-padded at the right edge), and the
@@ -166,8 +167,8 @@ impl PackedB {
 }
 
 /// Packs a row-major `[k, n]` matrix into [`PackedB`] panels for this
-/// host's microkernel. Cost is one copy of `b`; the tier pays it once
-/// per weight (or once per call for ad-hoc large matmuls) and the
+/// host's microkernel. Cost is one copy of `b`, paid once per weight by
+/// a promoted plan (or once per call for ad-hoc large matmuls); the
 /// microkernel then reads panels sequentially.
 pub fn pack_b(bd: &[f32], k: usize, n: usize) -> PackedB {
     msrl_telemetry::static_counter!("tensor.pack_b").add(1);
@@ -523,7 +524,7 @@ pub fn reduce_groups(
 /// `f32::exp` is a libm call with no bit-identical vector form, and the
 /// running sum is a serial chain whose order the contract fixes. Every
 /// row therefore replays the scalar helper's exact sequence, so results
-/// are bit-identical to the untiered path.
+/// are bit-identical to [`crate::reference::softmax_rows`].
 pub fn softmax_rows_tiered(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
     if out.is_empty() || n == 0 {
         return;
@@ -1660,19 +1661,7 @@ mod x86 {
 mod tests {
     use super::*;
 
-    /// Naive reference: the exact loop from `ops::matmul_rows`.
-    fn naive(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let av = ad[i * k + kk];
-                for j in 0..n {
-                    out[i * n + j] += av * bd[kk * n + j];
-                }
-            }
-        }
-        out
-    }
+    use crate::reference::{matmul as naive, reduce as naive_reduce, transpose};
 
     fn vals(len: usize, seed: usize) -> Vec<f32> {
         (0..len).map(|i| (((i * 2654435761 + seed) % 1000) as f32) / 500.0 - 1.0).collect()
@@ -1777,13 +1766,7 @@ mod tests {
     /// Transposes `a: [p, m]` and runs the naive loop: the composition
     /// the kernels must match bitwise.
     fn at_naive(a: &[f32], b: &[f32], p: usize, m: usize, n: usize) -> Vec<f32> {
-        let mut at = vec![0.0f32; m * p];
-        for kk in 0..p {
-            for i in 0..m {
-                at[i * p + kk] = a[kk * m + i];
-            }
-        }
-        naive(&at, b, m, p, n)
+        naive(&transpose(a, p, m), b, m, p, n)
     }
 
     #[test]
@@ -1867,12 +1850,7 @@ mod tests {
         for &(m, p, n) in &[(1, 1, 1), (2, 32, 32), (5, 7, 19), (6, 3, 40), (9, 0, 16), (3, 2, 6)] {
             let a = vals(m * p, 11);
             let b = vals(n * p, 12);
-            let mut bt = vec![0.0f32; p * n];
-            for j in 0..n {
-                for kk in 0..p {
-                    bt[kk * n + j] = b[j * p + kk];
-                }
-            }
+            let bt = transpose(&b, n, p);
             let mut out = vec![f32::NAN; m * n];
             matmul_bt_rows(&a, 0, &mut out, p, n, &b);
             let expect = naive(&a, &bt, m, p, n);
@@ -1902,37 +1880,6 @@ mod tests {
         let mut part = vec![0.0f32; (m - 5) * n];
         matmul_packed_rows(&a, 5, &mut part, k, n, &bp);
         assert_eq!(&full[5 * n..], &part[..]);
-    }
-
-    /// Naive reference for the reduction kernels: one accumulator per
-    /// output element, ascending reduced index, optional scale epilogue.
-    fn naive_reduce(
-        ad: &[f32],
-        rows: usize,
-        mid: usize,
-        inner: usize,
-        op: RedOp,
-        scale: Option<f32>,
-    ) -> Vec<f32> {
-        let mut out = vec![op.init(); rows * inner];
-        for r in 0..rows {
-            for m in 0..mid {
-                for i in 0..inner {
-                    let v = ad[(r * mid + m) * inner + i];
-                    let slot = &mut out[r * inner + i];
-                    *slot = match op {
-                        RedOp::Sum => *slot + v,
-                        RedOp::Max => max_fold(*slot, v),
-                    };
-                }
-            }
-            if let Some(s) = scale {
-                for slot in &mut out[r * inner..(r + 1) * inner] {
-                    *slot *= s;
-                }
-            }
-        }
-        out
     }
 
     fn assert_bits_eq(got: &[f32], expect: &[f32], what: &str) {
@@ -2023,10 +1970,7 @@ mod tests {
             let a = vals(rows * n, 41);
             let mut out = vec![f32::NAN; rows * n];
             softmax_rows_tiered(&a, 0, &mut out, n);
-            let mut expect = a.clone();
-            for row in expect.chunks_mut(n) {
-                crate::ops::softmax_row_inplace(row);
-            }
+            let expect = crate::reference::softmax_rows(&a, n);
             assert_bits_eq(&out, &expect, &format!("softmax ({rows},{n})"));
         }
         // Offset selects a row range like a threaded chunk would.

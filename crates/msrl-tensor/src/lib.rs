@@ -47,6 +47,8 @@ pub mod nn;
 pub mod ops;
 pub mod optim;
 pub mod par;
+#[doc(hidden)]
+pub mod reference;
 pub mod shape;
 pub mod tensor;
 

@@ -435,6 +435,54 @@ mod tests {
         }
     }
 
+    /// Three threads run the same forward+backward under three different
+    /// contexts at once. A context is thread-scoped, so each must keep
+    /// reproducing the bits it gets alone — under process-global
+    /// switches the threads flipped each other's fusion and fast-math
+    /// mid-kernel.
+    #[test]
+    fn concurrent_contexts_each_reproduce_their_single_threaded_bits() {
+        use crate::par::ExecCtx;
+        let mut r = rng(13);
+        let mlp = Mlp::new(&[6, 16, 16, 3], Activation::Tanh, Activation::Linear, &mut r);
+        let x =
+            Tensor::from_vec((0..30).map(|i| (i as f32 * 0.23).sin()).collect(), &[5, 6]).unwrap();
+        let run = || {
+            let tape = Tape::new();
+            let binding = mlp.bind(&tape);
+            let loss = binding.forward(&tape.var(x.clone())).unwrap().square().sum();
+            let grads = tape.backward(&loss).unwrap();
+            let mut bits: Vec<u32> = loss.value().data().iter().map(|v| v.to_bits()).collect();
+            for g in binding.grads(&grads) {
+                bits.extend(g.data().iter().map(|v| v.to_bits()));
+            }
+            bits
+        };
+        let base = ExecCtx::current();
+        let ctxs = [
+            ExecCtx { fastmath: false, fusion: true, ..base },
+            ExecCtx { fastmath: false, fusion: false, ..base },
+            ExecCtx { fastmath: true, fusion: true, ..base },
+        ];
+        let alone: Vec<Vec<u32>> = ctxs.iter().map(|c| c.scope(run)).collect();
+        assert_eq!(alone[0], alone[1], "fusion never changes bits");
+        assert_ne!(alone[0], alone[2], "fast-math must actually engage");
+        let start = std::sync::Barrier::new(ctxs.len());
+        std::thread::scope(|s| {
+            for (ctx, expect) in ctxs.iter().zip(&alone) {
+                let (run, start) = (&run, &start);
+                s.spawn(move || {
+                    ctx.scope(|| {
+                        start.wait();
+                        for round in 0..200 {
+                            assert_eq!(&run(), expect, "{ctx:?} diverged in round {round}");
+                        }
+                    })
+                });
+            }
+        });
+    }
+
     #[test]
     fn packed_infer_is_bit_identical_to_plain_infer() {
         let mut r = rng(11);

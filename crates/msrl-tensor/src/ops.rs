@@ -8,7 +8,7 @@
 
 use crate::error::TensorError;
 use crate::kernels;
-use crate::par;
+use crate::par::{self, ExecCtx};
 use crate::shape::{BroadcastPlan, Shape};
 use crate::tensor::Tensor;
 use crate::Result;
@@ -28,6 +28,7 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
     let ad = a.data();
     let bd = b.data();
     let mut data = crate::alloc::take_zeroed(vol);
+    let parallel = ExecCtx::current().should_parallelize(vol, par::PAR_MIN_ELEMS);
     // Fast path: identical shapes need no plan at all.
     if a.shape() == b.shape() {
         let fill = |offset: usize, chunk: &mut [f32]| {
@@ -35,7 +36,7 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
                 *slot = f(ad[offset + i], bd[offset + i]);
             }
         };
-        if par::should_parallelize(vol, par::PAR_MIN_ELEMS) {
+        if parallel {
             par::fill_chunks(&mut data, fill);
         } else {
             fill(0, &mut data);
@@ -56,7 +57,7 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
             }
         });
     };
-    if par::should_parallelize(vol, par::PAR_MIN_ELEMS) && plan.outer_steps() > 1 {
+    if parallel && plan.outer_steps() > 1 {
         par::fill_chunks_aligned(&mut data, inner, fill);
     } else {
         fill(0, &mut data);
@@ -120,6 +121,11 @@ pub fn zip_inplace(
 /// Applies `f` element-wise to a single tensor (chunk-parallel under the
 /// threaded backend).
 pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    map_in(ExecCtx::current(), a, f)
+}
+
+/// [`map`] under a context the caller already read.
+fn map_in(ctx: ExecCtx, a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_zeroed(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
@@ -127,7 +133,7 @@ pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
             *slot = f(ad[offset + i]);
         }
     };
-    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
+    if ctx.should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
@@ -184,31 +190,36 @@ pub fn neg(a: &Tensor) -> Tensor {
     map(a, |x| -x)
 }
 
-/// Applies a [`crate::fastmath`] transcendental element-wise — the
-/// tier-2 twin of [`map`], same chunk partitioning (the kernels are
-/// element-wise and ISA-deterministic, so chunk boundaries cannot
-/// perturb results).
-fn map_fast(a: &Tensor, u: crate::fastmath::Unary) -> Tensor {
+/// A transcendental with a [`crate::fastmath`] twin: `exact` through
+/// [`map`], or under the fast-math tier the polynomial `fast` with the
+/// same chunk partitioning (the kernels are element-wise and
+/// ISA-deterministic, so chunk boundaries cannot perturb results).
+fn map_transcendental(
+    a: &Tensor,
+    fast: crate::fastmath::Unary,
+    exact: impl Fn(f32) -> f32 + Sync,
+) -> Tensor {
+    let ctx = ExecCtx::current();
+    if !ctx.fastmath {
+        return map_in(ctx, a, exact);
+    }
     let ad = a.data();
     let mut data = crate::alloc::take_zeroed(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
         chunk.copy_from_slice(&ad[offset..offset + chunk.len()]);
-        crate::fastmath::apply_slice(u, chunk);
+        crate::fastmath::apply_slice(fast, chunk);
     };
-    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
+    if ctx.should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
     }
-    Tensor::from_vec(data, a.shape()).expect("map_fast preserves shape")
+    Tensor::from_vec(data, a.shape()).expect("map preserves shape")
 }
 
 /// Element-wise exponential (vectorized polynomial under `MSRL_TIER=2`).
 pub fn exp(a: &Tensor) -> Tensor {
-    if par::fastmath_enabled() {
-        return map_fast(a, crate::fastmath::Unary::Exp);
-    }
-    map(a, f32::exp)
+    map_transcendental(a, crate::fastmath::Unary::Exp, f32::exp)
 }
 
 /// Element-wise natural logarithm.
@@ -232,19 +243,13 @@ pub fn relu(a: &Tensor) -> Tensor {
 /// Element-wise hyperbolic tangent (vectorized polynomial under
 /// `MSRL_TIER=2`).
 pub fn tanh(a: &Tensor) -> Tensor {
-    if par::fastmath_enabled() {
-        return map_fast(a, crate::fastmath::Unary::Tanh);
-    }
-    map(a, f32::tanh)
+    map_transcendental(a, crate::fastmath::Unary::Tanh, f32::tanh)
 }
 
 /// Element-wise logistic sigmoid (vectorized polynomial under
 /// `MSRL_TIER=2`).
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    if par::fastmath_enabled() {
-        return map_fast(a, crate::fastmath::Unary::Sigmoid);
-    }
-    map(a, |x| 1.0 / (1.0 + (-x).exp()))
+    map_transcendental(a, crate::fastmath::Unary::Sigmoid, |x| 1.0 / (1.0 + (-x).exp()))
 }
 
 /// Element-wise square.
@@ -290,47 +295,32 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     // output by rows; every element accumulates over `k` in ascending
     // order on both backends, keeping them bit-exact.
     let flops = m * k * n;
-    if par::tier_enabled() && flops >= TIER_MIN_FLOPS {
-        // Hot-size product: pack `b` on the fly and run the
-        // register-tiled microkernels (bit-identical to `matmul_rows`;
-        // see [`crate::kernels`]). Plans the interpreter has tiered up
-        // skip even this packing via [`matmul_prepacked`].
-        let bp = crate::kernels::pack_b(bd, k, n);
-        if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-            par::fill_chunks_aligned(&mut out, n, |offset, chunk| {
-                crate::kernels::matmul_packed_rows(ad, offset / n, chunk, k, n, &bp);
-            });
-        } else {
-            crate::kernels::matmul_packed_rows(ad, 0, &mut out, k, n, &bp);
+    // Hot-size product: pack `b` on the fly for the register-tiled
+    // microkernels (plans the interpreter has promoted skip even this
+    // packing via [`matmul_prepacked`]). Small product: SIMD lanes
+    // across output columns, straight off the row-major operand — no
+    // packing copy to amortise.
+    let bp = (flops >= PACK_MIN_FLOPS).then(|| kernels::pack_b(bd, k, n));
+    let fill = |offset: usize, chunk: &mut [f32]| {
+        let row0 = offset / n.max(1);
+        match &bp {
+            Some(bp) => kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp),
+            None => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
         }
-    } else if par::tier_enabled() {
-        // Small product: SIMD lanes across output columns, straight off
-        // the row-major operand — no packing copy to amortise
-        // (bit-identical per element; see [`crate::kernels`]).
-        if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-            par::fill_chunks_aligned(&mut out, n, |offset, chunk| {
-                crate::kernels::matmul_simd_rows(ad, offset / n, chunk, k, n, bd);
-            });
-        } else {
-            crate::kernels::matmul_simd_rows(ad, 0, &mut out, k, n, bd);
-        }
-    } else if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, |offset, chunk| {
-            matmul_rows(ad, bd, offset / n, chunk, k, n);
-        });
+    };
+    if ExecCtx::current().should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+        par::fill_chunks_aligned(&mut out, n, fill);
     } else {
-        matmul_rows(ad, bd, 0, &mut out, k, n);
+        fill(0, &mut out);
     }
     Tensor::from_vec(out, &[m, n])
 }
 
 /// Multiply–add count at or above which [`matmul`] packs `b` on the fly
 /// for the register-tiled microkernels; below it the packing copy costs
-/// more than the tiles save, so the naive kernel keeps the small-shape
-/// path (MLP-sized layers stay naive — their tier wins come from
-/// [`matmul_at`] / [`matmul_bt`] and the interpreter's pre-packed
-/// plans).
-pub const TIER_MIN_FLOPS: usize = 64 * 64 * 64;
+/// more than the tiles save, so MLP-sized layers run the unpacked
+/// row kernel.
+pub const PACK_MIN_FLOPS: usize = 64 * 64 * 64;
 
 /// Matrix product against a pre-packed right operand:
 /// `[m, k] × packed[k, n] → [m, n]`.
@@ -447,29 +437,13 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut out = crate::alloc::take_zeroed(m * n);
     let ad = a.data();
     let bd = b.data();
-    let tier = par::tier_enabled();
     let fill = |offset: usize, chunk: &mut [f32]| {
         if n == 0 {
             return;
         }
-        let row0 = offset / n;
-        if tier {
-            // Gather kernel: lanes across output columns (rows of b), no
-            // transpose materialised, scalar accumulation order per element.
-            crate::kernels::matmul_bt_rows(ad, row0, chunk, p, n, bd);
-            return;
-        }
-        for (r, orow) in chunk.chunks_mut(n).enumerate() {
-            let arow = &ad[(row0 + r) * p..(row0 + r + 1) * p];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bd[j * p..(j + 1) * p];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
+        // Gather kernel: lanes across output columns (rows of b), no
+        // transpose materialised, scalar accumulation order per element.
+        crate::kernels::matmul_bt_rows(ad, offset / n, chunk, p, n, bd);
     };
     if par::should_parallelize(m * p * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
@@ -477,36 +451,6 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         fill(0, &mut out);
     }
     Tensor::from_vec(out, &[m, n])
-}
-
-/// Accumulates `out_rows` (rows `row0..` of the product) serially.
-///
-/// i-k-j order keeps the inner loop contiguous over `b` and the output;
-/// rows are processed in small blocks so each streamed row of `b` is
-/// reused across the whole block while hot in cache. There is
-/// deliberately no skip of zero elements of `a`: IEEE semantics require
-/// `0 × NaN` and `0 × ∞` to contaminate the accumulator.
-fn matmul_rows(ad: &[f32], bd: &[f32], row0: usize, out_rows: &mut [f32], k: usize, n: usize) {
-    const MM_ROW_BLOCK: usize = 4;
-    if n == 0 {
-        return;
-    }
-    let rows = out_rows.len() / n;
-    let mut r = 0;
-    while r < rows {
-        let block = (rows - r).min(MM_ROW_BLOCK);
-        for kk in 0..k {
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for rr in r..r + block {
-                let av = ad[(row0 + rr) * k + kk];
-                let orow = &mut out_rows[rr * n..(rr + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        r += block;
-    }
 }
 
 /// Activation selector for the fused linear kernel.
@@ -615,19 +559,15 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
-    let tier = par::tier_enabled();
-    let fm = par::fastmath_enabled();
+    let ctx = ExecCtx::current();
+    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
-        if tier {
-            crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
-        } else {
-            matmul_rows(xd, wd, offset / n.max(1), chunk, k, n);
-        }
+        crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
         act_epilogue(chunk, bd, n, act, fm);
     };
     // Same parallel guard and row-aligned partitioning as matmul, so the
     // fused and unfused paths agree chunk-for-chunk on both backends.
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -671,12 +611,13 @@ pub fn linear_act_prepacked(
     let mut out = crate::alloc::take_zeroed(m * n);
     let xd = x.data();
     let bd = b.data();
-    let fm = par::fastmath_enabled();
+    let ctx = ExecCtx::current();
+    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         crate::kernels::matmul_packed_rows(xd, offset / n.max(1), chunk, k, n, wp);
         act_epilogue(chunk, bd, n, act, fm);
     };
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -733,14 +674,10 @@ pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
-    let tier = par::tier_enabled();
-    let fm = par::fastmath_enabled();
+    let ctx = ExecCtx::current();
+    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
-        if tier {
-            crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
-        } else {
-            matmul_rows(xd, wd, offset / n.max(1), chunk, k, n);
-        }
+        crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
         if n > 0 {
             for row in chunk.chunks_mut(n) {
                 for (o, &bv) in row.iter_mut().zip(bd) {
@@ -754,7 +691,7 @@ pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
             }
         }
     };
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -824,11 +761,10 @@ pub fn max_all(a: &Tensor) -> Result<Tensor> {
 /// Output slots are independent, so the threaded backend partitions
 /// them across workers (in groups that keep each outer slice whole);
 /// every slot folds over the reduced axis in ascending order on both
-/// backends, so results are bit-exact across backends. With the kernel
-/// tier enabled the fold runs in the SIMD reduction microkernels
-/// ([`kernels::reduce_rows`] / [`kernels::reduce_groups`]), whose lanes
-/// span independent output slots and replay the same per-slot order —
-/// `MSRL_TIER=0/1` stays bit-identical.
+/// backends, so results are bit-exact across backends. The fold runs in
+/// the SIMD reduction microkernels ([`kernels::reduce_rows`] /
+/// [`kernels::reduce_groups`]), whose lanes span independent output
+/// slots and replay the per-slot order of [`crate::reference::reduce`].
 ///
 /// `scale`, when set, multiplies each output slot right after its own
 /// fold completes — the single-pass `mean_axis` epilogue; per element it
@@ -842,37 +778,11 @@ fn reduce_axis(a: &Tensor, axis: usize, op: kernels::RedOp, scale: Option<f32>) 
     let mid = dims[axis];
     let inner: usize = dims[axis + 1..].iter().product();
     let ad = a.data();
-    let tier = par::tier_enabled();
     let mut out = crate::alloc::take_filled(outer * inner, op.init());
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        if tier && inner == 1 {
-            kernels::reduce_rows(ad, offset, chunk, mid, op, scale);
-            return;
-        }
-        if tier && inner > 1 {
-            kernels::reduce_groups(ad, offset / inner, chunk, mid, inner, op, scale);
-            return;
-        }
-        // Reference scalar path: one accumulator per slot, ascending m.
-        let o0 = offset / inner.max(1);
-        for (oi, group) in chunk.chunks_mut(inner.max(1)).enumerate() {
-            let o = o0 + oi;
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                for (i, slot) in group.iter_mut().enumerate() {
-                    let v = ad[base + i];
-                    *slot = match op {
-                        kernels::RedOp::Sum => *slot + v,
-                        kernels::RedOp::Max => kernels::max_fold(*slot, v),
-                    };
-                }
-            }
-            if let Some(s) = scale {
-                for slot in group.iter_mut() {
-                    *slot *= s;
-                }
-            }
-        }
+    let fill = |offset: usize, chunk: &mut [f32]| match inner {
+        0 => {}
+        1 => kernels::reduce_rows(ad, offset, chunk, mid, op, scale),
+        _ => kernels::reduce_groups(ad, offset / inner, chunk, mid, inner, op, scale),
     };
     if inner > 0 && outer > 1 && par::should_parallelize(a.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks_aligned(&mut out, inner, fill);
@@ -976,27 +886,20 @@ pub fn softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    let tier = par::tier_enabled();
-    let fm = par::fastmath_enabled();
+    let ctx = ExecCtx::current();
+    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         if fm {
             // Opt-in tier 2: vectorized polynomial exp replaces the
             // scalar libm middle pass (tolerance-gated, not bitwise).
             crate::fastmath::softmax_rows_fast(ad, offset, chunk, n);
-            return;
-        }
-        if tier {
-            // Vectorized-across-rows kernel; replays this exact per-row
-            // arithmetic, so MSRL_TIER=0/1 stays bit-identical.
+        } else {
+            // Vectorized-across-rows kernel replaying the per-row
+            // arithmetic of [`softmax_row_inplace`].
             kernels::softmax_rows_tiered(ad, offset, chunk, n);
-            return;
-        }
-        for (r, orow) in chunk.chunks_mut(n).enumerate() {
-            orow.copy_from_slice(&ad[offset + r * n..offset + (r + 1) * n]);
-            softmax_row_inplace(orow);
         }
     };
-    if n > 0 && m > 1 && par::should_parallelize(m * n, par::PAR_MIN_ELEMS) {
+    if n > 0 && m > 1 && ctx.should_parallelize(m * n, par::PAR_MIN_ELEMS) {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);

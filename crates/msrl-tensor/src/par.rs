@@ -1,30 +1,47 @@
-//! Execution-backend selection and scoped-thread parallel helpers.
+//! The execution context and the scoped-thread fan-out helpers.
 //!
-//! The tensor kernels in [`crate::ops`] run under one of two backends:
+//! How a kernel executes — which backend, how many intra-op workers,
+//! where the serial cut-off sits, whether the fast-math polynomials and
+//! the fused kernels are on — is one `Copy` value, [`ExecCtx`], chosen
+//! outside the code that computes:
 //!
-//! * [`Backend::Scalar`] — single-threaded reference kernels; the
-//!   bit-exact baseline every other backend is validated against.
+//! * The **process default** is parsed once, strictly, from
+//!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`),
+//!   `MSRL_THREADS` (a positive integer, default the host's available
+//!   parallelism) and `MSRL_TIER` (`1` | `2`, default `1`) by
+//!   [`ExecCtx::from_env`]. A value outside those sets is a
+//!   [`ConfigError`] naming the variable, never a silent fallback.
+//! * An **override** is scoped to the calling thread:
+//!   [`ExecCtx::scope`] installs a context in a thread-local for the
+//!   duration of a closure and a drop guard restores the previous one,
+//!   also on unwind. No other thread observes it, so concurrent tests
+//!   and concurrent fragments cannot steer each other's numerics.
+//!   [`with_backend`], [`with_threads`], [`with_par_min`],
+//!   [`with_fusion`] and [`with_fastmath`] are one-field spellings.
+//! * A context is **inherited** at exactly two seams: the fan-out
+//!   helpers below ([`fill_chunks`], [`fill_chunks_aligned`],
+//!   [`map_ranges`]) hand the caller's context to every worker they
+//!   spawn, and `msrl_runtime::exec::spawn_fragment` hands a driver's
+//!   context to every fragment thread. A thread spawned any other way
+//!   starts from the process default.
+//!
+//! The two backends:
+//!
+//! * [`Backend::Scalar`] — single-threaded kernels; the bit-exact
+//!   baseline the threaded backend is validated against.
 //! * [`Backend::Threaded`] — the same kernels partitioned over OS
 //!   threads with `std::thread::scope`. Partitioning is always along
 //!   *output* regions, so no two threads write the same element and the
 //!   per-element accumulation order matches the scalar backend (matmul
 //!   and axis reductions are bit-exact across backends; whole-tensor
-//!   sums split per chunk and agree to rounding).
+//!   sums split per chunk and agree to rounding). With one worker it
+//!   routes straight to the serial kernels.
 //!
-//! The backend is process-global: resolved once from the
-//! `MSRL_BACKEND` environment variable (`scalar` | `threaded`,
-//! defaulting to `threaded`) and overridable programmatically with
-//! [`set_backend`]. Worker count comes from `MSRL_THREADS` when set
-//! (useful to exercise multi-chunk paths on small machines) and
-//! otherwise from [`std::thread::available_parallelism`]; both are
-//! resolved once and cached, so the per-op dispatch check
-//! ([`should_parallelize`]) costs a couple of atomic loads — on a
-//! one-thread host the threaded backend therefore routes straight to
-//! the serial kernels with no per-call environment or syscall overhead.
-//! Tests override the cached values with [`with_threads`] /
-//! [`with_par_min`] instead of mutating the environment.
+//! Kernels read the context once per operation ([`ExecCtx::current`] is
+//! one thread-local load) and pass what they need down by value; no
+//! worker closure reads it again.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Which execution strategy the tensor kernels use.
@@ -36,230 +53,224 @@ pub enum Backend {
     Threaded,
 }
 
-const UNSET: u8 = 0;
-const SCALAR: u8 = 1;
-const THREADED: u8 = 2;
+/// A rejected `MSRL_*` value: which variable, what it held, and what it
+/// accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The environment variable's name.
+    pub var: &'static str,
+    /// The rejected value.
+    pub value: String,
+    /// The accepted values, for the message.
+    pub accepted: &'static str,
+}
 
-static BACKEND: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Returns the active global backend, resolving `MSRL_BACKEND` on first
-/// use.
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        SCALAR => Backend::Scalar,
-        THREADED => Backend::Threaded,
-        _ => {
-            let resolved = match std::env::var("MSRL_BACKEND").as_deref() {
-                Ok("scalar") | Ok("Scalar") | Ok("SCALAR") => Backend::Scalar,
-                _ => Backend::Threaded,
-            };
-            set_backend(resolved);
-            resolved
-        }
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?} is not valid; accepted: {}", self.var, self.value, self.accepted)
     }
 }
 
-/// Overrides the global backend (takes precedence over `MSRL_BACKEND`).
-pub fn set_backend(b: Backend) {
-    let raw = match b {
-        Backend::Scalar => SCALAR,
-        Backend::Threaded => THREADED,
-    };
-    BACKEND.store(raw, Ordering::Relaxed);
-}
+impl std::error::Error for ConfigError {}
 
-/// Runs `f` with the given backend active, then restores the previous
-/// one. Intended for tests and benchmarks that compare backends; the
-/// switch is process-global, so concurrent callers of this function
-/// race (the test suites that use it run their comparisons within one
-/// test body).
-pub fn with_backend<T>(b: Backend, f: impl FnOnce() -> T) -> T {
-    let prev = backend();
-    set_backend(b);
-    let out = f();
-    set_backend(prev);
-    out
-}
-
-const FUSION_OFF: u8 = 1;
-const FUSION_ON: u8 = 2;
-
-static FUSION: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Whether fused kernels and graph-compiler optimization passes are
-/// active, resolving `MSRL_FUSION` on first use (default: on).
+/// Parses one optional variable: `Ok(None)` when unset, the parsed
+/// value when `parse` accepts it, otherwise a [`ConfigError`] carrying
+/// `accepted`. Shared by [`ExecCtx::parse`] and
+/// `msrl_runtime::RuntimeConfig::parse`.
 ///
-/// When on, `nn` routes linear layers through the fused
-/// `MatMul+bias+activation` kernel ([`crate::ops::linear_act`]) and the
-/// `msrl-core` graph compiler runs its operator-fusion passes. Both
-/// paths are bit-identical to the unfused reference; `MSRL_FUSION=0`
-/// restores the separate-operator execution exactly.
-pub fn fusion_enabled() -> bool {
-    match FUSION.load(Ordering::Relaxed) {
-        FUSION_ON => true,
-        FUSION_OFF => false,
-        _ => {
-            let resolved = !matches!(
-                std::env::var("MSRL_FUSION").as_deref(),
-                Ok("0") | Ok("off") | Ok("false") | Ok("no")
-            );
-            set_fusion(resolved);
-            resolved
-        }
+/// # Errors
+///
+/// Returns a [`ConfigError`] when the variable is set to a value
+/// `parse` rejects.
+pub fn parse_var<T>(
+    lookup: &impl Fn(&'static str) -> Option<String>,
+    var: &'static str,
+    accepted: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    match lookup(var) {
+        None => Ok(None),
+        Some(value) => match parse(value.trim()) {
+            Some(v) => Ok(Some(v)),
+            None => Err(ConfigError { var, value, accepted }),
+        },
     }
 }
 
-/// Overrides the global fusion gate (takes precedence over `MSRL_FUSION`).
-pub fn set_fusion(on: bool) {
-    FUSION.store(if on { FUSION_ON } else { FUSION_OFF }, Ordering::Relaxed);
+/// How tensor kernels execute on the calling thread. See the module
+/// docs for how a value is resolved, overridden and inherited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecCtx {
+    /// Serial or chunk-parallel kernels.
+    pub backend: Backend,
+    /// Intra-op worker count under [`Backend::Threaded`] (≥ 1).
+    pub threads: usize,
+    /// Replaces every kernel's own serial-below cut-off
+    /// ([`PAR_MIN_ELEMS`], [`PAR_MIN_FLOPS`], …) when set; tests set it
+    /// to 1 so tiny inputs still exercise the multi-chunk paths.
+    pub par_min: Option<usize>,
+    /// Opt-in fast-math tier (`MSRL_TIER=2`): the deterministic
+    /// polynomial `exp`/`tanh`/`sigmoid` of [`crate::fastmath`] replace
+    /// libm where a kernel has one. Tolerance-gated, not bit-identical
+    /// to the default.
+    pub fastmath: bool,
+    /// Fused `MatMul+bias+activation` kernels in [`crate::nn`] and the
+    /// `msrl-core` graph compiler's fusion passes. Bit-identical to the
+    /// unfused operators, which stay reachable through
+    /// [`with_fusion`]`(false, ..)` as the reference the bitwise suites
+    /// compare against.
+    pub fusion: bool,
 }
 
-/// Runs `f` with the fusion gate forced to `on`, then restores the
-/// previous setting. As with [`with_backend`], the switch is
-/// process-global; comparison tests run both sides within one test body.
-pub fn with_fusion<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = fusion_enabled();
-    set_fusion(on);
-    let out = f();
-    set_fusion(prev);
-    out
+thread_local! {
+    /// The calling thread's override; `None` means the process default.
+    static CURRENT: Cell<Option<ExecCtx>> = const { Cell::new(None) };
 }
 
-/// The kernel tier stores `level + 1` so `UNSET` (0) can mean
-/// "resolve `MSRL_TIER` on first use".
-static TIER: AtomicU8 = AtomicU8::new(UNSET);
-
-fn resolve_tier_level() -> u8 {
-    match TIER.load(Ordering::Relaxed) {
-        UNSET => {
-            let resolved = match std::env::var("MSRL_TIER").as_deref() {
-                Ok("0") | Ok("off") | Ok("false") | Ok("no") => 0,
-                Ok("2") | Ok("fast") | Ok("fastmath") => 2,
-                _ => 1,
-            };
-            set_tier_level(resolved);
-            resolved
-        }
-        stored => stored - 1,
-    }
-}
-
-/// The active kernel-tier level, resolving `MSRL_TIER` on first use
-/// (default: 1).
-///
-/// * **0** — naive reference kernels only.
-/// * **1** — bit-identical tiered kernels (packed matmul microkernels,
-///   fused-transpose backward products, gathered SIMD reductions, hot
-///   cached-plan promotion). Same per-element accumulation order as
-///   level 0, so results are bit-identical.
-/// * **2** — everything in level 1 *plus* the opt-in fast-math kernels
-///   in [`crate::fastmath`] (vectorized polynomial `exp`/`tanh`/
-///   `sigmoid`). Not bit-identical to levels 0/1; gated by tolerance
-///   tests instead. Never the default — it must be requested with
-///   `MSRL_TIER=2` (or `fast`/`fastmath`) or [`set_tier_level`].
-///
-/// Ops without a fast-math kernel fall back to their level-1 (or
-/// level-0) path automatically under level 2.
-pub fn tier_level() -> u8 {
-    resolve_tier_level()
-}
-
-/// Whether the hot-plan kernel tier is active (tier level ≥ 1),
-/// resolving `MSRL_TIER` on first use (default: on).
-///
-/// When on, large matmuls route through the packed register-tiled
-/// microkernels in [`crate::kernels`], autograd backward passes use the
-/// fused-transpose products ([`crate::ops::matmul_at`] /
-/// [`crate::ops::matmul_bt`]), and the `msrl-core` interpreter promotes
-/// hot cached plans to pre-packed tiered execution. Every tiered path
-/// preserves the naive kernels' per-element accumulation order, so
-/// results are bit-identical; `MSRL_TIER=0` restores the untiered
-/// execution exactly. See [`tier_level`] for the opt-in fast-math
-/// level 2.
-pub fn tier_enabled() -> bool {
-    resolve_tier_level() >= 1
-}
-
-/// Whether the opt-in fast-math tier (level 2) is active. Paths that
-/// have a fast-math kernel consult this; everything else ignores it.
-pub fn fastmath_enabled() -> bool {
-    resolve_tier_level() >= 2
-}
-
-/// Overrides the global kernel-tier gate (takes precedence over
-/// `MSRL_TIER`). `true` selects level 1, `false` level 0; use
-/// [`set_tier_level`] to request the fast-math level 2.
-pub fn set_tier(on: bool) {
-    set_tier_level(if on { 1 } else { 0 });
-}
-
-/// Overrides the global kernel-tier level (takes precedence over
-/// `MSRL_TIER`). Levels above 2 clamp to 2.
-pub fn set_tier_level(level: u8) {
-    TIER.store(level.min(2) + 1, Ordering::Relaxed);
-}
-
-/// Runs `f` with the kernel-tier gate forced to `on`, then restores the
-/// previous setting (including a fast-math level 2, which round-trips
-/// intact). Process-global, like [`with_backend`].
-pub fn with_tier<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = resolve_tier_level();
-    set_tier(on);
-    let out = f();
-    set_tier_level(prev);
-    out
-}
-
-/// Runs `f` with the kernel-tier level forced to `level`, then restores
-/// the previous setting. Process-global, like [`with_backend`].
-pub fn with_tier_level<T>(level: u8, f: impl FnOnce() -> T) -> T {
-    let prev = resolve_tier_level();
-    set_tier_level(level);
-    let out = f();
-    set_tier_level(prev);
-    out
-}
-
-/// Programmatic worker-count override; 0 means "no override".
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// The environment-resolved worker count, computed once.
-static THREADS_RESOLVED: OnceLock<usize> = OnceLock::new();
-
-/// Worker-thread count for the threaded backend.
-///
-/// A [`set_threads`] override wins; otherwise `MSRL_THREADS` (when
-/// parseable and non-zero) or the host's available parallelism,
-/// resolved once and cached — the per-call cost is one atomic load.
-pub fn thread_count() -> usize {
-    let ov = THREADS_OVERRIDE.load(Ordering::Relaxed);
-    if ov > 0 {
-        return ov;
-    }
-    *THREADS_RESOLVED.get_or_init(|| {
-        std::env::var("MSRL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
+impl ExecCtx {
+    /// Resolves a context from `lookup(name)`, the pure core of
+    /// [`Self::from_env`]: unset variables take their defaults, set
+    /// ones must parse.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] for `MSRL_BACKEND` outside
+    /// `scalar|threaded`, `MSRL_THREADS` that is not a positive integer,
+    /// or `MSRL_TIER` outside `1|2`.
+    pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<ExecCtx, ConfigError> {
+        let backend = parse_var(&lookup, "MSRL_BACKEND", "scalar|threaded", |v| match v {
+            "scalar" => Some(Backend::Scalar),
+            "threaded" => Some(Backend::Threaded),
+            _ => None,
+        })?;
+        let threads = parse_var(&lookup, "MSRL_THREADS", "a positive integer", |v| {
+            v.parse::<usize>().ok().filter(|&n| n > 0)
+        })?;
+        let fastmath = parse_var(&lookup, "MSRL_TIER", "1|2", |v| match v {
+            "1" => Some(false),
+            "2" => Some(true),
+            _ => None,
+        })?;
+        Ok(ExecCtx {
+            backend: backend.unwrap_or(Backend::Threaded),
+            threads: threads.unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-    })
+            }),
+            par_min: None,
+            fastmath: fastmath.unwrap_or(false),
+            fusion: true,
+        })
+    }
+
+    /// [`Self::parse`] over the process environment.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::parse`].
+    pub fn from_env() -> Result<ExecCtx, ConfigError> {
+        ExecCtx::parse(|name| std::env::var(name).ok())
+    }
+
+    /// The context in force on the calling thread: the innermost
+    /// enclosing [`Self::scope`], else the process default.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] message when the process default
+    /// is first needed and the environment holds a rejected value
+    /// (binaries call `RuntimeConfig::from_env` up front to report it
+    /// as an error instead).
+    #[inline]
+    pub fn current() -> ExecCtx {
+        CURRENT.get().unwrap_or_else(|| {
+            static DEFAULT: OnceLock<ExecCtx> = OnceLock::new();
+            *DEFAULT.get_or_init(|| ExecCtx::from_env().unwrap_or_else(|e| panic!("{e}")))
+        })
+    }
+
+    /// Runs `f` with `self` as the calling thread's context, restoring
+    /// the previous one afterwards (also when `f` unwinds).
+    pub fn scope<T>(self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<ExecCtx>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.set(self.0);
+            }
+        }
+        let _restore = Restore(CURRENT.replace(Some(self)));
+        f()
+    }
+
+    /// True when `work_items` should be split over threads: threaded
+    /// backend, more than one worker, and at least `serial_below` items
+    /// (or [`Self::par_min`], when set).
+    #[inline]
+    pub fn should_parallelize(&self, work_items: usize, serial_below: usize) -> bool {
+        self.backend == Backend::Threaded
+            && self.threads > 1
+            && work_items >= self.par_min.unwrap_or(serial_below)
+    }
 }
 
-/// Overrides the worker count (`None` restores `MSRL_THREADS` / host
-/// parallelism). Takes the role the mutable `MSRL_THREADS` environment
-/// variable used to play in tests.
-pub fn set_threads(n: Option<usize>) {
-    THREADS_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
+/// The calling thread's backend.
+pub fn backend() -> Backend {
+    ExecCtx::current().backend
 }
 
-/// Runs `f` with the worker count forced to `n`, then restores the
-/// previous override. Process-global, like [`with_backend`].
-pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = THREADS_OVERRIDE.swap(n, Ordering::Relaxed);
-    let out = f();
-    THREADS_OVERRIDE.store(prev, Ordering::Relaxed);
-    out
+/// The calling thread's intra-op worker count.
+pub fn thread_count() -> usize {
+    ExecCtx::current().threads
+}
+
+/// Whether fused kernels and graph-compiler fusion passes are on for
+/// the calling thread (see [`ExecCtx::fusion`]).
+pub fn fusion_enabled() -> bool {
+    ExecCtx::current().fusion
+}
+
+/// Whether the opt-in fast-math tier is on for the calling thread (see
+/// [`ExecCtx::fastmath`]).
+pub fn fastmath_enabled() -> bool {
+    ExecCtx::current().fastmath
+}
+
+/// Always `true`: the packed, register-tiled and gathered kernels are
+/// the only execution path. Kept only until the frozen `benchmark/`
+/// crate, which still asks, is re-pointed.
+pub fn tier_enabled() -> bool {
+    true
+}
+
+/// [`ExecCtx::should_parallelize`] on the calling thread's context.
+pub fn should_parallelize(work_items: usize, serial_below: usize) -> bool {
+    ExecCtx::current().should_parallelize(work_items, serial_below)
+}
+
+/// Runs `f` under the given backend on the calling thread.
+pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
+    ExecCtx { backend, ..ExecCtx::current() }.scope(f)
+}
+
+/// Runs `f` with `threads` intra-op workers on the calling thread.
+pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    ExecCtx { threads: threads.max(1), ..ExecCtx::current() }.scope(f)
+}
+
+/// Runs `f` with every kernel's serial cut-off forced to `n` on the
+/// calling thread.
+pub fn with_par_min<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    ExecCtx { par_min: Some(n), ..ExecCtx::current() }.scope(f)
+}
+
+/// Runs `f` with fusion forced to `fusion` on the calling thread.
+pub fn with_fusion<T>(fusion: bool, f: impl FnOnce() -> T) -> T {
+    ExecCtx { fusion, ..ExecCtx::current() }.scope(f)
+}
+
+/// Runs `f` with the fast-math tier forced to `fastmath` on the calling
+/// thread.
+pub fn with_fastmath<T>(fastmath: bool, f: impl FnOnce() -> T) -> T {
+    ExecCtx { fastmath, ..ExecCtx::current() }.scope(f)
 }
 
 /// Elements below which threaded kernels stay serial: thread spawn and
@@ -269,53 +280,9 @@ pub const PAR_MIN_ELEMS: usize = 16 * 1024;
 /// Multiply–add count below which matmul stays serial.
 pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 
-/// Programmatic parallel-cutoff override; `usize::MAX` means "none".
-static PAR_MIN_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-/// The environment-resolved cutoff (`None` when `MSRL_PAR_MIN` is
-/// unset), computed once.
-static PAR_MIN_RESOLVED: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Overrides every kernel's serial-below cutoff (`None` restores the
-/// per-kernel defaults / `MSRL_PAR_MIN`). Tests set it to 1 so tiny
-/// inputs still exercise the multi-chunk code paths.
-pub fn set_par_min(n: Option<usize>) {
-    PAR_MIN_OVERRIDE.store(n.unwrap_or(usize::MAX), Ordering::Relaxed);
-}
-
-/// Runs `f` with the parallel cutoff forced to `n`, then restores the
-/// previous override. Process-global, like [`with_backend`].
-pub fn with_par_min<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = PAR_MIN_OVERRIDE.swap(n, Ordering::Relaxed);
-    let out = f();
-    PAR_MIN_OVERRIDE.store(prev, Ordering::Relaxed);
-    out
-}
-
-/// True when the active backend wants `work_items` split over threads.
-///
-/// Checks are ordered cheapest-exit-first: the backend and the cached
-/// worker count are single atomic loads, so on a scalar backend or a
-/// one-thread host this is effectively free — the threaded backend with
-/// one worker dispatches straight to the serial kernels. A
-/// [`set_par_min`] override (or `MSRL_PAR_MIN`, resolved once) replaces
-/// `serial_below`.
-pub fn should_parallelize(work_items: usize, serial_below: usize) -> bool {
-    if backend() != Backend::Threaded || thread_count() <= 1 {
-        return false;
-    }
-    let ov = PAR_MIN_OVERRIDE.load(Ordering::Relaxed);
-    let cutoff = if ov != usize::MAX {
-        ov
-    } else {
-        PAR_MIN_RESOLVED
-            .get_or_init(|| std::env::var("MSRL_PAR_MIN").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or(serial_below)
-    };
-    work_items >= cutoff
-}
-
 /// Splits `out` into one contiguous chunk per worker and runs
-/// `f(offset_of_chunk, chunk)` for each on scoped threads.
+/// `f(offset_of_chunk, chunk)` for each on scoped threads, every worker
+/// under the caller's [`ExecCtx`].
 ///
 /// Chunk boundaries depend only on `out.len()` and the worker count, so
 /// results are deterministic for a fixed configuration. With one worker
@@ -325,18 +292,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let workers = thread_count().min(out.len().max(1));
-    let chunk_len = out.len().div_ceil(workers);
-    if workers <= 1 || chunk_len == 0 {
-        f(0, out);
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (idx, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(idx * chunk_len, chunk));
-        }
-    });
+    fill_chunks_aligned(out, 1, f);
 }
 
 /// As [`fill_chunks`], but chunk boundaries are multiples of `align`
@@ -348,8 +304,9 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(align > 0 && out.len().is_multiple_of(align), "output must be whole records");
+    let ctx = ExecCtx::current();
     let records = out.len() / align;
-    let workers = thread_count().min(records.max(1));
+    let workers = ctx.threads.min(records.max(1));
     let chunk_len = records.div_ceil(workers) * align;
     if workers <= 1 || chunk_len == 0 {
         f(0, out);
@@ -358,20 +315,21 @@ where
     std::thread::scope(|scope| {
         for (idx, chunk) in out.chunks_mut(chunk_len).enumerate() {
             let f = &f;
-            scope.spawn(move || f(idx * chunk_len, chunk));
+            scope.spawn(move || ctx.scope(|| f(idx * chunk_len, chunk)));
         }
     });
 }
 
 /// Partitions `0..n` into one contiguous range per worker and runs
-/// `f(range)` for each on scoped threads, collecting the per-range
-/// results in range order.
+/// `f(range)` for each on scoped threads under the caller's
+/// [`ExecCtx`], collecting the per-range results in range order.
 pub fn map_ranges<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(std::ops::Range<usize>) -> T + Sync,
 {
-    let workers = thread_count().min(n.max(1));
+    let ctx = ExecCtx::current();
+    let workers = ctx.threads.min(n.max(1));
     let chunk = n.div_ceil(workers);
     if workers <= 1 || chunk == 0 {
         return vec![f(0..n)];
@@ -382,7 +340,7 @@ where
             .iter()
             .map(|&s| {
                 let f = &f;
-                scope.spawn(move || f(s..(s + chunk).min(n)))
+                scope.spawn(move || ctx.scope(|| f(s..(s + chunk).min(n))))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker must not panic")).collect()
@@ -413,70 +371,73 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_par_min_overrides_round_trip() {
-        with_threads(7, || assert_eq!(thread_count(), 7));
+    fn scopes_nest_and_restore_also_on_unwind() {
+        let outer = ExecCtx::current();
+        let inner = with_backend(Backend::Scalar, || {
+            with_fusion(false, || with_fastmath(true, || with_threads(7, ExecCtx::current)))
+        });
+        let expect = ExecCtx {
+            backend: Backend::Scalar,
+            fusion: false,
+            fastmath: true,
+            threads: 7,
+            ..outer
+        };
+        assert_eq!(inner, expect);
+        assert_eq!(ExecCtx::current(), outer);
+        let unwound = std::panic::catch_unwind(|| with_threads(9, || panic!("boom")));
+        assert!(unwound.is_err());
+        assert_eq!(ExecCtx::current(), outer, "the drop guard restores on unwind");
+    }
+
+    #[test]
+    fn par_min_replaces_the_kernel_cutoff_and_one_worker_stays_serial() {
         with_backend(Backend::Threaded, || {
             with_threads(4, || {
+                assert!(!should_parallelize(2, PAR_MIN_ELEMS));
                 with_par_min(1, || assert!(should_parallelize(2, PAR_MIN_ELEMS)));
                 with_par_min(1000, || assert!(!should_parallelize(2, 1)));
             });
-            // One effective worker: straight to the serial kernels, no
-            // matter how small the cutoff.
-            with_threads(1, || {
-                with_par_min(1, || assert!(!should_parallelize(1 << 20, 1)));
+            with_threads(1, || with_par_min(1, || assert!(!should_parallelize(1 << 20, 1))));
+        });
+        with_backend(Backend::Scalar, || {
+            with_threads(4, || with_par_min(1, || assert!(!should_parallelize(1 << 20, 1))));
+        });
+    }
+
+    #[test]
+    fn fan_out_workers_inherit_the_callers_context_and_siblings_do_not() {
+        let ctx = ExecCtx {
+            backend: Backend::Threaded,
+            threads: 4,
+            par_min: Some(1),
+            fastmath: true,
+            fusion: false,
+        };
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            // A sibling thread inside its own, different scope while the
+            // fan-outs below run: neither side sees the other's.
+            let sibling = s.spawn(|| {
+                let mine = ExecCtx { threads: 2, fastmath: false, ..ctx };
+                mine.scope(|| {
+                    barrier.wait();
+                    let seen = map_ranges(2, |_| ExecCtx::current());
+                    barrier.wait();
+                    (mine, seen)
+                })
             });
+            ctx.scope(|| {
+                barrier.wait();
+                let seen = map_ranges(8, |_| ExecCtx::current());
+                assert_eq!(seen, vec![ctx; 4]);
+                let mut slots = vec![None; 8];
+                fill_chunks_aligned(&mut slots, 2, |_, chunk| chunk.fill(Some(ExecCtx::current())));
+                assert!(slots.iter().all(|s| *s == Some(ctx)));
+                barrier.wait();
+            });
+            let (mine, seen) = sibling.join().expect("sibling must not panic");
+            assert_eq!(seen, vec![mine; 2]);
         });
-    }
-
-    #[test]
-    fn tier_override_round_trips() {
-        let prev = tier_enabled();
-        let inside = with_tier(false, tier_enabled);
-        assert!(!inside);
-        assert_eq!(tier_enabled(), prev);
-        let inside = with_tier(true, tier_enabled);
-        assert!(inside);
-        assert_eq!(tier_enabled(), prev);
-    }
-
-    #[test]
-    fn tier_level_round_trips_and_maps_to_gates() {
-        let prev = tier_level();
-        let inside = with_tier_level(0, || (tier_level(), tier_enabled(), fastmath_enabled()));
-        assert_eq!(inside, (0, false, false));
-        let inside = with_tier_level(1, || (tier_level(), tier_enabled(), fastmath_enabled()));
-        assert_eq!(inside, (1, true, false));
-        let inside = with_tier_level(2, || (tier_level(), tier_enabled(), fastmath_enabled()));
-        assert_eq!(inside, (2, true, true));
-        // Levels above 2 clamp.
-        let inside = with_tier_level(7, tier_level);
-        assert_eq!(inside, 2);
-        assert_eq!(tier_level(), prev);
-        // A boolean with_tier nested under level 2 restores level 2.
-        let restored = with_tier_level(2, || {
-            with_tier(false, fastmath_enabled);
-            tier_level()
-        });
-        assert_eq!(restored, 2);
-        assert_eq!(tier_level(), prev);
-    }
-
-    #[test]
-    fn backend_override_round_trips() {
-        let prev = backend();
-        let inside = with_backend(Backend::Scalar, backend);
-        assert_eq!(inside, Backend::Scalar);
-        assert_eq!(backend(), prev);
-    }
-
-    #[test]
-    fn fusion_override_round_trips() {
-        let prev = fusion_enabled();
-        let inside = with_fusion(false, fusion_enabled);
-        assert!(!inside);
-        assert_eq!(fusion_enabled(), prev);
-        let inside = with_fusion(true, fusion_enabled);
-        assert!(inside);
-        assert_eq!(fusion_enabled(), prev);
     }
 }

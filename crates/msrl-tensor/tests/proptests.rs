@@ -6,8 +6,12 @@
 //! (fusion) round-trip that MSRL's fragment-fusion pass relies on.
 
 use msrl_tensor::autograd::Tape;
-use msrl_tensor::{kernels, ops, par, Backend, Tensor};
+use msrl_tensor::{kernels, ops, par, reference, Backend, Tensor};
 use proptest::prelude::*;
+
+fn bits(d: &[f32]) -> Vec<u32> {
+    d.iter().map(|v| v.to_bits()).collect()
+}
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-3.0f32..3.0, len)
@@ -211,24 +215,21 @@ proptest! {
         }
         let ta = Tensor::from_vec(a, &[m, k]).unwrap();
         let tb = Tensor::from_vec(b, &[k, n]).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let naive = par::with_tier(false, || ops::matmul(&ta, &tb).unwrap());
+        let naive = bits(&reference::matmul(ta.data(), tb.data(), m, k, n));
         // `matmul_prepacked` always takes the microkernels, regardless
-        // of the TIER_MIN_FLOPS on-the-fly cutoff.
-        let packed = ops::matmul_prepacked(&ta, &kernels::pack_b(tb.data(), k, n)).unwrap();
-        prop_assert_eq!(bits(&naive), bits(&packed));
+        // of the PACK_MIN_FLOPS on-the-fly cutoff.
         let (s, t) = on_both_backends(|| {
             ops::matmul_prepacked(&ta, &kernels::pack_b(tb.data(), k, n)).unwrap()
         });
-        prop_assert_eq!(bits(&s), bits(&t));
-        prop_assert_eq!(bits(&s), bits(&naive));
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), naive);
     }
 
-    /// Below the packing cutoff the tier dispatches the unpacked SIMD
+    /// Below the packing cutoff `matmul` dispatches the unpacked SIMD
     /// row kernel; its output must match the naive loop bit-for-bit on
     /// both backends, non-finite poison values included.
     #[test]
-    fn tiered_small_matmul_matches_naive_bitwise(
+    fn small_matmul_matches_naive_bitwise(
         m in 1usize..6, k in 0usize..9, n in 1usize..48,
         av in small_vec(54), bv in small_vec(432), poison in 0usize..4
     ) {
@@ -247,11 +248,10 @@ proptest! {
         }
         let ta = Tensor::from_vec(a, &[m, k]).unwrap();
         let tb = Tensor::from_vec(b, &[k, n]).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let naive = par::with_tier(false, || ops::matmul(&ta, &tb).unwrap());
-        let (s, t) = on_both_backends(|| par::with_tier(true, || ops::matmul(&ta, &tb).unwrap()));
-        prop_assert_eq!(bits(&s), bits(&t));
-        prop_assert_eq!(bits(&s), bits(&naive));
+        let naive = bits(&reference::matmul(ta.data(), tb.data(), m, k, n));
+        let (s, t) = on_both_backends(|| ops::matmul(&ta, &tb).unwrap());
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), naive);
     }
 
     /// The transpose-free gradient products must be bit-identical to
@@ -274,17 +274,18 @@ proptest! {
         let (s2, t2) = on_both_backends(|| ops::matmul_bt(&a2, &b2).unwrap());
         prop_assert_eq!(&s2, &t2);
         prop_assert_eq!(&s2, &via_t2);
-        // The gather kernel (tier on) and the scalar dots (tier off)
-        // must agree exactly.
-        let bt_scalar = par::with_tier(false, || ops::matmul_bt(&a2, &b2).unwrap());
-        prop_assert_eq!(&s2, &bt_scalar);
+        // And the gather kernel against the naive loop on the
+        // materialised transpose.
+        let bt_naive =
+            reference::matmul(a2.data(), &reference::transpose(b2.data(), n, p), m, p, n);
+        prop_assert_eq!(bits(s2.data()), bits(&bt_naive));
     }
 
     /// `matmul_at` carries partial sums across reduction blocks of
     /// `AT_BLOCK` rows; with `p` on either side of one, two and three
     /// block boundaries (and the Threaded backend splitting output rows
     /// four ways) every element must still be the plain ascending-`kk`
-    /// fold, spelled out here so no global tier switch is involved.
+    /// fold.
     #[test]
     fn matmul_at_matches_naive_fold_across_reduction_blocks(
         p in 0usize..3 * kernels::AT_BLOCK + 2, m in 1usize..24, n in 1usize..40,
@@ -292,17 +293,9 @@ proptest! {
     ) {
         let ad: Vec<f32> = av.iter().copied().cycle().take(p * m).collect();
         let bd: Vec<f32> = bv.iter().copied().cycle().take(p * n).collect();
-        let mut expect = vec![0.0f32; m * n];
-        for kk in 0..p {
-            for i in 0..m {
-                for j in 0..n {
-                    expect[i * n + j] += ad[kk * m + i] * bd[kk * n + j];
-                }
-            }
-        }
+        let expect = reference::matmul(&reference::transpose(&ad, p, m), &bd, m, p, n);
         let a = Tensor::from_vec(ad, &[p, m]).unwrap();
         let b = Tensor::from_vec(bd, &[p, n]).unwrap();
-        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let (s, t) = on_both_backends(|| ops::matmul_at(&a, &b).unwrap());
         prop_assert_eq!(s.shape(), &[m, n]);
         prop_assert_eq!(bits(s.data()), bits(t.data()));
@@ -373,14 +366,14 @@ proptest! {
         );
     }
 
-    /// The gathered reduction row kernels (tier on) must match the naive
-    /// scalar folds bit-for-bit on any shape, any axis, and both
-    /// backends — degenerate axis lengths (0, 1), single-row inputs,
-    /// and NaN/∞ poison included. `max` pins `f32::max` NaN semantics
-    /// (NaN operands ignored), so an all-NaN reduction over a non-empty
-    /// axis yields the -∞ seed on both tiers.
+    /// The gathered reduction row kernels must match the naive scalar
+    /// folds bit-for-bit on any shape, any axis, and both backends —
+    /// degenerate axis lengths (0, 1), single-row inputs, and NaN/∞
+    /// poison included. `max` pins `f32::max` NaN semantics (NaN
+    /// operands ignored), so an all-NaN reduction over a non-empty axis
+    /// yields the -∞ seed.
     #[test]
-    fn tiered_reductions_match_naive_bitwise(
+    fn reductions_match_naive_bitwise(
         d0 in 1usize..6, d1 in 0usize..6, d2 in 1usize..6,
         axis in 0usize..3, vals in small_vec(180), poison in 0usize..5
     ) {
@@ -396,27 +389,33 @@ proptest! {
             }
         }
         let t = Tensor::from_vec(v, &[d0, d1, d2]).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        for op in 0..3usize {
-            let run = |tier: bool| par::with_tier(tier, || match op {
+        let dims = [d0, d1, d2];
+        let outer: usize = dims[..axis].iter().product();
+        let inner: usize = dims[axis + 1..].iter().product();
+        let mid = dims[axis];
+        for (op, red, scale) in [
+            (0usize, kernels::RedOp::Sum, None),
+            (1, kernels::RedOp::Max, None),
+            (2, kernels::RedOp::Sum, Some(1.0 / mid as f32)),
+        ] {
+            let naive = reference::reduce(t.data(), outer, mid, inner, red, scale);
+            let (s, th) = on_both_backends(|| match op {
                 0 => ops::sum_axis(&t, axis).unwrap(),
                 1 => ops::max_axis(&t, axis).unwrap(),
                 _ => ops::mean_axis(&t, axis).unwrap(),
             });
-            let naive = run(false);
-            let (s, th) = on_both_backends(|| run(true));
-            prop_assert_eq!(bits(&s), bits(&th));
-            prop_assert_eq!(bits(&s), bits(&naive));
+            prop_assert_eq!(bits(s.data()), bits(th.data()));
+            prop_assert_eq!(bits(s.data()), bits(&naive));
         }
     }
 
-    /// The across-rows softmax path (tier on) must match the scalar
-    /// per-row helper bit-for-bit on both backends — single-row and
+    /// The across-rows softmax kernel must match the scalar per-row
+    /// helper bit-for-bit on both backends — single-row and
     /// single-column matrices and ±∞ operands included (the exp+sum
-    /// pass is the same scalar code on both tiers; only the max fold
-    /// and the scale pass vectorize).
+    /// pass is the same scalar code; only the max fold and the scale
+    /// pass vectorize).
     #[test]
-    fn tiered_softmax_rows_match_naive_bitwise(
+    fn softmax_rows_match_naive_bitwise(
         m in 1usize..10, n in 1usize..10, vals in small_vec(81), poison in 0usize..3
     ) {
         let mut v = vals[..m * n].to_vec();
@@ -426,11 +425,11 @@ proptest! {
             _ => {}
         }
         let t = Tensor::from_vec(v, &[m, n]).unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let naive = par::with_tier(false, || ops::softmax_rows(&t).unwrap());
-        let (s, th) = on_both_backends(|| par::with_tier(true, || ops::softmax_rows(&t).unwrap()));
-        prop_assert_eq!(bits(&s), bits(&th));
-        prop_assert_eq!(bits(&s), bits(&naive));
+        let naive = reference::softmax_rows(t.data(), n);
+        let (s, th) =
+            on_both_backends(|| par::with_fastmath(false, || ops::softmax_rows(&t).unwrap()));
+        prop_assert_eq!(bits(s.data()), bits(th.data()));
+        prop_assert_eq!(bits(s.data()), bits(&naive));
     }
 
     /// Row-softmax and element-wise maps partition on whole rows/chunks and
@@ -452,27 +451,27 @@ proptest! {
     /// must stay within the documented error bounds of libm across the
     /// training-relevant input range (±20), and must be deterministic
     /// across backends (chunk partitioning cannot perturb element-wise
-    /// kernels). Deliberately *not* a bit-identity test against tier
-    /// 0/1 — that is the contract fast-math trades away.
+    /// kernels). Deliberately *not* a bit-identity test against the
+    /// default tier — that is the contract fast-math trades away.
     #[test]
     fn fastmath_unaries_within_documented_bounds(
         vals in proptest::collection::vec(-20.0f32..20.0, 33)
     ) {
         let t = Tensor::from_vec(vals.clone(), &[3, 11]).unwrap();
-        let (e_s, e_t) = on_both_backends(|| par::with_tier_level(2, || ops::exp(&t)));
+        let (e_s, e_t) = on_both_backends(|| par::with_fastmath(true, || ops::exp(&t)));
         prop_assert_eq!(&e_s, &e_t);
         for (&f, &x) in e_s.data().iter().zip(&vals) {
             let exact = x.exp();
             let rel = ((f - exact) / exact).abs();
             prop_assert!(rel < 3e-7, "exp({x}) fast={f} libm={exact} rel={rel}");
         }
-        let (th_s, th_t) = on_both_backends(|| par::with_tier_level(2, || ops::tanh(&t)));
+        let (th_s, th_t) = on_both_backends(|| par::with_fastmath(true, || ops::tanh(&t)));
         prop_assert_eq!(&th_s, &th_t);
         for (&f, &x) in th_s.data().iter().zip(&vals) {
             let err = (f - x.tanh()).abs();
             prop_assert!(err < 1e-6, "tanh({x}) err={err}");
         }
-        let (sg_s, sg_t) = on_both_backends(|| par::with_tier_level(2, || ops::sigmoid(&t)));
+        let (sg_s, sg_t) = on_both_backends(|| par::with_fastmath(true, || ops::sigmoid(&t)));
         prop_assert_eq!(&sg_s, &sg_t);
         for (&f, &x) in sg_s.data().iter().zip(&vals) {
             let err = (f - 1.0 / (1.0 + (-x).exp())).abs();
@@ -481,7 +480,7 @@ proptest! {
     }
 
     /// Tier-2 softmax rows are still distributions, stay within 1e-5 of
-    /// the exact tier-0 rows, and the fused policy head remains
+    /// the exact rows, and the fused policy head remains
     /// bit-identical to its unfused chain *within* tier 2 (fusion never
     /// changes results, at any tier).
     #[test]
@@ -492,18 +491,18 @@ proptest! {
         let x = Tensor::from_vec(xv[..m * k].to_vec(), &[m, k]).unwrap();
         let w = Tensor::from_vec(wv[..k * n].to_vec(), &[k, n]).unwrap();
         let b = Tensor::from_vec(bv[..n].to_vec(), &[n]).unwrap();
-        let exact = par::with_tier(false, || ops::softmax_rows(&x).unwrap());
+        let exact = reference::softmax_rows(x.data(), k);
         let (fast_s, fast_t) =
-            on_both_backends(|| par::with_tier_level(2, || ops::softmax_rows(&x).unwrap()));
+            on_both_backends(|| par::with_fastmath(true, || ops::softmax_rows(&x).unwrap()));
         prop_assert_eq!(&fast_s, &fast_t);
         for row in fast_s.data().chunks(k) {
             let sum: f32 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-5, "row sum {sum}");
         }
-        for (f, e) in fast_s.data().iter().zip(exact.data()) {
+        for (f, e) in fast_s.data().iter().zip(&exact) {
             prop_assert!((f - e).abs() < 1e-5, "fast={f} exact={e}");
         }
-        let (fused, unfused) = par::with_tier_level(2, || {
+        let (fused, unfused) = par::with_fastmath(true, || {
             let fused = ops::linear_softmax(&x, &w, &b).unwrap();
             let unfused =
                 ops::softmax_rows(&ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap()).unwrap();
@@ -525,7 +524,7 @@ proptest! {
         let b = Tensor::from_vec(bv[..n].to_vec(), &[n]).unwrap();
         let act = if which == 0 { ops::Act::Tanh } else { ops::Act::Sigmoid };
         let ((fused_s, unfused), (fused_t, _)) = on_both_backends(|| {
-            par::with_tier_level(2, || {
+            par::with_fastmath(true, || {
                 let fused = ops::linear_act(&x, &w, &b, act).unwrap();
                 let lin = ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap();
                 let unfused =

@@ -15,6 +15,7 @@ use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_b, run_dp_c, run_dp_f, DistPpoConfig, TrainingReport};
 
 fn main() {
+    msrl_bench::runtime_config_or_exit();
     let dist = DistPpoConfig {
         actors: 2,
         envs_per_actor: 4,

@@ -3,20 +3,15 @@
 //!
 //! Tier 2 swaps libm transcendentals for vectorized polynomial kernels
 //! inside softmax, fused activations, and the elementwise-chain
-//! executor. Unlike tiers 0/1 it is *not* bit-identical — its contract
+//! executor. Unlike the default tier it is *not* bit-identical — its contract
 //! is a tolerance (DESIGN §3.14): training must still learn, and final
 //! weight norms must stay within the documented envelope of the exact
 //! run. These tests pin that contract for DP-A and DP-C on both tensor
 //! backends.
 
-use std::sync::Mutex;
-
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig, TrainingReport};
 use msrl_tensor::par::{self, Backend};
-
-/// The tier gate is process-global; tests that flip it must not overlap.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 fn dist(seed: u64) -> DistPpoConfig {
     DistPpoConfig {
@@ -37,8 +32,7 @@ fn l2(params: &[f32]) -> f64 {
     params.iter().map(|&p| f64::from(p) * f64::from(p)).sum::<f64>().sqrt()
 }
 
-/// Runs `driver` exactly (tier 1, bit-identical to tier 0) and under the
-/// fast-math tier, asserting the §3.14 e2e tolerance contract: the
+/// Runs `driver` exactly (tier 1) and under the fast-math tier, asserting the §3.14 e2e tolerance contract: the
 /// fast-math run still improves its reward, and the final weight L2 norm
 /// stays within 25% (relative) of the exact run's. Reward *curves* are
 /// not compared point-wise — sampled discrete actions may flip on a
@@ -50,8 +44,8 @@ fn assert_fastmath_tolerance(
 ) {
     for backend in [Backend::Scalar, Backend::Threaded] {
         par::with_backend(backend, || {
-            let exact = par::with_tier_level(1, || driver(cfg));
-            let fast = par::with_tier_level(2, || driver(cfg));
+            let exact = par::with_fastmath(false, || driver(cfg));
+            let fast = par::with_fastmath(true, || driver(cfg));
             assert!(
                 fast.recent_reward(5) > fast.early_reward(5),
                 "{backend:?}: fast-math run must still learn: {} → {}",
@@ -77,7 +71,6 @@ fn assert_fastmath_tolerance(
 
 #[test]
 fn dp_a_learns_under_fastmath_tier_within_tolerance() {
-    let _g = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_fastmath_tolerance(
         |cfg| run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), cfg).unwrap(),
         &dist(21),
@@ -86,7 +79,6 @@ fn dp_a_learns_under_fastmath_tier_within_tolerance() {
 
 #[test]
 fn dp_c_learns_under_fastmath_tier_within_tolerance() {
-    let _g = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert_fastmath_tolerance(
         |cfg| run_dp_c(|a, i| CartPole::new((a * 3 + i) as u64), cfg).unwrap(),
         &dist(22),
@@ -98,8 +90,7 @@ fn dp_c_learns_under_fastmath_tier_within_tolerance() {
 /// tier (both paths route through the same fast kernels).
 #[test]
 fn act_server_stays_bit_identical_within_fastmath_tier() {
-    let _g = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    par::with_tier_level(2, || {
+    par::with_fastmath(true, || {
         let base = DistPpoConfig { overlap: false, act_server: false, ..dist(23) };
         let make = |a: usize, i: usize| CartPole::new((a * 3 + i) as u64);
         let plain = run_dp_a(make, &base).unwrap();

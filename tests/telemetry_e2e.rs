@@ -92,8 +92,7 @@ fn telemetry_observes_without_perturbing() {
     // 2. Steady-state evaluation does zero per-call planning: a
     //    persistent interpreter compiles each request shape once, and
     //    every repeat is a plan-cache hit — observable through the
-    //    always-on `interp.plan_cache.*` counters (under either
-    //    `MSRL_FUSION` setting; plans are cached in both modes).
+    //    always-on `interp.plan_cache.*` counters.
     let ctx = TraceCtx::new();
     let x = ctx.input("x", &[8, 17]);
     trace_mlp(&ctx, "pi", &x, &[17, 16, 6]);
@@ -125,12 +124,11 @@ fn telemetry_observes_without_perturbing() {
         "steady state does no per-call planning"
     );
 
-    // 2b. Kernel tier: a hot plan with a pack-eligible weight promotes
-    //     exactly once — the `tensor.pack_b` counter moves at the
-    //     promotion threshold and never again, so steady-state hot-plan
-    //     evaluation performs zero repacking. Pinned on so the contract
-    //     holds under either `MSRL_TIER` setting in the CI matrix.
-    msrl_tensor::par::with_tier(true, || {
+    // 2b. A hot plan with a pack-eligible weight promotes exactly
+    //     once — the `tensor.pack_b` counter moves at the promotion
+    //     threshold and never again, so steady-state hot-plan
+    //     evaluation performs zero repacking.
+    {
         let ctx = TraceCtx::new();
         let x = ctx.input("x", &[4, 64]);
         let w = ctx.param("w", &[64, 64]);
@@ -158,7 +156,7 @@ fn telemetry_observes_without_perturbing() {
             1,
             "steady-state hot-plan evaluation performs zero repacking"
         );
-    });
+    }
 
     // 3. A real distributed run under tracing yields a valid Chrome
     //    trace with fragment lanes, phase spans and comm volume.
