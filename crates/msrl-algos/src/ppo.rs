@@ -9,6 +9,8 @@
 //! [`PpoPolicy`], whose flat-weight serialisation is the payload of the
 //! runtime's weight-sync collectives.
 
+use std::rc::Rc;
+
 use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::Tape;
@@ -254,12 +256,20 @@ pub struct PpoActor {
     pub policy: PpoPolicy,
     rng: StdRng,
     packed: Option<PackedPpo>,
+    pack_generation: u64,
 }
 
 impl PpoActor {
     /// Creates an actor over a policy replica.
     pub fn new(policy: PpoPolicy, seed: u64) -> Self {
-        PpoActor { policy, rng: StdRng::seed_from_u64(seed), packed: None }
+        PpoActor { policy, rng: StdRng::seed_from_u64(seed), packed: None, pack_generation: 0 }
+    }
+
+    /// How many packed snapshots this actor has built (test hook: the
+    /// process-wide `tensor.pack_b` counter also moves when a sibling
+    /// thread packs).
+    pub fn pack_generation(&self) -> u64 {
+        self.pack_generation
     }
 
     /// Whether the batched-rollout packed snapshot is currently built
@@ -272,7 +282,10 @@ impl PpoActor {
 impl Actor for PpoActor {
     fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
         let packed = if msrl_tensor::par::fusion_enabled() {
-            Some(&*self.packed.get_or_insert_with(|| PackedPpo::pack(&self.policy)))
+            Some(&*self.packed.get_or_insert_with(|| {
+                self.pack_generation += 1;
+                PackedPpo::pack(&self.policy)
+            }))
         } else {
             None
         };
@@ -314,6 +327,21 @@ impl Actor for PpoActor {
         self.packed = None;
         self.policy.unflatten(flat)
     }
+}
+
+/// The epoch-invariant leaves of the PPO loss for one batch, as shared
+/// handles ([`PpoLearner::loss_inputs`]).
+struct LossInputs {
+    obs: Rc<Tensor>,
+    actions: Actions,
+    old_log_probs: Rc<Tensor>,
+    adv: Rc<Tensor>,
+    ret: Rc<Tensor>,
+}
+
+enum Actions {
+    Discrete(Vec<usize>),
+    Continuous(Rc<Tensor>),
 }
 
 /// The training half of PPO (`Learner.learn()` in the paper's API).
@@ -398,40 +426,54 @@ impl PpoLearner {
         Ok((adv, ret))
     }
 
+    /// Builds the leaves of the loss that no epoch changes, once per
+    /// batch: every epoch's tape registers these handles, not copies.
+    fn loss_inputs(&self, batch: &SampleBatch) -> Result<LossInputs> {
+        let (adv, ret) = self.advantages(batch)?;
+        let n = batch.len();
+        let actions = if self.policy.discrete {
+            Actions::Discrete(batch.actions.data().iter().map(|&a| a as usize).collect())
+        } else {
+            Actions::Continuous(Rc::new(batch.actions.clone()))
+        };
+        Ok(LossInputs {
+            obs: Rc::new(batch.obs.clone()),
+            actions,
+            old_log_probs: Rc::new(batch.log_probs.clone()),
+            adv: Rc::new(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?),
+            ret: Rc::new(Tensor::from_vec(ret, &[n]).map_err(FdgError::Tensor)?),
+        })
+    }
+
     /// One clipped-surrogate optimisation pass; returns `(loss, grads)`
     /// without mutating the policy.
-    fn loss_and_grads(
-        &self,
-        batch: &SampleBatch,
-        adv: &[f32],
-        ret: &[f32],
-    ) -> Result<(f32, Vec<Tensor>)> {
-        let n = batch.len();
+    fn loss_and_grads(&self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
+        let n = inputs.adv.len();
         let tape = Tape::new();
         let actor = self.policy.actor.bind(&tape);
         let critic = self.policy.critic.bind(&tape);
-        let obs = tape.constant(batch.obs.clone());
+        let obs = tape.constant(Rc::clone(&inputs.obs));
         let out = actor.forward(&obs)?;
 
         let mut log_std_var = None;
-        let (log_prob, entropy) = if self.policy.discrete {
-            let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
-            categorical_stats(&out, &idx)?
-        } else {
-            let log_std = tape.var(self.policy.log_std.clone());
-            let stats = gaussian_stats(&out, &log_std, &batch.actions)?;
-            log_std_var = Some(log_std);
-            stats
+        let (log_prob, entropy) = match &inputs.actions {
+            Actions::Discrete(idx) => categorical_stats(&out, idx)?,
+            Actions::Continuous(actions) => {
+                let log_std = tape.var(self.policy.log_std.clone());
+                let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
+                log_std_var = Some(log_std);
+                stats
+            }
         };
 
-        let adv_t = tape.constant(Tensor::from_vec(adv.to_vec(), &[n]).map_err(FdgError::Tensor)?);
-        let old_lp = tape.constant(batch.log_probs.clone());
+        let adv_t = tape.constant(Rc::clone(&inputs.adv));
+        let old_lp = tape.constant(Rc::clone(&inputs.old_log_probs));
         let ratio = log_prob.sub(&old_lp)?.exp();
         let unclipped = ratio.mul(&adv_t)?;
         let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
         let policy_loss = unclipped.min(&clipped)?.mean().neg();
 
-        let ret_t = tape.constant(Tensor::from_vec(ret.to_vec(), &[n]).map_err(FdgError::Tensor)?);
+        let ret_t = tape.constant(Rc::clone(&inputs.ret));
         let values = critic.forward(&obs)?.reshape(&[n])?;
         let value_loss = values.sub(&ret_t)?.square().mean();
 
@@ -470,12 +512,12 @@ impl Learner for PpoLearner {
         if batch.is_empty() {
             return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
         }
-        let (adv, ret) = self.advantages(batch)?;
+        let inputs = self.loss_inputs(batch)?;
         let sentinel = msrl_telemetry::health_enabled();
         let before = if sentinel { self.policy.flatten() } else { Vec::new() };
         let mut last_loss = 0.0;
         for _ in 0..self.cfg.epochs {
-            let (loss, grads) = self.loss_and_grads(batch, &adv, &ret)?;
+            let (loss, grads) = self.loss_and_grads(&inputs)?;
             self.apply(&grads)?;
             last_loss = loss;
         }
@@ -498,8 +540,7 @@ impl Learner for PpoLearner {
     }
 
     fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        let (adv, ret) = self.advantages(batch)?;
-        let (_, grads) = self.loss_and_grads(batch, &adv, &ret)?;
+        let (_, grads) = self.loss_and_grads(&self.loss_inputs(batch)?)?;
         Ok(grads.iter().flat_map(|g| g.data().iter().copied()).collect())
     }
 
@@ -650,7 +691,7 @@ mod tests {
 
     /// The partial-update gap: a sync that delivers the *identical*
     /// epoch (a re-broadcast) must keep the packed snapshot — no
-    /// invalidation, and no `pack_b` panel repacks on the next act.
+    /// invalidation, and no repack on the next act.
     #[test]
     fn identical_weight_sync_does_not_repack() {
         let policy = PpoPolicy::discrete(4, 3, &[16, 16], 7);
@@ -660,22 +701,18 @@ mod tests {
         actor.act(&obs).unwrap();
         assert!(actor.has_packed_weights());
         let flat = actor.policy_params();
-        let packs_before = msrl_telemetry::counter_total("tensor.pack_b");
+        assert_eq!(actor.pack_generation(), 1);
         actor.set_policy_params(&flat).unwrap();
         assert!(actor.has_packed_weights(), "identical sync keeps the snapshot");
         actor.act(&obs).unwrap();
-        let packs_after = msrl_telemetry::counter_total("tensor.pack_b");
-        assert_eq!(packs_before, packs_after, "identical sync must not repack");
+        assert_eq!(actor.pack_generation(), 1, "identical sync must not repack");
         // A genuinely new epoch still invalidates.
         let mut changed = flat.clone();
         changed[1] -= 0.25;
         actor.set_policy_params(&changed).unwrap();
         assert!(!actor.has_packed_weights());
         actor.act(&obs).unwrap();
-        assert!(
-            msrl_telemetry::counter_total("tensor.pack_b") > packs_after,
-            "changed sync must repack"
-        );
+        assert_eq!(actor.pack_generation(), 2, "changed sync must repack");
     }
 
     #[test]
@@ -685,13 +722,13 @@ mod tests {
         let mut actor = PpoActor::new(policy, 4);
         let mut envs = VecEnv::from_fn(4, |i| CartPole::new(i as u64));
         let batch = collect(&mut actor, &mut envs, 32).unwrap();
-        let (adv, ret) = learner.advantages(&batch).unwrap();
-        let (loss0, _) = learner.loss_and_grads(&batch, &adv, &ret).unwrap();
+        let inputs = learner.loss_inputs(&batch).unwrap();
+        let (loss0, _) = learner.loss_and_grads(&inputs).unwrap();
         for _ in 0..20 {
-            let (_, grads) = learner.loss_and_grads(&batch, &adv, &ret).unwrap();
+            let (_, grads) = learner.loss_and_grads(&inputs).unwrap();
             learner.apply(&grads).unwrap();
         }
-        let (loss1, _) = learner.loss_and_grads(&batch, &adv, &ret).unwrap();
+        let (loss1, _) = learner.loss_and_grads(&inputs).unwrap();
         assert!(loss1 < loss0, "loss {loss0} → {loss1}");
     }
 

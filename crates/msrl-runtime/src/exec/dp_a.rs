@@ -285,6 +285,12 @@ mod tests {
     /// `MissingKernel` string.
     #[test]
     fn a_dropped_peer_surfaces_as_a_comm_error() {
+        // A driver error leaves a flight-recorder dump; keep it out of
+        // the source tree.
+        msrl_telemetry::flightrec::set_dump_dir(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/flightrec-tests"
+        ));
         /// CartPole that claims `dim` observation columns.
         struct Claims(usize, CartPole);
         impl Environment for Claims {

@@ -3,10 +3,16 @@
 //! Every tensor operator materialises its result into a fresh `Vec<f32>`;
 //! in an interpreter loop that is one heap allocation per graph node per
 //! step. The pool recycles those buffers: owners that know a tensor is
-//! dead (the FDG interpreter's refcounted arena, hot training loops) hand
-//! the storage back with [`Tensor::recycle`](crate::Tensor::recycle) or
-//! [`give`], and subsequent operator outputs are served from the free
-//! list by [`take_zeroed`] instead of the allocator.
+//! dead hand the storage back with
+//! [`Tensor::recycle`](crate::Tensor::recycle) or [`give`], and subsequent
+//! operator outputs are served from the free list by [`take_zeroed`]
+//! instead of the allocator. The givers are the FDG interpreter's
+//! refcounted arena, the inference loops of [`crate::nn`], and the
+//! gradient tape ([`crate::autograd`]): a tape returns every value it
+//! alone owns when it drops, [`Gradients`](crate::autograd::Gradients)
+//! whatever nobody took, and the backward pass each interior gradient
+//! once it is consumed — so a learner's second epoch runs on the first
+//! epoch's buffers, and its working set is the pool's steady state.
 //!
 //! The pool is thread-local, so there is no synchronisation on the hot
 //! path and worker threads spawned by [`crate::par`] (which never

@@ -10,7 +10,28 @@
 //! own engine instance, and the distributed runtime synchronises gradients
 //! *between* devices with collectives (`msrl-comm`), never by sharing a
 //! tape.
+//!
+//! # Memory
+//!
+//! A node's value is stored once, behind an `Rc`: [`Var::value`] hands
+//! out that handle, and a backward rule that reads an operand or its own
+//! output captures the handle, never a copy — as in a compiled graph,
+//! where an activation is one buffer read by the forward consumer and
+//! the backward rule alike. Every buffer that dies on the tape goes back
+//! to the thread-local pool ([`crate::alloc`]) that operator outputs are
+//! drawn from, so one epoch's activations are the next epoch's:
+//!
+//! - *values* when the last handle to the tape drops, unless someone
+//!   else still holds the handle ([`Var::value`] results, leaves the
+//!   caller shares between tapes) — those are left to their holder;
+//! - an *interior gradient* as soon as [`Tape::backward`] has fired the
+//!   rules of its node, and both operands of a gradient accumulation;
+//! - a fused linear node's activation-mapped gradient after the last of
+//!   its rules;
+//! - whatever is still in [`Gradients`] when it drops (leaf gradients
+//!   nobody took).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -24,7 +45,9 @@ use crate::Result;
 type GradFn = Box<dyn Fn(&Tensor) -> Tensor>;
 
 struct Node {
-    value: Tensor,
+    /// The forward value; [`Var::value`] and the rules that read it
+    /// hold further handles to the same buffer.
+    value: Rc<Tensor>,
     /// `(parent id, rule)` pairs, only for parents that need a gradient;
     /// leaves have none.
     parents: Vec<(usize, GradFn)>,
@@ -37,6 +60,21 @@ struct Node {
 #[derive(Default)]
 struct TapeInner {
     nodes: Vec<Node>,
+}
+
+impl Drop for TapeInner {
+    fn drop(&mut self) {
+        // Rules first: they hold handles to the values they read, and
+        // only a value nobody else holds may be recycled.
+        for node in &mut self.nodes {
+            node.parents.clear();
+        }
+        for node in self.nodes.drain(..) {
+            if let Ok(value) = Rc::try_unwrap(node.value) {
+                value.recycle();
+            }
+        }
+    }
 }
 
 /// A gradient tape.
@@ -59,13 +97,23 @@ pub struct Var {
 }
 
 /// The result of [`Tape::backward`]: gradients of the loss with respect to
-/// every node that influenced it.
+/// every *leaf* that influenced it. An interior node's gradient is
+/// released as soon as it has been propagated to the node's parents, so
+/// [`Gradients::get`] of an interior id (the loss included) is `None`.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
+impl Drop for Gradients {
+    fn drop(&mut self) {
+        for g in self.grads.drain(..).flatten() {
+            g.recycle();
+        }
+    }
+}
+
 impl Gradients {
-    /// Gradient for node `id`, if the node influenced the loss.
+    /// Gradient for leaf `id`, if the leaf influenced the loss.
     pub fn get(&self, id: usize) -> Option<&Tensor> {
         self.grads.get(id).and_then(|g| g.as_ref())
     }
@@ -75,7 +123,7 @@ impl Gradients {
     pub fn get_or_zeros(&self, var: &Var) -> Tensor {
         match self.get(var.id) {
             Some(g) => g.clone(),
-            None => Tensor::zeros(var.value().shape()),
+            None => Tensor::zeros(&var.shape()),
         }
     }
 
@@ -86,9 +134,26 @@ impl Gradients {
     pub fn take_or_zeros(&mut self, var: &Var) -> Tensor {
         match self.grads.get_mut(var.id).and_then(Option::take) {
             Some(g) => g,
-            None => Tensor::zeros(var.value().shape()),
+            None => Tensor::zeros(&var.shape()),
         }
     }
+}
+
+/// A rule hands its parent an owned tensor, so a gradient that passes
+/// through unchanged (nothing was broadcast, an identity activation, a
+/// constant offset) is copied here — the one gradient copy left. The
+/// copy is a same-shape [`Tensor::reshape`] because that draws from the
+/// pool the copy will be recycled into.
+fn pass_through(grad: &Tensor) -> Tensor {
+    grad.reshape(grad.shape()).expect("same shape, same volume")
+}
+
+/// A `value`-filled tensor drawn from the pool its storage will be
+/// recycled into: what the tape gives the pool it must have taken from
+/// it, or the pool fills to its cap instead of settling.
+fn filled(shape: &[usize], value: f32) -> Tensor {
+    Tensor::from_vec(crate::alloc::take_filled(shape.iter().product(), value), shape)
+        .expect("volume matches shape")
 }
 
 /// Sums a broadcast gradient back down to `target` shape.
@@ -98,12 +163,13 @@ impl Gradients {
 /// broadcast axes to produce a `[2]` gradient.
 fn reduce_grad(grad: &Tensor, target: &[usize]) -> Tensor {
     if grad.shape() == target {
-        return grad.clone();
+        return pass_through(grad);
     }
-    let mut g = grad.clone();
+    // The first reduction reads the borrowed gradient; no copy of it.
+    let mut g = Cow::Borrowed(grad);
     // Collapse leading axes the target does not have.
     while g.rank() > target.len() {
-        g = ops::sum_axis(&g, 0).expect("rank checked above");
+        g = Cow::Owned(ops::sum_axis(&g, 0).expect("rank checked above"));
     }
     // Sum over axes where the target extent is 1 but the gradient's is not.
     #[allow(clippy::needless_range_loop)] // indexes two slices in lockstep
@@ -113,10 +179,21 @@ fn reduce_grad(grad: &Tensor, target: &[usize]) -> Tensor {
             // Re-insert the unit axis to keep ranks aligned.
             let mut dims = summed.shape().to_vec();
             dims.insert(axis, 1);
-            g = summed.reshape(&dims).expect("volume unchanged");
+            g = Cow::Owned(summed.reshape(&dims).expect("volume unchanged"));
         }
     }
-    g
+    g.into_owned()
+}
+
+/// [`reduce_grad`] of a gradient the rule computed itself: returned as
+/// is when nothing was broadcast, recycled once summed otherwise.
+fn reduce_owned(grad: Tensor, target: &[usize]) -> Tensor {
+    if grad.shape() == target {
+        return grad;
+    }
+    let reduced = reduce_grad(&grad, target);
+    grad.recycle();
+    reduced
 }
 
 /// Maps the output gradient of a fused linear node back through its
@@ -133,14 +210,15 @@ fn fused_act_grad(act: ops::Act, g: &Tensor, out: &Tensor) -> Tensor {
         ops::Act::Sigmoid => {
             ops::zip_broadcast(g, out, |gv, ov| gv * ov * (1.0 - ov)).expect("same shape")
         }
-        ops::Act::Linear => g.clone(),
+        ops::Act::Linear => pass_through(g),
     }
 }
 
 /// What the backward rules of one fused linear node share.
 struct FusedGrad {
     act: ops::Act,
-    out: Tensor,
+    /// The node's own value, not a copy of it.
+    out: Rc<Tensor>,
     /// The activation-mapped output gradient, alive from the first rule
     /// that fires in a backward run to rule `last`.
     gp: RefCell<Option<Tensor>>,
@@ -153,10 +231,22 @@ impl FusedGrad {
         let mut slot = self.gp.borrow_mut();
         let res = f(slot.get_or_insert_with(|| fused_act_grad(self.act, g, &self.out)));
         if rule == self.last {
-            *slot = None;
+            if let Some(gp) = slot.take() {
+                gp.recycle();
+            }
         }
         res
     }
+}
+
+/// `g` where `pick(a, b)` holds and zero elsewhere (the rules of
+/// [`Var::min`]).
+fn masked(a: &Tensor, b: &Tensor, g: &Tensor, pick: impl Fn(f32, f32) -> bool + Sync) -> Tensor {
+    let mask =
+        ops::zip_broadcast(a, b, |x, y| if pick(x, y) { 1.0 } else { 0.0 }).expect("fwd shapes");
+    let res = ops::zip_broadcast(&mask, g, |m, gv| m * gv).expect("fwd shapes");
+    mask.recycle();
+    res
 }
 
 /// `g · bᵀ` for backward rules, without materialising the transpose.
@@ -186,20 +276,21 @@ impl Tape {
     }
 
     /// Records a differentiable leaf (a parameter, or an input whose
-    /// gradient the caller wants).
-    pub fn var(&self, value: Tensor) -> Var {
-        self.leaf(value, true)
+    /// gradient the caller wants). Pass an `Rc<Tensor>` to register one
+    /// buffer on several tapes without copying it.
+    pub fn var(&self, value: impl Into<Rc<Tensor>>) -> Var {
+        self.leaf(value.into(), true)
     }
 
     /// Records a non-differentiable leaf (observations, targets, masks).
     /// [`Tape::backward`] computes nothing for it or for anything that
     /// depends only on such leaves, and [`Gradients::get`] returns
     /// `None` for its id.
-    pub fn constant(&self, value: Tensor) -> Var {
-        self.leaf(value, false)
+    pub fn constant(&self, value: impl Into<Rc<Tensor>>) -> Var {
+        self.leaf(value.into(), false)
     }
 
-    fn leaf(&self, value: Tensor, needs_grad: bool) -> Var {
+    fn leaf(&self, value: Rc<Tensor>, needs_grad: bool) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
         inner.nodes.push(Node { value, parents: Vec::new(), needs_grad });
@@ -209,7 +300,7 @@ impl Tape {
     /// Records an interior node, dropping the rules (and whatever they
     /// captured) of parents that need no gradient — `backward` then has
     /// nothing to skip.
-    fn record(&self, value: Tensor, mut parents: Vec<(usize, GradFn)>) -> Var {
+    fn record(&self, value: Rc<Tensor>, mut parents: Vec<(usize, GradFn)>) -> Var {
         let mut inner = self.inner.borrow_mut();
         parents.retain(|(pid, _)| inner.nodes[*pid].needs_grad);
         let id = inner.nodes.len();
@@ -223,6 +314,9 @@ impl Tape {
     }
 
     /// Runs reverse-mode differentiation from the scalar `loss`.
+    ///
+    /// A tape can be differentiated more than once; each run computes
+    /// every gradient afresh.
     ///
     /// # Errors
     ///
@@ -239,32 +333,39 @@ impl Tape {
         if loss_node.value.len() != 1 {
             return Err(TensorError::NonScalarLoss { shape: loss_node.value.shape().to_vec() });
         }
-        let mut grads: Vec<Option<Tensor>> = vec![None; inner.nodes.len()];
-        grads[loss.id] = Some(Tensor::full(loss_node.value.shape(), 1.0));
+        let mut result = Gradients { grads: vec![None; inner.nodes.len()] };
+        let grads = &mut result.grads;
+        grads[loss.id] = Some(filled(loss_node.value.shape(), 1.0));
         // Nodes are appended in topological order, so a reverse scan visits
         // every node after all of its consumers.
         for id in (0..=loss.id).rev() {
-            // Parents were recorded before their consumers, so `pid < id`
-            // always holds and the node's own gradient can be borrowed
-            // while parent slots are written — no clone of `grad_out`.
-            let (parent_grads, rest) = grads.split_at_mut(id);
-            let Some(grad_out) = rest[0].as_ref() else { continue };
+            let node = &inner.nodes[id];
+            // A leaf's gradient is the result; it stays in its slot.
+            if node.parents.is_empty() {
+                continue;
+            }
+            // All consumers have contributed, so the gradient is
+            // complete and this is its only reader: take it.
+            let Some(grad_out) = grads[id].take() else { continue };
             // Parent rules fire in recorded order, each with the same
             // `grad_out` — the fused linear node's rules share work
             // through this invariant.
-            for (pid, rule) in &inner.nodes[id].parents {
+            for (pid, rule) in &node.parents {
                 debug_assert!(*pid < id, "parent recorded after consumer");
-                let contribution = rule(grad_out);
-                match &mut parent_grads[*pid] {
+                let contribution = rule(&grad_out);
+                match &mut grads[*pid] {
                     Some(acc) => {
-                        *acc = ops::add(acc, &contribution)
+                        let sum = ops::add(acc, &contribution)
                             .expect("gradient shapes match parent value shapes");
+                        std::mem::replace(acc, sum).recycle();
+                        contribution.recycle();
                     }
                     slot @ None => *slot = Some(contribution),
                 }
             }
+            grad_out.recycle();
         }
-        Ok(Gradients { grads })
+        Ok(result)
     }
 }
 
@@ -274,9 +375,10 @@ impl Var {
         self.id
     }
 
-    /// The forward value.
-    pub fn value(&self) -> Tensor {
-        self.tape.inner.borrow().nodes[self.id].value.clone()
+    /// The forward value: a handle to the node's own buffer, not a copy.
+    /// A handle may outlive the tape; the buffer then belongs to it.
+    pub fn value(&self) -> Rc<Tensor> {
+        Rc::clone(&self.tape.inner.borrow().nodes[self.id].value)
     }
 
     /// The shape of the forward value.
@@ -284,12 +386,12 @@ impl Var {
         self.tape.inner.borrow().nodes[self.id].value.shape().to_vec()
     }
 
-    fn unary(&self, value: Tensor, rule: GradFn) -> Var {
-        self.tape.record(value, vec![(self.id, rule)])
+    fn unary(&self, value: impl Into<Rc<Tensor>>, rule: GradFn) -> Var {
+        self.tape.record(value.into(), vec![(self.id, rule)])
     }
 
     fn binary(&self, other: &Var, value: Tensor, lrule: GradFn, rrule: GradFn) -> Var {
-        self.tape.record(value, vec![(self.id, lrule), (other.id, rrule)])
+        self.tape.record(value.into(), vec![(self.id, lrule), (other.id, rrule)])
     }
 
     /// Element-wise addition with broadcasting.
@@ -314,7 +416,7 @@ impl Var {
             other,
             out,
             Box::new(move |g| reduce_grad(g, &sa)),
-            Box::new(move |g| reduce_grad(&ops::neg(g), &sb)),
+            Box::new(move |g| reduce_owned(ops::neg(g), &sb)),
         ))
     }
 
@@ -323,12 +425,11 @@ impl Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::mul(&a, &b)?;
         let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (ac, bc) = (a.clone(), b.clone());
         Ok(self.binary(
             other,
             out,
-            Box::new(move |g| reduce_grad(&ops::mul(g, &bc).expect("fwd shapes"), &sa)),
-            Box::new(move |g| reduce_grad(&ops::mul(g, &ac).expect("fwd shapes"), &sb)),
+            Box::new(move |g| reduce_owned(ops::mul(g, &b).expect("fwd shapes"), &sa)),
+            Box::new(move |g| reduce_owned(ops::mul(g, &a).expect("fwd shapes"), &sb)),
         ))
     }
 
@@ -337,17 +438,16 @@ impl Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::div(&a, &b)?;
         let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (ac, bc) = (a.clone(), b.clone());
-        let bc2 = bc.clone();
+        let b2 = Rc::clone(&b);
         Ok(self.binary(
             other,
             out,
-            Box::new(move |g| reduce_grad(&ops::div(g, &bc2).expect("fwd shapes"), &sa)),
+            Box::new(move |g| reduce_owned(ops::div(g, &b2).expect("fwd shapes"), &sa)),
             Box::new(move |g| {
                 // d(a/b)/db = -a / b^2
-                let b2 = ops::square(&bc);
-                let t = ops::div(&ops::mul(g, &ac).expect("fwd shapes"), &b2).expect("fwd shapes");
-                reduce_grad(&ops::neg(&t), &sb)
+                let b_sq = ops::square(&b);
+                let t = ops::div(&ops::mul(g, &a).expect("fwd shapes"), &b_sq).expect("fwd shapes");
+                reduce_owned(ops::neg(&t), &sb)
             }),
         ))
     }
@@ -359,7 +459,7 @@ impl Var {
 
     /// Adds a constant scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
-        self.unary(ops::add_scalar(&self.value(), s), Box::new(|g| g.clone()))
+        self.unary(ops::add_scalar(&self.value(), s), Box::new(pass_through))
     }
 
     /// Multiplies by a constant scalar.
@@ -371,17 +471,16 @@ impl Var {
     pub fn matmul(&self, other: &Var) -> Result<Var> {
         let (a, b) = (self.value(), other.value());
         let out = ops::matmul(&a, &b)?;
-        let (ac, bc) = (a.clone(), b.clone());
         Ok(self.binary(
             other,
             out,
             Box::new(move |g| {
                 // dL/dA = G · Bᵀ
-                grad_matmul_bt(g, &bc)
+                grad_matmul_bt(g, &b)
             }),
             Box::new(move |g| {
                 // dL/dB = Aᵀ · G
-                grad_matmul_at(&ac, g)
+                grad_matmul_at(&a, g)
             }),
         ))
     }
@@ -402,7 +501,7 @@ impl Var {
     /// Returns the shape errors of [`ops::linear_act`].
     pub fn linear(&self, w: &Var, b: &Var, act: ops::Act) -> Result<Var> {
         let (x, wv, bv) = (self.value(), w.value(), b.value());
-        let out = ops::linear_act(&x, &wv, &bv, act)?;
+        let out = Rc::new(ops::linear_act(&x, &wv, &bv, act)?);
         let b_shape = bv.shape().to_vec();
         // The three rules share the activation-mapped gradient `gp`, as
         // the separate activation node of the unfused composition
@@ -416,7 +515,7 @@ impl Var {
             .iter()
             .rposition(|&id| self.tape.needs_grad(id))
             .unwrap_or_default();
-        let fused = Rc::new(FusedGrad { act, out: out.clone(), gp: RefCell::new(None), last });
+        let fused = Rc::new(FusedGrad { act, out: Rc::clone(&out), gp: RefCell::new(None), last });
         let (fused_x, fused_w) = (Rc::clone(&fused), Rc::clone(&fused));
         Ok(self.tape.record(
             out,
@@ -444,8 +543,8 @@ impl Var {
 
     /// Hyperbolic-tangent activation.
     pub fn tanh(&self) -> Var {
-        let out = ops::tanh(&self.value());
-        let oc = out.clone();
+        let out = Rc::new(ops::tanh(&self.value()));
+        let oc = Rc::clone(&out);
         self.unary(
             out,
             Box::new(move |g| {
@@ -457,8 +556,8 @@ impl Var {
 
     /// Logistic sigmoid activation.
     pub fn sigmoid(&self) -> Var {
-        let out = ops::sigmoid(&self.value());
-        let oc = out.clone();
+        let out = Rc::new(ops::sigmoid(&self.value()));
+        let oc = Rc::clone(&out);
         self.unary(
             out,
             Box::new(move |g| {
@@ -469,8 +568,8 @@ impl Var {
 
     /// Element-wise exponential.
     pub fn exp(&self) -> Var {
-        let out = ops::exp(&self.value());
-        let oc = out.clone();
+        let out = Rc::new(ops::exp(&self.value()));
+        let oc = Rc::clone(&out);
         self.unary(out, Box::new(move |g| ops::mul(g, &oc).expect("same shape")))
     }
 
@@ -519,70 +618,48 @@ impl Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::minimum(&a, &b)?;
         let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (ac, bc) = (a.clone(), b.clone());
-        let (ac2, bc2) = (a, b);
+        let (a2, b2) = (Rc::clone(&a), Rc::clone(&b));
         Ok(self.binary(
             other,
             out,
-            Box::new(move |g| {
-                let masked = ops::zip_broadcast(
-                    &ops::zip_broadcast(&ac, &bc, |x, y| if x <= y { 1.0 } else { 0.0 })
-                        .expect("fwd shapes"),
-                    g,
-                    |m, gv| m * gv,
-                )
-                .expect("fwd shapes");
-                reduce_grad(&masked, &sa)
-            }),
-            Box::new(move |g| {
-                let masked = ops::zip_broadcast(
-                    &ops::zip_broadcast(&ac2, &bc2, |x, y| if x > y { 1.0 } else { 0.0 })
-                        .expect("fwd shapes"),
-                    g,
-                    |m, gv| m * gv,
-                )
-                .expect("fwd shapes");
-                reduce_grad(&masked, &sb)
-            }),
+            Box::new(move |g| reduce_owned(masked(&a, &b, g, |x, y| x <= y), &sa)),
+            Box::new(move |g| reduce_owned(masked(&a2, &b2, g, |x, y| x > y), &sb)),
         ))
     }
 
     /// Sum of all elements (scalar output).
     pub fn sum(&self) -> Var {
-        let shape = self.value().shape().to_vec();
+        let a = self.value();
+        let shape = a.shape().to_vec();
+        let total = ops::sum_all(&a).item().expect("scalar sum");
         self.unary(
-            ops::sum_all(&self.value()),
-            Box::new(move |g| {
-                let gv = g.item().expect("scalar grad");
-                Tensor::full(&shape, gv)
-            }),
+            filled(&[], total),
+            Box::new(move |g| filled(&shape, g.item().expect("scalar grad"))),
         )
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean(&self) -> Var {
-        let shape = self.value().shape().to_vec();
-        let n = self.value().len().max(1) as f32;
+        let a = self.value();
+        let shape = a.shape().to_vec();
+        let n = a.len().max(1) as f32;
+        let mean = ops::mean_all(&a).item().expect("scalar mean");
         self.unary(
-            ops::mean_all(&self.value()),
-            Box::new(move |g| {
-                let gv = g.item().expect("scalar grad") / n;
-                Tensor::full(&shape, gv)
-            }),
+            filled(&[], mean),
+            Box::new(move |g| filled(&shape, g.item().expect("scalar grad") / n)),
         )
     }
 
     /// Row-wise log-softmax of a rank-2 value.
     pub fn log_softmax_rows(&self) -> Result<Var> {
-        let a = self.value();
-        let out = ops::log_softmax_rows(&a)?;
+        let out = ops::log_softmax_rows(&self.value())?;
         let soft = ops::exp(&out);
         Ok(self.unary(
             out,
             Box::new(move |g| {
                 // d log_softmax / dx: G - softmax * rowsum(G)
                 let (m, n) = (soft.shape()[0], soft.shape()[1]);
-                let mut res = vec![0.0f32; m * n];
+                let mut res = crate::alloc::take_zeroed(m * n);
                 for i in 0..m {
                     let grow = &g.data()[i * n..(i + 1) * n];
                     let srow = &soft.data()[i * n..(i + 1) * n];
@@ -605,7 +682,7 @@ impl Var {
         Ok(self.unary(
             out,
             Box::new(move |g| {
-                let mut res = vec![0.0f32; m * n];
+                let mut res = crate::alloc::take_zeroed(m * n);
                 for (i, &j) in idx.iter().enumerate() {
                     res[i * n + j] = g.data()[i];
                 }
@@ -623,8 +700,8 @@ impl Var {
     }
 
     /// Detaches the value from the tape: the result is a fresh constant
-    /// leaf, so no gradient flows through it (MSRL uses this for
-    /// advantage targets).
+    /// leaf over the same buffer, so no gradient flows through it (MSRL
+    /// uses this for advantage targets).
     pub fn detach(&self) -> Var {
         self.tape.constant(self.value())
     }
@@ -639,7 +716,7 @@ impl Var {
     ///
     /// Convenient for constants participating in traced expressions
     /// (index masks, ones vectors, targets).
-    pub fn constant(&self, t: Tensor) -> Var {
+    pub fn constant(&self, t: impl Into<Rc<Tensor>>) -> Var {
         self.tape.constant(t)
     }
 
@@ -663,20 +740,19 @@ impl Var {
                 let mut unit = g.shape().to_vec();
                 unit.insert(axis, 1);
                 let g1 = g.reshape(&unit).expect("volume unchanged");
-                ops::add(&Tensor::zeros(&in_shape), &g1).expect("broadcast to input shape")
+                let zeros = filled(&in_shape, 0.0);
+                let res = ops::add(&zeros, &g1).expect("broadcast to input shape");
+                zeros.recycle();
+                res
             }),
         ))
     }
 
     /// Mean along `axis`, removing that axis.
     pub fn mean_axis(&self, axis: usize) -> Result<Var> {
-        let n = *self
-            .value()
-            .shape()
-            .get(axis)
-            .ok_or(TensorError::AxisOutOfRange { axis, rank: self.value().rank() })?
-            as f32;
-        Ok(self.sum_axis(axis)?.mul_scalar(1.0 / n))
+        let shape = self.shape();
+        let n = *shape.get(axis).ok_or(TensorError::AxisOutOfRange { axis, rank: shape.len() })?;
+        Ok(self.sum_axis(axis)?.mul_scalar(1.0 / n as f32))
     }
 }
 
@@ -835,37 +911,83 @@ mod tests {
         }
     }
 
+    /// A two-layer fused net whose hidden value is used twice (by the
+    /// second layer and by the loss directly, so its gradient is
+    /// accumulated), differentiated twice over the same tape.
     #[test]
     fn fused_linear_with_constant_input_keeps_w_and_b_grads_bitwise() {
         let xs: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
         let ws: Vec<f32> = (0..4).map(|i| (i as f32 * 0.9).cos()).collect();
+        let ws2: Vec<f32> = (0..4).map(|i| (i as f32 * 1.3).sin()).collect();
         let bs = [0.1f32, -0.2];
+        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for act in [ops::Act::Relu, ops::Act::Tanh, ops::Act::Sigmoid, ops::Act::Linear] {
             let run = |leaf: fn(&Tape, Tensor) -> Var| {
                 let tape = Tape::new();
                 let x = leaf(&tape, t(&xs, &[3, 2]));
-                let w = tape.var(t(&ws, &[2, 2]));
-                let b = tape.var(t(&bs, &[2]));
-                let loss = x.linear(&w, &b, act).unwrap().square().sum();
-                // A second run over the same tape must recompute `gp`,
-                // not reuse or miss the first run's.
+                let params = [
+                    tape.var(t(&ws, &[2, 2])),
+                    tape.var(t(&bs, &[2])),
+                    tape.var(t(&ws2, &[2, 2])),
+                    tape.var(t(&bs, &[2])),
+                ];
+                let h = x.linear(&params[0], &params[1], act).unwrap();
+                let y = h.linear(&params[2], &params[3], act).unwrap();
+                let loss = y.square().sum().add(&h.sum()).unwrap();
+                // The first run frees every interior gradient and `gp`
+                // as it goes; a second run over the same tape must
+                // recompute them all, not reuse or miss the first's.
                 let first = tape.backward(&loss).unwrap();
                 let again = tape.backward(&loss).unwrap();
-                for v in [&w, &b] {
+                for v in &params {
                     assert_eq!(
-                        first.get(v.id()).unwrap().data(),
-                        again.get(v.id()).unwrap().data()
+                        bits(first.get(v.id()).unwrap()),
+                        bits(again.get(v.id()).unwrap()),
+                        "{act:?}: second backward over the same tape"
                     );
                 }
-                (first.get(x.id()).cloned(), first.get_or_zeros(&w), first.get_or_zeros(&b))
+                for interior in [&h, &y, &loss] {
+                    assert!(first.get(interior.id()).is_none(), "{act:?}: interior gradient kept");
+                }
+                (first.get(x.id()).cloned(), params.map(|v| first.get_or_zeros(&v)))
             };
-            let (gx_var, gw_var, gb_var) = run(Tape::var);
-            let (gx_const, gw_const, gb_const) = run(Tape::constant);
+            let (gx_var, params_var) = run(Tape::var);
+            let (gx_const, params_const) = run(Tape::constant);
             assert!(gx_var.is_some(), "{act:?}: a var input gets its gradient");
             assert!(gx_const.is_none(), "{act:?}: a constant input gets none");
-            assert_eq!(gw_var.data(), gw_const.data(), "{act:?} grad w");
-            assert_eq!(gb_var.data(), gb_const.data(), "{act:?} grad b");
+            for (a, b) in params_var.iter().zip(&params_const) {
+                assert_eq!(bits(a), bits(b), "{act:?} parameter gradient");
+            }
         }
+    }
+
+    #[test]
+    fn value_is_one_shared_buffer() {
+        let tape = Tape::new();
+        let x = tape.var(t(&[1.0, -2.0], &[2]));
+        let y = x.tanh();
+        assert!(Rc::ptr_eq(&y.value(), &y.value()));
+        // A detached leaf and a leaf registered from a handle alias
+        // their source too.
+        assert!(Rc::ptr_eq(&y.detach().value(), &y.value()));
+        assert!(Rc::ptr_eq(&tape.constant(x.value()).value(), &x.value()));
+    }
+
+    #[test]
+    fn value_handle_outlives_its_tape() {
+        let held = {
+            let tape = Tape::new();
+            let x = tape.var(t(&[1.0, 2.0, 3.0], &[3]));
+            let y = x.mul_scalar(2.0);
+            tape.backward(&y.mul(&y).unwrap().sum()).unwrap();
+            y.value()
+        };
+        // The tape is gone and recycled what it alone owned; `y`'s
+        // buffer was held here, so it was left alone. Same-length
+        // outputs drawn from the pool now must not touch it.
+        assert_eq!(Rc::strong_count(&held), 1);
+        let _scribble: Vec<Tensor> = (0..4).map(|_| ops::add_scalar(&held, 7.0)).collect();
+        assert_eq!(held.data(), &[2.0, 4.0, 6.0]);
     }
 
     /// A PPO-shaped loss (clipped surrogate + value + entropy over two
@@ -896,7 +1018,7 @@ mod tests {
                 } else {
                     let actions =
                         t(&(0..n * 2).map(|i| (i as f32).cos()).collect::<Vec<_>>(), &[n, 2]);
-                    crate::dist::gaussian_stats(&out, &log_std, &actions).unwrap()
+                    crate::dist::gaussian_stats(&out, &log_std, actions).unwrap()
                 };
                 let adv = leaf(&tape, adv_t.clone());
                 let ratio = lp.sub(&leaf(&tape, old_lp_t.clone())).unwrap().exp();

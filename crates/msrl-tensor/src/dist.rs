@@ -7,6 +7,8 @@
 //! (HalfCheetah) use [`DiagGaussian`]. The `*_stats` functions are the
 //! differentiable counterparts, used inside learner fragments.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
@@ -208,14 +210,20 @@ impl DiagGaussian {
 /// Differentiable diagonal-Gaussian log-prob and entropy.
 ///
 /// `mean` is `[batch, dim]` on a tape; `log_std` is a `[dim]` variable on
-/// the same tape; `actions` is a constant `[batch, dim]` tensor. Returns
+/// the same tape; `actions` is a constant `[batch, dim]` tensor (an
+/// `Rc<Tensor>` is registered on the tape without a copy). Returns
 /// `(log_prob [batch], entropy [batch])` with gradients flowing into both
 /// `mean` and `log_std`.
 ///
 /// # Errors
 ///
 /// Propagates shape errors.
-pub fn gaussian_stats(mean: &Var, log_std: &Var, actions: &Tensor) -> Result<(Var, Var)> {
+pub fn gaussian_stats(
+    mean: &Var,
+    log_std: &Var,
+    actions: impl Into<Rc<Tensor>>,
+) -> Result<(Var, Var)> {
+    let actions = actions.into();
     let batch = mean.shape()[0];
     let dim = mean.shape()[1];
     if actions.shape() != [batch, dim] {
@@ -226,7 +234,7 @@ pub fn gaussian_stats(mean: &Var, log_std: &Var, actions: &Tensor) -> Result<(Va
         });
     }
     let ln_2pi = (2.0 * std::f32::consts::PI).ln();
-    let a = mean.constant(actions.clone());
+    let a = mean.constant(actions);
     // z = (a - mean) / std;  log_prob = Σ_d [-0.5 z² - log_std - 0.5 ln 2π]
     let std = log_std.exp();
     let z = a.sub(mean)?.div(&std)?;
@@ -346,7 +354,7 @@ mod tests {
         let actions = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]).unwrap();
         let mean = tape.var(mean_t.clone());
         let ls = tape.var(ls_t.clone());
-        let (lp, ent) = gaussian_stats(&mean, &ls, &actions).unwrap();
+        let (lp, ent) = gaussian_stats(&mean, &ls, actions.clone()).unwrap();
         let plain = DiagGaussian::new(mean_t, ls_t).unwrap();
         let plain_lp = plain.log_prob(&actions).unwrap();
         for (a, b) in lp.value().data().iter().zip(plain_lp.data()) {

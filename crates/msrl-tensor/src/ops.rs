@@ -1114,12 +1114,12 @@ pub fn select_per_row(a: &Tensor, idx: &[usize]) -> Result<Tensor> {
     if idx.len() != m {
         return Err(TensorError::LengthMismatch { expected: m, actual: idx.len() });
     }
-    let mut out = Vec::with_capacity(m);
+    let mut out = crate::alloc::take_zeroed(m);
     for (i, &j) in idx.iter().enumerate() {
         if j >= n {
             return Err(TensorError::IndexOutOfRange { index: j, len: n });
         }
-        out.push(a.data()[i * n + j]);
+        out[i] = a.data()[i * n + j];
     }
     Tensor::from_vec(out, &[m])
 }

@@ -164,7 +164,12 @@ impl Tensor {
                 to: dims.to_vec(),
             });
         }
-        Ok(Tensor { data: self.data.clone(), shape: to })
+        // Pool-drawn like every operator output: tape nodes and
+        // gradients recycle their storage when they die, and a pool
+        // that receives what it never handed out fills to its cap.
+        let mut data = crate::alloc::take_zeroed(self.data.len());
+        data.copy_from_slice(&self.data);
+        Ok(Tensor { data, shape: to })
     }
 
     /// Row `i` of a rank-2 tensor as a new 1-D tensor.
