@@ -33,13 +33,14 @@
 //! the narrow heads are where a materialised transpose plus a packed
 //! matmul with a 2- or 6-column right edge hurts most).
 //!
-//! The `fastmath` section prices the opt-in `MSRL_TIER=2` kernels,
-//! which drop bit-exactness for vectorized polynomial exp/tanh (DESIGN
-//! §3.14): softmax_rows tier 2 vs tier 1 (floor ≥2x — the exp pass
-//! finally vectorizes), the tanh-MLP batched rollout forward tier 2 vs tier 1
-//! on the e2e policy shape (floor ≥1.3x), and the act server's
-//! one-forward-per-round over all actors' rows vs the per-actor packed
-//! loop at 128 actors (floor ≥1.5x). Every kernel section also records
+//! The `transcendentals` section records the absolute cost of the
+//! polynomial exp/tanh kernels (DESIGN §3.14) at two shapes —
+//! `softmax_rows` on [512, 64] and the tanh-MLP batched rollout forward
+//! on the e2e policy shape — as host-dependent ns rows (there is no
+//! second arithmetic to take a ratio against). The `actsrv` section
+//! prices the act server's one-forward-per-round over all actors' rows
+//! vs the per-actor packed loop at 128 actors (floor ≥1.5x). Every
+//! kernel section also records
 //! `dispatch` — the microkernel family `kernels::select()` actually
 //! chose on this host (avx512/avx2/portable) — so trend comparisons
 //! across machines are interpretable.
@@ -306,7 +307,6 @@ fn health_cost() -> HealthCost {
             weight_norm: Some(40.0),
             update_ratio: Some(1e-3),
             nonfinite_params: Some(0),
-            audit_rel_err: None,
         })
     });
     // A policy-sized parameter vector: the e2e nets flatten to a few
@@ -530,86 +530,63 @@ fn matmul_at_cost() -> Vec<MatmulAt> {
     })
 }
 
-/// Measured effect of the opt-in fast-math tier (`MSRL_TIER=2`) and the
-/// cross-actor act server on this host.
-struct Fastmath {
-    /// `softmax_rows` on [512, 64]: tier 1 (vectorized max fold and
-    /// scale, scalar libm exp+sum) vs tier 2 (polynomial exp, every
-    /// pass vectorized).
-    softmax_tier1_ns: f64,
-    softmax_tier2_ns: f64,
+/// Absolute cost of the transcendental kernels on this host (scalar
+/// backend, minimum of five timed rounds).
+struct Transcendentals {
+    /// `softmax_rows` on [512, 64].
+    softmax_ns: f64,
     /// The batched rollout forward on the e2e policy shape — a tanh
     /// [17, 32, 32, 6] MLP over 128 actors' rows through the pack
-    /// cache — tier 1 (libm tanh epilogue) vs tier 2 (vectorized
-    /// polynomial tanh). This is the forward the PR 8 batched path
-    /// runs; tier 2 must beat it ≥1.3x because tanh dominates it.
-    rollout_tanh_tier1_ns: f64,
-    rollout_tanh_tier2_ns: f64,
-    /// One rollout step's policy forwards for 128 actors × 1 row: the
-    /// per-actor packed loop (each actor forwards its own rows, the PR 8
-    /// pack-cache path) vs the act server's single forward over the
-    /// concatenated block — the exact kernels `ActServer::submit`'s
-    /// round leader runs, priced without thread-rendezvous noise.
-    actsrv_per_actor_ns: f64,
-    actsrv_batched_ns: f64,
+    /// cache; the tanh epilogue dominates it.
+    rollout_tanh_ns: f64,
 }
 
-impl Fastmath {
-    fn softmax_tier2_speedup(&self) -> f64 {
-        self.softmax_tier1_ns / self.softmax_tier2_ns.max(1.0)
-    }
-    fn rollout_tanh_tier2_speedup(&self) -> f64 {
-        self.rollout_tanh_tier1_ns / self.rollout_tanh_tier2_ns.max(1.0)
-    }
-    fn actsrv_batch_speedup(&self) -> f64 {
-        self.actsrv_per_actor_ns / self.actsrv_batched_ns.max(1.0)
+/// One rollout step's policy forwards for 128 actors × 1 row: the
+/// per-actor packed loop (each actor forwards its own rows, the
+/// pack-cache path) vs the act server's single forward over the
+/// concatenated block — the exact kernels `ActServer::submit`'s round
+/// leader runs, priced without thread-rendezvous noise.
+struct ActSrv {
+    per_actor_ns: f64,
+    batched_ns: f64,
+}
+
+impl ActSrv {
+    fn batch_speedup(&self) -> f64 {
+        self.per_actor_ns / self.batched_ns.max(1.0)
     }
 }
 
-fn fastmath_cost() -> Fastmath {
-    // softmax_rows tier 1 vs tier 2, scalar backend, interleaved minima.
+/// The [128, 17] observation block both sections below forward.
+fn rollout_block() -> Tensor {
+    Tensor::from_vec((0..128 * 17).map(|i| (i as f32 * 0.011).sin()).collect(), &[128, 17])
+        .expect("shape matches")
+}
+
+fn transcendental_cost() -> Transcendentals {
     let s =
         Tensor::from_vec((0..512 * 64).map(|i| (i as f32 * 0.0213).cos()).collect(), &[512, 64])
             .expect("shape matches");
-    let mut soft = || ops::softmax_rows(&s).expect("rank 2");
-    let (softmax_tier1_ns, softmax_tier2_ns) = par::with_backend(Backend::Scalar, || {
-        let mut t1 = f64::INFINITY;
-        let mut t2 = f64::INFINITY;
-        for _ in 0..5 {
-            t1 = t1.min(par::with_fastmath(false, || time_ns(3, &mut soft)));
-            t2 = t2.min(par::with_fastmath(true, || time_ns(3, &mut soft)));
-        }
-        (t1, t2)
-    });
-
-    // The e2e-shaped tanh rollout forward through the pack cache, tier 1
-    // vs tier 2: same packed panels, the only difference is the
-    // activation epilogue (libm tanh per element vs the vectorized
-    // polynomial).
     let mut rng = init::rng(42);
     let mlp = Mlp::new(&[17, 32, 32, 6], Activation::Tanh, Activation::Linear, &mut rng);
     let packed = mlp.pack();
-    let big =
-        Tensor::from_vec((0..128 * 17).map(|i| (i as f32 * 0.011).sin()).collect(), &[128, 17])
-            .expect("shape matches");
-    let (rollout_tanh_tier1_ns, rollout_tanh_tier2_ns) = par::with_backend(Backend::Scalar, || {
-        par::with_fusion(true, || {
-            let mut t1 = f64::INFINITY;
-            let mut t2 = f64::INFINITY;
-            for _ in 0..5 {
-                t1 = t1.min(par::with_fastmath(false, || {
-                    time_ns(3, || packed.infer(&big).expect("shapes conform"))
-                }));
-                t2 = t2.min(par::with_fastmath(true, || {
-                    time_ns(3, || packed.infer(&big).expect("shapes conform"))
-                }));
-            }
-            (t1, t2)
-        })
-    });
+    let big = rollout_block();
+    par::with_backend(Backend::Scalar, || {
+        let mut softmax_ns = f64::INFINITY;
+        let mut rollout_tanh_ns = f64::INFINITY;
+        for _ in 0..5 {
+            softmax_ns = softmax_ns.min(time_ns(3, || ops::softmax_rows(&s).expect("rank 2")));
+            rollout_tanh_ns =
+                rollout_tanh_ns.min(time_ns(3, || packed.infer(&big).expect("shapes conform")));
+        }
+        Transcendentals { softmax_ns, rollout_tanh_ns }
+    })
+}
 
-    // The act server's round forward vs the per-actor loop, on the real
-    // PPO policy forward (actor head + critic) at 128 actors × 1 row.
+fn actsrv_cost() -> ActSrv {
+    // The real PPO policy forward (actor head + critic) at 128 actors ×
+    // 1 row.
+    let big = rollout_block();
     let policy = PpoPolicy::discrete(17, 6, &[32, 32], 42);
     let ppacked = PackedPpo::pack(&policy);
     let rows: Vec<Tensor> = (0..128)
@@ -618,34 +595,22 @@ fn fastmath_cost() -> Fastmath {
                 .expect("shape matches")
         })
         .collect();
-    let (actsrv_per_actor_ns, actsrv_batched_ns) = par::with_backend(Backend::Scalar, || {
-        par::with_fusion(true, || {
-            let mut per = f64::INFINITY;
-            let mut bat = f64::INFINITY;
-            for _ in 0..5 {
-                per = per.min(time_ns(3, || {
-                    let mut outs = Vec::with_capacity(rows.len());
-                    for x in &rows {
-                        outs.push(policy.forward_with(x, Some(&ppacked)).expect("forwards"));
-                    }
-                    outs
-                }));
-                bat = bat.min(time_ns(3, || {
-                    policy.forward_with(&big, Some(&ppacked)).expect("forwards")
-                }));
-            }
-            (per, bat)
-        })
-    });
-
-    Fastmath {
-        softmax_tier1_ns,
-        softmax_tier2_ns,
-        rollout_tanh_tier1_ns,
-        rollout_tanh_tier2_ns,
-        actsrv_per_actor_ns,
-        actsrv_batched_ns,
-    }
+    par::with_backend(Backend::Scalar, || {
+        let mut per = f64::INFINITY;
+        let mut bat = f64::INFINITY;
+        for _ in 0..5 {
+            per = per.min(time_ns(3, || {
+                let mut outs = Vec::with_capacity(rows.len());
+                for x in &rows {
+                    outs.push(policy.forward_with(x, Some(&ppacked)).expect("forwards"));
+                }
+                outs
+            }));
+            bat = bat
+                .min(time_ns(3, || policy.forward_with(&big, Some(&ppacked)).expect("forwards")));
+        }
+        ActSrv { per_actor_ns: per, batched_ns: bat }
+    })
 }
 
 /// Iterations/sec of one distribution policy with overlap off vs on.
@@ -738,7 +703,8 @@ fn main() {
     let tel = telemetry_cost();
     let gc = graph_compile_cost();
     let mat = matmul_at_cost();
-    let fm = fastmath_cost();
+    let tc = transcendental_cost();
+    let actsrv = actsrv_cost();
     let overlap = comm_overlap_rows();
 
     // Per-iteration attribution cost, measured on the macro runs above:
@@ -818,21 +784,15 @@ fn main() {
     }
     json.push_str("},\n");
     json.push_str(&format!(
-        "  \"fastmath\": {{\"dispatch\": \"{}\", \"softmax_tier1_ns\": {:.0}, \
-         \"softmax_tier2_ns\": {:.0}, \"softmax_tier2_speedup\": {:.2}, \
-         \"rollout_tanh_tier1_ns\": {:.0}, \"rollout_tanh_tier2_ns\": {:.0}, \
-         \"rollout_tanh_tier2_speedup\": {:.2}, \"actsrv_per_actor_ns\": {:.0}, \
-         \"actsrv_batched_ns\": {:.0}, \"actsrv_batch_speedup\": {:.2}}},\n",
+        "  \"transcendentals\": {{\"dispatch\": \"{0}\", \"softmax_ns\": {1:.0}, \
+         \"rollout_tanh_ns\": {2:.0}}},\n  \"actsrv\": {{\"dispatch\": \"{0}\", \
+         \"per_actor_ns\": {3:.0}, \"batched_ns\": {4:.0}, \"batch_speedup\": {5:.2}}},\n",
         dispatch_label(),
-        fm.softmax_tier1_ns,
-        fm.softmax_tier2_ns,
-        fm.softmax_tier2_speedup(),
-        fm.rollout_tanh_tier1_ns,
-        fm.rollout_tanh_tier2_ns,
-        fm.rollout_tanh_tier2_speedup(),
-        fm.actsrv_per_actor_ns,
-        fm.actsrv_batched_ns,
-        fm.actsrv_batch_speedup(),
+        tc.softmax_ns,
+        tc.rollout_tanh_ns,
+        actsrv.per_actor_ns,
+        actsrv.batched_ns,
+        actsrv.batch_speedup(),
     ));
     json.push_str(&format!(
         "  \"health\": {{\"observe_ns\": {:.0}, \"nonfinite_scan_ns\": {:.0}, \
@@ -901,22 +861,10 @@ fn main() {
             value: health_share_pct,
         },
         Gated {
-            name: "fastmath.softmax_tier2_speedup",
+            name: "actsrv.batch_speedup",
             higher_is_better: true,
             floor: 0.0,
-            value: fm.softmax_tier2_speedup(),
-        },
-        Gated {
-            name: "fastmath.rollout_tanh_tier2_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: fm.rollout_tanh_tier2_speedup(),
-        },
-        Gated {
-            name: "fastmath.actsrv_batch_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: fm.actsrv_batch_speedup(),
+            value: actsrv.batch_speedup(),
         },
     ];
     gated.extend(mat.iter().map(|r| Gated {
@@ -1000,19 +948,14 @@ fn main() {
         );
     }
     println!(
-        "fastmath [{}]: softmax_rows[512,64] tier1 {:.0} ns / tier2 {:.0} ns ({:.2}x); \
-         tanh rollout fwd tier1 {:.0} ns / tier2 {:.0} ns ({:.2}x); \
+        "transcendentals [{}]: softmax_rows[512,64] {:.0} ns; tanh rollout fwd {:.0} ns; \
          actsrv fwd per-actor {:.0} ns / batched {:.0} ns ({:.2}x)",
         dispatch_label(),
-        fm.softmax_tier1_ns,
-        fm.softmax_tier2_ns,
-        fm.softmax_tier2_speedup(),
-        fm.rollout_tanh_tier1_ns,
-        fm.rollout_tanh_tier2_ns,
-        fm.rollout_tanh_tier2_speedup(),
-        fm.actsrv_per_actor_ns,
-        fm.actsrv_batched_ns,
-        fm.actsrv_batch_speedup(),
+        tc.softmax_ns,
+        tc.rollout_tanh_ns,
+        actsrv.per_actor_ns,
+        actsrv.batched_ns,
+        actsrv.batch_speedup(),
     );
     println!(
         "health: observe {:.0} ns + nonfinite scan {:.0} ns + params clone {:.0} ns \
@@ -1057,14 +1000,10 @@ fn main() {
         eprintln!("bench_report: health-probe share {health_share_pct:.3}% breaches the 5% bound");
         std::process::exit(1);
     }
-    // Fast-math and weight-gradient kernel acceptance floors, each
+    // Act-server and weight-gradient kernel acceptance floors, each
     // well under the ratio measured on the reference host so a loaded
     // runner does not trip them.
-    let mut floors = vec![
-        ("fastmath.softmax_tier2_speedup", fm.softmax_tier2_speedup(), 2.0),
-        ("fastmath.rollout_tanh_tier2_speedup", fm.rollout_tanh_tier2_speedup(), 1.3),
-        ("fastmath.actsrv_batch_speedup", fm.actsrv_batch_speedup(), 1.5),
-    ];
+    let mut floors = vec![("actsrv.batch_speedup", actsrv.batch_speedup(), 1.5)];
     floors.extend(mat.iter().map(|r| (r.gate, r.speedup(), r.floor)));
     let mut breached = false;
     for (name, value, floor) in floors {

@@ -13,9 +13,8 @@
 //! ```
 //!
 //! CI contract: exit code 1 when any stream carries a CRITICAL verdict
-//! (non-finite training signal, staleness-bound breach, fast-math audit
-//! drift past `MSRL_AUDIT_BOUND`), 2 when a file cannot be read or
-//! parsed, 0 otherwise. Warnings never fail the build — a healthy run
+//! (non-finite training signal, staleness-bound breach), 2 when a file
+//! cannot be read or parsed, 0 otherwise. Warnings never fail the build — a healthy run
 //! with noisy reward curves must stay green.
 
 use std::process::ExitCode;

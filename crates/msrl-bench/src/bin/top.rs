@@ -123,13 +123,12 @@ fn render(line: &str, source: &str, seen: usize) -> Option<String> {
     ));
     if let Some(h) = health {
         out.push_str(&format!(
-            "health: {}   grad {}  weight {}  upd {}  nonfinite {}  audit {}\n",
+            "health: {}   grad {}  weight {}  upd {}  nonfinite {}\n",
             text(h, "status").to_uppercase(),
             gauge(h, "grad_norm"),
             gauge(h, "weight_norm"),
             gauge(h, "update_ratio"),
             gauge(h, "nonfinite_params"),
-            gauge(h, "audit_rel_err"),
         ));
         if let Ok(Value::Seq(findings)) = h.field("findings") {
             for f in findings {

@@ -54,6 +54,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use msrl_tensor::fastmath::{fast_exp, fast_sigmoid, fast_tanh};
 use msrl_tensor::{ops, par, Tensor};
 
 use crate::graph::{DataflowGraph, NodeId, OpKind, OpNode};
@@ -83,11 +84,11 @@ pub(crate) enum EwInst {
     Div(EwSrc, EwSrc),
     /// `v.max(0.0)`.
     Relu(EwSrc),
-    /// `v.tanh()`.
+    /// `fast_tanh(v)`.
     Tanh(EwSrc),
-    /// `1 / (1 + e^-v)`.
+    /// `fast_sigmoid(v)`.
     Sigmoid(EwSrc),
-    /// `v.exp()`.
+    /// `fast_exp(v)`.
     Exp(EwSrc),
     /// `v.max(MIN_POSITIVE).ln()`.
     Ln(EwSrc),
@@ -110,18 +111,8 @@ impl EwProgram {
     /// Evaluates the program at linear index `idx`. `regs` is scratch of
     /// `insts.len()` slots; `srcs`/`strides` describe the external
     /// inputs (stride 0 = scalar broadcast).
-    /// `fm` selects the opt-in fast-math kernels for the
-    /// Tanh/Sigmoid/Exp lanes (read once per executor entry from
-    /// [`par::ExecCtx::fastmath`]).
     #[inline]
-    fn eval_at(
-        &self,
-        srcs: &[&[f32]],
-        strides: &[usize],
-        idx: usize,
-        fm: bool,
-        regs: &mut [f32],
-    ) -> f32 {
+    fn eval_at(&self, srcs: &[&[f32]], strides: &[usize], idx: usize, regs: &mut [f32]) -> f32 {
         for (r, inst) in self.insts.iter().enumerate() {
             let ld = |s: EwSrc, regs: &[f32]| match s {
                 EwSrc::Ext(k) => srcs[k][idx * strides[k]],
@@ -133,9 +124,9 @@ impl EwProgram {
                 EwInst::Mul(a, b) => ld(a, regs) * ld(b, regs),
                 EwInst::Div(a, b) => ld(a, regs) / ld(b, regs),
                 EwInst::Relu(a) => ld(a, regs).max(0.0),
-                EwInst::Tanh(a) => ew_tanh(ld(a, regs), fm),
-                EwInst::Sigmoid(a) => ew_sigmoid(ld(a, regs), fm),
-                EwInst::Exp(a) => ew_exp(ld(a, regs), fm),
+                EwInst::Tanh(a) => fast_tanh(ld(a, regs)),
+                EwInst::Sigmoid(a) => fast_sigmoid(ld(a, regs)),
+                EwInst::Exp(a) => fast_exp(ld(a, regs)),
                 EwInst::Ln(a) => ld(a, regs).max(f32::MIN_POSITIVE).ln(),
                 EwInst::Square(a) => {
                     let v = ld(a, regs);
@@ -168,7 +159,6 @@ impl EwProgram {
         strides: &[usize],
         base: usize,
         self_ext: Option<(usize, &[f32; EW_LANE])>,
-        fm: bool,
         regs: &mut [[f32; EW_LANE]],
     ) {
         for r in 0..self.insts.len() {
@@ -196,9 +186,9 @@ impl EwProgram {
                 EwInst::Mul(a, b) => lanes!(l => ld(a, l, done) * ld(b, l, done)),
                 EwInst::Div(a, b) => lanes!(l => ld(a, l, done) / ld(b, l, done)),
                 EwInst::Relu(a) => lanes!(l => ld(a, l, done).max(0.0)),
-                EwInst::Tanh(a) => lanes!(l => ew_tanh(ld(a, l, done), fm)),
-                EwInst::Sigmoid(a) => lanes!(l => ew_sigmoid(ld(a, l, done), fm)),
-                EwInst::Exp(a) => lanes!(l => ew_exp(ld(a, l, done), fm)),
+                EwInst::Tanh(a) => lanes!(l => fast_tanh(ld(a, l, done))),
+                EwInst::Sigmoid(a) => lanes!(l => fast_sigmoid(ld(a, l, done))),
+                EwInst::Exp(a) => lanes!(l => fast_exp(ld(a, l, done))),
                 EwInst::Ln(a) => lanes!(l => ld(a, l, done).max(f32::MIN_POSITIVE).ln()),
                 EwInst::Square(a) => lanes!(l => {
                     let v = ld(a, l, done);
@@ -214,38 +204,6 @@ impl EwProgram {
 /// Lane width of the chunked elementwise executor: each instruction
 /// dispatch covers this many consecutive output elements.
 pub(crate) const EW_LANE: usize = 8;
-
-/// Tanh lane op: libm by default, the tier-2 polynomial when `fm`. The
-/// fast scalars are bitwise-equal to their vector forms, so the lane
-/// executor and the scalar remainder stay bit-identical either way.
-#[inline]
-fn ew_tanh(v: f32, fm: bool) -> f32 {
-    if fm {
-        msrl_tensor::fastmath::fast_tanh(v)
-    } else {
-        v.tanh()
-    }
-}
-
-/// Sigmoid lane op, see [`ew_tanh`].
-#[inline]
-fn ew_sigmoid(v: f32, fm: bool) -> f32 {
-    if fm {
-        msrl_tensor::fastmath::fast_sigmoid(v)
-    } else {
-        1.0 / (1.0 + (-v).exp())
-    }
-}
-
-/// Exp lane op, see [`ew_tanh`].
-#[inline]
-fn ew_exp(v: f32, fm: bool) -> f32 {
-    if fm {
-        msrl_tensor::fastmath::fast_exp(v)
-    } else {
-        v.exp()
-    }
-}
 
 /// What one planned pure op executes as.
 #[derive(Debug, Clone, PartialEq)]
@@ -1137,20 +1095,19 @@ fn run_ew_fill(
     srcs: &[&[f32]],
     strides: &[usize],
     offset: usize,
-    fm: bool,
     chunk: &mut [f32],
 ) {
     let last = prog.insts.len() - 1;
     let mut regs = vec![[0.0f32; EW_LANE]; prog.insts.len()];
     let mut i = 0;
     while i + EW_LANE <= chunk.len() {
-        prog.eval_lane(srcs, strides, offset + i, None, fm, &mut regs);
+        prog.eval_lane(srcs, strides, offset + i, None, &mut regs);
         chunk[i..i + EW_LANE].copy_from_slice(&regs[last]);
         i += EW_LANE;
     }
     let mut sregs = vec![0.0f32; prog.insts.len()];
     for (j, slot) in chunk.iter_mut().enumerate().skip(i) {
-        *slot = prog.eval_at(srcs, strides, offset + j, fm, &mut sregs);
+        *slot = prog.eval_at(srcs, strides, offset + j, &mut sregs);
     }
 }
 
@@ -1160,12 +1117,10 @@ pub(crate) fn run_ew(prog: &EwProgram, ins: &[&Tensor], shape: &[usize]) -> Resu
     let strides = ew_strides(ins, vol, shape)?;
     let srcs: Vec<&[f32]> = ins.iter().map(|t| t.data()).collect();
     let mut data = msrl_tensor::alloc::take_zeroed(vol);
-    let ctx = par::ExecCtx::current();
-    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
-        run_ew_fill(prog, &srcs, &strides, offset, fm, chunk);
+        run_ew_fill(prog, &srcs, &strides, offset, chunk);
     };
-    if ctx.should_parallelize(vol, par::PAR_MIN_ELEMS) {
+    if par::should_parallelize(vol, par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
@@ -1188,7 +1143,7 @@ pub(crate) fn run_ew_into(
     debug_assert_eq!(data.len(), vol, "donated buffer must match the output volume");
     let strides = ew_strides(ins, vol, shape)?;
     let srcs: Vec<&[f32]> = ins.iter().map(|t| t.data()).collect();
-    run_ew_fill(prog, &srcs, &strides, 0, par::fastmath_enabled(), &mut data);
+    run_ew_fill(prog, &srcs, &strides, 0, &mut data);
     Ok(Tensor::from_vec(data, shape)?)
 }
 
@@ -1225,7 +1180,6 @@ pub(crate) fn run_ew_inplace(
         srcs[k] = t.data();
     }
     let last = prog.insts.len() - 1;
-    let fm = par::fastmath_enabled();
     let data = own.data_mut();
     // Whole lanes through the chunked executor: the op's own lane is
     // copied out before the overwrite, exactly like the scalar path's
@@ -1235,7 +1189,7 @@ pub(crate) fn run_ew_inplace(
     while i + EW_LANE <= vol {
         let mut selfv = [0.0f32; EW_LANE];
         selfv.copy_from_slice(&data[i..i + EW_LANE]);
-        prog.eval_lane(&srcs, &strides, i, Some((self_pos, &selfv)), fm, &mut lregs);
+        prog.eval_lane(&srcs, &strides, i, Some((self_pos, &selfv)), &mut lregs);
         data[i..i + EW_LANE].copy_from_slice(&lregs[last]);
         i += EW_LANE;
     }
@@ -1255,9 +1209,9 @@ pub(crate) fn run_ew_inplace(
                 EwInst::Mul(a, b) => ld(a, &regs) * ld(b, &regs),
                 EwInst::Div(a, b) => ld(a, &regs) / ld(b, &regs),
                 EwInst::Relu(a) => ld(a, &regs).max(0.0),
-                EwInst::Tanh(a) => ew_tanh(ld(a, &regs), fm),
-                EwInst::Sigmoid(a) => ew_sigmoid(ld(a, &regs), fm),
-                EwInst::Exp(a) => ew_exp(ld(a, &regs), fm),
+                EwInst::Tanh(a) => fast_tanh(ld(a, &regs)),
+                EwInst::Sigmoid(a) => fast_sigmoid(ld(a, &regs)),
+                EwInst::Exp(a) => fast_exp(ld(a, &regs)),
                 EwInst::Ln(a) => ld(a, &regs).max(f32::MIN_POSITIVE).ln(),
                 EwInst::Square(a) => {
                     let v = ld(a, &regs);
@@ -1412,40 +1366,34 @@ mod tests {
         assert_eq!(fused2.data(), expect2.data(), "lane tail must be bit-identical");
     }
 
-    /// Under the opt-in fast-math tier the chain executor's Tanh /
-    /// Sigmoid / Exp lanes switch to the polynomial kernels — and must
-    /// still be bit-identical to the *separate* tier-2 ops (fusion
-    /// never changes results within a tier), including the in-place
-    /// variant and the scalar lane tail.
+    /// The chain executor's Tanh / Sigmoid / Exp lanes run the scalar
+    /// polynomials, which must be bit-identical to the *separate* ops'
+    /// slice kernels (fusion never changes results), including the
+    /// in-place variant and the scalar lane tail — and stay within the
+    /// polynomials' error bound of the same chain spelled with libm.
     #[test]
     fn run_ew_matches_separate_ops_under_fastmath() {
-        par::with_fastmath(true, || {
-            let x =
-                Tensor::from_vec((0..21).map(|i| (i as f32 * 0.43).sin() * 3.0).collect(), &[3, 7])
-                    .unwrap();
-            let y =
-                Tensor::from_vec((0..21).map(|i| (i as f32 * 0.19).cos() * 2.0).collect(), &[3, 7])
-                    .unwrap();
-            let prog = EwProgram {
-                insts: vec![
-                    EwInst::Mul(EwSrc::Ext(0), EwSrc::Ext(1)),
-                    EwInst::Tanh(EwSrc::Reg(0)),
-                    EwInst::Sigmoid(EwSrc::Reg(1)),
-                    EwInst::Exp(EwSrc::Reg(2)),
-                ],
-            };
-            let fused = run_ew(&prog, &[&x, &y], &[3, 7]).unwrap();
-            let expect = ops::exp(&ops::sigmoid(&ops::tanh(&ops::mul(&x, &y).unwrap())));
-            assert_eq!(fused.data(), expect.data(), "fast-math chain matches separate fast ops");
-            let inplace = run_ew_inplace(&prog, x.clone(), 0, &[None, Some(&y)]).unwrap();
-            assert_eq!(inplace.data(), expect.data());
-            // And it genuinely differs from the libm tier on this input
-            // (guards against the gate being wired to the wrong level).
-            let libm = par::with_fastmath(false, || {
-                ops::exp(&ops::sigmoid(&ops::tanh(&ops::mul(&x, &y).unwrap())))
-            });
-            assert_ne!(fused.data(), libm.data(), "tier 2 must actually engage");
-        });
+        let x = Tensor::from_vec((0..21).map(|i| (i as f32 * 0.43).sin() * 3.0).collect(), &[3, 7])
+            .unwrap();
+        let y = Tensor::from_vec((0..21).map(|i| (i as f32 * 0.19).cos() * 2.0).collect(), &[3, 7])
+            .unwrap();
+        let prog = EwProgram {
+            insts: vec![
+                EwInst::Mul(EwSrc::Ext(0), EwSrc::Ext(1)),
+                EwInst::Tanh(EwSrc::Reg(0)),
+                EwInst::Sigmoid(EwSrc::Reg(1)),
+                EwInst::Exp(EwSrc::Reg(2)),
+            ],
+        };
+        let fused = run_ew(&prog, &[&x, &y], &[3, 7]).unwrap();
+        let expect = ops::exp(&ops::sigmoid(&ops::tanh(&ops::mul(&x, &y).unwrap())));
+        assert_eq!(fused.data(), expect.data(), "chain matches the separate ops");
+        let inplace = run_ew_inplace(&prog, x.clone(), 0, &[None, Some(&y)]).unwrap();
+        assert_eq!(inplace.data(), expect.data());
+        for ((f, &a), &b) in fused.data().iter().zip(x.data()).zip(y.data()) {
+            let libm = (1.0 / (1.0 + (-(a * b).tanh()).exp())).exp();
+            assert!((f - libm).abs() < 1e-5, "chain {f} vs libm {libm}");
+        }
     }
 
     #[test]

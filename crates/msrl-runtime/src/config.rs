@@ -3,7 +3,7 @@
 //!
 //! [`RuntimeConfig::from_env`] is the only reader of `MSRL_OVERLAP`,
 //! `MSRL_STALENESS`, `MSRL_ACTSRV` and `MSRL_FAULT_NAN_ITER`, and it
-//! delegates `MSRL_BACKEND`, `MSRL_THREADS` and `MSRL_TIER` to
+//! delegates `MSRL_BACKEND` and `MSRL_THREADS` to
 //! [`ExecCtx::from_env`]. A value outside a variable's accepted set is a
 //! [`ConfigError`] naming the variable — never a silent default. The
 //! `Default` impls of the driver configs take their environment-backed
@@ -16,8 +16,7 @@ use msrl_tensor::par::{parse_var, ExecCtx};
 /// Everything the environment can say about how a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Tensor execution context (`MSRL_BACKEND`, `MSRL_THREADS`,
-    /// `MSRL_TIER`).
+    /// Tensor execution context (`MSRL_BACKEND`, `MSRL_THREADS`).
     pub exec: ExecCtx,
     /// Overlap communication with computation (`MSRL_OVERLAP`, default
     /// on).
@@ -109,7 +108,6 @@ mod tests {
     #[test]
     fn bad_values_are_errors_naming_the_variable_and_what_it_accepts() {
         for (var, value, accepted) in [
-            ("MSRL_TIER", "0", "1|2"),
             ("MSRL_BACKEND", "gpu", "scalar|threaded"),
             ("MSRL_THREADS", "abc", "a positive integer"),
             ("MSRL_THREADS", "0", "a positive integer"),
@@ -132,22 +130,18 @@ mod tests {
             (d.overlap, d.staleness, d.act_server, d.fault_nan_iter),
             (true, 1, false, None)
         );
-        assert_eq!(
-            (d.exec.backend, d.exec.fastmath, d.exec.fusion),
-            (Backend::Threaded, false, true)
-        );
+        assert_eq!((d.exec.backend, d.exec.fusion), (Backend::Threaded, true));
         assert!(d.exec.threads >= 1 && d.exec.par_min.is_none());
         let c = parse(&[
             ("MSRL_BACKEND", "scalar"),
             ("MSRL_THREADS", " 3 "),
-            ("MSRL_TIER", "2"),
             ("MSRL_OVERLAP", "off"),
             ("MSRL_STALENESS", "0"),
             ("MSRL_ACTSRV", "1"),
             ("MSRL_FAULT_NAN_ITER", "7"),
         ])
         .unwrap();
-        assert_eq!((c.exec.backend, c.exec.threads, c.exec.fastmath), (Backend::Scalar, 3, true));
+        assert_eq!((c.exec.backend, c.exec.threads), (Backend::Scalar, 3));
         assert_eq!(
             (c.overlap, c.staleness, c.act_server, c.fault_nan_iter),
             (false, 0, true, Some(7))

@@ -225,7 +225,6 @@ pub(crate) struct RunObserver {
     /// `MSRL_HEALTH=0`).
     monitor: Option<msrl_telemetry::HealthMonitor>,
     health_updates_prev: u64,
-    health_audits_prev: u64,
 }
 
 impl RunObserver {
@@ -246,7 +245,6 @@ impl RunObserver {
             iteration: 0,
             monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
             health_updates_prev: msrl_telemetry::counter_total("health.updates"),
-            health_audits_prev: msrl_telemetry::counter_total("health.audits"),
         }
     }
 
@@ -271,9 +269,6 @@ impl RunObserver {
         let updates = msrl_telemetry::counter_total("health.updates");
         let stepped = updates > self.health_updates_prev;
         self.health_updates_prev = updates;
-        let audits = msrl_telemetry::counter_total("health.audits");
-        let audited = audits > self.health_audits_prev;
-        self.health_audits_prev = audits;
         let sample = msrl_telemetry::HealthSample {
             iteration: self.iteration,
             reward: f64::from(reward),
@@ -289,7 +284,6 @@ impl RunObserver {
             weight_norm: stepped.then(|| gauge("health.weight_norm")),
             update_ratio: stepped.then(|| gauge("health.update_ratio")),
             nonfinite_params: params.map(msrl_tensor::kernels::count_nonfinite),
-            audit_rel_err: audited.then(|| gauge("health.audit_rel_err")),
         };
         let status = monitor.observe(&sample);
         let critical = status
@@ -303,12 +297,6 @@ impl RunObserver {
                 Ok(_) => {}
                 Err(e) => eprintln!("msrl: health-triggered flightrec dump failed: {e}"),
             }
-        }
-        // Schedule the next tier-2 shadow audit: first actor forward of
-        // the coming iteration runs the dual-tier comparison.
-        let every = msrl_telemetry::audit_every();
-        if every > 0 && (self.iteration + 1).is_multiple_of(every) {
-            msrl_telemetry::request_audit();
         }
         Some(status)
     }

@@ -5,8 +5,8 @@
 //! training is *healthy*. A [`HealthMonitor`] consumes one
 //! [`HealthSample`] per iteration — the same numbers the metrics stream
 //! carries, plus the numeric sentinels the drivers compute (non-finite
-//! parameter counts, gradient/weight norms, tier-2 shadow-audit drift) —
-//! and runs a bank of streaming detectors:
+//! parameter counts, gradient/weight norms) — and runs a bank of six
+//! streaming detectors:
 //!
 //! * **nonfinite** — NaN/Inf in loss, reward, entropy, gradient norm or
 //!   the parameter vector itself (critical, fires on the first sample);
@@ -20,11 +20,7 @@
 //!   fraction of its peak (warn);
 //! * **staleness_breach** — observed weight staleness above the
 //!   configured bound (critical; the drivers enforce the bound by
-//!   construction, so a firing means the invariant broke);
-//! * **audit_drift** — tier-2 shadow-audit relative error above the
-//!   tolerance bound (critical): every `MSRL_AUDIT_EVERY` iterations one
-//!   sampled fragment forward is re-run at tier 1 and compared, turning
-//!   the one-shot fast-math tolerance test into a live empirical bound.
+//!   construction, so a firing means the invariant broke).
 //!
 //! Each detector is an EWMA + hysteresis window in the shape of
 //! `advisor::LiveAdvisor`: a breach must persist for `confirm`
@@ -39,7 +35,7 @@
 //! the same detectors over a completed JSONL stream — the engine behind
 //! the `doctor` bin's post-hoc verdict report.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -78,78 +74,6 @@ fn resolve_health() -> bool {
 /// precedence over `MSRL_HEALTH`).
 pub fn set_health_enabled(on: bool) {
     HEALTH.store(if on { ON } else { OFF }, Ordering::Relaxed);
-}
-
-/// `u64::MAX` marks "not yet resolved from the environment".
-static AUDIT_EVERY: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// The tier-2 shadow-audit period: every this many iterations the
-/// drivers request one dual-tier fragment forward. Resolved from
-/// `MSRL_AUDIT_EVERY` on first call; `0` (the default) disables audits.
-pub fn audit_every() -> u64 {
-    match AUDIT_EVERY.load(Ordering::Relaxed) {
-        u64::MAX => {
-            let n = std::env::var("MSRL_AUDIT_EVERY")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(0);
-            set_audit_every(n);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Overrides the shadow-audit period (`0` disables; takes precedence
-/// over `MSRL_AUDIT_EVERY`).
-pub fn set_audit_every(every: u64) {
-    AUDIT_EVERY.store(every.min(u64::MAX - 1), Ordering::Relaxed);
-}
-
-static AUDIT_REQUEST: AtomicBool = AtomicBool::new(false);
-
-/// Posts a shadow-audit request: the next policy forward that calls
-/// [`take_audit_request`] (exactly one — first taker wins) re-runs
-/// itself at tier 1 and records the drift via [`record_audit`].
-pub fn request_audit() {
-    AUDIT_REQUEST.store(true, Ordering::Relaxed);
-}
-
-/// Claims a pending shadow-audit request, if any.
-pub fn take_audit_request() -> bool {
-    AUDIT_REQUEST.swap(false, Ordering::Relaxed)
-}
-
-/// Records one shadow-audit observation: the maximum relative error
-/// between a tier-2 (or packed) fragment forward and its tier-1
-/// reference. Feeds the `health.audit_rel_err` gauge, the
-/// `health.audits` counter, and the `health.audit_rel_err` histogram
-/// (recorded in pico-units: `rel_err × 1e12`, so the log₂ buckets
-/// resolve drifts down to 1e-12).
-pub fn record_audit(rel_err: f64) {
-    crate::gauge_set("health.audit_rel_err", rel_err);
-    crate::static_counter!("health.audits").add(1);
-    let picos =
-        if rel_err.is_finite() { (rel_err * 1e12).clamp(0.0, 1e18) as u64 } else { u64::MAX };
-    crate::static_histogram!("health.audit_rel_err").record(picos);
-}
-
-/// Maximum element-wise relative error between two equally-long slices
-/// (`|a-b| / max(|b|, 1e-6)`); `+inf` on a length mismatch or a
-/// non-finite difference.
-pub fn max_rel_err(a: &[f32], b: &[f32]) -> f64 {
-    if a.len() != b.len() {
-        return f64::INFINITY;
-    }
-    let mut worst = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        let d = (f64::from(x) - f64::from(y)).abs() / f64::from(y).abs().max(1e-6);
-        if !d.is_finite() {
-            return f64::INFINITY;
-        }
-        worst = worst.max(d);
-    }
-    worst
 }
 
 fn last_verdict() -> &'static Mutex<Option<HealthVerdict>> {
@@ -233,8 +157,6 @@ pub struct HealthSample {
     pub update_ratio: Option<f64>,
     /// Non-finite entries counted in the flat parameter vector.
     pub nonfinite_params: Option<u64>,
-    /// Latest tier-2 shadow-audit max relative error.
-    pub audit_rel_err: Option<f64>,
 }
 
 /// One detector firing.
@@ -301,8 +223,6 @@ pub struct HealthStatus {
     pub update_ratio: Option<f64>,
     /// Non-finite parameter entries counted this iteration.
     pub nonfinite_params: Option<u64>,
-    /// Latest shadow-audit max relative error.
-    pub audit_rel_err: Option<f64>,
     /// Findings that fired this iteration (exactly-once semantics).
     pub findings: Vec<HealthFinding>,
 }
@@ -316,7 +236,7 @@ impl HealthStatus {
             concat!(
                 "{{\"status\": \"{}\", \"nonfinite\": {}, \"grad_norm\": {}, ",
                 "\"weight_norm\": {}, \"update_ratio\": {}, \"nonfinite_params\": {}, ",
-                "\"audit_rel_err\": {}, \"findings\": [{}]}}"
+                "\"findings\": [{}]}}"
             ),
             self.status.name(),
             self.nonfinite,
@@ -324,7 +244,6 @@ impl HealthStatus {
             fmt_opt(self.weight_norm),
             fmt_opt(self.update_ratio),
             self.nonfinite_params.map_or("null".to_string(), |c| c.to_string()),
-            fmt_opt(self.audit_rel_err),
             findings.join(", "),
         )
     }
@@ -407,8 +326,6 @@ pub struct HealthConfig {
     pub reward_frac: f64,
     /// Throughput regression: EWMA below this fraction of its peak.
     pub tput_frac: f64,
-    /// Shadow-audit tolerance (relative error), from `MSRL_AUDIT_BOUND`.
-    pub audit_bound: f64,
 }
 
 impl Default for HealthConfig {
@@ -422,10 +339,6 @@ impl Default for HealthConfig {
             grad_margin: 12.0,
             reward_frac: 0.6,
             tput_frac: 0.25,
-            audit_bound: std::env::var("MSRL_AUDIT_BOUND")
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .unwrap_or(5e-2),
         }
     }
 }
@@ -546,7 +459,6 @@ pub struct HealthMonitor {
     reward_regression: Detector,
     tput_regression: Detector,
     staleness_breach: Detector,
-    audit_drift: Detector,
     findings: Vec<HealthFinding>,
 }
 
@@ -571,7 +483,6 @@ impl HealthMonitor {
             reward_regression: Detector::new("reward_regression", Severity::Warn, c, r),
             tput_regression: Detector::new("tput_regression", Severity::Warn, c, r),
             staleness_breach: Detector::new("staleness_breach", Severity::Critical, 1, r),
-            audit_drift: Detector::new("audit_drift", Severity::Critical, 1, r),
             findings: Vec::new(),
             cfg,
         }
@@ -702,19 +613,6 @@ impl HealthMonitor {
             &mut new,
         );
 
-        let drift = s.audit_rel_err.unwrap_or(0.0);
-        self.audit_drift.observe(
-            s.audit_rel_err.is_some_and(|e| !e.is_finite() || e > self.cfg.audit_bound),
-            it,
-            || {
-                format!(
-                    "shadow-audit rel error {drift:.3e} over bound {:.3e}",
-                    self.cfg.audit_bound
-                )
-            },
-            &mut new,
-        );
-
         self.findings.extend(new.iter().cloned());
 
         let mut status = Severity::Ok;
@@ -725,7 +623,6 @@ impl HealthMonitor {
             &self.reward_regression,
             &self.tput_regression,
             &self.staleness_breach,
-            &self.audit_drift,
         ] {
             if d.hyst.active() {
                 status = status.max(d.severity);
@@ -739,7 +636,6 @@ impl HealthMonitor {
             weight_norm: s.weight_norm,
             update_ratio: s.update_ratio,
             nonfinite_params: s.nonfinite_params,
-            audit_rel_err: s.audit_rel_err,
             findings: new,
         }
     }
@@ -820,7 +716,6 @@ pub fn replay_stream(content: &str) -> Result<HealthVerdict, String> {
             sample.weight_norm = hopt("weight_norm");
             sample.update_ratio = hopt("update_ratio");
             sample.nonfinite_params = hopt("nonfinite_params").map(|c| c as u64);
-            sample.audit_rel_err = hopt("audit_rel_err");
             // The stream renders NaN/Inf as null; the recorded flag is
             // the only trace of the poison, so it re-poisons the sample.
             if matches!(health.field("nonfinite"), Ok(Value::Bool(true)))
@@ -872,7 +767,6 @@ fn leak_detector_name(name: &str) -> &'static str {
         "reward_regression",
         "tput_regression",
         "staleness_breach",
-        "audit_drift",
     ] {
         if name == known {
             return known;
@@ -989,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_explosion_and_audit_drift() {
+    fn grad_explosion_is_a_warning_fired_once() {
         let mut m = HealthMonitor::default();
         for i in 0..8 {
             m.observe(&healthy(i));
@@ -1003,12 +897,6 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].detector, "grad_explosion");
         assert_eq!(fired[0].severity, Severity::Warn, "finite spike is a warning, not critical");
-        let mut s = healthy(20);
-        s.audit_rel_err = Some(1.0);
-        let st = m.observe(&s);
-        assert_eq!(st.findings.len(), 1);
-        assert_eq!(st.findings[0].detector, "audit_drift");
-        assert_eq!(st.findings[0].severity, Severity::Critical);
     }
 
     #[test]
@@ -1065,20 +953,5 @@ mod tests {
         }
         let verdict = replay_stream(&lines).expect("replay parses");
         assert_eq!(verdict.status, Severity::Ok, "{}", verdict.render());
-    }
-
-    #[test]
-    fn rel_err_and_audit_gates() {
-        assert_eq!(max_rel_err(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert!(max_rel_err(&[1.1], &[1.0]) > 0.09);
-        assert_eq!(max_rel_err(&[1.0], &[1.0, 2.0]), f64::INFINITY);
-        assert_eq!(max_rel_err(&[f32::NAN], &[1.0]), f64::INFINITY);
-        set_audit_every(3);
-        assert_eq!(audit_every(), 3);
-        set_audit_every(0);
-        assert!(!take_audit_request());
-        request_audit();
-        assert!(take_audit_request(), "first taker wins");
-        assert!(!take_audit_request(), "request is consumed");
     }
 }

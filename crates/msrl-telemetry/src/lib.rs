@@ -83,8 +83,7 @@ pub use attribution::{
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
 pub use health::{
-    audit_every, health_enabled, max_rel_err, record_audit, replay_stream, request_audit,
-    set_audit_every, set_health_enabled, set_last_verdict, take_audit_request, HealthConfig,
+    health_enabled, replay_stream, set_health_enabled, set_last_verdict, HealthConfig,
     HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Severity,
 };
 pub use histogram::{

@@ -537,7 +537,7 @@ fn validate_health(v: &serde_json::Value, n: usize) -> Result<(), String> {
     if !matches!(health.field("nonfinite"), Ok(Value::Bool(_))) {
         return Err(format!("line {n}: health missing bool field \"nonfinite\""));
     }
-    for key in ["grad_norm", "weight_norm", "update_ratio", "audit_rel_err"] {
+    for key in ["grad_norm", "weight_norm", "update_ratio"] {
         match health.field(key) {
             Ok(Value::Null | Value::I64(_) | Value::U64(_) | Value::F64(_)) => {}
             other => return Err(format!("line {n}: bad health field {key:?}: {other:?}")),

@@ -1,12 +1,13 @@
-//! Opt-in fast-math transcendental kernels — kernel tier 2.
+//! The transcendental kernels: polynomial `exp`/`tanh`/`sigmoid` and
+//! the row softmax built on them — the crate's only spelling of those
+//! functions, evaluated 8 or 16 lanes at a time.
 //!
-//! Everything else in this crate is bit-identical to the naive
-//! reference kernels by construction; that contract caps softmax and
-//! tanh-heavy forwards because scalar libm `exp`/`tanh` dominate their
-//! cost and have no bit-identical vector form. This module is the
-//! explicitly *opt-in* escape hatch (`MSRL_TIER=2`, see
-//! [`crate::par::ExecCtx::fastmath`]): polynomial `exp`/`tanh`/`sigmoid`
-//! evaluated 8 or 16 lanes at a time.
+//! Scalar libm `exp`/`tanh` have no bit-identical vector form and
+//! dominated tanh-heavy forwards and every softmax, so [`crate::ops`],
+//! the fused epilogues and the `msrl-core` chain executor all call this
+//! module; libm survives only as the tolerance oracle in
+//! [`crate::reference`] and in the `ln`-based log-prob arithmetic
+//! (`ops::log_softmax_rows`, `dist`), which has no polynomial here.
 //!
 //! # Accuracy contract
 //!
@@ -20,25 +21,30 @@
 //!
 //! # Determinism contract
 //!
-//! Fast-math is *not* bit-identical to the default tier — that is the
-//! point — but it **is** deterministic and ISA-independent: the
-//! AVX-512, AVX2 and portable paths execute the exact scalar operation sequence
+//! The kernels are deterministic and ISA-independent: the AVX-512, AVX2
+//! and portable paths execute the exact scalar operation sequence
 //! (separate multiply and add, never an FMA; `floor`; truncating
 //! int-cast), so every lane rounds identically to the scalar reference
-//! and a tier-2 run reproduces bit-for-bit on any x86-64 host. Row
-//! reductions (the softmax max and sum) use a 16-lane tree fixed by
-//! [`RLANES`], not by the register width, so their combination order —
-//! and therefore their bits — are identical on every dispatch level
-//! too. Tests pin vector == scalar equality; only the *fast vs libm*
-//! gap needs a tolerance.
+//! and a run reproduces bit-for-bit on any x86-64 host. Row reductions
+//! (the softmax max and sum) use a 16-lane tree fixed by [`RLANES`],
+//! not by the register width, so their combination order — and
+//! therefore their bits — are identical on every dispatch level too.
+//! Tests pin vector == scalar equality; only the gap to libm needs a
+//! tolerance.
 //!
 //! # Edge cases
 //!
-//! Inputs are clamped with SSE `min`/`max` semantics (`if a < b`
-//! comparisons, NaN compares false), so a NaN input saturates to the
-//! clamp bound instead of propagating — acceptable for an opt-in tier
-//! whose e2e gates would catch NaN-producing runs anyway. `fast_exp`
-//! never overflows to infinity: the clamp keeps `2^z` finite.
+//! NaN in ⇒ NaN out. The range clamp is written `min(HI, x)` /
+//! `max(LO, x)` with SSE operand order — `minps`/`maxps` and the scalar
+//! `if a < b { a } else { b }` all return their *second* operand when
+//! either is NaN — so a NaN input survives the clamp, poisons the
+//! polynomial and comes back NaN from `exp`, `tanh` and `sigmoid` on
+//! every dispatch level (payload bits may differ between levels: the
+//! vector and scalar float→int casts disagree on NaN; compare with
+//! `is_nan`). A softmax row holding a NaN logit therefore comes back
+//! all-NaN through its sum. `±∞` saturate like any out-of-range finite
+//! input: `fast_exp` never overflows to infinity (the clamp keeps `2^z`
+//! finite) and flushes to exactly `0.0` below `2⁻¹²⁷`.
 
 use crate::kernels::{self, MatKernel};
 
@@ -68,8 +74,9 @@ const P4: f32 = 1.666_666_5e-1_f32;
 #[allow(clippy::excessive_precision)] // Cephes coefficient, digits kept verbatim
 const P5: f32 = 5.000_000_2e-1_f32;
 
-/// SSE `minps` semantics: `if a < b { a } else { b }` — NaN in `a`
-/// selects `b`, so a NaN input saturates to the clamp bound.
+/// SSE `minps` semantics: `if a < b { a } else { b }` — a NaN on
+/// either side selects `b`, so callers that must propagate NaN pass the
+/// data as `b`.
 #[inline]
 fn ss_min(a: f32, b: f32) -> f32 {
     if a < b {
@@ -92,11 +99,12 @@ fn ss_max(a: f32, b: f32) -> f32 {
 /// Polynomial `eˣ`, the scalar reference every vector lane replays.
 ///
 /// Saturates (finite) at the clamp bounds instead of overflowing to
-/// `inf` / underflowing below `2⁻¹²⁷` (which flushes to exactly `0.0`).
+/// `inf` / underflowing below `2⁻¹²⁷` (which flushes to exactly `0.0`);
+/// NaN propagates (data is the clamp's second operand).
 #[inline]
 pub fn fast_exp(x: f32) -> f32 {
-    let x = ss_min(x, EXP_HI);
-    let x = ss_max(x, EXP_LO);
+    let x = ss_min(EXP_HI, x);
+    let x = ss_max(EXP_LO, x);
     // x = z*ln2 + r with z integer-valued: z = floor(x*log2(e) + 0.5).
     let z = (x * LOG2EF + 0.5).floor();
     // Two-constant Madsen split of ln2 keeps r exact to ~1e-11.
@@ -173,7 +181,7 @@ pub fn apply_slice(u: Unary, data: &mut [f32]) {
     apply_portable(u, data);
 }
 
-/// Virtual lane count of the tier-2 row-reduction tree. Fixed at 16 on
+/// Virtual lane count of the row-reduction tree. Fixed at 16 on
 /// every dispatch level so the max/sum combination order — and
 /// therefore the result bits — are ISA-independent: AVX-512 holds the
 /// 16 lanes in one zmm register, AVX2 in two ymm registers, and the
@@ -214,7 +222,7 @@ fn lane_fold(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32 + Copy) -> f32 
     fold_tail_and_tree(&mut acc, &row[blocks * RLANES..], f)
 }
 
-/// Portable reference of the tier-2 softmax row: 16-lane tree max,
+/// Portable reference of the softmax row: 16-lane tree max,
 /// `fast_exp(x − max)`, 16-lane tree sum, scale by the reciprocal.
 fn softmax_row_portable(row: &mut [f32]) {
     let max = lane_fold(row, f32::NEG_INFINITY, ss_max);
@@ -228,14 +236,15 @@ fn softmax_row_portable(row: &mut [f32]) {
     }
 }
 
-/// Tier-2 softmax row: tree max, fused vector `fast_exp(x − max)`,
-/// tree sum, vector scale — dispatched AVX-512 → AVX2 → portable, all
-/// three bitwise-identical because the reduction tree is fixed at
-/// [`RLANES`] lanes on every level and the exp pass is elementwise.
+/// Softmax of one row in place: tree max, fused vector
+/// `fast_exp(x − max)`, tree sum, vector scale — dispatched AVX-512 →
+/// AVX2 → portable, all three bitwise-identical because the reduction
+/// tree is fixed at [`RLANES`] lanes on every level and the exp pass is
+/// elementwise.
 ///
-/// Not bit-identical to the default softmax: both the exponentials
-/// (polynomial vs libm) and the reduction order (lane tree vs serial)
-/// differ — tolerance-gated like the rest of tier 2.
+/// Against the libm spelling in [`crate::reference::softmax_rows`] both
+/// the exponentials (polynomial vs libm) and the reduction order (lane
+/// tree vs serial) differ — a tolerance, not bit equality.
 pub fn softmax_row_fast_inplace(row: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -256,9 +265,8 @@ pub fn softmax_row_fast_inplace(row: &mut [f32]) {
     softmax_row_portable(row);
 }
 
-/// Tier-2 companion to [`kernels::softmax_rows_tiered`]: copies rows
-/// `offset/n ..` of the row-major source into `out` and applies
-/// [`softmax_row_fast_inplace`] to each row.
+/// Copies rows `offset/n ..` of the row-major source into `out` and
+/// applies [`softmax_row_fast_inplace`] to each row.
 pub fn softmax_rows_fast(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
     if out.is_empty() || n == 0 {
         return;
@@ -301,8 +309,8 @@ mod x86 {
     /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
     #[target_feature(enable = "avx2")]
     pub unsafe fn vexp256(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
-        let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
+        let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
+        let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
         let z = _mm256_floor_ps(_mm256_add_ps(
             _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
             _mm256_set1_ps(0.5),
@@ -389,8 +397,8 @@ mod x86 {
     /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
     #[target_feature(enable = "avx512f")]
     pub unsafe fn vexp512(x: __m512) -> __m512 {
-        let x = _mm512_min_ps(x, _mm512_set1_ps(EXP_HI));
-        let x = _mm512_max_ps(x, _mm512_set1_ps(EXP_LO));
+        let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
+        let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
         let z = _mm512_roundscale_ps::<FLOOR>(_mm512_add_ps(
             _mm512_mul_ps(x, _mm512_set1_ps(LOG2EF)),
             _mm512_set1_ps(0.5),
@@ -624,7 +632,8 @@ mod tests {
         assert_eq!(fast_exp(0.0), 1.0);
         assert_eq!(fast_exp(-1000.0), 0.0);
         assert!(fast_exp(1000.0).is_finite());
-        assert!(fast_exp(f32::NAN).is_finite(), "NaN saturates to the clamp bound");
+        assert!(fast_exp(f32::INFINITY).is_finite());
+        assert_eq!(fast_exp(f32::NEG_INFINITY), 0.0);
         assert_eq!(fast_tanh(0.0).to_bits(), 0.0f32.to_bits());
         assert_eq!(fast_tanh(-0.0).to_bits(), (-0.0f32).to_bits());
         assert_eq!(fast_tanh(50.0), 1.0);
@@ -652,18 +661,98 @@ mod tests {
         }
     }
 
+    type Slice = fn(Unary, &mut [f32]);
+    type Row = fn(&mut [f32]);
+
+    /// Every slice and softmax-row body this host can run: the
+    /// dispatched one, plus the bodies the dispatcher passes over here
+    /// (portable always, ymm on an AVX-512 host).
+    fn bodies() -> Vec<(&'static str, Slice, Row)> {
+        let mut bodies: Vec<(&'static str, Slice, Row)> = vec![
+            ("dispatched", apply_slice, softmax_row_fast_inplace),
+            ("portable", apply_portable, softmax_row_portable),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push((
+                "avx2",
+                // SAFETY: avx2 was just detected.
+                |u, d| unsafe { x86::apply_avx2(u, d) },
+                |r| unsafe { x86::softmax_row_avx2(r) },
+            ));
+        }
+        bodies
+    }
+
+    #[test]
+    fn nan_propagates_and_edge_inputs_agree_on_every_dispatch_level() {
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            88.4,
+            -88.4,
+            0.75,
+            -3.5,
+        ];
+        for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
+            assert!(apply_scalar(u, f32::NAN).is_nan(), "{u:?}(NaN) must be NaN");
+            for len in [1usize, 7, 8, 15, 16, 17, 33] {
+                // Rotate the edge list so each value visits vector lanes
+                // and the scalar tail across the lengths.
+                let input: Vec<f32> = (0..len).map(|i| edges[(i + len) % edges.len()]).collect();
+                let scalar: Vec<f32> = input.iter().map(|&v| apply_scalar(u, v)).collect();
+                for (name, slice, _) in bodies() {
+                    let mut got = input.clone();
+                    slice(u, &mut got);
+                    for (i, (g, s)) in got.iter().zip(&scalar).enumerate() {
+                        assert_eq!(
+                            g.is_nan(),
+                            input[i].is_nan(),
+                            "{u:?} {name} len {len} lane {i}"
+                        );
+                        assert!(
+                            g.is_nan() || g.to_bits() == s.to_bits(),
+                            "{u:?} {name} len {len} lane {i}: {g} vs {s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_logit_poisons_its_whole_softmax_row() {
+        for n in [1usize, 5, 16, 23, 37] {
+            for pos in [0, n / 2, n - 1] {
+                for (name, _, row_softmax) in bodies() {
+                    let mut row: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 4.0).collect();
+                    row[pos] = f32::NAN;
+                    row_softmax(&mut row);
+                    assert!(row.iter().all(|v| v.is_nan()), "{name} n={n} pos={pos}: {row:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn softmax_row_dispatch_matches_portable_reference_bitwise() {
         // Lengths exercising: tail-only (< 16), exact blocks, a ymm-wide
         // tail, sub-8 scalar edges, and multi-block rows.
         for n in [5usize, 16, 23, 37, 64, 130] {
             let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 7.0 - 1.5).collect();
-            let mut dispatched = input.clone();
-            softmax_row_fast_inplace(&mut dispatched);
             let mut portable = input.clone();
             softmax_row_portable(&mut portable);
-            for (i, (d, s)) in dispatched.iter().zip(&portable).enumerate() {
-                assert_eq!(d.to_bits(), s.to_bits(), "n={n} lane {i}: {d} vs {s}");
+            for (name, _, row_softmax) in bodies() {
+                let mut got = input.clone();
+                row_softmax(&mut got);
+                for (i, (d, s)) in got.iter().zip(&portable).enumerate() {
+                    assert_eq!(d.to_bits(), s.to_bits(), "{name} n={n} lane {i}: {d} vs {s}");
+                }
             }
         }
     }
@@ -671,8 +760,7 @@ mod tests {
     #[test]
     fn softmax_row_fast_is_normalized_and_close_to_exact() {
         let mut row: Vec<f32> = (0..23).map(|i| (i as f32 * 0.77).sin() * 6.0).collect();
-        let mut exact = row.clone();
-        crate::ops::softmax_row_inplace(&mut exact);
+        let exact = crate::reference::softmax_rows(&row, row.len());
         softmax_row_fast_inplace(&mut row);
         let sum: f32 = row.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "sum={sum}");

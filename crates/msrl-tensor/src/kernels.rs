@@ -513,45 +513,6 @@ pub fn reduce_groups(
     reduce_groups_portable(ad, group0, out, mid, inner, op, scale);
 }
 
-/// Vectorized-across-rows softmax: copies rows `offset/n ..` of the
-/// row-major source into `out` and applies the exact
-/// [`crate::ops::softmax_row_inplace`] arithmetic to each row.
-///
-/// The per-row *max* fold runs with lanes across a block of rows (one
-/// stride-`n` gather per ascending column), and the final scale pass is
-/// a contiguous vector multiply by the row's reciprocal sum; the
-/// exponentiate-and-accumulate middle pass stays scalar per element —
-/// `f32::exp` is a libm call with no bit-identical vector form, and the
-/// running sum is a serial chain whose order the contract fixes. Every
-/// row therefore replays the scalar helper's exact sequence, so results
-/// are bit-identical to [`crate::reference::softmax_rows`].
-pub fn softmax_rows_tiered(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
-    if out.is_empty() || n == 0 {
-        return;
-    }
-    out.copy_from_slice(&ad[offset..offset + out.len()]);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if n.saturating_mul(16) <= i32::MAX as usize {
-            match select() {
-                // SAFETY: as in `reduce_rows`.
-                MatKernel::Avx512 => unsafe {
-                    x86::softmax_rows_avx512(out, n);
-                    return;
-                },
-                MatKernel::Avx2 => unsafe {
-                    x86::softmax_rows_avx2(out, n);
-                    return;
-                },
-                MatKernel::Portable => {}
-            }
-        }
-    }
-    for row in out.chunks_mut(n) {
-        crate::ops::softmax_row_inplace(row);
-    }
-}
-
 /// Portable row-reduction kernel: a block of row accumulators advanced
 /// together per `m` step — plain arrays the compiler can pipeline, each
 /// row still folding in ascending order.
@@ -1550,111 +1511,6 @@ mod x86 {
             *slot = acc;
         }
     }
-
-    /// Softmax over rows already copied into `out`: per-row max with zmm
-    /// lanes across 16 rows (stride-`n` gathers), the exact scalar
-    /// exp-and-sum sequence per row, then a vectorized scale by `1/sum`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn softmax_rows_avx512(out: &mut [f32], n: usize) {
-        const L: usize = 16;
-        let rows = out.len() / n;
-        let step = _mm512_mullo_epi32(
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            _mm512_set1_epi32(n as i32),
-        );
-        let mut r0 = 0;
-        while r0 + L <= rows {
-            let base = out.as_ptr().add(r0 * n);
-            let mut acc = _mm512_set1_ps(f32::NEG_INFINITY);
-            for j in 0..n {
-                let v = _mm512_i32gather_ps::<4>(step, base.add(j));
-                acc = max_step_avx512(acc, v);
-            }
-            let mut maxs = [0.0f32; L];
-            _mm512_storeu_ps(maxs.as_mut_ptr(), acc);
-            for (l, &max) in maxs.iter().enumerate() {
-                let row = &mut out[(r0 + l) * n..(r0 + l + 1) * n];
-                // Exactly `softmax_row_inplace`'s middle pass: libm exp
-                // and a serial ascending-index running sum.
-                let mut sum = 0.0f32;
-                for o in row.iter_mut() {
-                    let e = (*o - max).exp();
-                    sum += e;
-                    *o = e;
-                }
-                let inv = 1.0 / sum;
-                let iv = _mm512_set1_ps(inv);
-                let rp = row.as_mut_ptr();
-                let mut j = 0;
-                while j + L <= n {
-                    _mm512_storeu_ps(rp.add(j), _mm512_mul_ps(_mm512_loadu_ps(rp.add(j)), iv));
-                    j += L;
-                }
-                for o in row[j..].iter_mut() {
-                    *o *= inv;
-                }
-            }
-            r0 += L;
-        }
-        for row in out[r0 * n..].chunks_mut(n) {
-            crate::ops::softmax_row_inplace(row);
-        }
-    }
-
-    /// Softmax over rows already copied into `out`, ymm lanes across 8
-    /// rows.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn softmax_rows_avx2(out: &mut [f32], n: usize) {
-        const L: usize = 8;
-        let rows = out.len() / n;
-        let step = _mm256_mullo_epi32(
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            _mm256_set1_epi32(n as i32),
-        );
-        let mut r0 = 0;
-        while r0 + L <= rows {
-            let base = out.as_ptr().add(r0 * n);
-            let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-            for j in 0..n {
-                let v = _mm256_i32gather_ps::<4>(base.add(j), step);
-                acc = max_step_avx2(acc, v);
-            }
-            let mut maxs = [0.0f32; L];
-            _mm256_storeu_ps(maxs.as_mut_ptr(), acc);
-            for (l, &max) in maxs.iter().enumerate() {
-                let row = &mut out[(r0 + l) * n..(r0 + l + 1) * n];
-                let mut sum = 0.0f32;
-                for o in row.iter_mut() {
-                    let e = (*o - max).exp();
-                    sum += e;
-                    *o = e;
-                }
-                let inv = 1.0 / sum;
-                let iv = _mm256_set1_ps(inv);
-                let rp = row.as_mut_ptr();
-                let mut j = 0;
-                while j + L <= n {
-                    _mm256_storeu_ps(rp.add(j), _mm256_mul_ps(_mm256_loadu_ps(rp.add(j)), iv));
-                    j += L;
-                }
-                for o in row[j..].iter_mut() {
-                    *o *= inv;
-                }
-            }
-            r0 += L;
-        }
-        for row in out[r0 * n..].chunks_mut(n) {
-            crate::ops::softmax_row_inplace(row);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1962,25 +1818,6 @@ mod tests {
             let gexpect = naive_reduce(&a, 1, mid, rows, RedOp::Max, None);
             assert_bits_eq(&gout, &gexpect, "NaN/∞ max groups");
         }
-    }
-
-    #[test]
-    fn softmax_rows_tiered_matches_scalar_helper_bitwise() {
-        for &(rows, n) in &[(1, 1), (17, 8), (33, 5), (16, 16), (40, 3), (2, 21)] {
-            let a = vals(rows * n, 41);
-            let mut out = vec![f32::NAN; rows * n];
-            softmax_rows_tiered(&a, 0, &mut out, n);
-            let expect = crate::reference::softmax_rows(&a, n);
-            assert_bits_eq(&out, &expect, &format!("softmax ({rows},{n})"));
-        }
-        // Offset selects a row range like a threaded chunk would.
-        let (rows, n) = (21, 6);
-        let a = vals(rows * n, 42);
-        let mut full = vec![0.0f32; rows * n];
-        softmax_rows_tiered(&a, 0, &mut full, n);
-        let mut part = vec![0.0f32; (rows - 3) * n];
-        softmax_rows_tiered(&a, 3 * n, &mut part, n);
-        assert_eq!(&full[3 * n..], &part[..]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! MindSpore operators.
 
 use crate::error::TensorError;
+use crate::fastmath::{self, Unary};
 use crate::kernels;
 use crate::par::{self, ExecCtx};
 use crate::shape::{BroadcastPlan, Shape};
@@ -121,11 +122,6 @@ pub fn zip_inplace(
 /// Applies `f` element-wise to a single tensor (chunk-parallel under the
 /// threaded backend).
 pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    map_in(ExecCtx::current(), a, f)
-}
-
-/// [`map`] under a context the caller already read.
-fn map_in(ctx: ExecCtx, a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_zeroed(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
@@ -133,7 +129,7 @@ fn map_in(ctx: ExecCtx, a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
             *slot = f(ad[offset + i]);
         }
     };
-    if ctx.should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
+    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
@@ -190,26 +186,17 @@ pub fn neg(a: &Tensor) -> Tensor {
     map(a, |x| -x)
 }
 
-/// A transcendental with a [`crate::fastmath`] twin: `exact` through
-/// [`map`], or under the fast-math tier the polynomial `fast` with the
-/// same chunk partitioning (the kernels are element-wise and
+/// A [`crate::fastmath`] transcendental over every element, with
+/// [`map`]'s chunk partitioning (the kernels are element-wise and
 /// ISA-deterministic, so chunk boundaries cannot perturb results).
-fn map_transcendental(
-    a: &Tensor,
-    fast: crate::fastmath::Unary,
-    exact: impl Fn(f32) -> f32 + Sync,
-) -> Tensor {
-    let ctx = ExecCtx::current();
-    if !ctx.fastmath {
-        return map_in(ctx, a, exact);
-    }
+fn map_transcendental(a: &Tensor, u: Unary) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_zeroed(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
         chunk.copy_from_slice(&ad[offset..offset + chunk.len()]);
-        crate::fastmath::apply_slice(fast, chunk);
+        fastmath::apply_slice(u, chunk);
     };
-    if ctx.should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
+    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks(&mut data, fill);
     } else {
         fill(0, &mut data);
@@ -217,9 +204,9 @@ fn map_transcendental(
     Tensor::from_vec(data, a.shape()).expect("map preserves shape")
 }
 
-/// Element-wise exponential (vectorized polynomial under `MSRL_TIER=2`).
+/// Element-wise exponential ([`crate::fastmath::fast_exp`]).
 pub fn exp(a: &Tensor) -> Tensor {
-    map_transcendental(a, crate::fastmath::Unary::Exp, f32::exp)
+    map_transcendental(a, Unary::Exp)
 }
 
 /// Element-wise natural logarithm.
@@ -240,16 +227,14 @@ pub fn relu(a: &Tensor) -> Tensor {
     map(a, |x| x.max(0.0))
 }
 
-/// Element-wise hyperbolic tangent (vectorized polynomial under
-/// `MSRL_TIER=2`).
+/// Element-wise hyperbolic tangent ([`crate::fastmath::fast_tanh`]).
 pub fn tanh(a: &Tensor) -> Tensor {
-    map_transcendental(a, crate::fastmath::Unary::Tanh, f32::tanh)
+    map_transcendental(a, Unary::Tanh)
 }
 
-/// Element-wise logistic sigmoid (vectorized polynomial under
-/// `MSRL_TIER=2`).
+/// Element-wise logistic sigmoid ([`crate::fastmath::fast_sigmoid`]).
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    map_transcendental(a, crate::fastmath::Unary::Sigmoid, |x| 1.0 / (1.0 + (-x).exp()))
+    map_transcendental(a, Unary::Sigmoid)
 }
 
 /// Element-wise square.
@@ -455,9 +440,10 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Activation selector for the fused linear kernel.
 ///
-/// Each variant applies the *same scalar expression* as the matching
-/// element-wise op ([`relu`], [`tanh`], [`sigmoid`], identity), which is
-/// what keeps [`linear_act`] bit-identical to the unfused
+/// Each variant applies the *same scalar function* as the matching
+/// element-wise op ([`relu`], [`tanh`], [`sigmoid`], identity) — the
+/// [`crate::fastmath`] scalars are bitwise-equal to their slice kernels
+/// — which is what keeps [`linear_act`] bit-identical to the unfused
 /// matmul → bias-add → activation chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Act {
@@ -477,42 +463,41 @@ impl Act {
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Act::Relu => v.max(0.0),
-            Act::Tanh => v.tanh(),
-            Act::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Act::Tanh => fastmath::fast_tanh(v),
+            Act::Sigmoid => fastmath::fast_sigmoid(v),
             Act::Linear => v,
         }
     }
 }
 
 /// Bias + activation epilogue over a row-aligned output chunk, shared
-/// by [`linear_act`] and [`linear_act_prepacked`]. Under the fast-math
-/// tier (`fm`), Tanh/Sigmoid run the vectorized [`crate::fastmath`]
-/// kernels over the whole chunk after a plain bias pass; every other
-/// combination replays the exact per-element `act(v + b[j])` sequence
-/// of the separate operators (bit-identical contract).
-fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act, fm: bool) {
+/// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid run the
+/// vectorized [`crate::fastmath`] kernels over the whole chunk after a
+/// plain bias pass; Relu/Linear apply `act(v + b[j])` per element.
+/// Either way each element sees the exact sequence of the separate
+/// operators (bit-identical contract).
+fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
     if n == 0 {
         return;
     }
-    let fast = match (fm, act) {
-        (true, Act::Tanh) => Some(crate::fastmath::Unary::Tanh),
-        (true, Act::Sigmoid) => Some(crate::fastmath::Unary::Sigmoid),
-        _ => None,
-    };
-    if let Some(u) = fast {
-        for row in chunk.chunks_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(bd) {
-                *o += bv;
+    let u = match act {
+        Act::Tanh => Unary::Tanh,
+        Act::Sigmoid => Unary::Sigmoid,
+        Act::Relu | Act::Linear => {
+            for row in chunk.chunks_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(bd) {
+                    *o = act.apply(*o + bv);
+                }
             }
+            return;
         }
-        crate::fastmath::apply_slice(u, chunk);
-        return;
-    }
+    };
     for row in chunk.chunks_mut(n) {
         for (o, &bv) in row.iter_mut().zip(bd) {
-            *o = act.apply(*o + bv);
+            *o += bv;
         }
     }
+    fastmath::apply_slice(u, chunk);
 }
 
 /// Fused linear layer: `act(x·w + b)` for `x: [m, k]`, `w: [k, n]`,
@@ -559,15 +544,13 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
-    let ctx = ExecCtx::current();
-    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
-        act_epilogue(chunk, bd, n, act, fm);
+        act_epilogue(chunk, bd, n, act);
     };
     // Same parallel guard and row-aligned partitioning as matmul, so the
     // fused and unfused paths agree chunk-for-chunk on both backends.
-    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -611,13 +594,11 @@ pub fn linear_act_prepacked(
     let mut out = crate::alloc::take_zeroed(m * n);
     let xd = x.data();
     let bd = b.data();
-    let ctx = ExecCtx::current();
-    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         crate::kernels::matmul_packed_rows(xd, offset / n.max(1), chunk, k, n, wp);
-        act_epilogue(chunk, bd, n, act, fm);
+        act_epilogue(chunk, bd, n, act);
     };
-    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -631,9 +612,9 @@ pub fn linear_act_prepacked(
 /// The linear part reuses the exact [`linear_act`] accumulation and
 /// bias epilogue (with identity activation); each finished row then
 /// runs the exact [`softmax_rows`] row arithmetic in place via the
-/// shared [`softmax_row_inplace`] helper, so the fusion is bit-identical
-/// to the separate `matmul → add → softmax_rows` chain on both
-/// backends.
+/// shared [`fastmath::softmax_row_fast_inplace`] kernel, so the fusion is
+/// bit-identical to the separate `matmul → add → softmax_rows` chain on
+/// both backends.
 ///
 /// # Errors
 ///
@@ -674,8 +655,6 @@ pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
     let xd = x.data();
     let wd = w.data();
     let bd = b.data();
-    let ctx = ExecCtx::current();
-    let fm = ctx.fastmath;
     let fill = |offset: usize, chunk: &mut [f32]| {
         crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
         if n > 0 {
@@ -683,15 +662,11 @@ pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
                 for (o, &bv) in row.iter_mut().zip(bd) {
                     *o += bv;
                 }
-                if fm {
-                    crate::fastmath::softmax_row_fast_inplace(row);
-                } else {
-                    softmax_row_inplace(row);
-                }
+                fastmath::softmax_row_fast_inplace(row);
             }
         }
     };
-    if ctx.should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
@@ -862,12 +837,10 @@ pub fn argmax_rows(a: &Tensor) -> Result<Tensor> {
 
 /// Numerically-stable softmax along the last axis of a rank-2 tensor.
 ///
-/// One chunked traversal per row — max, exp-and-sum into the output,
-/// then scale by the reciprocal — instead of the former
-/// `exp(log_softmax)` pipeline's three full-tensor passes plus an
-/// intermediate allocation (the 0.97× threaded regression in the
-/// ROADMAP table). Rows are independent and split whole across workers,
-/// so both backends are bit-exact.
+/// One chunked traversal per row ([`fastmath::softmax_row_fast_inplace`]:
+/// lane-tree max, vectorized polynomial `exp`, lane-tree sum, scale by
+/// the reciprocal). Rows are independent and split whole across
+/// workers, so both backends are bit-exact.
 ///
 /// # Errors
 ///
@@ -886,44 +859,13 @@ pub fn softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    let ctx = ExecCtx::current();
-    let fm = ctx.fastmath;
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        if fm {
-            // Opt-in tier 2: vectorized polynomial exp replaces the
-            // scalar libm middle pass (tolerance-gated, not bitwise).
-            crate::fastmath::softmax_rows_fast(ad, offset, chunk, n);
-        } else {
-            // Vectorized-across-rows kernel replaying the per-row
-            // arithmetic of [`softmax_row_inplace`].
-            kernels::softmax_rows_tiered(ad, offset, chunk, n);
-        }
-    };
-    if n > 0 && m > 1 && ctx.should_parallelize(m * n, par::PAR_MIN_ELEMS) {
+    let fill = |offset: usize, chunk: &mut [f32]| fastmath::softmax_rows_fast(ad, offset, chunk, n);
+    if n > 0 && m > 1 && par::should_parallelize(m * n, par::PAR_MIN_ELEMS) {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {
         fill(0, &mut out);
     }
     Tensor::from_vec(out, &[m, n])
-}
-
-/// The exact [`softmax_rows`] per-row arithmetic, applied in place: max
-/// fold, exponentiate-and-sum in ascending order, then scale by the
-/// reciprocal. Shared by [`softmax_rows`] and the fused
-/// [`linear_softmax`] epilogue so the two stay bit-identical by
-/// construction.
-pub fn softmax_row_inplace(row: &mut [f32]) {
-    let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| kernels::max_fold(acc, v));
-    let mut sum = 0.0f32;
-    for o in row.iter_mut() {
-        let e = (*o - max).exp();
-        sum += e;
-        *o = e;
-    }
-    let inv = 1.0 / sum;
-    for o in row.iter_mut() {
-        *o *= inv;
-    }
 }
 
 /// Numerically-stable log-softmax along the last axis of a rank-2 tensor.
@@ -1217,6 +1159,41 @@ mod tests {
             assert!((row_sum - 1.0).abs() < 1e-4, "row {i} sums to {row_sum}");
         }
         assert!(s.all_finite(), "softmax must be stable for large logits");
+    }
+
+    #[test]
+    fn softmax_rows_matches_libm_reference_within_tolerance() {
+        // Shapes covering: one element, sub-lane rows, exact 16-lane
+        // blocks, and rows with a vector tail.
+        for &(rows, n) in &[(1, 1), (17, 8), (33, 5), (16, 16), (40, 3), (2, 21)] {
+            let a: Vec<f32> = (0..rows * n)
+                .map(|i| (((i * 2654435761 + 41) % 1000) as f32) / 500.0 - 1.0)
+                .collect();
+            let got = softmax_rows(&t(&a, &[rows, n])).unwrap();
+            let expect = crate::reference::softmax_rows(&a, n);
+            for (g, e) in got.data().iter().zip(&expect) {
+                assert!((g - e).abs() <= 1e-5, "softmax ({rows},{n}): {g} vs {e}");
+            }
+            for row in got.data().chunks(n) {
+                assert!((row.iter().sum::<f32>() - 1.0).abs() <= 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_logit_poisons_its_whole_softmax_row_and_no_other() {
+        let mut logits: Vec<f32> = (0..3 * 20).map(|i| (i as f32 * 0.31).sin()).collect();
+        logits[20 + 7] = f32::NAN;
+        let direct = softmax_rows(&t(&logits, &[3, 20])).unwrap();
+        for (r, row) in direct.data().chunks(20).enumerate() {
+            assert_eq!(row.iter().all(|v| v.is_nan()), r == 1, "row {r}: {row:?}");
+            assert_eq!(row.iter().any(|v| v.is_nan()), r == 1, "row {r}: {row:?}");
+        }
+        // Fused head: a NaN bias entry is exactly one NaN logit per row.
+        let x = t(&logits[..20], &[4, 5]);
+        let w = t(&logits[40..], &[5, 4]);
+        let fused = linear_softmax(&x, &w, &t(&[0.1, f32::NAN, 0.2, 0.3], &[4])).unwrap();
+        assert!(fused.data().iter().all(|v| v.is_nan()), "{fused:?}");
     }
 
     #[test]

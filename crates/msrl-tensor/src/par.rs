@@ -1,23 +1,22 @@
 //! The execution context and the scoped-thread fan-out helpers.
 //!
 //! How a kernel executes — which backend, how many intra-op workers,
-//! where the serial cut-off sits, whether the fast-math polynomials and
-//! the fused kernels are on — is one `Copy` value, [`ExecCtx`], chosen
-//! outside the code that computes:
+//! where the serial cut-off sits, whether the fused kernels are on — is
+//! one `Copy` value, [`ExecCtx`], chosen outside the code that
+//! computes:
 //!
 //! * The **process default** is parsed once, strictly, from
-//!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`),
+//!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`) and
 //!   `MSRL_THREADS` (a positive integer, default the host's available
-//!   parallelism) and `MSRL_TIER` (`1` | `2`, default `1`) by
-//!   [`ExecCtx::from_env`]. A value outside those sets is a
-//!   [`ConfigError`] naming the variable, never a silent fallback.
+//!   parallelism) by [`ExecCtx::from_env`]. A value outside those sets
+//!   is a [`ConfigError`] naming the variable, never a silent fallback.
 //! * An **override** is scoped to the calling thread:
 //!   [`ExecCtx::scope`] installs a context in a thread-local for the
 //!   duration of a closure and a drop guard restores the previous one,
 //!   also on unwind. No other thread observes it, so concurrent tests
 //!   and concurrent fragments cannot steer each other's numerics.
-//!   [`with_backend`], [`with_threads`], [`with_par_min`],
-//!   [`with_fusion`] and [`with_fastmath`] are one-field spellings.
+//!   [`with_backend`], [`with_threads`], [`with_par_min`] and
+//!   [`with_fusion`] are one-field spellings.
 //! * A context is **inherited** at exactly two seams: the fan-out
 //!   helpers below ([`fill_chunks`], [`fill_chunks_aligned`],
 //!   [`map_ranges`]) hand the caller's context to every worker they
@@ -109,11 +108,6 @@ pub struct ExecCtx {
     /// ([`PAR_MIN_ELEMS`], [`PAR_MIN_FLOPS`], …) when set; tests set it
     /// to 1 so tiny inputs still exercise the multi-chunk paths.
     pub par_min: Option<usize>,
-    /// Opt-in fast-math tier (`MSRL_TIER=2`): the deterministic
-    /// polynomial `exp`/`tanh`/`sigmoid` of [`crate::fastmath`] replace
-    /// libm where a kernel has one. Tolerance-gated, not bit-identical
-    /// to the default.
-    pub fastmath: bool,
     /// Fused `MatMul+bias+activation` kernels in [`crate::nn`] and the
     /// `msrl-core` graph compiler's fusion passes. Bit-identical to the
     /// unfused operators, which stay reachable through
@@ -135,8 +129,8 @@ impl ExecCtx {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for `MSRL_BACKEND` outside
-    /// `scalar|threaded`, `MSRL_THREADS` that is not a positive integer,
-    /// or `MSRL_TIER` outside `1|2`.
+    /// `scalar|threaded` or `MSRL_THREADS` that is not a positive
+    /// integer.
     pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<ExecCtx, ConfigError> {
         let backend = parse_var(&lookup, "MSRL_BACKEND", "scalar|threaded", |v| match v {
             "scalar" => Some(Backend::Scalar),
@@ -146,18 +140,12 @@ impl ExecCtx {
         let threads = parse_var(&lookup, "MSRL_THREADS", "a positive integer", |v| {
             v.parse::<usize>().ok().filter(|&n| n > 0)
         })?;
-        let fastmath = parse_var(&lookup, "MSRL_TIER", "1|2", |v| match v {
-            "1" => Some(false),
-            "2" => Some(true),
-            _ => None,
-        })?;
         Ok(ExecCtx {
             backend: backend.unwrap_or(Backend::Threaded),
             threads: threads.unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             }),
             par_min: None,
-            fastmath: fastmath.unwrap_or(false),
             fusion: true,
         })
     }
@@ -228,12 +216,6 @@ pub fn fusion_enabled() -> bool {
     ExecCtx::current().fusion
 }
 
-/// Whether the opt-in fast-math tier is on for the calling thread (see
-/// [`ExecCtx::fastmath`]).
-pub fn fastmath_enabled() -> bool {
-    ExecCtx::current().fastmath
-}
-
 /// Always `true`: the packed, register-tiled and gathered kernels are
 /// the only execution path. Kept only until the frozen `benchmark/`
 /// crate, which still asks, is re-pointed.
@@ -265,12 +247,6 @@ pub fn with_par_min<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// Runs `f` with fusion forced to `fusion` on the calling thread.
 pub fn with_fusion<T>(fusion: bool, f: impl FnOnce() -> T) -> T {
     ExecCtx { fusion, ..ExecCtx::current() }.scope(f)
-}
-
-/// Runs `f` with the fast-math tier forced to `fastmath` on the calling
-/// thread.
-pub fn with_fastmath<T>(fastmath: bool, f: impl FnOnce() -> T) -> T {
-    ExecCtx { fastmath, ..ExecCtx::current() }.scope(f)
 }
 
 /// Elements below which threaded kernels stay serial: thread spawn and
@@ -374,15 +350,10 @@ mod tests {
     fn scopes_nest_and_restore_also_on_unwind() {
         let outer = ExecCtx::current();
         let inner = with_backend(Backend::Scalar, || {
-            with_fusion(false, || with_fastmath(true, || with_threads(7, ExecCtx::current)))
+            with_fusion(false, || with_par_min(5, || with_threads(7, ExecCtx::current)))
         });
-        let expect = ExecCtx {
-            backend: Backend::Scalar,
-            fusion: false,
-            fastmath: true,
-            threads: 7,
-            ..outer
-        };
+        let expect =
+            ExecCtx { backend: Backend::Scalar, fusion: false, par_min: Some(5), threads: 7 };
         assert_eq!(inner, expect);
         assert_eq!(ExecCtx::current(), outer);
         let unwound = std::panic::catch_unwind(|| with_threads(9, || panic!("boom")));
@@ -407,19 +378,14 @@ mod tests {
 
     #[test]
     fn fan_out_workers_inherit_the_callers_context_and_siblings_do_not() {
-        let ctx = ExecCtx {
-            backend: Backend::Threaded,
-            threads: 4,
-            par_min: Some(1),
-            fastmath: true,
-            fusion: false,
-        };
+        let ctx =
+            ExecCtx { backend: Backend::Threaded, threads: 4, par_min: Some(1), fusion: false };
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             // A sibling thread inside its own, different scope while the
             // fan-outs below run: neither side sees the other's.
             let sibling = s.spawn(|| {
-                let mine = ExecCtx { threads: 2, fastmath: false, ..ctx };
+                let mine = ExecCtx { threads: 2, fusion: true, ..ctx };
                 mine.scope(|| {
                     barrier.wait();
                     let seen = map_ranges(2, |_| ExecCtx::current());

@@ -69,13 +69,25 @@ pub fn reduce(
     out
 }
 
-/// Row softmax of `a: [rows, n]`, one
-/// [`crate::ops::softmax_row_inplace`] per row.
+/// Row softmax of `a: [rows, n]` spelled with libm `exp` and serial
+/// ascending-index folds — the tolerance oracle for
+/// [`crate::ops::softmax_rows`], whose polynomial `exp` and lane-tree
+/// reductions agree with it to rounding, not bitwise.
 pub fn softmax_rows(ad: &[f32], n: usize) -> Vec<f32> {
     let mut out = ad.to_vec();
     if n > 0 {
         for row in out.chunks_mut(n) {
-            crate::ops::softmax_row_inplace(row);
+            let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| max_fold(acc, v));
+            let mut sum = 0.0f32;
+            for o in row.iter_mut() {
+                let e = (*o - max).exp();
+                sum += e;
+                *o = e;
+            }
+            let inv = 1.0 / sum;
+            for o in row.iter_mut() {
+                *o *= inv;
+            }
         }
     }
     out

@@ -20,33 +20,6 @@ fn dist(actors: usize, seed: u64) -> DistPpoConfig {
     }
 }
 
-/// The tier-2 shadow audit re-runs one actor forward with fast-math off
-/// while its three peers are mid-forward with fast-math on. The override
-/// is the auditing thread's alone, so an audited run is the unaudited
-/// run, bit for bit (DESIGN §3.15).
-#[test]
-fn audited_fastmath_run_is_bit_identical_to_unaudited() {
-    msrl_telemetry::set_health_enabled(true);
-    let cfg = DistPpoConfig { iterations: 12, ..dist(4, 31) };
-    let run = |audit_every: u64| {
-        msrl_telemetry::set_audit_every(audit_every);
-        par::with_fastmath(true, || {
-            run_dp_a(|a, i| CartPole::new((a * 5 + i) as u64), &cfg).expect("dp_a runs")
-        })
-    };
-    let plain = run(0);
-    let audits_before = msrl_telemetry::counter_total("health.audits");
-    let audited = run(1);
-    msrl_telemetry::set_audit_every(0);
-    assert!(
-        msrl_telemetry::counter_total("health.audits") > audits_before,
-        "the audited run must actually audit"
-    );
-    assert_eq!(plain.final_params, audited.final_params, "weights must match bitwise");
-    assert_eq!(plain.iteration_rewards, audited.iteration_rewards);
-    assert_eq!(plain.losses, audited.losses);
-}
-
 /// Two drivers at once, each under its own `with_backend`/`with_threads`
 /// scope: every actor fragment sees the context of the thread that
 /// called *its* driver (inheritance through `spawn_fragment`), never the
