@@ -4,24 +4,47 @@
 //! When MSRL executes a fragmented dataflow graph for real, each fragment
 //! replica runs on its own thread ("device") and synchronises with the
 //! collectives named by the partition annotations. [`Fabric::new`] builds
-//! a fully-connected group of [`Endpoint`]s over FIFO channels; each
-//! endpoint then offers `send`/`recv`, `all_gather`, `all_reduce_mean`,
+//! a fully-connected group of [`Endpoint`]s, each owning one inbox that
+//! every peer pushes into (FIFO per sender); each endpoint then offers
+//! `send`/`recv`, `all_gather`, `all_reduce_mean`,
 //! `broadcast` and `barrier` with the same blocking semantics as the MPI
 //! operations they stand in for — plus the asynchronous surface the
 //! distribution policies use to *overlap* communication with computation:
 //!
 //! * [`Endpoint::isend`] / [`Endpoint::irecv`] — handle-based
 //!   non-blocking point-to-point ops. An [`PendingRecv`] is polled
-//!   ([`PendingRecv::poll`]) or waited ([`PendingRecv::wait`]); the wait
-//!   parks on the channel's condvar, so a blocked fragment costs no CPU.
+//!   ([`PendingRecv::poll`]) or waited ([`PendingRecv::wait`]).
 //! * [`Endpoint::all_reduce_mean_concat`] — a fused collective: extra
 //!   payload segments (e.g. episode returns) ride the gradient
 //!   all-reduce in a single barrier instead of paying a second one.
 //! * [`Endpoint::all_reduce_mean_chunked`] — splits large payloads so
 //!   reduction of chunk *k* overlaps the transfer of chunk *k+1*.
 //! * [`Endpoint::recv_any`] — completion-order receive across several
-//!   peers, for arrival-order learners (A3C, parameter servers) that
-//!   previously spin-polled.
+//!   peers, for arrival-order learners (A3C, parameter servers).
+//!
+//! # The hand-off
+//!
+//! Every blocking receive — `recv`, [`PendingRecv::wait`], the
+//! collectives, `recv_any` — goes through one wait primitive. It first
+//! polls the inbox's per-sender `queued` atomics with `spin_loop()` for
+//! at most [`SPIN_BUDGET`], then parks on the inbox's condvar. A sender
+//! pushes under the inbox lock and notifies only when a receiver is
+//! parked on its queue, so a rendezvous where either side arrives within
+//! the budget of the other — a per-step obs/action exchange, a ping-pong
+//! — costs no system call on either side, while a long wait (an actor
+//! behind a learn pass) costs one bounded spin and then no CPU at all.
+//!
+//! The budget is a constant because its right value is a property of
+//! the host, not of a workload: spinning pays off exactly while it is
+//! cheaper than the futex sleep plus cross-core wake it replaces (tens
+//! of microseconds on a virtualised host), and that is what 50 µs is.
+//! What it can burn is bounded per wait, not per message: one budget,
+//! once, before the park; a receiver woken from the park re-checks under
+//! the lock and parks again without spinning. And only a group that fits
+//! the host spins at all: with more endpoints (one thread each) than
+//! cores, the sender a receiver waits for is as likely descheduled as
+//! running and the spin takes the core it needs, so such a group parks
+//! straight away — a one-core host being the plainest case.
 //!
 //! An optional injected latency per message reproduces the `tc`-based
 //! latency experiments of the paper (Fig. 7d) in real mode. The latency
@@ -42,12 +65,13 @@
 //! always-on `comm.*` histogram, so reports carry per-collective and
 //! blocked-recv p50/p99 even without tracing.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::{unbounded, Receiver, Sender};
 
 /// Errors from transport operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,6 +143,181 @@ fn count_recv(payload: &[f32]) {
         .add(payload.len() as u64 * std::mem::size_of::<f32>() as u64);
 }
 
+/// How long a blocking receive polls before it parks: of the order of
+/// one futex sleep plus cross-core wake, the cost a successful spin
+/// saves (see the module docs, "The hand-off"). A constant, not a knob.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Cores this process may run on. Resolved once: `available_parallelism`
+/// reads the affinity mask and cgroup files.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The lock-protected half of an [`Inbox`].
+struct Queues {
+    /// `from[j]`: messages sent by rank `j`, oldest first.
+    from: Vec<VecDeque<Message>>,
+    /// `parked[j]`: receivers asleep on the condvar that a push (or the
+    /// departure) of rank `j` must wake.
+    parked: Vec<usize>,
+}
+
+/// One endpoint's receive side. Every peer holds a handle and pushes
+/// into its own queue; the owning endpoint and the [`PendingRecv`]s it
+/// hands out claim from it.
+///
+/// Hand-off state machine of a blocking claim: *spin* (if `spin`;
+/// lock-free, on `queued`/`gone`, at most [`SPIN_BUDGET`]) → *check*
+/// (under the lock: pop a head, or report a departed sender) → *park*
+/// (`parked[j] += 1` and `Condvar::wait`, which releases the lock
+/// atomically) → *check* again on every wake. A sender or a dropping endpoint changes the
+/// queues and reads `parked` in one critical section, so either the
+/// receiver's check sees the change or the sender sees the receiver
+/// parked and notifies: no wake-up can fall between the two.
+struct Inbox {
+    queues: Mutex<Queues>,
+    ready: Condvar,
+    /// `queued[j]` mirrors `queues.from[j].len()`, written under the lock
+    /// and read without it by a spinning receiver.
+    queued: Vec<AtomicUsize>,
+    /// `gone[j]`: rank `j`'s endpoint has been dropped. `gone[owner]`
+    /// closes the inbox itself, which is what senders check.
+    gone: Vec<AtomicBool>,
+    /// Whether a receiver polls before it parks: only while every
+    /// endpoint of the group (one thread each) can have a core of its
+    /// own. With more endpoints than cores the sender a receiver waits
+    /// for is as likely descheduled as running, and the spin takes the
+    /// core it needs.
+    spin: bool,
+}
+
+impl Inbox {
+    fn new(size: usize) -> Self {
+        Inbox {
+            queues: Mutex::new(Queues {
+                from: (0..size).map(|_| VecDeque::new()).collect(),
+                parked: vec![0; size],
+            }),
+            ready: Condvar::new(),
+            queued: (0..size).map(|_| AtomicUsize::new(0)).collect(),
+            gone: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            spin: size <= cores(),
+        }
+    }
+
+    /// Every critical section is a push, a pop or a counter update that
+    /// cannot unwind half-way, so the queues are valid even if a holder
+    /// panicked — and `Drop for Endpoint` must not panic on poison.
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `change` on the queues on behalf of rank `by` and wakes the
+    /// receivers parked on that rank, if any — the one place the
+    /// "change and read `parked` under one lock" rule lives.
+    fn update(&self, by: usize, change: impl FnOnce(&mut Queues)) {
+        let mut q = self.lock();
+        change(&mut q);
+        let wake = q.parked[by] > 0;
+        drop(q);
+        if wake {
+            // All of them: two receivers parked on one rank (an endpoint
+            // and a `PendingRecv` moved elsewhere) share the condvar.
+            self.ready.notify_all();
+        }
+    }
+
+    fn push(&self, by: usize, msg: Message) {
+        self.update(by, |q| {
+            q.from[by].push_back(msg);
+            self.queued[by].store(q.from[by].len(), Ordering::Release);
+        });
+    }
+
+    /// Marks rank `by` as departed.
+    fn close(&self, by: usize) {
+        self.update(by, |_| self.gone[by].store(true, Ordering::Release));
+    }
+
+    fn is_gone(&self, rank: usize) -> bool {
+        self.gone[rank].load(Ordering::Acquire)
+    }
+
+    /// The first rank of `from` whose head message has cleared its
+    /// delivery deadline or, failing that, the rank whose head lands
+    /// soonest.
+    fn pick(q: &Queues, from: &[usize]) -> Option<usize> {
+        let mut soonest: Option<(Instant, usize)> = None;
+        for &f in from {
+            let Some(head) = q.from[f].front() else { continue };
+            let Some(at) = head.deliver_at.filter(|&at| at > Instant::now()) else {
+                return Some(f);
+            };
+            if soonest.is_none_or(|(s, _)| at < s) {
+                soonest = Some((at, f));
+            }
+        }
+        soonest.map(|(_, f)| f)
+    }
+
+    fn pop(&self, q: &mut Queues, f: usize) -> Message {
+        let msg = q.from[f].pop_front().expect("picked rank has a head message");
+        self.queued[f].store(q.from[f].len(), Ordering::Release);
+        msg
+    }
+
+    /// Non-blocking claim from `from`: `Ok(None)` when nothing is queued
+    /// or the head message is still in simulated flight (it stays at the
+    /// head of its queue).
+    fn try_claim(&self, from: usize) -> Result<Option<Message>, CommError> {
+        let mut q = self.lock();
+        match q.from[from].front().map(delivered) {
+            Some(true) => Ok(Some(self.pop(&mut q, from))),
+            Some(false) => Ok(None),
+            None if self.is_gone(from) => Err(CommError::Disconnected),
+            None => Ok(None),
+        }
+    }
+
+    /// Blocking claim — the one wait primitive. Returns the next message
+    /// of the first rank in `from` that has one, spinning for at most
+    /// [`SPIN_BUDGET`] and then parking until one arrives; the residual
+    /// simulated latency is slept out after the dequeue, holding no lock.
+    /// `Disconnected` once nothing is queued and a rank of `from` is gone.
+    fn claim(&self, from: &[usize]) -> Result<(usize, Message), CommError> {
+        let stirred =
+            || from.iter().any(|&f| self.queued[f].load(Ordering::Acquire) > 0 || self.is_gone(f));
+        if self.spin && !stirred() {
+            let start = Instant::now();
+            while !stirred() && start.elapsed() < SPIN_BUDGET {
+                std::hint::spin_loop();
+            }
+        }
+        let mut q = self.lock();
+        let f = loop {
+            if let Some(f) = Self::pick(&q, from) {
+                break f;
+            }
+            if from.iter().any(|&f| self.is_gone(f)) {
+                return Err(CommError::Disconnected);
+            }
+            for &f in from {
+                q.parked[f] += 1;
+            }
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            for &f in from {
+                q.parked[f] -= 1;
+            }
+        };
+        let msg = self.pop(&mut q, f);
+        drop(q);
+        wait_delivered(&msg);
+        Ok((f, msg))
+    }
+}
+
 /// A communication group factory.
 pub struct Fabric;
 
@@ -137,35 +336,17 @@ impl Fabric {
     /// emulating a slow network in real executions. The latency is paid
     /// by the *receiver* when it claims the message; senders never block.
     pub fn with_latency(n: usize, latency: Duration) -> Vec<Endpoint> {
-        let mut senders: Vec<Vec<Sender<Message>>> = vec![Vec::with_capacity(n); n];
-        let mut receivers: Vec<Vec<Receiver<Message>>> = (0..n).map(|_| Vec::new()).collect();
-        // receivers[i][j] carries messages j → i.
-        for i in 0..n {
-            for _j in 0..n {
-                let (tx, rx) = unbounded();
-                receivers[i].push(rx);
-                senders[i].push(tx);
-            }
-        }
-        // senders built so that senders_for_rank_j[i] sends j → i: we need
-        // for each endpoint j the list tx[j→i] for all i.
-        let mut out = Vec::with_capacity(n);
-        for j in 0..n {
-            let mut txs = Vec::with_capacity(n);
-            for receiver_senders in senders.iter() {
-                txs.push(receiver_senders[j].clone());
-            }
-            out.push(Endpoint {
-                rank: j,
+        let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new(n))).collect();
+        (0..n)
+            .map(|rank| Endpoint {
+                rank,
                 size: n,
-                txs,
-                rxs: std::mem::take(&mut receivers[j]),
-                stash: RefCell::new((0..n).map(|_| VecDeque::new()).collect()),
+                inboxes: inboxes.clone(),
                 latency,
                 next_tag: 1,
-            });
-        }
-        out
+                _not_sync: PhantomData,
+            })
+            .collect()
     }
 }
 
@@ -177,15 +358,23 @@ impl Fabric {
 pub struct Endpoint {
     rank: usize,
     size: usize,
-    /// `txs[i]` sends to rank `i`.
-    txs: Vec<Sender<Message>>,
-    /// `rxs[j]` receives from rank `j`.
-    rxs: Vec<Receiver<Message>>,
-    /// Messages pulled off a channel by `try_recv`/`recv_any` before
-    /// their simulated delivery deadline, kept FIFO per peer.
-    stash: RefCell<Vec<VecDeque<Message>>>,
+    /// `inboxes[i]` is rank `i`'s inbox; `inboxes[rank]` is this
+    /// endpoint's own.
+    inboxes: Vec<Arc<Inbox>>,
     latency: Duration,
     next_tag: u64,
+    _not_sync: PhantomData<Cell<()>>,
+}
+
+impl Drop for Endpoint {
+    /// Tells every inbox — the peers' and its own — that this rank is
+    /// gone, waking receivers parked on it so they report
+    /// [`CommError::Disconnected`] instead of sleeping forever.
+    fn drop(&mut self) {
+        for inbox in &self.inboxes {
+            inbox.close(self.rank);
+        }
+    }
 }
 
 impl Endpoint {
@@ -197,6 +386,10 @@ impl Endpoint {
     /// The group size.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    fn inbox(&self) -> &Inbox {
+        &self.inboxes[self.rank]
     }
 
     fn advance_tag(&mut self) -> u64 {
@@ -212,7 +405,7 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Sends a payload to `to`. Never blocks: channels are unbounded and
+    /// Sends a payload to `to`. Never blocks: inboxes are unbounded and
     /// simulated latency is paid by the receiver.
     ///
     /// # Errors
@@ -241,49 +434,13 @@ impl Endpoint {
         msrl_telemetry::static_counter!("comm.bytes_sent")
             .add(payload.len() as u64 * std::mem::size_of::<f32>() as u64);
         let deliver_at = (!self.latency.is_zero()).then(|| Instant::now() + self.latency);
-        let tx = self.txs.get(to).ok_or(CommError::UnknownRank { rank: to, size: self.size })?;
-        tx.send(Message { tag, deliver_at, payload }).map_err(|_| CommError::Disconnected)
-    }
-
-    /// Claims the next message from `from`: the stash first (FIFO), then
-    /// the channel (parking until one arrives), then sleeps out any
-    /// residual simulated latency — after the dequeue, holding no locks.
-    fn next_message(&self, from: usize) -> Result<Message, CommError> {
-        self.check_rank(from)?;
-        let stashed = self.stash.borrow_mut()[from].pop_front();
-        let msg = match stashed {
-            Some(m) => m,
-            None => self.rxs[from].recv().map_err(|_| CommError::Disconnected)?,
-        };
-        wait_delivered(&msg);
-        Ok(msg)
-    }
-
-    /// Non-blocking claim: `Ok(None)` when nothing is queued or the head
-    /// message is still in simulated flight (it is stashed, preserving
-    /// FIFO order).
-    fn try_next_message(&self, from: usize) -> Result<Option<Message>, CommError> {
-        self.check_rank(from)?;
-        let mut stash = self.stash.borrow_mut();
-        if let Some(front) = stash[from].front() {
-            if delivered(front) {
-                return Ok(Some(stash[from].pop_front().expect("front exists")));
-            }
-            return Ok(None);
+        let inbox =
+            self.inboxes.get(to).ok_or(CommError::UnknownRank { rank: to, size: self.size })?;
+        if inbox.is_gone(to) {
+            return Err(CommError::Disconnected);
         }
-        drop(stash);
-        match self.rxs[from].try_recv() {
-            Ok(msg) => {
-                if delivered(&msg) {
-                    Ok(Some(msg))
-                } else {
-                    self.stash.borrow_mut()[from].push_back(msg);
-                    Ok(None)
-                }
-            }
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Err(CommError::Disconnected),
-        }
+        inbox.push(self.rank, Message { tag, deliver_at, payload });
+        Ok(())
     }
 
     /// Blocks until a payload arrives from `from`.
@@ -299,7 +456,8 @@ impl Endpoint {
         let _span = msrl_telemetry::span!("comm.recv");
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
         let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
-        let msg = self.next_message(from)?;
+        self.check_rank(from)?;
+        let (_, msg) = self.inbox().claim(&[from])?;
         count_recv(&msg.payload);
         Ok((msg.tag, msg.payload))
     }
@@ -312,7 +470,8 @@ impl Endpoint {
     ///
     /// Returns an error for unknown ranks or if the peer is gone.
     pub fn try_recv(&self, from: usize) -> Result<Option<Vec<f32>>, CommError> {
-        match self.try_next_message(from)? {
+        self.check_rank(from)?;
+        match self.inbox().try_claim(from)? {
             Some(msg) => {
                 count_recv(&msg.payload);
                 Ok(Some(msg.payload))
@@ -323,33 +482,33 @@ impl Endpoint {
 
     /// Posts a non-blocking receive from `from`, mirroring MPI `Irecv`.
     ///
-    /// The returned handle claims messages lazily: the next message
-    /// dequeued from `from` through the handle, whether by
-    /// [`PendingRecv::poll`] or [`PendingRecv::wait`]. Posting several
-    /// receives from the same peer is supported as long as the handles
-    /// are waited in posting order (the drivers' usage); interleaving
-    /// `recv` calls with an outstanding handle on the same peer makes
-    /// message attribution depend on dequeue order.
+    /// The returned handle claims lazily: [`PendingRecv::wait`] takes the
+    /// message at the head of `from`'s queue at that moment. Posting
+    /// several receives from the same peer is supported as long as the
+    /// handles are waited in posting order (the drivers' usage);
+    /// interleaving `recv` calls with an outstanding handle on the same
+    /// peer makes message attribution depend on dequeue order.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown ranks.
     pub fn irecv(&self, from: usize) -> Result<PendingRecv, CommError> {
         self.check_rank(from)?;
-        let prefetched = self.stash.borrow_mut()[from].pop_front();
-        Ok(PendingRecv { from, rx: self.rxs[from].clone(), prefetched })
+        Ok(PendingRecv { from, inbox: Arc::clone(&self.inboxes[self.rank]) })
     }
 
     /// Blocks until a message arrives from *any* of the given peers and
     /// returns `(rank, payload)` in completion order — the arrival-order
-    /// receive that A3C learners and parameter servers want. Parks with
-    /// bounded backoff between polls instead of spinning, so a blocked
-    /// learner does not burn the CPU its workers need.
+    /// receive that A3C learners and parameter servers want. It waits
+    /// like every other receive: at most [`SPIN_BUDGET`] of polling, then
+    /// parked on the inbox's condvar until one of `from` pushes, so an
+    /// idle learner leaves the CPU to its workers. When several peers
+    /// have a message queued, the first in `from` order wins.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown ranks or when any polled peer is
-    /// gone.
+    /// Returns an error for unknown ranks, or when nothing is queued and
+    /// a polled peer is gone.
     pub fn recv_any(&self, from: &[usize]) -> Result<(usize, Vec<f32>), CommError> {
         let _span = msrl_telemetry::span!("comm.recv");
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
@@ -357,17 +516,30 @@ impl Endpoint {
         for &f in from {
             self.check_rank(f)?;
         }
-        let mut backoff = Duration::from_micros(20);
-        loop {
-            for &f in from {
-                if let Some(msg) = self.try_next_message(f)? {
-                    count_recv(&msg.payload);
-                    return Ok((f, msg.payload));
-                }
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(1));
+        let (f, msg) = self.inbox().claim(from)?;
+        count_recv(&msg.payload);
+        Ok((f, msg.payload))
+    }
+
+    /// Receives from `from` inside a collective, checking its tag.
+    fn recv_expecting(&self, from: usize, tag: u64) -> Result<Vec<f32>, CommError> {
+        let (t, p) = self.recv_tagged(from)?;
+        if t != tag {
+            return Err(CommError::TagMismatch { expected: tag, actual: t });
         }
+        Ok(p)
+    }
+
+    /// One message tagged `tag` from every peer, in rank order and indexed
+    /// by rank; this rank's own slot is left empty.
+    fn recv_from_peers(&self, tag: u64) -> Result<Vec<Vec<f32>>, CommError> {
+        let mut out: Vec<Vec<f32>> = vec![Vec::new(); self.size];
+        for (from, slot) in out.iter_mut().enumerate() {
+            if from != self.rank {
+                *slot = self.recv_expecting(from, tag)?;
+            }
+        }
+        Ok(out)
     }
 
     /// One tagged exchange round: every rank ships `payload` to every
@@ -381,18 +553,8 @@ impl Endpoint {
                 self.send_tagged(to, tag, payload.clone())?;
             }
         }
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); self.size];
-        for (from, slot) in out.iter_mut().enumerate() {
-            if from == self.rank {
-                *slot = payload.clone();
-            } else {
-                let (t, p) = self.recv_tagged(from)?;
-                if t != tag {
-                    return Err(CommError::TagMismatch { expected: tag, actual: t });
-                }
-                *slot = p;
-            }
-        }
+        let mut out = self.recv_from_peers(tag)?;
+        out[self.rank] = payload;
         Ok(out)
     }
 
@@ -422,7 +584,7 @@ impl Endpoint {
         let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         let len = payload.len();
         let parts = self.exchange_tagged(payload)?;
-        reduce_mean_parts(&parts, len, self.size)
+        reduce_mean_parts(parts.iter().map(Vec::as_slice), len, self.size)
     }
 
     /// Fused AllReduce+AllGather in one barrier: the `reduce` segment is
@@ -514,19 +676,11 @@ impl Endpoint {
         msrl_telemetry::static_counter!("comm.chunks").add(n_chunks as u64);
         let mut out = Vec::with_capacity(payload.len());
         for (k, piece) in payload.chunks(chunk).enumerate() {
-            let mut parts: Vec<Vec<f32>> = vec![Vec::new(); self.size];
-            for (from, slot) in parts.iter_mut().enumerate() {
-                if from == self.rank {
-                    *slot = piece.to_vec();
-                } else {
-                    let (t, p) = self.recv_tagged(from)?;
-                    if t != tags[k] {
-                        return Err(CommError::TagMismatch { expected: tags[k], actual: t });
-                    }
-                    *slot = p;
-                }
-            }
-            out.extend(reduce_mean_parts(&parts, piece.len(), self.size)?);
+            let peers = self.recv_from_peers(tags[k])?;
+            // This rank's contribution is read in place, in rank order.
+            let parts =
+                (0..self.size).map(|r| if r == self.rank { piece } else { peers[r].as_slice() });
+            out.extend(reduce_mean_parts(parts, piece.len(), self.size)?);
         }
         Ok(out)
     }
@@ -551,11 +705,7 @@ impl Endpoint {
             }
             Ok(payload)
         } else {
-            let (t, p) = self.recv_tagged(root)?;
-            if t != tag {
-                return Err(CommError::TagMismatch { expected: tag, actual: t });
-            }
-            Ok(p)
+            self.recv_expecting(root, tag)
         }
     }
 
@@ -576,7 +726,11 @@ impl Endpoint {
 /// rejecting ragged contributions — the single reduction kernel behind
 /// every AllReduce variant, so fused/chunked/unfused results agree
 /// bit-for-bit.
-fn reduce_mean_parts(parts: &[Vec<f32>], len: usize, size: usize) -> Result<Vec<f32>, CommError> {
+fn reduce_mean_parts<'a>(
+    parts: impl Iterator<Item = &'a [f32]>,
+    len: usize,
+    size: usize,
+) -> Result<Vec<f32>, CommError> {
     let mut acc = vec![0.0f32; len];
     for p in parts {
         if p.len() != len {
@@ -595,14 +749,13 @@ fn reduce_mean_parts(parts: &[Vec<f32>], len: usize, size: usize) -> Result<Vec<
 
 /// Handle for a posted non-blocking receive (see [`Endpoint::irecv`]).
 ///
-/// Owns its own channel handle, so it stays valid while the endpoint
+/// Holds the endpoint's inbox, so it stays valid while the endpoint
 /// keeps communicating; drop it to abandon the receive (the message, if
 /// any, is left for the endpoint to claim).
 #[must_use = "a posted receive must be polled or waited"]
 pub struct PendingRecv {
     from: usize,
-    rx: Receiver<Message>,
-    prefetched: Option<Message>,
+    inbox: Arc<Inbox>,
 }
 
 impl PendingRecv {
@@ -613,26 +766,24 @@ impl PendingRecv {
 
     /// Non-blocking completion check: true once a message has arrived
     /// *and* cleared its simulated delivery deadline — a subsequent
-    /// [`PendingRecv::wait`] returns without blocking.
+    /// [`PendingRecv::wait`] returns without blocking. The message stays
+    /// queued until then.
     ///
     /// # Errors
     ///
     /// Returns an error if the peer is gone before sending.
     pub fn poll(&mut self) -> Result<bool, CommError> {
-        if self.prefetched.is_none() {
-            match self.rx.try_recv() {
-                Ok(msg) => self.prefetched = Some(msg),
-                Err(crossbeam_channel::TryRecvError::Empty) => return Ok(false),
-                Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                    return Err(CommError::Disconnected)
-                }
-            }
+        let q = self.inbox.lock();
+        match q.from[self.from].front().map(delivered) {
+            Some(landed) => Ok(landed),
+            None if self.inbox.is_gone(self.from) => Err(CommError::Disconnected),
+            None => Ok(false),
         }
-        Ok(delivered(self.prefetched.as_ref().expect("just prefetched")))
     }
 
-    /// Completes the receive, parking (condvar inside the channel) until
-    /// the message arrives — never spinning — and sleeping out any
+    /// Completes the receive: polls for at most [`SPIN_BUDGET`] (a reply
+    /// that is about to land costs no system call), then parks on the
+    /// inbox's condvar until the message arrives, and sleeps out any
     /// residual simulated latency. Records only this *residual* blocked
     /// time as a `comm.recv` span: compute overlapped with the transfer
     /// does not show up as communication time.
@@ -640,15 +791,11 @@ impl PendingRecv {
     /// # Errors
     ///
     /// Returns an error if the peer disconnected before sending.
-    pub fn wait(mut self) -> Result<Vec<f32>, CommError> {
+    pub fn wait(self) -> Result<Vec<f32>, CommError> {
         let _span = msrl_telemetry::span!("comm.recv");
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
         let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
-        let msg = match self.prefetched.take() {
-            Some(m) => m,
-            None => self.rx.recv().map_err(|_| CommError::Disconnected)?,
-        };
-        wait_delivered(&msg);
+        let (_, msg) = self.inbox.claim(&[self.from])?;
         count_recv(&msg.payload);
         Ok(msg.payload)
     }
@@ -754,19 +901,170 @@ mod tests {
         assert_eq!(b.recv(0).unwrap(), vec![5.0]);
     }
 
+    /// CPU time this thread has consumed, where the kernel exposes it.
+    fn thread_cpu() -> Option<Duration> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        Some(Duration::from_nanos(stat.split_whitespace().next()?.parse().ok()?))
+    }
+
     #[test]
     fn recv_any_returns_in_completion_order() {
-        let mut eps = Fabric::new(3);
-        let c = eps.pop().unwrap();
+        use std::sync::mpsc;
+        let mut eps = Fabric::new(4);
+        let d = eps.pop().unwrap();
+        // Peers send when told to, so the completion order is the test's.
+        let (cues, peers): (Vec<_>, Vec<_>) = eps
+            .into_iter()
+            .map(|ep| {
+                let (cue, cued) = mpsc::channel::<f32>();
+                let peer = thread::spawn(move || {
+                    for v in cued {
+                        ep.send(3, vec![v]).unwrap();
+                    }
+                });
+                (cue, peer)
+            })
+            .unzip();
+        for (i, &rank) in [2usize, 0, 1, 1, 2].iter().enumerate() {
+            cues[rank].send(i as f32).unwrap();
+            assert_eq!(d.recv_any(&[0, 1, 2]).unwrap(), (rank, vec![i as f32]));
+        }
+        // An idle wait is asleep, not polling: 50 ms of it costs the
+        // spin budget and a wake-up, not 50 ms of CPU.
+        let idle = Duration::from_millis(50);
+        let (wall, cpu) = (Instant::now(), thread_cpu());
+        let waker = thread::spawn(move || {
+            thread::sleep(idle);
+            cues[1].send(9.0).unwrap();
+            cues
+        });
+        assert_eq!(d.recv_any(&[0, 1, 2]).unwrap(), (1, vec![9.0]));
+        assert!(wall.elapsed() >= idle);
+        if let (Some(before), Some(after)) = (cpu, thread_cpu()) {
+            let burnt = after - before;
+            assert!(burnt < Duration::from_millis(5), "idle recv_any burnt {burnt:?} of CPU");
+        }
+        drop(waker.join().unwrap());
+        for peer in peers {
+            peer.join().unwrap();
+        }
+    }
+
+    /// 100 k messages through one pair of endpoints, arranged so that the
+    /// receiver finds its message already queued (a burst sent before it
+    /// is released), is polling when the message lands (lock-step
+    /// ping-pong) and has parked (the sender pauses for several spin
+    /// budgets). Whichever way a message is handed off, order holds.
+    #[test]
+    fn handoff_keeps_fifo_order_across_queued_spun_and_parked_receives() {
+        use std::sync::{Arc, Barrier};
+        const ROUNDS: usize = 1_000;
+        const BURST: usize = 64;
+        const LOCKSTEP: usize = 35;
+        let mut eps = Fabric::new(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
-        b.send(2, vec![1.0]).unwrap();
-        let (rank1, p1) = c.recv_any(&[0, 1]).unwrap();
-        assert_eq!((rank1, p1), (1, vec![1.0]));
-        let h = thread::spawn(move || c.recv_any(&[0, 1]).unwrap());
-        thread::sleep(Duration::from_millis(10));
-        a.send(2, vec![2.0]).unwrap();
-        assert_eq!(h.join().unwrap(), (0, vec![2.0]));
+        let burst_sent = Arc::new(Barrier::new(2));
+        let echo = {
+            let burst_sent = Arc::clone(&burst_sent);
+            thread::spawn(move || {
+                let mut next = 0.0f32;
+                for _ in 0..ROUNDS {
+                    burst_sent.wait();
+                    for _ in 0..BURST + LOCKSTEP + 1 {
+                        assert_eq!(b.recv(0).unwrap(), vec![next]);
+                        b.send(0, vec![next]).unwrap();
+                        next += 1.0;
+                    }
+                }
+            })
+        };
+        let mut sent = 0.0f32;
+        let mut echoed = 0.0f32;
+        let mut expect_echo = |a: &Endpoint| {
+            assert_eq!(a.recv(1).unwrap(), vec![echoed]);
+            echoed += 1.0;
+        };
+        for _ in 0..ROUNDS {
+            for _ in 0..BURST {
+                a.send(1, vec![sent]).unwrap();
+                sent += 1.0;
+            }
+            burst_sent.wait();
+            for _ in 0..BURST {
+                expect_echo(&a);
+            }
+            for _ in 0..LOCKSTEP {
+                a.send(1, vec![sent]).unwrap();
+                sent += 1.0;
+                expect_echo(&a);
+            }
+            thread::sleep(4 * SPIN_BUDGET);
+            a.send(1, vec![sent]).unwrap();
+            sent += 1.0;
+            expect_echo(&a);
+        }
+        echo.join().unwrap();
+        assert_eq!(sent, (ROUNDS * (BURST + LOCKSTEP + 1)) as f32);
+    }
+
+    /// Four two-rank groups at once: each fits the host, so each spins,
+    /// and together they are eight threads on however few cores there
+    /// are — the oversubscription a group cannot see. The budget bounds
+    /// what a spinner whose peer is not running can waste per wait; if
+    /// it did not (a spinner holding its core until the scheduler takes
+    /// it away), 1 k barriers would take minutes, not the fraction of a
+    /// second they take.
+    #[test]
+    fn oversubscribed_barriers_do_not_convoy() {
+        let start = Instant::now();
+        let handles: Vec<_> = (0..4)
+            .flat_map(|_| Fabric::new(2))
+            .map(|mut ep| {
+                thread::spawn(move || {
+                    for _ in 0..1_000 {
+                        ep.barrier().unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(10), "4 × 1000 two-rank barriers took {took:?}");
+    }
+
+    /// An endpoint dropping while its peer is anywhere between "nothing
+    /// queued" and asleep must still wake it: every one of 10 k
+    /// drop-vs-recv races ends in `Disconnected`, none in a hang.
+    #[test]
+    fn endpoint_drop_never_strands_a_receiver() {
+        use std::sync::mpsc;
+        let (to_receiver, handed) = mpsc::channel::<Endpoint>();
+        let (report, outcomes) = mpsc::channel();
+        let receiver = thread::spawn(move || {
+            for ep in handed {
+                report.send(ep.recv(0)).unwrap();
+            }
+        });
+        for race in 0..10_000 {
+            let mut eps = Fabric::new(2);
+            to_receiver.send(eps.pop().unwrap()).unwrap();
+            // Sweep the drop across the receiver's spin, check and park.
+            let delay = SPIN_BUDGET * (race % 96) / 32;
+            let start = Instant::now();
+            while start.elapsed() < delay {
+                std::hint::spin_loop();
+            }
+            drop(eps);
+            let outcome = outcomes
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("race {race}: receiver slept through the disconnect"));
+            assert_eq!(outcome, Err(CommError::Disconnected));
+        }
+        drop(to_receiver);
+        receiver.join().unwrap();
     }
 
     #[test]

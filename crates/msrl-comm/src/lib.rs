@@ -10,9 +10,10 @@
 //! * [`topology`] — devices, nodes and cluster descriptions, including the
 //!   paper's two testbeds (Tab. 3);
 //! * [`fabric`] — a *real* in-process transport: one endpoint per fragment
-//!   replica, FIFO channels, and the collectives MSRL's partition
-//!   annotations name (`AllGather`, `AllReduce`, `Broadcast`, point-to-
-//!   point send/receive). Used when FDGs execute for real on threads.
+//!   replica, one inbox each (FIFO per sender), and the collectives
+//!   MSRL's partition annotations name (`AllGather`, `AllReduce`,
+//!   `Broadcast`, point-to-point send/receive). Used when FDGs execute
+//!   for real on threads.
 //! * [`model`] — α–β (latency–bandwidth) cost models for PCIe, NVLink,
 //!   10 GbE and 100 Gb InfiniBand links, and analytic collective cost
 //!   formulas. Used by the discrete-event simulator to price the same

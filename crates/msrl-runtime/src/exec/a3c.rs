@@ -113,10 +113,10 @@ where
         }
 
         // The learner applies gradients in whatever order they arrive.
-        // `recv_any` blocks (with bounded backoff, never a hot spin)
-        // until *some* worker's push lands, so stragglers are never
-        // waited on and an idle learner does not burn the CPU its
-        // workers need.
+        // `recv_any` waits until *some* worker's push lands, so
+        // stragglers are never waited on; past the fabric's 50 µs spin
+        // budget the wait is a condvar park, so an idle learner does not
+        // burn the CPU its workers need.
         let frag = enter_fragment("fragment.learner", p);
         let mut learner = A3cLearner::new(policy, &dist.a3c);
         let mut report = TrainingReport::default();

@@ -1,11 +1,13 @@
 //! DP-B (single learner, fine synchronisation).
 //!
 //! Actor fragments fuse with their environments on CPU devices and hold
-//! **no policy copy**: every step, an actor ships observations to the
-//! learner, which performs the (batched) inference, records the
-//! behaviour statistics, and returns actions — SEED-RL-style central
-//! inference. Training data therefore never needs a separate exchange,
-//! and no weights are ever broadcast; the price is a synchronisation per
+//! **no policy copy**: every step, the learner performs the (batched)
+//! inference on the actors' observations, records the behaviour
+//! statistics, and returns actions — SEED-RL-style central inference —
+//! and each actor answers with the step's `rewards ++ dones ++ next_obs`,
+//! whose `next_obs` are the observations the next step acts on. Training
+//! data therefore never needs a separate exchange, and no weights are
+//! ever broadcast; the price is a synchronisation (two messages) per
 //! step (Tab. 2's "fine" granularity).
 
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
@@ -66,16 +68,16 @@ where
                 for _ in 0..dist.iterations {
                     let _iter = msrl_telemetry::span!("phase.rollout");
                     let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Rollout);
-                    let mut obs = envs.reset();
+                    // Only the reset observations travel on their own:
+                    // from then on each step's feedback carries the
+                    // observations the next step acts on.
+                    ep.send(p, envs.reset().into_vec())?;
                     for _ in 0..dist.steps_per_iter {
-                        // Fine-grained exchange: obs up, actions down.
-                        // The reply receive is posted as soon as the obs
-                        // ship; the step itself is round-trip bound (the
-                        // env cannot advance without the actions), which
-                        // is exactly Tab. 2's "fine" granularity cost.
-                        ep.isend(p, obs.data().to_vec())?.wait();
-                        let pending = ep.irecv(p)?;
-                        let wire_actions = pending.wait()?;
+                        // Fine-grained exchange: feedback up, actions
+                        // down. The step is round-trip bound (the env
+                        // cannot advance without the actions), which is
+                        // exactly Tab. 2's "fine" granularity cost.
+                        let wire_actions = ep.recv(p)?;
                         let actions_t = if spec.is_discrete() {
                             Tensor::from_vec(wire_actions, &[envs_i])
                         } else {
@@ -90,7 +92,6 @@ where
                         fb.extend(step.dones.iter().map(|&d| if d { 1.0 } else { 0.0 }));
                         fb.extend_from_slice(step.obs.data());
                         ep.send(p, fb)?;
-                        obs = step.obs;
                     }
                     ep.send(p, envs.take_finished_returns())?;
                 }
@@ -109,19 +110,25 @@ where
                 (0..p).map(|_| TrajectoryBuffer::new()).collect();
             let rollout = msrl_telemetry::span!("phase.rollout");
             let rollout_attr = msrl_telemetry::step(msrl_telemetry::StepClass::Rollout);
+            // What each actor's next step acts on: its reset observations
+            // first, from then on the `next_obs` of its last feedback.
+            let mut per_actor_obs = Vec::with_capacity(p);
+            for rank in 0..p {
+                let wire = learner_ep.recv(rank)?;
+                per_actor_obs
+                    .push(Tensor::from_vec(wire, &[envs_i, obs_dim]).map_err(FdgError::Tensor)?);
+            }
             for _ in 0..dist.steps_per_iter {
-                // Gather observations from every actor, infer centrally.
-                let mut per_actor_obs = Vec::with_capacity(p);
-                for rank in 0..p {
-                    let wire = learner_ep.recv(rank)?;
-                    per_actor_obs.push(
-                        Tensor::from_vec(wire, &[envs_i, obs_dim]).map_err(FdgError::Tensor)?,
-                    );
-                }
-                let refs: Vec<&Tensor> = per_actor_obs.iter().collect();
-                let stacked = ops::concat(&refs, 0).map_err(FdgError::Tensor)?;
+                // Infer centrally on every actor's observations.
+                let stacked = if p == 1 {
+                    per_actor_obs.pop().expect("one actor, one observation block")
+                } else {
+                    let refs: Vec<&Tensor> = per_actor_obs.iter().collect();
+                    ops::concat(&refs, 0).map_err(FdgError::Tensor)?
+                };
+                per_actor_obs.clear();
                 let out = learner.policy.act(&stacked, &mut rng)?;
-                let values = out.values.clone().expect("PPO policy has a critic");
+                let values = out.values.expect("PPO policy has a critic");
                 // Scatter actions, then collect the env feedback.
                 let act_w = if spec.is_discrete() { 1 } else { spec.policy_width() };
                 for rank in 0..p {
@@ -129,6 +136,8 @@ where
                     let hi = lo + envs_i * act_w;
                     learner_ep.send(rank, out.actions.data()[lo..hi].to_vec())?;
                 }
+                let mut stacked_rows = [stacked, out.actions, out.log_probs, values]
+                    .map(|t| actor_rows(t, p, envs_i).into_iter());
                 for (rank, buffer) in buffers.iter_mut().enumerate() {
                     let fb = learner_ep.recv(rank)?;
                     let rewards = Tensor::from_vec(fb[..envs_i].to_vec(), &[envs_i])
@@ -137,23 +146,11 @@ where
                         fb[envs_i..2 * envs_i].iter().map(|&d| d > 0.5).collect();
                     let next_obs = Tensor::from_vec(fb[2 * envs_i..].to_vec(), &[envs_i, obs_dim])
                         .map_err(FdgError::Tensor)?;
-                    let row = |t: &Tensor| {
-                        let lo = rank * envs_i;
-                        let w = t.len() / (p * envs_i);
-                        Tensor::from_vec(
-                            t.data()[lo * w..(lo + envs_i) * w].to_vec(),
-                            &if w == 1 { vec![envs_i] } else { vec![envs_i, w] },
-                        )
-                        .expect("slice preserves width")
-                    };
+                    per_actor_obs.push(next_obs.clone());
+                    let [obs, actions, log_probs, values] =
+                        stacked_rows.each_mut().map(|rows| rows.next().expect("a block per actor"));
                     buffer.insert(step_batch(
-                        row(&stacked),
-                        row(&out.actions),
-                        rewards,
-                        next_obs,
-                        dones,
-                        row(&out.log_probs),
-                        row(&values),
+                        obs, actions, rewards, next_obs, dones, log_probs, values,
                     ));
                 }
             }
@@ -188,6 +185,19 @@ where
         report.final_params = learner.policy_params();
         Ok(report)
     })
+}
+
+/// Splits a tensor stacked over `p` actors into each actor's `envs_i`
+/// rows (`[envs_i]` when one column wide). A single actor's block is the
+/// tensor itself, moved.
+fn actor_rows(t: Tensor, p: usize, envs_i: usize) -> Vec<Tensor> {
+    let w = t.len() / (p * envs_i);
+    let dims: &[usize] = if w == 1 { &[envs_i] } else { &[envs_i, w] };
+    let block = |data: Vec<f32>| Tensor::from_vec(data, dims).expect("block keeps the width");
+    if p == 1 {
+        return vec![block(t.into_vec())];
+    }
+    t.data().chunks(envs_i * w).map(|rows| block(rows.to_vec())).collect()
 }
 
 #[cfg(test)]
