@@ -6,9 +6,11 @@
 //! dead hand the storage back with
 //! [`Tensor::recycle`](crate::Tensor::recycle) or [`give`], and subsequent
 //! operator outputs are served from the free list by [`take_zeroed`]
-//! instead of the allocator. The givers are the FDG interpreter's
-//! refcounted arena, the inference loops of [`crate::nn`], and the
-//! gradient tape ([`crate::autograd`]): a tape returns every value it
+//! instead of the allocator — or by [`take_for_overwrite`], which
+//! skips the fill, for the product kernels that overwrite every output
+//! element. The givers are the FDG interpreter's refcounted arena, the
+//! inference loops of [`crate::nn`], [`crate::ops`]' per-call weight
+//! packs, and the gradient tape ([`crate::autograd`]): a tape returns every value it
 //! alone owns when it drops, [`Gradients`](crate::autograd::Gradients)
 //! whatever nobody took, and the backward pass each interior gradient
 //! once it is consumed — so a learner's second epoch runs on the first
@@ -83,23 +85,40 @@ thread_local! {
 /// Returns a zero-filled buffer of exactly `len` elements, reusing a
 /// recycled buffer of the same length when one is pooled.
 pub fn take_zeroed(len: usize) -> Vec<f32> {
-    take_filled(len, 0.0)
+    take(len, Some(0.0))
 }
 
 /// As [`take_zeroed`], but every element is `value`.
 pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
+    take(len, Some(value))
+}
+
+/// As [`take_zeroed`], but a recycled buffer comes back as it was given:
+/// stale, initialised `f32`s. Only for the output of a kernel documented
+/// to overwrite every element — the memset is then a wasted pass over
+/// the buffer. Debug builds hand out NaN instead, so a kernel that skips
+/// an element fails the bitwise suites.
+pub fn take_for_overwrite(len: usize) -> Vec<f32> {
+    take(len, cfg!(debug_assertions).then_some(f32::NAN))
+}
+
+/// Pops a pooled buffer of `len` elements, filled with `fill` when
+/// given; a miss allocates one filled with `fill` or zeros.
+fn take(len: usize, fill: Option<f32>) -> Vec<f32> {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
         if let Some(mut buf) = pool.buckets.get_mut(&len).and_then(Vec::pop) {
             pool.stats.hits += 1;
             pool.stats.pooled_elems -= len;
             pool.hit_counter.add(1);
-            buf.fill(value);
+            if let Some(value) = fill {
+                buf.fill(value);
+            }
             buf
         } else {
             pool.stats.misses += 1;
             pool.miss_counter.add(1);
-            vec![value; len]
+            vec![fill.unwrap_or(0.0); len]
         }
     })
 }
@@ -164,6 +183,22 @@ mod tests {
         a.iter_mut().for_each(|v| *v = 7.0);
         give(a);
         assert!(take_zeroed(8).iter().all(|&v| v == 0.0));
+        clear();
+    }
+
+    #[test]
+    fn overwrite_buffers_skip_the_fill_only_in_release() {
+        clear();
+        give(vec![7.0; 8]);
+        let hit = take_for_overwrite(8);
+        assert_eq!((stats().hits, hit.len()), (1, 8));
+        let miss = take_for_overwrite(8);
+        assert_eq!(stats().misses, 1);
+        if cfg!(debug_assertions) {
+            assert!(hit.iter().chain(&miss).all(|v| v.is_nan()));
+        } else {
+            assert!(hit.iter().all(|&v| v == 7.0) && miss.iter().all(|&v| v == 0.0));
+        }
         clear();
     }
 

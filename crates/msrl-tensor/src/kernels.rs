@@ -21,10 +21,17 @@
 //! zero-skipping (IEEE requires `0 × NaN` and `0 × ∞` to contaminate
 //! the accumulator). Register tiling changes *which elements are in
 //! flight together*, not the per-element operation sequence, and
-//! packing changes where `b[kk][j]` is read from, not its value. The
-//! zero padding of a partial right-edge panel is never stored: edge
-//! columns take the scalar path below, so a padded lane can never leak
-//! a `0 × NaN` into real output.
+//! packing changes where `b[kk][j]` is read from, not its value.
+//!
+//! The partial right-edge panel rests on the same fact — lanes hold
+//! *different* output elements, never partial sums of one. It runs the
+//! full-panel accumulator loop over its zero padding, so a padded lane
+//! accumulates `a[i][kk] × 0`, which is NaN whenever `a` holds a NaN or
+//! an ∞. That value lives and dies in the padded lane's own
+//! accumulator: no real lane reads it, and the store writes only the
+//! `w` real lanes. A poisoned operand therefore reaches exactly the
+//! outputs the naive loop poisons, and nothing past the last real
+//! column of a row is touched.
 //!
 //! # Kernel families
 //!
@@ -39,20 +46,29 @@
 //! * **Portable** — 4×16 tiles in plain arrays; safe Rust that the
 //!   autovectorizer handles on any architecture.
 //!
-//! Row remainders (`m % MR`) and the partial right-edge panel run
+//! A right-edge panel narrow enough for one vector (`w ≤ 16` / `8`
+//! columns: every policy and value head) keeps one accumulator per row
+//! instead of the panel's two or four. Row remainders (`m % MR`) run
 //! through a shared scalar edge loop with the same per-element
 //! accumulation order.
+//!
+//! # `a × bᵀ` is a pack layout, not a kernel
+//!
+//! Input gradients are `g · wᵀ`. [`pack_bt`] fills the same panels
+//! straight from the rows of the `[n, k]` operand — panel element
+//! `(kk, c)` is `b[(j0 + c)·k + kk]`, no intermediate transpose — and
+//! the one tile kernel runs on them.
 //!
 //! # Unpacked row kernels
 //!
 //! Packing pays off when the panel is reused across many output rows.
-//! For the small matmuls RL training is full of (minibatch × hidden
-//! layers), [`matmul_simd_rows`] and [`matmul_at_rows`] instead
-//! vectorise the naive loop *across output columns* directly on the
-//! row-major operand: each output element still gets its own
+//! For the small products a rollout is full of (a handful of
+//! observation rows × a hidden layer), [`matmul_simd_rows`] instead
+//! vectorises the naive loop *across output columns* directly on the
+//! row-major operand, and [`matmul_at_rows`] does the same for
+//! `aᵀ × b`: each output element still gets its own
 //! accumulator swept over `k` ascending with separate multiply and
-//! add, so the results stay bit-identical — lanes hold *different*
-//! output elements, never partial sums of one.
+//! add, so the results stay bit-identical.
 //!
 //! ## The `aᵀ × b` kernel: reduction blocks and row lanes
 //!
@@ -127,9 +143,9 @@ pub fn select() -> MatKernel {
 ///
 /// Panel `p` covers output columns `p*nr .. (p+1)*nr` and stores them
 /// k-major: element `(kk, c)` of the panel is `b[kk][p*nr + c]`. The
-/// final panel is zero-padded on the right; padded lanes are computed
-/// by the vector kernels but never stored (edge columns go through the
-/// scalar path), so padding cannot perturb results.
+/// final panel is zero-padded on the right; the tile computes the
+/// padded lanes like any other and stores only the real ones (see the
+/// module docs), so padding cannot perturb results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     data: Vec<f32>,
@@ -164,28 +180,72 @@ impl PackedB {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+
+    /// Consumes the pack, returning its panels to the thread-local
+    /// buffer pool they were drawn from ([`crate::alloc`]) — what keeps
+    /// a per-call pack from allocating in steady state.
+    pub fn recycle(self) {
+        crate::alloc::give(self.data);
+    }
 }
 
 /// Packs a row-major `[k, n]` matrix into [`PackedB`] panels for this
 /// host's microkernel. Cost is one copy of `b`, paid once per weight by
-/// a promoted plan (or once per call for ad-hoc large matmuls); the
+/// a promoted plan (or once per call for ad-hoc large products); the
 /// microkernel then reads panels sequentially.
+///
+/// # Panics
+///
+/// Panics when `bd` is shorter than `k × n`.
 pub fn pack_b(bd: &[f32], k: usize, n: usize) -> PackedB {
+    pack_for(select(), bd, k, n, false)
+}
+
+/// As [`pack_b`], but from the transposed operand: `bd` is the row-major
+/// `[n, k]` matrix whose *rows* are the right operand's columns, and
+/// panel element `(kk, c)` is `bd[(p*nr + c)·k + kk]`. The panels are
+/// the ones `pack_b` builds from the materialised transpose, so `a × bᵀ`
+/// is this layout plus the one tile kernel.
+///
+/// # Panics
+///
+/// Panics when `bd` is shorter than `n × k`.
+pub fn pack_bt(bd: &[f32], k: usize, n: usize) -> PackedB {
+    pack_for(select(), bd, k, n, true)
+}
+
+/// Packs for a named tile family. Private: [`matmul_packed_rows`] runs
+/// the family a pack records, so only [`select`]'s answer (or, in tests,
+/// a family whose CPU feature was just detected) may be passed.
+fn pack_for(kernel: MatKernel, bd: &[f32], k: usize, n: usize, transposed: bool) -> PackedB {
+    assert!(bd.len() >= k * n, "pack: operand extents");
     msrl_telemetry::static_counter!("tensor.pack_b").add(1);
-    let kernel = select();
     let nr = match kernel {
         MatKernel::Avx512 | MatKernel::Avx2 => 32,
         MatKernel::Portable => 16,
     };
-    let panels = n.div_ceil(nr);
-    let mut data = vec![0.0f32; panels * k * nr];
-    for p in 0..panels {
+    // Zeroed, not merely pooled: the right-edge padding is multiplied.
+    let mut data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
+    for p in 0..n.div_ceil(nr) {
         let j0 = p * nr;
         let w = nr.min(n - j0);
-        let base = p * k * nr;
-        for kk in 0..k {
-            data[base + kk * nr..base + kk * nr + w]
-                .copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
+        let panel = &mut data[p * k * nr..(p + 1) * k * nr];
+        if transposed {
+            // A cache line of each source row at a time, so the block's
+            // panel rows stay in L1 while every column visits them.
+            for kk0 in (0..k).step_by(16) {
+                let kk1 = (kk0 + 16).min(k);
+                for c in 0..w {
+                    let col = &bd[(j0 + c) * k + kk0..(j0 + c) * k + kk1];
+                    for (row, &v) in panel[kk0 * nr..kk1 * nr].chunks_exact_mut(nr).zip(col) {
+                        row[c] = v;
+                    }
+                }
+            }
+        } else {
+            for kk in 0..k {
+                panel[kk * nr..kk * nr + w].copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
+            }
         }
     }
     PackedB { data, k, n, nr, kernel }
@@ -194,12 +254,14 @@ pub fn pack_b(bd: &[f32], k: usize, n: usize) -> PackedB {
 /// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into
 /// `out_rows` from the packed representation of `b`, overwriting every
 /// element (the buffer need not be zeroed). Bit-identical to the naive
-/// kernel; the signature mirrors `matmul_rows` so callers partition
-/// output rows across threads the same way.
+/// kernel; the signature mirrors [`matmul_simd_rows`] so callers
+/// partition output rows across threads the same way.
 ///
 /// # Panics
 ///
-/// Debug-asserts that `bp` was packed from a `[k, n]` matrix.
+/// Panics when `bp` was not packed from a `[k, n]` matrix, `out_rows`
+/// is not whole rows or `ad` ends before the last of them — the x86
+/// bodies index unchecked.
 pub fn matmul_packed_rows(
     ad: &[f32],
     row0: usize,
@@ -208,16 +270,23 @@ pub fn matmul_packed_rows(
     n: usize,
     bp: &PackedB,
 ) {
-    debug_assert_eq!((bp.k, bp.n), (k, n), "packed operand shape mismatch");
     if n == 0 || out_rows.is_empty() {
         return;
     }
+    assert!(
+        (bp.k, bp.n) == (k, n)
+            && out_rows.len().is_multiple_of(n)
+            && ad.len() >= (row0 + out_rows.len() / n) * k,
+        "matmul_packed_rows: operand extents"
+    );
     let a = &ad[row0 * k..];
     #[cfg(target_arch = "x86_64")]
     {
         match bp.kernel {
-            // SAFETY: `select()` only returns these variants after
-            // runtime detection of the corresponding CPU feature.
+            // SAFETY: `pack_for` only records these variants after
+            // runtime detection of the corresponding CPU feature; the
+            // assert above and the pack's own length (`panels × k × nr`,
+            // private) bound every index the bodies form.
             MatKernel::Avx512 => unsafe {
                 x86::tile_avx512(a, k, &bp.data, out_rows, n);
                 return;
@@ -229,14 +298,20 @@ pub fn matmul_packed_rows(
             MatKernel::Portable => {}
         }
     }
-    tile_portable(a, k, &bp.data, out_rows, n, bp.nr);
+    tile_portable(a, k, &bp.data, out_rows, n);
 }
 
 /// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into
 /// `out_rows` straight from the row-major `[k, n]` operand `bd` — no
 /// packing. SIMD lanes run across output columns; per element the
 /// accumulation is the exact naive sequence, so results are
-/// bit-identical to [`crate::ops::matmul`]'s reference loop.
+/// bit-identical to [`crate::reference::matmul`].
+///
+/// # Panics
+///
+/// Panics when `out_rows` is not whole rows, `ad` ends before the last
+/// of them or `bd` is shorter than `k × n` — the x86 bodies index
+/// unchecked.
 pub fn matmul_simd_rows(
     ad: &[f32],
     row0: usize,
@@ -248,12 +323,19 @@ pub fn matmul_simd_rows(
     if n == 0 || out_rows.is_empty() {
         return;
     }
+    assert!(
+        out_rows.len().is_multiple_of(n)
+            && ad.len() >= (row0 + out_rows.len() / n) * k
+            && bd.len() >= k * n,
+        "matmul_simd_rows: operand extents"
+    );
     let a = &ad[row0 * k..];
     #[cfg(target_arch = "x86_64")]
     {
         match select() {
             // SAFETY: `select()` only returns these variants after
-            // runtime detection of the corresponding CPU feature.
+            // runtime detection of the corresponding CPU feature; the
+            // assert above bounds every index the bodies form.
             MatKernel::Avx512 => unsafe {
                 x86::rows_avx512(a, k, bd, out_rows, n);
                 return;
@@ -321,42 +403,6 @@ pub fn matmul_at_rows(
         }
     }
     at_rows_portable(ad, row0, out_rows, p, m, n, bd);
-}
-
-/// Like [`matmul_simd_rows`], but for `a × bᵀ` without materialising
-/// the transpose: `bd` is the row-major `[n, p]` matrix whose *rows*
-/// are the right operand's columns. The x86 kernels gather the strided
-/// column `bd[j·p + kk]` for a full lane block of consecutive `j` per
-/// `kk` step; per element the accumulation is the scalar dot's exact
-/// sequence (ascending `kk`, one accumulator, mul then add).
-pub fn matmul_bt_rows(
-    ad: &[f32],
-    row0: usize,
-    out_rows: &mut [f32],
-    p: usize,
-    n: usize,
-    bd: &[f32],
-) {
-    if n == 0 || out_rows.is_empty() {
-        return;
-    }
-    let a = &ad[row0 * p..];
-    #[cfg(target_arch = "x86_64")]
-    {
-        match select() {
-            // SAFETY: as in `matmul_simd_rows`.
-            MatKernel::Avx512 => unsafe {
-                x86::bt_rows_avx512(a, out_rows, p, n, bd);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::bt_rows_avx2(a, out_rows, p, n, bd);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    bt_rows_portable(a, out_rows, p, n, bd);
 }
 
 /// Which fold a reduction microkernel applies.
@@ -620,24 +666,6 @@ fn reduce_groups_portable(
     }
 }
 
-/// Portable `a × bᵀ` row kernel: plain scalar dots — rows of both
-/// operands are contiguous, so there is no strided access to hide and
-/// nothing for lanes to win without changing accumulation order.
-fn bt_rows_portable(a: &[f32], out: &mut [f32], p: usize, n: usize, bd: &[f32]) {
-    let rows = out.len() / n;
-    for r in 0..rows {
-        let arow = &a[r * p..(r + 1) * p];
-        for (j, o) in out[r * n..(r + 1) * n].iter_mut().enumerate() {
-            let brow = &bd[j * p..(j + 1) * p];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    }
-}
-
 /// Portable column-lane row kernel: 16-element array accumulators the
 /// autovectorizer maps onto whatever SIMD the target has.
 fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
@@ -760,12 +788,10 @@ fn at_rows_portable(
     }
 }
 
-/// Scalar edge kernel: remainder rows under the full panels plus the
-/// partial right-edge panel for every row. One accumulator per output
+/// Scalar edge kernel: the `rows mod MR` remainder rows under the
+/// register tiles, across every panel. One accumulator per output
 /// element, ascending `k`, separate multiply and add — the exact naive
-/// sequence. Padded panel lanes (`c >= w`) are never read into an
-/// accumulator that gets stored.
-#[allow(clippy::too_many_arguments)]
+/// sequence.
 fn edge_scalar(
     a: &[f32],
     k: usize,
@@ -774,54 +800,35 @@ fn edge_scalar(
     n: usize,
     nr: usize,
     full_rows: usize,
-    full_panels: usize,
 ) {
-    let rows = out.len() / n;
-    // Remainder rows across the full panels.
-    for r in full_rows..rows {
-        for p in 0..full_panels {
-            let panel = &bp[p * k * nr..(p + 1) * k * nr];
-            for c in 0..nr {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[r * k + kk] * panel[kk * nr + c];
-                }
-                out[r * n + p * nr + c] = acc;
+    for r in full_rows..out.len() / n {
+        for j in 0..n {
+            let panel = &bp[j / nr * k * nr..];
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[r * k + kk] * panel[kk * nr + j % nr];
             }
-        }
-    }
-    // Partial right-edge panel, every row.
-    let j0 = full_panels * nr;
-    if j0 < n {
-        let w = n - j0;
-        let panel = &bp[full_panels * k * nr..];
-        for r in 0..rows {
-            for c in 0..w {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[r * k + kk] * panel[kk * nr + c];
-                }
-                out[r * n + j0 + c] = acc;
-            }
+            out[r * n + j] = acc;
         }
     }
 }
 
 /// Portable 4×16 register-tile kernel: plain arrays the autovectorizer
 /// maps onto whatever SIMD the target has, with the same per-element
-/// mul-then-add accumulation as the naive kernel.
-fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize, nr: usize) {
+/// mul-then-add accumulation as the naive kernel. The right-edge panel
+/// runs the same loop on its zero padding and stores its `w` real lanes.
+fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
     const MR: usize = 4;
+    const NR: usize = 16;
     let rows = out.len() / n;
     let full_rows = rows - rows % MR;
-    let full_panels = n / nr;
-    let mut i = 0;
-    while i < full_rows {
-        for p in 0..full_panels {
-            let panel = &bp[p * k * nr..(p + 1) * k * nr];
-            let mut acc = [[0.0f32; 16]; MR];
+    for i in (0..full_rows).step_by(MR) {
+        for p in 0..n.div_ceil(NR) {
+            let w = NR.min(n - p * NR);
+            let panel = &bp[p * k * NR..(p + 1) * k * NR];
+            let mut acc = [[0.0f32; NR]; MR];
             for kk in 0..k {
-                let b: &[f32; 16] = panel[kk * nr..kk * nr + 16].try_into().expect("nr == 16");
+                let b: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().expect("NR block");
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     let av = a[(i + r) * k + kk];
                     for (slot, &bv) in acc_r.iter_mut().zip(b) {
@@ -830,12 +837,12 @@ fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize, nr:
                 }
             }
             for (r, acc_r) in acc.iter().enumerate() {
-                out[(i + r) * n + p * nr..(i + r) * n + p * nr + 16].copy_from_slice(acc_r);
+                let o = (i + r) * n + p * NR;
+                out[o..o + w].copy_from_slice(&acc_r[..w]);
             }
         }
-        i += MR;
     }
-    edge_scalar(a, k, bp, out, n, nr, full_rows, full_panels);
+    edge_scalar(a, k, bp, out, n, NR, full_rows);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -845,62 +852,24 @@ mod x86 {
     //! scalar `acc += av * bv` — never a fused multiply–add.
 
     use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_i32gather_ps,
-        _mm256_loadu_ps, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32,
-        _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps,
-        _mm512_cmp_ps_mask, _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_mask_blend_ps,
+        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
+        _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_maskstore_ps, _mm256_mul_ps,
+        _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_cmp_ps_mask,
+        _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
         _mm512_mul_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
         _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
     };
 
     use super::{edge_scalar, reduce_rows_portable, RedOp, AT_BLOCK};
 
-    /// 8×32 zmm register-tile kernel.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tile_avx512(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
-        const MR: usize = 8;
-        const NR: usize = 32;
-        let rows = out.len() / n;
-        let full_rows = rows - rows % MR;
-        let full_panels = n / NR;
-        let ap = a.as_ptr();
-        let pp = bp.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i < full_rows {
-            for p in 0..full_panels {
-                let panel = pp.add(p * k * NR);
-                let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-                for kk in 0..k {
-                    let bb = panel.add(kk * NR);
-                    let b0: __m512 = _mm512_loadu_ps(bb);
-                    let b1: __m512 = _mm512_loadu_ps(bb.add(16));
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i + r) * k + kk));
-                        acc_r[0] = _mm512_add_ps(acc_r[0], _mm512_mul_ps(av, b0));
-                        acc_r[1] = _mm512_add_ps(acc_r[1], _mm512_mul_ps(av, b1));
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    let o = op.add((i + r) * n + p * NR);
-                    _mm512_storeu_ps(o, acc_r[0]);
-                    _mm512_storeu_ps(o.add(16), acc_r[1]);
-                }
-            }
-            i += MR;
-        }
-        edge_scalar(a, k, bp, out, n, NR, full_rows, full_panels);
-    }
-
     /// Unpacked row kernel, zmm lanes across output columns.
     ///
     /// # Safety
     ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
+    /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
+    /// whole `n`-wide rows, `a` of as many `k`-long rows and `bd` of
+    /// `k × n`.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn rows_avx512(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
         const L: usize = 16;
@@ -944,7 +913,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
+    /// Requires `avx2` (guaranteed by [`super::select`]) and the operand
+    /// extents of [`rows_avx512`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn rows_avx2(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
         const L: usize = 8;
@@ -1113,154 +1083,122 @@ mod x86 {
         _mm256_add_ps, _mm256_mul_ps
     );
 
-    /// Transpose-free `a × bᵀ` row kernel, zmm lanes across columns.
-    ///
-    /// Lanes are rows of `bd`, read via a stride-`p` gather at each
-    /// `kk` step; one gather feeds every row in the block, and each
-    /// output element keeps the scalar dot's accumulation order.
+    /// Stores the first `lanes` (0..=16) lanes of `v` at `o`; the rest
+    /// of the destination is neither written nor touched.
     ///
     /// # Safety
     ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
+    /// Requires `avx512f` and `o` valid for writing `lanes` floats.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn bt_rows_avx512(a: &[f32], out: &mut [f32], p: usize, n: usize, bd: &[f32]) {
-        const L: usize = 16;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = a.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let step = _mm512_mullo_epi32(
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            _mm512_set1_epi32(p as i32),
-        );
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let base = bp.add(j * p);
-                let mut acc = [_mm512_setzero_ps(); RB];
-                for kk in 0..p {
-                    let bv = _mm512_i32gather_ps::<4>(step, base.add(kk));
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((r0 + r) * p + kk));
-                        *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, bv));
-                    }
-                }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm512_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
-                }
-            }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let mut acc = 0.0f32;
-                    for kk in 0..p {
-                        acc += *ap.add((r0 + r) * p + kk) * *bp.add(j * p + kk);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
-        }
+    unsafe fn store_lanes_avx512(o: *mut f32, v: __m512, lanes: usize) {
+        _mm512_mask_storeu_ps(o, (0xffff_u32 >> (16 - lanes)) as u16, v);
     }
 
-    /// Transpose-free `a × bᵀ` row kernel, ymm lanes across columns.
+    /// Stores the first `lanes` (0..=8) lanes of `v` at `o`; the rest of
+    /// the destination is neither written nor touched.
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
+    /// Requires `avx2` and `o` valid for writing `lanes` floats.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn bt_rows_avx2(a: &[f32], out: &mut [f32], p: usize, n: usize, bd: &[f32]) {
-        const L: usize = 8;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = a.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let step = _mm256_mullo_epi32(
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            _mm256_set1_epi32(p as i32),
-        );
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let base = bp.add(j * p);
-                let mut acc = [_mm256_setzero_ps(); RB];
-                for kk in 0..p {
-                    let bv = _mm256_i32gather_ps::<4>(base.add(kk), step);
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm256_set1_ps(*ap.add((r0 + r) * p + kk));
-                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(av, bv));
-                    }
-                }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm256_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
-                }
-            }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let mut acc = 0.0f32;
-                    for kk in 0..p {
-                        acc += *ap.add((r0 + r) * p + kk) * *bp.add(j * p + kk);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
-        }
+    unsafe fn store_lanes_avx2(o: *mut f32, v: __m256, lanes: usize) {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_maskstore_ps(o, _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), lane), v);
     }
 
-    /// 4×32 ymm register-tile kernel.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn tile_avx2(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
-        const MR: usize = 4;
-        const NR: usize = 32;
-        let rows = out.len() / n;
-        let full_rows = rows - rows % MR;
-        let full_panels = n / NR;
-        let ap = a.as_ptr();
-        let pp = bp.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i < full_rows {
-            for p in 0..full_panels {
-                let panel = pp.add(p * k * NR);
-                let mut acc = [[_mm256_setzero_ps(); 4]; MR];
+    /// Generates one ISA's packed register-tile kernel: `$mr` rows × one
+    /// 32-column panel of accumulators swept over `k`. Every panel —
+    /// the zero-padded right edge included — runs the one accumulator
+    /// loop (`$panel`, on `NV` vectors per row: one when the panel's `w`
+    /// real columns fit a vector, else all `32 / $lanes`), and only the
+    /// `w` real lanes are stored.
+    macro_rules! tile_x86 {
+        ($(#[$doc:meta])* $name:ident, $panel:ident, $feature:literal, $lanes:literal, $mr:literal,
+         $zero:ident, $loadu:ident, $set1:ident, $add:ident, $mul:ident, $store_lanes:ident) => {
+            /// `NV`-vector accumulator tile for output rows `a..`, one
+            /// panel; stores lanes `..w` of each row at `o`.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn $panel<const NV: usize>(
+                a: *const f32,
+                k: usize,
+                panel: *const f32,
+                o: *mut f32,
+                n: usize,
+                w: usize,
+            ) {
+                const L: usize = $lanes;
+                let mut acc = [[$zero(); NV]; $mr];
                 for kk in 0..k {
-                    let bb = panel.add(kk * NR);
-                    let b: [__m256; 4] = [
-                        _mm256_loadu_ps(bb),
-                        _mm256_loadu_ps(bb.add(8)),
-                        _mm256_loadu_ps(bb.add(16)),
-                        _mm256_loadu_ps(bb.add(24)),
-                    ];
+                    let mut b = [$zero(); NV];
+                    for (v, bv) in b.iter_mut().enumerate() {
+                        *bv = $loadu(panel.add(kk * 32 + v * L));
+                    }
                     for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(*ap.add((i + r) * k + kk));
+                        let av = $set1(*a.add(r * k + kk));
                         for (slot, &bv) in acc_r.iter_mut().zip(&b) {
-                            *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
+                            *slot = $add(*slot, $mul(av, bv));
                         }
                     }
                 }
                 for (r, acc_r) in acc.iter().enumerate() {
-                    let o = op.add((i + r) * n + p * NR);
-                    for (c, &v) in acc_r.iter().enumerate() {
-                        _mm256_storeu_ps(o.add(8 * c), v);
+                    for (v, &lanes) in acc_r.iter().enumerate() {
+                        $store_lanes(o.add(r * n + v * L), lanes, L.min(w.saturating_sub(v * L)));
                     }
                 }
             }
-            i += MR;
-        }
-        edge_scalar(a, k, bp, out, n, NR, full_rows, full_panels);
+
+            $(#[$doc])*
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
+                const MR: usize = $mr;
+                const NR: usize = 32;
+                let rows = out.len() / n;
+                let full_rows = rows - rows % MR;
+                for i in (0..full_rows).step_by(MR) {
+                    for p in 0..n.div_ceil(NR) {
+                        let w = NR.min(n - p * NR);
+                        let ap = a.as_ptr().add(i * k);
+                        let panel = bp.as_ptr().add(p * k * NR);
+                        let o = out.as_mut_ptr().add(i * n + p * NR);
+                        if w <= $lanes {
+                            $panel::<1>(ap, k, panel, o, n, w);
+                        } else {
+                            $panel::<{ NR / $lanes }>(ap, k, panel, o, n, w);
+                        }
+                    }
+                }
+                edge_scalar(a, k, bp, out, n, NR, full_rows);
+            }
+        };
     }
+
+    tile_x86!(
+        /// 8×32 zmm register-tile kernel.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
+        /// whole `n`-wide rows, `a` of as many `k`-long rows and `bp` of
+        /// `⌈n / 32⌉` panels of `k × 32`.
+        tile_avx512, tile_panel_avx512, "avx512f", 16, 8,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps,
+        store_lanes_avx512
+    );
+
+    tile_x86!(
+        /// 4×32 ymm register-tile kernel.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx2` (guaranteed by [`super::select`]) and the
+        /// operand extents of [`tile_avx512`].
+        tile_avx2, tile_panel_avx2, "avx2", 8, 4,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps,
+        store_lanes_avx2
+    );
 
     /// One [`super::max_fold`] step on 16 lanes: take `v` where it
     /// compares greater (ordered) or where `acc` is NaN.
@@ -1548,6 +1486,19 @@ mod tests {
         assert_eq!(count_nonfinite(&v), expect);
     }
 
+    /// Every packed tile family this host can run: the dispatched one,
+    /// plus the families the dispatcher passes over here (portable
+    /// always, ymm on an AVX-512 host) — their panel width and row block
+    /// differ, so each has right-edge and remainder cases of its own.
+    fn tile_families() -> Vec<(&'static str, MatKernel)> {
+        let mut families = vec![("dispatched", select()), ("portable", MatKernel::Portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            families.push(("avx2", MatKernel::Avx2));
+        }
+        families
+    }
+
     #[test]
     fn packed_matches_naive_bitwise_on_edge_shapes() {
         for &(m, k, n) in
@@ -1555,12 +1506,13 @@ mod tests {
         {
             let a = vals(m * k, 1);
             let b = vals(k * n, 2);
-            let bp = pack_b(&b, k, n);
-            let mut out = vec![f32::NAN; m * n];
-            matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
             let expect = naive(&a, &b, m, k, n);
-            let same = out.iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged from the naive kernel");
+            for (name, family) in tile_families() {
+                let bp = pack_for(family, &b, k, n, false);
+                let mut out = vec![f32::NAN; m * n];
+                matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
+                assert_bits_eq(&out, &expect, &format!("{name} ({m},{k},{n})"));
+            }
         }
     }
 
@@ -1583,6 +1535,154 @@ mod tests {
             }
             assert!(out[r * n + n - 1].is_nan(), "real NaN column must propagate");
         }
+    }
+
+    /// Bitwise, except that two NaNs match whatever their payloads
+    /// (scalar and vector adds may pick different ones).
+    fn assert_same_poison(got: &[f32], expect: &[f32], what: &str) {
+        let same = got
+            .iter()
+            .zip(expect)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+        assert!(same, "{what} diverged from the naive kernel: {got:?} vs {expect:?}");
+    }
+
+    #[test]
+    fn right_edge_panel_stores_exactly_its_real_lanes() {
+        // The right-edge panel runs the full-panel loop on its zero
+        // padding, so a padded lane holds `0 × a` — NaN under a poisoned
+        // `a`. `out` arrives as NaN and is followed by a guard the kernel
+        // does not own: every real element must be overwritten, nothing
+        // past the last one touched, and NaN/±∞ in `b`'s last real
+        // column, in the column before the edge and in one row of `a`
+        // must reach exactly the outputs the naive loop poisons.
+        const GUARD: usize = 64;
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        // Round 0 is clean; 1..=3 rotate the poisons through the places.
+        let check =
+            |name: &str, family: MatKernel, rows: usize, k: usize, n: usize, round: usize| {
+                let nr = if family == MatKernel::Portable { 16 } else { 32 };
+                let mut a = vals(rows * k, 40 + n);
+                let mut b = vals(k * n, 41 + rows);
+                if round > 0 {
+                    let kk = k / 2;
+                    b[kk * n + n - 1] = poisons[round % 3];
+                    b[kk * n + (n / nr * nr).saturating_sub(1)] = poisons[(round + 1) % 3];
+                    a[rows / 2 * k + kk] = poisons[(round + 2) % 3];
+                }
+                let expect = naive(&a, &b, rows, k, n);
+                let bp = pack_for(family, &b, k, n, false);
+                let mut buf = vec![f32::NAN; rows * n + GUARD];
+                buf[rows * n..].fill(7.0);
+                matmul_packed_rows(&a, 0, &mut buf[..rows * n], k, n, &bp);
+                let what = format!("{name} ({rows},{k},{n}) round {round}");
+                assert_same_poison(&buf[..rows * n], &expect, &what);
+                assert!(buf[rows * n..].iter().all(|&v| v == 7.0), "{what}: wrote past the output");
+            };
+        for (name, family) in tile_families() {
+            for n in [1, 2, 6, 15, 16, 17, 31, 32, 33, 40, 70] {
+                for rows in [1, 3, 4, 7, 8, 9, 17] {
+                    for k in [1, 5, 64] {
+                        for round in 0..=poisons.len() {
+                            check(name, family, rows, k, n, round);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_bt_matches_transposed_naive_bitwise() {
+        // b is [n, p]: its pack must be, element for element, the pack of
+        // the materialised transpose, and the product the naive a·bᵀ dot.
+        for &(m, p, n) in &[
+            (1, 1, 1),
+            (2, 32, 32),
+            (5, 7, 19),
+            (6, 3, 40),
+            (9, 0, 16),
+            (3, 2, 6),
+            (8, 6, 33),
+            (4, 64, 70),
+            (9, 257, 17),
+        ] {
+            let a = vals(m * p, 11);
+            let b = vals(n * p, 12);
+            let bt = transpose(&b, n, p);
+            let expect = naive(&a, &bt, m, p, n);
+            for (name, family) in tile_families() {
+                let bp = pack_for(family, &b, p, n, true);
+                assert_eq!(bp, pack_for(family, &bt, p, n, false), "{name} ({m},{p},{n}) panels");
+                let mut out = vec![f32::NAN; m * n];
+                matmul_packed_rows(&a, 0, &mut out, p, n, &bp);
+                assert_bits_eq(&out, &expect, &format!("{name} ({m},{p},{n})"));
+            }
+        }
+        // Row offset slices the left operand like a threaded chunk would.
+        let (m, p, n) = (7, 5, 21);
+        let a = vals(m * p, 13);
+        let bp = pack_bt(&vals(n * p, 14), p, n);
+        let mut full = vec![0.0f32; m * n];
+        matmul_packed_rows(&a, 0, &mut full, p, n, &bp);
+        let mut part = vec![0.0f32; (m - 3) * n];
+        matmul_packed_rows(&a, 3, &mut part, p, n, &bp);
+        assert_eq!(&full[3 * n..], &part[..]);
+    }
+
+    // The x86 bodies index through raw pointers: a short operand or a
+    // ragged output from safe code must stop at the dispatcher.
+
+    #[test]
+    #[should_panic(expected = "matmul_packed_rows: operand extents")]
+    fn packed_rows_reject_a_short_a() {
+        let bp = pack_b(&vals(5 * 33, 1), 5, 33);
+        matmul_packed_rows(&vals(8 * 5 - 1, 2), 0, &mut [0.0; 8 * 33], 5, 33, &bp);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack: operand extents")]
+    fn pack_rejects_a_short_b() {
+        pack_b(&vals(5 * 33 - 1, 1), 5, 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack: operand extents")]
+    fn transposed_pack_rejects_a_short_b() {
+        pack_bt(&vals(5 * 33 - 1, 1), 5, 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_packed_rows: operand extents")]
+    fn packed_rows_reject_a_ragged_out() {
+        let bp = pack_b(&vals(5 * 33, 1), 5, 33);
+        matmul_packed_rows(&vals(8 * 5, 2), 0, &mut [0.0; 8 * 33 - 1], 5, 33, &bp);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_packed_rows: operand extents")]
+    fn packed_rows_reject_a_pack_of_another_shape() {
+        let bp = pack_b(&vals(5 * 33, 1), 5, 33);
+        matmul_packed_rows(&vals(8 * 6, 2), 0, &mut [0.0; 8 * 33], 6, 33, &bp);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_simd_rows: operand extents")]
+    fn simd_rows_reject_a_short_a() {
+        // Rows 2.. of a 4-row product need all four rows of `a`.
+        matmul_simd_rows(&vals(4 * 5 - 1, 2), 2, &mut [0.0; 2 * 33], 5, 33, &vals(5 * 33, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_simd_rows: operand extents")]
+    fn simd_rows_reject_a_short_b() {
+        matmul_simd_rows(&vals(4 * 5, 2), 0, &mut [0.0; 4 * 33], 5, 33, &vals(5 * 33 - 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_simd_rows: operand extents")]
+    fn simd_rows_reject_a_ragged_out() {
+        matmul_simd_rows(&vals(4 * 5, 2), 0, &mut [0.0; 4 * 33 - 1], 5, 33, &vals(5 * 33, 1));
     }
 
     #[test]
@@ -1688,40 +1788,10 @@ mod tests {
                 for (name, body) in at_bodies() {
                     let mut out = vec![0.0f32; m * n];
                     body(&a, 0, &mut out, p, m, n, &b);
-                    let same = out
-                        .iter()
-                        .zip(&expect)
-                        .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
-                    assert!(same, "{name} poison {poison} at row {kk} diverged from naive");
+                    assert_same_poison(&out, &expect, &format!("{name} {poison} at row {kk}"));
                 }
             }
         }
-    }
-
-    #[test]
-    fn bt_rows_match_transposed_naive_bitwise() {
-        // b is [n, p]; the reference transposes it and runs the naive loop.
-        // Shapes cover full gather blocks, column remainders, row-block
-        // remainders (m > 4), and degenerate k.
-        for &(m, p, n) in &[(1, 1, 1), (2, 32, 32), (5, 7, 19), (6, 3, 40), (9, 0, 16), (3, 2, 6)] {
-            let a = vals(m * p, 11);
-            let b = vals(n * p, 12);
-            let bt = transpose(&b, n, p);
-            let mut out = vec![f32::NAN; m * n];
-            matmul_bt_rows(&a, 0, &mut out, p, n, &b);
-            let expect = naive(&a, &bt, m, p, n);
-            let same = out.iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{p},{n}) diverged from transpose + naive");
-        }
-        // Row offset slices the left operand like a threaded chunk would.
-        let (m, p, n) = (7, 5, 21);
-        let a = vals(m * p, 13);
-        let b = vals(n * p, 14);
-        let mut full = vec![0.0f32; m * n];
-        matmul_bt_rows(&a, 0, &mut full, p, n, &b);
-        let mut part = vec![0.0f32; (m - 3) * n];
-        matmul_bt_rows(&a, 3, &mut part, p, n, &b);
-        assert_eq!(&full[3 * n..], &part[..]);
     }
 
     #[test]

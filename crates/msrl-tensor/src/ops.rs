@@ -251,6 +251,95 @@ pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Tensor {
 // Matrix multiplication
 // ---------------------------------------------------------------------------
 
+/// The `(rows, cols)` of a rank-2 tensor, or `op`'s rank error.
+fn dims2(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
+    match *t.shape() {
+        [rows, cols] => Ok((rows, cols)),
+        _ => Err(TensorError::RankMismatch { op, expected: 2, actual: t.rank() }),
+    }
+}
+
+/// `Ok` when `inner == inner2`, else `op`'s shape error over the two
+/// operand shapes.
+fn same_inner(
+    op: &'static str,
+    (inner, inner2): (usize, usize),
+    lhs: &[usize],
+    rhs: &[usize],
+) -> Result<()> {
+    if inner == inner2 {
+        return Ok(());
+    }
+    Err(TensorError::ShapeMismatch { op, lhs: lhs.to_vec(), rhs: rhs.to_vec() })
+}
+
+/// Multiply–add count at or above which a row-major right operand is
+/// packed on the fly for the register-tiled microkernel; below it the
+/// packing copy costs more than the tile saves, so the small products
+/// of a rollout run the unpacked row kernel.
+pub const PACK_MIN_FLOPS: usize = 64 * 64 * 64;
+
+/// Right operand of [`product`]: the three sources its panels come from.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// Row-major `[k, n]`: packed per call at or above
+    /// [`PACK_MIN_FLOPS`], multiplied in place below.
+    RowMajor(&'a [f32]),
+    /// Row-major `[n, k]`, the `b` of `a · bᵀ`: always packed per call
+    /// ([`kernels::pack_bt`]) — the pack is the transpose.
+    Transposed(&'a [f32]),
+    /// Packed ahead of time, by a promoted plan or a
+    /// [`crate::nn::PackedMlp`].
+    Packed(&'a kernels::PackedB),
+}
+
+/// The one body behind every `[m, k] · [k, n]`-shaped product:
+/// [`matmul`], [`matmul_bt`], [`linear_act`], [`linear_softmax`] and
+/// their pre-packed twins differ only in where the right operand's
+/// panels come from and in the `epilogue` run over each row-aligned
+/// output chunk while it is cache-hot.
+///
+/// A per-call pack happens once, before any fan-out, in storage drawn
+/// from and returned to the thread-local pool. Row blocks are
+/// independent, so the threaded backend partitions the output by rows;
+/// every element accumulates over `k` in ascending order in either
+/// kernel and on both backends, keeping them all bit-exact. Both
+/// kernels overwrite every element, so the output is not zeroed first.
+fn product(
+    ad: &[f32],
+    [m, k, n]: [usize; 3],
+    rhs: Rhs<'_>,
+    epilogue: impl Fn(&mut [f32]) + Sync,
+) -> Result<Tensor> {
+    let flops = m * k * n;
+    let transient = match rhs {
+        Rhs::RowMajor(bd) if flops >= PACK_MIN_FLOPS => Some(kernels::pack_b(bd, k, n)),
+        Rhs::Transposed(bd) => Some(kernels::pack_bt(bd, k, n)),
+        Rhs::RowMajor(_) | Rhs::Packed(_) => None,
+    };
+    let mut out = crate::alloc::take_for_overwrite(m * n);
+    let fill = |offset: usize, chunk: &mut [f32]| {
+        let row0 = offset / n.max(1);
+        match (transient.as_ref(), rhs) {
+            (Some(bp), _) | (None, Rhs::Packed(bp)) => {
+                kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp);
+            }
+            (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
+            (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
+        }
+        epilogue(chunk);
+    };
+    if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
+        par::fill_chunks_aligned(&mut out, n, fill);
+    } else {
+        fill(0, &mut out);
+    }
+    if let Some(bp) = transient {
+        bp.recycle();
+    }
+    Tensor::from_vec(out, &[m, n])
+}
+
 /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
 ///
 /// # Errors
@@ -258,54 +347,10 @@ pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Tensor {
 /// Returns [`TensorError::RankMismatch`] for non-matrices and
 /// [`TensorError::ShapeMismatch`] when the inner dimensions differ.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul", expected: 2, actual: a.rank() });
-    }
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul", expected: 2, actual: b.rank() });
-    }
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
-    }
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    // Row blocks are independent, so the threaded backend partitions the
-    // output by rows; every element accumulates over `k` in ascending
-    // order on both backends, keeping them bit-exact.
-    let flops = m * k * n;
-    // Hot-size product: pack `b` on the fly for the register-tiled
-    // microkernels (plans the interpreter has promoted skip even this
-    // packing via [`matmul_prepacked`]). Small product: SIMD lanes
-    // across output columns, straight off the row-major operand — no
-    // packing copy to amortise.
-    let bp = (flops >= PACK_MIN_FLOPS).then(|| kernels::pack_b(bd, k, n));
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        let row0 = offset / n.max(1);
-        match &bp {
-            Some(bp) => kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp),
-            None => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
-        }
-    };
-    if ExecCtx::current().should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m, n])
+    let ((m, k), (k2, n)) = (dims2("matmul", a)?, dims2("matmul", b)?);
+    same_inner("matmul", (k, k2), a.shape(), b.shape())?;
+    product(a.data(), [m, k, n], Rhs::RowMajor(b.data()), |_| {})
 }
-
-/// Multiply–add count at or above which [`matmul`] packs `b` on the fly
-/// for the register-tiled microkernels; below it the packing copy costs
-/// more than the tiles save, so MLP-sized layers run the unpacked
-/// row kernel.
-pub const PACK_MIN_FLOPS: usize = 64 * 64 * 64;
 
 /// Matrix product against a pre-packed right operand:
 /// `[m, k] × packed[k, n] → [m, n]`.
@@ -318,29 +363,10 @@ pub const PACK_MIN_FLOPS: usize = 64 * 64 * 64;
 ///
 /// Same contract as [`matmul`], with the packed operand's recorded
 /// `[k, n]` standing in for `b.shape()`.
-pub fn matmul_prepacked(a: &Tensor, bp: &crate::kernels::PackedB) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul", expected: 2, actual: a.rank() });
-    }
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (bp.k(), bp.n());
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.shape().to_vec(),
-            rhs: vec![k2, n],
-        });
-    }
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let ad = a.data();
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, |offset, chunk| {
-            crate::kernels::matmul_packed_rows(ad, offset / n, chunk, k, n, bp);
-        });
-    } else {
-        crate::kernels::matmul_packed_rows(ad, 0, &mut out, k, n, bp);
-    }
-    Tensor::from_vec(out, &[m, n])
+pub fn matmul_prepacked(a: &Tensor, bp: &kernels::PackedB) -> Result<Tensor> {
+    let (m, k) = dims2("matmul", a)?;
+    same_inner("matmul", (k, bp.k()), a.shape(), &[bp.k(), bp.n()])?;
+    product(a.data(), [m, k, bp.n()], Rhs::Packed(bp), |_| {})
 }
 
 /// Transposed-LHS product without materialising the transpose:
@@ -358,29 +384,13 @@ pub fn matmul_prepacked(a: &Tensor, bp: &crate::kernels::PackedB) -> Result<Tens
 /// Returns the same rank/shape errors as [`matmul`] (shared first axis
 /// `p` plays the inner-dimension role).
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul_at", expected: 2, actual: a.rank() });
-    }
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul_at", expected: 2, actual: b.rank() });
-    }
-    let (p, m) = (a.shape()[0], a.shape()[1]);
-    let (p2, n) = (b.shape()[0], b.shape()[1]);
-    if p != p2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_at",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
-    }
-    let mut out = crate::alloc::take_zeroed(m * n);
+    let ((p, m), (p2, n)) = (dims2("matmul_at", a)?, dims2("matmul_at", b)?);
+    same_inner("matmul_at", (p, p2), a.shape(), b.shape())?;
+    let mut out = crate::alloc::take_for_overwrite(m * n);
     let ad = a.data();
     let bd = b.data();
     let fill = |offset: usize, chunk: &mut [f32]| {
-        if n == 0 {
-            return;
-        }
-        crate::kernels::matmul_at_rows(ad, offset / n, chunk, p, m, n, bd);
+        kernels::matmul_at_rows(ad, offset / n.max(1), chunk, p, m, n, bd);
     };
     if par::should_parallelize(p * m * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
@@ -394,48 +404,21 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// `a · bᵀ` for `a: [m, p]`, `b: [n, p]` → `[m, n]`.
 ///
 /// The counterpart of [`matmul_at`] for autograd's input gradients
-/// (`g · wᵀ`). Each output element is the dot product of row `i` of `a`
-/// and row `j` of `b`, accumulated over `kk` ascending — the sequence
-/// `matmul(a, &transpose(b)?)` performs — so results are bit-identical,
-/// and both operands stream contiguously.
+/// (`g · wᵀ`). There is no `a × bᵀ` kernel: `b`'s rows are copied
+/// straight into the column panels [`matmul`] would build from
+/// `transpose(b)` ([`kernels::pack_bt`]) and the packed tile runs on
+/// them, so each output element is the dot product of row `i` of `a`
+/// and row `j` of `b` accumulated over `kk` ascending — bit-identical to
+/// `matmul(a, &transpose(b)?)`.
 ///
 /// # Errors
 ///
 /// Returns the same rank/shape errors as [`matmul`] (shared second axis
 /// `p` plays the inner-dimension role).
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul_bt", expected: 2, actual: a.rank() });
-    }
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "matmul_bt", expected: 2, actual: b.rank() });
-    }
-    let (m, p) = (a.shape()[0], a.shape()[1]);
-    let (n, p2) = (b.shape()[0], b.shape()[1]);
-    if p != p2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bt",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
-    }
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        if n == 0 {
-            return;
-        }
-        // Gather kernel: lanes across output columns (rows of b), no
-        // transpose materialised, scalar accumulation order per element.
-        crate::kernels::matmul_bt_rows(ad, offset / n, chunk, p, n, bd);
-    };
-    if par::should_parallelize(m * p * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m, n])
+    let ((m, p), (n, p2)) = (dims2("matmul_bt", a)?, dims2("matmul_bt", b)?);
+    same_inner("matmul_bt", (p, p2), a.shape(), b.shape())?;
+    product(a.data(), [m, p, n], Rhs::Transposed(b.data()), |_| {})
 }
 
 /// Activation selector for the fused linear kernel.
@@ -500,6 +483,20 @@ fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
     fastmath::apply_slice(u, chunk);
 }
 
+/// The checked `[m, k, n]` of a fused layer `x: [m, k]`, weight `[k, n]`
+/// (`w_shape`), bias `b: [n]`, or `op`'s rank/shape error.
+fn layer_dims(op: &'static str, x: &Tensor, w_shape: &[usize], b: &Tensor) -> Result<[usize; 3]> {
+    let (m, k) = dims2(op, x)?;
+    let &[k2, n] = w_shape else {
+        return Err(TensorError::RankMismatch { op, expected: 2, actual: w_shape.len() });
+    };
+    same_inner(op, (k, k2), x.shape(), w_shape)?;
+    if b.shape() != [n] {
+        return Err(TensorError::ShapeMismatch { op, lhs: vec![n], rhs: b.shape().to_vec() });
+    }
+    Ok([m, k, n])
+}
+
 /// Fused linear layer: `act(x·w + b)` for `x: [m, k]`, `w: [k, n]`,
 /// `b: [n]` in one pass over the output.
 ///
@@ -507,55 +504,21 @@ fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
 /// accumulate, broadcast bias add, activation map) and round-trips two
 /// intermediate tensors through the allocator; here the bias+activation
 /// epilogue runs on each output chunk while it is still cache-hot.
-/// Accumulation reuses the exact matmul inner kernel and the epilogue
-/// applies `act(v + b[j])` per element — the same floating-point
-/// sequence as the separate operators, so results are bit-identical on
-/// both backends (partitioning is by output rows, as in [`matmul`]).
+/// Accumulation is [`matmul`]'s — the same [`PACK_MIN_FLOPS`] rule packs
+/// `w` once per call for the register tile — and the epilogue applies
+/// `act(v + b[j])` per element: the same floating-point sequence as the
+/// separate operators, so results are bit-identical on both backends
+/// (partitioning is by output rows, as in [`matmul`]).
 ///
 /// # Errors
 ///
 /// Returns the same rank/shape errors as [`matmul`], plus
 /// [`TensorError::ShapeMismatch`] when `b` is not a length-`n` vector.
 pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor> {
-    if x.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "linear_act", expected: 2, actual: x.rank() });
-    }
-    if w.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "linear_act", expected: 2, actual: w.rank() });
-    }
-    let (m, k) = (x.shape()[0], x.shape()[1]);
-    let (k2, n) = (w.shape()[0], w.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_act",
-            lhs: x.shape().to_vec(),
-            rhs: w.shape().to_vec(),
-        });
-    }
-    if b.rank() != 1 || b.shape()[0] != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_act",
-            lhs: vec![n],
-            rhs: b.shape().to_vec(),
-        });
-    }
+    let dims @ [_, _, n] = layer_dims("linear_act", x, w.shape(), b)?;
     msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let xd = x.data();
-    let wd = w.data();
     let bd = b.data();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
-        act_epilogue(chunk, bd, n, act);
-    };
-    // Same parallel guard and row-aligned partitioning as matmul, so the
-    // fused and unfused paths agree chunk-for-chunk on both backends.
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m, n])
+    product(x.data(), dims, Rhs::RowMajor(w.data()), |chunk| act_epilogue(chunk, bd, n, act))
 }
 
 /// [`linear_act`] against a pre-packed weight operand, for plans the
@@ -567,43 +530,14 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor
 /// `[k, n]` standing in for `w.shape()`.
 pub fn linear_act_prepacked(
     x: &Tensor,
-    wp: &crate::kernels::PackedB,
+    wp: &kernels::PackedB,
     b: &Tensor,
     act: Act,
 ) -> Result<Tensor> {
-    if x.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "linear_act", expected: 2, actual: x.rank() });
-    }
-    let (m, k) = (x.shape()[0], x.shape()[1]);
-    let (k2, n) = (wp.k(), wp.n());
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_act",
-            lhs: x.shape().to_vec(),
-            rhs: vec![k2, n],
-        });
-    }
-    if b.rank() != 1 || b.shape()[0] != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_act",
-            lhs: vec![n],
-            rhs: b.shape().to_vec(),
-        });
-    }
+    let dims @ [_, _, n] = layer_dims("linear_act", x, &[wp.k(), wp.n()], b)?;
     msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let xd = x.data();
     let bd = b.data();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        crate::kernels::matmul_packed_rows(xd, offset / n.max(1), chunk, k, n, wp);
-        act_epilogue(chunk, bd, n, act);
-    };
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m, n])
+    product(x.data(), dims, Rhs::Packed(wp), |chunk| act_epilogue(chunk, bd, n, act))
 }
 
 /// Fused policy head: `softmax_rows(x·w + b)` in one pass over the
@@ -620,58 +554,17 @@ pub fn linear_act_prepacked(
 ///
 /// Same contract as [`linear_act`].
 pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if x.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "linear_softmax",
-            expected: 2,
-            actual: x.rank(),
-        });
-    }
-    if w.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "linear_softmax",
-            expected: 2,
-            actual: w.rank(),
-        });
-    }
-    let (m, k) = (x.shape()[0], x.shape()[1]);
-    let (k2, n) = (w.shape()[0], w.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_softmax",
-            lhs: x.shape().to_vec(),
-            rhs: w.shape().to_vec(),
-        });
-    }
-    if b.rank() != 1 || b.shape()[0] != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "linear_softmax",
-            lhs: vec![n],
-            rhs: b.shape().to_vec(),
-        });
-    }
+    let dims @ [_, _, n] = layer_dims("linear_softmax", x, w.shape(), b)?;
     msrl_telemetry::static_counter!("tensor.fused_linear_softmax").add(1);
-    let mut out = crate::alloc::take_zeroed(m * n);
-    let xd = x.data();
-    let wd = w.data();
     let bd = b.data();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        crate::kernels::matmul_simd_rows(xd, offset / n.max(1), chunk, k, n, wd);
-        if n > 0 {
-            for row in chunk.chunks_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(bd) {
-                    *o += bv;
-                }
-                fastmath::softmax_row_fast_inplace(row);
+    product(x.data(), dims, Rhs::RowMajor(w.data()), |chunk| {
+        for row in chunk.chunks_mut(n.max(1)) {
+            for (o, &bv) in row.iter_mut().zip(bd) {
+                *o += bv;
             }
+            fastmath::softmax_row_fast_inplace(row);
         }
-    };
-    if par::should_parallelize(m * k * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m, n])
+    })
 }
 
 /// Transpose of a rank-2 tensor.
@@ -680,11 +573,8 @@ pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns [`TensorError::RankMismatch`] for non-matrices.
 pub fn transpose(a: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "transpose", expected: 2, actual: a.rank() });
-    }
-    let (m, n) = (a.shape()[0], a.shape()[1]);
-    let mut out = crate::alloc::take_zeroed(m * n);
+    let (m, n) = dims2("transpose", a)?;
+    let mut out = crate::alloc::take_for_overwrite(m * n);
     for i in 0..m {
         for j in 0..n {
             out[j * m + i] = a.data()[i * n + j];
@@ -1248,21 +1138,65 @@ mod tests {
 
     #[test]
     fn linear_act_matches_unfused_bitwise() {
-        let (m, k, n) = (5, 4, 3);
-        let x = t(&(0..m * k).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, k]);
-        let w = t(&(0..k * n).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[k, n]);
-        let b = t(&(0..n).map(|i| i as f32 - 1.0).collect::<Vec<_>>(), &[n]);
-        for act in [Act::Relu, Act::Tanh, Act::Sigmoid, Act::Linear] {
-            let fused = linear_act(&x, &w, &b, act).unwrap();
-            let pre = add(&matmul(&x, &w).unwrap(), &b).unwrap();
-            let unfused = match act {
-                Act::Relu => relu(&pre),
-                Act::Tanh => tanh(&pre),
-                Act::Sigmoid => sigmoid(&pre),
-                Act::Linear => pre.clone(),
-            };
-            assert_eq!(fused.shape(), &[m, n]);
-            assert_eq!(fused.data(), unfused.data(), "fused {act:?} must be bit-identical");
+        // Below `PACK_MIN_FLOPS` (the unpacked row kernel) and above it
+        // (`w` packed per call: 70 columns are two panels and a 6-wide
+        // right edge, 70 rows leave a row remainder; 2 columns are the
+        // policy head), on the calling thread and split over two workers.
+        for (m, k, n) in [(5, 4, 3), (70, 64, 70), (1100, 120, 2)] {
+            assert_eq!(m * k * n >= PACK_MIN_FLOPS, m > 5, "({m},{k},{n}) vs the pack rule");
+            let x = t(&(0..m * k).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, k]);
+            let w = t(&(0..k * n).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[k, n]);
+            let b = t(&(0..n).map(|i| i as f32 - 1.0).collect::<Vec<_>>(), &[n]);
+            let naive = crate::reference::matmul(x.data(), w.data(), m, k, n);
+            for threads in [1, 2] {
+                par::with_backend(par::Backend::Threaded, || {
+                    par::with_threads(threads, || {
+                        let product = matmul(&x, &w).unwrap();
+                        assert_eq!(product.data(), &naive[..], "({m},{k},{n}) x{threads}");
+                        let pre = add(&product, &b).unwrap();
+                        for act in [Act::Relu, Act::Tanh, Act::Sigmoid, Act::Linear] {
+                            let fused = linear_act(&x, &w, &b, act).unwrap();
+                            let unfused = match act {
+                                Act::Relu => relu(&pre),
+                                Act::Tanh => tanh(&pre),
+                                Act::Sigmoid => sigmoid(&pre),
+                                Act::Linear => pre.clone(),
+                            };
+                            assert_eq!(fused.shape(), &[m, n]);
+                            assert_eq!(
+                                fused.data(),
+                                unfused.data(),
+                                "fused {act:?} ({m},{k},{n}) x{threads} must be bit-identical"
+                            );
+                        }
+                        assert_eq!(
+                            linear_softmax(&x, &w, &b).unwrap().data(),
+                            softmax_rows(&pre).unwrap().data(),
+                            "fused softmax ({m},{k},{n}) x{threads} must be bit-identical"
+                        );
+                    });
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_bt_is_the_naive_row_dot() {
+        // `p` below, at and past a panel's 16-row pack block.
+        for p in [1, 2, 6, 64, 257] {
+            let (m, n) = (9, 35);
+            let a = t(&(0..m * p).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, p]);
+            let b = t(&(0..n * p).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[n, p]);
+            let got = matmul_bt(&a, &b).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut dot = 0.0f32;
+                    for kk in 0..p {
+                        dot += a.data()[i * p + kk] * b.data()[j * p + kk];
+                    }
+                    assert_eq!(got.data()[i * n + j].to_bits(), dot.to_bits(), "p {p} ({i},{j})");
+                }
+            }
         }
     }
 

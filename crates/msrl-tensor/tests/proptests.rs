@@ -274,7 +274,7 @@ proptest! {
         let (s2, t2) = on_both_backends(|| ops::matmul_bt(&a2, &b2).unwrap());
         prop_assert_eq!(&s2, &t2);
         prop_assert_eq!(&s2, &via_t2);
-        // And the gather kernel against the naive loop on the
+        // And the transposed pack against the naive loop on the
         // materialised transpose.
         let bt_naive =
             reference::matmul(a2.data(), &reference::transpose(b2.data(), n, p), m, p, n);
@@ -318,6 +318,43 @@ proptest! {
         let (s, t) = on_both_backends(|| ops::linear_softmax(&x, &w, &b).unwrap());
         prop_assert_eq!(&s, &t);
         prop_assert_eq!(&s, &unfused);
+    }
+
+    /// The four product wrappers — one helper, three panel sources, two
+    /// kernels — must each agree bit-for-bit with the naive loop on both
+    /// backends, on shapes ragged against every tile (row blocks of 4
+    /// and 8, panels of 16 and 32) and on either side of the
+    /// `PACK_MIN_FLOPS` rule.
+    #[test]
+    fn product_wrappers_match_reference_bitwise(
+        m in 1usize..64, k in 1usize..71, n in 1usize..71,
+        av in small_vec(487), bv in small_vec(491), cv in small_vec(70), act in 0usize..4
+    ) {
+        let ad: Vec<f32> = av.iter().copied().cycle().take(m * k).collect();
+        let bd: Vec<f32> = bv.iter().copied().cycle().take(k * n).collect();
+        let a = Tensor::from_vec(ad, &[m, k]).unwrap();
+        let b = Tensor::from_vec(bd, &[k, n]).unwrap();
+        let bt = Tensor::from_vec(reference::transpose(b.data(), k, n), &[n, k]).unwrap();
+        let bias = Tensor::from_vec(cv[..n].to_vec(), &[n]).unwrap();
+        let act = [ops::Act::Relu, ops::Act::Tanh, ops::Act::Sigmoid, ops::Act::Linear][act];
+        let product = reference::matmul(a.data(), b.data(), m, k, n);
+        let biased: Vec<f32> =
+            product.iter().enumerate().map(|(i, &v)| v + bias.data()[i % n]).collect();
+        let activated: Vec<f32> = biased.iter().map(|&v| act.apply(v)).collect();
+        let softmaxed = ops::softmax_rows(&Tensor::from_vec(biased, &[m, n]).unwrap()).unwrap();
+
+        let (s, t) = on_both_backends(|| ops::matmul(&a, &b).unwrap());
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), bits(&product));
+        let (s, t) = on_both_backends(|| ops::matmul_bt(&a, &bt).unwrap());
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), bits(&product));
+        let (s, t) = on_both_backends(|| ops::linear_act(&a, &b, &bias, act).unwrap());
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), bits(&activated));
+        let (s, t) = on_both_backends(|| ops::linear_softmax(&a, &b, &bias).unwrap());
+        prop_assert_eq!(bits(s.data()), bits(t.data()));
+        prop_assert_eq!(bits(s.data()), bits(softmaxed.data()));
     }
 
     /// Broadcast arithmetic under the strided `BroadcastPlan` must match the
