@@ -85,3 +85,158 @@ fn drivers_share_one_configuration_type() {
     // for the policies that collect rollouts actor-side.
     assert_eq!(a.iteration_rewards[0], c.iteration_rewards[0]);
 }
+
+/// Golden runs: one small fixed configuration per distribution policy,
+/// pinned bit for bit. The values were recorded from the seven
+/// hand-written drivers that preceded the fragment runner; the runner
+/// must reproduce every one of them.
+///
+/// `comm.msgs_sent`, `comm.bytes_sent` and `env.steps` are process-wide
+/// counters and the tests of this file run concurrently, so the cases
+/// run in a child process of this test binary (`golden_child`, filtered
+/// with `--exact`), one after another, and print one line each.
+mod golden {
+    use msrl_algos::a3c::A3cConfig;
+    use msrl_algos::ppo::PpoConfig;
+    use msrl_env::batched::BatchedCartPole;
+    use msrl_env::cartpole::CartPole;
+    use msrl_env::mpe::SimpleSpread;
+    use msrl_runtime::exec::{
+        run_a3c, run_dp_a, run_dp_b, run_dp_c, run_dp_d, run_dp_e, run_dp_f, A3cDistConfig,
+        DistPpoConfig, DpDConfig, DpEConfig, TrainingReport,
+    };
+    use msrl_telemetry::counter_total;
+
+    const CHILD_ENV: &str = "EQUIVALENCE_GOLDEN_CHILD";
+    const COUNTERS: [&str; 3] = ["comm.msgs_sent", "comm.bytes_sent", "env.steps"];
+
+    /// `case params rewards losses msgs bytes env_steps`, checksums in hex.
+    const PINNED: [&str; 8] = [
+        "dp_a fbc6636c4f321217 09d13124a175800d d2c612dda9f7e6af 24 20240 256",
+        "dp_a_actsrv 7232b3e6e375d3cf 09d13124a175800d 454626c57e304d08 24 20240 256",
+        "dp_b 21176932c7c4d323 95f8b0fef68733ed 9a071588d1d3b6d2 272 7448 256",
+        "dp_c 7aa2a4fabe180ccf 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
+        "dp_d 106d03d2fc401ea0 2174271dce75576b cbf29ce484222325 6 5064 9600",
+        "dp_e cbf29ce484222325 9dd402fa701a38d2 cbf29ce484222325 144 25200 0",
+        "dp_f 6d51fd84827b6054 d5b267f92adcd405 cbf29ce484222325 12 6764 128",
+        "a3c d53e7e6267ed8d0a 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
+    ];
+
+    /// Every field that the environment could otherwise set is spelled
+    /// out, so the CI matrix (`MSRL_OVERLAP`, `MSRL_ACTSRV`) pins the same
+    /// numbers.
+    fn dist(actors: usize, seed: u64) -> DistPpoConfig {
+        DistPpoConfig {
+            actors,
+            envs_per_actor: 2,
+            steps_per_iter: 16,
+            iterations: 4,
+            hidden: vec![16],
+            ppo: PpoConfig::default(),
+            seed,
+            overlap: true,
+            staleness: 1,
+            link_latency: std::time::Duration::ZERO,
+            fusion: true,
+            act_server: false,
+        }
+    }
+
+    /// FNV-1a over the bit patterns.
+    fn checksum(values: &[f32]) -> u64 {
+        values.iter().flat_map(|v| v.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn line(case: &str, run: impl FnOnce() -> TrainingReport) -> String {
+        let before = COUNTERS.map(counter_total);
+        let r = run();
+        let delta: Vec<u64> =
+            COUNTERS.iter().zip(before).map(|(c, b)| counter_total(c) - b).collect();
+        format!(
+            "{case} {:016x} {:016x} {:016x} {} {} {}",
+            checksum(&r.final_params),
+            checksum(&r.iteration_rewards),
+            checksum(&r.losses),
+            delta[0],
+            delta[1],
+            delta[2]
+        )
+    }
+
+    fn lines() -> Vec<String> {
+        let cart = |a: usize, i: usize| CartPole::new((a * 5 + i) as u64);
+        let ppo = PpoConfig { epochs: 2, ..PpoConfig::default() };
+        vec![
+            line("dp_a", || run_dp_a(cart, &dist(2, 21)).unwrap()),
+            line("dp_a_actsrv", || {
+                run_dp_a(cart, &DistPpoConfig { act_server: true, ..dist(2, 21) }).unwrap()
+            }),
+            line("dp_b", || run_dp_b(cart, &dist(2, 22)).unwrap()),
+            line("dp_c", || run_dp_c(cart, &dist(2, 23)).unwrap()),
+            line("dp_d", || {
+                let cfg = DpDConfig {
+                    devices: 2,
+                    episodes: 3,
+                    hidden: vec![16],
+                    ppo: ppo.clone(),
+                    seed: 24,
+                    fusion: true,
+                };
+                run_dp_d(|r| BatchedCartPole::new(8, 40 + r as u64), &cfg).unwrap()
+            }),
+            line("dp_e", || {
+                let cfg = DpEConfig {
+                    episodes: 3,
+                    hidden: vec![16],
+                    ppo: ppo.clone(),
+                    seed: 25,
+                    fusion: true,
+                };
+                run_dp_e(|| SimpleSpread::new(2, 25).with_horizon(10), &cfg).unwrap()
+            }),
+            // One worker, blocking pulls: with more, or with a pull
+            // outstanding, the server's arrival order decides the result.
+            line("dp_f", || {
+                run_dp_f(cart, &DistPpoConfig { overlap: false, ..dist(1, 26) }).unwrap()
+            }),
+            line("a3c", || {
+                let cfg = A3cDistConfig {
+                    workers: 1,
+                    rollout_steps: 16,
+                    pushes_per_worker: 5,
+                    hidden: vec![16],
+                    a3c: A3cConfig::default(),
+                    seed: 27,
+                    fusion: true,
+                };
+                run_a3c(|w| CartPole::new(50 + w as u64), &cfg).unwrap()
+            }),
+        ]
+    }
+
+    /// The body of the child process; a no-op in an ordinary run.
+    #[test]
+    fn golden_child() {
+        if std::env::var_os(CHILD_ENV).is_some() {
+            for l in lines() {
+                println!("GOLDEN {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_reproduces_its_pinned_run() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "golden::golden_child", "--nocapture", "--test-threads=1"])
+            .env(CHILD_ENV, "1")
+            .output()
+            .expect("the test binary re-executes");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let got: Vec<&str> =
+            stdout.lines().filter_map(|l| Some(l.split_once("GOLDEN ")?.1)).collect();
+        assert_eq!(got, PINNED, "a distribution policy no longer computes what it did");
+    }
+}
