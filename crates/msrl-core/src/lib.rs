@@ -88,6 +88,13 @@ pub enum FdgError {
         /// The requested replica count.
         replicas: usize,
     },
+    /// The distribution policy has no sync rule the caller could run
+    /// (a custom name, or one whose environments and configuration the
+    /// entry point does not take).
+    NoSyncRule {
+        /// The policy's short code or custom name.
+        policy: String,
+    },
 }
 
 impl std::fmt::Display for FdgError {
@@ -104,6 +111,9 @@ impl std::fmt::Display for FdgError {
             FdgError::Comm(e) => write!(f, "comm error: {e}"),
             FdgError::InvalidFusion { replicas } => {
                 write!(f, "cannot fuse {replicas} replicas")
+            }
+            FdgError::NoSyncRule { policy } => {
+                write!(f, "no sync rule runs distribution policy {policy} here")
             }
         }
     }

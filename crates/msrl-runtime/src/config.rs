@@ -9,9 +9,16 @@
 //! `Default` impls of the driver configs take their environment-backed
 //! fields from here; binaries call `from_env` first so a bad value is
 //! reported as an error before any work starts.
+//!
+//! The run configurations live here too — [`DistPpoConfig`] for the four
+//! PPO rules that share it, [`DpDConfig`], [`DpEConfig`],
+//! [`A3cDistConfig`] — re-exported from `crate::exec`, whose entry
+//! points take them.
 
+use msrl_algos::a3c::A3cConfig;
+use msrl_algos::ppo::PpoConfig;
 pub use msrl_tensor::par::ConfigError;
-use msrl_tensor::par::{parse_var, ExecCtx};
+use msrl_tensor::par::{self, parse_var, ExecCtx};
 
 /// Everything the environment can say about how a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +98,150 @@ impl Default for RuntimeConfig {
     /// as an error instead.
     fn default() -> Self {
         RuntimeConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Configuration shared by the PPO distribution policies
+/// ([`crate::exec::run_ppo`]: DP-A, DP-B, DP-C, DP-F).
+#[derive(Debug, Clone)]
+pub struct DistPpoConfig {
+    /// Actor (or fused actor+learner) replicas.
+    pub actors: usize,
+    /// Environments per actor.
+    pub envs_per_actor: usize,
+    /// Vectorised steps collected per training iteration.
+    pub steps_per_iter: usize,
+    /// Training iterations to run.
+    pub iterations: usize,
+    /// Hidden layer widths of the policy.
+    pub hidden: Vec<usize>,
+    /// PPO hyper-parameters.
+    pub ppo: PpoConfig,
+    /// Base RNG seed (replicas derive their own deterministically).
+    pub seed: u64,
+    /// Overlap communication with computation (double-buffered weight
+    /// sync under DP-A/DP-F, fused collective under DP-C). Defaults from
+    /// `MSRL_OVERLAP` (on); off means every sync is fully blocking.
+    pub overlap: bool,
+    /// Bounded-staleness window for overlapped weight sync: actors may
+    /// roll out on weights at most this many iterations old. Defaults
+    /// from `MSRL_STALENESS`; ignored when `overlap` is off.
+    pub staleness: usize,
+    /// Simulated per-message wire latency on the comm fabric — the
+    /// in-process analogue of the paper's `tc`-injected network latency
+    /// (Fig. 7d). Zero (the default) means in-process channel speed.
+    pub link_latency: std::time::Duration,
+    /// Route linear layers through the fused `MatMul+bias+activation`
+    /// kernel and enable the graph compiler's fusion passes (both
+    /// bit-identical to the unfused path). On by default; off is the
+    /// reference the bitwise suites compare against.
+    pub fusion: bool,
+    /// Micro-batch policy forwards *across* actor fragments through the
+    /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
+    /// per-actor path; forces the staleness bound to zero (all actors
+    /// share one weight snapshot). Defaults from `MSRL_ACTSRV` (off).
+    pub act_server: bool,
+}
+
+impl Default for DistPpoConfig {
+    fn default() -> Self {
+        let env = RuntimeConfig::default();
+        DistPpoConfig {
+            actors: 2,
+            envs_per_actor: 4,
+            steps_per_iter: 64,
+            iterations: 10,
+            hidden: vec![32, 32],
+            ppo: PpoConfig::default(),
+            seed: 0,
+            overlap: env.overlap,
+            staleness: env.staleness,
+            link_latency: std::time::Duration::ZERO,
+            fusion: par::fusion_enabled(),
+            act_server: env.act_server,
+        }
+    }
+}
+
+impl DistPpoConfig {
+    /// The effective staleness bound: `staleness` when overlap is on,
+    /// zero (fully synchronous) otherwise — one code path for both. The
+    /// act server also forces zero: its clients share one policy
+    /// snapshot, so per-actor weight versions cannot diverge.
+    pub(crate) fn stale_bound(&self) -> usize {
+        if self.overlap && !self.act_server {
+            self.staleness
+        } else {
+            0
+        }
+    }
+}
+
+/// Configuration for the fused GPU-only loop (DP-D).
+#[derive(Debug, Clone)]
+pub struct DpDConfig {
+    /// Device (fragment replica) count.
+    pub devices: usize,
+    /// Episodes to train.
+    pub episodes: usize,
+    /// Hidden widths of the policy.
+    pub hidden: Vec<usize>,
+    /// PPO hyper-parameters.
+    pub ppo: PpoConfig,
+    /// Base seed.
+    pub seed: u64,
+    /// Route linear layers through the fused `MatMul+bias+activation`
+    /// kernel (bit-identical to the unfused path).
+    pub fusion: bool,
+}
+
+/// Configuration for MAPPO with a dedicated environment worker (DP-E).
+#[derive(Debug, Clone)]
+pub struct DpEConfig {
+    /// Episodes to train.
+    pub episodes: usize,
+    /// Hidden widths of per-agent policies.
+    pub hidden: Vec<usize>,
+    /// PPO hyper-parameters for each agent learner.
+    pub ppo: PpoConfig,
+    /// Base seed.
+    pub seed: u64,
+    /// Route linear layers through the fused `MatMul+bias+activation`
+    /// kernel (bit-identical to the unfused path).
+    pub fusion: bool,
+}
+
+/// Configuration for asynchronous A3C.
+#[derive(Debug, Clone)]
+pub struct A3cDistConfig {
+    /// Worker (actor) fragments, each with one environment.
+    pub workers: usize,
+    /// Steps per local rollout before a gradient push.
+    pub rollout_steps: usize,
+    /// Gradient pushes per worker.
+    pub pushes_per_worker: usize,
+    /// Hidden widths of the shared network.
+    pub hidden: Vec<usize>,
+    /// A3C hyper-parameters.
+    pub a3c: A3cConfig,
+    /// Base seed.
+    pub seed: u64,
+    /// Route linear layers through the fused `MatMul+bias+activation`
+    /// kernel (bit-identical to the unfused path). On by default.
+    pub fusion: bool,
+}
+
+impl Default for A3cDistConfig {
+    fn default() -> Self {
+        A3cDistConfig {
+            workers: 3,
+            rollout_steps: 32,
+            pushes_per_worker: 20,
+            hidden: vec![32],
+            a3c: A3cConfig::default(),
+            seed: 0,
+            fusion: par::fusion_enabled(),
+        }
     }
 }
 

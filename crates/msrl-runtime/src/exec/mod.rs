@@ -1,166 +1,59 @@
-//! Real multi-threaded fragment execution (§5.2).
+//! Real multi-threaded fragment execution (§5.2): one runner, six sync
+//! rules, and a table that picks the rule.
 //!
-//! Each placed fragment runs on its own OS thread ("device"); fragments
-//! synchronise through `msrl-comm` endpoints exactly as their interfaces
-//! prescribe: per-episode trajectory gathers and weight broadcasts under
-//! DP-A, per-step exchanges under DP-B, gradient AllReduce under DP-C,
-//! weight AllReduce between fused loops under DP-D, environment-worker
-//! messaging under DP-E, and parameter-server push/pull under DP-F.
+//! A distribution policy is a row of [`rule_for`]'s table, spelled in the
+//! vocabulary `policy::place` returns: the [`Role`] of the replicated
+//! *worker* seat, the role of the singleton *hub* seat if there is one,
+//! and the [`SyncGranularity`] between them.
 //!
-//! Every driver consumes the *same* algorithm components from
-//! `msrl-algos`; only the orchestration differs — the executable form of
-//! the paper's claim that distribution policies require no algorithm
-//! changes.
+//! | Policy | hub | workers | sync | rule (`rules.rs`) |
+//! |--------|-----|---------|------|-------------------|
+//! | DP-A | `Learner` | `ActorEnv` | `PerEpisode` | gather + version-stamped broadcast |
+//! | DP-B | `Learner` | `ActorEnv` | `PerStep` | per-step exchange |
+//! | DP-C | — | `ActorLearner` | `PerEpoch` | gradient all-reduce |
+//! | DP-D | — | `FusedLoop` | `PerEpisode` | weight all-reduce |
+//! | DP-E | `Env` | `ActorLearner` | `PerEpisode` | env-worker messaging |
+//! | DP-F, A3C | `ParamServer` | `ActorLearner` | `PerEpisode` | push–pull |
+//!
+//! The skeleton (`runner.rs`) owns everything the rules share: the
+//! fabric, the starting policy, the one `thread::scope`, a fragment
+//! thread per worker with the hub on the calling thread, the join, the
+//! replica check, the metrics stream and the report. A rule is only the
+//! bodies of its seats. Every rule consumes the *same* algorithm
+//! components from `msrl-algos` — the executable form of the paper's
+//! claim that distribution policies require no algorithm changes — and
+//! [`run_ppo`] switches between the four that share [`DistPpoConfig`] by
+//! a [`PolicyName`] value. `run_dp_a` … `run_a3c` are the same calls with
+//! the row fixed.
 //!
 //! # Interaction with the threaded tensor backend
 //!
-//! The tensor kernels these drivers invoke (batched inference in DP-B's
-//! central learner, the fused per-replica loops of DP-D, per-agent
-//! training under DP-E) respect [`msrl_tensor::Backend`]: under the
-//! default `Threaded` backend, large ops additionally split across
-//! intra-op worker threads. Fragment threads and intra-op threads
-//! compose — each fragment's ops fan out independently — so on hosts
-//! where `actors × MSRL_THREADS` would oversubscribe the machine, cap
-//! intra-op parallelism with `MSRL_THREADS=1` (or `MSRL_BACKEND=scalar`
-//! for the bit-exact reference path).
-//!
-//! Every fragment thread runs under the [`msrl_tensor::par::ExecCtx`] of
-//! the thread that called the driver, with `fusion` taken from the
-//! driver's config: [`drive`] scopes it and [`spawn_fragment`] hands it
-//! on, so two drivers running at once under different contexts (two
-//! tests, two backends) never see each other's.
+//! The tensor kernels the rules invoke respect [`msrl_tensor::Backend`]:
+//! under the default `Threaded` backend, large ops additionally split
+//! across intra-op worker threads. Fragment threads and intra-op threads
+//! compose, so on hosts where `workers × MSRL_THREADS` would
+//! oversubscribe the machine, cap intra-op parallelism with
+//! `MSRL_THREADS=1`. Every fragment thread runs under the
+//! [`msrl_tensor::par::ExecCtx`] of the thread that called the runner,
+//! with `fusion` taken from the run's config, so two runs at once under
+//! different contexts (two tests, two backends) never see each other's.
 
-mod a3c;
-mod dp_a;
-mod dp_b;
-mod dp_c;
-mod dp_d;
-mod dp_e;
-mod dp_f;
+mod rules;
+mod runner;
 
-pub use a3c::{run_a3c, A3cDistConfig};
-pub use dp_a::run_dp_a;
-pub use dp_b::run_dp_b;
-pub use dp_c::run_dp_c;
-pub use dp_d::{run_dp_d, DpDConfig};
-pub use dp_e::{run_dp_e, DpEConfig};
-pub use dp_f::run_dp_f;
+pub use crate::config::{A3cDistConfig, DistPpoConfig, DpDConfig, DpEConfig};
 
-use std::thread::{Scope, ScopedJoinHandle};
+use msrl_algos::a3c::{A3cLearner, A3cWorker};
+use msrl_algos::ppo::{PpoActor, PpoLearner};
+use msrl_core::config::PolicyName;
+use msrl_core::{FdgError, Result};
+use msrl_env::batched::BatchedEnv;
+use msrl_env::{ActionSpec, Environment, MultiAgentEnvironment, VecEnv};
 
-use msrl_algos::ppo::PpoConfig;
-use msrl_core::Result;
-use msrl_tensor::par::{self, ExecCtx};
-
-use crate::config::RuntimeConfig;
-
-/// Configuration shared by the PPO distribution drivers.
-#[derive(Debug, Clone)]
-pub struct DistPpoConfig {
-    /// Actor (or fused actor+learner) replicas.
-    pub actors: usize,
-    /// Environments per actor.
-    pub envs_per_actor: usize,
-    /// Vectorised steps collected per training iteration.
-    pub steps_per_iter: usize,
-    /// Training iterations to run.
-    pub iterations: usize,
-    /// Hidden layer widths of the policy.
-    pub hidden: Vec<usize>,
-    /// PPO hyper-parameters.
-    pub ppo: PpoConfig,
-    /// Base RNG seed (replicas derive their own deterministically).
-    pub seed: u64,
-    /// Overlap communication with computation (double-buffered weight
-    /// sync under DP-A/DP-F, fused collective under DP-C). Defaults from
-    /// `MSRL_OVERLAP` (on); off means every sync is fully blocking.
-    pub overlap: bool,
-    /// Bounded-staleness window for overlapped weight sync: actors may
-    /// roll out on weights at most this many iterations old. Defaults
-    /// from `MSRL_STALENESS`; ignored when `overlap` is off.
-    pub staleness: usize,
-    /// Simulated per-message wire latency on the comm fabric — the
-    /// in-process analogue of the paper's `tc`-injected network latency
-    /// (Fig. 7d). Zero (the default) means in-process channel speed.
-    pub link_latency: std::time::Duration,
-    /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel and enable the graph compiler's fusion passes (both
-    /// bit-identical to the unfused path). On by default; off is the
-    /// reference the bitwise suites compare against.
-    pub fusion: bool,
-    /// Micro-batch policy forwards *across* actor fragments through the
-    /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
-    /// per-actor path; forces the staleness bound to zero (all actors
-    /// share one weight snapshot). Defaults from `MSRL_ACTSRV` (off).
-    pub act_server: bool,
-}
-
-impl Default for DistPpoConfig {
-    fn default() -> Self {
-        let env = RuntimeConfig::default();
-        DistPpoConfig {
-            actors: 2,
-            envs_per_actor: 4,
-            steps_per_iter: 64,
-            iterations: 10,
-            hidden: vec![32, 32],
-            ppo: PpoConfig::default(),
-            seed: 0,
-            overlap: env.overlap,
-            staleness: env.staleness,
-            link_latency: std::time::Duration::ZERO,
-            fusion: par::fusion_enabled(),
-            act_server: env.act_server,
-        }
-    }
-}
-
-impl DistPpoConfig {
-    /// The effective staleness bound: `staleness` when overlap is on,
-    /// zero (fully synchronous) otherwise — one code path for both. The
-    /// act server also forces zero: its clients share one policy
-    /// snapshot, so per-actor weight versions cannot diverge.
-    pub(crate) fn stale_bound(&self) -> usize {
-        if self.overlap && !self.act_server {
-            self.staleness
-        } else {
-            0
-        }
-    }
-}
-
-/// Declares the fragment the calling thread hosts: opens the
-/// `fragment.<role>` span named by `span` (held until the returned
-/// guard drops) and tags the thread's attribution stamps (comm waits
-/// deep in the fabric included) with `<role>` and `rank`.
-pub(crate) fn enter_fragment(span: &'static str, rank: usize) -> msrl_telemetry::SpanGuard {
-    let role = span.strip_prefix("fragment.").expect("fragment spans are named fragment.<role>");
-    msrl_telemetry::set_fragment(role, rank as u64);
-    msrl_telemetry::span!(span, rank)
-}
-
-/// Spawns one fragment thread on `scope`. The new thread inherits the
-/// spawning thread's [`ExecCtx`] — the one seam, besides the `par`
-/// fan-out helpers, where a context crosses threads — and runs `body`
-/// inside [`enter_fragment`].
-pub(crate) fn spawn_fragment<'scope, T, F>(
-    scope: &'scope Scope<'scope, '_>,
-    span: &'static str,
-    rank: usize,
-    body: F,
-) -> ScopedJoinHandle<'scope, T>
-where
-    F: FnOnce() -> T + Send + 'scope,
-    T: Send + 'scope,
-{
-    let ctx = ExecCtx::current();
-    scope.spawn(move || {
-        ctx.scope(|| {
-            let _frag = enter_fragment(span, rank);
-            body()
-        })
-    })
-}
+use crate::actsrv::ActServer;
+use crate::policy::Role::{self, ActorEnv, ActorLearner, Env, FusedLoop, Learner, ParamServer};
+use crate::policy::SyncGranularity::{self, PerEpisode, PerEpoch, PerStep};
+use runner::{no_hub, run, Setup};
 
 /// The outcome of a distributed training run.
 #[derive(Debug, Clone, Default)]
@@ -177,212 +70,283 @@ pub struct TrainingReport {
 impl TrainingReport {
     /// Mean reward over the last `n` iterations.
     pub fn recent_reward(&self, n: usize) -> f32 {
-        let tail: Vec<f32> = self.iteration_rewards.iter().rev().take(n).copied().collect();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().sum::<f32>() / tail.len() as f32
+        mean(self.iteration_rewards.iter().rev().take(n))
     }
 
     /// Mean reward over the first `n` iterations.
     pub fn early_reward(&self, n: usize) -> f32 {
-        let head: Vec<f32> = self.iteration_rewards.iter().take(n).copied().collect();
-        if head.is_empty() {
-            return 0.0;
-        }
-        head.iter().sum::<f32>() / head.len() as f32
+        mean(self.iteration_rewards.iter().take(n))
     }
 }
 
-/// Summarises finished-episode returns into one scalar, carrying the
-/// previous iteration's value forward when nothing finished.
-pub(crate) fn mean_or_prev(finished: &[f32], prev: f32) -> f32 {
-    if finished.is_empty() {
-        prev
-    } else {
-        finished.iter().sum::<f32>() / finished.len() as f32
+fn mean<'a>(values: impl ExactSizeIterator<Item = &'a f32>) -> f32 {
+    match values.len() {
+        0 => 0.0,
+        n => values.sum::<f32>() / n as f32,
     }
 }
 
-/// Per-iteration observability for a driver's learner-side loop: emits
-/// one [`msrl_telemetry::RunEvent`] per iteration (reward, loss,
-/// entropy, it/s, comm-byte delta, staleness, plan-cache hit rate) and
-/// records the iteration period into the always-on `fragment.eval`
-/// histogram — one fragment-body execution per iteration, so DP runs
-/// carry latency quantiles even with `MSRL_TRACE` unset. (PPO's learn
-/// path trains through the tape, not the interpreter, so the
-/// interpreter's own `fragment.eval` samples only appear in
-/// interpreter-driven workloads.)
-pub(crate) struct RunObserver {
-    policy: &'static str,
-    staleness: u64,
-    last: std::time::Instant,
-    bytes_prev: u64,
-    actsrv_batches_prev: u64,
-    actsrv_rows_prev: u64,
-    iteration: u64,
-    /// Streaming health detectors over this run's metrics (None when
-    /// `MSRL_HEALTH=0`).
-    monitor: Option<msrl_telemetry::HealthMonitor>,
-    health_updates_prev: u64,
+/// One seat of a sync rule: the placement role it fills and the
+/// `fragment.<role>` span (and attribution tag) its threads open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seat {
+    /// The role, in `policy::place`'s vocabulary.
+    pub role: Role,
+    /// The span of the seat's fragment threads.
+    pub span: &'static str,
 }
 
-impl RunObserver {
-    /// Starts observing a run. Also installs the flight recorder's
-    /// panic hook so a dying worker leaves post-mortem state on disk,
-    /// and opens the first attribution window so step stamps from
-    /// before the run don't leak into iteration 0.
-    pub(crate) fn new(policy: &'static str, staleness: usize) -> RunObserver {
-        msrl_telemetry::install_panic_hook();
-        msrl_telemetry::reset_window();
-        RunObserver {
-            policy,
-            staleness: staleness as u64,
-            last: std::time::Instant::now(),
-            bytes_prev: msrl_telemetry::counter_total("comm.bytes_sent"),
-            actsrv_batches_prev: msrl_telemetry::counter_total("actsrv.batches"),
-            actsrv_rows_prev: msrl_telemetry::counter_total("actsrv.rows"),
-            iteration: 0,
-            monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
-            health_updates_prev: msrl_telemetry::counter_total("health.updates"),
-        }
-    }
-
-    /// One health pass over the just-closed iteration: folds the
-    /// sentinel gauges the learner published (read only when their
-    /// counters moved, so learner-less drivers omit them), scans the
-    /// policy parameters for non-finite values with the fused kernel,
-    /// and feeds the run-level signals to the streaming detectors. A
-    /// freshly fired Critical finding snapshots the verdict and
-    /// triggers a flight-recorder dump carrying it (DESIGN §3.15).
-    fn health_block(
-        &mut self,
-        reward: f32,
-        loss: Option<f32>,
-        entropy: Option<f32>,
-        iters_per_sec: f64,
-        params: Option<&[f32]>,
-    ) -> Option<msrl_telemetry::HealthStatus> {
-        let monitor = self.monitor.as_mut()?;
-        let _t = msrl_telemetry::static_histogram!("health.observe").time();
-        let gauge = |name: &str| msrl_telemetry::Gauge::handle(name).get();
-        let updates = msrl_telemetry::counter_total("health.updates");
-        let stepped = updates > self.health_updates_prev;
-        self.health_updates_prev = updates;
-        let sample = msrl_telemetry::HealthSample {
-            iteration: self.iteration,
-            reward: f64::from(reward),
-            loss: loss.map(f64::from),
-            entropy: entropy.map(f64::from),
-            iters_per_sec,
-            staleness_bound: self.staleness,
-            // Observed staleness is not separately instrumented on the
-            // live path (the comm layer enforces the bound); replay and
-            // unit streams exercise the breach detector.
-            staleness_observed: None,
-            grad_norm: stepped.then(|| gauge("health.grad_norm")),
-            weight_norm: stepped.then(|| gauge("health.weight_norm")),
-            update_ratio: stepped.then(|| gauge("health.update_ratio")),
-            nonfinite_params: params.map(msrl_tensor::kernels::count_nonfinite),
-        };
-        let status = monitor.observe(&sample);
-        let critical = status
-            .findings
-            .iter()
-            .find(|f| f.severity == msrl_telemetry::Severity::Critical)
-            .map(|f| format!("{}: {}", f.detector, f.detail));
-        if let Some(reason) = critical {
-            msrl_telemetry::set_last_verdict(&monitor.verdict());
-            match msrl_telemetry::flightrec::dump("health", &reason) {
-                Ok(_) => {}
-                Err(e) => eprintln!("msrl: health-triggered flightrec dump failed: {e}"),
-            }
-        }
-        Some(status)
-    }
-
-    /// Closes one iteration: records its period, computes the
-    /// critical-path attribution over the iteration window (draining
-    /// every fragment thread's step stamps), runs the health detectors,
-    /// and streams the training-metrics event — schema v2 when
-    /// attribution is on, v3 when the health watchdog is.
-    pub(crate) fn observe(
-        &mut self,
-        reward: f32,
-        loss: Option<f32>,
-        entropy: Option<f32>,
-        params: Option<&[f32]>,
-    ) {
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.last);
-        self.last = now;
-        msrl_telemetry::static_histogram!("fragment.eval").record_duration(dt);
-        let attr = if msrl_telemetry::attr_enabled() {
-            let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
-            let a = msrl_telemetry::finish_iteration();
-            drop(t);
-            Some(a)
-        } else {
-            None
-        };
-        let bytes = msrl_telemetry::counter_total("comm.bytes_sent");
-        let hits = msrl_telemetry::counter_total("interp.plan_cache.hit");
-        let misses = msrl_telemetry::counter_total("interp.plan_cache.miss");
-        let plan_cache_hit_rate = (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64);
-        // Act-server deltas: an active server runs ≥1 batched forward
-        // per iteration, so a zero delta means it is off — omit the
-        // block rather than streaming noise.
-        let actsrv_batches = msrl_telemetry::counter_total("actsrv.batches");
-        let actsrv_rows = msrl_telemetry::counter_total("actsrv.rows");
-        let actsrv =
-            (actsrv_batches > self.actsrv_batches_prev).then(|| msrl_telemetry::ActsrvStats {
-                batches: actsrv_batches.saturating_sub(self.actsrv_batches_prev),
-                rows: actsrv_rows.saturating_sub(self.actsrv_rows_prev),
-            });
-        let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
-        let health = self.health_block(reward, loss, entropy, iters_per_sec, params);
-        msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
-            policy: self.policy,
-            iteration: self.iteration,
-            reward: f64::from(reward),
-            loss: loss.map(f64::from),
-            entropy: entropy.map(f64::from),
-            iters_per_sec,
-            comm_bytes: bytes.saturating_sub(self.bytes_prev),
-            staleness: self.staleness,
-            plan_cache_hit_rate,
-            attr,
-            actsrv,
-            health,
-        });
-        self.bytes_prev = bytes;
-        self.actsrv_batches_prev = actsrv_batches;
-        self.actsrv_rows_prev = actsrv_rows;
-        self.iteration += 1;
-    }
+/// One row of the rule table: which seats a distribution policy runs
+/// and how often they synchronise. The three together select the rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rule {
+    /// The `policy` string of the run's RunEvents.
+    pub name: &'static str,
+    /// The replicated seat, one fragment thread per replica.
+    pub worker: Seat,
+    /// The singleton seat on the calling thread, if the rule has one.
+    pub hub: Option<Seat>,
+    /// How often the seats synchronise.
+    pub sync: SyncGranularity,
 }
 
-/// A driver's frame. Runs `body` with the config's `fusion` choice in
-/// the calling thread's [`ExecCtx`] (fragments inherit it through
-/// [`spawn_fragment`]), then flushes the metrics stream (and the
-/// `MSRL_METRICS_TEXT_FILE` exposition) and, on an error outcome,
-/// writes a flight-recorder dump so failed runs leave evidence.
+const fn seat(role: Role, span: &'static str) -> Seat {
+    Seat { role, span }
+}
+const ACTOR: Seat = seat(ActorEnv, "fragment.actor");
+const LEARNER: Seat = seat(Learner, "fragment.learner");
+const WORKER: Seat = seat(ActorLearner, "fragment.worker");
+
+const DP_A: Rule = Rule { name: "dp_a", worker: ACTOR, hub: Some(LEARNER), sync: PerEpisode };
+const DP_B: Rule = Rule { name: "dp_b", worker: ACTOR, hub: Some(LEARNER), sync: PerStep };
+const DP_C: Rule = Rule {
+    name: "dp_c",
+    worker: seat(ActorLearner, "fragment.actor_learner"),
+    hub: None,
+    sync: PerEpoch,
+};
+const DP_D: Rule = Rule {
+    name: "dp_d",
+    worker: seat(FusedLoop, "fragment.fused_loop"),
+    hub: None,
+    sync: PerEpisode,
+};
+const DP_E: Rule = Rule {
+    name: "dp_e",
+    worker: seat(ActorLearner, "fragment.agent"),
+    hub: Some(seat(Env, "fragment.env_worker")),
+    sync: PerEpisode,
+};
+const DP_F: Rule = Rule {
+    name: "dp_f",
+    worker: WORKER,
+    hub: Some(seat(ParamServer, "fragment.param_server")),
+    sync: PerEpisode,
+};
+/// DP-F's row under A3C's names: the server seat is A3C's learner.
+const A3C: Rule = Rule {
+    name: "a3c",
+    worker: WORKER,
+    hub: Some(seat(ParamServer, "fragment.learner")),
+    sync: PerEpisode,
+};
+
+/// The rule table: the row a built-in distribution policy runs.
 ///
-/// A flush failure is surfaced, not swallowed: the stream is the health
-/// subsystem's evidence trail, and a silently truncated JSONL file
-/// would read as a healthy run. The `sink.io_errors` counter carries
-/// the same signal into the exposition snapshot.
-pub(crate) fn drive<T>(
-    policy: &'static str,
-    fusion: bool,
-    body: impl FnOnce() -> Result<T>,
-) -> Result<T> {
-    let result = par::with_fusion(fusion, body);
-    if let Err(e) = msrl_telemetry::flush_metrics() {
-        eprintln!("msrl: metrics stream write failed for {policy}: {e}");
+/// # Errors
+///
+/// [`FdgError::NoSyncRule`] for [`PolicyName::Custom`]: a custom policy
+/// places fragments but names no rule to run them.
+pub fn rule_for(policy: &PolicyName) -> Result<&'static Rule> {
+    match policy {
+        PolicyName::SingleLearnerCoarse => Ok(&DP_A),
+        PolicyName::SingleLearnerFine => Ok(&DP_B),
+        PolicyName::MultipleLearners => Ok(&DP_C),
+        PolicyName::GpuOnly => Ok(&DP_D),
+        PolicyName::Environments => Ok(&DP_E),
+        PolicyName::Central => Ok(&DP_F),
+        PolicyName::Custom(name) => Err(FdgError::NoSyncRule { policy: name.clone() }),
     }
-    if let Err(e) = &result {
-        let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"));
-    }
-    result
 }
+
+/// Runs PPO under the distribution policy named by `policy` — one of the
+/// four whose rules take [`DistPpoConfig`] and a [`VecEnv`] per worker
+/// (DP-A, DP-B, DP-C, DP-F). `make_env(worker, instance)` constructs one
+/// environment. Switching policy is changing the first argument.
+///
+/// # Errors
+///
+/// [`FdgError::NoSyncRule`] for a custom policy and for DP-D / DP-E
+/// (batched and multi-agent environments: [`run_dp_d`], [`run_dp_e`]);
+/// otherwise the first algorithm or communication failure of the run,
+/// the hub's before any worker's.
+pub fn run_ppo<E, F>(
+    policy: &PolicyName,
+    make_env: F,
+    dist: &DistPpoConfig,
+) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
+    let rule = rule_for(policy)?;
+    let probe = make_env(0, 0);
+    let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
+    drop(probe);
+    let (p, n) = (dist.actors.max(1), dist.envs_per_actor.max(1));
+    let envs = |worker: usize| VecEnv::from_fn(n, |i| make_env(worker, i));
+    let setup = |staleness: usize| Setup {
+        link_latency: dist.link_latency,
+        staleness,
+        ..Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion)
+    };
+    match (rule.hub.map(|hub| hub.role), rule.worker.role, rule.sync) {
+        (Some(Learner), ActorEnv, PerEpisode) => {
+            let setup = setup(dist.stale_bound());
+            let srv = dist.act_server.then(|| ActServer::new(setup.policy.clone(), p));
+            run(
+                rule,
+                &setup,
+                |f| rules::gather_actor(f, envs(f.rank), dist, srv.as_ref()),
+                |f| rules::gather_learner(f, dist),
+            )
+        }
+        (Some(Learner), ActorEnv, PerStep) => run(
+            rule,
+            &setup(0),
+            |f| rules::step_actor(f, envs(f.rank), dist),
+            |f| rules::step_learner(f, dist, obs_dim),
+        ),
+        (None, ActorLearner, PerEpoch) => {
+            run(rule, &setup(0), |f| rules::grad_all_reduce(f, envs(f.rank), dist), no_hub)
+        }
+        (Some(ParamServer), ActorLearner, PerEpisode) => run(
+            rule,
+            &setup(dist.stale_bound()),
+            |f| {
+                let actor = PpoActor::new(f.policy.clone(), dist.seed + 1 + f.rank as u64);
+                let engine = (actor, PpoLearner::new(f.policy.clone(), dist.ppo.clone()));
+                let (rounds, steps) = (dist.iterations, dist.steps_per_iter);
+                rules::push_pull_worker(f, engine, envs(f.rank), rounds, steps, dist.stale_bound())
+            },
+            |f| {
+                let server = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
+                rules::push_pull_server(f, server, dist.iterations, p)
+            },
+        ),
+        _ => Err(FdgError::NoSyncRule { policy: policy.code().into() }),
+    }
+}
+
+/// Runs PPO under DP-A: [`run_ppo`] with the row fixed.
+pub fn run_dp_a<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
+    run_ppo(&PolicyName::SingleLearnerCoarse, make_env, dist)
+}
+
+/// Runs PPO under DP-B: [`run_ppo`] with the row fixed.
+pub fn run_dp_b<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
+    run_ppo(&PolicyName::SingleLearnerFine, make_env, dist)
+}
+
+/// Runs PPO under DP-C: [`run_ppo`] with the row fixed.
+pub fn run_dp_c<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
+    run_ppo(&PolicyName::MultipleLearners, make_env, dist)
+}
+
+/// Runs PPO under DP-F: [`run_ppo`] with the row fixed.
+pub fn run_dp_f<E, F>(make_env: F, dist: &DistPpoConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize, usize) -> E + Send + Sync,
+{
+    run_ppo(&PolicyName::Central, make_env, dist)
+}
+
+/// Runs the fused training loop (DP-D) on `devices` replicas, each
+/// owning the batched environment produced by `make_env(replica)`.
+/// Reports the per-episode mean reward, averaged over replicas.
+///
+/// # Errors
+///
+/// Propagates algorithm/communication failures from any fragment.
+pub fn run_dp_d<B, F>(make_env: F, cfg: &DpDConfig) -> Result<TrainingReport>
+where
+    B: BatchedEnv + 'static,
+    F: Fn(usize) -> B + Send + Sync,
+{
+    let probe = make_env(0);
+    let (obs_dim, spec) = (probe.obs_dim(), ActionSpec::Discrete { n: probe.n_actions() });
+    drop(probe);
+    let setup = Setup {
+        mean_rewards: true,
+        ..Setup::new(cfg.devices.max(1), obs_dim, spec, &cfg.hidden, cfg.seed, cfg.fusion)
+    };
+    run(&DP_D, &setup, |f| rules::weight_all_reduce(f, make_env(f.rank), cfg), no_hub)
+}
+
+/// Runs MAPPO under DP-E on the environment produced by `make_env`: one
+/// agent fragment per agent, the environment on the calling thread.
+/// Reports the per-episode mean per-agent step reward.
+///
+/// # Errors
+///
+/// Propagates algorithm/communication failures from any fragment.
+pub fn run_dp_e<M, F>(make_env: F, cfg: &DpEConfig) -> Result<TrainingReport>
+where
+    M: MultiAgentEnvironment + 'static,
+    F: FnOnce() -> M + Send,
+{
+    let env = make_env();
+    let (n, obs_dim, spec) = (env.n_agents(), env.obs_dim(), env.action_spec());
+    let setup = Setup::new(n, obs_dim, spec, &cfg.hidden, cfg.seed, cfg.fusion);
+    run(&DP_E, &setup, |f| rules::env_agent(f, cfg), |f| rules::env_worker(f, env, cfg.episodes))
+}
+
+/// Runs A3C with asynchronous gradient pushes: the push–pull rule with
+/// every pull waited before the next rollout, one environment
+/// (`make_env(worker)`) per worker, and one report entry per push.
+///
+/// # Errors
+///
+/// Propagates algorithm/communication failures from any fragment.
+pub fn run_a3c<E, F>(make_env: F, dist: &A3cDistConfig) -> Result<TrainingReport>
+where
+    E: Environment + 'static,
+    F: Fn(usize) -> E + Send + Sync,
+{
+    let probe = make_env(0);
+    let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
+    drop(probe);
+    let p = dist.workers.max(1);
+    let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion);
+    run(
+        &A3C,
+        &setup,
+        |f| {
+            let seed = dist.seed + 1 + f.rank as u64;
+            let worker = A3cWorker::new(f.policy.clone(), dist.a3c.clone(), seed);
+            let envs = VecEnv::from_fn(1, |_| make_env(f.rank));
+            rules::push_pull_worker(f, worker, envs, dist.pushes_per_worker, dist.rollout_steps, 0)
+        },
+        |f| {
+            let learner = A3cLearner::new(f.policy.clone(), &dist.a3c);
+            rules::push_pull_server(f, learner, dist.pushes_per_worker, 1)
+        },
+    )
+}
+
+// `#[cfg(test)]` modules under the paths the training tests had when each
+// policy was a file of its own (`exec::dp_a::tests::…`): their ids stay.
+include!("tests.rs");

@@ -1,0 +1,372 @@
+#[cfg(test)]
+mod dp_a {
+    mod tests {
+        use super::super::*;
+        use msrl_env::cartpole::CartPole;
+
+        #[test]
+        fn dp_a_trains_cartpole_distributed() {
+            // lr raised from the 3e-4 default so the improvement margin is
+            // robust for both the synchronous and the overlapped
+            // (bounded-staleness) weight-sync paths this test covers via the
+            // MSRL_OVERLAP/MSRL_STALENESS defaults.
+            let dist = DistPpoConfig {
+                actors: 3,
+                envs_per_actor: 2,
+                steps_per_iter: 64,
+                iterations: 25,
+                hidden: vec![32],
+                seed: 1,
+                ppo: msrl_algos::ppo::PpoConfig {
+                    lr: 2e-3,
+                    ..msrl_algos::ppo::PpoConfig::default()
+                },
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_a(|a, i| CartPole::new((a * 100 + i) as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 25);
+            assert_eq!(report.losses.len(), 25);
+            assert!(!report.final_params.is_empty());
+            assert!(
+                report.recent_reward(5) > report.early_reward(5),
+                "distributed PPO must improve: {:?} → {:?}",
+                report.early_reward(5),
+                report.recent_reward(5)
+            );
+        }
+
+        #[test]
+        fn act_server_run_is_bit_identical_to_per_actor_run() {
+            // Same config, same seeds; the only difference is routing policy
+            // forwards through the cross-actor act server. Overlap is off so
+            // both runs use the same (zero) staleness bound — the act server
+            // forces zero regardless, and a differing bound would change
+            // which weights actors roll out on.
+            let base = DistPpoConfig {
+                actors: 3,
+                envs_per_actor: 2,
+                steps_per_iter: 32,
+                iterations: 4,
+                hidden: vec![16],
+                seed: 11,
+                overlap: false,
+                act_server: false,
+                ..DistPpoConfig::default()
+            };
+            let plain = run_dp_a(|a, i| CartPole::new((a * 10 + i) as u64), &base).unwrap();
+            let batched = run_dp_a(
+                |a, i| CartPole::new((a * 10 + i) as u64),
+                &DistPpoConfig { act_server: true, ..base },
+            )
+            .unwrap();
+            assert_eq!(plain.final_params, batched.final_params, "weights must match bitwise");
+            assert_eq!(plain.iteration_rewards, batched.iteration_rewards);
+            assert_eq!(plain.losses, batched.losses);
+            assert!(
+                msrl_telemetry::counter_total("actsrv.batches") >= 4 * 32,
+                "act server must have run one batched forward per rollout step"
+            );
+        }
+
+        /// An actor fragment that dies drops its endpoint; the learner
+        /// blocked on it must come back with the typed comm error, not a
+        /// `MissingKernel` string.
+        #[test]
+        fn a_dropped_peer_surfaces_as_a_comm_error() {
+            // A driver error leaves a flight-recorder dump; keep it out of
+            // the source tree.
+            msrl_telemetry::flightrec::set_dump_dir(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../target/flightrec-tests"
+            ));
+            /// CartPole that claims `dim` observation columns.
+            struct Claims(usize, CartPole);
+            impl Environment for Claims {
+                fn obs_dim(&self) -> usize {
+                    self.0
+                }
+                fn action_spec(&self) -> msrl_env::ActionSpec {
+                    self.1.action_spec()
+                }
+                fn reset(&mut self) -> msrl_tensor::Tensor {
+                    self.1.reset()
+                }
+                fn step(&mut self, action: &msrl_env::Action) -> msrl_env::Step {
+                    self.1.step(action)
+                }
+            }
+            // The probe (first call) sizes the policy for 5 columns; the
+            // actor's real envs have 4, so its first forward is a shape
+            // error and the fragment returns early.
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let make_env = |_: usize, i: usize| {
+                let probe = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
+                Claims(if probe { 5 } else { 4 }, CartPole::new(i as u64))
+            };
+            let dist = DistPpoConfig {
+                actors: 1,
+                envs_per_actor: 1,
+                steps_per_iter: 4,
+                iterations: 1,
+                hidden: vec![4],
+                ..DistPpoConfig::default()
+            };
+            let err = run_dp_a(make_env, &dist).expect_err("the learner's peer is gone");
+            assert_eq!(err, msrl_core::FdgError::Comm(msrl_comm::CommError::Disconnected));
+        }
+
+        #[test]
+        fn dp_a_single_actor_matches_shape() {
+            let dist = DistPpoConfig {
+                actors: 1,
+                envs_per_actor: 2,
+                steps_per_iter: 16,
+                iterations: 3,
+                hidden: vec![8],
+                seed: 2,
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_a(|a, i| CartPole::new((a + i) as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 3);
+        }
+    }
+}
+
+#[cfg(test)]
+mod dp_b {
+    mod tests {
+        use super::super::*;
+        use msrl_env::cartpole::CartPole;
+
+        #[test]
+        fn dp_b_trains_cartpole_with_central_inference() {
+            let dist = DistPpoConfig {
+                actors: 2,
+                envs_per_actor: 2,
+                steps_per_iter: 48,
+                iterations: 25,
+                hidden: vec![32],
+                seed: 3,
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_b(|a, i| CartPole::new((a * 7 + i) as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 25);
+            assert!(
+                report.recent_reward(5) > report.early_reward(5),
+                "DP-B must improve: {} → {}",
+                report.early_reward(5),
+                report.recent_reward(5)
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod dp_c {
+    mod tests {
+        use super::super::*;
+        use msrl_env::cartpole::CartPole;
+
+        #[test]
+        fn dp_c_trains_cartpole_data_parallel() {
+            let dist = DistPpoConfig {
+                actors: 3,
+                envs_per_actor: 2,
+                steps_per_iter: 48,
+                iterations: 25,
+                hidden: vec![32],
+                seed: 5,
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_c(|a, i| CartPole::new((a * 31 + i) as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 25);
+            assert!(
+                report.recent_reward(5) > report.early_reward(5),
+                "DP-C must improve: {} → {}",
+                report.early_reward(5),
+                report.recent_reward(5)
+            );
+        }
+
+        #[test]
+        fn dp_c_replicas_stay_synchronised() {
+            // With identical initial weights and averaged gradients, all
+            // replicas end with the same policy. The runner compares the
+            // replicas' `final_params` bit for bit in debug builds (this
+            // one) for every hub-less rule, so a run that comes back `Ok`
+            // has passed the check.
+            let dist = DistPpoConfig {
+                actors: 2,
+                envs_per_actor: 1,
+                steps_per_iter: 16,
+                iterations: 2,
+                hidden: vec![8],
+                seed: 6,
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_c(|a, i| CartPole::new((a + i) as u64), &dist).unwrap();
+            assert!(report.final_params.iter().all(|v| v.is_finite()));
+            // Three replicas (an odd mean), more iterations.
+            let dist = DistPpoConfig { actors: 3, iterations: 5, ..dist };
+            let report = run_dp_c(|a, i| CartPole::new((a + i) as u64), &dist).unwrap();
+            assert!(report.final_params.iter().all(|v| v.is_finite()));
+            // The weight all-reduce goes through the same check.
+            let cfg = DpDConfig {
+                devices: 2,
+                episodes: 3,
+                hidden: vec![8],
+                ppo: dist.ppo.clone(),
+                seed: 6,
+                fusion: dist.fusion,
+            };
+            let make = |r: usize| msrl_env::batched::BatchedCartPole::new(4, r as u64);
+            let report = run_dp_d(make, &cfg).unwrap();
+            assert!(report.final_params.iter().all(|v| v.is_finite()));
+        }
+    }
+}
+
+#[cfg(test)]
+mod dp_d {
+    mod tests {
+        use super::super::*;
+        use msrl_algos::ppo::PpoConfig;
+        use msrl_env::batched::{BatchedCartPole, BatchedTag};
+
+        #[test]
+        fn dp_d_runs_fused_cartpole_loop() {
+            let cfg = DpDConfig {
+                devices: 2,
+                episodes: 8,
+                hidden: vec![16],
+                ppo: PpoConfig { lr: 1e-3, epochs: 2, ..PpoConfig::default() },
+                seed: 7,
+                fusion: msrl_tensor::par::fusion_enabled(),
+            };
+            let report = run_dp_d(|r| BatchedCartPole::new(16, r as u64), &cfg).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 8);
+            assert!(report.final_params.iter().all(|v| v.is_finite()));
+        }
+
+        #[test]
+        fn dp_d_runs_batched_tag() {
+            let cfg = DpDConfig {
+                devices: 1,
+                episodes: 4,
+                hidden: vec![16],
+                ppo: PpoConfig { epochs: 1, ..PpoConfig::default() },
+                seed: 8,
+                fusion: msrl_tensor::par::fusion_enabled(),
+            };
+            let report = run_dp_d(|r| BatchedTag::new(8, 3, 1, r as u64), &cfg).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 4);
+        }
+    }
+}
+
+#[cfg(test)]
+mod dp_e {
+    mod tests {
+        use super::super::*;
+        use msrl_algos::ppo::PpoConfig;
+        use msrl_env::mpe::SimpleSpread;
+
+        #[test]
+        fn dp_e_runs_mappo_with_env_worker() {
+            let cfg = DpEConfig {
+                episodes: 20,
+                hidden: vec![32],
+                ppo: PpoConfig { lr: 7e-4, epochs: 4, entropy_coef: 0.005, ..PpoConfig::default() },
+                seed: 9,
+                fusion: msrl_tensor::par::fusion_enabled(),
+            };
+            let report = run_dp_e(|| SimpleSpread::new(3, 5).with_horizon(20), &cfg).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 20);
+            assert!(report.iteration_rewards.iter().all(|r| r.is_finite()));
+        }
+    }
+}
+
+#[cfg(test)]
+mod dp_f {
+    mod tests {
+        use super::super::*;
+        use msrl_env::cartpole::CartPole;
+
+        #[test]
+        fn dp_f_trains_cartpole_through_parameter_server() {
+            // Overlapped pulls make the server's update order (and thus the
+            // reward curve) timing-dependent, so the workload must learn
+            // decisively: a higher learning rate keeps the improvement check
+            // robust across schedules.
+            let dist = DistPpoConfig {
+                actors: 3,
+                envs_per_actor: 2,
+                steps_per_iter: 48,
+                iterations: 25,
+                hidden: vec![32],
+                seed: 10,
+                ppo: msrl_algos::ppo::PpoConfig { lr: 2e-3, ..Default::default() },
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_f(|a, i| CartPole::new((a * 13 + i) as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 25);
+            assert!(
+                report.recent_reward(5) > report.early_reward(5),
+                "DP-F must improve: {} → {}",
+                report.early_reward(5),
+                report.recent_reward(5)
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod a3c {
+    mod tests {
+        use super::super::*;
+        use msrl_algos::a3c::A3cConfig;
+        use msrl_env::cartpole::CartPole;
+
+        #[test]
+        fn async_a3c_trains_cartpole() {
+            // Gradient arrival order is scheduler-dependent (the asynchrony
+            // under test), so any single seed is noisy; the learning signal
+            // must show up within a few.
+            let mut improved = false;
+            for seed in [1, 2, 3] {
+                let dist = A3cDistConfig {
+                    workers: 3,
+                    rollout_steps: 32,
+                    pushes_per_worker: 40,
+                    hidden: vec![32],
+                    a3c: A3cConfig { lr: 2e-3, ..A3cConfig::default() },
+                    seed,
+                    ..A3cDistConfig::default()
+                };
+                let report = run_a3c(|w| CartPole::new(seed + w as u64), &dist).unwrap();
+                assert_eq!(report.iteration_rewards.len(), 3 * 40);
+                if report.recent_reward(20) > report.early_reward(20) {
+                    improved = true;
+                    break;
+                }
+            }
+            assert!(improved, "async A3C must improve on at least one of three seeds");
+        }
+
+        #[test]
+        fn async_updates_apply_every_push() {
+            let dist = A3cDistConfig {
+                workers: 2,
+                rollout_steps: 8,
+                pushes_per_worker: 3,
+                hidden: vec![8],
+                seed: 18,
+                ..A3cDistConfig::default()
+            };
+            let report = run_a3c(|w| CartPole::new(10 + w as u64), &dist).unwrap();
+            assert_eq!(report.iteration_rewards.len(), 6, "one entry per applied push");
+            assert!(!report.final_params.is_empty());
+        }
+    }
+}

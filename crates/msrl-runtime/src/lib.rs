@@ -12,20 +12,26 @@
 //! bound to the fragments' interfaces. The [`wire`] module is the
 //! serialisation layer fragments use at their boundaries.
 //!
-//! All six default distribution policies of Tab. 2 are implemented:
+//! [`exec`] is one fragment runner. A skeleton owns what every run
+//! shares (fabric, starting policy, fragment threads, join, replica
+//! check, metrics stream, report); six sync rules are the bodies of the
+//! seats; and a table keyed by `PolicyName`, spelled in the
+//! [`policy::Role`] / [`policy::SyncGranularity`] vocabulary that
+//! [`policy::place`] returns, picks the rule:
 //!
-//! | Policy | Strategy |
-//! |--------|----------|
-//! | DP-A   | replicated actor+env fragments, single learner, per-episode batched sync |
-//! | DP-B   | actor fused with env on CPU, learner-side inference, per-step exchange |
-//! | DP-C   | fused actor+learner replicas, data-parallel gradient AllReduce |
-//! | DP-D   | whole training loop fused per GPU, replicated |
-//! | DP-E   | dedicated environment workers (MARL) |
-//! | DP-F   | central parameter-server fragment |
+//! | Policy | hub seat | worker seats | sync | rule |
+//! |--------|----------|--------------|------|------|
+//! | DP-A   | `Learner` | `ActorEnv` | per episode | trajectory gather + version-stamped weight broadcast |
+//! | DP-B   | `Learner` | `ActorEnv` | per step | central inference, per-step exchange |
+//! | DP-C   | —         | `ActorLearner` | per epoch | gradient AllReduce |
+//! | DP-D   | —         | `FusedLoop` | per episode | weight AllReduce |
+//! | DP-E   | `Env`     | `ActorLearner` | per episode | environment-worker messaging (MARL) |
+//! | DP-F   | `ParamServer` | `ActorLearner` | per episode | push–pull (A3C is this rule with every pull waited) |
 //!
-//! Switching between them is a one-line change to the deployment
-//! configuration — the algorithm implementation (in `msrl-algos`) is
-//! untouched, which is the paper's central claim.
+//! Switching between the policies that share a configuration is changing
+//! the `PolicyName` handed to [`exec::run_ppo`] — the algorithm
+//! implementation (in `msrl-algos`) is untouched, which is the paper's
+//! central claim.
 
 #![warn(missing_docs)]
 
@@ -34,6 +40,7 @@ pub mod advisor;
 pub mod config;
 pub mod coordinator;
 pub mod exec;
+mod observe;
 pub mod policy;
 pub mod trace_algos;
 pub mod wire;

@@ -1,0 +1,181 @@
+//! The evidence a run leaves behind: one [`RunEvent`] per iteration with
+//! the health watchdog's verdict in it, and at the end a flushed metrics
+//! stream and — on an error — a flight-recorder dump. The fragment
+//! runner (`crate::exec`) is the only caller.
+//!
+//! [`RunEvent`]: msrl_telemetry::RunEvent
+
+/// Per-iteration observability for the run's reporting seat: emits
+/// one [`msrl_telemetry::RunEvent`] per iteration (reward, loss,
+/// entropy, it/s, comm-byte delta, staleness, plan-cache hit rate) and
+/// records the iteration period into the always-on `fragment.eval`
+/// histogram — one fragment-body execution per iteration, so DP runs
+/// carry latency quantiles even with `MSRL_TRACE` unset. (PPO's learn
+/// path trains through the tape, not the interpreter, so the
+/// interpreter's own `fragment.eval` samples only appear in
+/// interpreter-driven workloads.)
+pub(crate) struct RunObserver {
+    policy: &'static str,
+    staleness: u64,
+    last: std::time::Instant,
+    bytes_prev: u64,
+    actsrv_batches_prev: u64,
+    actsrv_rows_prev: u64,
+    iteration: u64,
+    /// Streaming health detectors over this run's metrics (None when
+    /// `MSRL_HEALTH=0`).
+    monitor: Option<msrl_telemetry::HealthMonitor>,
+    health_updates_prev: u64,
+}
+
+impl RunObserver {
+    /// Starts observing a run. Also installs the flight recorder's
+    /// panic hook so a dying worker leaves post-mortem state on disk,
+    /// and opens the first attribution window so step stamps from
+    /// before the run don't leak into iteration 0.
+    pub(crate) fn new(policy: &'static str, staleness: usize) -> RunObserver {
+        msrl_telemetry::install_panic_hook();
+        msrl_telemetry::reset_window();
+        RunObserver {
+            policy,
+            staleness: staleness as u64,
+            last: std::time::Instant::now(),
+            bytes_prev: msrl_telemetry::counter_total("comm.bytes_sent"),
+            actsrv_batches_prev: msrl_telemetry::counter_total("actsrv.batches"),
+            actsrv_rows_prev: msrl_telemetry::counter_total("actsrv.rows"),
+            iteration: 0,
+            monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
+            health_updates_prev: msrl_telemetry::counter_total("health.updates"),
+        }
+    }
+
+    /// One health pass over the just-closed iteration: folds the
+    /// sentinel gauges the learner published (read only when their
+    /// counters moved, so learner-less drivers omit them), scans the
+    /// policy parameters for non-finite values with the fused kernel,
+    /// and feeds the run-level signals to the streaming detectors. A
+    /// freshly fired Critical finding snapshots the verdict and
+    /// triggers a flight-recorder dump carrying it (DESIGN §3.15).
+    fn health_block(
+        &mut self,
+        reward: f32,
+        loss: Option<f32>,
+        entropy: Option<f32>,
+        iters_per_sec: f64,
+        params: Option<&[f32]>,
+    ) -> Option<msrl_telemetry::HealthStatus> {
+        let monitor = self.monitor.as_mut()?;
+        let _t = msrl_telemetry::static_histogram!("health.observe").time();
+        let gauge = |name: &str| msrl_telemetry::Gauge::handle(name).get();
+        let updates = msrl_telemetry::counter_total("health.updates");
+        let stepped = updates > self.health_updates_prev;
+        self.health_updates_prev = updates;
+        let sample = msrl_telemetry::HealthSample {
+            iteration: self.iteration,
+            reward: f64::from(reward),
+            loss: loss.map(f64::from),
+            entropy: entropy.map(f64::from),
+            iters_per_sec,
+            staleness_bound: self.staleness,
+            // Observed staleness is not separately instrumented on the
+            // live path (the comm layer enforces the bound); replay and
+            // unit streams exercise the breach detector.
+            staleness_observed: None,
+            grad_norm: stepped.then(|| gauge("health.grad_norm")),
+            weight_norm: stepped.then(|| gauge("health.weight_norm")),
+            update_ratio: stepped.then(|| gauge("health.update_ratio")),
+            nonfinite_params: params.map(msrl_tensor::kernels::count_nonfinite),
+        };
+        let status = monitor.observe(&sample);
+        let critical = status
+            .findings
+            .iter()
+            .find(|f| f.severity == msrl_telemetry::Severity::Critical)
+            .map(|f| format!("{}: {}", f.detector, f.detail));
+        if let Some(reason) = critical {
+            msrl_telemetry::set_last_verdict(&monitor.verdict());
+            match msrl_telemetry::flightrec::dump("health", &reason) {
+                Ok(_) => {}
+                Err(e) => eprintln!("msrl: health-triggered flightrec dump failed: {e}"),
+            }
+        }
+        Some(status)
+    }
+
+    /// Closes one iteration: records its period, computes the
+    /// critical-path attribution over the iteration window (draining
+    /// every fragment thread's step stamps), runs the health detectors,
+    /// and streams the training-metrics event — schema v2 when
+    /// attribution is on, v3 when the health watchdog is.
+    pub(crate) fn observe(
+        &mut self,
+        reward: f32,
+        loss: Option<f32>,
+        entropy: Option<f32>,
+        params: Option<&[f32]>,
+    ) {
+        let now = std::time::Instant::now();
+        let dt = now.duration_since(self.last);
+        self.last = now;
+        msrl_telemetry::static_histogram!("fragment.eval").record_duration(dt);
+        let attr = if msrl_telemetry::attr_enabled() {
+            let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
+            let a = msrl_telemetry::finish_iteration();
+            drop(t);
+            Some(a)
+        } else {
+            None
+        };
+        let bytes = msrl_telemetry::counter_total("comm.bytes_sent");
+        let hits = msrl_telemetry::counter_total("interp.plan_cache.hit");
+        let misses = msrl_telemetry::counter_total("interp.plan_cache.miss");
+        let plan_cache_hit_rate = (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64);
+        // Act-server deltas: an active server runs ≥1 batched forward
+        // per iteration, so a zero delta means it is off — omit the
+        // block rather than streaming noise.
+        let actsrv_batches = msrl_telemetry::counter_total("actsrv.batches");
+        let actsrv_rows = msrl_telemetry::counter_total("actsrv.rows");
+        let actsrv =
+            (actsrv_batches > self.actsrv_batches_prev).then(|| msrl_telemetry::ActsrvStats {
+                batches: actsrv_batches.saturating_sub(self.actsrv_batches_prev),
+                rows: actsrv_rows.saturating_sub(self.actsrv_rows_prev),
+            });
+        let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
+        let health = self.health_block(reward, loss, entropy, iters_per_sec, params);
+        msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
+            policy: self.policy,
+            iteration: self.iteration,
+            reward: f64::from(reward),
+            loss: loss.map(f64::from),
+            entropy: entropy.map(f64::from),
+            iters_per_sec,
+            comm_bytes: bytes.saturating_sub(self.bytes_prev),
+            staleness: self.staleness,
+            plan_cache_hit_rate,
+            attr,
+            actsrv,
+            health,
+        });
+        self.bytes_prev = bytes;
+        self.actsrv_batches_prev = actsrv_batches;
+        self.actsrv_rows_prev = actsrv_rows;
+        self.iteration += 1;
+    }
+}
+
+/// Closes a run's evidence trail: flushes the metrics stream (and the
+/// `MSRL_METRICS_TEXT_FILE` exposition) and, on an error outcome, writes
+/// a flight-recorder dump so failed runs leave evidence.
+///
+/// A flush failure is surfaced, not swallowed: the stream is the health
+/// subsystem's evidence trail, and a silently truncated JSONL file
+/// would read as a healthy run. The `sink.io_errors` counter carries
+/// the same signal into the exposition snapshot.
+pub(crate) fn close_run<T>(policy: &'static str, result: &msrl_core::Result<T>) {
+    if let Err(e) = msrl_telemetry::flush_metrics() {
+        eprintln!("msrl: metrics stream write failed for {policy}: {e}");
+    }
+    if let Err(e) = result {
+        let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"));
+    }
+}

@@ -20,8 +20,9 @@
 //! * A context is **inherited** at exactly two seams: the fan-out
 //!   helpers below ([`fill_chunks`], [`fill_chunks_aligned`],
 //!   [`map_ranges`]) hand the caller's context to every worker they
-//!   spawn, and `msrl_runtime::exec::spawn_fragment` hands a driver's
-//!   context to every fragment thread. A thread spawned any other way
+//!   spawn, and the fragment runner's `spawn_fragment`
+//!   (`msrl_runtime::exec`) hands its caller's context to every fragment
+//!   thread. A thread spawned any other way
 //!   starts from the process default.
 //!
 //! The two backends:

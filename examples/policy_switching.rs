@@ -8,11 +8,13 @@
 //! Trains the *identical* PPO implementation under four distribution
 //! policies — DP-A (single learner, coarse), DP-B (central inference,
 //! per-step), DP-C (data-parallel learners) and DP-F (parameter server)
-//! — by changing only the driver, exactly as MSRL switches policies by
+//! — through one entry point, `exec::run_ppo`, by changing only the
+//! `PolicyName` value it is given: exactly as MSRL switches policies by
 //! changing only the deployment configuration.
 
+use msrl_core::config::PolicyName;
 use msrl_env::cartpole::CartPole;
-use msrl_runtime::exec::{run_dp_a, run_dp_b, run_dp_c, run_dp_f, DistPpoConfig, TrainingReport};
+use msrl_runtime::exec::{run_ppo, DistPpoConfig};
 
 fn main() {
     msrl_bench::runtime_config_or_exit();
@@ -27,38 +29,28 @@ fn main() {
     };
     let make = |a: usize, i: usize| CartPole::new((a * 17 + i) as u64);
 
-    let runs: Vec<(&str, &str, TrainingReport)> = vec![
+    let policies = [
         (
-            "DP-A",
+            PolicyName::SingleLearnerCoarse,
             "replicated actors, 1 learner, per-episode sync (Acme-style)",
-            run_dp_a(make, &dist).expect("DP-A"),
         ),
         (
-            "DP-B",
+            PolicyName::SingleLearnerFine,
             "actors+envs on CPU, central inference, per-step sync (SEED-RL-style)",
-            run_dp_b(make, &dist).expect("DP-B"),
         ),
-        (
-            "DP-C",
-            "fused actor+learners, gradient AllReduce (data-parallel)",
-            run_dp_c(make, &dist).expect("DP-C"),
-        ),
-        (
-            "DP-F",
-            "workers push gradients to a parameter server (OSDI'14-style)",
-            run_dp_f(make, &dist).expect("DP-F"),
-        ),
+        (PolicyName::MultipleLearners, "fused actor+learners, gradient AllReduce (data-parallel)"),
+        (PolicyName::Central, "workers push gradients to a parameter server (OSDI'14-style)"),
     ];
 
     println!("same PPO implementation, four execution strategies:\n");
     println!("{:<6} {:>10} {:>10}   strategy", "policy", "start", "end");
-    for (name, desc, report) in &runs {
-        println!(
-            "{name:<6} {:>10.1} {:>10.1}   {desc}",
-            report.early_reward(3),
-            report.recent_reward(3)
-        );
+    let mut all_improve = true;
+    for (policy, desc) in &policies {
+        let code = policy.code();
+        let report = run_ppo(policy, make, &dist).unwrap_or_else(|e| panic!("{code}: {e}"));
+        let (start, end) = (report.early_reward(3), report.recent_reward(3));
+        println!("{code:<6} {start:>10.1} {end:>10.1}   {desc}");
+        all_improve &= end > start;
     }
-    let all_improve = runs.iter().all(|(_, _, r)| r.recent_reward(3) > r.early_reward(3));
     println!("\nall four policies improved the same algorithm: {all_improve}");
 }

@@ -240,3 +240,160 @@ mod golden {
         assert_eq!(got, PINNED, "a distribution policy no longer computes what it did");
     }
 }
+
+/// A fragment that fails must not park its healthy peers: every seat's
+/// endpoint closes when its body returns, so whoever is blocked on it
+/// comes back with `Disconnected` and the run ends in a typed error.
+/// Each case has one healthy and one failing worker (rank 1's
+/// observations are a column wider than the policy was built for) and
+/// runs on a helper thread so that a hang fails the test instead of
+/// hanging it.
+mod no_park {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use msrl_comm::CommError;
+    use msrl_core::FdgError;
+    use msrl_env::cartpole::CartPole;
+    use msrl_env::{Action, ActionSpec, Environment, Step};
+    use msrl_runtime::exec::{
+        run_dp_a, run_dp_b, run_dp_c, run_dp_f, DistPpoConfig, TrainingReport,
+    };
+    use msrl_tensor::Tensor;
+
+    /// CartPole, its observations zero-padded by one column when `wide`.
+    struct Padded {
+        wide: bool,
+        inner: CartPole,
+    }
+
+    impl Padded {
+        fn pad(&self, obs: Tensor) -> Tensor {
+            if !self.wide {
+                return obs;
+            }
+            let mut v = obs.into_vec();
+            v.push(0.0);
+            let n = v.len();
+            Tensor::from_vec(v, &[n]).unwrap()
+        }
+    }
+
+    impl Environment for Padded {
+        fn obs_dim(&self) -> usize {
+            self.inner.obs_dim() + usize::from(self.wide)
+        }
+        fn action_spec(&self) -> ActionSpec {
+            self.inner.action_spec()
+        }
+        fn reset(&mut self) -> Tensor {
+            let obs = self.inner.reset();
+            self.pad(obs)
+        }
+        fn step(&mut self, action: &Action) -> Step {
+            let s = self.inner.step(action);
+            Step { obs: self.pad(s.obs), ..s }
+        }
+    }
+
+    fn make_env(rank: usize, i: usize) -> Padded {
+        Padded { wide: rank == 1, inner: CartPole::new(i as u64) }
+    }
+
+    fn dist() -> DistPpoConfig {
+        DistPpoConfig {
+            actors: 2,
+            envs_per_actor: 1,
+            steps_per_iter: 8,
+            iterations: 3,
+            hidden: vec![8],
+            seed: 31,
+            ..DistPpoConfig::default()
+        }
+    }
+
+    /// The run's error, provided it arrives within two seconds and
+    /// leaves no thread behind.
+    fn error_of(
+        run: impl FnOnce() -> msrl_core::Result<TrainingReport> + Send + 'static,
+    ) -> FdgError {
+        // A driver error leaves a flight-recorder dump; keep it out of
+        // the source tree.
+        msrl_telemetry::flightrec::set_dump_dir(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/flightrec-tests"
+        ));
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || tx.send(run()));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a failed fragment parked its healthy peers");
+        helper.join().expect("the helper thread ends with the run").expect("the test is listening");
+        outcome.expect_err("one fragment cannot run")
+    }
+
+    #[test]
+    fn dp_a_failed_actor_does_not_park_its_peer() {
+        let err = error_of(|| run_dp_a(make_env, &dist()));
+        assert_eq!(err, FdgError::Comm(CommError::Disconnected), "the learner's error comes first");
+    }
+
+    #[test]
+    fn dp_b_failed_learner_does_not_park_its_actors() {
+        let err = error_of(|| run_dp_b(make_env, &dist()));
+        assert!(matches!(err, FdgError::Tensor(_)), "the hub's own error, got {err:?}");
+    }
+
+    #[test]
+    fn dp_c_failed_replica_does_not_park_its_peer() {
+        let err = error_of(|| run_dp_c(make_env, &dist()));
+        assert_eq!(err, FdgError::Comm(CommError::Disconnected), "rank 0's error comes first");
+    }
+
+    #[test]
+    fn dp_f_failed_worker_does_not_park_its_peer() {
+        let err = error_of(|| run_dp_f(make_env, &dist()));
+        assert_eq!(err, FdgError::Comm(CommError::Disconnected), "the server's error comes first");
+    }
+}
+
+/// The rule table speaks `policy::place`'s vocabulary: every built-in
+/// policy resolves to a row whose seats are exactly the roles its
+/// placement contains and whose granularity is the placement's, and a
+/// policy without a row is a typed error, not a panic.
+#[test]
+fn every_built_in_policy_runs_the_roles_its_placement_has() {
+    use std::collections::HashSet;
+
+    use msrl_core::config::{AlgorithmConfig, DeploymentConfig, PolicyName};
+    use msrl_core::FdgError;
+    use msrl_runtime::exec::{rule_for, run_ppo};
+    use msrl_runtime::policy::{place, Role};
+
+    let algo = AlgorithmConfig::ppo(2, 2);
+    for policy in [
+        PolicyName::SingleLearnerCoarse,
+        PolicyName::SingleLearnerFine,
+        PolicyName::MultipleLearners,
+        PolicyName::GpuOnly,
+        PolicyName::Environments,
+        PolicyName::Central,
+    ] {
+        let placement = place(&algo, &DeploymentConfig::workers(4, 2, policy.clone())).unwrap();
+        let placed: HashSet<Role> = placement.fragments.iter().map(|f| f.role).collect();
+        let rule = rule_for(&policy).unwrap();
+        let seats: HashSet<Role> =
+            std::iter::once(rule.worker.role).chain(rule.hub.map(|hub| hub.role)).collect();
+        assert_eq!(seats, placed, "{}", policy.code());
+        assert_eq!(rule.sync, placement.sync, "{}", policy.code());
+    }
+
+    let make = |a: usize, i: usize| CartPole::new((a + i) as u64);
+    let no_rule = |policy: &str| FdgError::NoSyncRule { policy: policy.into() };
+    let custom = PolicyName::Custom("mine".into());
+    assert_eq!(rule_for(&custom), Err(no_rule("mine")));
+    assert_eq!(run_ppo(&custom, make, &dist(1, 1, 1)).unwrap_err(), no_rule("mine"));
+    // DP-D and DP-E have rows, but not behind this entry point: their
+    // environments are batched and multi-agent.
+    assert_eq!(run_ppo(&PolicyName::GpuOnly, make, &dist(1, 1, 1)).unwrap_err(), no_rule("DP-D"));
+}
