@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch};
 use msrl_core::{FdgError, Result};
-use msrl_tensor::autograd::Tape;
+use msrl_tensor::autograd::{Tape, Var};
 use msrl_tensor::dist::{categorical_stats, gaussian_stats, Categorical, DiagGaussian};
 use msrl_tensor::nn::{Activation, Mlp, PackedMlp};
 use msrl_tensor::optim::{clip_grad_norm, Adam, Optimizer};
@@ -313,14 +313,53 @@ impl Actor for PpoActor {
     }
 }
 
-/// The epoch-invariant leaves of the PPO loss for one batch, as shared
-/// handles ([`PpoLearner::loss_inputs`]).
+/// Rows of a learn batch differentiated on one tape.
+///
+/// A pass keeps every tape node's value until the backward sweep has
+/// read it, about 480 floats per row of a `[64, 64]` policy. At 2,048
+/// rows a `[rows, 64]` operand is 512 KB and an op's operands sit in
+/// L2; at 25,600 rows one operand is 6.5 MB and every node streams
+/// through L3/DRAM: `PpoLearner::grads` costs 1.00 / 1.07 / 1.11 ms per
+/// 1,000 rows at 512 / 1,024 / 2,048 rows and 1.24 / 1.41 / 1.53 / 2.61
+/// at 4,096 / 8,192 / 25,600 / 51,200 on one tape. So a taller batch is
+/// differentiated in consecutive blocks of this many rows (DESIGN.md
+/// §3.19). One constant, not a knob: it is the knee of that table and
+/// the tallest batch the per-step policies of the ledger collect, so
+/// they stay one block.
+const LEARN_BLOCK_ROWS: usize = 2048;
+
+/// The epoch-invariant leaves of the PPO loss for one batch
+/// ([`PpoLearner::loss_inputs`]), cut into the row blocks
+/// [`PpoLearner::loss_and_grads`] differentiates one tape at a time.
 struct LossInputs {
+    /// Rows of the whole batch: what every mean of the loss divides by.
+    rows: usize,
+    /// At least one; a batch of up to [`LEARN_BLOCK_ROWS`] rows is one.
+    blocks: Vec<LossBlock>,
+}
+
+/// One row block's leaves as shared handles: every epoch's tape
+/// registers these, not copies.
+struct LossBlock {
     obs: Rc<Tensor>,
     actions: Actions,
     old_log_probs: Rc<Tensor>,
     adv: Rc<Tensor>,
     ret: Rc<Tensor>,
+}
+
+/// Rows `lo..hi` of an `[n]` or `[n, width]` tensor as a leaf handle.
+fn row_block(t: &Tensor, n: usize, lo: usize, hi: usize) -> Result<Rc<Tensor>> {
+    if t.shape().first() != Some(&n) {
+        return Err(FdgError::Tensor(msrl_tensor::TensorError::LengthMismatch {
+            expected: n,
+            actual: t.shape().first().copied().unwrap_or(0),
+        }));
+    }
+    let width: usize = t.shape()[1..].iter().product();
+    let mut dims = t.shape().to_vec();
+    dims[0] = hi - lo;
+    Ok(Rc::new(Tensor::from_vec(t.data()[lo * width..hi * width].to_vec(), &dims)?))
 }
 
 enum Actions {
@@ -411,73 +450,111 @@ impl PpoLearner {
     }
 
     /// Builds the leaves of the loss that no epoch changes, once per
-    /// batch: every epoch's tape registers these handles, not copies.
+    /// batch. GAE and the advantage normalisation see the whole batch;
+    /// only then is it cut into row blocks.
     fn loss_inputs(&self, batch: &SampleBatch) -> Result<LossInputs> {
+        self.loss_inputs_in(batch, LEARN_BLOCK_ROWS)
+    }
+
+    /// [`PpoLearner::loss_inputs`] with the block height spelled out
+    /// (the tests compare heights).
+    fn loss_inputs_in(&self, batch: &SampleBatch, block_rows: usize) -> Result<LossInputs> {
         let (adv, ret) = self.advantages(batch)?;
         let n = batch.len();
-        let actions = if self.policy.discrete {
-            Actions::Discrete(batch.actions.data().iter().map(|&a| a as usize).collect())
-        } else {
-            Actions::Continuous(Rc::new(batch.actions.clone()))
-        };
-        Ok(LossInputs {
-            obs: Rc::new(batch.obs.clone()),
-            actions,
-            old_log_probs: Rc::new(batch.log_probs.clone()),
-            adv: Rc::new(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?),
-            ret: Rc::new(Tensor::from_vec(ret, &[n]).map_err(FdgError::Tensor)?),
-        })
+        let adv = Tensor::from_vec(adv, &[n])?;
+        let ret = Tensor::from_vec(ret, &[n])?;
+        // An empty batch is one empty block, not none.
+        let blocks = (0..n.max(1))
+            .step_by(block_rows)
+            .map(|lo| {
+                let hi = (lo + block_rows).min(n);
+                let actions = row_block(&batch.actions, n, lo, hi)?;
+                Ok(LossBlock {
+                    obs: row_block(&batch.obs, n, lo, hi)?,
+                    actions: if self.policy.discrete {
+                        Actions::Discrete(actions.data().iter().map(|&a| a as usize).collect())
+                    } else {
+                        Actions::Continuous(actions)
+                    },
+                    old_log_probs: row_block(&batch.log_probs, n, lo, hi)?,
+                    adv: row_block(&adv, n, lo, hi)?,
+                    ret: row_block(&ret, n, lo, hi)?,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(LossInputs { rows: n, blocks })
     }
 
     /// One clipped-surrogate optimisation pass; returns `(loss, grads)`
     /// without mutating the policy.
+    ///
+    /// The batch is differentiated block by block, each block on a tape
+    /// of its own that is dropped — its buffers back in the pool — before
+    /// the next one is recorded, so the pass's working set is one
+    /// block's. The loss is three means over the *batch*: each is a sum
+    /// going on from the previous block's, seeded backwards with `g / n`
+    /// for the batch's `n` ([`Var::mean_over`]), and the parameter
+    /// gradients of one block are handed to the next block's backward
+    /// pass, where every `Linear` weight and bias continues its
+    /// reduction over the rows ([`Tape::backward_onto`]) — bit for bit
+    /// what one tape over the whole batch computes. `log_std`, reached
+    /// through broadcasts of interior nodes, is the sum of its per-block
+    /// gradients. A batch of one block runs this loop once: one tape,
+    /// plain means, nothing carried.
+    ///
+    /// [`Var::mean_over`]: msrl_tensor::autograd::Var::mean_over
+    /// [`Tape::backward_onto`]: msrl_tensor::autograd::Tape::backward_onto
     fn loss_and_grads(&self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
-        let n = inputs.adv.len();
-        let tape = Tape::new();
-        let actor = self.policy.actor.bind(&tape);
-        let critic = self.policy.critic.bind(&tape);
-        let obs = tape.constant(Rc::clone(&inputs.obs));
-        let out = actor.forward(&obs)?;
+        let n = inputs.rows;
+        let mut gs: Vec<Tensor> = Vec::new();
+        let [mut policy_sum, mut value_sum, mut entropy_sum] = [None; 3];
+        let mut metrics = (0.0, 0.0);
+        for block in &inputs.blocks {
+            let tape = Tape::new();
+            let actor = self.policy.actor.bind(&tape);
+            let critic = self.policy.critic.bind(&tape);
+            let obs = tape.constant(Rc::clone(&block.obs));
+            let out = actor.forward(&obs)?;
 
-        let mut log_std_var = None;
-        let (log_prob, entropy) = match &inputs.actions {
-            Actions::Discrete(idx) => categorical_stats(&out, idx)?,
-            Actions::Continuous(actions) => {
-                let log_std = tape.var(self.policy.log_std.clone());
-                let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
-                log_std_var = Some(log_std);
-                stats
-            }
-        };
+            let mut log_std_var = None;
+            let (log_prob, entropy) = match &block.actions {
+                Actions::Discrete(idx) => categorical_stats(&out, idx)?,
+                Actions::Continuous(actions) => {
+                    let log_std = tape.var(self.policy.log_std.clone());
+                    let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
+                    log_std_var = Some(log_std);
+                    stats
+                }
+            };
 
-        let adv_t = tape.constant(Rc::clone(&inputs.adv));
-        let old_lp = tape.constant(Rc::clone(&inputs.old_log_probs));
-        let ratio = log_prob.sub(&old_lp)?.exp();
-        let unclipped = ratio.mul(&adv_t)?;
-        let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
-        let policy_loss = unclipped.min(&clipped)?.mean().neg();
+            let adv_t = tape.constant(Rc::clone(&block.adv));
+            let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
+            let ratio = log_prob.sub(&old_lp)?.exp();
+            let unclipped = ratio.mul(&adv_t)?;
+            let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
+            let policy_loss = unclipped.min(&clipped)?.mean_over(n, &mut policy_sum).neg();
 
-        let ret_t = tape.constant(Rc::clone(&inputs.ret));
-        let values = critic.forward(&obs)?.reshape(&[n])?;
-        let value_loss = values.sub(&ret_t)?.square().mean();
+            let ret_t = tape.constant(Rc::clone(&block.ret));
+            let values = critic.forward(&obs)?.reshape(&[block.ret.len()])?;
+            let value_loss = values.sub(&ret_t)?.square().mean_over(n, &mut value_sum);
 
-        let entropy_mean = entropy.mean();
-        let loss = policy_loss
-            .add(&value_loss.mul_scalar(self.cfg.value_coef))?
-            .add(&entropy_mean.mul_scalar(-self.cfg.entropy_coef))?;
+            let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
+            let loss = policy_loss
+                .add(&value_loss.mul_scalar(self.cfg.value_coef))?
+                .add(&entropy_mean.mul_scalar(-self.cfg.entropy_coef))?;
 
-        let mut grads = tape.backward(&loss)?;
-        let mut gs = actor.take_grads(&mut grads);
-        gs.extend(critic.take_grads(&mut grads));
-        if let Some(ls) = &log_std_var {
-            gs.push(grads.take_or_zeros(ls));
+            let params: Vec<&Var> =
+                actor.param_vars().iter().chain(critic.param_vars()).chain(&log_std_var).collect();
+            let carried = params.iter().copied().zip(gs.drain(..)).collect();
+            let mut grads = tape.backward_onto(&loss, carried)?;
+            gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
+            // Of the batch once the last block is in.
+            metrics = (loss.value().item()?, entropy_mean.value().item()?);
         }
         let grad_norm = clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
         self.last_grad_norm.set(Some(grad_norm));
-        let loss_v = loss.value().item().map_err(FdgError::Tensor)?;
-        let entropy_v = entropy_mean.value().item().map_err(FdgError::Tensor)?;
-        self.last_metrics.set(Some((loss_v, entropy_v)));
-        Ok((loss_v, gs))
+        self.last_metrics.set(Some(metrics));
+        Ok((metrics.0, gs))
     }
 
     fn apply(&mut self, grads: &[Tensor]) -> Result<()> {
@@ -525,38 +602,25 @@ impl Learner for PpoLearner {
 
     fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         let (_, grads) = self.loss_and_grads(&self.loss_inputs(batch)?)?;
-        Ok(grads.iter().flat_map(|g| g.data().iter().copied()).collect())
+        let mut flat = Vec::with_capacity(self.policy.num_params());
+        for g in &grads {
+            flat.extend_from_slice(g.data());
+        }
+        Ok(flat)
     }
 
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
+        let policy = &self.policy;
+        let params = policy.actor.params().into_iter().chain(policy.critic.params());
         let mut grads = Vec::new();
         let mut offset = 0;
-        {
-            let mut shapes: Vec<Vec<usize>> = self
-                .policy
-                .actor
-                .params()
-                .iter()
-                .chain(self.policy.critic.params().iter())
-                .map(|p| p.shape().to_vec())
-                .collect();
-            if !self.policy.discrete {
-                shapes.push(self.policy.log_std.shape().to_vec());
-            }
-            for shape in shapes {
-                let len: usize = shape.iter().product();
-                if offset + len > flat.len() {
-                    return Err(FdgError::Tensor(msrl_tensor::TensorError::LengthMismatch {
-                        expected: offset + len,
-                        actual: flat.len(),
-                    }));
-                }
-                grads.push(
-                    Tensor::from_vec(flat[offset..offset + len].to_vec(), &shape)
-                        .map_err(FdgError::Tensor)?,
-                );
-                offset += len;
-            }
+        for p in params.chain((!policy.discrete).then_some(&policy.log_std)) {
+            let end = offset + p.len();
+            let slice = flat.get(offset..end).ok_or(FdgError::Tensor(
+                msrl_tensor::TensorError::LengthMismatch { expected: end, actual: flat.len() },
+            ))?;
+            grads.push(Tensor::from_vec(slice.to_vec(), p.shape())?);
+            offset = end;
         }
         let sentinel = msrl_telemetry::health_enabled();
         let before = if sentinel { self.policy.flatten() } else { Vec::new() };
@@ -756,6 +820,138 @@ mod tests {
             assert!(logits.data()[2..].iter().all(|v| v.is_finite()), "clean row stays clean");
             assert!(values.data()[1].is_finite());
         }
+    }
+
+    /// A rollout-shaped batch without an environment: env-major segments
+    /// of 16 steps, an episode end every 23rd row, the rest drawn from
+    /// one seeded stream.
+    fn synthetic_batch(rows: usize, policy: &PpoPolicy, seed: u64) -> SampleBatch {
+        use rand::Rng;
+        let (obs_dim, act_dim) = (policy.actor.input_dim(), policy.actor.output_dim());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |n: usize, lo: f32, hi: f32| -> Vec<f32> {
+            (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+        };
+        let t = |data: Vec<f32>, dims: &[usize]| Tensor::from_vec(data, dims).unwrap();
+        let actions = if policy.discrete {
+            t(draw(rows, 0.0, act_dim as f32).into_iter().map(f32::floor).collect(), &[rows])
+        } else {
+            t(draw(rows * act_dim, -1.0, 1.0), &[rows, act_dim])
+        };
+        SampleBatch {
+            obs: t(draw(rows * obs_dim, -1.0, 1.0), &[rows, obs_dim]),
+            actions,
+            rewards: t(draw(rows, 0.0, 1.0), &[rows]),
+            next_obs: t(draw(rows * obs_dim, -1.0, 1.0), &[rows, obs_dim]),
+            dones: (0..rows).map(|i| i % 23 == 22).collect(),
+            log_probs: t(draw(rows, -1.5, -0.3), &[rows]),
+            values: t(draw(rows, -0.5, 0.5), &[rows]),
+            segment_len: if rows.is_multiple_of(16) { 16 } else { 0 },
+        }
+    }
+
+    /// `(loss bits, entropy bits, gradient bits per parameter)` of one
+    /// pass over `batch` in blocks of `block` rows.
+    fn pass_bits(
+        policy: &PpoPolicy,
+        batch: &SampleBatch,
+        block: usize,
+    ) -> (u32, u32, Vec<Vec<u32>>) {
+        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+        let inputs = learner.loss_inputs_in(batch, block).unwrap();
+        assert_eq!(inputs.blocks.len(), batch.len().div_ceil(block));
+        let (loss, grads) = learner.loss_and_grads(&inputs).unwrap();
+        let bits = |g: &Tensor| g.data().iter().map(|v| v.to_bits()).collect();
+        (
+            loss.to_bits(),
+            learner.last_entropy().unwrap().to_bits(),
+            grads.iter().map(bits).collect(),
+        )
+    }
+
+    /// Four workers and no serial cut-off, so tiny operands still split.
+    fn threaded<T>(f: impl FnOnce() -> T) -> T {
+        use msrl_tensor::par;
+        par::with_backend(msrl_tensor::Backend::Threaded, || {
+            par::with_threads(4, || par::with_par_min(1, f))
+        })
+    }
+
+    proptest::proptest! {
+        /// The tentpole's contract: a pass cut into row blocks — shorter
+        /// than, equal to and not dividing the batch — gives the loss,
+        /// the entropy and every `Linear` gradient of one tape over the
+        /// whole batch bit for bit; a continuous policy's `log_std`, the
+        /// one parameter that is a sum of per-block gradients, to 1e-6.
+        /// Split over workers the gradients still agree bitwise (the
+        /// loss does not: a mean of many elements is summed per worker),
+        /// and the unfused operators stay the bitwise reference.
+        #[test]
+        fn blocked_learn_pass_is_the_one_tape_pass_bit_for_bit(
+            rows in 1usize..150,
+            cut in 0usize..4,
+            block_seed in 1usize..150,
+            obs_dim in 1usize..7,
+            hidden in 1usize..24,
+            deep in proptest::prelude::any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            use msrl_tensor::par;
+            use proptest::{prop_assert, prop_assert_eq};
+            let block = match cut {
+                0 => rows + block_seed,
+                1 => rows,
+                _ => 1 + block_seed % rows,
+            };
+            let widths = if deep { vec![hidden, hidden] } else { vec![hidden] };
+            let policies = [
+                PpoPolicy::discrete(obs_dim, 3, &widths, seed),
+                PpoPolicy::continuous(obs_dim, 2, &widths, seed),
+            ];
+            for policy in &policies {
+                let batch = synthetic_batch(rows, policy, seed);
+                let linear = policy.actor.params().len() + policy.critic.params().len();
+                let what = format!("{rows} rows in {block}s, discrete {}", policy.discrete);
+                let serial = |block| par::with_threads(1, || pass_bits(policy, &batch, block));
+                let (one_tape, blocked) = (serial(rows), serial(block));
+                prop_assert_eq!(blocked.0, one_tape.0, "loss, {}", what);
+                prop_assert_eq!(blocked.1, one_tape.1, "entropy, {}", what);
+                let blocked_x4 = threaded(|| pass_bits(policy, &batch, block));
+                let unfused = par::with_fusion(false, || pass_bits(policy, &batch, block));
+                // `log_std` is judged at the scale of the gradient it is
+                // clipped and applied with, its largest component.
+                let floats = |g: &[Vec<u32>]| -> Vec<f32> {
+                    g.iter().flatten().map(|&b| f32::from_bits(b)).collect()
+                };
+                let scale = floats(&one_tape.2).iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for (name, got) in [("", &blocked), (" x4", &blocked_x4), (" unfused", &unfused)] {
+                    let (got_linear, got_rest) = got.2.split_at(linear);
+                    let (linear, rest) = one_tape.2.split_at(linear);
+                    prop_assert_eq!(got_linear, linear, "Linear grads{}, {}", name, what);
+                    for (g, e) in floats(got_rest).into_iter().zip(floats(rest)) {
+                        let ok = (g - e).abs() <= 1e-6 * scale;
+                        prop_assert!(ok, "log_std {g} vs {e} at scale {scale}{name}, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shipped block height on a batch that needs three blocks, the
+    /// last one ragged, against one tape over all of it.
+    #[test]
+    fn blocked_learn_pass_at_the_shipped_height_keeps_every_bit() {
+        let policy = PpoPolicy::discrete(4, 2, &[8, 8], 2);
+        let rows = 2 * LEARN_BLOCK_ROWS + 77;
+        let batch = synthetic_batch(rows, &policy, 9);
+        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+        assert_eq!(learner.loss_inputs(&batch).unwrap().blocks.len(), 3);
+        assert_eq!(pass_bits(&policy, &batch, LEARN_BLOCK_ROWS), pass_bits(&policy, &batch, rows));
+        // And through the public entry: `grads` is the shipped height.
+        let mut learner = learner;
+        let flat: Vec<u32> = learner.grads(&batch).unwrap().iter().map(|v| v.to_bits()).collect();
+        let one_tape: Vec<u32> = pass_bits(&policy, &batch, rows).2.concat();
+        assert_eq!(flat, one_tape);
     }
 
     /// End-to-end: PPO must actually solve CartPole. This is the

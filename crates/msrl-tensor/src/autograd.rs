@@ -30,6 +30,17 @@
 //!   its rules;
 //! - whatever is still in [`Gradients`] when it drops (leaf gradients
 //!   nobody took).
+//!
+//! # Row blocks
+//!
+//! A batch too tall to differentiate out of cache is recorded and
+//! differentiated a row block at a time, one tape per block, each
+//! dropped before the next is recorded. Two things make the blocks add
+//! up to the one-tape pass bit for bit: a mean over the batch is a
+//! [`Var::mean_over`] (one running sum forwards, `g / n` of the *batch*
+//! backwards), and [`Tape::backward_onto`] hands the parameter gradients
+//! of the blocks so far to the rules that reduce over rows, which go on
+//! from them instead of starting at zero.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -44,13 +55,32 @@ use crate::Result;
 /// contribution for one parent.
 type GradFn = Box<dyn Fn(&Tensor) -> Tensor>;
 
+/// A backward rule that continues a reduction over rows: also handed
+/// what the parent's gradient reduced to over the row blocks before this
+/// tape's, if any ([`Rule::Continued`]).
+type ContinuedFn = Box<dyn Fn(&Tensor, Option<Tensor>) -> Tensor>;
+
+/// How a node's output gradient reaches one parent.
+enum Rule {
+    /// The contribution of this node alone; [`Tape::backward_onto`] adds
+    /// it to whatever else the parent has.
+    Fresh(GradFn),
+    /// A rule that sums over the rows of its node into a row-invariant
+    /// parent (`xᵀ·g` into a weight, a column sum into a bias). Handed
+    /// the parent's gradient over the row blocks before this tape's, it
+    /// returns that reduction gone on over these rows — one accumulator
+    /// per element from the first row of the batch to the last — and
+    /// handed `None` it is a [`Rule::Fresh`].
+    Continued(ContinuedFn),
+}
+
 struct Node {
     /// The forward value; [`Var::value`] and the rules that read it
     /// hold further handles to the same buffer.
     value: Rc<Tensor>,
     /// `(parent id, rule)` pairs, only for parents that need a gradient;
     /// leaves have none.
-    parents: Vec<(usize, GradFn)>,
+    parents: Vec<(usize, Rule)>,
     /// Whether the loss can have a gradient worth computing here: true
     /// for [`Tape::var`] leaves, false for [`Tape::constant`] leaves,
     /// and for an interior node whether any parent needs one.
@@ -196,6 +226,35 @@ fn reduce_owned(grad: Tensor, target: &[usize]) -> Tensor {
     reduced
 }
 
+/// [`reduce_grad`] continuing `earlier`, the same parent's gradient over
+/// the row blocks before this one. Where the forward pass broadcast the
+/// parent over the gradient's rows and nothing else (a bias), this
+/// block's rows are swept in on top of it, bit-identical to one sum over
+/// all rows; any other broadcast is reduced afresh and added.
+fn reduce_grad_onto(grad: &Tensor, target: &[usize], earlier: Option<Tensor>) -> Tensor {
+    let Some(earlier) = earlier else { return reduce_grad(grad, target) };
+    if grad.rank() == target.len() + 1 && grad.shape()[1..] == *target {
+        return ops::sum_axis_onto(grad, 0, Some(earlier)).expect("shape checked above");
+    }
+    sum_recycling(earlier, reduce_grad(grad, target))
+}
+
+/// `acc + more`, both operands back to the pool.
+fn sum_recycling(acc: Tensor, more: Tensor) -> Tensor {
+    let sum = ops::add(&acc, &more).expect("gradient shapes match parent value shapes");
+    acc.recycle();
+    more.recycle();
+    sum
+}
+
+/// `slot += more`.
+fn accumulate(slot: &mut Option<Tensor>, more: Tensor) {
+    *slot = Some(match slot.take() {
+        Some(acc) => sum_recycling(acc, more),
+        None => more,
+    });
+}
+
 /// Maps the output gradient of a fused linear node back through its
 /// activation, using the same element-wise closures as the standalone
 /// activation nodes (tanh/sigmoid differentiate via the *output*, and
@@ -254,9 +313,11 @@ fn grad_matmul_bt(g: &Tensor, b: &Tensor) -> Tensor {
     ops::matmul_bt(g, b).expect("fwd shapes")
 }
 
-/// `aᵀ · g` for backward rules, without materialising the transpose.
-fn grad_matmul_at(a: &Tensor, g: &Tensor) -> Tensor {
-    ops::matmul_at(a, g).expect("fwd shapes")
+/// `aᵀ · g` for backward rules, without materialising the transpose,
+/// continuing `earlier` (the product over the row blocks before this
+/// one) when there is one.
+fn grad_matmul_at(a: &Tensor, g: &Tensor, earlier: Option<Tensor>) -> Tensor {
+    ops::matmul_at_onto(a, g, earlier).expect("fwd shapes")
 }
 
 impl Tape {
@@ -300,7 +361,7 @@ impl Tape {
     /// Records an interior node, dropping the rules (and whatever they
     /// captured) of parents that need no gradient — `backward` then has
     /// nothing to skip.
-    fn record(&self, value: Rc<Tensor>, mut parents: Vec<(usize, GradFn)>) -> Var {
+    fn record(&self, value: Rc<Tensor>, mut parents: Vec<(usize, Rule)>) -> Var {
         let mut inner = self.inner.borrow_mut();
         parents.retain(|(pid, _)| inner.nodes[*pid].needs_grad);
         let id = inner.nodes.len();
@@ -324,6 +385,33 @@ impl Tape {
     /// element, and [`TensorError::UnknownVariable`] when `loss` belongs to
     /// a different tape.
     pub fn backward(&self, loss: &Var) -> Result<Gradients> {
+        self.backward_onto(loss, Vec::new())
+    }
+
+    /// [`Tape::backward`] for one row block of a batch that is
+    /// differentiated block by block, each block on a tape of its own.
+    ///
+    /// `carried` pairs leaves of this tape whose value every block
+    /// shares (parameters) with their gradients over the blocks before
+    /// this one; the result holds their gradients over those blocks and
+    /// this one. A leaf reached through a [`Rule::Continued`] — the
+    /// weight and bias of [`Var::linear`], the right operand of
+    /// [`Var::matmul`], a bias added by [`Var::add`] — has the carried
+    /// reduction continued over this block's rows, so after the last
+    /// block its gradient is bit-identical to one backward pass over the
+    /// whole batch. Any other leaf gets `carried + this block's`.
+    ///
+    /// The loss is linear in its per-row terms only if the caller makes
+    /// it so: a mean over the batch has to be a [`Var::mean_over`] of
+    /// the *whole* batch's row count, not a mean over the block.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tape::backward`], plus [`TensorError::UnknownVariable`] for a
+    /// carried variable of another tape and
+    /// [`TensorError::ShapeMismatch`] for a carried gradient that does
+    /// not have its variable's shape.
+    pub fn backward_onto(&self, loss: &Var, carried: Vec<(&Var, Tensor)>) -> Result<Gradients> {
         if !Rc::ptr_eq(&self.inner, &loss.tape.inner) {
             return Err(TensorError::UnknownVariable { id: loss.id });
         }
@@ -332,6 +420,21 @@ impl Tape {
             inner.nodes.get(loss.id).ok_or(TensorError::UnknownVariable { id: loss.id })?;
         if loss_node.value.len() != 1 {
             return Err(TensorError::NonScalarLoss { shape: loss_node.value.shape().to_vec() });
+        }
+        let mut earlier = Vec::with_capacity(carried.len());
+        for (var, grad) in carried {
+            if !Rc::ptr_eq(&self.inner, &var.tape.inner) {
+                return Err(TensorError::UnknownVariable { id: var.id });
+            }
+            let shape = inner.nodes[var.id].value.shape();
+            if grad.shape() != shape {
+                return Err(TensorError::ShapeMismatch {
+                    op: "backward_onto",
+                    lhs: shape.to_vec(),
+                    rhs: grad.shape().to_vec(),
+                });
+            }
+            earlier.push((var.id, grad));
         }
         let mut result = Gradients { grads: vec![None; inner.nodes.len()] };
         let grads = &mut result.grads;
@@ -352,18 +455,22 @@ impl Tape {
             // through this invariant.
             for (pid, rule) in &node.parents {
                 debug_assert!(*pid < id, "parent recorded after consumer");
-                let contribution = rule(&grad_out);
-                match &mut grads[*pid] {
-                    Some(acc) => {
-                        let sum = ops::add(acc, &contribution)
-                            .expect("gradient shapes match parent value shapes");
-                        std::mem::replace(acc, sum).recycle();
-                        contribution.recycle();
+                let contribution = match rule {
+                    Rule::Fresh(rule) => rule(&grad_out),
+                    Rule::Continued(rule) => {
+                        let at = earlier.iter().position(|(leaf, _)| leaf == pid);
+                        rule(&grad_out, at.map(|i| earlier.swap_remove(i).1))
                     }
-                    slot @ None => *slot = Some(contribution),
-                }
+                };
+                accumulate(&mut grads[*pid], contribution);
             }
             grad_out.recycle();
+        }
+        // What no rule continued is summed: earlier blocks first.
+        for (leaf, grad) in earlier {
+            if let Some(this_block) = grads[leaf].replace(grad) {
+                accumulate(&mut grads[leaf], this_block);
+            }
         }
         Ok(result)
     }
@@ -387,11 +494,14 @@ impl Var {
     }
 
     fn unary(&self, value: impl Into<Rc<Tensor>>, rule: GradFn) -> Var {
-        self.tape.record(value.into(), vec![(self.id, rule)])
+        self.tape.record(value.into(), vec![(self.id, Rule::Fresh(rule))])
     }
 
     fn binary(&self, other: &Var, value: Tensor, lrule: GradFn, rrule: GradFn) -> Var {
-        self.tape.record(value.into(), vec![(self.id, lrule), (other.id, rrule)])
+        self.tape.record(
+            value.into(),
+            vec![(self.id, Rule::Fresh(lrule)), (other.id, Rule::Fresh(rrule))],
+        )
     }
 
     /// Element-wise addition with broadcasting.
@@ -399,11 +509,14 @@ impl Var {
         let (a, b) = (self.value(), other.value());
         let out = ops::add(&a, &b)?;
         let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        Ok(self.binary(
-            other,
-            out,
-            Box::new(move |g| reduce_grad(g, &sa)),
-            Box::new(move |g| reduce_grad(g, &sb)),
+        // Continued, as the fused node's bias rule: the unfused
+        // `x·w + b` must stay its bitwise reference block by block too.
+        Ok(self.tape.record(
+            out.into(),
+            vec![
+                (self.id, Rule::Continued(Box::new(move |g, e| reduce_grad_onto(g, &sa, e)))),
+                (other.id, Rule::Continued(Box::new(move |g, e| reduce_grad_onto(g, &sb, e)))),
+            ],
         ))
     }
 
@@ -471,17 +584,14 @@ impl Var {
     pub fn matmul(&self, other: &Var) -> Result<Var> {
         let (a, b) = (self.value(), other.value());
         let out = ops::matmul(&a, &b)?;
-        Ok(self.binary(
-            other,
-            out,
-            Box::new(move |g| {
+        Ok(self.tape.record(
+            out.into(),
+            vec![
                 // dL/dA = G · Bᵀ
-                grad_matmul_bt(g, &b)
-            }),
-            Box::new(move |g| {
-                // dL/dB = Aᵀ · G
-                grad_matmul_at(&a, g)
-            }),
+                (self.id, Rule::Fresh(Box::new(move |g| grad_matmul_bt(g, &b)))),
+                // dL/dB = Aᵀ · G, summed over the rows of A
+                (other.id, Rule::Continued(Box::new(move |g, e| grad_matmul_at(&a, g, e)))),
+            ],
         ))
     }
 
@@ -517,12 +627,19 @@ impl Var {
             .unwrap_or_default();
         let fused = Rc::new(FusedGrad { act, out: Rc::clone(&out), gp: RefCell::new(None), last });
         let (fused_x, fused_w) = (Rc::clone(&fused), Rc::clone(&fused));
+        let x_rule = move |g: &Tensor| fused_x.with(0, g, |gp| grad_matmul_bt(gp, &wv));
+        let w_rule = move |g: &Tensor, earlier: Option<Tensor>| {
+            fused_w.with(1, g, |gp| grad_matmul_at(&x, gp, earlier))
+        };
+        let b_rule = move |g: &Tensor, earlier: Option<Tensor>| {
+            fused.with(2, g, |gp| reduce_grad_onto(gp, &b_shape, earlier))
+        };
         Ok(self.tape.record(
             out,
             vec![
-                (self.id, Box::new(move |g| fused_x.with(0, g, |gp| grad_matmul_bt(gp, &wv)))),
-                (w.id, Box::new(move |g| fused_w.with(1, g, |gp| grad_matmul_at(&x, gp)))),
-                (b.id, Box::new(move |g| fused.with(2, g, |gp| reduce_grad(gp, &b_shape)))),
+                (self.id, Rule::Fresh(Box::new(x_rule))),
+                (w.id, Rule::Continued(Box::new(w_rule))),
+                (b.id, Rule::Continued(Box::new(b_rule))),
             ],
         ))
     }
@@ -640,12 +757,30 @@ impl Var {
 
     /// Mean of all elements (scalar output).
     pub fn mean(&self) -> Var {
+        let n = self.value().len();
+        self.mean_over(n, &mut None)
+    }
+
+    /// The mean over an `n`-row batch of which this value holds one row
+    /// block, for a loss differentiated block by block
+    /// ([`Tape::backward_onto`]). `sum` carries the blocks' running
+    /// total: `None` before the first block, then one accumulator going
+    /// on over each block's elements in turn, as a single sweep over the
+    /// batch would. The value is `sum / n` — the batch mean once the last
+    /// block is in — and every element's gradient is `g / n` whichever
+    /// block it sits in. With `n` its own length and no total carried,
+    /// this is [`Var::mean`].
+    pub fn mean_over(&self, n: usize, sum: &mut Option<f32>) -> Var {
         let a = self.value();
         let shape = a.shape().to_vec();
-        let n = a.len().max(1) as f32;
-        let mean = ops::mean_all(&a).item().expect("scalar mean");
+        let n = n.max(1) as f32;
+        let total = match *sum {
+            None => ops::sum_all(&a).item().expect("scalar sum"),
+            Some(earlier) => a.data().iter().fold(earlier, |acc, &v| acc + v),
+        };
+        *sum = Some(total);
         self.unary(
-            filled(&[], mean),
+            filled(&[], total / n),
             Box::new(move |g| filled(&shape, g.item().expect("scalar grad") / n)),
         )
     }
@@ -959,6 +1094,66 @@ mod tests {
                 assert_eq!(bits(a), bits(b), "{act:?} parameter gradient");
             }
         }
+    }
+
+    /// A fused two-layer net over seven rows, as one tape and as a
+    /// three-row and a four-row tape: weights and biases continue across
+    /// the tapes bit for bit, fused or not; a parameter reached through
+    /// a broadcast of an interior node (`scale`) is the blocks' sum.
+    #[test]
+    fn backward_onto_continues_parameter_gradients_across_row_blocks() {
+        let xs: Vec<f32> = (0..7 * 3).map(|i| (i as f32 * 0.7).sin()).collect();
+        let leaves = [
+            t(&(0..12).map(|i| (i as f32 * 0.9).cos()).collect::<Vec<_>>(), &[3, 4]),
+            t(&[0.1, -0.2, 0.3, 0.05], &[4]),
+            t(&(0..4).map(|i| (i as f32 * 1.3).sin()).collect::<Vec<_>>(), &[4, 1]),
+            t(&[0.4], &[1]),
+            t(&[1.5], &[1]),
+        ];
+        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        // Rows `lo..hi` of a 7-row batch, on top of `carried`.
+        let block = |lo: usize, hi: usize, fused: bool, carried: Vec<Tensor>| {
+            let tape = Tape::new();
+            let p: Vec<Var> = leaves.iter().map(|l| tape.var(l.clone())).collect();
+            let x = tape.constant(t(&xs[lo * 3..hi * 3], &[hi - lo, 3]));
+            let y = if fused {
+                let h = x.linear(&p[0], &p[1], ops::Act::Tanh).unwrap();
+                h.linear(&p[2], &p[3], ops::Act::Linear).unwrap()
+            } else {
+                let h = x.matmul(&p[0]).unwrap().add(&p[1]).unwrap().tanh();
+                h.matmul(&p[2]).unwrap().add(&p[3]).unwrap()
+            };
+            let loss = y.mul(&p[4]).unwrap().square().mean_over(7, &mut None);
+            let mut g = tape.backward_onto(&loss, p.iter().zip(carried).collect()).unwrap();
+            p.iter().map(|v| g.take_or_zeros(v)).collect::<Vec<Tensor>>()
+        };
+        let one_tape = block(0, 7, true, Vec::new());
+        for fused in [true, false] {
+            let blocked = block(3, 7, fused, block(0, 3, fused, Vec::new()));
+            for (i, (b, o)) in blocked.iter().zip(&one_tape).enumerate().take(4) {
+                assert_eq!(bits(b), bits(o), "fused {fused}: parameter {i}");
+            }
+            let (b, o) = (blocked[4].data()[0], one_tape[4].data()[0]);
+            assert!((b - o).abs() <= 1e-6 * o.abs(), "scale: {b} vs {o}");
+        }
+        // A gradient of the wrong shape, or for another tape's variable.
+        let (tape, other) = (Tape::new(), Tape::new());
+        let w = tape.var(leaves[1].clone());
+        let loss = w.sum();
+        let wrong_shape = vec![(&w, leaves[0].clone())];
+        assert!(matches!(
+            tape.backward_onto(&loss, wrong_shape),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        let foreign = other.var(leaves[1].clone());
+        assert!(matches!(
+            tape.backward_onto(&loss, vec![(&foreign, leaves[1].clone())]),
+            Err(TensorError::UnknownVariable { .. })
+        ));
+        // Nothing continues a `sum`: carried + this tape's.
+        let g = tape.backward_onto(&loss, vec![(&w, leaves[1].clone())]).unwrap();
+        let expect: Vec<f32> = leaves[1].data().iter().map(|c| c + 1.0).collect();
+        assert_eq!(g.get(w.id()).unwrap().data(), &expect[..]);
     }
 
     #[test]

@@ -84,7 +84,11 @@
 //!   block starts every accumulator from `0.0` — `out` is overwritten,
 //!   never accumulated into — and later blocks reload it). Both
 //!   operands therefore stream from memory once, where an unblocked
-//!   sweep streamed them once per 4-row output tile.
+//!   sweep streamed them once per 4-row output tile. A caller that
+//!   holds the reduction axis in pieces (a learner differentiating a
+//!   tall batch in row blocks) passes `carried` with every piece after
+//!   the first: the first block then reloads `out` like the others, and
+//!   the pieces are one sweep.
 //! * **Column lanes.** The `n − n mod L` leading columns run as in
 //!   [`matmul_simd_rows`]: a 4-row × `L`-column register tile, `b`'s
 //!   row loaded once and each of the four `a[kk][i]` broadcast. Tiles
@@ -363,10 +367,17 @@ pub const AT_BLOCK: usize = 256;
 /// accumulation order matches the transpose-then-multiply composition
 /// exactly.
 ///
+/// With `carried`, `out_rows` already holds the product over earlier
+/// rows of the reduction axis and these `p` rows are swept in on top of
+/// it: the first reduction block reloads `out_rows` as every later one
+/// does, so a product fed in consecutive pieces is bit-identical to the
+/// same product in one call.
+///
 /// # Panics
 ///
 /// Panics when the operands are shorter than `p × m` / `p × n` or
 /// `out_rows` reaches past row `m` — the x86 bodies index unchecked.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_at_rows(
     ad: &[f32],
     row0: usize,
@@ -375,6 +386,7 @@ pub fn matmul_at_rows(
     m: usize,
     n: usize,
     bd: &[f32],
+    carried: bool,
 ) {
     if n == 0 || out_rows.is_empty() {
         return;
@@ -392,17 +404,17 @@ pub fn matmul_at_rows(
             // SAFETY: as in `matmul_simd_rows`; the assert above bounds
             // every index the bodies form.
             MatKernel::Avx512 => unsafe {
-                x86::at_rows_avx512(ad, row0, out_rows, p, m, n, bd);
+                x86::at_rows_avx512(ad, row0, out_rows, p, m, n, bd, carried);
                 return;
             },
             MatKernel::Avx2 => unsafe {
-                x86::at_rows_avx2(ad, row0, out_rows, p, m, n, bd);
+                x86::at_rows_avx2(ad, row0, out_rows, p, m, n, bd, carried);
                 return;
             },
             MatKernel::Portable => {}
         }
     }
-    at_rows_portable(ad, row0, out_rows, p, m, n, bd);
+    at_rows_portable(ad, row0, out_rows, p, m, n, bd, carried);
 }
 
 /// Which fold a reduction microkernel applies.
@@ -488,6 +500,12 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
 /// the SIMD kernels put lanes across *rows*: one stride-`mid` gather
 /// per ascending `m` step feeds a full block of row accumulators, and
 /// every row keeps the scalar ascending-index fold order exactly.
+///
+/// With `carried`, each fold starts from what `out` already holds
+/// instead of the identity: `out` is the same fold over the elements
+/// that precede these `mid` along the reduced axis, and the two pieces
+/// together are bit-identical to one fold over both (`scale` belongs to
+/// the last piece only).
 pub fn reduce_rows(
     ad: &[f32],
     row0: usize,
@@ -495,6 +513,7 @@ pub fn reduce_rows(
     mid: usize,
     op: RedOp,
     scale: Option<f32>,
+    carried: bool,
 ) {
     if out.is_empty() {
         return;
@@ -507,18 +526,18 @@ pub fn reduce_rows(
                 // SAFETY: `select()` only returns these variants after
                 // runtime detection of the corresponding CPU feature.
                 MatKernel::Avx512 => unsafe {
-                    x86::reduce_rows_avx512(ad, row0, out, mid, op, scale);
+                    x86::reduce_rows_avx512(ad, row0, out, mid, op, scale, carried);
                     return;
                 },
                 MatKernel::Avx2 => unsafe {
-                    x86::reduce_rows_avx2(ad, row0, out, mid, op, scale);
+                    x86::reduce_rows_avx2(ad, row0, out, mid, op, scale, carried);
                     return;
                 },
                 MatKernel::Portable => {}
             }
         }
     }
-    reduce_rows_portable(ad, row0, out, mid, op, scale);
+    reduce_rows_portable(ad, row0, out, mid, op, scale, carried);
 }
 
 /// Group reductions (`inner > 1`): `out` is whole groups of `inner`
@@ -528,7 +547,10 @@ pub fn reduce_rows(
 ///
 /// Output slots along `inner` are contiguous and independent, so lanes
 /// run straight across them with plain vector loads; each slot keeps
-/// its scalar ascending-`m` fold order.
+/// its scalar ascending-`m` fold order. `carried` as in [`reduce_rows`]:
+/// a `[rows, n]` column sum fed in consecutive row blocks is one group
+/// whose slots continue from `out`.
+#[allow(clippy::too_many_arguments)]
 pub fn reduce_groups(
     ad: &[f32],
     group0: usize,
@@ -537,6 +559,7 @@ pub fn reduce_groups(
     inner: usize,
     op: RedOp,
     scale: Option<f32>,
+    carried: bool,
 ) {
     if out.is_empty() || inner == 0 {
         return;
@@ -546,17 +569,17 @@ pub fn reduce_groups(
         match select() {
             // SAFETY: as in `reduce_rows`.
             MatKernel::Avx512 => unsafe {
-                x86::reduce_groups_avx512(ad, group0, out, mid, inner, op, scale);
+                x86::reduce_groups_avx512(ad, group0, out, mid, inner, op, scale, carried);
                 return;
             },
             MatKernel::Avx2 => unsafe {
-                x86::reduce_groups_avx2(ad, group0, out, mid, inner, op, scale);
+                x86::reduce_groups_avx2(ad, group0, out, mid, inner, op, scale, carried);
                 return;
             },
             MatKernel::Portable => {}
         }
     }
-    reduce_groups_portable(ad, group0, out, mid, inner, op, scale);
+    reduce_groups_portable(ad, group0, out, mid, inner, op, scale, carried);
 }
 
 /// Portable row-reduction kernel: a block of row accumulators advanced
@@ -569,12 +592,16 @@ fn reduce_rows_portable(
     mid: usize,
     op: RedOp,
     scale: Option<f32>,
+    carried: bool,
 ) {
     const RB: usize = 8;
     let rows = out.len();
     let mut r0 = 0;
     while r0 + RB <= rows {
         let mut acc = [op.init(); RB];
+        if carried {
+            acc.copy_from_slice(&out[r0..r0 + RB]);
+        }
         for m in 0..mid {
             for (l, a) in acc.iter_mut().enumerate() {
                 let v = ad[(row0 + r0 + l) * mid + m];
@@ -594,7 +621,7 @@ fn reduce_rows_portable(
     }
     for (r, o) in out.iter_mut().enumerate().skip(r0) {
         let row = &ad[(row0 + r) * mid..(row0 + r + 1) * mid];
-        let mut acc = op.init();
+        let mut acc = if carried { *o } else { op.init() };
         match op {
             RedOp::Sum => {
                 for &v in row {
@@ -616,6 +643,7 @@ fn reduce_rows_portable(
 
 /// Portable group-reduction kernel: 16-slot array accumulators across
 /// the contiguous inner dimension.
+#[allow(clippy::too_many_arguments)]
 fn reduce_groups_portable(
     ad: &[f32],
     group0: usize,
@@ -624,6 +652,7 @@ fn reduce_groups_portable(
     inner: usize,
     op: RedOp,
     scale: Option<f32>,
+    carried: bool,
 ) {
     const L: usize = 16;
     for (g, group) in out.chunks_mut(inner).enumerate() {
@@ -632,6 +661,9 @@ fn reduce_groups_portable(
         for jb in 0..blocks {
             let j = jb * L;
             let mut acc = [op.init(); L];
+            if carried {
+                acc.copy_from_slice(&group[j..j + L]);
+            }
             for m in 0..mid {
                 let v: &[f32; L] =
                     ad[src + m * inner + j..src + m * inner + j + L].try_into().expect("L block");
@@ -650,7 +682,7 @@ fn reduce_groups_portable(
             group[j..j + L].copy_from_slice(&acc);
         }
         for (jj, slot) in group.iter_mut().enumerate().skip(blocks * L) {
-            let mut acc = op.init();
+            let mut acc = if carried { *slot } else { op.init() };
             for m in 0..mid {
                 let v = ad[src + m * inner + jj];
                 acc = match op {
@@ -698,6 +730,7 @@ fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
 /// Portable transpose-free `aᵀ × b` row kernel — the safe-Rust
 /// spelling of the blocked shape described in the module docs, and the
 /// reference the x86 bodies are tested against.
+#[allow(clippy::too_many_arguments)]
 fn at_rows_portable(
     ad: &[f32],
     row0: usize,
@@ -706,6 +739,7 @@ fn at_rows_portable(
     m: usize,
     n: usize,
     bd: &[f32],
+    carried: bool,
 ) {
     const L: usize = 16;
     const RB: usize = 4;
@@ -717,12 +751,13 @@ fn at_rows_portable(
     // overwritten.
     loop {
         let k1 = (k0 + AT_BLOCK).min(p);
+        let resume = k0 > 0 || carried;
         // Column lanes: RB output rows × one L-wide column block.
         for j in (0..tail0).step_by(L) {
             for r0 in (0..rows).step_by(RB) {
                 let rm = RB.min(rows - r0);
                 let mut acc = [[0.0f32; L]; RB];
-                if k0 > 0 {
+                if resume {
                     for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
                         acc_r.copy_from_slice(&out[(r0 + r) * n + j..(r0 + r) * n + j + L]);
                     }
@@ -747,7 +782,7 @@ fn at_rows_portable(
             for j in (tail0..n).step_by(RB) {
                 let cm = RB.min(n - j);
                 let mut acc = [[0.0f32; L]; RB];
-                if k0 > 0 {
+                if resume {
                     for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
                         for (l, slot) in acc_c.iter_mut().enumerate() {
                             *slot = out[(i0 + l) * n + j + c];
@@ -774,7 +809,7 @@ fn at_rows_portable(
         // Fewer than L rows left under the right-edge columns: scalar.
         for r in lane_rows..rows {
             for j in tail0..n {
-                let mut acc = if k0 > 0 { out[r * n + j] } else { 0.0 };
+                let mut acc = if resume { out[r * n + j] } else { 0.0 };
                 for kk in k0..k1 {
                     acc += ad[kk * m + row0 + r] * bd[kk * n + j];
                 }
@@ -961,6 +996,7 @@ mod x86 {
         ($(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal,
          $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident) => {
             $(#[$doc])*
+            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feature)]
             pub unsafe fn $name(
                 ad: &[f32],
@@ -970,6 +1006,7 @@ mod x86 {
                 m: usize,
                 n: usize,
                 bd: &[f32],
+                carried: bool,
             ) {
                 const L: usize = $lanes;
                 const RB: usize = 4;
@@ -984,12 +1021,13 @@ mod x86 {
                 // always overwritten.
                 loop {
                     let k1 = (k0 + AT_BLOCK).min(p);
+                    let resume = k0 > 0 || carried;
                     // Column lanes: RB output rows × one L-wide column block.
                     for j in (0..tail0).step_by(L) {
                         for r0 in (0..rows).step_by(RB) {
                             let rm = RB.min(rows - r0);
                             let mut acc = [$zero(); RB];
-                            if k0 > 0 {
+                            if resume {
                                 for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
                                     *acc_r = $loadu(op.add((r0 + r) * n + j));
                                 }
@@ -1014,7 +1052,7 @@ mod x86 {
                             let cm = RB.min(n - j);
                             let mut acc = [$zero(); RB];
                             let mut t = [0.0f32; L];
-                            if k0 > 0 {
+                            if resume {
                                 for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
                                     for (l, slot) in t.iter_mut().enumerate() {
                                         *slot = *op.add((i0 + l) * n + j + c);
@@ -1042,7 +1080,7 @@ mod x86 {
                     for r in lane_rows..rows {
                         for j in tail0..n {
                             let o = op.add(r * n + j);
-                            let mut acc = if k0 > 0 { *o } else { 0.0 };
+                            let mut acc = if resume { *o } else { 0.0 };
                             for kk in k0..k1 {
                                 acc += *ap.add(kk * m + row0 + r) * *bp.add(kk * n + j);
                             }
@@ -1234,6 +1272,7 @@ mod x86 {
         mid: usize,
         op: RedOp,
         scale: Option<f32>,
+        carried: bool,
     ) {
         const L: usize = 16;
         let rows = out.len();
@@ -1249,7 +1288,7 @@ mod x86 {
         let mut r0 = 0;
         while r0 + L <= rows {
             let base = ap.add((row0 + r0) * mid);
-            let mut acc = init;
+            let mut acc = if carried { _mm512_loadu_ps(out.as_ptr().add(r0)) } else { init };
             for m in 0..mid {
                 let v = _mm512_i32gather_ps::<4>(step, base.add(m));
                 acc = match op {
@@ -1263,7 +1302,7 @@ mod x86 {
             _mm512_storeu_ps(out.as_mut_ptr().add(r0), acc);
             r0 += L;
         }
-        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale);
+        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale, carried);
     }
 
     /// Row reduction, ymm lanes across 8 rows via stride-`mid` gathers.
@@ -1279,6 +1318,7 @@ mod x86 {
         mid: usize,
         op: RedOp,
         scale: Option<f32>,
+        carried: bool,
     ) {
         const L: usize = 8;
         let rows = out.len();
@@ -1294,7 +1334,7 @@ mod x86 {
         let mut r0 = 0;
         while r0 + L <= rows {
             let base = ap.add((row0 + r0) * mid);
-            let mut acc = init;
+            let mut acc = if carried { _mm256_loadu_ps(out.as_ptr().add(r0)) } else { init };
             for m in 0..mid {
                 let v = _mm256_i32gather_ps::<4>(base.add(m), step);
                 acc = match op {
@@ -1308,7 +1348,7 @@ mod x86 {
             _mm256_storeu_ps(out.as_mut_ptr().add(r0), acc);
             r0 += L;
         }
-        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale);
+        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale, carried);
     }
 
     /// Group reduction, zmm lanes across the contiguous inner dim.
@@ -1317,6 +1357,7 @@ mod x86 {
     ///
     /// Requires `avx512f` (guaranteed by [`super::select`]).
     #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn reduce_groups_avx512(
         ad: &[f32],
         group0: usize,
@@ -1325,6 +1366,7 @@ mod x86 {
         inner: usize,
         op: RedOp,
         scale: Option<f32>,
+        carried: bool,
     ) {
         const L: usize = 16;
         let ap = ad.as_ptr();
@@ -1340,7 +1382,7 @@ mod x86 {
             let blocks = inner / L;
             for jb in 0..blocks {
                 let j = jb * L;
-                let mut acc = init;
+                let mut acc = if carried { _mm512_loadu_ps(op_.add(dst + j)) } else { init };
                 for m in 0..mid {
                     let v = _mm512_loadu_ps(ap.add(src + m * inner + j));
                     acc = match op {
@@ -1362,6 +1404,7 @@ mod x86 {
                 blocks * L,
                 op,
                 scale,
+                carried,
             );
         }
     }
@@ -1372,6 +1415,7 @@ mod x86 {
     ///
     /// Requires `avx2` (guaranteed by [`super::select`]).
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn reduce_groups_avx2(
         ad: &[f32],
         group0: usize,
@@ -1380,6 +1424,7 @@ mod x86 {
         inner: usize,
         op: RedOp,
         scale: Option<f32>,
+        carried: bool,
     ) {
         const L: usize = 8;
         let ap = ad.as_ptr();
@@ -1395,7 +1440,7 @@ mod x86 {
             let blocks = inner / L;
             for jb in 0..blocks {
                 let j = jb * L;
-                let mut acc = init;
+                let mut acc = if carried { _mm256_loadu_ps(op_.add(dst + j)) } else { init };
                 for m in 0..mid {
                     let v = _mm256_loadu_ps(ap.add(src + m * inner + j));
                     acc = match op {
@@ -1417,6 +1462,7 @@ mod x86 {
                 blocks * L,
                 op,
                 scale,
+                carried,
             );
         }
     }
@@ -1432,10 +1478,11 @@ mod x86 {
         j0: usize,
         op: RedOp,
         scale: Option<f32>,
+        carried: bool,
     ) {
         for (t, slot) in tail.iter_mut().enumerate() {
             let jj = j0 + t;
-            let mut acc = op.init();
+            let mut acc = if carried { *slot } else { op.init() };
             for m in 0..mid {
                 let v = ad[src + m * inner + jj];
                 acc = match op {
@@ -1700,7 +1747,7 @@ mod tests {
         }
     }
 
-    type AtRows = fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32]);
+    type AtRows = fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32], bool);
 
     /// Every `aᵀ × b` body this host can run: the dispatched one, plus
     /// the bodies the dispatcher passes over here (portable always, ymm
@@ -1710,10 +1757,10 @@ mod tests {
             vec![("dispatched", matmul_at_rows), ("portable", at_rows_portable)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            bodies.push(("avx2", |ad, row0, out, p, m, n, bd| {
+            bodies.push(("avx2", |ad, row0, out, p, m, n, bd, carried| {
                 // SAFETY: avx2 was just detected, and the tests below pass
                 // exactly the extents `matmul_at_rows` asserts.
-                unsafe { x86::at_rows_avx2(ad, row0, out, p, m, n, bd) }
+                unsafe { x86::at_rows_avx2(ad, row0, out, p, m, n, bd, carried) }
             }));
         }
         bodies
@@ -1735,7 +1782,7 @@ mod tests {
             let expect = at_naive(&a, &b, p, m, n);
             for (name, body) in at_bodies() {
                 let mut out = vec![f32::NAN; m * n];
-                body(&a, 0, &mut out, p, m, n, &b);
+                body(&a, 0, &mut out, p, m, n, &b, false);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n})"));
             }
         };
@@ -1766,7 +1813,7 @@ mod tests {
             let expect = at_naive(&a, &b, p, m, n);
             for (name, body) in at_bodies() {
                 let mut part = vec![f32::NAN; (m - 5) * n];
-                body(&a, 5, &mut part, p, m, n, &b);
+                body(&a, 5, &mut part, p, m, n, &b, false);
                 assert_bits_eq(&part, &expect[5 * n..], &format!("{name} row0=5 ({p},{m},{n})"));
             }
         }
@@ -1787,10 +1834,130 @@ mod tests {
                 assert!(expect[17 * n + 18].is_nan() && expect[n].is_finite());
                 for (name, body) in at_bodies() {
                     let mut out = vec![0.0f32; m * n];
-                    body(&a, 0, &mut out, p, m, n, &b);
+                    body(&a, 0, &mut out, p, m, n, &b, false);
                     assert_same_poison(&out, &expect, &format!("{name} {poison} at row {kk}"));
                 }
             }
+        }
+    }
+
+    /// `(p, m, n)` × cut points of the reduction axis for the carried
+    /// tests: pieces shorter than, equal to and straddling a reduction
+    /// block, an empty first, middle and last piece, one row at a time.
+    fn carried_cases() -> Vec<([usize; 3], Vec<usize>)> {
+        const B: usize = AT_BLOCK;
+        vec![
+            ([2 * B + 37, 20, 19], vec![B + 5]),
+            ([2 * B + 37, 20, 19], vec![0, 3, 3, B, 2 * B + 37]),
+            ([3 * B, 5, 40], vec![B, 2 * B]),
+            ([7, 17, 2], vec![1, 2, 3, 4, 5, 6]),
+            ([B + 1, 64, 1], vec![B]),
+            ([90, 3, 33], vec![41]),
+        ]
+    }
+
+    #[test]
+    fn at_rows_fed_in_carried_pieces_match_one_shot_bitwise() {
+        for ([p, m, n], cuts) in carried_cases() {
+            for poison in [None, Some(f32::NAN), Some(f32::INFINITY)] {
+                let mut a = vals(p * m, 41);
+                let mut b = vals(p * n, 42);
+                if let Some(v) = poison {
+                    // One poisoned row of each operand, in different
+                    // pieces for most cuts, and a `0 × ∞`.
+                    a[(p / 3) * m + 1] = v;
+                    a[(p - 1) * m + m - 1] = 0.0;
+                    b[(p - 1) * n + n - 1] = v;
+                }
+                for (name, body) in at_bodies() {
+                    let mut whole = vec![f32::NAN; m * n];
+                    body(&a, 0, &mut whole, p, m, n, &b, false);
+                    let mut pieces = vec![f32::NAN; m * n];
+                    let mut lo = 0;
+                    for hi in cuts.iter().copied().chain([p]) {
+                        let (ap, bp) = (&a[lo * m..hi * m], &b[lo * n..hi * n]);
+                        body(ap, 0, &mut pieces, hi - lo, m, n, bp, lo > 0);
+                        lo = hi;
+                    }
+                    let what = format!("{name} ({p},{m},{n}) cut at {cuts:?}, {poison:?}");
+                    assert_same_poison(&pieces, &whole, &what);
+                    // A threaded chunk (output rows 1..) of the last
+                    // piece continues its rows of `out` alone.
+                    let hi = cuts[0];
+                    let mut chunk = vec![f32::NAN; m * n];
+                    body(&a[..hi * m], 0, &mut chunk, hi, m, n, &b[..hi * n], false);
+                    body(&a[hi * m..], 1, &mut chunk[n..], p - hi, m, n, &b[hi * n..], true);
+                    assert_same_poison(&chunk[n..], &whole[n..], &format!("{what}, rows 1.."));
+                }
+            }
+        }
+    }
+
+    /// A column fold of `[rows, n]` (`n` columns, one group), or for
+    /// `n == 1` the single-row fold the same reduction becomes.
+    type ColFold = fn(&[f32], &mut [f32], usize, RedOp, bool);
+
+    /// Every column-fold body this host can run, as [`at_bodies`].
+    fn col_fold_bodies() -> Vec<(&'static str, ColFold)> {
+        let mut bodies: Vec<(&'static str, ColFold)> = vec![
+            ("dispatched", |a, out, rows, op, carried| match out.len() {
+                1 => reduce_rows(a, 0, out, rows, op, None, carried),
+                n => reduce_groups(a, 0, out, rows, n, op, None, carried),
+            }),
+            ("portable", |a, out, rows, op, carried| match out.len() {
+                1 => reduce_rows_portable(a, 0, out, rows, op, None, carried),
+                n => reduce_groups_portable(a, 0, out, rows, n, op, None, carried),
+            }),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was just detected; the bodies read `rows × n`
+            // elements of `a`, which the test below passes.
+            bodies.push(("avx2", |a, out, rows, op, carried| match out.len() {
+                1 => unsafe { x86::reduce_rows_avx2(a, 0, out, rows, op, None, carried) },
+                n => unsafe { x86::reduce_groups_avx2(a, 0, out, rows, n, op, None, carried) },
+            }));
+        }
+        bodies
+    }
+
+    #[test]
+    fn column_folds_fed_in_carried_pieces_match_one_shot_bitwise() {
+        for ([rows, _, n], cuts) in carried_cases() {
+            for poison in [None, Some(f32::NAN), Some(f32::INFINITY), Some(f32::NEG_INFINITY)] {
+                let mut a = vals(rows * n, 43);
+                if let Some(v) = poison {
+                    a[(rows / 3) * n] = v;
+                    a[(rows - 1) * n + n - 1] = -v;
+                }
+                for op in [RedOp::Sum, RedOp::Max] {
+                    let expect = naive_reduce(&a, 1, rows, n, op, None);
+                    for (name, body) in col_fold_bodies() {
+                        let mut pieces = vec![f32::NAN; n];
+                        let mut lo = 0;
+                        for hi in cuts.iter().copied().chain([rows]) {
+                            body(&a[lo * n..hi * n], &mut pieces, hi - lo, op, lo > 0);
+                            lo = hi;
+                        }
+                        let what =
+                            format!("{name} {op:?} ({rows},{n}) cut at {cuts:?}, {poison:?}");
+                        assert_same_poison(&pieces, &expect, &what);
+                    }
+                }
+            }
+        }
+        // Many rows at once (`inner == 1`, lanes across rows): each row's
+        // fold continues its own slot.
+        let (rows, mid) = (37, 11);
+        let a = vals(rows * 2 * mid, 44);
+        let halves: Vec<f32> = a.chunks(2 * mid).flat_map(|r| r[..mid].to_vec()).collect();
+        let rest: Vec<f32> = a.chunks(2 * mid).flat_map(|r| r[mid..].to_vec()).collect();
+        for op in [RedOp::Sum, RedOp::Max] {
+            let expect = naive_reduce(&a, rows, 2 * mid, 1, op, None);
+            let mut out = vec![f32::NAN; rows];
+            reduce_rows(&halves, 0, &mut out, mid, op, None, false);
+            reduce_rows(&rest, 0, &mut out, mid, op, None, true);
+            assert_bits_eq(&out, &expect, &format!("rows {op:?} in two pieces"));
         }
     }
 
@@ -1823,7 +1990,7 @@ mod tests {
                 for &scale in &[None, Some(1.0 / mid.max(1) as f32)] {
                     let a = vals(rows * mid, 21);
                     let mut out = vec![f32::NAN; rows];
-                    reduce_rows(&a, 0, &mut out, mid, op, scale);
+                    reduce_rows(&a, 0, &mut out, mid, op, scale, false);
                     let expect = naive_reduce(&a, rows, mid, 1, op, scale);
                     assert_bits_eq(&out, &expect, &format!("rows ({rows},{mid}) {op:?}"));
                 }
@@ -1833,9 +2000,9 @@ mod tests {
         let (rows, mid) = (37, 9);
         let a = vals(rows * mid, 22);
         let mut full = vec![0.0f32; rows];
-        reduce_rows(&a, 0, &mut full, mid, RedOp::Sum, None);
+        reduce_rows(&a, 0, &mut full, mid, RedOp::Sum, None, false);
         let mut part = vec![0.0f32; rows - 4];
-        reduce_rows(&a, 4, &mut part, mid, RedOp::Sum, None);
+        reduce_rows(&a, 4, &mut part, mid, RedOp::Sum, None, false);
         assert_eq!(&full[4..], &part[..]);
     }
 
@@ -1848,7 +2015,7 @@ mod tests {
                 for &scale in &[None, Some(0.25f32)] {
                     let a = vals(groups * mid * inner, 23);
                     let mut out = vec![f32::NAN; groups * inner];
-                    reduce_groups(&a, 0, &mut out, mid, inner, op, scale);
+                    reduce_groups(&a, 0, &mut out, mid, inner, op, scale, false);
                     let expect = naive_reduce(&a, groups, mid, inner, op, scale);
                     assert_bits_eq(
                         &out,
@@ -1875,7 +2042,7 @@ mod tests {
                 *v = f32::NAN; // row 4 all-NaN
             }
             let mut out = vec![0.0f32; rows];
-            reduce_rows(&a, 0, &mut out, mid, RedOp::Max, None);
+            reduce_rows(&a, 0, &mut out, mid, RedOp::Max, None, false);
             let expect = naive_reduce(&a, rows, mid, 1, RedOp::Max, None);
             assert_bits_eq(&out, &expect, "NaN/∞ max rows");
             // NaN operands are ignored (as f32::max does), so an all-NaN
@@ -1884,7 +2051,7 @@ mod tests {
 
             let mut gout = vec![0.0f32; rows];
             // Same data seen as one group with inner == rows.
-            reduce_groups(&a, 0, &mut gout, mid, rows, RedOp::Max, None);
+            reduce_groups(&a, 0, &mut gout, mid, rows, RedOp::Max, None, false);
             let gexpect = naive_reduce(&a, 1, mid, rows, RedOp::Max, None);
             assert_bits_eq(&gout, &gexpect, "NaN/∞ max groups");
         }

@@ -190,12 +190,14 @@ impl Mlp {
     }
 
     /// Registers the parameters on `tape` for one differentiable step.
+    ///
+    /// The tape gets pool-drawn copies (a same-shape
+    /// [`Tensor::reshape`]), because it recycles them when it drops: a
+    /// learner that records one tape per row block would otherwise feed
+    /// the pool a set of buffers per block that nothing ever takes out.
     pub fn bind(&self, tape: &Tape) -> MlpBinding {
-        let params = self
-            .layers
-            .iter()
-            .flat_map(|l| [tape.var(l.w.clone()), tape.var(l.b.clone())])
-            .collect();
+        let pooled = |p: &Tensor| tape.var(p.reshape(p.shape()).expect("same shape, same volume"));
+        let params = self.layers.iter().flat_map(|l| [pooled(&l.w), pooled(&l.b)]).collect();
         MlpBinding {
             params,
             hidden_activation: self.hidden_activation,

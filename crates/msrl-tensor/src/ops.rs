@@ -28,7 +28,8 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
     let vol = out_shape.volume();
     let ad = a.data();
     let bd = b.data();
-    let mut data = crate::alloc::take_zeroed(vol);
+    // Both fills write every element of the chunk they are given.
+    let mut data = crate::alloc::take_for_overwrite(vol);
     let parallel = ExecCtx::current().should_parallelize(vol, par::PAR_MIN_ELEMS);
     // Fast path: identical shapes need no plan at all.
     if a.shape() == b.shape() {
@@ -123,7 +124,7 @@ pub fn zip_inplace(
 /// threaded backend).
 pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let ad = a.data();
-    let mut data = crate::alloc::take_zeroed(ad.len());
+    let mut data = crate::alloc::take_for_overwrite(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             *slot = f(ad[offset + i]);
@@ -191,7 +192,7 @@ pub fn neg(a: &Tensor) -> Tensor {
 /// ISA-deterministic, so chunk boundaries cannot perturb results).
 fn map_transcendental(a: &Tensor, u: Unary) -> Tensor {
     let ad = a.data();
-    let mut data = crate::alloc::take_zeroed(ad.len());
+    let mut data = crate::alloc::take_for_overwrite(ad.len());
     let fill = |offset: usize, chunk: &mut [f32]| {
         chunk.copy_from_slice(&ad[offset..offset + chunk.len()]);
         fastmath::apply_slice(u, chunk);
@@ -271,6 +272,24 @@ fn same_inner(
         return Ok(());
     }
     Err(TensorError::ShapeMismatch { op, lhs: lhs.to_vec(), rhs: rhs.to_vec() })
+}
+
+/// The output buffer of a reduction that may go on from `carried`, and
+/// whether it does: `carried`'s storage once its shape is checked against
+/// the output's `dims` (else `op`'s shape error), or `fresh()`.
+fn continued_output(
+    op: &'static str,
+    dims: &[usize],
+    carried: Option<Tensor>,
+    fresh: impl FnOnce() -> Vec<f32>,
+) -> Result<(Vec<f32>, bool)> {
+    match carried {
+        Some(acc) if acc.shape() == dims => Ok((acc.into_vec(), true)),
+        Some(acc) => {
+            Err(TensorError::ShapeMismatch { op, lhs: dims.to_vec(), rhs: acc.shape().to_vec() })
+        }
+        None => Ok((fresh(), false)),
+    }
 }
 
 /// Multiply–add count at or above which a row-major right operand is
@@ -384,13 +403,33 @@ pub fn matmul_prepacked(a: &Tensor, bp: &kernels::PackedB) -> Result<Tensor> {
 /// Returns the same rank/shape errors as [`matmul`] (shared first axis
 /// `p` plays the inner-dimension role).
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_at_onto(a, b, None)
+}
+
+/// [`matmul_at`] continued across row blocks: `carried`, when given, is
+/// `aᵀ · b` over the rows that precede these `p` in a taller pair of
+/// operands, and the result is the product over both, in `carried`'s
+/// buffer. Every output element keeps its one accumulator and its
+/// ascending row order across the call boundary
+/// ([`kernels::matmul_at_rows`]), so feeding a product in consecutive
+/// row blocks is bit-identical to one call over all rows — which is what
+/// lets a learner differentiate a tall batch block by block without
+/// changing a weight gradient.
+///
+/// # Errors
+///
+/// As [`matmul_at`], plus [`TensorError::ShapeMismatch`] when `carried`
+/// is not `[m, n]`.
+pub fn matmul_at_onto(a: &Tensor, b: &Tensor, carried: Option<Tensor>) -> Result<Tensor> {
     let ((p, m), (p2, n)) = (dims2("matmul_at", a)?, dims2("matmul_at", b)?);
     same_inner("matmul_at", (p, p2), a.shape(), b.shape())?;
-    let mut out = crate::alloc::take_for_overwrite(m * n);
+    let (mut out, resume) = continued_output("matmul_at_onto", &[m, n], carried, || {
+        crate::alloc::take_for_overwrite(m * n)
+    })?;
     let ad = a.data();
     let bd = b.data();
     let fill = |offset: usize, chunk: &mut [f32]| {
-        kernels::matmul_at_rows(ad, offset / n.max(1), chunk, p, m, n, bd);
+        kernels::matmul_at_rows(ad, offset / n.max(1), chunk, p, m, n, bd, resume);
     };
     if par::should_parallelize(p * m * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
@@ -634,7 +673,17 @@ pub fn max_all(a: &Tensor) -> Result<Tensor> {
 /// `scale`, when set, multiplies each output slot right after its own
 /// fold completes — the single-pass `mean_axis` epilogue; per element it
 /// is the same multiply a separate rescale traversal would perform.
-fn reduce_axis(a: &Tensor, axis: usize, op: kernels::RedOp, scale: Option<f32>) -> Result<Tensor> {
+///
+/// `carried`, when given, is the same reduction over the slices that
+/// precede `a` along `axis`: every slot's fold starts from it instead of
+/// the identity and the result lands in its buffer.
+fn reduce_axis(
+    a: &Tensor,
+    axis: usize,
+    op: kernels::RedOp,
+    scale: Option<f32>,
+    carried: Option<Tensor>,
+) -> Result<Tensor> {
     if axis >= a.rank() {
         return Err(TensorError::AxisOutOfRange { axis, rank: a.rank() });
     }
@@ -642,26 +691,43 @@ fn reduce_axis(a: &Tensor, axis: usize, op: kernels::RedOp, scale: Option<f32>) 
     let outer: usize = dims[..axis].iter().product();
     let mid = dims[axis];
     let inner: usize = dims[axis + 1..].iter().product();
+    let mut out_dims: Vec<usize> = dims[..axis].to_vec();
+    out_dims.extend_from_slice(&dims[axis + 1..]);
     let ad = a.data();
-    let mut out = crate::alloc::take_filled(outer * inner, op.init());
+    let (mut out, resume) = continued_output("sum_axis_onto", &out_dims, carried, || {
+        crate::alloc::take_filled(outer * inner, op.init())
+    })?;
     let fill = |offset: usize, chunk: &mut [f32]| match inner {
         0 => {}
-        1 => kernels::reduce_rows(ad, offset, chunk, mid, op, scale),
-        _ => kernels::reduce_groups(ad, offset / inner, chunk, mid, inner, op, scale),
+        1 => kernels::reduce_rows(ad, offset, chunk, mid, op, scale, resume),
+        _ => kernels::reduce_groups(ad, offset / inner, chunk, mid, inner, op, scale, resume),
     };
     if inner > 0 && outer > 1 && par::should_parallelize(a.len(), par::PAR_MIN_ELEMS) {
         par::fill_chunks_aligned(&mut out, inner, fill);
     } else {
         fill(0, &mut out);
     }
-    let mut out_dims: Vec<usize> = dims[..axis].to_vec();
-    out_dims.extend_from_slice(&dims[axis + 1..]);
     Tensor::from_vec(out, &out_dims)
 }
 
 /// Sum along `axis`, removing that axis.
 pub fn sum_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
-    reduce_axis(a, axis, kernels::RedOp::Sum, None)
+    sum_axis_onto(a, axis, None)
+}
+
+/// [`sum_axis`] continued across blocks of `axis`: `carried`, when
+/// given, is the sum over the slices that precede `a`, and each slot
+/// goes on from it with the one accumulator and ascending order of a
+/// single sweep — a column sum fed in consecutive row blocks is
+/// bit-identical to the sum over all rows (the bias gradient's
+/// counterpart of [`matmul_at_onto`]).
+///
+/// # Errors
+///
+/// As [`sum_axis`], plus [`TensorError::ShapeMismatch`] when `carried`
+/// does not have the output's shape.
+pub fn sum_axis_onto(a: &Tensor, axis: usize, carried: Option<Tensor>) -> Result<Tensor> {
+    reduce_axis(a, axis, kernels::RedOp::Sum, None, carried)
 }
 
 /// Mean along `axis`, removing that axis.
@@ -673,7 +739,7 @@ pub fn sum_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
 pub fn mean_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
     let n =
         *a.shape().get(axis).ok_or(TensorError::AxisOutOfRange { axis, rank: a.rank() })? as f32;
-    reduce_axis(a, axis, kernels::RedOp::Sum, Some(1.0 / n))
+    reduce_axis(a, axis, kernels::RedOp::Sum, Some(1.0 / n), None)
 }
 
 /// Maximum along `axis`, removing that axis.
@@ -682,7 +748,7 @@ pub fn mean_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
 /// `f32::max` does; the ±0 tie resolved to the earlier element) so the
 /// scalar reference and the SIMD kernels agree bitwise on every input.
 pub fn max_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
-    reduce_axis(a, axis, kernels::RedOp::Max, None)
+    reduce_axis(a, axis, kernels::RedOp::Max, None, None)
 }
 
 /// Index of the maximum along the last axis of a rank-2 tensor.
@@ -773,7 +839,7 @@ pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
     }
     let (m, n) = (a.shape()[0], a.shape()[1]);
     let ad = a.data();
-    let mut out = crate::alloc::take_zeroed(m * n);
+    let mut out = crate::alloc::take_for_overwrite(m * n);
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
@@ -946,7 +1012,7 @@ pub fn select_per_row(a: &Tensor, idx: &[usize]) -> Result<Tensor> {
     if idx.len() != m {
         return Err(TensorError::LengthMismatch { expected: m, actual: idx.len() });
     }
-    let mut out = crate::alloc::take_zeroed(m);
+    let mut out = crate::alloc::take_for_overwrite(m);
     for (i, &j) in idx.iter().enumerate() {
         if j >= n {
             return Err(TensorError::IndexOutOfRange { index: j, len: n });

@@ -167,7 +167,7 @@ impl Tensor {
         // Pool-drawn like every operator output: tape nodes and
         // gradients recycle their storage when they die, and a pool
         // that receives what it never handed out fills to its cap.
-        let mut data = crate::alloc::take_zeroed(self.data.len());
+        let mut data = crate::alloc::take_for_overwrite(self.data.len());
         data.copy_from_slice(&self.data);
         Ok(Tensor { data, shape: to })
     }
