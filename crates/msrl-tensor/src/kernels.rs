@@ -3,8 +3,8 @@
 //!
 //! The naive matmul ([`crate::reference::matmul`], kept as the test
 //! oracle) streams `b` row by row and accumulates directly into the
-//! output, which bounds it at one scalar multiply–add per element per
-//! pass. The kernels here restructure the
+//! output, which bounds it at one scalar fused multiply–add per element
+//! per pass. The kernels here restructure the
 //! *memory layout and instruction schedule only*: `b` is packed once
 //! into [`PackedB`] column panels ([`NR`][PackedB::nr] columns wide,
 //! k-major within each panel, zero-padded at the right edge), and the
@@ -15,13 +15,25 @@
 //!
 //! Every output element `out[i][j]` is produced by exactly the
 //! computation the naive kernel performs for it: one accumulator
-//! initialised to `0.0`, then `acc += a[i][kk] * b[kk][j]` for `kk`
-//! ascending — a separate multiply and add (never a fused
-//! multiply–add, which rounds once instead of twice), no reordering, no
-//! zero-skipping (IEEE requires `0 × NaN` and `0 × ∞` to contaminate
-//! the accumulator). Register tiling changes *which elements are in
-//! flight together*, not the per-element operation sequence, and
-//! packing changes where `b[kk][j]` is read from, not its value.
+//! initialised to `0.0`, then `acc = fma(a[i][kk], b[kk][j], acc)` for
+//! `kk` ascending — one fused multiply–add, the exact product added and
+//! the sum rounded once — no reordering, no zero-skipping (IEEE requires
+//! `0 × NaN` and `0 × ∞` to contaminate the accumulator). Register
+//! tiling changes *which elements are in flight together*, not the
+//! per-element operation sequence, and packing changes where `b[kk][j]`
+//! is read from, not its value.
+//!
+//! The fused step is one IEEE operation with one correctly rounded
+//! result, so every spelling of it agrees on every target:
+//! `_mm512_fmadd_ps`, `_mm256_fmadd_ps`, the scalar `vfmadd` that
+//! `f32::mul_add` becomes inside a feature-enabled function, and the
+//! libm `fmaf` it becomes elsewhere. No body here keeps the unfused
+//! `acc + a * b` (two roundings, a different number), and nothing
+//! selects between the two — `every_product_body_is_fused` feeds every
+//! body inputs on which they differ in the last bit. What a host pays
+//! without an FMA unit is speed, not bits: [`select`] gives it the
+//! portable bodies, whose `mul_add` is then a software `fmaf` call per
+//! element.
 //!
 //! The partial right-edge panel rests on the same fact — lanes hold
 //! *different* output elements, never partial sums of one. It runs the
@@ -39,12 +51,12 @@
 //! ([`select`]), no compile-time target flags required:
 //!
 //! * **AVX-512** — 8×32 tiles: 16 zmm accumulators plus 2 panel
-//!   registers, `_mm512_add_ps(_mm512_mul_ps(..))` (deliberately not
-//!   `_mm512_fmadd_ps`).
-//! * **AVX2** — 4×32 tiles on ymm registers, same mul-then-add
-//!   discipline.
-//! * **Portable** — 4×16 tiles in plain arrays; safe Rust that the
-//!   autovectorizer handles on any architecture.
+//!   registers, `_mm512_fmadd_ps` (two ports × 16 lanes × 2 flop a
+//!   cycle, twice what the multiply-then-add pair could retire).
+//! * **AVX2** — 4×32 tiles on ymm registers, `_mm256_fmadd_ps`; chosen
+//!   only when the host reports `fma` beside `avx2`.
+//! * **Portable** — 4×16 tiles in plain arrays and `f32::mul_add`; safe
+//!   Rust that the autovectorizer handles on any architecture.
 //!
 //! A right-edge panel narrow enough for one vector (`w ≤ 16` / `8`
 //! columns: every policy and value head) keeps one accumulator per row
@@ -67,8 +79,8 @@
 //! vectorises the naive loop *across output columns* directly on the
 //! row-major operand, and [`matmul_at_rows`] does the same for
 //! `aᵀ × b`: each output element still gets its own
-//! accumulator swept over `k` ascending with separate multiply and
-//! add, so the results stay bit-identical.
+//! accumulator swept over `k` ascending with one fused multiply–add a
+//! step, so the results stay bit-identical.
 //!
 //! ## The `aᵀ × b` kernel: reduction blocks and row lanes
 //!
@@ -89,13 +101,20 @@
 //!   tall batch in row blocks) passes `carried` with every piece after
 //!   the first: the first block then reloads `out` like the others, and
 //!   the pieces are one sweep.
-//! * **Column lanes.** The `n − n mod L` leading columns run as in
-//!   [`matmul_simd_rows`]: a 4-row × `L`-column register tile, `b`'s
-//!   row loaded once and each of the four `a[kk][i]` broadcast. Tiles
-//!   are visited column block by column block, so `b`'s `L`-wide strip
-//!   of the block stays in L1 while `a`'s block is re-read from L2 —
-//!   `n / L` passes over it, where row-block-major order made `m / 4`
-//!   passes over `b`'s.
+//! * **Column lanes.** The `n − n mod L` leading columns run on the
+//!   packed kernel's register tile — the same accumulator loop, fed
+//!   `b`'s row-major rows instead of a panel and `a`'s columns instead
+//!   of its rows: `MR` output rows × 32 columns (8×2 zmm, 4×4 ymm),
+//!   `b[kk][j..j + 32]` loaded once and each `a[kk][i]` broadcast. A
+//!   fused multiply–add waits four cycles for its accumulator and two
+//!   issue per cycle, so a tile needs eight independent accumulators to
+//!   keep both ports busy; the 4 × `L` tile this replaces had four and
+//!   ran at the latency of its own dependency chains. Whole vectors
+//!   left past the last 32-column block take the tile one vector wide
+//!   (the portable body is 4 × 16 arrays throughout, like its packed
+//!   tile). Tiles are visited column block by column block, so `b`'s
+//!   strip of the reduction block stays in L1 while `a`'s block is
+//!   re-read from L2 — `n / 32` passes over it.
 //! * **Row lanes.** The `n mod L` right-edge columns — all of `n` for a
 //!   2- or 6-wide head — turn the tile around: lanes run across `L`
 //!   *output rows*, which are contiguous in `a`'s row `kk`, and
@@ -105,25 +124,32 @@
 //!
 //! None of this touches the bit-identity argument above. An output
 //! element still has exactly one accumulator; it still receives
-//! `a[kk][i] * b[kk][j]` for `kk = 0, 1, …, p − 1` in that order, as a
-//! multiply followed by an add; and parking the accumulator in `out`
+//! `a[kk][i] × b[kk][j]` for `kk = 0, 1, …, p − 1` in that order, each
+//! by one fused multiply–add; and parking the accumulator in `out`
 //! between blocks is a store and a load of the same `f32`, which
 //! changes no bit of it. Blocking alters *when* an element's next
-//! product arrives and row lanes alter *which neighbours* share its
-//! register, nothing else — for `p ≤ AT_BLOCK` and `n mod L = 0` the
-//! kernel runs exactly the column-lane tiles of the sweep it replaced.
+//! product arrives, the tile's width and row lanes alter *which
+//! neighbours* share its registers, nothing else.
 
 use std::sync::OnceLock;
 
 /// Which microkernel family [`select`] chose for this host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatKernel {
-    /// 8×32 zmm register tiles (`avx512f`).
+    /// 8×32 zmm register tiles (`avx512f`, which includes FMA).
     Avx512,
-    /// 4×32 ymm register tiles (`avx2`).
+    /// 4×32 ymm register tiles (`avx2` and `fma`).
     Avx2,
     /// 4×16 array tiles, safe portable Rust.
     Portable,
+}
+
+/// Whether this host can run the ymm bodies: their products are
+/// `vfmadd`, so `avx2` alone is not enough. The one predicate behind
+/// [`select`] and behind every test that calls a ymm body by name.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 /// Returns the microkernel family for this host, detected once.
@@ -135,7 +161,7 @@ pub fn select() -> MatKernel {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return MatKernel::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if has_avx2_fma() {
                 return MatKernel::Avx2;
             }
         }
@@ -712,7 +738,7 @@ fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
                 let av = a[r * k + kk];
                 let b: &[f32; L] = bd[kk * n + j..kk * n + j + L].try_into().expect("L block");
                 for (slot, &bv) in acc.iter_mut().zip(b) {
-                    *slot += av * bv;
+                    *slot = av.mul_add(bv, *slot);
                 }
             }
             out[r * n + j..r * n + j + L].copy_from_slice(&acc);
@@ -720,7 +746,7 @@ fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
         for j in blocks * L..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[r * k + kk] * bd[kk * n + j];
+                acc = a[r * k + kk].mul_add(bd[kk * n + j], acc);
             }
             out[r * n + j] = acc;
         }
@@ -767,7 +793,7 @@ fn at_rows_portable(
                     for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
                         let av = ad[kk * m + row0 + r0 + r];
                         for (slot, &bv) in acc_r.iter_mut().zip(b) {
-                            *slot += av * bv;
+                            *slot = av.mul_add(bv, *slot);
                         }
                     }
                 }
@@ -795,7 +821,7 @@ fn at_rows_portable(
                     for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
                         let bv = bd[kk * n + j + c];
                         for (slot, &av) in acc_c.iter_mut().zip(a) {
-                            *slot += av * bv;
+                            *slot = av.mul_add(bv, *slot);
                         }
                     }
                 }
@@ -811,7 +837,7 @@ fn at_rows_portable(
             for j in tail0..n {
                 let mut acc = if resume { out[r * n + j] } else { 0.0 };
                 for kk in k0..k1 {
-                    acc += ad[kk * m + row0 + r] * bd[kk * n + j];
+                    acc = ad[kk * m + row0 + r].mul_add(bd[kk * n + j], acc);
                 }
                 out[r * n + j] = acc;
             }
@@ -825,8 +851,10 @@ fn at_rows_portable(
 
 /// Scalar edge kernel: the `rows mod MR` remainder rows under the
 /// register tiles, across every panel. One accumulator per output
-/// element, ascending `k`, separate multiply and add — the exact naive
-/// sequence.
+/// element, ascending `k`, one fused multiply–add per step — the exact
+/// naive sequence. Always inlined, so under an x86 tile it compiles with
+/// that function's features and `mul_add` is a `vfmadd`, not a libm call.
+#[inline(always)]
 fn edge_scalar(
     a: &[f32],
     k: usize,
@@ -841,7 +869,7 @@ fn edge_scalar(
             let panel = &bp[j / nr * k * nr..];
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[r * k + kk] * panel[kk * nr + j % nr];
+                acc = a[r * k + kk].mul_add(panel[kk * nr + j % nr], acc);
             }
             out[r * n + j] = acc;
         }
@@ -850,7 +878,7 @@ fn edge_scalar(
 
 /// Portable 4×16 register-tile kernel: plain arrays the autovectorizer
 /// maps onto whatever SIMD the target has, with the same per-element
-/// mul-then-add accumulation as the naive kernel. The right-edge panel
+/// fused multiply–add accumulation as the naive kernel. The right-edge panel
 /// runs the same loop on its zero padding and stores its `w` real lanes.
 fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
     const MR: usize = 4;
@@ -867,7 +895,7 @@ fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     let av = a[(i + r) * k + kk];
                     for (slot, &bv) in acc_r.iter_mut().zip(b) {
-                        *slot += av * bv;
+                        *slot = av.mul_add(bv, *slot);
                     }
                 }
             }
@@ -882,15 +910,17 @@ fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Runtime-dispatched AVX2 / AVX-512 microkernels. Every accumulator
-    //! update is `add(acc, mul(av, b))` — two roundings, exactly like the
-    //! scalar `acc += av * bv` — never a fused multiply–add.
+    //! Runtime-dispatched AVX2 / AVX-512 microkernels. Every product
+    //! accumulator update is `fmadd(av, b, acc)` — one rounding, exactly
+    //! like the scalar `acc = av.mul_add(bv, acc)`. The scalar edges
+    //! spell `mul_add` inside the feature-enabled functions, where it
+    //! is the same instruction rather than a libm call.
 
     use std::arch::x86_64::{
         __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
-        _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_maskstore_ps, _mm256_mul_ps,
+        _mm256_fmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_maskstore_ps, _mm256_mul_ps,
         _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_cmp_ps_mask,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps,
         _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
         _mm512_mul_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
         _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
@@ -924,7 +954,7 @@ mod x86 {
                     let bv = _mm512_loadu_ps(bp.add(kk * n + j));
                     for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
                         let av = _mm512_set1_ps(*ap.add((r0 + r) * k + kk));
-                        *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, bv));
+                        *acc_r = _mm512_fmadd_ps(av, bv, *acc_r);
                     }
                 }
                 for (r, acc_r) in acc.iter().take(rm).enumerate() {
@@ -935,7 +965,7 @@ mod x86 {
                 for r in 0..rm {
                     let mut acc = 0.0f32;
                     for kk in 0..k {
-                        acc += *ap.add((r0 + r) * k + kk) * *bp.add(kk * n + j);
+                        acc = (*ap.add((r0 + r) * k + kk)).mul_add(*bp.add(kk * n + j), acc);
                     }
                     *op.add((r0 + r) * n + j) = acc;
                 }
@@ -948,9 +978,9 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`super::select`]) and the operand
-    /// extents of [`rows_avx512`].
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
+    /// the operand extents of [`rows_avx512`].
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn rows_avx2(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
         const L: usize = 8;
         const RB: usize = 4;
@@ -969,7 +999,7 @@ mod x86 {
                     let bv = _mm256_loadu_ps(bp.add(kk * n + j));
                     for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
                         let av = _mm256_set1_ps(*ap.add((r0 + r) * k + kk));
-                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(av, bv));
+                        *acc_r = _mm256_fmadd_ps(av, bv, *acc_r);
                     }
                 }
                 for (r, acc_r) in acc.iter().take(rm).enumerate() {
@@ -980,7 +1010,7 @@ mod x86 {
                 for r in 0..rm {
                     let mut acc = 0.0f32;
                     for kk in 0..k {
-                        acc += *ap.add((r0 + r) * k + kk) * *bp.add(kk * n + j);
+                        acc = (*ap.add((r0 + r) * k + kk)).mul_add(*bp.add(kk * n + j), acc);
                     }
                     *op.add((r0 + r) * n + j) = acc;
                 }
@@ -991,10 +1021,11 @@ mod x86 {
 
     /// Generates a transpose-free `aᵀ × b` row kernel: the blocked shape
     /// of [`super::at_rows_portable`] (see the module docs) spelled with
-    /// one ISA's vector intrinsics.
+    /// one ISA's vector intrinsics, its column lanes on that ISA's
+    /// register tile (`$panel`, generated by `tile_x86!`).
     macro_rules! at_rows_x86 {
-        ($(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal,
-         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident) => {
+        ($(#[$doc:meta])* $name:ident, $panel:ident, $feature:literal, $lanes:literal, $mr:literal,
+         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
             $(#[$doc])*
             #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feature)]
@@ -1009,6 +1040,8 @@ mod x86 {
                 carried: bool,
             ) {
                 const L: usize = $lanes;
+                const MR: usize = $mr;
+                const NR: usize = 32;
                 const RB: usize = 4;
                 let rows = out.len() / n;
                 let tail0 = n - n % L;
@@ -1022,27 +1055,23 @@ mod x86 {
                 loop {
                     let k1 = (k0 + AT_BLOCK).min(p);
                     let resume = k0 > 0 || carried;
-                    // Column lanes: RB output rows × one L-wide column block.
-                    for j in (0..tail0).step_by(L) {
-                        for r0 in (0..rows).step_by(RB) {
-                            let rm = RB.min(rows - r0);
-                            let mut acc = [$zero(); RB];
-                            if resume {
-                                for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                                    *acc_r = $loadu(op.add((r0 + r) * n + j));
-                                }
-                            }
-                            for kk in k0..k1 {
-                                let bv = $loadu(bp.add(kk * n + j));
-                                for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                                    let av = $set1(*ap.add(kk * m + row0 + r0 + r));
-                                    *acc_r = $add(*acc_r, $mul(av, bv));
-                                }
-                            }
-                            for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                                $storeu(op.add((r0 + r) * n + j), *acc_r);
+                    // Column lanes: the packed tile's MR × 32 accumulators
+                    // on `b`'s row-major rows, then MR × L ones over what
+                    // is left of the whole vectors.
+                    let mut j = 0;
+                    while j < tail0 {
+                        let wide = tail0 - j >= NR;
+                        for r0 in (0..rows).step_by(MR) {
+                            let a = ap.add(k0 * m + row0 + r0);
+                            let (b, o) = (bp.add(k0 * n + j), op.add(r0 * n + j));
+                            let rm = MR.min(rows - r0);
+                            if wide {
+                                $panel::<{ NR / L }>(a, (1, m), b, n, k1 - k0, o, n, NR, rm, resume);
+                            } else {
+                                $panel::<1>(a, (1, m), b, n, k1 - k0, o, n, L, rm, resume);
                             }
                         }
+                        j += if wide { NR } else { L };
                     }
                     // Row lanes: L output rows × up to RB right-edge
                     // columns, held transposed (lane `l` of `acc[c]` is
@@ -1064,7 +1093,7 @@ mod x86 {
                                 let av = $loadu(ap.add(kk * m + row0 + i0));
                                 for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
                                     let bv = $set1(*bp.add(kk * n + j + c));
-                                    *acc_c = $add(*acc_c, $mul(av, bv));
+                                    *acc_c = $fmadd(av, bv, *acc_c);
                                 }
                             }
                             for (c, acc_c) in acc.iter().take(cm).enumerate() {
@@ -1082,7 +1111,7 @@ mod x86 {
                             let o = op.add(r * n + j);
                             let mut acc = if resume { *o } else { 0.0 };
                             for kk in k0..k1 {
-                                acc += *ap.add(kk * m + row0 + r) * *bp.add(kk * n + j);
+                                acc = (*ap.add(kk * m + row0 + r)).mul_add(*bp.add(kk * n + j), acc);
                             }
                             *o = acc;
                         }
@@ -1104,9 +1133,8 @@ mod x86 {
         /// Requires `avx512f` (guaranteed by [`super::select`]), `ad` of
         /// `p × m`, `bd` of `p × n` and `out` of whole `n`-wide rows with
         /// `row0 + out.len() / n <= m`.
-        at_rows_avx512, "avx512f", 16,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps,
-        _mm512_add_ps, _mm512_mul_ps
+        at_rows_avx512, tile_panel_avx512, "avx512f", 16, 8,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps
     );
 
     at_rows_x86!(
@@ -1114,11 +1142,10 @@ mod x86 {
         ///
         /// # Safety
         ///
-        /// Requires `avx2` (guaranteed by [`super::select`]) and the
-        /// operand extents of [`at_rows_avx512`].
-        at_rows_avx2, "avx2", 8,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps,
-        _mm256_add_ps, _mm256_mul_ps
+        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
+        /// the operand extents of [`at_rows_avx512`].
+        at_rows_avx2, tile_panel_avx2, "avx2,fma", 8, 4,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps
     );
 
     /// Stores the first `lanes` (0..=16) lanes of `v` at `o`; the rest
@@ -1146,42 +1173,63 @@ mod x86 {
         _mm256_maskstore_ps(o, _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), lane), v);
     }
 
-    /// Generates one ISA's packed register-tile kernel: `$mr` rows × one
-    /// 32-column panel of accumulators swept over `k`. Every panel —
-    /// the zero-padded right edge included — runs the one accumulator
-    /// loop (`$panel`, on `NV` vectors per row: one when the panel's `w`
-    /// real columns fit a vector, else all `32 / $lanes`), and only the
-    /// `w` real lanes are stored.
+    /// Generates one ISA's register tile and its packed kernel. `$panel`
+    /// is the one accumulator loop of every vector product here: `$mr`
+    /// output rows × `NV` vectors of columns swept over the reduction
+    /// axis, one fused multiply–add per element per step. `$name` runs it
+    /// over [`super::PackedB`] panels — every panel, the zero-padded
+    /// right edge included, on `NV` = one vector when its `w` real
+    /// columns fit one, else all `32 / $lanes`, storing only the `w` real
+    /// lanes — and `at_rows_x86!` runs it over the rows of a row-major
+    /// `b` for `aᵀ × b`.
     macro_rules! tile_x86 {
         ($(#[$doc:meta])* $name:ident, $panel:ident, $feature:literal, $lanes:literal, $mr:literal,
-         $zero:ident, $loadu:ident, $set1:ident, $add:ident, $mul:ident, $store_lanes:ident) => {
-            /// `NV`-vector accumulator tile for output rows `a..`, one
-            /// panel; stores lanes `..w` of each row at `o`.
+         $zero:ident, $loadu:ident, $set1:ident, $fmadd:ident, $store_lanes:ident) => {
+            /// Output rows `..rows` (at most `$mr`) × `NV` vectors of
+            /// accumulators over `k` steps: step `kk` broadcasts
+            /// `a[r·ar + kk·ak]` for row `r` — strides `(k, 1)` walk the
+            /// rows of a row-major left operand, `(1, m)` the columns of
+            /// a `[p, m]` one — and loads `b[kk·bk ..]`. With `resume`
+            /// the accumulators start from what `o` holds, which must
+            /// then be readable over all `NV` vectors of each row, instead
+            /// of zero. Stores lanes `..w` of each row at `o + r·n`.
             #[inline]
+            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feature)]
             unsafe fn $panel<const NV: usize>(
                 a: *const f32,
+                (ar, ak): (usize, usize),
+                b: *const f32,
+                bk: usize,
                 k: usize,
-                panel: *const f32,
                 o: *mut f32,
                 n: usize,
                 w: usize,
+                rows: usize,
+                resume: bool,
             ) {
                 const L: usize = $lanes;
                 let mut acc = [[$zero(); NV]; $mr];
-                for kk in 0..k {
-                    let mut b = [$zero(); NV];
-                    for (v, bv) in b.iter_mut().enumerate() {
-                        *bv = $loadu(panel.add(kk * 32 + v * L));
-                    }
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let av = $set1(*a.add(r * k + kk));
-                        for (slot, &bv) in acc_r.iter_mut().zip(&b) {
-                            *slot = $add(*slot, $mul(av, bv));
+                if resume {
+                    for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
+                        for (v, slot) in acc_r.iter_mut().enumerate() {
+                            *slot = $loadu(o.add(r * n + v * L));
                         }
                     }
                 }
-                for (r, acc_r) in acc.iter().enumerate() {
+                for kk in 0..k {
+                    let mut bvs = [$zero(); NV];
+                    for (v, bv) in bvs.iter_mut().enumerate() {
+                        *bv = $loadu(b.add(kk * bk + v * L));
+                    }
+                    for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
+                        let av = $set1(*a.add(r * ar + kk * ak));
+                        for (slot, &bv) in acc_r.iter_mut().zip(&bvs) {
+                            *slot = $fmadd(av, bv, *slot);
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate().take(rows) {
                     for (v, &lanes) in acc_r.iter().enumerate() {
                         $store_lanes(o.add(r * n + v * L), lanes, L.min(w.saturating_sub(v * L)));
                     }
@@ -1202,9 +1250,9 @@ mod x86 {
                         let panel = bp.as_ptr().add(p * k * NR);
                         let o = out.as_mut_ptr().add(i * n + p * NR);
                         if w <= $lanes {
-                            $panel::<1>(ap, k, panel, o, n, w);
+                            $panel::<1>(ap, (k, 1), panel, NR, k, o, n, w, MR, false);
                         } else {
-                            $panel::<{ NR / $lanes }>(ap, k, panel, o, n, w);
+                            $panel::<{ NR / $lanes }>(ap, (k, 1), panel, NR, k, o, n, w, MR, false);
                         }
                     }
                 }
@@ -1222,8 +1270,7 @@ mod x86 {
         /// whole `n`-wide rows, `a` of as many `k`-long rows and `bp` of
         /// `⌈n / 32⌉` panels of `k × 32`.
         tile_avx512, tile_panel_avx512, "avx512f", 16, 8,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps,
-        store_lanes_avx512
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, store_lanes_avx512
     );
 
     tile_x86!(
@@ -1231,11 +1278,10 @@ mod x86 {
         ///
         /// # Safety
         ///
-        /// Requires `avx2` (guaranteed by [`super::select`]) and the
-        /// operand extents of [`tile_avx512`].
-        tile_avx2, tile_panel_avx2, "avx2", 8, 4,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps,
-        store_lanes_avx2
+        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
+        /// the operand extents of [`tile_avx512`].
+        tile_avx2, tile_panel_avx2, "avx2,fma", 8, 4,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, store_lanes_avx2
     );
 
     /// One [`super::max_fold`] step on 16 lanes: take `v` where it
@@ -1540,10 +1586,64 @@ mod tests {
     fn tile_families() -> Vec<(&'static str, MatKernel)> {
         let mut families = vec![("dispatched", select()), ("portable", MatKernel::Portable)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if has_avx2_fma() {
             families.push(("avx2", MatKernel::Avx2));
         }
         families
+    }
+
+    type Rows = fn(&[f32], usize, &[f32], &mut [f32], usize);
+
+    /// Every unpacked row body this host can run, as [`tile_families`].
+    fn rows_bodies() -> Vec<(&'static str, Rows)> {
+        let mut bodies: Vec<(&'static str, Rows)> = vec![
+            ("dispatched", |a, k, b, out, n| matmul_simd_rows(a, 0, out, k, n, b)),
+            ("portable", rows_portable),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2_fma() {
+            // SAFETY: avx2 and fma were just detected, and the tests
+            // below pass exactly the extents `matmul_simd_rows` asserts.
+            bodies.push(("avx2", |a, k, b, out, n| unsafe { x86::rows_avx2(a, k, b, out, n) }));
+        }
+        bodies
+    }
+
+    #[test]
+    fn every_product_body_is_fused() {
+        // (1 + 2⁻¹²)² is 1 + 2⁻¹¹ + 2⁻²⁴ exactly and rounds to 1 + 2⁻¹¹,
+        // so onto a running −(1 + 2⁻¹¹) a fused step leaves 2⁻²⁴ where a
+        // product rounded before the add leaves 0. Every element of every
+        // product below is that sum: a body left unfused — a right edge,
+        // a remainder row — fails wherever its elements land. Shapes
+        // reach `rows mod MR ≠ 0`, `n mod 32 ≠ 0`, `n mod L ≠ 0` and
+        // `rows < L` in every family.
+        let (x, start) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
+        for m in [1, 3, 9, 17, 20] {
+            for n in [1, 7, 16, 17, 33, 48, 70] {
+                let a = [start, x].repeat(m);
+                let b = [vec![1.0; n], vec![x; n]].concat();
+                let expect = naive(&a, &b, m, 2, n);
+                assert_bits_eq(&expect, &vec![2f32.powi(-24); m * n], "the reference");
+                for (name, family) in tile_families() {
+                    let bp = pack_for(family, &b, 2, n, false);
+                    let mut out = vec![f32::NAN; m * n];
+                    matmul_packed_rows(&a, 0, &mut out, 2, n, &bp);
+                    assert_bits_eq(&out, &expect, &format!("{name} tile ({m},{n})"));
+                }
+                for (name, body) in rows_bodies() {
+                    let mut out = vec![f32::NAN; m * n];
+                    body(&a, 2, &b, &mut out, n);
+                    assert_bits_eq(&out, &expect, &format!("{name} rows ({m},{n})"));
+                }
+                let at = transpose(&a, m, 2);
+                for (name, body) in at_bodies() {
+                    let mut out = vec![f32::NAN; m * n];
+                    body(&at, 0, &mut out, 2, m, n, &b, false);
+                    assert_bits_eq(&out, &expect, &format!("{name} aᵀ·b ({m},{n})"));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1739,11 +1839,12 @@ mod tests {
         {
             let a = vals(m * k, 7);
             let b = vals(k * n, 8);
-            let mut out = vec![f32::NAN; m * n];
-            matmul_simd_rows(&a, 0, &mut out, k, n, &b);
             let expect = naive(&a, &b, m, k, n);
-            let same = out.iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "({m},{k},{n}) diverged from the naive kernel");
+            for (name, body) in rows_bodies() {
+                let mut out = vec![f32::NAN; m * n];
+                body(&a, k, &b, &mut out, n);
+                assert_bits_eq(&out, &expect, &format!("{name} ({m},{k},{n})"));
+            }
         }
     }
 
@@ -1756,10 +1857,10 @@ mod tests {
         let mut bodies: Vec<(&'static str, AtRows)> =
             vec![("dispatched", matmul_at_rows), ("portable", at_rows_portable)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if has_avx2_fma() {
             bodies.push(("avx2", |ad, row0, out, p, m, n, bd, carried| {
-                // SAFETY: avx2 was just detected, and the tests below pass
-                // exactly the extents `matmul_at_rows` asserts.
+                // SAFETY: avx2 and fma were just detected, and the tests
+                // below pass exactly the extents `matmul_at_rows` asserts.
                 unsafe { x86::at_rows_avx2(ad, row0, out, p, m, n, bd, carried) }
             }));
         }
@@ -1775,7 +1876,8 @@ mod tests {
     #[test]
     fn at_rows_match_transposed_naive_bitwise() {
         // `out` arrives NaN-filled: the kernel overwrites, it never
-        // accumulates into what the caller passed.
+        // accumulates into what the caller passed. Then the same product
+        // fed in two pieces, the second carried onto the first.
         let check = |p: usize, m: usize, n: usize| {
             let a = vals(p * m, 9);
             let b = vals(p * n, 10);
@@ -1784,6 +1886,11 @@ mod tests {
                 let mut out = vec![f32::NAN; m * n];
                 body(&a, 0, &mut out, p, m, n, &b, false);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n})"));
+                let cut = p / 2;
+                out.fill(f32::NAN);
+                body(&a[..cut * m], 0, &mut out, cut, m, n, &b[..cut * n], false);
+                body(&a[cut * m..], 0, &mut out, p - cut, m, n, &b[cut * n..], true);
+                assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n}) cut at {cut}"));
             }
         };
         for &(p, m, n) in &[(1, 1, 1), (2, 17, 32), (4, 5, 19), (6, 1, 40), (3, 7, 16)] {
@@ -1796,6 +1903,16 @@ mod tests {
         for p in [0, 1, B - 1, B, B + 1, 3 * B + 7] {
             for n in [1, 2, 6, 15, 16, 17, 40] {
                 for m in [1, 3, 4, 5, 17, 64] {
+                    check(p, m, n);
+                }
+            }
+        }
+        // The wide column tile: no, one and two 32-column blocks with
+        // none, one whole vector and a right edge after them × row
+        // counts around the zmm (8) and ymm (4) row blocks.
+        for p in [1, B - 1, B + 1, 2 * B + 3] {
+            for n in [31, 32, 33, 48, 64, 65] {
+                for m in [7, 8, 9, 16, 17] {
                     check(p, m, n);
                 }
             }
@@ -1910,7 +2027,7 @@ mod tests {
             }),
         ];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if has_avx2_fma() {
             // SAFETY: avx2 was just detected; the bodies read `rows × n`
             // elements of `a`, which the test below passes.
             bodies.push(("avx2", |a, out, rows, op, carried| match out.len() {

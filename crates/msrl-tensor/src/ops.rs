@@ -849,7 +849,9 @@ pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
         for (r, orow) in chunk.chunks_mut(n).enumerate() {
             let row = &ad[offset + r * n..offset + (r + 1) * n];
             let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-            let lse = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
+            // The polynomial `exp` every other kernel uses; `fastmath` has
+            // no `ln`, so the one per row is libm's.
+            let lse = row.iter().map(|&v| fastmath::fast_exp(v - max)).sum::<f32>().ln() + max;
             for (o, &v) in orow.iter_mut().zip(row) {
                 *o = v - lse;
             }
@@ -1258,7 +1260,7 @@ mod tests {
                 for j in 0..n {
                     let mut dot = 0.0f32;
                     for kk in 0..p {
-                        dot += a.data()[i * p + kk] * b.data()[j * p + kk];
+                        dot = a.data()[i * p + kk].mul_add(b.data()[j * p + kk], dot);
                     }
                     assert_eq!(got.data()[i * n + j].to_bits(), dot.to_bits(), "p {p} ({i},{j})");
                 }

@@ -4,21 +4,23 @@
 //! These are not an execution mode: nothing on a live path calls them.
 //! They exist once, here, as the oracle the kernel unit tests and the
 //! property tests compare against — one accumulator per output element,
-//! reduced index ascending, a multiply followed by an add, no
+//! reduced index ascending, one fused multiply–add per step
+//! (`f32::mul_add`: the product is not rounded before the add, and the
+//! result is the same on every target, with or without an FMA unit), no
 //! zero-skipping (IEEE requires `0 × NaN` and `0 × ∞` to contaminate
 //! the accumulator).
 
 use crate::kernels::{max_fold, RedOp};
 
-/// `[m, k] × [k, n] → [m, n]`: `out[i][j]` starts at `0.0` and receives
-/// `a[i][kk] * b[kk][j]` for `kk` ascending.
+/// `[m, k] × [k, n] → [m, n]`: `out[i][j]` starts at `0.0` and becomes
+/// `fma(a[i][kk], b[kk][j], out[i][j])` for `kk` ascending.
 pub fn matmul(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for kk in 0..k {
             let av = ad[i * k + kk];
             for j in 0..n {
-                out[i * n + j] += av * bd[kk * n + j];
+                out[i * n + j] = av.mul_add(bd[kk * n + j], out[i * n + j]);
             }
         }
     }
