@@ -109,8 +109,12 @@ impl World {
         let delta = [a.pos[0] - b.pos[0], a.pos[1] - b.pos[1]];
         let d = (delta[0] * delta[0] + delta[1] * delta[1]).sqrt().max(1e-6);
         let d_min = a.size + b.size;
-        // Softened penetration: log(1 + e^{-(d - d_min)/margin}) · margin
-        let penetration = (1.0 + (-(d - d_min) / CONTACT_MARGIN).exp()).ln() * CONTACT_MARGIN;
+        // Softened penetration: log(1 + e^x) · margin, x = -(d - d_min)/margin,
+        // spelled as MPE's `logaddexp(0, x)`: past an overlap of 0.089 `e^x`
+        // overflows an f32, and an infinite force is a NaN velocity one
+        // speed cap later.
+        let x = -(d - d_min) / CONTACT_MARGIN;
+        let penetration = (x.max(0.0) + (-x.abs()).exp().ln_1p()) * CONTACT_MARGIN;
         let f = CONTACT_FORCE * penetration;
         [f * delta[0] / d, f * delta[1] / d]
     }
@@ -222,6 +226,23 @@ mod tests {
         w.step(&[[0.0, 0.0], [0.0, 0.0]]);
         assert!(w.agents[0].vel[0] < 0.0, "agent 0 pushed left");
         assert!(w.agents[1].vel[0] > 0.0, "agent 1 pushed right");
+    }
+
+    #[test]
+    fn deep_overlap_stays_finite() {
+        // x = 0.099 / 0.001: `e^99` is past f32; the force must be the
+        // penetration depth (≈ 0.099 · 100), not ∞.
+        let mut w = world_two_agents();
+        w.agents[0].pos = [0.0, 0.0];
+        w.agents[1].pos = [0.001, 0.0];
+        w.landmarks[0].pos = [-5.0, -5.0];
+        let f = World::contact_force(&w.agents[0], &w.agents[1]);
+        assert!((f[0] + 9.9).abs() < 1e-3 && f[1] == 0.0, "force {f:?}");
+        w.step(&[[0.0, 0.0], [0.0, 0.0]]);
+        for a in &w.agents {
+            assert!(a.pos.iter().chain(&a.vel).all(|v| v.is_finite()), "{a:?}");
+        }
+        assert!(w.agents[0].vel[0] < 0.0 && w.agents[1].vel[0] > 0.0);
     }
 
     #[test]

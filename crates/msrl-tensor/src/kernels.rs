@@ -1062,8 +1062,10 @@ mod x86 {
                     while j < tail0 {
                         let wide = tail0 - j >= NR;
                         for r0 in (0..rows).step_by(MR) {
-                            let a = ap.add(k0 * m + row0 + r0);
-                            let (b, o) = (bp.add(k0 * n + j), op.add(r0 * n + j));
+                            // `wrapping_add`: with `p == 0` both operands
+                            // are empty and no step dereferences these.
+                            let a = ap.wrapping_add(k0 * m + row0 + r0);
+                            let (b, o) = (bp.wrapping_add(k0 * n + j), op.add(r0 * n + j));
                             let rm = MR.min(rows - r0);
                             if wide {
                                 $panel::<{ NR / L }>(a, (1, m), b, n, k1 - k0, o, n, NR, rm, resume);
@@ -1909,8 +1911,9 @@ mod tests {
         }
         // The wide column tile: no, one and two 32-column blocks with
         // none, one whole vector and a right edge after them × row
-        // counts around the zmm (8) and ymm (4) row blocks.
-        for p in [1, B - 1, B + 1, 2 * B + 3] {
+        // counts around the zmm (8) and ymm (4) row blocks. `p = 0`: both
+        // operands empty, the tile only zeroes (or reloads) and stores.
+        for p in [0, 1, B - 1, B + 1, 2 * B + 3] {
             for n in [31, 32, 33, 48, 64, 65] {
                 for m in [7, 8, 9, 16, 17] {
                     check(p, m, n);

@@ -6,8 +6,6 @@
 //! learner replicas *before* being passed to [`Optimizer::step`], so the
 //! optimizer itself is oblivious to distribution.
 
-#[cfg(target_arch = "x86_64")]
-use crate::kernels::{self, MatKernel};
 use crate::ops;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
@@ -128,71 +126,6 @@ impl Adam {
     }
 }
 
-/// What every element of one [`Adam`] step shares: the hyper-parameters
-/// and the step's two bias corrections.
-#[derive(Clone, Copy)]
-struct AdamStep {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    bc1: f32,
-    bc2: f32,
-}
-
-/// The Adam update of one parameter tensor, element by element.
-///
-/// Multiply, add, divide and `sqrt` are each one correctly rounded IEEE
-/// operation and the elements are independent, so this loop vectorises
-/// to whatever width the function it is inlined into allows without
-/// moving a bit of `p`, `m` or `v` — as long as every division stays a
-/// division (no reciprocal multiply) and no `a * b + c` is fused, which
-/// Rust never does on its own.
-#[inline(always)]
-fn adam_lanes(c: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-    for (((pv, gv), mv), vv) in p.iter_mut().zip(g).zip(m).zip(v) {
-        *mv = c.beta1 * *mv + (1.0 - c.beta1) * gv;
-        *vv = c.beta2 * *vv + (1.0 - c.beta2) * gv * gv;
-        let m_hat = *mv / c.bc1;
-        let v_hat = *vv / c.bc2;
-        *pv -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-    }
-}
-
-/// [`adam_lanes`] compiled for the vector width of this host's
-/// [`crate::kernels::select`] family, so the three divisions and the square
-/// root per element are `vdivps` / `vsqrtps` at that width. They bound
-/// the loop, and a divider's throughput per element need not grow with
-/// the lane count: the ledger host runs ≈ 0.9 ns an element at 4, 8 and
-/// 16 lanes alike (EXPERIMENTS.md "Fused product kernels").
-fn adam_update(c: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        /// # Safety
-        ///
-        /// Requires `avx512f`.
-        #[target_feature(enable = "avx512f")]
-        unsafe fn avx512(c: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-            adam_lanes(c, p, g, m, v);
-        }
-        /// # Safety
-        ///
-        /// Requires `avx2`.
-        #[target_feature(enable = "avx2")]
-        unsafe fn avx2(c: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-            adam_lanes(c, p, g, m, v);
-        }
-        // SAFETY: `select()` only returns these variants after runtime
-        // detection of the corresponding CPU feature.
-        match kernels::select() {
-            MatKernel::Avx512 => return unsafe { avx512(c, p, g, m, v) },
-            MatKernel::Avx2 => return unsafe { avx2(c, p, g, m, v) },
-            MatKernel::Portable => {}
-        }
-    }
-    adam_lanes(c, p, g, m, v);
-}
-
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) -> Result<()> {
         check_aligned(params, grads)?;
@@ -207,16 +140,18 @@ impl Optimizer for Adam {
             });
         }
         self.t += 1;
-        let step = AdamStep {
-            lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
-            bc1: 1.0 - self.beta1.powi(self.t as i32),
-            bc2: 1.0 - self.beta2.powi(self.t as i32),
-        };
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (((p, g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
-            adam_update(step, p.data_mut(), g.data(), m.data_mut(), v.data_mut());
+            for (((pv, gv), mv), vv) in
+                p.data_mut().iter_mut().zip(g.data()).zip(m.data_mut()).zip(v.data_mut())
+            {
+                *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
+                *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
+                let m_hat = *mv / bc1;
+                let v_hat = *vv / bc2;
+                *pv -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
         }
         Ok(())
     }
@@ -307,57 +242,6 @@ mod tests {
             opt.step(&mut [&mut x], &[g]).unwrap();
         }
         assert!((x.item().unwrap() - 3.0).abs() < 1e-2, "x = {}", x.item().unwrap());
-    }
-
-    #[test]
-    fn adam_lane_body_matches_the_scalar_loop_bitwise() {
-        // The loop `Adam::step` ran before it had a lane body, one
-        // element at a time.
-        fn scalar(c: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-            for i in 0..p.len() {
-                m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g[i];
-                v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g[i] * g[i];
-                let m_hat = m[i] / c.bc1;
-                let v_hat = v[i] / c.bc2;
-                p[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-            }
-        }
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // Every remainder of a 16-lane body, and dpc's parameter count.
-        for len in [0usize, 1, 15, 16, 17, 1_000, 142_605] {
-            let wave = |f: f32| (0..len).map(|i| (i as f32 * f).sin()).collect::<Vec<_>>();
-            let mut p = Tensor::from_vec(wave(0.37), &[len]).unwrap();
-            let (mut sp, mut sm, mut sv) = (wave(0.37), vec![0.0; len], vec![0.0; len]);
-            let mut opt = Adam::new(3e-4);
-            for t in 1..=3 {
-                let mut g = wave(0.61 + t as f32);
-                // Poisoned gradients from the second step on, so they
-                // meet non-zero moments.
-                for (i, poison) in
-                    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0].into_iter().enumerate()
-                {
-                    if t > 1 && len > 5 * i {
-                        g[5 * i] = poison;
-                    }
-                }
-                let c = AdamStep {
-                    lr: 3e-4,
-                    beta1: 0.9,
-                    beta2: 0.999,
-                    eps: 1e-8,
-                    bc1: 1.0 - 0.9f32.powi(t),
-                    bc2: 1.0 - 0.999f32.powi(t),
-                };
-                scalar(c, &mut sp, &g, &mut sm, &mut sv);
-                opt.step(&mut [&mut p], &[Tensor::from_vec(g, &[len]).unwrap()]).unwrap();
-                for (got, expect, what) in
-                    [(&p, &sp, "p"), (&opt.m[0], &sm, "m"), (&opt.v[0], &sv, "v")]
-                {
-                    let expect = Tensor::from_vec(expect.clone(), &[len]).unwrap();
-                    assert_eq!(bits(got), bits(&expect), "{what}, len {len}, step {t}");
-                }
-            }
-        }
     }
 
     #[test]
