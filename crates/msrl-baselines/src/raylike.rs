@@ -16,11 +16,11 @@
 //! increments feed the process-wide `baseline.env_steps` /
 //! `baseline.infer_calls` totals that profiling reports read.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use msrl_telemetry::Counter;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use msrl_algos::buffer::step_batch;
 use msrl_algos::ppo::{PpoConfig, PpoLearner, PpoPolicy};
 use msrl_core::api::{Learner, SampleBatch};
@@ -55,7 +55,7 @@ type Invocation<S> = (Task<S>, Sender<Vec<f32>>);
 impl<S: Send + 'static> ActorHandle<S> {
     /// Spawns an actor with the given initial state.
     pub fn spawn(mut state: S) -> Self {
-        let (tx, rx): (Sender<Invocation<S>>, _) = unbounded();
+        let (tx, rx): (Sender<Invocation<S>>, _) = channel();
         let thread = std::thread::spawn(move || {
             while let Ok((task, reply)) = rx.recv() {
                 let out = task(&mut state);
@@ -70,7 +70,7 @@ impl<S: Send + 'static> ActorHandle<S> {
     where
         F: FnOnce(&mut S) -> Vec<f32> + Send + 'static,
     {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         // A dropped receiver just means the actor exited; get() yields
         // empty, matching Ray's failed-task semantics in this harness.
         let _ = self.tx.send((Box::new(f), reply_tx));
@@ -81,7 +81,7 @@ impl<S: Send + 'static> ActorHandle<S> {
 impl<S: Send + 'static> Drop for ActorHandle<S> {
     fn drop(&mut self) {
         // Close the mailbox, then join the worker.
-        let (dummy_tx, _) = unbounded();
+        let (dummy_tx, _) = channel();
         drop(std::mem::replace(&mut self.tx, dummy_tx));
         if let Some(t) = self.thread.take() {
             let _ = t.join();

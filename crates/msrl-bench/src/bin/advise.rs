@@ -21,9 +21,10 @@
 //!
 //! `--live` switches the input from post-hoc profile artifacts to the
 //! always-on attribution stream: the [`msrl_runtime::advisor::LiveAdvisor`]
-//! folds each `msrl.run_event.v2` line into the cost model and prints a
-//! re-partition recommendation whenever the bottleneck shift survives
-//! the hysteresis window. Recommendation only — nothing is re-planned.
+//! folds the `attr` block of each run event into the cost model and
+//! prints a re-partition recommendation whenever the bottleneck shift
+//! survives the hysteresis window. Recommendation only — nothing is
+//! re-planned.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -31,6 +32,7 @@ use std::time::Duration;
 use msrl_runtime::advisor::{
     parse_profile, rank_policies, render_table, CostModelInputs, LiveAdvisor, LiveAdvisorConfig,
 };
+use msrl_telemetry::RunEvent;
 
 fn main() -> ExitCode {
     let mut dir = "results".to_string();
@@ -124,7 +126,7 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Live mode: folds a v2 attribution stream into the cost model and
+/// Live mode: folds an attribution stream into the cost model and
 /// prints every recommendation the hysteresis lets through.
 fn advise_live(path: &str, latency: Duration, epochs: usize) -> ExitCode {
     let content = match std::fs::read_to_string(path) {
@@ -137,7 +139,7 @@ fn advise_live(path: &str, latency: Duration, epochs: usize) -> ExitCode {
     let cfg = LiveAdvisorConfig { latency, epochs, ..LiveAdvisorConfig::default() };
     let mut adv = LiveAdvisor::new(cfg);
     for line in content.lines().filter(|l| !l.trim().is_empty()) {
-        match adv.observe_line(line) {
+        match RunEvent::parse(line).map(|ev| adv.observe(&ev)) {
             Ok(Some(rec)) => match rec.previous {
                 None => println!(
                     "event {:>4}: start on {} (modelled {:.3} ms/iter, bottleneck {})",
@@ -161,7 +163,7 @@ fn advise_live(path: &str, latency: Duration, epochs: usize) -> ExitCode {
         }
     }
     if adv.events() == 0 {
-        eprintln!("advise: no msrl.run_event.v2 events in {path}");
+        eprintln!("advise: no attributed events in {path}");
         return ExitCode::FAILURE;
     }
     let inputs = adv.inputs();

@@ -181,7 +181,7 @@ fn telemetry_cost() -> TelemetryCost {
     let run_event_emit_ns = time_ns(9, || {
         iter += 1;
         tel::emit_run_event(&tel::RunEvent {
-            policy: "bench",
+            policy: "bench".into(),
             iteration: iter,
             reward: 1.5,
             loss: Some(0.25),

@@ -3,10 +3,10 @@
 //! Replays each completed metrics stream through the same streaming
 //! detectors the live watchdog runs (`msrl_telemetry::health`) and
 //! prints one ranked verdict report per file: CRITICAL findings first,
-//! then warnings, then the all-clear. Recorded v3 findings are merged
-//! with what the replay itself detects, so streams from runs that had
-//! the watchdog disabled (or v1/v2 streams from older builds) still get
-//! a full diagnosis.
+//! then warnings, then the all-clear. Findings recorded in the lines'
+//! `health` blocks are merged with what the replay itself detects, so
+//! streams from runs that had the watchdog disabled still get a full
+//! diagnosis.
 //!
 //! ```text
 //! cargo run -p msrl-bench --bin doctor -- run-metrics/*.jsonl

@@ -1,14 +1,14 @@
 //! `top` — live per-fragment utilisation view over the metrics stream.
 //!
 //! Tails the run-event JSONL file the telemetry sink appends to (the
-//! `MSRL_METRICS_FILE` stream) and renders the latest
-//! `msrl.run_event.v2` attribution breakdown as a per-fragment table:
-//! busy share, the rollout/learn/comm/eval split, idle and straggler
-//! slack, plus critical-path membership, straggler flags and — when the
-//! stream carries schema-v3 health blocks — a health column (the run
-//! watchdog's status on the fragment that trains). The footer shows the
-//! iteration's bottleneck, how much of the wall time the critical path
-//! covers, and the health gauges with any active findings.
+//! `MSRL_METRICS_FILE` stream) and renders the `attr` block of the
+//! latest event that carries one as a per-fragment table: busy share,
+//! the rollout/learn/comm/eval split, idle and straggler slack, plus
+//! critical-path membership, straggler flags and — when the event
+//! carries a `health` block — a health column (the run watchdog's status
+//! on the fragment that trains). The footer shows the iteration's
+//! bottleneck, how much of the wall time the critical path covers, and
+//! the health gauges with any active findings.
 //!
 //! ```text
 //! cargo run -p msrl-bench --bin top -- [metrics.jsonl] [--once] [--interval-ms N]
@@ -16,28 +16,12 @@
 //!
 //! The path defaults to `$MSRL_METRICS_FILE`. `--once` renders a single
 //! snapshot and exits (CI mode); without it the view refreshes every
-//! `--interval-ms` (default 1000) until interrupted. v1 lines in the
-//! stream are skipped, so mixed-schema files tail cleanly.
+//! `--interval-ms` (default 1000) until interrupted. Events without an
+//! attribution are skipped.
 
 use std::process::ExitCode;
 
-use serde::{Deserialize, Value};
-use serde_json::value_from_str;
-
-fn num(v: &Value, name: &str) -> u64 {
-    v.field(name).ok().and_then(|f| u64::from_value(f).ok()).unwrap_or(0)
-}
-
-fn flag(v: &Value, name: &str) -> bool {
-    matches!(v.field(name), Ok(Value::Bool(true)))
-}
-
-fn text<'a>(v: &'a Value, name: &str) -> &'a str {
-    match v.field(name) {
-        Ok(Value::Str(s)) => s,
-        _ => "?",
-    }
-}
+use msrl_telemetry::{RunEvent, Severity};
 
 fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -47,110 +31,90 @@ fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Formats a possibly-null numeric health gauge compactly.
-fn gauge(v: &Value, name: &str) -> String {
-    match v.field(name).ok().and_then(|f| f64::from_value(f).ok()) {
-        Some(x) => format!("{x:.3e}"),
-        None => "-".to_string(),
-    }
-}
-
-/// The health column for one fragment row: the run watchdog's status on
-/// the fragment that trains (where the sentinel gauges originate),
-/// blank elsewhere.
-fn health_cell(health: Option<&Value>, role: &str) -> &'static str {
-    let trains = matches!(role, "learner" | "param_server") || role.starts_with("fused");
-    match health {
-        Some(h) if trains => match text(h, "status") {
-            "ok" => "ok",
-            "warn" => "WARN",
-            "critical" => "CRIT",
-            _ => "?",
-        },
-        _ => "-",
-    }
-}
-
-/// Renders one v2/v3 run event as the utilisation table, or `None` when
-/// the line carries no attribution payload.
-fn render(line: &str, source: &str, seen: usize) -> Option<String> {
-    let root = value_from_str(line).ok()?;
-    let attr = root.field("attr").ok()?;
-    let health = root.field("health").ok();
-    let policy = text(&root, "policy");
-    let iteration = num(&root, "iteration");
-    let wall = num(attr, "wall_ns");
-    let critical = num(attr, "critical_path_ns");
-    let Ok(Value::Seq(frags)) = attr.field("fragments") else { return None };
-
+/// Renders one run event as the utilisation table, or `None` when it
+/// carries no attribution.
+fn render(ev: &RunEvent, source: &str, seen: usize) -> Option<String> {
+    let attr = ev.attr.as_ref()?;
     let mut out = String::new();
     out.push_str(&format!(
-        "msrl top — {source} ({seen} v2 event(s), policy {policy}, iteration {iteration})\n\n"
+        "msrl top — {source} ({seen} attributed event(s), policy {}, iteration {})\n\n",
+        ev.policy, ev.iteration
     ));
     out.push_str(&format!(
         "{:<16} {:>6} {:>9} {:>7} {:>6} {:>6} {:>7} {:>6}  {}\n",
         "fragment", "busy%", "rollout%", "learn%", "comm%", "idle%", "slack%", "health", "flags"
     ));
-    for f in frags {
-        let wall_f = num(f, "wall_ns");
+    for f in &attr.fragments {
         let mut flags = Vec::new();
-        if flag(f, "critical") {
+        if f.critical {
             flags.push("crit");
         }
-        if flag(f, "straggler") {
+        if f.straggler {
             flags.push("strag");
         }
-        let role = text(f, "role");
+        // The run watchdog's status on the fragment that trains (where
+        // the sentinel gauges originate), blank elsewhere.
+        let trains =
+            matches!(f.role.as_str(), "learner" | "param_server") || f.role.starts_with("fused");
+        let health = match ev.health.as_ref().map(|h| h.status) {
+            Some(Severity::Ok) if trains => "ok",
+            Some(Severity::Warn) if trains => "WARN",
+            Some(Severity::Critical) if trains => "CRIT",
+            _ => "-",
+        };
         out.push_str(&format!(
             "{:<16} {:>6.1} {:>9.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} {:>6}  {}\n",
-            format!("{}/{}", role, num(f, "id")),
-            pct(num(f, "busy_ns"), wall_f),
-            pct(num(f, "rollout_ns"), wall_f),
-            pct(num(f, "learn_ns"), wall_f),
-            pct(num(f, "comm_ns"), wall_f),
-            pct(num(f, "idle_ns"), wall_f),
-            pct(num(f, "slack_ns"), wall_f),
-            health_cell(health, role),
+            format!("{}/{}", f.role, f.id),
+            pct(f.busy_ns, f.wall_ns),
+            pct(f.rollout_ns, f.wall_ns),
+            pct(f.learn_ns, f.wall_ns),
+            pct(f.comm_ns, f.wall_ns),
+            pct(f.idle_ns, f.wall_ns),
+            pct(f.slack_ns, f.wall_ns),
+            health,
             flags.join(","),
         ));
     }
     out.push_str(&format!(
         "\nbottleneck: {}   critical path: {:.3} ms / wall {:.3} ms ({:.1}%)\n",
-        text(attr, "bottleneck"),
-        critical as f64 / 1e6,
-        wall as f64 / 1e6,
-        pct(critical, wall),
+        attr.bottleneck,
+        attr.critical_path_ns as f64 / 1e6,
+        attr.wall_ns as f64 / 1e6,
+        pct(attr.critical_path_ns, attr.wall_ns),
     ));
-    if let Some(h) = health {
+    if let Some(h) = &ev.health {
+        let gauge = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.3e}"));
         out.push_str(&format!(
             "health: {}   grad {}  weight {}  upd {}  nonfinite {}\n",
-            text(h, "status").to_uppercase(),
-            gauge(h, "grad_norm"),
-            gauge(h, "weight_norm"),
-            gauge(h, "update_ratio"),
-            gauge(h, "nonfinite_params"),
+            h.status.name().to_uppercase(),
+            gauge(h.grad_norm),
+            gauge(h.weight_norm),
+            gauge(h.update_ratio),
+            gauge(h.nonfinite_params.map(|c| c as f64)),
         ));
-        if let Ok(Value::Seq(findings)) = h.field("findings") {
-            for f in findings {
-                out.push_str(&format!(
-                    "  finding: {} [{}] @ iter {}: {}\n",
-                    text(f, "detector"),
-                    text(f, "severity"),
-                    num(f, "iteration"),
-                    text(f, "detail"),
-                ));
-            }
+        for f in &h.findings {
+            out.push_str(&format!(
+                "  finding: {} [{}] @ iter {}: {}\n",
+                f.detector,
+                f.severity.name(),
+                f.iteration,
+                f.detail,
+            ));
         }
     }
     Some(out)
 }
 
-/// Reads the stream and renders its latest v2 event, counting how many
-/// v2 events the file holds so progress is visible while tailing.
+/// Reads the stream and renders its latest attributed event, counting
+/// how many the file holds so progress is visible while tailing.
 fn snapshot(path: &str) -> std::io::Result<Option<String>> {
     let content = std::fs::read_to_string(path)?;
-    let v2: Vec<&str> = content.lines().filter(|l| l.contains("\"attr\"")).collect();
-    Ok(v2.last().and_then(|line| render(line, path, v2.len())))
+    let attributed: Vec<RunEvent> = content
+        .lines()
+        .filter_map(|l| RunEvent::parse(l).ok())
+        .filter(|ev| ev.attr.is_some())
+        .collect();
+    Ok(attributed.last().and_then(|ev| render(ev, path, attributed.len())))
 }
 
 fn main() -> ExitCode {
@@ -190,10 +154,10 @@ fn main() -> ExitCode {
             }
             Ok(None) => {
                 if once {
-                    eprintln!("top: no msrl.run_event.v2 events in {path}");
+                    eprintln!("top: no attributed events in {path}");
                     return ExitCode::FAILURE;
                 }
-                println!("top: waiting for v2 events in {path} ...");
+                println!("top: waiting for attributed events in {path} ...");
             }
             Err(e) => {
                 if once {

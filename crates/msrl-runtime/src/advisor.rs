@@ -33,15 +33,17 @@
 //! ## Live mode
 //!
 //! [`LiveAdvisor`] feeds the same cost model from the always-on
-//! attribution stream instead of a post-hoc profile: it tails
-//! `msrl.run_event.v2` lines, EWMA-smooths the per-iteration rollout
-//! and learn terms, and re-ranks a candidate set on every event. A
-//! recommendation is printed only when the bottleneck shift persists
-//! through a hysteresis window (margin × consecutive confirmations),
-//! and it is advice only — the advisor never re-plans the run itself.
+//! attribution stream instead of a post-hoc profile: it folds the `attr`
+//! block of each [`RunEvent`], smooths the per-iteration rollout and
+//! learn terms with the health watchdog's [`Ewma`], and re-ranks a
+//! candidate set on every event. A recommendation is printed only when
+//! the bottleneck shift persists through a [`Hysteresis`] window
+//! (margin × consecutive confirmations), and it is advice only — the
+//! advisor never re-plans the run itself.
 
 use std::time::Duration;
 
+use msrl_telemetry::{Ewma, Hysteresis, RunEvent};
 use serde::{Deserialize, Value};
 
 /// What the advisor extracts from one `profile_*.json` artifact.
@@ -268,98 +270,6 @@ pub fn rank_policies(inp: &CostModelInputs) -> Vec<PolicyEstimate> {
     rows
 }
 
-/// One attribution sample parsed from a `msrl.run_event.v2` JSONL line.
-///
-/// This is the live advisor's input: the per-iteration critical-path
-/// breakdown the attribution engine streams through the run-event sink.
-#[derive(Debug, Clone)]
-pub struct AttrSample {
-    /// Distribution policy that emitted the event (`dp_a`, ...).
-    pub policy: String,
-    /// Iteration number within the run.
-    pub iteration: u64,
-    /// Iteration wall time, ns.
-    pub wall_ns: u64,
-    /// Slowest fragment's rollout compute this iteration, ns — the
-    /// cost model's per-actor rollout term `r`.
-    pub rollout_ns: u64,
-    /// Total learn compute across fragments, ns — the cost model's
-    /// whole-batch learn term `l`.
-    pub learn_ns: u64,
-    /// Slowest fragment's comm-blocked time, ns.
-    pub comm_ns: u64,
-    /// Fragments that did rollout work (the replica count `p`).
-    pub actors: usize,
-    /// Dominant component this iteration (`rollout`/`learn`/`comm`/`idle`).
-    pub bottleneck: String,
-    /// `role/id` of fragments flagged as stragglers.
-    pub stragglers: Vec<String>,
-}
-
-/// Parses one metrics-stream line into an [`AttrSample`].
-///
-/// Returns `Ok(None)` for v1 lines (no `attr` payload) so callers can
-/// tail a mixed-schema stream without special-casing.
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem in a v2 line.
-pub fn parse_run_event_v2(line: &str) -> Result<Option<AttrSample>, String> {
-    let root = serde_json::value_from_str(line).map_err(|e| e.to_string())?;
-    let Ok(attr) = root.field("attr") else { return Ok(None) };
-    let policy = match root.field("policy") {
-        Ok(Value::Str(s)) => s.clone(),
-        _ => return Err("run event lacks a `policy` string".to_string()),
-    };
-    let iteration = root
-        .field("iteration")
-        .ok()
-        .and_then(|v| u64::from_value(v).ok())
-        .ok_or("run event lacks an `iteration`")?;
-    let num = |v: &Value, name: &str| -> Result<u64, String> {
-        v.field(name)
-            .ok()
-            .and_then(|f| u64::from_value(f).ok())
-            .ok_or_else(|| format!("attr lacks `{name}`"))
-    };
-    let wall_ns = num(attr, "wall_ns")?;
-    let bottleneck = match attr.field("bottleneck") {
-        Ok(Value::Str(s)) => s.clone(),
-        _ => return Err("attr lacks a `bottleneck` string".to_string()),
-    };
-    let Ok(Value::Seq(frags)) = attr.field("fragments") else {
-        return Err("attr lacks a `fragments` array".to_string());
-    };
-    let (mut rollout_ns, mut learn_ns, mut comm_ns, mut actors) = (0u64, 0u64, 0u64, 0usize);
-    let mut stragglers = Vec::new();
-    for f in frags {
-        let fr = num(f, "rollout_ns")?;
-        rollout_ns = rollout_ns.max(fr);
-        learn_ns += num(f, "learn_ns")?;
-        comm_ns = comm_ns.max(num(f, "comm_ns")?);
-        if fr > 0 {
-            actors += 1;
-        }
-        if let (Ok(Value::Str(role)), Ok(Value::Bool(true))) =
-            (f.field("role"), f.field("straggler"))
-        {
-            let id = num(f, "id").unwrap_or(0);
-            stragglers.push(format!("{role}/{id}"));
-        }
-    }
-    Ok(Some(AttrSample {
-        policy,
-        iteration,
-        wall_ns,
-        rollout_ns,
-        learn_ns,
-        comm_ns,
-        actors,
-        bottleneck,
-        stragglers,
-    }))
-}
-
 /// Tuning for the live advisor's folding and hysteresis.
 #[derive(Debug, Clone)]
 pub struct LiveAdvisorConfig {
@@ -378,8 +288,10 @@ pub struct LiveAdvisorConfig {
     /// relative margin to count towards a flip.
     pub margin: f64,
     /// Consecutive margin-beating events required before the
-    /// recommendation flips (hysteresis against transient noise).
-    pub confirm: usize,
+    /// recommendation flips (hysteresis against transient noise). After
+    /// a flip, one event must agree with the new recommendation before
+    /// the next shift starts counting.
+    pub confirm: u32,
 }
 
 impl Default for LiveAdvisorConfig {
@@ -405,13 +317,13 @@ pub struct LiveRecommendation {
     pub previous: Option<&'static str>,
     /// Modelled period of the recommended policy, ns.
     pub period_ns: f64,
-    /// Bottleneck label of the sample that triggered the change.
-    pub bottleneck: String,
+    /// Bottleneck label of the event that triggered the change.
+    pub bottleneck: &'static str,
     /// How many attribution events had been folded in at that point.
     pub events: u64,
 }
 
-/// Folds the v2 attribution stream into the DP-A..DP-F cost model and
+/// Folds the attribution stream into the DP-A..DP-F cost model and
 /// recommends a re-partition when the bottleneck shifts.
 ///
 /// Recommendation only: the advisor never restarts or re-plans the run
@@ -422,12 +334,11 @@ pub struct LiveRecommendation {
 #[derive(Debug)]
 pub struct LiveAdvisor {
     cfg: LiveAdvisorConfig,
-    rollout_ewma: f64,
-    learn_ewma: f64,
+    rollout: Ewma,
+    learn: Ewma,
     actors: usize,
-    steps_per_iter: u64,
     current: Option<&'static str>,
-    streak: usize,
+    shift: Hysteresis,
     events: u64,
 }
 
@@ -435,18 +346,17 @@ impl LiveAdvisor {
     /// Creates a live advisor with the given tuning.
     pub fn new(cfg: LiveAdvisorConfig) -> LiveAdvisor {
         LiveAdvisor {
+            shift: Hysteresis::new(cfg.confirm, 1),
             cfg,
-            rollout_ewma: 0.0,
-            learn_ewma: 0.0,
+            rollout: Ewma::default(),
+            learn: Ewma::default(),
             actors: 1,
-            steps_per_iter: 1,
             current: None,
-            streak: 0,
             events: 0,
         }
     }
 
-    /// The current recommendation, if any sample has been folded in.
+    /// The current recommendation, if any event has been folded in.
     pub fn current(&self) -> Option<&'static str> {
         self.current
     }
@@ -459,38 +369,33 @@ impl LiveAdvisor {
     /// The smoothed cost-model inputs the advisor currently ranks on.
     pub fn inputs(&self) -> CostModelInputs {
         CostModelInputs {
-            rollout_ns: self.rollout_ewma,
-            learn_ns: self.learn_ewma,
+            rollout_ns: self.rollout.value.unwrap_or(0.0),
+            learn_ns: self.learn.value.unwrap_or(0.0),
             actors: self.actors,
             epochs: self.cfg.epochs,
-            steps_per_iter: self.steps_per_iter,
+            steps_per_iter: 1,
             latency: self.cfg.latency,
         }
     }
 
-    /// Folds one metrics-stream line in; v1 lines are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`parse_run_event_v2`] failures.
-    pub fn observe_line(&mut self, line: &str) -> Result<Option<LiveRecommendation>, String> {
-        Ok(parse_run_event_v2(line)?.and_then(|s| self.observe(&s)))
-    }
-
-    /// Folds one attribution sample in, returning a recommendation when
-    /// it is the first sample or the bottleneck shift has persisted
-    /// through the hysteresis window.
-    pub fn observe(&mut self, sample: &AttrSample) -> Option<LiveRecommendation> {
+    /// Folds one run event in, returning a recommendation when it is the
+    /// first attributed event or the bottleneck shift has persisted
+    /// through the hysteresis window. Events without an `attr` block
+    /// are passed over. The cost model's per-actor rollout term `r` is
+    /// the slowest fragment's rollout, its whole-batch learn term `l`
+    /// the learn compute summed over fragments, and `p` the fragments
+    /// that rolled out.
+    pub fn observe(&mut self, ev: &RunEvent) -> Option<LiveRecommendation> {
+        let attr = ev.attr.as_ref()?;
         self.events += 1;
-        self.actors = self.actors.max(sample.actors.max(1));
+        let frags = &attr.fragments;
+        let rollout_ns = frags.iter().map(|f| f.rollout_ns).max().unwrap_or(0);
+        let learn_ns: u64 = frags.iter().map(|f| f.learn_ns).sum();
+        let actors = frags.iter().filter(|f| f.rollout_ns > 0).count();
+        self.actors = self.actors.max(actors);
         let a = self.cfg.alpha.clamp(0.0, 1.0);
-        if self.events == 1 {
-            self.rollout_ewma = sample.rollout_ns as f64;
-            self.learn_ewma = sample.learn_ns as f64;
-        } else {
-            self.rollout_ewma = (1.0 - a) * self.rollout_ewma + a * sample.rollout_ns as f64;
-            self.learn_ewma = (1.0 - a) * self.learn_ewma + a * sample.learn_ns as f64;
-        }
+        self.rollout.update(a, rollout_ns as f64);
+        self.learn.update(a, learn_ns as f64);
 
         let rows = rank_policies(&self.inputs());
         let candidate = |name: &str| rows.iter().find(|r| r.policy == name).map(|r| r.period_ns);
@@ -503,39 +408,22 @@ impl LiveAdvisor {
             }
         }
         let (winner, winner_period) = best?;
-
-        let Some(incumbent) = self.current else {
-            // First sample: adopt the winner outright.
-            self.current = Some(winner);
-            return Some(LiveRecommendation {
-                policy: winner,
-                previous: None,
-                period_ns: winner_period,
-                bottleneck: sample.bottleneck.clone(),
-                events: self.events,
-            });
-        };
-        if winner == incumbent {
-            self.streak = 0;
-            return None;
+        let previous = self.current;
+        if let Some(incumbent) = previous {
+            let incumbent_period = candidate(incumbent).unwrap_or(f64::INFINITY);
+            let shifted =
+                winner != incumbent && winner_period < incumbent_period * (1.0 - self.cfg.margin);
+            if !self.shift.observe(shifted) {
+                return None;
+            }
         }
-        let incumbent_period = candidate(incumbent).unwrap_or(f64::INFINITY);
-        if winner_period < incumbent_period * (1.0 - self.cfg.margin) {
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-            return None;
-        }
-        if self.streak < self.cfg.confirm.max(1) {
-            return None;
-        }
-        self.streak = 0;
+        // First event: adopt the winner outright; later: the shift held.
         self.current = Some(winner);
         Some(LiveRecommendation {
             policy: winner,
-            previous: Some(incumbent),
+            previous,
             period_ns: winner_period,
-            bottleneck: sample.bottleneck.clone(),
+            bottleneck: attr.bottleneck,
             events: self.events,
         })
     }
@@ -632,13 +520,14 @@ mod tests {
         assert!(parse_profile("{\"spans\": 3}", "x").is_err());
     }
 
-    /// Builds a real v2 metrics line: 3 actor fragments rolling out for
-    /// `r_ns` and one learner learning for `l_ns`, attributed by the
-    /// engine and serialised through the run-event sink.
-    fn v2_line(iter: u64, r_ns: u64, l_ns: u64) -> String {
+    /// Builds a real attributed run event: `actors` actor fragments
+    /// rolling out for `r_ns` and one learner learning for `l_ns`,
+    /// attributed by the engine and round-tripped through the stream's
+    /// serialise/parse pair.
+    fn event(iter: u64, actors: u64, r_ns: u64, l_ns: u64) -> RunEvent {
         use msrl_telemetry as tel;
         let mut stamps = Vec::new();
-        for id in 0..3u64 {
+        for id in 0..actors {
             stamps.push(tel::StepStamp {
                 role: "actor",
                 fragment: id,
@@ -655,9 +544,8 @@ mod tests {
             end_ns: l_ns,
         });
         let wall = r_ns.max(l_ns) + 1;
-        let attr = tel::attribute(&stamps, 0, wall, 2.0);
-        tel::RunEvent {
-            policy: "dp_a",
+        let ev = RunEvent {
+            policy: "dp_a".into(),
             iteration: iter,
             reward: 1.0,
             loss: None,
@@ -666,28 +554,28 @@ mod tests {
             comm_bytes: 0,
             staleness: 0,
             plan_cache_hit_rate: None,
-            attr: Some(attr),
+            attr: Some(tel::attribute(&stamps, 0, wall, 2.0)),
             actsrv: None,
             health: None,
-        }
-        .to_json_line()
+        };
+        RunEvent::parse(&ev.to_json_line()).expect("the stream reads back what it writes")
     }
 
     #[test]
-    fn parse_run_event_v2_extracts_workload_terms() {
-        let line = v2_line(3, 20_000_000, 300_000);
-        let sample = parse_run_event_v2(&line).unwrap().expect("v2 line carries attr");
-        assert_eq!(sample.policy, "dp_a");
-        assert_eq!(sample.iteration, 3);
-        assert_eq!(sample.rollout_ns, 20_000_000, "slowest actor's rollout");
-        assert_eq!(sample.learn_ns, 300_000, "summed learn compute");
-        assert_eq!(sample.actors, 3);
-        assert_eq!(sample.bottleneck, "rollout");
-
-        // v1 lines (no attr) are passed over, not rejected.
-        let v1 = r#"{"schema": "msrl.run_event.v1", "policy": "dp_a", "iteration": 1}"#;
-        assert!(parse_run_event_v2(v1).unwrap().is_none());
-        assert!(parse_run_event_v2("not json").is_err());
+    fn live_advisor_reads_workload_terms_from_the_event() {
+        // 20 ms rollout on each of three actors, 0.3 ms learn: the model
+        // sees the slowest actor's rollout, the summed learn and p = 3.
+        let mut adv = LiveAdvisor::new(LiveAdvisorConfig::default());
+        let rec = adv.observe(&event(3, 3, 20_000_000, 300_000)).expect("first event recommends");
+        let inputs = adv.inputs();
+        assert_eq!(inputs.rollout_ns, 20_000_000.0, "slowest actor's rollout");
+        assert_eq!(inputs.learn_ns, 300_000.0, "summed learn compute");
+        assert_eq!(inputs.actors, 3);
+        assert_eq!(rec.bottleneck, "rollout");
+        // Events without an attribution are passed over, not counted.
+        let bare = RunEvent { attr: None, ..event(4, 3, 1, 1) };
+        assert!(adv.observe(&bare).is_none());
+        assert_eq!(adv.events(), 1);
     }
 
     #[test]
@@ -697,7 +585,7 @@ mod tests {
         // Rollout-bound regime: 20 ms rollout, 0.3 ms learn. At 10 ms
         // latency DP-A's single batched exchange wins.
         for i in 0..6 {
-            if let Some(r) = adv.observe_line(&v2_line(i, 20_000_000, 300_000)).unwrap() {
+            if let Some(r) = adv.observe(&event(i, 3, 20_000_000, 300_000)) {
                 recs.push(r);
             }
         }
@@ -709,7 +597,7 @@ mod tests {
         // after the hysteresis window (3 confirming events), not on the
         // first shifted sample.
         for i in 6..12 {
-            if let Some(r) = adv.observe_line(&v2_line(i, 5_000_000, 90_000_000)).unwrap() {
+            if let Some(r) = adv.observe(&event(i, 3, 5_000_000, 90_000_000)) {
                 recs.push(r);
             }
         }
@@ -732,7 +620,7 @@ mod tests {
         let mut recs = Vec::new();
         for i in 0..20u64 {
             let l = if i % 2 == 0 { 14_500_000 } else { 15_500_000 };
-            if let Some(r) = adv.observe_line(&v2_line(i, 20_000_000, l)).unwrap() {
+            if let Some(r) = adv.observe(&event(i, 3, 20_000_000, l)) {
                 recs.push(r);
             }
         }
@@ -746,17 +634,7 @@ mod tests {
         // live path must reproduce the offline ranking: DP-A beats DP-C
         // on rollout-heavy CartPole at the profiled 10 ms latency.
         let dp_a = load("profile_dp_a_overlap.json");
-        let sample = AttrSample {
-            policy: "dp_a".to_string(),
-            iteration: 0,
-            wall_ns: dp_a.rollout_p50_ns + dp_a.learn_p50_ns,
-            rollout_ns: dp_a.rollout_p50_ns,
-            learn_ns: dp_a.learn_p50_ns,
-            comm_ns: 0,
-            actors: dp_a.actors,
-            bottleneck: "rollout".to_string(),
-            stragglers: Vec::new(),
-        };
+        let sample = event(0, dp_a.actors as u64, dp_a.rollout_p50_ns, dp_a.learn_p50_ns);
         let mut adv = LiveAdvisor::new(LiveAdvisorConfig::default());
         let rec = adv.observe(&sample).expect("first sample recommends");
         assert_eq!(rec.policy, "dp_a");

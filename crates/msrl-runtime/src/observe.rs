@@ -105,8 +105,8 @@ impl RunObserver {
     /// Closes one iteration: records its period, computes the
     /// critical-path attribution over the iteration window (draining
     /// every fragment thread's step stamps), runs the health detectors,
-    /// and streams the training-metrics event — schema v2 when
-    /// attribution is on, v3 when the health watchdog is.
+    /// and streams the training-metrics event — with an `attr` block
+    /// when attribution is on and a `health` block when the watchdog is.
     pub(crate) fn observe(
         &mut self,
         reward: f32,
@@ -143,7 +143,7 @@ impl RunObserver {
         let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
         let health = self.health_block(reward, loss, entropy, iters_per_sec, params);
         msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
-            policy: self.policy,
+            policy: self.policy.to_string(),
             iteration: self.iteration,
             reward: f64::from(reward),
             loss: loss.map(f64::from),

@@ -24,9 +24,9 @@
 //! always-on probe bound. Buffers are bounded ([`STEP_CAPACITY`] per
 //! thread); overflow drops the oldest stamps and counts `attr.dropped`.
 //!
-//! The attribution rides the run-metrics stream: `RunEvent` schema
-//! `msrl.run_event.v2` carries one [`IterAttribution`] per iteration,
-//! consumed live by `msrl-bench`'s `top` view and the advisor's live
+//! The attribution rides the run-metrics stream: each `RunEvent`'s
+//! `attr` block carries one [`IterAttribution`] per iteration, consumed
+//! live by `msrl-bench`'s `top` view and the advisor's live
 //! re-partition recommendations.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -34,6 +34,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Step stamps retained per thread between iteration boundaries.
 pub const STEP_CAPACITY: usize = 4096;
+
+/// The [`IterAttribution::bottleneck`] labels, in tie-break order.
+pub(crate) const BOTTLENECKS: [&str; 4] = ["rollout", "learn", "comm", "idle"];
 
 const UNSET: u8 = 0;
 const OFF: u8 = 1;
@@ -276,12 +279,12 @@ pub fn finish_iteration() -> IterAttribution {
 /// Per-fragment share of one iteration window. All `_ns` components sum
 /// to `wall_ns` exactly: the sweep assigns every covered instant to one
 /// class, `idle + slack` is the remainder.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FragmentAttr {
     /// Fragment role (peer-group key).
     pub role: String,
     /// Fragment id within its role.
-    pub fragment: u64,
+    pub id: u64,
     /// Rollout compute inside the window.
     pub rollout_ns: u64,
     /// Learn compute inside the window (nested comm carved out).
@@ -556,7 +559,7 @@ pub fn attribute(stamps: &[StepStamp], start_ns: u64, end_ns: u64, k: f64) -> It
         let segs = sweep_segments(stamps, (start_ns, end_ns));
         let mut row = FragmentAttr {
             role: (*role).to_string(),
-            fragment: *fragment,
+            id: *fragment,
             wall_ns: wall,
             ..Default::default()
         };
@@ -616,14 +619,12 @@ pub fn attribute(stamps: &[StepStamp], start_ns: u64, end_ns: u64, k: f64) -> It
     attr.eval_ns = mean(attr.fragments.iter().map(|f| f.eval_ns).sum());
     attr.idle_ns = mean(attr.fragments.iter().map(|f| f.idle_ns).sum());
     attr.slack_ns = mean(attr.fragments.iter().map(|f| f.slack_ns).sum());
-    let classes = [
-        ("rollout", attr.rollout_ns),
-        ("learn", attr.learn_ns),
-        ("comm", attr.comm_ns),
-        ("idle", attr.idle_ns + attr.slack_ns),
-    ];
-    attr.bottleneck =
-        classes.iter().max_by_key(|(_, v)| *v).map(|(name, _)| *name).unwrap_or("idle");
+    let classes = [attr.rollout_ns, attr.learn_ns, attr.comm_ns, attr.idle_ns + attr.slack_ns];
+    attr.bottleneck = BOTTLENECKS
+        .into_iter()
+        .zip(classes)
+        .max_by_key(|(_, v)| *v)
+        .map_or("idle", |(name, _)| name);
     attr
 }
 
@@ -675,7 +676,7 @@ mod tests {
             stamp("actor", 2, StepClass::Rollout, 0, 500),
         ];
         let attr = attribute(&stamps, 0, 500, 2.0);
-        let by_id = |id: u64| attr.fragments.iter().find(|f| f.fragment == id).unwrap();
+        let by_id = |id: u64| attr.fragments.iter().find(|f| f.id == id).unwrap();
         assert!(by_id(2).straggler, "5x median must flag");
         assert!(!by_id(0).straggler && !by_id(1).straggler);
         assert_eq!(by_id(0).slack_ns, 400, "fast peer waits for the straggler");
@@ -707,7 +708,7 @@ mod tests {
             "critical path must include the slow peer: {}",
             attr.critical_path_ns
         );
-        assert!(attr.fragments.iter().any(|f| f.fragment == 1 && f.critical));
+        assert!(attr.fragments.iter().any(|f| f.id == 1 && f.critical));
         // The reported path never exceeds the iteration wall.
         assert!(attr.critical_path_ns <= attr.wall_ns);
     }
@@ -766,7 +767,7 @@ mod tests {
         let f = attr
             .fragments
             .iter()
-            .find(|f| f.role == "test_guard" && f.fragment == 7)
+            .find(|f| f.role == "test_guard" && f.id == 7)
             .expect("stamped fragment appears");
         assert!(f.learn_ns > 0, "guard must have stamped learn time: {f:?}");
         assert_eq!(

@@ -18,21 +18,10 @@ use std::collections::HashMap;
 
 use crate::recorder::{Event, Phase};
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_common(out: &mut String, name: &str, cat: &str, ph: char, tid: u64, ts_ns: u64) {
-    out.push_str("{\"name\":\"");
-    escape(name, out);
-    out.push_str("\",\"cat\":\"");
+    out.push_str("{\"name\":");
+    serde_json::escape_into(name, out);
+    out.push_str(",\"cat\":\"");
     out.push_str(cat);
     out.push_str("\",\"ph\":\"");
     out.push(ph);

@@ -241,19 +241,10 @@ fn dump_dir() -> String {
         .unwrap_or_else(|| "results".to_string())
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    serde_json::escape_into(s, &mut out);
     out
 }
 
@@ -262,8 +253,8 @@ fn esc(s: &str) -> String {
 pub fn render_dump(trigger: &str, reason: &str) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"msrl.flightrec.v1\",\n");
-    out.push_str(&format!("  \"trigger\": \"{}\",\n", esc(trigger)));
-    out.push_str(&format!("  \"reason\": \"{}\",\n", esc(reason)));
+    out.push_str(&format!("  \"trigger\": {},\n", quoted(trigger)));
+    out.push_str(&format!("  \"reason\": {},\n", quoted(reason)));
     out.push_str(&format!("  \"pid\": {},\n", std::process::id()));
     // The run's latest health verdict, when the watchdog has stored one
     // (a critical detector firing is itself a dump trigger): the
@@ -277,9 +268,9 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
     env.sort();
     for (i, (k, v)) in env.iter().enumerate() {
         out.push_str(&format!(
-            "\n    \"{}\": \"{}\"{}",
-            esc(k),
-            esc(v),
+            "\n    {}: {}{}",
+            quoted(k),
+            quoted(v),
             if i + 1 == env.len() { "\n  " } else { "," }
         ));
     }
@@ -287,11 +278,11 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
     let events = snapshot_events();
     for (i, e) in events.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"tid\": {}, \"ts_ns\": {}, \"kind\": \"{}\", \"name\": \"{}\", \"arg\": {}}}{}\n",
+            "    {{\"tid\": {}, \"ts_ns\": {}, \"kind\": \"{}\", \"name\": {}, \"arg\": {}}}{}\n",
             e.tid,
             e.ts_ns,
             e.kind,
-            esc(&e.name),
+            quoted(&e.name),
             e.arg,
             if i + 1 == events.len() { "" } else { "," }
         ));
@@ -300,8 +291,8 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
     let counters = crate::registry::counters_snapshot();
     for (i, (name, v)) in counters.iter().enumerate() {
         out.push_str(&format!(
-            "\n    \"{}\": {}{}",
-            esc(name),
+            "\n    {}: {}{}",
+            quoted(name),
             v,
             if i + 1 == counters.len() { "\n  " } else { "," }
         ));
@@ -311,8 +302,8 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
     for (i, (name, v)) in gauges.iter().enumerate() {
         let v = if v.is_finite() { format!("{v:.3}") } else { "null".to_string() };
         out.push_str(&format!(
-            "\n    \"{}\": {}{}",
-            esc(name),
+            "\n    {}: {}{}",
+            quoted(name),
             v,
             if i + 1 == gauges.len() { "\n  " } else { "," }
         ));
@@ -331,8 +322,8 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
             .map(|(b, &c)| format!("\"{b}\": {c}"))
             .collect();
         out.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"buckets\": {{{}}}}}{}",
-            esc(name),
+            "\n    {}: {{\"count\": {}, \"sum\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"buckets\": {{{}}}}}{}",
+            quoted(name),
             s.count,
             sum,
             s.p50_ns,

@@ -22,18 +22,19 @@
 //!   configured bound (critical; the drivers enforce the bound by
 //!   construction, so a firing means the invariant broke).
 //!
-//! Each detector is an EWMA + hysteresis window in the shape of
-//! `advisor::LiveAdvisor`: a breach must persist for `confirm`
-//! consecutive samples to fire, a firing is reported **exactly once**,
-//! and the detector re-arms only after `rearm` consecutive healthy
-//! samples — sub-hysteresis noise produces no findings at all.
+//! Each detector is an [`Ewma`] + [`Hysteresis`] window — the one
+//! streaming-detector primitive, which `advisor::LiveAdvisor` uses too:
+//! a breach must persist for `confirm` consecutive samples to fire, a
+//! firing is reported **exactly once**, and the detector re-arms only
+//! after `rearm` consecutive healthy samples — sub-hysteresis noise
+//! produces no findings at all.
 //!
 //! Firings accumulate into a [`HealthVerdict`]; the drivers embed the
 //! latest verdict in flight-recorder dumps (a critical firing triggers
 //! one automatically) and stamp each RunEvent with a per-iteration
-//! health block, bumping the line to schema v3. [`replay_stream`] runs
-//! the same detectors over a completed JSONL stream — the engine behind
-//! the `doctor` bin's post-hoc verdict report.
+//! `health` block. [`replay_stream`] runs the same detectors over a
+//! completed JSONL stream — the engine behind the `doctor` bin's
+//! post-hoc verdict report.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -90,7 +91,8 @@ pub fn set_last_verdict(v: &HealthVerdict) {
 /// The latest stored verdict, rendered as JSON — the `health` section of
 /// a flight-recorder dump. `None` when no verdict has been stored.
 pub fn last_verdict_json() -> Option<String> {
-    last_verdict().lock().expect("health verdict store poisoned").as_ref().map(|v| v.to_json())
+    let verdict = last_verdict().lock().expect("health verdict store poisoned");
+    verdict.as_ref().map(|v| serde_json::to_string(v).expect("a value tree always renders"))
 }
 
 // ---------------------------------------------------------------------------
@@ -116,16 +118,6 @@ impl Severity {
             Severity::Ok => "ok",
             Severity::Warn => "warn",
             Severity::Critical => "critical",
-        }
-    }
-
-    /// Parses [`Severity::name`] output.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "ok" => Some(Severity::Ok),
-            "warn" => Some(Severity::Warn),
-            "critical" => Some(Severity::Critical),
-            _ => None,
         }
     }
 }
@@ -172,42 +164,10 @@ pub struct HealthFinding {
     pub detail: String,
 }
 
-impl HealthFinding {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"detector\": \"{}\", \"severity\": \"{}\", \"iteration\": {}, \"detail\": \"{}\"}}",
-            self.detector,
-            self.severity.name(),
-            self.iteration,
-            esc(&self.detail)
-        )
-    }
-}
-
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
-    }
-}
-
-/// The per-iteration health block carried on schema-v3
-/// [`RunEvent`](crate::RunEvent) lines: the current status, the sentinel
-/// gauges, explicit non-finite flags (the JSON renderer writes NaN/Inf
-/// as `null`, so the booleans carry what the numbers cannot), and any
-/// findings that fired *this* iteration.
+/// The per-iteration `health` block of a [`RunEvent`](crate::RunEvent):
+/// the current status, the sentinel gauges, an explicit non-finite flag
+/// (the stream writes NaN/Inf as `null`, so the boolean carries what the
+/// numbers cannot), and any findings that fired *this* iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthStatus {
     /// Worst severity currently active (fired detectors stay active
@@ -227,28 +187,6 @@ pub struct HealthStatus {
     pub findings: Vec<HealthFinding>,
 }
 
-impl HealthStatus {
-    /// Renders the block as a JSON object (the `health` field of a v3
-    /// metrics line).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self.findings.iter().map(HealthFinding::to_json).collect();
-        format!(
-            concat!(
-                "{{\"status\": \"{}\", \"nonfinite\": {}, \"grad_norm\": {}, ",
-                "\"weight_norm\": {}, \"update_ratio\": {}, \"nonfinite_params\": {}, ",
-                "\"findings\": [{}]}}"
-            ),
-            self.status.name(),
-            self.nonfinite,
-            fmt_opt(self.grad_norm),
-            fmt_opt(self.weight_norm),
-            fmt_opt(self.update_ratio),
-            self.nonfinite_params.map_or("null".to_string(), |c| c.to_string()),
-            findings.join(", "),
-        )
-    }
-}
-
 /// Run-level accumulation of every firing: the object embedded in
 /// flight-recorder dumps and printed by the `doctor` bin.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -262,20 +200,6 @@ pub struct HealthVerdict {
 }
 
 impl HealthVerdict {
-    /// Renders the verdict as JSON (`msrl.health_verdict.v1`).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self.findings.iter().map(HealthFinding::to_json).collect();
-        format!(
-            concat!(
-                "{{\"schema\": \"msrl.health_verdict.v1\", \"status\": \"{}\", ",
-                "\"iterations\": {}, \"findings\": [{}]}}"
-            ),
-            self.status.name(),
-            self.iterations,
-            findings.join(", "),
-        )
-    }
-
     /// Renders a ranked human-readable report: critical findings first,
     /// then warnings, each with its iteration and diagnosis.
     pub fn render(&self) -> String {
@@ -343,13 +267,16 @@ impl Default for HealthConfig {
     }
 }
 
+/// Exponentially weighted moving average; the first sample seeds it.
 #[derive(Debug, Clone, Copy, Default)]
-struct Ewma {
-    value: Option<f64>,
+pub struct Ewma {
+    /// The current average (`None` before the first sample).
+    pub value: Option<f64>,
 }
 
 impl Ewma {
-    fn update(&mut self, alpha: f64, x: f64) -> f64 {
+    /// Folds `x` in with weight `alpha` and returns the new average.
+    pub fn update(&mut self, alpha: f64, x: f64) -> f64 {
         let v = match self.value {
             Some(v) => v + alpha * (x - v),
             None => x,
@@ -363,7 +290,7 @@ impl Ewma {
 /// fire, exactly-once reporting, `rearm` consecutive healthy samples to
 /// re-arm.
 #[derive(Debug, Clone)]
-struct Hysteresis {
+pub struct Hysteresis {
     confirm: u32,
     rearm: u32,
     streak: u32,
@@ -372,7 +299,9 @@ struct Hysteresis {
 }
 
 impl Hysteresis {
-    fn new(confirm: u32, rearm: u32) -> Self {
+    /// A window that fires after `confirm` consecutive breaches and
+    /// re-arms after `rearm` consecutive healthy samples (both ≥ 1).
+    pub fn new(confirm: u32, rearm: u32) -> Self {
         Hysteresis {
             confirm: confirm.max(1),
             rearm: rearm.max(1),
@@ -384,7 +313,7 @@ impl Hysteresis {
 
     /// Feeds one breach/healthy observation; returns `true` on the one
     /// sample where the detector fires.
-    fn observe(&mut self, breach: bool) -> bool {
+    pub fn observe(&mut self, breach: bool) -> bool {
         if breach {
             self.healthy = 0;
             self.streak = self.streak.saturating_add(1);
@@ -406,7 +335,7 @@ impl Hysteresis {
     }
 
     /// Whether the detector has fired and not yet re-armed.
-    fn active(&self) -> bool {
+    pub fn active(&self) -> bool {
         !self.armed
     }
 }
@@ -641,7 +570,7 @@ impl HealthMonitor {
     }
 
     /// Appends an externally-produced finding (the replay path ingests
-    /// recorded v3 findings through this).
+    /// recorded findings through this).
     pub fn ingest(&mut self, f: HealthFinding) {
         if !self.findings.iter().any(|g| g.detector == f.detector && g.iteration == f.iteration) {
             self.findings.push(f);
@@ -668,83 +597,59 @@ impl Default for HealthMonitor {
 // Stream replay (the `doctor` engine)
 // ---------------------------------------------------------------------------
 
+/// The detector names, a closed set (the stream's parser rejects any
+/// other).
+pub(crate) const DETECTORS: [&str; 6] = [
+    "nonfinite",
+    "entropy_collapse",
+    "grad_explosion",
+    "reward_regression",
+    "tput_regression",
+    "staleness_breach",
+];
+
+impl From<&crate::RunEvent> for HealthSample {
+    fn from(ev: &crate::RunEvent) -> HealthSample {
+        let h = ev.health.as_ref();
+        HealthSample {
+            iteration: ev.iteration,
+            reward: ev.reward,
+            loss: ev.loss,
+            entropy: ev.entropy,
+            iters_per_sec: ev.iters_per_sec,
+            staleness_bound: ev.staleness,
+            staleness_observed: None,
+            grad_norm: h.and_then(|h| h.grad_norm),
+            weight_norm: h.and_then(|h| h.weight_norm),
+            update_ratio: h.and_then(|h| h.update_ratio),
+            // The stream writes NaN/Inf gauges as null; the recorded flag
+            // is then the only trace of the poison, so it re-poisons the
+            // sample.
+            nonfinite_params: h.and_then(|h| match h.nonfinite {
+                true => Some(h.nonfinite_params.unwrap_or(0).max(1)),
+                false => h.nonfinite_params,
+            }),
+        }
+    }
+}
+
 /// Replays a completed RunEvent JSONL stream through fresh detector
 /// banks (one per policy — CI streams interleave policies) and merges in
-/// every finding recorded on v3 `health` blocks. The result is the
+/// every finding recorded on `health` blocks. The result is the
 /// post-hoc verdict the `doctor` bin reports.
 ///
 /// # Errors
 ///
 /// A description of the first unparsable line.
 pub fn replay_stream(content: &str) -> Result<HealthVerdict, String> {
-    use serde_json::Value;
-    let num = |v: &Value| -> Option<f64> {
-        match v {
-            Value::I64(n) => Some(*n as f64),
-            Value::U64(n) => Some(*n as f64),
-            Value::F64(n) => Some(*n),
-            _ => None,
-        }
-    };
     let mut monitors: std::collections::BTreeMap<String, HealthMonitor> =
         std::collections::BTreeMap::new();
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = serde_json::value_from_str(line)
-            .map_err(|e| format!("line {}: not JSON: {e}", lineno + 1))?;
-        let Ok(Value::Str(policy)) = v.field("policy") else {
-            return Err(format!("line {}: missing policy", lineno + 1));
-        };
-        let m = monitors.entry(policy.clone()).or_default();
-        let opt = |key: &str| v.field(key).ok().and_then(&num);
-        let mut sample = HealthSample {
-            iteration: opt("iteration").unwrap_or(0.0) as u64,
-            reward: opt("reward").unwrap_or(0.0),
-            loss: opt("loss"),
-            entropy: opt("entropy"),
-            iters_per_sec: opt("iters_per_sec").unwrap_or(0.0),
-            staleness_bound: opt("staleness").unwrap_or(0.0) as u64,
-            ..HealthSample::default()
-        };
-        let mut recorded = Vec::new();
-        if let Ok(health) = v.field("health") {
-            let hopt = |key: &str| health.field(key).ok().and_then(&num);
-            sample.grad_norm = hopt("grad_norm");
-            sample.weight_norm = hopt("weight_norm");
-            sample.update_ratio = hopt("update_ratio");
-            sample.nonfinite_params = hopt("nonfinite_params").map(|c| c as u64);
-            // The stream renders NaN/Inf as null; the recorded flag is
-            // the only trace of the poison, so it re-poisons the sample.
-            if matches!(health.field("nonfinite"), Ok(Value::Bool(true)))
-                && sample.nonfinite_params.unwrap_or(0) == 0
-            {
-                sample.nonfinite_params = Some(1);
-            }
-            if let Ok(Value::Seq(fs)) = health.field("findings") {
-                for f in fs {
-                    let detector = match f.field("detector") {
-                        Ok(Value::Str(d)) => leak_detector_name(d),
-                        _ => "recorded",
-                    };
-                    let severity = match f.field("severity") {
-                        Ok(Value::Str(s)) => Severity::parse(s).unwrap_or(Severity::Warn),
-                        _ => Severity::Warn,
-                    };
-                    let detail = match f.field("detail") {
-                        Ok(Value::Str(d)) => format!("{d} (recorded)"),
-                        _ => "(recorded)".to_string(),
-                    };
-                    let iteration = f.field("iteration").ok().and_then(&num).unwrap_or(0.0) as u64;
-                    recorded.push(HealthFinding { detector, severity, iteration, detail });
-                }
-            }
-        }
-        m.observe(&sample);
-        for f in recorded {
-            m.ingest(f);
+    for (i, line) in content.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        let ev = crate::RunEvent::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let m = monitors.entry(ev.policy.clone()).or_default();
+        m.observe(&HealthSample::from(&ev));
+        for f in ev.health.into_iter().flat_map(|h| h.findings) {
+            m.ingest(HealthFinding { detail: format!("{} (recorded)", f.detail), ..f });
         }
     }
     let mut verdict = HealthVerdict::default();
@@ -755,24 +660,6 @@ pub fn replay_stream(content: &str) -> Result<HealthVerdict, String> {
         verdict.findings.extend(v.findings);
     }
     Ok(verdict)
-}
-
-/// Maps a recorded detector name back to its `&'static str` (detector
-/// names form a closed set; unknown names collapse to `"recorded"`).
-fn leak_detector_name(name: &str) -> &'static str {
-    for known in [
-        "nonfinite",
-        "entropy_collapse",
-        "grad_explosion",
-        "reward_regression",
-        "tput_regression",
-        "staleness_breach",
-    ] {
-        if name == known {
-            return known;
-        }
-    }
-    "recorded"
 }
 
 #[cfg(test)]
@@ -899,6 +786,25 @@ mod tests {
         assert_eq!(fired[0].severity, Severity::Warn, "finite spike is a warning, not critical");
     }
 
+    /// The metrics line the observer writes for sample `s`.
+    fn line(policy: &str, s: &HealthSample, health: Option<HealthStatus>) -> String {
+        let ev = crate::RunEvent {
+            policy: policy.to_string(),
+            iteration: s.iteration,
+            reward: s.reward,
+            loss: s.loss,
+            entropy: s.entropy,
+            iters_per_sec: s.iters_per_sec,
+            comm_bytes: 0,
+            staleness: s.staleness_bound,
+            plan_cache_hit_rate: None,
+            attr: None,
+            actsrv: None,
+            health,
+        };
+        ev.to_json_line() + "\n"
+    }
+
     #[test]
     fn status_json_and_verdict_roundtrip_through_replay() {
         let mut m = HealthMonitor::default();
@@ -910,20 +816,12 @@ mod tests {
                 s.nonfinite_params = Some(2);
             }
             let st = m.observe(&s);
-            lines.push_str(&format!(
-                concat!(
-                    "{{\"schema\": \"msrl.run_event.v3\", \"policy\": \"dp_a\", ",
-                    "\"iteration\": {}, \"reward\": {}, \"loss\": {}, \"entropy\": 0.6, ",
-                    "\"iters_per_sec\": 100, \"comm_bytes\": 0, \"staleness\": 1, ",
-                    "\"plan_cache_hit_rate\": null, \"health\": {}}}\n"
-                ),
-                i,
-                s.reward,
-                if i == 7 { "null".to_string() } else { "0.5".to_string() },
-                st.to_json(),
-            ));
+            lines.push_str(&line("dp_a", &s, Some(st)));
         }
-        assert_eq!(m.verdict().status, Severity::Critical);
+        let verdict = m.verdict();
+        assert_eq!(verdict.status, Severity::Critical);
+        let json = serde_json::to_string(&verdict).unwrap();
+        assert_eq!(serde_json::from_str::<HealthVerdict>(&json).unwrap(), verdict);
         let replayed = replay_stream(&lines).expect("replay parses");
         assert_eq!(replayed.status, Severity::Critical, "{}", replayed.render());
         assert!(
@@ -937,19 +835,18 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_quiet_on_healthy_v1_lines() {
+    fn replay_is_quiet_on_healthy_block_free_lines() {
         let mut lines = String::new();
         for i in 0..20 {
-            lines.push_str(&format!(
-                concat!(
-                    "{{\"schema\": \"msrl.run_event.v1\", \"policy\": \"dp_c\", ",
-                    "\"iteration\": {}, \"reward\": {}, \"loss\": 0.4, \"entropy\": 0.7, ",
-                    "\"iters_per_sec\": 50, \"comm_bytes\": 10, \"staleness\": 0, ",
-                    "\"plan_cache_hit_rate\": 0.9}}\n"
-                ),
-                i,
-                10.0 + i as f64
-            ));
+            let s = HealthSample {
+                iteration: i,
+                reward: 10.0 + i as f64,
+                loss: Some(0.4),
+                entropy: Some(0.7),
+                iters_per_sec: 50.0,
+                ..HealthSample::default()
+            };
+            lines.push_str(&line("dp_c", &s, None));
         }
         let verdict = replay_stream(&lines).expect("replay parses");
         assert_eq!(verdict.status, Severity::Ok, "{}", verdict.render());

@@ -35,7 +35,8 @@
 //! [`attribution`] module turns always-on phase/comm/eval step stamps
 //! into a per-iteration critical-path and time-attribution breakdown
 //! (rollout / learn / comm-blocked / idle / straggler slack per
-//! fragment) carried on `RunEvent` schema v2.
+//! fragment) carried in each `RunEvent`'s `attr` block; the [`health`]
+//! watchdog's streaming detectors add a `health` block.
 //!
 //! Two exporters turn a drained event stream into artefacts:
 //! [`chrome_trace`] emits Chrome trace-event JSON (open it in Perfetto or
@@ -83,8 +84,8 @@ pub use attribution::{
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
 pub use health::{
-    health_enabled, replay_stream, set_health_enabled, set_last_verdict, HealthConfig,
-    HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Severity,
+    health_enabled, replay_stream, set_health_enabled, set_last_verdict, Ewma, HealthConfig,
+    HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Hysteresis, Severity,
 };
 pub use histogram::{
     bucket_estimate, bucket_index, bucket_lower_bound, histogram_record, histogram_stats,

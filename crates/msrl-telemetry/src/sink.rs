@@ -1,47 +1,53 @@
-//! The training-metrics stream: one [`RunEvent`] per driver iteration,
+//! The training-metrics stream: one [`RunEvent`] per run iteration,
 //! written as JSONL to `MSRL_METRICS_FILE` and summarised as a
 //! Prometheus-style text exposition ([`metrics_text`], dumped to
 //! `MSRL_METRICS_TEXT_FILE` by [`flush_metrics`]).
 //!
-//! Every exec driver (`dp_a`–`dp_f`, `a3c`) emits the per-iteration
-//! training signal — episode return, loss, entropy, throughput, comm
-//! bytes, staleness, plan-cache hit-rate — the raw data behind the
-//! paper's throughput/convergence figures, streamed live instead of
+//! The fragment runner's observer (`msrl-runtime`'s `observe.rs`) is the
+//! one writer: once per iteration of every policy it emits the training
+//! signal — episode return, loss, entropy, throughput, comm bytes,
+//! staleness, plan-cache hit-rate — the raw data behind the paper's
+//! throughput/convergence figures, streamed live instead of
 //! reconstructed post-hoc. Each JSONL line is written with a single
 //! `write` on a file opened in append mode, so concurrent processes
 //! (the e2e test binaries in CI share one metrics file) never interleave
 //! partial lines.
 //!
-//! Two schemas coexist on one stream: plain training lines are
-//! `msrl.run_event.v1`; lines carrying a critical-path attribution
-//! ([`RunEvent::attr`]) are `msrl.run_event.v2` and add an `attr`
-//! object whose per-fragment components sum exactly to the iteration
-//! wall time — the validator enforces the identity.
+//! One schema, [`RUN_EVENT_SCHEMA`], whatever is switched on: the
+//! `attr` (critical-path attribution), `actsrv` (act-server batching)
+//! and `health` (watchdog) blocks are optional, and an absent block has
+//! no key at all. [`RunEvent::to_json_line`] and [`RunEvent::parse`] are
+//! the one serialise/parse pair; every reader — [`validate_metrics`],
+//! [`replay_stream`](crate::replay_stream) behind `doctor`, the live
+//! advisor behind `advise --live`, `top` — takes the typed event. Key
+//! names, integer `_ns` fields, absent-not-`null` blocks and `null` for
+//! a non-finite number are the wire contract the frozen ledger reader
+//! (`benchmark/src/stream.rs`) depends on.
 //!
-//! [`validate_metrics`] structurally checks a metrics file line by line;
-//! the `validate_metrics` binary wraps it for CI.
+//! [`validate_metrics`] parses a metrics file line by line and checks the
+//! invariants the types cannot state; the `validate_metrics` binary
+//! wraps it for CI.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::{Mutex, OnceLock};
 
-/// Schema tag of attribution-free metrics lines.
-pub const RUN_EVENT_SCHEMA: &str = "msrl.run_event.v1";
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Schema tag of metrics lines carrying a critical-path attribution.
-pub const RUN_EVENT_SCHEMA_V2: &str = "msrl.run_event.v2";
+use crate::{HealthFinding, HealthStatus, HealthVerdict, IterAttribution, Severity};
 
-/// Schema tag of metrics lines carrying a per-iteration health block
-/// (they may also carry an attribution).
-pub const RUN_EVENT_SCHEMA_V3: &str = "msrl.run_event.v3";
+/// Schema tag of every metrics line.
+pub const RUN_EVENT_SCHEMA: &str = "msrl.run_event.v4";
+
+/// Schema tag of a serialised [`HealthVerdict`].
+const HEALTH_VERDICT_SCHEMA: &str = "msrl.health_verdict.v1";
 
 /// Act-server activity during one iteration (counter deltas of the
 /// `actsrv.*` family): how many cross-actor batched forwards ran and
 /// how many observation rows they covered. Carried on [`RunEvent`] only
-/// when the act server is active — its presence does not bump the
-/// schema tag (both v1 and v2 lines may carry it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// when the act server is active.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActsrvStats {
     /// Batched forwards run by round leaders this iteration.
     pub batches: u64,
@@ -54,10 +60,11 @@ pub struct ActsrvStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunEvent {
     /// Distribution policy (`"dp_a"` … `"dp_f"`, `"a3c"`).
-    pub policy: &'static str,
+    pub policy: String,
     /// Zero-based iteration (for A3C: applied gradient push) index.
     pub iteration: u64,
-    /// Mean episode return observed this iteration.
+    /// Mean episode return observed this iteration (written as `null`
+    /// and read back as NaN when it is not finite).
     pub reward: f64,
     /// Training loss, when the driver computes one centrally.
     pub loss: Option<f64>,
@@ -71,130 +78,309 @@ pub struct RunEvent {
     pub staleness: u64,
     /// Plan-cache hit rate so far (`None` before any plan lookup).
     pub plan_cache_hit_rate: Option<f64>,
-    /// Critical-path attribution for the iteration; when present the
-    /// line is stamped schema v2 and carries the per-fragment breakdown.
-    pub attr: Option<crate::IterAttribution>,
+    /// Critical-path attribution for the iteration; `None` when
+    /// `MSRL_ATTR=0`.
+    pub attr: Option<IterAttribution>,
     /// Act-server batching activity this iteration; `None` when the
     /// cross-actor act server is off.
     pub actsrv: Option<ActsrvStats>,
-    /// Per-iteration health block from the watchdog; when present the
-    /// line is stamped schema v3 (see [`crate::health`]).
-    pub health: Option<crate::HealthStatus>,
+    /// Per-iteration health block from the watchdog (see
+    /// [`crate::health`]); `None` when `MSRL_HEALTH=0`.
+    pub health: Option<HealthStatus>,
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
+impl RunEvent {
+    /// Renders the event as one JSON line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        serde_json::to_string(self).expect("a value tree always renders")
+    }
+
+    /// Parses one metrics line — the only place a metrics line is turned
+    /// into a value tree.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, an unknown schema tag, a missing or mistyped
+    /// field, or an unknown label.
+    pub fn parse(line: &str) -> Result<RunEvent, serde_json::Error> {
+        serde_json::from_str(line)
+    }
+
+    /// The invariants the types cannot state: a non-empty policy, a hit
+    /// rate in [0,1], fragment components that sum exactly to the
+    /// fragment's wall, a clamped critical path, and act-server rows
+    /// covering its batches.
+    fn check(&self) -> Result<(), String> {
+        if self.policy.is_empty() {
+            return Err("empty policy".to_string());
+        }
+        if let Some(r) = self.plan_cache_hit_rate.filter(|r| !(0.0..=1.0).contains(r)) {
+            return Err(format!("plan_cache_hit_rate out of [0,1]: {r}"));
+        }
+        if let Some(a) = &self.attr {
+            if a.critical_path_ns > a.wall_ns {
+                return Err("critical_path_ns exceeds wall_ns (clamp missing)".to_string());
+            }
+            for (i, f) in a.fragments.iter().enumerate() {
+                let parts = [f.rollout_ns, f.learn_ns, f.comm_ns, f.eval_ns, f.idle_ns, f.slack_ns];
+                let sum: u128 = parts.iter().map(|&p| u128::from(p)).sum();
+                if sum != u128::from(f.wall_ns) {
+                    return Err(format!(
+                        "fragment {i}: components sum to {sum} but wall_ns is {}",
+                        f.wall_ns
+                    ));
+                }
+            }
+        }
+        match self.actsrv {
+            Some(s) if s.rows < s.batches => Err(format!(
+                "actsrv rows ({}) below batches ({}): every batched forward covers at least one row",
+                s.rows, s.batches
+            )),
+            _ => Ok(()),
+        }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Wire format. Hand-written where the shim's derive falls short: it can
+// neither omit an absent block, nor write a non-finite number as `null`,
+// nor read a label back into a closed set. `ActsrvStats` and
+// `FragmentAttr` derive theirs.
+// ---------------------------------------------------------------------------
+
+fn obj(entries: Vec<(&str, Value)>) -> Value {
+    Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A finite number, or `null` (JSON has no literal for NaN/Inf).
+fn num(x: f64) -> Value {
+    if x.is_finite() {
+        Value::F64(x)
+    } else {
+        Value::Null
+    }
+}
+
+fn opt_num(x: Option<f64>) -> Value {
+    x.map_or(Value::Null, num)
+}
+
+/// Reads field `key` of an object, naming the key in the error.
+fn get<T: Deserialize>(v: &Value, key: &str) -> Result<T, DeError> {
+    T::from_value(v.field(key)?).map_err(|e| DeError::new(format!("{key}: {e}")))
+}
+
+/// A number [`num`] may have written as `null`: reads back as NaN, so a
+/// poisoned value stays poisoned.
+fn get_num(v: &Value, key: &str) -> Result<f64, DeError> {
+    Ok(get::<Option<f64>>(v, key)?.unwrap_or(f64::NAN))
+}
+
+/// An optional block: absent is `None`, present must parse.
+fn get_block<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, DeError> {
+    v.field(key).map_or(Ok(None), |_| get(v, key).map(Some))
+}
+
+fn check_schema(v: &Value, tag: &str) -> Result<(), DeError> {
+    let schema: String = get(v, "schema")?;
+    if schema == tag {
+        Ok(())
+    } else {
+        Err(DeError::new(format!("schema {schema:?} is not {tag:?}")))
+    }
+}
+
+/// A label from a closed set.
+fn get_label(v: &Value, key: &str, known: &[&'static str]) -> Result<&'static str, DeError> {
+    let s: String = get(v, key)?;
+    known
+        .iter()
+        .copied()
+        .find(|k| *k == s)
+        .ok_or_else(|| DeError::new(format!("{key}: unknown {s:?}")))
+}
+
+impl Serialize for RunEvent {
+    fn to_value(&self) -> Value {
+        let mut m = vec![
+            ("schema", RUN_EVENT_SCHEMA.to_value()),
+            ("policy", self.policy.to_value()),
+            ("iteration", self.iteration.to_value()),
+            ("reward", num(self.reward)),
+            ("loss", opt_num(self.loss)),
+            ("entropy", opt_num(self.entropy)),
+            ("iters_per_sec", num(self.iters_per_sec)),
+            ("comm_bytes", self.comm_bytes.to_value()),
+            ("staleness", self.staleness.to_value()),
+            ("plan_cache_hit_rate", opt_num(self.plan_cache_hit_rate)),
+        ];
+        if let Some(a) = &self.attr {
+            m.push(("attr", a.to_value()));
+        }
+        if let Some(s) = &self.actsrv {
+            m.push(("actsrv", s.to_value()));
+        }
+        if let Some(h) = &self.health {
+            m.push(("health", h.to_value()));
+        }
+        obj(m)
+    }
+}
+
+impl Deserialize for RunEvent {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        check_schema(v, RUN_EVENT_SCHEMA)?;
+        Ok(RunEvent {
+            policy: get(v, "policy")?,
+            iteration: get(v, "iteration")?,
+            reward: get_num(v, "reward")?,
+            loss: get(v, "loss")?,
+            entropy: get(v, "entropy")?,
+            iters_per_sec: get_num(v, "iters_per_sec")?,
+            comm_bytes: get(v, "comm_bytes")?,
+            staleness: get(v, "staleness")?,
+            plan_cache_hit_rate: get(v, "plan_cache_hit_rate")?,
+            attr: get_block(v, "attr")?,
+            actsrv: get_block(v, "actsrv")?,
+            health: get_block(v, "health")?,
+        })
+    }
+}
+
+impl Serialize for IterAttribution {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("wall_ns", self.wall_ns.to_value()),
+            ("critical_path_ns", self.critical_path_ns.to_value()),
+            ("cp_clamped", self.cp_clamped.to_value()),
+            ("rollout_ns", self.rollout_ns.to_value()),
+            ("learn_ns", self.learn_ns.to_value()),
+            ("comm_ns", self.comm_ns.to_value()),
+            ("eval_ns", self.eval_ns.to_value()),
+            ("idle_ns", self.idle_ns.to_value()),
+            ("slack_ns", self.slack_ns.to_value()),
+            ("bottleneck", self.bottleneck.to_value()),
+            ("fragments", self.fragments.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for IterAttribution {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(IterAttribution {
+            wall_ns: get(v, "wall_ns")?,
+            critical_path_ns: get(v, "critical_path_ns")?,
+            cp_clamped: get(v, "cp_clamped")?,
+            rollout_ns: get(v, "rollout_ns")?,
+            learn_ns: get(v, "learn_ns")?,
+            comm_ns: get(v, "comm_ns")?,
+            eval_ns: get(v, "eval_ns")?,
+            idle_ns: get(v, "idle_ns")?,
+            slack_ns: get(v, "slack_ns")?,
+            bottleneck: get_label(v, "bottleneck", &crate::attribution::BOTTLENECKS)?,
+            fragments: get(v, "fragments")?,
+        })
+    }
+}
+
+impl Serialize for Severity {
+    fn to_value(&self) -> Value {
+        self.name().to_value()
+    }
+}
+
+impl Deserialize for Severity {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let s = String::from_value(v)?;
+        [Severity::Ok, Severity::Warn, Severity::Critical]
+            .into_iter()
+            .find(|known| known.name() == s)
+            .ok_or_else(|| DeError::new(format!("unknown severity {s:?}")))
+    }
+}
+
+impl Serialize for HealthStatus {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("status", self.status.to_value()),
+            ("nonfinite", self.nonfinite.to_value()),
+            ("grad_norm", opt_num(self.grad_norm)),
+            ("weight_norm", opt_num(self.weight_norm)),
+            ("update_ratio", opt_num(self.update_ratio)),
+            ("nonfinite_params", self.nonfinite_params.to_value()),
+            ("findings", self.findings.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for HealthStatus {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(HealthStatus {
+            status: get(v, "status")?,
+            nonfinite: get(v, "nonfinite")?,
+            grad_norm: get(v, "grad_norm")?,
+            weight_norm: get(v, "weight_norm")?,
+            update_ratio: get(v, "update_ratio")?,
+            nonfinite_params: get(v, "nonfinite_params")?,
+            findings: get(v, "findings")?,
+        })
+    }
+}
+
+impl Serialize for HealthFinding {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("detector", self.detector.to_value()),
+            ("severity", self.severity.to_value()),
+            ("iteration", self.iteration.to_value()),
+            ("detail", self.detail.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for HealthFinding {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(HealthFinding {
+            detector: get_label(v, "detector", &crate::health::DETECTORS)?,
+            severity: get(v, "severity")?,
+            iteration: get(v, "iteration")?,
+            detail: get(v, "detail")?,
+        })
+    }
+}
+
+impl Serialize for HealthVerdict {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("schema", HEALTH_VERDICT_SCHEMA.to_value()),
+            ("status", self.status.to_value()),
+            ("iterations", self.iterations.to_value()),
+            ("findings", self.findings.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for HealthVerdict {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        check_schema(v, HEALTH_VERDICT_SCHEMA)?;
+        Ok(HealthVerdict {
+            status: get(v, "status")?,
+            iterations: get(v, "iterations")?,
+            findings: get(v, "findings")?,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sink
+// ---------------------------------------------------------------------------
 
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
         "null".to_string()
-    }
-}
-
-fn attr_json(a: &crate::IterAttribution) -> String {
-    let mut frags = String::from("[");
-    for (i, f) in a.fragments.iter().enumerate() {
-        if i > 0 {
-            frags.push_str(", ");
-        }
-        frags.push_str(&format!(
-            concat!(
-                "{{\"role\": \"{}\", \"id\": {}, \"rollout_ns\": {}, \"learn_ns\": {}, ",
-                "\"comm_ns\": {}, \"eval_ns\": {}, \"idle_ns\": {}, \"slack_ns\": {}, ",
-                "\"busy_ns\": {}, \"wall_ns\": {}, \"straggler\": {}, \"critical\": {}}}"
-            ),
-            f.role,
-            f.fragment,
-            f.rollout_ns,
-            f.learn_ns,
-            f.comm_ns,
-            f.eval_ns,
-            f.idle_ns,
-            f.slack_ns,
-            f.busy_ns,
-            f.wall_ns,
-            f.straggler,
-            f.critical,
-        ));
-    }
-    frags.push(']');
-    format!(
-        concat!(
-            "{{\"wall_ns\": {}, \"critical_path_ns\": {}, \"cp_clamped\": {}, ",
-            "\"rollout_ns\": {}, ",
-            "\"learn_ns\": {}, \"comm_ns\": {}, \"eval_ns\": {}, \"idle_ns\": {}, ",
-            "\"slack_ns\": {}, \"bottleneck\": \"{}\", \"fragments\": {}}}"
-        ),
-        a.wall_ns,
-        a.critical_path_ns,
-        a.cp_clamped,
-        a.rollout_ns,
-        a.learn_ns,
-        a.comm_ns,
-        a.eval_ns,
-        a.idle_ns,
-        a.slack_ns,
-        a.bottleneck,
-        frags,
-    )
-}
-
-impl RunEvent {
-    /// The schema tag this event is stamped with: v3 when it carries a
-    /// health block, v2 when it carries (only) an attribution, v1
-    /// otherwise.
-    pub fn schema(&self) -> &'static str {
-        if self.health.is_some() {
-            RUN_EVENT_SCHEMA_V3
-        } else if self.attr.is_some() {
-            RUN_EVENT_SCHEMA_V2
-        } else {
-            RUN_EVENT_SCHEMA
-        }
-    }
-
-    /// Renders the event as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let attr_field = match &self.attr {
-            Some(a) => format!(", \"attr\": {}", attr_json(a)),
-            None => String::new(),
-        };
-        let actsrv_field = match &self.actsrv {
-            Some(s) => {
-                format!(", \"actsrv\": {{\"batches\": {}, \"rows\": {}}}", s.batches, s.rows)
-            }
-            None => String::new(),
-        };
-        let health_field = match &self.health {
-            Some(h) => format!(", \"health\": {}", h.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"schema\": \"{}\", \"policy\": \"{}\", \"iteration\": {}, ",
-                "\"reward\": {}, \"loss\": {}, \"entropy\": {}, \"iters_per_sec\": {}, ",
-                "\"comm_bytes\": {}, \"staleness\": {}, \"plan_cache_hit_rate\": {}{}{}{}}}"
-            ),
-            self.schema(),
-            self.policy,
-            self.iteration,
-            fmt_f64(self.reward),
-            fmt_opt(self.loss),
-            fmt_opt(self.entropy),
-            fmt_f64(self.iters_per_sec),
-            self.comm_bytes,
-            self.staleness,
-            fmt_opt(self.plan_cache_hit_rate),
-            attr_field,
-            actsrv_field,
-            health_field,
-        )
     }
 }
 
@@ -205,7 +391,7 @@ struct SinkState {
     /// Whether the env var has been consulted yet.
     resolved: bool,
     /// Last event per policy, for the text exposition.
-    last: BTreeMap<&'static str, RunEvent>,
+    last: BTreeMap<String, RunEvent>,
     /// Total events emitted by this process.
     emitted: u64,
     /// First write error since the last [`flush_metrics`] — emit is
@@ -272,7 +458,7 @@ pub fn emit_run_event(ev: &RunEvent) {
         }
     }
     s.emitted += 1;
-    s.last.insert(ev.policy, ev.clone());
+    s.last.insert(ev.policy.clone(), ev.clone());
 }
 
 /// Events emitted by this process so far.
@@ -367,204 +553,23 @@ pub fn flush_metrics() -> std::io::Result<()> {
     Ok(())
 }
 
-/// Structurally validates a JSONL metrics stream: every non-empty line
-/// must be a [`RunEvent`] object with the right field types (optionals
-/// may be `null`). Returns the number of valid lines.
+/// Validates a JSONL metrics stream: every non-empty line must parse as
+/// a [`RunEvent`] and hold its invariants (see [`RunEvent::parse`]).
+/// Returns the number of valid lines.
 ///
 /// # Errors
 ///
-/// A description of the first malformed line (1-based line number).
+/// A description of the first bad line (1-based line number).
 pub fn validate_metrics(content: &str) -> Result<usize, String> {
-    use serde_json::Value;
     let mut valid = 0usize;
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let n = lineno + 1;
-        let v = serde_json::value_from_str(line).map_err(|e| format!("line {n}: not JSON: {e}"))?;
-        let (v2, v3) = match v.field("schema") {
-            Ok(Value::Str(s)) if s == RUN_EVENT_SCHEMA => (false, false),
-            Ok(Value::Str(s)) if s == RUN_EVENT_SCHEMA_V2 => (true, false),
-            Ok(Value::Str(s)) if s == RUN_EVENT_SCHEMA_V3 => (false, true),
-            other => return Err(format!("line {n}: bad schema: {other:?}")),
-        };
-        match v.field("policy") {
-            Ok(Value::Str(p)) if !p.is_empty() => {}
-            other => return Err(format!("line {n}: bad policy: {other:?}")),
-        }
-        for key in ["iteration", "comm_bytes", "staleness"] {
-            if !matches!(v.field(key), Ok(Value::I64(_) | Value::U64(_))) {
-                return Err(format!("line {n}: missing integer field {key:?}"));
-            }
-        }
-        for key in ["reward", "iters_per_sec"] {
-            if !matches!(v.field(key), Ok(Value::I64(_) | Value::U64(_) | Value::F64(_))) {
-                return Err(format!("line {n}: missing numeric field {key:?}"));
-            }
-        }
-        for key in ["loss", "entropy", "plan_cache_hit_rate"] {
-            match v.field(key) {
-                Ok(Value::Null | Value::I64(_) | Value::U64(_) | Value::F64(_)) => {}
-                other => return Err(format!("line {n}: bad optional field {key:?}: {other:?}")),
-            }
-        }
-        if let Ok(Value::F64(r)) = v.field("plan_cache_hit_rate") {
-            if !(0.0..=1.0).contains(r) {
-                return Err(format!("line {n}: plan_cache_hit_rate out of [0,1]: {r}"));
-            }
-        }
-        if v2 {
-            validate_attr(&v, n)?;
-        } else if !v3 && v.field("attr").is_ok() {
-            return Err(format!("line {n}: v1 line must not carry an attr object"));
-        }
-        if v3 {
-            // A v3 line must carry a health block and may also carry an
-            // attribution (health presence wins the schema tag).
-            validate_health(&v, n)?;
-            if v.field("attr").is_ok() {
-                validate_attr(&v, n)?;
-            }
-        } else if v.field("health").is_ok() {
-            return Err(format!("line {n}: only v3 lines may carry a health object"));
-        }
-        if let Ok(actsrv) = v.field("actsrv") {
-            let uint = |key: &str| -> Result<u64, String> {
-                match actsrv.field(key) {
-                    Ok(Value::U64(x)) => Ok(*x),
-                    Ok(Value::I64(x)) if *x >= 0 => Ok(*x as u64),
-                    other => Err(format!(
-                        "line {n}: actsrv field {key:?} not a non-negative int: {other:?}"
-                    )),
-                }
-            };
-            let (batches, rows) = (uint("batches")?, uint("rows")?);
-            if batches > 0 && rows < batches {
-                return Err(format!(
-                    "line {n}: actsrv rows ({rows}) below batches ({batches}): every \
-                     batched forward covers at least one row"
-                ));
-            }
-        }
+    for (i, line) in content.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        RunEvent::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|ev| ev.check())
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
         valid += 1;
     }
     Ok(valid)
-}
-
-/// Validates the `attr` object of a v2 line: required numeric fields, a
-/// known bottleneck label, and per-fragment components that sum exactly
-/// to the fragment's wall time (the attribution identity).
-fn validate_attr(v: &serde_json::Value, n: usize) -> Result<(), String> {
-    use serde_json::Value;
-    let Ok(attr) = v.field("attr") else {
-        return Err(format!("line {n}: v2 line missing attr object"));
-    };
-    let uint = |obj: &Value, key: &str| -> Result<u64, String> {
-        match obj.field(key) {
-            Ok(Value::U64(x)) => Ok(*x),
-            Ok(Value::I64(x)) if *x >= 0 => Ok(*x as u64),
-            other => Err(format!("line {n}: attr field {key:?} not a non-negative int: {other:?}")),
-        }
-    };
-    for key in [
-        "wall_ns",
-        "critical_path_ns",
-        "rollout_ns",
-        "learn_ns",
-        "comm_ns",
-        "eval_ns",
-        "idle_ns",
-        "slack_ns",
-    ] {
-        uint(attr, key)?;
-    }
-    match attr.field("bottleneck") {
-        Ok(Value::Str(b)) if matches!(b.as_str(), "rollout" | "learn" | "comm" | "idle") => {}
-        other => return Err(format!("line {n}: bad attr bottleneck: {other:?}")),
-    }
-    if !matches!(attr.field("cp_clamped"), Ok(Value::Bool(_))) {
-        return Err(format!("line {n}: attr missing bool field \"cp_clamped\""));
-    }
-    // The clamp invariant itself: a reported critical path never
-    // exceeds the iteration wall.
-    if uint(attr, "critical_path_ns")? > uint(attr, "wall_ns")? {
-        return Err(format!("line {n}: critical_path_ns exceeds wall_ns (clamp missing)"));
-    }
-    let Ok(Value::Seq(frags)) = attr.field("fragments") else {
-        return Err(format!("line {n}: attr missing fragments array"));
-    };
-    for (i, f) in frags.iter().enumerate() {
-        match f.field("role") {
-            Ok(Value::Str(r)) if !r.is_empty() => {}
-            other => return Err(format!("line {n}: fragment {i}: bad role: {other:?}")),
-        }
-        uint(f, "id")?;
-        for key in ["straggler", "critical"] {
-            if !matches!(f.field(key), Ok(Value::Bool(_))) {
-                return Err(format!("line {n}: fragment {i}: missing bool field {key:?}"));
-            }
-        }
-        let parts: Result<Vec<u64>, String> =
-            ["rollout_ns", "learn_ns", "comm_ns", "eval_ns", "idle_ns", "slack_ns"]
-                .iter()
-                .map(|k| uint(f, k))
-                .collect();
-        let sum: u64 = parts?.iter().sum();
-        let wall = uint(f, "wall_ns")?;
-        if sum != wall {
-            return Err(format!(
-                "line {n}: fragment {i}: components sum to {sum} but wall_ns is {wall}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the `health` object of a v3 line: a known status label, an
-/// explicit non-finite flag, null-or-numeric sentinel gauges, and a
-/// findings array of well-formed firings.
-fn validate_health(v: &serde_json::Value, n: usize) -> Result<(), String> {
-    use serde_json::Value;
-    let Ok(health) = v.field("health") else {
-        return Err(format!("line {n}: v3 line missing health object"));
-    };
-    match health.field("status") {
-        Ok(Value::Str(s)) if crate::Severity::parse(s).is_some() => {}
-        other => return Err(format!("line {n}: bad health status: {other:?}")),
-    }
-    if !matches!(health.field("nonfinite"), Ok(Value::Bool(_))) {
-        return Err(format!("line {n}: health missing bool field \"nonfinite\""));
-    }
-    for key in ["grad_norm", "weight_norm", "update_ratio"] {
-        match health.field(key) {
-            Ok(Value::Null | Value::I64(_) | Value::U64(_) | Value::F64(_)) => {}
-            other => return Err(format!("line {n}: bad health field {key:?}: {other:?}")),
-        }
-    }
-    match health.field("nonfinite_params") {
-        Ok(Value::Null | Value::U64(_)) => {}
-        Ok(Value::I64(x)) if *x >= 0 => {}
-        other => return Err(format!("line {n}: bad health nonfinite_params: {other:?}")),
-    }
-    let Ok(Value::Seq(findings)) = health.field("findings") else {
-        return Err(format!("line {n}: health missing findings array"));
-    };
-    for (i, f) in findings.iter().enumerate() {
-        match f.field("detector") {
-            Ok(Value::Str(d)) if !d.is_empty() => {}
-            other => return Err(format!("line {n}: finding {i}: bad detector: {other:?}")),
-        }
-        match f.field("severity") {
-            Ok(Value::Str(s)) if crate::Severity::parse(s).is_some() => {}
-            other => return Err(format!("line {n}: finding {i}: bad severity: {other:?}")),
-        }
-        if !matches!(f.field("iteration"), Ok(Value::I64(_) | Value::U64(_))) {
-            return Err(format!("line {n}: finding {i}: missing iteration"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -573,7 +578,7 @@ mod tests {
 
     fn sample(iteration: u64) -> RunEvent {
         RunEvent {
-            policy: "dp_a",
+            policy: "dp_a".into(),
             iteration,
             reward: 21.5,
             loss: Some(0.42),
@@ -588,7 +593,7 @@ mod tests {
         }
     }
 
-    fn sample_v2(iteration: u64) -> RunEvent {
+    fn with_attr(iteration: u64) -> RunEvent {
         let stamps = vec![
             crate::StepStamp {
                 role: "actor",
@@ -608,36 +613,7 @@ mod tests {
         RunEvent { attr: Some(crate::attribute(&stamps, 0, 100, 2.0)), ..sample(iteration) }
     }
 
-    #[test]
-    fn json_lines_validate() {
-        let lines: Vec<String> = (0..3).map(|i| sample(i).to_json_line()).collect();
-        let content = lines.join("\n");
-        assert_eq!(validate_metrics(&content).expect("valid stream"), 3);
-        // Optionals may be null.
-        let mut ev = sample(9);
-        ev.loss = None;
-        ev.entropy = None;
-        ev.plan_cache_hit_rate = None;
-        assert_eq!(validate_metrics(&ev.to_json_line()).unwrap(), 1);
-    }
-
-    #[test]
-    fn v2_lines_validate_and_mix_with_v1() {
-        let ev = sample_v2(3);
-        assert_eq!(ev.schema(), RUN_EVENT_SCHEMA_V2);
-        let line = ev.to_json_line();
-        assert!(line.contains("\"schema\": \"msrl.run_event.v2\""));
-        assert!(line.contains("\"bottleneck\": \"rollout\""));
-        assert!(line.contains("\"fragments\": ["));
-        let mixed = format!("{}\n{}", sample(2).to_json_line(), line);
-        assert_eq!(validate_metrics(&mixed).expect("v1 and v2 both accepted"), 2);
-        // A v2 line whose fragment components do not sum to the wall is
-        // rejected — the identity is part of the schema.
-        let broken = line.replacen("\"rollout_ns\": 95", "\"rollout_ns\": 96", 1);
-        assert!(validate_metrics(&broken).is_err());
-    }
-
-    fn sample_v3(iteration: u64) -> RunEvent {
+    fn with_health(iteration: u64) -> RunEvent {
         let mut monitor = crate::HealthMonitor::default();
         let health = monitor.observe(&crate::HealthSample {
             iteration,
@@ -656,29 +632,49 @@ mod tests {
     }
 
     #[test]
-    fn v3_lines_validate_and_mix_with_older_schemas() {
-        let ev = sample_v3(4);
-        assert_eq!(ev.schema(), RUN_EVENT_SCHEMA_V3);
+    fn json_lines_validate() {
+        let lines: Vec<String> = (0..3).map(|i| sample(i).to_json_line()).collect();
+        let content = lines.join("\n");
+        assert_eq!(validate_metrics(&content).expect("valid stream"), 3);
+        // Optionals may be null.
+        let mut ev = sample(9);
+        ev.loss = None;
+        ev.entropy = None;
+        ev.plan_cache_hit_rate = None;
+        assert_eq!(validate_metrics(&ev.to_json_line()).unwrap(), 1);
+        assert_eq!(RunEvent::parse(&ev.to_json_line()).unwrap(), ev);
+    }
+
+    #[test]
+    fn attr_blocks_validate_and_must_sum_to_wall() {
+        let ev = with_attr(3);
         let line = ev.to_json_line();
-        assert!(line.contains("\"schema\": \"msrl.run_event.v3\""));
-        assert!(line.contains("\"health\": {\"status\": \"ok\", \"nonfinite\": false"));
-        assert!(line.contains("\"findings\": []"));
-        let mixed =
-            format!("{}\n{}\n{}", sample(1).to_json_line(), sample_v2(2).to_json_line(), line);
-        assert_eq!(validate_metrics(&mixed).expect("all three schemas accepted"), 3);
-        // Health on v3 may coexist with an attribution.
-        let both = RunEvent { health: sample_v3(5).health, ..sample_v2(5) };
-        assert_eq!(both.schema(), RUN_EVENT_SCHEMA_V3);
+        assert_eq!(RunEvent::parse(&line).unwrap(), ev);
+        let mixed = format!("{}\n{}", sample(2).to_json_line(), line);
+        assert_eq!(validate_metrics(&mixed).expect("lines with and without attr"), 2);
+        // A fragment whose components do not sum to its wall is rejected
+        // — the identity is part of the schema.
+        let mut broken = ev.clone();
+        broken.attr.as_mut().unwrap().fragments[0].rollout_ns += 1;
+        assert!(validate_metrics(&broken.to_json_line()).is_err());
+        // So is an unclamped critical path and an unknown bottleneck.
+        let mut unclamped = ev.clone();
+        unclamped.attr.as_mut().unwrap().critical_path_ns = 101;
+        assert!(validate_metrics(&unclamped.to_json_line()).is_err());
+        let unknown = line.replacen("\"bottleneck\":\"rollout\"", "\"bottleneck\":\"nap\"", 1);
+        assert_ne!(unknown, line);
+        assert!(validate_metrics(&unknown).is_err());
+    }
+
+    #[test]
+    fn health_blocks_validate_and_nonfinite_gauges_render_null() {
+        let ev = with_health(4);
+        assert_eq!(RunEvent::parse(&ev.to_json_line()).unwrap(), ev);
+        // Health may coexist with an attribution on one line.
+        let both = RunEvent { health: with_health(5).health, ..with_attr(5) };
         assert_eq!(validate_metrics(&both.to_json_line()).expect("attr+health validates"), 1);
-        // A v1 line must not smuggle a health object.
-        let smuggled = sample(6).to_json_line().replacen(
-            ", \"plan_cache_hit_rate\"",
-            ", \"health\": {\"status\": \"ok\"}, \"plan_cache_hit_rate\"",
-            1,
-        );
-        assert!(validate_metrics(&smuggled).is_err());
         // A bad status label is rejected.
-        let bad = line.replacen("\"status\": \"ok\"", "\"status\": \"meh\"", 1);
+        let bad = ev.to_json_line().replacen("\"status\":\"ok\"", "\"status\":\"meh\"", 1);
         assert!(validate_metrics(&bad).is_err());
         // NaN gauges render as null and still validate; the explicit
         // nonfinite flag carries the poison.
@@ -692,13 +688,52 @@ mod tests {
             nonfinite_params: Some(4),
             ..crate::HealthSample::default()
         });
-        assert_eq!(health.status, crate::Severity::Critical);
+        assert_eq!(health.status, Severity::Critical);
         let poisoned = RunEvent { health: Some(health), ..sample(7) };
         let pline = poisoned.to_json_line();
-        assert!(pline.contains("\"nonfinite\": true"));
-        assert!(pline.contains("\"grad_norm\": null"));
-        assert!(pline.contains("\"detector\": \"nonfinite\""));
+        assert!(pline.contains("\"grad_norm\":null"));
         assert_eq!(validate_metrics(&pline).expect("poisoned line still validates"), 1);
+        let h = RunEvent::parse(&pline).unwrap().health.unwrap();
+        assert!(h.nonfinite);
+        assert_eq!(h.grad_norm, None);
+        assert_eq!(h.findings[0].detector, "nonfinite");
+    }
+
+    #[test]
+    fn nonfinite_reward_validates_and_convicts_on_replay() {
+        // The stream writes a NaN reward as null. It is still a valid
+        // line, and replay reads it back as non-finite: the stream
+        // `doctor` clears must be the stream the live watchdog convicts.
+        let ev = RunEvent { reward: f64::NAN, iters_per_sec: f64::INFINITY, ..sample(3) };
+        let line = ev.to_json_line();
+        assert!(line.contains("\"reward\":null"));
+        assert_eq!(validate_metrics(&line), Ok(1));
+        let verdict = crate::replay_stream(&line).expect("replays");
+        assert_eq!(verdict.status, Severity::Critical, "{}", verdict.render());
+        assert!(verdict.findings.iter().any(|f| f.detector == "nonfinite"));
+    }
+
+    #[test]
+    fn absent_blocks_have_no_key_and_ns_fields_are_integers() {
+        // The frozen ledger reader (`benchmark/src/stream.rs`) takes a
+        // present `attr` key for a block and reads its `_ns` fields as
+        // numbers: an absent block must not be written as `null`.
+        let bare = serde_json::value_from_str(&sample(1).to_json_line()).unwrap();
+        for key in ["attr", "actsrv", "health"] {
+            assert!(bare.field(key).is_err(), "absent {key} has no key");
+        }
+        let line = RunEvent { actsrv: Some(ActsrvStats { batches: 2, rows: 9 }), ..with_attr(2) };
+        let v = serde_json::value_from_str(&line.to_json_line()).unwrap();
+        let attr = v.field("attr").unwrap();
+        let frag = attr.field("fragments").unwrap().index(0).unwrap();
+        for key in
+            ["wall_ns", "rollout_ns", "learn_ns", "comm_ns", "eval_ns", "idle_ns", "slack_ns"]
+        {
+            assert!(matches!(attr.field(key), Ok(Value::I64(_))), "attr.{key} is an integer");
+            assert!(matches!(frag.field(key), Ok(Value::I64(_))), "fragment {key} is an integer");
+        }
+        assert_eq!(v.field("iteration"), Ok(&Value::I64(2)));
+        assert_eq!(v.field("schema"), Ok(&Value::Str(RUN_EVENT_SCHEMA.to_string())));
     }
 
     #[test]
@@ -724,17 +759,15 @@ mod tests {
     fn actsrv_stats_render_and_validate() {
         let ev = RunEvent { actsrv: Some(ActsrvStats { batches: 32, rows: 192 }), ..sample(4) };
         let line = ev.to_json_line();
-        assert!(line.contains("\"actsrv\": {\"batches\": 32, \"rows\": 192}"));
-        // Present on v1 lines without a schema bump, absent when None.
-        assert!(line.contains("\"schema\": \"msrl.run_event.v1\""));
+        assert!(line.contains("\"actsrv\":{\"batches\":32,\"rows\":192}"));
         assert!(!sample(4).to_json_line().contains("actsrv"));
         let mixed = format!("{}\n{}", line, sample(5).to_json_line());
         assert_eq!(validate_metrics(&mixed).expect("actsrv lines validate"), 2);
         // rows < batches breaks the at-least-one-row-per-forward
         // invariant and is rejected.
-        let broken = line.replacen("\"rows\": 192", "\"rows\": 7", 1);
+        let broken = line.replacen("\"rows\":192", "\"rows\":7", 1);
         assert!(validate_metrics(&broken).is_err());
-        let bad_type = line.replacen("\"batches\": 32", "\"batches\": \"32\"", 1);
+        let bad_type = line.replacen("\"batches\":32", "\"batches\":\"32\"", 1);
         assert!(validate_metrics(&bad_type).is_err());
     }
 
@@ -762,6 +795,12 @@ mod tests {
         assert!(validate_metrics(truncated).is_err());
         let bad_rate = sample(0).to_json_line().replace("0.97", "1.97");
         assert!(validate_metrics(&bad_rate).is_err());
+        // Any other tag is not this schema.
+        let other = sample(0).to_json_line().replace(RUN_EVENT_SCHEMA, "msrl.run_event.v0");
+        assert!(validate_metrics(&other).is_err());
+        // A present block is a block: `null` is not "absent".
+        let null_attr = sample(0).to_json_line().replacen('}', ",\"attr\":null}", 1);
+        assert!(validate_metrics(&null_attr).is_err());
     }
 
     #[test]

@@ -100,7 +100,7 @@ proptest! {
             let sum = f.rollout_ns + f.learn_ns + f.comm_ns + f.eval_ns + f.idle_ns + f.slack_ns;
             prop_assert_eq!(
                 sum, f.wall_ns,
-                "fragment {}/{} components {sum} must equal wall {}", f.role.clone(), f.fragment, f.wall_ns
+                "fragment {}/{} components {sum} must equal wall {}", f.role.clone(), f.id, f.wall_ns
             );
             prop_assert_eq!(f.busy_ns, f.rollout_ns + f.learn_ns + f.comm_ns + f.eval_ns);
             prop_assert!(f.busy_ns <= f.wall_ns, "overlapping stamps must not double count");

@@ -1,6 +1,6 @@
 //! End-to-end run-health contract (DESIGN §3.15): an induced mid-run
 //! NaN must be caught by the watchdog within one iteration, embed a
-//! critical finding in the schema-v3 metrics stream, trigger a
+//! critical finding in the metrics stream's `health` block, trigger a
 //! flight-recorder dump carrying the health verdict, and convict the
 //! completed stream on replay (the `doctor` path).
 //!
@@ -13,6 +13,8 @@
 
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
+use msrl_telemetry::{HealthStatus, HealthVerdict, RunEvent, Severity};
+use serde::Deserialize;
 
 #[test]
 fn induced_nan_fires_watchdog_dump_and_doctor() {
@@ -46,37 +48,34 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
         "the fault injection must actually poison the final weights"
     );
 
-    // The stream upgraded itself to schema v3 and still validates.
+    // Every event carries a health block and the stream validates.
     let stream = std::fs::read_to_string(&metrics_path).expect("metrics file written");
-    assert!(
-        stream.contains("\"schema\": \"msrl.run_event.v3\""),
-        "health-on events carry the v3 health block"
-    );
-    let lines = msrl_telemetry::validate_metrics(&stream).expect("poisoned v3 stream validates");
+    let lines = msrl_telemetry::validate_metrics(&stream).expect("poisoned stream validates");
     assert_eq!(lines, dist.iterations, "one event per iteration");
+    let health: Vec<HealthStatus> = stream
+        .lines()
+        .map(|l| RunEvent::parse(l).expect("line parses").health.expect("health-on events"))
+        .collect();
 
     // Detection within one iteration: the injection iteration's own
     // event carries the critical nonfinite finding; every earlier event
     // is clean.
-    let events: Vec<&str> = stream.lines().filter(|l| !l.trim().is_empty()).collect();
-    let last = events.last().expect("stream has events");
-    assert!(last.contains("\"nonfinite\": true"), "poisoned event flags nonfinite: {last}");
-    assert!(last.contains("\"detector\": \"nonfinite\""), "nonfinite detector fired: {last}");
-    assert!(last.contains("\"severity\": \"critical\""), "the firing is critical: {last}");
-    for clean in &events[..events.len() - 1] {
+    let (last, clean) = health.split_last().expect("stream has events");
+    assert!(last.nonfinite, "poisoned event flags nonfinite: {last:?}");
+    let finding = last.findings.first().expect("the poisoned event carries a finding");
+    assert_eq!(finding.detector, "nonfinite", "nonfinite detector fired: {last:?}");
+    assert_eq!(finding.severity, Severity::Critical, "the firing is critical: {last:?}");
+    for h in clean {
         assert!(
-            clean.contains("\"status\": \"ok\"") && clean.contains("\"nonfinite\": false"),
-            "pre-injection events stay healthy: {clean}"
+            h.status == Severity::Ok && !h.nonfinite,
+            "pre-injection events stay healthy: {h:?}"
         );
-        assert!(
-            !clean.contains("\"grad_norm\": null"),
-            "learner-side events carry the sentinel gauges: {clean}"
-        );
+        assert!(h.grad_norm.is_some(), "learner-side events carry the sentinel gauges: {h:?}");
     }
 
     // Replay (the doctor path) convicts the completed stream.
     let verdict = msrl_telemetry::replay_stream(&stream).expect("stream replays");
-    assert_eq!(verdict.status, msrl_telemetry::Severity::Critical, "doctor verdict is critical");
+    assert_eq!(verdict.status, Severity::Critical, "doctor verdict is critical");
     assert!(verdict.findings.iter().any(|f| f.detector.contains("nonfinite")));
     assert!(verdict.render().starts_with("verdict: CRITICAL"));
 
@@ -95,9 +94,13 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     assert!(!dumps.is_empty(), "the critical firing dumps the flight recorder");
     let dump = std::fs::read_to_string(&dumps[0]).expect("dump readable");
     msrl_telemetry::flightrec::validate_flightrec(&dump).expect("dump validates");
-    assert!(dump.contains("\"health\":"), "dump embeds the health verdict");
-    assert!(dump.contains("msrl.health_verdict.v1"), "verdict carries its schema tag");
-    assert!(dump.contains("nonfinite"), "verdict names the firing detector");
+    let dump: serde::Value = serde_json::from_str(&dump).expect("dump parses");
+    let embedded = dump.field("health").expect("dump embeds the health verdict");
+    let embedded = HealthVerdict::from_value(embedded).expect("the verdict parses");
+    assert!(
+        embedded.findings.iter().any(|f| f.detector == "nonfinite"),
+        "verdict names the firing detector: {embedded:?}"
+    );
 
     // Keep the poisoned stream for the CI doctor demo, or clean up.
     match std::env::var("MSRL_HEALTH_E2E_KEEP") {

@@ -9,43 +9,33 @@ use msrl_core::interp::Interpreter;
 use msrl_core::trace::{trace_mlp, TraceCtx};
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
+use msrl_telemetry::RunEvent;
 use msrl_tensor::Tensor;
-use serde::Deserialize;
 
-/// Asserts every line of an untraced metrics stream carries a v2
+/// Parses every line of a metrics stream.
+fn events(stream: &str) -> Vec<RunEvent> {
+    stream.lines().map(|l| RunEvent::parse(l).expect("metrics line parses")).collect()
+}
+
+/// Asserts every event of an untraced metrics stream carries an
 /// attribution whose components account for the iteration wall time
 /// within 2% (they are exact modulo the per-component floor division),
 /// with a sane critical path and at least one fragment on it.
 fn check_attribution_accounts_for_wall(stream: &str, policy: &str) {
     let mut checked = 0usize;
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let root = serde_json::value_from_str(line).expect("metrics line parses");
-        let attr = root.field("attr").unwrap_or_else(|_| panic!("{policy}: event lacks attr"));
-        let num = |name: &str| -> u64 {
-            attr.field(name).ok().and_then(|v| u64::from_value(v).ok()).unwrap_or(0)
-        };
-        let wall = num("wall_ns");
-        let parts = num("rollout_ns")
-            + num("learn_ns")
-            + num("comm_ns")
-            + num("eval_ns")
-            + num("idle_ns")
-            + num("slack_ns");
+    for ev in events(stream) {
+        assert_eq!(ev.policy, policy);
+        let attr = ev.attr.unwrap_or_else(|| panic!("{policy}: event lacks attr"));
+        let (wall, parts) = (attr.wall_ns, attr.component_sum_ns());
         assert!(
             wall.abs_diff(parts) as f64 <= wall as f64 * 0.02,
             "{policy}: attribution components ({parts} ns) must account for the \
-             iteration wall time ({wall} ns) within 2%: {line}"
+             iteration wall time ({wall} ns) within 2%: {attr:?}"
         );
-        let serde::Value::Seq(frags) = attr.field("fragments").expect("fragments array") else {
-            panic!("{policy}: fragments is not an array");
-        };
-        assert!(!frags.is_empty(), "{policy}: at least one fragment attributed");
-        let on_path = frags
-            .iter()
-            .filter(|f| matches!(f.field("critical"), Ok(serde::Value::Bool(true))))
-            .count();
+        assert!(!attr.fragments.is_empty(), "{policy}: at least one fragment attributed");
+        let on_path = attr.fragments.iter().filter(|f| f.critical).count();
         assert!(on_path >= 1, "{policy}: the critical path touches at least one fragment");
-        assert!(num("critical_path_ns") > 0, "{policy}: non-trivial critical path");
+        assert!(attr.critical_path_ns > 0, "{policy}: non-trivial critical path");
         checked += 1;
     }
     assert!(checked > 0, "{policy}: stream holds attribution events");
@@ -219,19 +209,12 @@ fn telemetry_observes_without_perturbing() {
     let stream = std::fs::read_to_string(&metrics_path).expect("metrics file written");
     let lines = msrl_telemetry::validate_metrics(&stream).expect("every line is a valid RunEvent");
     assert_eq!(lines, dist.iterations, "the file holds exactly this run's events");
-    assert!(stream.contains("\"policy\": \"dp_a\""));
 
-    // 5b. The untraced stream upgrades itself past schema v1: every
-    //     event carries the critical-path attribution, and the breakdown
-    //     accounts for the iteration wall time within 2% — no
-    //     MSRL_TRACE, no extra flags. With the health watchdog on (the
-    //     default) the line also carries a health block and reads v3;
-    //     with MSRL_HEALTH=0 it stays v2. Either way attribution rides.
-    assert!(
-        stream.contains("\"schema\": \"msrl.run_event.v2\"")
-            || stream.contains("\"schema\": \"msrl.run_event.v3\""),
-        "untraced events carry attribution (schema v2/v3)"
-    );
+    // 5b. Untraced, every event still carries the critical-path
+    //     attribution, and the breakdown accounts for the iteration wall
+    //     time within 2% — no MSRL_TRACE, no extra flags. (With the
+    //     health watchdog on, the default, it also carries a health
+    //     block; the schema is the same either way.)
     check_attribution_accounts_for_wall(&stream, "dp_a");
     msrl_telemetry::set_metrics_file(None);
     let _ = std::fs::remove_file(&metrics_path);
@@ -251,7 +234,7 @@ fn telemetry_observes_without_perturbing() {
     let stream_c = std::fs::read_to_string(&metrics_path_c).expect("dp_c metrics written");
     let lines_c =
         msrl_telemetry::validate_metrics(&stream_c).expect("dp_c events validate (exact sums)");
-    assert_eq!(lines_c, dist.iterations, "one v2 event per DP-C iteration");
+    assert_eq!(lines_c, dist.iterations, "one attributed event per DP-C iteration");
     check_attribution_accounts_for_wall(&stream_c, "dp_c");
     let _ = std::fs::remove_file(&metrics_path_c);
 
