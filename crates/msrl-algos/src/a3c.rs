@@ -124,12 +124,14 @@ pub struct A3cLearner {
     pub policy: PpoPolicy,
     opt: Adam,
     updates: usize,
+    /// The parameters before the current update, for the health sentinel.
+    before: Vec<f32>,
 }
 
 impl A3cLearner {
     /// Creates the learner.
     pub fn new(policy: PpoPolicy, cfg: &A3cConfig) -> Self {
-        A3cLearner { policy, opt: Adam::new(cfg.lr), updates: 0 }
+        A3cLearner { policy, opt: Adam::new(cfg.lr), updates: 0, before: Vec::new() }
     }
 
     /// Number of gradient applications so far.
@@ -182,7 +184,9 @@ impl Learner for A3cLearner {
             offset += len;
         }
         let sentinel = msrl_telemetry::health_enabled();
-        let before = if sentinel { self.policy.flatten() } else { Vec::new() };
+        if sentinel {
+            crate::sentinel::snapshot(&mut self.before, self.policy.params());
+        }
         {
             let mut params = self.policy.actor.params_mut();
             params.extend(self.policy.critic.params_mut());
@@ -192,8 +196,8 @@ impl Learner for A3cLearner {
         if sentinel {
             crate::sentinel::publish_update(
                 crate::sentinel::l2_norm(flat) as f32,
-                &before,
-                &self.policy.flatten(),
+                &self.before,
+                self.policy.params(),
             );
         }
         Ok(())

@@ -61,6 +61,8 @@ pub struct Dqn {
     rng: StdRng,
     act_steps: usize,
     updates: usize,
+    /// The parameters before the current update, for the health sentinel.
+    before: Vec<f32>,
 }
 
 impl Dqn {
@@ -79,7 +81,8 @@ impl Dqn {
         let q = Mlp::new(&sizes, Activation::Relu, Activation::Linear, &mut rng);
         let target = q.clone();
         let opt = Adam::new(cfg.lr);
-        Dqn { q, target, cfg, opt, rng: StdRng::seed_from_u64(seed + 1), act_steps: 0, updates: 0 }
+        let rng = StdRng::seed_from_u64(seed + 1);
+        Dqn { q, target, cfg, opt, rng, act_steps: 0, updates: 0, before: Vec::new() }
     }
 
     /// The current exploration rate (linear decay).
@@ -169,13 +172,15 @@ impl Learner for Dqn {
         let mut gs = qnet.take_grads(&mut grads);
         let grad_norm = clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
         let sentinel = msrl_telemetry::health_enabled();
-        let before = if sentinel { self.q.flatten_params() } else { Vec::new() };
+        if sentinel {
+            crate::sentinel::snapshot(&mut self.before, self.q.params());
+        }
         {
             let mut params = self.q.params_mut();
             self.opt.step(&mut params, &gs).map_err(FdgError::Tensor)?;
         }
         if sentinel {
-            crate::sentinel::publish_update(grad_norm, &before, &self.q.flatten_params());
+            crate::sentinel::publish_update(grad_norm, &self.before, self.q.params());
         }
         self.updates += 1;
         if self.updates.is_multiple_of(self.cfg.target_update_every) {

@@ -112,11 +112,18 @@ impl PpoPolicy {
         self.actor.num_params() + self.critic.num_params() + self.log_std.len()
     }
 
+    /// Every parameter tensor, in [`PpoPolicy::flatten`]'s order (the
+    /// log-std vector last, empty for a discrete policy).
+    pub fn params(&self) -> impl Iterator<Item = &Tensor> {
+        self.actor.params().into_iter().chain(self.critic.params()).chain([&self.log_std])
+    }
+
     /// Serialises all weights to a flat vector (weight-sync payload).
     pub fn flatten(&self) -> Vec<f32> {
-        let mut v = self.actor.flatten_params();
-        v.extend(self.critic.flatten_params());
-        v.extend_from_slice(self.log_std.data());
+        let mut v = Vec::with_capacity(self.num_params());
+        for p in self.params() {
+            v.extend_from_slice(p.data());
+        }
         v
     }
 
@@ -382,6 +389,9 @@ pub struct PpoLearner {
     /// Pre-clip global gradient norm of the most recent backward pass
     /// (the health sentinel's `health.grad_norm` source).
     last_grad_norm: std::cell::Cell<Option<f32>>,
+    /// The parameters before the current update, for the health
+    /// sentinel; kept so each update reuses the allocation.
+    before: Vec<f32>,
 }
 
 impl PpoLearner {
@@ -394,6 +404,7 @@ impl PpoLearner {
             opt,
             last_metrics: std::cell::Cell::new(None),
             last_grad_norm: std::cell::Cell::new(None),
+            before: Vec::new(),
         }
     }
 
@@ -419,26 +430,18 @@ impl PpoLearner {
                 actual: n,
             }));
         }
+        let mut boot = self.bootstrap_values(batch, seg)?.into_iter();
         let mut adv = Vec::with_capacity(n);
         let mut ret = Vec::with_capacity(n);
-        for s in 0..n / seg {
-            let lo = s * seg;
+        for lo in (0..n).step_by(seg) {
             let hi = lo + seg;
             let rewards = &batch.rewards.data()[lo..hi];
             let values = &batch.values.data()[lo..hi];
             let dones = &batch.dones[lo..hi];
-            // Bootstrap from the critic at the segment's last next-state
-            // unless the episode ended there.
             let last_value = if dones[seg - 1] {
                 0.0
             } else {
-                let last = batch.next_obs.shape()[1];
-                let row = Tensor::from_vec(
-                    batch.next_obs.data()[(hi - 1) * last..hi * last].to_vec(),
-                    &[1, last],
-                )
-                .map_err(FdgError::Tensor)?;
-                self.policy.values(&row)?.item().map_err(FdgError::Tensor)?
+                boot.next().expect("one bootstrap value per unfinished segment")
             };
             let (a, r) =
                 gae::gae(rewards, values, dones, last_value, self.cfg.gamma, self.cfg.gae_lambda);
@@ -447,6 +450,27 @@ impl PpoLearner {
         }
         gae::normalize(&mut adv);
         Ok((adv, ret))
+    }
+
+    /// The critic at the last next-state of every `seg`-row segment whose
+    /// episode did not end there, in segment order: one forward over
+    /// those rows. Rows of a product are independent and every kernel
+    /// keeps one per-element sequence whatever the row count, so each
+    /// value is bit for bit the one a `[1, obs]` forward of its row gives.
+    fn bootstrap_values(&self, batch: &SampleBatch, seg: usize) -> Result<Vec<f32>> {
+        let width = batch.next_obs.shape()[1];
+        let mut rows = Vec::new();
+        for hi in (seg..=batch.len()).step_by(seg) {
+            if !batch.dones[hi - 1] {
+                rows.extend_from_slice(&batch.next_obs.data()[(hi - 1) * width..hi * width]);
+            }
+        }
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        let open = rows.len() / width;
+        let rows = Tensor::from_vec(rows, &[open, width])?;
+        Ok(self.policy.values(&rows)?.into_vec())
     }
 
     /// Builds the leaves of the loss that no epoch changes, once per
@@ -575,7 +599,9 @@ impl Learner for PpoLearner {
         }
         let inputs = self.loss_inputs(batch)?;
         let sentinel = msrl_telemetry::health_enabled();
-        let before = if sentinel { self.policy.flatten() } else { Vec::new() };
+        if sentinel {
+            crate::sentinel::snapshot(&mut self.before, self.policy.params());
+        }
         let mut last_loss = 0.0;
         for _ in 0..self.cfg.epochs {
             let (loss, grads) = self.loss_and_grads(&inputs)?;
@@ -585,8 +611,8 @@ impl Learner for PpoLearner {
         if sentinel {
             crate::sentinel::publish_update(
                 self.last_grad_norm.get().unwrap_or(f32::NAN),
-                &before,
-                &self.policy.flatten(),
+                &self.before,
+                self.policy.params(),
             );
         }
         Ok(last_loss)
@@ -623,7 +649,9 @@ impl Learner for PpoLearner {
             offset = end;
         }
         let sentinel = msrl_telemetry::health_enabled();
-        let before = if sentinel { self.policy.flatten() } else { Vec::new() };
+        if sentinel {
+            crate::sentinel::snapshot(&mut self.before, self.policy.params());
+        }
         self.apply(&grads)?;
         if sentinel {
             // External-gradient path (DP-C/DP-F): the pre-clip norm was
@@ -631,8 +659,8 @@ impl Learner for PpoLearner {
             // gradient actually applied.
             crate::sentinel::publish_update(
                 crate::sentinel::l2_norm(flat) as f32,
-                &before,
-                &self.policy.flatten(),
+                &self.before,
+                self.policy.params(),
             );
         }
         Ok(())
@@ -867,6 +895,32 @@ mod tests {
             learner.last_entropy().unwrap().to_bits(),
             grads.iter().map(bits).collect(),
         )
+    }
+
+    #[test]
+    fn gae_bootstrap_in_one_forward_is_the_per_segment_forward_bit_for_bit() {
+        // 16-row segments, an episode end every 23rd row: all but the
+        // segment ending at row 367 bootstrap, on the discrete and the
+        // continuous heads.
+        for policy in
+            [PpoPolicy::discrete(4, 2, &[64, 64], 4), PpoPolicy::continuous(17, 6, &[32], 5)]
+        {
+            let batch = synthetic_batch(512, &policy, 6);
+            let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+            let width = batch.next_obs.shape()[1];
+            let mut expect = Vec::new();
+            for hi in (16..=512).step_by(16) {
+                if !batch.dones[hi - 1] {
+                    let row = &batch.next_obs.data()[(hi - 1) * width..hi * width];
+                    let row = Tensor::from_vec(row.to_vec(), &[1, width]).unwrap();
+                    expect.push(policy.values(&row).unwrap().item().unwrap().to_bits());
+                }
+            }
+            assert_eq!(expect.len(), 31);
+            let got: Vec<u32> =
+                learner.bootstrap_values(&batch, 16).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "discrete {}", policy.discrete);
+        }
     }
 
     /// Four workers and no serial cut-off, so tiny operands still split.

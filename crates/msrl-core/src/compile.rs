@@ -1116,7 +1116,8 @@ pub(crate) fn run_ew(prog: &EwProgram, ins: &[&Tensor], shape: &[usize]) -> Resu
     let vol: usize = shape.iter().product();
     let strides = ew_strides(ins, vol, shape)?;
     let srcs: Vec<&[f32]> = ins.iter().map(|t| t.data()).collect();
-    let mut data = msrl_tensor::alloc::take_zeroed(vol);
+    // `run_ew_fill` writes every element of the chunk it is given.
+    let mut data = msrl_tensor::alloc::take_for_overwrite(vol);
     let fill = |offset: usize, chunk: &mut [f32]| {
         run_ew_fill(prog, &srcs, &strides, offset, chunk);
     };

@@ -794,7 +794,8 @@ impl Var {
             Box::new(move |g| {
                 // d log_softmax / dx: G - softmax * rowsum(G)
                 let (m, n) = (soft.shape()[0], soft.shape()[1]);
-                let mut res = crate::alloc::take_zeroed(m * n);
+                // Every element is written below.
+                let mut res = crate::alloc::take_for_overwrite(m * n);
                 for i in 0..m {
                     let grow = &g.data()[i * n..(i + 1) * n];
                     let srow = &soft.data()[i * n..(i + 1) * n];

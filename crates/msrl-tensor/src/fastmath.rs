@@ -181,6 +181,41 @@ pub fn apply_slice(u: Unary, data: &mut [f32]) {
     apply_portable(u, data);
 }
 
+/// `u(v + bias[j])` in place over every `bias.len()`-wide row of `rows`
+/// — a fused layer's bias and activation in one lane pass. Per element
+/// the bias add and then [`apply_slice`]'s function, so the result is
+/// bit-identical to the add followed by the slice pass.
+pub fn apply_rows_biased(u: Unary, rows: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        match kernels::select() {
+            // SAFETY: `select` returned this variant only after runtime
+            // feature detection confirmed the ISA.
+            MatKernel::Avx512 => unsafe {
+                x86::apply_rows_biased_avx512(u, rows, bias);
+                return;
+            },
+            MatKernel::Avx2 => unsafe {
+                x86::apply_rows_biased_avx2(u, rows, bias);
+                return;
+            },
+            MatKernel::Portable => {}
+        }
+    }
+    apply_rows_biased_portable(u, rows, bias);
+}
+
+fn apply_rows_biased_portable(u: Unary, rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v = apply_scalar(u, *v + b);
+        }
+    }
+}
+
 /// Virtual lane count of the row-reduction tree. Fixed at 16 on
 /// every dispatch level so the max/sum combination order — and
 /// therefore the result bits — are ISA-independent: AVX-512 holds the
@@ -478,6 +513,57 @@ mod x86 {
         }
     }
 
+    /// Generates one ISA's [`super::apply_rows_biased`]: whole vectors of
+    /// each row through the lane kernel, the rest of the row through the
+    /// scalar reference inside the feature-enabled body.
+    macro_rules! rows_biased {
+        ($(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal, $loadu:ident,
+         $storeu:ident, $add:ident, $exp:ident, $tanh:ident, $sigmoid:ident) => {
+            $(#[$doc])*
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(u: Unary, rows: &mut [f32], bias: &[f32]) {
+                const L: usize = $lanes;
+                let n = bias.len();
+                let tail0 = n - n % L;
+                for row in rows.chunks_mut(n) {
+                    let p = row.as_mut_ptr();
+                    for j in (0..tail0).step_by(L) {
+                        let v = $add($loadu(p.add(j)), $loadu(bias.as_ptr().add(j)));
+                        let o = match u {
+                            Unary::Exp => $exp(v),
+                            Unary::Tanh => $tanh(v),
+                            Unary::Sigmoid => $sigmoid(v),
+                        };
+                        $storeu(p.add(j), o);
+                    }
+                    for (v, &b) in row[tail0..].iter_mut().zip(&bias[tail0..]) {
+                        *v = super::apply_scalar(u, *v + b);
+                    }
+                }
+            }
+        };
+    }
+
+    rows_biased!(
+        /// zmm [`super::apply_rows_biased`].
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
+        apply_rows_biased_avx512, "avx512f", 16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps,
+        vexp512, vtanh512, vsigmoid512
+    );
+
+    rows_biased!(
+        /// ymm [`super::apply_rows_biased`].
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
+        apply_rows_biased_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps,
+        vexp256, vtanh256, vsigmoid256
+    );
+
     /// zmm [`super::softmax_row_fast_inplace`]: the 16 virtual lanes of
     /// the reduction tree live in one register; the spill array feeds
     /// the shared scalar tail + tree fold, so bits match the portable
@@ -719,6 +805,38 @@ mod tests {
                             g.is_nan() || g.to_bits() == s.to_bits(),
                             "{u:?} {name} len {len} lane {i}: {g} vs {s}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn biased_rows_are_the_add_then_the_slice_pass_bitwise() {
+        // Row widths under, at and past both vector widths, and a NaN bias.
+        for n in [1usize, 5, 8, 16, 23, 64] {
+            let rows: Vec<f32> = (0..3 * n).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
+            let mut bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
+            bias[n / 2] = f32::NAN;
+            for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
+                let mut expect: Vec<f32> =
+                    rows.iter().enumerate().map(|(i, &v)| v + bias[i % n]).collect();
+                apply_portable(u, &mut expect);
+                let mut bodies: Vec<(&str, fn(Unary, &mut [f32], &[f32]))> = vec![
+                    ("dispatched", apply_rows_biased),
+                    ("portable", apply_rows_biased_portable),
+                ];
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: avx2 was just detected.
+                    bodies.push(("avx2", |u, r, b| unsafe { x86::apply_rows_biased_avx2(u, r, b) }));
+                }
+                for (name, body) in bodies {
+                    let mut got = rows.clone();
+                    body(u, &mut got, &bias);
+                    for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                        let same = g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan());
+                        assert!(same, "{u:?} {name} n={n} element {i}: {g} vs {e}");
                     }
                 }
             }

@@ -144,6 +144,18 @@ pub enum MatKernel {
     Portable,
 }
 
+impl MatKernel {
+    /// The family's vector width in `f32` lanes (16 zmm, 8 ymm, 16
+    /// portable). A product whose output is narrower than this runs on
+    /// row lanes (module docs), whatever its size.
+    pub fn lanes(self) -> usize {
+        match self {
+            MatKernel::Avx512 | MatKernel::Portable => 16,
+            MatKernel::Avx2 => 8,
+        }
+    }
+}
+
 /// Whether this host can run the ymm bodies: their products are
 /// `vfmadd`, so `avx2` alone is not enough. The one predicate behind
 /// [`select`] and behind every test that calls a ymm body by name.
@@ -725,14 +737,14 @@ fn reduce_groups_portable(
 }
 
 /// Portable column-lane row kernel: 16-element array accumulators the
-/// autovectorizer maps onto whatever SIMD the target has.
+/// autovectorizer maps onto whatever SIMD the target has; the `n mod 16`
+/// right-edge columns run on row lanes.
 fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
     const L: usize = 16;
     let rows = out.len() / n;
-    let blocks = n / L;
+    let tail0 = n - n % L;
     for r in 0..rows {
-        for jb in 0..blocks {
-            let j = jb * L;
+        for j in (0..tail0).step_by(L) {
             let mut acc = [0.0f32; L];
             for kk in 0..k {
                 let av = a[r * k + kk];
@@ -743,12 +755,41 @@ fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
             }
             out[r * n + j..r * n + j + L].copy_from_slice(&acc);
         }
-        for j in blocks * L..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = a[r * k + kk].mul_add(bd[kk * n + j], acc);
+    }
+    if tail0 < n {
+        lanes_portable(a, k, &bd[tail0..], n, out, n, tail0);
+    }
+}
+
+/// Portable row-lane kernel (module docs, "Row lanes"): output columns
+/// `j0..n` of every row of `out` from `b`, whose element `(kk, c)` is
+/// `b[kk·bk + c]` — `bk = n` for a row-major operand offset to column
+/// `j0`, the panel width for a pack. Lanes run across 16 output rows:
+/// each step gathers column `kk` of the row group's block of `a` and
+/// broadcasts `b[kk][c]`, one fused multiply–add per element.
+fn lanes_portable(a: &[f32], k: usize, b: &[f32], bk: usize, out: &mut [f32], n: usize, j0: usize) {
+    const L: usize = 16;
+    let (rows, w) = (out.len() / n, n - j0);
+    for i0 in (0..rows).step_by(L) {
+        let rl = L.min(rows - i0);
+        // `acc[c][l]` is `out[i0 + l][j0 + c]`.
+        let mut acc = [[0.0f32; L]; L];
+        for kk in 0..k {
+            let mut av = [0.0f32; L];
+            for (l, v) in av.iter_mut().enumerate().take(rl) {
+                *v = a[(i0 + l) * k + kk];
             }
-            out[r * n + j] = acc;
+            for (c, acc_c) in acc.iter_mut().enumerate().take(w) {
+                let bv = b[kk * bk + c];
+                for (slot, &x) in acc_c.iter_mut().zip(&av) {
+                    *slot = x.mul_add(bv, *slot);
+                }
+            }
+        }
+        for l in 0..rl {
+            for (c, acc_c) in acc.iter().enumerate().take(w) {
+                out[(i0 + l) * n + j0 + c] = acc_c[l];
+            }
         }
     }
 }
@@ -883,6 +924,9 @@ fn edge_scalar(
 fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
     const MR: usize = 4;
     const NR: usize = 16;
+    if n < NR {
+        return lanes_portable(a, k, bp, NR, out, n, 0);
+    }
     let rows = out.len() / n;
     let full_rows = rows - rows % MR;
     for i in (0..full_rows).step_by(MR) {
@@ -917,107 +961,309 @@ mod x86 {
     //! is the same instruction rather than a libm call.
 
     use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
-        _mm256_fmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_maskstore_ps, _mm256_mul_ps,
-        _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps,
-        _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
-        _mm512_mul_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
-        _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
+        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_castpd_ps, _mm256_castps128_ps256,
+        _mm256_castps_pd, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_i32gather_ps,
+        _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
+        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_unpackhi_pd,
+        _mm256_unpackhi_ps, _mm256_unpacklo_pd, _mm256_unpacklo_ps, _mm512_add_ps,
+        _mm512_castpd_ps, _mm512_castps128_ps512, _mm512_castps_pd, _mm512_cmp_ps_mask,
+        _mm512_fmadd_ps, _mm512_i32gather_ps, _mm512_insertf32x4, _mm512_loadu_ps,
+        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
+        _mm512_setzero_ps, _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
+        _mm512_unpacklo_pd, _mm512_unpacklo_ps, _mm_loadu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
     };
 
     use super::{edge_scalar, reduce_rows_portable, RedOp, AT_BLOCK};
 
-    /// Unpacked row kernel, zmm lanes across output columns.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
-    /// whole `n`-wide rows, `a` of as many `k`-long rows and `bd` of
-    /// `k × n`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rows_avx512(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
-        const L: usize = 16;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = a.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = [_mm512_setzero_ps(); RB];
-                for kk in 0..k {
-                    let bv = _mm512_loadu_ps(bp.add(kk * n + j));
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((r0 + r) * k + kk));
-                        *acc_r = _mm512_fmadd_ps(av, bv, *acc_r);
+    /// Generates one ISA's unpacked row kernel: `RB` output rows × one
+    /// vector of columns on lanes across output columns, then the
+    /// `n mod $lanes` right-edge columns on that ISA's row lanes
+    /// (`$row_lanes`, generated by `lanes_x86!`).
+    macro_rules! rows_x86 {
+        ($(#[$doc:meta])* $name:ident, $row_lanes:ident, $feature:literal, $lanes:literal,
+         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
+            $(#[$doc])*
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
+                const L: usize = $lanes;
+                const RB: usize = 4;
+                let rows = out.len() / n;
+                let tail0 = n - n % L;
+                let ap = a.as_ptr();
+                let bp = bd.as_ptr();
+                let op = out.as_mut_ptr();
+                for r0 in (0..rows).step_by(RB) {
+                    let rm = RB.min(rows - r0);
+                    for j in (0..tail0).step_by(L) {
+                        let mut acc = [$zero(); RB];
+                        for kk in 0..k {
+                            let bv = $loadu(bp.add(kk * n + j));
+                            for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
+                                let av = $set1(*ap.add((r0 + r) * k + kk));
+                                *acc_r = $fmadd(av, bv, *acc_r);
+                            }
+                        }
+                        for (r, acc_r) in acc.iter().take(rm).enumerate() {
+                            $storeu(op.add((r0 + r) * n + j), *acc_r);
+                        }
                     }
                 }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm512_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
+                if tail0 < n {
+                    $row_lanes(ap, k, rows, bp.add(tail0), n, op.add(tail0), n, n - tail0);
                 }
             }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc = (*ap.add((r0 + r) * k + kk)).mul_add(*bp.add(kk * n + j), acc);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
-        }
+        };
     }
 
-    /// Unpacked row kernel, ymm lanes across output columns.
+    rows_x86!(
+        /// Unpacked row kernel, zmm lanes across output columns.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
+        /// whole `n`-wide rows, `a` of as many `k`-long rows and `bd` of
+        /// `k × n`.
+        rows_avx512, lanes_avx512, "avx512f", 16,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps
+    );
+
+    rows_x86!(
+        /// Unpacked row kernel, ymm lanes across output columns.
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
+        /// the operand extents of [`rows_avx512`].
+        rows_avx2, lanes_avx2, "avx2,fma", 8,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps
+    );
+
+    /// Columns `0..kw` of rows `0..rows` (both at most 16) of the
+    /// row-major `a` (row stride `k`), transposed in registers: lane `l`
+    /// of `t[kk]` is `a[l][kk]`. Lanes past `rows` and vectors past `kw`
+    /// are zero. A whole 16 × 16 block is read as 128-bit row pieces,
+    /// four of them (rows `s`, `4 + s`, `8 + s`, `12 + s`) to a register,
+    /// which leaves one 4 × 4 transpose inside each 128-bit lane: two
+    /// rounds of in-lane unpacks, 32 shuffles where a register-to-register
+    /// transpose takes 64. A partial block is first copied into a
+    /// zero-padded one.
     ///
     /// # Safety
     ///
-    /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
-    /// the operand extents of [`rows_avx512`].
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rows_avx2(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
-        const L: usize = 8;
-        const RB: usize = 4;
-        let rows = out.len() / n;
-        let blocks = n / L;
-        let ap = a.as_ptr();
-        let bp = bd.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut r0 = 0;
-        while r0 < rows {
-            let rm = RB.min(rows - r0);
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = [_mm256_setzero_ps(); RB];
-                for kk in 0..k {
-                    let bv = _mm256_loadu_ps(bp.add(kk * n + j));
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = _mm256_set1_ps(*ap.add((r0 + r) * k + kk));
-                        *acc_r = _mm256_fmadd_ps(av, bv, *acc_r);
-                    }
-                }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    _mm256_storeu_ps(op.add((r0 + r) * n + j), *acc_r);
-                }
+    /// Requires `avx512f` and `a` readable over `rows` rows of `kw`
+    /// floats at stride `k`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_avx512(a: *const f32, k: usize, rows: usize, kw: usize) -> [__m512; 16] {
+        if rows < 16 || kw < 16 {
+            let mut pad = [0.0f32; 16 * 16];
+            let cols = (0xffff_u32 >> (16 - kw)) as u16;
+            for r in 0..rows {
+                _mm512_storeu_ps(
+                    pad.as_mut_ptr().add(r * 16),
+                    _mm512_maskz_loadu_ps(cols, a.add(r * k)),
+                );
             }
-            for j in blocks * L..n {
-                for r in 0..rm {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc = (*ap.add((r0 + r) * k + kk)).mul_add(*bp.add(kk * n + j), acc);
-                    }
-                    *op.add((r0 + r) * n + j) = acc;
-                }
-            }
-            r0 += rm;
+            return transpose16_avx512(pad.as_ptr(), 16);
         }
+        transpose16_avx512(a, k)
     }
+
+    /// The whole-block body of [`transpose_avx512`].
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx512f` and `src` readable over 16 rows of 16 floats at
+    /// stride `stride`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16_avx512(src: *const f32, stride: usize) -> [__m512; 16] {
+        let mut t = [_mm512_setzero_ps(); 16];
+        for q in 0..4 {
+            // Lane `g` of `w[s]` is `a[4g + s][4q .. 4q + 4]`.
+            let mut w = [_mm512_setzero_ps(); 4];
+            for (s, ws) in w.iter_mut().enumerate() {
+                let piece = |g: usize| src.add((4 * g + s) * stride + 4 * q);
+                let mut v = _mm512_castps128_ps512(_mm_loadu_ps(piece(0)));
+                v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(piece(1)));
+                v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(piece(2)));
+                *ws = _mm512_insertf32x4::<3>(v, _mm_loadu_ps(piece(3)));
+            }
+            let lo01 = _mm512_castps_pd(_mm512_unpacklo_ps(w[0], w[1]));
+            let hi01 = _mm512_castps_pd(_mm512_unpackhi_ps(w[0], w[1]));
+            let lo23 = _mm512_castps_pd(_mm512_unpacklo_ps(w[2], w[3]));
+            let hi23 = _mm512_castps_pd(_mm512_unpackhi_ps(w[2], w[3]));
+            t[4 * q] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo01, lo23));
+            t[4 * q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo01, lo23));
+            t[4 * q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(hi01, hi23));
+            t[4 * q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(hi01, hi23));
+        }
+        t
+    }
+
+    /// The 8 × 8 ymm counterpart of [`transpose_avx512`]: rows `s` and
+    /// `4 + s` share a register, 16 in-lane shuffles.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx2` and `a` readable over `rows` rows of `kw` floats
+    /// at stride `k` (both at most 8).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose_avx2(a: *const f32, k: usize, rows: usize, kw: usize) -> [__m256; 8] {
+        if rows < 8 || kw < 8 {
+            let mut pad = [0.0f32; 8 * 8];
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let cols = _mm256_cmpgt_epi32(_mm256_set1_epi32(kw as i32), lane);
+            for r in 0..rows {
+                _mm256_storeu_ps(
+                    pad.as_mut_ptr().add(r * 8),
+                    _mm256_maskload_ps(a.add(r * k), cols),
+                );
+            }
+            return transpose8_avx2(pad.as_ptr(), 8);
+        }
+        transpose8_avx2(a, k)
+    }
+
+    /// The whole-block body of [`transpose_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx2` and `src` readable over 8 rows of 8 floats at
+    /// stride `stride`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8_avx2(src: *const f32, stride: usize) -> [__m256; 8] {
+        let mut t = [_mm256_setzero_ps(); 8];
+        for q in 0..2 {
+            let mut w = [_mm256_setzero_ps(); 4];
+            for (s, ws) in w.iter_mut().enumerate() {
+                let v = _mm256_castps128_ps256(_mm_loadu_ps(src.add(s * stride + 4 * q)));
+                *ws = _mm256_insertf128_ps::<1>(v, _mm_loadu_ps(src.add((4 + s) * stride + 4 * q)));
+            }
+            let lo01 = _mm256_castps_pd(_mm256_unpacklo_ps(w[0], w[1]));
+            let hi01 = _mm256_castps_pd(_mm256_unpackhi_ps(w[0], w[1]));
+            let lo23 = _mm256_castps_pd(_mm256_unpacklo_ps(w[2], w[3]));
+            let hi23 = _mm256_castps_pd(_mm256_unpackhi_ps(w[2], w[3]));
+            t[4 * q] = _mm256_castpd_ps(_mm256_unpacklo_pd(lo01, lo23));
+            t[4 * q + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(lo01, lo23));
+            t[4 * q + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(hi01, hi23));
+            t[4 * q + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(hi01, hi23));
+        }
+        t
+    }
+
+    /// Generates one ISA's row-lane kernel (module docs, "Row lanes"):
+    /// `w < $lanes` output columns of every row, lanes across `$lanes`
+    /// output rows. Each `$lanes × $lanes` block of `a` is transposed in
+    /// registers (`$transpose`) and every column `c` accumulates
+    /// `t[kk] × b[kk·bk + c]` (broadcast), `kk` ascending — at stride
+    /// `bk = n` from a row-major operand, the panel width from a pack.
+    /// Up to eight columns (`$group`; every head of the ledger) keep their
+    /// accumulators in registers over the whole sweep of a row group; a
+    /// wider edge takes a second sweep for the rest.
+    macro_rules! lanes_x86 {
+        ($(#[$doc:meta])* $name:ident, $group:ident, $transpose:ident, $feature:literal,
+         $lanes:literal, $vec:ty, $zero:ident, $set1:ident, $fmadd:ident, $storeu:ident) => {
+            /// `W` columns of one row group (`rows` of them) swept over
+            /// all `k` steps, `b` at the sweep's first column.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn $group<const W: usize>(
+                a: *const f32,
+                k: usize,
+                rows: usize,
+                mut b: *const f32,
+                bk: usize,
+            ) -> [$vec; W] {
+                let mut acc = [$zero(); W];
+                for kk0 in (0..k).step_by($lanes) {
+                    let kw = k - kk0;
+                    for &av in $transpose(a.add(kk0), k, rows, kw.min($lanes)).iter().take(kw) {
+                        for (c, slot) in acc.iter_mut().enumerate() {
+                            *slot = $fmadd(av, $set1(*b.add(c)), *slot);
+                        }
+                        b = b.wrapping_add(bk);
+                    }
+                }
+                acc
+            }
+
+            $(#[$doc])*
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(
+                a: *const f32,
+                k: usize,
+                rows: usize,
+                b: *const f32,
+                bk: usize,
+                o: *mut f32,
+                n: usize,
+                w: usize,
+            ) {
+                const L: usize = $lanes;
+                // `spill[c][l]` is `o[(i0 + l)·n + c]`.
+                let mut spill = [[0.0f32; L]; L];
+                for i0 in (0..rows).step_by(L) {
+                    let (a, rl) = (a.add(i0 * k), L.min(rows - i0));
+                    for c0 in (0..w).step_by(8) {
+                        let (b, cols) = (b.add(c0), &mut spill[c0..]);
+                        macro_rules! sweep {
+                            ($w:literal) => {
+                                for (col, v) in cols.iter_mut().zip($group::<$w>(a, k, rl, b, bk)) {
+                                    $storeu(col.as_mut_ptr(), v);
+                                }
+                            };
+                        }
+                        match w - c0 {
+                            1 => sweep!(1),
+                            2 => sweep!(2),
+                            3 => sweep!(3),
+                            4 => sweep!(4),
+                            5 => sweep!(5),
+                            6 => sweep!(6),
+                            7 => sweep!(7),
+                            _ => sweep!(8),
+                        }
+                    }
+                    for l in 0..rl {
+                        for (c, col) in spill.iter().enumerate().take(w) {
+                            *o.add((i0 + l) * n + c) = col[l];
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    lanes_x86!(
+        /// Row-lane kernel on zmm lanes: output columns `..w` (`w < 16`)
+        /// of rows `..rows` at `o` (row stride `n`) from `a` (row stride
+        /// `k`) and `b` (element `(kk, c)` at `b[kk·bk + c]`).
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx512f` (guaranteed by [`super::select`]), `a`
+        /// readable over `rows × k`, `b` over `(k − 1)·bk + w` and `o`
+        /// writable over `(rows − 1)·n + w` floats.
+        lanes_avx512, lanes_group_avx512, transpose_avx512, "avx512f", 16, __m512,
+        _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps
+    );
+
+    lanes_x86!(
+        /// Row-lane kernel on ymm lanes (`w < 8`).
+        ///
+        /// # Safety
+        ///
+        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
+        /// the operand extents of [`lanes_avx512`].
+        lanes_avx2, lanes_group_avx2, transpose_avx2, "avx2,fma", 8, __m256,
+        _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_storeu_ps
+    );
 
     /// Generates a transpose-free `aᵀ × b` row kernel: the blocked shape
     /// of [`super::at_rows_portable`] (see the module docs) spelled with
@@ -1185,8 +1431,9 @@ mod x86 {
     /// lanes — and `at_rows_x86!` runs it over the rows of a row-major
     /// `b` for `aᵀ × b`.
     macro_rules! tile_x86 {
-        ($(#[$doc:meta])* $name:ident, $panel:ident, $feature:literal, $lanes:literal, $mr:literal,
-         $zero:ident, $loadu:ident, $set1:ident, $fmadd:ident, $store_lanes:ident) => {
+        ($(#[$doc:meta])* $name:ident, $panel:ident, $row_lanes:ident, $feature:literal,
+         $lanes:literal, $mr:literal, $zero:ident, $loadu:ident, $set1:ident, $fmadd:ident,
+         $store_lanes:ident) => {
             /// Output rows `..rows` (at most `$mr`) × `NV` vectors of
             /// accumulators over `k` steps: step `kk` broadcasts
             /// `a[r·ar + kk·ak]` for row `r` — strides `(k, 1)` walk the
@@ -1244,6 +1491,10 @@ mod x86 {
                 const MR: usize = $mr;
                 const NR: usize = 32;
                 let rows = out.len() / n;
+                if n < $lanes {
+                    $row_lanes(a.as_ptr(), k, rows, bp.as_ptr(), NR, out.as_mut_ptr(), n, n);
+                    return;
+                }
                 let full_rows = rows - rows % MR;
                 for i in (0..full_rows).step_by(MR) {
                     for p in 0..n.div_ceil(NR) {
@@ -1271,7 +1522,7 @@ mod x86 {
         /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
         /// whole `n`-wide rows, `a` of as many `k`-long rows and `bp` of
         /// `⌈n / 32⌉` panels of `k × 32`.
-        tile_avx512, tile_panel_avx512, "avx512f", 16, 8,
+        tile_avx512, tile_panel_avx512, lanes_avx512, "avx512f", 16, 8,
         _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, store_lanes_avx512
     );
 
@@ -1282,7 +1533,7 @@ mod x86 {
         ///
         /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
         /// the operand extents of [`tile_avx512`].
-        tile_avx2, tile_panel_avx2, "avx2,fma", 8, 4,
+        tile_avx2, tile_panel_avx2, lanes_avx2, "avx2,fma", 8, 4,
         _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, store_lanes_avx2
     );
 
@@ -1620,29 +1871,126 @@ mod tests {
         // a remainder row — fails wherever its elements land. Shapes
         // reach `rows mod MR ≠ 0`, `n mod 32 ≠ 0`, `n mod L ≠ 0` and
         // `rows < L` in every family.
+        // Steps past the second add `0 × 1` — exact — so `k = 32` puts the
+        // same sum through whole row-lane transpose blocks and `k = 2`
+        // through a padded one.
         let (x, start) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
-        for m in [1, 3, 9, 17, 20] {
-            for n in [1, 7, 16, 17, 33, 48, 70] {
-                let a = [start, x].repeat(m);
-                let b = [vec![1.0; n], vec![x; n]].concat();
-                let expect = naive(&a, &b, m, 2, n);
-                assert_bits_eq(&expect, &vec![2f32.powi(-24); m * n], "the reference");
-                for (name, family) in tile_families() {
-                    let bp = pack_for(family, &b, 2, n, false);
-                    let mut out = vec![f32::NAN; m * n];
-                    matmul_packed_rows(&a, 0, &mut out, 2, n, &bp);
-                    assert_bits_eq(&out, &expect, &format!("{name} tile ({m},{n})"));
+        for k in [2, 32] {
+            for m in [1, 3, 9, 17, 20, 33] {
+                for n in [1, 2, 6, 7, 16, 17, 33, 48, 70] {
+                    let a = [vec![start, x], vec![0.0; k - 2]].concat().repeat(m);
+                    let b = [vec![1.0; n], vec![x; n], vec![1.0; (k - 2) * n]].concat();
+                    let expect = naive(&a, &b, m, k, n);
+                    assert_bits_eq(&expect, &vec![2f32.powi(-24); m * n], "the reference");
+                    for (name, family) in tile_families() {
+                        let bp = pack_for(family, &b, k, n, false);
+                        let mut out = vec![f32::NAN; m * n];
+                        matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
+                        assert_bits_eq(&out, &expect, &format!("{name} tile ({m},{k},{n})"));
+                    }
+                    for (name, body) in rows_bodies() {
+                        let mut out = vec![f32::NAN; m * n];
+                        body(&a, k, &b, &mut out, n);
+                        assert_bits_eq(&out, &expect, &format!("{name} rows ({m},{k},{n})"));
+                    }
+                    let at = transpose(&a, m, k);
+                    for (name, body) in at_bodies() {
+                        let mut out = vec![f32::NAN; m * n];
+                        body(&at, 0, &mut out, k, m, n, &b, false);
+                        assert_bits_eq(&out, &expect, &format!("{name} aᵀ·b ({m},{k},{n})"));
+                    }
                 }
-                for (name, body) in rows_bodies() {
-                    let mut out = vec![f32::NAN; m * n];
-                    body(&a, 2, &b, &mut out, n);
-                    assert_bits_eq(&out, &expect, &format!("{name} rows ({m},{n})"));
+            }
+        }
+    }
+
+    /// One product body over a fixed right operand: rows `row0..` of
+    /// `a · b` into the given output.
+    type Narrow = Box<dyn Fn(&[f32], usize, &mut [f32])>;
+
+    /// Every body that runs an output narrower than its vector on row
+    /// lanes, or a right edge of one: the packed tiles (narrow `n`) and
+    /// the unpacked row kernels (`n mod L` edge), each family called by
+    /// name. Runs rows `row0..m` of `a · b` into `out`.
+    fn narrow_bodies(b: &[f32], k: usize, n: usize) -> Vec<(String, Narrow)> {
+        let mut bodies: Vec<(String, Narrow)> = Vec::new();
+        for (name, family) in tile_families() {
+            let bp = pack_for(family, b, k, n, false);
+            bodies.push((
+                format!("{name} packed"),
+                Box::new(move |a, row0, out| matmul_packed_rows(a, row0, out, k, n, &bp)),
+            ));
+        }
+        for (name, body) in rows_bodies() {
+            let b = b.to_vec();
+            bodies.push((
+                format!("{name} row-major"),
+                Box::new(move |a, row0, out| body(&a[row0 * k..], k, &b, out, n)),
+            ));
+        }
+        bodies
+    }
+
+    #[test]
+    fn row_lanes_match_naive_bitwise_on_the_grid() {
+        // Widths below, at and past every lane count (1 … 31) × row counts
+        // around a row group (16) with ragged last groups × reduction
+        // lengths around a transpose block, padded or whole. Each product
+        // whole and from an odd row offset (an unaligned sub-slice of `a`
+        // and of `out`), `out` arriving NaN and followed by a guard; the
+        // tall one (a learn block's height) from the offset only, which
+        // keeps the debug suite short.
+        const GUARD: usize = 16;
+        for n in [1, 2, 3, 6, 7, 15, 17, 31] {
+            for k in [1, 2, 4, 16, 17, 64, 65, 256] {
+                let b = vals(k * n, 51 + n);
+                let bodies = narrow_bodies(&b, k, n);
+                for m in [1, 7, 15, 16, 17, 33, 2053] {
+                    let a = vals(m * k, 50 + k);
+                    let offset = (m / 2) | 1;
+                    let starts = if m > 64 { vec![offset] } else { vec![0, offset] };
+                    for row0 in starts.into_iter().filter(|&r| r < m) {
+                        let expect = naive(&a[row0 * k..], &b, m - row0, k, n);
+                        for (name, body) in &bodies {
+                            let len = expect.len();
+                            let mut buf = vec![f32::NAN; 1 + len + GUARD];
+                            buf[1 + len..].fill(7.0);
+                            body(&a, row0, &mut buf[1..1 + len]);
+                            let what = format!("{name} ({m},{k},{n}) from row {row0}");
+                            assert_bits_eq(&buf[1..1 + len], &expect, &what);
+                            assert!(buf[1 + len..].iter().all(|&v| v == 7.0), "{what}: overran");
+                        }
+                    }
                 }
-                let at = transpose(&a, m, 2);
-                for (name, body) in at_bodies() {
-                    let mut out = vec![f32::NAN; m * n];
-                    body(&at, 0, &mut out, 2, m, n, &b, false);
-                    assert_bits_eq(&out, &expect, &format!("{name} aᵀ·b ({m},{n})"));
+            }
+        }
+    }
+
+    #[test]
+    fn row_lanes_poison_exactly_what_the_naive_loop_poisons() {
+        // NaN/±∞ in one row of `a` (a whole transpose block and a padded
+        // one), in one column of `b`, and a `0 × ∞` — in a row group's
+        // last row and in a ragged group's rows.
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for n in [1, 2, 6, 7, 15, 17, 31] {
+            for k in [17, 65] {
+                for m in [15, 33] {
+                    for round in 0..poisons.len() {
+                        let mut a = vals(m * k, 60 + n);
+                        let mut b = vals(k * n, 61 + k);
+                        a[15.min(m - 1) * k + 3] = poisons[round];
+                        a[(m - 1) * k + k - 1] = poisons[(round + 1) % 3];
+                        a[(m / 2) * k + 16] = 0.0;
+                        b[16 * n + n - 1] = poisons[(round + 2) % 3];
+                        b[16 * n] = f32::INFINITY;
+                        let expect = naive(&a, &b, m, k, n);
+                        for (name, body) in narrow_bodies(&b, k, n) {
+                            let mut out = vec![0.0f32; m * n];
+                            body(&a, 0, &mut out);
+                            let what = format!("{name} ({m},{k},{n}) round {round}");
+                            assert_same_poison(&out, &expect, &what);
+                        }
+                    }
                 }
             }
         }

@@ -312,18 +312,28 @@ enum Rhs<'a> {
     Packed(&'a kernels::PackedB),
 }
 
+/// Output elements [`product`] runs its kernel and then its epilogue
+/// over at a time (16 KB): the epilogue reads rows the kernel has just
+/// written while they are still in L1, where a pass over a whole
+/// `[2048, 64]` output would go back to L2 for them.
+const EPILOGUE_BLOCK_ELEMS: usize = 4096;
+
 /// The one body behind every `[m, k] · [k, n]`-shaped product:
 /// [`matmul`], [`matmul_bt`], [`linear_act`], [`linear_softmax`] and
 /// their pre-packed twins differ only in where the right operand's
-/// panels come from and in the `epilogue` run over each row-aligned
-/// output chunk while it is cache-hot.
+/// panels come from and in the `epilogue` run over each block of
+/// output rows right after the kernel writes it.
 ///
-/// A per-call pack happens once, before any fan-out, in storage drawn
-/// from and returned to the thread-local pool. Row blocks are
-/// independent, so the threaded backend partitions the output by rows;
-/// every element accumulates over `k` in ascending order in either
-/// kernel and on both backends, keeping them all bit-exact. Both
-/// kernels overwrite every element, so the output is not zeroed first.
+/// An output narrower than the kernel family's vector
+/// ([`kernels::MatKernel::lanes`]) runs on row lanes from whatever
+/// operand it has: a row-major one is never packed for it, whatever
+/// [`PACK_MIN_FLOPS`] says. A per-call pack happens once, before any
+/// fan-out, in storage drawn from and returned to the thread-local pool.
+/// Row blocks are independent, so the threaded backend partitions the
+/// output by rows; every element accumulates over `k` in ascending order
+/// in either kernel and on both backends, keeping them all bit-exact.
+/// Both kernels overwrite every element, so the output is not zeroed
+/// first.
 fn product(
     ad: &[f32],
     [m, k, n]: [usize; 3],
@@ -331,22 +341,28 @@ fn product(
     epilogue: impl Fn(&mut [f32]) + Sync,
 ) -> Result<Tensor> {
     let flops = m * k * n;
+    let narrow = n < kernels::select().lanes();
     let transient = match rhs {
-        Rhs::RowMajor(bd) if flops >= PACK_MIN_FLOPS => Some(kernels::pack_b(bd, k, n)),
+        Rhs::RowMajor(bd) if flops >= PACK_MIN_FLOPS && !narrow => Some(kernels::pack_b(bd, k, n)),
         Rhs::Transposed(bd) => Some(kernels::pack_bt(bd, k, n)),
         Rhs::RowMajor(_) | Rhs::Packed(_) => None,
     };
     let mut out = crate::alloc::take_for_overwrite(m * n);
+    // A multiple of every row group a kernel forms, so only a chunk's last
+    // block has ragged ones.
+    let block_rows = (EPILOGUE_BLOCK_ELEMS / n.max(1)).next_multiple_of(16);
     let fill = |offset: usize, chunk: &mut [f32]| {
-        let row0 = offset / n.max(1);
-        match (transient.as_ref(), rhs) {
-            (Some(bp), _) | (None, Rhs::Packed(bp)) => {
-                kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp);
+        for (i, block) in chunk.chunks_mut(block_rows * n.max(1)).enumerate() {
+            let row0 = offset / n.max(1) + i * block_rows;
+            match (transient.as_ref(), rhs) {
+                (Some(bp), _) | (None, Rhs::Packed(bp)) => {
+                    kernels::matmul_packed_rows(ad, row0, block, k, n, bp);
+                }
+                (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, block, k, n, bd),
+                (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
             }
-            (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
-            (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
+            epilogue(block);
         }
-        epilogue(chunk);
     };
     if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
@@ -492,34 +508,27 @@ impl Act {
     }
 }
 
-/// Bias + activation epilogue over a row-aligned output chunk, shared
-/// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid run the
-/// vectorized [`crate::fastmath`] kernels over the whole chunk after a
-/// plain bias pass; Relu/Linear apply `act(v + b[j])` per element.
-/// Either way each element sees the exact sequence of the separate
-/// operators (bit-identical contract).
-fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
+/// Bias + activation epilogue over a row-aligned output block, shared
+/// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid fold the
+/// bias add into the vectorized [`crate::fastmath`] lane pass
+/// ([`fastmath::apply_rows_biased`]); Relu/Linear apply `act(v + b[j])`
+/// per element. Either way each element sees the exact sequence of the
+/// separate operators (bit-identical contract).
+fn act_epilogue(block: &mut [f32], bd: &[f32], n: usize, act: Act) {
     if n == 0 {
         return;
     }
-    let u = match act {
-        Act::Tanh => Unary::Tanh,
-        Act::Sigmoid => Unary::Sigmoid,
+    match act {
+        Act::Tanh => fastmath::apply_rows_biased(Unary::Tanh, block, bd),
+        Act::Sigmoid => fastmath::apply_rows_biased(Unary::Sigmoid, block, bd),
         Act::Relu | Act::Linear => {
-            for row in chunk.chunks_mut(n) {
+            for row in block.chunks_mut(n) {
                 for (o, &bv) in row.iter_mut().zip(bd) {
                     *o = act.apply(*o + bv);
                 }
             }
-            return;
-        }
-    };
-    for row in chunk.chunks_mut(n) {
-        for (o, &bv) in row.iter_mut().zip(bd) {
-            *o += bv;
         }
     }
-    fastmath::apply_slice(u, chunk);
 }
 
 /// The checked `[m, k, n]` of a fused layer `x: [m, k]`, weight `[k, n]`
@@ -694,8 +703,10 @@ fn reduce_axis(
     let mut out_dims: Vec<usize> = dims[..axis].to_vec();
     out_dims.extend_from_slice(&dims[axis + 1..]);
     let ad = a.data();
+    // The fold kernels start every slot from the identity (or from what
+    // `carried` holds) and write it, so a fresh buffer is not filled.
     let (mut out, resume) = continued_output("sum_axis_onto", &out_dims, carried, || {
-        crate::alloc::take_filled(outer * inner, op.init())
+        crate::alloc::take_for_overwrite(outer * inner)
     })?;
     let fill = |offset: usize, chunk: &mut [f32]| match inner {
         0 => {}
@@ -811,7 +822,8 @@ pub fn softmax_rows(a: &Tensor) -> Result<Tensor> {
     }
     let (m, n) = (a.shape()[0], a.shape()[1]);
     let ad = a.data();
-    let mut out = crate::alloc::take_zeroed(m * n);
+    // Every row is copied in and then normalised in place.
+    let mut out = crate::alloc::take_for_overwrite(m * n);
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
