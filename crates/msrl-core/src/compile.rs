@@ -54,11 +54,20 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use msrl_tensor::fastmath::{fast_exp, fast_sigmoid, fast_tanh};
+use msrl_tensor::fastmath::{self, Unary};
 use msrl_tensor::{ops, par, Tensor};
 
 use crate::graph::{DataflowGraph, NodeId, OpKind, OpNode};
 use crate::{FdgError, Result};
+
+/// `u` of one value through [`fastmath::apply_slice`], whose scalar edge
+/// runs in a feature-enabled body: spelled `fast_tanh(v)` here, each
+/// fused polynomial step would be a libm `fmaf` call. The same bits.
+fn transcendental(u: Unary, v: f32) -> f32 {
+    let mut v = [v];
+    fastmath::apply_slice(u, &mut v);
+    v[0]
+}
 
 /// Where one elementwise instruction reads an operand from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +133,9 @@ impl EwProgram {
                 EwInst::Mul(a, b) => ld(a, regs) * ld(b, regs),
                 EwInst::Div(a, b) => ld(a, regs) / ld(b, regs),
                 EwInst::Relu(a) => ld(a, regs).max(0.0),
-                EwInst::Tanh(a) => fast_tanh(ld(a, regs)),
-                EwInst::Sigmoid(a) => fast_sigmoid(ld(a, regs)),
-                EwInst::Exp(a) => fast_exp(ld(a, regs)),
+                EwInst::Tanh(a) => transcendental(Unary::Tanh, ld(a, regs)),
+                EwInst::Sigmoid(a) => transcendental(Unary::Sigmoid, ld(a, regs)),
+                EwInst::Exp(a) => transcendental(Unary::Exp, ld(a, regs)),
                 EwInst::Ln(a) => ld(a, regs).max(f32::MIN_POSITIVE).ln(),
                 EwInst::Square(a) => {
                     let v = ld(a, regs);
@@ -186,9 +195,18 @@ impl EwProgram {
                 EwInst::Mul(a, b) => lanes!(l => ld(a, l, done) * ld(b, l, done)),
                 EwInst::Div(a, b) => lanes!(l => ld(a, l, done) / ld(b, l, done)),
                 EwInst::Relu(a) => lanes!(l => ld(a, l, done).max(0.0)),
-                EwInst::Tanh(a) => lanes!(l => fast_tanh(ld(a, l, done))),
-                EwInst::Sigmoid(a) => lanes!(l => fast_sigmoid(ld(a, l, done))),
-                EwInst::Exp(a) => lanes!(l => fast_exp(ld(a, l, done))),
+                EwInst::Tanh(a) => {
+                    lanes!(l => ld(a, l, done));
+                    fastmath::apply_slice(Unary::Tanh, dst);
+                }
+                EwInst::Sigmoid(a) => {
+                    lanes!(l => ld(a, l, done));
+                    fastmath::apply_slice(Unary::Sigmoid, dst);
+                }
+                EwInst::Exp(a) => {
+                    lanes!(l => ld(a, l, done));
+                    fastmath::apply_slice(Unary::Exp, dst);
+                }
                 EwInst::Ln(a) => lanes!(l => ld(a, l, done).max(f32::MIN_POSITIVE).ln()),
                 EwInst::Square(a) => lanes!(l => {
                     let v = ld(a, l, done);
@@ -1210,9 +1228,9 @@ pub(crate) fn run_ew_inplace(
                 EwInst::Mul(a, b) => ld(a, &regs) * ld(b, &regs),
                 EwInst::Div(a, b) => ld(a, &regs) / ld(b, &regs),
                 EwInst::Relu(a) => ld(a, &regs).max(0.0),
-                EwInst::Tanh(a) => fast_tanh(ld(a, &regs)),
-                EwInst::Sigmoid(a) => fast_sigmoid(ld(a, &regs)),
-                EwInst::Exp(a) => fast_exp(ld(a, &regs)),
+                EwInst::Tanh(a) => transcendental(Unary::Tanh, ld(a, &regs)),
+                EwInst::Sigmoid(a) => transcendental(Unary::Sigmoid, ld(a, &regs)),
+                EwInst::Exp(a) => transcendental(Unary::Exp, ld(a, &regs)),
                 EwInst::Ln(a) => ld(a, &regs).max(f32::MIN_POSITIVE).ln(),
                 EwInst::Square(a) => {
                     let v = ld(a, &regs);

@@ -98,27 +98,34 @@ fn ss_max(a: f32, b: f32) -> f32 {
 
 /// Polynomial `eˣ`, the scalar reference every vector lane replays.
 ///
+/// Every multiply that feeds an add is one fused multiply–add
+/// (`f32::mul_add`): the range reduction, each Horner step and the
+/// final `y·r² + r`. Always inlined, so inside a feature-enabled body
+/// each step is one `vfmadd`; called from a body compiled for the
+/// baseline x86-64 target it is a libm `fmaf` call per step — the same
+/// bits, far slower, which is why every caller in this crate sits in a
+/// dispatched body.
+///
 /// Saturates (finite) at the clamp bounds instead of overflowing to
 /// `inf` / underflowing below `2⁻¹²⁷` (which flushes to exactly `0.0`);
 /// NaN propagates (data is the clamp's second operand).
-#[inline]
+#[inline(always)]
 pub fn fast_exp(x: f32) -> f32 {
     let x = ss_min(EXP_HI, x);
     let x = ss_max(EXP_LO, x);
     // x = z*ln2 + r with z integer-valued: z = floor(x*log2(e) + 0.5).
-    let z = (x * LOG2EF + 0.5).floor();
+    let z = x.mul_add(LOG2EF, 0.5).floor();
     // Two-constant Madsen split of ln2 keeps r exact to ~1e-11.
-    let x = x - z * C1;
-    let r = x - z * C2;
+    let x = z.mul_add(-C1, x);
+    let r = z.mul_add(-C2, x);
     let r2 = r * r;
     let mut y = P0;
-    y = y * r + P1;
-    y = y * r + P2;
-    y = y * r + P3;
-    y = y * r + P4;
-    y = y * r + P5;
-    y *= r2;
-    y += r;
+    y = y.mul_add(r, P1);
+    y = y.mul_add(r, P2);
+    y = y.mul_add(r, P3);
+    y = y.mul_add(r, P4);
+    y = y.mul_add(r, P5);
+    y = y.mul_add(r2, r);
     y += 1.0;
     // 2^z assembled directly in the exponent field; z ∈ [-127, 127].
     let pow2 = f32::from_bits((((z as i32) + 127) << 23) as u32);
@@ -128,7 +135,7 @@ pub fn fast_exp(x: f32) -> f32 {
 /// Polynomial `tanh(x)` via `fast_exp`: `t = e^(−2|x|) ∈ [0, 1]`, then
 /// `(1 − t)/(1 + t)` with the sign of `x` restored — the denominator is
 /// ≥ 1, so no overflow or division hazard exists anywhere in the range.
-#[inline]
+#[inline(always)]
 pub fn fast_tanh(x: f32) -> f32 {
     let ax = f32::from_bits(x.to_bits() & 0x7fff_ffff);
     let t = fast_exp(ax * -2.0);
@@ -137,12 +144,12 @@ pub fn fast_tanh(x: f32) -> f32 {
 }
 
 /// Polynomial logistic sigmoid `1/(1 + e^(−x))` via `fast_exp`.
-#[inline]
+#[inline(always)]
 pub fn fast_sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + fast_exp(f32::from_bits(x.to_bits() ^ 0x8000_0000)))
 }
 
-#[inline]
+#[inline(always)]
 fn apply_scalar(u: Unary, v: f32) -> f32 {
     match u {
         Unary::Exp => fast_exp(v),
@@ -312,6 +319,44 @@ pub fn softmax_rows_fast(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
     }
 }
 
+/// Row-wise log-softmax of rows `offset/n ..` of the row-major source
+/// into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
+/// max` (the polynomial `exp`; `ln` is libm's, one per row) subtracted
+/// from every element. The dispatch picks no arithmetic — every level
+/// runs [`log_softmax_rows_scalar`] — it only puts the scalar polynomial
+/// in a feature-enabled body, where each fused step is one instruction.
+pub fn log_softmax_rows(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match kernels::select() {
+            // SAFETY: `select` returned this variant only after runtime
+            // feature detection confirmed the ISA.
+            MatKernel::Avx512 => unsafe {
+                x86::log_softmax_rows_avx512(ad, offset, out, n);
+                return;
+            },
+            MatKernel::Avx2 => unsafe {
+                x86::log_softmax_rows_avx2(ad, offset, out, n);
+                return;
+            },
+            MatKernel::Portable => {}
+        }
+    }
+    log_softmax_rows_scalar(ad, offset, out, n);
+}
+
+#[inline(always)]
+fn log_softmax_rows_scalar(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+    for (r, orow) in out.chunks_mut(n).enumerate() {
+        let row = &ad[offset + r * n..offset + (r + 1) * n];
+        let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
+        let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
+        for (o, &v) in orow.iter_mut().zip(row) {
+            *o = v - lse;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! Vector lanes of the scalar reference: every step is the same
@@ -322,11 +367,12 @@ mod x86 {
 
     use std::arch::x86_64::{
         __m256, __m512, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_castps_si256,
-        _mm256_castsi256_ps, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_floor_ps, _mm256_loadu_ps,
-        _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_or_si256, _mm256_set1_epi32,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_xor_si256, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512, _mm512_castps_si512,
-        _mm512_castsi512_ps, _mm512_cvttps_epi32, _mm512_div_ps, _mm512_loadu_ps, _mm512_max_ps,
+        _mm256_castsi256_ps, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_floor_ps, _mm256_fmadd_ps,
+        _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+        _mm256_or_si256, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32,
+        _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_si256, _mm512_add_epi32, _mm512_add_ps,
+        _mm512_and_si512, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cvttps_epi32,
+        _mm512_div_ps, _mm512_fmadd_ps, _mm512_fnmadd_ps, _mm512_loadu_ps, _mm512_max_ps,
         _mm512_min_ps, _mm512_mul_ps, _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_epi32,
         _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32, _mm512_storeu_ps, _mm512_sub_ps,
         _mm512_xor_si512,
@@ -341,26 +387,22 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn vexp256(x: __m256) -> __m256 {
         let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
         let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
-        let z = _mm256_floor_ps(_mm256_add_ps(
-            _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
-            _mm256_set1_ps(0.5),
-        ));
-        let x = _mm256_sub_ps(x, _mm256_mul_ps(z, _mm256_set1_ps(C1)));
-        let r = _mm256_sub_ps(x, _mm256_mul_ps(z, _mm256_set1_ps(C2)));
+        let z = _mm256_floor_ps(_mm256_fmadd_ps(x, _mm256_set1_ps(LOG2EF), _mm256_set1_ps(0.5)));
+        let x = _mm256_fnmadd_ps(z, _mm256_set1_ps(C1), x);
+        let r = _mm256_fnmadd_ps(z, _mm256_set1_ps(C2), x);
         let r2 = _mm256_mul_ps(r, r);
         let mut y = _mm256_set1_ps(P0);
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P1));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P2));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P3));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P4));
-        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(P5));
-        y = _mm256_mul_ps(y, r2);
-        y = _mm256_add_ps(y, r);
+        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P1));
+        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P2));
+        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P3));
+        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P4));
+        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P5));
+        y = _mm256_fmadd_ps(y, r2, r);
         y = _mm256_add_ps(y, _mm256_set1_ps(1.0));
         let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
             _mm256_cvttps_epi32(z),
@@ -373,8 +415,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn vtanh256(x: __m256) -> __m256 {
         let xi = _mm256_castps_si256(x);
         let ax = _mm256_castsi256_ps(_mm256_and_si256(xi, _mm256_set1_epi32(0x7fff_ffff)));
@@ -389,8 +431,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn vsigmoid256(x: __m256) -> __m256 {
         let nx = _mm256_castsi256_ps(_mm256_xor_si256(
             _mm256_castps_si256(x),
@@ -404,8 +446,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn apply_avx2(u: Unary, data: &mut [f32]) {
         const L: usize = 8;
         let p = data.as_mut_ptr();
@@ -434,21 +476,21 @@ mod x86 {
     pub unsafe fn vexp512(x: __m512) -> __m512 {
         let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
         let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
-        let z = _mm512_roundscale_ps::<FLOOR>(_mm512_add_ps(
-            _mm512_mul_ps(x, _mm512_set1_ps(LOG2EF)),
+        let z = _mm512_roundscale_ps::<FLOOR>(_mm512_fmadd_ps(
+            x,
+            _mm512_set1_ps(LOG2EF),
             _mm512_set1_ps(0.5),
         ));
-        let x = _mm512_sub_ps(x, _mm512_mul_ps(z, _mm512_set1_ps(C1)));
-        let r = _mm512_sub_ps(x, _mm512_mul_ps(z, _mm512_set1_ps(C2)));
+        let x = _mm512_fnmadd_ps(z, _mm512_set1_ps(C1), x);
+        let r = _mm512_fnmadd_ps(z, _mm512_set1_ps(C2), x);
         let r2 = _mm512_mul_ps(r, r);
         let mut y = _mm512_set1_ps(P0);
-        y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(P1));
-        y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(P2));
-        y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(P3));
-        y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(P4));
-        y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(P5));
-        y = _mm512_mul_ps(y, r2);
-        y = _mm512_add_ps(y, r);
+        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P1));
+        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P2));
+        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P3));
+        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P4));
+        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P5));
+        y = _mm512_fmadd_ps(y, r2, r);
         y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
         let pow2 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
             _mm512_cvttps_epi32(z),
@@ -513,6 +555,26 @@ mod x86 {
         }
     }
 
+    /// [`super::log_softmax_rows`] with `fast_exp`'s steps as `vfmadd`.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn log_softmax_rows_avx512(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+        super::log_softmax_rows_scalar(ad, offset, out, n);
+    }
+
+    /// [`super::log_softmax_rows`] with `fast_exp`'s steps as `vfmadd`.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn log_softmax_rows_avx2(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+        super::log_softmax_rows_scalar(ad, offset, out, n);
+    }
+
     /// Generates one ISA's [`super::apply_rows_biased`]: whole vectors of
     /// each row through the lane kernel, the rest of the row through the
     /// scalar reference inside the feature-enabled body.
@@ -559,8 +621,8 @@ mod x86 {
         ///
         /// # Safety
         ///
-        /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-        apply_rows_biased_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps,
+        /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+        apply_rows_biased_avx2, "avx2,fma", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps,
         vexp256, vtanh256, vsigmoid256
     );
 
@@ -628,8 +690,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires `avx2` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2")]
+    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn softmax_row_avx2(row: &mut [f32]) {
         const H: usize = 8;
         let n = row.len();
@@ -759,10 +821,10 @@ mod tests {
             ("portable", apply_portable, softmax_row_portable),
         ];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if kernels::has_avx2_fma() {
             bodies.push((
                 "avx2",
-                // SAFETY: avx2 was just detected.
+                // SAFETY: avx2 and fma were just detected.
                 |u, d| unsafe { x86::apply_avx2(u, d) },
                 |r| unsafe { x86::softmax_row_avx2(r) },
             ));
@@ -811,6 +873,136 @@ mod tests {
         }
     }
 
+    /// Multiply–add steps of `fast_exp`: `z`, the two halves of the range
+    /// reduction, five Horner steps and `y·r² + r`.
+    const STEPS: usize = 9;
+
+    /// `fast_exp(x)` spelled out with step `unfused` (if any) rounding its
+    /// product before the add and every other step fused; with `None`,
+    /// the scalar reference itself.
+    fn exp_with(x: f32, unfused: Option<usize>) -> f32 {
+        let madd = |step: usize, a: f32, b: f32, c: f32| {
+            if unfused == Some(step) {
+                a * b + c
+            } else {
+                a.mul_add(b, c)
+            }
+        };
+        let x = ss_max(EXP_LO, ss_min(EXP_HI, x));
+        let z = madd(0, x, LOG2EF, 0.5).floor();
+        let r = madd(2, z, -C2, madd(1, z, -C1, x));
+        let mut y = P0;
+        for (i, p) in [P1, P2, P3, P4, P5].into_iter().enumerate() {
+            y = madd(3 + i, y, r, p);
+        }
+        let y = madd(8, y, r * r, r) + 1.0;
+        y * f32::from_bits((((z as i32) + 127) << 23) as u32)
+    }
+
+    /// [`exp_with`] under `u`'s wrapper.
+    fn poly(u: Unary, x: f32, unfused: Option<usize>) -> f32 {
+        match u {
+            Unary::Exp => exp_with(x, unfused),
+            Unary::Tanh => {
+                let t = exp_with(x.abs() * -2.0, unfused);
+                ((1.0 - t) / (1.0 + t)).copysign(x)
+            }
+            Unary::Sigmoid => 1.0 / (1.0 + exp_with(-x, unfused)),
+        }
+    }
+
+    /// `(function, step, input bits)`: an input on which rounding that
+    /// one step of [`exp_with`] twice changes the function's result, found
+    /// by random search (`x = lo + (hi − lo)·u` over each function's test
+    /// range; [`every_polynomial_step_is_fused`] re-checks every one). Step
+    /// 1 has none: `z·C1` is exact (`C1` has 9 significant bits, `|z| ≤
+    /// 127`), so it rounds the same either way. Steps 0 and 3 showed no
+    /// difference in 4·10⁸ draws per function, nor do steps 3 and 4 of
+    /// `tanh` and `sigmoid`.
+    const FUSED_STEP_WITNESSES: [(Unary, usize, u32); 16] = [
+        (Unary::Exp, 2, 0xc290_6264),
+        (Unary::Exp, 4, 0x421d_3ae6),
+        (Unary::Exp, 5, 0x4285_ea9a),
+        (Unary::Exp, 6, 0xc2a5_ba82),
+        (Unary::Exp, 7, 0x4166_e920),
+        (Unary::Exp, 8, 0xc287_2d58),
+        (Unary::Tanh, 2, 0x3f84_e208),
+        (Unary::Tanh, 5, 0x3e23_5000),
+        (Unary::Tanh, 6, 0xbf5d_0150),
+        (Unary::Tanh, 7, 0xbe69_d180),
+        (Unary::Tanh, 8, 0x3fc2_6648),
+        (Unary::Sigmoid, 2, 0xc153_1654),
+        (Unary::Sigmoid, 5, 0xc0fe_a870),
+        (Unary::Sigmoid, 6, 0xc0e8_f25c),
+        (Unary::Sigmoid, 7, 0xc140_a12f),
+        (Unary::Sigmoid, 8, 0xc047_52b0),
+    ];
+
+    #[test]
+    fn every_polynomial_step_is_fused() {
+        // The scalar reference is the all-fused spelling, and each
+        // witness tells a twice-rounded step from a fused one. Every body
+        // must give the reference's bits on every witness of its function:
+        // one that left any of those steps unfused would not.
+        for (u, lo, hi) in
+            [(Unary::Exp, -87.0, 88.0), (Unary::Tanh, -9.0, 9.0), (Unary::Sigmoid, -20.0, 20.0)]
+        {
+            for x in dense_range(lo, hi, 20_000) {
+                let (fused, scalar) = (poly(u, x, None), apply_scalar(u, x));
+                assert_eq!(fused.to_bits(), scalar.to_bits(), "{u:?}({x}): not the fused spelling");
+            }
+        }
+        for &(u, step, bits) in &FUSED_STEP_WITNESSES {
+            let x = f32::from_bits(bits);
+            assert_ne!(
+                poly(u, x, Some(step)).to_bits(),
+                poly(u, x, None).to_bits(),
+                "{u:?} step {step}"
+            );
+        }
+        for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
+            // Each witness at a vector lane and at the scalar edge, NaN in
+            // ⇒ NaN out on both.
+            let mut inputs: Vec<f32> = FUSED_STEP_WITNESSES
+                .iter()
+                .filter(|w| w.0 == u)
+                .map(|w| f32::from_bits(w.2))
+                .collect();
+            inputs.push(f32::NAN);
+            let inputs: Vec<f32> = inputs.repeat(17);
+            let scalar: Vec<f32> = inputs.iter().map(|&x| apply_scalar(u, x)).collect();
+            for (name, slice, _) in bodies() {
+                let mut got = inputs.clone();
+                slice(u, &mut got);
+                for ((g, s), x) in got.iter().zip(&scalar).zip(&inputs) {
+                    let same = if x.is_nan() { g.is_nan() } else { g.to_bits() == s.to_bits() };
+                    assert!(same, "{u:?} {name} at {x}: {g} vs the fused {s}");
+                }
+            }
+        }
+        // A softmax row of the `exp` witnesses that are logits of a row
+        // whose max is 0 (so each element's `exp` is of the witness
+        // itself): every body agrees with the portable row.
+        let row: Vec<f32> = [0.0]
+            .into_iter()
+            .chain(
+                FUSED_STEP_WITNESSES
+                    .iter()
+                    .filter(|w| w.0 == Unary::Exp)
+                    .map(|w| f32::from_bits(w.2))
+                    .filter(|&x| x < 0.0),
+            )
+            .collect::<Vec<f32>>()
+            .repeat(5);
+        let mut portable = row.clone();
+        softmax_row_portable(&mut portable);
+        for (name, _, row_softmax) in bodies() {
+            let mut got = row.clone();
+            row_softmax(&mut got);
+            assert_eq!(got, portable, "{name} softmax row");
+        }
+    }
+
     #[test]
     fn biased_rows_are_the_add_then_the_slice_pass_bitwise() {
         // Row widths under, at and past both vector widths, and a NaN bias.
@@ -827,9 +1019,10 @@ mod tests {
                     ("portable", apply_rows_biased_portable),
                 ];
                 #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: avx2 was just detected.
-                    bodies.push(("avx2", |u, r, b| unsafe { x86::apply_rows_biased_avx2(u, r, b) }));
+                if kernels::has_avx2_fma() {
+                    // SAFETY: avx2 and fma were just detected.
+                    bodies
+                        .push(("avx2", |u, r, b| unsafe { x86::apply_rows_biased_avx2(u, r, b) }));
                 }
                 for (name, body) in bodies {
                     let mut got = rows.clone();

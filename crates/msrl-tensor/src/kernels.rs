@@ -160,7 +160,7 @@ impl MatKernel {
 /// `vfmadd`, so `avx2` alone is not enough. The one predicate behind
 /// [`select`] and behind every test that calls a ymm body by name.
 #[cfg(target_arch = "x86_64")]
-fn has_avx2_fma() -> bool {
+pub(crate) fn has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 

@@ -496,8 +496,10 @@ pub enum Act {
 }
 
 impl Act {
-    /// Applies the activation to a single element.
-    #[inline]
+    /// Applies the activation to a single element. Always inlined: the
+    /// polynomial steps of `tanh`/`sigmoid` are fused multiply–adds, one
+    /// instruction each only inside a feature-enabled body.
+    #[inline(always)]
     pub fn apply(self, v: f32) -> f32 {
         match self {
             Act::Relu => v.max(0.0),
@@ -512,8 +514,10 @@ impl Act {
 /// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid fold the
 /// bias add into the vectorized [`crate::fastmath`] lane pass
 /// ([`fastmath::apply_rows_biased`]); Relu/Linear apply `act(v + b[j])`
-/// per element. Either way each element sees the exact sequence of the
-/// separate operators (bit-identical contract).
+/// per element, spelled out ([`Act::apply`]'s other arms would bring
+/// the polynomial into a body compiled for the baseline target). Either
+/// way each element sees the exact sequence of the separate operators
+/// (bit-identical contract).
 fn act_epilogue(block: &mut [f32], bd: &[f32], n: usize, act: Act) {
     if n == 0 {
         return;
@@ -521,10 +525,17 @@ fn act_epilogue(block: &mut [f32], bd: &[f32], n: usize, act: Act) {
     match act {
         Act::Tanh => fastmath::apply_rows_biased(Unary::Tanh, block, bd),
         Act::Sigmoid => fastmath::apply_rows_biased(Unary::Sigmoid, block, bd),
-        Act::Relu | Act::Linear => {
+        Act::Relu => {
             for row in block.chunks_mut(n) {
                 for (o, &bv) in row.iter_mut().zip(bd) {
-                    *o = act.apply(*o + bv);
+                    *o = (*o + bv).max(0.0);
+                }
+            }
+        }
+        Act::Linear => {
+            for row in block.chunks_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(bd) {
+                    *o += bv;
                 }
             }
         }
@@ -857,18 +868,7 @@ pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
     }
     // Rows are independent; the threaded backend splits them across
     // workers with identical per-row arithmetic (bit-exact).
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        for (r, orow) in chunk.chunks_mut(n).enumerate() {
-            let row = &ad[offset + r * n..offset + (r + 1) * n];
-            let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-            // The polynomial `exp` every other kernel uses; `fastmath` has
-            // no `ln`, so the one per row is libm's.
-            let lse = row.iter().map(|&v| fastmath::fast_exp(v - max)).sum::<f32>().ln() + max;
-            for (o, &v) in orow.iter_mut().zip(row) {
-                *o = v - lse;
-            }
-        }
-    };
+    let fill = |offset: usize, chunk: &mut [f32]| fastmath::log_softmax_rows(ad, offset, chunk, n);
     if n > 0 && m > 1 && par::should_parallelize(m * n, par::PAR_MIN_ELEMS) {
         par::fill_chunks_aligned(&mut out, n, fill);
     } else {

@@ -112,14 +112,14 @@ mod golden {
 
     /// `case params rewards losses msgs bytes env_steps`, checksums in hex.
     const PINNED: [&str; 8] = [
-        "dp_a 028d3e9074eafd74 09d13124a175800d 135f03777098274d 24 20240 256",
-        "dp_a_actsrv da857db5381733f2 09d13124a175800d e566de11611a2491 24 20240 256",
-        "dp_b 993b86ff17bea557 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
-        "dp_c 25039e2b956bac80 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
-        "dp_d 25c5597dc3cc6eef 2174271dce75576b cbf29ce484222325 6 5064 9600",
+        "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20240 256",
+        "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20240 256",
+        "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
+        "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
+        "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600",
         "dp_e cbf29ce484222325 9dd402fa701a38d2 cbf29ce484222325 144 25200 0",
-        "dp_f 4bea3c7b33e32d5c d5b267f92adcd405 cbf29ce484222325 12 6764 128",
-        "a3c d9a3944736fd2831 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
+        "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128",
+        "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
     ];
 
     /// Every field that the environment could otherwise set is spelled
