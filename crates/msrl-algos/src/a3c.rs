@@ -11,7 +11,7 @@ use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::Tape;
 use msrl_tensor::dist::categorical_stats;
-use msrl_tensor::optim::{clip_grad_norm, Adam, Optimizer};
+use msrl_tensor::optim::{clip_grad_norm, Adam};
 use msrl_tensor::Tensor;
 
 use crate::gae::discounted_returns;
@@ -159,39 +159,13 @@ impl Learner for A3cLearner {
     }
 
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
-        let mut grads = Vec::new();
-        let mut offset = 0;
-        let shapes: Vec<Vec<usize>> = self
-            .policy
-            .actor
-            .params()
-            .iter()
-            .chain(self.policy.critic.params().iter())
-            .map(|p| p.shape().to_vec())
-            .collect();
-        for shape in shapes {
-            let len: usize = shape.iter().product();
-            if offset + len > flat.len() {
-                return Err(FdgError::Tensor(msrl_tensor::TensorError::LengthMismatch {
-                    expected: offset + len,
-                    actual: flat.len(),
-                }));
-            }
-            grads.push(
-                Tensor::from_vec(flat[offset..offset + len].to_vec(), &shape)
-                    .map_err(FdgError::Tensor)?,
-            );
-            offset += len;
-        }
         let sentinel = msrl_telemetry::health_enabled();
         if sentinel {
             crate::sentinel::snapshot(&mut self.before, self.policy.params());
         }
-        {
-            let mut params = self.policy.actor.params_mut();
-            params.extend(self.policy.critic.params_mut());
-            self.opt.step(&mut params, &grads).map_err(FdgError::Tensor)?;
-        }
+        let mut params = self.policy.actor.params_mut();
+        params.extend(self.policy.critic.params_mut());
+        self.opt.step_flat(&mut params, flat).map_err(FdgError::Tensor)?;
         self.updates += 1;
         if sentinel {
             crate::sentinel::publish_update(

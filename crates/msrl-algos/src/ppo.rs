@@ -582,14 +582,19 @@ impl PpoLearner {
     }
 
     fn apply(&mut self, grads: &[Tensor]) -> Result<()> {
-        let discrete = self.policy.discrete;
-        let mut params = self.policy.actor.params_mut();
-        params.extend(self.policy.critic.params_mut());
-        if !discrete {
-            params.push(&mut self.policy.log_std);
-        }
-        self.opt.step(&mut params, grads).map_err(FdgError::Tensor)
+        self.opt.step(&mut trained(&mut self.policy), grads).map_err(FdgError::Tensor)
     }
+}
+
+/// The tensors a learner updates, in gradient order: actor, critic, and
+/// the log-std vector of a continuous policy.
+fn trained(policy: &mut PpoPolicy) -> Vec<&mut Tensor> {
+    let mut params = policy.actor.params_mut();
+    params.extend(policy.critic.params_mut());
+    if !policy.discrete {
+        params.push(&mut policy.log_std);
+    }
+    params
 }
 
 impl Learner for PpoLearner {
@@ -636,23 +641,14 @@ impl Learner for PpoLearner {
     }
 
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
-        let policy = &self.policy;
-        let params = policy.actor.params().into_iter().chain(policy.critic.params());
-        let mut grads = Vec::new();
-        let mut offset = 0;
-        for p in params.chain((!policy.discrete).then_some(&policy.log_std)) {
-            let end = offset + p.len();
-            let slice = flat.get(offset..end).ok_or(FdgError::Tensor(
-                msrl_tensor::TensorError::LengthMismatch { expected: end, actual: flat.len() },
-            ))?;
-            grads.push(Tensor::from_vec(slice.to_vec(), p.shape())?);
-            offset = end;
-        }
         let sentinel = msrl_telemetry::health_enabled();
         if sentinel {
             crate::sentinel::snapshot(&mut self.before, self.policy.params());
         }
-        self.apply(&grads)?;
+        // Read in place: a copy per parameter would be, on the wide model,
+        // two weight-sized allocations the allocator maps and unmaps each
+        // call.
+        self.opt.step_flat(&mut trained(&mut self.policy), flat).map_err(FdgError::Tensor)?;
         if sentinel {
             // External-gradient path (DP-C/DP-F): the pre-clip norm was
             // computed worker-side, so report the norm of the flat

@@ -29,9 +29,10 @@
 //! `transpose` then `matmul` — both on the live kernels, the
 //! composition the tape would otherwise record — vs the blocked
 //! `matmul_at` row kernel, GFLOP/s both ways, with hard floors ≥2x /
-//! ≥20x / ≥12x on the ratios (2.9x / 44x / 24x on the reference host;
-//! the narrow heads are where a materialised transpose plus a packed
-//! matmul with a 2- or 6-column right edge hurts most).
+//! ≥10x / ≥8x on the ratios (3.8–4.2x / 19–20x / 15–18x on the
+//! reference host at `MSRL_THREADS=1`; the composed `matmul` runs the
+//! heads' 2- and 6-column outputs on row lanes, so the transpose is most
+//! of what the direct kernel saves there).
 //!
 //! The `transcendentals` section records the absolute cost of the
 //! polynomial exp/tanh kernels (DESIGN §3.14) at two shapes —
@@ -503,8 +504,8 @@ impl MatmulAt {
 fn matmul_at_cost() -> Vec<MatmulAt> {
     let shapes = [
         ("matmul_at.dpd_hidden_speedup", 25_600, 64, 64, 2.0),
-        ("matmul_at.dpd_heads_speedup", 25_600, 64, 2, 20.0),
-        ("matmul_at.dpc_head_speedup", 1024, 256, 6, 12.0),
+        ("matmul_at.dpd_heads_speedup", 25_600, 64, 2, 10.0),
+        ("matmul_at.dpc_head_speedup", 1024, 256, 6, 8.0),
     ];
     let fill = |rows: usize, cols: usize, seed: usize| {
         let data = (0..rows * cols).map(|i| ((i * 31 + seed) % 199) as f32 / 100.0 - 1.0).collect();

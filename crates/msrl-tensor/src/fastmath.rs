@@ -22,10 +22,16 @@
 //! # Determinism contract
 //!
 //! The kernels are deterministic and ISA-independent: the AVX-512, AVX2
-//! and portable paths execute the exact scalar operation sequence
-//! (separate multiply and add, never an FMA; `floor`; truncating
-//! int-cast), so every lane rounds identically to the scalar reference
-//! and a run reproduces bit-for-bit on any x86-64 host. Row reductions
+//! and portable paths execute the exact scalar operation sequence — one
+//! fused multiply–add per polynomial step (the range reduction, every
+//! Horner step and `y·r² + r`), the products' "one rounding per step"
+//! contract ([`crate::kernels`]); `floor`; truncating int-cast; the
+//! division of `tanh`/`sigmoid` — so every lane rounds identically to
+//! the scalar reference and a run reproduces bit-for-bit on any x86-64
+//! host. The scalar functions are always inlined and every caller sits
+//! in a feature-enabled body, where a step is one `vfmadd`; compiled
+//! for the baseline target, `f32::mul_add` is a libm `fmaf` call per
+//! step — the same bits, many times the cost. Row reductions
 //! (the softmax max and sum) use a 16-lane tree fixed by [`RLANES`],
 //! not by the register width, so their combination order — and
 //! therefore their bits — are identical on every dispatch level too.
@@ -323,8 +329,8 @@ pub fn softmax_rows_fast(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
 /// into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
 /// max` (the polynomial `exp`; `ln` is libm's, one per row) subtracted
 /// from every element. The dispatch picks no arithmetic — every level
-/// runs [`log_softmax_rows_scalar`] — it only puts the scalar polynomial
-/// in a feature-enabled body, where each fused step is one instruction.
+/// runs the same scalar loop — it only puts the scalar polynomial in a
+/// feature-enabled body, where each fused step is one instruction.
 pub fn log_softmax_rows(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -360,8 +366,9 @@ fn log_softmax_rows_scalar(ad: &[f32], offset: usize, out: &mut [f32], n: usize)
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! Vector lanes of the scalar reference: every step is the same
-    //! rounding sequence (`mul` then `add`, never FMA; `floor`;
-    //! truncating `cvtt`), so lanes match [`super::fast_exp`] bitwise.
+    //! rounding sequence (`vfmadd`/`vfnmadd` where the scalar spells
+    //! `mul_add`; `floor`; truncating `cvtt`), so lanes match
+    //! [`super::fast_exp`] bitwise.
     //! Bitwise ops run on integer vectors (`and`/`or`/`xor` on
     //! `si512` need only `avx512f`, unlike the `ps` forms).
 
@@ -873,13 +880,10 @@ mod tests {
         }
     }
 
-    /// Multiply–add steps of `fast_exp`: `z`, the two halves of the range
-    /// reduction, five Horner steps and `y·r² + r`.
-    const STEPS: usize = 9;
-
     /// `fast_exp(x)` spelled out with step `unfused` (if any) rounding its
     /// product before the add and every other step fused; with `None`,
-    /// the scalar reference itself.
+    /// the scalar reference itself. Steps: 0 `z`, 1 and 2 the two halves
+    /// of the range reduction, 3–7 the Horner steps, 8 `y·r² + r`.
     fn exp_with(x: f32, unfused: Option<usize>) -> f32 {
         let madd = |step: usize, a: f32, b: f32, c: f32| {
             if unfused == Some(step) {
@@ -917,8 +921,8 @@ mod tests {
     /// range; [`every_polynomial_step_is_fused`] re-checks every one). Step
     /// 1 has none: `z·C1` is exact (`C1` has 9 significant bits, `|z| ≤
     /// 127`), so it rounds the same either way. Steps 0 and 3 showed no
-    /// difference in 4·10⁸ draws per function, nor do steps 3 and 4 of
-    /// `tanh` and `sigmoid`.
+    /// difference in 4·10⁸ draws per function, nor did step 4 of `tanh`
+    /// and `sigmoid`.
     const FUSED_STEP_WITNESSES: [(Unary, usize, u32); 16] = [
         (Unary::Exp, 2, 0xc290_6264),
         (Unary::Exp, 4, 0x421d_3ae6),
@@ -980,9 +984,9 @@ mod tests {
                 }
             }
         }
-        // A softmax row of the `exp` witnesses that are logits of a row
-        // whose max is 0 (so each element's `exp` is of the witness
-        // itself): every body agrees with the portable row.
+        // A softmax row of the negative `exp` witnesses behind a leading 0
+        // (its max, so each element's `exp` is of the witness itself):
+        // every body agrees with the portable row.
         let row: Vec<f32> = [0.0]
             .into_iter()
             .chain(
@@ -1003,6 +1007,8 @@ mod tests {
         }
     }
 
+    type Biased = fn(Unary, &mut [f32], &[f32]);
+
     #[test]
     fn biased_rows_are_the_add_then_the_slice_pass_bitwise() {
         // Row widths under, at and past both vector widths, and a NaN bias.
@@ -1014,7 +1020,7 @@ mod tests {
                 let mut expect: Vec<f32> =
                     rows.iter().enumerate().map(|(i, &v)| v + bias[i % n]).collect();
                 apply_portable(u, &mut expect);
-                let mut bodies: Vec<(&str, fn(Unary, &mut [f32], &[f32]))> = vec![
+                let mut bodies: Vec<(&str, Biased)> = vec![
                     ("dispatched", apply_rows_biased),
                     ("portable", apply_rows_biased_portable),
                 ];

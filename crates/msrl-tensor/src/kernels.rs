@@ -59,10 +59,29 @@
 //!   Rust that the autovectorizer handles on any architecture.
 //!
 //! A right-edge panel narrow enough for one vector (`w ≤ 16` / `8`
-//! columns: every policy and value head) keeps one accumulator per row
-//! instead of the panel's two or four. Row remainders (`m % MR`) run
-//! through a shared scalar edge loop with the same per-element
-//! accumulation order.
+//! columns) keeps one accumulator per row instead of the panel's two or
+//! four. Row remainders (`m % MR`) run through a shared scalar edge loop
+//! with the same per-element accumulation order. A whole product narrower
+//! than one vector never reaches the tile: it runs on row lanes (below).
+//!
+//! # Row lanes: outputs narrower than a vector
+//!
+//! An output `n < L` columns wide (`L` = [`MatKernel::lanes`]: 16 zmm,
+//! 8 ymm, 16 portable) — every policy and value head — would use `n` of
+//! a column vector's `L` lanes. So the lanes turn to run across `L`
+//! *output rows*. Each `L × L` block of `a` is transposed in registers
+//! (row pieces 128 bits at a time, four rows to a register, then a
+//! 4 × 4 transpose inside each 128-bit lane), and column `c` takes
+//! `t[kk] × b[kk][c]`, `b[kk][c]` broadcast, for `kk` ascending: at
+//! stride `n` from a row-major `b`, at stride `nr` from a panel. Both row
+//! kernels use them — the packed tile for a narrow `n`, the unpacked row
+//! kernel for its `n mod L` right edge — and `crate::ops` never packs a
+//! row-major operand for a narrow product: the rule keys on the
+//! operand's width, not on [`crate::ops::PACK_MIN_FLOPS`]. Lanes hold
+//! different output elements, each with its one accumulator and one
+//! fused multiply–add a step, so the argument above holds unchanged; a
+//! partial block (a ragged last row group, `k mod L`) is read through a
+//! zero-padded copy, and lanes past the last real row are never stored.
 //!
 //! # `a × bᵀ` is a pack layout, not a kernel
 //!
@@ -77,10 +96,10 @@
 //! For the small products a rollout is full of (a handful of
 //! observation rows × a hidden layer), [`matmul_simd_rows`] instead
 //! vectorises the naive loop *across output columns* directly on the
-//! row-major operand, and [`matmul_at_rows`] does the same for
-//! `aᵀ × b`: each output element still gets its own
-//! accumulator swept over `k` ascending with one fused multiply–add a
-//! step, so the results stay bit-identical.
+//! row-major operand — its `n mod L` right edge on row lanes — and
+//! [`matmul_at_rows`] does the same for `aᵀ × b`: each output element
+//! still gets its own accumulator swept over `k` ascending with one
+//! fused multiply–add a step, so the results stay bit-identical.
 //!
 //! ## The `aᵀ × b` kernel: reduction blocks and row lanes
 //!

@@ -124,14 +124,38 @@ impl Adam {
     pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
         Adam { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) -> Result<()> {
-        check_aligned(params, grads)?;
+    /// [`Optimizer::step`] with the gradients as one flat vector in
+    /// `params`' order — a data-parallel learner's all-reduced payload —
+    /// read in place instead of copied into a tensor per parameter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] unless `flat` holds exactly
+    /// as many values as `params`.
+    pub fn step_flat(&mut self, params: &mut [&mut Tensor], flat: &[f32]) -> Result<()> {
+        let total = params.iter().map(|p| p.len()).sum();
+        if flat.len() != total {
+            return Err(TensorError::LengthMismatch { expected: total, actual: flat.len() });
+        }
+        let mut rest = flat;
+        let grads: Vec<&[f32]> = params
+            .iter()
+            .map(|p| {
+                let (g, tail) = rest.split_at(p.len());
+                rest = tail;
+                g
+            })
+            .collect();
+        self.update(params, &grads)
+    }
+
+    /// The update over index-aligned gradient slices of the parameters'
+    /// lengths.
+    fn update(&mut self, params: &mut [&mut Tensor], grads: &[&[f32]]) -> Result<()> {
         if self.m.is_empty() {
-            self.m = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
-            self.v = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
+            self.m = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
+            self.v = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
         }
         if self.m.len() != grads.len() {
             return Err(TensorError::LengthMismatch {
@@ -144,7 +168,7 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (((p, g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
             for (((pv, gv), mv), vv) in
-                p.data_mut().iter_mut().zip(g.data()).zip(m.data_mut()).zip(v.data_mut())
+                p.data_mut().iter_mut().zip(g.iter()).zip(m.data_mut()).zip(v.data_mut())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
@@ -154,6 +178,13 @@ impl Optimizer for Adam {
             }
         }
         Ok(())
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) -> Result<()> {
+        check_aligned(params, grads)?;
+        self.update(params, &grads.iter().map(Tensor::data).collect::<Vec<_>>())
     }
 
     fn learning_rate(&self) -> f32 {
@@ -209,6 +240,33 @@ pub fn average_grads(replica_grads: &[Vec<Tensor>]) -> Result<Vec<Tensor>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn adam_step_flat_is_the_step_over_tensors_bitwise() {
+        let shapes: [&[usize]; 3] = [&[3, 4], &[4], &[2, 5]];
+        let value = |i: usize, s: usize| ((i * 2654435761 + s) % 997) as f32 / 500.0 - 1.0;
+        let tensors = |s: usize| -> Vec<Tensor> {
+            shapes
+                .iter()
+                .map(|&d| {
+                    Tensor::from_vec((0..d.iter().product()).map(|i| value(i, s)).collect(), d)
+                        .unwrap()
+                })
+                .collect()
+        };
+        let (mut by_tensor, mut by_flat) = (tensors(1), tensors(1));
+        let (mut a, mut b) = (Adam::new(0.01), Adam::new(0.01));
+        for step in 0..3 {
+            let grads = tensors(10 + step);
+            let flat: Vec<f32> = grads.iter().flat_map(|g| g.data().to_vec()).collect();
+            a.step(&mut by_tensor.iter_mut().collect::<Vec<_>>(), &grads).unwrap();
+            b.step_flat(&mut by_flat.iter_mut().collect::<Vec<_>>(), &flat).unwrap();
+            assert_eq!(by_tensor, by_flat, "step {step}");
+            let mut params: Vec<&mut Tensor> = by_flat.iter_mut().collect();
+            assert!(b.step_flat(&mut params, &flat[1..]).is_err());
+            assert!(b.step_flat(&mut params, &[flat.clone(), vec![0.0]].concat()).is_err());
+        }
+    }
 
     #[test]
     fn sgd_moves_against_gradient() {
