@@ -124,14 +124,16 @@ pub struct A3cLearner {
     pub policy: PpoPolicy,
     opt: Adam,
     updates: usize,
-    /// The parameters before the current update, for the health sentinel.
+    /// The parameters before the current update, for the health sentinel
+    /// (allocated with the learner, as `PpoLearner`'s).
     before: Vec<f32>,
 }
 
 impl A3cLearner {
     /// Creates the learner.
     pub fn new(policy: PpoPolicy, cfg: &A3cConfig) -> Self {
-        A3cLearner { policy, opt: Adam::new(cfg.lr), updates: 0, before: Vec::new() }
+        let before = Vec::with_capacity(policy.num_params());
+        A3cLearner { policy, opt: Adam::new(cfg.lr), updates: 0, before }
     }
 
     /// Number of gradient applications so far.

@@ -61,7 +61,8 @@ pub struct Dqn {
     rng: StdRng,
     act_steps: usize,
     updates: usize,
-    /// The parameters before the current update, for the health sentinel.
+    /// The parameters before the current update, for the health sentinel
+    /// (allocated with the learner, as `PpoLearner`'s).
     before: Vec<f32>,
 }
 
@@ -81,8 +82,8 @@ impl Dqn {
         let q = Mlp::new(&sizes, Activation::Relu, Activation::Linear, &mut rng);
         let target = q.clone();
         let opt = Adam::new(cfg.lr);
-        let rng = StdRng::seed_from_u64(seed + 1);
-        Dqn { q, target, cfg, opt, rng, act_steps: 0, updates: 0, before: Vec::new() }
+        let (rng, before) = (StdRng::seed_from_u64(seed + 1), Vec::with_capacity(q.num_params()));
+        Dqn { q, target, cfg, opt, rng, act_steps: 0, updates: 0, before }
     }
 
     /// The current exploration rate (linear decay).
