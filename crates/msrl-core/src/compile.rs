@@ -220,8 +220,11 @@ impl EwProgram {
 }
 
 /// Lane width of the chunked elementwise executor: each instruction
-/// dispatch covers this many consecutive output elements.
-pub(crate) const EW_LANE: usize = 8;
+/// dispatch covers this many consecutive output elements. 16 is the
+/// widest [`fastmath::apply_slice`] vector, so a transcendental
+/// instruction's lane is whole vectors on every family and never its
+/// scalar edge.
+pub(crate) const EW_LANE: usize = 16;
 
 /// What one planned pure op executes as.
 #[derive(Debug, Clone, PartialEq)]
@@ -1372,7 +1375,7 @@ mod tests {
         let inplace = run_ew_inplace(&prog, x.clone(), 0, &[None, Some(&y), Some(&s)]).unwrap();
         assert_eq!(inplace.data(), expect.data());
 
-        // A volume that is not a multiple of the 8-wide lane exercises
+        // A volume that is not a multiple of the 16-wide lane exercises
         // the executor's scalar tail.
         let x2 =
             Tensor::from_vec((0..21).map(|i| (i as f32 * 0.53).sin()).collect(), &[3, 7]).unwrap();

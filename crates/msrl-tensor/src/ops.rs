@@ -312,17 +312,11 @@ enum Rhs<'a> {
     Packed(&'a kernels::PackedB),
 }
 
-/// Output elements [`product`] runs its kernel and then its epilogue
-/// over at a time (16 KB): the epilogue reads rows the kernel has just
-/// written while they are still in L1, where a pass over a whole
-/// `[2048, 64]` output would go back to L2 for them.
-const EPILOGUE_BLOCK_ELEMS: usize = 4096;
-
 /// The one body behind every `[m, k] · [k, n]`-shaped product:
 /// [`matmul`], [`matmul_bt`], [`linear_act`], [`linear_softmax`] and
 /// their pre-packed twins differ only in where the right operand's
-/// panels come from and in the `epilogue` run over each block of
-/// output rows right after the kernel writes it.
+/// panels come from and in the `epilogue` run over each row-aligned
+/// output chunk right after the kernel writes it.
 ///
 /// An output narrower than the kernel family's vector
 /// ([`kernels::MatKernel::lanes`]) runs on row lanes from whatever
@@ -348,21 +342,16 @@ fn product(
         Rhs::RowMajor(_) | Rhs::Packed(_) => None,
     };
     let mut out = crate::alloc::take_for_overwrite(m * n);
-    // A multiple of every row group a kernel forms, so only a chunk's last
-    // block has ragged ones.
-    let block_rows = (EPILOGUE_BLOCK_ELEMS / n.max(1)).next_multiple_of(16);
     let fill = |offset: usize, chunk: &mut [f32]| {
-        for (i, block) in chunk.chunks_mut(block_rows * n.max(1)).enumerate() {
-            let row0 = offset / n.max(1) + i * block_rows;
-            match (transient.as_ref(), rhs) {
-                (Some(bp), _) | (None, Rhs::Packed(bp)) => {
-                    kernels::matmul_packed_rows(ad, row0, block, k, n, bp);
-                }
-                (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, block, k, n, bd),
-                (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
+        let row0 = offset / n.max(1);
+        match (transient.as_ref(), rhs) {
+            (Some(bp), _) | (None, Rhs::Packed(bp)) => {
+                kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp);
             }
-            epilogue(block);
+            (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
+            (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
         }
+        epilogue(chunk);
     };
     if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
         par::fill_chunks_aligned(&mut out, n, fill);
@@ -510,7 +499,7 @@ impl Act {
     }
 }
 
-/// Bias + activation epilogue over a row-aligned output block, shared
+/// Bias + activation epilogue over a row-aligned output chunk, shared
 /// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid fold the
 /// bias add into the vectorized [`crate::fastmath`] lane pass
 /// ([`fastmath::apply_rows_biased`]); Relu/Linear apply `act(v + b[j])`
@@ -518,22 +507,22 @@ impl Act {
 /// the polynomial into a body compiled for the baseline target). Either
 /// way each element sees the exact sequence of the separate operators
 /// (bit-identical contract).
-fn act_epilogue(block: &mut [f32], bd: &[f32], n: usize, act: Act) {
+fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
     if n == 0 {
         return;
     }
     match act {
-        Act::Tanh => fastmath::apply_rows_biased(Unary::Tanh, block, bd),
-        Act::Sigmoid => fastmath::apply_rows_biased(Unary::Sigmoid, block, bd),
+        Act::Tanh => fastmath::apply_rows_biased(Unary::Tanh, chunk, bd),
+        Act::Sigmoid => fastmath::apply_rows_biased(Unary::Sigmoid, chunk, bd),
         Act::Relu => {
-            for row in block.chunks_mut(n) {
+            for row in chunk.chunks_mut(n) {
                 for (o, &bv) in row.iter_mut().zip(bd) {
                     *o = (*o + bv).max(0.0);
                 }
             }
         }
         Act::Linear => {
-            for row in block.chunks_mut(n) {
+            for row in chunk.chunks_mut(n) {
                 for (o, &bv) in row.iter_mut().zip(bd) {
                     *o += bv;
                 }
@@ -1221,8 +1210,9 @@ mod tests {
         // Below `PACK_MIN_FLOPS` (the unpacked row kernel) and above it
         // (`w` packed per call: 70 columns are two panels and a 6-wide
         // right edge, 70 rows leave a row remainder; 2 columns are the
-        // policy head), on the calling thread and split over two workers.
-        for (m, k, n) in [(5, 4, 3), (70, 64, 70), (1100, 120, 2)] {
+        // policy head; 4,100 columns make one output row longer than
+        // 16 KB), on the calling thread and split over two workers.
+        for (m, k, n) in [(5, 4, 3), (3, 2, 4100), (70, 64, 70), (1100, 120, 2), (6, 32, 4100)] {
             assert_eq!(m * k * n >= PACK_MIN_FLOPS, m > 5, "({m},{k},{n}) vs the pack rule");
             let x = t(&(0..m * k).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, k]);
             let w = t(&(0..k * n).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[k, n]);
