@@ -323,17 +323,18 @@ impl Actor for PpoActor {
 /// Rows of a learn batch differentiated on one tape.
 ///
 /// A pass keeps every tape node's value until the backward sweep has
-/// read it, about 480 floats per row of a `[64, 64]` policy. At 2,048
-/// rows a `[rows, 64]` operand is 512 KB and an op's operands sit in
+/// read it, about 480 floats per row of a `[64, 64]` policy. At 1,024
+/// rows a `[rows, 64]` operand is 256 KB and an op's operands sit in
 /// L2; at 25,600 rows one operand is 6.5 MB and every node streams
 /// through L3/DRAM: `PpoLearner::grads` costs 1.00 / 1.07 / 1.11 ms per
 /// 1,000 rows at 512 / 1,024 / 2,048 rows and 1.24 / 1.41 / 1.53 / 2.61
 /// at 4,096 / 8,192 / 25,600 / 51,200 on one tape. So a taller batch is
 /// differentiated in consecutive blocks of this many rows (DESIGN.md
-/// §3.19). One constant, not a knob: it is the knee of that table and
-/// the tallest batch the per-step policies of the ledger collect, so
-/// they stay one block.
-const LEARN_BLOCK_ROWS: usize = 2048;
+/// §3.19). One constant, not a knob: 1,024 rows cost 4 % more per row
+/// than 2,048 on that table, and buy that the pass's two branches, each
+/// on its own thread's pool when they run side by side, hold no more
+/// than one 2,048-row tape did.
+const LEARN_BLOCK_ROWS: usize = 1024;
 
 /// The epoch-invariant leaves of the PPO loss for one batch
 /// ([`PpoLearner::loss_inputs`]), cut into the row blocks
@@ -372,6 +373,58 @@ fn row_block(t: &Tensor, n: usize, lo: usize, hi: usize) -> Result<Rc<Tensor>> {
 enum Actions {
     Discrete(Vec<usize>),
     Continuous(Rc<Tensor>),
+}
+
+/// Runs the policy branch (first) and the value branch (second) of a
+/// learn pass, both to completion.
+type Join<'j> = &'j mut dyn FnMut(&mut dyn FnMut(), &mut (dyn FnMut() + Send));
+
+/// A tensor of `shape` drawn from the calling thread's pool, every
+/// element to be overwritten.
+fn pooled(shape: &[usize]) -> Tensor {
+    let len = shape.iter().product();
+    Tensor::from_vec(msrl_tensor::alloc::take_for_overwrite(len), shape).expect("volume matches")
+}
+
+/// The value branch of the PPO loss: the critic and the value loss
+/// `mean((v − ret)²)` over `rows` rows, differentiated block by block
+/// as [`PpoLearner::policy_branch`] is, scaled by `value_coef` as the
+/// loss weighs it. Writes the critic's gradients into `grads` and
+/// returns the value loss.
+///
+/// It may run on another thread than the learner's, and a tape recycles
+/// every buffer it holds into the pool of the thread it runs on: so it
+/// draws everything from that pool, its copies of `obs` and `ret`
+/// included, and recycles its own gradients there once copied out.
+fn value_branch(
+    critic: &Mlp,
+    blocks: &[(&Tensor, &Tensor)],
+    rows: usize,
+    value_coef: f32,
+    grads: &mut [Tensor],
+) -> Result<f32> {
+    let mut gs: Vec<Tensor> = Vec::new();
+    let mut sum = None;
+    let mut value_loss = 0.0;
+    for &(obs, ret) in blocks {
+        let tape = Tape::new();
+        let critic = critic.bind(&tape);
+        let obs = tape.constant(obs.reshape(obs.shape())?);
+        let ret_t = tape.constant(ret.reshape(ret.shape())?);
+        let values = critic.forward(&obs)?.reshape(&[ret.len()])?;
+        let mse = values.sub(&ret_t)?.square().mean_over(rows, &mut sum);
+        let loss = mse.mul_scalar(value_coef);
+        let params = critic.param_vars();
+        let carried = params.iter().zip(gs.drain(..)).collect();
+        let mut block_grads = tape.backward_onto(&loss, carried)?;
+        gs.extend(params.iter().map(|p| block_grads.take_or_zeros(p)));
+        value_loss = mse.value().item()?;
+    }
+    for (out, g) in grads.iter_mut().zip(gs) {
+        out.data_mut().copy_from_slice(g.data());
+        g.recycle();
+    }
+    Ok(value_loss)
 }
 
 /// The training half of PPO (`Learner.learn()` in the paper's API).
@@ -509,33 +562,81 @@ impl PpoLearner {
     }
 
     /// One clipped-surrogate optimisation pass; returns `(loss, grads)`
-    /// without mutating the policy.
+    /// without mutating the policy. The loss's two branches run side by
+    /// side through `par::join`: the value branch on a helper when a core
+    /// is free, else after the policy branch on this thread.
+    fn loss_and_grads(&self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
+        self.loss_and_grads_joined(inputs, &mut |policy, value| {
+            msrl_tensor::par::join(policy, value);
+        })
+    }
+
+    /// [`PpoLearner::loss_and_grads`] with the join spelled out (the
+    /// tests also run the branches one after the other).
+    ///
+    /// The loss is `policy + value_coef·value − entropy_coef·entropy`,
+    /// and its dataflow is two branches that meet only in that sum and
+    /// the global norm clip: the actor with the surrogate and entropy
+    /// terms ([`PpoLearner::policy_branch`]), and the critic with the
+    /// value loss ([`value_branch`]). Each is differentiated on tapes of
+    /// its own; every gradient it sends to its parameters is the one the
+    /// single tape over both sends, in the same order, so the split is
+    /// bit for bit that tape. Gradients come back in actor, critic,
+    /// log-std order, and the loss is summed in the single tape's `f32`
+    /// order.
+    fn loss_and_grads_joined(&self, inputs: &LossInputs, join: Join) -> Result<(f32, Vec<Tensor>)> {
+        // Drawn here: each thread recycles only what its own pool lent.
+        let mut critic_grads: Vec<Tensor> =
+            self.policy.critic.params().iter().map(|p| pooled(p.shape())).collect();
+        let blocks: Vec<(&Tensor, &Tensor)> =
+            inputs.blocks.iter().map(|b| (&*b.obs, &*b.ret)).collect();
+        let (critic, n, value_coef) = (&self.policy.critic, inputs.rows, self.cfg.value_coef);
+        let (mut policy, mut value) = (None, None);
+        join(&mut || policy = Some(self.policy_branch(inputs)), &mut || {
+            value = Some(value_branch(critic, &blocks, n, value_coef, &mut critic_grads));
+        });
+        let (policy_loss, entropy, mut gs) = policy.expect("the join ran the policy branch")?;
+        let value_loss = value.expect("the join ran the value branch")?;
+        let log_std = if self.policy.discrete { None } else { gs.pop() };
+        gs.extend(critic_grads);
+        gs.extend(log_std);
+        let loss = (policy_loss + value_loss * value_coef) + entropy * -self.cfg.entropy_coef;
+        let grad_norm = clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
+        self.last_grad_norm.set(Some(grad_norm));
+        self.last_metrics.set(Some((loss, entropy)));
+        Ok((loss, gs))
+    }
+
+    /// The policy branch of the loss on the calling thread: the actor,
+    /// log-std, the action distribution's statistics, the clipped
+    /// surrogate and the entropy bonus. Returns the surrogate loss, the
+    /// mean entropy and the gradients of the actor's parameters, then of
+    /// log-std (continuous only).
     ///
     /// The batch is differentiated block by block, each block on a tape
     /// of its own that is dropped — its buffers back in the pool — before
-    /// the next one is recorded, so the pass's working set is one
-    /// block's. The loss is three means over the *batch*: each is a sum
-    /// going on from the previous block's, seeded backwards with `g / n`
-    /// for the batch's `n` ([`Var::mean_over`]), and the parameter
-    /// gradients of one block are handed to the next block's backward
-    /// pass, where every `Linear` weight and bias continues its
-    /// reduction over the rows ([`Tape::backward_onto`]) — bit for bit
-    /// what one tape over the whole batch computes. `log_std`, reached
-    /// through broadcasts of interior nodes, is the sum of its per-block
-    /// gradients. A batch of one block runs this loop once: one tape,
-    /// plain means, nothing carried.
+    /// the next one is recorded, so the working set is one block's. Each
+    /// mean is over the *batch*: a sum going on from the previous block's,
+    /// seeded backwards with `g / n` for the batch's `n`
+    /// ([`Var::mean_over`]), and the parameter gradients of one block are
+    /// handed to the next block's backward pass, where every `Linear`
+    /// weight and bias continues its reduction over the rows
+    /// ([`Tape::backward_onto`]) — bit for bit what one tape over the
+    /// whole batch computes. `log_std`, reached through broadcasts of
+    /// interior nodes, is the sum of its per-block gradients. A batch of
+    /// one block runs the loop once: one tape, plain means, nothing
+    /// carried. [`value_branch`] runs the same loop.
     ///
     /// [`Var::mean_over`]: msrl_tensor::autograd::Var::mean_over
     /// [`Tape::backward_onto`]: msrl_tensor::autograd::Tape::backward_onto
-    fn loss_and_grads(&self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
+    fn policy_branch(&self, inputs: &LossInputs) -> Result<(f32, f32, Vec<Tensor>)> {
         let n = inputs.rows;
         let mut gs: Vec<Tensor> = Vec::new();
-        let [mut policy_sum, mut value_sum, mut entropy_sum] = [None; 3];
-        let mut metrics = (0.0, 0.0);
+        let [mut policy_sum, mut entropy_sum] = [None; 2];
+        let mut means = (0.0, 0.0);
         for block in &inputs.blocks {
             let tape = Tape::new();
             let actor = self.policy.actor.bind(&tape);
-            let critic = self.policy.critic.bind(&tape);
             let obs = tape.constant(Rc::clone(&block.obs));
             let out = actor.forward(&obs)?;
 
@@ -556,28 +657,17 @@ impl PpoLearner {
             let unclipped = ratio.mul(&adv_t)?;
             let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
             let policy_loss = unclipped.min(&clipped)?.mean_over(n, &mut policy_sum).neg();
-
-            let ret_t = tape.constant(Rc::clone(&block.ret));
-            let values = critic.forward(&obs)?.reshape(&[block.ret.len()])?;
-            let value_loss = values.sub(&ret_t)?.square().mean_over(n, &mut value_sum);
-
             let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
-            let loss = policy_loss
-                .add(&value_loss.mul_scalar(self.cfg.value_coef))?
-                .add(&entropy_mean.mul_scalar(-self.cfg.entropy_coef))?;
+            let loss = policy_loss.add(&entropy_mean.mul_scalar(-self.cfg.entropy_coef))?;
 
-            let params: Vec<&Var> =
-                actor.param_vars().iter().chain(critic.param_vars()).chain(&log_std_var).collect();
+            let params: Vec<&Var> = actor.param_vars().iter().chain(&log_std_var).collect();
             let carried = params.iter().copied().zip(gs.drain(..)).collect();
             let mut grads = tape.backward_onto(&loss, carried)?;
             gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
             // Of the batch once the last block is in.
-            metrics = (loss.value().item()?, entropy_mean.value().item()?);
+            means = (policy_loss.value().item()?, entropy_mean.value().item()?);
         }
-        let grad_norm = clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
-        self.last_grad_norm.set(Some(grad_norm));
-        self.last_metrics.set(Some(metrics));
-        Ok((metrics.0, gs))
+        Ok((means.0, means.1, gs))
     }
 
     fn apply(&mut self, grads: &[Tensor]) -> Result<()> {
@@ -977,6 +1067,122 @@ mod tests {
                         let ok = (g - e).abs() <= 1e-6 * scale;
                         prop_assert!(ok, "log_std {g} vs {e} at scale {scale}{name}, {what}");
                     }
+                }
+            }
+        }
+    }
+
+    /// `(loss, entropy, pre-clip gradient norm, gradients)` as bits.
+    type PassBits = (u32, u32, u32, Vec<Vec<u32>>);
+
+    fn bits_of(loss: f32, entropy: f32, norm: f32, grads: &[Tensor]) -> PassBits {
+        let bits = |g: &Tensor| g.data().iter().map(|v| v.to_bits()).collect();
+        (loss.to_bits(), entropy.to_bits(), norm.to_bits(), grads.iter().map(bits).collect())
+    }
+
+    /// The learn pass as it was spelled before its branches split: both
+    /// on one tape per block, one loss, one backward pass.
+    fn one_tape_pass(learner: &PpoLearner, inputs: &LossInputs) -> PassBits {
+        let (policy, cfg) = (&learner.policy, &learner.cfg);
+        let n = inputs.rows;
+        let mut gs: Vec<Tensor> = Vec::new();
+        let [mut policy_sum, mut value_sum, mut entropy_sum] = [None; 3];
+        let mut metrics = (0.0, 0.0);
+        for block in &inputs.blocks {
+            let tape = Tape::new();
+            let actor = policy.actor.bind(&tape);
+            let critic = policy.critic.bind(&tape);
+            let obs = tape.constant(Rc::clone(&block.obs));
+            let out = actor.forward(&obs).unwrap();
+            let mut log_std_var = None;
+            let (log_prob, entropy) = match &block.actions {
+                Actions::Discrete(idx) => categorical_stats(&out, idx).unwrap(),
+                Actions::Continuous(actions) => {
+                    let log_std = tape.var(policy.log_std.clone());
+                    let stats = gaussian_stats(&out, &log_std, Rc::clone(actions)).unwrap();
+                    log_std_var = Some(log_std);
+                    stats
+                }
+            };
+            let adv_t = tape.constant(Rc::clone(&block.adv));
+            let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
+            let ratio = log_prob.sub(&old_lp).unwrap().exp();
+            let unclipped = ratio.mul(&adv_t).unwrap();
+            let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv_t).unwrap();
+            let policy_loss = unclipped.min(&clipped).unwrap().mean_over(n, &mut policy_sum).neg();
+            let ret_t = tape.constant(Rc::clone(&block.ret));
+            let values = critic.forward(&obs).unwrap().reshape(&[block.ret.len()]).unwrap();
+            let value_loss = values.sub(&ret_t).unwrap().square().mean_over(n, &mut value_sum);
+            let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
+            let loss = policy_loss
+                .add(&value_loss.mul_scalar(cfg.value_coef))
+                .unwrap()
+                .add(&entropy_mean.mul_scalar(-cfg.entropy_coef))
+                .unwrap();
+            let params: Vec<&Var> =
+                actor.param_vars().iter().chain(critic.param_vars()).chain(&log_std_var).collect();
+            let carried = params.iter().copied().zip(gs.drain(..)).collect();
+            let mut grads = tape.backward_onto(&loss, carried).unwrap();
+            gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
+            metrics = (loss.value().item().unwrap(), entropy_mean.value().item().unwrap());
+        }
+        let norm = clip_grad_norm(&mut gs, cfg.max_grad_norm);
+        bits_of(metrics.0, metrics.1, norm, &gs)
+    }
+
+    /// The split pass with its branches joined by `join`.
+    fn split_pass(learner: &PpoLearner, inputs: &LossInputs, join: Join) -> PassBits {
+        let (loss, grads) = learner.loss_and_grads_joined(inputs, join).unwrap();
+        let (entropy, norm) = (learner.last_entropy(), learner.last_grad_norm.get());
+        bits_of(loss, entropy.unwrap(), norm.unwrap(), &grads)
+    }
+
+    /// The split pass is the one-tape pass bit for bit, whether the value
+    /// branch runs on a helper or after the policy branch on the caller:
+    /// discrete and continuous heads, one block and three (the last one
+    /// ragged), fused and unfused.
+    #[test]
+    fn branch_split_keeps_every_bit() {
+        use msrl_tensor::par;
+        let me = std::thread::current().id();
+        let has_helper = !par::on_helpers(|| ()).is_empty();
+        let policies =
+            [PpoPolicy::discrete(4, 2, &[32, 32], 3), PpoPolicy::continuous(17, 6, &[32, 32], 4)];
+        for policy in &policies {
+            for rows in [300, 2 * LEARN_BLOCK_ROWS + 77] {
+                for fusion in [true, false] {
+                    let what =
+                        format!("discrete {}, {rows} rows, fusion {fusion}", policy.discrete);
+                    par::with_fusion(fusion, || {
+                        let batch = synthetic_batch(rows, policy, 11);
+                        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+                        let inputs = learner.loss_inputs(&batch).unwrap();
+                        assert_eq!(inputs.blocks.len(), rows.div_ceil(LEARN_BLOCK_ROWS));
+                        let reference = one_tape_pass(&learner, &inputs);
+                        let inline = split_pass(&learner, &inputs, &mut |policy, value| {
+                            policy();
+                            value();
+                        });
+                        assert_eq!(inline, reference, "inline, {what}");
+                        // A concurrent test may hold the helper: retry
+                        // until the value branch ran on it.
+                        for attempt in 0.. {
+                            let mut ran_on = me;
+                            let forked = split_pass(&learner, &inputs, &mut |policy, value| {
+                                let on = || {
+                                    value();
+                                    std::thread::current().id()
+                                };
+                                ran_on = par::join(policy, on).1;
+                            });
+                            assert_eq!(forked, reference, "forked {}, {what}", ran_on != me);
+                            if ran_on != me || !has_helper {
+                                break;
+                            }
+                            assert!(attempt < 10_000, "the value branch never forked");
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                        }
+                    });
                 }
             }
         }

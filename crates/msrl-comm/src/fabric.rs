@@ -162,6 +162,13 @@ struct Queues {
     /// `parked[j]`: receivers asleep on the condvar that a push (or the
     /// departure) of rank `j` must wake.
     parked: Vec<usize>,
+    /// Parked receivers that left the computing count
+    /// (`msrl_telemetry::pause_computing`) and that no wake has counted
+    /// back in yet.
+    paused: usize,
+    /// Wakes so far: a parked receiver that finds it unchanged was woken
+    /// spuriously, by no one, and counts itself back in.
+    wakes: u64,
 }
 
 /// One endpoint's receive side. Every peer holds a handle and pushes
@@ -175,7 +182,10 @@ struct Queues {
 /// atomically) → *check* again on every wake. A sender or a dropping endpoint changes the
 /// queues and reads `parked` in one critical section, so either the
 /// receiver's check sees the change or the sender sees the receiver
-/// parked and notifies: no wake-up can fall between the two.
+/// parked and notifies: no wake-up can fall between the two. A parked
+/// fragment thread is out of `msrl_telemetry`'s computing count (the
+/// spin is not: it holds its core), and the notifying sender counts it
+/// back in inside that same critical section.
 struct Inbox {
     queues: Mutex<Queues>,
     ready: Condvar,
@@ -199,6 +209,8 @@ impl Inbox {
             queues: Mutex::new(Queues {
                 from: (0..size).map(|_| VecDeque::new()).collect(),
                 parked: vec![0; size],
+                paused: 0,
+                wakes: 0,
             }),
             ready: Condvar::new(),
             queued: (0..size).map(|_| AtomicUsize::new(0)).collect(),
@@ -221,6 +233,13 @@ impl Inbox {
         let mut q = self.lock();
         change(&mut q);
         let wake = q.parked[by] > 0;
+        if wake {
+            // The receivers this wakes compute from now on, not from when
+            // they are scheduled: until then they are runnable, and a fork
+            // that took their core would make them wait for it.
+            q.wakes += 1;
+            msrl_telemetry::resume_computing(std::mem::take(&mut q.paused));
+        }
         drop(q);
         if wake {
             // All of them: two receivers parked on one rank (an endpoint
@@ -306,7 +325,15 @@ impl Inbox {
             for &f in from {
                 q.parked[f] += 1;
             }
+            // Asleep, a fragment leaves its core to others (`par`'s forks).
+            let paused = msrl_telemetry::pause_computing();
+            q.paused += usize::from(paused);
+            let wakes = q.wakes;
             q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            if paused && q.wakes == wakes {
+                q.paused -= 1;
+                msrl_telemetry::resume_computing(1);
+            }
             for &f in from {
                 q.parked[f] -= 1;
             }

@@ -13,7 +13,8 @@
 //! Evaluation walks nodes in ascending id order (tracing appends
 //! topologically), but independent *pure* compute nodes are grouped into
 //! dependency levels and, under [`msrl_tensor::Backend::Threaded`], a
-//! sufficiently large level evaluates concurrently on scoped threads —
+//! sufficiently large level evaluates concurrently on the free cores of
+//! `msrl_tensor::par`'s pool —
 //! the intra-fragment analogue of a DL engine scheduling independent
 //! operators in parallel streams. Macro ops act as barriers and always
 //! run serially in ascending id order, so stateful kernels observe
@@ -404,7 +405,7 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Executes one pure step's pre-computed levels; a level with enough
-    /// independent work runs on scoped threads (results land in id order
+    /// independent work runs through `par::map_ranges` (results land in id order
     /// either way, so the two schedules are indistinguishable). Serial
     /// levels honour each op's in-place hint, running fused chains
     /// directly in a dying input's buffer.
@@ -851,7 +852,7 @@ mod tests {
     }
 
     /// A wide graph of independent branches must produce identical
-    /// results whether levels run serially or on scoped threads.
+    /// results whether levels run serially or split over the pool.
     #[test]
     fn level_parallel_matches_serial() {
         let ctx = TraceCtx::new();

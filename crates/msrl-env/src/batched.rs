@@ -17,7 +17,7 @@ use msrl_tensor::{par, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::vec_env::chunk_lens;
+use crate::vec_env::chunk_len;
 
 /// A batch of environment worlds advanced by one data-parallel step.
 pub trait BatchedEnv: Send {
@@ -268,22 +268,12 @@ impl BatchedEnv for BatchedTag {
         // Data-parallel physics update: agents are independent, so the
         // threaded backend splits them into contiguous blocks.
         if threaded {
-            std::thread::scope(|scope| {
-                let mut pos: &mut [[f32; 2]] = &mut self.pos;
-                let mut vel: &mut [[f32; 2]] = &mut self.vel;
-                let mut acts: &[usize] = actions;
-                let mut offset = 0;
-                for len in chunk_lens(n_agents) {
-                    let (p, p_rest) = std::mem::take(&mut pos).split_at_mut(len);
-                    let (v, v_rest) = std::mem::take(&mut vel).split_at_mut(len);
-                    let (a, a_rest) = acts.split_at(len);
-                    pos = p_rest;
-                    vel = v_rest;
-                    acts = a_rest;
-                    scope.spawn(move || tag_physics(p, v, a, offset, pw, n_chasers));
-                    offset += len;
-                }
-            });
+            let len = chunk_len(n_agents);
+            let chunks = (self.pos.chunks_mut(len).zip(self.vel.chunks_mut(len)))
+                .zip(actions.chunks(len))
+                .enumerate()
+                .collect();
+            par::map_each(chunks, |(i, ((p, v), a))| tag_physics(p, v, a, i * len, pw, n_chasers));
         } else {
             tag_physics(&mut self.pos, &mut self.vel, actions, 0, pw, n_chasers);
         }
@@ -381,20 +371,11 @@ impl BatchedEnv for BatchedCartPole {
         // Worlds are independent; the threaded backend advances one
         // contiguous block of worlds per worker.
         if par::should_parallelize(self.n, par::PAR_MIN_ELEMS) {
-            std::thread::scope(|scope| {
-                let mut st: &mut [[f32; 4]] = &mut self.state;
-                let mut rw: &mut [f32] = &mut rewards;
-                let mut acts: &[usize] = actions;
-                for len in chunk_lens(self.n) {
-                    let (s, s_rest) = std::mem::take(&mut st).split_at_mut(len);
-                    let (r, r_rest) = std::mem::take(&mut rw).split_at_mut(len);
-                    let (a, a_rest) = acts.split_at(len);
-                    st = s_rest;
-                    rw = r_rest;
-                    acts = a_rest;
-                    scope.spawn(move || cartpole_physics(s, r, a));
-                }
-            });
+            let len = chunk_len(self.n);
+            let chunks = (self.state.chunks_mut(len).zip(rewards.chunks_mut(len)))
+                .zip(actions.chunks(len))
+                .collect();
+            par::map_each(chunks, |((s, r), a)| cartpole_physics(s, r, a));
         } else {
             cartpole_physics(&mut self.state, &mut rewards, actions);
         }

@@ -6,8 +6,9 @@
 //! episodes, and returns batched tensors ready for fused policy inference.
 //!
 //! Under [`msrl_tensor::Backend::Threaded`], large-enough sets step and
-//! reset their instances on scoped worker threads, one contiguous block
-//! of instances per worker. Each instance owns its RNG and state, so the
+//! reset their instances in contiguous blocks through
+//! [`par::map_each`], on whatever cores are free. Each instance owns its
+//! RNG and state, so the
 //! partitioned schedule produces results identical to the serial one —
 //! per-instance trajectories, auto-reset behaviour, and the order of
 //! [`VecEnv::take_finished_returns`] are all preserved.
@@ -17,8 +18,8 @@ use msrl_tensor::{ops, par, Tensor};
 use crate::spec::{Action, ActionSpec};
 use crate::Environment;
 
-/// Instance count below which a threaded step is not worth the scoped
-/// spawn/join (environment steps are far heavier than one element-wise
+/// Instance count below which a threaded step is not worth the hand-off
+/// to another core (environment steps are far heavier than one element-wise
 /// flop, so this is much lower than [`par::PAR_MIN_ELEMS`]). Tests
 /// override via [`par::with_par_min`].
 const PAR_MIN_ENVS: usize = 8;
@@ -101,27 +102,22 @@ impl VecEnv {
 
     /// Resets every instance; returns `[n, obs_dim]`.
     ///
-    /// Large sets reset on worker threads under the threaded backend;
-    /// each instance's RNG is its own, so results match the serial order.
+    /// Large sets reset block by block on free cores under the threaded
+    /// backend; each instance's RNG is its own, so results match the
+    /// serial order.
     pub fn reset(&mut self) -> Tensor {
         let _span = msrl_telemetry::span!("env.vec_reset");
         for r in &mut self.returns {
             *r = 0.0;
         }
         let obs: Vec<Tensor> = if par::should_parallelize(self.envs.len(), PAR_MIN_ENVS) {
-            let chunks = chunked_mut(&mut self.envs);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || chunk.iter_mut().map(|e| e.reset()).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("env worker must not panic"))
-                    .collect()
+            let len = chunk_len(self.envs.len());
+            par::map_each(self.envs.chunks_mut(len).collect(), |chunk| {
+                chunk.iter_mut().map(|e| e.reset()).collect::<Vec<_>>()
             })
+            .into_iter()
+            .flatten()
+            .collect()
         } else {
             self.envs.iter_mut().map(|e| e.reset()).collect()
         };
@@ -132,8 +128,9 @@ impl VecEnv {
     /// Steps every instance with its action; finished instances are
     /// reset, and their observation in the result is the fresh reset.
     ///
-    /// Large sets step on worker threads under the threaded backend: the
-    /// instances split into contiguous blocks, one per worker, and the
+    /// Large sets step block by block on free cores under the threaded
+    /// backend: the instances split into contiguous blocks, one per
+    /// intra-op chunk, and the
     /// per-block results merge back in instance order — trajectories,
     /// rewards, and finished-episode bookkeeping are identical to the
     /// serial schedule.
@@ -149,23 +146,11 @@ impl VecEnv {
         assert_eq!(actions.len(), n, "one action per instance");
         msrl_telemetry::static_counter!("env.steps").add(n as u64);
         let parts: Vec<ChunkStep> = if par::should_parallelize(n, PAR_MIN_ENVS) {
-            let lens: Vec<usize> = chunk_lens(n);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(lens.len());
-                let mut envs: &mut [Box<dyn Environment>] = &mut self.envs;
-                let mut rets: &mut [f32] = &mut self.returns;
-                let mut acts: &[Action] = actions;
-                for len in lens {
-                    let (e, e_rest) = std::mem::take(&mut envs).split_at_mut(len);
-                    let (r, r_rest) = std::mem::take(&mut rets).split_at_mut(len);
-                    let (a, a_rest) = acts.split_at(len);
-                    envs = e_rest;
-                    rets = r_rest;
-                    acts = a_rest;
-                    handles.push(scope.spawn(move || step_chunk(e, r, a)));
-                }
-                handles.into_iter().map(|h| h.join().expect("env worker must not panic")).collect()
-            })
+            let len = chunk_len(n);
+            let chunks = (self.envs.chunks_mut(len).zip(self.returns.chunks_mut(len)))
+                .zip(actions.chunks(len))
+                .collect();
+            par::map_each(chunks, |((e, r), a)| step_chunk(e, r, a))
         } else {
             vec![step_chunk(&mut self.envs, &mut self.returns, actions)]
         };
@@ -231,31 +216,10 @@ fn step_chunk(
     out
 }
 
-/// Contiguous per-worker block lengths covering `n` instances.
-pub(crate) fn chunk_lens(n: usize) -> Vec<usize> {
-    let workers = par::thread_count().min(n.max(1));
-    let chunk = n.div_ceil(workers);
-    let mut lens = Vec::with_capacity(workers);
-    let mut left = n;
-    while left > 0 {
-        let take = chunk.min(left);
-        lens.push(take);
-        left -= take;
-    }
-    lens
-}
-
-/// Splits a slice into per-worker mutable blocks.
-fn chunked_mut<T>(items: &mut [T]) -> Vec<&mut [T]> {
-    let lens = chunk_lens(items.len());
-    let mut rest = items;
-    let mut out = Vec::with_capacity(lens.len());
-    for len in lens {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        out.push(head);
-        rest = tail;
-    }
-    out
+/// Length of the contiguous blocks `n` instances split into, one block
+/// per intra-op chunk (the last one shorter).
+pub(crate) fn chunk_len(n: usize) -> usize {
+    n.div_ceil(par::thread_count().min(n.max(1))).max(1)
 }
 
 #[cfg(test)]

@@ -29,11 +29,15 @@
 //! # Interaction with the threaded tensor backend
 //!
 //! The tensor kernels the rules invoke respect [`msrl_tensor::Backend`]:
-//! under the default `Threaded` backend, large ops additionally split
-//! across intra-op worker threads. Fragment threads and intra-op threads
-//! compose, so on hosts where `workers × MSRL_THREADS` would
-//! oversubscribe the machine, cap intra-op parallelism with
-//! `MSRL_THREADS=1`. Every fragment thread runs under the
+//! under the default `Threaded` backend, large ops cut their output into
+//! `MSRL_THREADS` chunks. Chunks, and the value branch of every PPO learn
+//! pass, run on `msrl_tensor::par`'s helper pool only while fewer
+//! fragment threads compute than the host has cores: the runner counts
+//! each fragment thread as computing for its lifetime, and the fabric
+//! takes it out of the count while it is parked. So a fragment parked
+//! on a receive lends its core to a peer's learn pass (DP-A's actor to
+//! its learner), and fragments that all compute (DP-C's replicas) run
+//! everything inline. Every fragment thread runs under the
 //! [`msrl_tensor::par::ExecCtx`] of the thread that called the runner,
 //! with `fusion` taken from the run's config, so two runs at once under
 //! different contexts (two tests, two backends) never see each other's.

@@ -221,18 +221,22 @@ fn merge_replicas(mut reports: Vec<TrainingReport>, mean_rewards: bool) -> Train
 }
 
 /// Declares the fragment the calling thread hosts: opens the
-/// `fragment.<role>` span named by `span` (held until the returned
-/// guard drops) and tags the thread's attribution stamps (comm waits
-/// deep in the fabric included) with `<role>` and `rank`.
-fn enter_fragment(span: &'static str, rank: usize) -> msrl_telemetry::SpanGuard {
+/// `fragment.<role>` span named by `span` and counts the thread as a
+/// computing fragment (both held until the returned guards drop), and
+/// tags the thread's attribution stamps (comm waits deep in the fabric
+/// included) with `<role>` and `rank`.
+fn enter_fragment(
+    span: &'static str,
+    rank: usize,
+) -> (msrl_telemetry::SpanGuard, msrl_telemetry::ComputingGuard) {
     let role = span.strip_prefix("fragment.").expect("fragment spans are named fragment.<role>");
     msrl_telemetry::set_fragment(role, rank as u64);
-    msrl_telemetry::span!(span, rank)
+    (msrl_telemetry::span!(span, rank), msrl_telemetry::enter_computing())
 }
 
 /// Spawns one fragment thread on `scope`. The new thread inherits the
-/// spawning thread's [`ExecCtx`] — the one seam, besides the `par`
-/// fan-out helpers, where a context crosses threads — and runs `body`
+/// spawning thread's [`ExecCtx`] — the one seam, besides `par`'s forks,
+/// where a context crosses threads — and runs `body`
 /// inside [`enter_fragment`].
 fn spawn_fragment<'scope, T: Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,

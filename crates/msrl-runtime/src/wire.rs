@@ -46,8 +46,14 @@ pub fn decode_batch(wire: &[f32]) -> Result<SampleBatch> {
     let obs_w = wire[1] as usize;
     let act_w = wire[2] as usize;
     let segment_len = wire[3] as usize;
-    let expected = 4 + n * (2 * obs_w + act_w + 4);
-    if wire.len() != expected {
+    // The header is untrusted: a size that overflows is as wrong as one
+    // that does not match.
+    let expected = [obs_w, obs_w, act_w, 4]
+        .into_iter()
+        .try_fold(0usize, usize::checked_add)
+        .and_then(|row| row.checked_mul(n))
+        .and_then(|body| body.checked_add(4));
+    if expected != Some(wire.len()) {
         return Err(err());
     }
     let mut at = 4;
@@ -114,5 +120,67 @@ mod tests {
         wire.pop();
         assert!(decode_batch(&wire).is_err());
         assert!(decode_batch(&[1.0]).is_err());
+    }
+
+    /// Payloads from outside the program: up to 48 floats, each one a
+    /// small count, a value that breaks size arithmetic (huge, infinite,
+    /// NaN, negative, fractional) or arbitrary bits.
+    struct Garbage;
+
+    impl proptest::strategy::Strategy for Garbage {
+        type Value = Vec<f32>;
+        fn new_value(&self, rng: &mut proptest::test_runner::TestRng) -> Vec<f32> {
+            const AWKWARD: [f32; 10] =
+                [0.0, -1.0, 0.5, 2.9, 4.3e9, 1.8e19, 3.0e38, f32::INFINITY, f32::NAN, -0.0];
+            (0..rng.below(48))
+                .map(|_| match rng.below(3) {
+                    0 => rng.below(6) as f32,
+                    1 => AWKWARD[rng.below(AWKWARD.len() as u64) as usize],
+                    _ => f32::from_bits(rng.next_u64() as u32),
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// Never a panic: garbage is an `Err`, or a batch whose fields
+        /// have the lengths its header claims.
+        #[test]
+        fn decode_batch_rejects_garbage_without_panicking(wire in Garbage) {
+            if let Ok(b) = decode_batch(&wire) {
+                let n = b.len();
+                proptest::prop_assert_eq!(wire.len(), 4 + b.obs.len() * 2 + b.actions.len() + 4 * n);
+            }
+        }
+
+        /// Every strict prefix of a real payload is an `Err`.
+        #[test]
+        fn decode_batch_rejects_every_truncation(
+            n in 0usize..6,
+            obs_w in 0usize..4,
+            act_w in 1usize..4,
+            cut in 0usize..1000,
+        ) {
+            let mut b = batch(n, obs_w);
+            b.actions = Tensor::full(&[n, act_w], 0.25);
+            let wire = encode_batch(&b);
+            proptest::prop_assert!(decode_batch(&wire[..cut % wire.len()]).is_err());
+        }
+    }
+
+    /// Inputs the fuzzing above found panicking: a claimed size whose
+    /// product overflows (a panic in debug builds, a wrapped length and
+    /// an out-of-range slice in release).
+    #[test]
+    fn oversized_headers_are_errors() {
+        for wire in [
+            [1.8e19, 2.0, 0.0, 0.0],
+            [4.3e9, 4.3e9, 1.0, 0.0],
+            [f32::INFINITY, 1.0, 1.0, 1.0],
+            [1.0, f32::INFINITY, 0.0, 0.0],
+            [1.0, 0.0, f32::INFINITY, 0.0],
+        ] {
+            assert!(decode_batch(&wire).is_err(), "{wire:?}");
+        }
     }
 }

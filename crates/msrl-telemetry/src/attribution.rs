@@ -29,7 +29,8 @@
 //! live by `msrl-bench`'s `top` view and the advisor's live
 //! re-partition recommendations.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Step stamps retained per thread between iteration boundaries.
@@ -193,6 +194,75 @@ pub fn set_fragment(role: &'static str, fragment: u64) {
         inner.fragment = fragment;
         inner.has_fragment = true;
     });
+}
+
+/// Fragment threads computing right now, process-wide: entered for a
+/// fragment's lifetime ([`enter_computing`]) and left for the length of
+/// a blocking wait ([`pause_computing`]). `msrl_tensor::par` compares it
+/// with the host's cores to decide whether a fork would take a core no
+/// fragment is using. `Relaxed` throughout: a scheduling hint that
+/// publishes no other data.
+static COMPUTING: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether the calling thread is counted in [`COMPUTING`].
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts the calling thread as a computing fragment until the guard
+/// drops. The fragment runner holds one for each fragment's lifetime; a
+/// thread already counted is not counted twice.
+pub fn enter_computing() -> ComputingGuard {
+    let counted = !COUNTED.replace(true);
+    if counted {
+        COMPUTING.fetch_add(1, Ordering::Relaxed);
+    }
+    ComputingGuard { counted, _thread: std::marker::PhantomData }
+}
+
+/// The calling thread's place in the computing count; see
+/// [`enter_computing`].
+#[must_use = "bind the guard to a local so the thread stays counted"]
+pub struct ComputingGuard {
+    counted: bool,
+    /// The count is per thread: the guard must drop where it was made.
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for ComputingGuard {
+    fn drop(&mut self) {
+        if self.counted {
+            COMPUTING.fetch_sub(1, Ordering::Relaxed);
+            COUNTED.set(false);
+        }
+    }
+}
+
+/// Fragment threads counted as computing right now; 0 outside any
+/// fragment.
+pub fn computing_fragments() -> usize {
+    COMPUTING.load(Ordering::Relaxed)
+}
+
+/// Takes the calling thread out of the computing count for a blocking
+/// wait, if it is counted, and says whether it was. Whoever ends the
+/// wait counts it back in with [`resume_computing`] — the waker on the
+/// waiter's behalf at notify time, so a woken thread that has not been
+/// scheduled yet still holds its core.
+pub fn pause_computing() -> bool {
+    let counted = COUNTED.get();
+    if counted {
+        COMPUTING.fetch_sub(1, Ordering::Relaxed);
+    }
+    counted
+}
+
+/// Counts `n` threads whose waits (see [`pause_computing`]) are ending
+/// back in.
+pub fn resume_computing(n: usize) {
+    if n > 0 {
+        COMPUTING.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Records one completed step on the calling thread's buffer.

@@ -77,8 +77,9 @@ mod report;
 pub mod sink;
 
 pub use attribution::{
-    attr_enabled, attribute, finish_iteration, record_step, reset_window, set_attr_enabled,
-    set_fragment, step, steps_dropped, straggler_k, CriticalPath, DagNode, FragmentAttr,
+    attr_enabled, attribute, computing_fragments, enter_computing, finish_iteration,
+    pause_computing, record_step, reset_window, resume_computing, set_attr_enabled, set_fragment,
+    step, steps_dropped, straggler_k, ComputingGuard, CriticalPath, DagNode, FragmentAttr,
     IterAttribution, StepClass, StepDag, StepGuard, StepStamp,
 };
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};

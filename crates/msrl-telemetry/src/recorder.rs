@@ -7,8 +7,8 @@
 //! threads that have finished; callers that record on long-lived threads
 //! flush explicitly with [`flush_thread`]. All the execution drivers in
 //! this workspace join their workers (scoped threads, joined mailbox
-//! threads) before reporting, so the exit-time flush suffices in
-//! practice.
+//! threads) before reporting, and `msrl_tensor::par`'s long-lived
+//! helpers flush after every job, so nothing stays behind in practice.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -96,6 +96,82 @@ impl proptest::strategy::Strategy for EventStrategy {
     }
 }
 
+/// Lines from outside the program: characters drawn mostly from JSON's
+/// own punctuation, literals and digits (so parses get deep before they
+/// fail), some from anywhere in Unicode; now and then a run of one
+/// opening bracket thousands deep.
+struct Garbage;
+
+impl proptest::strategy::Strategy for Garbage {
+    type Value = String;
+    fn new_value(&self, rng: &mut TestRng) -> String {
+        const JSON: &[u8] = b"{}[]\":,.-+eE0123456789 \\/ntrufalsbu\"";
+        if rng.below(8) == 0 {
+            let open = ["[", "{\"a\":", "{\"attr\":["][rng.below(3) as usize];
+            return open.repeat(1 + rng.below(100_000) as usize);
+        }
+        (0..rng.below(160))
+            .map(|_| match rng.below(10) {
+                0 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                _ => char::from(JSON[rng.below(JSON.len() as u64) as usize]),
+            })
+            .collect()
+    }
+}
+
+/// `line` cut at a random character boundary short of its end, or with
+/// one random character replaced.
+fn damage(line: &str, rng: &mut TestRng) -> (String, bool) {
+    let bounds: Vec<usize> = line.char_indices().map(|(i, _)| i).collect();
+    let at = bounds[rng.below(bounds.len() as u64) as usize];
+    if rng.below(2) == 0 {
+        return (line[..at].to_string(), true);
+    }
+    let c = char::from(b"{}[]\":,0a-"[rng.below(10) as usize]);
+    let rest = &line[at..];
+    let next = rest.chars().next().map_or(0, char::len_utf8);
+    (format!("{}{c}{}", &line[..at], &rest[next..]), false)
+}
+
+/// Valid lines, each cut short or with one character replaced.
+struct Damaged;
+
+impl proptest::strategy::Strategy for Damaged {
+    type Value = Vec<(String, bool)>;
+    fn new_value(&self, rng: &mut TestRng) -> Vec<(String, bool)> {
+        let events = EventStrategy.new_value(rng);
+        events.iter().map(|ev| damage(&ev.to_json_line(), rng)).collect()
+    }
+}
+
+proptest! {
+    /// Garbage is an `Err`, never a panic (nor a stack overflow).
+    #[test]
+    fn run_event_parse_rejects_garbage(line in Garbage) {
+        prop_assert!(RunEvent::parse(&line).is_err(), "{line:.200}");
+    }
+
+    /// A real line cut short is an `Err`; one with a character replaced
+    /// parses or not, without a panic.
+    #[test]
+    fn run_event_parse_survives_truncated_and_damaged_lines(lines in Damaged) {
+        for (line, truncated) in lines {
+            let parsed = RunEvent::parse(&line);
+            prop_assert!(!truncated || parsed.is_err(), "a strict prefix parsed: {line}");
+        }
+    }
+}
+
+/// Inputs the fuzzing above found crashing the parser: nesting deep
+/// enough to overflow the stack of a recursive descent.
+#[test]
+fn deep_nesting_is_an_error() {
+    for open in ["[", "{\"a\":"] {
+        let line = open.repeat(200_000);
+        assert!(RunEvent::parse(&line).is_err());
+    }
+}
+
 proptest! {
     #[test]
     fn run_event_roundtrips_through_its_json_line(events in EventStrategy) {

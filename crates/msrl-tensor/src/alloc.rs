@@ -17,9 +17,13 @@
 //! epoch's buffers, and its working set is the pool's steady state.
 //!
 //! The pool is thread-local, so there is no synchronisation on the hot
-//! path and worker threads spawned by [`crate::par`] (which never
-//! allocate outputs — partitioning happens after the output buffer
-//! exists) are unaffected. Buffers are binned by exact length; the pool
+//! path. A chunk [`crate::par`] forks allocates nothing (partitioning
+//! happens after the output buffer exists); a closure that does — the
+//! value branch of a learn pass — draws and recycles on the helper's own
+//! pool, which lives as long as the helper, for the rest of the
+//! process. A buffer must go back to the pool that lent it: given to
+//! another thread's, it is a miss there every time and dead weight
+//! here. Buffers are binned by exact length; the pool
 //! holds at most [`MAX_POOLED_ELEMS`] floats and at most
 //! [`MAX_BUFFERS_PER_BUCKET`] buffers of any one length per thread,
 //! silently dropping returns beyond either cap, so long runs can never
