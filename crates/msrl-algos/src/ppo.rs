@@ -1173,7 +1173,9 @@ mod tests {
                                     value();
                                     std::thread::current().id()
                                 };
-                                ran_on = par::join(policy, on).1;
+                                // The scalar backend never forks.
+                                let threaded = msrl_tensor::Backend::Threaded;
+                                ran_on = par::with_backend(threaded, || par::join(policy, on)).1;
                             });
                             assert_eq!(forked, reference, "forked {}, {what}", ran_on != me);
                             if ran_on != me || !has_helper {

@@ -127,10 +127,12 @@ struct Shape {
     policy: PpoPolicy,
     max_big_calls: usize,
     max_bytes: usize,
-    /// Most `f32`s the tensor pools may ever hold, the caller's and the
-    /// helpers' together: the pass's working set as an exact count,
-    /// where `peak_rss_mb` drifts with the host.
-    max_high_water_elems: usize,
+    /// Most `f32`s any one tensor pool may ever hold — the caller's, or a
+    /// helper's: the working set of what runs on one thread as an exact
+    /// count, where `peak_rss_mb` drifts with the host.
+    max_pool_high_water_elems: usize,
+    /// Most the caller's and the helpers' pools may hold together.
+    max_total_high_water_elems: usize,
 }
 
 #[test]
@@ -145,14 +147,16 @@ fn steady_state_learn_allocates_within_bounds() {
     // blocks, 200 tapes a `learn()`) that is 5.17 MB, 801 packs and
     // pools that peak at 0.39 M + 0.35 M elements; one pool of 2,048-row
     // tapes held 1.50 M, one 25,600-row tape 12.32 M. At the dpa shape
-    // (2 blocks) 0.37 M + 0.35 M against one pool's 0.99 M. Both bounds
-    // fail when a pass runs in 2,048-row blocks again. The dpc shape is
-    // one block; its two branches cannot share buffers across pools, so
-    // together they hold more than one tape's 2.06 M: 1.46 M + 1.48 M
-    // (inline, on a one-core host, 1.55 M). A value branch handed owned
-    // copies of `obs` and `ret` drawn on the caller, which its tape then
-    // recycles into the helper's pool, breaks the dpd bounds twice:
-    // 7.22 MB, and 0.39 M + 0.66 M elements.
+    // (2 blocks) 0.37 M + 0.35 M against one pool's 0.99 M. Inline, on a
+    // one-core host, one pool holds 0.40 M and 0.38 M. Both summed bounds
+    // fail when a pass runs in 2,048-row blocks again. The dpc
+    // shape is one block, 2.06 M in one tape's pool; split, each pool
+    // holds less (1.46 M + 1.48 M; inline 1.55 M), but the two branches
+    // cannot share buffers across pools, so together they hold more. A
+    // value branch handed owned copies of `obs` and `ret` drawn on the
+    // caller, which its tape then recycles into the helper's pool,
+    // breaks the dpd bounds three times: 7.22 MB, 0.66 M elements in the
+    // helper's pool, and 0.39 M + 0.66 M together.
     // Unoptimised kernels need two minutes for these, so a debug build
     // runs a quarter of each shape's rows: a `[6400, 64]` buffer is
     // still above 1 MiB, and the copying tape still breaks every bound
@@ -165,7 +169,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
-            max_high_water_elems: 1_000_000,
+            max_pool_high_water_elems: 600_000,
+            max_total_high_water_elems: 1_000_000,
         },
         Shape {
             name: "dpa: 2048 rows x [64,64] discrete",
@@ -173,7 +178,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 1_000_000,
-            max_high_water_elems: 800_000,
+            max_pool_high_water_elems: 600_000,
+            max_total_high_water_elems: 800_000,
         },
         Shape {
             name: "dpc: 1024 rows x [256,256] continuous",
@@ -181,7 +187,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::continuous(17, 6, &[256, 256], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
-            max_high_water_elems: 3_200_000,
+            max_pool_high_water_elems: 2_300_000,
+            max_total_high_water_elems: 3_200_000,
         },
     ];
     // One kernel thread: fan-out workers would add their own (tiny,
@@ -234,12 +241,20 @@ fn steady_state_learn_allocates_within_bounds() {
                     shape.name
                 );
             }
-            let peak: usize = high_water.iter().sum();
+            for (pool, &peak) in high_water.iter().enumerate() {
+                assert!(
+                    peak <= shape.max_pool_high_water_elems,
+                    "{}: pool {pool} (0 is the caller's) peaked at {peak} elements, bound {}",
+                    shape.name,
+                    shape.max_pool_high_water_elems
+                );
+            }
+            let total: usize = high_water.iter().sum();
             assert!(
-                peak <= shape.max_high_water_elems,
-                "{}: the pools peaked at {high_water:?} elements, {peak} together, bound {}",
+                total <= shape.max_total_high_water_elems,
+                "{}: the pools peaked at {high_water:?} elements, {total} together, bound {}",
                 shape.name,
-                shape.max_high_water_elems
+                shape.max_total_high_water_elems
             );
         }
         alloc::clear();

@@ -26,8 +26,8 @@
 //!
 //! The two backends:
 //!
-//! * [`Backend::Scalar`] — single-threaded kernels; the bit-exact
-//!   baseline the threaded backend is validated against.
+//! * [`Backend::Scalar`] — single-threaded kernels, and no fork; the
+//!   bit-exact baseline the threaded backend is validated against.
 //! * [`Backend::Threaded`] — the same kernels cut into
 //!   [`ExecCtx::threads`] chunks along *output* regions, so no two
 //!   chunks write the same element and the per-element accumulation
@@ -51,15 +51,16 @@
 //! [`fill_chunks_aligned`] and [`map_ranges`] are [`map_each`] over
 //! their chunks.
 //!
-//! A fork takes a helper only when one is idle *and a core is free*:
-//! fewer fragment threads are computing than the host has cores
-//! (`msrl_telemetry::computing_fragments`; a fragment is counted for its
-//! lifetime and leaves the count while it is parked in the fabric). A
-//! helper then runs on the core a parked fragment left — the actor's
-//! core while DP-A's learner differentiates — and never on one a busy
-//! fragment needs. Otherwise the work runs inline on the caller, after
-//! the caller's own share. A fork never queues: with no helper to take
-//! it, it does not wait for one, so a fork inside a forked closure, or
+//! A fork takes a helper only when one is idle *and a core is free*: the
+//! fragment threads computing plus the helpers already busy are fewer
+//! than the host's cores (`msrl_telemetry::computing_fragments`; a
+//! fragment is counted for its lifetime and leaves the count while it is
+//! parked in the fabric). A helper then runs on the core a parked
+//! fragment left — the actor's core while DP-A's learner differentiates
+//! — and never on one a busy fragment or another helper needs.
+//! Otherwise the work runs inline on the caller, after the caller's own
+//! share. A fork never queues: with no helper to take it, it does not
+//! wait for one, so a fork inside a forked closure, or
 //! two callers racing for one helper, degrades to inline and cannot
 //! deadlock. Results do not depend on where work ran: the closures are
 //! the same either way.
@@ -67,7 +68,9 @@
 //! [`ExecCtx::threads`] is how many chunks a kernel cuts its output
 //! into, not how many threads run them, and no fork reads it: the
 //! number of threads is the number of free cores. So `MSRL_THREADS=1`
-//! keeps every kernel one chunk, yet [`join`] still forks.
+//! keeps every kernel one chunk, yet [`join`] still forks. The backend
+//! does bound it: under [`Backend::Scalar`] nothing forks, and every
+//! kernel and both branches of a [`join`] run on the calling thread.
 //!
 //! A forked closure borrows from the caller's frame; the caller waits
 //! for it on every path out — return or unwind — and a panic in it is
@@ -435,12 +438,14 @@ where
         .collect()
 }
 
-/// The gate of every fork, as a pure function: a helper is idle, and
-/// fewer fragment threads are `computing` than the host has `cores`, so
-/// the helper gets a core no fragment is using. Outside any fragment
-/// (tests, the sequential baseline) nothing is computing.
-fn may_fork(computing: usize, cores: usize, idle_helpers: usize) -> bool {
-    idle_helpers > 0 && computing < cores
+/// The gate of every fork, as a pure function: one of the pool's
+/// `helpers` is idle, and the fragment threads `computing` plus the
+/// helpers already busy leave one of the host's `cores` free, so the
+/// helper gets a core neither a fragment nor another helper is using.
+/// Outside any fragment (tests, the sequential baseline) nothing is
+/// computing.
+fn may_fork(computing: usize, cores: usize, helpers: usize, idle_helpers: usize) -> bool {
+    idle_helpers > 0 && computing + (helpers - idle_helpers) < cores
 }
 
 /// Cores this process may run on, resolved once.
@@ -451,18 +456,20 @@ fn cores() -> usize {
 
 /// Hands `job` to an idle helper when [`may_fork`] allows, under the
 /// caller's [`ExecCtx`], and gives it back otherwise, for the caller to
-/// run inline.
+/// run inline. Under [`Backend::Scalar`] it always gives it back: the
+/// reference backend runs on one thread.
 fn fork<'a, F: FnOnce() + Send + 'a>(job: F) -> Result<Running<'a>, F> {
+    let ctx = ExecCtx::current();
+    if ctx.backend == Backend::Scalar {
+        return Err(job);
+    }
     let helpers = helpers();
     let idle = helpers.iter().filter(|h| h.idle.load(Ordering::Relaxed)).count();
-    if !may_fork(msrl_telemetry::computing_fragments(), cores(), idle) {
+    if !may_fork(msrl_telemetry::computing_fragments(), cores(), helpers.len(), idle) {
         return Err(job);
     }
     match helpers.iter().find(|h| h.claim()) {
-        Some(helper) => {
-            let ctx = ExecCtx::current();
-            Ok(start(helper, move || ctx.scope(job)))
-        }
+        Some(helper) => Ok(start(helper, move || ctx.scope(job))),
         None => Err(job),
     }
 }
@@ -708,15 +715,16 @@ mod tests {
     }
 
     /// Joins until `b` runs on another thread, which needs an idle helper
-    /// (concurrent tests may hold it for a while). `None` on a host with
-    /// no helper.
+    /// (concurrent tests may hold it for a while) and the threaded
+    /// backend, whatever `MSRL_BACKEND` says. `None` on a host with no
+    /// helper.
     fn until_forked<T>(mut attempt: impl FnMut() -> (ThreadId, T)) -> Option<T> {
         if helpers().is_empty() {
             return None;
         }
         let me = std::thread::current().id();
         for _ in 0..10_000 {
-            let (ran_on, out) = attempt();
+            let (ran_on, out) = with_backend(Backend::Threaded, &mut attempt);
             if ran_on != me {
                 return Some(out);
             }
@@ -792,22 +800,38 @@ mod tests {
     }
 
     #[test]
-    fn a_fork_needs_an_idle_helper_and_a_core_no_fragment_computes_on() {
-        // (computing fragments, cores, idle helpers) → fork?
+    fn a_fork_needs_an_idle_helper_and_a_core_no_fragment_or_helper_computes_on() {
+        // (computing fragments, cores, helpers, idle helpers) → fork?
         let table = [
-            ((0, 2, 1), true),  // outside any fragment: tests, sequential runs
-            ((1, 2, 1), true),  // DP-A: the learner computes, the actor is parked
-            ((2, 2, 1), false), // DP-C/DP-D: both replicas compute
-            ((3, 2, 1), false), // oversubscribed
-            ((0, 2, 0), false), // the helper is busy
-            ((1, 2, 0), false),
-            ((0, 1, 0), false), // a one-core host has no helper
-            ((3, 4, 2), true),
-            ((4, 4, 3), false),
+            ((0, 2, 1, 1), true),  // outside any fragment: tests, sequential runs
+            ((1, 2, 1, 1), true),  // DP-A: the learner computes, the actor is parked
+            ((2, 2, 1, 1), false), // DP-C/DP-D: both replicas compute
+            ((3, 2, 1, 1), false), // oversubscribed
+            ((0, 2, 1, 0), false), // the helper is busy
+            ((1, 2, 1, 0), false),
+            ((0, 1, 0, 0), false), // a one-core host has no helper
+            ((2, 4, 3, 2), true),  // two fragments and one busy helper leave a core
+            ((3, 4, 3, 2), false), // ... three fragments do not
+            ((1, 4, 3, 1), true),  // a nested fork: one fragment, two helpers busy
+            ((2, 4, 3, 1), false), // ... with a second fragment computing
+            ((4, 4, 3, 3), false),
         ];
-        for ((computing, cores, idle), expect) in table {
-            assert_eq!(may_fork(computing, cores, idle), expect, "{computing}/{cores}/{idle}");
+        for ((computing, cores, helpers, idle), expect) in table {
+            let got = may_fork(computing, cores, helpers, idle);
+            assert_eq!(got, expect, "{computing}/{cores}/{helpers}/{idle}");
         }
+    }
+
+    #[test]
+    fn the_scalar_backend_never_forks() {
+        let me = std::thread::current().id();
+        let on = || std::thread::current().id();
+        with_backend(Backend::Scalar, || {
+            with_threads(4, || {
+                assert_eq!(join(on, on), (me, me));
+                assert_eq!(map_each(vec![(); 4], |()| on()), vec![me; 4]);
+            });
+        });
     }
 
     #[test]
