@@ -48,16 +48,14 @@
 //!
 //! When the output file already exists from a previous run, the binary
 //! first compares against it (`bench_trend`): per-entry deltas are
-//! printed, and host-independent gated ratios — fusion speedup, plan
-//! cache speedup, disabled-probe share — fail the run on a >25%
+//! printed, and host-independent gated ratios — fusion speedup,
+//! disabled-probe share — fail the run on a >25%
 //! regression. Host-dependent ns columns are reported but never gate.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use msrl_algos::ppo::{PackedPpo, PpoConfig, PpoPolicy};
 use msrl_core::interp::Interpreter;
-use msrl_core::partition::build_fdg;
 use msrl_core::trace::{trace_mlp, TraceCtx};
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
@@ -190,7 +188,6 @@ fn telemetry_cost() -> TelemetryCost {
             iters_per_sec: 80.0,
             comm_bytes: 4096,
             staleness: 1,
-            plan_cache_hit_rate: Some(0.9),
             attr: None,
             actsrv: None,
             health: None,
@@ -389,7 +386,7 @@ fn bench_trend(prev: &str, gated: &[Gated], rows: &[Row]) -> Vec<String> {
     regressions
 }
 
-/// Measured effect of the graph compiler on this host.
+/// Measured effect of the tape's fused linear kernel on this host.
 struct GraphCompile {
     /// RL-scale MLP forward+backward, fused linear kernel off / on,
     /// pinned to the scalar backend so the gain is pure fusion (one
@@ -397,20 +394,11 @@ struct GraphCompile {
     /// threading.
     fwd_bwd_unfused_ns: f64,
     fwd_bwd_fused_ns: f64,
-    /// Steady-state fragment evaluation: re-planning on every call (a
-    /// fresh graph stamp per evaluation forces compile + consumer
-    /// counting + levelling, the seed-path behavior) vs. replaying the
-    /// cached plan.
-    plan_per_call_ns: f64,
-    plan_cached_ns: f64,
 }
 
 impl GraphCompile {
     fn fusion_speedup(&self) -> f64 {
         self.fwd_bwd_unfused_ns / self.fwd_bwd_fused_ns.max(1.0)
-    }
-    fn plan_cache_speedup(&self) -> f64 {
-        self.plan_per_call_ns / self.plan_cached_ns.max(1.0)
     }
 }
 
@@ -435,34 +423,7 @@ fn graph_compile_cost() -> GraphCompile {
         par::with_backend(Backend::Scalar, || par::with_fusion(false, || time_ns(9, &mut fwd_bwd)));
     let fwd_bwd_fused_ns =
         par::with_backend(Backend::Scalar, || par::with_fusion(true, || time_ns(9, &mut fwd_bwd)));
-
-    // Plan caching, measured on interpreted fragment evaluation (the
-    // FDG execution path). Cloning the graph resets its identity stamp,
-    // so every call compiles from scratch — the per-call planning the
-    // seed interpreter did on each evaluation.
-    let ctx = TraceCtx::new();
-    let xin = ctx.input("x", &[8, 17]);
-    let widths = [17usize, 64, 64, 64, 64, 64, 6];
-    let out = trace_mlp(&ctx, "pi", &xin, &widths);
-    let fdg = build_fdg(ctx.finish()).expect("unannotated graph builds");
-    let frag = &fdg.fragments[0];
-    let mut interp = Interpreter::new();
-    for (l, w) in widths.windows(2).enumerate() {
-        interp.bind_param(&format!("pi.w{l}"), Tensor::full(&[w[0], w[1]], 0.01));
-        interp.bind_param(&format!("pi.b{l}"), Tensor::zeros(&[w[1]]));
-    }
-    interp.bind_input("x", Tensor::full(&[8, 17], 0.1));
-    let plan_cached_ns = time_ns(9, || {
-        interp
-            .eval_fragment_outputs(&fdg.graph, frag, HashMap::new(), &[out.id()])
-            .expect("evaluates")
-    });
-    let plan_per_call_ns = time_ns(9, || {
-        let fresh = fdg.graph.clone();
-        interp.eval_fragment_outputs(&fresh, frag, HashMap::new(), &[out.id()]).expect("evaluates")
-    });
-
-    GraphCompile { fwd_bwd_unfused_ns, fwd_bwd_fused_ns, plan_per_call_ns, plan_cached_ns }
+    GraphCompile { fwd_bwd_unfused_ns, fwd_bwd_fused_ns }
 }
 
 /// One weight-gradient product `aᵀ·b` (`a: [p, m]`, `b: [p, n]`) at a
@@ -759,15 +720,10 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"graph_compile\": {{\"mlp_fwd_bwd_unfused_ns\": {:.0}, \
-         \"mlp_fwd_bwd_fused_ns\": {:.0}, \"fusion_speedup\": {:.2}, \
-         \"plan_per_call_ns\": {:.0}, \"plan_cached_ns\": {:.0}, \
-         \"plan_cache_speedup\": {:.2}}},\n",
+         \"mlp_fwd_bwd_fused_ns\": {:.0}, \"fusion_speedup\": {:.2}}},\n",
         gc.fwd_bwd_unfused_ns,
         gc.fwd_bwd_fused_ns,
         gc.fusion_speedup(),
-        gc.plan_per_call_ns,
-        gc.plan_cached_ns,
-        gc.plan_cache_speedup(),
     ));
     json.push_str(&format!("  \"matmul_at\": {{\"dispatch\": \"{}\"", dispatch_label()));
     for r in &mat {
@@ -836,12 +792,6 @@ fn main() {
             higher_is_better: true,
             floor: 0.0,
             value: gc.fusion_speedup(),
-        },
-        Gated {
-            name: "graph_compile.plan_cache_speedup",
-            higher_is_better: true,
-            floor: 0.0,
-            value: gc.plan_cache_speedup(),
         },
         Gated {
             name: "telemetry.disabled_probe_share_pct",
@@ -924,14 +874,10 @@ fn main() {
         attr_share_pct,
     );
     println!(
-        "graph_compile: mlp fwd+bwd unfused {:.0} ns / fused {:.0} ns ({:.2}x, scalar backend); \
-         plan per-call {:.0} ns / cached {:.0} ns ({:.2}x)",
+        "graph_compile: mlp fwd+bwd unfused {:.0} ns / fused {:.0} ns ({:.2}x, scalar backend)",
         gc.fwd_bwd_unfused_ns,
         gc.fwd_bwd_fused_ns,
         gc.fusion_speedup(),
-        gc.plan_per_call_ns,
-        gc.plan_cached_ns,
-        gc.plan_cache_speedup(),
     );
     for r in &mat {
         println!(

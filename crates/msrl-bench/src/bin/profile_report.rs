@@ -24,7 +24,7 @@
 //!   span (episode returns ride the fused gradient all-reduce);
 //! * overlap on must not increase either policy's total `comm.*` span
 //!   time (`comm.overlap` excluded: it brackets compute, not waiting);
-//! * a fifth run repeats DP-A with the graph compiler's fusion off:
+//! * a fifth run repeats DP-A with the fused linear kernel off:
 //!   `phase.learn` p99 with fusion on must not regress against it.
 
 use std::collections::BTreeSet;

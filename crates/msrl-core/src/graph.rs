@@ -226,64 +226,14 @@ pub struct OpNode {
     pub component: String,
 }
 
-/// Process-wide source of plan-cache identities; 0 is never handed out
-/// so a stamp of 0 can mean "unstamped" in debug output.
-static NEXT_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// A dataflow graph plus its partition annotations.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataflowGraph {
     /// Nodes, indexed by [`NodeId`]. Tracing appends in topological
     /// order (inputs always precede consumers).
     pub nodes: Vec<OpNode>,
     /// Partition annotations collected during tracing.
     pub annotations: Vec<PartitionAnnotation>,
-    /// Lazily-assigned process-unique identity used as the compiled-plan
-    /// cache key (see [`crate::compile`]). Not part of the graph's
-    /// value: excluded from serde, reset on clone, ignored by equality.
-    stamp: std::sync::OnceLock<u64>,
-}
-
-// Hand-written so the stamp stays out of the wire format (the vendored
-// serde shim has no `#[serde(skip)]`); layout matches what the derive
-// produced before the stamp existed: `{"nodes": [...], "annotations":
-// [...]}`. A deserialized graph is unstamped and gets a fresh identity
-// on first use.
-impl Serialize for DataflowGraph {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("annotations".to_string(), self.annotations.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DataflowGraph {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(DataflowGraph {
-            nodes: Vec::<OpNode>::from_value(v.field("nodes")?)?,
-            annotations: Vec::<PartitionAnnotation>::from_value(v.field("annotations")?)?,
-            stamp: std::sync::OnceLock::new(),
-        })
-    }
-}
-
-impl Clone for DataflowGraph {
-    fn clone(&self) -> Self {
-        // A clone may be mutated independently, so it gets a fresh
-        // plan-cache identity on first use.
-        DataflowGraph {
-            nodes: self.nodes.clone(),
-            annotations: self.annotations.clone(),
-            stamp: std::sync::OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for DataflowGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.annotations == other.annotations
-    }
 }
 
 impl DataflowGraph {
@@ -330,15 +280,6 @@ impl DataflowGraph {
     /// Returns [`FdgError::UnknownNode`] for out-of-range ids.
     pub fn node(&self, id: NodeId) -> Result<&OpNode> {
         self.nodes.get(id).ok_or(FdgError::UnknownNode { id })
-    }
-
-    /// This graph's process-unique plan-cache identity, assigned on
-    /// first call. Two graphs never share a stamp (clones get fresh
-    /// ones), so `(stamp, …)` keys compiled plans without hashing node
-    /// contents. Mutating `nodes` after a plan has been cached is not
-    /// supported — rebuild or clone the graph instead.
-    pub fn stamp(&self) -> u64 {
-        *self.stamp.get_or_init(|| NEXT_STAMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
     }
 
     /// Consumers of each node (adjacency in the forward direction).
@@ -477,12 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn stamp_is_stable_and_unique_per_graph() {
+    fn wire_format_is_nodes_and_annotations() {
         let g = toy_graph();
-        assert_eq!(g.stamp(), g.stamp());
-        let clone = g.clone();
-        assert_ne!(g.stamp(), clone.stamp(), "clones get fresh identities");
-        assert_eq!(g, clone, "stamp is not part of graph equality");
+        let json = serde_json::to_string(&g).unwrap();
+        let v = serde_json::value_from_str(&json).unwrap();
+        let serde::Value::Map(fields) = &v else { panic!("a graph serialises as a map: {v:?}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["nodes", "annotations"]);
+        let back: DataflowGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, g);
+        assert_eq!(g.clone(), g);
     }
 
     #[test]

@@ -29,11 +29,12 @@
 //! 5. **Fusion** ([`fusion`]) — co-located fragment replicas are fused by
 //!    batching their tensors along a leading replica axis (§5.2), so one
 //!    batched operator replaces N kernel launches.
-//! 6. **Execution** ([`interp`], [`cost`]) — fragments execute either for
-//!    real (the operator interpreter evaluates compute nodes with
-//!    `msrl-tensor`; stateful RL macro ops dispatch to registered
-//!    kernels), or analytically (per-node flop/byte costs feed the
-//!    discrete-event cluster simulator in `msrl-sim`).
+//! 6. **Execution** ([`interp`], [`cost`]) — the drivers in
+//!    `msrl-runtime` run fragment bodies written by hand in Rust; the
+//!    reference evaluator runs a traced graph or fragment node by node
+//!    (compute nodes through `msrl-tensor`, stateful RL macro ops through
+//!    registered kernels), and per-node flop/byte costs feed the
+//!    discrete-event cluster simulator in `msrl-sim`.
 
 #![warn(missing_docs)]
 
@@ -50,7 +51,6 @@ pub mod partition;
 pub mod trace;
 
 pub use annotate::{Collective, FragmentKind, PartitionAnnotation};
-pub use compile::{CompiledPlan, PlanStats};
 pub use fragment::{Fragment, FragmentId, Interface};
 pub use graph::{DataflowGraph, DeviceReq, NodeId, OpKind, OpNode};
 pub use partition::{build_fdg, Fdg};
@@ -95,6 +95,14 @@ pub enum FdgError {
         /// The policy's short code or custom name.
         policy: String,
     },
+    /// The run-health watchdog fired a critical finding: the run stops
+    /// after that iteration's metrics line and flight-recorder dump.
+    Unhealthy {
+        /// The detector that fired (`"nonfinite"`, ...).
+        detector: &'static str,
+        /// The iteration it fired at.
+        iteration: u64,
+    },
 }
 
 impl std::fmt::Display for FdgError {
@@ -114,6 +122,9 @@ impl std::fmt::Display for FdgError {
             }
             FdgError::NoSyncRule { policy } => {
                 write!(f, "no sync rule runs distribution policy {policy} here")
+            }
+            FdgError::Unhealthy { detector, iteration } => {
+                write!(f, "critical health finding {detector} at iteration {iteration}")
             }
         }
     }

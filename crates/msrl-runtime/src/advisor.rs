@@ -553,7 +553,6 @@ mod tests {
             iters_per_sec: 10.0,
             comm_bytes: 0,
             staleness: 0,
-            plan_cache_hit_rate: None,
             attr: Some(tel::attribute(&stamps, 0, wall, 2.0)),
             actsrv: None,
             health: None,

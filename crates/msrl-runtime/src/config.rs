@@ -132,8 +132,7 @@ pub struct DistPpoConfig {
     /// (Fig. 7d). Zero (the default) means in-process channel speed.
     pub link_latency: std::time::Duration,
     /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel and enable the graph compiler's fusion passes (both
-    /// bit-identical to the unfused path). On by default; off is the
+    /// kernel (bit-identical to the unfused path). On by default; off is the
     /// reference the bitwise suites compare against.
     pub fusion: bool,
     /// Micro-batch policy forwards *across* actor fragments through the

@@ -135,7 +135,7 @@ pub(super) fn gather_learner(f: &mut Frame, dist: &DistPpoConfig) -> Result<()> 
             }
         }
         f.report.losses.push(loss);
-        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner));
+        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
     }
     f.report.final_params = learner.policy_params();
     Ok(())
@@ -234,7 +234,7 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
             finished.extend(f.ep.recv(rank)?);
         }
         f.report.losses.push(loss);
-        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner));
+        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
     }
     f.report.final_params = learner.policy_params();
     Ok(())
@@ -293,7 +293,7 @@ pub(super) fn grad_all_reduce(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoCon
             Some(returns) => returns,
             None => f.ep.all_gather(envs.take_finished_returns())?.into_iter().flatten().collect(),
         };
-        f.close_finished(&finished, learner.last_loss(), learner.last_entropy(), Some(&learner));
+        f.close_finished(&finished, learner.last_loss(), learner.last_entropy(), Some(&learner))?;
     }
     f.report.final_params = learner.policy_params();
     Ok(())
@@ -354,7 +354,7 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
             learner.set_policy_params(&avg)?;
         }
         let mean = total_reward / (env.total_agents() * steps.max(1)) as f32;
-        f.close(mean, Some(loss), learner.last_entropy(), Some(&learner));
+        f.close(mean, Some(loss), learner.last_entropy(), Some(&learner))?;
     }
     f.report.final_params = learner.policy_params();
     Ok(())
@@ -458,7 +458,7 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
             }
         }
         f.ep.all_gather(Vec::new())?;
-        f.close(total / (n * steps.max(1)) as f32, None, None, None);
+        f.close(total / (n * steps.max(1)) as f32, None, None, None)?;
     }
     Ok(())
 }
@@ -578,7 +578,7 @@ pub(super) fn push_pull_server(
             learn(|| server.apply_grads(&grads))?;
             f.ep.send(rank, server.policy_params())?;
         }
-        f.close_finished(&finished, None, None, Some(&server));
+        f.close_finished(&finished, None, None, Some(&server))?;
     }
     f.report.final_params = server.policy_params();
     Ok(())

@@ -102,34 +102,42 @@ impl Frame<'_> {
     /// The report tail: records the iteration's reward and, on the
     /// reporting seat, streams its RunEvent (scanning `weights` for the
     /// health pass when the watchdog is on).
+    ///
+    /// # Errors
+    ///
+    /// [`msrl_core::FdgError::Unhealthy`] when the watchdog fired a
+    /// critical finding this iteration: the seat's body ends with it.
     pub fn close(
         &mut self,
         reward: f32,
         loss: Option<f32>,
         entropy: Option<f32>,
         weights: Option<&dyn Learner>,
-    ) {
+    ) -> Result<()> {
         self.report.iteration_rewards.push(reward);
-        if let Some(o) = self.observer.as_mut() {
-            let params =
-                weights.filter(|_| msrl_telemetry::health_enabled()).map(|w| w.policy_params());
-            o.observe(reward, loss, entropy, params.as_deref());
-        }
+        let Some(o) = self.observer.as_mut() else { return Ok(()) };
+        let params =
+            weights.filter(|_| msrl_telemetry::health_enabled()).map(|w| w.policy_params());
+        o.observe(reward, loss, entropy, params.as_deref())
     }
 
     /// [`Frame::close`] on the mean return of the episodes that
     /// `finished` in the iteration — the previous value when none did.
+    ///
+    /// # Errors
+    ///
+    /// As [`Frame::close`].
     pub fn close_finished(
         &mut self,
         finished: &[f32],
         loss: Option<f32>,
         entropy: Option<f32>,
         weights: Option<&dyn Learner>,
-    ) {
+    ) -> Result<()> {
         if !finished.is_empty() {
             self.prev_reward = finished.iter().sum::<f32>() / finished.len() as f32;
         }
-        self.close(self.prev_reward, loss, entropy, weights);
+        self.close(self.prev_reward, loss, entropy, weights)
     }
 }
 

@@ -5,15 +5,15 @@
 //!
 //! [`RunEvent`]: msrl_telemetry::RunEvent
 
+use msrl_core::{FdgError, Result};
+
 /// Per-iteration observability for the run's reporting seat: emits
 /// one [`msrl_telemetry::RunEvent`] per iteration (reward, loss,
-/// entropy, it/s, comm-byte delta, staleness, plan-cache hit rate) and
-/// records the iteration period into the always-on `fragment.eval`
-/// histogram — one fragment-body execution per iteration, so DP runs
-/// carry latency quantiles even with `MSRL_TRACE` unset. (PPO's learn
-/// path trains through the tape, not the interpreter, so the
-/// interpreter's own `fragment.eval` samples only appear in
-/// interpreter-driven workloads.)
+/// entropy, it/s, comm-byte delta, staleness) and records the iteration
+/// period into the always-on `fragment.eval` histogram — one
+/// fragment-body execution per iteration, so DP runs carry latency
+/// quantiles even with `MSRL_TRACE` unset. A critical health finding
+/// ends the run ([`RunObserver::observe`]).
 pub(crate) struct RunObserver {
     policy: &'static str,
     staleness: u64,
@@ -54,8 +54,9 @@ impl RunObserver {
     /// counters moved, so learner-less drivers omit them), scans the
     /// policy parameters for non-finite values with the fused kernel,
     /// and feeds the run-level signals to the streaming detectors. A
-    /// freshly fired Critical finding snapshots the verdict and
-    /// triggers a flight-recorder dump carrying it (DESIGN §3.15).
+    /// freshly fired Critical finding snapshots the verdict, triggers a
+    /// flight-recorder dump carrying it (DESIGN §3.15) and comes back as
+    /// the run's error.
     fn health_block(
         &mut self,
         reward: f32,
@@ -63,8 +64,8 @@ impl RunObserver {
         entropy: Option<f32>,
         iters_per_sec: f64,
         params: Option<&[f32]>,
-    ) -> Option<msrl_telemetry::HealthStatus> {
-        let monitor = self.monitor.as_mut()?;
+    ) -> (Option<msrl_telemetry::HealthStatus>, Option<FdgError>) {
+        let Some(monitor) = self.monitor.as_mut() else { return (None, None) };
         let _t = msrl_telemetry::static_histogram!("health.observe").time();
         let gauge = |name: &str| msrl_telemetry::Gauge::handle(name).get();
         let updates = msrl_telemetry::counter_total("health.updates");
@@ -87,19 +88,17 @@ impl RunObserver {
             nonfinite_params: params.map(msrl_tensor::kernels::count_nonfinite),
         };
         let status = monitor.observe(&sample);
-        let critical = status
-            .findings
-            .iter()
-            .find(|f| f.severity == msrl_telemetry::Severity::Critical)
-            .map(|f| format!("{}: {}", f.detector, f.detail));
-        if let Some(reason) = critical {
+        let critical =
+            status.findings.iter().find(|f| f.severity == msrl_telemetry::Severity::Critical);
+        let err = critical.map(|f| {
             msrl_telemetry::set_last_verdict(&monitor.verdict());
-            match msrl_telemetry::flightrec::dump("health", &reason) {
-                Ok(_) => {}
-                Err(e) => eprintln!("msrl: health-triggered flightrec dump failed: {e}"),
+            let reason = format!("{}: {}", f.detector, f.detail);
+            if let Err(e) = msrl_telemetry::flightrec::dump("health", &reason) {
+                eprintln!("msrl: health-triggered flightrec dump failed: {e}");
             }
-        }
-        Some(status)
+            FdgError::Unhealthy { detector: f.detector, iteration: f.iteration }
+        });
+        (Some(status), err)
     }
 
     /// Closes one iteration: records its period, computes the
@@ -107,13 +106,18 @@ impl RunObserver {
     /// every fragment thread's step stamps), runs the health detectors,
     /// and streams the training-metrics event — with an `attr` block
     /// when attribution is on and a `health` block when the watchdog is.
+    ///
+    /// # Errors
+    ///
+    /// [`FdgError::Unhealthy`] for the first critical finding that fired
+    /// this iteration, after its event line and dump are written.
     pub(crate) fn observe(
         &mut self,
         reward: f32,
         loss: Option<f32>,
         entropy: Option<f32>,
         params: Option<&[f32]>,
-    ) {
+    ) -> Result<()> {
         let now = std::time::Instant::now();
         let dt = now.duration_since(self.last);
         self.last = now;
@@ -127,9 +131,6 @@ impl RunObserver {
             None
         };
         let bytes = msrl_telemetry::counter_total("comm.bytes_sent");
-        let hits = msrl_telemetry::counter_total("interp.plan_cache.hit");
-        let misses = msrl_telemetry::counter_total("interp.plan_cache.miss");
-        let plan_cache_hit_rate = (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64);
         // Act-server deltas: an active server runs ≥1 batched forward
         // per iteration, so a zero delta means it is off — omit the
         // block rather than streaming noise.
@@ -141,7 +142,7 @@ impl RunObserver {
                 rows: actsrv_rows.saturating_sub(self.actsrv_rows_prev),
             });
         let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
-        let health = self.health_block(reward, loss, entropy, iters_per_sec, params);
+        let (health, critical) = self.health_block(reward, loss, entropy, iters_per_sec, params);
         msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
             policy: self.policy.to_string(),
             iteration: self.iteration,
@@ -151,7 +152,6 @@ impl RunObserver {
             iters_per_sec,
             comm_bytes: bytes.saturating_sub(self.bytes_prev),
             staleness: self.staleness,
-            plan_cache_hit_rate,
             attr,
             actsrv,
             health,
@@ -160,6 +160,7 @@ impl RunObserver {
         self.actsrv_batches_prev = actsrv_batches;
         self.actsrv_rows_prev = actsrv_rows;
         self.iteration += 1;
+        critical.map_or(Ok(()), Err)
     }
 }
 
@@ -171,7 +172,7 @@ impl RunObserver {
 /// subsystem's evidence trail, and a silently truncated JSONL file
 /// would read as a healthy run. The `sink.io_errors` counter carries
 /// the same signal into the exposition snapshot.
-pub(crate) fn close_run<T>(policy: &'static str, result: &msrl_core::Result<T>) {
+pub(crate) fn close_run<T>(policy: &'static str, result: &Result<T>) {
     if let Err(e) = msrl_telemetry::flush_metrics() {
         eprintln!("msrl: metrics stream write failed for {policy}: {e}");
     }

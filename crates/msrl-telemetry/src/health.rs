@@ -797,7 +797,6 @@ mod tests {
             iters_per_sec: s.iters_per_sec,
             comm_bytes: 0,
             staleness: s.staleness_bound,
-            plan_cache_hit_rate: None,
             attr: None,
             actsrv: None,
             health,

@@ -6,7 +6,7 @@
 //! The fragment runner's observer (`msrl-runtime`'s `observe.rs`) is the
 //! one writer: once per iteration of every policy it emits the training
 //! signal — episode return, loss, entropy, throughput, comm bytes,
-//! staleness, plan-cache hit-rate — the raw data behind the paper's
+//! staleness — the raw data behind the paper's
 //! throughput/convergence figures, streamed live instead of
 //! reconstructed post-hoc. Each JSONL line is written with a single
 //! `write` on a file opened in append mode, so concurrent processes
@@ -76,8 +76,6 @@ pub struct RunEvent {
     pub comm_bytes: u64,
     /// Configured staleness bound the iteration ran under.
     pub staleness: u64,
-    /// Plan-cache hit rate so far (`None` before any plan lookup).
-    pub plan_cache_hit_rate: Option<f64>,
     /// Critical-path attribution for the iteration; `None` when
     /// `MSRL_ATTR=0`.
     pub attr: Option<IterAttribution>,
@@ -106,16 +104,13 @@ impl RunEvent {
         serde_json::from_str(line)
     }
 
-    /// The invariants the types cannot state: a non-empty policy, a hit
-    /// rate in [0,1], fragment components that sum exactly to the
+    /// The invariants the types cannot state: a non-empty policy,
+    /// fragment components that sum exactly to the
     /// fragment's wall, a clamped critical path, and act-server rows
     /// covering its batches.
     fn check(&self) -> Result<(), String> {
         if self.policy.is_empty() {
             return Err("empty policy".to_string());
-        }
-        if let Some(r) = self.plan_cache_hit_rate.filter(|r| !(0.0..=1.0).contains(r)) {
-            return Err(format!("plan_cache_hit_rate out of [0,1]: {r}"));
         }
         if let Some(a) = &self.attr {
             if a.critical_path_ns > a.wall_ns {
@@ -213,7 +208,6 @@ impl Serialize for RunEvent {
             ("iters_per_sec", num(self.iters_per_sec)),
             ("comm_bytes", self.comm_bytes.to_value()),
             ("staleness", self.staleness.to_value()),
-            ("plan_cache_hit_rate", opt_num(self.plan_cache_hit_rate)),
         ];
         if let Some(a) = &self.attr {
             m.push(("attr", a.to_value()));
@@ -240,7 +234,6 @@ impl Deserialize for RunEvent {
             iters_per_sec: get_num(v, "iters_per_sec")?,
             comm_bytes: get(v, "comm_bytes")?,
             staleness: get(v, "staleness")?,
-            plan_cache_hit_rate: get(v, "plan_cache_hit_rate")?,
             attr: get_block(v, "attr")?,
             actsrv: get_block(v, "actsrv")?,
             health: get_block(v, "health")?,
@@ -586,7 +579,6 @@ mod tests {
             iters_per_sec: 88.0,
             comm_bytes: 13400,
             staleness: 1,
-            plan_cache_hit_rate: Some(0.97),
             attr: None,
             actsrv: None,
             health: None,
@@ -640,9 +632,14 @@ mod tests {
         let mut ev = sample(9);
         ev.loss = None;
         ev.entropy = None;
-        ev.plan_cache_hit_rate = None;
         assert_eq!(validate_metrics(&ev.to_json_line()).unwrap(), 1);
         assert_eq!(RunEvent::parse(&ev.to_json_line()).unwrap(), ev);
+        // Streams written while events still carried a plan-cache hit
+        // rate validate too: a key the schema does not name is ignored.
+        let old = ev.to_json_line().replacen('}', ",\"plan_cache_hit_rate\":0.9}", 1);
+        assert_ne!(old, ev.to_json_line());
+        assert_eq!(validate_metrics(&old).unwrap(), 1);
+        assert_eq!(RunEvent::parse(&old).unwrap(), ev);
     }
 
     #[test]
@@ -793,8 +790,6 @@ mod tests {
         assert!(validate_metrics("not json at all").is_err());
         let truncated = &sample(0).to_json_line()[..40];
         assert!(validate_metrics(truncated).is_err());
-        let bad_rate = sample(0).to_json_line().replace("0.97", "1.97");
-        assert!(validate_metrics(&bad_rate).is_err());
         // Any other tag is not this schema.
         let other = sample(0).to_json_line().replace(RUN_EVENT_SCHEMA, "msrl.run_event.v0");
         assert!(validate_metrics(&other).is_err());

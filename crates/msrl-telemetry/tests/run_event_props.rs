@@ -80,7 +80,6 @@ impl proptest::strategy::Strategy for EventStrategy {
             iters_per_sec: number(rng),
             comm_bytes: rng.next_u64(),
             staleness: rng.below(4),
-            plan_cache_hit_rate: (rng.below(2) == 1).then(|| rng.unit_f64()),
             attr: None,
             actsrv: None,
             health: None,

@@ -1,16 +1,16 @@
 //! A thread-local buffer pool for tensor output storage.
 //!
 //! Every tensor operator materialises its result into a fresh `Vec<f32>`;
-//! in an interpreter loop that is one heap allocation per graph node per
+//! in a training loop that is one heap allocation per operator per
 //! step. The pool recycles those buffers: owners that know a tensor is
 //! dead hand the storage back with
 //! [`Tensor::recycle`](crate::Tensor::recycle) or [`give`], and subsequent
 //! operator outputs are served from the free list by [`take_zeroed`]
 //! instead of the allocator — or by [`take_for_overwrite`], which
 //! skips the fill, for the product kernels that overwrite every output
-//! element. The givers are the FDG interpreter's refcounted arena, the
-//! inference loops of [`crate::nn`], [`crate::ops`]' per-call weight
-//! packs, and the gradient tape ([`crate::autograd`]): a tape returns every value it
+//! element. The givers are the inference loops of [`crate::nn`],
+//! [`crate::ops`]' per-call weight packs, and the gradient tape
+//! ([`crate::autograd`]): a tape returns every value it
 //! alone owns when it drops, [`Gradients`](crate::autograd::Gradients)
 //! whatever nobody took, and the backward pass each interior gradient
 //! once it is consumed — so a learner's second epoch runs on the first

@@ -251,9 +251,9 @@ impl PackedB {
 }
 
 /// Packs a row-major `[k, n]` matrix into [`PackedB`] panels for this
-/// host's microkernel. Cost is one copy of `b`, paid once per weight by
-/// a promoted plan (or once per call for ad-hoc large products); the
-/// microkernel then reads panels sequentially.
+/// host's microkernel. Cost is one copy of `b`, paid once per weight
+/// version by a [`crate::nn::PackedMlp`] (or once per call for ad-hoc
+/// large products); the microkernel then reads panels sequentially.
 ///
 /// # Panics
 ///

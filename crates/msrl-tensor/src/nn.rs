@@ -270,8 +270,8 @@ impl Mlp {
     /// for repeated batched inference ([`PackedMlp::infer`]).
     ///
     /// One `pack_b` per layer, paid once per weight version and
-    /// amortized over every forward that follows — the batched-rollout
-    /// analogue of the interpreter's hot-plan tier-up. The caller owns
+    /// amortized over every forward that follows — the one weight
+    /// tier-up runs use. The caller owns
     /// invalidation: a [`PackedMlp`] is a snapshot of the weights at
     /// pack time and must be rebuilt after any parameter update.
     pub fn pack(&self) -> PackedMlp {

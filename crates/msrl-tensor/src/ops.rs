@@ -1,10 +1,11 @@
 //! Tensor math: broadcasting element-wise ops, matmul, reductions and
 //! shape-manipulating operators.
 //!
-//! These are the "DL-engine operators" of the reproduction: the MSRL
-//! fragment interpreter in `msrl-core` lowers traced dataflow nodes onto
-//! exactly these functions, the same way the original system lowers onto
-//! MindSpore operators.
+//! These are the "DL-engine operators" of the reproduction: the drivers'
+//! hand-written fragment bodies call them through the autograd tape and
+//! `nn`, and `msrl-core`'s reference evaluator lowers traced dataflow
+//! nodes onto exactly these functions, the same way the original system
+//! lowers onto MindSpore operators.
 
 use crate::error::TensorError;
 use crate::fastmath::{self, Unary};
@@ -68,9 +69,8 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
 }
 
 /// Applies `f` element-wise in place, reusing `a`'s buffer — no pool
-/// round-trip, no allocation. Bit-identical to [`map`]; the graph
-/// compiler's liveness plan selects this variant when it proves the
-/// input's storage is dead after the op.
+/// round-trip, no allocation. Bit-identical to [`map`]; for a caller
+/// that owns an input it no longer needs.
 pub fn map_inplace(mut a: Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let data = a.data_mut();
     let fill = |_offset: usize, chunk: &mut [f32]| {
@@ -87,8 +87,8 @@ pub fn map_inplace(mut a: Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 }
 
 /// Applies `f(a[i], b[i])` element-wise into `a`'s buffer. Requires equal
-/// shapes — the compiler only plans in-place execution for the
-/// no-broadcast case, where it is bit-identical to [`zip_broadcast`].
+/// shapes: the no-broadcast case, where it is bit-identical to
+/// [`zip_broadcast`].
 ///
 /// # Errors
 ///
@@ -307,14 +307,14 @@ enum Rhs<'a> {
     /// Row-major `[n, k]`, the `b` of `a · bᵀ`: always packed per call
     /// ([`kernels::pack_bt`]) — the pack is the transpose.
     Transposed(&'a [f32]),
-    /// Packed ahead of time, by a promoted plan or a
+    /// Packed ahead of time, once per weight version, by a
     /// [`crate::nn::PackedMlp`].
     Packed(&'a kernels::PackedB),
 }
 
 /// The one body behind every `[m, k] · [k, n]`-shaped product:
-/// [`matmul`], [`matmul_bt`], [`linear_act`], [`linear_softmax`] and
-/// their pre-packed twins differ only in where the right operand's
+/// [`matmul`], [`matmul_bt`], [`linear_act`] and
+/// [`linear_act_prepacked`] differ only in where the right operand's
 /// panels come from and in the `epilogue` run over each row-aligned
 /// output chunk right after the kernel writes it.
 ///
@@ -374,23 +374,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let ((m, k), (k2, n)) = (dims2("matmul", a)?, dims2("matmul", b)?);
     same_inner("matmul", (k, k2), a.shape(), b.shape())?;
     product(a.data(), [m, k, n], Rhs::RowMajor(b.data()), |_| {})
-}
-
-/// Matrix product against a pre-packed right operand:
-/// `[m, k] × packed[k, n] → [m, n]`.
-///
-/// The interpreter's kernel tier packs a hot plan's weights once and
-/// calls this on every subsequent evaluation, so steady state does zero
-/// packing work. Bit-identical to [`matmul`] (see [`crate::kernels`]).
-///
-/// # Errors
-///
-/// Same contract as [`matmul`], with the packed operand's recorded
-/// `[k, n]` standing in for `b.shape()`.
-pub fn matmul_prepacked(a: &Tensor, bp: &kernels::PackedB) -> Result<Tensor> {
-    let (m, k) = dims2("matmul", a)?;
-    same_inner("matmul", (k, bp.k()), a.shape(), &[bp.k(), bp.n()])?;
-    product(a.data(), [m, k, bp.n()], Rhs::Packed(bp), |_| {})
 }
 
 /// Transposed-LHS product without materialising the transpose:
@@ -569,8 +552,9 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor
     product(x.data(), dims, Rhs::RowMajor(w.data()), |chunk| act_epilogue(chunk, bd, n, act))
 }
 
-/// [`linear_act`] against a pre-packed weight operand, for plans the
-/// interpreter has tiered up. Bit-identical to the unpacked kernel.
+/// [`linear_act`] against a pre-packed weight operand, for a
+/// [`crate::nn::PackedMlp`]'s layers. Bit-identical to the unpacked
+/// kernel.
 ///
 /// # Errors
 ///
@@ -586,33 +570,6 @@ pub fn linear_act_prepacked(
     msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
     let bd = b.data();
     product(x.data(), dims, Rhs::Packed(wp), |chunk| act_epilogue(chunk, bd, n, act))
-}
-
-/// Fused policy head: `softmax_rows(x·w + b)` in one pass over the
-/// output.
-///
-/// The linear part reuses the exact [`linear_act`] accumulation and
-/// bias epilogue (with identity activation); each finished row then
-/// runs the exact [`softmax_rows`] row arithmetic in place via the
-/// shared [`fastmath::softmax_row_fast_inplace`] kernel, so the fusion is
-/// bit-identical to the separate `matmul → add → softmax_rows` chain on
-/// both backends.
-///
-/// # Errors
-///
-/// Same contract as [`linear_act`].
-pub fn linear_softmax(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let dims @ [_, _, n] = layer_dims("linear_softmax", x, w.shape(), b)?;
-    msrl_telemetry::static_counter!("tensor.fused_linear_softmax").add(1);
-    let bd = b.data();
-    product(x.data(), dims, Rhs::RowMajor(w.data()), |chunk| {
-        for row in chunk.chunks_mut(n.max(1)) {
-            for (o, &bv) in row.iter_mut().zip(bd) {
-                *o += bv;
-            }
-            fastmath::softmax_row_fast_inplace(row);
-        }
-    })
 }
 
 /// Transpose of a rank-2 tensor.
@@ -1148,11 +1105,13 @@ mod tests {
             assert_eq!(row.iter().all(|v| v.is_nan()), r == 1, "row {r}: {row:?}");
             assert_eq!(row.iter().any(|v| v.is_nan()), r == 1, "row {r}: {row:?}");
         }
-        // Fused head: a NaN bias entry is exactly one NaN logit per row.
+        // Behind a fused layer: a NaN bias entry is exactly one NaN
+        // logit per row.
         let x = t(&logits[..20], &[4, 5]);
         let w = t(&logits[40..], &[5, 4]);
-        let fused = linear_softmax(&x, &w, &t(&[0.1, f32::NAN, 0.2, 0.3], &[4])).unwrap();
-        assert!(fused.data().iter().all(|v| v.is_nan()), "{fused:?}");
+        let b = t(&[0.1, f32::NAN, 0.2, 0.3], &[4]);
+        let head = softmax_rows(&linear_act(&x, &w, &b, Act::Linear).unwrap()).unwrap();
+        assert!(head.data().iter().all(|v| v.is_nan()), "{head:?}");
     }
 
     #[test]
@@ -1239,11 +1198,6 @@ mod tests {
                                 "fused {act:?} ({m},{k},{n}) x{threads} must be bit-identical"
                             );
                         }
-                        assert_eq!(
-                            linear_softmax(&x, &w, &b).unwrap().data(),
-                            softmax_rows(&pre).unwrap().data(),
-                            "fused softmax ({m},{k},{n}) x{threads} must be bit-identical"
-                        );
                     });
                 });
             }

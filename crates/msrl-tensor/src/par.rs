@@ -151,9 +151,8 @@ pub struct ExecCtx {
     /// ([`PAR_MIN_ELEMS`], [`PAR_MIN_FLOPS`], …) when set; tests set it
     /// to 1 so tiny inputs still exercise the multi-chunk paths.
     pub par_min: Option<usize>,
-    /// Fused `MatMul+bias+activation` kernels in [`crate::nn`] and the
-    /// `msrl-core` graph compiler's fusion passes. Bit-identical to the
-    /// unfused operators, which stay reachable through
+    /// Fused `MatMul+bias+activation` kernels in [`crate::nn`].
+    /// Bit-identical to the unfused operators, which stay reachable through
     /// [`with_fusion`]`(false, ..)` as the reference the bitwise suites
     /// compare against.
     pub fusion: bool,
@@ -251,8 +250,8 @@ pub fn thread_count() -> usize {
     ExecCtx::current().threads
 }
 
-/// Whether fused kernels and graph-compiler fusion passes are on for
-/// the calling thread (see [`ExecCtx::fusion`]).
+/// Whether fused kernels are on for the calling thread (see
+/// [`ExecCtx::fusion`]).
 pub fn fusion_enabled() -> bool {
     ExecCtx::current().fusion
 }

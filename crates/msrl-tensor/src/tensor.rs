@@ -8,7 +8,7 @@ use crate::Result;
 ///
 /// `Tensor` is the value type that flows along edges of MSRL's fragmented
 /// dataflow graphs. It is deliberately simple — contiguous storage, no
-/// views — because the FDG interpreter and the fusion pass reason about
+/// views — because the FDG evaluator and the fusion pass reason about
 /// whole tensors, not aliased slices.
 ///
 /// Cloning a `Tensor` clones its buffer; the MSRL runtime moves tensors

@@ -216,13 +216,19 @@ proptest! {
         let ta = Tensor::from_vec(a, &[m, k]).unwrap();
         let tb = Tensor::from_vec(b, &[k, n]).unwrap();
         let naive = bits(&reference::matmul(ta.data(), tb.data(), m, k, n));
-        // `matmul_prepacked` always takes the microkernels, regardless
-        // of the PACK_MIN_FLOPS on-the-fly cutoff.
-        let (s, t) = on_both_backends(|| {
-            ops::matmul_prepacked(&ta, &kernels::pack_b(tb.data(), k, n)).unwrap()
-        });
-        prop_assert_eq!(bits(s.data()), bits(t.data()));
-        prop_assert_eq!(bits(s.data()), naive);
+        // Straight onto the packed tile, whatever the PACK_MIN_FLOPS
+        // on-the-fly cutoff says: all rows at once, and split at a row
+        // the way a threaded fan-out hands each chunk its first row.
+        let bp = kernels::pack_b(tb.data(), k, n);
+        let mut whole = vec![0.0; m * n];
+        kernels::matmul_packed_rows(ta.data(), 0, &mut whole, k, n, &bp);
+        prop_assert_eq!(bits(&whole), naive.clone());
+        let split = m / 2;
+        let mut halves = vec![0.0; m * n];
+        let (top, bottom) = halves.split_at_mut(split * n);
+        kernels::matmul_packed_rows(ta.data(), 0, top, k, n, &bp);
+        kernels::matmul_packed_rows(ta.data(), split, bottom, k, n, &bp);
+        prop_assert_eq!(bits(&halves), naive);
     }
 
     /// Below the packing cutoff `matmul` dispatches the unpacked SIMD
@@ -302,28 +308,10 @@ proptest! {
         prop_assert_eq!(bits(s.data()), bits(&expect));
     }
 
-    /// The fused policy head must match the separate
-    /// matmul → bias-add → softmax chain bit-for-bit on both backends.
-    #[test]
-    fn linear_softmax_matches_unfused_bitwise(
-        m in 1usize..7, k in 1usize..7, n in 1usize..7,
-        xv in small_vec(36), wv in small_vec(36), bv in small_vec(6)
-    ) {
-        let x = Tensor::from_vec(xv[..m * k].to_vec(), &[m, k]).unwrap();
-        let w = Tensor::from_vec(wv[..k * n].to_vec(), &[k, n]).unwrap();
-        let b = Tensor::from_vec(bv[..n].to_vec(), &[n]).unwrap();
-        let unfused = ops::softmax_rows(
-            &ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap()
-        ).unwrap();
-        let (s, t) = on_both_backends(|| ops::linear_softmax(&x, &w, &b).unwrap());
-        prop_assert_eq!(&s, &t);
-        prop_assert_eq!(&s, &unfused);
-    }
-
-    /// The four product wrappers — one helper, three panel sources, two
-    /// kernels — must each agree bit-for-bit with the naive loop on both
-    /// backends, on shapes ragged against every tile (row blocks of 4
-    /// and 8, panels of 16 and 32) and on either side of the
+    /// The three row-major and transposed product wrappers — one helper,
+    /// two kernels — must each agree bit-for-bit with the naive loop on
+    /// both backends, on shapes ragged against every tile (row blocks of
+    /// 4 and 8, panels of 16 and 32) and on either side of the
     /// `PACK_MIN_FLOPS` rule.
     #[test]
     fn product_wrappers_match_reference_bitwise(
@@ -341,7 +329,6 @@ proptest! {
         let biased: Vec<f32> =
             product.iter().enumerate().map(|(i, &v)| v + bias.data()[i % n]).collect();
         let activated: Vec<f32> = biased.iter().map(|&v| act.apply(v)).collect();
-        let softmaxed = ops::softmax_rows(&Tensor::from_vec(biased, &[m, n]).unwrap()).unwrap();
 
         let (s, t) = on_both_backends(|| ops::matmul(&a, &b).unwrap());
         prop_assert_eq!(bits(s.data()), bits(t.data()));
@@ -352,9 +339,6 @@ proptest! {
         let (s, t) = on_both_backends(|| ops::linear_act(&a, &b, &bias, act).unwrap());
         prop_assert_eq!(bits(s.data()), bits(t.data()));
         prop_assert_eq!(bits(s.data()), bits(&activated));
-        let (s, t) = on_both_backends(|| ops::linear_softmax(&a, &b, &bias).unwrap());
-        prop_assert_eq!(bits(s.data()), bits(t.data()));
-        prop_assert_eq!(bits(s.data()), bits(softmaxed.data()));
     }
 
     /// Broadcast arithmetic under the strided `BroadcastPlan` must match the
@@ -522,8 +506,9 @@ proptest! {
     }
 
     /// Softmax rows are distributions, stay within 1e-5 of the libm
-    /// reference rows, and the fused policy head is bit-identical to its
-    /// unfused chain (fusion never changes results).
+    /// reference rows, and a policy head behind a fused linear layer is
+    /// bit-identical to the same head behind the unfused chain (fusion
+    /// never changes results).
     #[test]
     fn fastmath_softmax_close_to_exact_and_fusion_invariant(
         m in 1usize..7, k in 1usize..7, n in 1usize..7,
@@ -542,7 +527,7 @@ proptest! {
         for (f, e) in fast_s.data().iter().zip(&exact) {
             prop_assert!((f - e).abs() < 1e-5, "fast={f} exact={e}");
         }
-        let fused = ops::linear_softmax(&x, &w, &b).unwrap();
+        let fused = ops::softmax_rows(&ops::linear_act(&x, &w, &b, ops::Act::Linear).unwrap()).unwrap();
         let unfused =
             ops::softmax_rows(&ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap()).unwrap();
         prop_assert_eq!(fused, unfused);

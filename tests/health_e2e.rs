@@ -1,8 +1,9 @@
 //! End-to-end run-health contract (DESIGN §3.15): an induced mid-run
 //! NaN must be caught by the watchdog within one iteration, embed a
 //! critical finding in the metrics stream's `health` block, trigger a
-//! flight-recorder dump carrying the health verdict, and convict the
-//! completed stream on replay (the `doctor` path).
+//! flight-recorder dump carrying the health verdict, end the run with a
+//! typed error naming the detector and the iteration, and convict the
+//! stream on replay (the `doctor` path).
 //!
 //! One test body: the health gate, metrics sink, flight recorder and
 //! registry are process-global.
@@ -11,6 +12,7 @@
 //! stream — CI uses this to demonstrate `doctor` exiting non-zero on a
 //! genuinely unhealthy run.
 
+use msrl_core::FdgError;
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 use msrl_telemetry::{HealthStatus, HealthVerdict, RunEvent, Severity};
@@ -38,15 +40,16 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     // Inject at the run's last (0-based) iteration: the learner's
     // post-learn weights are scaled to infinity there, so the final
     // broadcast is poisoned but drained unused by the exiting actors.
-    std::env::set_var("MSRL_FAULT_NAN_ITER", (dist.iterations - 1).to_string());
-    let report = run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist)
-        .expect("poisoned dp_a run still completes");
+    let poisoned = dist.iterations as u64 - 1;
+    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
+    let result = run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist);
     std::env::remove_var("MSRL_FAULT_NAN_ITER");
     msrl_telemetry::set_metrics_file(None);
-    assert!(
-        report.final_params.iter().any(|v| !v.is_finite()),
-        "the fault injection must actually poison the final weights"
-    );
+    // The critical finding ends the run: its error names the detector
+    // and the iteration it fired at.
+    let err = result.expect_err("a critical health finding fails the run");
+    assert_eq!(err, FdgError::Unhealthy { detector: "nonfinite", iteration: poisoned });
+    assert!(err.to_string().contains("nonfinite"), "{err}");
 
     // Every event carries a health block and the stream validates.
     let stream = std::fs::read_to_string(&metrics_path).expect("metrics file written");
@@ -100,6 +103,19 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     assert!(
         embedded.findings.iter().any(|f| f.detector == "nonfinite"),
         "verdict names the firing detector: {embedded:?}"
+    );
+
+    // `MSRL_HEALTH=0` is the one override: the same poisoned run then
+    // completes and hands back the poisoned weights.
+    msrl_telemetry::set_health_enabled(false);
+    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
+    let unwatched = run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist);
+    std::env::remove_var("MSRL_FAULT_NAN_ITER");
+    msrl_telemetry::set_health_enabled(true);
+    let report = unwatched.expect("with the watchdog off the run returns Ok");
+    assert!(
+        report.final_params.iter().any(|v| !v.is_finite()),
+        "the fault injection must actually poison the final weights"
     );
 
     // Keep the poisoned stream for the CI doctor demo, or clean up.

@@ -79,76 +79,7 @@ fn telemetry_observes_without_perturbing() {
         "the interpreter counts the ops it evaluates"
     );
 
-    // 2. Steady-state evaluation does zero per-call planning: a
-    //    persistent interpreter compiles each request shape once, and
-    //    every repeat is a plan-cache hit — observable through the
-    //    always-on `interp.plan_cache.*` counters.
-    let ctx = TraceCtx::new();
-    let x = ctx.input("x", &[8, 17]);
-    trace_mlp(&ctx, "pi", &x, &[17, 16, 6]);
-    let g = ctx.finish();
-    let mut interp = Interpreter::new();
-    interp.bind_param("pi.w0", Tensor::full(&[17, 16], 0.01));
-    interp.bind_param("pi.b0", Tensor::zeros(&[16]));
-    interp.bind_param("pi.w1", Tensor::full(&[16, 6], 0.01));
-    interp.bind_param("pi.b1", Tensor::zeros(&[6]));
-    interp.bind_input("x", Tensor::full(&[8, 17], 0.1));
-    let first = interp.eval(&g).expect("graph evaluates");
-    let hits0 = msrl_telemetry::counter_total("interp.plan_cache.hit");
-    let misses0 = msrl_telemetry::counter_total("interp.plan_cache.miss");
-    for _ in 0..10 {
-        let again = interp.eval(&g).expect("steady-state eval");
-        assert_eq!(again.len(), first.len());
-        for (a, b) in again.iter().zip(&first) {
-            assert_eq!(a.data(), b.data(), "cached plans must not change results");
-        }
-    }
-    assert_eq!(
-        msrl_telemetry::counter_total("interp.plan_cache.hit") - hits0,
-        10,
-        "every steady-state evaluation is a plan-cache hit"
-    );
-    assert_eq!(
-        msrl_telemetry::counter_total("interp.plan_cache.miss") - misses0,
-        0,
-        "steady state does no per-call planning"
-    );
-
-    // 2b. A hot plan with a pack-eligible weight promotes exactly
-    //     once — the `tensor.pack_b` counter moves at the promotion
-    //     threshold and never again, so steady-state hot-plan
-    //     evaluation performs zero repacking.
-    {
-        let ctx = TraceCtx::new();
-        let x = ctx.input("x", &[4, 64]);
-        let w = ctx.param("w", &[64, 64]);
-        let _y = x.matmul(&w);
-        let g = ctx.finish();
-        let mut interp = Interpreter::new();
-        interp.bind_input("x", Tensor::full(&[4, 64], 0.1));
-        interp.bind_param("w", Tensor::full(&[64, 64], 0.01));
-        let packs0 = msrl_telemetry::counter_total("tensor.pack_b");
-        let promos0 = msrl_telemetry::counter_total("interp.tier.promoted");
-        let first = interp.eval(&g).expect("tiered graph evaluates");
-        for _ in 0..9 {
-            let again = interp.eval(&g).expect("hot tiered eval");
-            for (a, b) in again.iter().zip(&first) {
-                assert_eq!(a.data(), b.data(), "tier promotion must not change results");
-            }
-        }
-        assert_eq!(
-            msrl_telemetry::counter_total("interp.tier.promoted") - promos0,
-            1,
-            "the hot plan promotes exactly once"
-        );
-        assert_eq!(
-            msrl_telemetry::counter_total("tensor.pack_b") - packs0,
-            1,
-            "steady-state hot-plan evaluation performs zero repacking"
-        );
-    }
-
-    // 3. A real distributed run under tracing yields a valid Chrome
+    // 2. A real distributed run under tracing yields a valid Chrome
     //    trace with fragment lanes, phase spans and comm volume.
     msrl_telemetry::clear_events();
     msrl_telemetry::reset_counters();
@@ -179,12 +110,12 @@ fn telemetry_observes_without_perturbing() {
     assert!(report.counter("comm.bytes_sent").unwrap_or(0) > 0, "comm volume is counted");
     assert!(report.counter("env.steps").unwrap_or(0) > 0, "env steps are counted");
 
-    // 4. The report's JSON form parses with the vendored reader.
+    // 3. The report's JSON form parses with the vendored reader.
     let json = report.to_json();
     serde_json::value_from_str(&json).expect("report JSON parses");
     msrl_telemetry::set_enabled(false);
 
-    // 5. Always-on observability with tracing OFF: a DP-A run streams
+    // 4. Always-on observability with tracing OFF: a DP-A run streams
     //    one valid RunEvent per iteration to the metrics file, and the
     //    registry-backed report carries real latency quantiles from the
     //    always-on histograms — no MSRL_TRACE required.
@@ -210,7 +141,7 @@ fn telemetry_observes_without_perturbing() {
     let lines = msrl_telemetry::validate_metrics(&stream).expect("every line is a valid RunEvent");
     assert_eq!(lines, dist.iterations, "the file holds exactly this run's events");
 
-    // 5b. Untraced, every event still carries the critical-path
+    // 4b. Untraced, every event still carries the critical-path
     //     attribution, and the breakdown accounts for the iteration wall
     //     time within 2% — no MSRL_TRACE, no extra flags. (With the
     //     health watchdog on, the default, it also carries a health
@@ -219,7 +150,7 @@ fn telemetry_observes_without_perturbing() {
     msrl_telemetry::set_metrics_file(None);
     let _ = std::fs::remove_file(&metrics_path);
 
-    // 5c. Same contract under a fused data-parallel policy: DP-C has no
+    // 4c. Same contract under a fused data-parallel policy: DP-C has no
     //     dedicated learner, its comm (per-epoch AllReduce) nests inside
     //     phase.learn, and the attribution must still account for wall
     //     time exactly per fragment (validate_metrics) and within 2% in
