@@ -17,11 +17,15 @@
 //! into the process-wide registry exactly like every other layer, and
 //! the watchdog gate (`MSRL_HEALTH=0`) skips even that.
 
-use msrl_tensor::Tensor;
+use msrl_tensor::{widest, Tensor};
 
 /// Accumulator lanes of the sentinel's folds: element `i` of a slice goes
 /// to lane `i mod 8`, so the `f64` adds of neighbouring elements are
 /// independent and vectorise, where one serial accumulator waits on each.
+/// The folds run in the host's widest kernel trampoline
+/// ([`widest`]): eight `f64` lanes an instruction on AVX-512, four on
+/// AVX2, two on the baseline — the same operations per lane, so the same
+/// bits.
 const LANES: usize = 8;
 
 /// `acc` plus `x²` for every element `x` of `xs`, in its lanes.
@@ -48,41 +52,35 @@ fn fold_update(
     ys: &[f32],
 ) -> ([f64; LANES], [f64; LANES]) {
     let (mut cx, mut cy) = (xs.chunks_exact(LANES), ys.chunks_exact(LANES));
-    let mut lanes = |x: &[f32], y: &[f32]| {
-        for (l, (&x, &y)) in x.iter().zip(y).enumerate() {
-            let (x, y) = (f64::from(x), f64::from(y));
-            squares[l] += x * x;
-            deltas[l] += (x - y) * (x - y);
-        }
-    };
     for (x, y) in (&mut cx).zip(&mut cy) {
-        lanes(x, y);
+        fold_pairs(&mut squares, &mut deltas, x, y);
     }
-    lanes(cx.remainder(), cy.remainder());
+    fold_pairs(&mut squares, &mut deltas, cx.remainder(), cy.remainder());
     (squares, deltas)
 }
 
-/// `f()` compiled for AVX-512 where the host has it, so the always-inlined
-/// folds inside take eight `f64` lanes an instruction instead of the
-/// baseline's two. Same operations per lane either way, so the same bits.
-fn widest<T>(f: impl FnOnce() -> T) -> T {
-    #[cfg(target_arch = "x86_64")]
-    if msrl_tensor::kernels::select() == msrl_tensor::kernels::MatKernel::Avx512 {
-        #[target_feature(enable = "avx512f")]
-        unsafe fn wide<T>(f: impl FnOnce() -> T) -> T {
-            f()
-        }
-        // SAFETY: `select` detected `avx512f` on this host.
-        return unsafe { wide(f) };
+/// `x²` and `(x − y)²` of the paired elements of `xs` and `ys` (at most
+/// [`LANES`]) into lanes `0..`.
+#[inline(always)]
+fn fold_pairs(squares: &mut [f64; LANES], deltas: &mut [f64; LANES], xs: &[f32], ys: &[f32]) {
+    for (l, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+        let (x, y) = (f64::from(x), f64::from(y));
+        squares[l] += x * x;
+        deltas[l] += (x - y) * (x - y);
     }
-    f()
 }
 
 /// L2 norm of a flat slice, accumulated in `f64` so the square-sum of a
 /// large parameter vector cannot itself overflow `f32`.
 #[must_use]
 pub fn l2_norm(flat: &[f32]) -> f64 {
-    widest(|| fold_squares([0.0; LANES], flat)).iter().sum::<f64>().sqrt()
+    widest(
+        #[inline(always)]
+        || fold_squares([0.0; LANES], flat),
+    )
+    .iter()
+    .sum::<f64>()
+    .sqrt()
 }
 
 /// Copies `params`, in order, into `into` — the pre-update snapshot
@@ -102,7 +100,10 @@ fn update_norms<'a>(before: &[f32], after: impl IntoIterator<Item = &'a Tensor>)
     let mut offset = 0;
     for p in after {
         let then = &before[offset..offset + p.len()];
-        sums = widest(|| fold_update(sums, p.data(), then));
+        sums = widest(
+            #[inline(always)]
+            || fold_update(sums, p.data(), then),
+        );
         offset += p.len();
     }
     let norm = |lanes: [f64; LANES]| lanes.iter().sum::<f64>().sqrt();

@@ -21,22 +21,22 @@
 //!
 //! # Determinism contract
 //!
-//! The kernels are deterministic and ISA-independent: the AVX-512, AVX2
-//! and portable paths execute the exact scalar operation sequence — one
+//! Each function is one body, an `unsafe fn` generic over the lane types
+//! of `crate::lanes` (whose docs state its safety condition): the scalar
+//! [`fast_exp`] is that body at one lane, and the slice and row kernels run
+//! it at 16 (AVX-512, portable) or 8 (AVX2) lanes, their tails at one. So
+//! every lane takes the scalar's operation sequence by construction — one
 //! fused multiply–add per polynomial step (the range reduction, every
-//! Horner step and `y·r² + r`), the products' "one rounding per step"
-//! contract ([`crate::kernels`]); `floor`; truncating int-cast; the
-//! division of `tanh`/`sigmoid` — so every lane rounds identically to
-//! the scalar reference and a run reproduces bit-for-bit on any x86-64
-//! host. The scalar functions are always inlined and every caller sits
-//! in a feature-enabled body, where a step is one `vfmadd`; compiled
-//! for the baseline target, `f32::mul_add` is a libm `fmaf` call per
-//! step — the same bits, many times the cost. Row reductions
-//! (the softmax max and sum) use a 16-lane tree fixed by [`RLANES`],
-//! not by the register width, so their combination order — and
-//! therefore their bits — are identical on every dispatch level too.
-//! Tests pin vector == scalar equality; only the gap to libm needs a
-//! tolerance.
+//! Horner step and `y·r² + r`: the products' "one rounding per step",
+//! [`crate::kernels`]); `floor`; truncating int-cast; the division of
+//! `tanh`/`sigmoid` — and a run reproduces bit-for-bit on any x86-64 host.
+//! Outside an x86 trampoline (the portable family, or a scalar `fast_*`
+//! called from baseline code) each fused step is a libm `fmaf` call: the
+//! same bits, many times the cost. Row reductions (the softmax max and
+//! sum) use a 16-lane tree fixed by [`RLANES`], not by the register width,
+//! so their bits are identical on every dispatch level too. Tests pin
+//! vector == scalar equality on every instantiation; only the gap to libm
+//! needs a tolerance.
 //!
 //! # Edge cases
 //!
@@ -52,7 +52,8 @@
 //! input: `fast_exp` never overflows to infinity (the clamp keeps `2^z`
 //! finite) and flushes to exactly `0.0` below `2⁻¹²⁷`.
 
-use crate::kernels::{self, MatKernel};
+use crate::kernels::select;
+use crate::lanes::{dispatch, widest, Lanes, One};
 
 /// Which elementwise transcendental [`apply_slice`] should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,237 +81,224 @@ const P4: f32 = 1.666_666_5e-1_f32;
 #[allow(clippy::excessive_precision)] // Cephes coefficient, digits kept verbatim
 const P5: f32 = 5.000_000_2e-1_f32;
 
-/// SSE `minps` semantics: `if a < b { a } else { b }` — a NaN on
-/// either side selects `b`, so callers that must propagate NaN pass the
-/// data as `b`.
-#[inline]
-fn ss_min(a: f32, b: f32) -> f32 {
-    if a < b {
-        a
-    } else {
-        b
+/// Polynomial `eˣ` on every lane: the one body behind [`fast_exp`] and
+/// every vector `exp`. Saturates (finite) at the clamp bounds instead of
+/// overflowing to `inf` / underflowing below `2⁻¹²⁷` (which flushes to
+/// exactly `0.0`); NaN propagates (data is the clamp's second operand).
+#[inline(always)]
+unsafe fn exp<V: Lanes>(x: V) -> V {
+    let x = V::splat(EXP_HI).min(x);
+    let x = V::splat(EXP_LO).max(x);
+    // x = z*ln2 + r with z integer-valued: z = floor(x*log2(e) + 0.5).
+    let z = x.fmadd(V::splat(LOG2EF), V::splat(0.5)).floor();
+    // Two-constant Madsen split of ln2 keeps r exact to ~1e-11.
+    let r = z.fnmadd(V::splat(C2), z.fnmadd(V::splat(C1), x));
+    let mut y = V::splat(P0);
+    for p in [P1, P2, P3, P4, P5] {
+        y = y.fmadd(r, V::splat(p));
     }
+    y = y.fmadd(r.mul(r), r).add(V::splat(1.0));
+    // 2^z assembled directly in the exponent field; z ∈ [-127, 127].
+    y.mul(z.pow2())
 }
 
-/// SSE `maxps` semantics, mirror of [`ss_min`].
-#[inline]
-fn ss_max(a: f32, b: f32) -> f32 {
-    if a > b {
-        a
-    } else {
-        b
-    }
+/// Polynomial `tanh`: `t = e^(−2|x|) ∈ [0, 1]`, then `(1 − t)/(1 + t)`
+/// with the sign of `x` restored — the denominator is ≥ 1, so no
+/// overflow or division hazard exists anywhere in the range.
+#[inline(always)]
+unsafe fn tanh<V: Lanes>(x: V) -> V {
+    let (one, t) = (V::splat(1.0), exp(x.abs().mul(V::splat(-2.0))));
+    one.sub(t).div(one.add(t)).or_sign(x)
 }
 
-/// Polynomial `eˣ`, the scalar reference every vector lane replays.
-///
-/// Every multiply that feeds an add is one fused multiply–add
-/// (`f32::mul_add`): the range reduction, each Horner step and the
-/// final `y·r² + r`. Always inlined, so inside a feature-enabled body
-/// each step is one `vfmadd`; called from a body compiled for the
-/// baseline x86-64 target it is a libm `fmaf` call per step — the same
-/// bits, far slower, which is why every caller in this crate sits in a
-/// dispatched body.
-///
-/// Saturates (finite) at the clamp bounds instead of overflowing to
-/// `inf` / underflowing below `2⁻¹²⁷` (which flushes to exactly `0.0`);
-/// NaN propagates (data is the clamp's second operand).
+/// Polynomial logistic sigmoid `1/(1 + e^(−x))`.
+#[inline(always)]
+unsafe fn sigmoid<V: Lanes>(x: V) -> V {
+    let one = V::splat(1.0);
+    one.div(one.add(exp(x.neg())))
+}
+
+/// Polynomial `eˣ`, the scalar every vector lane replays (module docs).
+/// Always inlined, so inside a trampoline each fused step is one
+/// `vfmadd`; called from a body compiled for the baseline x86-64 target
+/// it is a libm `fmaf` call per step — the same bits, far slower.
 #[inline(always)]
 pub fn fast_exp(x: f32) -> f32 {
-    let x = ss_min(EXP_HI, x);
-    let x = ss_max(EXP_LO, x);
-    // x = z*ln2 + r with z integer-valued: z = floor(x*log2(e) + 0.5).
-    let z = x.mul_add(LOG2EF, 0.5).floor();
-    // Two-constant Madsen split of ln2 keeps r exact to ~1e-11.
-    let x = z.mul_add(-C1, x);
-    let r = z.mul_add(-C2, x);
-    let r2 = r * r;
-    let mut y = P0;
-    y = y.mul_add(r, P1);
-    y = y.mul_add(r, P2);
-    y = y.mul_add(r, P3);
-    y = y.mul_add(r, P4);
-    y = y.mul_add(r, P5);
-    y = y.mul_add(r2, r);
-    y += 1.0;
-    // 2^z assembled directly in the exponent field; z ∈ [-127, 127].
-    let pow2 = f32::from_bits((((z as i32) + 127) << 23) as u32);
-    y * pow2
+    // SAFETY: the one-lane type needs no CPU feature.
+    unsafe { exp::<One>([x])[0] }
 }
 
-/// Polynomial `tanh(x)` via `fast_exp`: `t = e^(−2|x|) ∈ [0, 1]`, then
-/// `(1 − t)/(1 + t)` with the sign of `x` restored — the denominator is
-/// ≥ 1, so no overflow or division hazard exists anywhere in the range.
+/// Polynomial `tanh(x)` via `fast_exp`: `(1 − t)/(1 + t)` with
+/// `t = e^(−2|x|)` and the sign of `x` restored.
 #[inline(always)]
 pub fn fast_tanh(x: f32) -> f32 {
-    let ax = f32::from_bits(x.to_bits() & 0x7fff_ffff);
-    let t = fast_exp(ax * -2.0);
-    let r = (1.0 - t) / (1.0 + t);
-    f32::from_bits(r.to_bits() | (x.to_bits() & 0x8000_0000))
+    // SAFETY: as in `fast_exp`.
+    unsafe { tanh::<One>([x])[0] }
 }
 
 /// Polynomial logistic sigmoid `1/(1 + e^(−x))` via `fast_exp`.
 #[inline(always)]
 pub fn fast_sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + fast_exp(f32::from_bits(x.to_bits() ^ 0x8000_0000)))
-}
-
-#[inline(always)]
-fn apply_scalar(u: Unary, v: f32) -> f32 {
-    match u {
-        Unary::Exp => fast_exp(v),
-        Unary::Tanh => fast_tanh(v),
-        Unary::Sigmoid => fast_sigmoid(v),
-    }
-}
-
-fn apply_portable(u: Unary, data: &mut [f32]) {
-    for v in data.iter_mut() {
-        *v = apply_scalar(u, *v);
-    }
+    // SAFETY: as in `fast_exp`.
+    unsafe { sigmoid::<One>([x])[0] }
 }
 
 /// Applies the transcendental in place over a contiguous slice, lanes
-/// across elements, dispatched AVX-512 → AVX2 → portable like
-/// [`kernels::select`]. All three paths are bitwise-identical (see the
-/// module docs' determinism contract).
+/// across elements, on [`crate::kernels::select`]'s family. Every family
+/// runs the same body (see the module docs' determinism contract).
 pub fn apply_slice(u: Unary, data: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match kernels::select() {
-            // SAFETY: `select` returned this variant only after runtime
-            // feature detection confirmed the ISA.
-            MatKernel::Avx512 => unsafe {
-                x86::apply_avx512(u, data);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::apply_avx2(u, data);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    apply_portable(u, data);
+    dispatch!(select(), V => {
+        // SAFETY: the body touches `data`'s elements only.
+        unsafe { apply_rows::<V>(u, data, None) }
+    });
 }
 
 /// `u(v + bias[j])` in place over every `bias.len()`-wide row of `rows`
 /// — a fused layer's bias and activation in one lane pass. Per element
 /// the bias add and then [`apply_slice`]'s function, so the result is
 /// bit-identical to the add followed by the slice pass.
+///
+/// # Panics
+///
+/// Panics when `rows` is not whole rows — the bodies index unchecked.
 pub fn apply_rows_biased(u: Unary, rows: &mut [f32], bias: &[f32]) {
     if bias.is_empty() {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        match kernels::select() {
-            // SAFETY: `select` returned this variant only after runtime
-            // feature detection confirmed the ISA.
-            MatKernel::Avx512 => unsafe {
-                x86::apply_rows_biased_avx512(u, rows, bias);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::apply_rows_biased_avx2(u, rows, bias);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    apply_rows_biased_portable(u, rows, bias);
+    assert!(rows.len().is_multiple_of(bias.len()), "apply_rows_biased: ragged rows");
+    dispatch!(select(), V => {
+        // SAFETY: the assert above: every row is `bias.len()` long.
+        unsafe { apply_rows::<V>(u, rows, Some(bias)) }
+    });
 }
 
-fn apply_rows_biased_portable(u: Unary, rows: &mut [f32], bias: &[f32]) {
-    for row in rows.chunks_mut(bias.len()) {
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v = apply_scalar(u, *v + b);
+/// `u` in place over `data`, lanes across elements; with a bias, over
+/// each `bias.len()`-wide row of `data` (which must be whole rows), the
+/// bias added first. Whole vectors of a row at `V`, the rest at [`One`].
+#[inline(always)]
+unsafe fn apply_rows<V: Lanes>(u: Unary, data: &mut [f32], bias: Option<&[f32]>) {
+    let n = bias.map_or(data.len(), <[f32]>::len);
+    if n == 0 {
+        return;
+    }
+    let (whole, b) = (n - n % V::L, bias.map(<[f32]>::as_ptr));
+    for row in data.chunks_exact_mut(n) {
+        let p = row.as_mut_ptr();
+        for j in (0..whole).step_by(V::L) {
+            apply_at::<V>(u, p, b, j);
+        }
+        for j in whole..n {
+            apply_at::<One>(u, p, b, j);
         }
     }
+}
+
+/// `u(p[j..] + b[j..])` (or of `p[j..]` alone) back into `p[j..]`.
+#[inline(always)]
+unsafe fn apply_at<V: Lanes>(u: Unary, p: *mut f32, b: Option<*const f32>, j: usize) {
+    let mut v = V::load(p.add(j));
+    if let Some(b) = b {
+        v = v.add(V::load(b.add(j)));
+    }
+    let y = match u {
+        Unary::Exp => exp(v),
+        Unary::Tanh => tanh(v),
+        Unary::Sigmoid => sigmoid(v),
+    };
+    y.store(p.add(j));
 }
 
 /// Virtual lane count of the row-reduction tree. Fixed at 16 on
 /// every dispatch level so the max/sum combination order — and
 /// therefore the result bits — are ISA-independent: AVX-512 holds the
 /// 16 lanes in one zmm register, AVX2 in two ymm registers, and the
-/// portable path in a plain array, all collapsed by the same fixed
+/// portable path in one 16-lane array, all collapsed by the same fixed
 /// pairwise tree.
 const RLANES: usize = 16;
 
-/// Folds the row's sub-16 remainder into the leading lanes, then
-/// collapses all 16 lanes with a fixed pairwise tree (16 → 8 → 4 → 2
-/// → 1). Shared by every dispatch level, which is what pins the
-/// reduction bits across ISAs.
-#[inline]
-fn fold_tail_and_tree(acc: &mut [f32; RLANES], tail: &[f32], f: impl Fn(f32, f32) -> f32) -> f32 {
-    for (a, &x) in acc.iter_mut().zip(tail) {
-        *a = f(*a, x);
+/// The [`RLANES`]-lane tree fold of a row at `p`: lane `j` folds
+/// elements `j`, `j + 16`, … of the whole 16-blocks (`R` values of
+/// `V::L` lanes), the rest of the row folds into the leading lanes, then
+/// a fixed pairwise tree collapses them (16 → 8 → 4 → 2 → 1). `sum`
+/// picks `+` over the SSE max.
+#[inline(always)]
+unsafe fn lane_tree<V: Lanes, const R: usize>(p: *const f32, n: usize, sum: bool) -> f32 {
+    let init = if sum { 0.0 } else { f32::NEG_INFINITY };
+    let mut acc = [V::splat(init); R];
+    for blk in 0..n / RLANES {
+        for (h, a) in acc.iter_mut().enumerate() {
+            *a = tree_step(sum, *a, V::load(p.add(blk * RLANES + h * V::L)));
+        }
+    }
+    let mut lanes: [One; RLANES] = [[init]; RLANES];
+    for (h, a) in acc.iter().enumerate() {
+        a.store(lanes.as_mut_ptr().cast::<f32>().add(h * V::L));
+    }
+    for (slot, j) in lanes.iter_mut().zip(n - n % RLANES..n) {
+        *slot = tree_step(sum, *slot, One::load(p.add(j)));
     }
     let mut w = RLANES / 2;
     while w > 0 {
         for j in 0..w {
-            acc[j] = f(acc[j], acc[j + w]);
+            lanes[j] = tree_step(sum, lanes[j], lanes[j + w]);
         }
         w /= 2;
     }
-    acc[0]
+    lanes[0][0]
 }
 
-/// 16-lane blocked fold: lane `j` accumulates elements `j`, `j+16`,
-/// `j+32`, … — exactly the order the vector paths replay in registers.
-#[inline]
-fn lane_fold(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32 + Copy) -> f32 {
-    let mut acc = [init; RLANES];
-    let blocks = row.len() / RLANES;
-    for b in 0..blocks {
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a = f(*a, row[b * RLANES + j]);
-        }
-    }
-    fold_tail_and_tree(&mut acc, &row[blocks * RLANES..], f)
-}
-
-/// Portable reference of the softmax row: 16-lane tree max,
-/// `fast_exp(x − max)`, 16-lane tree sum, scale by the reciprocal.
-fn softmax_row_portable(row: &mut [f32]) {
-    let max = lane_fold(row, f32::NEG_INFINITY, ss_max);
-    for o in row.iter_mut() {
-        *o = fast_exp(*o - max);
-    }
-    let sum = lane_fold(row, 0.0, |a, b| a + b);
-    let inv = 1.0 / sum;
-    for o in row.iter_mut() {
-        *o *= inv;
+/// One step of [`lane_tree`].
+#[inline(always)]
+unsafe fn tree_step<V: Lanes>(sum: bool, acc: V, v: V) -> V {
+    if sum {
+        acc.add(v)
+    } else {
+        acc.max(v)
     }
 }
 
-/// Softmax of one row in place: tree max, fused vector
-/// `fast_exp(x − max)`, tree sum, vector scale — dispatched AVX-512 →
-/// AVX2 → portable, all three bitwise-identical because the reduction
-/// tree is fixed at [`RLANES`] lanes on every level and the exp pass is
-/// elementwise.
+/// Softmax of one row in place: [`lane_tree`] max, `fast_exp(x − max)`,
+/// tree sum, scale by the reciprocal — whole vectors at `V` (`R · V::L`
+/// = [`RLANES`]), the rest of the row at [`One`].
+#[inline(always)]
+unsafe fn softmax_row<V: Lanes, const R: usize>(row: &mut [f32]) {
+    let (n, p) = (row.len(), row.as_mut_ptr());
+    let whole = n - n % V::L;
+    let max = lane_tree::<V, R>(p, n, false);
+    for j in (0..whole).step_by(V::L) {
+        exp_shifted::<V>(p, j, max);
+    }
+    for j in whole..n {
+        exp_shifted::<One>(p, j, max);
+    }
+    let inv = 1.0 / lane_tree::<V, R>(p, n, true);
+    for j in (0..whole).step_by(V::L) {
+        V::load(p.add(j)).mul(V::splat(inv)).store(p.add(j));
+    }
+    for j in whole..n {
+        *p.add(j) *= inv;
+    }
+}
+
+/// `fast_exp(p[j..] − max)` back into `p[j..]`.
+#[inline(always)]
+unsafe fn exp_shifted<V: Lanes>(p: *mut f32, j: usize, max: f32) {
+    exp(V::load(p.add(j)).sub(V::splat(max))).store(p.add(j));
+}
+
+/// Softmax of one row in place: tree max, `fast_exp(x − max)`, tree sum,
+/// scale — on every dispatch level the same body, so bitwise-identical
+/// across them: the reduction tree is fixed at [`RLANES`] lanes and the
+/// exp pass is elementwise.
 ///
 /// Against the libm spelling in [`crate::reference::softmax_rows`] both
 /// the exponentials (polynomial vs libm) and the reduction order (lane
 /// tree vs serial) differ — a tolerance, not bit equality.
 pub fn softmax_row_fast_inplace(row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match kernels::select() {
-            // SAFETY: `select` returned this variant only after runtime
-            // feature detection confirmed the ISA.
-            MatKernel::Avx512 => unsafe {
-                x86::softmax_row_avx512(row);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::softmax_row_avx2(row);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    softmax_row_portable(row);
+    dispatch!(select(), V => {
+        // SAFETY: the body touches `row`'s elements only.
+        unsafe { softmax_row::<V, { RLANES / V::L }>(row) }
+    });
 }
 
 /// Copies rows `offset/n ..` of the row-major source into `out` and
@@ -328,435 +316,38 @@ pub fn softmax_rows_fast(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
 /// Row-wise log-softmax of rows `offset/n ..` of the row-major source
 /// into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
 /// max` (the polynomial `exp`; `ln` is libm's, one per row) subtracted
-/// from every element. The dispatch picks no arithmetic — every level
-/// runs the same scalar loop — it only puts the scalar polynomial in a
-/// feature-enabled body, where each fused step is one instruction.
+/// from every element. The scalar loop runs in the host's trampoline
+/// ([`widest`]), where each fused step of `fast_exp` is one instruction.
 pub fn log_softmax_rows(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match kernels::select() {
-            // SAFETY: `select` returned this variant only after runtime
-            // feature detection confirmed the ISA.
-            MatKernel::Avx512 => unsafe {
-                x86::log_softmax_rows_avx512(ad, offset, out, n);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::log_softmax_rows_avx2(ad, offset, out, n);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    log_softmax_rows_scalar(ad, offset, out, n);
-}
-
-#[inline(always)]
-fn log_softmax_rows_scalar(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
-    for (r, orow) in out.chunks_mut(n).enumerate() {
-        let row = &ad[offset + r * n..offset + (r + 1) * n];
-        let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-        let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
-        for (o, &v) in orow.iter_mut().zip(row) {
-            *o = v - lse;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! Vector lanes of the scalar reference: every step is the same
-    //! rounding sequence (`vfmadd`/`vfnmadd` where the scalar spells
-    //! `mul_add`; `floor`; truncating `cvtt`), so lanes match
-    //! [`super::fast_exp`] bitwise.
-    //! Bitwise ops run on integer vectors (`and`/`or`/`xor` on
-    //! `si512` need only `avx512f`, unlike the `ps` forms).
-
-    use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_castps_si256,
-        _mm256_castsi256_ps, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_floor_ps, _mm256_fmadd_ps,
-        _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-        _mm256_or_si256, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32,
-        _mm256_storeu_ps, _mm256_sub_ps, _mm256_xor_si256, _mm512_add_epi32, _mm512_add_ps,
-        _mm512_and_si512, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cvttps_epi32,
-        _mm512_div_ps, _mm512_fmadd_ps, _mm512_fnmadd_ps, _mm512_loadu_ps, _mm512_max_ps,
-        _mm512_min_ps, _mm512_mul_ps, _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_epi32,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32, _mm512_storeu_ps, _mm512_sub_ps,
-        _mm512_xor_si512,
-    };
-
-    use super::{Unary, C1, C2, EXP_HI, EXP_LO, LOG2EF, P0, P1, P2, P3, P4, P5, RLANES};
-
-    /// `_MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC` for `roundscale`.
-    const FLOOR: i32 = 0x09;
-
-    /// 8-lane [`super::fast_exp`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn vexp256(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
-        let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
-        let z = _mm256_floor_ps(_mm256_fmadd_ps(x, _mm256_set1_ps(LOG2EF), _mm256_set1_ps(0.5)));
-        let x = _mm256_fnmadd_ps(z, _mm256_set1_ps(C1), x);
-        let r = _mm256_fnmadd_ps(z, _mm256_set1_ps(C2), x);
-        let r2 = _mm256_mul_ps(r, r);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P1));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P2));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P3));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P4));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P5));
-        y = _mm256_fmadd_ps(y, r2, r);
-        y = _mm256_add_ps(y, _mm256_set1_ps(1.0));
-        let pow2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            _mm256_cvttps_epi32(z),
-            _mm256_set1_epi32(127),
-        )));
-        _mm256_mul_ps(y, pow2)
-    }
-
-    /// 8-lane [`super::fast_tanh`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn vtanh256(x: __m256) -> __m256 {
-        let xi = _mm256_castps_si256(x);
-        let ax = _mm256_castsi256_ps(_mm256_and_si256(xi, _mm256_set1_epi32(0x7fff_ffff)));
-        let t = vexp256(_mm256_mul_ps(ax, _mm256_set1_ps(-2.0)));
-        let one = _mm256_set1_ps(1.0);
-        let r = _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
-        let sign = _mm256_and_si256(xi, _mm256_set1_epi32(i32::MIN));
-        _mm256_castsi256_ps(_mm256_or_si256(_mm256_castps_si256(r), sign))
-    }
-
-    /// 8-lane [`super::fast_sigmoid`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn vsigmoid256(x: __m256) -> __m256 {
-        let nx = _mm256_castsi256_ps(_mm256_xor_si256(
-            _mm256_castps_si256(x),
-            _mm256_set1_epi32(i32::MIN),
-        ));
-        let one = _mm256_set1_ps(1.0);
-        _mm256_div_ps(one, _mm256_add_ps(one, vexp256(nx)))
-    }
-
-    /// In-place [`super::apply_slice`] over ymm lanes, scalar edge.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn apply_avx2(u: Unary, data: &mut [f32]) {
-        const L: usize = 8;
-        let p = data.as_mut_ptr();
-        let mut i = 0;
-        while i + L <= data.len() {
-            let v = _mm256_loadu_ps(p.add(i));
-            let o = match u {
-                Unary::Exp => vexp256(v),
-                Unary::Tanh => vtanh256(v),
-                Unary::Sigmoid => vsigmoid256(v),
-            };
-            _mm256_storeu_ps(p.add(i), o);
-            i += L;
-        }
-        for v in data[i..].iter_mut() {
-            *v = super::apply_scalar(u, *v);
-        }
-    }
-
-    /// 16-lane [`super::fast_exp`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn vexp512(x: __m512) -> __m512 {
-        let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
-        let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
-        let z = _mm512_roundscale_ps::<FLOOR>(_mm512_fmadd_ps(
-            x,
-            _mm512_set1_ps(LOG2EF),
-            _mm512_set1_ps(0.5),
-        ));
-        let x = _mm512_fnmadd_ps(z, _mm512_set1_ps(C1), x);
-        let r = _mm512_fnmadd_ps(z, _mm512_set1_ps(C2), x);
-        let r2 = _mm512_mul_ps(r, r);
-        let mut y = _mm512_set1_ps(P0);
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P1));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P2));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P3));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P4));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P5));
-        y = _mm512_fmadd_ps(y, r2, r);
-        y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
-        let pow2 = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
-            _mm512_cvttps_epi32(z),
-            _mm512_set1_epi32(127),
-        )));
-        _mm512_mul_ps(y, pow2)
-    }
-
-    /// 16-lane [`super::fast_tanh`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn vtanh512(x: __m512) -> __m512 {
-        let xi = _mm512_castps_si512(x);
-        let ax = _mm512_castsi512_ps(_mm512_and_si512(xi, _mm512_set1_epi32(0x7fff_ffff)));
-        let t = vexp512(_mm512_mul_ps(ax, _mm512_set1_ps(-2.0)));
-        let one = _mm512_set1_ps(1.0);
-        let r = _mm512_div_ps(_mm512_sub_ps(one, t), _mm512_add_ps(one, t));
-        let sign = _mm512_and_si512(xi, _mm512_set1_epi32(i32::MIN));
-        _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(r), sign))
-    }
-
-    /// 16-lane [`super::fast_sigmoid`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn vsigmoid512(x: __m512) -> __m512 {
-        let nx = _mm512_castsi512_ps(_mm512_xor_si512(
-            _mm512_castps_si512(x),
-            _mm512_set1_epi32(i32::MIN),
-        ));
-        let one = _mm512_set1_ps(1.0);
-        _mm512_div_ps(one, _mm512_add_ps(one, vexp512(nx)))
-    }
-
-    /// In-place [`super::apply_slice`] over zmm lanes, scalar edge.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn apply_avx512(u: Unary, data: &mut [f32]) {
-        const L: usize = 16;
-        let p = data.as_mut_ptr();
-        let mut i = 0;
-        while i + L <= data.len() {
-            let v = _mm512_loadu_ps(p.add(i));
-            let o = match u {
-                Unary::Exp => vexp512(v),
-                Unary::Tanh => vtanh512(v),
-                Unary::Sigmoid => vsigmoid512(v),
-            };
-            _mm512_storeu_ps(p.add(i), o);
-            i += L;
-        }
-        for v in data[i..].iter_mut() {
-            *v = super::apply_scalar(u, *v);
-        }
-    }
-
-    /// [`super::log_softmax_rows`] with `fast_exp`'s steps as `vfmadd`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn log_softmax_rows_avx512(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
-        super::log_softmax_rows_scalar(ad, offset, out, n);
-    }
-
-    /// [`super::log_softmax_rows`] with `fast_exp`'s steps as `vfmadd`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn log_softmax_rows_avx2(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
-        super::log_softmax_rows_scalar(ad, offset, out, n);
-    }
-
-    /// Generates one ISA's [`super::apply_rows_biased`]: whole vectors of
-    /// each row through the lane kernel, the rest of the row through the
-    /// scalar reference inside the feature-enabled body.
-    macro_rules! rows_biased {
-        ($(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal, $loadu:ident,
-         $storeu:ident, $add:ident, $exp:ident, $tanh:ident, $sigmoid:ident) => {
-            $(#[$doc])*
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(u: Unary, rows: &mut [f32], bias: &[f32]) {
-                const L: usize = $lanes;
-                let n = bias.len();
-                let tail0 = n - n % L;
-                for row in rows.chunks_mut(n) {
-                    let p = row.as_mut_ptr();
-                    for j in (0..tail0).step_by(L) {
-                        let v = $add($loadu(p.add(j)), $loadu(bias.as_ptr().add(j)));
-                        let o = match u {
-                            Unary::Exp => $exp(v),
-                            Unary::Tanh => $tanh(v),
-                            Unary::Sigmoid => $sigmoid(v),
-                        };
-                        $storeu(p.add(j), o);
-                    }
-                    for (v, &b) in row[tail0..].iter_mut().zip(&bias[tail0..]) {
-                        *v = super::apply_scalar(u, *v + b);
-                    }
+    widest(
+        #[inline(always)]
+        || {
+            for (r, orow) in out.chunks_mut(n).enumerate() {
+                let row = &ad[offset + r * n..offset + (r + 1) * n];
+                let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
+                let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    *o = v - lse;
                 }
             }
-        };
-    }
-
-    rows_biased!(
-        /// zmm [`super::apply_rows_biased`].
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-        apply_rows_biased_avx512, "avx512f", 16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps,
-        vexp512, vtanh512, vsigmoid512
+        },
     );
-
-    rows_biased!(
-        /// ymm [`super::apply_rows_biased`].
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-        apply_rows_biased_avx2, "avx2,fma", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps,
-        vexp256, vtanh256, vsigmoid256
-    );
-
-    /// zmm [`super::softmax_row_fast_inplace`]: the 16 virtual lanes of
-    /// the reduction tree live in one register; the spill array feeds
-    /// the shared scalar tail + tree fold, so bits match the portable
-    /// reference exactly.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn softmax_row_avx512(row: &mut [f32]) {
-        let n = row.len();
-        let blocks = n / RLANES;
-        let p = row.as_mut_ptr();
-
-        let mut macc = [f32::NEG_INFINITY; RLANES];
-        if blocks > 0 {
-            let mut v = _mm512_set1_ps(f32::NEG_INFINITY);
-            for b in 0..blocks {
-                // maxps(acc, x) = acc > x ? acc : x — matches ss_max.
-                v = _mm512_max_ps(v, _mm512_loadu_ps(p.add(b * RLANES)));
-            }
-            _mm512_storeu_ps(macc.as_mut_ptr(), v);
-        }
-        let max = super::fold_tail_and_tree(&mut macc, &row[blocks * RLANES..], super::ss_max);
-
-        let vm = _mm512_set1_ps(max);
-        let mut i = 0;
-        while i + RLANES <= n {
-            _mm512_storeu_ps(p.add(i), vexp512(_mm512_sub_ps(_mm512_loadu_ps(p.add(i)), vm)));
-            i += RLANES;
-        }
-        for o in row[i..].iter_mut() {
-            *o = super::fast_exp(*o - max);
-        }
-
-        let mut sacc = [0.0f32; RLANES];
-        if blocks > 0 {
-            let mut v = _mm512_setzero_ps();
-            for b in 0..blocks {
-                v = _mm512_add_ps(v, _mm512_loadu_ps(p.add(b * RLANES)));
-            }
-            _mm512_storeu_ps(sacc.as_mut_ptr(), v);
-        }
-        let sum = super::fold_tail_and_tree(&mut sacc, &row[blocks * RLANES..], |a, b| a + b);
-
-        let inv = 1.0 / sum;
-        let vi = _mm512_set1_ps(inv);
-        let mut i = 0;
-        while i + RLANES <= n {
-            _mm512_storeu_ps(p.add(i), _mm512_mul_ps(_mm512_loadu_ps(p.add(i)), vi));
-            i += RLANES;
-        }
-        for o in row[i..].iter_mut() {
-            *o *= inv;
-        }
-    }
-
-    /// ymm [`super::softmax_row_fast_inplace`]: the 16 virtual lanes
-    /// split across two registers (lanes 0–7 and 8–15), spilled into the
-    /// same 16-slot array and folded by the shared tail + tree, so bits
-    /// match the zmm and portable paths exactly.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `fma` (guaranteed by [`crate::kernels::select`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn softmax_row_avx2(row: &mut [f32]) {
-        const H: usize = 8;
-        let n = row.len();
-        let blocks = n / RLANES;
-        let p = row.as_mut_ptr();
-
-        let mut macc = [f32::NEG_INFINITY; RLANES];
-        if blocks > 0 {
-            let mut a0 = _mm256_set1_ps(f32::NEG_INFINITY);
-            let mut a1 = a0;
-            for b in 0..blocks {
-                a0 = _mm256_max_ps(a0, _mm256_loadu_ps(p.add(b * RLANES)));
-                a1 = _mm256_max_ps(a1, _mm256_loadu_ps(p.add(b * RLANES + H)));
-            }
-            _mm256_storeu_ps(macc.as_mut_ptr(), a0);
-            _mm256_storeu_ps(macc.as_mut_ptr().add(H), a1);
-        }
-        let max = super::fold_tail_and_tree(&mut macc, &row[blocks * RLANES..], super::ss_max);
-
-        let vm = _mm256_set1_ps(max);
-        let mut i = 0;
-        while i + H <= n {
-            _mm256_storeu_ps(p.add(i), vexp256(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), vm)));
-            i += H;
-        }
-        for o in row[i..].iter_mut() {
-            *o = super::fast_exp(*o - max);
-        }
-
-        let mut sacc = [0.0f32; RLANES];
-        if blocks > 0 {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = a0;
-            for b in 0..blocks {
-                a0 = _mm256_add_ps(a0, _mm256_loadu_ps(p.add(b * RLANES)));
-                a1 = _mm256_add_ps(a1, _mm256_loadu_ps(p.add(b * RLANES + H)));
-            }
-            _mm256_storeu_ps(sacc.as_mut_ptr(), a0);
-            _mm256_storeu_ps(sacc.as_mut_ptr().add(H), a1);
-        }
-        let sum = super::fold_tail_and_tree(&mut sacc, &row[blocks * RLANES..], |a, b| a + b);
-
-        let inv = 1.0 / sum;
-        let vi = _mm256_set1_ps(inv);
-        let mut i = 0;
-        while i + H <= n {
-            _mm256_storeu_ps(p.add(i), _mm256_mul_ps(_mm256_loadu_ps(p.add(i)), vi));
-            i += H;
-        }
-        for o in row[i..].iter_mut() {
-            *o *= inv;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::MatKernel;
+    use crate::lanes::Portable;
+
+    /// `u` at one lane: the scalar reference every body must match.
+    fn scalar(u: Unary, x: f32) -> f32 {
+        match u {
+            Unary::Exp => fast_exp(x),
+            Unary::Tanh => fast_tanh(x),
+            Unary::Sigmoid => fast_sigmoid(x),
+        }
+    }
 
     fn dense_range(lo: f32, hi: f32, steps: usize) -> Vec<f32> {
         (0..=steps).map(|i| lo + (hi - lo) * i as f32 / steps as f32).collect()
@@ -808,35 +399,58 @@ mod tests {
         for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
             let mut dispatched = input.clone();
             apply_slice(u, &mut dispatched);
-            let mut scalar = input.clone();
-            apply_portable(u, &mut scalar);
+            let scalar: Vec<f32> = input.iter().map(|&x| scalar(u, x)).collect();
             for (i, (d, s)) in dispatched.iter().zip(&scalar).enumerate() {
                 assert_eq!(d.to_bits(), s.to_bits(), "{u:?} lane {i}: {d} vs {s}");
             }
         }
     }
 
-    type Slice = fn(Unary, &mut [f32]);
-    type Row = fn(&mut [f32]);
+    type Slice = Box<dyn Fn(Unary, &mut [f32])>;
+    type Row = Box<dyn Fn(&mut [f32])>;
+    type Biased = Box<dyn Fn(Unary, &mut [f32], &[f32])>;
 
-    /// Every slice and softmax-row body this host can run: the
-    /// dispatched one, plus the bodies the dispatcher passes over here
-    /// (portable always, ymm on an AVX-512 host).
-    fn bodies() -> Vec<(&'static str, Slice, Row)> {
-        let mut bodies: Vec<(&'static str, Slice, Row)> = vec![
-            ("dispatched", apply_slice, softmax_row_fast_inplace),
-            ("portable", apply_portable, softmax_row_portable),
-        ];
+    /// Every slice, softmax-row and biased-row body this host can run: the
+    /// dispatched entry points, then each body on the instantiations the
+    /// dispatcher passes over here (`Portable` always, `Ymm` on an AVX-512
+    /// host with AVX2 and FMA).
+    fn bodies() -> Vec<(&'static str, Slice, Row, Biased)> {
+        let mut families = vec![MatKernel::Portable];
         #[cfg(target_arch = "x86_64")]
-        if kernels::has_avx2_fma() {
+        if crate::kernels::has_avx2_fma() {
+            families.push(MatKernel::Avx2);
+        }
+        let mut bodies: Vec<(&'static str, Slice, Row, Biased)> = vec![(
+            "dispatched",
+            Box::new(apply_slice),
+            Box::new(softmax_row_fast_inplace),
+            Box::new(apply_rows_biased),
+        )];
+        for family in families {
+            // SAFETY (the three bodies): `family` was detected, and each
+            // body touches only the slices it is given, whole rows of
+            // `bias.len()` in the tests.
             bodies.push((
-                "avx2",
-                // SAFETY: avx2 and fma were just detected.
-                |u, d| unsafe { x86::apply_avx2(u, d) },
-                |r| unsafe { x86::softmax_row_avx2(r) },
+                if family == MatKernel::Portable { "portable" } else { "avx2" },
+                Box::new(move |u, d: &mut [f32]| {
+                    dispatch!(family, V => unsafe { apply_rows::<V>(u, d, None) })
+                }),
+                Box::new(move |r: &mut [f32]| {
+                    dispatch!(family, V => unsafe { softmax_row::<V, { RLANES / V::L }>(r) })
+                }),
+                Box::new(move |u, r: &mut [f32], b: &[f32]| {
+                    dispatch!(family, V => unsafe { apply_rows::<V>(u, r, Some(b)) })
+                }),
             ));
         }
         bodies
+    }
+
+    /// The portable instantiation of the softmax row.
+    fn softmax_row_portable(row: &mut [f32]) {
+        // SAFETY: the portable lanes need no CPU feature; the body
+        // touches `row`'s elements only.
+        unsafe { softmax_row::<Portable, 1>(row) }
     }
 
     #[test]
@@ -855,13 +469,13 @@ mod tests {
             -3.5,
         ];
         for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
-            assert!(apply_scalar(u, f32::NAN).is_nan(), "{u:?}(NaN) must be NaN");
+            assert!(scalar(u, f32::NAN).is_nan(), "{u:?}(NaN) must be NaN");
             for len in [1usize, 7, 8, 15, 16, 17, 33] {
                 // Rotate the edge list so each value visits vector lanes
                 // and the scalar tail across the lengths.
                 let input: Vec<f32> = (0..len).map(|i| edges[(i + len) % edges.len()]).collect();
-                let scalar: Vec<f32> = input.iter().map(|&v| apply_scalar(u, v)).collect();
-                for (name, slice, _) in bodies() {
+                let scalar: Vec<f32> = input.iter().map(|&v| scalar(u, v)).collect();
+                for (name, slice, _, _) in bodies() {
                     let mut got = input.clone();
                     slice(u, &mut got);
                     for (i, (g, s)) in got.iter().zip(&scalar).enumerate() {
@@ -892,7 +506,9 @@ mod tests {
                 a.mul_add(b, c)
             }
         };
-        let x = ss_max(EXP_LO, ss_min(EXP_HI, x));
+        // The SSE clamp: `min(HI, x)`, then `max(LO, ·)`, data second.
+        let x = if EXP_HI < x { EXP_HI } else { x };
+        let x = if EXP_LO > x { EXP_LO } else { x };
         let z = madd(0, x, LOG2EF, 0.5).floor();
         let r = madd(2, z, -C2, madd(1, z, -C1, x));
         let mut y = P0;
@@ -944,15 +560,15 @@ mod tests {
 
     #[test]
     fn every_polynomial_step_is_fused() {
-        // The scalar reference is the all-fused spelling, and each
-        // witness tells a twice-rounded step from a fused one. Every body
-        // must give the reference's bits on every witness of its function:
-        // one that left any of those steps unfused would not.
+        // `exp_with` is the all-fused spelling, and each witness tells a
+        // twice-rounded step from a fused one. Every body must give its
+        // bits on every witness of its function: one that left any of
+        // those steps unfused would not.
         for (u, lo, hi) in
             [(Unary::Exp, -87.0, 88.0), (Unary::Tanh, -9.0, 9.0), (Unary::Sigmoid, -20.0, 20.0)]
         {
             for x in dense_range(lo, hi, 20_000) {
-                let (fused, scalar) = (poly(u, x, None), apply_scalar(u, x));
+                let (fused, scalar) = (poly(u, x, None), scalar(u, x));
                 assert_eq!(fused.to_bits(), scalar.to_bits(), "{u:?}({x}): not the fused spelling");
             }
         }
@@ -974,13 +590,19 @@ mod tests {
                 .collect();
             inputs.push(f32::NAN);
             let inputs: Vec<f32> = inputs.repeat(17);
-            let scalar: Vec<f32> = inputs.iter().map(|&x| apply_scalar(u, x)).collect();
-            for (name, slice, _) in bodies() {
+            // Against the test's own spelling: the scalar `fast_*` is the
+            // same body at one lane, so it is checked like the vector lanes.
+            let fused: Vec<f32> = inputs.iter().map(|&x| poly(u, x, None)).collect();
+            let one_lane = ("one lane", inputs.iter().map(|&x| scalar(u, x)).collect());
+            let runs = bodies().into_iter().map(|(name, slice, _, _)| {
                 let mut got = inputs.clone();
                 slice(u, &mut got);
-                for ((g, s), x) in got.iter().zip(&scalar).zip(&inputs) {
-                    let same = if x.is_nan() { g.is_nan() } else { g.to_bits() == s.to_bits() };
-                    assert!(same, "{u:?} {name} at {x}: {g} vs the fused {s}");
+                (name, got)
+            });
+            for (name, got) in runs.chain([one_lane]) {
+                for ((g, f), x) in got.iter().zip(&fused).zip(&inputs) {
+                    let same = if x.is_nan() { g.is_nan() } else { g.to_bits() == f.to_bits() };
+                    assert!(same, "{u:?} {name} at {x}: {g} vs the fused {f}");
                 }
             }
         }
@@ -1000,14 +622,12 @@ mod tests {
             .repeat(5);
         let mut portable = row.clone();
         softmax_row_portable(&mut portable);
-        for (name, _, row_softmax) in bodies() {
+        for (name, _, row_softmax, _) in bodies() {
             let mut got = row.clone();
             row_softmax(&mut got);
             assert_eq!(got, portable, "{name} softmax row");
         }
     }
-
-    type Biased = fn(Unary, &mut [f32], &[f32]);
 
     #[test]
     fn biased_rows_are_the_add_then_the_slice_pass_bitwise() {
@@ -1017,20 +637,9 @@ mod tests {
             let mut bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
             bias[n / 2] = f32::NAN;
             for u in [Unary::Exp, Unary::Tanh, Unary::Sigmoid] {
-                let mut expect: Vec<f32> =
-                    rows.iter().enumerate().map(|(i, &v)| v + bias[i % n]).collect();
-                apply_portable(u, &mut expect);
-                let mut bodies: Vec<(&str, Biased)> = vec![
-                    ("dispatched", apply_rows_biased),
-                    ("portable", apply_rows_biased_portable),
-                ];
-                #[cfg(target_arch = "x86_64")]
-                if kernels::has_avx2_fma() {
-                    // SAFETY: avx2 and fma were just detected.
-                    bodies
-                        .push(("avx2", |u, r, b| unsafe { x86::apply_rows_biased_avx2(u, r, b) }));
-                }
-                for (name, body) in bodies {
+                let expect: Vec<f32> =
+                    rows.iter().enumerate().map(|(i, &v)| scalar(u, v + bias[i % n])).collect();
+                for (name, _, _, body) in bodies() {
                     let mut got = rows.clone();
                     body(u, &mut got, &bias);
                     for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
@@ -1043,10 +652,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "apply_rows_biased: ragged rows")]
+    fn biased_rows_reject_a_ragged_last_row() {
+        // Two 16-wide rows and one element: the body would run the last
+        // row's whole vector past the slice.
+        apply_rows_biased(Unary::Tanh, &mut [0.5; 33], &[0.25; 16]);
+    }
+
+    #[test]
     fn a_nan_logit_poisons_its_whole_softmax_row() {
         for n in [1usize, 5, 16, 23, 37] {
             for pos in [0, n / 2, n - 1] {
-                for (name, _, row_softmax) in bodies() {
+                for (name, _, row_softmax, _) in bodies() {
                     let mut row: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 4.0).collect();
                     row[pos] = f32::NAN;
                     row_softmax(&mut row);
@@ -1064,7 +681,7 @@ mod tests {
             let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 7.0 - 1.5).collect();
             let mut portable = input.clone();
             softmax_row_portable(&mut portable);
-            for (name, _, row_softmax) in bodies() {
+            for (name, _, row_softmax, _) in bodies() {
                 let mut got = input.clone();
                 row_softmax(&mut got);
                 for (i, (d, s)) in got.iter().zip(&portable).enumerate() {

@@ -45,112 +45,57 @@
 //! outputs the naive loop poisons, and nothing past the last real
 //! column of a row is touched.
 //!
-//! # Kernel families
+//! # Kernel families: one body, three instantiations
 //!
-//! Selected once per process by runtime CPU-feature detection
-//! ([`select`]), no compile-time target flags required:
+//! Every kernel here is one `#[inline(always)]` `unsafe fn` generic over
+//! the lane types of `crate::lanes` (`Tile` for products, `Lanes`
+//! for reductions), whose docs state its safety condition; every entry
+//! point asserts the extents it needs. [`select`] picks the family by
+//! runtime CPU-feature detection, and each entry point runs the body on
+//! that family's register inside the family's trampoline:
 //!
-//! * **AVX-512** — 8×32 tiles: 16 zmm accumulators plus 2 panel
-//!   registers, `_mm512_fmadd_ps` (two ports × 16 lanes × 2 flop a
-//!   cycle, twice what the multiply-then-add pair could retire).
-//! * **AVX2** — 4×32 tiles on ymm registers, `_mm256_fmadd_ps`; chosen
-//!   only when the host reports `fma` beside `avx2`.
-//! * **Portable** — 4×16 tiles in plain arrays and `f32::mul_add`; safe
-//!   Rust that the autovectorizer handles on any architecture.
+//! * **AVX-512** — `__m512`, 8×32 tiles: 16 zmm accumulators plus 2 panel
+//!   registers, `vfmadd` (two ports × 16 lanes × 2 flop a cycle).
+//! * **AVX2** — `__m256`, 4×32 tiles; only when the host has `fma` too.
+//! * **Portable** — `[f32; 16]`, 4×16 tiles, each lane the scalar step;
+//!   a cold featureless trampoline, compiled for the baseline target.
 //!
-//! A right-edge panel narrow enough for one vector (`w ≤ 16` / `8`
-//! columns) keeps one accumulator per row instead of the panel's two or
-//! four. Row remainders (`m % MR`) run through a shared scalar edge loop
-//! with the same per-element accumulation order. A whole product narrower
-//! than one vector never reaches the tile: it runs on row lanes (below).
+//! What a vector does not cover runs the same body: the `rows mod MR`
+//! remainder rows on the tile with fewer rows; the last rows of a
+//! reduction, the last slots of a group and right-edge rows under no
+//! whole lane group at `One`, one lane. A right-edge panel whose `w`
+//! real columns fit one vector keeps one accumulator per row.
 //!
-//! # Row lanes: outputs narrower than a vector
+//! # Row lanes, packs and the `aᵀ × b` blocks
 //!
-//! An output `n < L` columns wide (`L` = [`MatKernel::lanes`]: 16 zmm,
-//! 8 ymm, 16 portable) — every policy and value head — would use `n` of
-//! a column vector's `L` lanes. So the lanes turn to run across `L`
-//! *output rows*. Each `L × L` block of `a` is transposed in registers
-//! (row pieces 128 bits at a time, four rows to a register, then a
-//! 4 × 4 transpose inside each 128-bit lane), and column `c` takes
-//! `t[kk] × b[kk][c]`, `b[kk][c]` broadcast, for `kk` ascending: at
-//! stride `n` from a row-major `b`, at stride `nr` from a panel. Both row
-//! kernels use them — the packed tile for a narrow `n`, the unpacked row
-//! kernel for its `n mod L` right edge — and `crate::ops` never packs a
-//! row-major operand for a narrow product: the rule keys on the
-//! operand's width, not on [`crate::ops::PACK_MIN_FLOPS`]. Lanes hold
-//! different output elements, each with its one accumulator and one
-//! fused multiply–add a step, so the argument above holds unchanged; a
-//! partial block (a ragged last row group, `k mod L`) is read through a
-//! zero-padded copy, and lanes past the last real row are never stored.
+//! An output `n < L` columns wide ([`MatKernel::lanes`]) — every policy
+//! and value head — runs lanes across `L` *output rows*: each `L × L`
+//! block of `a` is transposed in registers (`Tile::transpose`, a partial
+//! block through a zero-padded copy) and column `c` takes
+//! `t[kk] × b[kk][c]`, `b[kk][c]` broadcast, `kk` ascending. The packed
+//! tile runs a narrow `n` there, the unpacked row kernel its `n mod L`
+//! right edge; `crate::ops` never packs a row-major operand for a narrow
+//! product. [`pack_bt`] fills the panels straight from the rows of
+//! `g · wᵀ`'s `[n, k]` operand, and [`matmul_simd_rows`] runs the tile on a
+//! row-major operand for the small products of a rollout.
 //!
-//! # `a × bᵀ` is a pack layout, not a kernel
-//!
-//! Input gradients are `g · wᵀ`. [`pack_bt`] fills the same panels
-//! straight from the rows of the `[n, k]` operand — panel element
-//! `(kk, c)` is `b[(j0 + c)·k + kk]`, no intermediate transpose — and
-//! the one tile kernel runs on them.
-//!
-//! # Unpacked row kernels
-//!
-//! Packing pays off when the panel is reused across many output rows.
-//! For the small products a rollout is full of (a handful of
-//! observation rows × a hidden layer), [`matmul_simd_rows`] instead
-//! vectorises the naive loop *across output columns* directly on the
-//! row-major operand — its `n mod L` right edge on row lanes — and
-//! [`matmul_at_rows`] does the same for `aᵀ × b`: each output element
-//! still gets its own accumulator swept over `k` ascending with one
-//! fused multiply–add a step, so the results stay bit-identical.
-//!
-//! ## The `aᵀ × b` kernel: reduction blocks and row lanes
-//!
-//! Weight gradients are `xᵀ · g` with the batch as the reduction axis:
-//! `p` is 2,048 to 25,600 rows while the output is at most a few
-//! hundred elements a side, and for policy/value heads only 1–6
-//! columns wide. [`matmul_at_rows`] has one shape for all of it:
-//!
-//! * **Reduction blocks.** The sweep over `p` is cut into blocks of
-//!   [`AT_BLOCK`] rows, outermost. Within a block every output tile
-//!   re-reads the same `AT_BLOCK` rows of `a` and `b` from cache;
-//!   between blocks the tile's partial sums live in `out` (the first
-//!   block starts every accumulator from `0.0` — `out` is overwritten,
-//!   never accumulated into — and later blocks reload it). Both
-//!   operands therefore stream from memory once, where an unblocked
-//!   sweep streamed them once per 4-row output tile. A caller that
-//!   holds the reduction axis in pieces (a learner differentiating a
-//!   tall batch in row blocks) passes `carried` with every piece after
-//!   the first: the first block then reloads `out` like the others, and
-//!   the pieces are one sweep.
-//! * **Column lanes.** The `n − n mod L` leading columns run on the
-//!   packed kernel's register tile — the same accumulator loop, fed
-//!   `b`'s row-major rows instead of a panel and `a`'s columns instead
-//!   of its rows: `MR` output rows × 32 columns (8×2 zmm, 4×4 ymm),
-//!   `b[kk][j..j + 32]` loaded once and each `a[kk][i]` broadcast. A
-//!   fused multiply–add waits four cycles for its accumulator and two
-//!   issue per cycle, so a tile needs eight independent accumulators to
-//!   keep both ports busy; the 4 × `L` tile this replaces had four and
-//!   ran at the latency of its own dependency chains. Whole vectors
-//!   left past the last 32-column block take the tile one vector wide
-//!   (the portable body is 4 × 16 arrays throughout, like its packed
-//!   tile). Tiles are visited column block by column block, so `b`'s
-//!   strip of the reduction block stays in L1 while `a`'s block is
-//!   re-read from L2 — `n / 32` passes over it.
-//! * **Row lanes.** The `n mod L` right-edge columns — all of `n` for a
-//!   2- or 6-wide head — turn the tile around: lanes run across `L`
-//!   *output rows*, which are contiguous in `a`'s row `kk`, and
-//!   `b[kk][j]` is the broadcast. The tile is held transposed and
-//!   scattered into `out`'s column at the end of each block. Fewer than
-//!   `L` leftover rows under those columns take a scalar loop.
-//!
-//! None of this touches the bit-identity argument above. An output
-//! element still has exactly one accumulator; it still receives
-//! `a[kk][i] × b[kk][j]` for `kk = 0, 1, …, p − 1` in that order, each
-//! by one fused multiply–add; and parking the accumulator in `out`
-//! between blocks is a store and a load of the same `f32`, which
-//! changes no bit of it. Blocking alters *when* an element's next
-//! product arrives, the tile's width and row lanes alter *which
-//! neighbours* share its registers, nothing else.
+//! [`matmul_at_rows`] (`xᵀ · g`, reducing over 2,048–25,600 batch rows)
+//! cuts the reduction into blocks of [`AT_BLOCK`] rows, outermost: every
+//! output tile re-reads a block from cache and the partial sums are parked
+//! in `out` between blocks (the first starts from `0.0`, later ones and a
+//! `carried` piece reload it), so each operand streams from memory once.
+//! Its leading columns run on the packed kernel's register tile fed `b`'s
+//! rows and `a`'s columns (eight independent accumulators keep both FMA
+//! ports busy), its `n mod L` right edge on lanes across output rows. None
+//! of this touches the bit-identity argument: an element keeps one
+//! accumulator taking `a[kk][i] × b[kk][j]` for `kk` ascending by one
+//! fused multiply–add, and parking it in `out` stores and reloads the
+//! same `f32`.
 
+use std::ops::Range;
 use std::sync::OnceLock;
+
+use crate::lanes::{dispatch, Lanes, One, Tile};
 
 /// Which microkernel family [`select`] chose for this host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +104,7 @@ pub enum MatKernel {
     Avx512,
     /// 4×32 ymm register tiles (`avx2` and `fma`).
     Avx2,
-    /// 4×16 array tiles, safe portable Rust.
+    /// 4×16 tiles of 16-lane arrays, no CPU feature needed.
     Portable,
 }
 
@@ -175,9 +120,9 @@ impl MatKernel {
     }
 }
 
-/// Whether this host can run the ymm bodies: their products are
+/// Whether this host can run the ymm instantiations: their products are
 /// `vfmadd`, so `avx2` alone is not enough. The one predicate behind
-/// [`select`] and behind every test that calls a ymm body by name.
+/// [`select`] and behind every test that runs the ymm instantiation.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -281,10 +226,7 @@ pub fn pack_bt(bd: &[f32], k: usize, n: usize) -> PackedB {
 fn pack_for(kernel: MatKernel, bd: &[f32], k: usize, n: usize, transposed: bool) -> PackedB {
     assert!(bd.len() >= k * n, "pack: operand extents");
     msrl_telemetry::static_counter!("tensor.pack_b").add(1);
-    let nr = match kernel {
-        MatKernel::Avx512 | MatKernel::Avx2 => 32,
-        MatKernel::Portable => 16,
-    };
+    let nr = dispatch!(kernel, V => V::NR);
     // Zeroed, not merely pooled: the right-edge padding is multiplied.
     let mut data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
     for p in 0..n.div_ceil(nr) {
@@ -321,8 +263,8 @@ fn pack_for(kernel: MatKernel, bd: &[f32], k: usize, n: usize, transposed: bool)
 /// # Panics
 ///
 /// Panics when `bp` was not packed from a `[k, n]` matrix, `out_rows`
-/// is not whole rows or `ad` ends before the last of them — the x86
-/// bodies index unchecked.
+/// is not whole rows or `ad` ends before the last of them — the bodies
+/// index unchecked.
 pub fn matmul_packed_rows(
     ad: &[f32],
     row0: usize,
@@ -340,26 +282,13 @@ pub fn matmul_packed_rows(
             && ad.len() >= (row0 + out_rows.len() / n) * k,
         "matmul_packed_rows: operand extents"
     );
-    let a = &ad[row0 * k..];
-    #[cfg(target_arch = "x86_64")]
-    {
-        match bp.kernel {
-            // SAFETY: `pack_for` only records these variants after
-            // runtime detection of the corresponding CPU feature; the
-            // assert above and the pack's own length (`panels × k × nr`,
-            // private) bound every index the bodies form.
-            MatKernel::Avx512 => unsafe {
-                x86::tile_avx512(a, k, &bp.data, out_rows, n);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::tile_avx2(a, k, &bp.data, out_rows, n);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    tile_portable(a, k, &bp.data, out_rows, n);
+    let (a, panels) = (&ad[row0 * k..], &bp.data[..]);
+    dispatch!(bp.kernel, V => {
+        // SAFETY: the assert above and the pack's own length (`panels ×
+        // k × nr`, private, `nr` the family's `NR`) bound every index the
+        // body forms.
+        unsafe { tile::<V, { V::MR }, { V::NR / V::L }>(a, k, panels, out_rows, n) }
+    });
 }
 
 /// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into
@@ -371,8 +300,7 @@ pub fn matmul_packed_rows(
 /// # Panics
 ///
 /// Panics when `out_rows` is not whole rows, `ad` ends before the last
-/// of them or `bd` is shorter than `k × n` — the x86 bodies index
-/// unchecked.
+/// of them or `bd` is shorter than `k × n` — the bodies index unchecked.
 pub fn matmul_simd_rows(
     ad: &[f32],
     row0: usize,
@@ -391,24 +319,10 @@ pub fn matmul_simd_rows(
         "matmul_simd_rows: operand extents"
     );
     let a = &ad[row0 * k..];
-    #[cfg(target_arch = "x86_64")]
-    {
-        match select() {
-            // SAFETY: `select()` only returns these variants after
-            // runtime detection of the corresponding CPU feature; the
-            // assert above bounds every index the bodies form.
-            MatKernel::Avx512 => unsafe {
-                x86::rows_avx512(a, k, bd, out_rows, n);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::rows_avx2(a, k, bd, out_rows, n);
-                return;
-            },
-            MatKernel::Portable => {}
-        }
-    }
-    rows_portable(a, k, bd, out_rows, n);
+    dispatch!(select(), V => {
+        // SAFETY: the assert above bounds every index the body forms.
+        unsafe { rows::<V, { V::MR }>(a, k, bd, out_rows, n) }
+    });
 }
 
 /// Rows of the reduction axis the `aᵀ × b` row kernels sweep before
@@ -433,7 +347,7 @@ pub const AT_BLOCK: usize = 256;
 /// # Panics
 ///
 /// Panics when the operands are shorter than `p × m` / `p × n` or
-/// `out_rows` reaches past row `m` — the x86 bodies index unchecked.
+/// `out_rows` reaches past row `m` — the bodies index unchecked.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_at_rows(
     ad: &[f32],
@@ -455,23 +369,12 @@ pub fn matmul_at_rows(
             && row0 + out_rows.len() / n <= m,
         "matmul_at_rows: operand extents"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        match select() {
-            // SAFETY: as in `matmul_simd_rows`; the assert above bounds
-            // every index the bodies form.
-            MatKernel::Avx512 => unsafe {
-                x86::at_rows_avx512(ad, row0, out_rows, p, m, n, bd, carried);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::at_rows_avx2(ad, row0, out_rows, p, m, n, bd, carried);
-                return;
-            },
-            MatKernel::Portable => {}
+    dispatch!(select(), V => {
+        // SAFETY: the assert above bounds every index the body forms.
+        unsafe {
+            at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, row0, out_rows, p, m, n, bd, carried)
         }
-    }
-    at_rows_portable(ad, row0, out_rows, p, m, n, bd, carried);
+    });
 }
 
 /// Which fold a reduction microkernel applies.
@@ -554,7 +457,7 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
 /// traversal would perform).
 ///
 /// Each output element is a whole-row fold with a serial dependency, so
-/// the SIMD kernels put lanes across *rows*: one stride-`mid` gather
+/// the vector kernels put lanes across *rows*: one stride-`mid` gather
 /// per ascending `m` step feeds a full block of row accumulators, and
 /// every row keeps the scalar ascending-index fold order exactly.
 ///
@@ -563,6 +466,11 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
 /// that precede these `mid` along the reduced axis, and the two pieces
 /// together are bit-identical to one fold over both (`scale` belongs to
 /// the last piece only).
+///
+/// # Panics
+///
+/// Panics when `ad` ends before row `row0 + out.len()` — the bodies
+/// index unchecked.
 pub fn reduce_rows(
     ad: &[f32],
     row0: usize,
@@ -575,26 +483,17 @@ pub fn reduce_rows(
     if out.is_empty() {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // Gather lane offsets are 32-bit.
-        if mid.saturating_mul(16) <= i32::MAX as usize {
-            match select() {
-                // SAFETY: `select()` only returns these variants after
-                // runtime detection of the corresponding CPU feature.
-                MatKernel::Avx512 => unsafe {
-                    x86::reduce_rows_avx512(ad, row0, out, mid, op, scale, carried);
-                    return;
-                },
-                MatKernel::Avx2 => unsafe {
-                    x86::reduce_rows_avx2(ad, row0, out, mid, op, scale, carried);
-                    return;
-                },
-                MatKernel::Portable => {}
-            }
-        }
-    }
-    reduce_rows_portable(ad, row0, out, mid, op, scale, carried);
+    let need = row0.checked_add(out.len()).and_then(|rows| rows.checked_mul(mid));
+    assert!(need.is_some_and(|need| ad.len() >= need), "reduce_rows: operand extents");
+    // Gather lane offsets are 32-bit; the portable gather's are not.
+    let kernel =
+        if mid.saturating_mul(16) <= i32::MAX as usize { select() } else { MatKernel::Portable };
+    let a = ad[row0 * mid..].as_ptr();
+    dispatch!(kernel, V => {
+        // SAFETY: the assert above bounds every index the body forms, and
+        // `mid · L` fits the gather's offsets.
+        unsafe { fold_slots::<V, true>(a, out, (mid, 1), mid, (op, scale, carried)) }
+    });
 }
 
 /// Group reductions (`inner > 1`): `out` is whole groups of `inner`
@@ -607,6 +506,11 @@ pub fn reduce_rows(
 /// its scalar ascending-`m` fold order. `carried` as in [`reduce_rows`]:
 /// a `[rows, n]` column sum fed in consecutive row blocks is one group
 /// whose slots continue from `out`.
+///
+/// # Panics
+///
+/// Panics when `out` is not whole groups or `ad` ends before group
+/// `group0 + out.len() / inner` — the bodies index unchecked.
 #[allow(clippy::too_many_arguments)]
 pub fn reduce_groups(
     ad: &[f32],
@@ -621,203 +525,230 @@ pub fn reduce_groups(
     if out.is_empty() || inner == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        match select() {
-            // SAFETY: as in `reduce_rows`.
-            MatKernel::Avx512 => unsafe {
-                x86::reduce_groups_avx512(ad, group0, out, mid, inner, op, scale, carried);
-                return;
-            },
-            MatKernel::Avx2 => unsafe {
-                x86::reduce_groups_avx2(ad, group0, out, mid, inner, op, scale, carried);
-                return;
-            },
-            MatKernel::Portable => {}
+    let need = (group0.checked_add(out.len() / inner))
+        .and_then(|groups| groups.checked_mul(mid))
+        .and_then(|rows| rows.checked_mul(inner));
+    assert!(
+        out.len().is_multiple_of(inner) && need.is_some_and(|need| ad.len() >= need),
+        "reduce_groups: operand extents"
+    );
+    let a = ad[group0 * mid * inner..].as_ptr();
+    dispatch!(select(), V => {
+        for (g, group) in out.chunks_exact_mut(inner).enumerate() {
+            // SAFETY: the assert above bounds every index the body forms.
+            unsafe {
+                let a = a.add(g * mid * inner);
+                fold_slots::<V, false>(a, group, (1, inner), mid, (op, scale, carried));
+            }
         }
-    }
-    reduce_groups_portable(ad, group0, out, mid, inner, op, scale, carried);
+    });
 }
 
-/// Portable row-reduction kernel: a block of row accumulators advanced
-/// together per `m` step — plain arrays the compiler can pipeline, each
-/// row still folding in ascending order.
-fn reduce_rows_portable(
-    ad: &[f32],
-    row0: usize,
-    out: &mut [f32],
-    mid: usize,
-    op: RedOp,
-    scale: Option<f32>,
-    carried: bool,
-) {
-    const RB: usize = 8;
-    let rows = out.len();
-    let mut r0 = 0;
-    while r0 + RB <= rows {
-        let mut acc = [op.init(); RB];
-        if carried {
-            acc.copy_from_slice(&out[r0..r0 + RB]);
-        }
-        for m in 0..mid {
-            for (l, a) in acc.iter_mut().enumerate() {
-                let v = ad[(row0 + r0 + l) * mid + m];
-                *a = match op {
-                    RedOp::Sum => *a + v,
-                    RedOp::Max => max_fold(*a, v),
-                };
-            }
-        }
-        if let Some(s) = scale {
-            for a in &mut acc {
-                *a *= s;
-            }
-        }
-        out[r0..r0 + RB].copy_from_slice(&acc);
-        r0 += RB;
-    }
-    for (r, o) in out.iter_mut().enumerate().skip(r0) {
-        let row = &ad[(row0 + r) * mid..(row0 + r + 1) * mid];
-        let mut acc = if carried { *o } else { op.init() };
-        match op {
-            RedOp::Sum => {
-                for &v in row {
-                    acc += v;
-                }
-            }
-            RedOp::Max => {
-                for &v in row {
-                    acc = max_fold(acc, v);
-                }
-            }
-        }
-        if let Some(s) = scale {
-            acc *= s;
-        }
-        *o = acc;
-    }
-}
-
-/// Portable group-reduction kernel: 16-slot array accumulators across
-/// the contiguous inner dimension.
+/// The one accumulator loop of every vector product: output rows `..rows`
+/// (at most `MR`) × `NV` vectors of columns over `k` steps. Step `kk`
+/// broadcasts `a[r·ar + kk·ak]` for row `r` (strides `(k, 1)`: a row-major
+/// left operand; `(1, m)`: a `[p, m]` one's columns) and loads
+/// `b[kk·bk ..]`. With `resume` the accumulators start from `o` (then
+/// readable over all `NV` vectors a row). Stores lanes `..w` a row.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn reduce_groups_portable(
-    ad: &[f32],
-    group0: usize,
-    out: &mut [f32],
-    mid: usize,
-    inner: usize,
-    op: RedOp,
-    scale: Option<f32>,
-    carried: bool,
+unsafe fn panel<V: Tile, const MR: usize, const NV: usize>(
+    a: *const f32,
+    (ar, ak): (usize, usize),
+    b: *const f32,
+    bk: usize,
+    k: usize,
+    o: *mut f32,
+    n: usize,
+    w: usize,
+    rows: usize,
+    resume: bool,
 ) {
-    const L: usize = 16;
-    for (g, group) in out.chunks_mut(inner).enumerate() {
-        let src = (group0 + g) * mid * inner;
-        let blocks = inner / L;
-        for jb in 0..blocks {
-            let j = jb * L;
-            let mut acc = [op.init(); L];
-            if carried {
-                acc.copy_from_slice(&group[j..j + L]);
+    let mut acc = [[V::splat(0.0); NV]; MR];
+    if resume {
+        for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
+            for (v, slot) in acc_r.iter_mut().enumerate() {
+                *slot = V::load(o.add(r * n + v * V::L));
             }
-            for m in 0..mid {
-                let v: &[f32; L] =
-                    ad[src + m * inner + j..src + m * inner + j + L].try_into().expect("L block");
-                for (a, &vv) in acc.iter_mut().zip(v) {
-                    *a = match op {
-                        RedOp::Sum => *a + vv,
-                        RedOp::Max => max_fold(*a, vv),
-                    };
-                }
-            }
-            if let Some(s) = scale {
-                for a in &mut acc {
-                    *a *= s;
-                }
-            }
-            group[j..j + L].copy_from_slice(&acc);
         }
-        for (jj, slot) in group.iter_mut().enumerate().skip(blocks * L) {
-            let mut acc = if carried { *slot } else { op.init() };
-            for m in 0..mid {
-                let v = ad[src + m * inner + jj];
-                acc = match op {
-                    RedOp::Sum => acc + v,
-                    RedOp::Max => max_fold(acc, v),
-                };
+    }
+    for kk in 0..k {
+        let mut bvs = [V::splat(0.0); NV];
+        for (v, bv) in bvs.iter_mut().enumerate() {
+            *bv = V::load(b.add(kk * bk + v * V::L));
+        }
+        for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
+            let av = V::splat(*a.add(r * ar + kk * ak));
+            for (slot, &bv) in acc_r.iter_mut().zip(&bvs) {
+                *slot = av.fmadd(bv, *slot);
             }
-            if let Some(s) = scale {
-                acc *= s;
-            }
-            *slot = acc;
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(rows) {
+        for (v, &lanes) in acc_r.iter().enumerate() {
+            lanes.store_first(o.add(r * n + v * V::L), V::L.min(w.saturating_sub(v * V::L)));
         }
     }
 }
 
-/// Portable column-lane row kernel: 16-element array accumulators the
-/// autovectorizer maps onto whatever SIMD the target has; the `n mod 16`
-/// right-edge columns run on row lanes.
-fn rows_portable(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
-    const L: usize = 16;
+/// The packed product ([`matmul_packed_rows`]): `MR`-row blocks across
+/// every [`PackedB`] panel — the zero-padded right edge included, on one
+/// vector when its `w` real columns fit one, else `NV` — storing only the
+/// `w` real lanes; the `rows mod MR` remainder on the same tile with fewer
+/// rows. A product narrower than a vector runs on row lanes.
+#[inline(always)]
+unsafe fn tile<V: Tile, const MR: usize, const NV: usize>(
+    a: &[f32],
+    k: usize,
+    bp: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
     let rows = out.len() / n;
-    let tail0 = n - n % L;
-    for r in 0..rows {
-        for j in (0..tail0).step_by(L) {
-            let mut acc = [0.0f32; L];
-            for kk in 0..k {
-                let av = a[r * k + kk];
-                let b: &[f32; L] = bd[kk * n + j..kk * n + j + L].try_into().expect("L block");
-                for (slot, &bv) in acc.iter_mut().zip(b) {
-                    *slot = av.mul_add(bv, *slot);
-                }
-            }
-            out[r * n + j..r * n + j + L].copy_from_slice(&acc);
+    let (a, bp, o) = (a.as_ptr(), bp.as_ptr(), out.as_mut_ptr());
+    if n < V::L {
+        return lanes::<V>(a, k, rows, bp, V::NR, o, n, n);
+    }
+    let full = rows - rows % MR;
+    for i in (0..full).step_by(MR) {
+        tile_rows::<V, MR, NV>(a.add(i * k), k, bp, o.add(i * n), n, MR);
+    }
+    if full < rows {
+        tile_rows::<V, MR, NV>(a.add(full * k), k, bp, o.add(full * n), n, rows - full);
+    }
+}
+
+/// `rows` (at most `MR`) output rows of [`tile`] across every panel.
+#[inline(always)]
+unsafe fn tile_rows<V: Tile, const MR: usize, const NV: usize>(
+    a: *const f32,
+    k: usize,
+    bp: *const f32,
+    o: *mut f32,
+    n: usize,
+    rows: usize,
+) {
+    for p in 0..n.div_ceil(V::NR) {
+        let w = V::NR.min(n - p * V::NR);
+        let (b, o) = (bp.add(p * k * V::NR), o.add(p * V::NR));
+        if w <= V::L {
+            panel::<V, MR, 1>(a, (k, 1), b, V::NR, k, o, n, w, rows, false);
+        } else {
+            panel::<V, MR, NV>(a, (k, 1), b, V::NR, k, o, n, w, rows, false);
+        }
+    }
+}
+
+/// The unpacked product ([`matmul_simd_rows`]): `MR` output rows × one
+/// vector of columns on the register tile, straight from the row-major
+/// `b`, then the `n mod L` right-edge columns on row lanes.
+#[inline(always)]
+unsafe fn rows<V: Tile, const MR: usize>(
+    a: &[f32],
+    k: usize,
+    bd: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    let rows = out.len() / n;
+    let tail0 = n - n % V::L;
+    let (a, b, o) = (a.as_ptr(), bd.as_ptr(), out.as_mut_ptr());
+    for r0 in (0..rows).step_by(MR) {
+        let (ar, or, rm) = (a.add(r0 * k), o.add(r0 * n), MR.min(rows - r0));
+        for j in (0..tail0).step_by(V::L) {
+            panel::<V, MR, 1>(ar, (k, 1), b.add(j), n, k, or.add(j), n, V::L, rm, false);
         }
     }
     if tail0 < n {
-        lanes_portable(a, k, &bd[tail0..], n, out, n, tail0);
+        lanes::<V>(a, k, rows, b.add(tail0), n, o.add(tail0), n, n - tail0);
     }
 }
 
-/// Portable row-lane kernel (module docs, "Row lanes"): output columns
-/// `j0..n` of every row of `out` from `b`, whose element `(kk, c)` is
-/// `b[kk·bk + c]` — `bk = n` for a row-major operand offset to column
-/// `j0`, the panel width for a pack. Lanes run across 16 output rows:
-/// each step gathers column `kk` of the row group's block of `a` and
-/// broadcasts `b[kk][c]`, one fused multiply–add per element.
-fn lanes_portable(a: &[f32], k: usize, b: &[f32], bk: usize, out: &mut [f32], n: usize, j0: usize) {
-    const L: usize = 16;
-    let (rows, w) = (out.len() / n, n - j0);
-    for i0 in (0..rows).step_by(L) {
-        let rl = L.min(rows - i0);
-        // `acc[c][l]` is `out[i0 + l][j0 + c]`.
-        let mut acc = [[0.0f32; L]; L];
-        for kk in 0..k {
-            let mut av = [0.0f32; L];
-            for (l, v) in av.iter_mut().enumerate().take(rl) {
-                *v = a[(i0 + l) * k + kk];
+/// `W` row-lane columns of one row group (`rows` of them) swept over all
+/// `k` steps, `b` at the sweep's first column: one accumulator per column,
+/// `t[kk] × b[kk·bk + c]` (broadcast) for `kk` ascending.
+#[inline(always)]
+unsafe fn lane_group<V: Tile, const W: usize>(
+    a: *const f32,
+    k: usize,
+    rows: usize,
+    mut b: *const f32,
+    bk: usize,
+) -> [V; W] {
+    let mut acc = [V::splat(0.0); W];
+    for kk0 in (0..k).step_by(V::L) {
+        let kw = k - kk0;
+        for &av in V::transpose(a.add(kk0), k, rows, kw.min(V::L)).as_ref().iter().take(kw) {
+            for (c, slot) in acc.iter_mut().enumerate() {
+                *slot = av.fmadd(V::splat(*b.add(c)), *slot);
             }
-            for (c, acc_c) in acc.iter_mut().enumerate().take(w) {
-                let bv = b[kk * bk + c];
-                for (slot, &x) in acc_c.iter_mut().zip(&av) {
-                    *slot = x.mul_add(bv, *slot);
-                }
+            b = b.wrapping_add(bk);
+        }
+    }
+    acc
+}
+
+/// Row lanes (module docs): output columns `..w` (`w < L`) of rows
+/// `..rows` at `o` (row stride `n`) from `a` (row stride `k`) and `b`
+/// (element `(kk, c)` at `b[kk·bk + c]`), lanes across `L` output rows.
+/// Up to eight columns (every head of the ledger) keep their accumulators
+/// in registers over the whole sweep of a row group; a wider edge takes a
+/// second sweep for the rest.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn lanes<V: Tile>(
+    a: *const f32,
+    k: usize,
+    rows: usize,
+    b: *const f32,
+    bk: usize,
+    o: *mut f32,
+    n: usize,
+    w: usize,
+) {
+    // `spill[c][l]` is `o[(i0 + l)·n + c]` (`L` is at most 16), read back
+    // through the arrays: indexed through a pointer, the scatter below
+    // vectorises into a gather per row, a third of a narrow head's time.
+    let mut spill = [[0.0f32; 16]; 16];
+    for i0 in (0..rows).step_by(V::L) {
+        let (a, rl) = (a.add(i0 * k), V::L.min(rows - i0));
+        for c0 in (0..w).step_by(8) {
+            let (b, cols) = (b.add(c0), &mut spill[c0..]);
+            // The column count is a type parameter: a group's
+            // accumulators are an array the compiler keeps in registers.
+            macro_rules! sweep {
+                ($w:literal) => {
+                    for (col, v) in cols.iter_mut().zip(lane_group::<V, $w>(a, k, rl, b, bk)) {
+                        v.store(col.as_mut_ptr());
+                    }
+                };
+            }
+            match w - c0 {
+                1 => sweep!(1),
+                2 => sweep!(2),
+                3 => sweep!(3),
+                4 => sweep!(4),
+                5 => sweep!(5),
+                6 => sweep!(6),
+                7 => sweep!(7),
+                _ => sweep!(8),
             }
         }
         for l in 0..rl {
-            for (c, acc_c) in acc.iter().enumerate().take(w) {
-                out[(i0 + l) * n + j0 + c] = acc_c[l];
+            for (c, col) in spill.iter().enumerate().take(w) {
+                *o.add((i0 + l) * n + c) = col[l];
             }
         }
     }
 }
 
-/// Portable transpose-free `aᵀ × b` row kernel — the safe-Rust
-/// spelling of the blocked shape described in the module docs, and the
-/// reference the x86 bodies are tested against.
+/// The transpose-free `aᵀ × b` ([`matmul_at_rows`]; module docs): per
+/// reduction block, the column lanes on the register tile (`NV` vectors
+/// wide, then one), then the right-edge columns on row lanes — whole
+/// groups of `L` rows at `V`, the rows left over at [`One`].
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn at_rows_portable(
+unsafe fn at_rows<V: Tile, const MR: usize, const NV: usize>(
     ad: &[f32],
     row0: usize,
     out: &mut [f32],
@@ -827,81 +758,36 @@ fn at_rows_portable(
     bd: &[f32],
     carried: bool,
 ) {
-    const L: usize = 16;
-    const RB: usize = 4;
     let rows = out.len() / n;
-    let tail0 = n - n % L;
-    let lane_rows = rows - rows % L;
+    let tail0 = n - n % V::L;
+    let lane_rows = rows - rows % V::L;
+    let (ap, bp, op) = (ad.as_ptr(), bd.as_ptr(), out.as_mut_ptr());
     let mut k0 = 0;
     // The first block runs even when `p == 0`, so `out` is always
     // overwritten.
     loop {
         let k1 = (k0 + AT_BLOCK).min(p);
         let resume = k0 > 0 || carried;
-        // Column lanes: RB output rows × one L-wide column block.
-        for j in (0..tail0).step_by(L) {
-            for r0 in (0..rows).step_by(RB) {
-                let rm = RB.min(rows - r0);
-                let mut acc = [[0.0f32; L]; RB];
-                if resume {
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        acc_r.copy_from_slice(&out[(r0 + r) * n + j..(r0 + r) * n + j + L]);
-                    }
-                }
-                for kk in k0..k1 {
-                    let b: &[f32; L] = bd[kk * n + j..kk * n + j + L].try_into().expect("L block");
-                    for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                        let av = ad[kk * m + row0 + r0 + r];
-                        for (slot, &bv) in acc_r.iter_mut().zip(b) {
-                            *slot = av.mul_add(bv, *slot);
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                    out[(r0 + r) * n + j..(r0 + r) * n + j + L].copy_from_slice(acc_r);
+        let mut j = 0;
+        while j < tail0 {
+            let wide = tail0 - j >= V::NR;
+            for r0 in (0..rows).step_by(MR) {
+                // `wrapping_add`: with `p == 0` both operands are empty
+                // and no step dereferences these.
+                let a = ap.wrapping_add(k0 * m + row0 + r0);
+                let (b, o) = (bp.wrapping_add(k0 * n + j), op.add(r0 * n + j));
+                let rm = MR.min(rows - r0);
+                if wide {
+                    panel::<V, MR, NV>(a, (1, m), b, n, k1 - k0, o, n, V::NR, rm, resume);
+                } else {
+                    panel::<V, MR, 1>(a, (1, m), b, n, k1 - k0, o, n, V::L, rm, resume);
                 }
             }
+            j += if wide { V::NR } else { V::L };
         }
-        // Row lanes: L output rows × up to RB right-edge columns, held
-        // transposed (`acc[c][l]` is `out[i0 + l][j + c]`).
-        for i0 in (0..lane_rows).step_by(L) {
-            for j in (tail0..n).step_by(RB) {
-                let cm = RB.min(n - j);
-                let mut acc = [[0.0f32; L]; RB];
-                if resume {
-                    for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
-                        for (l, slot) in acc_c.iter_mut().enumerate() {
-                            *slot = out[(i0 + l) * n + j + c];
-                        }
-                    }
-                }
-                for kk in k0..k1 {
-                    let a: &[f32; L] =
-                        ad[kk * m + row0 + i0..kk * m + row0 + i0 + L].try_into().expect("L block");
-                    for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
-                        let bv = bd[kk * n + j + c];
-                        for (slot, &av) in acc_c.iter_mut().zip(a) {
-                            *slot = av.mul_add(bv, *slot);
-                        }
-                    }
-                }
-                for (c, acc_c) in acc.iter().take(cm).enumerate() {
-                    for (l, &v) in acc_c.iter().enumerate() {
-                        out[(i0 + l) * n + j + c] = v;
-                    }
-                }
-            }
-        }
-        // Fewer than L rows left under the right-edge columns: scalar.
-        for r in lane_rows..rows {
-            for j in tail0..n {
-                let mut acc = if resume { out[r * n + j] } else { 0.0 };
-                for kk in k0..k1 {
-                    acc = ad[kk * m + row0 + r].mul_add(bd[kk * n + j], acc);
-                }
-                out[r * n + j] = acc;
-            }
-        }
+        let edge = (row0, m, n, tail0);
+        at_row_lanes::<V>(ap, bp, op, edge, 0..lane_rows, k0..k1, resume);
+        at_row_lanes::<One>(ap, bp, op, edge, lane_rows..rows, k0..k1, resume);
         k0 = k1;
         if k0 >= p {
             break;
@@ -909,911 +795,96 @@ fn at_rows_portable(
     }
 }
 
-/// Scalar edge kernel: the `rows mod MR` remainder rows under the
-/// register tiles, across every panel. One accumulator per output
-/// element, ascending `k`, one fused multiply–add per step — the exact
-/// naive sequence. Always inlined, so under an x86 tile it compiles with
-/// that function's features and `mul_add` is a `vfmadd`, not a libm call.
+/// The right-edge columns `tail0..n` of output rows `rows` (whole groups
+/// of `V::L`) over reduction rows `ks`: lanes across output rows, up to
+/// four columns at a time, held transposed (lane `l` of `acc[c]` is
+/// `out[i0 + l][j + c]`) and scattered into `out` at the end.
 #[inline(always)]
-fn edge_scalar(
-    a: &[f32],
-    k: usize,
-    bp: &[f32],
-    out: &mut [f32],
-    n: usize,
-    nr: usize,
-    full_rows: usize,
+unsafe fn at_row_lanes<V: Lanes>(
+    ap: *const f32,
+    bp: *const f32,
+    op: *mut f32,
+    (row0, m, n, tail0): (usize, usize, usize, usize),
+    rows: Range<usize>,
+    ks: Range<usize>,
+    resume: bool,
 ) {
-    for r in full_rows..out.len() / n {
-        for j in 0..n {
-            let panel = &bp[j / nr * k * nr..];
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = a[r * k + kk].mul_add(panel[kk * nr + j % nr], acc);
+    const RB: usize = 4;
+    // Lane staging; `L` is at most 16.
+    let mut t = [0.0f32; 16];
+    for i0 in rows.step_by(V::L) {
+        for j in (tail0..n).step_by(RB) {
+            let cm = RB.min(n - j);
+            let mut acc = [V::splat(0.0); RB];
+            if resume {
+                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                    for (l, slot) in t.iter_mut().take(V::L).enumerate() {
+                        *slot = *op.add((i0 + l) * n + j + c);
+                    }
+                    *acc_c = V::load(t.as_ptr());
+                }
             }
-            out[r * n + j] = acc;
+            for kk in ks.clone() {
+                let av = V::load(ap.add(kk * m + row0 + i0));
+                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
+                    *acc_c = av.fmadd(V::splat(*bp.add(kk * n + j + c)), *acc_c);
+                }
+            }
+            for (c, acc_c) in acc.iter().take(cm).enumerate() {
+                acc_c.store(t.as_mut_ptr());
+                for (l, &v) in t.iter().take(V::L).enumerate() {
+                    *op.add((i0 + l) * n + j + c) = v;
+                }
+            }
         }
     }
 }
 
-/// Portable 4×16 register-tile kernel: plain arrays the autovectorizer
-/// maps onto whatever SIMD the target has, with the same per-element
-/// fused multiply–add accumulation as the naive kernel. The right-edge panel
-/// runs the same loop on its zero padding and stores its `w` real lanes.
-fn tile_portable(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
-    const MR: usize = 4;
-    const NR: usize = 16;
-    if n < NR {
-        return lanes_portable(a, k, bp, NR, out, n, 0);
+/// The slots of `out`, `V::L` at a time and the rest at [`One`]: slot `s`
+/// folds `a[s·lane + m·step]` over ascending `m < mid` from the identity,
+/// or from `out[s]` when `carried`, then is scaled. `GATHER` reads a
+/// block's lanes at stride `lane` (rows), else contiguously (`lane` = 1).
+#[inline(always)]
+unsafe fn fold_slots<V: Lanes, const GATHER: bool>(
+    a: *const f32,
+    out: &mut [f32],
+    strides: (usize, usize),
+    mid: usize,
+    how: (RedOp, Option<f32>, bool),
+) {
+    let (o, whole) = (out.as_mut_ptr(), out.len() - out.len() % V::L);
+    for s in (0..whole).step_by(V::L) {
+        fold_block::<V, GATHER>(a, o.add(s), s, strides, mid, how);
     }
-    let rows = out.len() / n;
-    let full_rows = rows - rows % MR;
-    for i in (0..full_rows).step_by(MR) {
-        for p in 0..n.div_ceil(NR) {
-            let w = NR.min(n - p * NR);
-            let panel = &bp[p * k * NR..(p + 1) * k * NR];
-            let mut acc = [[0.0f32; NR]; MR];
-            for kk in 0..k {
-                let b: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().expect("NR block");
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = a[(i + r) * k + kk];
-                    for (slot, &bv) in acc_r.iter_mut().zip(b) {
-                        *slot = av.mul_add(bv, *slot);
-                    }
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                let o = (i + r) * n + p * NR;
-                out[o..o + w].copy_from_slice(&acc_r[..w]);
-            }
-        }
+    for s in whole..out.len() {
+        fold_block::<One, GATHER>(a, o.add(s), s, strides, mid, how);
     }
-    edge_scalar(a, k, bp, out, n, NR, full_rows);
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! Runtime-dispatched AVX2 / AVX-512 microkernels. Every product
-    //! accumulator update is `fmadd(av, b, acc)` — one rounding, exactly
-    //! like the scalar `acc = av.mul_add(bv, acc)`. The scalar edges
-    //! spell `mul_add` inside the feature-enabled functions, where it
-    //! is the same instruction rather than a libm call.
-
-    use std::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_castpd_ps, _mm256_castps128_ps256,
-        _mm256_castps_pd, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_i32gather_ps,
-        _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
-        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_unpackhi_pd,
-        _mm256_unpackhi_ps, _mm256_unpacklo_pd, _mm256_unpacklo_ps, _mm512_add_ps,
-        _mm512_castpd_ps, _mm512_castps128_ps512, _mm512_castps_pd, _mm512_cmp_ps_mask,
-        _mm512_fmadd_ps, _mm512_i32gather_ps, _mm512_insertf32x4, _mm512_loadu_ps,
-        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
-        _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
-        _mm512_setzero_ps, _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
-        _mm512_unpacklo_pd, _mm512_unpacklo_ps, _mm_loadu_ps, _CMP_GT_OQ, _CMP_UNORD_Q,
-    };
-
-    use super::{edge_scalar, reduce_rows_portable, RedOp, AT_BLOCK};
-
-    /// Generates one ISA's unpacked row kernel: `RB` output rows × one
-    /// vector of columns on lanes across output columns, then the
-    /// `n mod $lanes` right-edge columns on that ISA's row lanes
-    /// (`$row_lanes`, generated by `lanes_x86!`).
-    macro_rules! rows_x86 {
-        ($(#[$doc:meta])* $name:ident, $row_lanes:ident, $feature:literal, $lanes:literal,
-         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
-            $(#[$doc])*
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(a: &[f32], k: usize, bd: &[f32], out: &mut [f32], n: usize) {
-                const L: usize = $lanes;
-                const RB: usize = 4;
-                let rows = out.len() / n;
-                let tail0 = n - n % L;
-                let ap = a.as_ptr();
-                let bp = bd.as_ptr();
-                let op = out.as_mut_ptr();
-                for r0 in (0..rows).step_by(RB) {
-                    let rm = RB.min(rows - r0);
-                    for j in (0..tail0).step_by(L) {
-                        let mut acc = [$zero(); RB];
-                        for kk in 0..k {
-                            let bv = $loadu(bp.add(kk * n + j));
-                            for (r, acc_r) in acc.iter_mut().take(rm).enumerate() {
-                                let av = $set1(*ap.add((r0 + r) * k + kk));
-                                *acc_r = $fmadd(av, bv, *acc_r);
-                            }
-                        }
-                        for (r, acc_r) in acc.iter().take(rm).enumerate() {
-                            $storeu(op.add((r0 + r) * n + j), *acc_r);
-                        }
-                    }
-                }
-                if tail0 < n {
-                    $row_lanes(ap, k, rows, bp.add(tail0), n, op.add(tail0), n, n - tail0);
-                }
-            }
+/// One block of [`fold_slots`]: slots `s..s + V::L`, stored at `o`.
+#[inline(always)]
+unsafe fn fold_block<V: Lanes, const GATHER: bool>(
+    a: *const f32,
+    o: *mut f32,
+    s: usize,
+    (lane, step): (usize, usize),
+    mid: usize,
+    (op, scale, carried): (RedOp, Option<f32>, bool),
+) {
+    let src = a.add(s * lane);
+    let mut acc = if carried { V::load(o) } else { V::splat(op.init()) };
+    for m in 0..mid {
+        let p = src.add(m * step);
+        let v = if GATHER { V::gather(p, lane) } else { V::load(p) };
+        acc = match op {
+            RedOp::Sum => acc.add(v),
+            RedOp::Max => acc.max_fold(v),
         };
     }
-
-    rows_x86!(
-        /// Unpacked row kernel, zmm lanes across output columns.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
-        /// whole `n`-wide rows, `a` of as many `k`-long rows and `bd` of
-        /// `k × n`.
-        rows_avx512, lanes_avx512, "avx512f", 16,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps
-    );
-
-    rows_x86!(
-        /// Unpacked row kernel, ymm lanes across output columns.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
-        /// the operand extents of [`rows_avx512`].
-        rows_avx2, lanes_avx2, "avx2,fma", 8,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps
-    );
-
-    /// Columns `0..kw` of rows `0..rows` (both at most 16) of the
-    /// row-major `a` (row stride `k`), transposed in registers: lane `l`
-    /// of `t[kk]` is `a[l][kk]`. Lanes past `rows` and vectors past `kw`
-    /// are zero. A whole 16 × 16 block is read as 128-bit row pieces,
-    /// four of them (rows `s`, `4 + s`, `8 + s`, `12 + s`) to a register,
-    /// which leaves one 4 × 4 transpose inside each 128-bit lane: two
-    /// rounds of in-lane unpacks, 32 shuffles where a register-to-register
-    /// transpose takes 64. A partial block is first copied into a
-    /// zero-padded one.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` and `a` readable over `rows` rows of `kw`
-    /// floats at stride `k`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn transpose_avx512(a: *const f32, k: usize, rows: usize, kw: usize) -> [__m512; 16] {
-        if rows < 16 || kw < 16 {
-            let mut pad = [0.0f32; 16 * 16];
-            let cols = (0xffff_u32 >> (16 - kw)) as u16;
-            for r in 0..rows {
-                _mm512_storeu_ps(
-                    pad.as_mut_ptr().add(r * 16),
-                    _mm512_maskz_loadu_ps(cols, a.add(r * k)),
-                );
-            }
-            return transpose16_avx512(pad.as_ptr(), 16);
-        }
-        transpose16_avx512(a, k)
+    if let Some(s) = scale {
+        acc = acc.mul(V::splat(s));
     }
-
-    /// The whole-block body of [`transpose_avx512`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` and `src` readable over 16 rows of 16 floats at
-    /// stride `stride`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn transpose16_avx512(src: *const f32, stride: usize) -> [__m512; 16] {
-        let mut t = [_mm512_setzero_ps(); 16];
-        for q in 0..4 {
-            // Lane `g` of `w[s]` is `a[4g + s][4q .. 4q + 4]`.
-            let mut w = [_mm512_setzero_ps(); 4];
-            for (s, ws) in w.iter_mut().enumerate() {
-                let piece = |g: usize| src.add((4 * g + s) * stride + 4 * q);
-                let mut v = _mm512_castps128_ps512(_mm_loadu_ps(piece(0)));
-                v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(piece(1)));
-                v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(piece(2)));
-                *ws = _mm512_insertf32x4::<3>(v, _mm_loadu_ps(piece(3)));
-            }
-            let lo01 = _mm512_castps_pd(_mm512_unpacklo_ps(w[0], w[1]));
-            let hi01 = _mm512_castps_pd(_mm512_unpackhi_ps(w[0], w[1]));
-            let lo23 = _mm512_castps_pd(_mm512_unpacklo_ps(w[2], w[3]));
-            let hi23 = _mm512_castps_pd(_mm512_unpackhi_ps(w[2], w[3]));
-            t[4 * q] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo01, lo23));
-            t[4 * q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo01, lo23));
-            t[4 * q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(hi01, hi23));
-            t[4 * q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(hi01, hi23));
-        }
-        t
-    }
-
-    /// The 8 × 8 ymm counterpart of [`transpose_avx512`]: rows `s` and
-    /// `4 + s` share a register, 16 in-lane shuffles.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `a` readable over `rows` rows of `kw` floats
-    /// at stride `k` (both at most 8).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose_avx2(a: *const f32, k: usize, rows: usize, kw: usize) -> [__m256; 8] {
-        if rows < 8 || kw < 8 {
-            let mut pad = [0.0f32; 8 * 8];
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let cols = _mm256_cmpgt_epi32(_mm256_set1_epi32(kw as i32), lane);
-            for r in 0..rows {
-                _mm256_storeu_ps(
-                    pad.as_mut_ptr().add(r * 8),
-                    _mm256_maskload_ps(a.add(r * k), cols),
-                );
-            }
-            return transpose8_avx2(pad.as_ptr(), 8);
-        }
-        transpose8_avx2(a, k)
-    }
-
-    /// The whole-block body of [`transpose_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `src` readable over 8 rows of 8 floats at
-    /// stride `stride`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose8_avx2(src: *const f32, stride: usize) -> [__m256; 8] {
-        let mut t = [_mm256_setzero_ps(); 8];
-        for q in 0..2 {
-            let mut w = [_mm256_setzero_ps(); 4];
-            for (s, ws) in w.iter_mut().enumerate() {
-                let v = _mm256_castps128_ps256(_mm_loadu_ps(src.add(s * stride + 4 * q)));
-                *ws = _mm256_insertf128_ps::<1>(v, _mm_loadu_ps(src.add((4 + s) * stride + 4 * q)));
-            }
-            let lo01 = _mm256_castps_pd(_mm256_unpacklo_ps(w[0], w[1]));
-            let hi01 = _mm256_castps_pd(_mm256_unpackhi_ps(w[0], w[1]));
-            let lo23 = _mm256_castps_pd(_mm256_unpacklo_ps(w[2], w[3]));
-            let hi23 = _mm256_castps_pd(_mm256_unpackhi_ps(w[2], w[3]));
-            t[4 * q] = _mm256_castpd_ps(_mm256_unpacklo_pd(lo01, lo23));
-            t[4 * q + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(lo01, lo23));
-            t[4 * q + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(hi01, hi23));
-            t[4 * q + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(hi01, hi23));
-        }
-        t
-    }
-
-    /// Generates one ISA's row-lane kernel (module docs, "Row lanes"):
-    /// `w < $lanes` output columns of every row, lanes across `$lanes`
-    /// output rows. Each `$lanes × $lanes` block of `a` is transposed in
-    /// registers (`$transpose`) and every column `c` accumulates
-    /// `t[kk] × b[kk·bk + c]` (broadcast), `kk` ascending — at stride
-    /// `bk = n` from a row-major operand, the panel width from a pack.
-    /// Up to eight columns (`$group`; every head of the ledger) keep their
-    /// accumulators in registers over the whole sweep of a row group; a
-    /// wider edge takes a second sweep for the rest.
-    macro_rules! lanes_x86 {
-        ($(#[$doc:meta])* $name:ident, $group:ident, $transpose:ident, $feature:literal,
-         $lanes:literal, $vec:ty, $zero:ident, $set1:ident, $fmadd:ident, $storeu:ident) => {
-            /// `W` columns of one row group (`rows` of them) swept over
-            /// all `k` steps, `b` at the sweep's first column.
-            #[inline]
-            #[target_feature(enable = $feature)]
-            unsafe fn $group<const W: usize>(
-                a: *const f32,
-                k: usize,
-                rows: usize,
-                mut b: *const f32,
-                bk: usize,
-            ) -> [$vec; W] {
-                let mut acc = [$zero(); W];
-                for kk0 in (0..k).step_by($lanes) {
-                    let kw = k - kk0;
-                    for &av in $transpose(a.add(kk0), k, rows, kw.min($lanes)).iter().take(kw) {
-                        for (c, slot) in acc.iter_mut().enumerate() {
-                            *slot = $fmadd(av, $set1(*b.add(c)), *slot);
-                        }
-                        b = b.wrapping_add(bk);
-                    }
-                }
-                acc
-            }
-
-            $(#[$doc])*
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(
-                a: *const f32,
-                k: usize,
-                rows: usize,
-                b: *const f32,
-                bk: usize,
-                o: *mut f32,
-                n: usize,
-                w: usize,
-            ) {
-                const L: usize = $lanes;
-                // `spill[c][l]` is `o[(i0 + l)·n + c]`.
-                let mut spill = [[0.0f32; L]; L];
-                for i0 in (0..rows).step_by(L) {
-                    let (a, rl) = (a.add(i0 * k), L.min(rows - i0));
-                    for c0 in (0..w).step_by(8) {
-                        let (b, cols) = (b.add(c0), &mut spill[c0..]);
-                        macro_rules! sweep {
-                            ($w:literal) => {
-                                for (col, v) in cols.iter_mut().zip($group::<$w>(a, k, rl, b, bk)) {
-                                    $storeu(col.as_mut_ptr(), v);
-                                }
-                            };
-                        }
-                        match w - c0 {
-                            1 => sweep!(1),
-                            2 => sweep!(2),
-                            3 => sweep!(3),
-                            4 => sweep!(4),
-                            5 => sweep!(5),
-                            6 => sweep!(6),
-                            7 => sweep!(7),
-                            _ => sweep!(8),
-                        }
-                    }
-                    for l in 0..rl {
-                        for (c, col) in spill.iter().enumerate().take(w) {
-                            *o.add((i0 + l) * n + c) = col[l];
-                        }
-                    }
-                }
-            }
-        };
-    }
-
-    lanes_x86!(
-        /// Row-lane kernel on zmm lanes: output columns `..w` (`w < 16`)
-        /// of rows `..rows` at `o` (row stride `n`) from `a` (row stride
-        /// `k`) and `b` (element `(kk, c)` at `b[kk·bk + c]`).
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx512f` (guaranteed by [`super::select`]), `a`
-        /// readable over `rows × k`, `b` over `(k − 1)·bk + w` and `o`
-        /// writable over `(rows − 1)·n + w` floats.
-        lanes_avx512, lanes_group_avx512, transpose_avx512, "avx512f", 16, __m512,
-        _mm512_setzero_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps
-    );
-
-    lanes_x86!(
-        /// Row-lane kernel on ymm lanes (`w < 8`).
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
-        /// the operand extents of [`lanes_avx512`].
-        lanes_avx2, lanes_group_avx2, transpose_avx2, "avx2,fma", 8, __m256,
-        _mm256_setzero_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_storeu_ps
-    );
-
-    /// Generates a transpose-free `aᵀ × b` row kernel: the blocked shape
-    /// of [`super::at_rows_portable`] (see the module docs) spelled with
-    /// one ISA's vector intrinsics, its column lanes on that ISA's
-    /// register tile (`$panel`, generated by `tile_x86!`).
-    macro_rules! at_rows_x86 {
-        ($(#[$doc:meta])* $name:ident, $panel:ident, $feature:literal, $lanes:literal, $mr:literal,
-         $zero:ident, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident) => {
-            $(#[$doc])*
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(
-                ad: &[f32],
-                row0: usize,
-                out: &mut [f32],
-                p: usize,
-                m: usize,
-                n: usize,
-                bd: &[f32],
-                carried: bool,
-            ) {
-                const L: usize = $lanes;
-                const MR: usize = $mr;
-                const NR: usize = 32;
-                const RB: usize = 4;
-                let rows = out.len() / n;
-                let tail0 = n - n % L;
-                let lane_rows = rows - rows % L;
-                let ap = ad.as_ptr();
-                let bp = bd.as_ptr();
-                let op = out.as_mut_ptr();
-                let mut k0 = 0;
-                // The first block runs even when `p == 0`, so `out` is
-                // always overwritten.
-                loop {
-                    let k1 = (k0 + AT_BLOCK).min(p);
-                    let resume = k0 > 0 || carried;
-                    // Column lanes: the packed tile's MR × 32 accumulators
-                    // on `b`'s row-major rows, then MR × L ones over what
-                    // is left of the whole vectors.
-                    let mut j = 0;
-                    while j < tail0 {
-                        let wide = tail0 - j >= NR;
-                        for r0 in (0..rows).step_by(MR) {
-                            // `wrapping_add`: with `p == 0` both operands
-                            // are empty and no step dereferences these.
-                            let a = ap.wrapping_add(k0 * m + row0 + r0);
-                            let (b, o) = (bp.wrapping_add(k0 * n + j), op.add(r0 * n + j));
-                            let rm = MR.min(rows - r0);
-                            if wide {
-                                $panel::<{ NR / L }>(a, (1, m), b, n, k1 - k0, o, n, NR, rm, resume);
-                            } else {
-                                $panel::<1>(a, (1, m), b, n, k1 - k0, o, n, L, rm, resume);
-                            }
-                        }
-                        j += if wide { NR } else { L };
-                    }
-                    // Row lanes: L output rows × up to RB right-edge
-                    // columns, held transposed (lane `l` of `acc[c]` is
-                    // `out[i0 + l][j + c]`).
-                    for i0 in (0..lane_rows).step_by(L) {
-                        for j in (tail0..n).step_by(RB) {
-                            let cm = RB.min(n - j);
-                            let mut acc = [$zero(); RB];
-                            let mut t = [0.0f32; L];
-                            if resume {
-                                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
-                                    for (l, slot) in t.iter_mut().enumerate() {
-                                        *slot = *op.add((i0 + l) * n + j + c);
-                                    }
-                                    *acc_c = $loadu(t.as_ptr());
-                                }
-                            }
-                            for kk in k0..k1 {
-                                let av = $loadu(ap.add(kk * m + row0 + i0));
-                                for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
-                                    let bv = $set1(*bp.add(kk * n + j + c));
-                                    *acc_c = $fmadd(av, bv, *acc_c);
-                                }
-                            }
-                            for (c, acc_c) in acc.iter().take(cm).enumerate() {
-                                $storeu(t.as_mut_ptr(), *acc_c);
-                                for (l, &v) in t.iter().enumerate() {
-                                    *op.add((i0 + l) * n + j + c) = v;
-                                }
-                            }
-                        }
-                    }
-                    // Fewer than L rows left under the right-edge
-                    // columns: scalar.
-                    for r in lane_rows..rows {
-                        for j in tail0..n {
-                            let o = op.add(r * n + j);
-                            let mut acc = if resume { *o } else { 0.0 };
-                            for kk in k0..k1 {
-                                acc = (*ap.add(kk * m + row0 + r)).mul_add(*bp.add(kk * n + j), acc);
-                            }
-                            *o = acc;
-                        }
-                    }
-                    k0 = k1;
-                    if k0 >= p {
-                        break;
-                    }
-                }
-            }
-        };
-    }
-
-    at_rows_x86!(
-        /// Transpose-free `aᵀ × b` row kernel on zmm lanes.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx512f` (guaranteed by [`super::select`]), `ad` of
-        /// `p × m`, `bd` of `p × n` and `out` of whole `n`-wide rows with
-        /// `row0 + out.len() / n <= m`.
-        at_rows_avx512, tile_panel_avx512, "avx512f", 16, 8,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps
-    );
-
-    at_rows_x86!(
-        /// Transpose-free `aᵀ × b` row kernel on ymm lanes.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
-        /// the operand extents of [`at_rows_avx512`].
-        at_rows_avx2, tile_panel_avx2, "avx2,fma", 8, 4,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps
-    );
-
-    /// Stores the first `lanes` (0..=16) lanes of `v` at `o`; the rest
-    /// of the destination is neither written nor touched.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` and `o` valid for writing `lanes` floats.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn store_lanes_avx512(o: *mut f32, v: __m512, lanes: usize) {
-        _mm512_mask_storeu_ps(o, (0xffff_u32 >> (16 - lanes)) as u16, v);
-    }
-
-    /// Stores the first `lanes` (0..=8) lanes of `v` at `o`; the rest of
-    /// the destination is neither written nor touched.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` and `o` valid for writing `lanes` floats.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_lanes_avx2(o: *mut f32, v: __m256, lanes: usize) {
-        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        _mm256_maskstore_ps(o, _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), lane), v);
-    }
-
-    /// Generates one ISA's register tile and its packed kernel. `$panel`
-    /// is the one accumulator loop of every vector product here: `$mr`
-    /// output rows × `NV` vectors of columns swept over the reduction
-    /// axis, one fused multiply–add per element per step. `$name` runs it
-    /// over [`super::PackedB`] panels — every panel, the zero-padded
-    /// right edge included, on `NV` = one vector when its `w` real
-    /// columns fit one, else all `32 / $lanes`, storing only the `w` real
-    /// lanes — and `at_rows_x86!` runs it over the rows of a row-major
-    /// `b` for `aᵀ × b`.
-    macro_rules! tile_x86 {
-        ($(#[$doc:meta])* $name:ident, $panel:ident, $row_lanes:ident, $feature:literal,
-         $lanes:literal, $mr:literal, $zero:ident, $loadu:ident, $set1:ident, $fmadd:ident,
-         $store_lanes:ident) => {
-            /// Output rows `..rows` (at most `$mr`) × `NV` vectors of
-            /// accumulators over `k` steps: step `kk` broadcasts
-            /// `a[r·ar + kk·ak]` for row `r` — strides `(k, 1)` walk the
-            /// rows of a row-major left operand, `(1, m)` the columns of
-            /// a `[p, m]` one — and loads `b[kk·bk ..]`. With `resume`
-            /// the accumulators start from what `o` holds, which must
-            /// then be readable over all `NV` vectors of each row, instead
-            /// of zero. Stores lanes `..w` of each row at `o + r·n`.
-            #[inline]
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = $feature)]
-            unsafe fn $panel<const NV: usize>(
-                a: *const f32,
-                (ar, ak): (usize, usize),
-                b: *const f32,
-                bk: usize,
-                k: usize,
-                o: *mut f32,
-                n: usize,
-                w: usize,
-                rows: usize,
-                resume: bool,
-            ) {
-                const L: usize = $lanes;
-                let mut acc = [[$zero(); NV]; $mr];
-                if resume {
-                    for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                        for (v, slot) in acc_r.iter_mut().enumerate() {
-                            *slot = $loadu(o.add(r * n + v * L));
-                        }
-                    }
-                }
-                for kk in 0..k {
-                    let mut bvs = [$zero(); NV];
-                    for (v, bv) in bvs.iter_mut().enumerate() {
-                        *bv = $loadu(b.add(kk * bk + v * L));
-                    }
-                    for (r, acc_r) in acc.iter_mut().enumerate().take(rows) {
-                        let av = $set1(*a.add(r * ar + kk * ak));
-                        for (slot, &bv) in acc_r.iter_mut().zip(&bvs) {
-                            *slot = $fmadd(av, bv, *slot);
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate().take(rows) {
-                    for (v, &lanes) in acc_r.iter().enumerate() {
-                        $store_lanes(o.add(r * n + v * L), lanes, L.min(w.saturating_sub(v * L)));
-                    }
-                }
-            }
-
-            $(#[$doc])*
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(a: &[f32], k: usize, bp: &[f32], out: &mut [f32], n: usize) {
-                const MR: usize = $mr;
-                const NR: usize = 32;
-                let rows = out.len() / n;
-                if n < $lanes {
-                    $row_lanes(a.as_ptr(), k, rows, bp.as_ptr(), NR, out.as_mut_ptr(), n, n);
-                    return;
-                }
-                let full_rows = rows - rows % MR;
-                for i in (0..full_rows).step_by(MR) {
-                    for p in 0..n.div_ceil(NR) {
-                        let w = NR.min(n - p * NR);
-                        let ap = a.as_ptr().add(i * k);
-                        let panel = bp.as_ptr().add(p * k * NR);
-                        let o = out.as_mut_ptr().add(i * n + p * NR);
-                        if w <= $lanes {
-                            $panel::<1>(ap, (k, 1), panel, NR, k, o, n, w, MR, false);
-                        } else {
-                            $panel::<{ NR / $lanes }>(ap, (k, 1), panel, NR, k, o, n, w, MR, false);
-                        }
-                    }
-                }
-                edge_scalar(a, k, bp, out, n, NR, full_rows);
-            }
-        };
-    }
-
-    tile_x86!(
-        /// 8×32 zmm register-tile kernel.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx512f` (guaranteed by [`super::select`]), `out` of
-        /// whole `n`-wide rows, `a` of as many `k`-long rows and `bp` of
-        /// `⌈n / 32⌉` panels of `k × 32`.
-        tile_avx512, tile_panel_avx512, lanes_avx512, "avx512f", 16, 8,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, store_lanes_avx512
-    );
-
-    tile_x86!(
-        /// 4×32 ymm register-tile kernel.
-        ///
-        /// # Safety
-        ///
-        /// Requires `avx2` and `fma` (guaranteed by [`super::select`]) and
-        /// the operand extents of [`tile_avx512`].
-        tile_avx2, tile_panel_avx2, lanes_avx2, "avx2,fma", 8, 4,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, store_lanes_avx2
-    );
-
-    /// One [`super::max_fold`] step on 16 lanes: take `v` where it
-    /// compares greater (ordered) or where `acc` is NaN.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn max_step_avx512(acc: __m512, v: __m512) -> __m512 {
-        let take =
-            _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, acc) | _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(acc, acc);
-        _mm512_mask_blend_ps(take, acc, v)
-    }
-
-    /// One [`super::max_fold`] step on 8 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn max_step_avx2(acc: __m256, v: __m256) -> __m256 {
-        let take = _mm256_or_ps(
-            _mm256_cmp_ps::<_CMP_GT_OQ>(v, acc),
-            _mm256_cmp_ps::<_CMP_UNORD_Q>(acc, acc),
-        );
-        _mm256_blendv_ps(acc, v, take)
-    }
-
-    /// Row reduction, zmm lanes across 16 rows via stride-`mid` gathers.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn reduce_rows_avx512(
-        ad: &[f32],
-        row0: usize,
-        out: &mut [f32],
-        mid: usize,
-        op: RedOp,
-        scale: Option<f32>,
-        carried: bool,
-    ) {
-        const L: usize = 16;
-        let rows = out.len();
-        let ap = ad.as_ptr();
-        let step = _mm512_mullo_epi32(
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            _mm512_set1_epi32(mid as i32),
-        );
-        let init = match op {
-            RedOp::Sum => _mm512_setzero_ps(),
-            RedOp::Max => _mm512_set1_ps(f32::NEG_INFINITY),
-        };
-        let mut r0 = 0;
-        while r0 + L <= rows {
-            let base = ap.add((row0 + r0) * mid);
-            let mut acc = if carried { _mm512_loadu_ps(out.as_ptr().add(r0)) } else { init };
-            for m in 0..mid {
-                let v = _mm512_i32gather_ps::<4>(step, base.add(m));
-                acc = match op {
-                    RedOp::Sum => _mm512_add_ps(acc, v),
-                    RedOp::Max => max_step_avx512(acc, v),
-                };
-            }
-            if let Some(s) = scale {
-                acc = _mm512_mul_ps(acc, _mm512_set1_ps(s));
-            }
-            _mm512_storeu_ps(out.as_mut_ptr().add(r0), acc);
-            r0 += L;
-        }
-        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale, carried);
-    }
-
-    /// Row reduction, ymm lanes across 8 rows via stride-`mid` gathers.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn reduce_rows_avx2(
-        ad: &[f32],
-        row0: usize,
-        out: &mut [f32],
-        mid: usize,
-        op: RedOp,
-        scale: Option<f32>,
-        carried: bool,
-    ) {
-        const L: usize = 8;
-        let rows = out.len();
-        let ap = ad.as_ptr();
-        let step = _mm256_mullo_epi32(
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            _mm256_set1_epi32(mid as i32),
-        );
-        let init = match op {
-            RedOp::Sum => _mm256_setzero_ps(),
-            RedOp::Max => _mm256_set1_ps(f32::NEG_INFINITY),
-        };
-        let mut r0 = 0;
-        while r0 + L <= rows {
-            let base = ap.add((row0 + r0) * mid);
-            let mut acc = if carried { _mm256_loadu_ps(out.as_ptr().add(r0)) } else { init };
-            for m in 0..mid {
-                let v = _mm256_i32gather_ps::<4>(base.add(m), step);
-                acc = match op {
-                    RedOp::Sum => _mm256_add_ps(acc, v),
-                    RedOp::Max => max_step_avx2(acc, v),
-                };
-            }
-            if let Some(s) = scale {
-                acc = _mm256_mul_ps(acc, _mm256_set1_ps(s));
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(r0), acc);
-            r0 += L;
-        }
-        reduce_rows_portable(ad, row0 + r0, &mut out[r0..], mid, op, scale, carried);
-    }
-
-    /// Group reduction, zmm lanes across the contiguous inner dim.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn reduce_groups_avx512(
-        ad: &[f32],
-        group0: usize,
-        out: &mut [f32],
-        mid: usize,
-        inner: usize,
-        op: RedOp,
-        scale: Option<f32>,
-        carried: bool,
-    ) {
-        const L: usize = 16;
-        let ap = ad.as_ptr();
-        let op_ = out.as_mut_ptr();
-        let init = match op {
-            RedOp::Sum => _mm512_setzero_ps(),
-            RedOp::Max => _mm512_set1_ps(f32::NEG_INFINITY),
-        };
-        let groups = out.len() / inner;
-        for g in 0..groups {
-            let src = (group0 + g) * mid * inner;
-            let dst = g * inner;
-            let blocks = inner / L;
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = if carried { _mm512_loadu_ps(op_.add(dst + j)) } else { init };
-                for m in 0..mid {
-                    let v = _mm512_loadu_ps(ap.add(src + m * inner + j));
-                    acc = match op {
-                        RedOp::Sum => _mm512_add_ps(acc, v),
-                        RedOp::Max => max_step_avx512(acc, v),
-                    };
-                }
-                if let Some(s) = scale {
-                    acc = _mm512_mul_ps(acc, _mm512_set1_ps(s));
-                }
-                _mm512_storeu_ps(op_.add(dst + j), acc);
-            }
-            reduce_tail_scalar(
-                ad,
-                src,
-                &mut out[dst + blocks * L..dst + inner],
-                mid,
-                inner,
-                blocks * L,
-                op,
-                scale,
-                carried,
-            );
-        }
-    }
-
-    /// Group reduction, ymm lanes across the contiguous inner dim.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx2` (guaranteed by [`super::select`]).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn reduce_groups_avx2(
-        ad: &[f32],
-        group0: usize,
-        out: &mut [f32],
-        mid: usize,
-        inner: usize,
-        op: RedOp,
-        scale: Option<f32>,
-        carried: bool,
-    ) {
-        const L: usize = 8;
-        let ap = ad.as_ptr();
-        let op_ = out.as_mut_ptr();
-        let init = match op {
-            RedOp::Sum => _mm256_setzero_ps(),
-            RedOp::Max => _mm256_set1_ps(f32::NEG_INFINITY),
-        };
-        let groups = out.len() / inner;
-        for g in 0..groups {
-            let src = (group0 + g) * mid * inner;
-            let dst = g * inner;
-            let blocks = inner / L;
-            for jb in 0..blocks {
-                let j = jb * L;
-                let mut acc = if carried { _mm256_loadu_ps(op_.add(dst + j)) } else { init };
-                for m in 0..mid {
-                    let v = _mm256_loadu_ps(ap.add(src + m * inner + j));
-                    acc = match op {
-                        RedOp::Sum => _mm256_add_ps(acc, v),
-                        RedOp::Max => max_step_avx2(acc, v),
-                    };
-                }
-                if let Some(s) = scale {
-                    acc = _mm256_mul_ps(acc, _mm256_set1_ps(s));
-                }
-                _mm256_storeu_ps(op_.add(dst + j), acc);
-            }
-            reduce_tail_scalar(
-                ad,
-                src,
-                &mut out[dst + blocks * L..dst + inner],
-                mid,
-                inner,
-                blocks * L,
-                op,
-                scale,
-                carried,
-            );
-        }
-    }
-
-    /// Scalar fold for the inner-dim slots a vector block doesn't cover.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_tail_scalar(
-        ad: &[f32],
-        src: usize,
-        tail: &mut [f32],
-        mid: usize,
-        inner: usize,
-        j0: usize,
-        op: RedOp,
-        scale: Option<f32>,
-        carried: bool,
-    ) {
-        for (t, slot) in tail.iter_mut().enumerate() {
-            let jj = j0 + t;
-            let mut acc = if carried { *slot } else { op.init() };
-            for m in 0..mid {
-                let v = ad[src + m * inner + jj];
-                acc = match op {
-                    RedOp::Sum => acc + v,
-                    RedOp::Max => super::max_fold(acc, v),
-                };
-            }
-            if let Some(s) = scale {
-                acc *= s;
-            }
-            *slot = acc;
-        }
-    }
+    acc.store(o);
 }
 
 #[cfg(test)]
@@ -1864,19 +935,21 @@ mod tests {
         families
     }
 
-    type Rows = fn(&[f32], usize, &[f32], &mut [f32], usize);
+    type Rows = Box<dyn Fn(&[f32], usize, &[f32], &mut [f32], usize)>;
 
-    /// Every unpacked row body this host can run, as [`tile_families`].
+    /// Every unpacked row body this host can run, as [`tile_families`]:
+    /// the dispatched entry point, then the body on each instantiation the
+    /// dispatcher passes over here.
     fn rows_bodies() -> Vec<(&'static str, Rows)> {
-        let mut bodies: Vec<(&'static str, Rows)> = vec![
-            ("dispatched", |a, k, b, out, n| matmul_simd_rows(a, 0, out, k, n, b)),
-            ("portable", rows_portable),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2_fma() {
-            // SAFETY: avx2 and fma were just detected, and the tests
-            // below pass exactly the extents `matmul_simd_rows` asserts.
-            bodies.push(("avx2", |a, k, b, out, n| unsafe { x86::rows_avx2(a, k, b, out, n) }));
+        let dispatched: Rows = Box::new(|a, k, b, out, n| matmul_simd_rows(a, 0, out, k, n, b));
+        let mut bodies = vec![("dispatched", dispatched)];
+        for (name, family) in tile_families().into_iter().skip(1) {
+            let body: Rows = Box::new(move |a: &[f32], k, b: &[f32], out: &mut [f32], n| {
+                // SAFETY: `family` was detected, and the tests pass exactly
+                // the extents `matmul_simd_rows` asserts.
+                dispatch!(family, V => unsafe { rows::<V, { V::MR }>(a, k, b, out, n) })
+            });
+            bodies.push((name, body));
         }
         bodies
     }
@@ -1941,13 +1014,20 @@ mod tests {
             ));
         }
         for (name, body) in rows_bodies() {
-            let b = b.to_vec();
+            let b = past_one(b);
             bodies.push((
                 format!("{name} row-major"),
-                Box::new(move |a, row0, out| body(&a[row0 * k..], k, &b, out, n)),
+                Box::new(move |a, row0, out| body(&a[row0 * k..], k, &b[1..], out, n)),
             ));
         }
         bodies
+    }
+
+    /// `v` one float into a new allocation: `&past_one(v)[1..]` is `v`
+    /// starting one float past where its buffer does (no vector-aligned
+    /// address).
+    fn past_one(v: &[f32]) -> Vec<f32> {
+        [f32::NAN].iter().chain(v).copied().collect()
     }
 
     #[test]
@@ -1955,10 +1035,11 @@ mod tests {
         // Widths below, at and past every lane count (1 … 31) × row counts
         // around a row group (16) with ragged last groups × reduction
         // lengths around a transpose block, padded or whole. Each product
-        // whole and from an odd row offset (an unaligned sub-slice of `a`
-        // and of `out`), `out` arriving NaN and followed by a guard; the
-        // tall one (a learn block's height) from the offset only, which
-        // keeps the debug suite short.
+        // whole, from an odd row offset (an unaligned sub-slice of `a`
+        // and of `out`) and whole with `a` one float past its allocation
+        // (as the row-major `b` always is), `out` arriving NaN and followed
+        // by a guard; the tall one (a learn block's height) from the
+        // offset only, which keeps the debug suite short.
         const GUARD: usize = 16;
         for n in [1, 2, 3, 6, 7, 15, 17, 31] {
             for k in [1, 2, 4, 16, 17, 64, 65, 256] {
@@ -1966,15 +1047,20 @@ mod tests {
                 let bodies = narrow_bodies(&b, k, n);
                 for m in [1, 7, 15, 16, 17, 33, 2053] {
                     let a = vals(m * k, 50 + k);
+                    let a_past = past_one(&a);
                     let offset = (m / 2) | 1;
-                    let starts = if m > 64 { vec![offset] } else { vec![0, offset] };
-                    for row0 in starts.into_iter().filter(|&r| r < m) {
+                    let starts: Vec<(&[f32], usize)> = if m > 64 {
+                        vec![(&a, offset)]
+                    } else {
+                        vec![(&a, 0), (&a, offset), (&a_past[1..], 0)]
+                    };
+                    for (a, row0) in starts.into_iter().filter(|&(_, r)| r < m) {
                         let expect = naive(&a[row0 * k..], &b, m - row0, k, n);
                         for (name, body) in &bodies {
                             let len = expect.len();
                             let mut buf = vec![f32::NAN; 1 + len + GUARD];
                             buf[1 + len..].fill(7.0);
-                            body(&a, row0, &mut buf[1..1 + len]);
+                            body(a, row0, &mut buf[1..1 + len]);
                             let what = format!("{name} ({m},{k},{n}) from row {row0}");
                             assert_bits_eq(&buf[1..1 + len], &expect, &what);
                             assert!(buf[1 + len..].iter().all(|&v| v == 7.0), "{what}: overran");
@@ -2023,11 +1109,15 @@ mod tests {
             let a = vals(m * k, 1);
             let b = vals(k * n, 2);
             let expect = naive(&a, &b, m, k, n);
+            // And both operands one float past their allocations.
+            let (a_past, b_past) = (past_one(&a), past_one(&b));
             for (name, family) in tile_families() {
-                let bp = pack_for(family, &b, k, n, false);
-                let mut out = vec![f32::NAN; m * n];
-                matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
-                assert_bits_eq(&out, &expect, &format!("{name} ({m},{k},{n})"));
+                for (a, b) in [(&a[..], &b[..]), (&a_past[1..], &b_past[1..])] {
+                    let bp = pack_for(family, b, k, n, false);
+                    let mut out = vec![f32::NAN; m * n];
+                    matmul_packed_rows(a, 0, &mut out, k, n, &bp);
+                    assert_bits_eq(&out, &expect, &format!("{name} ({m},{k},{n})"));
+                }
             }
         }
     }
@@ -2146,7 +1236,7 @@ mod tests {
         assert_eq!(&full[3 * n..], &part[..]);
     }
 
-    // The x86 bodies index through raw pointers: a short operand or a
+    // The bodies index through raw pointers: a short operand or a
     // ragged output from safe code must stop at the dispatcher.
 
     #[test]
@@ -2202,6 +1292,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reduce_rows: operand extents")]
+    fn reduce_rows_reject_a_short_a() {
+        // The last of 16 rows of 5 is one element short: a 16-row gather
+        // would read past it.
+        reduce_rows(&vals(16 * 5 - 1, 1), 0, &mut [0.0; 16], 5, RedOp::Sum, None, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce_groups: operand extents")]
+    fn reduce_groups_reject_a_short_a() {
+        // Group 1's last step loads 16 slots, one past the operand.
+        let mut out = [0.0; 2 * 16];
+        reduce_groups(&vals(2 * 3 * 16 - 1, 1), 0, &mut out, 3, 16, RedOp::Max, None, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce_groups: operand extents")]
+    fn reduce_groups_reject_a_ragged_out() {
+        reduce_groups(
+            &vals(3 * 3 * 16, 1),
+            0,
+            &mut [0.0; 2 * 16 + 1],
+            3,
+            16,
+            RedOp::Sum,
+            None,
+            false,
+        );
+    }
+
+    #[test]
     fn simd_rows_match_naive_bitwise() {
         for &(m, k, n) in
             &[(1, 1, 1), (2, 17, 32), (5, 3, 19), (1, 6, 40), (3, 0, 4), (7, 9, 16), (2, 32, 6)]
@@ -2217,21 +1338,22 @@ mod tests {
         }
     }
 
-    type AtRows = fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32], bool);
+    type AtRows = Box<dyn Fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32], bool)>;
 
-    /// Every `aᵀ × b` body this host can run: the dispatched one, plus
-    /// the bodies the dispatcher passes over here (portable always, ymm
-    /// on an AVX-512 host).
+    /// Every `aᵀ × b` body this host can run, as [`rows_bodies`].
     fn at_bodies() -> Vec<(&'static str, AtRows)> {
         let mut bodies: Vec<(&'static str, AtRows)> =
-            vec![("dispatched", matmul_at_rows), ("portable", at_rows_portable)];
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2_fma() {
-            bodies.push(("avx2", |ad, row0, out, p, m, n, bd, carried| {
-                // SAFETY: avx2 and fma were just detected, and the tests
-                // below pass exactly the extents `matmul_at_rows` asserts.
-                unsafe { x86::at_rows_avx2(ad, row0, out, p, m, n, bd, carried) }
-            }));
+            vec![("dispatched", Box::new(matmul_at_rows))];
+        for (name, family) in tile_families().into_iter().skip(1) {
+            let body: AtRows =
+                Box::new(move |ad: &[f32], row0, out: &mut [f32], p, m, n, bd: &[f32], c| {
+                    // SAFETY: `family` was detected, and the tests pass exactly
+                    // the extents `matmul_at_rows` asserts.
+                    dispatch!(family, V => unsafe {
+                        at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, row0, out, p, m, n, bd, c)
+                    })
+                });
+            bodies.push((name, body));
         }
         bodies
     }
@@ -2246,7 +1368,8 @@ mod tests {
     fn at_rows_match_transposed_naive_bitwise() {
         // `out` arrives NaN-filled: the kernel overwrites, it never
         // accumulates into what the caller passed. Then the same product
-        // fed in two pieces, the second carried onto the first.
+        // fed in two pieces, the second carried onto the first, and from
+        // operands that start one float past their allocations.
         let check = |p: usize, m: usize, n: usize| {
             let a = vals(p * m, 9);
             let b = vals(p * n, 10);
@@ -2260,6 +1383,10 @@ mod tests {
                 body(&a[..cut * m], 0, &mut out, cut, m, n, &b[..cut * n], false);
                 body(&a[cut * m..], 0, &mut out, p - cut, m, n, &b[cut * n..], true);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n}) cut at {cut}"));
+                // Both operands one float past their allocations.
+                let (a_past, b_past) = (past_one(&a), past_one(&b));
+                body(&a_past[1..], 0, &mut out, p, m, n, &b_past[1..], false);
+                assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n}) unaligned"));
             }
         };
         for &(p, m, n) in &[(1, 1, 1), (2, 17, 32), (4, 5, 19), (6, 1, 40), (3, 7, 16)] {
@@ -2382,30 +1509,29 @@ mod tests {
 
     /// A column fold of `[rows, n]` (`n` columns, one group), or for
     /// `n == 1` the single-row fold the same reduction becomes.
-    type ColFold = fn(&[f32], &mut [f32], usize, RedOp, bool);
+    type ColFold = Box<dyn Fn(&[f32], &mut [f32], usize, RedOp, bool)>;
 
-    /// Every column-fold body this host can run, as [`at_bodies`].
+    /// Every column-fold body this host can run, as [`rows_bodies`].
     fn col_fold_bodies() -> Vec<(&'static str, ColFold)> {
-        let mut bodies: Vec<(&'static str, ColFold)> = vec![
-            ("dispatched", |a, out, rows, op, carried| match out.len() {
-                1 => reduce_rows(a, 0, out, rows, op, None, carried),
-                n => reduce_groups(a, 0, out, rows, n, op, None, carried),
-            }),
-            ("portable", |a, out, rows, op, carried| match out.len() {
-                1 => reduce_rows_portable(a, 0, out, rows, op, None, carried),
-                n => reduce_groups_portable(a, 0, out, rows, n, op, None, carried),
-            }),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2_fma() {
-            // SAFETY: avx2 was just detected; the bodies read `rows × n`
-            // elements of `a`, which the test below passes.
-            bodies.push(("avx2", |a, out, rows, op, carried| match out.len() {
-                1 => unsafe { x86::reduce_rows_avx2(a, 0, out, rows, op, None, carried) },
-                n => unsafe { x86::reduce_groups_avx2(a, 0, out, rows, n, op, None, carried) },
-            }));
-        }
-        bodies
+        tile_families()
+            .into_iter()
+            .map(|(name, family)| {
+                let body: ColFold =
+                    Box::new(move |a: &[f32], out: &mut [f32], rows, op, carried| {
+                        // SAFETY: `family` was detected; the tests pass `rows ×
+                        // out.len()` elements of `a`, the extents the entry
+                        // points assert.
+                        dispatch!(family, V => unsafe {
+                            let (a, how) = (a.as_ptr(), (op, None, carried));
+                            match out.len() {
+                                1 => fold_slots::<V, true>(a, out, (rows, 1), rows, how),
+                                n => fold_slots::<V, false>(a, out, (1, n), rows, how),
+                            }
+                        })
+                    });
+                (name, body)
+            })
+            .collect()
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod error;
 pub mod fastmath;
 pub mod init;
 pub mod kernels;
+mod lanes;
 pub mod nn;
 pub mod ops;
 pub mod optim;
@@ -53,6 +54,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use error::TensorError;
+pub use lanes::widest;
 pub use par::Backend;
 pub use shape::Shape;
 pub use tensor::Tensor;

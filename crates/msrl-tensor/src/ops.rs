@@ -68,58 +68,6 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync)
     Tensor::from_vec(data, out_shape.dims())
 }
 
-/// Applies `f` element-wise in place, reusing `a`'s buffer — no pool
-/// round-trip, no allocation. Bit-identical to [`map`]; for a caller
-/// that owns an input it no longer needs.
-pub fn map_inplace(mut a: Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let data = a.data_mut();
-    let fill = |_offset: usize, chunk: &mut [f32]| {
-        for slot in chunk.iter_mut() {
-            *slot = f(*slot);
-        }
-    };
-    if par::should_parallelize(data.len(), par::PAR_MIN_ELEMS) {
-        par::fill_chunks(data, fill);
-    } else {
-        fill(0, data);
-    }
-    a
-}
-
-/// Applies `f(a[i], b[i])` element-wise into `a`'s buffer. Requires equal
-/// shapes: the no-broadcast case, where it is bit-identical to
-/// [`zip_broadcast`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-pub fn zip_inplace(
-    mut a: Tensor,
-    b: &Tensor,
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) -> Result<Tensor> {
-    if a.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "zip_inplace",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
-    }
-    let bd = b.data();
-    let data = a.data_mut();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(*slot, bd[offset + i]);
-        }
-    };
-    if par::should_parallelize(data.len(), par::PAR_MIN_ELEMS) {
-        par::fill_chunks(data, fill);
-    } else {
-        fill(0, data);
-    }
-    Ok(a)
-}
-
 /// Applies `f` element-wise to a single tensor (chunk-parallel under the
 /// threaded backend).
 pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
@@ -1243,15 +1191,6 @@ mod tests {
         for (f, l) in fused.data().iter().zip(via_log.data()) {
             assert!((f - l).abs() < 1e-6, "fused {f} vs log-path {l}");
         }
-    }
-
-    #[test]
-    fn inplace_variants_match_out_of_place() {
-        let a = t(&[1.0, -2.0, 3.0, -4.0], &[2, 2]);
-        let b = t(&[0.5, 0.5, 2.0, 2.0], &[2, 2]);
-        assert_eq!(map_inplace(a.clone(), |x| x * 2.0), map(&a, |x| x * 2.0));
-        assert_eq!(zip_inplace(a.clone(), &b, |x, y| x * y).unwrap(), mul(&a, &b).unwrap());
-        assert!(zip_inplace(a, &t(&[1.0], &[1]), |x, _| x).is_err());
     }
 
     #[test]
