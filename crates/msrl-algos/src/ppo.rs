@@ -161,7 +161,11 @@ impl PpoPolicy {
     /// [`PpoPolicy::act`], optionally over a pre-packed weight snapshot
     /// (the batched-rollout fast path). The packed forward replays the
     /// same fused per-layer arithmetic, so both paths are bit-identical.
-    fn act_with(
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on malformed observations.
+    pub fn act_with(
         &self,
         obs: &Tensor,
         rng: &mut StdRng,
@@ -186,12 +190,34 @@ impl PpoPolicy {
         obs: &Tensor,
         packed: Option<&PackedPpo>,
     ) -> Result<(Tensor, Tensor)> {
-        let (out, values) = match packed {
-            Some(p) => (p.actor.infer(obs)?, p.critic.infer(obs)?),
-            None => (self.actor.infer(obs)?, self.critic.infer(obs)?),
+        Ok((self.head_with(obs, packed)?, self.values_with(obs, packed)?))
+    }
+
+    /// The actor head of [`PpoPolicy::forward_with`] alone: what sampling
+    /// needs. A seat that acts for remote environments runs only this
+    /// before it sends the actions, and the critic after.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on malformed observations.
+    pub fn head_with(&self, obs: &Tensor, packed: Option<&PackedPpo>) -> Result<Tensor> {
+        Ok(match packed {
+            Some(p) => p.actor.infer(obs)?,
+            None => self.actor.infer(obs)?,
+        })
+    }
+
+    /// The critic of [`PpoPolicy::forward_with`] alone, `[batch]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on malformed observations.
+    pub fn values_with(&self, obs: &Tensor, packed: Option<&PackedPpo>) -> Result<Tensor> {
+        let values = match packed {
+            Some(p) => p.critic.infer(obs)?,
+            None => self.critic.infer(obs)?,
         };
-        let batch = obs.shape()[0];
-        Ok((out, values.reshape(&[batch])?))
+        Ok(values.reshape(&[obs.shape()[0]])?)
     }
 
     /// The sampling half of [`PpoPolicy::act`]: builds the action
@@ -204,6 +230,17 @@ impl PpoPolicy {
     ///
     /// Returns an error on malformed head outputs.
     pub fn sample_from(&self, out: &Tensor, values: Tensor, rng: &mut StdRng) -> Result<ActOutput> {
+        Ok(ActOutput { values: Some(values), ..self.sample(out, rng)? })
+    }
+
+    /// [`PpoPolicy::sample_from`] without the critic: actions and their
+    /// log-probabilities, `values` left `None` for whoever computes
+    /// them later.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on malformed head outputs.
+    pub fn sample(&self, out: &Tensor, rng: &mut StdRng) -> Result<ActOutput> {
         let batch = out.shape()[0];
         if self.discrete {
             let dist = Categorical::from_logits(out)?;
@@ -211,12 +248,12 @@ impl PpoPolicy {
             let log_probs = dist.log_prob(&actions)?;
             let actions_t =
                 Tensor::from_vec(actions.iter().map(|&a| a as f32).collect(), &[batch])?;
-            Ok(ActOutput { actions: actions_t, log_probs, values: Some(values) })
+            Ok(ActOutput { actions: actions_t, log_probs, values: None })
         } else {
             let dist = DiagGaussian::new(out.clone(), self.log_std.clone())?;
             let actions = dist.sample(rng);
             let log_probs = dist.log_prob(&actions)?;
-            Ok(ActOutput { actions, log_probs, values: Some(values) })
+            Ok(ActOutput { actions, log_probs, values: None })
         }
     }
 
@@ -226,8 +263,7 @@ impl PpoPolicy {
     ///
     /// Returns an error on malformed observations.
     pub fn values(&self, obs: &Tensor) -> Result<Tensor> {
-        let v = self.critic.infer(obs)?;
-        Ok(v.reshape(&[obs.shape()[0]])?)
+        self.values_with(obs, None)
     }
 }
 
@@ -244,58 +280,107 @@ impl PackedPpo {
     pub fn pack(p: &PpoPolicy) -> Self {
         PackedPpo { actor: p.actor.pack(), critic: p.critic.pack() }
     }
+
+    /// Re-packs `p`'s current weights into this snapshot's panels, in
+    /// place ([`PackedMlp::repack`]).
+    pub fn repack(&mut self, p: &PpoPolicy) {
+        self.actor.repack(&p.actor);
+        self.critic.repack(&p.critic);
+    }
+}
+
+/// The weights a seat acts with: a [`PackedPpo`] of its policy, packed
+/// on first use and, after every weight change the seat reports with
+/// [`ActingSnapshot::invalidate`], re-packed in place — the same panels
+/// for the whole run, one pack per layer per weight version. Every
+/// rollout forward of a version is then a panel sweep: the small
+/// per-step batches (`[16, 64] · [64, 64]` is below
+/// `msrl_tensor::ops::PACK_MIN_FLOPS`) stop running the unpacked row
+/// kernel, and the tall ones stop packing per call. The packed forward
+/// is the fused kernel, so with fusion off (the bitwise reference, see
+/// `msrl_tensor::par::with_fusion`) there is no snapshot and the seat
+/// forwards through the separate operators instead; outputs are
+/// bit-identical either way.
+#[derive(Default)]
+pub struct ActingSnapshot {
+    packed: Option<PackedPpo>,
+    fresh: bool,
+    generation: u64,
+}
+
+impl ActingSnapshot {
+    /// The snapshot of `policy`'s weights, re-packed first if they
+    /// changed since; `None` with fusion off.
+    pub fn of(&mut self, policy: &PpoPolicy) -> Option<&PackedPpo> {
+        if !msrl_tensor::par::fusion_enabled() {
+            return None;
+        }
+        if !self.fresh {
+            match &mut self.packed {
+                Some(packed) => packed.repack(policy),
+                None => self.packed = Some(PackedPpo::pack(policy)),
+            }
+            self.fresh = true;
+            self.generation += 1;
+        }
+        self.packed.as_ref()
+    }
+
+    /// The weights changed: the next [`ActingSnapshot::of`] re-packs.
+    pub fn invalidate(&mut self) {
+        self.fresh = false;
+    }
+
+    /// Whether the snapshot holds the current weights.
+    pub fn is_fresh(&self) -> bool {
+        self.fresh
+    }
+
+    /// How many weight versions have been packed.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
 }
 
 /// The data-collection half of PPO (`Actor.act()` in the paper's API).
 ///
-/// The actor lazily packs its policy weights once per weight version
-/// and runs every rollout forward of the iteration as a single panel
-/// sweep over the shared packed panels — the per-step observation batch
-/// (`[envs, obs]` rows collected by the rollout) stops paying
-/// per-forward dispatch and packing. [`Actor::set_policy_params`]
-/// invalidates the snapshot, so a weight sync triggers exactly one
-/// repack. The packed forward is the fused kernel, so with fusion off
-/// (the bitwise reference, see `msrl_tensor::par::with_fusion`) the
-/// actor forwards through the separate operators instead; outputs are
-/// bit-identical either way.
+/// The actor acts through an [`ActingSnapshot`] of its policy: packed
+/// once per weight version, every rollout forward of the iteration a
+/// single panel sweep over the shared packed panels — the per-step
+/// observation batch (`[envs, obs]` rows collected by the rollout) stops
+/// paying per-forward dispatch and packing.
+/// [`Actor::set_policy_params`] invalidates the snapshot, so a weight
+/// sync triggers exactly one repack.
 pub struct PpoActor {
     /// The (replicated) policy.
     pub policy: PpoPolicy,
     rng: StdRng,
-    packed: Option<PackedPpo>,
-    pack_generation: u64,
+    snapshot: ActingSnapshot,
 }
 
 impl PpoActor {
     /// Creates an actor over a policy replica.
     pub fn new(policy: PpoPolicy, seed: u64) -> Self {
-        PpoActor { policy, rng: StdRng::seed_from_u64(seed), packed: None, pack_generation: 0 }
+        PpoActor { policy, rng: StdRng::seed_from_u64(seed), snapshot: ActingSnapshot::default() }
     }
 
     /// How many packed snapshots this actor has built (test hook: the
     /// process-wide `tensor.pack_b` counter also moves when a sibling
     /// thread packs).
     pub fn pack_generation(&self) -> u64 {
-        self.pack_generation
+        self.snapshot.generation()
     }
 
-    /// Whether the batched-rollout packed snapshot is currently built
-    /// (test hook for the tier accounting).
+    /// Whether the batched-rollout packed snapshot holds the current
+    /// weights (test hook for the tier accounting).
     pub fn has_packed_weights(&self) -> bool {
-        self.packed.is_some()
+        self.snapshot.is_fresh()
     }
 }
 
 impl Actor for PpoActor {
     fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
-        let packed = if msrl_tensor::par::fusion_enabled() {
-            Some(&*self.packed.get_or_insert_with(|| {
-                self.pack_generation += 1;
-                PackedPpo::pack(&self.policy)
-            }))
-        } else {
-            None
-        };
+        let packed = self.snapshot.of(&self.policy);
         self.policy.act_with(obs, &mut self.rng, packed)
     }
 
@@ -309,13 +394,13 @@ impl Actor for PpoActor {
         // packed snapshot — repacking is the expensive half of the
         // batched fast path, and the partial-update path can deliver
         // the same version more than once.
-        if self.packed.is_some()
+        if self.snapshot.is_fresh()
             && flat.len() == self.policy.num_params()
             && self.policy.flatten() == flat
         {
             return Ok(());
         }
-        self.packed = None;
+        self.snapshot.invalidate();
         self.policy.unflatten(flat)
     }
 }
@@ -838,16 +923,30 @@ mod tests {
         assert_eq!(on.log_probs.data(), off.log_probs.data());
         assert_eq!(on.values.unwrap().data(), off.values.unwrap().data());
         // A weight sync carrying *new* weights invalidates the
-        // snapshot; the next act repacks.
+        // snapshot; the next act repacks, in place, every weight and bias
+        // of both heads: it acts as a policy built on those weights does.
         let mut actor = PpoActor::new(policy.clone(), 9);
         actor.act(&obs).unwrap();
         assert!(actor.has_packed_weights());
-        let mut flat = actor.policy_params();
-        flat[0] += 0.125;
+        let flat: Vec<f32> = actor
+            .policy_params()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.01 * (i % 7) as f32)
+            .collect();
         actor.set_policy_params(&flat).unwrap();
         assert!(!actor.has_packed_weights(), "sync must drop the snapshot");
-        actor.act(&obs).unwrap();
+        let repacked = actor.act(&obs).unwrap();
         assert!(actor.has_packed_weights(), "next act must repack");
+        assert_eq!(actor.pack_generation(), 2);
+        let mut synced = policy.clone();
+        synced.unflatten(&flat).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        synced.act(&obs, &mut rng).unwrap();
+        let expect = synced.act(&obs, &mut rng).unwrap();
+        assert_eq!(repacked.actions.data(), expect.actions.data());
+        assert_eq!(repacked.log_probs.data(), expect.log_probs.data());
+        assert_eq!(repacked.values.unwrap().data(), expect.values.unwrap().data());
     }
 
     /// The partial-update gap: a sync that delivers the *identical*

@@ -5,11 +5,10 @@
 //! PPO demonstrably solves, validating real end-to-end execution of
 //! fragmented dataflow graphs.
 
-use msrl_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::spec::{Action, ActionSpec, Step};
+use crate::spec::{Action, ActionSpec};
 use crate::Environment;
 
 const GRAVITY: f32 = 9.8;
@@ -56,9 +55,8 @@ impl CartPole {
         self
     }
 
-    fn obs(&self) -> Tensor {
-        Tensor::from_vec(vec![self.x, self.x_dot, self.theta, self.theta_dot], &[4])
-            .expect("fixed length")
+    fn write_obs(&self, obs: &mut [f32]) {
+        obs.copy_from_slice(&[self.x, self.x_dot, self.theta, self.theta_dot]);
     }
 
     fn failed(&self) -> bool {
@@ -75,16 +73,16 @@ impl Environment for CartPole {
         ActionSpec::Discrete { n: 2 }
     }
 
-    fn reset(&mut self) -> Tensor {
+    fn reset_into(&mut self, obs: &mut [f32]) {
         self.x = self.rng.gen_range(-0.05..0.05);
         self.x_dot = self.rng.gen_range(-0.05..0.05);
         self.theta = self.rng.gen_range(-0.05..0.05);
         self.theta_dot = self.rng.gen_range(-0.05..0.05);
         self.steps = 0;
-        self.obs()
+        self.write_obs(obs);
     }
 
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
         let force = match action.as_discrete() {
             Some(1) => FORCE_MAG,
             _ => -FORCE_MAG,
@@ -100,8 +98,8 @@ impl Environment for CartPole {
         self.theta += DT * self.theta_dot;
         self.theta_dot += DT * theta_acc;
         self.steps += 1;
-        let done = self.failed() || self.steps >= self.horizon;
-        Step { obs: self.obs(), reward: 1.0, done }
+        self.write_obs(obs);
+        (1.0, self.failed() || self.steps >= self.horizon)
     }
 
     fn horizon(&self) -> usize {

@@ -5,9 +5,7 @@
 //! and replay-buffer plumbing, where floating-point physics would blur
 //! expected values.
 
-use msrl_tensor::Tensor;
-
-use crate::spec::{Action, ActionSpec, Step};
+use crate::spec::{Action, ActionSpec};
 use crate::Environment;
 
 /// An `n × n` grid. The agent starts at the top-left corner `(0, 0)` and
@@ -39,11 +37,9 @@ impl GridWorld {
         self.row == self.n - 1 && self.col == self.n - 1
     }
 
-    fn obs(&self) -> Tensor {
-        let mut v = vec![0.0; self.n * self.n];
-        v[self.row * self.n + self.col] = 1.0;
-        let len = v.len();
-        Tensor::from_vec(v, &[len]).expect("length matches")
+    fn write_obs(&self, obs: &mut [f32]) {
+        obs.fill(0.0);
+        obs[self.row * self.n + self.col] = 1.0;
     }
 }
 
@@ -56,14 +52,14 @@ impl Environment for GridWorld {
         ActionSpec::Discrete { n: 4 }
     }
 
-    fn reset(&mut self) -> Tensor {
+    fn reset_into(&mut self, obs: &mut [f32]) {
         self.row = 0;
         self.col = 0;
         self.steps = 0;
-        self.obs()
+        self.write_obs(obs);
     }
 
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
         match action.as_discrete() {
             Some(0) => self.row = self.row.saturating_sub(1),
             Some(1) => self.row = (self.row + 1).min(self.n - 1),
@@ -72,9 +68,9 @@ impl Environment for GridWorld {
             _ => {}
         }
         self.steps += 1;
-        let done = self.at_goal() || self.steps >= self.horizon;
+        self.write_obs(obs);
         let reward = if self.at_goal() { 10.0 } else { -1.0 };
-        Step { obs: self.obs(), reward, done }
+        (reward, self.at_goal() || self.steps >= self.horizon)
     }
 
     fn horizon(&self) -> usize {

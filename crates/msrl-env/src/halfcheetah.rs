@@ -20,11 +20,10 @@
 //! the cluster simulator can model MuJoCo-class "expensive environments"
 //! (the paper measures up to 98% of PPO time in environment execution).
 
-use msrl_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::spec::{Action, ActionSpec, Step};
+use crate::spec::{Action, ActionSpec};
 use crate::Environment;
 
 /// Number of actuated joints.
@@ -105,16 +104,11 @@ impl HalfCheetah {
         self.vx
     }
 
-    fn obs(&self) -> Tensor {
-        let mut v = Vec::with_capacity(OBS_DIM);
-        v.push(self.z);
-        v.push(self.pitch);
-        v.extend_from_slice(&self.joint_pos);
-        v.push(self.vx);
-        v.push(self.vz);
-        v.push(self.pitch_vel);
-        v.extend_from_slice(&self.joint_vel);
-        Tensor::from_vec(v, &[OBS_DIM]).expect("fixed length")
+    fn write_obs(&self, obs: &mut [f32]) {
+        obs[..2].copy_from_slice(&[self.z, self.pitch]);
+        obs[2..8].copy_from_slice(&self.joint_pos);
+        obs[8..11].copy_from_slice(&[self.vx, self.vz, self.pitch_vel]);
+        obs[11..].copy_from_slice(&self.joint_vel);
     }
 }
 
@@ -127,7 +121,7 @@ impl Environment for HalfCheetah {
         ActionSpec::Continuous { dim: N_JOINTS, low: -1.0, high: 1.0 }
     }
 
-    fn reset(&mut self) -> Tensor {
+    fn reset_into(&mut self, obs: &mut [f32]) {
         for i in 0..N_JOINTS {
             self.joint_pos[i] = self.rng.gen_range(-0.1..0.1);
             self.joint_vel[i] = self.rng.gen_range(-0.1..0.1);
@@ -138,10 +132,10 @@ impl Environment for HalfCheetah {
         self.pitch = 0.0;
         self.pitch_vel = 0.0;
         self.steps = 0;
-        self.obs()
+        self.write_obs(obs);
     }
 
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
         let mut torque = [0.0f32; N_JOINTS];
         if let Some(t) = action.as_continuous() {
             for (i, slot) in torque.iter_mut().enumerate() {
@@ -173,7 +167,8 @@ impl Environment for HalfCheetah {
         self.pitch += self.pitch_vel * DT;
         self.steps += 1;
         let ctrl_cost: f32 = torque.iter().map(|t| t * t).sum::<f32>() * CTRL_COST;
-        Step { obs: self.obs(), reward: self.vx - ctrl_cost, done: self.steps >= self.horizon }
+        self.write_obs(obs);
+        (self.vx - ctrl_cost, self.steps >= self.horizon)
     }
 
     fn step_cost(&self) -> f64 {
@@ -188,6 +183,7 @@ impl Environment for HalfCheetah {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msrl_tensor::Tensor;
 
     fn torques(v: [f32; N_JOINTS]) -> Action {
         Action::Continuous(Tensor::from_vec(v.to_vec(), &[N_JOINTS]).unwrap())

@@ -29,6 +29,8 @@
 
 pub mod batched;
 pub mod cartpole;
+#[doc(hidden)]
+pub mod conformance;
 pub mod gridworld;
 pub mod halfcheetah;
 pub mod mpe;
@@ -45,7 +47,16 @@ use msrl_tensor::Tensor;
 ///
 /// Mirrors the Gym-style interface the paper's algorithm code assumes:
 /// `reset` yields an observation, `step` consumes an action and yields the
-/// next observation, a reward, and a terminal flag.
+/// next observation, a reward, and a terminal flag. An environment writes
+/// its observations into a slice the caller owns ([`reset_into`],
+/// [`step_into`]): a [`VecEnv`] hands each instance its row of one
+/// batched buffer. [`reset`] and [`step`] are the allocating spellings of
+/// the same two bodies.
+///
+/// [`reset_into`]: Environment::reset_into
+/// [`step_into`]: Environment::step_into
+/// [`reset`]: Environment::reset
+/// [`step`]: Environment::step
 pub trait Environment: Send {
     /// Dimensionality of the flat observation vector.
     fn obs_dim(&self) -> usize;
@@ -53,12 +64,31 @@ pub trait Environment: Send {
     /// The action specification (discrete arity or continuous bounds).
     fn action_spec(&self) -> ActionSpec;
 
+    /// Resets to an initial state and writes the first observation into
+    /// `obs` (`obs_dim` long, every element overwritten).
+    fn reset_into(&mut self, obs: &mut [f32]);
+
+    /// Advances one step, writes the next observation into `obs`
+    /// (`obs_dim` long, every element overwritten) and returns the
+    /// reward and whether the episode terminated with this step.
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool);
+
     /// Resets to an initial state and returns the first observation
     /// (`[obs_dim]`).
-    fn reset(&mut self) -> Tensor;
+    fn reset(&mut self) -> Tensor {
+        let dim = self.obs_dim();
+        let mut obs = vec![0.0; dim];
+        self.reset_into(&mut obs);
+        Tensor::from_vec(obs, &[dim]).expect("length is obs_dim")
+    }
 
     /// Advances one step.
-    fn step(&mut self, action: &Action) -> Step;
+    fn step(&mut self, action: &Action) -> Step {
+        let dim = self.obs_dim();
+        let mut obs = vec![0.0; dim];
+        let (reward, done) = self.step_into(action, &mut obs);
+        Step { obs: Tensor::from_vec(obs, &[dim]).expect("length is obs_dim"), reward, done }
+    }
 
     /// Virtual CPU-seconds a single step costs on one core — the cost
     /// model used by the discrete-event simulator. Defaults to a cheap

@@ -114,6 +114,7 @@ impl SimpleSpread {
                 }
             }
         }
+        debug_assert!(v.iter().all(|x| x.is_finite()), "agent {i}: non-finite observation {v:?}");
         let dim = self.obs_dim();
         Tensor::from_vec(v, &[dim]).expect("length matches obs_dim")
     }
@@ -170,6 +171,7 @@ impl MultiAgentEnvironment for SimpleSpread {
             actions.iter().map(|a| decode_action(a.as_discrete().unwrap_or(0))).collect();
         self.world.step(&forces);
         self.steps += 1;
+        msrl_telemetry::static_counter!("env.steps").add(self.n as u64);
         MultiStep {
             obs: (0..self.n).map(|i| self.agent_obs(i)).collect(),
             rewards: (0..self.n).map(|i| self.reward(i)).collect(),

@@ -143,6 +143,7 @@ impl SimpleTag {
                 v.extend_from_slice(&self.world.agents[run_idx].vel);
             }
         }
+        debug_assert!(v.iter().all(|x| x.is_finite()), "agent {i}: non-finite observation {v:?}");
         let dim = self.obs_dim();
         // Runners see one fewer "other runner velocity": pad to a
         // homogeneous width so policies can be shared.
@@ -193,6 +194,7 @@ impl MultiAgentEnvironment for SimpleTag {
             actions.iter().map(|a| decode_action(a.as_discrete().unwrap_or(0))).collect();
         self.world.step(&forces);
         self.steps += 1;
+        msrl_telemetry::static_counter!("env.steps").add(self.n_agents() as u64);
         MultiStep {
             obs: (0..self.n_agents()).map(|i| self.agent_obs(i)).collect(),
             rewards: (0..self.n_agents()).map(|i| self.reward(i)).collect(),

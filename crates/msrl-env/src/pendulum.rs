@@ -4,11 +4,10 @@
 //! The smallest continuous-control environment in the crate; used to test
 //! the diagonal-Gaussian policy path end to end.
 
-use msrl_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::spec::{Action, ActionSpec, Step};
+use crate::spec::{Action, ActionSpec};
 use crate::Environment;
 
 const MAX_SPEED: f32 = 8.0;
@@ -42,9 +41,8 @@ impl Pendulum {
         }
     }
 
-    fn obs(&self) -> Tensor {
-        Tensor::from_vec(vec![self.theta.cos(), self.theta.sin(), self.theta_dot], &[3])
-            .expect("fixed length")
+    fn write_obs(&self, obs: &mut [f32]) {
+        obs.copy_from_slice(&[self.theta.cos(), self.theta.sin(), self.theta_dot]);
     }
 }
 
@@ -62,14 +60,14 @@ impl Environment for Pendulum {
         ActionSpec::Continuous { dim: 1, low: -MAX_TORQUE, high: MAX_TORQUE }
     }
 
-    fn reset(&mut self) -> Tensor {
+    fn reset_into(&mut self, obs: &mut [f32]) {
         self.theta = self.rng.gen_range(-std::f32::consts::PI..std::f32::consts::PI);
         self.theta_dot = self.rng.gen_range(-1.0..1.0);
         self.steps = 0;
-        self.obs()
+        self.write_obs(obs);
     }
 
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
         let torque = action
             .as_continuous()
             .and_then(|t| t.data().first().copied())
@@ -81,7 +79,8 @@ impl Environment for Pendulum {
         self.theta_dot = self.theta_dot.clamp(-MAX_SPEED, MAX_SPEED);
         self.theta += self.theta_dot * DT;
         self.steps += 1;
-        Step { obs: self.obs(), reward: -cost, done: self.steps >= self.horizon }
+        self.write_obs(obs);
+        (-cost, self.steps >= self.horizon)
     }
 
     fn horizon(&self) -> usize {
@@ -92,6 +91,7 @@ impl Environment for Pendulum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msrl_tensor::Tensor;
 
     #[test]
     fn observation_is_on_unit_circle() {

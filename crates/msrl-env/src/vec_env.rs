@@ -13,7 +13,7 @@
 //! per-instance trajectories, auto-reset behaviour, and the order of
 //! [`VecEnv::take_finished_returns`] are all preserved.
 
-use msrl_tensor::{ops, par, Tensor};
+use msrl_tensor::{alloc, par, Tensor};
 
 use crate::spec::{Action, ActionSpec};
 use crate::Environment;
@@ -100,40 +100,40 @@ impl VecEnv {
         self.envs.iter().map(|e| e.step_cost()).sum()
     }
 
-    /// Resets every instance; returns `[n, obs_dim]`.
+    /// Resets every instance; returns `[n, obs_dim]`, each instance's
+    /// observation written straight into its row of one pool-drawn
+    /// buffer.
     ///
     /// Large sets reset block by block on free cores under the threaded
     /// backend; each instance's RNG is its own, so results match the
     /// serial order.
     pub fn reset(&mut self) -> Tensor {
         let _span = msrl_telemetry::span!("env.vec_reset");
-        for r in &mut self.returns {
-            *r = 0.0;
-        }
-        let obs: Vec<Tensor> = if par::should_parallelize(self.envs.len(), PAR_MIN_ENVS) {
-            let len = chunk_len(self.envs.len());
-            par::map_each(self.envs.chunks_mut(len).collect(), |chunk| {
-                chunk.iter_mut().map(|e| e.reset()).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        self.returns.fill(0.0);
+        let (n, d) = (self.envs.len(), self.obs_dim);
+        let mut obs = alloc::take_for_overwrite(n * d);
+        if par::should_parallelize(n, PAR_MIN_ENVS) {
+            let len = chunk_len(n);
+            let blocks = self.envs.chunks_mut(len).zip(obs.chunks_mut(len * d)).collect();
+            par::map_each(blocks, |(envs, rows)| reset_rows(envs, rows));
         } else {
-            self.envs.iter_mut().map(|e| e.reset()).collect()
-        };
-        let refs: Vec<&Tensor> = obs.iter().collect();
-        ops::stack(&refs).expect("homogeneous obs dims")
+            reset_rows(&mut self.envs, &mut obs);
+        }
+        Tensor::from_vec(obs, &[n, d]).expect("volume matches")
     }
 
     /// Steps every instance with its action; finished instances are
     /// reset, and their observation in the result is the fresh reset.
+    /// Every instance writes its observation into its row of one
+    /// pool-drawn `[n, obs_dim]` buffer: a caller done with
+    /// [`VecStep::obs`] can [`Tensor::recycle`] it for the next step.
     ///
     /// Large sets step block by block on free cores under the threaded
     /// backend: the instances split into contiguous blocks, one per
-    /// intra-op chunk, and the
-    /// per-block results merge back in instance order — trajectories,
-    /// rewards, and finished-episode bookkeeping are identical to the
-    /// serial schedule.
+    /// intra-op chunk, each writing its own rows of the outputs, and the
+    /// blocks' finished-episode returns merge back in instance order —
+    /// trajectories, rewards, and finished-episode bookkeeping are
+    /// identical to the serial schedule.
     ///
     /// # Panics
     ///
@@ -142,31 +142,45 @@ impl VecEnv {
     pub fn step(&mut self, actions: &[Action]) -> VecStep {
         let _span = msrl_telemetry::span!("env.vec_step");
         let _hist = msrl_telemetry::static_histogram!("env.vec_step").time();
-        let n = self.envs.len();
+        let (n, d) = (self.envs.len(), self.obs_dim);
         assert_eq!(actions.len(), n, "one action per instance");
         msrl_telemetry::static_counter!("env.steps").add(n as u64);
-        let parts: Vec<ChunkStep> = if par::should_parallelize(n, PAR_MIN_ENVS) {
+        let mut obs = alloc::take_for_overwrite(n * d);
+        let mut rewards = vec![0.0; n];
+        let mut dones = vec![false; n];
+        if par::should_parallelize(n, PAR_MIN_ENVS) {
             let len = chunk_len(n);
-            let chunks = (self.envs.chunks_mut(len).zip(self.returns.chunks_mut(len)))
-                .zip(actions.chunks(len))
+            let blocks = (self.envs.chunks_mut(len).zip(self.returns.chunks_mut(len)))
+                .zip(actions.chunks(len).zip(obs.chunks_mut(len * d)))
+                .zip(rewards.chunks_mut(len).zip(dones.chunks_mut(len)))
+                .map(|(((envs, returns), (actions, obs)), (rewards, dones))| Block {
+                    envs,
+                    returns,
+                    actions,
+                    obs,
+                    rewards,
+                    dones,
+                })
                 .collect();
-            par::map_each(chunks, |((e, r), a)| step_chunk(e, r, a))
+            let finished = par::map_each(blocks, |block| {
+                let mut finished = Vec::new();
+                block.step(&mut finished);
+                finished
+            });
+            self.finished_returns.extend(finished.into_iter().flatten());
         } else {
-            vec![step_chunk(&mut self.envs, &mut self.returns, actions)]
-        };
-
-        let mut obs = Vec::with_capacity(n);
-        let mut rewards = Vec::with_capacity(n);
-        let mut dones = Vec::with_capacity(n);
-        for part in parts {
-            obs.extend(part.obs);
-            rewards.extend(part.rewards);
-            dones.extend(part.dones);
-            self.finished_returns.extend(part.finished);
+            let block = Block {
+                envs: &mut self.envs,
+                returns: &mut self.returns,
+                actions,
+                obs: &mut obs,
+                rewards: &mut rewards,
+                dones: &mut dones,
+            };
+            block.step(&mut self.finished_returns);
         }
-        let refs: Vec<&Tensor> = obs.iter().collect();
         VecStep {
-            obs: ops::stack(&refs).expect("homogeneous obs dims"),
+            obs: Tensor::from_vec(obs, &[n, d]).expect("volume matches"),
             rewards: Tensor::from_vec(rewards, &[n]).expect("length matches"),
             dones,
         }
@@ -178,42 +192,44 @@ impl VecEnv {
     }
 }
 
-/// Per-worker results of stepping a contiguous block of instances.
-struct ChunkStep {
-    obs: Vec<Tensor>,
-    rewards: Vec<f32>,
-    dones: Vec<bool>,
-    /// Completed-episode returns, in instance order within the block.
-    finished: Vec<f32>,
+/// Resets a contiguous block of instances into their rows of `obs`.
+fn reset_rows(envs: &mut [Box<dyn Environment>], obs: &mut [f32]) {
+    let d = obs.len() / envs.len();
+    for (env, row) in envs.iter_mut().zip(obs.chunks_exact_mut(d)) {
+        env.reset_into(row);
+    }
 }
 
-/// Steps one contiguous block of instances — the unit of work shared by
-/// the serial and threaded schedules, so both produce identical results.
-fn step_chunk(
-    envs: &mut [Box<dyn Environment>],
-    returns: &mut [f32],
-    actions: &[Action],
-) -> ChunkStep {
-    let mut out = ChunkStep {
-        obs: Vec::with_capacity(envs.len()),
-        rewards: Vec::with_capacity(envs.len()),
-        dones: Vec::with_capacity(envs.len()),
-        finished: Vec::new(),
-    };
-    for ((env, ret), action) in envs.iter_mut().zip(returns).zip(actions) {
-        let step = env.step(action);
-        *ret += step.reward;
-        out.rewards.push(step.reward);
-        out.dones.push(step.done);
-        if step.done {
-            out.finished.push(*ret);
-            *ret = 0.0;
-            out.obs.push(env.reset());
-        } else {
-            out.obs.push(step.obs);
+/// A contiguous block of instances and its rows of a step's outputs —
+/// the unit of work shared by the serial and threaded schedules, so
+/// both produce identical results.
+struct Block<'a> {
+    envs: &'a mut [Box<dyn Environment>],
+    returns: &'a mut [f32],
+    actions: &'a [Action],
+    obs: &'a mut [f32],
+    rewards: &'a mut [f32],
+    dones: &'a mut [bool],
+}
+
+impl Block<'_> {
+    /// Steps every instance of the block, resetting the ones whose
+    /// episode ended, and appends their episode returns to `finished`
+    /// in instance order.
+    fn step(self, finished: &mut Vec<f32>) {
+        let d = self.obs.len() / self.envs.len();
+        for (i, (env, row)) in self.envs.iter_mut().zip(self.obs.chunks_exact_mut(d)).enumerate() {
+            let (reward, done) = env.step_into(&self.actions[i], row);
+            self.returns[i] += reward;
+            self.rewards[i] = reward;
+            self.dones[i] = done;
+            if done {
+                finished.push(self.returns[i]);
+                self.returns[i] = 0.0;
+                env.reset_into(row);
+            }
         }
     }
-    out
 }
 
 /// Length of the contiguous blocks `n` instances split into, one block

@@ -6,8 +6,11 @@
 
 use msrl_env::batched::{BatchedEnv, BatchedTag};
 use msrl_env::cartpole::CartPole;
+use msrl_env::conformance::assert_in_place_matches_wrappers;
+use msrl_env::gridworld::GridWorld;
 use msrl_env::halfcheetah::HalfCheetah;
 use msrl_env::mpe::{decode_action, Body, SimpleSpread, World};
+use msrl_env::pendulum::Pendulum;
 use msrl_env::spec::Action;
 use msrl_env::{Environment, MultiAgentEnvironment};
 use msrl_tensor::Tensor;
@@ -129,4 +132,15 @@ proptest! {
         // it is, in both cases.
         prop_assert_eq!(run(1), run(4));
     }
+}
+
+/// Each environment's in-place bodies write every observation element
+/// and step, reset and auto-reset as the allocating wrappers do, alone
+/// and inside a `VecEnv` on either schedule.
+#[test]
+fn in_place_bodies_match_the_allocating_wrappers() {
+    assert_in_place_matches_wrappers(|i| CartPole::new(i as u64).with_horizon(7), 5, 30);
+    assert_in_place_matches_wrappers(|i| Pendulum::new(i as u64), 3, 205);
+    assert_in_place_matches_wrappers(|_| GridWorld::new(3), 4, 40);
+    assert_in_place_matches_wrappers(|i| HalfCheetah::new(i as u64).with_horizon(6), 9, 20);
 }

@@ -23,14 +23,15 @@
 //! Weight sync is versioned by content: [`ActServer::sync_weights`]
 //! applies a flat vector only when it differs from the cached weights,
 //! so the p replicated actors of DP-A delivering the same broadcast
-//! trigger exactly one unflatten + repack.
+//! trigger exactly one unflatten + repack, in place
+//! ([`ActingSnapshot`]).
 //!
 //! Telemetry: `actsrv.batches` / `actsrv.rows` counters and the
 //! `actsrv.batch_rows` histogram record every leader forward.
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use msrl_algos::ppo::{PackedPpo, PpoPolicy};
+use msrl_algos::ppo::{ActingSnapshot, PpoPolicy};
 use msrl_core::api::{ActOutput, Actor};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::Tensor;
@@ -42,7 +43,7 @@ struct Round {
     policy: PpoPolicy,
     /// Cached flat weights — the content-version for sync skipping.
     flat: Vec<f32>,
-    packed: Option<PackedPpo>,
+    snapshot: ActingSnapshot,
     /// Per-client observation rows submitted this round.
     pending: Vec<Option<Tensor>>,
     arrived: usize,
@@ -70,7 +71,7 @@ impl ActServer {
             state: Mutex::new(Round {
                 policy,
                 flat,
-                packed: None,
+                snapshot: ActingSnapshot::default(),
                 pending: (0..clients).map(|_| None).collect(),
                 arrived: 0,
                 results: (0..clients).map(|_| None).collect(),
@@ -131,13 +132,7 @@ impl ActServer {
             rows.extend_from_slice(t.data());
         }
         let big = Tensor::from_vec(rows, &[total, obs_dim])?;
-        // Same gate as PpoActor: the packed forward is the fused kernel,
-        // so the unfused reference forwards through separate operators.
-        let packed = if msrl_tensor::par::fusion_enabled() {
-            Some(&*st.packed.get_or_insert_with(|| PackedPpo::pack(&st.policy)))
-        } else {
-            None
-        };
+        let packed = st.snapshot.of(&st.policy);
         let (out, values) = st.policy.forward_with(&big, packed)?;
         msrl_telemetry::static_counter!("actsrv.batches").add(1);
         msrl_telemetry::static_counter!("actsrv.rows").add(total as u64);
@@ -176,7 +171,7 @@ impl ActServer {
         }
         st.policy.unflatten(flat)?;
         st.flat = flat.to_vec();
-        st.packed = None;
+        st.snapshot.invalidate();
         Ok(())
     }
 
@@ -185,9 +180,10 @@ impl ActServer {
         self.state.lock().expect("act server lock").flat.clone()
     }
 
-    /// Whether the packed panel snapshot is currently built (test hook).
+    /// Whether the packed panel snapshot holds the current weights (test
+    /// hook).
     pub fn has_packed_weights(&self) -> bool {
-        self.state.lock().expect("act server lock").packed.is_some()
+        self.state.lock().expect("act server lock").snapshot.is_fresh()
     }
 
     fn depart(&self) {
@@ -297,7 +293,7 @@ mod tests {
             let mut changed = flat;
             changed[0] += 1.0;
             a.set_policy_params(&changed).unwrap();
-            assert!(!srv.has_packed_weights(), "new weights drop the panels");
+            assert!(!srv.has_packed_weights(), "new weights stale the panels");
         });
     }
 

@@ -8,14 +8,14 @@ use std::sync::Arc;
 
 use msrl_algos::a3c::A3cWorker;
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
-use msrl_algos::ppo::{PpoActor, PpoLearner};
+use msrl_algos::ppo::{ActingSnapshot, PpoActor, PpoLearner};
 use msrl_algos::rollout::{collect, decode_actions};
 use msrl_comm::{PendingRecv, COMM_CHUNK_ELEMS};
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::Result;
 use msrl_env::batched::BatchedEnv;
 use msrl_env::{Action, MultiAgentEnvironment, VecEnv};
-use msrl_tensor::{ops, Tensor};
+use msrl_tensor::{Tensor, TensorError};
 
 use super::runner::{learn, rollout, Frame};
 use super::{DistPpoConfig, DpDConfig, DpEConfig};
@@ -149,6 +149,14 @@ pub(super) fn gather_learner(f: &mut Frame, dist: &DistPpoConfig) -> Result<()> 
 // with `rewards ++ dones ++ next_obs`, whose `next_obs` the next step
 // acts on. No trajectory and no weights ever travel; the price is a
 // round trip per step.
+//
+// The round trip waits only on what the actions need: the learner runs
+// the policy head over a packed snapshot of the iteration's weights,
+// samples and sends. The critic over the same rows, which only GAE
+// reads, and the recording of the previous step's transitions run while
+// the actors step their environments. Rows are independent and the
+// draws keep their order, so the buffers hold what acting, valuing and
+// recording one step at a time would put there.
 
 /// The actor seat: environments only.
 pub(super) fn step_actor(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) -> Result<()> {
@@ -167,9 +175,11 @@ pub(super) fn step_actor(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) 
                     Tensor::from_vec(wire, &[n, spec.policy_width()])
                 }?;
                 let step = envs.step(&decode_actions(&actions, spec));
-                let mut fb = step.rewards.data().to_vec();
+                let mut fb = Vec::with_capacity(2 * n + step.obs.len());
+                fb.extend_from_slice(step.rewards.data());
                 fb.extend(step.dones.iter().map(|&d| if d { 1.0 } else { 0.0 }));
                 fb.extend_from_slice(step.obs.data());
+                step.obs.recycle();
                 f.ep.send(hub, fb)?;
             }
             Ok(f.ep.send(hub, envs.take_finished_returns())?)
@@ -183,43 +193,43 @@ pub(super) fn step_actor(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) 
 pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) -> Result<()> {
     let (p, n) = (f.workers, dist.envs_per_actor.max(1));
     let mut learner = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
+    let mut acting = ActingSnapshot::default();
     let mut rng = msrl_tensor::init::rng(dist.seed + 17);
     for _ in 0..dist.iterations {
         let mut buffers: Vec<TrajectoryBuffer> = (0..p).map(|_| TrajectoryBuffer::new()).collect();
         rollout(|| -> Result<()> {
-            // What each actor's next step acts on: its reset observations
-            // first, from then on the `next_obs` of its last feedback.
-            let mut per_actor_obs = Vec::with_capacity(p);
-            for rank in 0..p {
-                per_actor_obs.push(Tensor::from_vec(f.ep.recv(rank)?, &[n, obs_dim])?);
-            }
+            let (policy, packed) = (&learner.policy, acting.of(&learner.policy));
+            // What the next step acts on, every actor's rows in rank
+            // order: the reset observations first, from then on the
+            // `next_obs` of the last feedback.
+            let resets = recv_each(f)?;
+            let mut obs = stack_obs(&resets, 0, n, obs_dim)?;
+            // The last step, acted on and answered, not yet recorded.
+            let mut unrecorded: Option<Acted> = None;
             for _ in 0..dist.steps_per_iter {
-                let stacked = if p == 1 {
-                    per_actor_obs.pop().expect("one actor, one observation block")
-                } else {
-                    let refs: Vec<&Tensor> = per_actor_obs.iter().collect();
-                    ops::concat(&refs, 0)?
-                };
-                per_actor_obs.clear();
-                let out = learner.policy.act(&stacked, &mut rng)?;
-                let values = out.values.expect("PPO policy has a critic");
-                for (rank, block) in out.actions.data().chunks(out.actions.len() / p).enumerate() {
+                let head = policy.head_with(&obs, packed)?;
+                let act = policy.sample(&head, &mut rng)?;
+                head.recycle();
+                for (rank, block) in act.actions.data().chunks(act.actions.len() / p).enumerate() {
                     f.ep.send(rank, block.to_vec())?;
                 }
-                let mut stacked_rows = [stacked, out.actions, out.log_probs, values]
-                    .map(|t| actor_rows(t, p, n).into_iter());
-                for (rank, buffer) in buffers.iter_mut().enumerate() {
-                    let fb = f.ep.recv(rank)?;
-                    let rewards = Tensor::from_vec(fb[..n].to_vec(), &[n])?;
-                    let dones: Vec<bool> = fb[n..2 * n].iter().map(|&d| d > 0.5).collect();
-                    let next_obs = Tensor::from_vec(fb[2 * n..].to_vec(), &[n, obs_dim])?;
-                    per_actor_obs.push(next_obs.clone());
-                    let [obs, actions, log_probs, values] =
-                        stacked_rows.each_mut().map(|rows| rows.next().expect("a block per actor"));
-                    buffer.insert(step_batch(
-                        obs, actions, rewards, next_obs, dones, log_probs, values,
-                    ));
+                // In the shadow of the actors' env step.
+                let values = policy.values_with(&obs, packed)?;
+                if let Some(acted) = unrecorded.take() {
+                    record(&mut buffers, acted, obs_dim)?;
                 }
+                let feedback = recv_each(f)?;
+                let next_obs = stack_obs(&feedback, 2 * n, n, obs_dim)?;
+                unrecorded = Some(Acted {
+                    obs: std::mem::replace(&mut obs, next_obs),
+                    actions: act.actions,
+                    log_probs: act.log_probs,
+                    values,
+                    feedback,
+                });
+            }
+            if let Some(acted) = unrecorded {
+                record(&mut buffers, acted, obs_dim)?;
             }
             Ok(())
         })?;
@@ -229,6 +239,7 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
         }
         let batch = SampleBatch::concat(&batches)?;
         let loss = learn(|| learner.learn(&batch))?;
+        acting.invalidate();
         let mut finished = Vec::new();
         for rank in 0..p {
             finished.extend(f.ep.recv(rank)?);
@@ -240,17 +251,70 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
     Ok(())
 }
 
-/// Splits a tensor stacked over `p` actors into each actor's `n` rows
-/// (`[n]` when one column wide). A single actor's block is the tensor
-/// itself, moved.
-fn actor_rows(t: Tensor, p: usize, n: usize) -> Vec<Tensor> {
-    let w = t.len() / (p * n);
-    let dims: &[usize] = if w == 1 { &[n] } else { &[n, w] };
-    let block = |data: Vec<f32>| Tensor::from_vec(data, dims).expect("block keeps the width");
+/// One message from every worker seat, in rank order.
+fn recv_each(f: &Frame) -> Result<Vec<Vec<f32>>> {
+    Ok((0..f.workers).map(|rank| f.ep.recv(rank)).collect::<std::result::Result<_, _>>()?)
+}
+
+/// One step: what the learner acted on and what it drew, stacked over
+/// the actors, and each actor's feedback (`rewards ++ dones ++
+/// next_obs`, checked by [`stack_obs`]).
+struct Acted {
+    obs: Tensor,
+    actions: Tensor,
+    log_probs: Tensor,
+    values: Tensor,
+    feedback: Vec<Vec<f32>>,
+}
+
+/// The `[p·n, obs_dim]` observations in `messages` (one per actor, in
+/// rank order), each message's first `skip` values left out.
+///
+/// # Errors
+///
+/// A message whose observations are not `n × obs_dim` values.
+fn stack_obs(messages: &[Vec<f32>], skip: usize, n: usize, obs_dim: usize) -> Result<Tensor> {
+    let mut rows = Vec::with_capacity(messages.len() * n * obs_dim);
+    for m in messages {
+        let obs = m.get(skip..).unwrap_or_default();
+        if obs.len() != n * obs_dim {
+            let (expected, actual) = (skip + n * obs_dim, m.len());
+            return Err(TensorError::LengthMismatch { expected, actual }.into());
+        }
+        rows.extend_from_slice(obs);
+    }
+    Ok(Tensor::from_vec(rows, &[messages.len() * n, obs_dim])?)
+}
+
+/// Appends one step to each actor's buffer: its rows of what the learner
+/// acted on, and its feedback.
+fn record(buffers: &mut [TrajectoryBuffer], acted: Acted, obs_dim: usize) -> Result<()> {
+    let p = buffers.len();
+    let n = acted.obs.shape()[0] / p;
+    let mut rows = [acted.obs, acted.actions, acted.log_probs, acted.values]
+        .map(|t| actor_rows(t, p, n).into_iter());
+    for (buffer, fb) in buffers.iter_mut().zip(&acted.feedback) {
+        let [obs, actions, log_probs, values] =
+            rows.each_mut().map(|rows| rows.next().expect("a block per actor"));
+        let rewards = Tensor::from_vec(fb[..n].to_vec(), &[n])?;
+        let dones: Vec<bool> = fb[n..2 * n].iter().map(|&d| d > 0.5).collect();
+        let next_obs = Tensor::from_vec(fb[2 * n..].to_vec(), &[n, obs_dim])?;
+        buffer.insert(step_batch(obs, actions, rewards, next_obs, dones, log_probs, values));
+    }
+    Ok(())
+}
+
+/// Splits a tensor stacked over `p` actors into each actor's `n` rows,
+/// every block of the tensor's rank (a one-wide continuous action stays
+/// `[n, 1]`). A single actor's block is the tensor itself, moved.
+pub(super) fn actor_rows(t: Tensor, p: usize, n: usize) -> Vec<Tensor> {
+    let mut dims = t.shape().to_vec();
+    dims[0] = n;
+    let block = |data: Vec<f32>| Tensor::from_vec(data, &dims).expect("block keeps the width");
     if p == 1 {
         return vec![block(t.into_vec())];
     }
-    t.data().chunks(n * w).map(|rows| block(rows.to_vec())).collect()
+    t.data().chunks(t.len() / p).map(|rows| block(rows.to_vec())).collect()
 }
 
 // ── gradient all-reduce (DP-C) ─────────────────────────────────────────
@@ -314,15 +378,17 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
     cfg: &DpDConfig,
 ) -> Result<()> {
     let mut learner = PpoLearner::new(f.policy.clone(), cfg.ppo.clone());
+    let mut acting = ActingSnapshot::default();
     let mut rng = msrl_tensor::init::rng(cfg.seed + 100 + f.rank as u64);
     for _ in 0..cfg.episodes {
         let mut buf = TrajectoryBuffer::new();
         let mut total_reward = 0.0;
         let mut steps = 0usize;
         rollout(|| -> Result<()> {
+            let packed = acting.of(&learner.policy);
             let mut obs = env.reset();
             loop {
-                let out = learner.policy.act(&obs, &mut rng)?;
+                let out = learner.policy.act_with(&obs, &mut rng, packed)?;
                 let actions: Vec<usize> = out.actions.data().iter().map(|&a| a as usize).collect();
                 let step = env.step(&actions);
                 total_reward += step.rewards.data().iter().sum::<f32>();
@@ -353,6 +419,7 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
             let avg = f.ep.all_reduce_mean_chunked(learner.policy_params(), COMM_CHUNK_ELEMS)?;
             learner.set_policy_params(&avg)?;
         }
+        acting.invalidate();
         let mean = total_reward / (env.total_agents() * steps.max(1)) as f32;
         f.close(mean, Some(loss), learner.last_entropy(), Some(&learner))?;
     }
@@ -400,24 +467,32 @@ pub(super) fn env_agent(f: &mut Frame, cfg: &DpEConfig) -> Result<()> {
             learn(|| learner.learn(&batch))?;
         }
         let _s = msrl_telemetry::span!("phase.weight_sync");
-        let parts = f.ep.all_gather(learner.policy_params())?;
-        let mut avg = vec![0.0f32; parts[0].len()];
-        for part in &parts[..n] {
-            for (a, v) in avg.iter_mut().zip(part) {
-                *a += v;
-            }
-        }
-        for a in &mut avg {
-            *a /= n as f32;
-        }
+        let avg = shared_params(&f.ep.all_gather(learner.policy_params())?, n);
         learner.set_policy_params(&avg)?;
         actor.set_policy_params(&avg)?;
     }
     Ok(())
 }
 
+/// The parameters every agent continues from: the mean of the `n`
+/// agents' parts of an all-gather (the env worker's empty part last).
+fn shared_params(parts: &[Vec<f32>], n: usize) -> Vec<f32> {
+    let mut avg = vec![0.0f32; parts[0].len()];
+    for part in &parts[..n] {
+        for (a, v) in avg.iter_mut().zip(part) {
+            *a += v;
+        }
+    }
+    for a in &mut avg {
+        *a /= n as f32;
+    }
+    avg
+}
+
 /// The environment-worker seat. It sees every agent's reward, so it
-/// reports the run; losses and weights stay with the agents.
+/// reports the run; losses stay with the agents. It joins each
+/// episode's parameter all-gather, so its report's final weights are
+/// the shared ones every agent continues from.
 pub(super) fn env_worker<M: MultiAgentEnvironment>(
     f: &mut Frame,
     mut env: M,
@@ -457,7 +532,7 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
                 break;
             }
         }
-        f.ep.all_gather(Vec::new())?;
+        f.report.final_params = shared_params(&f.ep.all_gather(Vec::new())?, n);
         f.close(total / (n * steps.max(1)) as f32, None, None, None)?;
     }
     Ok(())

@@ -71,6 +71,30 @@ mod dp_a {
         /// An actor fragment that dies drops its endpoint; the learner
         /// blocked on it must come back with the typed comm error, not a
         /// `MissingKernel` string.
+        /// CartPole that claims `dim` observation columns.
+        struct Claims(usize, CartPole);
+
+        impl Environment for Claims {
+            fn obs_dim(&self) -> usize {
+                self.0
+            }
+            fn action_spec(&self) -> msrl_env::ActionSpec {
+                self.1.action_spec()
+            }
+            fn reset_into(&mut self, obs: &mut [f32]) {
+                self.1.reset_into(obs)
+            }
+            fn step_into(&mut self, action: &msrl_env::Action, obs: &mut [f32]) -> (f32, bool) {
+                self.1.step_into(action, obs)
+            }
+        }
+
+        #[test]
+        fn claims_steps_in_place_as_its_wrappers_do() {
+            let make = |i: usize| Claims(4, CartPole::new(i as u64).with_horizon(6));
+            msrl_env::conformance::assert_in_place_matches_wrappers(make, 3, 20);
+        }
+
         #[test]
         fn a_dropped_peer_surfaces_as_a_comm_error() {
             // A driver error leaves a flight-recorder dump; keep it out of
@@ -79,22 +103,6 @@ mod dp_a {
                 env!("CARGO_MANIFEST_DIR"),
                 "/../../target/flightrec-tests"
             ));
-            /// CartPole that claims `dim` observation columns.
-            struct Claims(usize, CartPole);
-            impl Environment for Claims {
-                fn obs_dim(&self) -> usize {
-                    self.0
-                }
-                fn action_spec(&self) -> msrl_env::ActionSpec {
-                    self.1.action_spec()
-                }
-                fn reset(&mut self) -> msrl_tensor::Tensor {
-                    self.1.reset()
-                }
-                fn step(&mut self, action: &msrl_env::Action) -> msrl_env::Step {
-                    self.1.step(action)
-                }
-            }
             // The probe (first call) sizes the policy for 5 columns; the
             // actor's real envs have 4, so its first forward is a shape
             // error and the fragment returns early.
@@ -136,7 +144,146 @@ mod dp_a {
 mod dp_b {
     mod tests {
         use super::super::*;
+        use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
+        use msrl_core::api::{Learner, SampleBatch};
         use msrl_env::cartpole::CartPole;
+        use msrl_env::pendulum::Pendulum;
+        use msrl_tensor::{ops, Tensor};
+
+        use super::super::runner::{learn, rollout, Frame};
+
+        /// The DP-B learner seat as it was before the critic and the
+        /// recording moved into the shadow of the actors' env step: act
+        /// with both heads on the plain modules, send, then wait for the
+        /// feedback and record the step, one step at a time.
+        fn act_then_record_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) -> Result<()> {
+            let (p, n) = (f.workers, dist.envs_per_actor.max(1));
+            let mut learner = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
+            let mut rng = msrl_tensor::init::rng(dist.seed + 17);
+            for _ in 0..dist.iterations {
+                let mut buffers: Vec<TrajectoryBuffer> =
+                    (0..p).map(|_| TrajectoryBuffer::new()).collect();
+                rollout(|| -> Result<()> {
+                    let mut per_actor_obs = Vec::with_capacity(p);
+                    for rank in 0..p {
+                        per_actor_obs.push(Tensor::from_vec(f.ep.recv(rank)?, &[n, obs_dim])?);
+                    }
+                    for _ in 0..dist.steps_per_iter {
+                        let stacked = if p == 1 {
+                            per_actor_obs.pop().expect("one actor, one observation block")
+                        } else {
+                            let refs: Vec<&Tensor> = per_actor_obs.iter().collect();
+                            ops::concat(&refs, 0)?
+                        };
+                        per_actor_obs.clear();
+                        let out = learner.policy.act(&stacked, &mut rng)?;
+                        let values = out.values.expect("PPO policy has a critic");
+                        let per = out.actions.len() / p;
+                        for (rank, block) in out.actions.data().chunks(per).enumerate() {
+                            f.ep.send(rank, block.to_vec())?;
+                        }
+                        let mut stacked_rows = [stacked, out.actions, out.log_probs, values]
+                            .map(|t| rules::actor_rows(t, p, n).into_iter());
+                        for (rank, buffer) in buffers.iter_mut().enumerate() {
+                            let fb = f.ep.recv(rank)?;
+                            let rewards = Tensor::from_vec(fb[..n].to_vec(), &[n])?;
+                            let dones: Vec<bool> = fb[n..2 * n].iter().map(|&d| d > 0.5).collect();
+                            let next_obs = Tensor::from_vec(fb[2 * n..].to_vec(), &[n, obs_dim])?;
+                            per_actor_obs.push(next_obs.clone());
+                            let [obs, actions, log_probs, values] = stacked_rows
+                                .each_mut()
+                                .map(|rows| rows.next().expect("a block per actor"));
+                            buffer.insert(step_batch(
+                                obs, actions, rewards, next_obs, dones, log_probs, values,
+                            ));
+                        }
+                    }
+                    Ok(())
+                })?;
+                let mut batches = Vec::with_capacity(p);
+                for buffer in &mut buffers {
+                    batches.push(buffer.drain_env_major()?);
+                }
+                let batch = SampleBatch::concat(&batches)?;
+                let loss = learn(|| learner.learn(&batch))?;
+                let mut finished = Vec::new();
+                for rank in 0..p {
+                    finished.extend(f.ep.recv(rank)?);
+                }
+                f.report.losses.push(loss);
+                f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
+            }
+            f.report.final_params = learner.policy_params();
+            Ok(())
+        }
+
+        /// `run_dp_b`, with the learner seat's body replaced by the
+        /// act-then-record reference.
+        fn reference_run<E, F>(make_env: F, dist: &DistPpoConfig) -> TrainingReport
+        where
+            E: Environment + 'static,
+            F: Fn(usize, usize) -> E + Send + Sync,
+        {
+            let probe = make_env(0, 0);
+            let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
+            let p = dist.actors.max(1);
+            let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion);
+            let envs = |w: usize| VecEnv::from_fn(dist.envs_per_actor.max(1), |i| make_env(w, i));
+            run(
+                &DP_B,
+                &setup,
+                |f| rules::step_actor(f, envs(f.rank), dist),
+                |f| act_then_record_learner(f, dist, obs_dim),
+            )
+            .unwrap()
+        }
+
+        /// The shipped DP-B round trip (a packed acting snapshot, the
+        /// critic and the recording in the shadow of the env step) trains
+        /// exactly what acting, valuing and recording one step at a time
+        /// trains: `p` actors × `n` environments each, CartPole and one
+        /// continuous case, weights, rewards and losses bit for bit.
+        #[test]
+        fn shadowed_round_trip_is_the_act_then_record_loop_bit_for_bit() {
+            let cart = |a: usize, i: usize| CartPole::new((a * 17 + i) as u64).with_horizon(20);
+            for (p, n) in [1, 2, 3].into_iter().flat_map(|p| [1, 3, 16].map(|n| (p, n))) {
+                let dist = DistPpoConfig {
+                    actors: p,
+                    envs_per_actor: n,
+                    steps_per_iter: 24,
+                    iterations: 3,
+                    hidden: vec![16, 16],
+                    seed: 40 + (p * n) as u64,
+                    fusion: true,
+                    ..DistPpoConfig::default()
+                };
+                let shipped = run_dp_b(cart, &dist).unwrap();
+                let reference = reference_run(cart, &dist);
+                let what = format!("{p} actors x {n} envs");
+                assert_eq!(bits(&shipped.final_params), bits(&reference.final_params), "{what}");
+                assert_eq!(bits(&shipped.iteration_rewards), bits(&reference.iteration_rewards));
+                assert_eq!(bits(&shipped.losses), bits(&reference.losses), "{what}");
+            }
+            let dist = DistPpoConfig {
+                actors: 2,
+                envs_per_actor: 3,
+                steps_per_iter: 24,
+                iterations: 3,
+                hidden: vec![16],
+                seed: 49,
+                fusion: true,
+                ..DistPpoConfig::default()
+            };
+            let pendulum = |a: usize, i: usize| Pendulum::new((a * 5 + i) as u64);
+            let shipped = run_dp_b(pendulum, &dist).unwrap();
+            let reference = reference_run(pendulum, &dist);
+            assert_eq!(bits(&shipped.final_params), bits(&reference.final_params), "pendulum");
+            assert_eq!(bits(&shipped.losses), bits(&reference.losses), "pendulum");
+        }
+
+        fn bits(values: &[f32]) -> Vec<u32> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
 
         #[test]
         fn dp_b_trains_cartpole_with_central_inference() {

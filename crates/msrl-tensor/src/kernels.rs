@@ -224,34 +224,57 @@ pub fn pack_bt(bd: &[f32], k: usize, n: usize) -> PackedB {
 /// the family a pack records, so only [`select`]'s answer (or, in tests,
 /// a family whose CPU feature was just detected) may be passed.
 fn pack_for(kernel: MatKernel, bd: &[f32], k: usize, n: usize, transposed: bool) -> PackedB {
-    assert!(bd.len() >= k * n, "pack: operand extents");
-    msrl_telemetry::static_counter!("tensor.pack_b").add(1);
     let nr = dispatch!(kernel, V => V::NR);
     // Zeroed, not merely pooled: the right-edge padding is multiplied.
-    let mut data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
-    for p in 0..n.div_ceil(nr) {
-        let j0 = p * nr;
-        let w = nr.min(n - j0);
-        let panel = &mut data[p * k * nr..(p + 1) * k * nr];
-        if transposed {
-            // A cache line of each source row at a time, so the block's
-            // panel rows stay in L1 while every column visits them.
-            for kk0 in (0..k).step_by(16) {
-                let kk1 = (kk0 + 16).min(k);
-                for c in 0..w {
-                    let col = &bd[(j0 + c) * k + kk0..(j0 + c) * k + kk1];
-                    for (row, &v) in panel[kk0 * nr..kk1 * nr].chunks_exact_mut(nr).zip(col) {
-                        row[c] = v;
+    let data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
+    let mut packed = PackedB { data, k, n, nr, kernel };
+    packed.fill(bd, transposed);
+    packed
+}
+
+impl PackedB {
+    /// Packs a new row-major `[k, n]` matrix of this pack's shape into
+    /// the panels it already holds: one copy of `b`, as [`pack_b`], and
+    /// no allocation. The right-edge padding keeps the zeros it was packed
+    /// with. What a snapshot packed once per weight version does when
+    /// the next version arrives.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bd` is shorter than `k × n`.
+    pub(crate) fn repack(&mut self, bd: &[f32]) {
+        self.fill(bd, false);
+    }
+
+    /// Writes every real element of the panels from `bd` (row-major
+    /// `[k, n]`, or `[n, k]` when `transposed`).
+    fn fill(&mut self, bd: &[f32], transposed: bool) {
+        let (k, n, nr) = (self.k, self.n, self.nr);
+        assert!(bd.len() >= k * n, "pack: operand extents");
+        msrl_telemetry::static_counter!("tensor.pack_b").add(1);
+        for p in 0..n.div_ceil(nr) {
+            let j0 = p * nr;
+            let w = nr.min(n - j0);
+            let panel = &mut self.data[p * k * nr..(p + 1) * k * nr];
+            if transposed {
+                // A cache line of each source row at a time, so the block's
+                // panel rows stay in L1 while every column visits them.
+                for kk0 in (0..k).step_by(16) {
+                    let kk1 = (kk0 + 16).min(k);
+                    for c in 0..w {
+                        let col = &bd[(j0 + c) * k + kk0..(j0 + c) * k + kk1];
+                        for (row, &v) in panel[kk0 * nr..kk1 * nr].chunks_exact_mut(nr).zip(col) {
+                            row[c] = v;
+                        }
                     }
                 }
-            }
-        } else {
-            for kk in 0..k {
-                panel[kk * nr..kk * nr + w].copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
+            } else {
+                for kk in 0..k {
+                    panel[kk * nr..kk * nr + w].copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
+                }
             }
         }
     }
-    PackedB { data, k, n, nr, kernel }
 }
 
 /// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into

@@ -306,6 +306,24 @@ pub struct PackedMlp {
 }
 
 impl PackedMlp {
+    /// Re-packs `mlp`'s current weights into this snapshot's panels, in
+    /// place: one copy of each weight, nothing allocated. What a holder
+    /// of a snapshot does when its weights change, instead of building
+    /// a new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mlp` is not the architecture the snapshot was packed
+    /// from.
+    pub fn repack(&mut self, mlp: &Mlp) {
+        assert_eq!(self.layers.len(), mlp.layers.len(), "repack: another architecture");
+        for ((wp, b), l) in self.layers.iter_mut().zip(&mlp.layers) {
+            assert_eq!((wp.k(), wp.n()), (l.fan_in(), l.fan_out()), "repack: another architecture");
+            wp.repack(l.w.data());
+            b.data_mut().copy_from_slice(l.b.data());
+        }
+    }
+
     /// Forward pass over the packed panels: `[batch, in] → [batch, out]`.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         let last = self.layers.len() - 1;

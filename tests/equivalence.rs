@@ -111,13 +111,16 @@ mod golden {
     const COUNTERS: [&str; 3] = ["comm.msgs_sent", "comm.bytes_sent", "env.steps"];
 
     /// `case params rewards losses msgs bytes env_steps`, checksums in hex.
+    /// The `dp_e` row's params checksum and step count were re-recorded
+    /// when the env worker began reporting the agents' shared weights and
+    /// the MPE environments began counting their steps.
     const PINNED: [&str; 8] = [
         "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20240 256",
         "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20240 256",
         "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
         "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
         "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600",
-        "dp_e cbf29ce484222325 9dd402fa701a38d2 cbf29ce484222325 144 25200 0",
+        "dp_e cc8bb9bc5a68abdf 9dd402fa701a38d2 cbf29ce484222325 144 25200 60",
         "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128",
         "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
     ];
@@ -255,28 +258,15 @@ mod no_park {
     use msrl_comm::CommError;
     use msrl_core::FdgError;
     use msrl_env::cartpole::CartPole;
-    use msrl_env::{Action, ActionSpec, Environment, Step};
+    use msrl_env::{Action, ActionSpec, Environment};
     use msrl_runtime::exec::{
         run_dp_a, run_dp_b, run_dp_c, run_dp_f, DistPpoConfig, TrainingReport,
     };
-    use msrl_tensor::Tensor;
 
     /// CartPole, its observations zero-padded by one column when `wide`.
     struct Padded {
         wide: bool,
         inner: CartPole,
-    }
-
-    impl Padded {
-        fn pad(&self, obs: Tensor) -> Tensor {
-            if !self.wide {
-                return obs;
-            }
-            let mut v = obs.into_vec();
-            v.push(0.0);
-            let n = v.len();
-            Tensor::from_vec(v, &[n]).unwrap()
-        }
     }
 
     impl Environment for Padded {
@@ -286,13 +276,23 @@ mod no_park {
         fn action_spec(&self) -> ActionSpec {
             self.inner.action_spec()
         }
-        fn reset(&mut self) -> Tensor {
-            let obs = self.inner.reset();
-            self.pad(obs)
+        fn reset_into(&mut self, obs: &mut [f32]) {
+            let (inner, pad) = obs.split_at_mut(self.inner.obs_dim());
+            pad.fill(0.0);
+            self.inner.reset_into(inner);
         }
-        fn step(&mut self, action: &Action) -> Step {
-            let s = self.inner.step(action);
-            Step { obs: self.pad(s.obs), ..s }
+        fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
+            let (inner, pad) = obs.split_at_mut(self.inner.obs_dim());
+            pad.fill(0.0);
+            self.inner.step_into(action, inner)
+        }
+    }
+
+    #[test]
+    fn padded_steps_in_place_as_its_wrappers_do() {
+        for wide in [false, true] {
+            let make = |i: usize| Padded { wide, inner: CartPole::new(i as u64).with_horizon(6) };
+            msrl_env::conformance::assert_in_place_matches_wrappers(make, 3, 20);
         }
     }
 
