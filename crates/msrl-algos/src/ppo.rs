@@ -1103,23 +1103,15 @@ mod tests {
         }
     }
 
-    /// Four workers and no serial cut-off, so tiny operands still split.
-    fn threaded<T>(f: impl FnOnce() -> T) -> T {
-        use msrl_tensor::par;
-        par::with_backend(msrl_tensor::Backend::Threaded, || {
-            par::with_threads(4, || par::with_par_min(1, f))
-        })
-    }
-
     proptest::proptest! {
         /// The tentpole's contract: a pass cut into row blocks — shorter
         /// than, equal to and not dividing the batch — gives the loss,
         /// the entropy and every `Linear` gradient of one tape over the
         /// whole batch bit for bit; a continuous policy's `log_std`, the
         /// one parameter that is a sum of per-block gradients, to 1e-6.
-        /// Split over workers the gradients still agree bitwise (the
-        /// loss does not: a mean of many elements is summed per worker),
-        /// and the unfused operators stay the bitwise reference.
+        /// Under the scalar backend, where the branches never fork, the
+        /// gradients agree bitwise too, and the unfused operators stay the
+        /// bitwise reference.
         #[test]
         fn blocked_learn_pass_is_the_one_tape_pass_bit_for_bit(
             rows in 1usize..150,
@@ -1146,11 +1138,13 @@ mod tests {
                 let batch = synthetic_batch(rows, policy, seed);
                 let linear = policy.actor.params().len() + policy.critic.params().len();
                 let what = format!("{rows} rows in {block}s, discrete {}", policy.discrete);
-                let serial = |block| par::with_threads(1, || pass_bits(policy, &batch, block));
-                let (one_tape, blocked) = (serial(rows), serial(block));
+                let (one_tape, blocked) =
+                    (pass_bits(policy, &batch, rows), pass_bits(policy, &batch, block));
                 prop_assert_eq!(blocked.0, one_tape.0, "loss, {}", what);
                 prop_assert_eq!(blocked.1, one_tape.1, "entropy, {}", what);
-                let blocked_x4 = threaded(|| pass_bits(policy, &batch, block));
+                let scalar = par::with_backend(msrl_tensor::Backend::Scalar, || {
+                    pass_bits(policy, &batch, block)
+                });
                 let unfused = par::with_fusion(false, || pass_bits(policy, &batch, block));
                 // `log_std` is judged at the scale of the gradient it is
                 // clipped and applied with, its largest component.
@@ -1158,7 +1152,7 @@ mod tests {
                     g.iter().flatten().map(|&b| f32::from_bits(b)).collect()
                 };
                 let scale = floats(&one_tape.2).iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                for (name, got) in [("", &blocked), (" x4", &blocked_x4), (" unfused", &unfused)] {
+                for (name, got) in [("", &blocked), (" scalar", &scalar), (" unfused", &unfused)] {
                     let (got_linear, got_rest) = got.2.split_at(linear);
                     let (linear, rest) = one_tape.2.split_at(linear);
                     prop_assert_eq!(got_linear, linear, "Linear grads{}, {}", name, what);

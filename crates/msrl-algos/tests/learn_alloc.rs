@@ -191,73 +191,68 @@ fn steady_state_learn_allocates_within_bounds() {
             max_total_high_water_elems: 3_200_000,
         },
     ];
-    // One kernel thread: fan-out workers would add their own (tiny,
-    // scheduling-dependent) bookkeeping allocations to the count.
-    par::with_threads(1, || {
-        for shape in shapes {
-            alloc::clear();
-            par::on_helpers(alloc::clear);
-            let discrete = shape.policy.discrete;
-            let (obs_dim, act_dim) =
-                (shape.policy.actor.input_dim(), shape.policy.actor.output_dim());
-            let batch = synthetic_batch(shape.rows, obs_dim, act_dim, discrete);
-            let mut learner = PpoLearner::new(shape.policy, PpoConfig::default());
-            learner.learn(&batch).expect("warm-up learn");
-            learner.learn(&batch).expect("second learn");
-            let packs = msrl_telemetry::counter_total("tensor.pack_b");
-            let third = counted(|| {
-                learner.learn(&batch).expect("third learn");
-            });
-            let packs = msrl_telemetry::counter_total("tensor.pack_b") - packs;
-            let after_third = pools();
-            learner.learn(&batch).expect("fourth learn");
-            let after_fourth = pools();
-            let pooled: Vec<usize> = after_fourth.iter().map(|s| s.pooled_elems).collect();
-            let high_water: Vec<usize> = after_fourth.iter().map(|s| s.high_water_elems).collect();
-            println!(
-                "{} ({} rows run): {} allocations, {} bytes, {} >= 1 MiB, {packs} \
-                 tensor.pack_b, pooled {pooled:?} elems (high water {high_water:?}; caller \
-                 first, then each helper)",
-                shape.name, shape.rows, third.calls, third.bytes, third.big_calls
-            );
-            assert!(
-                third.big_calls <= shape.max_big_calls,
-                "{}: {} allocations >= 1 MiB, bound {}",
-                shape.name,
-                third.big_calls,
-                shape.max_big_calls
-            );
-            assert!(
-                third.bytes <= shape.max_bytes,
-                "{}: {} bytes allocated, bound {}",
-                shape.name,
-                third.bytes,
-                shape.max_bytes
-            );
-            for (pool, (third, fourth)) in after_third.iter().zip(&after_fourth).enumerate() {
-                assert_eq!(
-                    fourth.pooled_elems, third.pooled_elems,
-                    "{}: pool {pool} (0 is the caller's) must reach a steady state",
-                    shape.name
-                );
-            }
-            for (pool, &peak) in high_water.iter().enumerate() {
-                assert!(
-                    peak <= shape.max_pool_high_water_elems,
-                    "{}: pool {pool} (0 is the caller's) peaked at {peak} elements, bound {}",
-                    shape.name,
-                    shape.max_pool_high_water_elems
-                );
-            }
-            let total: usize = high_water.iter().sum();
-            assert!(
-                total <= shape.max_total_high_water_elems,
-                "{}: the pools peaked at {high_water:?} elements, {total} together, bound {}",
-                shape.name,
-                shape.max_total_high_water_elems
-            );
-        }
+    for shape in shapes {
         alloc::clear();
         par::on_helpers(alloc::clear);
-    });
+        let discrete = shape.policy.discrete;
+        let (obs_dim, act_dim) = (shape.policy.actor.input_dim(), shape.policy.actor.output_dim());
+        let batch = synthetic_batch(shape.rows, obs_dim, act_dim, discrete);
+        let mut learner = PpoLearner::new(shape.policy, PpoConfig::default());
+        learner.learn(&batch).expect("warm-up learn");
+        learner.learn(&batch).expect("second learn");
+        let packs = msrl_telemetry::counter_total("tensor.pack_b");
+        let third = counted(|| {
+            learner.learn(&batch).expect("third learn");
+        });
+        let packs = msrl_telemetry::counter_total("tensor.pack_b") - packs;
+        let after_third = pools();
+        learner.learn(&batch).expect("fourth learn");
+        let after_fourth = pools();
+        let pooled: Vec<usize> = after_fourth.iter().map(|s| s.pooled_elems).collect();
+        let high_water: Vec<usize> = after_fourth.iter().map(|s| s.high_water_elems).collect();
+        println!(
+            "{} ({} rows run): {} allocations, {} bytes, {} >= 1 MiB, {packs} \
+             tensor.pack_b, pooled {pooled:?} elems (high water {high_water:?}; caller \
+             first, then each helper)",
+            shape.name, shape.rows, third.calls, third.bytes, third.big_calls
+        );
+        assert!(
+            third.big_calls <= shape.max_big_calls,
+            "{}: {} allocations >= 1 MiB, bound {}",
+            shape.name,
+            third.big_calls,
+            shape.max_big_calls
+        );
+        assert!(
+            third.bytes <= shape.max_bytes,
+            "{}: {} bytes allocated, bound {}",
+            shape.name,
+            third.bytes,
+            shape.max_bytes
+        );
+        for (pool, (third, fourth)) in after_third.iter().zip(&after_fourth).enumerate() {
+            assert_eq!(
+                fourth.pooled_elems, third.pooled_elems,
+                "{}: pool {pool} (0 is the caller's) must reach a steady state",
+                shape.name
+            );
+        }
+        for (pool, &peak) in high_water.iter().enumerate() {
+            assert!(
+                peak <= shape.max_pool_high_water_elems,
+                "{}: pool {pool} (0 is the caller's) peaked at {peak} elements, bound {}",
+                shape.name,
+                shape.max_pool_high_water_elems
+            );
+        }
+        let total: usize = high_water.iter().sum();
+        assert!(
+            total <= shape.max_total_high_water_elems,
+            "{}: the pools peaked at {high_water:?} elements, {total} together, bound {}",
+            shape.name,
+            shape.max_total_high_water_elems
+        );
+    }
+    alloc::clear();
+    par::on_helpers(alloc::clear);
 }

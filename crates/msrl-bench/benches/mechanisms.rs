@@ -6,9 +6,6 @@
 //! * **partitioning** — the cost of running Algorithm 2 itself;
 //! * **interpretation** — operator-graph evaluation throughput (the
 //!   "DL engine" hot path);
-//! * **backend** — scalar vs. threaded tensor backend on fused MLP
-//!   inference at several batch sizes (the perf claim behind
-//!   `Backend::Threaded`);
 //! * **collectives** — real channel-based AllReduce/AllGather latency at
 //!   several group sizes;
 //! * **co-location** — shared-memory versus remote interface cost models
@@ -24,7 +21,7 @@ use msrl_core::interp::Interpreter;
 use msrl_core::partition::build_fdg;
 use msrl_core::trace::{trace_mlp, TraceCtx};
 use msrl_core::{cost, DataflowGraph};
-use msrl_tensor::{par, Backend, Tensor};
+use msrl_tensor::Tensor;
 
 fn inference_graph(batch: usize) -> DataflowGraph {
     let ctx = TraceCtx::new();
@@ -99,28 +96,6 @@ fn bench_interp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_backend(c: &mut Criterion) {
-    // Scalar vs. threaded execution backend on the same MLP inference
-    // graph. At batch 8 the ops sit below the parallel cut-offs and both
-    // backends take the serial kernels; the gap opens with batch size.
-    let mut group = c.benchmark_group("backend");
-    for batch in [8usize, 64, 512] {
-        let g = inference_graph(batch);
-        for be in [Backend::Scalar, Backend::Threaded] {
-            let name = if be == Backend::Scalar { "scalar_mlp" } else { "threaded_mlp" };
-            group.bench_with_input(BenchmarkId::new(name, batch), &g, |b, g| {
-                let mut interp = Interpreter::new();
-                bind_params(&mut interp);
-                interp.bind_input("x", Tensor::full(&[batch, 17], 0.1));
-                par::with_backend(be, || {
-                    b.iter(|| std::hint::black_box(interp.eval(g).expect("evaluates")))
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_collectives(c: &mut Criterion) {
     let mut group = c.benchmark_group("collectives");
     for ranks in [2usize, 4, 8] {
@@ -188,7 +163,6 @@ criterion_group!(
         bench_fusion,
         bench_partition,
         bench_interp,
-        bench_backend,
         bench_collectives,
         bench_colocation,
         bench_granularity

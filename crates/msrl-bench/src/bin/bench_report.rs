@@ -1,14 +1,8 @@
-//! `bench_report` — measures the threaded tensor backend against the
-//! scalar reference and writes `BENCH_backend.json` at the workspace
-//! root (or the path given as the first argument).
+//! `bench_report` — prices the mechanisms the drivers rely on and writes
+//! `BENCH_backend.json` at the workspace root (or the path given as the
+//! first argument).
 //!
-//! Each entry records one operation at one shape: median ns/iter under
-//! both backends and the resulting speedup. On a single-core host the
-//! threaded backend degenerates to the serial kernels (the speedup
-//! column then hovers around 1.0) — the numbers are honest for whatever
-//! machine runs the report.
-//!
-//! The report also records the cost of the telemetry layer: the
+//! The report records the cost of the telemetry layer: the
 //! per-probe price of a disabled span and an always-on counter (both of
 //! which now feed the flight recorder's ring), a histogram record, a
 //! `RunEvent` JSONL emit, and the end-to-end fused-MLP evaluation with
@@ -30,7 +24,7 @@
 //! composition the tape would otherwise record — vs the blocked
 //! `matmul_at` row kernel, GFLOP/s both ways, with hard floors ≥2x /
 //! ≥10x / ≥8x on the ratios (3.8–4.2x / 19–20x / 15–18x on the
-//! reference host at `MSRL_THREADS=1`; the composed `matmul` runs the
+//! reference host; the composed `matmul` runs the
 //! heads' 2- and 6-column outputs on row lanes, so the transpose is most
 //! of what the direct kernel saves there).
 //!
@@ -82,20 +76,6 @@ fn time_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
     med[med.len() / 2]
 }
 
-/// One measured row of the report.
-struct Row {
-    op: &'static str,
-    shape: String,
-    scalar_ns: f64,
-    threaded_ns: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns / self.threaded_ns.max(1.0)
-    }
-}
-
 /// The microkernel family `kernels::select()` chose on this host,
 /// recorded in each kernel section of the report so trend numbers stay
 /// interpretable across machines.
@@ -105,31 +85,6 @@ fn dispatch_label() -> &'static str {
         msrl_tensor::kernels::MatKernel::Avx2 => "avx2",
         msrl_tensor::kernels::MatKernel::Portable => "portable",
     }
-}
-
-fn measure(op: &'static str, shape: String, mut f: impl FnMut() -> Tensor) -> Row {
-    let scalar_ns = par::with_backend(Backend::Scalar, || time_ns(9, &mut f));
-    let threaded_ns = par::with_backend(Backend::Threaded, || time_ns(9, &mut f));
-    Row { op, shape, scalar_ns, threaded_ns }
-}
-
-fn mlp_rows(replicas: usize, batch: usize) -> Row {
-    let ctx = TraceCtx::new();
-    let x = ctx.input("x", &[replicas * batch, 17]);
-    trace_mlp(&ctx, "pi", &x, &[17, 64, 64, 6]);
-    let g = ctx.finish();
-    let mut interp = Interpreter::new();
-    interp.bind_param("pi.w0", Tensor::full(&[17, 64], 0.01));
-    interp.bind_param("pi.b0", Tensor::zeros(&[64]));
-    interp.bind_param("pi.w1", Tensor::full(&[64, 64], 0.01));
-    interp.bind_param("pi.b1", Tensor::zeros(&[64]));
-    interp.bind_param("pi.w2", Tensor::full(&[64, 6], 0.01));
-    interp.bind_param("pi.b2", Tensor::zeros(&[6]));
-    interp.bind_input("x", Tensor::full(&[replicas * batch, 17], 0.1));
-    measure("fused_mlp_16_replicas", format!("[{}x{}, 17]->[.., 6]", replicas, batch), move || {
-        let out = interp.eval(&g).expect("evaluates");
-        out.into_iter().next().expect("graph has nodes")
-    })
 }
 
 /// Measured cost of the telemetry layer on this host.
@@ -220,8 +175,8 @@ fn telemetry_cost() -> TelemetryCost {
     tel::clear_events();
     tel::set_enabled(false);
 
-    // The same fused-MLP workload as `mlp_rows`, timed with tracing off
-    // and on under the default (threaded) backend.
+    // A fused-MLP evaluation (16 replicas × 8 rows of a [17, 64, 64, 6]
+    // policy), timed with tracing off and on.
     let ctx = TraceCtx::new();
     let x = ctx.input("x", &[16 * 8, 17]);
     trace_mlp(&ctx, "pi", &x, &[17, 64, 64, 6]);
@@ -299,8 +254,6 @@ fn health_cost() -> HealthCost {
             loss: Some(0.3),
             entropy: Some(1.1),
             iters_per_sec: 50.0,
-            staleness_bound: 1,
-            staleness_observed: None,
             grad_norm: Some(2.0),
             weight_norm: Some(40.0),
             update_ratio: Some(1e-3),
@@ -330,7 +283,7 @@ struct Gated {
 /// `bench_trend`: compares this run against the previous committed
 /// report. Prints per-entry deltas for everything recognisable and
 /// returns a description of every gated ratio that regressed >25%.
-fn bench_trend(prev: &str, gated: &[Gated], rows: &[Row]) -> Vec<String> {
+fn bench_trend(prev: &str, gated: &[Gated]) -> Vec<String> {
     fn num(v: &serde_json::Value) -> Option<f64> {
         match v {
             serde_json::Value::I64(n) => Some(*n as f64),
@@ -344,23 +297,6 @@ fn bench_trend(prev: &str, gated: &[Gated], rows: &[Row]) -> Vec<String> {
         return Vec::new();
     };
     println!("bench_trend: deltas vs previous report (host-dependent ns columns never gate)");
-    if let Ok(serde_json::Value::Seq(entries)) = old.field("entries") {
-        for entry in entries {
-            let (Ok(serde_json::Value::Str(op)), Ok(serde_json::Value::Str(shape)), Ok(prev_ns)) =
-                (entry.field("op"), entry.field("shape"), entry.field("threaded_ns_per_iter"))
-            else {
-                continue;
-            };
-            let Some(prev_ns) = num(prev_ns) else { continue };
-            if let Some(row) = rows.iter().find(|r| r.op == op.as_str() && r.shape == *shape) {
-                let delta = (row.threaded_ns - prev_ns) / prev_ns.max(1.0) * 100.0;
-                println!(
-                    "  {:<24} {:<28} threaded {:>10.0} ns -> {:>10.0} ns ({:+.1}%)",
-                    row.op, row.shape, prev_ns, row.threaded_ns, delta
-                );
-            }
-        }
-    }
     let lookup = |section: &str, key: &str| -> Option<f64> {
         old.field(section).ok()?.field(key).ok().and_then(num)
     };
@@ -637,31 +573,6 @@ fn comm_overlap_rows() -> Vec<OverlapRow> {
 fn main() {
     msrl_bench::runtime_config_or_exit();
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_backend.json".to_string());
-    let threads = par::thread_count();
-    let mut rows = Vec::new();
-
-    for n in [128usize, 256, 512] {
-        let a = Tensor::full(&[n, n], 0.5);
-        let b = Tensor::full(&[n, n], 0.25);
-        rows.push(measure("matmul", format!("[{n}, {n}] x [{n}, {n}]"), || {
-            ops::matmul(&a, &b).expect("shapes conform")
-        }));
-    }
-    {
-        let a = Tensor::full(&[256, 1024], 1.0);
-        let b = Tensor::full(&[1024], 2.0);
-        rows.push(measure("broadcast_add", "[256, 1024] + [1024]".to_string(), || {
-            ops::add(&a, &b).expect("broadcastable")
-        }));
-        rows.push(measure("map_tanh", "[256, 1024]".to_string(), || ops::tanh(&a)));
-        rows.push(measure("sum_axis", "[256, 1024] axis 1".to_string(), || {
-            ops::sum_axis(&a, 1).expect("axis in range")
-        }));
-        rows.push(measure("softmax_rows", "[256, 1024]".to_string(), || {
-            ops::softmax_rows(&a).expect("rank 2")
-        }));
-    }
-    rows.push(mlp_rows(16, 8));
     let tel = telemetry_cost();
     let gc = graph_compile_cost();
     let mat = matmul_at_cost();
@@ -692,7 +603,6 @@ fn main() {
     let health_share_pct = hc.per_iter_ns() / dp_a_period_ns * 100.0;
 
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!(
         "  \"telemetry\": {{\"span_disabled_ns\": {:.2}, \"span_enabled_ns\": {:.2}, \
          \"counter_add_ns\": {:.2}, \"hist_record_ns\": {:.2}, \
@@ -771,19 +681,6 @@ fn main() {
             if i + 1 == overlap.len() { "" } else { "," },
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"op\": \"{}\", \"shape\": \"{}\", \"scalar_ns_per_iter\": {:.0}, \"threaded_ns_per_iter\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            r.op,
-            r.shape,
-            r.scalar_ns,
-            r.threaded_ns,
-            r.speedup(),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
     json.push_str("  ]\n}\n");
 
     let mut gated = vec![
@@ -825,7 +722,7 @@ fn main() {
         value: r.speedup(),
     }));
     let regressions = match std::fs::read_to_string(&out_path) {
-        Ok(prev) => bench_trend(&prev, &gated, &rows),
+        Ok(prev) => bench_trend(&prev, &gated),
         Err(_) => {
             println!("bench_trend: no previous {out_path}; starting the trajectory");
             Vec::new()
@@ -833,21 +730,6 @@ fn main() {
     };
     std::fs::write(&out_path, &json).expect("report path writable");
 
-    println!("threads: {threads}");
-    println!(
-        "{:<24} {:>28} {:>14} {:>14} {:>9}",
-        "op", "shape", "scalar ns", "threaded ns", "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:<24} {:>28} {:>14.0} {:>14.0} {:>8.2}x",
-            r.op,
-            r.shape,
-            r.scalar_ns,
-            r.threaded_ns,
-            r.speedup()
-        );
-    }
     println!(
         "telemetry: span off {:.2} ns / on {:.2} ns, counter {:.2} ns, \
          hist record {:.2} ns, run-event emit {:.0} ns; \

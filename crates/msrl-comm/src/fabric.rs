@@ -11,9 +11,9 @@
 //! operations they stand in for — plus the asynchronous surface the
 //! distribution policies use to *overlap* communication with computation:
 //!
-//! * [`Endpoint::isend`] / [`Endpoint::irecv`] — handle-based
-//!   non-blocking point-to-point ops. An [`PendingRecv`] is polled
-//!   ([`PendingRecv::poll`]) or waited ([`PendingRecv::wait`]).
+//! * [`Endpoint::irecv`] — a handle-based non-blocking receive. A
+//!   [`PendingRecv`] is polled ([`PendingRecv::poll`]) or waited
+//!   ([`PendingRecv::wait`]).
 //! * [`Endpoint::all_reduce_mean_concat`] — a fused collective: extra
 //!   payload segments (e.g. episode returns) ride the gradient
 //!   all-reduce in a single barrier instead of paying a second one.
@@ -442,19 +442,6 @@ impl Endpoint {
         self.send_tagged(to, 0, payload)
     }
 
-    /// Non-blocking send returning a handle, mirroring MPI `Isend`. The
-    /// in-process transport completes sends eagerly, so the returned
-    /// [`PendingOp`] is already complete; the handle exists so call sites
-    /// read as the overlapped pattern they implement.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown ranks or if the peer is gone.
-    pub fn isend(&self, to: usize, payload: Vec<f32>) -> Result<PendingOp, CommError> {
-        self.send(to, payload)?;
-        Ok(PendingOp { _private: () })
-    }
-
     fn send_tagged(&self, to: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
         let _span = msrl_telemetry::span!("comm.send");
         msrl_telemetry::static_counter!("comm.msgs_sent").add(1);
@@ -828,27 +815,6 @@ impl PendingRecv {
     }
 }
 
-/// Handle for a posted non-blocking send (see [`Endpoint::isend`]).
-///
-/// The in-process transport buffers eagerly, so the operation is
-/// complete by the time the handle exists; `wait` is a no-op kept for
-/// MPI-shaped symmetry.
-#[must_use = "an isend handle documents a pending operation"]
-pub struct PendingOp {
-    _private: (),
-}
-
-impl PendingOp {
-    /// True once the transfer has been handed to the transport (always,
-    /// for the in-process fabric).
-    pub fn is_complete(&self) -> bool {
-        true
-    }
-
-    /// Completes the operation (immediately, for the in-process fabric).
-    pub fn wait(self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,17 +881,6 @@ mod tests {
         a.send(1, vec![2.0]).unwrap();
         assert_eq!(first.wait().unwrap(), vec![1.0]);
         assert_eq!(second.wait().unwrap(), vec![2.0]);
-    }
-
-    #[test]
-    fn isend_completes_eagerly() {
-        let mut eps = Fabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let op = a.isend(1, vec![5.0]).unwrap();
-        assert!(op.is_complete());
-        op.wait();
-        assert_eq!(b.recv(0).unwrap(), vec![5.0]);
     }
 
     /// CPU time this thread has consumed, where the kernel exposes it.

@@ -29,7 +29,7 @@ pub mod fabric;
 pub mod model;
 pub mod topology;
 
-pub use fabric::{CommError, Endpoint, Fabric, PendingOp, PendingRecv};
+pub use fabric::{CommError, Endpoint, Fabric, PendingRecv};
 pub use model::{LinkModel, NetworkModel};
 pub use topology::{ClusterSpec, DeviceId, DeviceKind, NodeSpec};
 

@@ -407,10 +407,7 @@ mod tests {
                 Ok(Tensor::ones(&node.shape))
             }),
         );
-        let res = par::with_threads(4, || {
-            par::with_par_min(1, || par::with_backend(Backend::Threaded, || interp.eval(&graph)))
-        });
-        res.unwrap();
+        par::with_backend(Backend::Threaded, || interp.eval(&graph)).unwrap();
         let recorded = order.borrow().clone();
         assert_eq!(recorded.len(), 4, "both EnvStep pairs fire");
         assert!(recorded.windows(2).all(|w| w[0] < w[1]), "ids ascend: {recorded:?}");

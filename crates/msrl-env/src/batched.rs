@@ -8,16 +8,15 @@
 //! `simple_tag` to the GPU for Fig. 10).
 //!
 //! A [`BatchedEnv`] is that device implementation here: state lives in
-//! flat arrays, one step advances *every* world with data-parallel loops
-//! (the moral equivalent of one fused kernel), and the reported
+//! flat arrays, one step advances *every* world in one pass over them on
+//! the calling thread (the moral equivalent of one fused kernel), and the
+//! reported
 //! [`BatchedEnv::step_flops`] lets the cluster simulator charge the step
 //! to a GPU's throughput instead of a CPU core.
 
-use msrl_tensor::{par, Tensor};
+use msrl_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::vec_env::chunk_len;
 
 /// A batch of environment worlds advanced by one data-parallel step.
 pub trait BatchedEnv: Send {
@@ -119,37 +118,17 @@ impl BatchedTag {
     }
 
     fn obs_tensor(&self) -> Tensor {
-        let pw = self.per_world();
-        let n_chasers = self.n_chasers;
-        let (pos, vel) = (&self.pos, &self.vel);
         let mut data = msrl_tensor::alloc::take_zeroed(self.total_agents() * Self::OBS);
-        // Worlds are independent; the threaded backend writes one block
-        // of whole worlds per worker.
-        let fill = |offset: usize, chunk: &mut [f32]| {
-            let w0 = offset / (pw * Self::OBS);
-            tag_obs_worlds(pos, vel, w0, chunk, pw, n_chasers);
-        };
-        if par::should_parallelize(data.len(), par::PAR_MIN_ELEMS) && self.n_worlds > 1 {
-            par::fill_chunks_aligned(&mut data, pw * Self::OBS, fill);
-        } else {
-            fill(0, &mut data);
-        }
+        tag_obs(&self.pos, &self.vel, &mut data, self.per_world(), self.n_chasers);
         Tensor::from_vec(data, &[self.total_agents(), Self::OBS]).expect("length matches")
     }
 }
 
-/// Writes the observations of worlds `w0..` into `out` (whole worlds).
-fn tag_obs_worlds(
-    pos: &[[f32; 2]],
-    vel: &[[f32; 2]],
-    w0: usize,
-    out: &mut [f32],
-    pw: usize,
-    n_chasers: usize,
-) {
+/// Writes every world's observations into `out`.
+fn tag_obs(pos: &[[f32; 2]], vel: &[[f32; 2]], out: &mut [f32], pw: usize, n_chasers: usize) {
     const OBS: usize = BatchedTag::OBS;
-    for (w_local, world) in out.chunks_mut(pw * OBS).enumerate() {
-        let base = (w0 + w_local) * pw;
+    for (w, world) in out.chunks_mut(pw * OBS).enumerate() {
+        let base = w * pw;
         for (a, slot) in world.chunks_mut(OBS).enumerate() {
             let i = base + a;
             // Nearest opponent in this world.
@@ -178,19 +157,16 @@ fn tag_obs_worlds(
     }
 }
 
-/// Advances the physics of one contiguous block of agents starting at
-/// global agent index `offset`. Per-agent updates are independent, so any
-/// partition of the agents yields identical state.
+/// Advances every agent's physics by one step.
 fn tag_physics(
     pos: &mut [[f32; 2]],
     vel: &mut [[f32; 2]],
     actions: &[usize],
-    offset: usize,
     pw: usize,
     n_chasers: usize,
 ) {
     for (k, &a) in actions.iter().enumerate() {
-        let local = (offset + k) % pw;
+        let local = k % pw;
         let (accel, cap) = if local < n_chasers {
             (CHASER_ACCEL, CHASER_MAX_SPEED)
         } else {
@@ -209,10 +185,10 @@ fn tag_physics(
     }
 }
 
-/// Accumulates the rewards of worlds `w0..` into `out` (whole worlds).
-fn tag_rewards(pos: &[[f32; 2]], w0: usize, out: &mut [f32], pw: usize, n_chasers: usize) {
-    for (w_local, world) in out.chunks_mut(pw).enumerate() {
-        let base = (w0 + w_local) * pw;
+/// Accumulates every world's rewards into `out`.
+fn tag_rewards(pos: &[[f32; 2]], out: &mut [f32], pw: usize, n_chasers: usize) {
+    for (w, world) in out.chunks_mut(pw).enumerate() {
+        let base = w * pw;
         for r_local in n_chasers..pw {
             for c_local in 0..n_chasers {
                 let (c_idx, r_idx) = (base + c_local, base + r_local);
@@ -262,32 +238,9 @@ impl BatchedEnv for BatchedTag {
         debug_assert_eq!(actions.len(), self.total_agents());
         msrl_telemetry::static_counter!("env.steps").add(self.n_worlds as u64);
         let pw = self.per_world();
-        let n_agents = self.total_agents();
-        let n_chasers = self.n_chasers;
-        let threaded = par::should_parallelize(n_agents, par::PAR_MIN_ELEMS);
-        // Data-parallel physics update: agents are independent, so the
-        // threaded backend splits them into contiguous blocks.
-        if threaded {
-            let len = chunk_len(n_agents);
-            let chunks = (self.pos.chunks_mut(len).zip(self.vel.chunks_mut(len)))
-                .zip(actions.chunks(len))
-                .enumerate()
-                .collect();
-            par::map_each(chunks, |(i, ((p, v), a))| tag_physics(p, v, a, i * len, pw, n_chasers));
-        } else {
-            tag_physics(&mut self.pos, &mut self.vel, actions, 0, pw, n_chasers);
-        }
-        // Data-parallel rewards: worlds are independent.
-        let mut rewards = msrl_tensor::alloc::take_zeroed(n_agents);
-        let pos = &self.pos;
-        let fill = |offset: usize, chunk: &mut [f32]| {
-            tag_rewards(pos, offset / pw, chunk, pw, n_chasers);
-        };
-        if threaded && self.n_worlds > 1 {
-            par::fill_chunks_aligned(&mut rewards, pw, fill);
-        } else {
-            fill(0, &mut rewards);
-        }
+        tag_physics(&mut self.pos, &mut self.vel, actions, pw, self.n_chasers);
+        let mut rewards = msrl_tensor::alloc::take_zeroed(self.total_agents());
+        tag_rewards(&self.pos, &mut rewards, pw, self.n_chasers);
         self.steps += 1;
         BatchedStep {
             obs: self.obs_tensor(),
@@ -368,17 +321,7 @@ impl BatchedEnv for BatchedCartPole {
         debug_assert_eq!(actions.len(), self.n);
         msrl_telemetry::static_counter!("env.steps").add(self.n as u64);
         let mut rewards = msrl_tensor::alloc::take_zeroed(self.n);
-        // Worlds are independent; the threaded backend advances one
-        // contiguous block of worlds per worker.
-        if par::should_parallelize(self.n, par::PAR_MIN_ELEMS) {
-            let len = chunk_len(self.n);
-            let chunks = (self.state.chunks_mut(len).zip(rewards.chunks_mut(len)))
-                .zip(actions.chunks(len))
-                .collect();
-            par::map_each(chunks, |((s, r), a)| cartpole_physics(s, r, a));
-        } else {
-            cartpole_physics(&mut self.state, &mut rewards, actions);
-        }
+        cartpole_physics(&mut self.state, &mut rewards, actions);
         self.steps += 1;
         BatchedStep {
             obs: self.obs_tensor(),
@@ -392,8 +335,7 @@ impl BatchedEnv for BatchedCartPole {
     }
 }
 
-/// Advances one contiguous block of CartPole worlds — the unit of work
-/// shared by the serial and threaded schedules.
+/// Advances every CartPole world by one step.
 fn cartpole_physics(state: &mut [[f32; 4]], rewards: &mut [f32], actions: &[usize]) {
     for ((s, r), &a) in state.iter_mut().zip(rewards).zip(actions) {
         let [x, x_dot, theta, theta_dot] = *s;
@@ -478,49 +420,5 @@ mod tests {
         assert!(!e.step(&[0, 0]).done);
         assert!(!e.step(&[0, 0]).done);
         assert!(e.step(&[0, 0]).done);
-    }
-
-    /// The agent/world-chunked threaded schedules must reproduce the
-    /// serial physics, observations, and rewards bit-for-bit (RNG runs
-    /// only inside `reset`, which stays serial).
-    #[test]
-    fn threaded_batched_step_matches_serial() {
-        use msrl_tensor::{par, Backend};
-        let run_tag = || {
-            let mut e = BatchedTag::new(6, 2, 2, 7);
-            let mut obs = e.reset();
-            let mut rewards = Vec::new();
-            for s in 0..8 {
-                let acts: Vec<usize> = (0..e.total_agents()).map(|i| (s + i) % 5).collect();
-                let st = e.step(&acts);
-                obs = st.obs;
-                rewards.push(st.rewards);
-            }
-            (obs, rewards)
-        };
-        let run_pole = || {
-            let mut e = BatchedCartPole::new(12, 7);
-            let mut obs = e.reset();
-            let mut rewards = Vec::new();
-            for s in 0..8 {
-                let acts: Vec<usize> = (0..12).map(|i| (s + i) % 2).collect();
-                let st = e.step(&acts);
-                obs = st.obs;
-                rewards.push(st.rewards);
-            }
-            (obs, rewards)
-        };
-        let (tag_serial, tag_threaded, pole_serial, pole_threaded) = par::with_threads(4, || {
-            par::with_par_min(1, || {
-                (
-                    par::with_backend(Backend::Scalar, run_tag),
-                    par::with_backend(Backend::Threaded, run_tag),
-                    par::with_backend(Backend::Scalar, run_pole),
-                    par::with_backend(Backend::Threaded, run_pole),
-                )
-            })
-        });
-        assert_eq!(tag_serial, tag_threaded, "BatchedTag obs/rewards");
-        assert_eq!(pole_serial, pole_threaded, "BatchedCartPole obs/rewards");
     }
 }

@@ -8,10 +8,9 @@
 //! in-place call writes into a buffer pre-filled with NaN, so an element
 //! a body leaves unwritten shows. A [`VecEnv`] of the environment — one
 //! pooled buffer, rows written in place, finished instances reset into
-//! their row — is held to the same loop spelled with the wrappers, on the
-//! serial and on the threaded schedule.
+//! their row — is held to the same loop spelled with the wrappers.
 
-use msrl_tensor::{par, Backend, Tensor};
+use msrl_tensor::Tensor;
 
 use crate::spec::{Action, ActionSpec};
 use crate::{Environment, VecEnv};
@@ -51,14 +50,8 @@ pub fn assert_in_place_matches_wrappers<E: Environment + 'static>(
     }
     assert!(resets > 0, "{steps} steps reached no episode end: pick a shorter horizon");
 
-    let trace = || vec_env_trace(&make, instances, steps);
-    let serial = par::with_backend(Backend::Scalar, trace);
-    let threaded = par::with_backend(Backend::Threaded, || {
-        par::with_threads(4, || par::with_par_min(1, trace))
-    });
     let reference = wrapper_trace(&make, instances, steps);
-    assert_eq!(serial, reference, "VecEnv (serial) vs the wrappers");
-    assert_eq!(threaded, reference, "VecEnv (threaded) vs the wrappers");
+    assert_eq!(vec_env_trace(&make, instances, steps), reference, "VecEnv vs the wrappers");
 }
 
 /// Action `t` of instance `i`: every choice in turn, or a vector that

@@ -3,8 +3,7 @@
 //!
 //! [`RuntimeConfig::from_env`] is the only reader of `MSRL_OVERLAP`,
 //! `MSRL_STALENESS`, `MSRL_ACTSRV` and `MSRL_FAULT_NAN_ITER`, and it
-//! delegates `MSRL_BACKEND` and `MSRL_THREADS` to
-//! [`ExecCtx::from_env`]. A value outside a variable's accepted set is a
+//! delegates `MSRL_BACKEND` to [`ExecCtx::from_env`]. A value outside a variable's accepted set is a
 //! [`ConfigError`] naming the variable — never a silent default. The
 //! `Default` impls of the driver configs take their environment-backed
 //! fields from here; binaries call `from_env` first so a bad value is
@@ -23,7 +22,7 @@ use msrl_tensor::par::{self, parse_var, ExecCtx};
 /// Everything the environment can say about how a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Tensor execution context (`MSRL_BACKEND`, `MSRL_THREADS`).
+    /// Tensor execution context (`MSRL_BACKEND`).
     pub exec: ExecCtx,
     /// Overlap communication with computation (`MSRL_OVERLAP`, default
     /// on).
@@ -259,8 +258,6 @@ mod tests {
     fn bad_values_are_errors_naming_the_variable_and_what_it_accepts() {
         for (var, value, accepted) in [
             ("MSRL_BACKEND", "gpu", "scalar|threaded"),
-            ("MSRL_THREADS", "abc", "a positive integer"),
-            ("MSRL_THREADS", "0", "a positive integer"),
             ("MSRL_STALENESS", "-1", "a non-negative integer"),
             ("MSRL_OVERLAP", "maybe", BOOL_VALUES),
             ("MSRL_ACTSRV", "", BOOL_VALUES),
@@ -281,20 +278,27 @@ mod tests {
             (true, 1, false, None)
         );
         assert_eq!((d.exec.backend, d.exec.fusion), (Backend::Threaded, true));
-        assert!(d.exec.threads >= 1 && d.exec.par_min.is_none());
         let c = parse(&[
             ("MSRL_BACKEND", "scalar"),
-            ("MSRL_THREADS", " 3 "),
             ("MSRL_OVERLAP", "off"),
             ("MSRL_STALENESS", "0"),
             ("MSRL_ACTSRV", "1"),
             ("MSRL_FAULT_NAN_ITER", "7"),
         ])
         .unwrap();
-        assert_eq!((c.exec.backend, c.exec.threads), (Backend::Scalar, 3));
+        assert_eq!(c.exec.backend, Backend::Scalar);
         assert_eq!(
             (c.overlap, c.staleness, c.act_server, c.fault_nan_iter),
             (false, 0, true, Some(7))
         );
+    }
+
+    /// `MSRL_THREADS` is not read, and the benchmark harness still sets
+    /// it: whatever it holds, the configuration parses as if it were
+    /// unset.
+    #[test]
+    fn msrl_threads_is_ignored() {
+        let ignored = parse(&[("MSRL_THREADS", "abc")]).expect("MSRL_THREADS is not parsed");
+        assert_eq!(ignored, parse(&[]).unwrap());
     }
 }

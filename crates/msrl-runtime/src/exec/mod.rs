@@ -26,13 +26,13 @@
 //! a [`PolicyName`] value. `run_dp_a` … `run_a3c` are the same calls with
 //! the row fixed.
 //!
-//! # Interaction with the threaded tensor backend
+//! # Interaction with the tensor backend
 //!
-//! The tensor kernels the rules invoke respect [`msrl_tensor::Backend`]:
-//! under the default `Threaded` backend, large ops cut their output into
-//! `MSRL_THREADS` chunks. Chunks, and the value branch of every PPO learn
-//! pass, run on `msrl_tensor::par`'s helper pool only while fewer
-//! fragment threads compute than the host has cores: the runner counts
+//! Every tensor kernel the rules invoke runs as one chunk on its
+//! fragment's thread. The one fork is the value branch of every PPO learn
+//! pass: under the default [`msrl_tensor::Backend::Threaded`] it runs on
+//! `msrl_tensor::par`'s helper pool only while fewer fragment threads
+//! compute than the host has cores: the runner counts
 //! each fragment thread as computing for its lifetime, and the fabric
 //! takes it out of the count while it is parked. So a fragment parked
 //! on a receive lends its core to a peer's learn pass (DP-A's actor to

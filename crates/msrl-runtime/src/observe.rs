@@ -77,11 +77,6 @@ impl RunObserver {
             loss: loss.map(f64::from),
             entropy: entropy.map(f64::from),
             iters_per_sec,
-            staleness_bound: self.staleness,
-            // Observed staleness is not separately instrumented on the
-            // live path (the comm layer enforces the bound); replay and
-            // unit streams exercise the breach detector.
-            staleness_observed: None,
             grad_norm: stepped.then(|| gauge("health.grad_norm")),
             weight_norm: stepped.then(|| gauge("health.weight_norm")),
             update_ratio: stepped.then(|| gauge("health.update_ratio")),

@@ -5,7 +5,7 @@
 //! training is *healthy*. A [`HealthMonitor`] consumes one
 //! [`HealthSample`] per iteration — the same numbers the metrics stream
 //! carries, plus the numeric sentinels the drivers compute (non-finite
-//! parameter counts, gradient/weight norms) — and runs a bank of six
+//! parameter counts, gradient/weight norms) — and runs a bank of five
 //! streaming detectors:
 //!
 //! * **nonfinite** — NaN/Inf in loss, reward, entropy, gradient norm or
@@ -17,10 +17,7 @@
 //! * **reward_regression** — reward EWMA falling well below the best
 //!   EWMA the run has reached (warn);
 //! * **tput_regression** — iterations/second EWMA collapsing below a
-//!   fraction of its peak (warn);
-//! * **staleness_breach** — observed weight staleness above the
-//!   configured bound (critical; the drivers enforce the bound by
-//!   construction, so a firing means the invariant broke).
+//!   fraction of its peak (warn).
 //!
 //! Each detector is an [`Ewma`] + [`Hysteresis`] window — the one
 //! streaming-detector primitive, which `advisor::LiveAdvisor` uses too:
@@ -137,10 +134,6 @@ pub struct HealthSample {
     pub entropy: Option<f64>,
     /// Iterations per second over the last iteration.
     pub iters_per_sec: f64,
-    /// Configured staleness bound the iteration ran under.
-    pub staleness_bound: u64,
-    /// Observed weight staleness, when the driver measures it.
-    pub staleness_observed: Option<u64>,
     /// Pre-clip global gradient L2 norm from the learner.
     pub grad_norm: Option<f64>,
     /// Post-update weight L2 norm from the learner.
@@ -387,7 +380,6 @@ pub struct HealthMonitor {
     grad_explosion: Detector,
     reward_regression: Detector,
     tput_regression: Detector,
-    staleness_breach: Detector,
     findings: Vec<HealthFinding>,
 }
 
@@ -404,14 +396,13 @@ impl HealthMonitor {
             tput: Ewma::default(),
             tput_peak: 0.0,
             grad: Ewma::default(),
-            // Numeric-poison and invariant detectors confirm on the
-            // first breaching sample: one NaN is already fatal.
+            // The numeric-poison detector confirms on the first
+            // breaching sample: one NaN is already fatal.
             nonfinite: Detector::new("nonfinite", Severity::Critical, 1, r),
             entropy_collapse: Detector::new("entropy_collapse", Severity::Warn, c, r),
             grad_explosion: Detector::new("grad_explosion", Severity::Warn, c, r),
             reward_regression: Detector::new("reward_regression", Severity::Warn, c, r),
             tput_regression: Detector::new("tput_regression", Severity::Warn, c, r),
-            staleness_breach: Detector::new("staleness_breach", Severity::Critical, 1, r),
             findings: Vec::new(),
             cfg,
         }
@@ -534,14 +525,6 @@ impl HealthMonitor {
             }
         }
 
-        let observed = s.staleness_observed.unwrap_or(0);
-        self.staleness_breach.observe(
-            s.staleness_observed.is_some_and(|o| o > s.staleness_bound),
-            it,
-            || format!("observed staleness {observed} over bound {}", s.staleness_bound),
-            &mut new,
-        );
-
         self.findings.extend(new.iter().cloned());
 
         let mut status = Severity::Ok;
@@ -551,7 +534,6 @@ impl HealthMonitor {
             &self.grad_explosion,
             &self.reward_regression,
             &self.tput_regression,
-            &self.staleness_breach,
         ] {
             if d.hyst.active() {
                 status = status.max(d.severity);
@@ -599,14 +581,8 @@ impl Default for HealthMonitor {
 
 /// The detector names, a closed set (the stream's parser rejects any
 /// other).
-pub(crate) const DETECTORS: [&str; 6] = [
-    "nonfinite",
-    "entropy_collapse",
-    "grad_explosion",
-    "reward_regression",
-    "tput_regression",
-    "staleness_breach",
-];
+pub(crate) const DETECTORS: [&str; 5] =
+    ["nonfinite", "entropy_collapse", "grad_explosion", "reward_regression", "tput_regression"];
 
 impl From<&crate::RunEvent> for HealthSample {
     fn from(ev: &crate::RunEvent) -> HealthSample {
@@ -617,8 +593,6 @@ impl From<&crate::RunEvent> for HealthSample {
             loss: ev.loss,
             entropy: ev.entropy,
             iters_per_sec: ev.iters_per_sec,
-            staleness_bound: ev.staleness,
-            staleness_observed: None,
             grad_norm: h.and_then(|h| h.grad_norm),
             weight_norm: h.and_then(|h| h.weight_norm),
             update_ratio: h.and_then(|h| h.update_ratio),
@@ -673,12 +647,10 @@ mod tests {
             loss: Some(0.5),
             entropy: Some(0.6),
             iters_per_sec: 100.0,
-            staleness_bound: 1,
             grad_norm: Some(1.0),
             weight_norm: Some(10.0),
             update_ratio: Some(1e-3),
             nonfinite_params: Some(0),
-            ..HealthSample::default()
         }
     }
 
@@ -796,7 +768,7 @@ mod tests {
             entropy: s.entropy,
             iters_per_sec: s.iters_per_sec,
             comm_bytes: 0,
-            staleness: s.staleness_bound,
+            staleness: 1,
             attr: None,
             actsrv: None,
             health,

@@ -3,8 +3,11 @@
 
 use std::collections::HashMap;
 
+use serde::{Serialize, Value};
+
 use crate::recorder::{Event, Phase};
 use crate::registry;
+use crate::sink::{num, obj};
 
 /// Nearest-rank percentile of an ascending-sorted duration list.
 /// `percentile_ns(&d, 50.0)` is the median, `percentile_ns(&d, 99.0)`
@@ -167,49 +170,39 @@ impl TelemetryReport {
         out
     }
 
-    /// Serialises the report as JSON.
+    /// Serialises the report as JSON. Names are escaped; a non-finite
+    /// gauge is `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"spans\": [\n");
-        for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-                s.name,
-                s.count,
-                s.total_ns,
-                s.p50_ns,
-                s.p99_ns,
-                s.max_ns,
-                if i + 1 == self.spans.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"histograms\": {");
-        for (i, (name, s)) in self.histograms.iter().enumerate() {
-            out.push_str(&format!(
-                "\n    \"{name}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}",
-                s.count,
-                s.p50_ns,
-                s.p90_ns,
-                s.p99_ns,
-                s.max_ns,
-                if i + 1 == self.histograms.len() { "\n  " } else { "," }
-            ));
-        }
-        out.push_str("},\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!(
-                "\n    \"{name}\": {v}{}",
-                if i + 1 == self.counters.len() { "\n  " } else { "," }
-            ));
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            out.push_str(&format!(
-                "\n    \"{name}\": {v:.3}{}",
-                if i + 1 == self.gauges.len() { "\n  " } else { "," }
-            ));
-        }
-        out.push_str("}\n}\n");
-        out
+        let spans = self.spans.iter().map(|s| {
+            obj(vec![
+                ("name", s.name.to_value()),
+                ("count", s.count.to_value()),
+                ("total_ns", s.total_ns.to_value()),
+                ("p50_ns", s.p50_ns.to_value()),
+                ("p99_ns", s.p99_ns.to_value()),
+                ("max_ns", s.max_ns.to_value()),
+            ])
+        });
+        let histograms = self.histograms.iter().map(|(name, s)| {
+            let stats = obj(vec![
+                ("count", s.count.to_value()),
+                ("p50_ns", s.p50_ns.to_value()),
+                ("p90_ns", s.p90_ns.to_value()),
+                ("p99_ns", s.p99_ns.to_value()),
+                ("max_ns", s.max_ns.to_value()),
+            ]);
+            (name.clone(), stats)
+        });
+        let report = obj(vec![
+            ("spans", Value::Seq(spans.collect())),
+            ("histograms", Value::Map(histograms.collect())),
+            (
+                "counters",
+                Value::Map(self.counters.iter().map(|(n, v)| (n.clone(), v.to_value())).collect()),
+            ),
+            ("gauges", Value::Map(self.gauges.iter().map(|(n, v)| (n.clone(), num(*v))).collect())),
+        ]);
+        serde_json::to_string_pretty(&report).expect("a value tree always renders")
     }
 }
 
@@ -265,5 +258,30 @@ mod tests {
         ];
         let json = TelemetryReport::from_events(&events).with_registry().to_json();
         serde_json::value_from_str(&json).expect("report JSON parses");
+    }
+
+    #[test]
+    fn json_escapes_names_and_writes_non_finite_gauges_as_null() {
+        let mut report = TelemetryReport::default();
+        report.spans.push(SpanStats {
+            name: "span \"quoted\"\n".into(),
+            count: 1,
+            total_ns: 2,
+            p50_ns: 2,
+            p99_ns: 2,
+            max_ns: 2,
+        });
+        report.counters.push(("counter \\ \"x\"".into(), 3));
+        report.gauges.push(("health.update_ratio".into(), f64::NAN));
+        report.gauges.push(("gauge \"inf\"".into(), f64::INFINITY));
+        report.gauges.push(("health.grad_norm".into(), 0.5));
+        let json = serde_json::value_from_str(&report.to_json()).expect("report JSON parses");
+        let span = json.field("spans").unwrap().index(0).unwrap();
+        assert_eq!(span.field("name"), Ok(&Value::Str("span \"quoted\"\n".into())));
+        assert_eq!(json.field("counters").unwrap().field("counter \\ \"x\""), Ok(&Value::I64(3)));
+        let gauges = json.field("gauges").unwrap();
+        assert_eq!(gauges.field("health.update_ratio"), Ok(&Value::Null));
+        assert_eq!(gauges.field("gauge \"inf\""), Ok(&Value::Null));
+        assert_eq!(gauges.field("health.grad_norm"), Ok(&Value::F64(0.5)));
     }
 }

@@ -144,12 +144,12 @@ impl RunEvent {
 // `FragmentAttr` derive theirs.
 // ---------------------------------------------------------------------------
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
+pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// A finite number, or `null` (JSON has no literal for NaN/Inf).
-fn num(x: f64) -> Value {
+pub(crate) fn num(x: f64) -> Value {
     if x.is_finite() {
         Value::F64(x)
     } else {
@@ -464,7 +464,7 @@ fn prom_name(name: &str) -> String {
 }
 
 /// Renders a Prometheus-style text exposition of the whole registry:
-/// counters, gauges, histogram quantiles, and the latest [`RunEvent`]
+/// counters, gauges, histogram buckets, and the latest [`RunEvent`]
 /// per policy. Deterministically ordered (all sources are name-sorted).
 pub fn metrics_text() -> String {
     let mut out = String::new();
@@ -494,12 +494,6 @@ pub fn metrics_text() -> String {
         out.push_str(&format!("{base}_ns_bucket{{le=\"+Inf\"}} {cumulative}\n"));
         out.push_str(&format!("{base}_ns_sum {sum}\n"));
         out.push_str(&format!("{base}_ns_count {cumulative}\n"));
-        // Legacy quantile-gauge lines, kept for one deprecation cycle.
-        let s = crate::HistogramStats::from_buckets(&buckets);
-        out.push_str(&format!("{base}_count {}\n", s.count));
-        for (q, v) in [("0.5", s.p50_ns), ("0.9", s.p90_ns), ("0.99", s.p99_ns)] {
-            out.push_str(&format!("{base}_ns{{quantile=\"{q}\"}} {v}\n"));
-        }
     }
     let s = sink().lock().expect("metrics sink poisoned");
     for (policy, ev) in &s.last {
@@ -613,12 +607,10 @@ mod tests {
             loss: Some(0.42),
             entropy: Some(0.69),
             iters_per_sec: 88.0,
-            staleness_bound: 1,
             grad_norm: Some(1.2),
             weight_norm: Some(30.0),
             update_ratio: Some(2e-3),
             nonfinite_params: Some(0),
-            ..crate::HealthSample::default()
         });
         RunEvent { health: Some(health), ..sample(iteration) }
     }
@@ -780,8 +772,21 @@ mod tests {
         assert!(text.contains("msrl_hist_sink_test_promhist_ns_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("msrl_hist_sink_test_promhist_ns_sum 911"));
         assert!(text.contains("msrl_hist_sink_test_promhist_ns_count 3"));
-        // Legacy quantile lines survive the deprecation cycle.
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns{quantile=\"0.5\"}"));
+        // A histogram family carries `_bucket`, `_sum` and `_count`
+        // samples and nothing else.
+        let base = "msrl_hist_sink_test_promhist_ns";
+        let family = text
+            .lines()
+            .skip_while(|l| *l != format!("# TYPE {base} histogram"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("# TYPE") && !l.starts_with("msrl_run_"));
+        for line in family {
+            let ok = ["_bucket{", "_sum ", "_count "]
+                .iter()
+                .any(|s| line.starts_with(&(base.to_owned() + s)));
+            assert!(ok, "{line:?} under the TYPE line of {base}");
+        }
+        assert!(!text.contains("quantile="), "no summary samples in a histogram exposition");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::error::TensorError;
 use crate::fastmath::{self, Unary};
 use crate::kernels;
-use crate::par::{self, ExecCtx};
 use crate::shape::{BroadcastPlan, Shape};
 use crate::tensor::Tensor;
 use crate::Result;
@@ -22,66 +21,38 @@ use crate::Result;
 /// Applies `f` element-wise over the broadcast of `a` and `b`.
 ///
 /// Addressing goes through a precomputed [`BroadcastPlan`] — no
-/// per-element coordinate vectors — and large outputs are partitioned
-/// across worker threads under [`par::Backend::Threaded`].
-pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+/// per-element coordinate vectors.
+pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
     let out_shape = a.shape_obj().broadcast(b.shape_obj())?;
-    let vol = out_shape.volume();
     let ad = a.data();
     let bd = b.data();
-    // Both fills write every element of the chunk they are given.
-    let mut data = crate::alloc::take_for_overwrite(vol);
-    let parallel = ExecCtx::current().should_parallelize(vol, par::PAR_MIN_ELEMS);
+    // Both paths write every element.
+    let mut data = crate::alloc::take_for_overwrite(out_shape.volume());
     // Fast path: identical shapes need no plan at all.
     if a.shape() == b.shape() {
-        let fill = |offset: usize, chunk: &mut [f32]| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = f(ad[offset + i], bd[offset + i]);
-            }
-        };
-        if parallel {
-            par::fill_chunks(&mut data, fill);
-        } else {
-            fill(0, &mut data);
+        for ((slot, &x), &y) in data.iter_mut().zip(ad).zip(bd) {
+            *slot = f(x, y);
         }
         return Tensor::from_vec(data, out_shape.dims());
     }
     let plan = BroadcastPlan::new(a.shape_obj(), b.shape_obj(), &out_shape);
-    let inner = plan.inner();
     let (ais, bis) = plan.inner_strides();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        let run0 = offset / inner;
-        let runs = chunk.len() / inner;
-        let mut w = 0;
-        plan.for_each_base(run0..run0 + runs, |a_base, b_base| {
-            for t in 0..inner {
-                chunk[w] = f(ad[a_base + t * ais], bd[b_base + t * bis]);
-                w += 1;
-            }
-        });
-    };
-    if parallel && plan.outer_steps() > 1 {
-        par::fill_chunks_aligned(&mut data, inner, fill);
-    } else {
-        fill(0, &mut data);
-    }
+    let mut w = 0;
+    plan.for_each_base(|a_base, b_base| {
+        for t in 0..plan.inner() {
+            data[w] = f(ad[a_base + t * ais], bd[b_base + t * bis]);
+            w += 1;
+        }
+    });
     Tensor::from_vec(data, out_shape.dims())
 }
 
-/// Applies `f` element-wise to a single tensor (chunk-parallel under the
-/// threaded backend).
-pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+/// Applies `f` element-wise to a single tensor.
+pub fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_for_overwrite(ad.len());
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(ad[offset + i]);
-        }
-    };
-    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
-        par::fill_chunks(&mut data, fill);
-    } else {
-        fill(0, &mut data);
+    for (slot, &x) in data.iter_mut().zip(ad) {
+        *slot = f(x);
     }
     Tensor::from_vec(data, a.shape()).expect("map preserves shape")
 }
@@ -135,21 +106,12 @@ pub fn neg(a: &Tensor) -> Tensor {
     map(a, |x| -x)
 }
 
-/// A [`crate::fastmath`] transcendental over every element, with
-/// [`map`]'s chunk partitioning (the kernels are element-wise and
-/// ISA-deterministic, so chunk boundaries cannot perturb results).
+/// A [`crate::fastmath`] transcendental over every element.
 fn map_transcendental(a: &Tensor, u: Unary) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_for_overwrite(ad.len());
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        chunk.copy_from_slice(&ad[offset..offset + chunk.len()]);
-        fastmath::apply_slice(u, chunk);
-    };
-    if par::should_parallelize(ad.len(), par::PAR_MIN_ELEMS) {
-        par::fill_chunks(&mut data, fill);
-    } else {
-        fill(0, &mut data);
-    }
+    data.copy_from_slice(ad);
+    fastmath::apply_slice(u, &mut data);
     Tensor::from_vec(data, a.shape()).expect("map preserves shape")
 }
 
@@ -263,24 +225,23 @@ enum Rhs<'a> {
 /// The one body behind every `[m, k] · [k, n]`-shaped product:
 /// [`matmul`], [`matmul_bt`], [`linear_act`] and
 /// [`linear_act_prepacked`] differ only in where the right operand's
-/// panels come from and in the `epilogue` run over each row-aligned
-/// output chunk right after the kernel writes it.
+/// panels come from and in the `epilogue` run over the output right
+/// after the kernel writes it.
 ///
 /// An output narrower than the kernel family's vector
 /// ([`kernels::MatKernel::lanes`]) runs on row lanes from whatever
 /// operand it has: a row-major one is never packed for it, whatever
 /// [`PACK_MIN_FLOPS`] says. A per-call pack happens once, before any
-/// fan-out, in storage drawn from and returned to the thread-local pool.
-/// Row blocks are independent, so the threaded backend partitions the
-/// output by rows; every element accumulates over `k` in ascending order
-/// in either kernel and on both backends, keeping them all bit-exact.
+/// in storage drawn from and returned to the thread-local pool. Every
+/// element accumulates over `k` in ascending order in either kernel,
+/// keeping them bit-exact with each other.
 /// Both kernels overwrite every element, so the output is not zeroed
 /// first.
 fn product(
     ad: &[f32],
     [m, k, n]: [usize; 3],
     rhs: Rhs<'_>,
-    epilogue: impl Fn(&mut [f32]) + Sync,
+    epilogue: impl FnOnce(&mut [f32]),
 ) -> Result<Tensor> {
     let flops = m * k * n;
     let narrow = n < kernels::select().lanes();
@@ -290,22 +251,14 @@ fn product(
         Rhs::RowMajor(_) | Rhs::Packed(_) => None,
     };
     let mut out = crate::alloc::take_for_overwrite(m * n);
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        let row0 = offset / n.max(1);
-        match (transient.as_ref(), rhs) {
-            (Some(bp), _) | (None, Rhs::Packed(bp)) => {
-                kernels::matmul_packed_rows(ad, row0, chunk, k, n, bp);
-            }
-            (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, row0, chunk, k, n, bd),
-            (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
+    match (transient.as_ref(), rhs) {
+        (Some(bp), _) | (None, Rhs::Packed(bp)) => {
+            kernels::matmul_packed_rows(ad, 0, &mut out, k, n, bp);
         }
-        epilogue(chunk);
-    };
-    if par::should_parallelize(flops, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
+        (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, 0, &mut out, k, n, bd),
+        (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
     }
+    epilogue(&mut out);
     if let Some(bp) = transient {
         bp.recycle();
     }
@@ -362,16 +315,7 @@ pub fn matmul_at_onto(a: &Tensor, b: &Tensor, carried: Option<Tensor>) -> Result
     let (mut out, resume) = continued_output("matmul_at_onto", &[m, n], carried, || {
         crate::alloc::take_for_overwrite(m * n)
     })?;
-    let ad = a.data();
-    let bd = b.data();
-    let fill = |offset: usize, chunk: &mut [f32]| {
-        kernels::matmul_at_rows(ad, offset / n.max(1), chunk, p, m, n, bd, resume);
-    };
-    if par::should_parallelize(p * m * n, par::PAR_MIN_FLOPS) && m > 1 && n > 0 {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
+    kernels::matmul_at_rows(a.data(), 0, &mut out, p, m, n, b.data(), resume);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -430,7 +374,7 @@ impl Act {
     }
 }
 
-/// Bias + activation epilogue over a row-aligned output chunk, shared
+/// Bias + activation epilogue over the `[m, n]` output, shared
 /// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid fold the
 /// bias add into the vectorized [`crate::fastmath`] lane pass
 /// ([`fastmath::apply_rows_biased`]); Relu/Linear apply `act(v + b[j])`
@@ -482,12 +426,11 @@ fn layer_dims(op: &'static str, x: &Tensor, w_shape: &[usize], b: &Tensor) -> Re
 /// The unfused chain walks the `[m, n]` output three times (matmul
 /// accumulate, broadcast bias add, activation map) and round-trips two
 /// intermediate tensors through the allocator; here the bias+activation
-/// epilogue runs on each output chunk while it is still cache-hot.
+/// epilogue runs on the output while it is still cache-hot.
 /// Accumulation is [`matmul`]'s — the same [`PACK_MIN_FLOPS`] rule packs
 /// `w` once per call for the register tile — and the epilogue applies
 /// `act(v + b[j])` per element: the same floating-point sequence as the
-/// separate operators, so results are bit-identical on both backends
-/// (partitioning is by output rows, as in [`matmul`]).
+/// separate operators, so results are bit-identical.
 ///
 /// # Errors
 ///
@@ -541,17 +484,8 @@ pub fn transpose(a: &Tensor) -> Result<Tensor> {
 // ---------------------------------------------------------------------------
 
 /// Sum of all elements, as a scalar tensor.
-///
-/// Under the threaded backend, large tensors sum per worker chunk and
-/// the partials combine in chunk order — deterministic for a fixed
-/// worker count, and equal to the scalar backend up to f32 rounding.
 pub fn sum_all(a: &Tensor) -> Tensor {
-    let d = a.data();
-    if par::should_parallelize(d.len(), par::PAR_MIN_ELEMS) {
-        let partials = par::map_ranges(d.len(), |r| d[r].iter().sum::<f32>());
-        return Tensor::scalar(partials.iter().sum());
-    }
-    Tensor::scalar(d.iter().sum())
+    Tensor::scalar(a.data().iter().sum())
 }
 
 /// Mean of all elements, as a scalar tensor. Empty tensors yield 0.
@@ -576,11 +510,8 @@ pub fn max_all(a: &Tensor) -> Result<Tensor> {
 
 /// Reduces along `axis`, removing that axis.
 ///
-/// Output slots are independent, so the threaded backend partitions
-/// them across workers (in groups that keep each outer slice whole);
-/// every slot folds over the reduced axis in ascending order on both
-/// backends, so results are bit-exact across backends. The fold runs in
-/// the SIMD reduction microkernels ([`kernels::reduce_rows`] /
+/// Every slot folds over the reduced axis in ascending order. The fold
+/// runs in the SIMD reduction microkernels ([`kernels::reduce_rows`] /
 /// [`kernels::reduce_groups`]), whose lanes span independent output
 /// slots and replay the per-slot order of [`crate::reference::reduce`].
 ///
@@ -613,15 +544,10 @@ fn reduce_axis(
     let (mut out, resume) = continued_output("sum_axis_onto", &out_dims, carried, || {
         crate::alloc::take_for_overwrite(outer * inner)
     })?;
-    let fill = |offset: usize, chunk: &mut [f32]| match inner {
+    match inner {
         0 => {}
-        1 => kernels::reduce_rows(ad, offset, chunk, mid, op, scale, resume),
-        _ => kernels::reduce_groups(ad, offset / inner, chunk, mid, inner, op, scale, resume),
-    };
-    if inner > 0 && outer > 1 && par::should_parallelize(a.len(), par::PAR_MIN_ELEMS) {
-        par::fill_chunks_aligned(&mut out, inner, fill);
-    } else {
-        fill(0, &mut out);
+        1 => kernels::reduce_rows(ad, 0, &mut out, mid, op, scale, resume),
+        _ => kernels::reduce_groups(ad, 0, &mut out, mid, inner, op, scale, resume),
     }
     Tensor::from_vec(out, &out_dims)
 }
@@ -711,8 +637,7 @@ pub fn argmax_rows(a: &Tensor) -> Result<Tensor> {
 ///
 /// One chunked traversal per row ([`fastmath::softmax_row_fast_inplace`]:
 /// lane-tree max, vectorized polynomial `exp`, lane-tree sum, scale by
-/// the reciprocal). Rows are independent and split whole across
-/// workers, so both backends are bit-exact.
+/// the reciprocal).
 ///
 /// # Errors
 ///
@@ -732,12 +657,7 @@ pub fn softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    let fill = |offset: usize, chunk: &mut [f32]| fastmath::softmax_rows_fast(ad, offset, chunk, n);
-    if n > 0 && m > 1 && par::should_parallelize(m * n, par::PAR_MIN_ELEMS) {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
+    fastmath::softmax_rows_fast(ad, 0, &mut out, n);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -760,14 +680,7 @@ pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    // Rows are independent; the threaded backend splits them across
-    // workers with identical per-row arithmetic (bit-exact).
-    let fill = |offset: usize, chunk: &mut [f32]| fastmath::log_softmax_rows(ad, offset, chunk, n);
-    if n > 0 && m > 1 && par::should_parallelize(m * n, par::PAR_MIN_ELEMS) {
-        par::fill_chunks_aligned(&mut out, n, fill);
-    } else {
-        fill(0, &mut out);
-    }
+    fastmath::log_softmax_rows(ad, 0, &mut out, n);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -869,15 +782,9 @@ pub fn unstack(a: &Tensor, n: usize) -> Result<Vec<Tensor>> {
             rhs: vec![n],
         });
     }
-    let chunk_lead = lead / n;
     let mut dims = a.shape().to_vec();
-    dims[0] = chunk_lead;
-    let chunk_len = a.len() / n;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(Tensor::from_vec(a.data()[i * chunk_len..(i + 1) * chunk_len].to_vec(), &dims)?);
-    }
-    Ok(out)
+    dims[0] = lead / n;
+    a.data().chunks(a.len() / n).map(|part| Tensor::from_vec(part.to_vec(), &dims)).collect()
 }
 
 /// Gathers rows of a rank-2 tensor by index.
@@ -1118,36 +1025,30 @@ mod tests {
         // (`w` packed per call: 70 columns are two panels and a 6-wide
         // right edge, 70 rows leave a row remainder; 2 columns are the
         // policy head; 4,100 columns make one output row longer than
-        // 16 KB), on the calling thread and split over two workers.
+        // 16 KB).
         for (m, k, n) in [(5, 4, 3), (3, 2, 4100), (70, 64, 70), (1100, 120, 2), (6, 32, 4100)] {
             assert_eq!(m * k * n >= PACK_MIN_FLOPS, m > 5, "({m},{k},{n}) vs the pack rule");
             let x = t(&(0..m * k).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, k]);
             let w = t(&(0..k * n).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[k, n]);
             let b = t(&(0..n).map(|i| i as f32 - 1.0).collect::<Vec<_>>(), &[n]);
             let naive = crate::reference::matmul(x.data(), w.data(), m, k, n);
-            for threads in [1, 2] {
-                par::with_backend(par::Backend::Threaded, || {
-                    par::with_threads(threads, || {
-                        let product = matmul(&x, &w).unwrap();
-                        assert_eq!(product.data(), &naive[..], "({m},{k},{n}) x{threads}");
-                        let pre = add(&product, &b).unwrap();
-                        for act in [Act::Relu, Act::Tanh, Act::Sigmoid, Act::Linear] {
-                            let fused = linear_act(&x, &w, &b, act).unwrap();
-                            let unfused = match act {
-                                Act::Relu => relu(&pre),
-                                Act::Tanh => tanh(&pre),
-                                Act::Sigmoid => sigmoid(&pre),
-                                Act::Linear => pre.clone(),
-                            };
-                            assert_eq!(fused.shape(), &[m, n]);
-                            assert_eq!(
-                                fused.data(),
-                                unfused.data(),
-                                "fused {act:?} ({m},{k},{n}) x{threads} must be bit-identical"
-                            );
-                        }
-                    });
-                });
+            let product = matmul(&x, &w).unwrap();
+            assert_eq!(product.data(), &naive[..], "({m},{k},{n})");
+            let pre = add(&product, &b).unwrap();
+            for act in [Act::Relu, Act::Tanh, Act::Sigmoid, Act::Linear] {
+                let fused = linear_act(&x, &w, &b, act).unwrap();
+                let unfused = match act {
+                    Act::Relu => relu(&pre),
+                    Act::Tanh => tanh(&pre),
+                    Act::Sigmoid => sigmoid(&pre),
+                    Act::Linear => pre.clone(),
+                };
+                assert_eq!(fused.shape(), &[m, n]);
+                assert_eq!(
+                    fused.data(),
+                    unfused.data(),
+                    "fused {act:?} ({m},{k},{n}) must be bit-identical"
+                );
             }
         }
     }

@@ -1,44 +1,38 @@
-//! The execution context, and the one helper pool every fork runs on.
+//! The execution context, and the one helper pool the learner's branch
+//! fork runs on.
 //!
-//! How a kernel executes — which backend, how many intra-op chunks,
-//! where the serial cut-off sits, whether the fused kernels are on — is
-//! one `Copy` value, [`ExecCtx`], chosen outside the code that
+//! How a kernel executes — which backend, whether the fused kernels are
+//! on — is one `Copy` value, [`ExecCtx`], chosen outside the code that
 //! computes:
 //!
 //! * The **process default** is parsed once, strictly, from
-//!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`) and
-//!   `MSRL_THREADS` (a positive integer, default the host's available
-//!   parallelism) by [`ExecCtx::from_env`]. A value outside those sets
-//!   is a [`ConfigError`] naming the variable, never a silent fallback.
+//!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`) by
+//!   [`ExecCtx::from_env`]. A value outside that set is a
+//!   [`ConfigError`] naming the variable, never a silent fallback.
 //! * An **override** is scoped to the calling thread:
 //!   [`ExecCtx::scope`] installs a context in a thread-local for the
 //!   duration of a closure and a drop guard restores the previous one,
 //!   also on unwind. No other thread observes it, so concurrent tests
 //!   and concurrent fragments cannot steer each other's numerics.
-//!   [`with_backend`], [`with_threads`], [`with_par_min`] and
-//!   [`with_fusion`] are one-field spellings.
-//! * A context is **inherited** at exactly two seams: every fork of the
-//!   pool below ([`join`], [`map_each`] and the fan-outs built on it)
-//!   runs under the forking thread's context, and the fragment runner's
-//!   `spawn_fragment` (`msrl_runtime::exec`) hands its caller's context
-//!   to every fragment thread. A thread started any other way starts
-//!   from the process default.
+//!   [`with_backend`] and [`with_fusion`] are one-field spellings.
+//! * A context is **inherited** at exactly two seams: the forked branch
+//!   of a [`join`] runs under the forking thread's context, and the
+//!   fragment runner's `spawn_fragment` (`msrl_runtime::exec`) hands its
+//!   caller's context to every fragment thread. A thread started any
+//!   other way starts from the process default.
 //!
-//! The two backends:
+//! Every kernel runs as one chunk on its calling thread. Parallelism
+//! comes from fragments, each on its own thread, and from one fork: the
+//! policy ‖ value split of a PPO learn pass, a [`join`]. The backend
+//! decides only whether that fork may happen:
 //!
-//! * [`Backend::Scalar`] — single-threaded kernels, and no fork; the
-//!   bit-exact baseline the threaded backend is validated against.
-//! * [`Backend::Threaded`] — the same kernels cut into
-//!   [`ExecCtx::threads`] chunks along *output* regions, so no two
-//!   chunks write the same element and the per-element accumulation
-//!   order matches the scalar backend (matmul and axis reductions are
-//!   bit-exact across backends; whole-tensor sums split per chunk and
-//!   agree to rounding). With one chunk it routes straight to the serial
-//!   kernels.
+//! * [`Backend::Scalar`] — nothing forks; both branches of a [`join`]
+//!   run on the calling thread.
+//! * [`Backend::Threaded`] — a [`join`] runs its second branch on an
+//!   idle helper when a core is free (below).
 //!
-//! Kernels read the context once per operation ([`ExecCtx::current`] is
-//! one thread-local load) and pass what they need down by value; no
-//! chunk closure reads it again.
+//! Results do not depend on the backend: the closures are the same
+//! wherever they run.
 //!
 //! # The pool
 //!
@@ -47,9 +41,7 @@
 //! started on first use and alive for the rest of the process. Each
 //! helper keeps its own warm thread-local tensor pool
 //! ([`crate::alloc`]). Work reaches a helper one way, a *fork*: [`join`]
-//! forks its second closure, [`map_each`] every item but the first, and
-//! [`fill_chunks_aligned`] and [`map_ranges`] are [`map_each`] over
-//! their chunks.
+//! forks its second closure.
 //!
 //! A fork takes a helper only when one is idle *and a core is free*: the
 //! fragment threads computing plus the helpers already busy are fewer
@@ -59,18 +51,9 @@
 //! fragment left — the actor's core while DP-A's learner differentiates
 //! — and never on one a busy fragment or another helper needs.
 //! Otherwise the work runs inline on the caller, after the caller's own
-//! share. A fork never queues: with no helper to take it, it does not
-//! wait for one, so a fork inside a forked closure, or
-//! two callers racing for one helper, degrades to inline and cannot
-//! deadlock. Results do not depend on where work ran: the closures are
-//! the same either way.
-//!
-//! [`ExecCtx::threads`] is how many chunks a kernel cuts its output
-//! into, not how many threads run them, and no fork reads it: the
-//! number of threads is the number of free cores. So `MSRL_THREADS=1`
-//! keeps every kernel one chunk, yet [`join`] still forks. The backend
-//! does bound it: under [`Backend::Scalar`] nothing forks, and every
-//! kernel and both branches of a [`join`] run on the calling thread.
+//! branch. A fork never queues: with no helper to take it, it does not
+//! wait for one, so a fork inside a forked closure, or two callers
+//! racing for one helper, degrades to inline and cannot deadlock.
 //!
 //! A forked closure borrows from the caller's frame; the caller waits
 //! for it on every path out — return or unwind — and a panic in it is
@@ -84,12 +67,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Which execution strategy the tensor kernels use.
+/// Whether a [`join`] may fork its second branch onto a helper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Single-threaded reference kernels.
+    /// Nothing forks: both branches of a [`join`] run on the caller.
     Scalar,
-    /// Kernels cut into chunks, run on the pool's free cores.
+    /// A [`join`] may fork its second branch onto a free core.
     Threaded,
 }
 
@@ -141,16 +124,8 @@ pub fn parse_var<T>(
 /// docs for how a value is resolved, overridden and inherited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
-    /// Serial or chunk-parallel kernels.
+    /// Whether a [`join`] may fork.
     pub backend: Backend,
-    /// Chunks an intra-op kernel cuts its output into under
-    /// [`Backend::Threaded`] (≥ 1). Not a thread count: chunks run on
-    /// whatever cores are free (module docs, "The pool").
-    pub threads: usize,
-    /// Replaces every kernel's own serial-below cut-off
-    /// ([`PAR_MIN_ELEMS`], [`PAR_MIN_FLOPS`], …) when set; tests set it
-    /// to 1 so tiny inputs still exercise the multi-chunk paths.
-    pub par_min: Option<usize>,
     /// Fused `MatMul+bias+activation` kernels in [`crate::nn`].
     /// Bit-identical to the unfused operators, which stay reachable through
     /// [`with_fusion`]`(false, ..)` as the reference the bitwise suites
@@ -171,23 +146,14 @@ impl ExecCtx {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for `MSRL_BACKEND` outside
-    /// `scalar|threaded` or `MSRL_THREADS` that is not a positive
-    /// integer.
+    /// `scalar|threaded`.
     pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<ExecCtx, ConfigError> {
         let backend = parse_var(&lookup, "MSRL_BACKEND", "scalar|threaded", |v| match v {
             "scalar" => Some(Backend::Scalar),
             "threaded" => Some(Backend::Threaded),
             _ => None,
         })?;
-        let threads = parse_var(&lookup, "MSRL_THREADS", "a positive integer", |v| {
-            v.parse::<usize>().ok().filter(|&n| n > 0)
-        })?;
-        Ok(ExecCtx {
-            backend: backend.unwrap_or(Backend::Threaded),
-            threads: threads.unwrap_or_else(cores),
-            par_min: None,
-            fusion: true,
-        })
+        Ok(ExecCtx { backend: backend.unwrap_or(Backend::Threaded), fusion: true })
     }
 
     /// [`Self::parse`] over the process environment.
@@ -228,26 +194,11 @@ impl ExecCtx {
         let _restore = Restore(CURRENT.replace(Some(self)));
         f()
     }
-
-    /// True when `work_items` should be cut into chunks: threaded
-    /// backend, more than one chunk, and at least `serial_below` items
-    /// (or [`Self::par_min`], when set).
-    #[inline]
-    pub fn should_parallelize(&self, work_items: usize, serial_below: usize) -> bool {
-        self.backend == Backend::Threaded
-            && self.threads > 1
-            && work_items >= self.par_min.unwrap_or(serial_below)
-    }
 }
 
 /// The calling thread's backend.
 pub fn backend() -> Backend {
     ExecCtx::current().backend
-}
-
-/// The calling thread's intra-op chunk count.
-pub fn thread_count() -> usize {
-    ExecCtx::current().threads
 }
 
 /// Whether fused kernels are on for the calling thread (see
@@ -263,9 +214,11 @@ pub fn tier_enabled() -> bool {
     true
 }
 
-/// [`ExecCtx::should_parallelize`] on the calling thread's context.
-pub fn should_parallelize(work_items: usize, serial_below: usize) -> bool {
-    ExecCtx::current().should_parallelize(work_items, serial_below)
+/// Runs `f`: every kernel is one chunk, so there is no chunk count to
+/// set. Kept only until the frozen `benchmark/` crate, which still
+/// calls it, is re-pointed.
+pub fn with_threads<T>(_threads: usize, f: impl FnOnce() -> T) -> T {
+    f()
 }
 
 /// Runs `f` under the given backend on the calling thread.
@@ -273,110 +226,9 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     ExecCtx { backend, ..ExecCtx::current() }.scope(f)
 }
 
-/// Runs `f` with `threads` intra-op chunks on the calling thread.
-pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    ExecCtx { threads: threads.max(1), ..ExecCtx::current() }.scope(f)
-}
-
-/// Runs `f` with every kernel's serial cut-off forced to `n` on the
-/// calling thread.
-pub fn with_par_min<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    ExecCtx { par_min: Some(n), ..ExecCtx::current() }.scope(f)
-}
-
 /// Runs `f` with fusion forced to `fusion` on the calling thread.
 pub fn with_fusion<T>(fusion: bool, f: impl FnOnce() -> T) -> T {
     ExecCtx { fusion, ..ExecCtx::current() }.scope(f)
-}
-
-/// Elements below which threaded kernels stay serial: handing a chunk
-/// to another core costs more than the work it would cover.
-pub const PAR_MIN_ELEMS: usize = 16 * 1024;
-
-/// Multiply–add count below which matmul stays serial.
-pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
-
-/// Splits `out` into [`ExecCtx::threads`] contiguous chunks and runs
-/// `f(offset_of_chunk, chunk)` for each through [`map_each`].
-///
-/// Chunk boundaries depend only on `out.len()` and the chunk count, so
-/// results are deterministic for a fixed configuration. With one chunk
-/// this degenerates to a plain call on the full slice.
-pub fn fill_chunks<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    fill_chunks_aligned(out, 1, f);
-}
-
-/// As [`fill_chunks`], but chunk boundaries are multiples of `align`
-/// elements — used when `out` is made of logical records (matrix rows,
-/// broadcast runs) that must not straddle two chunks.
-pub fn fill_chunks_aligned<T, F>(out: &mut [T], align: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(align > 0 && out.len().is_multiple_of(align), "output must be whole records");
-    let records = out.len() / align;
-    let chunks = thread_count().min(records.max(1));
-    let chunk_len = records.div_ceil(chunks) * align;
-    if chunks <= 1 || chunk_len == 0 {
-        f(0, out);
-        return;
-    }
-    let items: Vec<_> = out.chunks_mut(chunk_len).enumerate().collect();
-    map_each(items, |(idx, chunk)| f(idx * chunk_len, chunk));
-}
-
-/// Partitions `0..n` into [`ExecCtx::threads`] contiguous ranges and
-/// runs `f(range)` for each through [`map_each`], collecting the
-/// per-range results in range order.
-pub fn map_ranges<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let chunks = thread_count().min(n.max(1));
-    let chunk = n.div_ceil(chunks);
-    if chunks <= 1 || chunk == 0 {
-        return vec![f(0..n)];
-    }
-    map_each((0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect(), f)
-}
-
-/// Runs `f` on every item and returns the results in item order: the
-/// first item on the calling thread, each other one forked to an idle
-/// helper when a core is free and run inline otherwise (module docs,
-/// "The pool"). Every item runs under the caller's [`ExecCtx`]; the
-/// call returns once all have, and resumes the first panic among them.
-pub fn map_each<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    {
-        let f = &f;
-        let mut items = items.into_iter().zip(results.iter_mut());
-        let first = items.next();
-        let mut forked = Vec::with_capacity(items.len());
-        for (item, slot) in items {
-            match fork(move || *slot = Some(f(item))) {
-                Ok(running) => forked.push(running),
-                Err(inline) => inline(),
-            }
-        }
-        if let Some((item, slot)) = first {
-            *slot = Some(f(item));
-        }
-        for running in forked {
-            running.join();
-        }
-    }
-    results.into_iter().map(|r| r.expect("every item ran")).collect()
 }
 
 /// Runs `a` on the calling thread and `b` on an idle helper when a core
@@ -625,86 +477,38 @@ mod tests {
     use std::thread::ThreadId;
 
     #[test]
-    fn fill_chunks_covers_every_slot() {
-        let mut out = vec![0usize; 103];
-        with_threads(4, || {
-            fill_chunks(&mut out, |offset, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = offset + i;
-                }
-            });
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| i == v));
-    }
-
-    #[test]
-    fn map_ranges_preserves_order() {
-        let sums = with_threads(3, || map_ranges(100, |r| r.sum::<usize>()));
-        assert_eq!(sums.iter().sum::<usize>(), 4950);
-        let firsts = with_threads(4, || map_ranges(10, |r| r.start));
-        assert_eq!(firsts, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
     fn scopes_nest_and_restore_also_on_unwind() {
         let outer = ExecCtx::current();
-        let inner = with_backend(Backend::Scalar, || {
-            with_fusion(false, || with_par_min(5, || with_threads(7, ExecCtx::current)))
-        });
-        let expect =
-            ExecCtx { backend: Backend::Scalar, fusion: false, par_min: Some(5), threads: 7 };
-        assert_eq!(inner, expect);
+        let inner = with_backend(Backend::Scalar, || with_fusion(false, ExecCtx::current));
+        assert_eq!(inner, ExecCtx { backend: Backend::Scalar, fusion: false });
         assert_eq!(ExecCtx::current(), outer);
-        let unwound = std::panic::catch_unwind(|| with_threads(9, || panic!("boom")));
+        let unwound = std::panic::catch_unwind(|| with_fusion(false, || panic!("boom")));
         assert!(unwound.is_err());
         assert_eq!(ExecCtx::current(), outer, "the drop guard restores on unwind");
     }
 
     #[test]
-    fn par_min_replaces_the_kernel_cutoff_and_one_worker_stays_serial() {
-        with_backend(Backend::Threaded, || {
-            with_threads(4, || {
-                assert!(!should_parallelize(2, PAR_MIN_ELEMS));
-                with_par_min(1, || assert!(should_parallelize(2, PAR_MIN_ELEMS)));
-                with_par_min(1000, || assert!(!should_parallelize(2, 1)));
-            });
-            with_threads(1, || with_par_min(1, || assert!(!should_parallelize(1 << 20, 1))));
-        });
-        with_backend(Backend::Scalar, || {
-            with_threads(4, || with_par_min(1, || assert!(!should_parallelize(1 << 20, 1))));
-        });
-    }
-
-    #[test]
     fn fan_out_workers_inherit_the_callers_context_and_siblings_do_not() {
-        let ctx =
-            ExecCtx { backend: Backend::Threaded, threads: 4, par_min: Some(1), fusion: false };
+        let ctx = ExecCtx { backend: Backend::Threaded, fusion: false };
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             // A sibling thread inside its own, different scope while the
-            // fan-outs below run: neither side sees the other's.
+            // joins below run: neither side sees the other's.
             let sibling = s.spawn(|| {
-                let mine = ExecCtx { threads: 2, fusion: true, ..ctx };
+                let mine = ExecCtx { fusion: true, ..ctx };
                 mine.scope(|| {
                     barrier.wait();
-                    let seen = map_ranges(2, |_| ExecCtx::current());
                     let joined = join(ExecCtx::current, ExecCtx::current);
                     barrier.wait();
-                    (mine, seen, joined)
+                    (mine, joined)
                 })
             });
             ctx.scope(|| {
                 barrier.wait();
-                let seen = map_ranges(8, |_| ExecCtx::current());
-                assert_eq!(seen, vec![ctx; 4]);
-                let mut slots = vec![None; 8];
-                fill_chunks_aligned(&mut slots, 2, |_, chunk| chunk.fill(Some(ExecCtx::current())));
-                assert!(slots.iter().all(|s| *s == Some(ctx)));
                 assert_eq!(join(ExecCtx::current, ExecCtx::current), (ctx, ctx));
                 barrier.wait();
             });
-            let (mine, seen, joined) = sibling.join().expect("sibling must not panic");
-            assert_eq!(seen, vec![mine; 2]);
+            let (mine, joined) = sibling.join().expect("sibling must not panic");
             assert_eq!(joined, (mine, mine));
         });
         // A helper holds no context of its own between forks.
@@ -783,19 +587,6 @@ mod tests {
     fn a_join_inside_b_completes() {
         let nested = join(|| 1, || join(|| 2, || join(|| 3, || 4)));
         assert_eq!(nested, (1, (2, (3, 4))));
-        let mut cells = vec![0usize; 64];
-        with_threads(4, || {
-            let (left, right) = cells.split_at_mut(32);
-            join(
-                || fill_chunks(left, |o, c| c.iter_mut().enumerate().for_each(|(i, v)| *v = o + i)),
-                || {
-                    fill_chunks(right, |o, c| {
-                        c.iter_mut().enumerate().for_each(|(i, v)| *v = 32 + o + i)
-                    })
-                },
-            )
-        });
-        assert!(cells.iter().enumerate().all(|(i, &v)| i == v));
     }
 
     #[test]
@@ -825,12 +616,7 @@ mod tests {
     fn the_scalar_backend_never_forks() {
         let me = std::thread::current().id();
         let on = || std::thread::current().id();
-        with_backend(Backend::Scalar, || {
-            with_threads(4, || {
-                assert_eq!(join(on, on), (me, me));
-                assert_eq!(map_each(vec![(); 4], |()| on()), vec![me; 4]);
-            });
-        });
+        with_backend(Backend::Scalar, || assert_eq!(join(on, on), (me, me)));
     }
 
     #[test]

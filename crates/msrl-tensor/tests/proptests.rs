@@ -18,17 +18,11 @@ fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// Evaluates `f` once under each backend and returns
-/// `(scalar_result, threaded_result)`. Forces 4 workers and a parallel
-/// threshold of 1 so even tiny property-test inputs take the
-/// multi-chunk threaded code paths.
+/// `(scalar_result, threaded_result)`. A kernel never forks, so the two
+/// must agree bit for bit: the backend decides only whether a learner's
+/// branches may run side by side.
 fn on_both_backends<T>(f: impl Fn() -> T) -> (T, T) {
-    par::with_threads(4, || {
-        par::with_par_min(1, || {
-            let scalar = par::with_backend(Backend::Scalar, &f);
-            let threaded = par::with_backend(Backend::Threaded, &f);
-            (scalar, threaded)
-        })
-    })
+    (par::with_backend(Backend::Scalar, &f), par::with_backend(Backend::Threaded, &f))
 }
 
 proptest! {
@@ -174,10 +168,8 @@ proptest! {
         prop_assert_eq!(c.data()[n1 * 3..].iter().sum::<f32>(), (n2 * 6) as f32);
     }
 
-    /// Threaded matmul partitions rows across workers but keeps the scalar
-    /// backend's per-row accumulation order, so the two backends must agree
-    /// bit-for-bit (far inside the 1e-5 budget) — including degenerate
-    /// m = 1 / k = 1 / n = 1 shapes.
+    /// The two backends run the same matmul and must agree bit-for-bit —
+    /// including degenerate m = 1 / k = 1 / n = 1 shapes.
     #[test]
     fn backend_matmul_agrees(
         m in 1usize..9, k in 1usize..9, n in 1usize..9,
@@ -218,7 +210,7 @@ proptest! {
         let naive = bits(&reference::matmul(ta.data(), tb.data(), m, k, n));
         // Straight onto the packed tile, whatever the PACK_MIN_FLOPS
         // on-the-fly cutoff says: all rows at once, and split at a row
-        // the way a threaded fan-out hands each chunk its first row.
+        // (the kernel takes the index of its first row).
         let bp = kernels::pack_b(tb.data(), k, n);
         let mut whole = vec![0.0; m * n];
         kernels::matmul_packed_rows(ta.data(), 0, &mut whole, k, n, &bp);
@@ -289,9 +281,8 @@ proptest! {
 
     /// `matmul_at` carries partial sums across reduction blocks of
     /// `AT_BLOCK` rows; with `p` on either side of one, two and three
-    /// block boundaries (and the Threaded backend splitting output rows
-    /// four ways) every element must still be the plain ascending-`kk`
-    /// fold.
+    /// block boundaries every element must still be the plain
+    /// ascending-`kk` fold.
     #[test]
     fn matmul_at_matches_naive_fold_across_reduction_blocks(
         p in 0usize..3 * kernels::AT_BLOCK + 2, m in 1usize..24, n in 1usize..40,
@@ -365,9 +356,8 @@ proptest! {
         prop_assert_eq!(mul_s, mul_t);
     }
 
-    /// Axis reductions partition over output groups (bit-exact across
-    /// backends); whole-tensor sums split into per-chunk partials and must
-    /// agree to rounding.
+    /// Axis reductions and whole-tensor sums are bit-exact across
+    /// backends.
     #[test]
     fn backend_reductions_agree(
         d0 in 1usize..5, d1 in 1usize..5, d2 in 1usize..5,
@@ -380,11 +370,8 @@ proptest! {
         prop_assert_eq!(max_s, max_t);
         let (mean_s, mean_t) = on_both_backends(|| ops::mean_axis(&t, axis).unwrap());
         prop_assert_eq!(mean_s, mean_t);
-        let (all_s, all_t) = on_both_backends(|| ops::sum_all(&t).item().unwrap());
-        prop_assert!(
-            (all_s - all_t).abs() <= 1e-5 * (1.0 + all_s.abs()),
-            "sum_all diverged: {} vs {}", all_s, all_t
-        );
+        let (all_s, all_t) = on_both_backends(|| ops::sum_all(&t));
+        prop_assert_eq!(all_s, all_t);
     }
 
     /// The gathered reduction row kernels must match the naive scalar
@@ -460,8 +447,8 @@ proptest! {
         }
     }
 
-    /// Row-softmax and element-wise maps partition on whole rows/chunks and
-    /// must agree bit-for-bit with the scalar backend.
+    /// Row-softmax and element-wise maps must agree bit-for-bit across
+    /// backends.
     #[test]
     fn backend_softmax_and_map_agree(m in 1usize..7, n in 1usize..7, vals in small_vec(36)) {
         let t = Tensor::from_vec(vals[..m * n].to_vec(), &[m, n]).unwrap();
@@ -477,8 +464,7 @@ proptest! {
 proptest! {
     /// `exp`/`tanh`/`sigmoid` must stay within the documented error
     /// bounds of libm across the training-relevant input range (±20),
-    /// and must be deterministic across backends (chunk partitioning
-    /// cannot perturb element-wise kernels).
+    /// and must be deterministic across backends.
     #[test]
     fn fastmath_unaries_within_documented_bounds(
         vals in proptest::collection::vec(-20.0f32..20.0, 33)

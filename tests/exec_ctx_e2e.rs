@@ -20,24 +20,26 @@ fn dist(actors: usize, seed: u64) -> DistPpoConfig {
     }
 }
 
-/// Two drivers at once, each under its own `with_backend`/`with_threads`
+/// Two drivers at once, each under its own `with_backend`/`with_fusion`
 /// scope: every actor fragment sees the context of the thread that
 /// called *its* driver (inheritance through `spawn_fragment`), never the
-/// sibling's and never the process default.
+/// sibling's and never the process default (threaded, fused).
 #[test]
 fn concurrent_drivers_each_see_their_own_context_in_their_fragments() {
-    let cfg = dist(2, 32);
     let both_scoped = Barrier::new(2);
-    let observe = |backend: Backend, threads: usize| {
+    let observe = |backend: Backend, fusion: bool| {
         let seen = Mutex::new(Vec::new());
         par::with_backend(backend, || {
-            par::with_threads(threads, || {
+            par::with_fusion(fusion, || {
+                // The run's `fusion` defaults to the scope's.
+                let cfg = dist(2, 32);
                 // Both scopes are open before either driver starts and
                 // stay open until both have finished.
                 both_scoped.wait();
                 run_dp_a(
                     |a, i| {
-                        seen.lock().expect("no panics").push((par::backend(), par::thread_count()));
+                        let ctx = (par::backend(), par::fusion_enabled());
+                        seen.lock().expect("no panics").push(ctx);
                         CartPole::new((a * 5 + i) as u64)
                     },
                     &cfg,
@@ -48,13 +50,13 @@ fn concurrent_drivers_each_see_their_own_context_in_their_fragments() {
         });
         seen.into_inner().expect("no panics")
     };
-    let (scalar, threaded) = std::thread::scope(|s| {
-        let a = s.spawn(|| observe(Backend::Scalar, 3));
-        let b = s.spawn(|| observe(Backend::Threaded, 5));
+    let (scalar, unfused) = std::thread::scope(|s| {
+        let a = s.spawn(|| observe(Backend::Scalar, true));
+        let b = s.spawn(|| observe(Backend::Threaded, false));
         (a.join().expect("driver thread"), b.join().expect("driver thread"))
     });
     // The probe env on the driver thread plus 2 actors × 2 envs on
     // fragment threads.
-    assert_eq!(scalar, vec![(Backend::Scalar, 3); 5]);
-    assert_eq!(threaded, vec![(Backend::Threaded, 5); 5]);
+    assert_eq!(scalar, vec![(Backend::Scalar, true); 5]);
+    assert_eq!(unfused, vec![(Backend::Threaded, false); 5]);
 }
