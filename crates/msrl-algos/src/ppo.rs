@@ -296,11 +296,8 @@ impl PackedPpo {
 /// rollout forward of a version is then a panel sweep: the small
 /// per-step batches (`[16, 64] · [64, 64]` is below
 /// `msrl_tensor::ops::PACK_MIN_FLOPS`) stop running the unpacked row
-/// kernel, and the tall ones stop packing per call. The packed forward
-/// is the fused kernel, so with fusion off (the bitwise reference, see
-/// `msrl_tensor::par::with_fusion`) there is no snapshot and the seat
-/// forwards through the separate operators instead; outputs are
-/// bit-identical either way.
+/// kernel, and the tall ones stop packing per call. Outputs are
+/// bit-identical to the unpacked forward.
 #[derive(Default)]
 pub struct ActingSnapshot {
     packed: Option<PackedPpo>,
@@ -310,20 +307,16 @@ pub struct ActingSnapshot {
 
 impl ActingSnapshot {
     /// The snapshot of `policy`'s weights, re-packed first if they
-    /// changed since; `None` with fusion off.
-    pub fn of(&mut self, policy: &PpoPolicy) -> Option<&PackedPpo> {
-        if !msrl_tensor::par::fusion_enabled() {
-            return None;
-        }
+    /// changed since.
+    pub fn of(&mut self, policy: &PpoPolicy) -> &PackedPpo {
         if !self.fresh {
-            match &mut self.packed {
-                Some(packed) => packed.repack(policy),
-                None => self.packed = Some(PackedPpo::pack(policy)),
+            if let Some(packed) = &mut self.packed {
+                packed.repack(policy);
             }
             self.fresh = true;
             self.generation += 1;
         }
-        self.packed.as_ref()
+        self.packed.get_or_insert_with(|| PackedPpo::pack(policy))
     }
 
     /// The weights changed: the next [`ActingSnapshot::of`] re-packs.
@@ -381,7 +374,7 @@ impl PpoActor {
 impl Actor for PpoActor {
     fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
         let packed = self.snapshot.of(&self.policy);
-        self.policy.act_with(obs, &mut self.rng, packed)
+        self.policy.act_with(obs, &mut self.rng, Some(packed))
     }
 
     fn policy_params(&self) -> Vec<f32> {
@@ -906,22 +899,16 @@ mod tests {
         let policy = PpoPolicy::discrete(4, 3, &[32, 32], 5);
         let obs =
             Tensor::from_vec((0..24).map(|i| (i as f32 * 0.21).sin()).collect(), &[6, 4]).unwrap();
-        // Same seed → same sampling stream; packed (fused) vs unpacked
-        // (separate operators) actions, log-probs and values must agree
-        // bitwise.
-        let run = |fusion: bool| {
-            msrl_tensor::par::with_fusion(fusion, || {
-                let mut actor = PpoActor::new(policy.clone(), 9);
-                let out = actor.act(&obs).unwrap();
-                assert_eq!(actor.has_packed_weights(), fusion, "pack cache gate");
-                out
-            })
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.actions.data(), off.actions.data());
-        assert_eq!(on.log_probs.data(), off.log_probs.data());
-        assert_eq!(on.values.unwrap().data(), off.values.unwrap().data());
+        // Same seed → same sampling stream; the actor's packed snapshot
+        // vs the per-call forward: actions, log-probs and values must
+        // agree bitwise.
+        let mut actor = PpoActor::new(policy.clone(), 9);
+        let packed = actor.act(&obs).unwrap();
+        assert!(actor.has_packed_weights(), "acting packs");
+        let per_call = policy.act(&obs, &mut StdRng::seed_from_u64(9)).unwrap();
+        assert_eq!(packed.actions.data(), per_call.actions.data());
+        assert_eq!(packed.log_probs.data(), per_call.log_probs.data());
+        assert_eq!(packed.values.unwrap().data(), per_call.values.unwrap().data());
         // A weight sync carrying *new* weights invalidates the
         // snapshot; the next act repacks, in place, every weight and bias
         // of both heads: it acts as a policy built on those weights does.
@@ -1110,8 +1097,7 @@ mod tests {
         /// whole batch bit for bit; a continuous policy's `log_std`, the
         /// one parameter that is a sum of per-block gradients, to 1e-6.
         /// Under the scalar backend, where the branches never fork, the
-        /// gradients agree bitwise too, and the unfused operators stay the
-        /// bitwise reference.
+        /// gradients agree bitwise too.
         #[test]
         fn blocked_learn_pass_is_the_one_tape_pass_bit_for_bit(
             rows in 1usize..150,
@@ -1145,14 +1131,13 @@ mod tests {
                 let scalar = par::with_backend(msrl_tensor::Backend::Scalar, || {
                     pass_bits(policy, &batch, block)
                 });
-                let unfused = par::with_fusion(false, || pass_bits(policy, &batch, block));
                 // `log_std` is judged at the scale of the gradient it is
                 // clipped and applied with, its largest component.
                 let floats = |g: &[Vec<u32>]| -> Vec<f32> {
                     g.iter().flatten().map(|&b| f32::from_bits(b)).collect()
                 };
                 let scale = floats(&one_tape.2).iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                for (name, got) in [("", &blocked), (" scalar", &scalar), (" unfused", &unfused)] {
+                for (name, got) in [("", &blocked), (" scalar", &scalar)] {
                     let (got_linear, got_rest) = got.2.split_at(linear);
                     let (linear, rest) = one_tape.2.split_at(linear);
                     prop_assert_eq!(got_linear, linear, "Linear grads{}, {}", name, what);
@@ -1233,7 +1218,7 @@ mod tests {
     /// The split pass is the one-tape pass bit for bit, whether the value
     /// branch runs on a helper or after the policy branch on the caller:
     /// discrete and continuous heads, one block and three (the last one
-    /// ragged), fused and unfused.
+    /// ragged).
     #[test]
     fn branch_split_keeps_every_bit() {
         use msrl_tensor::par;
@@ -1243,41 +1228,36 @@ mod tests {
             [PpoPolicy::discrete(4, 2, &[32, 32], 3), PpoPolicy::continuous(17, 6, &[32, 32], 4)];
         for policy in &policies {
             for rows in [300, 2 * LEARN_BLOCK_ROWS + 77] {
-                for fusion in [true, false] {
-                    let what =
-                        format!("discrete {}, {rows} rows, fusion {fusion}", policy.discrete);
-                    par::with_fusion(fusion, || {
-                        let batch = synthetic_batch(rows, policy, 11);
-                        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
-                        let inputs = learner.loss_inputs(&batch).unwrap();
-                        assert_eq!(inputs.blocks.len(), rows.div_ceil(LEARN_BLOCK_ROWS));
-                        let reference = one_tape_pass(&learner, &inputs);
-                        let inline = split_pass(&learner, &inputs, &mut |policy, value| {
-                            policy();
+                let what = format!("discrete {}, {rows} rows", policy.discrete);
+                let batch = synthetic_batch(rows, policy, 11);
+                let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+                let inputs = learner.loss_inputs(&batch).unwrap();
+                assert_eq!(inputs.blocks.len(), rows.div_ceil(LEARN_BLOCK_ROWS));
+                let reference = one_tape_pass(&learner, &inputs);
+                let inline = split_pass(&learner, &inputs, &mut |policy, value| {
+                    policy();
+                    value();
+                });
+                assert_eq!(inline, reference, "inline, {what}");
+                // A concurrent test may hold the helper: retry until the
+                // value branch ran on it.
+                for attempt in 0.. {
+                    let mut ran_on = me;
+                    let forked = split_pass(&learner, &inputs, &mut |policy, value| {
+                        let on = || {
                             value();
-                        });
-                        assert_eq!(inline, reference, "inline, {what}");
-                        // A concurrent test may hold the helper: retry
-                        // until the value branch ran on it.
-                        for attempt in 0.. {
-                            let mut ran_on = me;
-                            let forked = split_pass(&learner, &inputs, &mut |policy, value| {
-                                let on = || {
-                                    value();
-                                    std::thread::current().id()
-                                };
-                                // The scalar backend never forks.
-                                let threaded = msrl_tensor::Backend::Threaded;
-                                ran_on = par::with_backend(threaded, || par::join(policy, on)).1;
-                            });
-                            assert_eq!(forked, reference, "forked {}, {what}", ran_on != me);
-                            if ran_on != me || !has_helper {
-                                break;
-                            }
-                            assert!(attempt < 10_000, "the value branch never forked");
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                        }
+                            std::thread::current().id()
+                        };
+                        // The scalar backend never forks.
+                        let threaded = msrl_tensor::Backend::Threaded;
+                        ran_on = par::with_backend(threaded, || par::join(policy, on)).1;
                     });
+                    assert_eq!(forked, reference, "forked {}, {what}", ran_on != me);
+                    if ran_on != me || !has_helper {
+                        break;
+                    }
+                    assert!(attempt < 10_000, "the value branch never forked");
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             }
         }

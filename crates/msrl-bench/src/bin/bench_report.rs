@@ -53,8 +53,8 @@ use msrl_core::interp::Interpreter;
 use msrl_core::trace::{trace_mlp, TraceCtx};
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
-use msrl_tensor::autograd::Tape;
-use msrl_tensor::nn::{Activation, Mlp};
+use msrl_tensor::autograd::{Tape, Var};
+use msrl_tensor::nn::{Activation, Mlp, MlpBinding};
 use msrl_tensor::{init, ops, par, Backend, Tensor};
 
 /// Median ns/iter of `f` over `samples` timed samples, auto-scaling the
@@ -324,10 +324,10 @@ fn bench_trend(prev: &str, gated: &[Gated]) -> Vec<String> {
 
 /// Measured effect of the tape's fused linear kernel on this host.
 struct GraphCompile {
-    /// RL-scale MLP forward+backward, fused linear kernel off / on,
-    /// pinned to the scalar backend so the gain is pure fusion (one
-    /// memory pass instead of matmul→broadcast-add→activation), not
-    /// threading.
+    /// RL-scale MLP forward+backward, the layers spelled as separate
+    /// operators / as the fused kernel, pinned to the scalar backend so
+    /// the gain is pure fusion (one memory pass instead of
+    /// matmul→broadcast-add→activation), not threading.
     fwd_bwd_unfused_ns: f64,
     fwd_bwd_fused_ns: f64,
 }
@@ -340,26 +340,37 @@ impl GraphCompile {
 
 fn graph_compile_cost() -> GraphCompile {
     // The learn-phase workload of every driver: a PPO-sized MLP's
-    // forward and backward over one minibatch. Fusion routes each layer
-    // through `linear_act` (and its fused gradient) instead of three
-    // separate kernels; at this scale the extra memory passes dominate,
-    // which is exactly the regime RL training lives in.
+    // forward and backward over one minibatch. `MlpBinding::forward`
+    // runs each layer as `linear_act` (and its fused gradient) instead
+    // of three separate kernels; at this scale the extra memory passes
+    // dominate, which is exactly the regime RL training lives in.
     let mut rng = init::rng(42);
     let mlp = Mlp::seven_layer(17, 6, 32, &mut rng);
     let x = Tensor::full(&[2, 17], 0.1);
-    let mut fwd_bwd = || {
-        let tape = Tape::new();
-        let net = mlp.bind(&tape);
-        let xv = tape.var(x.clone());
-        let loss = net.forward(&xv).expect("shapes conform").square().sum();
-        let mut grads = tape.backward(&loss).expect("loss is scalar");
-        net.take_grads(&mut grads)
+    // The same layers as `matmul → add → tanh`, the output layer linear.
+    let composed = |net: &MlpBinding, x: &Var| {
+        let layers = net.param_vars().chunks(2).collect::<Vec<_>>();
+        let mut h = x.clone();
+        for (i, wb) in layers.iter().enumerate() {
+            h = h.matmul(&wb[0]).and_then(|p| p.add(&wb[1])).expect("shapes conform");
+            if i + 1 < layers.len() {
+                h = h.tanh();
+            }
+        }
+        h
     };
-    let fwd_bwd_unfused_ns =
-        par::with_backend(Backend::Scalar, || par::with_fusion(false, || time_ns(9, &mut fwd_bwd)));
-    let fwd_bwd_fused_ns =
-        par::with_backend(Backend::Scalar, || par::with_fusion(true, || time_ns(9, &mut fwd_bwd)));
-    GraphCompile { fwd_bwd_unfused_ns, fwd_bwd_fused_ns }
+    let fused = |net: &MlpBinding, x: &Var| net.forward(x).expect("shapes conform");
+    let time = |forward: &dyn Fn(&MlpBinding, &Var) -> Var| {
+        let mut fwd_bwd = || {
+            let tape = Tape::new();
+            let net = mlp.bind(&tape);
+            let loss = forward(&net, &tape.var(x.clone())).square().sum();
+            let mut grads = tape.backward(&loss).expect("loss is scalar");
+            net.take_grads(&mut grads)
+        };
+        par::with_backend(Backend::Scalar, || time_ns(9, &mut fwd_bwd))
+    };
+    GraphCompile { fwd_bwd_unfused_ns: time(&composed), fwd_bwd_fused_ns: time(&fused) }
 }
 
 /// One weight-gradient product `aᵀ·b` (`a: [p, m]`, `b: [p, n]`) at a

@@ -23,9 +23,7 @@
 //! * DP-C with overlap on must show no standalone `comm.all_gather`
 //!   span (episode returns ride the fused gradient all-reduce);
 //! * overlap on must not increase either policy's total `comm.*` span
-//!   time (`comm.overlap` excluded: it brackets compute, not waiting);
-//! * a fifth run repeats DP-A with the fused linear kernel off:
-//!   `phase.learn` p99 with fusion on must not regress against it.
+//!   time (`comm.overlap` excluded: it brackets compute, not waiting).
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -255,30 +253,6 @@ fn overlap_analysis(
     failures
 }
 
-/// Checks that routing learn-phase linear algebra through the fused
-/// `MatMul+bias+activation` kernel never slows training down: `phase.learn`
-/// p99 with fusion on must stay within noise of the unfused run. 15%
-/// headroom absorbs scheduler jitter — p99 over an 8-iteration run is the
-/// worst single sample.
-fn fusion_analysis(fused: &PolicyProfile, unfused: &PolicyProfile) -> Vec<String> {
-    let p99 = |p: &PolicyProfile| p.report.span("phase.learn").map_or(0, |s| s.p99_ns);
-    let (on, off) = (p99(fused), p99(unfused));
-    println!(
-        "\nfusion analysis (dp_a, overlap on): phase.learn p99 unfused {:.1} us -> fused {:.1} us",
-        off as f64 / 1e3,
-        on as f64 / 1e3
-    );
-    if on == 0 || off == 0 {
-        return vec!["fusion: phase.learn span missing from a profiled run".to_string()];
-    }
-    if on as f64 > off as f64 * 1.15 {
-        return vec![format!(
-            "fusion: phase.learn p99 regressed with fusion on ({off} ns -> {on} ns)"
-        )];
-    }
-    Vec::new()
-}
-
 fn main() {
     msrl_bench::runtime_config_or_exit();
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "results".to_string());
@@ -299,7 +273,6 @@ fn main() {
         staleness: 1,
         link_latency: Duration::from_millis(10),
         ppo: PpoConfig { epochs: 1, ..PpoConfig::default() },
-        fusion: true,
         ..DistPpoConfig::default()
     };
     let with_overlap = |on: bool| DistPpoConfig { overlap: on, ..base.clone() };
@@ -322,10 +295,6 @@ fn main() {
             let dist = with_overlap(true);
             Box::new(move || run_dp_c(|a, i| CartPole::new((a * 13 + i) as u64), &dist).map(|_| ()))
         }),
-        ("dp_a_unfused", {
-            let dist = DistPpoConfig { fusion: false, ..with_overlap(true) };
-            Box::new(move || run_dp_a(|a, i| CartPole::new((a * 13 + i) as u64), &dist).map(|_| ()))
-        }),
     ];
     for (name, f) in runs {
         match profile(name, out_dir, f) {
@@ -343,8 +312,7 @@ fn main() {
     side_by_side(&views, "comm ops", &["comm."]);
     comm_counters(&views);
 
-    let mut failures = overlap_analysis(&profiles[0], &profiles[1], &profiles[2], &profiles[3]);
-    failures.extend(fusion_analysis(&profiles[1], &profiles[4]));
+    let failures = overlap_analysis(&profiles[0], &profiles[1], &profiles[2], &profiles[3]);
 
     // Combined artefact: one JSON object keyed by run name.
     let mut combined = String::from("{\n");
@@ -366,5 +334,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("overlap + fusion contract: all checks passed");
+    println!("overlap contract: all checks passed");
 }

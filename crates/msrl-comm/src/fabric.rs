@@ -17,8 +17,6 @@
 //! * [`Endpoint::all_reduce_mean_concat`] — a fused collective: extra
 //!   payload segments (e.g. episode returns) ride the gradient
 //!   all-reduce in a single barrier instead of paying a second one.
-//! * [`Endpoint::all_reduce_mean_chunked`] — splits large payloads so
-//!   reduction of chunk *k* overlaps the transfer of chunk *k+1*.
 //! * [`Endpoint::recv_any`] — completion-order receive across several
 //!   peers, for arrival-order learners (A3C, parameter servers).
 //!
@@ -655,50 +653,6 @@ impl Endpoint {
         Ok((acc, extras))
     }
 
-    /// Chunked AllReduce-mean: the payload is split into `chunk_elems`
-    /// pieces, every piece is shipped up front (sends never block), and
-    /// reduction of chunk *k* proceeds while chunk *k+1* is still in
-    /// flight — the transfer/reduce pipelining of bucketed collectives.
-    /// Results are bit-identical to [`Endpoint::all_reduce_mean`] for any
-    /// chunk size (per-element accumulation order is unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on disconnection, mismatched collectives, or
-    /// ragged payload lengths.
-    pub fn all_reduce_mean_chunked(
-        &mut self,
-        payload: Vec<f32>,
-        chunk_elems: usize,
-    ) -> Result<Vec<f32>, CommError> {
-        let chunk = chunk_elems.max(1);
-        if payload.len() <= chunk {
-            return self.all_reduce_mean(payload);
-        }
-        let _span = msrl_telemetry::span!("comm.all_reduce");
-        let n_chunks = payload.len().div_ceil(chunk);
-        let _hist = msrl_telemetry::static_histogram!("comm.all_reduce").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
-        let tags: Vec<u64> = (0..n_chunks).map(|_| self.advance_tag()).collect();
-        for (k, piece) in payload.chunks(chunk).enumerate() {
-            for to in 0..self.size {
-                if to != self.rank {
-                    self.send_tagged(to, tags[k], piece.to_vec())?;
-                }
-            }
-        }
-        msrl_telemetry::static_counter!("comm.chunks").add(n_chunks as u64);
-        let mut out = Vec::with_capacity(payload.len());
-        for (k, piece) in payload.chunks(chunk).enumerate() {
-            let peers = self.recv_from_peers(tags[k])?;
-            // This rank's contribution is read in place, in rank order.
-            let parts =
-                (0..self.size).map(|r| if r == self.rank { piece } else { peers[r].as_slice() });
-            out.extend(reduce_mean_parts(parts, piece.len(), self.size)?);
-        }
-        Ok(out)
-    }
-
     /// Broadcast from `root`: the root's payload is returned on every
     /// rank (the root passes its data; other ranks pass anything).
     ///
@@ -1102,31 +1056,6 @@ mod tests {
             let (avg, extras) = h.join().unwrap();
             assert_eq!(avg, vec![3.0, 1.0]);
             assert_eq!(extras, vec![vec![], vec![11.0], vec![12.0, 12.0]]);
-        }
-    }
-
-    #[test]
-    fn chunked_all_reduce_matches_unchunked() {
-        let payload_of = |rank: usize| (0..10).map(|i| (rank * 10 + i) as f32).collect::<Vec<_>>();
-        let run = |chunk: Option<usize>| {
-            let eps = Fabric::new(3);
-            let handles: Vec<_> = eps
-                .into_iter()
-                .map(|mut ep| {
-                    thread::spawn(move || {
-                        let mine = payload_of(ep.rank());
-                        match chunk {
-                            Some(c) => ep.all_reduce_mean_chunked(mine, c).unwrap(),
-                            None => ep.all_reduce_mean(mine).unwrap(),
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        };
-        let reference = run(None);
-        for chunk in [1, 3, 4, 10, 64] {
-            assert_eq!(run(Some(chunk)), reference, "chunk size {chunk}");
         }
     }
 

@@ -32,8 +32,3 @@ pub mod topology;
 pub use fabric::{CommError, Endpoint, Fabric, PendingRecv};
 pub use model::{LinkModel, NetworkModel};
 pub use topology::{ClusterSpec, DeviceId, DeviceKind, NodeSpec};
-
-/// Chunk size, in `f32` elements, for the chunked all-reduce: large
-/// enough that per-chunk message overhead is noise, small enough that
-/// reducing chunk *k* overlaps the transfer of chunk *k + 1*.
-pub const COMM_CHUNK_ELEMS: usize = 32_768;

@@ -144,52 +144,6 @@ proptest! {
         }
     }
 
-    /// Chunked all-reduce is bit-identical to the single-shot reduction
-    /// for any payload length and chunk size (including chunk sizes that
-    /// don't divide the payload, and chunks larger than the payload).
-    #[test]
-    fn chunked_all_reduce_matches_unchunked(
-        p in 2usize..5,
-        len in 0usize..40,
-        chunk in 1usize..16,
-        seed in 0u64..1000,
-    ) {
-        let payload = |rank: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    let x = seed
-                        .wrapping_mul(2862933555777941757)
-                        .wrapping_add((rank * 17 + i) as u64);
-                    (x % 2000) as f32 / 100.0 - 10.0
-                })
-                .collect()
-        };
-        let run = |chunked: bool| -> Vec<Vec<f32>> {
-            let eps = Fabric::new(p);
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(rank, mut ep)| {
-                    let mine = payload(rank);
-                    thread::spawn(move || {
-                        if chunked {
-                            ep.all_reduce_mean_chunked(mine, chunk).unwrap()
-                        } else {
-                            ep.all_reduce_mean(mine).unwrap()
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        };
-        for (c, u) in run(true).iter().zip(&run(false)) {
-            prop_assert_eq!(
-                c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                u.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
     /// Point-to-point messages arrive in FIFO order per sender.
     #[test]
     fn p2p_is_fifo(values in proptest::collection::vec(-5.0f32..5.0, 1..20)) {

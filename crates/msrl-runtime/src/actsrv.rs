@@ -133,7 +133,7 @@ impl ActServer {
         }
         let big = Tensor::from_vec(rows, &[total, obs_dim])?;
         let packed = st.snapshot.of(&st.policy);
-        let (out, values) = st.policy.forward_with(&big, packed)?;
+        let (out, values) = st.policy.forward_with(&big, Some(packed))?;
         msrl_telemetry::static_counter!("actsrv.batches").add(1);
         msrl_telemetry::static_counter!("actsrv.rows").add(total as u64);
         msrl_telemetry::static_histogram!("actsrv.batch_rows").record(total as u64);

@@ -3,8 +3,9 @@
 //!
 //! [`RuntimeConfig::from_env`] is the only reader of `MSRL_OVERLAP`,
 //! `MSRL_STALENESS`, `MSRL_ACTSRV` and `MSRL_FAULT_NAN_ITER`, and it
-//! delegates `MSRL_BACKEND` to [`ExecCtx::from_env`]. A value outside a variable's accepted set is a
-//! [`ConfigError`] naming the variable — never a silent default. The
+//! delegates `MSRL_BACKEND` to [`Backend::parse`]. A value outside a
+//! variable's accepted set is a [`ConfigError`] naming the variable —
+//! never a silent default. The
 //! `Default` impls of the driver configs take their environment-backed
 //! fields from here; binaries call `from_env` first so a bad value is
 //! reported as an error before any work starts.
@@ -16,14 +17,15 @@
 
 use msrl_algos::a3c::A3cConfig;
 use msrl_algos::ppo::PpoConfig;
+use msrl_telemetry::parse_switch;
 pub use msrl_tensor::par::ConfigError;
-use msrl_tensor::par::{self, parse_var, ExecCtx};
+use msrl_tensor::par::{parse_var, Backend};
 
 /// Everything the environment can say about how a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Tensor execution context (`MSRL_BACKEND`).
-    pub exec: ExecCtx,
+    /// Whether a learn pass may fork onto a free core (`MSRL_BACKEND`).
+    pub backend: Backend,
     /// Overlap communication with computation (`MSRL_OVERLAP`, default
     /// on).
     pub overlap: bool,
@@ -41,14 +43,6 @@ pub struct RuntimeConfig {
 
 const BOOL_VALUES: &str = "0|off|false|no|1|on|true|yes";
 
-fn parse_bool(v: &str) -> Option<bool> {
-    match v {
-        "0" | "off" | "false" | "no" => Some(false),
-        "1" | "on" | "true" | "yes" => Some(true),
-        _ => None,
-    }
-}
-
 impl RuntimeConfig {
     /// Resolves a configuration from `lookup(name)`, the pure core of
     /// [`Self::from_env`]: unset variables take their defaults, set
@@ -56,7 +50,7 @@ impl RuntimeConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`]: those of [`ExecCtx::parse`],
+    /// Returns the first [`ConfigError`]: those of [`Backend::parse`],
     /// a non-boolean `MSRL_OVERLAP`/`MSRL_ACTSRV`, or an
     /// `MSRL_STALENESS`/`MSRL_FAULT_NAN_ITER` that is not a
     /// non-negative integer.
@@ -64,12 +58,12 @@ impl RuntimeConfig {
         lookup: impl Fn(&'static str) -> Option<String>,
     ) -> Result<RuntimeConfig, ConfigError> {
         const COUNT: &str = "a non-negative integer";
-        let overlap = parse_var(&lookup, "MSRL_OVERLAP", BOOL_VALUES, parse_bool)?;
+        let overlap = parse_var(&lookup, "MSRL_OVERLAP", BOOL_VALUES, parse_switch)?;
         let staleness = parse_var(&lookup, "MSRL_STALENESS", COUNT, |v| v.parse().ok())?;
-        let act_server = parse_var(&lookup, "MSRL_ACTSRV", BOOL_VALUES, parse_bool)?;
+        let act_server = parse_var(&lookup, "MSRL_ACTSRV", BOOL_VALUES, parse_switch)?;
         let fault_nan_iter = parse_var(&lookup, "MSRL_FAULT_NAN_ITER", COUNT, |v| v.parse().ok())?;
         Ok(RuntimeConfig {
-            exec: ExecCtx::parse(lookup)?,
+            backend: Backend::parse(lookup)?,
             overlap: overlap.unwrap_or(true),
             staleness: staleness.unwrap_or(1),
             act_server: act_server.unwrap_or(false),
@@ -130,9 +124,11 @@ pub struct DistPpoConfig {
     /// in-process analogue of the paper's `tc`-injected network latency
     /// (Fig. 7d). Zero (the default) means in-process channel speed.
     pub link_latency: std::time::Duration,
-    /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path). On by default; off is the
-    /// reference the bitwise suites compare against.
+    /// Not read. Every layer runs the fused `MatMul+bias+activation`
+    /// kernel, which is bit-identical to the separate operators by
+    /// contract (`msrl_tensor::ops::linear_act`), so no value of this
+    /// field could change a run. Kept only because the frozen ledger
+    /// spells it in struct literals; elsewhere use `..Default::default()`.
     pub fusion: bool,
     /// Micro-batch policy forwards *across* actor fragments through the
     /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
@@ -155,7 +151,7 @@ impl Default for DistPpoConfig {
             overlap: env.overlap,
             staleness: env.staleness,
             link_latency: std::time::Duration::ZERO,
-            fusion: par::fusion_enabled(),
+            fusion: true,
             act_server: env.act_server,
         }
     }
@@ -188,9 +184,22 @@ pub struct DpDConfig {
     pub ppo: PpoConfig,
     /// Base seed.
     pub seed: u64,
-    /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path).
+    /// Not read: every layer runs the fused `MatMul+bias+activation`
+    /// kernel (see [`DistPpoConfig::fusion`]).
     pub fusion: bool,
+}
+
+impl Default for DpDConfig {
+    fn default() -> Self {
+        DpDConfig {
+            devices: 2,
+            episodes: 10,
+            hidden: vec![32, 32],
+            ppo: PpoConfig::default(),
+            seed: 0,
+            fusion: true,
+        }
+    }
 }
 
 /// Configuration for MAPPO with a dedicated environment worker (DP-E).
@@ -204,9 +213,21 @@ pub struct DpEConfig {
     pub ppo: PpoConfig,
     /// Base seed.
     pub seed: u64,
-    /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path).
+    /// Not read: every layer runs the fused `MatMul+bias+activation`
+    /// kernel (see [`DistPpoConfig::fusion`]).
     pub fusion: bool,
+}
+
+impl Default for DpEConfig {
+    fn default() -> Self {
+        DpEConfig {
+            episodes: 10,
+            hidden: vec![32, 32],
+            ppo: PpoConfig::default(),
+            seed: 0,
+            fusion: true,
+        }
+    }
 }
 
 /// Configuration for asynchronous A3C.
@@ -224,8 +245,8 @@ pub struct A3cDistConfig {
     pub a3c: A3cConfig,
     /// Base seed.
     pub seed: u64,
-    /// Route linear layers through the fused `MatMul+bias+activation`
-    /// kernel (bit-identical to the unfused path). On by default.
+    /// Not read: every layer runs the fused `MatMul+bias+activation`
+    /// kernel (see [`DistPpoConfig::fusion`]).
     pub fusion: bool,
 }
 
@@ -238,7 +259,7 @@ impl Default for A3cDistConfig {
             hidden: vec![32],
             a3c: A3cConfig::default(),
             seed: 0,
-            fusion: par::fusion_enabled(),
+            fusion: true,
         }
     }
 }
@@ -246,7 +267,6 @@ impl Default for A3cDistConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msrl_tensor::par::Backend;
 
     fn parse(vars: &[(&'static str, &str)]) -> Result<RuntimeConfig, ConfigError> {
         RuntimeConfig::parse(|name| {
@@ -277,7 +297,7 @@ mod tests {
             (d.overlap, d.staleness, d.act_server, d.fault_nan_iter),
             (true, 1, false, None)
         );
-        assert_eq!((d.exec.backend, d.exec.fusion), (Backend::Threaded, true));
+        assert_eq!(d.backend, Backend::Threaded);
         let c = parse(&[
             ("MSRL_BACKEND", "scalar"),
             ("MSRL_OVERLAP", "off"),
@@ -286,11 +306,14 @@ mod tests {
             ("MSRL_FAULT_NAN_ITER", "7"),
         ])
         .unwrap();
-        assert_eq!(c.exec.backend, Backend::Scalar);
+        assert_eq!(c.backend, Backend::Scalar);
         assert_eq!(
             (c.overlap, c.staleness, c.act_server, c.fault_nan_iter),
             (false, 0, true, Some(7))
         );
+        // The telemetry switches' vocabulary, case included.
+        let upper = parse(&[("MSRL_OVERLAP", "OFF"), ("MSRL_ACTSRV", "Yes")]).unwrap();
+        assert_eq!((upper.overlap, upper.act_server), (false, true));
     }
 
     /// `MSRL_THREADS` is not read, and the benchmark harness still sets

@@ -37,10 +37,10 @@
 //! takes it out of the count while it is parked. So a fragment parked
 //! on a receive lends its core to a peer's learn pass (DP-A's actor to
 //! its learner), and fragments that all compute (DP-C's replicas) run
-//! everything inline. Every fragment thread runs under the
-//! [`msrl_tensor::par::ExecCtx`] of the thread that called the runner,
-//! with `fusion` taken from the run's config, so two runs at once under
-//! different contexts (two tests, two backends) never see each other's.
+//! everything inline. Every fragment thread runs under the backend
+//! ([`msrl_tensor::par::backend`]) of the thread that called the runner,
+//! so two runs at once under different backends (two tests) never see
+//! each other's.
 
 mod rules;
 mod runner;
@@ -202,7 +202,7 @@ where
     let setup = |staleness: usize| Setup {
         link_latency: dist.link_latency,
         staleness,
-        ..Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion)
+        ..Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed)
     };
     match (rule.hub.map(|hub| hub.role), rule.worker.role, rule.sync) {
         (Some(Learner), ActorEnv, PerEpisode) => {
@@ -295,7 +295,7 @@ where
     drop(probe);
     let setup = Setup {
         mean_rewards: true,
-        ..Setup::new(cfg.devices.max(1), obs_dim, spec, &cfg.hidden, cfg.seed, cfg.fusion)
+        ..Setup::new(cfg.devices.max(1), obs_dim, spec, &cfg.hidden, cfg.seed)
     };
     run(&DP_D, &setup, |f| rules::weight_all_reduce(f, make_env(f.rank), cfg), no_hub)
 }
@@ -314,7 +314,7 @@ where
 {
     let env = make_env();
     let (n, obs_dim, spec) = (env.n_agents(), env.obs_dim(), env.action_spec());
-    let setup = Setup::new(n, obs_dim, spec, &cfg.hidden, cfg.seed, cfg.fusion);
+    let setup = Setup::new(n, obs_dim, spec, &cfg.hidden, cfg.seed);
     run(&DP_E, &setup, |f| rules::env_agent(f, cfg), |f| rules::env_worker(f, env, cfg.episodes))
 }
 
@@ -334,7 +334,7 @@ where
     let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
     drop(probe);
     let p = dist.workers.max(1);
-    let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion);
+    let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed);
     run(
         &A3C,
         &setup,

@@ -10,7 +10,7 @@ use msrl_algos::a3c::A3cWorker;
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
 use msrl_algos::ppo::{ActingSnapshot, PpoActor, PpoLearner};
 use msrl_algos::rollout::{collect, decode_actions};
-use msrl_comm::{PendingRecv, COMM_CHUNK_ELEMS};
+use msrl_comm::PendingRecv;
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::Result;
 use msrl_env::batched::BatchedEnv;
@@ -198,7 +198,7 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
     for _ in 0..dist.iterations {
         let mut buffers: Vec<TrajectoryBuffer> = (0..p).map(|_| TrajectoryBuffer::new()).collect();
         rollout(|| -> Result<()> {
-            let (policy, packed) = (&learner.policy, acting.of(&learner.policy));
+            let (policy, packed) = (&learner.policy, Some(acting.of(&learner.policy)));
             // What the next step acts on, every actor's rows in rank
             // order: the reset observations first, from then on the
             // `next_obs` of the last feedback.
@@ -385,7 +385,7 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
         let mut total_reward = 0.0;
         let mut steps = 0usize;
         rollout(|| -> Result<()> {
-            let packed = acting.of(&learner.policy);
+            let packed = Some(acting.of(&learner.policy));
             let mut obs = env.reset();
             loop {
                 let out = learner.policy.act_with(&obs, &mut rng, packed)?;
@@ -412,11 +412,8 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
         let batch = buf.drain_env_major()?;
         let loss = learn(|| learner.learn(&batch))?;
         if f.workers > 1 {
-            // Payloads above `COMM_CHUNK_ELEMS` are reduced chunk by
-            // chunk while the next chunk is in flight; smaller ones fall
-            // through to the plain all-reduce (bit-identical either way).
             let _s = msrl_telemetry::span!("phase.weight_sync");
-            let avg = f.ep.all_reduce_mean_chunked(learner.policy_params(), COMM_CHUNK_ELEMS)?;
+            let avg = f.ep.all_reduce_mean(learner.policy_params())?;
             learner.set_policy_params(&avg)?;
         }
         acting.invalidate();

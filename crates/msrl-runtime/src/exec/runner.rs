@@ -17,7 +17,7 @@ use msrl_comm::{Endpoint, Fabric};
 use msrl_core::api::Learner;
 use msrl_core::Result;
 use msrl_env::ActionSpec;
-use msrl_tensor::par::{self, ExecCtx};
+use msrl_tensor::par;
 
 use super::{Rule, TrainingReport};
 use crate::observe::{close_run, RunObserver};
@@ -28,8 +28,6 @@ pub(crate) struct Setup {
     pub workers: usize,
     /// The weights every seat starts from.
     pub policy: PpoPolicy,
-    /// `fusion` of the run's [`ExecCtx`].
-    pub fusion: bool,
     /// Simulated per-message latency of the fabric.
     pub link_latency: std::time::Duration,
     /// The staleness bound every RunEvent carries.
@@ -48,7 +46,6 @@ impl Setup {
         spec: ActionSpec,
         hidden: &[usize],
         seed: u64,
-        fusion: bool,
     ) -> Setup {
         let policy = if spec.is_discrete() {
             PpoPolicy::discrete(obs_dim, spec.policy_width(), hidden, seed)
@@ -56,7 +53,7 @@ impl Setup {
             PpoPolicy::continuous(obs_dim, spec.policy_width(), hidden, seed)
         };
         let link_latency = std::time::Duration::ZERO;
-        Setup { workers, policy, fusion, link_latency, staleness: 0, mean_rewards: false }
+        Setup { workers, policy, link_latency, staleness: 0, mean_rewards: false }
     }
 }
 
@@ -163,7 +160,7 @@ pub(crate) fn no_hub(_: &mut Frame) -> Result<()> {
 
 /// Runs `rule`: `worker` on `setup.workers` fragment threads and `hub`,
 /// when the rule's row has a hub seat, on the calling thread — all under
-/// the caller's [`ExecCtx`] with the run's `fusion` choice.
+/// the caller's backend.
 ///
 /// Every handle is joined before anything is returned. The hub's error
 /// comes first, else the first worker error in rank order, else the
@@ -177,34 +174,31 @@ where
     let mut endpoints =
         Fabric::with_latency(p + usize::from(rule.hub.is_some()), setup.link_latency);
     let hub = rule.hub.map(|seat| (seat, hub, endpoints.pop().expect("the hub's is the last")));
-    let scoped = || {
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let spawn = |(rank, ep)| {
-                let body = move || Frame::fill(rule, setup, rank, ep, worker);
-                spawn_fragment(scope, rule.worker.span, rank, body)
-            };
-            let handles: Vec<_> = endpoints.into_iter().enumerate().map(spawn).collect();
-            let hub_report = hub.map(|(seat, body, ep)| {
-                let _frag = enter_fragment(seat.span, p);
-                Frame::fill(rule, setup, p, ep, body)
-            });
-            let mut reports = Vec::with_capacity(p);
-            let mut worker_err = None;
-            for h in handles {
-                match h.join().expect("fragment thread must not panic") {
-                    Ok(report) => reports.push(report),
-                    Err(e) => _ = worker_err.get_or_insert(e),
-                }
+    let result = std::thread::scope(|scope| {
+        let worker = &worker;
+        let spawn = |(rank, ep)| {
+            let body = move || Frame::fill(rule, setup, rank, ep, worker);
+            spawn_fragment(scope, rule.worker.span, rank, body)
+        };
+        let handles: Vec<_> = endpoints.into_iter().enumerate().map(spawn).collect();
+        let hub_report = hub.map(|(seat, body, ep)| {
+            let _frag = enter_fragment(seat.span, p);
+            Frame::fill(rule, setup, p, ep, body)
+        });
+        let mut reports = Vec::with_capacity(p);
+        let mut worker_err = None;
+        for h in handles {
+            match h.join().expect("fragment thread must not panic") {
+                Ok(report) => reports.push(report),
+                Err(e) => _ = worker_err.get_or_insert(e),
             }
-            match (hub_report.transpose()?, worker_err) {
-                (_, Some(e)) => Err(e),
-                (Some(report), None) => Ok(report),
-                (None, None) => Ok(merge_replicas(reports, setup.mean_rewards)),
-            }
-        })
-    };
-    let result = par::with_fusion(setup.fusion, scoped);
+        }
+        match (hub_report.transpose()?, worker_err) {
+            (_, Some(e)) => Err(e),
+            (Some(report), None) => Ok(report),
+            (None, None) => Ok(merge_replicas(reports, setup.mean_rewards)),
+        }
+    });
     close_run(rule.name, &result);
     result
 }
@@ -243,18 +237,17 @@ fn enter_fragment(
 }
 
 /// Spawns one fragment thread on `scope`. The new thread inherits the
-/// spawning thread's [`ExecCtx`] — the one seam, besides `par`'s forks,
-/// where a context crosses threads — and runs `body`
-/// inside [`enter_fragment`].
+/// spawning thread's [`par::backend`] — the one seam where a backend
+/// crosses threads — and runs `body` inside [`enter_fragment`].
 fn spawn_fragment<'scope, T: Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,
     span: &'static str,
     rank: usize,
     body: impl FnOnce() -> T + Send + 'scope,
 ) -> ScopedJoinHandle<'scope, T> {
-    let ctx = ExecCtx::current();
+    let backend = par::backend();
     scope.spawn(move || {
-        ctx.scope(|| {
+        par::with_backend(backend, || {
             let _frag = enter_fragment(span, rank);
             body()
         })

@@ -227,7 +227,7 @@ mod dp_b {
             let probe = make_env(0, 0);
             let (obs_dim, spec) = (probe.obs_dim(), probe.action_spec());
             let p = dist.actors.max(1);
-            let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed, dist.fusion);
+            let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed);
             let envs = |w: usize| VecEnv::from_fn(dist.envs_per_actor.max(1), |i| make_env(w, i));
             run(
                 &DP_B,
@@ -254,7 +254,6 @@ mod dp_b {
                     iterations: 3,
                     hidden: vec![16, 16],
                     seed: 40 + (p * n) as u64,
-                    fusion: true,
                     ..DistPpoConfig::default()
                 };
                 let shipped = run_dp_b(cart, &dist).unwrap();
@@ -271,7 +270,6 @@ mod dp_b {
                 iterations: 3,
                 hidden: vec![16],
                 seed: 49,
-                fusion: true,
                 ..DistPpoConfig::default()
             };
             let pendulum = |a: usize, i: usize| Pendulum::new((a * 5 + i) as u64);
@@ -364,7 +362,7 @@ mod dp_c {
                 hidden: vec![8],
                 ppo: dist.ppo.clone(),
                 seed: 6,
-                fusion: dist.fusion,
+                ..DpDConfig::default()
             };
             let make = |r: usize| msrl_env::batched::BatchedCartPole::new(4, r as u64);
             let report = run_dp_d(make, &cfg).unwrap();
@@ -388,7 +386,7 @@ mod dp_d {
                 hidden: vec![16],
                 ppo: PpoConfig { lr: 1e-3, epochs: 2, ..PpoConfig::default() },
                 seed: 7,
-                fusion: msrl_tensor::par::fusion_enabled(),
+                ..DpDConfig::default()
             };
             let report = run_dp_d(|r| BatchedCartPole::new(16, r as u64), &cfg).unwrap();
             assert_eq!(report.iteration_rewards.len(), 8);
@@ -403,7 +401,7 @@ mod dp_d {
                 hidden: vec![16],
                 ppo: PpoConfig { epochs: 1, ..PpoConfig::default() },
                 seed: 8,
-                fusion: msrl_tensor::par::fusion_enabled(),
+                ..DpDConfig::default()
             };
             let report = run_dp_d(|r| BatchedTag::new(8, 3, 1, r as u64), &cfg).unwrap();
             assert_eq!(report.iteration_rewards.len(), 4);
@@ -425,7 +423,7 @@ mod dp_e {
                 hidden: vec![32],
                 ppo: PpoConfig { lr: 7e-4, epochs: 4, entropy_coef: 0.005, ..PpoConfig::default() },
                 seed: 9,
-                fusion: msrl_tensor::par::fusion_enabled(),
+                ..DpEConfig::default()
             };
             let report = run_dp_e(|| SimpleSpread::new(3, 5).with_horizon(20), &cfg).unwrap();
             assert_eq!(report.iteration_rewards.len(), 20);

@@ -30,7 +30,7 @@
 //! re-partition recommendations.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Step stamps retained per thread between iteration boundaries.
@@ -39,37 +39,20 @@ pub const STEP_CAPACITY: usize = 4096;
 /// The [`IterAttribution::bottleneck`] labels, in tie-break order.
 pub(crate) const BOTTLENECKS: [&str; 4] = ["rollout", "learn", "comm", "idle"];
 
-const UNSET: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
+pub(crate) static ATTR: crate::Switch = crate::Switch::new("MSRL_ATTR", true);
 
-static ATTR_ENABLED: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Whether attribution stamping is active. Resolved from `MSRL_ATTR` on
-/// first call (on unless `0`/`false`/`off`), then one relaxed load.
+/// Whether attribution stamping is active (default on). Resolved from
+/// `MSRL_ATTR` on first call ([`crate::parse_switch`]), then one relaxed
+/// load.
 #[inline]
 pub fn attr_enabled() -> bool {
-    match ATTR_ENABLED.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve_enabled(),
-    }
-}
-
-#[cold]
-fn resolve_enabled() -> bool {
-    let off = matches!(
-        std::env::var("MSRL_ATTR").as_deref(),
-        Ok("0") | Ok("false") | Ok("FALSE") | Ok("off") | Ok("OFF")
-    );
-    set_attr_enabled(!off);
-    !off
+    ATTR.get()
 }
 
 /// Programmatically enables or disables attribution stamping (takes
 /// precedence over `MSRL_ATTR`).
 pub fn set_attr_enabled(on: bool) {
-    ATTR_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    ATTR.set(on);
 }
 
 /// The straggler threshold `k`: a fragment is flagged when its busy time

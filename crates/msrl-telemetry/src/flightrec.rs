@@ -22,44 +22,26 @@
 //! table, so a torn read never yields an invalid string).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
 /// Events retained per thread.
 pub const RING_CAPACITY: usize = 256;
 
-const UNSET: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
+pub(crate) static FLIGHTREC: crate::Switch = crate::Switch::new("MSRL_FLIGHTREC", true);
 
-static FREC_ENABLED: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Whether the flight recorder is active. Resolved from
-/// `MSRL_FLIGHTREC` on first call (on unless `0`/`false`/`off`), then a
+/// Whether the flight recorder is active (default on). Resolved from
+/// `MSRL_FLIGHTREC` on first call ([`crate::parse_switch`]), then a
 /// single relaxed atomic load.
 #[inline]
 pub fn flightrec_enabled() -> bool {
-    match FREC_ENABLED.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve_enabled(),
-    }
-}
-
-#[cold]
-fn resolve_enabled() -> bool {
-    let off = matches!(
-        std::env::var("MSRL_FLIGHTREC").as_deref(),
-        Ok("0") | Ok("false") | Ok("FALSE") | Ok("off") | Ok("OFF")
-    );
-    set_flightrec_enabled(!off);
-    !off
+    FLIGHTREC.get()
 }
 
 /// Programmatically enables or disables the flight recorder (takes
 /// precedence over `MSRL_FLIGHTREC`).
 pub fn set_flightrec_enabled(on: bool) {
-    FREC_ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    FLIGHTREC.set(on);
 }
 
 /// Event kinds in the ring.

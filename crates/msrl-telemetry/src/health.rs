@@ -33,45 +33,28 @@
 //! completed JSONL stream — the engine behind the `doctor` bin's
 //! post-hoc verdict report.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
+
+use crate::Switch;
 
 // ---------------------------------------------------------------------------
 // Gates and cross-thread plumbing
 // ---------------------------------------------------------------------------
 
-const UNSET: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static HEALTH: AtomicU8 = AtomicU8::new(UNSET);
+pub(crate) static HEALTH: Switch = Switch::new("MSRL_HEALTH", true);
 
 /// Whether the health watchdog is active (default **on**). Resolved from
-/// `MSRL_HEALTH` on first call (`0`/`off`/`false`/`no` disable it), then
-/// one relaxed atomic load.
+/// `MSRL_HEALTH` on first call ([`crate::parse_switch`]), then one
+/// relaxed atomic load.
 #[inline]
 pub fn health_enabled() -> bool {
-    match HEALTH.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve_health(),
-    }
-}
-
-#[cold]
-fn resolve_health() -> bool {
-    let off = matches!(
-        std::env::var("MSRL_HEALTH").as_deref(),
-        Ok("0") | Ok("off") | Ok("OFF") | Ok("false") | Ok("FALSE") | Ok("no") | Ok("NO")
-    );
-    set_health_enabled(!off);
-    !off
+    HEALTH.get()
 }
 
 /// Programmatically enables or disables the health watchdog (takes
 /// precedence over `MSRL_HEALTH`).
 pub fn set_health_enabled(on: bool) {
-    HEALTH.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    HEALTH.set(on);
 }
 
 fn last_verdict() -> &'static Mutex<Option<HealthVerdict>> {

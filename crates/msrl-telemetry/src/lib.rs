@@ -106,41 +106,94 @@ pub use sink::{
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-const UNSET: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static ENABLED: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Whether span recording is active.
-///
-/// Resolved from `MSRL_TRACE` on first call (`1`/`true`/`on` enable it),
-/// then a single relaxed atomic load — the entire disabled-path cost of
-/// every instrumentation site.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => resolve_enabled(),
+/// The one on/off vocabulary of every boolean `MSRL_*` variable:
+/// `0|off|false|no` is off and `1|on|true|yes` is on, ASCII
+/// case-insensitive, surrounding whitespace ignored. Anything else is
+/// `None`: the telemetry switches then keep their default, and
+/// `msrl_runtime::RuntimeConfig` reports an error.
+pub fn parse_switch(value: &str) -> Option<bool> {
+    let value = value.trim();
+    let any = |words: [&str; 4]| words.iter().any(|w| value.eq_ignore_ascii_case(w));
+    if any(["0", "off", "false", "no"]) {
+        Some(false)
+    } else if any(["1", "on", "true", "yes"]) {
+        Some(true)
+    } else {
+        None
     }
 }
 
-#[cold]
-fn resolve_enabled() -> bool {
-    let on = matches!(
-        std::env::var("MSRL_TRACE").as_deref(),
-        Ok("1") | Ok("true") | Ok("TRUE") | Ok("on") | Ok("ON")
-    );
-    set_enabled(on);
-    on
+/// A process-wide on/off gate: resolved from `var` ([`parse_switch`];
+/// `default` when unset or unrecognised) on first use, or set by the
+/// program first, then one relaxed atomic load.
+pub(crate) struct Switch {
+    var: &'static str,
+    default: bool,
+    state: AtomicU8,
+}
+
+impl Switch {
+    const UNSET: u8 = 0;
+    const OFF: u8 = 1;
+    const ON: u8 = 2;
+
+    pub(crate) const fn new(var: &'static str, default: bool) -> Switch {
+        Switch { var, default, state: AtomicU8::new(Switch::UNSET) }
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            Switch::ON => true,
+            Switch::OFF => false,
+            _ => self.resolve(),
+        }
+    }
+
+    pub(crate) fn set(&self, on: bool) {
+        self.state.store(if on { Switch::ON } else { Switch::OFF }, Ordering::Relaxed);
+    }
+
+    /// What `lookup(var)` turns the switch to.
+    fn resolved(&self, lookup: impl Fn(&str) -> Option<String>) -> bool {
+        lookup(self.var).as_deref().and_then(parse_switch).unwrap_or(self.default)
+    }
+
+    #[cold]
+    fn resolve(&self) -> bool {
+        let on = self.resolved(|var| std::env::var(var).ok());
+        let state = if on { Switch::ON } else { Switch::OFF };
+        // A `set` that raced the lookup wins.
+        match self.state.compare_exchange(
+            Switch::UNSET,
+            state,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => on,
+            Err(now) => now == Switch::ON,
+        }
+    }
+}
+
+/// Span recording, off unless `MSRL_TRACE` turns it on.
+static TRACE: Switch = Switch::new("MSRL_TRACE", false);
+
+/// Whether span recording is active.
+///
+/// Resolved from `MSRL_TRACE` on first call (default off), then a single
+/// relaxed atomic load — the entire disabled-path cost of every
+/// instrumentation site.
+#[inline]
+pub fn enabled() -> bool {
+    TRACE.get()
 }
 
 /// Programmatically enables or disables span recording (takes precedence
 /// over `MSRL_TRACE`). Counters and gauges are unaffected — they are
 /// always live.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    TRACE.set(on);
 }
 
 /// Opens a span; two forms: `span!("name")` and `span!("name", id)` where
@@ -262,5 +315,46 @@ mod tests {
         g.maximum(9.5);
         g.maximum(1.0);
         assert_eq!(g.get(), 9.5);
+    }
+
+    /// Every switch reads one vocabulary: each spelling of off turns a
+    /// default-on switch off, each spelling of on turns a default-off
+    /// switch on, and unset or unrecognised values keep the default.
+    #[test]
+    fn every_switch_reads_one_vocabulary() {
+        let switches = [
+            (&TRACE, "MSRL_TRACE", false),
+            (&attribution::ATTR, "MSRL_ATTR", true),
+            (&flightrec::FLIGHTREC, "MSRL_FLIGHTREC", true),
+            (&health::HEALTH, "MSRL_HEALTH", true),
+        ];
+        let table: [(Option<&str>, Option<bool>); 17] = [
+            (None, None),
+            (Some("0"), Some(false)),
+            (Some("off"), Some(false)),
+            (Some("OFF"), Some(false)),
+            (Some("False"), Some(false)),
+            (Some("no"), Some(false)),
+            (Some("NO"), Some(false)),
+            (Some(" no\n"), Some(false)),
+            (Some("1"), Some(true)),
+            (Some("on"), Some(true)),
+            (Some("True"), Some(true)),
+            (Some("yes"), Some(true)),
+            (Some("YES"), Some(true)),
+            (Some(""), None),
+            (Some("2"), None),
+            (Some("disabled"), None),
+            (Some("maybe"), None),
+        ];
+        for (switch, var, default) in switches {
+            assert_eq!((switch.var, switch.default), (var, default));
+            for (value, expect) in table {
+                let lookup = |name: &str| value.filter(|_| name == var).map(str::to_owned);
+                let got = switch.resolved(lookup);
+                assert_eq!(got, expect.unwrap_or(default), "{var}={value:?}");
+                assert_eq!(parse_switch(value.unwrap_or("")), expect, "{value:?}");
+            }
+        }
     }
 }

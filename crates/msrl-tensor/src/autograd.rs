@@ -1009,40 +1009,57 @@ mod tests {
         assert_eq!(g.get(x.id()).unwrap().data(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
+    /// The fused layer against `matmul → add → act` on the shapes of
+    /// `ops::linear_act_matches_unfused_bitwise`: below and above
+    /// `PACK_MIN_FLOPS`, 1- and 2-wide heads, a row count no row block
+    /// divides, and outputs wider than a 16 KB row. Forward values and
+    /// the `x`, `w` and `b` gradients must agree bit for bit.
     #[test]
     fn fused_linear_matches_unfused_bitwise() {
-        let xs: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
-        let ws: Vec<f32> = (0..4).map(|i| (i as f32 * 0.9).cos()).collect();
-        let bs = [0.1f32, -0.2];
-        for act in [ops::Act::Relu, ops::Act::Tanh, ops::Act::Sigmoid, ops::Act::Linear] {
-            let tape_f = Tape::new();
-            let x = tape_f.var(t(&xs, &[3, 2]));
-            let w = tape_f.var(t(&ws, &[2, 2]));
-            let b = tape_f.var(t(&bs, &[2]));
-            let fused = x.linear(&w, &b, act).unwrap();
-            let loss_f = fused.sum();
-            let gf = tape_f.backward(&loss_f).unwrap();
-
-            let tape_u = Tape::new();
-            let xu = tape_u.var(t(&xs, &[3, 2]));
-            let wu = tape_u.var(t(&ws, &[2, 2]));
-            let bu = tape_u.var(t(&bs, &[2]));
-            let pre = xu.matmul(&wu).unwrap().add(&bu).unwrap();
-            let unfused = match act {
-                ops::Act::Relu => pre.relu(),
-                ops::Act::Tanh => pre.tanh(),
-                ops::Act::Sigmoid => pre.sigmoid(),
-                ops::Act::Linear => pre,
-            };
-            assert_eq!(fused.value().data(), unfused.value().data(), "{act:?} forward");
-            let loss_u = unfused.sum();
-            let gu = tape_u.backward(&loss_u).unwrap();
-            for ((f, u), name) in [(&x, &xu), (&w, &wu), (&b, &bu)].iter().zip(["x", "w", "b"]) {
-                assert_eq!(
-                    gf.get(f.id()).unwrap().data(),
-                    gu.get(u.id()).unwrap().data(),
-                    "{act:?} grad {name} must be bit-identical"
-                );
+        let shapes = [
+            (3, 2, 2),
+            (5, 4, 3),
+            (3, 2, 4100),
+            (70, 64, 70),
+            (1100, 120, 2),
+            (1037, 64, 1),
+            (7, 64, 1),
+            (6, 32, 4100),
+        ];
+        for (m, k, n) in shapes {
+            let xs: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.7).sin()).collect();
+            let ws: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.9).cos()).collect();
+            let bs: Vec<f32> = (0..n).map(|i| 0.1 - 0.3 * i as f32).collect();
+            for act in [ops::Act::Relu, ops::Act::Tanh, ops::Act::Sigmoid, ops::Act::Linear] {
+                let what = format!("{act:?} ({m},{k},{n})");
+                let run = |fused: bool| {
+                    let tape = Tape::new();
+                    let x = tape.var(t(&xs, &[m, k]));
+                    let w = tape.var(t(&ws, &[k, n]));
+                    let b = tape.var(t(&bs, &[n]));
+                    let y = if fused {
+                        x.linear(&w, &b, act).unwrap()
+                    } else {
+                        let pre = x.matmul(&w).unwrap().add(&b).unwrap();
+                        match act {
+                            ops::Act::Relu => pre.relu(),
+                            ops::Act::Tanh => pre.tanh(),
+                            ops::Act::Sigmoid => pre.sigmoid(),
+                            ops::Act::Linear => pre,
+                        }
+                    };
+                    // Squared, so the upstream gradient differs per element.
+                    let g = tape.backward(&y.square().sum()).unwrap();
+                    let bits =
+                        |v: &Tensor| -> Vec<u32> { v.data().iter().map(|f| f.to_bits()).collect() };
+                    let grad = |v: &Var| bits(g.get(v.id()).unwrap());
+                    (bits(&y.value()), [grad(&x), grad(&w), grad(&b)])
+                };
+                let (fused, unfused) = (run(true), run(false));
+                assert_eq!(fused.0, unfused.0, "{what} forward");
+                for ((f, u), name) in fused.1.iter().zip(&unfused.1).zip(["x", "w", "b"]) {
+                    assert_eq!(f, u, "{what} grad {name} must be bit-identical");
+                }
             }
         }
     }

@@ -301,29 +301,29 @@ pub fn softmax_row_fast_inplace(row: &mut [f32]) {
     });
 }
 
-/// Copies rows `offset/n ..` of the row-major source into `out` and
-/// applies [`softmax_row_fast_inplace`] to each row.
-pub fn softmax_rows_fast(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+/// Copies the first `out.len()/n` rows of the row-major source into
+/// `out` and applies [`softmax_row_fast_inplace`] to each row.
+pub fn softmax_rows_fast(ad: &[f32], out: &mut [f32], n: usize) {
     if out.is_empty() || n == 0 {
         return;
     }
-    out.copy_from_slice(&ad[offset..offset + out.len()]);
+    out.copy_from_slice(&ad[..out.len()]);
     for row in out.chunks_mut(n) {
         softmax_row_fast_inplace(row);
     }
 }
 
-/// Row-wise log-softmax of rows `offset/n ..` of the row-major source
-/// into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
+/// Row-wise log-softmax of the first `out.len()/n` rows of the
+/// row-major source into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
 /// max` (the polynomial `exp`; `ln` is libm's, one per row) subtracted
 /// from every element. The scalar loop runs in the host's trampoline
 /// ([`widest`]), where each fused step of `fast_exp` is one instruction.
-pub fn log_softmax_rows(ad: &[f32], offset: usize, out: &mut [f32], n: usize) {
+pub fn log_softmax_rows(ad: &[f32], out: &mut [f32], n: usize) {
     widest(
         #[inline(always)]
         || {
             for (r, orow) in out.chunks_mut(n).enumerate() {
-                let row = &ad[offset + r * n..offset + (r + 1) * n];
+                let row = &ad[r * n..(r + 1) * n];
                 let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
                 let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
                 for (o, &v) in orow.iter_mut().zip(row) {
@@ -708,7 +708,7 @@ mod tests {
         let n = 5;
         let ad: Vec<f32> = (0..4 * n).map(|i| i as f32 * 0.3 - 2.0).collect();
         let mut part = vec![0.0; 2 * n];
-        softmax_rows_fast(&ad, 2 * n, &mut part, n);
+        softmax_rows_fast(&ad[2 * n..], &mut part, n);
         let mut expect = ad[2 * n..4 * n].to_vec();
         for row in expect.chunks_mut(n) {
             softmax_row_fast_inplace(row);

@@ -277,35 +277,27 @@ impl PackedB {
     }
 }
 
-/// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into
+/// Computes the first `out_rows.len()/n` rows of `a × b` into
 /// `out_rows` from the packed representation of `b`, overwriting every
 /// element (the buffer need not be zeroed). Bit-identical to the naive
-/// kernel; the signature mirrors [`matmul_simd_rows`] so callers
-/// partition output rows across threads the same way.
+/// kernel; the signature mirrors [`matmul_simd_rows`].
 ///
 /// # Panics
 ///
 /// Panics when `bp` was not packed from a `[k, n]` matrix, `out_rows`
-/// is not whole rows or `ad` ends before the last of them — the bodies
+/// is not whole rows or `a` ends before the last of them — the bodies
 /// index unchecked.
-pub fn matmul_packed_rows(
-    ad: &[f32],
-    row0: usize,
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-    bp: &PackedB,
-) {
+pub fn matmul_packed_rows(a: &[f32], out_rows: &mut [f32], k: usize, n: usize, bp: &PackedB) {
     if n == 0 || out_rows.is_empty() {
         return;
     }
     assert!(
         (bp.k, bp.n) == (k, n)
             && out_rows.len().is_multiple_of(n)
-            && ad.len() >= (row0 + out_rows.len() / n) * k,
+            && a.len() >= out_rows.len() / n * k,
         "matmul_packed_rows: operand extents"
     );
-    let (a, panels) = (&ad[row0 * k..], &bp.data[..]);
+    let panels = &bp.data[..];
     dispatch!(bp.kernel, V => {
         // SAFETY: the assert above and the pack's own length (`panels ×
         // k × nr`, private, `nr` the family's `NR`) bound every index the
@@ -314,7 +306,7 @@ pub fn matmul_packed_rows(
     });
 }
 
-/// Computes rows `row0..row0 + out_rows.len()/n` of `a × b` into
+/// Computes the first `out_rows.len()/n` rows of `a × b` into
 /// `out_rows` straight from the row-major `[k, n]` operand `bd` — no
 /// packing. SIMD lanes run across output columns; per element the
 /// accumulation is the exact naive sequence, so results are
@@ -322,26 +314,16 @@ pub fn matmul_packed_rows(
 ///
 /// # Panics
 ///
-/// Panics when `out_rows` is not whole rows, `ad` ends before the last
+/// Panics when `out_rows` is not whole rows, `a` ends before the last
 /// of them or `bd` is shorter than `k × n` — the bodies index unchecked.
-pub fn matmul_simd_rows(
-    ad: &[f32],
-    row0: usize,
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-    bd: &[f32],
-) {
+pub fn matmul_simd_rows(a: &[f32], out_rows: &mut [f32], k: usize, n: usize, bd: &[f32]) {
     if n == 0 || out_rows.is_empty() {
         return;
     }
     assert!(
-        out_rows.len().is_multiple_of(n)
-            && ad.len() >= (row0 + out_rows.len() / n) * k
-            && bd.len() >= k * n,
+        out_rows.len().is_multiple_of(n) && a.len() >= out_rows.len() / n * k && bd.len() >= k * n,
         "matmul_simd_rows: operand extents"
     );
-    let a = &ad[row0 * k..];
     dispatch!(select(), V => {
         // SAFETY: the assert above bounds every index the body forms.
         unsafe { rows::<V, { V::MR }>(a, k, bd, out_rows, n) }
@@ -356,8 +338,8 @@ pub const AT_BLOCK: usize = 256;
 
 /// Like [`matmul_simd_rows`], but for `aᵀ × b` without materialising
 /// the transpose: `ad` is the row-major `[p, m]` matrix whose *columns*
-/// are the left operand's rows. Output rows `row0..` land in
-/// `out_rows` (`[.., n]`), overwriting every element. Per-element
+/// are the left operand's rows. The first `out_rows.len()/n` output rows
+/// land in `out_rows` (`[.., n]`), overwriting every element. Per-element
 /// accumulation order matches the transpose-then-multiply composition
 /// exactly.
 ///
@@ -374,7 +356,6 @@ pub const AT_BLOCK: usize = 256;
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_at_rows(
     ad: &[f32],
-    row0: usize,
     out_rows: &mut [f32],
     p: usize,
     m: usize,
@@ -389,13 +370,13 @@ pub fn matmul_at_rows(
         ad.len() >= p * m
             && bd.len() >= p * n
             && out_rows.len().is_multiple_of(n)
-            && row0 + out_rows.len() / n <= m,
+            && out_rows.len() / n <= m,
         "matmul_at_rows: operand extents"
     );
     dispatch!(select(), V => {
         // SAFETY: the assert above bounds every index the body forms.
         unsafe {
-            at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, row0, out_rows, p, m, n, bd, carried)
+            at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, out_rows, p, m, n, bd, carried)
         }
     });
 }
@@ -473,8 +454,8 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
     total
 }
 
-/// Row reductions (`inner == 1`): `out[r] = fold(ad[(row0+r)·mid ..
-/// (row0+r+1)·mid])`, then optionally `· scale` — the single-pass
+/// Row reductions (`inner == 1`): `out[r] = fold(ad[r·mid ..
+/// (r+1)·mid])`, then optionally `· scale` — the single-pass
 /// `mean_axis` epilogue, applied to each output element right after its
 /// own fold finishes (the same per-element multiply a separate rescale
 /// traversal would perform).
@@ -492,11 +473,10 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics when `ad` ends before row `row0 + out.len()` — the bodies
-/// index unchecked.
+/// Panics when `ad` ends before row `out.len()` — the bodies index
+/// unchecked.
 pub fn reduce_rows(
     ad: &[f32],
-    row0: usize,
     out: &mut [f32],
     mid: usize,
     op: RedOp,
@@ -506,12 +486,12 @@ pub fn reduce_rows(
     if out.is_empty() {
         return;
     }
-    let need = row0.checked_add(out.len()).and_then(|rows| rows.checked_mul(mid));
+    let need = out.len().checked_mul(mid);
     assert!(need.is_some_and(|need| ad.len() >= need), "reduce_rows: operand extents");
     // Gather lane offsets are 32-bit; the portable gather's are not.
     let kernel =
         if mid.saturating_mul(16) <= i32::MAX as usize { select() } else { MatKernel::Portable };
-    let a = ad[row0 * mid..].as_ptr();
+    let a = ad.as_ptr();
     dispatch!(kernel, V => {
         // SAFETY: the assert above bounds every index the body forms, and
         // `mid · L` fits the gather's offsets.
@@ -520,8 +500,8 @@ pub fn reduce_rows(
 }
 
 /// Group reductions (`inner > 1`): `out` is whole groups of `inner`
-/// output slots, group `g` covering outer index `group0 + g`;
-/// `out[g·inner + i] = fold(ad[((group0+g)·mid + m)·inner + i])` over
+/// output slots, group `g` covering outer index `g`;
+/// `out[g·inner + i] = fold(ad[(g·mid + m)·inner + i])` over
 /// ascending `m`, then optionally `· scale`.
 ///
 /// Output slots along `inner` are contiguous and independent, so lanes
@@ -533,11 +513,9 @@ pub fn reduce_rows(
 /// # Panics
 ///
 /// Panics when `out` is not whole groups or `ad` ends before group
-/// `group0 + out.len() / inner` — the bodies index unchecked.
-#[allow(clippy::too_many_arguments)]
+/// `out.len() / inner` — the bodies index unchecked.
 pub fn reduce_groups(
     ad: &[f32],
-    group0: usize,
     out: &mut [f32],
     mid: usize,
     inner: usize,
@@ -548,14 +526,12 @@ pub fn reduce_groups(
     if out.is_empty() || inner == 0 {
         return;
     }
-    let need = (group0.checked_add(out.len() / inner))
-        .and_then(|groups| groups.checked_mul(mid))
-        .and_then(|rows| rows.checked_mul(inner));
+    let need = (out.len() / inner).checked_mul(mid).and_then(|rows| rows.checked_mul(inner));
     assert!(
         out.len().is_multiple_of(inner) && need.is_some_and(|need| ad.len() >= need),
         "reduce_groups: operand extents"
     );
-    let a = ad[group0 * mid * inner..].as_ptr();
+    let a = ad.as_ptr();
     dispatch!(select(), V => {
         for (g, group) in out.chunks_exact_mut(inner).enumerate() {
             // SAFETY: the assert above bounds every index the body forms.
@@ -773,7 +749,6 @@ unsafe fn lanes<V: Tile>(
 #[allow(clippy::too_many_arguments)]
 unsafe fn at_rows<V: Tile, const MR: usize, const NV: usize>(
     ad: &[f32],
-    row0: usize,
     out: &mut [f32],
     p: usize,
     m: usize,
@@ -797,7 +772,7 @@ unsafe fn at_rows<V: Tile, const MR: usize, const NV: usize>(
             for r0 in (0..rows).step_by(MR) {
                 // `wrapping_add`: with `p == 0` both operands are empty
                 // and no step dereferences these.
-                let a = ap.wrapping_add(k0 * m + row0 + r0);
+                let a = ap.wrapping_add(k0 * m + r0);
                 let (b, o) = (bp.wrapping_add(k0 * n + j), op.add(r0 * n + j));
                 let rm = MR.min(rows - r0);
                 if wide {
@@ -808,7 +783,7 @@ unsafe fn at_rows<V: Tile, const MR: usize, const NV: usize>(
             }
             j += if wide { V::NR } else { V::L };
         }
-        let edge = (row0, m, n, tail0);
+        let edge = (m, n, tail0);
         at_row_lanes::<V>(ap, bp, op, edge, 0..lane_rows, k0..k1, resume);
         at_row_lanes::<One>(ap, bp, op, edge, lane_rows..rows, k0..k1, resume);
         k0 = k1;
@@ -827,7 +802,7 @@ unsafe fn at_row_lanes<V: Lanes>(
     ap: *const f32,
     bp: *const f32,
     op: *mut f32,
-    (row0, m, n, tail0): (usize, usize, usize, usize),
+    (m, n, tail0): (usize, usize, usize),
     rows: Range<usize>,
     ks: Range<usize>,
     resume: bool,
@@ -848,7 +823,7 @@ unsafe fn at_row_lanes<V: Lanes>(
                 }
             }
             for kk in ks.clone() {
-                let av = V::load(ap.add(kk * m + row0 + i0));
+                let av = V::load(ap.add(kk * m + i0));
                 for (c, acc_c) in acc.iter_mut().take(cm).enumerate() {
                     *acc_c = av.fmadd(V::splat(*bp.add(kk * n + j + c)), *acc_c);
                 }
@@ -964,7 +939,7 @@ mod tests {
     /// the dispatched entry point, then the body on each instantiation the
     /// dispatcher passes over here.
     fn rows_bodies() -> Vec<(&'static str, Rows)> {
-        let dispatched: Rows = Box::new(|a, k, b, out, n| matmul_simd_rows(a, 0, out, k, n, b));
+        let dispatched: Rows = Box::new(|a, k, b, out, n| matmul_simd_rows(a, out, k, n, b));
         let mut bodies = vec![("dispatched", dispatched)];
         for (name, family) in tile_families().into_iter().skip(1) {
             let body: Rows = Box::new(move |a: &[f32], k, b: &[f32], out: &mut [f32], n| {
@@ -1000,7 +975,7 @@ mod tests {
                     for (name, family) in tile_families() {
                         let bp = pack_for(family, &b, k, n, false);
                         let mut out = vec![f32::NAN; m * n];
-                        matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
+                        matmul_packed_rows(&a, &mut out, k, n, &bp);
                         assert_bits_eq(&out, &expect, &format!("{name} tile ({m},{k},{n})"));
                     }
                     for (name, body) in rows_bodies() {
@@ -1011,7 +986,7 @@ mod tests {
                     let at = transpose(&a, m, k);
                     for (name, body) in at_bodies() {
                         let mut out = vec![f32::NAN; m * n];
-                        body(&at, 0, &mut out, k, m, n, &b, false);
+                        body(&at, &mut out, k, m, n, &b, false);
                         assert_bits_eq(&out, &expect, &format!("{name} aᵀ·b ({m},{k},{n})"));
                     }
                 }
@@ -1019,28 +994,28 @@ mod tests {
         }
     }
 
-    /// One product body over a fixed right operand: rows `row0..` of
-    /// `a · b` into the given output.
-    type Narrow = Box<dyn Fn(&[f32], usize, &mut [f32])>;
+    /// One product body over a fixed right operand: `a · b` into the
+    /// given output.
+    type Narrow = Box<dyn Fn(&[f32], &mut [f32])>;
 
     /// Every body that runs an output narrower than its vector on row
     /// lanes, or a right edge of one: the packed tiles (narrow `n`) and
     /// the unpacked row kernels (`n mod L` edge), each family called by
-    /// name. Runs rows `row0..m` of `a · b` into `out`.
+    /// name.
     fn narrow_bodies(b: &[f32], k: usize, n: usize) -> Vec<(String, Narrow)> {
         let mut bodies: Vec<(String, Narrow)> = Vec::new();
         for (name, family) in tile_families() {
             let bp = pack_for(family, b, k, n, false);
             bodies.push((
                 format!("{name} packed"),
-                Box::new(move |a, row0, out| matmul_packed_rows(a, row0, out, k, n, &bp)),
+                Box::new(move |a, out| matmul_packed_rows(a, out, k, n, &bp)),
             ));
         }
         for (name, body) in rows_bodies() {
             let b = past_one(b);
             bodies.push((
                 format!("{name} row-major"),
-                Box::new(move |a, row0, out| body(&a[row0 * k..], k, &b[1..], out, n)),
+                Box::new(move |a, out| body(a, k, &b[1..], out, n)),
             ));
         }
         bodies
@@ -1078,12 +1053,13 @@ mod tests {
                         vec![(&a, 0), (&a, offset), (&a_past[1..], 0)]
                     };
                     for (a, row0) in starts.into_iter().filter(|&(_, r)| r < m) {
-                        let expect = naive(&a[row0 * k..], &b, m - row0, k, n);
+                        let a = &a[row0 * k..];
+                        let expect = naive(a, &b, m - row0, k, n);
                         for (name, body) in &bodies {
                             let len = expect.len();
                             let mut buf = vec![f32::NAN; 1 + len + GUARD];
                             buf[1 + len..].fill(7.0);
-                            body(a, row0, &mut buf[1..1 + len]);
+                            body(a, &mut buf[1..1 + len]);
                             let what = format!("{name} ({m},{k},{n}) from row {row0}");
                             assert_bits_eq(&buf[1..1 + len], &expect, &what);
                             assert!(buf[1 + len..].iter().all(|&v| v == 7.0), "{what}: overran");
@@ -1114,7 +1090,7 @@ mod tests {
                         let expect = naive(&a, &b, m, k, n);
                         for (name, body) in narrow_bodies(&b, k, n) {
                             let mut out = vec![0.0f32; m * n];
-                            body(&a, 0, &mut out);
+                            body(&a, &mut out);
                             let what = format!("{name} ({m},{k},{n}) round {round}");
                             assert_same_poison(&out, &expect, &what);
                         }
@@ -1138,7 +1114,7 @@ mod tests {
                 for (a, b) in [(&a[..], &b[..]), (&a_past[1..], &b_past[1..])] {
                     let bp = pack_for(family, b, k, n, false);
                     let mut out = vec![f32::NAN; m * n];
-                    matmul_packed_rows(a, 0, &mut out, k, n, &bp);
+                    matmul_packed_rows(a, &mut out, k, n, &bp);
                     assert_bits_eq(&out, &expect, &format!("{name} ({m},{k},{n})"));
                 }
             }
@@ -1157,7 +1133,7 @@ mod tests {
         }
         let bp = pack_b(&b, k, n);
         let mut out = vec![0.0f32; m * n];
-        matmul_packed_rows(&a, 0, &mut out, k, n, &bp);
+        matmul_packed_rows(&a, &mut out, k, n, &bp);
         for r in 0..m {
             for c in 0..n - 1 {
                 assert!(!out[r * n + c].is_nan(), "NaN leaked into column {c}");
@@ -1203,7 +1179,7 @@ mod tests {
                 let bp = pack_for(family, &b, k, n, false);
                 let mut buf = vec![f32::NAN; rows * n + GUARD];
                 buf[rows * n..].fill(7.0);
-                matmul_packed_rows(&a, 0, &mut buf[..rows * n], k, n, &bp);
+                matmul_packed_rows(&a, &mut buf[..rows * n], k, n, &bp);
                 let what = format!("{name} ({rows},{k},{n}) round {round}");
                 assert_same_poison(&buf[..rows * n], &expect, &what);
                 assert!(buf[rows * n..].iter().all(|&v| v == 7.0), "{what}: wrote past the output");
@@ -1244,19 +1220,10 @@ mod tests {
                 let bp = pack_for(family, &b, p, n, true);
                 assert_eq!(bp, pack_for(family, &bt, p, n, false), "{name} ({m},{p},{n}) panels");
                 let mut out = vec![f32::NAN; m * n];
-                matmul_packed_rows(&a, 0, &mut out, p, n, &bp);
+                matmul_packed_rows(&a, &mut out, p, n, &bp);
                 assert_bits_eq(&out, &expect, &format!("{name} ({m},{p},{n})"));
             }
         }
-        // Row offset slices the left operand like a threaded chunk would.
-        let (m, p, n) = (7, 5, 21);
-        let a = vals(m * p, 13);
-        let bp = pack_bt(&vals(n * p, 14), p, n);
-        let mut full = vec![0.0f32; m * n];
-        matmul_packed_rows(&a, 0, &mut full, p, n, &bp);
-        let mut part = vec![0.0f32; (m - 3) * n];
-        matmul_packed_rows(&a, 3, &mut part, p, n, &bp);
-        assert_eq!(&full[3 * n..], &part[..]);
     }
 
     // The bodies index through raw pointers: a short operand or a
@@ -1266,7 +1233,7 @@ mod tests {
     #[should_panic(expected = "matmul_packed_rows: operand extents")]
     fn packed_rows_reject_a_short_a() {
         let bp = pack_b(&vals(5 * 33, 1), 5, 33);
-        matmul_packed_rows(&vals(8 * 5 - 1, 2), 0, &mut [0.0; 8 * 33], 5, 33, &bp);
+        matmul_packed_rows(&vals(8 * 5 - 1, 2), &mut [0.0; 8 * 33], 5, 33, &bp);
     }
 
     #[test]
@@ -1285,33 +1252,33 @@ mod tests {
     #[should_panic(expected = "matmul_packed_rows: operand extents")]
     fn packed_rows_reject_a_ragged_out() {
         let bp = pack_b(&vals(5 * 33, 1), 5, 33);
-        matmul_packed_rows(&vals(8 * 5, 2), 0, &mut [0.0; 8 * 33 - 1], 5, 33, &bp);
+        matmul_packed_rows(&vals(8 * 5, 2), &mut [0.0; 8 * 33 - 1], 5, 33, &bp);
     }
 
     #[test]
     #[should_panic(expected = "matmul_packed_rows: operand extents")]
     fn packed_rows_reject_a_pack_of_another_shape() {
         let bp = pack_b(&vals(5 * 33, 1), 5, 33);
-        matmul_packed_rows(&vals(8 * 6, 2), 0, &mut [0.0; 8 * 33], 6, 33, &bp);
+        matmul_packed_rows(&vals(8 * 6, 2), &mut [0.0; 8 * 33], 6, 33, &bp);
     }
 
     #[test]
     #[should_panic(expected = "matmul_simd_rows: operand extents")]
     fn simd_rows_reject_a_short_a() {
-        // Rows 2.. of a 4-row product need all four rows of `a`.
-        matmul_simd_rows(&vals(4 * 5 - 1, 2), 2, &mut [0.0; 2 * 33], 5, 33, &vals(5 * 33, 1));
+        // A 4-row product needs all four rows of `a`.
+        matmul_simd_rows(&vals(4 * 5 - 1, 2), &mut [0.0; 4 * 33], 5, 33, &vals(5 * 33, 1));
     }
 
     #[test]
     #[should_panic(expected = "matmul_simd_rows: operand extents")]
     fn simd_rows_reject_a_short_b() {
-        matmul_simd_rows(&vals(4 * 5, 2), 0, &mut [0.0; 4 * 33], 5, 33, &vals(5 * 33 - 1, 1));
+        matmul_simd_rows(&vals(4 * 5, 2), &mut [0.0; 4 * 33], 5, 33, &vals(5 * 33 - 1, 1));
     }
 
     #[test]
     #[should_panic(expected = "matmul_simd_rows: operand extents")]
     fn simd_rows_reject_a_ragged_out() {
-        matmul_simd_rows(&vals(4 * 5, 2), 0, &mut [0.0; 4 * 33 - 1], 5, 33, &vals(5 * 33, 1));
+        matmul_simd_rows(&vals(4 * 5, 2), &mut [0.0; 4 * 33 - 1], 5, 33, &vals(5 * 33, 1));
     }
 
     #[test]
@@ -1319,7 +1286,7 @@ mod tests {
     fn reduce_rows_reject_a_short_a() {
         // The last of 16 rows of 5 is one element short: a 16-row gather
         // would read past it.
-        reduce_rows(&vals(16 * 5 - 1, 1), 0, &mut [0.0; 16], 5, RedOp::Sum, None, false);
+        reduce_rows(&vals(16 * 5 - 1, 1), &mut [0.0; 16], 5, RedOp::Sum, None, false);
     }
 
     #[test]
@@ -1327,22 +1294,13 @@ mod tests {
     fn reduce_groups_reject_a_short_a() {
         // Group 1's last step loads 16 slots, one past the operand.
         let mut out = [0.0; 2 * 16];
-        reduce_groups(&vals(2 * 3 * 16 - 1, 1), 0, &mut out, 3, 16, RedOp::Max, None, false);
+        reduce_groups(&vals(2 * 3 * 16 - 1, 1), &mut out, 3, 16, RedOp::Max, None, false);
     }
 
     #[test]
     #[should_panic(expected = "reduce_groups: operand extents")]
     fn reduce_groups_reject_a_ragged_out() {
-        reduce_groups(
-            &vals(3 * 3 * 16, 1),
-            0,
-            &mut [0.0; 2 * 16 + 1],
-            3,
-            16,
-            RedOp::Sum,
-            None,
-            false,
-        );
+        reduce_groups(&vals(3 * 3 * 16, 1), &mut [0.0; 2 * 16 + 1], 3, 16, RedOp::Sum, None, false);
     }
 
     #[test]
@@ -1361,7 +1319,7 @@ mod tests {
         }
     }
 
-    type AtRows = Box<dyn Fn(&[f32], usize, &mut [f32], usize, usize, usize, &[f32], bool)>;
+    type AtRows = Box<dyn Fn(&[f32], &mut [f32], usize, usize, usize, &[f32], bool)>;
 
     /// Every `aᵀ × b` body this host can run, as [`rows_bodies`].
     fn at_bodies() -> Vec<(&'static str, AtRows)> {
@@ -1369,11 +1327,11 @@ mod tests {
             vec![("dispatched", Box::new(matmul_at_rows))];
         for (name, family) in tile_families().into_iter().skip(1) {
             let body: AtRows =
-                Box::new(move |ad: &[f32], row0, out: &mut [f32], p, m, n, bd: &[f32], c| {
+                Box::new(move |ad: &[f32], out: &mut [f32], p, m, n, bd: &[f32], c| {
                     // SAFETY: `family` was detected, and the tests pass exactly
                     // the extents `matmul_at_rows` asserts.
                     dispatch!(family, V => unsafe {
-                        at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, row0, out, p, m, n, bd, c)
+                        at_rows::<V, { V::MR }, { V::NR / V::L }>(ad, out, p, m, n, bd, c)
                     })
                 });
             bodies.push((name, body));
@@ -1399,16 +1357,16 @@ mod tests {
             let expect = at_naive(&a, &b, p, m, n);
             for (name, body) in at_bodies() {
                 let mut out = vec![f32::NAN; m * n];
-                body(&a, 0, &mut out, p, m, n, &b, false);
+                body(&a, &mut out, p, m, n, &b, false);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n})"));
                 let cut = p / 2;
                 out.fill(f32::NAN);
-                body(&a[..cut * m], 0, &mut out, cut, m, n, &b[..cut * n], false);
-                body(&a[cut * m..], 0, &mut out, p - cut, m, n, &b[cut * n..], true);
+                body(&a[..cut * m], &mut out, cut, m, n, &b[..cut * n], false);
+                body(&a[cut * m..], &mut out, p - cut, m, n, &b[cut * n..], true);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n}) cut at {cut}"));
                 // Both operands one float past their allocations.
                 let (a_past, b_past) = (past_one(&a), past_one(&b));
-                body(&a_past[1..], 0, &mut out, p, m, n, &b_past[1..], false);
+                body(&a_past[1..], &mut out, p, m, n, &b_past[1..], false);
                 assert_bits_eq(&out, &expect, &format!("{name} ({p},{m},{n}) unaligned"));
             }
         };
@@ -1440,20 +1398,8 @@ mod tests {
     }
 
     #[test]
-    fn at_rows_row_offset_and_poison_match_naive_bitwise() {
+    fn at_rows_poison_matches_naive_bitwise() {
         const B: usize = AT_BLOCK;
-        // The Threaded backend's partition: rows 5.. of a 27-row product,
-        // i.e. one full lane group of output rows plus a partial one.
-        for &(p, m, n) in &[(2 * B + 3, 27, 22), (B, 27, 6), (7, 27, 35)] {
-            let a = vals(p * m, 15);
-            let b = vals(p * n, 16);
-            let expect = at_naive(&a, &b, p, m, n);
-            for (name, body) in at_bodies() {
-                let mut part = vec![f32::NAN; (m - 5) * n];
-                body(&a, 5, &mut part, p, m, n, &b, false);
-                assert_bits_eq(&part, &expect[5 * n..], &format!("{name} row0=5 ({p},{m},{n})"));
-            }
-        }
         // NaN/±∞ in either operand, in the first block and in a later
         // one, must reach exactly the elements the naive loop poisons:
         // output row 2 (from `a`), column 18 (from `b`, a right-edge
@@ -1471,7 +1417,7 @@ mod tests {
                 assert!(expect[17 * n + 18].is_nan() && expect[n].is_finite());
                 for (name, body) in at_bodies() {
                     let mut out = vec![0.0f32; m * n];
-                    body(&a, 0, &mut out, p, m, n, &b, false);
+                    body(&a, &mut out, p, m, n, &b, false);
                     assert_same_poison(&out, &expect, &format!("{name} {poison} at row {kk}"));
                 }
             }
@@ -1508,23 +1454,16 @@ mod tests {
                 }
                 for (name, body) in at_bodies() {
                     let mut whole = vec![f32::NAN; m * n];
-                    body(&a, 0, &mut whole, p, m, n, &b, false);
+                    body(&a, &mut whole, p, m, n, &b, false);
                     let mut pieces = vec![f32::NAN; m * n];
                     let mut lo = 0;
                     for hi in cuts.iter().copied().chain([p]) {
                         let (ap, bp) = (&a[lo * m..hi * m], &b[lo * n..hi * n]);
-                        body(ap, 0, &mut pieces, hi - lo, m, n, bp, lo > 0);
+                        body(ap, &mut pieces, hi - lo, m, n, bp, lo > 0);
                         lo = hi;
                     }
                     let what = format!("{name} ({p},{m},{n}) cut at {cuts:?}, {poison:?}");
                     assert_same_poison(&pieces, &whole, &what);
-                    // A threaded chunk (output rows 1..) of the last
-                    // piece continues its rows of `out` alone.
-                    let hi = cuts[0];
-                    let mut chunk = vec![f32::NAN; m * n];
-                    body(&a[..hi * m], 0, &mut chunk, hi, m, n, &b[..hi * n], false);
-                    body(&a[hi * m..], 1, &mut chunk[n..], p - hi, m, n, &b[hi * n..], true);
-                    assert_same_poison(&chunk[n..], &whole[n..], &format!("{what}, rows 1.."));
                 }
             }
         }
@@ -1591,24 +1530,10 @@ mod tests {
         for op in [RedOp::Sum, RedOp::Max] {
             let expect = naive_reduce(&a, rows, 2 * mid, 1, op, None);
             let mut out = vec![f32::NAN; rows];
-            reduce_rows(&halves, 0, &mut out, mid, op, None, false);
-            reduce_rows(&rest, 0, &mut out, mid, op, None, true);
+            reduce_rows(&halves, &mut out, mid, op, None, false);
+            reduce_rows(&rest, &mut out, mid, op, None, true);
             assert_bits_eq(&out, &expect, &format!("rows {op:?} in two pieces"));
         }
-    }
-
-    #[test]
-    fn row_offset_matches_full_product() {
-        let (m, k, n) = (12, 9, 34);
-        let a = vals(m * k, 5);
-        let b = vals(k * n, 6);
-        let bp = pack_b(&b, k, n);
-        let mut full = vec![0.0f32; m * n];
-        matmul_packed_rows(&a, 0, &mut full, k, n, &bp);
-        // Compute rows 5.. separately, as a threaded chunk would.
-        let mut part = vec![0.0f32; (m - 5) * n];
-        matmul_packed_rows(&a, 5, &mut part, k, n, &bp);
-        assert_eq!(&full[5 * n..], &part[..]);
     }
 
     fn assert_bits_eq(got: &[f32], expect: &[f32], what: &str) {
@@ -1626,20 +1551,12 @@ mod tests {
                 for &scale in &[None, Some(1.0 / mid.max(1) as f32)] {
                     let a = vals(rows * mid, 21);
                     let mut out = vec![f32::NAN; rows];
-                    reduce_rows(&a, 0, &mut out, mid, op, scale, false);
+                    reduce_rows(&a, &mut out, mid, op, scale, false);
                     let expect = naive_reduce(&a, rows, mid, 1, op, scale);
                     assert_bits_eq(&out, &expect, &format!("rows ({rows},{mid}) {op:?}"));
                 }
             }
         }
-        // Row offset slices like a threaded chunk would.
-        let (rows, mid) = (37, 9);
-        let a = vals(rows * mid, 22);
-        let mut full = vec![0.0f32; rows];
-        reduce_rows(&a, 0, &mut full, mid, RedOp::Sum, None, false);
-        let mut part = vec![0.0f32; rows - 4];
-        reduce_rows(&a, 4, &mut part, mid, RedOp::Sum, None, false);
-        assert_eq!(&full[4..], &part[..]);
     }
 
     #[test]
@@ -1651,7 +1568,7 @@ mod tests {
                 for &scale in &[None, Some(0.25f32)] {
                     let a = vals(groups * mid * inner, 23);
                     let mut out = vec![f32::NAN; groups * inner];
-                    reduce_groups(&a, 0, &mut out, mid, inner, op, scale, false);
+                    reduce_groups(&a, &mut out, mid, inner, op, scale, false);
                     let expect = naive_reduce(&a, groups, mid, inner, op, scale);
                     assert_bits_eq(
                         &out,
@@ -1678,7 +1595,7 @@ mod tests {
                 *v = f32::NAN; // row 4 all-NaN
             }
             let mut out = vec![0.0f32; rows];
-            reduce_rows(&a, 0, &mut out, mid, RedOp::Max, None, false);
+            reduce_rows(&a, &mut out, mid, RedOp::Max, None, false);
             let expect = naive_reduce(&a, rows, mid, 1, RedOp::Max, None);
             assert_bits_eq(&out, &expect, "NaN/∞ max rows");
             // NaN operands are ignored (as f32::max does), so an all-NaN
@@ -1687,7 +1604,7 @@ mod tests {
 
             let mut gout = vec![0.0f32; rows];
             // Same data seen as one group with inner == rows.
-            reduce_groups(&a, 0, &mut gout, mid, rows, RedOp::Max, None, false);
+            reduce_groups(&a, &mut gout, mid, rows, RedOp::Max, None, false);
             let gexpect = naive_reduce(&a, 1, mid, rows, RedOp::Max, None);
             assert_bits_eq(&gout, &gexpect, "NaN/∞ max groups");
         }

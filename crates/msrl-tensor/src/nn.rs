@@ -32,24 +32,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply_var(self, x: &Var) -> Var {
-        match self {
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Linear => x.clone(),
-        }
-    }
-
-    fn apply_tensor(self, x: &Tensor) -> Tensor {
-        match self {
-            Activation::Relu => ops::relu(x),
-            Activation::Tanh => ops::tanh(x),
-            Activation::Sigmoid => ops::sigmoid(x),
-            Activation::Linear => x.clone(),
-        }
-    }
-
     /// The fused-kernel selector applying the same scalar function.
     fn fused(self) -> ops::Act {
         match self {
@@ -84,18 +66,6 @@ impl Linear {
     /// Output feature count.
     pub fn fan_out(&self) -> usize {
         self.w.shape()[1]
-    }
-
-    /// Forward pass without gradients: `x: [batch, in] → [batch, out]`.
-    ///
-    /// With fusion on ([`crate::par::fusion_enabled`]) this runs the
-    /// one-pass fused kernel; the two paths are bit-identical.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        if crate::par::fusion_enabled() {
-            ops::linear_act(x, &self.w, &self.b, ops::Act::Linear)
-        } else {
-            ops::add(&ops::matmul(x, &self.w)?, &self.b)
-        }
     }
 }
 
@@ -162,31 +132,21 @@ impl Mlp {
 
     /// Forward pass without gradients: `[batch, in] → [batch, out]`.
     ///
-    /// With fusion on, each layer runs as one fused
-    /// matmul+bias+activation pass and the previous layer's
-    /// intermediate is recycled straight back to the buffer pool —
-    /// bit-identical to the unfused chain.
+    /// Each layer runs as one fused matmul+bias+activation pass
+    /// ([`ops::linear_act`], bit-identical to the three separate
+    /// operators) and the previous layer's intermediate is recycled
+    /// straight back to the buffer pool.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         let last = self.layers.len() - 1;
-        if crate::par::fusion_enabled() {
-            let mut h: Option<Tensor> = None;
-            for (i, layer) in self.layers.iter().enumerate() {
-                let act = if i == last { self.output_activation } else { self.hidden_activation };
-                let next =
-                    ops::linear_act(h.as_ref().unwrap_or(x), &layer.w, &layer.b, act.fused())?;
-                if let Some(dead) = h.replace(next) {
-                    dead.recycle();
-                }
-            }
-            return Ok(h.unwrap_or_else(|| x.clone()));
-        }
-        let mut h = x.clone();
+        let mut h: Option<Tensor> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.infer(&h)?;
             let act = if i == last { self.output_activation } else { self.hidden_activation };
-            h = act.apply_tensor(&h);
+            let next = ops::linear_act(h.as_ref().unwrap_or(x), &layer.w, &layer.b, act.fused())?;
+            if let Some(dead) = h.replace(next) {
+                dead.recycle();
+            }
         }
-        Ok(h)
+        Ok(h.unwrap_or_else(|| x.clone()))
     }
 
     /// Registers the parameters on `tape` for one differentiable step.
@@ -349,24 +309,18 @@ pub struct MlpBinding {
 impl MlpBinding {
     /// Differentiable forward pass.
     ///
-    /// With fusion on, each layer records a single fused
-    /// [`Var::linear`] node (one output traversal, one tape node)
-    /// instead of the matmul → add → activation triple; values and
-    /// gradients are bit-identical either way.
+    /// Each layer records a single fused [`Var::linear`] node (one output
+    /// traversal, one tape node) instead of the matmul → add → activation
+    /// triple; values and gradients are bit-identical to the triple.
     pub fn forward(&self, x: &Var) -> Result<Var> {
         let mut h = x.clone();
         let n_layers = self.params.len() / 2;
-        let fused = crate::par::fusion_enabled();
         for i in 0..n_layers {
             let w = &self.params[2 * i];
             let b = &self.params[2 * i + 1];
             let act =
                 if i == n_layers - 1 { self.output_activation } else { self.hidden_activation };
-            h = if fused {
-                h.linear(w, b, act.fused())?
-            } else {
-                act.apply_var(&h.matmul(w)?.add(b)?)
-            };
+            h = h.linear(w, b, act.fused())?;
         }
         Ok(h)
     }
@@ -429,72 +383,81 @@ mod tests {
         }
     }
 
+    /// The layers spelled as separate operators, `matmul → add → act`:
+    /// the reference the fused layer must match bit for bit.
+    fn composed_forward(binding: &MlpBinding, x: &Var) -> Var {
+        let n_layers = binding.params.len() / 2;
+        let mut h = x.clone();
+        for i in 0..n_layers {
+            let (w, b) = (&binding.params[2 * i], &binding.params[2 * i + 1]);
+            h = h.matmul(w).unwrap().add(b).unwrap();
+            let last = i == n_layers - 1;
+            h = match if last { binding.output_activation } else { binding.hidden_activation } {
+                Activation::Relu => h.relu(),
+                Activation::Tanh => h.tanh(),
+                Activation::Sigmoid => h.sigmoid(),
+                Activation::Linear => h,
+            };
+        }
+        h
+    }
+
+    /// Loss and gradients of `Σ forward(x)²` as bits.
+    fn pass_bits(mlp: &Mlp, x: &Tensor, forward: impl Fn(&MlpBinding, &Var) -> Var) -> Vec<u32> {
+        let tape = Tape::new();
+        let binding = mlp.bind(&tape);
+        let loss = forward(&binding, &tape.var(x.clone())).square().sum();
+        let grads = tape.backward(&loss).unwrap();
+        let mut bits: Vec<u32> = loss.value().data().iter().map(|v| v.to_bits()).collect();
+        for g in binding.grads(&grads) {
+            bits.extend(g.data().iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    fn fused_bits(mlp: &Mlp, x: &Tensor) -> Vec<u32> {
+        pass_bits(mlp, x, |binding, x| binding.forward(x).unwrap())
+    }
+
     #[test]
     fn fusion_paths_are_bit_identical() {
         let mut r = rng(7);
         let mlp = Mlp::new(&[4, 8, 8, 2], Activation::Tanh, Activation::Linear, &mut r);
         let x =
             Tensor::from_vec((0..12).map(|i| (i as f32 * 0.3).sin()).collect(), &[3, 4]).unwrap();
-        let y_on = crate::par::with_fusion(true, || mlp.infer(&x).unwrap());
-        let y_off = crate::par::with_fusion(false, || mlp.infer(&x).unwrap());
-        assert_eq!(y_on.data(), y_off.data(), "fused infer must be bit-identical");
-        let run = |on: bool| {
-            crate::par::with_fusion(on, || {
-                let tape = Tape::new();
-                let binding = mlp.bind(&tape);
-                let loss = binding.forward(&tape.var(x.clone())).unwrap().square().sum();
-                let grads = tape.backward(&loss).unwrap();
-                (loss.value(), binding.grads(&grads))
-            })
-        };
-        let (loss_on, grads_on) = run(true);
-        let (loss_off, grads_off) = run(false);
-        assert_eq!(loss_on.data(), loss_off.data());
-        for (a, b) in grads_on.iter().zip(&grads_off) {
-            assert_eq!(a.data(), b.data(), "fused grads must be bit-identical");
-        }
+        let tape = Tape::new();
+        let composed = composed_forward(&mlp.bind(&tape), &tape.var(x.clone())).value();
+        assert_eq!(mlp.infer(&x).unwrap().data(), composed.data(), "fused infer diverged");
+        let composed = pass_bits(&mlp, &x, composed_forward);
+        assert_eq!(fused_bits(&mlp, &x), composed, "fused loss and grads diverged");
     }
 
-    /// Three threads run the same forward+backward under three different
-    /// contexts at once. A context is thread-scoped, so each must keep
-    /// reproducing the bits it gets alone — under process-global
-    /// switches the threads flipped each other's fusion and backend
-    /// mid-kernel.
+    /// Three threads run the same forward+backward under different
+    /// backends at once. A backend is thread-scoped, so each must keep
+    /// reproducing the bits it gets alone, which are the separate
+    /// operators' bits — under process-global switches the threads
+    /// flipped each other's backend mid-kernel.
     #[test]
     fn concurrent_contexts_each_reproduce_their_single_threaded_bits() {
-        use crate::par::{Backend, ExecCtx};
+        use crate::par::{self, Backend};
         let mut r = rng(13);
         let mlp = Mlp::new(&[6, 16, 16, 3], Activation::Tanh, Activation::Linear, &mut r);
         let x =
             Tensor::from_vec((0..30).map(|i| (i as f32 * 0.23).sin()).collect(), &[5, 6]).unwrap();
-        let run = || {
-            let tape = Tape::new();
-            let binding = mlp.bind(&tape);
-            let loss = binding.forward(&tape.var(x.clone())).unwrap().square().sum();
-            let grads = tape.backward(&loss).unwrap();
-            let mut bits: Vec<u32> = loss.value().data().iter().map(|v| v.to_bits()).collect();
-            for g in binding.grads(&grads) {
-                bits.extend(g.data().iter().map(|v| v.to_bits()));
-            }
-            bits
-        };
-        let base = ExecCtx::current();
-        let ctxs = [
-            ExecCtx { fusion: true, ..base },
-            ExecCtx { fusion: false, backend: Backend::Scalar },
-            ExecCtx { fusion: false, backend: Backend::Threaded },
-        ];
-        let alone: Vec<Vec<u32>> = ctxs.iter().map(|c| c.scope(run)).collect();
-        assert_eq!(alone[0], alone[1], "fusion and backend never change bits");
-        let start = std::sync::Barrier::new(ctxs.len());
+        let expect = pass_bits(&mlp, &x, composed_forward);
+        let backends = [par::backend(), Backend::Scalar, Backend::Threaded];
+        for b in backends {
+            assert_eq!(par::with_backend(b, || fused_bits(&mlp, &x)), expect, "{b:?} alone");
+        }
+        let start = std::sync::Barrier::new(backends.len());
         std::thread::scope(|s| {
-            for (ctx, expect) in ctxs.iter().zip(&alone) {
-                let (run, start) = (&run, &start);
+            for b in backends {
+                let (mlp, x, expect, start) = (&mlp, &x, &expect, &start);
                 s.spawn(move || {
-                    ctx.scope(|| {
+                    par::with_backend(b, || {
                         start.wait();
                         for round in 0..200 {
-                            assert_eq!(&run(), expect, "{ctx:?} diverged in round {round}");
+                            assert_eq!(&fused_bits(mlp, x), expect, "{b:?} diverged in {round}");
                         }
                     })
                 });
@@ -513,7 +476,7 @@ mod tests {
                 &[batch, 6],
             )
             .unwrap();
-            let plain = crate::par::with_fusion(true, || mlp.infer(&x).unwrap());
+            let plain = mlp.infer(&x).unwrap();
             let fast = packed.infer(&x).unwrap();
             assert_eq!(plain.data(), fast.data(), "batch {batch} diverged");
         }

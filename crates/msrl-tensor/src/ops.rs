@@ -253,9 +253,9 @@ fn product(
     let mut out = crate::alloc::take_for_overwrite(m * n);
     match (transient.as_ref(), rhs) {
         (Some(bp), _) | (None, Rhs::Packed(bp)) => {
-            kernels::matmul_packed_rows(ad, 0, &mut out, k, n, bp);
+            kernels::matmul_packed_rows(ad, &mut out, k, n, bp);
         }
-        (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, 0, &mut out, k, n, bd),
+        (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, &mut out, k, n, bd),
         (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
     }
     epilogue(&mut out);
@@ -315,7 +315,7 @@ pub fn matmul_at_onto(a: &Tensor, b: &Tensor, carried: Option<Tensor>) -> Result
     let (mut out, resume) = continued_output("matmul_at_onto", &[m, n], carried, || {
         crate::alloc::take_for_overwrite(m * n)
     })?;
-    kernels::matmul_at_rows(a.data(), 0, &mut out, p, m, n, b.data(), resume);
+    kernels::matmul_at_rows(a.data(), &mut out, p, m, n, b.data(), resume);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -546,8 +546,8 @@ fn reduce_axis(
     })?;
     match inner {
         0 => {}
-        1 => kernels::reduce_rows(ad, 0, &mut out, mid, op, scale, resume),
-        _ => kernels::reduce_groups(ad, 0, &mut out, mid, inner, op, scale, resume),
+        1 => kernels::reduce_rows(ad, &mut out, mid, op, scale, resume),
+        _ => kernels::reduce_groups(ad, &mut out, mid, inner, op, scale, resume),
     }
     Tensor::from_vec(out, &out_dims)
 }
@@ -657,7 +657,7 @@ pub fn softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    fastmath::softmax_rows_fast(ad, 0, &mut out, n);
+    fastmath::softmax_rows_fast(ad, &mut out, n);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -680,7 +680,7 @@ pub fn log_softmax_rows(a: &Tensor) -> Result<Tensor> {
     if out.is_empty() {
         return Tensor::from_vec(out, &[m, n]);
     }
-    fastmath::log_softmax_rows(ad, 0, &mut out, n);
+    fastmath::log_softmax_rows(ad, &mut out, n);
     Tensor::from_vec(out, &[m, n])
 }
 

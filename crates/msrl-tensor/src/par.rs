@@ -1,25 +1,23 @@
-//! The execution context, and the one helper pool the learner's branch
-//! fork runs on.
+//! The backend, and the one helper pool the learner's branch fork runs
+//! on.
 //!
-//! How a kernel executes — which backend, whether the fused kernels are
-//! on — is one `Copy` value, [`ExecCtx`], chosen outside the code that
-//! computes:
+//! How a kernel executes is one `Copy` value, the [`Backend`], chosen
+//! outside the code that computes:
 //!
 //! * The **process default** is parsed once, strictly, from
 //!   `MSRL_BACKEND` (`scalar` | `threaded`, default `threaded`) by
-//!   [`ExecCtx::from_env`]. A value outside that set is a
+//!   [`Backend::from_env`]. A value outside that set is a
 //!   [`ConfigError`] naming the variable, never a silent fallback.
-//! * An **override** is scoped to the calling thread:
-//!   [`ExecCtx::scope`] installs a context in a thread-local for the
-//!   duration of a closure and a drop guard restores the previous one,
-//!   also on unwind. No other thread observes it, so concurrent tests
-//!   and concurrent fragments cannot steer each other's numerics.
-//!   [`with_backend`] and [`with_fusion`] are one-field spellings.
-//! * A context is **inherited** at exactly two seams: the forked branch
-//!   of a [`join`] runs under the forking thread's context, and the
-//!   fragment runner's `spawn_fragment` (`msrl_runtime::exec`) hands its
-//!   caller's context to every fragment thread. A thread started any
-//!   other way starts from the process default.
+//! * An **override** is scoped to the calling thread: [`with_backend`]
+//!   installs a backend in a thread-local for the duration of a closure
+//!   and a drop guard restores the previous one, also on unwind. No
+//!   other thread observes it, so concurrent tests and concurrent
+//!   fragments cannot steer each other.
+//! * A backend is **inherited** at exactly one seam: the fragment
+//!   runner's `spawn_fragment` (`msrl_runtime::exec`) hands its caller's
+//!   backend to every fragment thread. A thread started any other way —
+//!   a helper running a forked branch included — starts from the process
+//!   default.
 //!
 //! Every kernel runs as one chunk on its calling thread. Parallelism
 //! comes from fragments, each on its own thread, and from one fork: the
@@ -32,7 +30,9 @@
 //!   idle helper when a core is free (below).
 //!
 //! Results do not depend on the backend: the closures are the same
-//! wherever they run.
+//! wherever they run. So a forked branch needs no backend of its own: a
+//! fork happens only under `Threaded`, and all a backend could tell the
+//! branch is whether *it* may fork, which changes no bits.
 //!
 //! # The pool
 //!
@@ -98,7 +98,7 @@ impl std::error::Error for ConfigError {}
 
 /// Parses one optional variable: `Ok(None)` when unset, the parsed
 /// value when `parse` accepts it, otherwise a [`ConfigError`] carrying
-/// `accepted`. Shared by [`ExecCtx::parse`] and
+/// `accepted`. Shared by [`Backend::parse`] and
 /// `msrl_runtime::RuntimeConfig::parse`.
 ///
 /// # Errors
@@ -120,40 +120,21 @@ pub fn parse_var<T>(
     }
 }
 
-/// How tensor kernels execute on the calling thread. See the module
-/// docs for how a value is resolved, overridden and inherited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecCtx {
-    /// Whether a [`join`] may fork.
-    pub backend: Backend,
-    /// Fused `MatMul+bias+activation` kernels in [`crate::nn`].
-    /// Bit-identical to the unfused operators, which stay reachable through
-    /// [`with_fusion`]`(false, ..)` as the reference the bitwise suites
-    /// compare against.
-    pub fusion: bool,
-}
-
-thread_local! {
-    /// The calling thread's override; `None` means the process default.
-    static CURRENT: Cell<Option<ExecCtx>> = const { Cell::new(None) };
-}
-
-impl ExecCtx {
-    /// Resolves a context from `lookup(name)`, the pure core of
-    /// [`Self::from_env`]: unset variables take their defaults, set
-    /// ones must parse.
+impl Backend {
+    /// Resolves `MSRL_BACKEND` from `lookup(name)`, the pure core of
+    /// [`Self::from_env`]: unset is [`Backend::Threaded`].
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for `MSRL_BACKEND` outside
     /// `scalar|threaded`.
-    pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<ExecCtx, ConfigError> {
+    pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<Backend, ConfigError> {
         let backend = parse_var(&lookup, "MSRL_BACKEND", "scalar|threaded", |v| match v {
             "scalar" => Some(Backend::Scalar),
             "threaded" => Some(Backend::Threaded),
             _ => None,
         })?;
-        Ok(ExecCtx { backend: backend.unwrap_or(Backend::Threaded), fusion: true })
+        Ok(backend.unwrap_or(Backend::Threaded))
     }
 
     /// [`Self::parse`] over the process environment.
@@ -161,50 +142,51 @@ impl ExecCtx {
     /// # Errors
     ///
     /// See [`Self::parse`].
-    pub fn from_env() -> Result<ExecCtx, ConfigError> {
-        ExecCtx::parse(|name| std::env::var(name).ok())
-    }
-
-    /// The context in force on the calling thread: the innermost
-    /// enclosing [`Self::scope`], else the process default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message when the process default
-    /// is first needed and the environment holds a rejected value
-    /// (binaries call `RuntimeConfig::from_env` up front to report it
-    /// as an error instead).
-    #[inline]
-    pub fn current() -> ExecCtx {
-        CURRENT.get().unwrap_or_else(|| {
-            static DEFAULT: OnceLock<ExecCtx> = OnceLock::new();
-            *DEFAULT.get_or_init(|| ExecCtx::from_env().unwrap_or_else(|e| panic!("{e}")))
-        })
-    }
-
-    /// Runs `f` with `self` as the calling thread's context, restoring
-    /// the previous one afterwards (also when `f` unwinds).
-    pub fn scope<T>(self, f: impl FnOnce() -> T) -> T {
-        struct Restore(Option<ExecCtx>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                CURRENT.set(self.0);
-            }
-        }
-        let _restore = Restore(CURRENT.replace(Some(self)));
-        f()
+    pub fn from_env() -> Result<Backend, ConfigError> {
+        Backend::parse(|name| std::env::var(name).ok())
     }
 }
 
-/// The calling thread's backend.
+thread_local! {
+    /// The calling thread's override; `None` means the process default.
+    static CURRENT: Cell<Option<Backend>> = const { Cell::new(None) };
+}
+
+/// The backend in force on the calling thread: the innermost enclosing
+/// [`with_backend`], else the process default.
+///
+/// # Panics
+///
+/// Panics with the [`ConfigError`] message when the process default is
+/// first needed and the environment holds a rejected value (binaries
+/// call `RuntimeConfig::from_env` up front to report it as an error
+/// instead).
+#[inline]
 pub fn backend() -> Backend {
-    ExecCtx::current().backend
+    CURRENT.get().unwrap_or_else(|| {
+        static DEFAULT: OnceLock<Backend> = OnceLock::new();
+        *DEFAULT.get_or_init(|| Backend::from_env().unwrap_or_else(|e| panic!("{e}")))
+    })
 }
 
-/// Whether fused kernels are on for the calling thread (see
-/// [`ExecCtx::fusion`]).
+/// Runs `f` with `backend` as the calling thread's backend, restoring
+/// the previous one afterwards (also when `f` unwinds).
+pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Backend>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(self.0);
+        }
+    }
+    let _restore = Restore(CURRENT.replace(Some(backend)));
+    f()
+}
+
+/// Always `true`: every layer runs the fused `MatMul+bias+activation`
+/// kernel. Kept only until the frozen `benchmark/` crate, which still
+/// asks, is re-pointed.
 pub fn fusion_enabled() -> bool {
-    ExecCtx::current().fusion
+    true
 }
 
 /// Always `true`: the packed, register-tiled and gathered kernels are
@@ -221,19 +203,8 @@ pub fn with_threads<T>(_threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Runs `f` under the given backend on the calling thread.
-pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
-    ExecCtx { backend, ..ExecCtx::current() }.scope(f)
-}
-
-/// Runs `f` with fusion forced to `fusion` on the calling thread.
-pub fn with_fusion<T>(fusion: bool, f: impl FnOnce() -> T) -> T {
-    ExecCtx { fusion, ..ExecCtx::current() }.scope(f)
-}
-
 /// Runs `a` on the calling thread and `b` on an idle helper when a core
-/// is free — else inline, after `a` — and returns both results. `b`
-/// runs under the caller's [`ExecCtx`] either way.
+/// is free — else inline, after `a` — and returns both results.
 ///
 /// `join` returns or unwinds only once `b` has finished or was never
 /// started; a panic in `b` is resumed here (after `a` is done), one in
@@ -305,13 +276,12 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Hands `job` to an idle helper when [`may_fork`] allows, under the
-/// caller's [`ExecCtx`], and gives it back otherwise, for the caller to
-/// run inline. Under [`Backend::Scalar`] it always gives it back: the
-/// reference backend runs on one thread.
+/// Hands `job` to an idle helper when [`may_fork`] allows, and gives it
+/// back otherwise, for the caller to run inline. Under
+/// [`Backend::Scalar`] it always gives it back: the reference backend
+/// runs on one thread.
 fn fork<'a, F: FnOnce() + Send + 'a>(job: F) -> Result<Running<'a>, F> {
-    let ctx = ExecCtx::current();
-    if ctx.backend == Backend::Scalar {
+    if backend() == Backend::Scalar {
         return Err(job);
     }
     let helpers = helpers();
@@ -320,7 +290,7 @@ fn fork<'a, F: FnOnce() + Send + 'a>(job: F) -> Result<Running<'a>, F> {
         return Err(job);
     }
     match helpers.iter().find(|h| h.claim()) {
-        Some(helper) => Ok(start(helper, move || ctx.scope(job))),
+        Some(helper) => Ok(start(helper, job)),
         None => Err(job),
     }
 }
@@ -478,43 +448,42 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_restore_also_on_unwind() {
-        let outer = ExecCtx::current();
-        let inner = with_backend(Backend::Scalar, || with_fusion(false, ExecCtx::current));
-        assert_eq!(inner, ExecCtx { backend: Backend::Scalar, fusion: false });
-        assert_eq!(ExecCtx::current(), outer);
-        let unwound = std::panic::catch_unwind(|| with_fusion(false, || panic!("boom")));
+        let outer = backend();
+        let nested = with_backend(Backend::Scalar, || {
+            let inner = with_backend(Backend::Threaded, backend);
+            (inner, backend())
+        });
+        assert_eq!(nested, (Backend::Threaded, Backend::Scalar));
+        assert_eq!(backend(), outer);
+        let unwound = std::panic::catch_unwind(|| with_backend(Backend::Scalar, || panic!("boom")));
         assert!(unwound.is_err());
-        assert_eq!(ExecCtx::current(), outer, "the drop guard restores on unwind");
+        assert_eq!(backend(), outer, "the drop guard restores on unwind");
     }
 
     #[test]
-    fn fan_out_workers_inherit_the_callers_context_and_siblings_do_not() {
-        let ctx = ExecCtx { backend: Backend::Threaded, fusion: false };
+    fn scopes_stay_on_their_thread_and_a_forked_branch_runs_on_the_default() {
+        let default = backend();
+        // Two threads inside different scopes at once, joining while both
+        // are open: neither sees the other's.
         let barrier = std::sync::Barrier::new(2);
+        let sees = |mine: Backend| {
+            with_backend(mine, || {
+                barrier.wait();
+                let seen = (0..50).map(|_| join(backend, || ()).0).collect::<Vec<_>>();
+                barrier.wait();
+                seen.into_iter().all(|b| b == mine)
+            })
+        };
         std::thread::scope(|s| {
-            // A sibling thread inside its own, different scope while the
-            // joins below run: neither side sees the other's.
-            let sibling = s.spawn(|| {
-                let mine = ExecCtx { fusion: true, ..ctx };
-                mine.scope(|| {
-                    barrier.wait();
-                    let joined = join(ExecCtx::current, ExecCtx::current);
-                    barrier.wait();
-                    (mine, joined)
-                })
-            });
-            ctx.scope(|| {
-                barrier.wait();
-                assert_eq!(join(ExecCtx::current, ExecCtx::current), (ctx, ctx));
-                barrier.wait();
-            });
-            let (mine, joined) = sibling.join().expect("sibling must not panic");
-            assert_eq!(joined, (mine, mine));
+            let scalar = s.spawn(|| sees(Backend::Scalar));
+            assert!(sees(Backend::Threaded), "the threaded scope leaked");
+            assert!(scalar.join().expect("sibling must not panic"), "the scalar scope leaked");
         });
-        // A helper holds no context of its own between forks.
-        let outside = ExecCtx::current();
-        let seen = (0..50).map(|_| join(|| (), ExecCtx::current).1);
-        assert!(seen.into_iter().all(|c| c == outside));
+        // A helper holds no scope of its own, and a forked branch runs on
+        // the process default, not under the forking thread's scope.
+        assert!(on_helpers(backend).into_iter().all(|b| b == default));
+        let forked = until_forked(|| join(|| (), || (std::thread::current().id(), backend())).1);
+        assert!(forked.into_iter().all(|b| b == default));
     }
 
     /// Joins until `b` runs on another thread, which needs an idle helper

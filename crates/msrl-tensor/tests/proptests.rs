@@ -209,18 +209,11 @@ proptest! {
         let tb = Tensor::from_vec(b, &[k, n]).unwrap();
         let naive = bits(&reference::matmul(ta.data(), tb.data(), m, k, n));
         // Straight onto the packed tile, whatever the PACK_MIN_FLOPS
-        // on-the-fly cutoff says: all rows at once, and split at a row
-        // (the kernel takes the index of its first row).
+        // on-the-fly cutoff says.
         let bp = kernels::pack_b(tb.data(), k, n);
         let mut whole = vec![0.0; m * n];
-        kernels::matmul_packed_rows(ta.data(), 0, &mut whole, k, n, &bp);
-        prop_assert_eq!(bits(&whole), naive.clone());
-        let split = m / 2;
-        let mut halves = vec![0.0; m * n];
-        let (top, bottom) = halves.split_at_mut(split * n);
-        kernels::matmul_packed_rows(ta.data(), 0, top, k, n, &bp);
-        kernels::matmul_packed_rows(ta.data(), split, bottom, k, n, &bp);
-        prop_assert_eq!(bits(&halves), naive);
+        kernels::matmul_packed_rows(ta.data(), &mut whole, k, n, &bp);
+        prop_assert_eq!(bits(&whole), naive);
     }
 
     /// Below the packing cutoff `matmul` dispatches the unpacked SIMD

@@ -51,13 +51,8 @@ fn main() {
 
     // 3. The distributed deployment of §7.4: env worker + agent fragments.
     println!("\n— DP-E: dedicated env worker + one fragment per agent —");
-    let dpe = DpEConfig {
-        episodes: 15,
-        hidden: vec![32],
-        ppo: cfg,
-        seed: 3,
-        fusion: msrl_tensor::par::fusion_enabled(),
-    };
+    let dpe =
+        DpEConfig { episodes: 15, hidden: vec![32], ppo: cfg, seed: 3, ..DpEConfig::default() };
     let report = run_dp_e(|| SimpleSpread::new(3, 9).with_horizon(20), &dpe).expect("DP-E runs");
     println!(
         "distributed MAPPO: mean step reward {:.3} → {:.3} over {} episodes",

@@ -140,8 +140,8 @@ mod golden {
             overlap: true,
             staleness: 1,
             link_latency: std::time::Duration::ZERO,
-            fusion: true,
             act_server: false,
+            ..DistPpoConfig::default()
         }
     }
 
@@ -185,7 +185,7 @@ mod golden {
                     hidden: vec![16],
                     ppo: ppo.clone(),
                     seed: 24,
-                    fusion: true,
+                    ..DpDConfig::default()
                 };
                 run_dp_d(|r| BatchedCartPole::new(8, 40 + r as u64), &cfg).unwrap()
             }),
@@ -195,7 +195,7 @@ mod golden {
                     hidden: vec![16],
                     ppo: ppo.clone(),
                     seed: 25,
-                    fusion: true,
+                    ..DpEConfig::default()
                 };
                 run_dp_e(|| SimpleSpread::new(2, 25).with_horizon(10), &cfg).unwrap()
             }),
@@ -212,7 +212,7 @@ mod golden {
                     hidden: vec![16],
                     a3c: A3cConfig::default(),
                     seed: 27,
-                    fusion: true,
+                    ..A3cDistConfig::default()
                 };
                 run_a3c(|w| CartPole::new(50 + w as u64), &cfg).unwrap()
             }),

@@ -72,7 +72,7 @@ fn dp_d_placement_and_training() {
         hidden: vec![16],
         ppo: Default::default(),
         seed: 4,
-        fusion: msrl_tensor::par::fusion_enabled(),
+        ..DpDConfig::default()
     };
     let report = run_dp_d(|r| BatchedCartPole::new(8, r as u64), &cfg).unwrap();
     assert_eq!(report.iteration_rewards.len(), 6);
@@ -91,7 +91,7 @@ fn dp_e_placement_and_training() {
         hidden: vec![16],
         ppo: Default::default(),
         seed: 5,
-        fusion: msrl_tensor::par::fusion_enabled(),
+        ..DpEConfig::default()
     };
     let report = run_dp_e(|| SimpleSpread::new(3, 1).with_horizon(12), &cfg).unwrap();
     assert_eq!(report.iteration_rewards.len(), 8);
