@@ -33,14 +33,14 @@ use std::time::Duration;
 use msrl_algos::ppo::PpoConfig;
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
-use msrl_telemetry::{Event, Phase, TelemetryReport};
+use msrl_telemetry::{Span, TelemetryReport};
 
-/// One profiled run: its name, aggregated report, and raw events (kept
+/// One profiled run: its name, aggregated report, and raw spans (kept
 /// for span-containment analysis the aggregate cannot answer).
 struct PolicyProfile {
     name: &'static str,
     report: TelemetryReport,
-    events: Vec<Event>,
+    spans: Vec<Span>,
 }
 
 /// A named, boxed training run to profile.
@@ -53,14 +53,14 @@ fn profile(
     out_dir: &Path,
     f: impl FnOnce() -> msrl_core::Result<()>,
 ) -> Result<PolicyProfile, String> {
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     msrl_telemetry::reset_gauges();
     msrl_telemetry::reset_histograms();
     msrl_telemetry::set_enabled(true);
     f().map_err(|e| format!("{name}: run failed: {e}"))?;
-    let events = msrl_telemetry::drain();
-    let trace = msrl_telemetry::chrome_trace(&events);
+    let spans = msrl_telemetry::drain();
+    let trace = msrl_telemetry::chrome_trace(&spans);
     let check = msrl_telemetry::validate_chrome_trace(&trace)
         .map_err(|e| format!("{name}: trace validation failed: {e}"))?;
     if check.fragment_spans == 0 {
@@ -68,56 +68,38 @@ fn profile(
     }
     let trace_path = out_dir.join(format!("trace_{name}.json"));
     std::fs::write(&trace_path, &trace).map_err(|e| format!("{name}: write trace: {e}"))?;
-    let report = TelemetryReport::from_events(&events).with_registry();
+    let report = TelemetryReport::from_spans(&spans).with_registry();
     let profile_path = out_dir.join(format!("profile_{name}.json"));
     std::fs::write(&profile_path, report.to_json())
         .map_err(|e| format!("{name}: write profile: {e}"))?;
     println!(
-        "{name}: {} events, {} span pairs, {} fragment lanes -> {}",
+        "{name}: {} events, {} spans, {} fragment lanes -> {}",
         check.events,
-        check.span_pairs,
+        check.spans,
         check.fragment_spans,
         trace_path.display()
     );
-    Ok(PolicyProfile { name, report, events })
+    Ok(PolicyProfile { name, report, spans })
 }
 
 /// Total time (ns) spent in `inner` spans that *begin inside* an `outer`
 /// span on the same thread — e.g. `comm.recv` blocked time during
 /// `phase.weight_sync`. The aggregate report cannot answer this (it
-/// loses nesting), so it is computed from the raw events: per thread,
-/// events are chronological, so a depth counter for `outer` tells
-/// whether each `inner` begin is contained.
-fn span_within(events: &[Event], outer: &str, inner: &str) -> u64 {
-    let mut by_tid: HashMap<u64, Vec<&Event>> = HashMap::new();
-    for e in events {
-        by_tid.entry(e.tid).or_default().push(e);
+/// loses nesting), so it is computed from the raw spans: each thread's
+/// `outer` intervals, sorted by start, and for each `inner` the last one
+/// that started no later than it.
+fn span_within(spans: &[Span], outer: &str, inner: &str) -> u64 {
+    let mut outers: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+    for s in spans.iter().filter(|s| s.name == outer) {
+        outers.entry(s.tid).or_default().push((s.start_ns, s.start_ns + s.duration_ns()));
     }
-    let mut total = 0u64;
-    for evs in by_tid.values() {
-        let mut outer_depth = 0i64;
-        let mut inner_stack: Vec<(u64, bool)> = Vec::new();
-        for e in evs {
-            if e.name == outer {
-                outer_depth += match e.phase {
-                    Phase::Begin => 1,
-                    Phase::End => -1,
-                };
-            } else if e.name == inner {
-                match e.phase {
-                    Phase::Begin => inner_stack.push((e.ts_ns, outer_depth > 0)),
-                    Phase::End => {
-                        if let Some((t0, inside)) = inner_stack.pop() {
-                            if inside {
-                                total += e.ts_ns.saturating_sub(t0);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    total
+    outers.values_mut().for_each(|v| v.sort_unstable());
+    let inside = |s: &Span| {
+        let Some(v) = outers.get(&s.tid) else { return false };
+        let before = v.partition_point(|&(start, _)| start <= s.start_ns);
+        before > 0 && s.start_ns < v[before - 1].1
+    };
+    spans.iter().filter(|s| s.name == inner && inside(s)).map(Span::duration_ns).sum()
 }
 
 /// Total `comm.*` span time, excluding `comm.overlap` (which brackets
@@ -196,8 +178,8 @@ fn overlap_analysis(
     println!("\noverlap analysis (overlap off vs on)");
 
     // DP-A: actor time blocked in comm.recv during phase.weight_sync.
-    let blocked_off = span_within(&dp_a_sync.events, "phase.weight_sync", "comm.recv");
-    let blocked_on = span_within(&dp_a_overlap.events, "phase.weight_sync", "comm.recv");
+    let blocked_off = span_within(&dp_a_sync.spans, "phase.weight_sync", "comm.recv");
+    let blocked_on = span_within(&dp_a_overlap.spans, "phase.weight_sync", "comm.recv");
     let drop_pct = 100.0 * (1.0 - blocked_on as f64 / blocked_off.max(1) as f64);
     println!(
         "dp_a comm.recv in phase.weight_sync: {:.1} ms -> {:.1} ms ({drop_pct:+.0}% vs off)",

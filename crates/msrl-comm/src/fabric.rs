@@ -465,9 +465,8 @@ impl Endpoint {
     }
 
     fn recv_tagged(&self, from: usize) -> Result<(u64, Vec<f32>), CommError> {
-        let _span = msrl_telemetry::span!("comm.recv");
+        let _span = msrl_telemetry::span!("comm.recv", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         self.check_rank(from)?;
         let (_, msg) = self.inbox().claim(&[from])?;
         count_recv(&msg.payload);
@@ -522,9 +521,8 @@ impl Endpoint {
     /// Returns an error for unknown ranks, or when nothing is queued and
     /// a polled peer is gone.
     pub fn recv_any(&self, from: &[usize]) -> Result<(usize, Vec<f32>), CommError> {
-        let _span = msrl_telemetry::span!("comm.recv");
+        let _span = msrl_telemetry::span!("comm.recv", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         for &f in from {
             self.check_rank(f)?;
         }
@@ -577,9 +575,8 @@ impl Endpoint {
     ///
     /// Returns an error on disconnection or collective mismatch.
     pub fn all_gather(&mut self, payload: Vec<f32>) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = msrl_telemetry::span!("comm.all_gather");
+        let _span = msrl_telemetry::span!("comm.all_gather", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.all_gather").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         self.exchange_tagged(payload)
     }
 
@@ -591,9 +588,8 @@ impl Endpoint {
     /// Returns an error on disconnection, mismatched collectives, or
     /// ragged payload lengths.
     pub fn all_reduce_mean(&mut self, payload: Vec<f32>) -> Result<Vec<f32>, CommError> {
-        let _span = msrl_telemetry::span!("comm.all_reduce");
+        let _span = msrl_telemetry::span!("comm.all_reduce", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.all_reduce").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         let len = payload.len();
         let parts = self.exchange_tagged(payload)?;
         reduce_mean_parts(parts.iter().map(Vec::as_slice), len, self.size)
@@ -622,9 +618,8 @@ impl Endpoint {
         reduce: Vec<f32>,
         extra: Vec<f32>,
     ) -> Result<(Vec<f32>, Vec<Vec<f32>>), CommError> {
-        let _span = msrl_telemetry::span!("comm.all_reduce_fused");
+        let _span = msrl_telemetry::span!("comm.all_reduce_fused", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.all_reduce_fused").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         let len = reduce.len();
         let mut framed = Vec::with_capacity(1 + len + extra.len());
         framed.push(len as f32);
@@ -660,9 +655,8 @@ impl Endpoint {
     ///
     /// Returns an error on disconnection or collective mismatch.
     pub fn broadcast(&mut self, root: usize, payload: Vec<f32>) -> Result<Vec<f32>, CommError> {
-        let _span = msrl_telemetry::span!("comm.broadcast");
+        let _span = msrl_telemetry::span!("comm.broadcast", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.broadcast").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         self.check_rank(root)?;
         let tag = self.advance_tag();
         if self.rank == root {
@@ -683,9 +677,8 @@ impl Endpoint {
     ///
     /// Returns an error on disconnection.
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        let _span = msrl_telemetry::span!("comm.barrier");
+        let _span = msrl_telemetry::span!("comm.barrier", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.barrier").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         self.exchange_tagged(Vec::new()).map(|_| ())
     }
 }
@@ -760,9 +753,8 @@ impl PendingRecv {
     ///
     /// Returns an error if the peer disconnected before sending.
     pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        let _span = msrl_telemetry::span!("comm.recv");
+        let _span = msrl_telemetry::span!("comm.recv", class: Comm);
         let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Comm);
         let (_, msg) = self.inbox.claim(&[self.from])?;
         count_recv(&msg.payload);
         Ok(msg.payload)

@@ -94,9 +94,8 @@ impl<'a> Interpreter<'a> {
         fragment: &Fragment,
         preset: HashMap<NodeId, Tensor>,
     ) -> Result<HashMap<NodeId, Tensor>> {
-        let _span = msrl_telemetry::span!("fragment.eval", fragment.id.0);
+        let _span = msrl_telemetry::span!("fragment.eval", fragment.id.0, class: Eval);
         let _hist = msrl_telemetry::static_histogram!("fragment.eval").time();
-        let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Eval);
         self.run(graph, &fragment.all_nodes(), preset)
     }
 

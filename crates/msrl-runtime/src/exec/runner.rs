@@ -138,18 +138,17 @@ impl Frame<'_> {
     }
 }
 
-/// The rollout phase of a seat: its span and attribution stamp.
+/// The rollout phase of a seat: one span, classed for attribution.
 pub(crate) fn rollout<T>(body: impl FnOnce() -> T) -> T {
-    let _s = msrl_telemetry::span!("phase.rollout");
-    let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Rollout);
+    let _s = msrl_telemetry::span!("phase.rollout", class: Rollout);
     body()
 }
 
-/// The learn phase of a seat: span, always-on histogram, attribution.
+/// The learn phase of a seat: a span classed for attribution, and the
+/// always-on histogram.
 pub(crate) fn learn<T>(body: impl FnOnce() -> T) -> T {
-    let _s = msrl_telemetry::span!("phase.learn");
+    let _s = msrl_telemetry::span!("phase.learn", class: Learn);
     let _h = msrl_telemetry::static_histogram!("phase.learn").time();
-    let _attr = msrl_telemetry::step(msrl_telemetry::StepClass::Learn);
     body()
 }
 
@@ -225,7 +224,7 @@ fn merge_replicas(mut reports: Vec<TrainingReport>, mean_rewards: bool) -> Train
 /// Declares the fragment the calling thread hosts: opens the
 /// `fragment.<role>` span named by `span` and counts the thread as a
 /// computing fragment (both held until the returned guards drop), and
-/// tags the thread's attribution stamps (comm waits deep in the fabric
+/// tags the thread's classed spans (comm waits deep in the fabric
 /// included) with `<role>` and `rank`.
 fn enter_fragment(
     span: &'static str,

@@ -31,8 +31,9 @@ pub(crate) struct RunObserver {
 impl RunObserver {
     /// Starts observing a run. Also installs the flight recorder's
     /// panic hook so a dying worker leaves post-mortem state on disk,
-    /// and opens the first attribution window so step stamps from
-    /// before the run don't leak into iteration 0.
+    /// and opens the first attribution window so classed spans from
+    /// before the run don't leak into iteration 0 (which also drops the
+    /// telemetry lanes of threads an earlier run left behind).
     pub(crate) fn new(policy: &'static str, staleness: usize) -> RunObserver {
         msrl_telemetry::install_panic_hook();
         msrl_telemetry::reset_window();
@@ -97,10 +98,10 @@ impl RunObserver {
     }
 
     /// Closes one iteration: records its period, computes the
-    /// critical-path attribution over the iteration window (draining
-    /// every fragment thread's step stamps), runs the health detectors,
-    /// and streams the training-metrics event — with an `attr` block
-    /// when attribution is on and a `health` block when the watchdog is.
+    /// critical-path attribution over the iteration window (taking
+    /// every fragment thread's classed spans), runs the health detectors,
+    /// and streams the training-metrics event — with an `attr` block,
+    /// and a `health` block when the watchdog is on.
     ///
     /// # Errors
     ///
@@ -117,14 +118,9 @@ impl RunObserver {
         let dt = now.duration_since(self.last);
         self.last = now;
         msrl_telemetry::static_histogram!("fragment.eval").record_duration(dt);
-        let attr = if msrl_telemetry::attr_enabled() {
-            let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
-            let a = msrl_telemetry::finish_iteration();
-            drop(t);
-            Some(a)
-        } else {
-            None
-        };
+        let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
+        let attr = msrl_telemetry::finish_iteration();
+        drop(t);
         let bytes = msrl_telemetry::counter_total("comm.bytes_sent");
         // Act-server deltas: an active server runs ≥1 batched forward
         // per iteration, so a zero delta means it is off — omit the
@@ -147,7 +143,7 @@ impl RunObserver {
             iters_per_sec,
             comm_bytes: bytes.saturating_sub(self.bytes_prev),
             staleness: self.staleness,
-            attr,
+            attr: Some(attr),
             actsrv,
             health,
         });

@@ -3,26 +3,26 @@
 //! MSRL's central claim is that the right distribution policy depends on
 //! *which* stage bounds an iteration — rollout, learn, or communication.
 //! This module makes that observable on every run, without `MSRL_TRACE`:
-//! fragments stamp their phase executions and collective waits into
-//! per-thread step buffers ([`step`], [`record_step`]), and at each
-//! iteration boundary the driver's observer calls [`finish_iteration`],
-//! which drains the stamps and computes
+//! phase executions, collective waits and interpreter evaluations open
+//! *classed* spans (`span!("phase.learn", class: Learn)`), whose records
+//! each thread's lane keeps for this reader (see [`crate::recorder`]), and
+//! at each iteration boundary the driver's observer calls
+//! [`finish_iteration`], which takes the classed records and computes
 //!
 //! * a per-fragment time breakdown — rollout / learn / comm-blocked /
 //!   interpreter compute / scheduler idle / straggler slack — whose
 //!   components sum to the iteration wall time by construction,
-//! * per-fragment straggler flags (busy time above `k ×` the median of
-//!   the fragment's role peers, `k` from `MSRL_STRAGGLER_K`),
+//! * per-fragment straggler flags (busy time above twice the median of
+//!   the fragment's role peers),
 //! * the critical path through the iteration's step-dependency DAG
 //!   ([`StepDag`]): intra-fragment program order plus cross-fragment
 //!   edges at collective (comm) rounds, longest path in O(nodes+edges).
 //!
-//! Stamping is always on (disable with `MSRL_ATTR=0`): a stamp is one
-//! uncontended mutex lock and a ring push on the calling thread, a few
-//! per fragment per iteration — measured in `bench_report` as
-//! `attr_record_ns`/`attr_finish_iter_ns` and held inside the <5%
-//! always-on probe bound. Buffers are bounded ([`STEP_CAPACITY`] per
-//! thread); overflow drops the oldest stamps and counts `attr.dropped`.
+//! A lane keeps at most [`STEP_CAPACITY`] classed records between
+//! boundaries; overflow drops the oldest and counts `attr.dropped`
+//! (in `metrics_text` and every flight-recorder dump). The iteration
+//! pass is timed by the always-on `attr.finish_iteration` histogram and
+//! held inside `bench_report`'s <5% bound.
 //!
 //! The attribution rides the run-metrics stream: each `RunEvent`'s
 //! `attr` block carries one [`IterAttribution`] per iteration, consumed
@@ -31,46 +31,20 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Step stamps retained per thread between iteration boundaries.
+/// Classed records a lane keeps between iteration boundaries.
 pub const STEP_CAPACITY: usize = 4096;
 
 /// The [`IterAttribution::bottleneck`] labels, in tie-break order.
 pub(crate) const BOTTLENECKS: [&str; 4] = ["rollout", "learn", "comm", "idle"];
 
-pub(crate) static ATTR: crate::Switch = crate::Switch::new("MSRL_ATTR", true);
+/// A fragment is a straggler when its busy time exceeds this multiple of
+/// its role peers' median.
+const STRAGGLER_K: f64 = 2.0;
 
-/// Whether attribution stamping is active (default on). Resolved from
-/// `MSRL_ATTR` on first call ([`crate::parse_switch`]), then one relaxed
-/// load.
-#[inline]
-pub fn attr_enabled() -> bool {
-    ATTR.get()
-}
-
-/// Programmatically enables or disables attribution stamping (takes
-/// precedence over `MSRL_ATTR`).
-pub fn set_attr_enabled(on: bool) {
-    ATTR.set(on);
-}
-
-/// The straggler threshold `k`: a fragment is flagged when its busy time
-/// exceeds `k ×` the median busy time of its role peers. Resolved from
-/// `MSRL_STRAGGLER_K` (default 2.0) on first call.
-pub fn straggler_k() -> f64 {
-    static K_BITS: AtomicU64 = AtomicU64::new(0);
-    let bits = K_BITS.load(Ordering::Relaxed);
-    if bits != 0 {
-        return f64::from_bits(bits);
-    }
-    let k = std::env::var("MSRL_STRAGGLER_K")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|k| k.is_finite() && *k >= 1.0)
-        .unwrap_or(2.0);
-    K_BITS.store(k.to_bits(), Ordering::Relaxed);
-    k
+/// Classed records a lane dropped before they were attributed.
+pub(crate) fn dropped() -> &'static crate::Counter {
+    crate::static_counter!("attr.dropped")
 }
 
 /// What a stamped step was doing.
@@ -130,53 +104,11 @@ pub struct StepStamp {
     pub end_ns: u64,
 }
 
-struct ThreadSteps {
-    inner: Mutex<ThreadStepsInner>,
-}
-
-struct ThreadStepsInner {
-    /// The fragment this thread hosts (set by the driver at fragment
-    /// start); stamps without one fall back to `("thread", tid)`.
-    role: &'static str,
-    fragment: u64,
-    has_fragment: bool,
-    tid: u64,
-    steps: std::collections::VecDeque<(StepClass, u64, u64)>,
-    dropped: u64,
-}
-
-fn buffers() -> &'static Mutex<Vec<Arc<ThreadSteps>>> {
-    static BUFS: OnceLock<Mutex<Vec<Arc<ThreadSteps>>>> = OnceLock::new();
-    BUFS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static LOCAL_STEPS: Arc<ThreadSteps> = {
-        let buf = Arc::new(ThreadSteps {
-            inner: Mutex::new(ThreadStepsInner {
-                role: "thread",
-                fragment: crate::recorder::current_tid(),
-                has_fragment: false,
-                tid: crate::recorder::current_tid(),
-                steps: std::collections::VecDeque::with_capacity(64),
-                dropped: 0,
-            }),
-        });
-        buffers().lock().expect("attribution buffers poisoned").push(Arc::clone(&buf));
-        buf
-    };
-}
-
-/// Declares the fragment the calling thread hosts; subsequent stamps on
-/// this thread (including comm waits deep in the fabric) attach to it.
+/// Declares the fragment the calling thread hosts; its lane's classed
+/// records (comm waits deep in the fabric included) attach to it.
 /// Drivers call this once at each fragment thread's entry.
 pub fn set_fragment(role: &'static str, fragment: u64) {
-    let _ = LOCAL_STEPS.try_with(|b| {
-        let mut inner = b.inner.lock().expect("attribution buffer poisoned");
-        inner.role = role;
-        inner.fragment = fragment;
-        inner.has_fragment = true;
-    });
+    crate::recorder::with_lane(|lane| lane.lock().fragment = Some((role, fragment)));
 }
 
 /// Fragment threads computing right now, process-wide: entered for a
@@ -248,85 +180,42 @@ pub fn resume_computing(n: usize) {
     }
 }
 
-/// Records one completed step on the calling thread's buffer.
-pub fn record_step(class: StepClass, start_ns: u64, end_ns: u64) {
-    if !attr_enabled() || end_ns <= start_ns {
-        return;
-    }
-    let _ = LOCAL_STEPS.try_with(|b| {
-        let mut inner = b.inner.lock().expect("attribution buffer poisoned");
-        if inner.steps.len() >= STEP_CAPACITY {
-            inner.steps.pop_front();
-            inner.dropped += 1;
-        }
-        inner.steps.push_back((class, start_ns, end_ns));
-    });
-}
-
-/// RAII step stamp: records `[open, drop)` as one step of its class.
-#[must_use = "bind the guard to a local so the step is stamped at scope exit"]
-pub struct StepGuard {
-    class: StepClass,
-    start_ns: u64,
-    armed: bool,
-}
-
-impl Drop for StepGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            record_step(self.class, self.start_ns, crate::recorder::now_ns());
-        }
-    }
-}
-
-/// Opens a step of `class` on the calling thread; the returned guard
-/// stamps it when dropped. With attribution disabled this is inert.
-#[inline]
-pub fn step(class: StepClass) -> StepGuard {
-    let armed = attr_enabled();
-    StepGuard { class, start_ns: if armed { crate::recorder::now_ns() } else { 0 }, armed }
-}
-
-/// Stamps dropped to ring-buffer overflow so far (process-wide).
-pub fn steps_dropped() -> u64 {
-    let bufs = buffers().lock().expect("attribution buffers poisoned").clone();
-    bufs.iter().map(|b| b.inner.lock().expect("attribution buffer poisoned").dropped).sum()
-}
-
 static WINDOW_START: AtomicU64 = AtomicU64::new(0);
 
-/// Opens a fresh iteration window at "now": stamps recorded before this
-/// instant are clipped away from the next [`finish_iteration`]. Drivers'
-/// observers call it once at run start.
+/// Opens a fresh iteration window at "now", dropping the classed
+/// records that closed before it (the next [`finish_iteration`] would
+/// clip them away). Drivers' observers call it once at run start, so it
+/// also drops the lanes of exited threads that hold nothing unread.
 pub fn reset_window() {
-    WINDOW_START.store(crate::recorder::now_ns(), Ordering::Relaxed);
+    let start = crate::recorder::now_ns();
+    WINDOW_START.store(start, Ordering::Relaxed);
+    crate::recorder::prune(start);
+    // Registered at 0, so every exposition and dump shows the count.
+    dropped();
 }
 
-/// Closes the current iteration window: drains every thread's stamps,
-/// attributes the window `[last boundary, now)`, and opens the next
-/// window at "now". Returns the iteration's attribution.
+/// Closes the current iteration window: takes every lane's classed
+/// records that closed by now, attributes the window
+/// `[last boundary, now)`, and opens the next window at "now". Returns
+/// the iteration's attribution.
 pub fn finish_iteration() -> IterAttribution {
     let end = crate::recorder::now_ns();
     let start = WINDOW_START.swap(end, Ordering::Relaxed).min(end);
     let mut stamps = Vec::new();
-    let bufs = buffers().lock().expect("attribution buffers poisoned").clone();
-    for buf in bufs {
-        let mut inner = buf.inner.lock().expect("attribution buffer poisoned");
-        let (role, fragment) =
-            if inner.has_fragment { (inner.role, inner.fragment) } else { ("thread", inner.tid) };
-        // Keep stamps that end inside a later window for that window:
-        // drain only steps that finished by the boundary.
-        let mut keep = std::collections::VecDeque::new();
-        for (class, s, e) in inner.steps.drain(..) {
-            if e <= end {
-                stamps.push(StepStamp { role, fragment, class, start_ns: s, end_ns: e });
-            } else {
-                keep.push_back((class, s, e));
+    crate::recorder::for_each_lane(|lane| {
+        let mut s = lane.lock();
+        let (role, fragment) = s.fragment.unwrap_or(("thread", lane.tid));
+        // A lane closes records in time order, so the ones that closed
+        // after the boundary (for the next window) are a suffix.
+        while let Some(span) = s.classed.front().filter(|span| span.end_ns <= Some(end)).copied() {
+            s.classed.pop_front();
+            if let (Some(class), Some(end_ns)) = (span.class, span.end_ns) {
+                let start_ns = span.start_ns;
+                stamps.push(StepStamp { role, fragment, class, start_ns, end_ns });
             }
         }
-        inner.steps = keep;
-    }
-    attribute(&stamps, start, end, straggler_k())
+    });
+    attribute(&stamps, start, end, STRAGGLER_K)
 }
 
 /// Per-fragment share of one iteration window. All `_ns` components sum
@@ -809,11 +698,11 @@ mod tests {
 
     #[test]
     fn guard_records_into_window() {
-        set_attr_enabled(true);
+        let _serial = crate::tests::serial();
         set_fragment("test_guard", 7);
         reset_window();
         {
-            let _s = step(StepClass::Learn);
+            let _s = crate::span!("attribution.test.learn", class: Learn);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let attr = finish_iteration();
@@ -827,5 +716,24 @@ mod tests {
             f.rollout_ns + f.learn_ns + f.comm_ns + f.eval_ns + f.idle_ns + f.slack_ns,
             f.wall_ns
         );
+    }
+
+    /// Overflowing one lane inside one window counts every classed record
+    /// dropped unattributed.
+    #[test]
+    fn overflow_counts_attr_dropped() {
+        let _serial = crate::tests::serial();
+        reset_window();
+        let before = dropped().get();
+        std::thread::spawn(|| {
+            for _ in 0..STEP_CAPACITY + 100 {
+                let _s = crate::span!("attribution.test.flood", class: Comm);
+            }
+        })
+        .join()
+        .expect("flood ran");
+        assert!(dropped().get() >= before + 100, "the overflow is counted");
+        assert!(crate::metrics_text().contains("msrl_counter_attr_dropped "));
+        let _ = finish_iteration();
     }
 }

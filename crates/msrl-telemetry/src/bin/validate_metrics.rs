@@ -28,7 +28,7 @@ fn main() -> ExitCode {
             .and_then(|n| n.to_str())
             .is_some_and(|n| n.starts_with("flightrec-"));
         let outcome = if is_flightrec {
-            msrl_telemetry::validate_flightrec(&content).map(|n| format!("{n} ring events"))
+            msrl_telemetry::validate_flightrec(&content).map(|n| format!("{n} span records"))
         } else {
             msrl_telemetry::validate_metrics(&content).map(|n| format!("{n} run events"))
         };

@@ -1,210 +1,34 @@
-//! Flight recorder: a bounded per-thread ring of recent span/counter
-//! events that stays on even when tracing is off, dumped to
+//! Flight recorder: the recent past of every thread, dumped to
 //! `results/flightrec-*.json` on panic or driver error for post-mortem
 //! debugging.
 //!
-//! Every span probe notes its name into the calling thread's ring (a
-//! fixed array of relaxed atomics — the hot-path cost is one enable
-//! check, one timestamp and three relaxed stores), and the cold-path
-//! [`counter`](crate::counter) helper notes counter bumps the same way.
-//! Hot cached [`Counter`](crate::Counter) handles are *not* hooked —
-//! their totals appear in the dump's registry snapshot instead.
+//! It records nothing of its own. Each thread's lane (see
+//! [`crate::recorder`]) keeps its last [`RING_CAPACITY`] closed span
+//! records and its spans still open, tracing on or off, and a dump reads
+//! them: per lane, its tid, the fragment it hosts, the closed records
+//! (`end_ns: null` for a span with no class closed while tracing was
+//! off: only its start is timed) and the open ones (`end_ns: null` —
+//! what the thread was inside when it died). Counter, gauge and histogram totals come from the registry
+//! snapshots, the `MSRL_*` environment and the run's latest health
+//! verdict ride along.
 //!
 //! [`install_panic_hook`] chains onto the existing panic hook, so a
-//! panicking worker writes a dump (ring contents from **all** registered
-//! threads, counter/gauge/histogram snapshots, the `MSRL_*` environment)
-//! before the usual backtrace. Drivers also call
-//! [`dump`] on their error paths. Disable with `MSRL_FLIGHTREC=0`.
-//!
-//! Slot fields are independent relaxed atomics; a dump racing a writer
-//! may pair one event's name with a neighbour's timestamp, which is
-//! acceptable for a post-mortem ring (names resolve through an intern
-//! table, so a torn read never yields an invalid string).
+//! panicking worker writes a dump before the usual backtrace. Drivers
+//! also call [`dump`] on their error paths.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, Once};
 
-/// Events retained per thread.
+use serde::{Serialize, Value};
+
+use crate::recorder::Span;
+use crate::sink::{num, obj};
+
+/// Closed span records a lane keeps for the dump.
 pub const RING_CAPACITY: usize = 256;
 
-pub(crate) static FLIGHTREC: crate::Switch = crate::Switch::new("MSRL_FLIGHTREC", true);
-
-/// Whether the flight recorder is active (default on). Resolved from
-/// `MSRL_FLIGHTREC` on first call ([`crate::parse_switch`]), then a
-/// single relaxed atomic load.
-#[inline]
-pub fn flightrec_enabled() -> bool {
-    FLIGHTREC.get()
-}
-
-/// Programmatically enables or disables the flight recorder (takes
-/// precedence over `MSRL_FLIGHTREC`).
-pub fn set_flightrec_enabled(on: bool) {
-    FLIGHTREC.set(on);
-}
-
-/// Event kinds in the ring.
-const KIND_SPAN: u64 = 1;
-const KIND_COUNT: u64 = 2;
-
-struct Slot {
-    /// Pointer identity of an interned `&'static str` name (0 = empty).
-    name_ptr: AtomicUsize,
-    /// Nanoseconds since the telemetry epoch.
-    ts_ns: AtomicU64,
-    /// `kind << 56 | arg` (arg: counter delta, truncated to 56 bits).
-    meta: AtomicU64,
-}
-
-struct ThreadRing {
-    tid: u64,
-    head: AtomicUsize,
-    slots: Vec<Slot>,
-}
-
-impl ThreadRing {
-    fn new(tid: u64) -> ThreadRing {
-        ThreadRing {
-            tid,
-            head: AtomicUsize::new(0),
-            slots: (0..RING_CAPACITY)
-                .map(|_| Slot {
-                    name_ptr: AtomicUsize::new(0),
-                    ts_ns: AtomicU64::new(0),
-                    meta: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn push(&self, name_ptr: usize, kind: u64, arg: u64) {
-        let idx = self.head.fetch_add(1, Ordering::Relaxed) % RING_CAPACITY;
-        let slot = &self.slots[idx];
-        slot.name_ptr.store(name_ptr, Ordering::Relaxed);
-        slot.ts_ns.store(crate::recorder::now_ns(), Ordering::Relaxed);
-        slot.meta.store((kind << 56) | (arg & ((1 << 56) - 1)), Ordering::Relaxed);
-    }
-}
-
-/// ptr → name table so dumps can resolve names without unsafe
-/// reconstruction. Instrumentation names are few and `'static`, so this
-/// table is tiny and append-only.
-fn name_table() -> &'static Mutex<BTreeMap<usize, &'static str>> {
-    static TABLE: OnceLock<Mutex<BTreeMap<usize, &'static str>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn intern_name(name: &'static str) -> usize {
-    let ptr = name.as_ptr() as usize;
-    thread_local! {
-        static SEEN: std::cell::RefCell<std::collections::HashSet<usize>> =
-            std::cell::RefCell::new(std::collections::HashSet::new());
-    }
-    let known = SEEN.try_with(|s| s.borrow().contains(&ptr)).unwrap_or(true);
-    if !known {
-        name_table().lock().expect("flightrec name table poisoned").insert(ptr, name);
-        let _ = SEEN.try_with(|s| {
-            s.borrow_mut().insert(ptr);
-        });
-    }
-    ptr
-}
-
-/// Interns a non-`'static` name (cold counter paths) by leaking one
-/// copy per distinct string — bounded by the instrumentation name set.
-fn intern_dyn(name: &str) -> usize {
-    static BY_NAME: OnceLock<Mutex<BTreeMap<String, usize>>> = OnceLock::new();
-    let by_name = BY_NAME.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut m = by_name.lock().expect("flightrec dyn name table poisoned");
-    if let Some(&ptr) = m.get(name) {
-        return ptr;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    let ptr = leaked.as_ptr() as usize;
-    name_table().lock().expect("flightrec name table poisoned").insert(ptr, leaked);
-    m.insert(leaked.to_string(), ptr);
-    ptr
-}
-
-fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<ThreadRing>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static LOCAL_RING: Arc<ThreadRing> = {
-        let ring = Arc::new(ThreadRing::new(crate::recorder::current_tid()));
-        rings().lock().expect("flightrec rings poisoned").push(Arc::clone(&ring));
-        ring
-    };
-}
-
-/// Notes a span open on the calling thread's ring (called by every span
-/// probe, enabled or not; one relaxed load when the recorder is off).
-#[inline]
-pub(crate) fn note_span(name: &'static str) {
-    if !flightrec_enabled() {
-        return;
-    }
-    let ptr = intern_name(name);
-    let _ = LOCAL_RING.try_with(|r| r.push(ptr, KIND_SPAN, 0));
-}
-
-/// Notes a cold-path counter bump on the calling thread's ring.
-#[inline]
-pub(crate) fn note_count(name: &str, delta: u64) {
-    if !flightrec_enabled() {
-        return;
-    }
-    let ptr = intern_dyn(name);
-    let _ = LOCAL_RING.try_with(|r| r.push(ptr, KIND_COUNT, delta));
-}
-
-/// One resolved ring entry in a dump.
-#[derive(Debug, Clone)]
-pub struct FlightEvent {
-    /// Telemetry lane id of the recording thread.
-    pub tid: u64,
-    /// Nanoseconds since the telemetry epoch.
-    pub ts_ns: u64,
-    /// `"span"` or `"count"`.
-    pub kind: &'static str,
-    /// Span/counter name.
-    pub name: String,
-    /// Counter delta (0 for spans).
-    pub arg: u64,
-}
-
-/// Snapshots every registered thread ring, oldest-first per thread,
-/// merged and sorted by timestamp.
-pub fn snapshot_events() -> Vec<FlightEvent> {
-    let names = name_table().lock().expect("flightrec name table poisoned").clone();
-    let rings = rings().lock().expect("flightrec rings poisoned").clone();
-    let mut out = Vec::new();
-    for ring in rings {
-        let head = ring.head.load(Ordering::Relaxed);
-        let filled = head.min(RING_CAPACITY);
-        for k in 0..filled {
-            // Oldest retained slot first.
-            let idx = if head <= RING_CAPACITY { k } else { (head + k) % RING_CAPACITY };
-            let slot = &ring.slots[idx];
-            let ptr = slot.name_ptr.load(Ordering::Relaxed);
-            let Some(name) = names.get(&ptr) else { continue };
-            let meta = slot.meta.load(Ordering::Relaxed);
-            out.push(FlightEvent {
-                tid: ring.tid,
-                ts_ns: slot.ts_ns.load(Ordering::Relaxed),
-                kind: if meta >> 56 == KIND_COUNT { "count" } else { "span" },
-                name: (*name).to_string(),
-                arg: meta & ((1 << 56) - 1),
-            });
-        }
-    }
-    out.sort_by_key(|e| e.ts_ns);
-    out
-}
+/// Schema tag of a dump.
+const FLIGHTREC_SCHEMA: &str = "msrl.flightrec.v2";
 
 static DUMP_DIR: Mutex<Option<String>> = Mutex::new(None);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -223,121 +47,94 @@ fn dump_dir() -> String {
         .unwrap_or_else(|| "results".to_string())
 }
 
-/// `s` as a quoted JSON string.
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    serde_json::escape_into(s, &mut out);
-    out
+/// One record of a dump; an open one, or one whose end was not timed,
+/// has `end_ns: null`.
+fn record(s: &Span) -> Value {
+    obj(vec![
+        ("name", s.name.to_value()),
+        ("id", s.id.to_value()),
+        ("class", s.class.map(crate::StepClass::name).to_value()),
+        ("start_ns", s.start_ns.to_value()),
+        ("end_ns", s.end_ns.to_value()),
+    ])
 }
 
-/// Renders the dump JSON: ring events, counter/gauge/histogram
-/// snapshots, and the `MSRL_*` environment.
+/// Renders the dump JSON: every lane's recent and open records,
+/// counter/gauge/histogram snapshots, and the `MSRL_*` environment.
 pub fn render_dump(trigger: &str, reason: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"msrl.flightrec.v1\",\n");
-    out.push_str(&format!("  \"trigger\": {},\n", quoted(trigger)));
-    out.push_str(&format!("  \"reason\": {},\n", quoted(reason)));
-    out.push_str(&format!("  \"pid\": {},\n", std::process::id()));
-    // The run's latest health verdict, when the watchdog has stored one
-    // (a critical detector firing is itself a dump trigger): the
-    // post-mortem carries *why* training was judged unhealthy.
-    if let Some(verdict) = crate::health::last_verdict_json() {
-        out.push_str(&format!("  \"health\": {verdict},\n"));
-    }
-    out.push_str("  \"config\": {");
-    let mut env: Vec<(String, String)> =
-        std::env::vars().filter(|(k, _)| k.starts_with("MSRL_")).collect();
-    env.sort();
-    for (i, (k, v)) in env.iter().enumerate() {
-        out.push_str(&format!(
-            "\n    {}: {}{}",
-            quoted(k),
-            quoted(v),
-            if i + 1 == env.len() { "\n  " } else { "," }
-        ));
-    }
-    out.push_str("},\n  \"events\": [\n");
-    let events = snapshot_events();
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tid\": {}, \"ts_ns\": {}, \"kind\": \"{}\", \"name\": {}, \"arg\": {}}}{}\n",
-            e.tid,
-            e.ts_ns,
-            e.kind,
-            quoted(&e.name),
-            e.arg,
-            if i + 1 == events.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"counters\": {");
-    let counters = crate::registry::counters_snapshot();
-    for (i, (name, v)) in counters.iter().enumerate() {
-        out.push_str(&format!(
-            "\n    {}: {}{}",
-            quoted(name),
-            v,
-            if i + 1 == counters.len() { "\n  " } else { "," }
-        ));
-    }
-    out.push_str("},\n  \"gauges\": {");
-    let gauges = crate::registry::gauges_snapshot();
-    for (i, (name, v)) in gauges.iter().enumerate() {
-        let v = if v.is_finite() { format!("{v:.3}") } else { "null".to_string() };
-        out.push_str(&format!(
-            "\n    {}: {}{}",
-            quoted(name),
-            v,
-            if i + 1 == gauges.len() { "\n  " } else { "," }
-        ));
-    }
-    out.push_str("},\n  \"histograms\": {");
+    let mut lanes = Vec::new();
+    crate::recorder::for_each_lane(|lane| {
+        let s = lane.lock();
+        let (role, fragment) = s.fragment.unzip();
+        lanes.push(obj(vec![
+            ("tid", lane.tid.to_value()),
+            ("role", role.to_value()),
+            ("fragment", fragment.to_value()),
+            ("closed", Value::Seq(s.recent.iter().map(record).collect())),
+            ("open", Value::Seq(s.open.iter().map(|(_, r)| record(r)).collect())),
+        ]));
+    });
+    let mut env: Vec<(String, Value)> = std::env::vars()
+        .filter(|(k, _)| k.starts_with("MSRL_"))
+        .map(|(k, v)| (k, Value::Str(v)))
+        .collect();
+    env.sort_by(|a, b| a.0.cmp(&b.0));
     // Name-sorted quantile state plus the raw log₂ buckets (non-zero
     // only) and exact sum, so a post-mortem carries the full
     // distribution as recorded at crash time, not just estimates.
-    let hists = crate::histogram::histograms_raw_snapshot();
-    for (i, (name, buckets, sum)) in hists.iter().enumerate() {
-        let s = crate::HistogramStats::from_buckets(buckets);
-        let raw: Vec<String> = buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| format!("\"{b}\": {c}"))
-            .collect();
-        out.push_str(&format!(
-            "\n    {}: {{\"count\": {}, \"sum\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"buckets\": {{{}}}}}{}",
-            quoted(name),
-            s.count,
-            sum,
-            s.p50_ns,
-            s.p90_ns,
-            s.p99_ns,
-            s.max_ns,
-            raw.join(", "),
-            if i + 1 == hists.len() { "\n  " } else { "," }
-        ));
+    let histograms =
+        crate::histogram::histograms_raw_snapshot().into_iter().map(|(name, buckets, sum)| {
+            let s = crate::HistogramStats::from_buckets(&buckets);
+            let raw = buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+            let stats = obj(vec![
+                ("count", s.count.to_value()),
+                ("sum", sum.to_value()),
+                ("p50_ns", s.p50_ns.to_value()),
+                ("p90_ns", s.p90_ns.to_value()),
+                ("p99_ns", s.p99_ns.to_value()),
+                ("max_ns", s.max_ns.to_value()),
+                ("buckets", Value::Map(raw.map(|(b, c)| (b.to_string(), c.to_value())).collect())),
+            ]);
+            (name, stats)
+        });
+    let counters = crate::registry::counters_snapshot().into_iter();
+    let gauges = crate::registry::gauges_snapshot().into_iter();
+    let mut dump = vec![
+        ("schema", FLIGHTREC_SCHEMA.to_value()),
+        ("trigger", trigger.to_value()),
+        ("reason", reason.to_value()),
+        ("pid", std::process::id().to_value()),
+    ];
+    // The run's latest health verdict, when the watchdog has stored one
+    // (a critical detector firing is itself a dump trigger): the
+    // post-mortem carries *why* training was judged unhealthy.
+    if let Some(verdict) = crate::health::last_verdict_value() {
+        dump.push(("health", verdict));
     }
-    out.push_str("}\n}\n");
-    out
+    dump.extend([
+        ("config", Value::Map(env)),
+        ("lanes", Value::Seq(lanes)),
+        ("counters", Value::Map(counters.map(|(n, v)| (n, v.to_value())).collect())),
+        ("gauges", Value::Map(gauges.map(|(n, v)| (n, num(v))).collect())),
+        ("histograms", Value::Map(histograms.collect())),
+    ]);
+    serde_json::to_string_pretty(&obj(dump)).expect("a value tree always renders")
 }
 
 /// Writes a flight-recorder dump to
-/// `<dump dir>/flightrec-<pid>-<seq>.json` and returns the path, or
-/// `Ok(None)` when the recorder is disabled.
+/// `<dump dir>/flightrec-<pid>-<seq>.json` and returns the path.
 ///
 /// # Errors
 ///
 /// Propagates the I/O error when the directory or file cannot be
 /// written.
-pub fn dump(trigger: &str, reason: &str) -> std::io::Result<Option<String>> {
-    if !flightrec_enabled() {
-        return Ok(None);
-    }
+pub fn dump(trigger: &str, reason: &str) -> std::io::Result<String> {
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = format!("{dir}/flightrec-{}-{seq}.json", std::process::id());
     std::fs::write(&path, render_dump(trigger, reason))?;
-    Ok(Some(path))
+    Ok(path)
 }
 
 /// Installs a process-wide panic hook (idempotent) that writes a
@@ -355,27 +152,24 @@ pub fn install_panic_hook() {
     });
 }
 
-/// Structural check of a dump file's JSON: required keys, event-entry
-/// shape, non-negative timestamps. Returns the event count.
+/// Structural check of a dump file's JSON: required keys, lane and
+/// record shape, closed records ending no earlier than they start (or
+/// untimed) and open ones with `end_ns: null`. Returns the record count.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
 pub fn validate_flightrec(content: &str) -> Result<usize, String> {
-    use serde_json::Value;
     let v = serde_json::value_from_str(content).map_err(|e| format!("not JSON: {e}"))?;
-    let str_field = |key: &str| -> Result<String, String> {
-        match v.field(key) {
-            Ok(Value::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("missing string field {key:?}")),
+    let is_num = |v: Result<&Value, _>| matches!(v, Ok(Value::I64(_) | Value::U64(_)));
+    for key in ["schema", "trigger", "reason"] {
+        if !matches!(v.field(key), Ok(Value::Str(_))) {
+            return Err(format!("missing string field {key:?}"));
         }
-    };
-    let schema = str_field("schema")?;
-    if schema != "msrl.flightrec.v1" {
-        return Err(format!("bad schema field: {schema:?}"));
     }
-    str_field("trigger")?;
-    str_field("reason")?;
+    if v.field("schema") != Ok(&Value::Str(FLIGHTREC_SCHEMA.to_string())) {
+        return Err(format!("bad schema field: {:?}", v.field("schema")));
+    }
     for key in ["config", "counters", "gauges", "histograms"] {
         if !matches!(v.field(key), Ok(Value::Map(_))) {
             return Err(format!("missing object field {key:?}"));
@@ -384,7 +178,7 @@ pub fn validate_flightrec(content: &str) -> Result<usize, String> {
     if let Ok(Value::Map(hists)) = v.field("histograms") {
         for (name, h) in hists {
             for key in ["count", "sum"] {
-                if !matches!(h.field(key), Ok(Value::I64(_) | Value::U64(_))) {
+                if !is_num(h.field(key)) {
                     return Err(format!("histogram {name:?}: missing numeric field {key:?}"));
                 }
             }
@@ -393,64 +187,80 @@ pub fn validate_flightrec(content: &str) -> Result<usize, String> {
             }
         }
     }
-    let Ok(Value::Seq(events)) = v.field("events") else {
-        return Err("missing events array".to_string());
+    let Ok(Value::Seq(lanes)) = v.field("lanes") else {
+        return Err("missing lanes array".to_string());
     };
-    for (i, e) in events.iter().enumerate() {
-        for key in ["tid", "ts_ns", "arg"] {
-            if !matches!(e.field(key), Ok(Value::I64(_) | Value::U64(_))) {
-                return Err(format!("event {i}: missing numeric field {key:?}"));
+    let mut records = 0;
+    for (i, lane) in lanes.iter().enumerate() {
+        if !is_num(lane.field("tid")) {
+            return Err(format!("lane {i}: missing numeric tid"));
+        }
+        for (key, open) in [("closed", false), ("open", true)] {
+            let Ok(Value::Seq(spans)) = lane.field(key) else {
+                return Err(format!("lane {i}: missing {key} array"));
+            };
+            for (j, r) in spans.iter().enumerate() {
+                let at = format!("lane {i}: {key} record {j}");
+                if !matches!(r.field("name"), Ok(Value::Str(_))) {
+                    return Err(format!("{at}: missing name"));
+                }
+                let (Ok(&Value::I64(start)), end) = (r.field("start_ns"), r.field("end_ns")) else {
+                    return Err(format!("{at}: missing numeric start_ns"));
+                };
+                match (open, &end) {
+                    (_, Ok(Value::Null)) => {}
+                    (false, Ok(&Value::I64(end))) if end >= start => {}
+                    _ => return Err(format!("{at}: bad end_ns {end:?}")),
+                }
             }
-        }
-        match e.field("kind") {
-            Ok(Value::Str(k)) if k == "span" || k == "count" => {}
-            other => return Err(format!("event {i}: bad kind {other:?}")),
-        }
-        if !matches!(e.field("name"), Ok(Value::Str(_))) {
-            return Err(format!("event {i}: missing name"));
+            records += spans.len();
         }
     }
-    Ok(events.len())
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One body: the enable flag is process-wide and sibling tests run
-    /// on parallel threads.
     #[test]
     fn ring_records_bounds_and_dump_validates() {
-        set_flightrec_enabled(false);
-        note_span("flightrec.test.disabled");
-        assert!(!snapshot_events().iter().any(|e| e.name == "flightrec.test.disabled"));
-
-        set_flightrec_enabled(true);
-        note_span("flightrec.test.span");
-        note_count("flightrec.test.count", 3);
-        let events = snapshot_events();
-        assert!(events.iter().any(|e| e.name == "flightrec.test.span" && e.kind == "span"));
-        assert!(events
-            .iter()
-            .any(|e| e.name == "flightrec.test.count" && e.kind == "count" && e.arg == 3));
+        let tid = crate::recorder::with_lane(|lane| lane.tid).expect("lane");
+        let name = "flightrec.test \"quoted\"\nspan";
+        drop(crate::span!(name, 3, class: Comm));
+        let _open = crate::span!("flightrec.test.open");
         crate::histogram_record("flightrec.test.hist", 12);
         let json = render_dump("test", "unit test");
-        let n = validate_flightrec(&json).expect("dump validates");
-        assert!(n >= 2);
-        assert!(
-            json.contains("\"flightrec.test.hist\": {\"count\": 1, \"sum\": 12,"),
-            "dump carries raw histogram state"
+        assert!(validate_flightrec(&json).expect("dump validates") >= 2);
+
+        let v = serde_json::value_from_str(&json).expect("dump parses");
+        let Ok(Value::Seq(lanes)) = v.field("lanes") else { panic!("lanes") };
+        let lane = lanes
+            .iter()
+            .find(|l| l.field("tid") == Ok(&Value::I64(tid as i64)))
+            .expect("this thread's lane is dumped");
+        let Ok(Value::Seq(closed)) = lane.field("closed") else { panic!("closed") };
+        let last = closed.last().expect("a closed record");
+        assert_eq!(last.field("name"), Ok(&Value::Str(name.to_string())), "names round-trip");
+        assert_eq!(last.field("id"), Ok(&Value::I64(3)));
+        assert_eq!(last.field("class"), Ok(&Value::Str("comm".to_string())));
+        let Ok(Value::Seq(open)) = lane.field("open") else { panic!("open") };
+        let open = open.last().expect("the open span is listed");
+        assert_eq!(open.field("name"), Ok(&Value::Str("flightrec.test.open".to_string())));
+        assert_eq!(open.field("end_ns"), Ok(&Value::Null));
+        let hist = v.field("histograms").and_then(|h| h.field("flightrec.test.hist"));
+        let hist = hist.expect("dump carries raw histogram state");
+        assert_eq!(
+            (hist.field("count"), hist.field("sum")),
+            (Ok(&Value::I64(1)), Ok(&Value::I64(12)))
         );
-        assert!(json.contains("\"buckets\": {\"4\": 1}"), "12 lands in bucket 4");
+        let bucket = hist.field("buckets").and_then(|b| b.field("4"));
+        assert_eq!(bucket, Ok(&Value::I64(1)), "12 lands in bucket 4");
 
         for _ in 0..(RING_CAPACITY * 3) {
-            note_span("flightrec.test.flood");
+            drop(crate::span!("flightrec.test.flood"));
         }
-        let per_thread: std::collections::HashMap<u64, usize> =
-            snapshot_events().iter().fold(std::collections::HashMap::new(), |mut m, e| {
-                *m.entry(e.tid).or_default() += 1;
-                m
-            });
-        assert!(per_thread.values().all(|&n| n <= RING_CAPACITY), "ring is bounded");
+        let kept = crate::recorder::with_lane(|lane| lane.lock().recent.len()).expect("lane");
+        assert_eq!(kept, RING_CAPACITY, "the ring is bounded");
     }
 }

@@ -68,11 +68,11 @@ pub fn set_last_verdict(v: &HealthVerdict) {
     *last_verdict().lock().expect("health verdict store poisoned") = Some(v.clone());
 }
 
-/// The latest stored verdict, rendered as JSON — the `health` section of
+/// The latest stored verdict as a value tree — the `health` section of
 /// a flight-recorder dump. `None` when no verdict has been stored.
-pub fn last_verdict_json() -> Option<String> {
+pub(crate) fn last_verdict_value() -> Option<serde::Value> {
     let verdict = last_verdict().lock().expect("health verdict store poisoned");
-    verdict.as_ref().map(|v| serde_json::to_string(v).expect("a value tree always renders"))
+    verdict.as_ref().map(serde::Serialize::to_value)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@
 //! them (§6): per-fragment execution time, communication volume, and
 //! phase breakdowns, all from a single metric pipeline.
 //!
-//! Three primitive kinds:
+//! Four primitive kinds:
 //!
-//! * **Spans** — timed `Begin`/`End` intervals recorded into per-thread
-//!   buffers (no locks on the hot path). Spans are gated by the
-//!   `MSRL_TRACE` environment variable (or [`set_enabled`]); when tracing
-//!   is off, opening a span costs one relaxed atomic load.
+//! * **Spans** — timed intervals, each one record ([`Span`]) on the
+//!   calling thread's *lane*: one per thread, one lock taken to open and
+//!   to close (no other thread touches it except a reader). A span
+//!   may carry a fragment id (its async lane in the Chrome trace) and an
+//!   attribution class ([`StepClass`]); `span!("comm.recv", class: Comm)`
+//!   is the one guard a comm wait, a phase or a fragment eval opens.
+//!   Spans always record; `MSRL_TRACE` (or [`set_enabled`]) only decides
+//!   whether the lane also keeps every record for [`drain`].
 //! * **Counters** — named monotonic totals held in a process-wide
 //!   registry of relaxed atomics. Counters are *always on*: an increment
 //!   is one `fetch_add`, cheap enough that reports (baseline comparisons,
@@ -25,21 +29,21 @@
 //!   read back as estimated p50/p90/p99 — real quantiles without
 //!   enabling tracing.
 //!
-//! Live-run observability rides on top: the [`sink`] module streams one
-//! [`RunEvent`] per driver iteration as JSONL (`MSRL_METRICS_FILE`) and
-//! renders a Prometheus-style exposition ([`metrics_text`],
-//! `MSRL_METRICS_TEXT_FILE`); the [`flightrec`] module keeps a bounded
-//! per-thread ring of recent span/counter events (on even when tracing
-//! is off, `MSRL_FLIGHTREC=0` disables) and dumps it with registry
-//! snapshots on panic or driver error for post-mortem debugging; the
-//! [`attribution`] module turns always-on phase/comm/eval step stamps
-//! into a per-iteration critical-path and time-attribution breakdown
-//! (rollout / learn / comm-blocked / idle / straggler slack per
-//! fragment) carried in each `RunEvent`'s `attr` block; the [`health`]
-//! watchdog's streaming detectors add a `health` block.
+//! Three readers share the lanes' records, each with its own retention:
+//! the [`flightrec`] module dumps every lane's last 256 closed records
+//! and its open spans, with registry snapshots, on panic or driver error;
+//! the [`attribution`] module turns the classed records into a
+//! per-iteration critical-path and time-attribution breakdown (rollout /
+//! learn / comm-blocked / idle / straggler slack per fragment) carried in
+//! each `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
+//! hands every record to the exporters. Live-run observability rides on
+//! top: the [`sink`] module streams one [`RunEvent`] per driver iteration
+//! as JSONL (`MSRL_METRICS_FILE`) and renders a Prometheus-style
+//! exposition ([`metrics_text`], `MSRL_METRICS_TEXT_FILE`); the
+//! [`health`] watchdog's streaming detectors add a `health` block.
 //!
-//! Two exporters turn a drained event stream into artefacts:
-//! [`chrome_trace`] emits Chrome trace-event JSON (open it in Perfetto or
+//! Two exporters turn drained spans into artefacts: [`chrome_trace`]
+//! emits Chrome trace-event JSON (open it in Perfetto or
 //! `chrome://tracing`; thread lanes are worker threads, async lanes are
 //! fragments), and [`TelemetryReport`] aggregates p50/p99 span durations
 //! plus counter/gauge snapshots into text or JSON summaries.
@@ -50,19 +54,20 @@
 //! use msrl_telemetry as telemetry;
 //! telemetry::set_enabled(true);
 //! {
-//!     let _span = telemetry::span!("fragment.eval", 3);
+//!     let _span = telemetry::span!("fragment.eval", 3, class: Eval);
 //!     telemetry::counter("demo.ops", 2);
 //! }
-//! let events = telemetry::drain();
-//! assert_eq!(events.len(), 2); // balanced Begin/End
-//! let trace = telemetry::chrome_trace(&events);
+//! let spans = telemetry::drain();
+//! assert!(spans.iter().any(|s| s.name == "fragment.eval" && s.id == Some(3)));
+//! let trace = telemetry::chrome_trace(&spans);
 //! telemetry::validate_chrome_trace(&trace).unwrap();
 //! telemetry::set_enabled(false);
 //! ```
 //!
-//! Environment variables: `MSRL_TRACE=1` enables span recording for the
-//! whole process; `MSRL_TRACE_FILE=trace.json` makes binaries that call
-//! [`write_trace_to_env_file`] dump the Chrome trace there on exit.
+//! Environment variables: `MSRL_TRACE=1` keeps every span for [`drain`]
+//! for the whole process; `MSRL_TRACE_FILE=trace.json` makes binaries
+//! that call [`write_trace_to_env_file`] dump the Chrome trace there on
+//! exit.
 
 #![warn(missing_docs)]
 
@@ -77,10 +82,9 @@ mod report;
 pub mod sink;
 
 pub use attribution::{
-    attr_enabled, attribute, computing_fragments, enter_computing, finish_iteration,
-    pause_computing, record_step, reset_window, resume_computing, set_attr_enabled, set_fragment,
-    step, steps_dropped, straggler_k, ComputingGuard, CriticalPath, DagNode, FragmentAttr,
-    IterAttribution, StepClass, StepDag, StepGuard, StepStamp,
+    attribute, computing_fragments, enter_computing, finish_iteration, pause_computing,
+    reset_window, resume_computing, set_fragment, ComputingGuard, CriticalPath, DagNode,
+    FragmentAttr, IterAttribution, StepClass, StepDag, StepStamp,
 };
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
@@ -93,7 +97,7 @@ pub use histogram::{
     histograms_raw_snapshot, histograms_snapshot, reset_histograms, HistTimer, Histogram,
     HistogramStats, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{clear_events, drain, flush_thread, span, span_id, Event, Phase, SpanGuard};
+pub use recorder::{clear_spans, drain, span, Span, SpanGuard};
 pub use registry::{
     counter, counter_total, counters_snapshot, gauge_max, gauge_set, gauges_snapshot,
     reset_counters, reset_gauges, Counter, Gauge,
@@ -176,39 +180,45 @@ impl Switch {
     }
 }
 
-/// Span recording, off unless `MSRL_TRACE` turns it on.
+/// Whether lanes keep every record for [`drain`], off unless
+/// `MSRL_TRACE` turns it on.
 static TRACE: Switch = Switch::new("MSRL_TRACE", false);
 
-/// Whether span recording is active.
-///
-/// Resolved from `MSRL_TRACE` on first call (default off), then a single
-/// relaxed atomic load — the entire disabled-path cost of every
-/// instrumentation site.
+/// Whether tracing is on: lanes keep every span they close for
+/// [`drain`]. Resolved from `MSRL_TRACE` on first call (default off),
+/// then a single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
     TRACE.get()
 }
 
-/// Programmatically enables or disables span recording (takes precedence
-/// over `MSRL_TRACE`). Counters and gauges are unaffected — they are
-/// always live.
+/// Turns tracing on or off (takes precedence over `MSRL_TRACE`). Spans,
+/// counters and gauges record either way.
 pub fn set_enabled(on: bool) {
     TRACE.set(on);
 }
 
-/// Opens a span; two forms: `span!("name")` and `span!("name", id)` where
-/// `id` labels the fragment/replica the span belongs to (it becomes the
-/// async-lane id in the Chrome trace).
+/// Opens a span on the calling thread's lane. Four forms:
+/// `span!("name")`, `span!("name", id)` where `id` labels the
+/// fragment/replica the span belongs to (its async-lane id in the Chrome
+/// trace), and either of those followed by `class: Comm` (any
+/// [`StepClass`] variant), which also hands the record to attribution.
 ///
 /// Bind the result to a local (`let _span = ...`) so the span closes when
-/// the scope ends; with tracing disabled this is a no-op guard.
+/// the scope ends.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
+    ($name:expr, class: $class:ident) => {
+        $crate::span($name, None, Some($crate::StepClass::$class))
+    };
+    ($name:expr, $id:expr, class: $class:ident) => {
+        $crate::span($name, Some($id as u64), Some($crate::StepClass::$class))
     };
     ($name:expr, $id:expr) => {
-        $crate::span_id($name, $id as u64)
+        $crate::span($name, Some($id as u64), None)
+    };
+    ($name:expr) => {
+        $crate::span($name, None, None)
     };
 }
 
@@ -234,7 +244,7 @@ macro_rules! static_histogram {
     }};
 }
 
-/// If `MSRL_TRACE_FILE` is set, drains all recorded events, writes the
+/// If `MSRL_TRACE_FILE` is set, drains every traced span, writes the
 /// Chrome trace there, and returns the path written. Binaries call this
 /// once at exit.
 ///
@@ -248,29 +258,33 @@ pub fn write_trace_to_env_file() -> std::io::Result<Option<String>> {
     if path.is_empty() {
         return Ok(None);
     }
-    let events = drain();
-    std::fs::write(&path, chrome_trace(&events))?;
+    std::fs::write(&path, chrome_trace(&drain()))?;
     Ok(Some(path))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Global-state touching checks run in one test body: `cargo test`
-    /// runs sibling tests on parallel threads and the enable flag, event
-    /// sink and registry are process-wide.
+    /// Serialises the tests that touch process-wide capture state: the
+    /// trace switch, [`drain`] and the attribution window. `cargo test`
+    /// runs sibling tests on parallel threads.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn end_to_end_record_export_report() {
+        let _serial = serial();
         set_enabled(false);
-        clear_events();
+        clear_spans();
         {
             let _s = span!("quiet.section");
         }
-        assert!(drain().is_empty(), "disabled tracing records nothing");
+        assert!(drain().is_empty(), "untraced spans are not kept for drain");
 
         set_enabled(true);
-        clear_events();
         {
             let _outer = span!("fragment.eval", 7);
             let _inner = span!("lib.op");
@@ -279,22 +293,50 @@ mod tests {
             let _s = span!("worker.section");
         });
         t.join().unwrap();
-        let events = drain();
-        assert_eq!(events.len(), 6, "three balanced spans");
-        let tids: std::collections::HashSet<u64> = events.iter().map(|e| e.tid).collect();
+        let spans = drain();
+        set_enabled(false);
+        let ours = ["fragment.eval", "lib.op", "worker.section"];
+        let spans: Vec<Span> = spans.into_iter().filter(|s| ours.contains(&s.name)).collect();
+        assert_eq!(spans.len(), 3, "three spans");
+        let tids: std::collections::HashSet<u64> = spans.iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 2, "two thread lanes");
 
-        let trace = chrome_trace(&events);
+        let trace = chrome_trace(&spans);
         let check = validate_chrome_trace(&trace).expect("emitted trace validates");
-        assert_eq!(check.span_pairs, 3);
+        assert_eq!(check.spans, 3);
         assert_eq!(check.fragment_spans, 1);
         assert_eq!(check.async_pairs, 1, "fragment span gets an async lane");
 
-        let report = TelemetryReport::from_events(&events);
+        let report = TelemetryReport::from_spans(&spans);
         let frag = report.span("fragment.eval").expect("span aggregated");
         assert_eq!(frag.count, 1);
         assert!(frag.p50_ns <= frag.p99_ns && frag.p99_ns <= frag.max_ns);
-        set_enabled(false);
+    }
+
+    /// One classed span is one record that all three readers see: the
+    /// flight-recorder dump, the iteration's attribution, and — only
+    /// while tracing is on — `drain`.
+    #[test]
+    fn a_classed_span_reaches_all_three_readers() {
+        let _serial = serial();
+        for traced in [false, true] {
+            set_enabled(traced);
+            clear_spans();
+            set_fragment("lib_test", 41);
+            reset_window();
+            {
+                let _s = span!("lib.test.classed", 5, class: Rollout);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            set_enabled(false);
+            let dump = flightrec::render_dump("test", "three readers");
+            assert!(dump.contains("\"lib.test.classed\""), "the record is in the dump");
+            let attr = finish_iteration();
+            let row = attr.fragments.iter().find(|f| f.role == "lib_test" && f.id == 41);
+            assert!(row.expect("attributed").rollout_ns >= 1_000_000, "attributed to its class");
+            let drained = drain().into_iter().filter(|s| s.name == "lib.test.classed").count();
+            assert_eq!(drained, usize::from(traced), "drain returns it only if tracing was on");
+        }
     }
 
     #[test]
@@ -322,12 +364,7 @@ mod tests {
     /// switch on, and unset or unrecognised values keep the default.
     #[test]
     fn every_switch_reads_one_vocabulary() {
-        let switches = [
-            (&TRACE, "MSRL_TRACE", false),
-            (&attribution::ATTR, "MSRL_ATTR", true),
-            (&flightrec::FLIGHTREC, "MSRL_FLIGHTREC", true),
-            (&health::HEALTH, "MSRL_HEALTH", true),
-        ];
+        let switches = [(&TRACE, "MSRL_TRACE", false), (&health::HEALTH, "MSRL_HEALTH", true)];
         let table: [(Option<&str>, Option<bool>); 17] = [
             (None, None),
             (Some("0"), Some(false)),

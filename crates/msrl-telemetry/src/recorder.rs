@@ -1,43 +1,64 @@
-//! Span event recording: per-thread buffers, a global sink, draining.
+//! The lane: one per thread, the one place a span is recorded.
 //!
-//! Each thread records into its own `Vec<Event>` — no locks, no atomics
-//! beyond the enable gate — and flushes that buffer into the process-wide
-//! sink when it grows past a threshold and when the thread exits (via the
-//! thread-local's destructor). [`drain`] therefore sees every event from
-//! threads that have finished; callers that record on long-lived threads
-//! flush explicitly with [`flush_thread`]. All the execution drivers in
-//! this workspace join their workers (scoped threads, joined mailbox
-//! threads) before reporting, and `msrl_tensor::par`'s long-lived
-//! helpers flush after every job, so nothing stays behind in practice.
+//! A span is one record, [`Span`]: a name, an optional fragment id, an
+//! optional attribution class, and its start and end on the process-wide
+//! telemetry clock. Opening a [`span!`](crate::span!) puts the record on
+//! the calling thread's lane as open; dropping its guard closes it. The
+//! end is timed when a reader needs it: for a classed span, and while
+//! tracing is on. A clock read is most of what a span costs, so a span
+//! with no class closed while tracing is off keeps its start alone. Three
+//! readers keep their own retention over the same records:
+//!
+//! * the flight recorder reads the last [`RING_CAPACITY`] closed records
+//!   and the spans still open ([`crate::flightrec`]);
+//! * attribution takes the classed records that closed since the last
+//!   iteration boundary, at most [`STEP_CAPACITY`] per lane
+//!   ([`crate::finish_iteration`]); a classed record dropped before it
+//!   was attributed counts `attr.dropped`;
+//! * while tracing is on ([`crate::enabled`]), the lane also keeps every
+//!   record it closes for [`drain`].
+//!
+//! A lane is one lock, taken once to open a span and once to close it,
+//! and contended only by a reader walking the registry. Lanes live in
+//! one process-wide registry; [`prune`] drops the lanes whose thread has
+//! exited and that hold nothing a reader has not taken yet.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::cell::UnsafeCell;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Whether an event opens or closes a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Span opened.
-    Begin,
-    /// Span closed.
-    End,
-}
+use crate::attribution::{StepClass, STEP_CAPACITY};
+use crate::flightrec::RING_CAPACITY;
 
-/// One recorded span boundary.
-#[derive(Debug, Clone)]
-pub struct Event {
+/// One span: what ran, on which thread, and when.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
     /// Span name (static: instrumentation sites use literals).
     pub name: &'static str,
-    /// Opening or closing boundary.
-    pub phase: Phase,
-    /// Nanoseconds since the process-wide telemetry epoch.
-    pub ts_ns: u64,
-    /// Recording thread's telemetry lane id (small, dense, stable for
-    /// the thread's lifetime).
-    pub tid: u64,
-    /// Optional fragment/replica id the span belongs to.
+    /// The fragment/replica the span belongs to, if labelled.
     pub id: Option<u64>,
+    /// What attribution counts the span as, if anything.
+    pub class: Option<StepClass>,
+    /// The recording thread's lane id (small, dense, stable for the
+    /// thread's lifetime).
+    pub tid: u64,
+    /// Opened, nanoseconds since the telemetry epoch.
+    pub start_ns: u64,
+    /// Closed, nanoseconds since the telemetry epoch: `None` while open,
+    /// and for a span with no class closed while tracing was off. Every
+    /// span [`drain`] returns has one.
+    pub end_ns: Option<u64>,
+}
+
+impl Span {
+    /// `end_ns - start_ns` (0 without an end).
+    pub fn duration_ns(&self) -> u64 {
+        self.end_ns.map_or(0, |end| end.saturating_sub(self.start_ns))
+    }
 }
 
 /// The single time origin all threads stamp against.
@@ -50,122 +71,194 @@ pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// The calling thread's telemetry lane id (0 during TLS teardown).
-pub(crate) fn current_tid() -> u64 {
-    LOCAL.try_with(|l| l.borrow().tid).unwrap_or(0)
+/// One thread's records.
+pub(crate) struct Lane {
+    pub(crate) tid: u64,
+    /// Held while `state` is read or written: one swap takes it, one
+    /// store releases it (a `Mutex` release is a second swap, and the
+    /// owning thread takes its lane twice per span).
+    busy: AtomicBool,
+    state: UnsafeCell<LaneState>,
 }
 
-/// Events flushed from exited (or explicitly flushed) threads.
-static SINK: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+// SAFETY: `state` is reached only through `Lane::lock`, whose guard
+// holds `busy` and so is exclusive.
+unsafe impl Sync for Lane {}
 
-/// Next thread lane id.
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-/// Local events past this length flush to the sink (amortises the lock).
-const FLUSH_AT: usize = 8 * 1024;
-
-struct LocalBuf {
-    tid: u64,
-    events: Vec<Event>,
-}
-
-impl LocalBuf {
-    fn flush(&mut self) {
-        if self.events.is_empty() {
-            return;
+impl Lane {
+    /// Waits out whoever holds the lane (its thread between two pushes,
+    /// or a reader copying records out) and takes it.
+    pub(crate) fn lock(&self) -> LaneGuard<'_> {
+        while self.busy.swap(true, Ordering::Acquire) {
+            std::thread::yield_now();
         }
-        let mut sink = SINK.lock().expect("telemetry sink poisoned");
-        sink.append(&mut self.events);
+        LaneGuard(self)
     }
 }
 
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        self.flush();
+/// Exclusive access to a lane's state; dropping it releases the lane.
+pub(crate) struct LaneGuard<'a>(&'a Lane);
+
+impl Deref for LaneGuard<'_> {
+    type Target = LaneState;
+    fn deref(&self) -> &LaneState {
+        // SAFETY: the guard holds `busy` (see `Lane::lock`).
+        unsafe { &*self.0.state.get() }
     }
+}
+
+impl DerefMut for LaneGuard<'_> {
+    fn deref_mut(&mut self) -> &mut LaneState {
+        // SAFETY: the guard holds `busy` (see `Lane::lock`).
+        unsafe { &mut *self.0.state.get() }
+    }
+}
+
+impl Drop for LaneGuard<'_> {
+    fn drop(&mut self) {
+        self.0.busy.store(false, Ordering::Release);
+    }
+}
+
+#[derive(Default)]
+pub(crate) struct LaneState {
+    /// The fragment the thread hosts ([`crate::set_fragment`]).
+    pub(crate) fragment: Option<(&'static str, u64)>,
+    next_key: u64,
+    /// Spans still open, oldest first, keyed by their guard's key.
+    pub(crate) open: Vec<(u64, Span)>,
+    /// The last [`RING_CAPACITY`] closed records: the flight recorder's.
+    pub(crate) recent: VecDeque<Span>,
+    /// Classed records closed since the last iteration boundary, in
+    /// closing order: attribution's.
+    pub(crate) classed: VecDeque<Span>,
+    /// Every record closed while tracing was on: [`drain`]'s.
+    traced: Vec<Span>,
+}
+
+impl LaneState {
+    fn close(&mut self, key: u64, end_ns: Option<u64>, traced: bool) {
+        let Some(at) = self.open.iter().rposition(|&(k, _)| k == key) else { return };
+        let (_, mut span) = self.open.remove(at);
+        span.end_ns = end_ns;
+        if self.recent.len() == RING_CAPACITY {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(span);
+        if span.class.is_some() {
+            if self.classed.len() == STEP_CAPACITY {
+                self.classed.pop_front();
+                crate::attribution::dropped().add(1);
+            }
+            self.classed.push_back(span);
+        }
+        if traced {
+            self.traced.push(span);
+        }
+    }
+}
+
+fn lanes() -> MutexGuard<'static, Vec<Arc<Lane>>> {
+    static LANES: Mutex<Vec<Arc<Lane>>> = Mutex::new(Vec::new());
+    LANES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        events: Vec::new(),
-    });
+    static LANE: Arc<Lane> = {
+        static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+        let lane = Arc::new(Lane {
+            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            busy: AtomicBool::new(false),
+            state: UnsafeCell::default(),
+        });
+        lanes().push(Arc::clone(&lane));
+        lane
+    };
 }
 
-fn record(name: &'static str, phase: Phase, id: Option<u64>) {
-    let ts_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        let tid = buf.tid;
-        buf.events.push(Event { name, phase, ts_ns, tid, id });
-        if buf.events.len() >= FLUSH_AT {
-            buf.flush();
+/// Runs `f` on the calling thread's lane; `None` during thread teardown.
+pub(crate) fn with_lane<R>(f: impl FnOnce(&Lane) -> R) -> Option<R> {
+    LANE.try_with(|lane| f(lane)).ok()
+}
+
+/// Runs `f` on every registered lane, under the registry lock (taken
+/// before any lane's).
+pub(crate) fn for_each_lane(f: impl FnMut(&Arc<Lane>)) {
+    lanes().iter().for_each(f);
+}
+
+/// Drops the classed records that closed by `before` (attribution would
+/// clip them to nothing), then the lanes whose thread has exited and
+/// that hold no classed or traced record a reader has not taken.
+pub(crate) fn prune(before: u64) {
+    lanes().retain(|lane| {
+        let mut s = lane.lock();
+        while s.classed.front().is_some_and(|r| r.end_ns <= Some(before)) {
+            s.classed.pop_front();
         }
+        // The registry and the thread-local hold one reference each:
+        // the registry alone holds an exited thread's lane.
+        Arc::strong_count(lane) > 1 || !s.classed.is_empty() || !s.traced.is_empty()
     });
 }
 
-/// An RAII span: records `Begin` on creation and `End` on drop. A guard
-/// created while tracing is disabled is inert.
+/// An open span; dropping it closes the span's record, whatever order
+/// the thread's guards drop in.
 #[must_use = "bind the span guard to a local so it closes at scope exit"]
 pub struct SpanGuard {
-    name: Option<&'static str>,
-    id: Option<u64>,
+    /// The record's key on the lane (`None`: opened during teardown).
+    key: Option<u64>,
+    /// The record is classed: its end is timed whether or not tracing is.
+    classed: bool,
+    /// The record lives on the opening thread's lane.
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(name) = self.name {
-            record(name, Phase::End, self.id);
+        if let Some(key) = self.key {
+            let traced = crate::enabled();
+            let end_ns = (self.classed || traced).then(now_ns);
+            with_lane(|lane| lane.lock().close(key, end_ns, traced));
         }
     }
 }
 
-/// Opens an unlabelled span (see the [`span!`](crate::span!) macro).
-/// The flight recorder notes every span open (when on) even while
-/// tracing is disabled.
+/// Opens a span on the calling thread's lane (see the
+/// [`span!`](crate::span!) macro, which spells `id` and `class`).
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    crate::flightrec::note_span(name);
-    if !crate::enabled() {
-        return SpanGuard { name: None, id: None };
-    }
-    record(name, Phase::Begin, None);
-    SpanGuard { name: Some(name), id: None }
+pub fn span(name: &'static str, id: Option<u64>, class: Option<StepClass>) -> SpanGuard {
+    let start_ns = now_ns();
+    let key = with_lane(|lane| {
+        let mut s = lane.lock();
+        let key = s.next_key;
+        s.next_key += 1;
+        let tid = lane.tid;
+        s.open.push((key, Span { name, id, class, tid, start_ns, end_ns: None }));
+        key
+    });
+    SpanGuard { key, classed: class.is_some(), _thread: PhantomData }
 }
 
-/// Opens a span labelled with a fragment/replica id.
-#[inline]
-pub fn span_id(name: &'static str, id: u64) -> SpanGuard {
-    crate::flightrec::note_span(name);
-    if !crate::enabled() {
-        return SpanGuard { name: None, id: None };
-    }
-    record(name, Phase::Begin, Some(id));
-    SpanGuard { name: Some(name), id: Some(id) }
+/// Removes and returns every span closed while tracing was on, from
+/// every lane, ordered by start.
+pub fn drain() -> Vec<Span> {
+    let mut spans = Vec::new();
+    for_each_lane(|lane| spans.append(&mut lane.lock().traced));
+    spans.sort_by_key(|s| s.start_ns);
+    spans
 }
 
-/// Flushes the calling thread's local buffer into the global sink.
-pub fn flush_thread() {
-    LOCAL.with(|l| l.borrow_mut().flush());
+/// Discards every traced span.
+pub fn clear_spans() {
+    for_each_lane(|lane| lane.lock().traced.clear());
 }
 
-/// Flushes the calling thread, then removes and returns every event in
-/// the sink, sorted by timestamp (the sort is stable, so each thread's
-/// own ordering is preserved).
-pub fn drain() -> Vec<Event> {
-    flush_thread();
-    let mut events = {
-        let mut sink = SINK.lock().expect("telemetry sink poisoned");
-        std::mem::take(&mut *sink)
-    };
-    events.sort_by_key(|e| e.ts_ns);
-    events
-}
-
-/// Discards all recorded events (calling thread's buffer and the sink).
-pub fn clear_events() {
-    LOCAL.with(|l| l.borrow_mut().events.clear());
-    SINK.lock().expect("telemetry sink poisoned").clear();
+#[cfg(test)]
+pub(crate) fn lane_tids() -> Vec<u64> {
+    let mut tids = Vec::new();
+    for_each_lane(|lane| tids.push(lane.tid));
+    tids
 }
 
 #[cfg(test)]
@@ -179,10 +272,76 @@ mod tests {
         assert!(b >= a);
     }
 
+    /// Guards dropped out of LIFO order close their own records.
     #[test]
-    fn guard_without_name_is_inert() {
-        // Dropping a disabled guard must not record.
-        let g = SpanGuard { name: None, id: None };
-        drop(g);
+    fn guards_dropped_out_of_order_close_their_own_records() {
+        let tid = with_lane(|lane| lane.tid).expect("lane");
+        let outer = span("recorder.test.outer", Some(1), Some(StepClass::Learn));
+        let inner = span("recorder.test.inner", None, Some(StepClass::Comm));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(outer);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(inner);
+        let recent: Vec<Span> =
+            with_lane(|lane| lane.lock().recent.iter().copied().collect()).expect("lane");
+        let find = |name| recent.iter().rev().find(|s| s.name == name).copied().expect(name);
+        let (outer, inner) = (find("recorder.test.outer"), find("recorder.test.inner"));
+        assert_eq!((outer.tid, outer.id, outer.class), (tid, Some(1), Some(StepClass::Learn)));
+        assert_eq!(inner.class, Some(StepClass::Comm));
+        assert!(outer.start_ns <= inner.start_ns && outer.end_ns < inner.end_ns);
+        assert!(with_lane(|lane| lane.lock().open.is_empty()).expect("lane"));
+    }
+
+    /// A span with no class times its end only while tracing is on; a
+    /// classed one always does.
+    #[test]
+    fn the_end_is_timed_for_a_class_or_a_trace() {
+        let _serial = crate::tests::serial();
+        let last_end = |class| {
+            drop(span("recorder.test.end", None, class));
+            with_lane(|lane| lane.lock().recent.back().copied()).flatten().expect("a record").end_ns
+        };
+        assert_eq!(last_end(None), None, "untraced, unclassed: start only");
+        assert!(last_end(Some(StepClass::Eval)).is_some());
+        crate::set_enabled(true);
+        assert!(last_end(None).is_some(), "traced");
+        crate::set_enabled(false);
+        clear_spans();
+    }
+
+    /// Short-lived threads leave no lane behind once a window reset
+    /// prunes, classed records that closed before the reset included,
+    /// except the one that still holds a traced record, which `drain`
+    /// then takes.
+    #[test]
+    fn prune_drops_exited_lanes_but_keeps_unread_records() {
+        let _serial = crate::tests::serial();
+        let idle: Vec<u64> = (0..200)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let class = (i % 2 == 0).then_some(StepClass::Comm);
+                    drop(span("recorder.test.short_lived", None, class));
+                    with_lane(|lane| lane.tid).expect("lane")
+                })
+                .join()
+                .expect("thread ran")
+            })
+            .collect();
+        crate::set_enabled(true);
+        let traced = std::thread::spawn(|| {
+            drop(span("recorder.test.traced", None, None));
+            with_lane(|lane| lane.tid).expect("lane")
+        })
+        .join()
+        .expect("thread ran");
+        crate::set_enabled(false);
+        crate::reset_window();
+        let live = lane_tids();
+        assert!(idle.iter().all(|t| !live.contains(t)), "exited lanes are pruned");
+        assert!(live.contains(&traced), "a lane with a traced record stays");
+        let drained = drain();
+        assert!(drained.iter().any(|s| s.tid == traced && s.name == "recorder.test.traced"));
+        crate::reset_window();
+        assert!(!lane_tids().contains(&traced), "once drained, it goes");
     }
 }

@@ -77,11 +77,8 @@ impl Counter {
 }
 
 /// Adds `delta` to the named counter (registry lookup per call — fine
-/// for cold paths; hot sites cache a [`Counter`]). Cold-path bumps are
-/// also noted on the flight-recorder ring; cached handles are not —
-/// their totals appear in dumps via the registry snapshot.
+/// for cold paths; hot sites cache a [`Counter`]).
 pub fn counter(name: &str, delta: u64) {
-    crate::flightrec::note_count(name, delta);
     intern(counters(), name).fetch_add(delta, Ordering::Relaxed);
 }
 

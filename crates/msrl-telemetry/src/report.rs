@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use serde::{Serialize, Value};
 
-use crate::recorder::{Event, Phase};
+use crate::recorder::Span;
 use crate::registry;
 use crate::sink::{num, obj};
 
@@ -25,7 +25,7 @@ pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
 pub struct SpanStats {
     /// Span name.
     pub name: String,
-    /// Completed (matched Begin/End) occurrences.
+    /// Completed occurrences.
     pub count: u64,
     /// Sum of durations, ns.
     pub total_ns: u64,
@@ -48,31 +48,16 @@ pub struct TelemetryReport {
     pub gauges: Vec<(String, f64)>,
     /// Always-on histogram quantiles at summary time, name-sorted.
     /// Present without tracing — these come from the registry, not the
-    /// span event stream.
+    /// traced spans.
     pub histograms: Vec<(String, crate::HistogramStats)>,
 }
 
 impl TelemetryReport {
-    /// Aggregates a drained event stream (events must be per-thread
-    /// ordered, which [`crate::drain`] guarantees). Unmatched boundaries
-    /// are skipped.
-    pub fn from_events(events: &[Event]) -> TelemetryReport {
-        // Open-span stacks per thread; durations per span name.
-        let mut stacks: HashMap<u64, Vec<(&'static str, u64)>> = HashMap::new();
+    /// Aggregates drained spans by name.
+    pub fn from_spans(spans: &[Span]) -> TelemetryReport {
         let mut durations: HashMap<&'static str, Vec<u64>> = HashMap::new();
-        for e in events {
-            let stack = stacks.entry(e.tid).or_default();
-            match e.phase {
-                Phase::Begin => stack.push((e.name, e.ts_ns)),
-                Phase::End => {
-                    if let Some(&(name, begin)) = stack.last() {
-                        if name == e.name {
-                            stack.pop();
-                            durations.entry(name).or_default().push(e.ts_ns.saturating_sub(begin));
-                        }
-                    }
-                }
-            }
+        for s in spans {
+            durations.entry(s.name).or_default().push(s.duration_ns());
         }
         let mut spans: Vec<SpanStats> = durations
             .into_iter()
@@ -225,18 +210,21 @@ mod tests {
     #[test]
     fn aggregates_known_event_sequence() {
         // Three "work" spans of 10, 20 and 90 ns plus one nested "inner".
-        let mk = |name: &'static str, phase, ts_ns| Event { name, phase, ts_ns, tid: 1, id: None };
-        let events = vec![
-            mk("work", Phase::Begin, 0),
-            mk("work", Phase::End, 10),
-            mk("work", Phase::Begin, 100),
-            mk("inner", Phase::Begin, 105),
-            mk("inner", Phase::End, 108),
-            mk("work", Phase::End, 120),
-            mk("work", Phase::Begin, 200),
-            mk("work", Phase::End, 290),
+        let mk = |name: &'static str, start_ns, end_ns| Span {
+            name,
+            id: None,
+            class: None,
+            tid: 1,
+            start_ns,
+            end_ns: Some(end_ns),
+        };
+        let spans = vec![
+            mk("work", 0, 10),
+            mk("work", 100, 120),
+            mk("inner", 105, 108),
+            mk("work", 200, 290),
         ];
-        let report = TelemetryReport::from_events(&events);
+        let report = TelemetryReport::from_spans(&spans);
         let work = report.span("work").unwrap();
         assert_eq!(work.count, 3);
         assert_eq!(work.total_ns, 10 + 20 + 90);
@@ -252,11 +240,9 @@ mod tests {
 
     #[test]
     fn json_is_parseable() {
-        let events = vec![
-            Event { name: "a", phase: Phase::Begin, ts_ns: 0, tid: 1, id: None },
-            Event { name: "a", phase: Phase::End, ts_ns: 5, tid: 1, id: None },
-        ];
-        let json = TelemetryReport::from_events(&events).with_registry().to_json();
+        let spans =
+            [Span { name: "a", id: None, class: None, tid: 1, start_ns: 0, end_ns: Some(5) }];
+        let json = TelemetryReport::from_spans(&spans).with_registry().to_json();
         serde_json::value_from_str(&json).expect("report JSON parses");
     }
 

@@ -76,8 +76,9 @@ pub struct RunEvent {
     pub comm_bytes: u64,
     /// Configured staleness bound the iteration ran under.
     pub staleness: u64,
-    /// Critical-path attribution for the iteration; `None` when
-    /// `MSRL_ATTR=0`.
+    /// Critical-path attribution for the iteration. Every event a run
+    /// writes carries one; the schema keeps it optional (an absent block
+    /// has no key).
     pub attr: Option<IterAttribution>,
     /// Act-server batching activity this iteration; `None` when the
     /// cross-actor act server is off.

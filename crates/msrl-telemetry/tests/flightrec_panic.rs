@@ -3,6 +3,7 @@
 //! disk, written by the panic hook before the unwind propagates.
 
 use msrl_telemetry as telemetry;
+use serde::Value;
 
 #[test]
 fn worker_panic_writes_valid_dump() {
@@ -10,7 +11,6 @@ fn worker_panic_writes_valid_dump() {
     let dir_s = dir.to_str().expect("utf-8 temp dir").to_string();
     let _ = std::fs::remove_dir_all(&dir);
     telemetry::flightrec::set_dump_dir(&dir_s);
-    telemetry::flightrec::set_flightrec_enabled(true);
     telemetry::install_panic_hook();
 
     // A worker doing instrumented work before dying mid-iteration.
@@ -37,10 +37,31 @@ fn worker_panic_writes_valid_dump() {
 
     let content = std::fs::read_to_string(dumps[0].path()).expect("dump readable");
     let n = telemetry::validate_flightrec(&content).expect("dump is structurally valid");
-    assert!(n >= 1, "ring captured the worker's recent events");
+    assert!(n >= 8, "the lane kept the worker's recent spans and its open one");
     assert!(content.contains("injected worker failure"), "panic reason recorded");
-    assert!(content.contains("fragment.test_worker"), "worker's recent spans are in the ring");
-    assert!(content.contains("\"trigger\": \"panic\""));
+    let dump = serde_json::value_from_str(&content).expect("dump parses");
+    assert_eq!(dump.field("trigger"), Ok(&Value::Str("panic".into())));
+
+    // The worker's lane: seven iterations closed, and the eighth still
+    // open at the panic, listed with no end.
+    let Ok(Value::Seq(lanes)) = dump.field("lanes") else { panic!("dump lists lanes") };
+    let named = |spans: &Value| match spans {
+        Value::Seq(spans) => spans
+            .iter()
+            .filter(|s| s.field("name") == Ok(&Value::Str("fragment.test_worker".into())))
+            .cloned()
+            .collect::<Vec<_>>(),
+        _ => panic!("records are an array"),
+    };
+    let worker = lanes
+        .iter()
+        .find(|l| l.field("open").is_ok_and(|open| !named(open).is_empty()))
+        .expect("the span open at the panic is listed as open");
+    let open = named(worker.field("open").expect("open records"));
+    assert_eq!(open.len(), 1);
+    assert_eq!(open[0].field("end_ns"), Ok(&Value::Null));
+    assert_eq!(open[0].field("id"), Ok(&Value::I64(1)));
+    assert_eq!(named(worker.field("closed").expect("closed records")).len(), 7);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

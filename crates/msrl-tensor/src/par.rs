@@ -399,9 +399,7 @@ impl Helper {
     }
 
     /// The helper thread: runs each posted job, catching its panic, and
-    /// reports how it ended — for the life of the process. The spans a
-    /// job recorded reach the telemetry sink before the caller hears of
-    /// it, as a joined thread's do when it exits.
+    /// reports how it ended — for the life of the process.
     fn serve(&self) {
         loop {
             let job = {
@@ -414,7 +412,6 @@ impl Helper {
                 }
             };
             let outcome = catch_unwind(AssertUnwindSafe(job)).err();
-            msrl_telemetry::flush_thread();
             self.lock().outcome = Some(outcome);
             self.finished.notify_one();
         }

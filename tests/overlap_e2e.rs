@@ -73,23 +73,23 @@ fn overlap_contract_end_to_end() {
     //    final epoch — the returns ride the fused all-reduce, so no
     //    standalone all_gather span may appear.
     msrl_telemetry::set_enabled(true);
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     run_c(true);
-    let events = msrl_telemetry::drain();
+    let spans = msrl_telemetry::drain();
     assert!(
-        !events.iter().any(|e| e.name == "comm.all_gather"),
+        !spans.iter().any(|s| s.name == "comm.all_gather"),
         "fused DP-C must not open a standalone comm.all_gather span"
     );
     assert!(
-        events.iter().any(|e| e.name == "comm.all_reduce_fused"),
+        spans.iter().any(|s| s.name == "comm.all_reduce_fused"),
         "fused DP-C must trace its fused collective"
     );
 
     // 4. Under wire latency, DP-A actors actually roll out on stale
     //    weights while the next broadcast is in flight: the overlap span
     //    and the staleness counter must both fire.
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     let latent = DistPpoConfig {
         actors: 2,
@@ -104,11 +104,11 @@ fn overlap_contract_end_to_end() {
         ..DistPpoConfig::default()
     };
     run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &latent).expect("dp_a runs");
-    let events = msrl_telemetry::drain();
+    let spans = msrl_telemetry::drain();
     let stale = msrl_telemetry::counter_total("comm.stale_iters");
     assert!(stale > 0, "latency must force stale rollouts, got {stale}");
     assert!(
-        events.iter().any(|e| e.name == "comm.overlap"),
+        spans.iter().any(|s| s.name == "comm.overlap"),
         "stale rollouts must be wrapped in a comm.overlap span"
     );
     msrl_telemetry::set_enabled(false);

@@ -129,3 +129,23 @@ fn fdg_is_invariant_across_policies() {
         assert_eq!(f, &fdgs[0]);
     }
 }
+
+/// The busiest ledger shape for the lanes — `dpb-cartpole-step`'s one
+/// actor × 16 envs × 128 steps, for 3 iterations, ≈ 640 spans per
+/// iteration — drops no classed span before attribution takes it.
+#[test]
+fn dp_b_step_shape_drops_no_attribution_record() {
+    let before = msrl_telemetry::counter_total("attr.dropped");
+    let cfg = DistPpoConfig {
+        actors: 1,
+        envs_per_actor: 16,
+        steps_per_iter: 128,
+        iterations: 3,
+        hidden: vec![64, 64],
+        seed: 5,
+        ..DistPpoConfig::default()
+    };
+    let report = run_dp_b(|a, i| CartPole::new((a * 16 + i) as u64), &cfg).unwrap();
+    assert_eq!(report.iteration_rewards.len(), 3);
+    assert_eq!(msrl_telemetry::counter_total("attr.dropped"), before, "attr.dropped moved");
+}

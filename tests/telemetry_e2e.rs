@@ -1,8 +1,8 @@
 //! End-to-end telemetry contract: tracing must be an observer, never a
 //! participant.
 //!
-//! Everything runs in one test body because the enable flag, the event
-//! sink and the counter registry are process-global and `cargo test`
+//! Everything runs in one test body because the enable flag, the traced
+//! spans and the counter registry are process-global and `cargo test`
 //! runs sibling tests on parallel threads.
 
 use msrl_core::interp::Interpreter;
@@ -60,9 +60,9 @@ fn mlp_output_bits() -> Vec<u32> {
 #[test]
 fn telemetry_observes_without_perturbing() {
     // 1. Disabled tracing: the instrumented interpreter records no
-    //    events and produces bit-identical results to an enabled run.
+    //    spans and produces bit-identical results to an enabled run.
     msrl_telemetry::set_enabled(false);
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     let quiet = mlp_output_bits();
     assert!(
         msrl_telemetry::drain().is_empty(),
@@ -70,7 +70,7 @@ fn telemetry_observes_without_perturbing() {
     );
 
     msrl_telemetry::set_enabled(true);
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     let ops_before = msrl_telemetry::counter_total("interp.ops");
     let traced = mlp_output_bits();
     assert_eq!(quiet, traced, "tracing must not change computed values");
@@ -81,7 +81,7 @@ fn telemetry_observes_without_perturbing() {
 
     // 2. A real distributed run under tracing yields a valid Chrome
     //    trace with fragment lanes, phase spans and comm volume.
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     let dist = DistPpoConfig {
         actors: 2,
@@ -93,8 +93,8 @@ fn telemetry_observes_without_perturbing() {
         ..DistPpoConfig::default()
     };
     run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");
-    let events = msrl_telemetry::drain();
-    let trace = msrl_telemetry::chrome_trace(&events);
+    let spans = msrl_telemetry::drain();
+    let trace = msrl_telemetry::chrome_trace(&spans);
     let check = msrl_telemetry::validate_chrome_trace(&trace).expect("trace validates");
     assert!(
         check.fragment_spans > dist.actors,
@@ -102,7 +102,7 @@ fn telemetry_observes_without_perturbing() {
         check.fragment_spans
     );
 
-    let report = msrl_telemetry::TelemetryReport::from_events(&events).with_registry();
+    let report = msrl_telemetry::TelemetryReport::from_spans(&spans).with_registry();
     for phase in ["phase.rollout", "phase.learn", "phase.weight_sync"] {
         let s = report.span(phase).unwrap_or_else(|| panic!("{phase} must appear"));
         assert!(s.count > 0 && s.p50_ns <= s.p99_ns && s.p99_ns <= s.max_ns);
@@ -119,7 +119,7 @@ fn telemetry_observes_without_perturbing() {
     //    one valid RunEvent per iteration to the metrics file, and the
     //    registry-backed report carries real latency quantiles from the
     //    always-on histograms — no MSRL_TRACE required.
-    msrl_telemetry::clear_events();
+    msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     msrl_telemetry::reset_histograms();
     let metrics_path =
@@ -169,7 +169,7 @@ fn telemetry_observes_without_perturbing() {
     check_attribution_accounts_for_wall(&stream_c, "dp_c");
     let _ = std::fs::remove_file(&metrics_path_c);
 
-    let quiet_report = msrl_telemetry::TelemetryReport::from_events(&[]).with_registry();
+    let quiet_report = msrl_telemetry::TelemetryReport::from_spans(&[]).with_registry();
     let eval = quiet_report.histogram("fragment.eval").expect("fragment.eval histogram");
     assert_eq!(eval.count, dist.iterations as u64);
     assert!(
