@@ -1,19 +1,16 @@
-//! A real in-process transport with MPI/NCCL-style collectives and
-//! non-blocking, overlap-friendly primitives.
+//! A real in-process transport with MPI/NCCL-style collectives.
 //!
 //! When MSRL executes a fragmented dataflow graph for real, each fragment
 //! replica runs on its own thread ("device") and synchronises with the
 //! collectives named by the partition annotations. [`Fabric::new`] builds
 //! a fully-connected group of [`Endpoint`]s, each owning one inbox that
 //! every peer pushes into (FIFO per sender); each endpoint then offers
-//! `send`/`recv`, `all_gather`, `all_reduce_mean`,
-//! `broadcast` and `barrier` with the same blocking semantics as the MPI
-//! operations they stand in for — plus the asynchronous surface the
-//! distribution policies use to *overlap* communication with computation:
+//! `send`/`recv`, `all_gather`, `all_reduce_mean` and `broadcast` with
+//! the same blocking semantics as the MPI operations they stand in for.
+//! A send never blocks, so a receive posted late — after the compute it
+//! should overlap — waits only for what that compute did not hide. Two
+//! more serve the distribution policies:
 //!
-//! * [`Endpoint::irecv`] — a handle-based non-blocking receive. A
-//!   [`PendingRecv`] is polled ([`PendingRecv::poll`]) or waited
-//!   ([`PendingRecv::wait`]).
 //! * [`Endpoint::all_reduce_mean_concat`] — a fused collective: extra
 //!   payload segments (e.g. episode returns) ride the gradient
 //!   all-reduce in a single barrier instead of paying a second one.
@@ -22,15 +19,15 @@
 //!
 //! # The hand-off
 //!
-//! Every blocking receive — `recv`, [`PendingRecv::wait`], the
-//! collectives, `recv_any` — goes through one wait primitive. It first
-//! polls the inbox's per-sender `queued` atomics with `spin_loop()` for
-//! at most [`SPIN_BUDGET`], then parks on the inbox's condvar. A sender
-//! pushes under the inbox lock and notifies only when a receiver is
-//! parked on its queue, so a rendezvous where either side arrives within
-//! the budget of the other — a per-step obs/action exchange, a ping-pong
-//! — costs no system call on either side, while a long wait (an actor
-//! behind a learn pass) costs one bounded spin and then no CPU at all.
+//! Every receive — `recv`, the collectives, `recv_any` — goes through
+//! one wait primitive. It first polls the inbox's per-sender `queued`
+//! atomics with `spin_loop()` for at most [`SPIN_BUDGET`], then parks on
+//! the inbox's condvar. A sender pushes under the inbox lock and
+//! notifies only when a receiver is parked on its queue, so a rendezvous
+//! where either side arrives within the budget of the other — a per-step
+//! obs/action exchange, a ping-pong — costs no system call on either
+//! side, while a long wait (an actor behind a learn pass) costs one
+//! bounded spin and then no CPU at all.
 //!
 //! The budget is a constant because its right value is a property of
 //! the host, not of a workload: spinning pays off exactly while it is
@@ -54,9 +51,9 @@
 //! holds a lock across the latency simulation.
 //!
 //! Every operation feeds the [`msrl_telemetry`] pipeline: blocking calls
-//! record `comm.*` spans when `MSRL_TRACE` is on (a [`PendingRecv::wait`]
-//! records only the *residual* blocked time, which is how reclaimed
-//! overlap shows up in profiles), and the always-on counters
+//! record `comm.*` spans when `MSRL_TRACE` is on (a receive covers only
+//! the *residual* blocked time, which is how reclaimed overlap shows up
+//! in profiles), and the always-on counters
 //! `comm.bytes_sent` / `comm.bytes_recv` / `comm.msgs_sent` total traffic
 //! while `comm.sim_latency_ns` attributes time spent waiting out the
 //! injected latency. Each blocking site also records its latency into an
@@ -118,11 +115,6 @@ struct Message {
     payload: Vec<f32>,
 }
 
-/// True once the simulated wire has delivered `msg`.
-fn delivered(msg: &Message) -> bool {
-    msg.deliver_at.is_none_or(|at| at <= Instant::now())
-}
-
 /// Sleeps out whatever remains of `msg`'s delivery deadline, attributing
 /// the waited time to `comm.sim_latency_ns`. The caller holds no locks
 /// here — the message has already been dequeued.
@@ -170,8 +162,7 @@ struct Queues {
 }
 
 /// One endpoint's receive side. Every peer holds a handle and pushes
-/// into its own queue; the owning endpoint and the [`PendingRecv`]s it
-/// hands out claim from it.
+/// into its own queue; only the owning endpoint claims from it.
 ///
 /// Hand-off state machine of a blocking claim: *spin* (if `spin`;
 /// lock-free, on `queued`/`gone`, at most [`SPIN_BUDGET`]) → *check*
@@ -240,8 +231,8 @@ impl Inbox {
         }
         drop(q);
         if wake {
-            // All of them: two receivers parked on one rank (an endpoint
-            // and a `PendingRecv` moved elsewhere) share the condvar.
+            // All of them: only the owning endpoint claims, so at most
+            // one receiver is parked, but the condvar does not rely on it.
             self.ready.notify_all();
         }
     }
@@ -283,19 +274,6 @@ impl Inbox {
         let msg = q.from[f].pop_front().expect("picked rank has a head message");
         self.queued[f].store(q.from[f].len(), Ordering::Release);
         msg
-    }
-
-    /// Non-blocking claim from `from`: `Ok(None)` when nothing is queued
-    /// or the head message is still in simulated flight (it stays at the
-    /// head of its queue).
-    fn try_claim(&self, from: usize) -> Result<Option<Message>, CommError> {
-        let mut q = self.lock();
-        match q.from[from].front().map(delivered) {
-            Some(true) => Ok(Some(self.pop(&mut q, from))),
-            Some(false) => Ok(None),
-            None if self.is_gone(from) => Err(CommError::Disconnected),
-            None => Ok(None),
-        }
     }
 
     /// Blocking claim — the one wait primitive. Returns the next message
@@ -473,41 +451,6 @@ impl Endpoint {
         Ok((msg.tag, msg.payload))
     }
 
-    /// Non-blocking receive from `from`; `Ok(None)` when no message is
-    /// queued (or the head message is still in simulated flight). The
-    /// asynchronous path A3C-style policies use.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown ranks or if the peer is gone.
-    pub fn try_recv(&self, from: usize) -> Result<Option<Vec<f32>>, CommError> {
-        self.check_rank(from)?;
-        match self.inbox().try_claim(from)? {
-            Some(msg) => {
-                count_recv(&msg.payload);
-                Ok(Some(msg.payload))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Posts a non-blocking receive from `from`, mirroring MPI `Irecv`.
-    ///
-    /// The returned handle claims lazily: [`PendingRecv::wait`] takes the
-    /// message at the head of `from`'s queue at that moment. Posting
-    /// several receives from the same peer is supported as long as the
-    /// handles are waited in posting order (the drivers' usage);
-    /// interleaving `recv` calls with an outstanding handle on the same
-    /// peer makes message attribution depend on dequeue order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown ranks.
-    pub fn irecv(&self, from: usize) -> Result<PendingRecv, CommError> {
-        self.check_rank(from)?;
-        Ok(PendingRecv { from, inbox: Arc::clone(&self.inboxes[self.rank]) })
-    }
-
     /// Blocks until a message arrives from *any* of the given peers and
     /// returns `(rank, payload)` in completion order — the arrival-order
     /// receive that A3C learners and parameter servers want. It waits
@@ -626,8 +569,6 @@ impl Endpoint {
         framed.extend_from_slice(&reduce);
         framed.extend_from_slice(&extra);
         let parts = self.exchange_tagged(framed)?;
-        let mut acc = vec![0.0f32; len];
-        let mut extras = Vec::with_capacity(self.size);
         for p in &parts {
             let rlen = p.first().copied().unwrap_or(-1.0);
             if rlen != len as f32 || p.len() < 1 + len {
@@ -636,16 +577,9 @@ impl Endpoint {
                     actual: rlen.max(0.0) as u64,
                 });
             }
-            for (a, v) in acc.iter_mut().zip(&p[1..1 + len]) {
-                *a += v;
-            }
-            extras.push(p[1 + len..].to_vec());
         }
-        let n = self.size as f32;
-        for a in &mut acc {
-            *a /= n;
-        }
-        Ok((acc, extras))
+        let averaged = reduce_mean_parts(parts.iter().map(|p| &p[1..1 + len]), len, self.size)?;
+        Ok((averaged, parts.iter().map(|p| p[1 + len..].to_vec()).collect()))
     }
 
     /// Broadcast from `root`: the root's payload is returned on every
@@ -670,22 +604,11 @@ impl Endpoint {
             self.recv_expecting(root, tag)
         }
     }
-
-    /// Barrier: returns once every rank has entered.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on disconnection.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        let _span = msrl_telemetry::span!("comm.barrier", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.barrier").time();
-        self.exchange_tagged(Vec::new()).map(|_| ())
-    }
 }
 
 /// Sums `parts` element-wise in rank order and divides by `size`,
 /// rejecting ragged contributions — the single reduction kernel behind
-/// every AllReduce variant, so fused/chunked/unfused results agree
+/// every AllReduce variant, so fused and unfused results agree
 /// bit-for-bit.
 fn reduce_mean_parts<'a>(
     parts: impl Iterator<Item = &'a [f32]>,
@@ -708,59 +631,6 @@ fn reduce_mean_parts<'a>(
     Ok(acc)
 }
 
-/// Handle for a posted non-blocking receive (see [`Endpoint::irecv`]).
-///
-/// Holds the endpoint's inbox, so it stays valid while the endpoint
-/// keeps communicating; drop it to abandon the receive (the message, if
-/// any, is left for the endpoint to claim).
-#[must_use = "a posted receive must be polled or waited"]
-pub struct PendingRecv {
-    from: usize,
-    inbox: Arc<Inbox>,
-}
-
-impl PendingRecv {
-    /// The rank this receive was posted against.
-    pub fn from_rank(&self) -> usize {
-        self.from
-    }
-
-    /// Non-blocking completion check: true once a message has arrived
-    /// *and* cleared its simulated delivery deadline — a subsequent
-    /// [`PendingRecv::wait`] returns without blocking. The message stays
-    /// queued until then.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the peer is gone before sending.
-    pub fn poll(&mut self) -> Result<bool, CommError> {
-        let q = self.inbox.lock();
-        match q.from[self.from].front().map(delivered) {
-            Some(landed) => Ok(landed),
-            None if self.inbox.is_gone(self.from) => Err(CommError::Disconnected),
-            None => Ok(false),
-        }
-    }
-
-    /// Completes the receive: polls for at most [`SPIN_BUDGET`] (a reply
-    /// that is about to land costs no system call), then parks on the
-    /// inbox's condvar until the message arrives, and sleeps out any
-    /// residual simulated latency. Records only this *residual* blocked
-    /// time as a `comm.recv` span: compute overlapped with the transfer
-    /// does not show up as communication time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the peer disconnected before sending.
-    pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        let _span = msrl_telemetry::span!("comm.recv", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
-        let (_, msg) = self.inbox.claim(&[self.from])?;
-        count_recv(&msg.payload);
-        Ok(msg.payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,52 +651,23 @@ mod tests {
         assert!(matches!(eps[0].send(5, vec![]), Err(CommError::UnknownRank { rank: 5, size: 2 })));
     }
 
+    /// Messages from one sender arrive in the order it sent them,
+    /// whatever another sender does in between and whichever sender the
+    /// receiver asks first.
     #[test]
-    fn try_recv_is_nonblocking() {
-        let mut eps = Fabric::new(2);
+    fn recv_is_fifo_per_sender() {
+        let mut eps = Fabric::new(3);
+        let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
-        assert_eq!(b.try_recv(0).unwrap(), None);
-        a.send(1, vec![7.0]).unwrap();
-        // Delivery through an in-process channel is immediate.
-        assert_eq!(b.try_recv(0).unwrap(), Some(vec![7.0]));
-    }
-
-    #[test]
-    fn irecv_poll_and_wait() {
-        let mut eps = Fabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let mut pending = b.irecv(0).unwrap();
-        assert!(!pending.poll().unwrap(), "nothing sent yet");
-        a.send(1, vec![3.0, 4.0]).unwrap();
-        assert!(pending.poll().unwrap(), "message arrived");
-        assert_eq!(pending.wait().unwrap(), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn irecv_wait_parks_until_send() {
-        let mut eps = Fabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let pending = b.irecv(0).unwrap();
-        let h = thread::spawn(move || pending.wait().unwrap());
-        thread::sleep(Duration::from_millis(20));
-        a.send(1, vec![9.0]).unwrap();
-        assert_eq!(h.join().unwrap(), vec![9.0]);
-    }
-
-    #[test]
-    fn irecv_handles_complete_in_posting_order() {
-        let mut eps = Fabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let first = b.irecv(0).unwrap();
-        let second = b.irecv(0).unwrap();
         a.send(1, vec![1.0]).unwrap();
+        c.send(1, vec![10.0]).unwrap();
         a.send(1, vec![2.0]).unwrap();
-        assert_eq!(first.wait().unwrap(), vec![1.0]);
-        assert_eq!(second.wait().unwrap(), vec![2.0]);
+        c.send(1, vec![20.0]).unwrap();
+        assert_eq!(b.recv(2).unwrap(), vec![10.0]);
+        assert_eq!(b.recv(0).unwrap(), vec![1.0]);
+        assert_eq!(b.recv(0).unwrap(), vec![2.0]);
+        assert_eq!(b.recv(2).unwrap(), vec![20.0]);
     }
 
     /// CPU time this thread has consumed, where the kernel exposes it.
@@ -942,7 +783,7 @@ mod tests {
     /// what a spinner whose peer is not running can waste per wait; if
     /// it did not (a spinner holding its core until the scheduler takes
     /// it away), 1 k barriers would take minutes, not the fraction of a
-    /// second they take.
+    /// second they take. A barrier is an all-gather of nothing.
     #[test]
     fn oversubscribed_barriers_do_not_convoy() {
         let start = Instant::now();
@@ -951,7 +792,7 @@ mod tests {
             .map(|mut ep| {
                 thread::spawn(move || {
                     for _ in 0..1_000 {
-                        ep.barrier().unwrap();
+                        ep.all_gather(Vec::new()).unwrap();
                     }
                 })
             })
@@ -1090,35 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronises() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let eps = Fabric::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                let c = Arc::clone(&counter);
-                thread::spawn(move || {
-                    if ep.rank() != 0 {
-                        // Everyone but rank 0 increments before the barrier.
-                        c.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        // Rank 0 waits a little so laggards would be caught.
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                    ep.barrier().unwrap();
-                    c.load(Ordering::SeqCst)
-                })
-            })
-            .collect();
-        for h in handles {
-            // After the barrier every rank must observe all 3 increments.
-            assert_eq!(h.join().unwrap(), 3);
-        }
-    }
-
-    #[test]
     fn disconnect_is_reported() {
         let mut eps = Fabric::new(2);
         let b = eps.pop().unwrap();
@@ -1142,28 +954,16 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_respects_in_flight_latency() {
-        let mut eps = Fabric::with_latency(2, Duration::from_millis(40));
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        a.send(1, vec![6.0]).unwrap();
-        assert_eq!(b.try_recv(0).unwrap(), None, "message still in simulated flight");
-        thread::sleep(Duration::from_millis(50));
-        assert_eq!(b.try_recv(0).unwrap(), Some(vec![6.0]));
-    }
-
-    #[test]
     fn overlapped_compute_hides_latency() {
-        // An irecv posted before compute hides the simulated wire time:
-        // the residual wait is latency minus the overlapped work.
+        // A receive made after compute pays only the residual of the
+        // simulated wire time: latency minus the overlapped work.
         let mut eps = Fabric::with_latency(2, Duration::from_millis(40));
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, vec![8.0]).unwrap();
-        let pending = b.irecv(0).unwrap();
         thread::sleep(Duration::from_millis(30)); // "compute"
         let t0 = std::time::Instant::now();
-        assert_eq!(pending.wait().unwrap(), vec![8.0]);
+        assert_eq!(b.recv(0).unwrap(), vec![8.0]);
         assert!(
             t0.elapsed() < Duration::from_millis(25),
             "most of the latency was hidden behind compute"

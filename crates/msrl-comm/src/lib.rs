@@ -29,6 +29,6 @@ pub mod fabric;
 pub mod model;
 pub mod topology;
 
-pub use fabric::{CommError, Endpoint, Fabric, PendingRecv};
+pub use fabric::{CommError, Endpoint, Fabric};
 pub use model::{LinkModel, NetworkModel};
 pub use topology::{ClusterSpec, DeviceId, DeviceKind, NodeSpec};

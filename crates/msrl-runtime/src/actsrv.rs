@@ -12,7 +12,7 @@
 //! Matmul rows are independent and every epilogue in the fused forward
 //! is element-wise, so the batched forward is **bit-identical** to the
 //! per-actor forwards it replaces at equal weights: enabling the act
-//! server (`MSRL_ACTSRV=1`) changes throughput, never results.
+//! server (`DistPpoConfig::act_server`) changes throughput, never results.
 //!
 //! The rendezvous is deliberately structured around [`ActServer::submit`]
 //! — a blocking "rows in, row-slice out" exchange with no knowledge of

@@ -1,14 +1,14 @@
 //! The resolved runtime configuration: every non-telemetry `MSRL_*`
 //! variable, parsed in one place and strictly.
 //!
-//! [`RuntimeConfig::from_env`] is the only reader of `MSRL_OVERLAP`,
-//! `MSRL_STALENESS`, `MSRL_ACTSRV` and `MSRL_FAULT_NAN_ITER`, and it
-//! delegates `MSRL_BACKEND` to [`Backend::parse`]. A value outside a
-//! variable's accepted set is a [`ConfigError`] naming the variable —
-//! never a silent default. The
-//! `Default` impls of the driver configs take their environment-backed
-//! fields from here; binaries call `from_env` first so a bad value is
-//! reported as an error before any work starts.
+//! [`RuntimeConfig::from_env`] is the only reader of
+//! `MSRL_FAULT_NAN_ITER`, and it delegates `MSRL_BACKEND` to
+//! [`Backend::parse`]. A value outside a variable's accepted set is a
+//! [`ConfigError`] naming the variable — never a silent default.
+//! Binaries call `from_env` first so a bad value is reported as an error
+//! before any work starts. No driver config reads the environment: how a
+//! run synchronises (overlap, staleness, the act server) is a field of
+//! its config and nothing else.
 //!
 //! The run configurations live here too — [`DistPpoConfig`] for the four
 //! PPO rules that share it, [`DpDConfig`], [`DpEConfig`],
@@ -17,7 +17,6 @@
 
 use msrl_algos::a3c::A3cConfig;
 use msrl_algos::ppo::PpoConfig;
-use msrl_telemetry::parse_switch;
 pub use msrl_tensor::par::ConfigError;
 use msrl_tensor::par::{parse_var, Backend};
 
@@ -26,22 +25,11 @@ use msrl_tensor::par::{parse_var, Backend};
 pub struct RuntimeConfig {
     /// Whether a learn pass may fork onto a free core (`MSRL_BACKEND`).
     pub backend: Backend,
-    /// Overlap communication with computation (`MSRL_OVERLAP`, default
-    /// on).
-    pub overlap: bool,
-    /// Bounded-staleness window for overlapped weight sync, in
-    /// iterations (`MSRL_STALENESS`, default 1).
-    pub staleness: usize,
-    /// Route DP-A policy forwards through the cross-actor act server
-    /// (`MSRL_ACTSRV`, default off).
-    pub act_server: bool,
     /// Fault injection for the health e2e: after this (0-based) DP-A
     /// iteration one learner weight is scaled to infinity
     /// (`MSRL_FAULT_NAN_ITER`, default none).
     pub fault_nan_iter: Option<u64>,
 }
-
-const BOOL_VALUES: &str = "0|off|false|no|1|on|true|yes";
 
 impl RuntimeConfig {
     /// Resolves a configuration from `lookup(name)`, the pure core of
@@ -51,24 +39,13 @@ impl RuntimeConfig {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`]: those of [`Backend::parse`],
-    /// a non-boolean `MSRL_OVERLAP`/`MSRL_ACTSRV`, or an
-    /// `MSRL_STALENESS`/`MSRL_FAULT_NAN_ITER` that is not a
-    /// non-negative integer.
+    /// or an `MSRL_FAULT_NAN_ITER` that is not a non-negative integer.
     pub fn parse(
         lookup: impl Fn(&'static str) -> Option<String>,
     ) -> Result<RuntimeConfig, ConfigError> {
         const COUNT: &str = "a non-negative integer";
-        let overlap = parse_var(&lookup, "MSRL_OVERLAP", BOOL_VALUES, parse_switch)?;
-        let staleness = parse_var(&lookup, "MSRL_STALENESS", COUNT, |v| v.parse().ok())?;
-        let act_server = parse_var(&lookup, "MSRL_ACTSRV", BOOL_VALUES, parse_switch)?;
         let fault_nan_iter = parse_var(&lookup, "MSRL_FAULT_NAN_ITER", COUNT, |v| v.parse().ok())?;
-        Ok(RuntimeConfig {
-            backend: Backend::parse(lookup)?,
-            overlap: overlap.unwrap_or(true),
-            staleness: staleness.unwrap_or(1),
-            act_server: act_server.unwrap_or(false),
-            fault_nan_iter,
-        })
+        Ok(RuntimeConfig { backend: Backend::parse(lookup)?, fault_nan_iter })
     }
 
     /// [`Self::parse`] over the process environment.
@@ -112,13 +89,13 @@ pub struct DistPpoConfig {
     pub ppo: PpoConfig,
     /// Base RNG seed (replicas derive their own deterministically).
     pub seed: u64,
-    /// Overlap communication with computation (double-buffered weight
-    /// sync under DP-A/DP-F, fused collective under DP-C). Defaults from
-    /// `MSRL_OVERLAP` (on); off means every sync is fully blocking.
+    /// Overlap communication with computation (deferred weight pulls
+    /// under DP-A/DP-F, fused collective under DP-C). On by default; off
+    /// means every sync is fully blocking.
     pub overlap: bool,
     /// Bounded-staleness window for overlapped weight sync: actors may
-    /// roll out on weights at most this many iterations old. Defaults
-    /// from `MSRL_STALENESS`; ignored when `overlap` is off.
+    /// roll out on weights at most this many iterations old. 1 by
+    /// default; ignored when `overlap` is off.
     pub staleness: usize,
     /// Simulated per-message wire latency on the comm fabric — the
     /// in-process analogue of the paper's `tc`-injected network latency
@@ -133,13 +110,12 @@ pub struct DistPpoConfig {
     /// Micro-batch policy forwards *across* actor fragments through the
     /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
     /// per-actor path; forces the staleness bound to zero (all actors
-    /// share one weight snapshot). Defaults from `MSRL_ACTSRV` (off).
+    /// share one weight snapshot). Off by default.
     pub act_server: bool,
 }
 
 impl Default for DistPpoConfig {
     fn default() -> Self {
-        let env = RuntimeConfig::default();
         DistPpoConfig {
             actors: 2,
             envs_per_actor: 4,
@@ -148,11 +124,11 @@ impl Default for DistPpoConfig {
             hidden: vec![32, 32],
             ppo: PpoConfig::default(),
             seed: 0,
-            overlap: env.overlap,
-            staleness: env.staleness,
+            overlap: true,
+            staleness: 1,
             link_latency: std::time::Duration::ZERO,
             fusion: true,
-            act_server: env.act_server,
+            act_server: false,
         }
     }
 }
@@ -278,10 +254,8 @@ mod tests {
     fn bad_values_are_errors_naming_the_variable_and_what_it_accepts() {
         for (var, value, accepted) in [
             ("MSRL_BACKEND", "gpu", "scalar|threaded"),
-            ("MSRL_STALENESS", "-1", "a non-negative integer"),
-            ("MSRL_OVERLAP", "maybe", BOOL_VALUES),
-            ("MSRL_ACTSRV", "", BOOL_VALUES),
             ("MSRL_FAULT_NAN_ITER", "soon", "a non-negative integer"),
+            ("MSRL_FAULT_NAN_ITER", "-1", "a non-negative integer"),
         ] {
             let err = parse(&[(var, value)]).expect_err("bad value must be rejected");
             assert_eq!(err, ConfigError { var, value: value.to_string(), accepted });
@@ -293,27 +267,9 @@ mod tests {
     #[test]
     fn unset_takes_defaults_and_good_values_parse() {
         let d = parse(&[]).unwrap();
-        assert_eq!(
-            (d.overlap, d.staleness, d.act_server, d.fault_nan_iter),
-            (true, 1, false, None)
-        );
-        assert_eq!(d.backend, Backend::Threaded);
-        let c = parse(&[
-            ("MSRL_BACKEND", "scalar"),
-            ("MSRL_OVERLAP", "off"),
-            ("MSRL_STALENESS", "0"),
-            ("MSRL_ACTSRV", "1"),
-            ("MSRL_FAULT_NAN_ITER", "7"),
-        ])
-        .unwrap();
-        assert_eq!(c.backend, Backend::Scalar);
-        assert_eq!(
-            (c.overlap, c.staleness, c.act_server, c.fault_nan_iter),
-            (false, 0, true, Some(7))
-        );
-        // The telemetry switches' vocabulary, case included.
-        let upper = parse(&[("MSRL_OVERLAP", "OFF"), ("MSRL_ACTSRV", "Yes")]).unwrap();
-        assert_eq!((upper.overlap, upper.act_server), (false, true));
+        assert_eq!((d.backend, d.fault_nan_iter), (Backend::Threaded, None));
+        let c = parse(&[("MSRL_BACKEND", "scalar"), ("MSRL_FAULT_NAN_ITER", "7")]).unwrap();
+        assert_eq!((c.backend, c.fault_nan_iter), (Backend::Scalar, Some(7)));
     }
 
     /// `MSRL_THREADS` is not read, and the benchmark harness still sets

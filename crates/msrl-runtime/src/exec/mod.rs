@@ -8,7 +8,7 @@
 //!
 //! | Policy | hub | workers | sync | rule (`rules.rs`) |
 //! |--------|-----|---------|------|-------------------|
-//! | DP-A | `Learner` | `ActorEnv` | `PerEpisode` | gather + version-stamped broadcast |
+//! | DP-A | `Learner` | `ActorEnv` | `PerEpisode` | push–pull worker, gathering learner |
 //! | DP-B | `Learner` | `ActorEnv` | `PerStep` | per-step exchange |
 //! | DP-C | — | `ActorLearner` | `PerEpoch` | gradient all-reduce |
 //! | DP-D | — | `FusedLoop` | `PerEpisode` | weight all-reduce |
@@ -49,6 +49,7 @@ pub use crate::config::{A3cDistConfig, DistPpoConfig, DpDConfig, DpEConfig};
 
 use msrl_algos::a3c::{A3cLearner, A3cWorker};
 use msrl_algos::ppo::{PpoActor, PpoLearner};
+use msrl_core::api::Actor;
 use msrl_core::config::PolicyName;
 use msrl_core::{FdgError, Result};
 use msrl_env::batched::BatchedEnv;
@@ -199,6 +200,8 @@ where
     drop(probe);
     let (p, n) = (dist.actors.max(1), dist.envs_per_actor.max(1));
     let envs = |worker: usize| VecEnv::from_fn(n, |i| make_env(worker, i));
+    // The push–pull rows' worker seat: its rounds and staleness bound.
+    let (rounds, steps, bound) = (dist.iterations, dist.steps_per_iter, dist.stale_bound());
     let setup = |staleness: usize| Setup {
         link_latency: dist.link_latency,
         staleness,
@@ -206,12 +209,22 @@ where
     };
     match (rule.hub.map(|hub| hub.role), rule.worker.role, rule.sync) {
         (Some(Learner), ActorEnv, PerEpisode) => {
-            let setup = setup(dist.stale_bound());
+            let setup = setup(bound);
+            // With an act server the forwards of all actors are
+            // micro-batched across fragments (bit-identical, see
+            // `crate::actsrv`).
             let srv = dist.act_server.then(|| ActServer::new(setup.policy.clone(), p));
             run(
                 rule,
                 &setup,
-                |f| rules::gather_actor(f, envs(f.rank), dist, srv.as_ref()),
+                |f| {
+                    let seed = dist.seed + 1 + f.rank as u64;
+                    let actor: Box<dyn Actor> = match &srv {
+                        Some(srv) => Box::new(srv.client(f.rank, seed)),
+                        None => Box::new(PpoActor::new(f.policy.clone(), seed)),
+                    };
+                    rules::push_pull_worker(f, actor, envs(f.rank), rounds, steps, bound)
+                },
                 |f| rules::gather_learner(f, dist),
             )
         }
@@ -226,16 +239,15 @@ where
         }
         (Some(ParamServer), ActorLearner, PerEpisode) => run(
             rule,
-            &setup(dist.stale_bound()),
+            &setup(bound),
             |f| {
                 let actor = PpoActor::new(f.policy.clone(), dist.seed + 1 + f.rank as u64);
-                let engine = (actor, PpoLearner::new(f.policy.clone(), dist.ppo.clone()));
-                let (rounds, steps) = (dist.iterations, dist.steps_per_iter);
-                rules::push_pull_worker(f, engine, envs(f.rank), rounds, steps, dist.stale_bound())
+                let seat = (actor, PpoLearner::new(f.policy.clone(), dist.ppo.clone()));
+                rules::push_pull_worker(f, seat, envs(f.rank), rounds, steps, bound)
             },
             |f| {
                 let server = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
-                rules::push_pull_server(f, server, dist.iterations, p)
+                rules::push_pull_server(f, server, rounds, p)
             },
         ),
         _ => Err(FdgError::NoSyncRule { policy: policy.code().into() }),

@@ -3,14 +3,10 @@
 //! only its own exchange — messages, their order and the work between
 //! them. Worker seats address the hub as rank `f.workers`.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
 use msrl_algos::a3c::A3cWorker;
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
 use msrl_algos::ppo::{ActingSnapshot, PpoActor, PpoLearner};
 use msrl_algos::rollout::{collect, decode_actions};
-use msrl_comm::PendingRecv;
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::Result;
 use msrl_env::batched::BatchedEnv;
@@ -19,84 +15,19 @@ use msrl_tensor::{Tensor, TensorError};
 
 use super::runner::{learn, rollout, Frame};
 use super::{DistPpoConfig, DpDConfig, DpEConfig};
-use crate::actsrv::ActServer;
 use crate::config::RuntimeConfig;
 use crate::wire::{decode_batch, encode_batch};
 
 // ── gather + version-stamped broadcast (DP-A) ──────────────────────────
 //
 // Once per iteration every actor ships its whole trajectory to the one
-// learner and gets the new weights back. The weights are double-buffered:
-// the actor posts an `irecv` for the next broadcast and rolls out on what
-// it has. Each broadcast is version-stamped, and at iteration `i` an
-// actor runs on version `i − bound` exactly, blocking only if that one
-// has not landed — the schedule is a function of the iteration, never of
-// which thread got ahead, so a seed replays bit-identically. Bound 0
-// (overlap off, or the act server) is the fully synchronous exchange
-// through the same code.
-
-/// The actor seat. With an act server the forwards of all actors are
-/// micro-batched across fragments (bit-identical, see `crate::actsrv`).
-pub(super) fn gather_actor(
-    f: &mut Frame,
-    mut envs: VecEnv,
-    dist: &DistPpoConfig,
-    srv: Option<&Arc<ActServer>>,
-) -> Result<()> {
-    let (hub, bound) = (f.workers, dist.stale_bound());
-    let seed = dist.seed + 1 + f.rank as u64;
-    let mut actor: Box<dyn Actor> = match srv {
-        Some(srv) => Box::new(srv.client(f.rank, seed)),
-        None => Box::new(PpoActor::new(f.policy.clone(), seed)),
-    };
-    // `pending` holds posted irecvs for broadcasts still in flight;
-    // `version` is the iteration whose learn step produced the weights
-    // the actor runs on (0 = initial weights).
-    let mut pending: VecDeque<PendingRecv> = VecDeque::new();
-    let mut version = 0usize;
-    for iter in 0..dist.iterations {
-        {
-            let _s = msrl_telemetry::span!("phase.weight_sync");
-            // Swap in broadcasts, oldest first, up to the version the
-            // bound entitles this rollout to. A newer one that happens
-            // to have landed stays pending: whether it has is a matter
-            // of thread scheduling, and the weights a rollout sees must
-            // not be.
-            while iter - version > bound {
-                let w = pending
-                    .pop_front()
-                    .expect("a broadcast is outstanding whenever version lags")
-                    .wait()?;
-                version = w[0] as usize;
-                actor.set_policy_params(&w[1..])?;
-            }
-        }
-        let stale = version < iter;
-        if stale {
-            msrl_telemetry::static_counter!("comm.stale_iters").add(1);
-        }
-        let batch = {
-            // comm.overlap marks rollout executed while the next weight
-            // broadcast is still in flight.
-            let _ov = stale.then(|| msrl_telemetry::span!("comm.overlap"));
-            rollout(|| collect(actor.as_mut(), &mut envs, dist.steps_per_iter))?
-        };
-        let _s = msrl_telemetry::span!("phase.weight_sync");
-        f.ep.send(hub, encode_batch(&batch))?;
-        f.ep.send(hub, envs.take_finished_returns())?;
-        pending.push_back(f.ep.irecv(hub)?);
-    }
-    drain(pending);
-    Ok(())
-}
-
-/// Consumes the replies still in flight, so the hub's last sends never
-/// hit a dropped endpoint.
-fn drain(pending: VecDeque<PendingRecv>) {
-    for reply in pending {
-        let _ = reply.wait();
-    }
-}
+// learner and gets the new weights back. The actor is the push–pull
+// worker seat (below) with the encoded trajectory as its push; the
+// learner is its own hub, not the parameter server: it waits for every
+// actor's batch, learns once on their union and stamps each broadcast
+// with the version it produced. The actors run on version `i − bound`
+// at iteration `i`; bound 0 (overlap off, or the act server) is the
+// fully synchronous exchange through the same code.
 
 /// The learner seat.
 pub(super) fn gather_learner(f: &mut Frame, dist: &DistPpoConfig) -> Result<()> {
@@ -535,93 +466,119 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
     Ok(())
 }
 
-// ── push–pull (DP-F and A3C) ───────────────────────────────────────────
+// ── push–pull (DP-A's actors, DP-F and A3C) ────────────────────────────
 //
-// A server seat holds the authoritative policy and its optimiser state;
-// workers collect experience, differentiate locally, *push* the gradient
-// and *pull* fresh weights. Updates apply in arrival order: a worker
-// never waits for its peers, only for the reply to its own push. The
-// pull is an `irecv` posted right after the push and swapped in when it
-// lands; at most `bound` pulls may be outstanding when a rollout starts.
-// DP-F's bound is the staleness window. A3C is the same exchange with a
-// bound of 0 — every pull is waited before the next rollout — one
-// environment per worker, `A3cWorker` in the grad-engine seat and
-// `A3cLearner` in the server's, reporting per push instead of per round.
+// A worker rolls out, turns the batch into its *push* and sends it with
+// the returns of the episodes it finished; the hub answers every push
+// with fresh weights, and the worker *pulls* a reply only when more than
+// `bound` are outstanding at the top of a round — the oldest first. So
+// at round `i` it runs on the reply to its push `i − 1 − bound`, blocking
+// only if that one has not landed: the schedule is a function of the
+// round, never of which thread got ahead, and a seed replays bit for bit.
+// A reply that happens to have landed early stays queued. The `recv`
+// that takes it pays only the wait the rollout did not hide.
+//
+// What differs between the rows is what sits in the seats. DP-A's actor
+// pushes its encoded trajectory to the gathering learner above. DP-F's
+// worker pushes the gradient of its batch to a parameter server that
+// holds the policy and its optimiser state, and so does A3C's with a
+// bound of 0, one environment per worker, `A3cLearner` in the server's
+// seat and a report per push instead of per round. Servers apply pushes
+// in arrival order: a worker never waits for its peers, only for the
+// reply to its own push.
 
-/// What sits in the worker seat: something that acts, differentiates a
-/// batch and takes weights.
-pub(super) trait GradEngine {
+/// What sits in the push–pull worker seat: something that acts, turns
+/// a batch into a push and takes a reply.
+pub(super) trait PushPullSeat {
     fn actor(&mut self) -> &mut dyn Actor;
-    fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>>;
-    fn set_weights(&mut self, w: &[f32]) -> Result<()>;
+    fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>>;
+    fn pull(&mut self, reply: &[f32]) -> Result<()>;
 }
 
-impl GradEngine for (PpoActor, PpoLearner) {
+/// DP-A: the trajectory goes; the reply is `[version] ++ weights`, and
+/// the schedule already says which version it is.
+impl PushPullSeat for Box<dyn Actor> {
+    fn actor(&mut self) -> &mut dyn Actor {
+        self.as_mut()
+    }
+    fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        Ok(encode_batch(batch))
+    }
+    fn pull(&mut self, reply: &[f32]) -> Result<()> {
+        self.set_policy_params(reply.get(1..).unwrap_or_default())
+    }
+}
+
+/// DP-F: the gradient of the batch goes; the reply is the server's
+/// weights.
+impl PushPullSeat for (PpoActor, PpoLearner) {
     fn actor(&mut self) -> &mut dyn Actor {
         &mut self.0
     }
-    fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        self.1.grads(batch)
+    fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        learn(|| self.1.grads(batch))
     }
-    fn set_weights(&mut self, w: &[f32]) -> Result<()> {
-        self.0.set_policy_params(w)?;
-        self.1.set_policy_params(w)
+    fn pull(&mut self, reply: &[f32]) -> Result<()> {
+        self.0.set_policy_params(reply)?;
+        self.1.set_policy_params(reply)
     }
 }
 
-impl GradEngine for A3cWorker {
+/// A3C: DP-F's exchange with A3C's loss.
+impl PushPullSeat for A3cWorker {
     fn actor(&mut self) -> &mut dyn Actor {
         self
     }
-    fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        self.local_grads(batch)
+    fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        learn(|| self.local_grads(batch))
     }
-    fn set_weights(&mut self, w: &[f32]) -> Result<()> {
-        self.set_policy_params(w)
+    fn pull(&mut self, reply: &[f32]) -> Result<()> {
+        self.set_policy_params(reply)
     }
 }
 
 /// The worker seat: `rounds` pushes of one `steps`-long rollout each,
-/// at most `bound` pulls outstanding when a rollout starts.
+/// at most `bound` replies outstanding when a rollout starts.
 pub(super) fn push_pull_worker(
     f: &mut Frame,
-    mut engine: impl GradEngine,
+    mut seat: impl PushPullSeat,
     mut envs: VecEnv,
     rounds: usize,
     steps: usize,
     bound: usize,
 ) -> Result<()> {
     let hub = f.workers;
-    // Outstanding pulls, oldest first.
-    let mut pending: VecDeque<PendingRecv> = VecDeque::new();
+    // Replies the hub owes this seat, one per push not yet pulled.
+    let mut owed = 0usize;
     for _ in 0..rounds {
         {
             let _s = msrl_telemetry::span!("phase.weight_sync");
-            // Swap in any pull that already landed, then block until
-            // within the bound.
-            while let Some(front) = pending.front_mut() {
-                if !front.poll()? && pending.len() <= bound {
-                    break;
-                }
-                let w = pending.pop_front().expect("front exists").wait()?;
-                engine.set_weights(&w)?;
+            while owed > bound {
+                seat.pull(&f.ep.recv(hub)?)?;
+                owed -= 1;
             }
         }
-        let stale = !pending.is_empty();
+        let stale = owed > 0;
         if stale {
             msrl_telemetry::static_counter!("comm.stale_iters").add(1);
         }
         let batch = {
+            // comm.overlap marks rollout executed while a reply is
+            // still owed.
             let _ov = stale.then(|| msrl_telemetry::span!("comm.overlap"));
-            rollout(|| collect(engine.actor(), &mut envs, steps))?
+            rollout(|| collect(seat.actor(), &mut envs, steps))?
         };
-        let grads = learn(|| engine.grads(&batch))?;
+        let push = seat.push(&batch)?;
         let _s = msrl_telemetry::span!("phase.weight_sync");
-        f.ep.send(hub, grads)?;
+        f.ep.send(hub, push)?;
         f.ep.send(hub, envs.take_finished_returns())?;
-        pending.push_back(f.ep.irecv(hub)?);
+        owed += 1;
     }
-    drain(pending);
+    // Consume the replies still owed, so the hub's last sends never hit
+    // a dropped endpoint.
+    for _ in 0..owed {
+        let _ = f.ep.recv(hub);
+    }
     Ok(())
 }
 

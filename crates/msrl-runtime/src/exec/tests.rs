@@ -7,9 +7,8 @@ mod dp_a {
         #[test]
         fn dp_a_trains_cartpole_distributed() {
             // lr raised from the 3e-4 default so the improvement margin is
-            // robust for both the synchronous and the overlapped
-            // (bounded-staleness) weight-sync paths this test covers via the
-            // MSRL_OVERLAP/MSRL_STALENESS defaults.
+            // robust under the default overlapped (staleness-1) weight
+            // sync.
             let dist = DistPpoConfig {
                 actors: 3,
                 envs_per_actor: 2,

@@ -113,8 +113,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// The one on/off vocabulary of every boolean `MSRL_*` variable:
 /// `0|off|false|no` is off and `1|on|true|yes` is on, ASCII
 /// case-insensitive, surrounding whitespace ignored. Anything else is
-/// `None`: the telemetry switches then keep their default, and
-/// `msrl_runtime::RuntimeConfig` reports an error.
+/// `None`, and the switch keeps its default.
 pub fn parse_switch(value: &str) -> Option<bool> {
     let value = value.trim();
     let any = |words: [&str; 4]| words.iter().any(|w| value.eq_ignore_ascii_case(w));

@@ -113,8 +113,9 @@ mod golden {
     /// `case params rewards losses msgs bytes env_steps`, checksums in hex.
     /// The `dp_e` row's params checksum and step count were re-recorded
     /// when the env worker began reporting the agents' shared weights and
-    /// the MPE environments began counting their steps.
-    const PINNED: [&str; 8] = [
+    /// the MPE environments began counting their steps. `dp_f_stale` was
+    /// added when DP-F's worker began taking DP-A's weight schedule.
+    const PINNED: [&str; 9] = [
         "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20240 256",
         "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20240 256",
         "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
@@ -123,11 +124,11 @@ mod golden {
         "dp_e cc8bb9bc5a68abdf 9dd402fa701a38d2 cbf29ce484222325 144 25200 60",
         "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128",
         "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
+        "dp_f_stale 42fe7e802d71182b d5b267f92adcd405 cbf29ce484222325 12 6764 128",
     ];
 
-    /// Every field that the environment could otherwise set is spelled
-    /// out, so the CI matrix (`MSRL_OVERLAP`, `MSRL_ACTSRV`) pins the same
-    /// numbers.
+    /// Every field that decides how the seats synchronise is spelled
+    /// out, so a change of `DistPpoConfig::default()` cannot move a row.
     fn dist(actors: usize, seed: u64) -> DistPpoConfig {
         DistPpoConfig {
             actors,
@@ -199,8 +200,8 @@ mod golden {
                 };
                 run_dp_e(|| SimpleSpread::new(2, 25).with_horizon(10), &cfg).unwrap()
             }),
-            // One worker, blocking pulls: with more, or with a pull
-            // outstanding, the server's arrival order decides the result.
+            // One worker, blocking pulls: with more workers the server's
+            // arrival order decides the result.
             line("dp_f", || {
                 run_dp_f(cart, &DistPpoConfig { overlap: false, ..dist(1, 26) }).unwrap()
             }),
@@ -216,6 +217,10 @@ mod golden {
                 };
                 run_a3c(|w| CartPole::new(50 + w as u64), &cfg).unwrap()
             }),
+            // DP-F's one worker with a pull outstanding: it takes the
+            // reply to round `i − 2`'s push at round `i`, never whichever
+            // has landed.
+            line("dp_f_stale", || run_dp_f(cart, &dist(1, 26)).unwrap()),
         ]
     }
 
