@@ -7,7 +7,7 @@
 //! therefore independent of the actor count — the flat curves of
 //! Figs. 7b/9b.
 
-use msrl_core::api::{Actor, Learner, SampleBatch};
+use msrl_core::api::{Learner, SampleBatch};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::Tape;
 use msrl_tensor::dist::categorical_stats;
@@ -39,19 +39,18 @@ impl Default for A3cConfig {
 }
 
 /// An A3C worker: a policy replica that acts *and* computes local
-/// gradients over its own rollouts (discrete actions).
+/// gradients over its own rollouts (discrete actions), one copy of the
+/// weights for both.
 pub struct A3cWorker {
-    /// The local policy replica.
-    pub policy: PpoPolicy,
+    /// The local policy replica and how it acts.
+    pub actor: PpoActor,
     cfg: A3cConfig,
-    inner: PpoActor,
 }
 
 impl A3cWorker {
     /// Creates a worker over a policy replica.
     pub fn new(policy: PpoPolicy, cfg: A3cConfig, seed: u64) -> Self {
-        let inner = PpoActor::new(policy.clone(), seed);
-        A3cWorker { policy, cfg, inner }
+        A3cWorker { actor: PpoActor::new(policy, seed), cfg }
     }
 
     /// Computes the flattened actor-critic gradient for an n-step rollout
@@ -61,6 +60,7 @@ impl A3cWorker {
     ///
     /// Propagates tensor failures.
     pub fn local_grads(&self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        let policy = &self.actor.policy;
         let n = batch.len();
         if n == 0 {
             return Err(FdgError::MissingKernel { op: "A3C grads on empty rollout".into() });
@@ -72,15 +72,15 @@ impl A3cWorker {
             let w = batch.next_obs.shape()[1];
             let row = Tensor::from_vec(batch.next_obs.data()[(n - 1) * w..n * w].to_vec(), &[1, w])
                 .map_err(FdgError::Tensor)?;
-            self.policy.values(&row)?.item().map_err(FdgError::Tensor)?
+            policy.values(&row)?.item().map_err(FdgError::Tensor)?
         };
         let returns =
             discounted_returns(batch.rewards.data(), &batch.dones, self.cfg.gamma, last_value);
         let adv: Vec<f32> = returns.iter().zip(batch.values.data()).map(|(r, v)| r - v).collect();
 
         let tape = Tape::new();
-        let actor = self.policy.actor.bind(&tape);
-        let critic = self.policy.critic.bind(&tape);
+        let actor = policy.actor.bind(&tape);
+        let critic = policy.critic.bind(&tape);
         let obs = tape.constant(batch.obs.clone());
         let logits = actor.forward(&obs)?;
         let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
@@ -98,21 +98,6 @@ impl A3cWorker {
         gs.extend(critic.take_grads(&mut grads));
         clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
         Ok(gs.iter().flat_map(|g| g.data().iter().copied()).collect())
-    }
-}
-
-impl Actor for A3cWorker {
-    fn act(&mut self, obs: &Tensor) -> Result<msrl_core::api::ActOutput> {
-        self.inner.act(obs)
-    }
-
-    fn policy_params(&self) -> Vec<f32> {
-        self.policy.flatten()
-    }
-
-    fn set_policy_params(&mut self, flat: &[f32]) -> Result<()> {
-        self.policy.unflatten(flat)?;
-        self.inner.set_policy_params(flat)
     }
 }
 
@@ -184,6 +169,7 @@ impl Learner for A3cLearner {
 mod tests {
     use super::*;
     use crate::rollout::collect;
+    use msrl_core::api::Actor;
     use msrl_env::cartpole::CartPole;
     use msrl_env::VecEnv;
 
@@ -235,10 +221,10 @@ mod tests {
         let before = crate::ppo::evaluate(&learner.policy, &mut eval, 500).unwrap();
         for _round in 0..60 {
             for (worker, envs) in &mut workers {
-                let batch = collect(worker, envs, 32).unwrap();
+                let batch = collect(&mut worker.actor, envs, 32).unwrap();
                 let g = worker.local_grads(&batch).unwrap();
                 learner.apply_grads(&g).unwrap();
-                worker.set_policy_params(&learner.policy_params()).unwrap();
+                worker.actor.set_policy_params(&learner.policy_params()).unwrap();
             }
         }
         let mut total = 0.0;

@@ -14,15 +14,13 @@ use msrl_env::{Action, MultiAgentEnvironment};
 use msrl_tensor::{ops, Tensor};
 
 use crate::buffer::{step_batch, TrajectoryBuffer};
-use crate::ppo::{PpoActor, PpoConfig, PpoLearner, PpoPolicy};
+use crate::ppo::{PpoAgent, PpoConfig, PpoPolicy};
 
 /// A MAPPO trainer: `n` agents sharing one policy, trained by one
 /// PPO learner over the union of all agents' experience.
 pub struct Mappo {
-    /// Shared-policy actor (used for every agent's inference).
-    pub actor: PpoActor,
-    /// The learner optimising the shared policy.
-    pub learner: PpoLearner,
+    /// The shared policy: every agent's inference, and its learner.
+    pub agent: PpoAgent,
     n_agents: usize,
 }
 
@@ -36,11 +34,7 @@ impl Mappo {
     ) -> Self {
         let n_actions = env.action_spec().policy_width();
         let policy = PpoPolicy::discrete(env.obs_dim(), n_actions, hidden, seed);
-        Mappo {
-            actor: PpoActor::new(policy.clone(), seed + 1),
-            learner: PpoLearner::new(policy, cfg),
-            n_agents: env.n_agents(),
-        }
+        Mappo { agent: PpoAgent::new(policy, cfg, seed + 1), n_agents: env.n_agents() }
     }
 
     /// Number of agents this trainer drives.
@@ -69,7 +63,7 @@ impl Mappo {
         loop {
             let obs_refs: Vec<&Tensor> = obs.iter().collect();
             let stacked = ops::stack(&obs_refs).map_err(msrl_core::FdgError::Tensor)?;
-            let out = self.actor.act(&stacked)?;
+            let out = self.agent.act(&stacked)?;
             let actions: Vec<Action> =
                 out.actions.data().iter().map(|&a| Action::Discrete(a as usize)).collect();
             let step = env.step(&actions);
@@ -98,8 +92,8 @@ impl Mappo {
         Ok((batch, total_reward / (self.n_agents * steps.max(1)) as f32))
     }
 
-    /// One training iteration: collect `episodes` episodes, update the
-    /// shared policy on their union, and refresh the actor replica.
+    /// One training iteration: collect `episodes` episodes and update the
+    /// shared policy on their union.
     /// Returns the mean per-agent step reward across the collected
     /// episodes.
     ///
@@ -119,8 +113,7 @@ impl Mappo {
             reward += r;
         }
         let batch = SampleBatch::concat(&batches)?;
-        self.learner.learn(&batch)?;
-        self.actor.set_policy_params(&self.learner.policy_params())?;
+        self.agent.learner_mut().learn(&batch)?;
         Ok(reward / episodes.max(1) as f32)
     }
 }
@@ -143,11 +136,18 @@ mod tests {
 
     #[test]
     fn shared_policy_is_truly_shared() {
-        let env = SimpleSpread::new(2, 0);
+        let mut env = SimpleSpread::new(2, 0).with_horizon(6);
         let mut mappo = Mappo::new(&env, &[8], PpoConfig::default(), 2);
-        // After a sync, actor and learner weights coincide exactly.
-        mappo.actor.set_policy_params(&mappo.learner.policy_params()).unwrap();
-        assert_eq!(mappo.actor.policy_params(), mappo.learner.policy_params());
+        // One copy of the weights: after training, the agents act on what
+        // the learner trained, not on the weights they collected with.
+        let before = mappo.agent.policy_params();
+        mappo.train_iteration(&mut env, 1).unwrap();
+        assert_ne!(mappo.agent.policy_params(), before);
+        let trained = mappo.agent.learner().policy.clone();
+        let obs = Tensor::full(&[2, env.obs_dim()], 0.3);
+        let (policy, packed, _) = mappo.agent.acting();
+        let acted = policy.head_with(&obs, Some(packed)).unwrap();
+        assert_eq!(acted.data(), trained.head_with(&obs, None).unwrap().data());
     }
 
     /// MAPPO improves cooperative coverage on simple_spread: the mean

@@ -127,6 +127,18 @@ impl PpoPolicy {
         v
     }
 
+    /// Whether `flat` equals [`PpoPolicy::flatten`]'s output, compared in
+    /// place rather than through a parameter-sized flatten.
+    pub fn holds(&self, flat: &[f32]) -> bool {
+        let mut rest = flat;
+        flat.len() == self.num_params()
+            && self.params().all(|p| {
+                let (head, tail) = rest.split_at(p.len());
+                rest = tail;
+                head == p.data()
+            })
+    }
+
     /// Loads weights from [`PpoPolicy::flatten`] output.
     ///
     /// # Errors
@@ -335,15 +347,9 @@ impl ActingSnapshot {
     }
 }
 
-/// The data-collection half of PPO (`Actor.act()` in the paper's API).
-///
-/// The actor acts through an [`ActingSnapshot`] of its policy: packed
-/// once per weight version, every rollout forward of the iteration a
-/// single panel sweep over the shared packed panels — the per-step
-/// observation batch (`[envs, obs]` rows collected by the rollout) stops
-/// paying per-forward dispatch and packing.
-/// [`Actor::set_policy_params`] invalidates the snapshot, so a weight
-/// sync triggers exactly one repack.
+/// The data-collection half of PPO (`Actor.act()` in the paper's API):
+/// a policy replica acting through an [`ActingSnapshot`] of its weights,
+/// which a weight sync ([`Actor::set_policy_params`]) invalidates.
 pub struct PpoActor {
     /// The (replicated) policy.
     pub policy: PpoPolicy,
@@ -355,19 +361,6 @@ impl PpoActor {
     /// Creates an actor over a policy replica.
     pub fn new(policy: PpoPolicy, seed: u64) -> Self {
         PpoActor { policy, rng: StdRng::seed_from_u64(seed), snapshot: ActingSnapshot::default() }
-    }
-
-    /// How many packed snapshots this actor has built (test hook: the
-    /// process-wide `tensor.pack_b` counter also moves when a sibling
-    /// thread packs).
-    pub fn pack_generation(&self) -> u64 {
-        self.snapshot.generation()
-    }
-
-    /// Whether the batched-rollout packed snapshot holds the current
-    /// weights (test hook for the tier accounting).
-    pub fn has_packed_weights(&self) -> bool {
-        self.snapshot.is_fresh()
     }
 }
 
@@ -387,10 +380,7 @@ impl Actor for PpoActor {
         // packed snapshot — repacking is the expensive half of the
         // batched fast path, and the partial-update path can deliver
         // the same version more than once.
-        if self.snapshot.is_fresh()
-            && flat.len() == self.policy.num_params()
-            && self.policy.flatten() == flat
-        {
+        if self.snapshot.is_fresh() && self.policy.holds(flat) {
             return Ok(());
         }
         self.snapshot.invalidate();
@@ -398,21 +388,66 @@ impl Actor for PpoActor {
     }
 }
 
-/// Rows of a learn batch differentiated on one tape.
-///
-/// A pass keeps every tape node's value until the backward sweep has
-/// read it, about 480 floats per row of a `[64, 64]` policy. At 1,024
-/// rows a `[rows, 64]` operand is 256 KB and an op's operands sit in
-/// L2; at 25,600 rows one operand is 6.5 MB and every node streams
-/// through L3/DRAM: `PpoLearner::grads` costs 1.00 / 1.07 / 1.11 ms per
-/// 1,000 rows at 512 / 1,024 / 2,048 rows and 1.24 / 1.41 / 1.53 / 2.61
-/// at 4,096 / 8,192 / 25,600 / 51,200 on one tape. So a taller batch is
-/// differentiated in consecutive blocks of this many rows (DESIGN.md
-/// §3.19). One constant, not a knob: 1,024 rows cost 4 % more per row
-/// than 2,048 on that table, and buy that the pass's two branches, each
-/// on its own thread's pool when they run side by side, hold no more
-/// than one 2,048-row tape did.
-const LEARN_BLOCK_ROWS: usize = 1024;
+/// A seat that acts and learns on one copy of the weights: a
+/// [`PpoLearner`] that acts, as a [`PpoActor`] with the same seed does,
+/// through an [`ActingSnapshot`] of its own policy. Every mutable
+/// reach into the learner ([`PpoAgent::learner_mut`]) invalidates the
+/// snapshot, so there is no second policy to re-sync after an update.
+pub struct PpoAgent {
+    learner: PpoLearner,
+    snapshot: ActingSnapshot,
+    rng: StdRng,
+}
+
+impl PpoAgent {
+    /// An agent training `policy` under `cfg`, sampling from `seed`.
+    pub fn new(policy: PpoPolicy, cfg: PpoConfig, seed: u64) -> Self {
+        let (learner, rng) = (PpoLearner::new(policy, cfg), StdRng::seed_from_u64(seed));
+        PpoAgent { learner, snapshot: ActingSnapshot::default(), rng }
+    }
+
+    /// The learner, to read.
+    pub fn learner(&self) -> &PpoLearner {
+        &self.learner
+    }
+
+    /// The learner, to train or overwrite: the next act re-packs.
+    pub fn learner_mut(&mut self) -> &mut PpoLearner {
+        self.snapshot.invalidate();
+        &mut self.learner
+    }
+
+    /// The policy, its packed snapshot and the generator, for a seat that
+    /// splits a step into head, sampling and critic.
+    pub fn acting(&mut self) -> (&PpoPolicy, &PackedPpo, &mut StdRng) {
+        let packed = self.snapshot.of(&self.learner.policy);
+        (&self.learner.policy, packed, &mut self.rng)
+    }
+}
+
+impl Actor for PpoAgent {
+    fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
+        let (policy, packed, rng) = self.acting();
+        policy.act_with(obs, rng, Some(packed))
+    }
+
+    fn policy_params(&self) -> Vec<f32> {
+        self.learner.policy_params()
+    }
+
+    fn set_policy_params(&mut self, flat: &[f32]) -> Result<()> {
+        self.learner_mut().set_policy_params(flat)
+    }
+}
+
+/// Floats one `[rows, width]` operand of a learn block may hold at the
+/// policy's widest layer: 256 KB, which sits in L2. A pass keeps every
+/// tape node's value until the backward sweep reads it, so a taller
+/// batch is differentiated in blocks of [`PpoLearner::block_rows`] rows,
+/// this budget over the widest layer counted as at least 64 wide: 1,024
+/// rows of a `[64, 64]` policy, 256 of a `[256, 256]` one (DESIGN.md
+/// §3.19 has the timings). One constant, not a knob.
+const LEARN_BLOCK_FLOATS: usize = 1024 * 64;
 
 /// The epoch-invariant leaves of the PPO loss for one batch
 /// ([`PpoLearner::loss_inputs`]), cut into the row blocks
@@ -420,7 +455,8 @@ const LEARN_BLOCK_ROWS: usize = 1024;
 struct LossInputs {
     /// Rows of the whole batch: what every mean of the loss divides by.
     rows: usize,
-    /// At least one; a batch of up to [`LEARN_BLOCK_ROWS`] rows is one.
+    /// At least one; a batch of up to [`PpoLearner::block_rows`] rows is
+    /// one.
     blocks: Vec<LossBlock>,
 }
 
@@ -603,16 +639,19 @@ impl PpoLearner {
         Ok(self.policy.values(&rows)?.into_vec())
     }
 
-    /// Builds the leaves of the loss that no epoch changes, once per
-    /// batch. GAE and the advantage normalisation see the whole batch;
-    /// only then is it cut into row blocks.
-    fn loss_inputs(&self, batch: &SampleBatch) -> Result<LossInputs> {
-        self.loss_inputs_in(batch, LEARN_BLOCK_ROWS)
+    /// Rows of one learn block: [`LEARN_BLOCK_FLOATS`] over the widest
+    /// layer of either network, counted as at least 64 wide.
+    fn block_rows(&self) -> usize {
+        let layers = self.policy.actor.layers.iter().chain(&self.policy.critic.layers);
+        let widest = layers.map(|l| l.fan_in().max(l.fan_out())).max().unwrap_or(0);
+        LEARN_BLOCK_FLOATS / widest.clamp(64, LEARN_BLOCK_FLOATS)
     }
 
-    /// [`PpoLearner::loss_inputs`] with the block height spelled out
-    /// (the tests compare heights).
-    fn loss_inputs_in(&self, batch: &SampleBatch, block_rows: usize) -> Result<LossInputs> {
+    /// Builds the leaves of the loss that no epoch changes, once per
+    /// batch. GAE and the advantage normalisation see the whole batch;
+    /// only then is it cut into blocks of `block_rows` rows (the tests
+    /// compare heights; the learner cuts at [`PpoLearner::block_rows`]).
+    fn loss_inputs(&self, batch: &SampleBatch, block_rows: usize) -> Result<LossInputs> {
         let (adv, ret) = self.advantages(batch)?;
         let n = batch.len();
         let adv = Tensor::from_vec(adv, &[n])?;
@@ -769,7 +808,7 @@ impl Learner for PpoLearner {
         if batch.is_empty() {
             return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
         }
-        let inputs = self.loss_inputs(batch)?;
+        let inputs = self.loss_inputs(batch, self.block_rows())?;
         let sentinel = msrl_telemetry::health_enabled();
         if sentinel {
             crate::sentinel::snapshot(&mut self.before, self.policy.params());
@@ -799,7 +838,7 @@ impl Learner for PpoLearner {
     }
 
     fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        let (_, grads) = self.loss_and_grads(&self.loss_inputs(batch)?)?;
+        let (_, grads) = self.loss_and_grads(&self.loss_inputs(batch, self.block_rows())?)?;
         let mut flat = Vec::with_capacity(self.policy.num_params());
         for g in &grads {
             flat.extend_from_slice(g.data());
@@ -904,7 +943,7 @@ mod tests {
         // agree bitwise.
         let mut actor = PpoActor::new(policy.clone(), 9);
         let packed = actor.act(&obs).unwrap();
-        assert!(actor.has_packed_weights(), "acting packs");
+        assert!(actor.snapshot.is_fresh(), "acting packs");
         let per_call = policy.act(&obs, &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(packed.actions.data(), per_call.actions.data());
         assert_eq!(packed.log_probs.data(), per_call.log_probs.data());
@@ -914,7 +953,7 @@ mod tests {
         // of both heads: it acts as a policy built on those weights does.
         let mut actor = PpoActor::new(policy.clone(), 9);
         actor.act(&obs).unwrap();
-        assert!(actor.has_packed_weights());
+        assert!(actor.snapshot.is_fresh());
         let flat: Vec<f32> = actor
             .policy_params()
             .iter()
@@ -922,10 +961,10 @@ mod tests {
             .map(|(i, v)| v + 0.01 * (i % 7) as f32)
             .collect();
         actor.set_policy_params(&flat).unwrap();
-        assert!(!actor.has_packed_weights(), "sync must drop the snapshot");
+        assert!(!actor.snapshot.is_fresh(), "sync must drop the snapshot");
         let repacked = actor.act(&obs).unwrap();
-        assert!(actor.has_packed_weights(), "next act must repack");
-        assert_eq!(actor.pack_generation(), 2);
+        assert!(actor.snapshot.is_fresh(), "next act must repack");
+        assert_eq!(actor.snapshot.generation(), 2);
         let mut synced = policy.clone();
         synced.unflatten(&flat).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
@@ -946,20 +985,58 @@ mod tests {
             Tensor::from_vec((0..16).map(|i| (i as f32 * 0.3).cos()).collect(), &[4, 4]).unwrap();
         let mut actor = PpoActor::new(policy, 11);
         actor.act(&obs).unwrap();
-        assert!(actor.has_packed_weights());
+        assert!(actor.snapshot.is_fresh());
         let flat = actor.policy_params();
-        assert_eq!(actor.pack_generation(), 1);
+        assert_eq!(actor.snapshot.generation(), 1);
         actor.set_policy_params(&flat).unwrap();
-        assert!(actor.has_packed_weights(), "identical sync keeps the snapshot");
+        assert!(actor.snapshot.is_fresh(), "identical sync keeps the snapshot");
         actor.act(&obs).unwrap();
-        assert_eq!(actor.pack_generation(), 1, "identical sync must not repack");
+        assert_eq!(actor.snapshot.generation(), 1, "identical sync must not repack");
         // A genuinely new epoch still invalidates.
         let mut changed = flat.clone();
         changed[1] -= 0.25;
         actor.set_policy_params(&changed).unwrap();
-        assert!(!actor.has_packed_weights());
+        assert!(!actor.snapshot.is_fresh());
         actor.act(&obs).unwrap();
-        assert_eq!(actor.pack_generation(), 2, "changed sync must repack");
+        assert_eq!(actor.snapshot.generation(), 2, "changed sync must repack");
+    }
+
+    /// The single-copy seat acts on its learner's current weights: after
+    /// `apply_grads`, `learn` and `set_policy_params` alike it draws what
+    /// a `PpoActor` synced to those weights draws from the same seed, bit
+    /// for bit: the snapshot is re-packed, not left on the old weights.
+    #[test]
+    fn agent_acts_on_the_weights_it_learned() {
+        for policy in
+            [PpoPolicy::discrete(4, 3, &[16, 16], 7), PpoPolicy::continuous(4, 2, &[16], 8)]
+        {
+            let obs = Tensor::from_vec((0..24).map(|i| (i as f32 * 0.37).sin()).collect(), &[6, 4])
+                .unwrap();
+            let batch = synthetic_batch(64, &policy, 3);
+            let mut agent = PpoAgent::new(policy.clone(), PpoConfig::default(), 21);
+            let mut twin = PpoActor::new(policy.clone(), 21);
+            let mut same = |agent: &mut PpoAgent, what: &str| {
+                twin.set_policy_params(&agent.policy_params()).unwrap();
+                let (got, expect) = (agent.act(&obs).unwrap(), twin.act(&obs).unwrap());
+                let what = format!("{what}, discrete {}", policy.discrete);
+                assert_eq!(got.actions.data(), expect.actions.data(), "actions after {what}");
+                assert_eq!(got.log_probs.data(), expect.log_probs.data(), "log-probs after {what}");
+                let values = (got.values.unwrap(), expect.values.unwrap());
+                assert_eq!(values.0.data(), values.1.data(), "values after {what}");
+            };
+            same(&mut agent, "nothing");
+            let before = agent.policy_params();
+            let grads = agent.learner_mut().grads(&batch).unwrap();
+            agent.learner_mut().apply_grads(&grads).unwrap();
+            assert_ne!(agent.policy_params(), before, "apply_grads moves the weights");
+            same(&mut agent, "apply_grads");
+            agent.learner_mut().learn(&batch).unwrap();
+            same(&mut agent, "learn");
+            let flat: Vec<f32> = before.iter().map(|v| v * 0.5).collect();
+            agent.set_policy_params(&flat).unwrap();
+            assert_eq!(agent.learner().policy_params(), flat);
+            same(&mut agent, "set_policy_params");
+        }
     }
 
     #[test]
@@ -969,7 +1046,7 @@ mod tests {
         let mut actor = PpoActor::new(policy, 4);
         let mut envs = VecEnv::from_fn(4, |i| CartPole::new(i as u64));
         let batch = collect(&mut actor, &mut envs, 32).unwrap();
-        let inputs = learner.loss_inputs(&batch).unwrap();
+        let inputs = learner.loss_inputs(&batch, learner.block_rows()).unwrap();
         let (loss0, _) = learner.loss_and_grads(&inputs).unwrap();
         for _ in 0..20 {
             let (_, grads) = learner.loss_and_grads(&inputs).unwrap();
@@ -1057,7 +1134,7 @@ mod tests {
         block: usize,
     ) -> (u32, u32, Vec<Vec<u32>>) {
         let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
-        let inputs = learner.loss_inputs_in(batch, block).unwrap();
+        let inputs = learner.loss_inputs(batch, block).unwrap();
         assert_eq!(inputs.blocks.len(), batch.len().div_ceil(block));
         let (loss, grads) = learner.loss_and_grads(&inputs).unwrap();
         let bits = |g: &Tensor| g.data().iter().map(|v| v.to_bits()).collect();
@@ -1227,12 +1304,12 @@ mod tests {
         let policies =
             [PpoPolicy::discrete(4, 2, &[32, 32], 3), PpoPolicy::continuous(17, 6, &[32, 32], 4)];
         for policy in &policies {
-            for rows in [300, 2 * LEARN_BLOCK_ROWS + 77] {
+            for rows in [300, 2 * 1024 + 77] {
                 let what = format!("discrete {}, {rows} rows", policy.discrete);
                 let batch = synthetic_batch(rows, policy, 11);
                 let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
-                let inputs = learner.loss_inputs(&batch).unwrap();
-                assert_eq!(inputs.blocks.len(), rows.div_ceil(LEARN_BLOCK_ROWS));
+                let inputs = learner.loss_inputs(&batch, learner.block_rows()).unwrap();
+                assert_eq!(inputs.blocks.len(), rows.div_ceil(1024));
                 let reference = one_tape_pass(&learner, &inputs);
                 let inline = split_pass(&learner, &inputs, &mut |policy, value| {
                     policy();
@@ -1263,21 +1340,48 @@ mod tests {
         }
     }
 
-    /// The shipped block height on a batch that needs three blocks, the
-    /// last one ragged, against one tape over all of it.
+    /// The shipped block heights on batches that need three blocks, the
+    /// last one ragged, against one tape over all of it: 1,024 rows of a
+    /// narrow policy, and the 256 rows the budget gives a `[256, 256]`
+    /// one. Every gradient is bitwise but a continuous policy's
+    /// `log_std`, which the proptest's 1e-6 of scale bounds.
     #[test]
     fn blocked_learn_pass_at_the_shipped_height_keeps_every_bit() {
-        let policy = PpoPolicy::discrete(4, 2, &[8, 8], 2);
-        let rows = 2 * LEARN_BLOCK_ROWS + 77;
-        let batch = synthetic_batch(rows, &policy, 9);
-        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
-        assert_eq!(learner.loss_inputs(&batch).unwrap().blocks.len(), 3);
-        assert_eq!(pass_bits(&policy, &batch, LEARN_BLOCK_ROWS), pass_bits(&policy, &batch, rows));
-        // And through the public entry: `grads` is the shipped height.
-        let mut learner = learner;
-        let flat: Vec<u32> = learner.grads(&batch).unwrap().iter().map(|v| v.to_bits()).collect();
-        let one_tape: Vec<u32> = pass_bits(&policy, &batch, rows).2.concat();
-        assert_eq!(flat, one_tape);
+        let cases = [
+            (PpoPolicy::discrete(4, 2, &[8, 8], 2), 1024),
+            (PpoPolicy::discrete(17, 6, &[256, 256], 3), 256),
+            (PpoPolicy::continuous(17, 6, &[256, 256], 3), 256),
+        ];
+        for (policy, height) in cases {
+            let what = format!("{height}-row blocks, discrete {}", policy.discrete);
+            let rows = 2 * height + 77;
+            let batch = synthetic_batch(rows, &policy, 9);
+            let mut learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+            assert_eq!(learner.block_rows(), height, "{what}");
+            assert_eq!(
+                learner.loss_inputs(&batch, learner.block_rows()).unwrap().blocks.len(),
+                3,
+                "{what}"
+            );
+            let (blocked, one_tape) =
+                (pass_bits(&policy, &batch, height), pass_bits(&policy, &batch, rows));
+            assert_eq!((blocked.0, blocked.1), (one_tape.0, one_tape.1), "loss, {what}");
+            let linear = policy.actor.params().len() + policy.critic.params().len();
+            assert_eq!(blocked.2[..linear], one_tape.2[..linear], "Linear grads, {what}");
+            let floats = |g: &[Vec<u32>]| -> Vec<f32> {
+                g.iter().flatten().map(|&b| f32::from_bits(b)).collect()
+            };
+            let scale = floats(&one_tape.2).iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            for (g, e) in
+                floats(&blocked.2[linear..]).into_iter().zip(floats(&one_tape.2[linear..]))
+            {
+                assert!((g - e).abs() <= 1e-6 * scale, "log_std {g} vs {e} at {scale}, {what}");
+            }
+            // And through the public entry: `grads` is the shipped height.
+            let flat: Vec<u32> =
+                learner.grads(&batch).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(flat, blocked.2.concat(), "grads(), {what}");
+        }
     }
 
     /// End-to-end: PPO must actually solve CartPole. This is the

@@ -149,10 +149,12 @@ fn steady_state_learn_allocates_within_bounds() {
     // tapes held 1.50 M, one 25,600-row tape 12.32 M. At the dpa shape
     // (2 blocks) 0.37 M + 0.35 M against one pool's 0.99 M. Inline, on a
     // one-core host, one pool holds 0.40 M and 0.38 M. Both summed bounds
-    // fail when a pass runs in 2,048-row blocks again. The dpc
-    // shape is one block, 2.06 M in one tape's pool; split, each pool
-    // holds less (1.46 M + 1.48 M; inline 1.55 M), but the two branches
-    // cannot share buffers across pools, so together they hold more. A
+    // fail when a pass runs in 2,048-row blocks again. The dpc shape's
+    // blocks are sized by bytes: 256 rows of its `[256,256]` policy keep
+    // an operand at 256 KB, as 1,024 rows of a 64-wide one do. Its four
+    // blocks peak at 0.49 M + 0.55 M elements split (inline 0.57 M,
+    // 2.95 MB a `learn()`); in one 1,024-row block they held 1.46 M +
+    // 1.48 M (inline 1.55 M), and both dpc bounds fail there. A
     // value branch handed owned copies of `obs` and `ret` drawn on the
     // caller, which its tape then recycles into the helper's pool,
     // breaks the dpd bounds three times: 7.22 MB, 0.66 M elements in the
@@ -187,8 +189,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::continuous(17, 6, &[256, 256], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
-            max_pool_high_water_elems: 2_300_000,
-            max_total_high_water_elems: 3_200_000,
+            max_pool_high_water_elems: 650_000,
+            max_total_high_water_elems: 1_150_000,
         },
     ];
     for shape in shapes {

@@ -16,12 +16,11 @@
 //!
 //! The rendezvous is deliberately structured around [`ActServer::submit`]
 //! — a blocking "rows in, row-slice out" exchange with no knowledge of
-//! the rollout loop — so external episode streams (the ROADMAP item 4
-//! serving frontend) can later join the same batch by registering as
-//! additional clients.
+//! the rollout loop — so any caller that registers as a client joins the
+//! same batch; the DP-A actors are the only clients today.
 //!
 //! Weight sync is versioned by content: [`ActServer::sync_weights`]
-//! applies a flat vector only when it differs from the cached weights,
+//! applies a flat vector only when it differs from the weights it holds,
 //! so the p replicated actors of DP-A delivering the same broadcast
 //! trigger exactly one unflatten + repack, in place
 //! ([`ActingSnapshot`]).
@@ -41,8 +40,6 @@ use rand::SeedableRng;
 /// Shared rendezvous state for one batching round.
 struct Round {
     policy: PpoPolicy,
-    /// Cached flat weights — the content-version for sync skipping.
-    flat: Vec<f32>,
     snapshot: ActingSnapshot,
     /// Per-client observation rows submitted this round.
     pending: Vec<Option<Tensor>>,
@@ -66,11 +63,9 @@ impl ActServer {
     /// Creates a server over a policy snapshot for exactly `clients`
     /// registered submitters.
     pub fn new(policy: PpoPolicy, clients: usize) -> Arc<Self> {
-        let flat = policy.flatten();
         Arc::new(ActServer {
             state: Mutex::new(Round {
                 policy,
-                flat,
                 snapshot: ActingSnapshot::default(),
                 pending: (0..clients).map(|_| None).collect(),
                 arrived: 0,
@@ -166,24 +161,17 @@ impl ActServer {
     /// the same broadcast cost one unflatten + one repack total.
     pub fn sync_weights(&self, flat: &[f32]) -> Result<()> {
         let mut st = self.state.lock().expect("act server lock");
-        if st.flat == flat {
+        if st.policy.holds(flat) {
             return Ok(());
         }
         st.policy.unflatten(flat)?;
-        st.flat = flat.to_vec();
         st.snapshot.invalidate();
         Ok(())
     }
 
     /// The current flat weights (shared across all clients).
     pub fn params(&self) -> Vec<f32> {
-        self.state.lock().expect("act server lock").flat.clone()
-    }
-
-    /// Whether the packed panel snapshot holds the current weights (test
-    /// hook).
-    pub fn has_packed_weights(&self) -> bool {
-        self.state.lock().expect("act server lock").snapshot.is_fresh()
+        self.state.lock().expect("act server lock").policy.flatten()
     }
 
     fn depart(&self) {
@@ -270,6 +258,11 @@ mod tests {
         }
     }
 
+    /// Whether the packed panel snapshot holds the current weights.
+    fn packed_weights(srv: &ActServer) -> bool {
+        srv.state.lock().unwrap().snapshot.is_fresh()
+    }
+
     /// Identical re-broadcasts must not repack; changed weights must.
     #[test]
     fn content_versioned_sync_packs_once() {
@@ -283,17 +276,17 @@ mod tests {
             let h = s.spawn(move || b.act(&o1).map(|_| b));
             a.act(&o0).unwrap();
             b = h.join().unwrap().unwrap();
-            assert!(srv.has_packed_weights());
+            assert!(packed_weights(&srv));
             let flat = a.policy_params();
             a.set_policy_params(&flat).unwrap();
             b.set_policy_params(&flat).unwrap();
             // (Not the process-wide `tensor.pack_b` counter: every sibling
             // test's backward pass packs `wᵀ` and moves it.)
-            assert!(srv.has_packed_weights(), "identical syncs keep the panels");
+            assert!(packed_weights(&srv), "identical syncs keep the panels");
             let mut changed = flat;
             changed[0] += 1.0;
             a.set_policy_params(&changed).unwrap();
-            assert!(!srv.has_packed_weights(), "new weights stale the panels");
+            assert!(!packed_weights(&srv), "new weights stale the panels");
         });
     }
 

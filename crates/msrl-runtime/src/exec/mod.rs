@@ -48,7 +48,7 @@ mod runner;
 pub use crate::config::{A3cDistConfig, DistPpoConfig, DpDConfig, DpEConfig};
 
 use msrl_algos::a3c::{A3cLearner, A3cWorker};
-use msrl_algos::ppo::{PpoActor, PpoLearner};
+use msrl_algos::ppo::{PpoActor, PpoAgent, PpoLearner};
 use msrl_core::api::Actor;
 use msrl_core::config::PolicyName;
 use msrl_core::{FdgError, Result};
@@ -241,8 +241,8 @@ where
             rule,
             &setup(bound),
             |f| {
-                let actor = PpoActor::new(f.policy.clone(), dist.seed + 1 + f.rank as u64);
-                let seat = (actor, PpoLearner::new(f.policy.clone(), dist.ppo.clone()));
+                let seed = dist.seed + 1 + f.rank as u64;
+                let seat = PpoAgent::new(f.policy.clone(), dist.ppo.clone(), seed);
                 rules::push_pull_worker(f, seat, envs(f.rank), rounds, steps, bound)
             },
             |f| {

@@ -5,7 +5,7 @@
 
 use msrl_algos::a3c::A3cWorker;
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
-use msrl_algos::ppo::{ActingSnapshot, PpoActor, PpoLearner};
+use msrl_algos::ppo::{PpoAgent, PpoLearner};
 use msrl_algos::rollout::{collect, decode_actions};
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::Result;
@@ -123,13 +123,12 @@ pub(super) fn step_actor(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) 
 /// the per-actor trajectories it recorded itself.
 pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) -> Result<()> {
     let (p, n) = (f.workers, dist.envs_per_actor.max(1));
-    let mut learner = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
-    let mut acting = ActingSnapshot::default();
-    let mut rng = msrl_tensor::init::rng(dist.seed + 17);
+    let mut agent = PpoAgent::new(f.policy.clone(), dist.ppo.clone(), dist.seed + 17);
     for _ in 0..dist.iterations {
         let mut buffers: Vec<TrajectoryBuffer> = (0..p).map(|_| TrajectoryBuffer::new()).collect();
         rollout(|| -> Result<()> {
-            let (policy, packed) = (&learner.policy, Some(acting.of(&learner.policy)));
+            let (policy, packed, rng) = agent.acting();
+            let packed = Some(packed);
             // What the next step acts on, every actor's rows in rank
             // order: the reset observations first, from then on the
             // `next_obs` of the last feedback.
@@ -139,7 +138,7 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
             let mut unrecorded: Option<Acted> = None;
             for _ in 0..dist.steps_per_iter {
                 let head = policy.head_with(&obs, packed)?;
-                let act = policy.sample(&head, &mut rng)?;
+                let act = policy.sample(&head, rng)?;
                 head.recycle();
                 for (rank, block) in act.actions.data().chunks(act.actions.len() / p).enumerate() {
                     f.ep.send(rank, block.to_vec())?;
@@ -169,16 +168,16 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
             batches.push(buffer.drain_env_major()?);
         }
         let batch = SampleBatch::concat(&batches)?;
-        let loss = learn(|| learner.learn(&batch))?;
-        acting.invalidate();
+        let loss = learn(|| agent.learner_mut().learn(&batch))?;
         let mut finished = Vec::new();
         for rank in 0..p {
             finished.extend(f.ep.recv(rank)?);
         }
         f.report.losses.push(loss);
-        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
+        let learner = agent.learner();
+        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(learner))?;
     }
-    f.report.final_params = learner.policy_params();
+    f.report.final_params = agent.learner().policy_params();
     Ok(())
 }
 
@@ -260,16 +259,16 @@ pub(super) fn actor_rows(t: Tensor, p: usize, n: usize) -> Vec<Tensor> {
 
 /// The fused actor+learner seat.
 pub(super) fn grad_all_reduce(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) -> Result<()> {
-    let mut actor = PpoActor::new(f.policy.clone(), dist.seed + 1 + f.rank as u64);
-    let mut learner = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
+    let mut agent =
+        PpoAgent::new(f.policy.clone(), dist.ppo.clone(), dist.seed + 1 + f.rank as u64);
     let epochs = dist.ppo.epochs;
     let fused = dist.overlap && epochs > 0;
     for _ in 0..dist.iterations {
-        let batch = rollout(|| collect(&mut actor, &mut envs, dist.steps_per_iter))?;
+        let batch = rollout(|| collect(&mut agent, &mut envs, dist.steps_per_iter))?;
         let mut fused_returns: Option<Vec<f32>> = None;
         learn(|| -> Result<()> {
             for epoch in 0..epochs {
-                let local = learner.grads(&batch)?;
+                let local = agent.learner_mut().grads(&batch)?;
                 let averaged = if fused && epoch + 1 == epochs {
                     let (averaged, extras) =
                         f.ep.all_reduce_mean_concat(local, envs.take_finished_returns())?;
@@ -278,19 +277,18 @@ pub(super) fn grad_all_reduce(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoCon
                 } else {
                     f.ep.all_reduce_mean(local)?
                 };
-                learner.apply_grads(&averaged)?;
+                agent.learner_mut().apply_grads(&averaged)?;
             }
             Ok(())
         })?;
-        let _s = msrl_telemetry::span!("phase.weight_sync");
-        actor.set_policy_params(&learner.policy_params())?;
         let finished: Vec<f32> = match fused_returns {
             Some(returns) => returns,
             None => f.ep.all_gather(envs.take_finished_returns())?.into_iter().flatten().collect(),
         };
-        f.close_finished(&finished, learner.last_loss(), learner.last_entropy(), Some(&learner))?;
+        let learner = agent.learner();
+        f.close_finished(&finished, learner.last_loss(), learner.last_entropy(), Some(learner))?;
     }
-    f.report.final_params = learner.policy_params();
+    f.report.final_params = agent.learner().policy_params();
     Ok(())
 }
 
@@ -308,18 +306,16 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
     mut env: B,
     cfg: &DpDConfig,
 ) -> Result<()> {
-    let mut learner = PpoLearner::new(f.policy.clone(), cfg.ppo.clone());
-    let mut acting = ActingSnapshot::default();
-    let mut rng = msrl_tensor::init::rng(cfg.seed + 100 + f.rank as u64);
+    let mut agent =
+        PpoAgent::new(f.policy.clone(), cfg.ppo.clone(), cfg.seed + 100 + f.rank as u64);
     for _ in 0..cfg.episodes {
         let mut buf = TrajectoryBuffer::new();
         let mut total_reward = 0.0;
         let mut steps = 0usize;
         rollout(|| -> Result<()> {
-            let packed = Some(acting.of(&learner.policy));
             let mut obs = env.reset();
             loop {
-                let out = learner.policy.act_with(&obs, &mut rng, packed)?;
+                let out = agent.act(&obs)?;
                 let actions: Vec<usize> = out.actions.data().iter().map(|&a| a as usize).collect();
                 let step = env.step(&actions);
                 total_reward += step.rewards.data().iter().sum::<f32>();
@@ -341,17 +337,17 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
             }
         })?;
         let batch = buf.drain_env_major()?;
-        let loss = learn(|| learner.learn(&batch))?;
+        let loss = learn(|| agent.learner_mut().learn(&batch))?;
         if f.workers > 1 {
             let _s = msrl_telemetry::span!("phase.weight_sync");
-            let avg = f.ep.all_reduce_mean(learner.policy_params())?;
-            learner.set_policy_params(&avg)?;
+            let avg = f.ep.all_reduce_mean(agent.learner().policy_params())?;
+            agent.set_policy_params(&avg)?;
         }
-        acting.invalidate();
         let mean = total_reward / (env.total_agents() * steps.max(1)) as f32;
-        f.close(mean, Some(loss), learner.last_entropy(), Some(&learner))?;
+        let learner = agent.learner();
+        f.close(mean, Some(loss), learner.last_entropy(), Some(learner))?;
     }
-    f.report.final_params = learner.policy_params();
+    f.report.final_params = agent.learner().policy_params();
     Ok(())
 }
 
@@ -367,8 +363,7 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
 /// The agent seat: act per step, learn per episode, share parameters.
 pub(super) fn env_agent(f: &mut Frame, cfg: &DpEConfig) -> Result<()> {
     let (hub, n) = (f.workers, f.workers);
-    let mut actor = PpoActor::new(f.policy.clone(), cfg.seed + 1 + f.rank as u64);
-    let mut learner = PpoLearner::new(f.policy.clone(), cfg.ppo.clone());
+    let mut agent = PpoAgent::new(f.policy.clone(), cfg.ppo.clone(), cfg.seed + 1 + f.rank as u64);
     for _ in 0..cfg.episodes {
         let mut buf = TrajectoryBuffer::new();
         rollout(|| -> Result<()> {
@@ -384,7 +379,7 @@ pub(super) fn env_agent(f: &mut Frame, cfg: &DpEConfig) -> Result<()> {
                 if done {
                     return Ok(());
                 }
-                let out = actor.act(&obs)?;
+                let out = agent.act(&obs)?;
                 f.ep.send(hub, out.actions.data().to_vec())?;
                 let values = out.values.expect("PPO policy has a critic");
                 prev = Some((obs, out.actions, out.log_probs, values));
@@ -392,12 +387,11 @@ pub(super) fn env_agent(f: &mut Frame, cfg: &DpEConfig) -> Result<()> {
         })?;
         let batch = buf.drain_env_major()?;
         if !batch.is_empty() {
-            learn(|| learner.learn(&batch))?;
+            learn(|| agent.learner_mut().learn(&batch))?;
         }
         let _s = msrl_telemetry::span!("phase.weight_sync");
-        let avg = shared_params(&f.ep.all_gather(learner.policy_params())?, n);
-        learner.set_policy_params(&avg)?;
-        actor.set_policy_params(&avg)?;
+        let avg = shared_params(&f.ep.all_gather(agent.learner().policy_params())?, n);
+        agent.set_policy_params(&avg)?;
     }
     Ok(())
 }
@@ -511,29 +505,28 @@ impl PushPullSeat for Box<dyn Actor> {
 
 /// DP-F: the gradient of the batch goes; the reply is the server's
 /// weights.
-impl PushPullSeat for (PpoActor, PpoLearner) {
+impl PushPullSeat for PpoAgent {
     fn actor(&mut self) -> &mut dyn Actor {
-        &mut self.0
+        self
     }
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        learn(|| self.1.grads(batch))
+        learn(|| self.learner_mut().grads(batch))
     }
     fn pull(&mut self, reply: &[f32]) -> Result<()> {
-        self.0.set_policy_params(reply)?;
-        self.1.set_policy_params(reply)
+        self.set_policy_params(reply)
     }
 }
 
 /// A3C: DP-F's exchange with A3C's loss.
 impl PushPullSeat for A3cWorker {
     fn actor(&mut self) -> &mut dyn Actor {
-        self
+        &mut self.actor
     }
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         learn(|| self.local_grads(batch))
     }
     fn pull(&mut self, reply: &[f32]) -> Result<()> {
-        self.set_policy_params(reply)
+        self.actor.set_policy_params(reply)
     }
 }
 
