@@ -107,6 +107,7 @@ impl A3cWorker {
 pub struct A3cLearner {
     /// The authoritative policy.
     pub policy: PpoPolicy,
+    cfg: A3cConfig,
     opt: Adam,
     updates: usize,
     /// The parameters before the current update, for the health sentinel
@@ -118,7 +119,7 @@ impl A3cLearner {
     /// Creates the learner.
     pub fn new(policy: PpoPolicy, cfg: &A3cConfig) -> Self {
         let before = Vec::with_capacity(policy.num_params());
-        A3cLearner { policy, opt: Adam::new(cfg.lr), updates: 0, before }
+        A3cLearner { policy, cfg: cfg.clone(), opt: Adam::new(cfg.lr), updates: 0, before }
     }
 
     /// Number of gradient applications so far.
@@ -131,7 +132,7 @@ impl Learner for A3cLearner {
     fn learn(&mut self, batch: &SampleBatch) -> Result<f32> {
         // A3C learners consume gradients, not batches; route through a
         // local worker for single-process configurations.
-        let worker = A3cWorker::new(self.policy.clone(), A3cConfig::default(), 0);
+        let worker = A3cWorker::new(self.policy.clone(), self.cfg.clone(), 0);
         let g = worker.local_grads(batch)?;
         self.apply_grads(&g)?;
         Ok(0.0)
@@ -200,6 +201,31 @@ mod tests {
         assert_ne!(learner.policy_params(), before);
         assert_eq!(learner.updates(), 1);
         assert!(learner.apply_grads(&[1.0]).is_err());
+    }
+
+    /// `learn` computes its gradient under the learner's own config: it
+    /// leaves the weights a worker of that config would, bit for bit.
+    #[test]
+    fn learn_uses_the_learners_config() {
+        let cfg = A3cConfig {
+            gamma: 0.9,
+            lr: 3e-3,
+            entropy_coef: 0.05,
+            value_coef: 0.25,
+            max_grad_norm: 0.1,
+        };
+        let policy = PpoPolicy::discrete(4, 2, &[8], 6);
+        let mut actor = PpoActor::new(policy.clone(), 7);
+        let mut envs = VecEnv::from_fn(1, |_| CartPole::new(2));
+        let batch = collect(&mut actor, &mut envs, 16).unwrap();
+        let mut learner = A3cLearner::new(policy.clone(), &cfg);
+        learner.learn(&batch).unwrap();
+        let mut twin = A3cLearner::new(policy.clone(), &cfg);
+        let grads = A3cWorker::new(policy, cfg, 8).local_grads(&batch).unwrap();
+        twin.apply_grads(&grads).unwrap();
+        let bits =
+            |l: &A3cLearner| l.policy_params().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&learner), bits(&twin));
     }
 
     /// A3C improves CartPole with a few async-style workers applying

@@ -3,8 +3,6 @@
 
 use msrl_core::api::SampleBatch;
 use msrl_tensor::{Tensor, TensorError};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// An on-policy trajectory buffer: actors append step batches, the
 /// learner drains the whole trajectory once per episode (the
@@ -116,59 +114,6 @@ impl TrajectoryBuffer {
     }
 }
 
-/// A bounded uniform replay buffer (for off-policy algorithms and the
-/// DP-F parameter-server configurations).
-pub struct ReplayBuffer {
-    capacity: usize,
-    rows: Vec<SampleBatch>,
-    next: usize,
-}
-
-impl ReplayBuffer {
-    /// Creates a buffer holding at most `capacity` transitions.
-    pub fn new(capacity: usize) -> Self {
-        ReplayBuffer { capacity: capacity.max(1), rows: Vec::new(), next: 0 }
-    }
-
-    /// Transitions currently stored.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Inserts every transition of `batch` individually, evicting the
-    /// oldest entries once at capacity (ring semantics).
-    pub fn insert(&mut self, batch: &SampleBatch) {
-        for i in 0..batch.len() {
-            let row = batch.slice(i, i + 1);
-            if self.rows.len() < self.capacity {
-                self.rows.push(row);
-            } else {
-                self.rows[self.next] = row;
-                self.next = (self.next + 1) % self.capacity;
-            }
-        }
-    }
-
-    /// Samples `n` transitions uniformly with replacement.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the buffer is empty.
-    pub fn sample(&self, n: usize, rng: &mut StdRng) -> msrl_core::Result<SampleBatch> {
-        if self.rows.is_empty() {
-            return Err(msrl_core::FdgError::MissingKernel { op: "ReplaySample(empty)".into() });
-        }
-        let picks: Vec<SampleBatch> =
-            (0..n).map(|_| self.rows[rng.gen_range(0..self.rows.len())].clone()).collect();
-        SampleBatch::concat(&picks)
-    }
-}
-
 /// Builds a single-step [`SampleBatch`] from raw step tensors — the
 /// payload actors push through `replay_buffer_insert`.
 #[allow(clippy::too_many_arguments)]
@@ -187,7 +132,6 @@ pub fn step_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn batch(n: usize, base: f32) -> SampleBatch {
         SampleBatch {
@@ -295,43 +239,5 @@ mod tests {
         buf.insert(distinct_step(0, 3, 4, true));
         buf.insert(distinct_step(1, 2, 4, true));
         assert!(buf.drain_env_major().is_err());
-    }
-
-    #[test]
-    fn replay_evicts_oldest_at_capacity() {
-        let mut buf = ReplayBuffer::new(3);
-        buf.insert(&batch(2, 1.0));
-        buf.insert(&batch(2, 2.0)); // 4th insert evicts the first 1.0 row
-        assert_eq!(buf.len(), 3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let s = buf.sample(100, &mut rng).unwrap();
-        let ones = s.rewards.data().iter().filter(|&&r| r == 1.0).count();
-        let twos = s.rewards.data().iter().filter(|&&r| r == 2.0).count();
-        assert_eq!(ones + twos, 100);
-        assert!(twos > ones, "two 2.0 rows vs one 1.0 row should dominate");
-    }
-
-    #[test]
-    fn replay_sample_empty_fails() {
-        let buf = ReplayBuffer::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(buf.sample(1, &mut rng).is_err());
-    }
-
-    #[test]
-    fn replay_sampling_is_uniformish() {
-        let mut buf = ReplayBuffer::new(10);
-        for i in 0..10 {
-            buf.insert(&batch(1, i as f32));
-        }
-        let mut rng = StdRng::seed_from_u64(7);
-        let s = buf.sample(5000, &mut rng).unwrap();
-        let mut counts = [0usize; 10];
-        for &r in s.rewards.data() {
-            counts[r as usize] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((300..700).contains(&c), "value {i} drawn {c} times");
-        }
     }
 }

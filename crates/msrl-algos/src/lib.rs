@@ -12,15 +12,13 @@
 //! implementation runs under every distribution policy.
 //!
 //! * [`gae`] — generalised advantage estimation and discounted returns;
-//! * [`buffer`] — on-policy trajectory buffers and a uniform replay
-//!   buffer (the interaction API's `replay_buffer_insert`/`_sample`);
+//! * [`buffer`] — on-policy trajectory buffers (the interaction API's
+//!   `replay_buffer_insert`/`_sample`);
 //! * [`ppo`] — Proximal Policy Optimization (clipped surrogate, GAE,
 //!   entropy bonus) with discrete and continuous policies;
 //! * [`mappo`] — multi-agent PPO with parameter sharing across agents;
 //! * [`a3c`] — asynchronous advantage actor-critic: actors compute
 //!   gradients locally and ship them to a central learner;
-//! * [`dqn`] — Deep Q-Networks: the value-based class of §2.1,
-//!   exercising the replay buffer's off-policy sampling path;
 //! * [`rollout`] — vectorised experience collection shared by the
 //!   runtime's actor fragments.
 
@@ -28,12 +26,11 @@
 
 pub mod a3c;
 pub mod buffer;
-pub mod dqn;
 pub mod gae;
 pub mod mappo;
 pub mod ppo;
 pub mod rollout;
 pub mod sentinel;
 
-pub use buffer::{ReplayBuffer, TrajectoryBuffer};
+pub use buffer::TrajectoryBuffer;
 pub use ppo::{PpoConfig, PpoLearner, PpoPolicy};

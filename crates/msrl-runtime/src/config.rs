@@ -25,9 +25,9 @@ use msrl_tensor::par::{parse_var, Backend};
 pub struct RuntimeConfig {
     /// Whether a learn pass may fork onto a free core (`MSRL_BACKEND`).
     pub backend: Backend,
-    /// Fault injection for the health e2e: after this (0-based) DP-A
-    /// iteration one learner weight is scaled to infinity
-    /// (`MSRL_FAULT_NAN_ITER`, default none).
+    /// Fault injection for the health e2e: after this (0-based)
+    /// iteration of the push–pull hub (DP-A, DP-F, A3C) one learner
+    /// weight is set to infinity (`MSRL_FAULT_NAN_ITER`, default none).
     pub fault_nan_iter: Option<u64>,
 }
 

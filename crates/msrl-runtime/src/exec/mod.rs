@@ -1,4 +1,4 @@
-//! Real multi-threaded fragment execution (§5.2): one runner, six sync
+//! Real multi-threaded fragment execution (§5.2): one runner, five sync
 //! rules, and a table that picks the rule.
 //!
 //! A distribution policy is a row of [`rule_for`]'s table, spelled in the
@@ -8,12 +8,12 @@
 //!
 //! | Policy | hub | workers | sync | rule (`rules.rs`) |
 //! |--------|-----|---------|------|-------------------|
-//! | DP-A | `Learner` | `ActorEnv` | `PerEpisode` | push–pull worker, gathering learner |
+//! | DP-A | `Learner` | `ActorEnv` | `PerEpisode` | push–pull, one group of every actor |
 //! | DP-B | `Learner` | `ActorEnv` | `PerStep` | per-step exchange |
 //! | DP-C | — | `ActorLearner` | `PerEpoch` | gradient all-reduce |
 //! | DP-D | — | `FusedLoop` | `PerEpisode` | weight all-reduce |
 //! | DP-E | `Env` | `ActorLearner` | `PerEpisode` | env-worker messaging |
-//! | DP-F, A3C | `ParamServer` | `ActorLearner` | `PerEpisode` | push–pull |
+//! | DP-F, A3C | `ParamServer` | `ActorLearner` | `PerEpisode` | push–pull, groups of one |
 //!
 //! The skeleton (`runner.rs`) owns everything the rules share: the
 //! fabric, the starting policy, the one `thread::scope`, a fragment
@@ -200,20 +200,19 @@ where
     drop(probe);
     let (p, n) = (dist.actors.max(1), dist.envs_per_actor.max(1));
     let envs = |worker: usize| VecEnv::from_fn(n, |i| make_env(worker, i));
-    // The push–pull rows' worker seat: its rounds and staleness bound.
+    // The push–pull rows (per episode): rounds, steps, staleness bound.
     let (rounds, steps, bound) = (dist.iterations, dist.steps_per_iter, dist.stale_bound());
-    let setup = |staleness: usize| Setup {
+    let setup = Setup {
         link_latency: dist.link_latency,
-        staleness,
+        staleness: if rule.sync == PerEpisode { bound } else { 0 },
         ..Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed)
     };
     match (rule.hub.map(|hub| hub.role), rule.worker.role, rule.sync) {
         (Some(Learner), ActorEnv, PerEpisode) => {
-            let setup = setup(bound);
             // With an act server the forwards of all actors are
-            // micro-batched across fragments (bit-identical, see
-            // `crate::actsrv`).
+            // micro-batched across fragments (bit-identical: `crate::actsrv`).
             let srv = dist.act_server.then(|| ActServer::new(setup.policy.clone(), p));
+            let learner = PpoLearner::new(setup.policy.clone(), dist.ppo.clone());
             run(
                 rule,
                 &setup,
@@ -225,31 +224,31 @@ where
                     };
                     rules::push_pull_worker(f, actor, envs(f.rank), rounds, steps, bound)
                 },
-                |f| rules::gather_learner(f, dist),
+                move |f| rules::push_pull_hub(f, learner, rounds, p, p, rules::learn_union),
             )
         }
         (Some(Learner), ActorEnv, PerStep) => run(
             rule,
-            &setup(0),
+            &setup,
             |f| rules::step_actor(f, envs(f.rank), dist),
             |f| rules::step_learner(f, dist, obs_dim),
         ),
         (None, ActorLearner, PerEpoch) => {
-            run(rule, &setup(0), |f| rules::grad_all_reduce(f, envs(f.rank), dist), no_hub)
+            run(rule, &setup, |f| rules::grad_all_reduce(f, envs(f.rank), dist), no_hub)
         }
-        (Some(ParamServer), ActorLearner, PerEpisode) => run(
-            rule,
-            &setup(bound),
-            |f| {
-                let seed = dist.seed + 1 + f.rank as u64;
-                let seat = PpoAgent::new(f.policy.clone(), dist.ppo.clone(), seed);
-                rules::push_pull_worker(f, seat, envs(f.rank), rounds, steps, bound)
-            },
-            |f| {
-                let server = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
-                rules::push_pull_server(f, server, rounds, p)
-            },
-        ),
+        (Some(ParamServer), ActorLearner, PerEpisode) => {
+            let server = PpoLearner::new(setup.policy.clone(), dist.ppo.clone());
+            run(
+                rule,
+                &setup,
+                |f| {
+                    let seed = dist.seed + 1 + f.rank as u64;
+                    let seat = PpoAgent::new(f.policy.clone(), dist.ppo.clone(), seed);
+                    rules::push_pull_worker(f, seat, envs(f.rank), rounds, steps, bound)
+                },
+                move |f| rules::push_pull_hub(f, server, rounds, 1, p, rules::apply_grads),
+            )
+        }
         _ => Err(FdgError::NoSyncRule { policy: policy.code().into() }),
     }
 }
@@ -331,7 +330,7 @@ where
 }
 
 /// Runs A3C with asynchronous gradient pushes: the push–pull rule with
-/// every pull waited before the next rollout, one environment
+/// every reply taken before the next rollout, one environment
 /// (`make_env(worker)`) per worker, and one report entry per push.
 ///
 /// # Errors
@@ -347,6 +346,7 @@ where
     drop(probe);
     let p = dist.workers.max(1);
     let setup = Setup::new(p, obs_dim, spec, &dist.hidden, dist.seed);
+    let learner = A3cLearner::new(setup.policy.clone(), &dist.a3c);
     run(
         &A3C,
         &setup,
@@ -356,10 +356,7 @@ where
             let envs = VecEnv::from_fn(1, |_| make_env(f.rank));
             rules::push_pull_worker(f, worker, envs, dist.pushes_per_worker, dist.rollout_steps, 0)
         },
-        |f| {
-            let learner = A3cLearner::new(f.policy.clone(), &dist.a3c);
-            rules::push_pull_server(f, learner, dist.pushes_per_worker, 1)
-        },
+        move |f| rules::push_pull_hub(f, learner, dist.pushes_per_worker, 1, 1, rules::apply_grads),
     )
 }
 

@@ -1,4 +1,4 @@
-//! The six sync rules: what the seats of a run say to each other, and
+//! The five sync rules: what the seats of a run say to each other, and
 //! when. Each body is handed its [`Frame`] by the skeleton and spells
 //! only its own exchange — messages, their order and the work between
 //! them. Worker seats address the hub as rank `f.workers`.
@@ -17,60 +17,6 @@ use super::runner::{learn, rollout, Frame};
 use super::{DistPpoConfig, DpDConfig, DpEConfig};
 use crate::config::RuntimeConfig;
 use crate::wire::{decode_batch, encode_batch};
-
-// ── gather + version-stamped broadcast (DP-A) ──────────────────────────
-//
-// Once per iteration every actor ships its whole trajectory to the one
-// learner and gets the new weights back. The actor is the push–pull
-// worker seat (below) with the encoded trajectory as its push; the
-// learner is its own hub, not the parameter server: it waits for every
-// actor's batch, learns once on their union and stamps each broadcast
-// with the version it produced. The actors run on version `i − bound`
-// at iteration `i`; bound 0 (overlap off, or the act server) is the
-// fully synchronous exchange through the same code.
-
-/// The learner seat.
-pub(super) fn gather_learner(f: &mut Frame, dist: &DistPpoConfig) -> Result<()> {
-    let p = f.workers;
-    // Resolved once, at entry: the fault hook is not a config field.
-    let fault_nan = RuntimeConfig::default().fault_nan_iter;
-    let mut learner = PpoLearner::new(f.policy.clone(), dist.ppo.clone());
-    for iter in 0..dist.iterations {
-        let mut batches = Vec::with_capacity(p);
-        let mut finished = Vec::new();
-        for rank in 0..p {
-            batches.push(decode_batch(&f.ep.recv(rank)?)?);
-            finished.extend(f.ep.recv(rank)?);
-        }
-        let batch = SampleBatch::concat(&batches)?;
-        let loss = learn(|| learner.learn(&batch))?;
-        if fault_nan == Some(iter as u64) {
-            // Fault injection (`MSRL_FAULT_NAN_ITER`): one weight goes to
-            // infinity so this iteration's health pass must flag the
-            // parameter vector. At the run's last iteration the poisoned
-            // broadcast stays unused — actors only drain it.
-            let mut w = learner.policy_params();
-            if let Some(v) = w.first_mut() {
-                *v = f32::INFINITY;
-            }
-            learner.set_policy_params(&w)?;
-        }
-        // Learning from iteration `iter`'s batches produces the version
-        // `iter + 1` weights (exact as f32 for any realistic count).
-        let mut weights = vec![(iter + 1) as f32];
-        weights.extend(learner.policy_params());
-        {
-            let _s = msrl_telemetry::span!("phase.weight_sync");
-            for rank in 0..p {
-                f.ep.send(rank, weights.clone())?;
-            }
-        }
-        f.report.losses.push(loss);
-        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
-    }
-    f.report.final_params = learner.policy_params();
-    Ok(())
-}
 
 // ── per-step exchange (DP-B) ───────────────────────────────────────────
 //
@@ -460,37 +406,34 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
     Ok(())
 }
 
-// ── push–pull (DP-A's actors, DP-F and A3C) ────────────────────────────
+// ── push–pull (DP-A, DP-F and A3C) ─────────────────────────────────────
 //
 // A worker rolls out, turns the batch into its *push* and sends it with
-// the returns of the episodes it finished; the hub answers every push
-// with fresh weights, and the worker *pulls* a reply only when more than
-// `bound` are outstanding at the top of a round — the oldest first. So
-// at round `i` it runs on the reply to its push `i − 1 − bound`, blocking
-// only if that one has not landed: the schedule is a function of the
-// round, never of which thread got ahead, and a seed replays bit for bit.
-// A reply that happens to have landed early stays queued. The `recv`
-// that takes it pays only the wait the rollout did not hide.
+// the returns of the episodes it finished. It takes a reply (weights)
+// only when more than `bound` are outstanding at the top of a round, the
+// oldest first: at round `i` it runs on the reply to its push `i − 1 −
+// bound`, so the schedule is a function of the round, never of which
+// thread got ahead, and a seed replays bit for bit. The `recv` that
+// takes a reply pays only the wait the rollout did not hide.
 //
-// What differs between the rows is what sits in the seats. DP-A's actor
-// pushes its encoded trajectory to the gathering learner above. DP-F's
-// worker pushes the gradient of its batch to a parameter server that
-// holds the policy and its optimiser state, and so does A3C's with a
-// bound of 0, one environment per worker, `A3cLearner` in the server's
-// seat and a report per push instead of per round. Servers apply pushes
-// in arrival order: a worker never waits for its peers, only for the
-// reply to its own push.
+// The hub takes pushes a *group* at a time, one per rank in arrival
+// order, folds the group into its learner in rank order and answers each
+// push with the learner's weights. The rows differ only in arguments.
+// DP-A: the push is the encoded trajectory, the group every actor, the
+// fold one `learn` on their union (bound 0 — overlap off, or the act
+// server — is the synchronous exchange). DP-F: the push is a gradient
+// and the group one push, applied in arrival order, so a worker waits
+// only for the reply to its own push. A3C: DP-F with bound 0, one
+// environment per worker, `A3cLearner` and a report per push.
 
-/// What sits in the push–pull worker seat: something that acts, turns
-/// a batch into a push and takes a reply.
+/// What sits in the push–pull worker seat: something that acts and
+/// turns a batch into a push. A reply is weights for its actor.
 pub(super) trait PushPullSeat {
     fn actor(&mut self) -> &mut dyn Actor;
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>>;
-    fn pull(&mut self, reply: &[f32]) -> Result<()>;
 }
 
-/// DP-A: the trajectory goes; the reply is `[version] ++ weights`, and
-/// the schedule already says which version it is.
+/// DP-A: the trajectory goes.
 impl PushPullSeat for Box<dyn Actor> {
     fn actor(&mut self) -> &mut dyn Actor {
         self.as_mut()
@@ -498,22 +441,15 @@ impl PushPullSeat for Box<dyn Actor> {
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         Ok(encode_batch(batch))
     }
-    fn pull(&mut self, reply: &[f32]) -> Result<()> {
-        self.set_policy_params(reply.get(1..).unwrap_or_default())
-    }
 }
 
-/// DP-F: the gradient of the batch goes; the reply is the server's
-/// weights.
+/// DP-F: the gradient of the batch goes.
 impl PushPullSeat for PpoAgent {
     fn actor(&mut self) -> &mut dyn Actor {
         self
     }
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         learn(|| self.learner_mut().grads(batch))
-    }
-    fn pull(&mut self, reply: &[f32]) -> Result<()> {
-        self.set_policy_params(reply)
     }
 }
 
@@ -524,9 +460,6 @@ impl PushPullSeat for A3cWorker {
     }
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         learn(|| self.local_grads(batch))
-    }
-    fn pull(&mut self, reply: &[f32]) -> Result<()> {
-        self.actor.set_policy_params(reply)
     }
 }
 
@@ -541,13 +474,13 @@ pub(super) fn push_pull_worker(
     bound: usize,
 ) -> Result<()> {
     let hub = f.workers;
-    // Replies the hub owes this seat, one per push not yet pulled.
+    // Replies the hub owes this seat, one per push not yet taken.
     let mut owed = 0usize;
     for _ in 0..rounds {
         {
             let _s = msrl_telemetry::span!("phase.weight_sync");
             while owed > bound {
-                seat.pull(&f.ep.recv(hub)?)?;
+                seat.actor().set_policy_params(&f.ep.recv(hub)?)?;
                 owed -= 1;
             }
         }
@@ -575,33 +508,81 @@ pub(super) fn push_pull_worker(
     Ok(())
 }
 
-/// The server seat: applies `rounds` pushes per worker as they arrive
-/// and closes an iteration every `per_report` of them. It sees only
-/// gradients, so the stream carries reward, throughput and staleness.
-pub(super) fn push_pull_server(
+/// A group of pushes: `(rank, push)`, one per rank, in rank order.
+pub(super) type Group = [(usize, Vec<f32>)];
+
+/// What a fold made of a group: the loss and the entropy the
+/// iteration's RunEvent carries, when the fold computed them.
+pub(super) type Folded = (Option<f32>, Option<f32>);
+
+/// The hub seat: takes `rounds` pushes from every worker, `group` at a
+/// time, folds each group into `learner`, answers every push with the
+/// learner's weights and closes an iteration every `per_report` pushes.
+/// It is the run's one fault seam: `MSRL_FAULT_NAN_ITER` poisons the
+/// weights after the fold that ends that iteration.
+pub(super) fn push_pull_hub<L: Learner>(
     f: &mut Frame,
-    mut server: impl Learner,
+    mut learner: L,
     rounds: usize,
+    group: usize,
     per_report: usize,
+    mut fold: impl FnMut(&mut L, &Group) -> Result<Folded>,
 ) -> Result<()> {
     let p = f.workers;
+    // Resolved once, at entry: the fault hook is not a config field.
+    let fault_nan = RuntimeConfig::default().fault_nan_iter;
     let mut owed = vec![rounds; p];
-    for _ in 0..rounds * p / per_report {
-        let mut finished = Vec::new();
-        for _ in 0..per_report {
-            // Arrival order: with overlapped workers a fast rank's next
-            // push may beat a slow rank's first. Only ranks that still
-            // owe a push are polled — one that sent its last may have
-            // exited and dropped its endpoint.
-            let active: Vec<usize> = (0..p).filter(|&r| owed[r] > 0).collect();
-            let (rank, grads) = f.ep.recv_any(&active)?;
-            owed[rank] -= 1;
-            finished.extend(f.ep.recv(rank)?);
-            learn(|| server.apply_grads(&grads))?;
-            f.ep.send(rank, server.policy_params())?;
+    for iter in 0..rounds * p / per_report {
+        let (mut finished, mut loss, mut entropy) = (Vec::new(), None, None);
+        for g in 0..per_report / group {
+            let mut pushes: Vec<(usize, Vec<f32>)> = Vec::with_capacity(group);
+            while pushes.len() < group {
+                // Arrival order: with overlapped workers a fast rank's
+                // next push may beat a slow rank's first. Only ranks
+                // that still owe a push are polled — one that sent its
+                // last may have exited and dropped its endpoint.
+                let needed = |r: &usize| owed[*r] > 0 && pushes.iter().all(|(q, _)| q != r);
+                let (rank, push) = f.ep.recv_any(&(0..p).filter(needed).collect::<Vec<_>>())?;
+                owed[rank] -= 1;
+                pushes.push((rank, push));
+            }
+            pushes.sort_by_key(|&(rank, _)| rank);
+            for &(rank, _) in &pushes {
+                finished.extend(f.ep.recv(rank)?);
+            }
+            (loss, entropy) = fold(&mut learner, &pushes)?;
+            let mut weights = learner.policy_params();
+            if g + 1 == per_report / group && fault_nan == Some(iter as u64) {
+                // `MSRL_FAULT_NAN_ITER`: the health pass must flag this
+                // iteration. At the run's last, workers only drain it.
+                weights[0] = f32::INFINITY;
+                learner.set_policy_params(&weights)?;
+            }
+            let _s = msrl_telemetry::span!("phase.weight_sync");
+            for &(rank, _) in &pushes {
+                f.ep.send(rank, weights.clone())?;
+            }
         }
-        f.close_finished(&finished, None, None, Some(&server))?;
+        f.report.losses.extend(loss);
+        f.close_finished(&finished, loss, entropy, Some(&learner))?;
     }
-    f.report.final_params = server.policy_params();
+    f.report.final_params = learner.policy_params();
     Ok(())
+}
+
+/// DP-A's fold: the group's trajectories, decoded and learned on as one
+/// batch.
+pub(super) fn learn_union(learner: &mut PpoLearner, pushes: &Group) -> Result<Folded> {
+    let batches = pushes.iter().map(|(_, push)| decode_batch(push)).collect::<Result<Vec<_>>>()?;
+    let batch = SampleBatch::concat(&batches)?;
+    let loss = learn(|| learner.learn(&batch))?;
+    Ok((Some(loss), learner.last_entropy()))
+}
+
+/// DP-F's and A3C's fold: each gradient applied in turn.
+pub(super) fn apply_grads(learner: &mut impl Learner, pushes: &Group) -> Result<Folded> {
+    for (_, grads) in pushes {
+        learn(|| learner.apply_grads(grads))?;
+    }
+    Ok((None, None))
 }

@@ -14,19 +14,19 @@
 //!
 //! [`exec`] is one fragment runner. A skeleton owns what every run
 //! shares (fabric, starting policy, fragment threads, join, replica
-//! check, metrics stream, report); six sync rules are the bodies of the
+//! check, metrics stream, report); five sync rules are the bodies of the
 //! seats; and a table keyed by `PolicyName`, spelled in the
 //! [`policy::Role`] / [`policy::SyncGranularity`] vocabulary that
 //! [`policy::place`] returns, picks the rule:
 //!
 //! | Policy | hub seat | worker seats | sync | rule |
 //! |--------|----------|--------------|------|------|
-//! | DP-A   | `Learner` | `ActorEnv` | per episode | trajectory gather + version-stamped weight broadcast |
+//! | DP-A   | `Learner` | `ActorEnv` | per episode | push–pull: trajectories in, one group of every actor, weights out |
 //! | DP-B   | `Learner` | `ActorEnv` | per step | central inference, per-step exchange |
 //! | DP-C   | —         | `ActorLearner` | per epoch | gradient AllReduce |
 //! | DP-D   | —         | `FusedLoop` | per episode | weight AllReduce |
 //! | DP-E   | `Env`     | `ActorLearner` | per episode | environment-worker messaging (MARL) |
-//! | DP-F   | `ParamServer` | `ActorLearner` | per episode | push–pull (A3C is this rule with every pull waited) |
+//! | DP-F   | `ParamServer` | `ActorLearner` | per episode | push–pull: gradients in, groups of one (A3C: every reply waited) |
 //!
 //! Switching between the policies that share a configuration is changing
 //! the `PolicyName` handed to [`exec::run_ppo`] — the algorithm

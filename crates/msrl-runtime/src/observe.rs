@@ -155,14 +155,14 @@ impl RunObserver {
     }
 }
 
-/// Closes a run's evidence trail: flushes the metrics stream (and the
-/// `MSRL_METRICS_TEXT_FILE` exposition) and, on an error outcome, writes
-/// a flight-recorder dump so failed runs leave evidence.
+/// Closes a run's evidence trail: flushes the metrics stream and, on an
+/// error outcome, writes a flight-recorder dump so failed runs leave
+/// evidence.
 ///
 /// A flush failure is surfaced, not swallowed: the stream is the health
 /// subsystem's evidence trail, and a silently truncated JSONL file
 /// would read as a healthy run. The `sink.io_errors` counter carries
-/// the same signal into the exposition snapshot.
+/// the same signal into every flight-recorder dump.
 pub(crate) fn close_run<T>(policy: &'static str, result: &Result<T>) {
     if let Err(e) = msrl_telemetry::flush_metrics() {
         eprintln!("msrl: metrics stream write failed for {policy}: {e}");

@@ -20,7 +20,7 @@
 //!
 //! A lane keeps at most [`STEP_CAPACITY`] classed records between
 //! boundaries; overflow drops the oldest and counts `attr.dropped`
-//! (in `metrics_text` and every flight-recorder dump). The iteration
+//! (in every flight-recorder dump). The iteration
 //! pass is timed by the always-on `attr.finish_iteration` histogram and
 //! held inside `bench_report`'s <5% bound.
 //!
@@ -190,7 +190,7 @@ pub fn reset_window() {
     let start = crate::recorder::now_ns();
     WINDOW_START.store(start, Ordering::Relaxed);
     crate::recorder::prune(start);
-    // Registered at 0, so every exposition and dump shows the count.
+    // Registered at 0, so every dump shows the count.
     dropped();
 }
 
@@ -724,7 +724,7 @@ mod tests {
     fn overflow_counts_attr_dropped() {
         let _serial = crate::tests::serial();
         reset_window();
-        let before = dropped().get();
+        let before = crate::counter_total("attr.dropped");
         std::thread::spawn(|| {
             for _ in 0..STEP_CAPACITY + 100 {
                 let _s = crate::span!("attribution.test.flood", class: Comm);
@@ -732,8 +732,7 @@ mod tests {
         })
         .join()
         .expect("flood ran");
-        assert!(dropped().get() >= before + 100, "the overflow is counted");
-        assert!(crate::metrics_text().contains("msrl_counter_attr_dropped "));
+        assert!(crate::counter_total("attr.dropped") >= before + 100, "the overflow is counted");
         let _ = finish_iteration();
     }
 }

@@ -24,7 +24,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 struct HistCells {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    /// Exact running sum of recorded values (Prometheus `_sum`).
+    /// Exact running sum of recorded values.
     sum: AtomicU64,
 }
 
@@ -235,8 +235,7 @@ pub fn histograms_snapshot() -> Vec<(String, HistogramStats)> {
 }
 
 /// All histograms' raw state, name-sorted: per-bucket counts plus the
-/// exact value sum — the inputs to the Prometheus `_bucket`/`_sum`
-/// series and the flight-recorder dump.
+/// exact value sum — what the flight-recorder dump carries.
 pub fn histograms_raw_snapshot() -> Vec<(String, [u64; HISTOGRAM_BUCKETS], u64)> {
     let m = histograms().lock().expect("telemetry histogram registry poisoned");
     m.iter()

@@ -38,9 +38,8 @@
 //! each `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
 //! hands every record to the exporters. Live-run observability rides on
 //! top: the [`sink`] module streams one [`RunEvent`] per driver iteration
-//! as JSONL (`MSRL_METRICS_FILE`) and renders a Prometheus-style
-//! exposition ([`metrics_text`], `MSRL_METRICS_TEXT_FILE`); the
-//! [`health`] watchdog's streaming detectors add a `health` block.
+//! as JSONL (`MSRL_METRICS_FILE`); the [`health`] watchdog's streaming
+//! detectors add a `health` block.
 //!
 //! Two exporters turn drained spans into artefacts: [`chrome_trace`]
 //! emits Chrome trace-event JSON (open it in Perfetto or
@@ -104,8 +103,8 @@ pub use registry::{
 };
 pub use report::{percentile_ns, SpanStats, TelemetryReport};
 pub use sink::{
-    emit_run_event, flush_metrics, metrics_text, run_events_emitted, set_metrics_file,
-    validate_metrics, ActsrvStats, RunEvent,
+    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, validate_metrics,
+    ActsrvStats, RunEvent,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

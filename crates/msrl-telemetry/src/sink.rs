@@ -1,7 +1,5 @@
 //! The training-metrics stream: one [`RunEvent`] per run iteration,
-//! written as JSONL to `MSRL_METRICS_FILE` and summarised as a
-//! Prometheus-style text exposition ([`metrics_text`], dumped to
-//! `MSRL_METRICS_TEXT_FILE` by [`flush_metrics`]).
+//! written as JSONL to `MSRL_METRICS_FILE`.
 //!
 //! The fragment runner's observer (`msrl-runtime`'s `observe.rs`) is the
 //! one writer: once per iteration of every policy it emits the training
@@ -28,7 +26,6 @@
 //! invariants the types cannot state; the `validate_metrics` binary
 //! wraps it for CI.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::{Mutex, OnceLock};
@@ -370,22 +367,12 @@ impl Deserialize for HealthVerdict {
 // The sink
 // ---------------------------------------------------------------------------
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 struct SinkState {
     /// Append-mode metrics file, opened lazily from `MSRL_METRICS_FILE`
     /// (or [`set_metrics_file`]).
     file: Option<File>,
     /// Whether the env var has been consulted yet.
     resolved: bool,
-    /// Last event per policy, for the text exposition.
-    last: BTreeMap<String, RunEvent>,
     /// Total events emitted by this process.
     emitted: u64,
     /// First write error since the last [`flush_metrics`] — emit is
@@ -398,13 +385,7 @@ struct SinkState {
 fn sink() -> &'static Mutex<SinkState> {
     static SINK: OnceLock<Mutex<SinkState>> = OnceLock::new();
     SINK.get_or_init(|| {
-        Mutex::new(SinkState {
-            file: None,
-            resolved: false,
-            last: BTreeMap::new(),
-            emitted: 0,
-            io_error: None,
-        })
+        Mutex::new(SinkState { file: None, resolved: false, emitted: 0, io_error: None })
     })
 }
 
@@ -427,9 +408,8 @@ pub fn set_metrics_file(path: Option<&str>) {
 }
 
 /// Emits one [`RunEvent`]: appends a JSONL line to the metrics file (if
-/// configured) and updates the in-memory last-event table behind
-/// [`metrics_text`]. Called once per driver iteration — file I/O cost,
-/// not hot-path cost.
+/// configured) and counts it. Called once per driver iteration — file
+/// I/O cost, not hot-path cost.
 pub fn emit_run_event(ev: &RunEvent) {
     let mut s = sink().lock().expect("metrics sink poisoned");
     if !s.resolved {
@@ -452,7 +432,6 @@ pub fn emit_run_event(ev: &RunEvent) {
         }
     }
     s.emitted += 1;
-    s.last.insert(ev.policy.clone(), ev.clone());
 }
 
 /// Events emitted by this process so far.
@@ -460,83 +439,21 @@ pub fn run_events_emitted() -> u64 {
     sink().lock().expect("metrics sink poisoned").emitted
 }
 
-fn prom_name(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
-}
-
-/// Renders a Prometheus-style text exposition of the whole registry:
-/// counters, gauges, histogram buckets, and the latest [`RunEvent`]
-/// per policy. Deterministically ordered (all sources are name-sorted).
-pub fn metrics_text() -> String {
-    let mut out = String::new();
-    out.push_str("# msrl metrics exposition\n");
-    for (name, v) in crate::registry::counters_snapshot() {
-        out.push_str(&format!("msrl_counter_{} {}\n", prom_name(&name), v));
-    }
-    for (name, v) in crate::registry::gauges_snapshot() {
-        out.push_str(&format!("msrl_gauge_{} {}\n", prom_name(&name), fmt_f64(v)));
-    }
-    // Real Prometheus histogram series. Bucket `i` of the log₂ layout
-    // holds values in `[2^(i-1), 2^i)`, so the inclusive `le` bound of
-    // its cumulative line is `2^i - 1` — counts are exact, not
-    // interpolated. Empty buckets are elided; cumulative semantics are
-    // unaffected by sparse `le` steps.
-    for (name, buckets, sum) in crate::histogram::histograms_raw_snapshot() {
-        let base = format!("msrl_hist_{}", prom_name(&name));
-        out.push_str(&format!("# TYPE {base}_ns histogram\n"));
-        let mut cumulative = 0u64;
-        for (i, &c) in buckets.iter().enumerate() {
-            cumulative += c;
-            if c > 0 && i < crate::HISTOGRAM_BUCKETS - 1 {
-                let le = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                out.push_str(&format!("{base}_ns_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-        }
-        out.push_str(&format!("{base}_ns_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!("{base}_ns_sum {sum}\n"));
-        out.push_str(&format!("{base}_ns_count {cumulative}\n"));
-    }
-    let s = sink().lock().expect("metrics sink poisoned");
-    for (policy, ev) in &s.last {
-        let l = format!("{{policy=\"{policy}\"}}");
-        out.push_str(&format!("msrl_run_iteration{l} {}\n", ev.iteration));
-        out.push_str(&format!("msrl_run_reward{l} {}\n", fmt_f64(ev.reward)));
-        if let Some(loss) = ev.loss {
-            out.push_str(&format!("msrl_run_loss{l} {}\n", fmt_f64(loss)));
-        }
-        if let Some(e) = ev.entropy {
-            out.push_str(&format!("msrl_run_entropy{l} {}\n", fmt_f64(e)));
-        }
-        out.push_str(&format!("msrl_run_iters_per_sec{l} {}\n", fmt_f64(ev.iters_per_sec)));
-        out.push_str(&format!("msrl_run_comm_bytes{l} {}\n", ev.comm_bytes));
-    }
-    out
-}
-
-/// Flushes the metrics stream and, if `MSRL_METRICS_TEXT_FILE` is set,
-/// writes the current [`metrics_text`] exposition there. Drivers call
-/// this at the end of a run; safe to call repeatedly (the text file is
-/// overwritten with the latest snapshot).
+/// Flushes the metrics stream. Drivers call this at the end of a run;
+/// safe to call repeatedly.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the flush or the text-file write —
-/// including the first write error any earlier [`emit_run_event`] hit
-/// (held rather than swallowed; also counted on `sink.io_errors`).
+/// Propagates I/O errors from the flush — including the first write
+/// error any earlier [`emit_run_event`] hit (held rather than
+/// swallowed; also counted on `sink.io_errors`).
 pub fn flush_metrics() -> std::io::Result<()> {
-    {
-        let mut s = sink().lock().expect("metrics sink poisoned");
-        if let Some(e) = s.io_error.take() {
-            return Err(e);
-        }
-        if let Some(f) = &mut s.file {
-            f.flush()?;
-        }
+    let mut s = sink().lock().expect("metrics sink poisoned");
+    if let Some(e) = s.io_error.take() {
+        return Err(e);
     }
-    if let Ok(path) = std::env::var("MSRL_METRICS_TEXT_FILE") {
-        if !path.is_empty() {
-            std::fs::write(&path, metrics_text())?;
-        }
+    if let Some(f) = &mut s.file {
+        f.flush()?;
     }
     Ok(())
 }
@@ -740,7 +657,9 @@ mod tests {
         let err = flush_metrics();
         set_metrics_file(None);
         // The registry and sink are process-global and sibling tests
-        // emit concurrently, so assert lower bounds only.
+        // emit concurrently, so assert lower bounds only. An event whose
+        // write failed was still emitted.
+        assert!(run_events_emitted() >= 1);
         assert!(crate::counter_total("sink.io_errors") > before);
         assert!(err.is_err(), "held write error surfaces on flush");
     }
@@ -762,35 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_histogram_series_are_exact() {
-        crate::histogram_record("sink.test.promhist", 5); // bucket 3, le 7
-        crate::histogram_record("sink.test.promhist", 6);
-        crate::histogram_record("sink.test.promhist", 900); // bucket 10, le 1023
-        let text = metrics_text();
-        assert!(text.contains("# TYPE msrl_hist_sink_test_promhist_ns histogram"));
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns_bucket{le=\"7\"} 2"));
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns_bucket{le=\"1023\"} 3"));
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns_sum 911"));
-        assert!(text.contains("msrl_hist_sink_test_promhist_ns_count 3"));
-        // A histogram family carries `_bucket`, `_sum` and `_count`
-        // samples and nothing else.
-        let base = "msrl_hist_sink_test_promhist_ns";
-        let family = text
-            .lines()
-            .skip_while(|l| *l != format!("# TYPE {base} histogram"))
-            .skip(1)
-            .take_while(|l| !l.starts_with("# TYPE") && !l.starts_with("msrl_run_"));
-        for line in family {
-            let ok = ["_bucket{", "_sum ", "_count "]
-                .iter()
-                .any(|s| line.starts_with(&(base.to_owned() + s)));
-            assert!(ok, "{line:?} under the TYPE line of {base}");
-        }
-        assert!(!text.contains("quantile="), "no summary samples in a histogram exposition");
-    }
-
-    #[test]
     fn malformed_lines_are_rejected() {
         assert!(validate_metrics("{\"schema\": \"nope\"}").is_err());
         assert!(validate_metrics("not json at all").is_err());
@@ -802,14 +692,5 @@ mod tests {
         // A present block is a block: `null` is not "absent".
         let null_attr = sample(0).to_json_line().replacen('}', ",\"attr\":null}", 1);
         assert!(validate_metrics(&null_attr).is_err());
-    }
-
-    #[test]
-    fn emit_updates_text_exposition() {
-        emit_run_event(&sample(5));
-        assert!(run_events_emitted() >= 1);
-        let text = metrics_text();
-        assert!(text.contains("msrl_run_iteration{policy=\"dp_a\"}"));
-        assert!(text.contains("msrl_run_reward{policy=\"dp_a\"} 21.5"));
     }
 }

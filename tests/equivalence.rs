@@ -114,10 +114,12 @@ mod golden {
     /// The `dp_e` row's params checksum and step count were re-recorded
     /// when the env worker began reporting the agents' shared weights and
     /// the MPE environments began counting their steps. `dp_f_stale` was
-    /// added when DP-F's worker began taking DP-A's weight schedule.
+    /// added when DP-F's worker began taking DP-A's weight schedule. The
+    /// two `dp_a` rows' bytes fell by 32 when the hub's replies lost
+    /// their one-float version stamp (8 replies × 4 B).
     const PINNED: [&str; 9] = [
-        "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20240 256",
-        "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20240 256",
+        "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256",
+        "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256",
         "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
         "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
         "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600",

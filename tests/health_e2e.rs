@@ -3,7 +3,8 @@
 //! critical finding in the metrics stream's `health` block, trigger a
 //! flight-recorder dump carrying the health verdict, end the run with a
 //! typed error naming the detector and the iteration, and convict the
-//! stream on replay (the `doctor` path).
+//! stream on replay (the `doctor` path). The fault is injected by the
+//! push–pull hub, so DP-A and DP-F runs both exercise it.
 //!
 //! One test body: the health gate, metrics sink, flight recorder and
 //! registry are process-global.
@@ -14,7 +15,7 @@
 
 use msrl_core::FdgError;
 use msrl_env::cartpole::CartPole;
-use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
+use msrl_runtime::exec::{run_dp_a, run_dp_f, DistPpoConfig};
 use msrl_telemetry::{HealthStatus, HealthVerdict, RunEvent, Severity};
 use serde::Deserialize;
 
@@ -104,6 +105,16 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
         embedded.findings.iter().any(|f| f.detector == "nonfinite"),
         "verdict names the firing detector: {embedded:?}"
     );
+
+    // The hook sits in the push–pull hub, so a one-worker DP-F run (its
+    // hub applies gradients instead of learning on batches) ends the
+    // same way at the same iteration.
+    let dp_f = DistPpoConfig { actors: 1, ..dist.clone() };
+    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
+    let result = run_dp_f(|a, i| CartPole::new((a * 3 + i) as u64), &dp_f);
+    std::env::remove_var("MSRL_FAULT_NAN_ITER");
+    let err = result.expect_err("the hub's fault seam fails a DP-F run too");
+    assert_eq!(err, FdgError::Unhealthy { detector: "nonfinite", iteration: poisoned });
 
     // `MSRL_HEALTH=0` is the one override: the same poisoned run then
     // completes and hands back the poisoned weights.
