@@ -7,7 +7,7 @@
 //! therefore independent of the actor count — the flat curves of
 //! Figs. 7b/9b.
 
-use msrl_core::api::{Learner, SampleBatch};
+use msrl_core::api::{Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::Tape;
 use msrl_tensor::dist::categorical_stats;
@@ -113,13 +113,16 @@ pub struct A3cLearner {
     /// The parameters before the current update, for the health sentinel
     /// (allocated with the learner, as `PpoLearner`'s).
     before: Vec<f32>,
+    /// What the last gradient application computed.
+    signals: Signals,
 }
 
 impl A3cLearner {
     /// Creates the learner.
     pub fn new(policy: PpoPolicy, cfg: &A3cConfig) -> Self {
         let before = Vec::with_capacity(policy.num_params());
-        A3cLearner { policy, cfg: cfg.clone(), opt: Adam::new(cfg.lr), updates: 0, before }
+        let (opt, signals) = (Adam::new(cfg.lr), Signals::default());
+        A3cLearner { policy, cfg: cfg.clone(), opt, updates: 0, before, signals }
     }
 
     /// Number of gradient applications so far.
@@ -156,13 +159,17 @@ impl Learner for A3cLearner {
         self.opt.step_flat(&mut params, flat).map_err(FdgError::Tensor)?;
         self.updates += 1;
         if sentinel {
-            crate::sentinel::publish_update(
-                crate::sentinel::l2_norm(flat) as f32,
-                &self.before,
-                self.policy.params(),
-            );
+            self.signals = Signals {
+                grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
+                update: Some(crate::sentinel::update(&self.before, self.policy.params())),
+                ..Signals::default()
+            };
         }
         Ok(())
+    }
+
+    fn signals(&self) -> Signals {
+        self.signals
     }
 }
 

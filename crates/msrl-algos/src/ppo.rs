@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch};
+use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::{Tape, Var};
 use msrl_tensor::dist::{categorical_stats, gaussian_stats, Categorical, DiagGaussian};
@@ -548,14 +548,10 @@ pub struct PpoLearner {
     /// Hyper-parameters.
     pub cfg: PpoConfig,
     opt: Adam,
-    /// `(loss, mean entropy)` of the most recent optimisation pass —
-    /// the per-iteration training signal the metrics stream reports.
-    /// A `Cell` because gradient-only callers reach it through `&self`
-    /// paths ([`Learner::grads`]).
-    last_metrics: std::cell::Cell<Option<(f32, f32)>>,
-    /// Pre-clip global gradient norm of the most recent backward pass
-    /// (the health sentinel's `health.grad_norm` source).
-    last_grad_norm: std::cell::Cell<Option<f32>>,
+    /// What the most recent pass and update computed
+    /// ([`Learner::signals`]). A `Cell` because the pass sets it through
+    /// `&self`.
+    signals: std::cell::Cell<Signals>,
     /// The parameters before the current update, for the health
     /// sentinel. Allocated with the learner and reused by every update:
     /// the same buffer first allocated mid-run, amid the tape's pooled
@@ -568,25 +564,7 @@ impl PpoLearner {
     pub fn new(policy: PpoPolicy, cfg: PpoConfig) -> Self {
         let opt = Adam::new(cfg.lr);
         let before = Vec::with_capacity(policy.num_params());
-        PpoLearner {
-            policy,
-            cfg,
-            opt,
-            last_metrics: std::cell::Cell::new(None),
-            last_grad_norm: std::cell::Cell::new(None),
-            before,
-        }
-    }
-
-    /// Loss of the most recent optimisation pass (set by
-    /// [`Learner::learn`] and [`Learner::grads`] alike).
-    pub fn last_loss(&self) -> Option<f32> {
-        self.last_metrics.get().map(|(l, _)| l)
-    }
-
-    /// Mean policy entropy of the most recent optimisation pass.
-    pub fn last_entropy(&self) -> Option<f32> {
-        self.last_metrics.get().map(|(_, e)| e)
+        PpoLearner { policy, cfg, opt, signals: std::cell::Cell::default(), before }
     }
 
     /// Computes GAE advantages and value targets over the batch's
@@ -718,9 +696,9 @@ impl PpoLearner {
         gs.extend(critic_grads);
         gs.extend(log_std);
         let loss = (policy_loss + value_loss * value_coef) + entropy * -self.cfg.entropy_coef;
-        let grad_norm = clip_grad_norm(&mut gs, self.cfg.max_grad_norm);
-        self.last_grad_norm.set(Some(grad_norm));
-        self.last_metrics.set(Some((loss, entropy)));
+        let grad_norm = Some(clip_grad_norm(&mut gs, self.cfg.max_grad_norm));
+        let signals = Signals { loss: Some(loss), entropy: Some(entropy), grad_norm, update: None };
+        self.signals.set(signals);
         Ok((loss, gs))
     }
 
@@ -813,20 +791,17 @@ impl Learner for PpoLearner {
         if sentinel {
             crate::sentinel::snapshot(&mut self.before, self.policy.params());
         }
-        let mut last_loss = 0.0;
+        let mut loss = 0.0;
         for _ in 0..self.cfg.epochs {
-            let (loss, grads) = self.loss_and_grads(&inputs)?;
+            let (epoch_loss, grads) = self.loss_and_grads(&inputs)?;
             self.apply(&grads)?;
-            last_loss = loss;
+            loss = epoch_loss;
         }
         if sentinel {
-            crate::sentinel::publish_update(
-                self.last_grad_norm.get().unwrap_or(f32::NAN),
-                &self.before,
-                self.policy.params(),
-            );
+            let update = Some(crate::sentinel::update(&self.before, self.policy.params()));
+            self.signals.set(Signals { update, ..self.signals.get() });
         }
-        Ok(last_loss)
+        Ok(loss)
     }
 
     fn policy_params(&self) -> Vec<f32> {
@@ -859,13 +834,17 @@ impl Learner for PpoLearner {
             // External-gradient path (DP-C/DP-F): the pre-clip norm was
             // computed worker-side, so report the norm of the flat
             // gradient actually applied.
-            crate::sentinel::publish_update(
-                crate::sentinel::l2_norm(flat) as f32,
-                &self.before,
-                self.policy.params(),
-            );
+            self.signals.set(Signals {
+                grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
+                update: Some(crate::sentinel::update(&self.before, self.policy.params())),
+                ..self.signals.get()
+            });
         }
         Ok(())
+    }
+
+    fn signals(&self) -> Signals {
+        self.signals.get()
     }
 }
 
@@ -1140,7 +1119,7 @@ mod tests {
         let bits = |g: &Tensor| g.data().iter().map(|v| v.to_bits()).collect();
         (
             loss.to_bits(),
-            learner.last_entropy().unwrap().to_bits(),
+            learner.signals().entropy.unwrap().to_bits(),
             grads.iter().map(bits).collect(),
         )
     }
@@ -1288,8 +1267,8 @@ mod tests {
     /// The split pass with its branches joined by `join`.
     fn split_pass(learner: &PpoLearner, inputs: &LossInputs, join: Join) -> PassBits {
         let (loss, grads) = learner.loss_and_grads_joined(inputs, join).unwrap();
-        let (entropy, norm) = (learner.last_entropy(), learner.last_grad_norm.get());
-        bits_of(loss, entropy.unwrap(), norm.unwrap(), &grads)
+        let Signals { entropy, grad_norm, .. } = learner.signals();
+        bits_of(loss, entropy.unwrap(), grad_norm.unwrap(), &grads)
     }
 
     /// The split pass is the one-tape pass bit for bit, whether the value

@@ -1,21 +1,23 @@
 //! Per-update numeric sentinels shared by every learner (DESIGN §3.15).
 //!
-//! Each optimisation step publishes three gauges the exec drivers fold
-//! into the per-iteration health block:
+//! A learner reports three numbers from each optimisation step in its
+//! [`Signals`], and the run's observer folds them into the iteration's
+//! health block:
 //!
-//! * `health.grad_norm` — the pre-clip global gradient L2 norm (the
-//!   value [`msrl_tensor::optim::clip_grad_norm`] returns);
-//! * `health.weight_norm` — the post-update parameter L2 norm;
-//! * `health.update_ratio` — `‖Δweights‖ / ‖weights‖`, the
-//!   effective-step-size signal that catches both frozen (≈0) and
-//!   diverging (≫1e-2) training.
+//! * the global gradient L2 norm — pre-clip for a learner's own pass
+//!   (what [`msrl_tensor::optim::clip_grad_norm`] returns), [`l2_norm`]
+//!   of the applied gradient for an external one;
+//! * the post-update parameter L2 norm;
+//! * `‖Δweights‖ / ‖weights‖`, the effective-step-size signal that
+//!   catches both frozen (≈0) and diverging (≫1e-2) training.
 //!
-//! The `health.updates` counter ticks once per publication; the drivers
-//! read the gauges only when the counter moved during the iteration, so
-//! a policy without a learner (DP-E's env-worker split) simply omits
-//! the fields. Algorithm code stays distribution-agnostic: it reports
-//! into the process-wide registry exactly like every other layer, and
-//! the watchdog gate (`MSRL_HEALTH=0`) skips even that.
+//! The last two are [`update`] of a [`snapshot`] taken before the step.
+//! Nothing here is process-wide: a learner's numbers reach only the run
+//! that holds it, and a seat without a learner (DP-E's env worker)
+//! reports none. With the watchdog off (`MSRL_HEALTH=0`) learners skip
+//! the snapshot and the norms.
+//!
+//! [`Signals`]: msrl_core::api::Signals
 
 use msrl_tensor::{widest, Tensor};
 
@@ -84,7 +86,7 @@ pub fn l2_norm(flat: &[f32]) -> f64 {
 }
 
 /// Copies `params`, in order, into `into` — the pre-update snapshot
-/// [`publish_update`] compares against, in a buffer the learner keeps
+/// [`update`] compares against, in a buffer the learner keeps
 /// from one update to the next.
 pub fn snapshot<'a>(into: &mut Vec<f32>, params: impl IntoIterator<Item = &'a Tensor>) {
     into.clear();
@@ -93,9 +95,12 @@ pub fn snapshot<'a>(into: &mut Vec<f32>, params: impl IntoIterator<Item = &'a Te
     }
 }
 
-/// `(‖after‖, ‖after − before‖)` over the parameter tensors `after` and
-/// their flat [`snapshot`] `before`, both sums in one pass.
-fn update_norms<'a>(before: &[f32], after: impl IntoIterator<Item = &'a Tensor>) -> (f64, f64) {
+/// `(‖after‖, ‖after − before‖ / ‖after‖)`: the weight norm and the
+/// update ratio of the parameter tensors `after` a step against their
+/// flat [`snapshot`] `before` it. The tensors are read in place, both
+/// sums in one pass.
+#[must_use]
+pub fn update<'a>(before: &[f32], after: impl IntoIterator<Item = &'a Tensor>) -> (f64, f64) {
     let mut sums = ([0.0; LANES], [0.0; LANES]);
     let mut offset = 0;
     for p in after {
@@ -107,30 +112,8 @@ fn update_norms<'a>(before: &[f32], after: impl IntoIterator<Item = &'a Tensor>)
         offset += p.len();
     }
     let norm = |lanes: [f64; LANES]| lanes.iter().sum::<f64>().sqrt();
-    (norm(sums.0), norm(sums.1))
-}
-
-/// Publishes the per-update health gauges from one optimisation step:
-/// `grad_norm` as returned by the clip, plus weight norm and update
-/// ratio of the parameter tensors `after` the step against their
-/// [`snapshot`] `before` it. The tensors are read in place, both sums in
-/// one pass. No-op when the health watchdog is disabled.
-pub fn publish_update<'a>(
-    grad_norm: f32,
-    before: &[f32],
-    after: impl IntoIterator<Item = &'a Tensor>,
-) {
-    if !msrl_telemetry::health_enabled() {
-        return;
-    }
-    let (weight_norm, delta) = update_norms(before, after);
-    // A non-finite gradient norm must reach the gauge as-is — the
-    // watchdog's nonfinite detector keys on it — but the gauge store
-    // holds raw f64 bits, so NaN round-trips fine.
-    msrl_telemetry::gauge_set("health.grad_norm", f64::from(grad_norm));
-    msrl_telemetry::gauge_set("health.weight_norm", weight_norm);
-    msrl_telemetry::gauge_set("health.update_ratio", delta / weight_norm.max(1e-12));
-    msrl_telemetry::static_counter!("health.updates").add(1);
+    let weight_norm = norm(sums.0);
+    (weight_norm, norm(sums.1) / weight_norm.max(1e-12))
 }
 
 #[cfg(test)]
@@ -167,9 +150,9 @@ mod tests {
         let weight = serial(&|i| sq(flat_after[i]));
         let delta = serial(&|i| (f64::from(flat_after[i]) - f64::from(before[i])).powi(2));
         let close = |got: f64, want: f64| ((got - want) / want).abs() <= 1e-12;
-        let (w, d) = update_norms(&before, &after);
+        let (w, ratio) = update(&before, &after);
         assert!(close(w, weight), "weight norm {w} vs {weight}");
-        assert!(close(d, delta), "delta {d} vs {delta}");
+        assert!(close(ratio, delta / weight), "ratio {ratio} vs {}", delta / weight);
         assert!(close(l2_norm(&before), serial(&|i| sq(before[i]))));
         let mut snap = vec![7.0; 3];
         snapshot(&mut snap, &after);
@@ -177,19 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn publish_update_feeds_gauges_and_counter() {
-        msrl_telemetry::set_health_enabled(true);
-        let before = vec![1.0f32; 4];
-        let after = vec![1.1f32; 4];
-        let n0 = msrl_telemetry::counter_total("health.updates");
-        publish_update(2.5, &before, [&Tensor::from_vec(after.clone(), &[2, 2]).unwrap()]);
-        assert!(msrl_telemetry::counter_total("health.updates") > n0);
-        let g = |name: &str| {
-            msrl_telemetry::gauges_snapshot().into_iter().find(|(k, _)| k == name).unwrap().1
-        };
-        assert!((g("health.grad_norm") - 2.5).abs() < 1e-9);
-        assert!((g("health.weight_norm") - l2_norm(&after)).abs() < 1e-12);
-        let ratio = g("health.update_ratio");
+    fn update_is_the_weight_norm_and_the_step_ratio() {
+        let after = Tensor::from_vec(vec![1.1f32; 4], &[2, 2]).unwrap();
+        let (weight_norm, ratio) = update(&[1.0; 4], [&after]);
+        assert!((weight_norm - l2_norm(after.data())).abs() < 1e-12);
         // ‖Δ‖ = 0.1·2 (4 entries of ~0.1), ‖w‖ = 1.1·2.
         assert!((ratio - (0.1f64 * 2.0) / (1.1 * 2.0)).abs() < 1e-3, "ratio {ratio}");
     }

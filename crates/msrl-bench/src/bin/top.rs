@@ -52,8 +52,8 @@ fn render(ev: &RunEvent, source: &str, seen: usize) -> Option<String> {
         if f.straggler {
             flags.push("strag");
         }
-        // The run watchdog's status on the fragment that trains (where
-        // the sentinel gauges originate), blank elsewhere.
+        // The run watchdog's status on the fragment that trains (whose
+        // learner the signals come from), blank elsewhere.
         let trains =
             matches!(f.role.as_str(), "learner" | "param_server") || f.role.starts_with("fused");
         let health = match ev.health.as_ref().map(|h| h.status) {

@@ -171,6 +171,22 @@ pub trait Actor: Send {
     fn set_policy_params(&mut self, flat: &[f32]) -> Result<()>;
 }
 
+/// What a learner's last update computed ([`Learner::signals`]): the
+/// training signal a run's metrics stream and health watchdog read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Signals {
+    /// Loss of the last pass over a batch.
+    pub loss: Option<f32>,
+    /// Mean policy entropy of that pass.
+    pub entropy: Option<f32>,
+    /// Global gradient L2 norm: pre-clip for the learner's own pass, of
+    /// the applied gradient for an external one.
+    pub grad_norm: Option<f32>,
+    /// `(‖weights‖, ‖Δweights‖ / ‖weights‖)` after the update, with the
+    /// health watchdog on.
+    pub update: Option<(f64, f64)>,
+}
+
 /// A learner: trains the policy from sampled experience
 /// (`Learner.learn()` in the paper's API).
 pub trait Learner: Send {
@@ -211,6 +227,11 @@ pub trait Learner: Send {
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
         let _ = flat;
         Ok(())
+    }
+
+    /// What the last update computed; nothing by default.
+    fn signals(&self) -> Signals {
+        Signals::default()
     }
 }
 

@@ -120,8 +120,7 @@ pub(super) fn step_learner(f: &mut Frame, dist: &DistPpoConfig, obs_dim: usize) 
             finished.extend(f.ep.recv(rank)?);
         }
         f.report.losses.push(loss);
-        let learner = agent.learner();
-        f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(learner))?;
+        f.close_finished(&finished, Some(agent.learner()))?;
     }
     f.report.final_params = agent.learner().policy_params();
     Ok(())
@@ -231,8 +230,7 @@ pub(super) fn grad_all_reduce(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoCon
             Some(returns) => returns,
             None => f.ep.all_gather(envs.take_finished_returns())?.into_iter().flatten().collect(),
         };
-        let learner = agent.learner();
-        f.close_finished(&finished, learner.last_loss(), learner.last_entropy(), Some(learner))?;
+        f.close_finished(&finished, Some(agent.learner()))?;
     }
     f.report.final_params = agent.learner().policy_params();
     Ok(())
@@ -283,15 +281,14 @@ pub(super) fn weight_all_reduce<B: BatchedEnv>(
             }
         })?;
         let batch = buf.drain_env_major()?;
-        let loss = learn(|| agent.learner_mut().learn(&batch))?;
+        learn(|| agent.learner_mut().learn(&batch))?;
         if f.workers > 1 {
             let _s = msrl_telemetry::span!("phase.weight_sync");
             let avg = f.ep.all_reduce_mean(agent.learner().policy_params())?;
             agent.set_policy_params(&avg)?;
         }
         let mean = total_reward / (env.total_agents() * steps.max(1)) as f32;
-        let learner = agent.learner();
-        f.close(mean, Some(loss), learner.last_entropy(), Some(learner))?;
+        f.close(mean, Some(agent.learner()))?;
     }
     f.report.final_params = agent.learner().policy_params();
     Ok(())
@@ -401,7 +398,7 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
             }
         }
         f.report.final_params = shared_params(&f.ep.all_gather(Vec::new())?, n);
-        f.close(total / (n * steps.max(1)) as f32, None, None, None)?;
+        f.close(total / (n * steps.max(1)) as f32, None)?;
     }
     Ok(())
 }
@@ -511,10 +508,6 @@ pub(super) fn push_pull_worker(
 /// A group of pushes: `(rank, push)`, one per rank, in rank order.
 pub(super) type Group = [(usize, Vec<f32>)];
 
-/// What a fold made of a group: the loss and the entropy the
-/// iteration's RunEvent carries, when the fold computed them.
-pub(super) type Folded = (Option<f32>, Option<f32>);
-
 /// The hub seat: takes `rounds` pushes from every worker, `group` at a
 /// time, folds each group into `learner`, answers every push with the
 /// learner's weights and closes an iteration every `per_report` pushes.
@@ -526,14 +519,14 @@ pub(super) fn push_pull_hub<L: Learner>(
     rounds: usize,
     group: usize,
     per_report: usize,
-    mut fold: impl FnMut(&mut L, &Group) -> Result<Folded>,
+    mut fold: impl FnMut(&mut L, &Group) -> Result<()>,
 ) -> Result<()> {
     let p = f.workers;
     // Resolved once, at entry: the fault hook is not a config field.
     let fault_nan = RuntimeConfig::default().fault_nan_iter;
     let mut owed = vec![rounds; p];
     for iter in 0..rounds * p / per_report {
-        let (mut finished, mut loss, mut entropy) = (Vec::new(), None, None);
+        let mut finished = Vec::new();
         for g in 0..per_report / group {
             let mut pushes: Vec<(usize, Vec<f32>)> = Vec::with_capacity(group);
             while pushes.len() < group {
@@ -550,7 +543,7 @@ pub(super) fn push_pull_hub<L: Learner>(
             for &(rank, _) in &pushes {
                 finished.extend(f.ep.recv(rank)?);
             }
-            (loss, entropy) = fold(&mut learner, &pushes)?;
+            fold(&mut learner, &pushes)?;
             let mut weights = learner.policy_params();
             if g + 1 == per_report / group && fault_nan == Some(iter as u64) {
                 // `MSRL_FAULT_NAN_ITER`: the health pass must flag this
@@ -563,8 +556,8 @@ pub(super) fn push_pull_hub<L: Learner>(
                 f.ep.send(rank, weights.clone())?;
             }
         }
-        f.report.losses.extend(loss);
-        f.close_finished(&finished, loss, entropy, Some(&learner))?;
+        f.report.losses.extend(learner.signals().loss);
+        f.close_finished(&finished, Some(&learner))?;
     }
     f.report.final_params = learner.policy_params();
     Ok(())
@@ -572,17 +565,17 @@ pub(super) fn push_pull_hub<L: Learner>(
 
 /// DP-A's fold: the group's trajectories, decoded and learned on as one
 /// batch.
-pub(super) fn learn_union(learner: &mut PpoLearner, pushes: &Group) -> Result<Folded> {
+pub(super) fn learn_union(learner: &mut PpoLearner, pushes: &Group) -> Result<()> {
     let batches = pushes.iter().map(|(_, push)| decode_batch(push)).collect::<Result<Vec<_>>>()?;
     let batch = SampleBatch::concat(&batches)?;
-    let loss = learn(|| learner.learn(&batch))?;
-    Ok((Some(loss), learner.last_entropy()))
+    learn(|| learner.learn(&batch))?;
+    Ok(())
 }
 
 /// DP-F's and A3C's fold: each gradient applied in turn.
-pub(super) fn apply_grads(learner: &mut impl Learner, pushes: &Group) -> Result<Folded> {
+pub(super) fn apply_grads(learner: &mut impl Learner, pushes: &Group) -> Result<()> {
     for (_, grads) in pushes {
         learn(|| learner.apply_grads(grads))?;
     }
-    Ok((None, None))
+    Ok(())
 }

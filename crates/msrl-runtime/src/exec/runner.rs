@@ -97,25 +97,17 @@ impl Frame<'_> {
     }
 
     /// The report tail: records the iteration's reward and, on the
-    /// reporting seat, streams its RunEvent (scanning `weights` for the
-    /// health pass when the watchdog is on).
+    /// reporting seat, streams its RunEvent with `learner`'s training
+    /// signal (and scans its weights when the watchdog is on).
     ///
     /// # Errors
     ///
     /// [`msrl_core::FdgError::Unhealthy`] when the watchdog fired a
     /// critical finding this iteration: the seat's body ends with it.
-    pub fn close(
-        &mut self,
-        reward: f32,
-        loss: Option<f32>,
-        entropy: Option<f32>,
-        weights: Option<&dyn Learner>,
-    ) -> Result<()> {
+    pub fn close(&mut self, reward: f32, learner: Option<&dyn Learner>) -> Result<()> {
         self.report.iteration_rewards.push(reward);
         let Some(o) = self.observer.as_mut() else { return Ok(()) };
-        let params =
-            weights.filter(|_| msrl_telemetry::health_enabled()).map(|w| w.policy_params());
-        o.observe(reward, loss, entropy, params.as_deref())
+        o.observe(reward, learner)
     }
 
     /// [`Frame::close`] on the mean return of the episodes that
@@ -127,14 +119,12 @@ impl Frame<'_> {
     pub fn close_finished(
         &mut self,
         finished: &[f32],
-        loss: Option<f32>,
-        entropy: Option<f32>,
-        weights: Option<&dyn Learner>,
+        learner: Option<&dyn Learner>,
     ) -> Result<()> {
         if !finished.is_empty() {
             self.prev_reward = finished.iter().sum::<f32>() / finished.len() as f32;
         }
-        self.close(self.prev_reward, loss, entropy, weights)
+        self.close(self.prev_reward, learner)
     }
 }
 

@@ -210,7 +210,7 @@ mod dp_b {
                     finished.extend(f.ep.recv(rank)?);
                 }
                 f.report.losses.push(loss);
-                f.close_finished(&finished, Some(loss), learner.last_entropy(), Some(&learner))?;
+                f.close_finished(&finished, Some(&learner))?;
             }
             f.report.final_params = learner.policy_params();
             Ok(())
@@ -366,6 +366,46 @@ mod dp_c {
             let make = |r: usize| msrl_env::batched::BatchedCartPole::new(4, r as u64);
             let report = run_dp_d(make, &cfg).unwrap();
             assert!(report.final_params.iter().all(|v| v.is_finite()));
+        }
+
+        #[test]
+        fn a_run_reads_only_its_own_learner() {
+            // Another learner in the process trains on NaN rewards the
+            // whole time; the run's health pass must not see it.
+            use msrl_algos::ppo::{PpoActor, PpoConfig, PpoLearner, PpoPolicy};
+            use msrl_core::api::Learner;
+            use msrl_tensor::Tensor;
+            use std::sync::atomic::{AtomicBool, Ordering};
+            let policy = PpoPolicy::discrete(4, 2, &[8], 1);
+            let mut actor = PpoActor::new(policy.clone(), 2);
+            let mut envs = VecEnv::from_fn(1, |i| CartPole::new(i as u64));
+            let mut batch = msrl_algos::rollout::collect(&mut actor, &mut envs, 32).unwrap();
+            batch.rewards = Tensor::full(&[32], f32::NAN);
+            let (stop, poisoned) = (AtomicBool::new(false), AtomicBool::new(false));
+            let dist = DistPpoConfig {
+                actors: 2,
+                iterations: 20,
+                hidden: vec![8],
+                seed: 9,
+                ..DistPpoConfig::default()
+            };
+            let result = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut learner = PpoLearner::new(policy, PpoConfig::default());
+                    while !stop.load(Ordering::Relaxed) {
+                        learner.learn(&batch).unwrap();
+                        poisoned.store(true, Ordering::Release);
+                    }
+                    assert!(learner.signals().grad_norm.is_some_and(f32::is_nan));
+                });
+                while !poisoned.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                let result = run_dp_c(|a, i| CartPole::new((a * 7 + i) as u64), &dist);
+                stop.store(true, Ordering::Relaxed);
+                result
+            });
+            assert_eq!(result.unwrap().iteration_rewards.len(), 20);
         }
     }
 }

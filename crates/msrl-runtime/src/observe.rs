@@ -5,6 +5,7 @@
 //!
 //! [`RunEvent`]: msrl_telemetry::RunEvent
 
+use msrl_core::api::{Learner, Signals};
 use msrl_core::{FdgError, Result};
 
 /// Per-iteration observability for the run's reporting seat: emits
@@ -12,8 +13,10 @@ use msrl_core::{FdgError, Result};
 /// entropy, it/s, comm-byte delta, staleness) and records the iteration
 /// period into the always-on `fragment.eval` histogram — one
 /// fragment-body execution per iteration, so DP runs carry latency
-/// quantiles even with `MSRL_TRACE` unset. A critical health finding
-/// ends the run ([`RunObserver::observe`]).
+/// quantiles even with `MSRL_TRACE` unset. The training signal comes
+/// from the seat's own learner ([`Learner::signals`]) and nowhere else,
+/// so two runs in one process cannot read each other's. A critical
+/// health finding ends the run ([`RunObserver::observe`]).
 pub(crate) struct RunObserver {
     policy: &'static str,
     staleness: u64,
@@ -25,7 +28,6 @@ pub(crate) struct RunObserver {
     /// Streaming health detectors over this run's metrics (None when
     /// `MSRL_HEALTH=0`).
     monitor: Option<msrl_telemetry::HealthMonitor>,
-    health_updates_prev: u64,
 }
 
 impl RunObserver {
@@ -46,42 +48,35 @@ impl RunObserver {
             actsrv_rows_prev: msrl_telemetry::counter_total("actsrv.rows"),
             iteration: 0,
             monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
-            health_updates_prev: msrl_telemetry::counter_total("health.updates"),
         }
     }
 
-    /// One health pass over the just-closed iteration: folds the
-    /// sentinel gauges the learner published (read only when their
-    /// counters moved, so learner-less drivers omit them), scans the
-    /// policy parameters for non-finite values with the fused kernel,
-    /// and feeds the run-level signals to the streaming detectors. A
-    /// freshly fired Critical finding snapshots the verdict, triggers a
-    /// flight-recorder dump carrying it (DESIGN §3.15) and comes back as
-    /// the run's error.
+    /// One health pass over the just-closed iteration: takes the
+    /// learner's signals, scans its policy parameters for non-finite
+    /// values with the fused kernel, and feeds both to the streaming
+    /// detectors. A freshly fired Critical finding snapshots the verdict,
+    /// triggers a flight-recorder dump carrying it (DESIGN §3.15) and
+    /// comes back as the run's error.
     fn health_block(
         &mut self,
         reward: f32,
-        loss: Option<f32>,
-        entropy: Option<f32>,
+        signals: &Signals,
         iters_per_sec: f64,
-        params: Option<&[f32]>,
+        learner: Option<&dyn Learner>,
     ) -> (Option<msrl_telemetry::HealthStatus>, Option<FdgError>) {
         let Some(monitor) = self.monitor.as_mut() else { return (None, None) };
         let _t = msrl_telemetry::static_histogram!("health.observe").time();
-        let gauge = |name: &str| msrl_telemetry::Gauge::handle(name).get();
-        let updates = msrl_telemetry::counter_total("health.updates");
-        let stepped = updates > self.health_updates_prev;
-        self.health_updates_prev = updates;
+        let params = learner.map(|l| l.policy_params());
         let sample = msrl_telemetry::HealthSample {
             iteration: self.iteration,
             reward: f64::from(reward),
-            loss: loss.map(f64::from),
-            entropy: entropy.map(f64::from),
+            loss: signals.loss.map(f64::from),
+            entropy: signals.entropy.map(f64::from),
             iters_per_sec,
-            grad_norm: stepped.then(|| gauge("health.grad_norm")),
-            weight_norm: stepped.then(|| gauge("health.weight_norm")),
-            update_ratio: stepped.then(|| gauge("health.update_ratio")),
-            nonfinite_params: params.map(msrl_tensor::kernels::count_nonfinite),
+            grad_norm: signals.grad_norm.map(f64::from),
+            weight_norm: signals.update.map(|(norm, _)| norm),
+            update_ratio: signals.update.map(|(_, ratio)| ratio),
+            nonfinite_params: params.as_deref().map(msrl_tensor::kernels::count_nonfinite),
         };
         let status = monitor.observe(&sample);
         let critical =
@@ -99,21 +94,17 @@ impl RunObserver {
 
     /// Closes one iteration: records its period, computes the
     /// critical-path attribution over the iteration window (taking
-    /// every fragment thread's classed spans), runs the health detectors,
-    /// and streams the training-metrics event — with an `attr` block,
-    /// and a `health` block when the watchdog is on.
+    /// every fragment thread's classed spans), runs the health detectors
+    /// over `learner`'s signals and weights, and streams the
+    /// training-metrics event — with an `attr` block, and a `health`
+    /// block when the watchdog is on. A seat without a learner reports
+    /// the reward alone.
     ///
     /// # Errors
     ///
     /// [`FdgError::Unhealthy`] for the first critical finding that fired
     /// this iteration, after its event line and dump are written.
-    pub(crate) fn observe(
-        &mut self,
-        reward: f32,
-        loss: Option<f32>,
-        entropy: Option<f32>,
-        params: Option<&[f32]>,
-    ) -> Result<()> {
+    pub(crate) fn observe(&mut self, reward: f32, learner: Option<&dyn Learner>) -> Result<()> {
         let now = std::time::Instant::now();
         let dt = now.duration_since(self.last);
         self.last = now;
@@ -133,13 +124,14 @@ impl RunObserver {
                 rows: actsrv_rows.saturating_sub(self.actsrv_rows_prev),
             });
         let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
-        let (health, critical) = self.health_block(reward, loss, entropy, iters_per_sec, params);
+        let signals = learner.map(Learner::signals).unwrap_or_default();
+        let (health, critical) = self.health_block(reward, &signals, iters_per_sec, learner);
         msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
             policy: self.policy.to_string(),
             iteration: self.iteration,
             reward: f64::from(reward),
-            loss: loss.map(f64::from),
-            entropy: entropy.map(f64::from),
+            loss: signals.loss.map(f64::from),
+            entropy: signals.entropy.map(f64::from),
             iters_per_sec,
             comm_bytes: bytes.saturating_sub(self.bytes_prev),
             staleness: self.staleness,

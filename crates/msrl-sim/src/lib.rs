@@ -18,7 +18,7 @@
 //!   training and price it on a cluster — the generators behind every
 //!   figure binary in `msrl-bench`;
 //! * [`stats`] — the statistical-efficiency model linking per-learner
-//!   batch size to episodes-to-convergence (the Hoffer et al. [16]
+//!   batch size to episodes-to-convergence (the Hoffer et al. \[16\]
 //!   argument the paper uses to explain DP-C's behaviour in Fig. 7a/8a).
 //!
 //! The simulator consumes the *same* FDG cost quantities (`msrl_core::cost`)

@@ -6,7 +6,7 @@
 //! The paper explains the second through batch-size effects: DP-C's
 //! data-parallel learners each train a `1/p` slice of the batch, which
 //! "adds randomness to the training and affects convergence speed"
-//! (§7.2, citing Hoffer et al. [16]); more environments per episode mean
+//! (§7.2, citing Hoffer et al. \[16\]); more environments per episode mean
 //! more data and fewer episodes (§7.4, Fig. 12).
 //!
 //! This module makes those explanations executable. The functional forms

@@ -5,7 +5,7 @@
 //! This module makes that observable on every run, without `MSRL_TRACE`:
 //! phase executions, collective waits and interpreter evaluations open
 //! *classed* spans (`span!("phase.learn", class: Learn)`), whose records
-//! each thread's lane keeps for this reader (see [`crate::recorder`]), and
+//! each thread's lane keeps for this reader (see `crate::recorder`), and
 //! at each iteration boundary the driver's observer calls
 //! [`finish_iteration`], which takes the classed records and computes
 //!

@@ -3,7 +3,7 @@
 //! debugging.
 //!
 //! It records nothing of its own. Each thread's lane (see
-//! [`crate::recorder`]) keeps its last [`RING_CAPACITY`] closed span
+//! `crate::recorder`) keeps its last [`RING_CAPACITY`] closed span
 //! records and its spans still open, tracing on or off, and a dump reads
 //! them: per lane, its tid, the fragment it hosts, the closed records
 //! (`end_ns: null` for a span with no class closed while tracing was

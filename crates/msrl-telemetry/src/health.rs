@@ -21,10 +21,14 @@
 //!
 //! Each detector is an [`Ewma`] + [`Hysteresis`] window — the one
 //! streaming-detector primitive, which `advisor::LiveAdvisor` uses too:
-//! a breach must persist for `confirm` consecutive samples to fire, a
+//! a breach must persist for three consecutive samples to fire, a
 //! firing is reported **exactly once**, and the detector re-arms only
-//! after `rearm` consecutive healthy samples — sub-hysteresis noise
-//! produces no findings at all.
+//! after eight consecutive healthy samples — sub-hysteresis noise
+//! produces no findings at all. The three level detectors (entropy,
+//! reward, throughput) are one rule with three floors: the signal's
+//! EWMA, once five samples have warmed it, against a fraction of a
+//! reference the run set itself — the EWMA at the end of warmup
+//! (entropy) or the highest EWMA since (reward, throughput).
 //!
 //! Firings accumulate into a [`HealthVerdict`]; the drivers embed the
 //! latest verdict in flight-recorder dumps (a critical firing triggers
@@ -141,7 +145,7 @@ pub struct HealthFinding {
 }
 
 /// The per-iteration `health` block of a [`RunEvent`](crate::RunEvent):
-/// the current status, the sentinel gauges, an explicit non-finite flag
+/// the current status, the learner's norms, an explicit non-finite flag
 /// (the stream writes NaN/Inf as `null`, so the boolean carries what the
 /// numbers cannot), and any findings that fired *this* iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,44 +208,26 @@ impl HealthVerdict {
 // Detector machinery
 // ---------------------------------------------------------------------------
 
-/// Detector window parameters. The defaults are deliberately loose —
-/// the watchdog must stay silent on every healthy CI stream; warn-level
-/// sensitivity is tuned by the noise floor of small CartPole runs.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// EWMA smoothing factor.
-    pub alpha: f64,
-    /// Consecutive breaching samples required to fire.
-    pub confirm: u32,
-    /// Consecutive healthy samples required to re-arm after a firing.
-    pub rearm: u32,
-    /// Samples before the EWMA detectors start judging (baselines are
-    /// snapshotted at the end of warmup).
-    pub warmup: u64,
-    /// Entropy collapse: EWMA below this fraction of the baseline.
-    pub entropy_frac: f64,
-    /// Grad explosion: a finite norm above this multiple of its EWMA.
-    pub grad_margin: f64,
-    /// Reward regression: EWMA below `best − frac·max(|best|, 1)`.
-    pub reward_frac: f64,
-    /// Throughput regression: EWMA below this fraction of its peak.
-    pub tput_frac: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            alpha: 0.2,
-            confirm: 3,
-            rearm: 8,
-            warmup: 5,
-            entropy_frac: 0.2,
-            grad_margin: 12.0,
-            reward_frac: 0.6,
-            tput_frac: 0.25,
-        }
-    }
-}
+// The detector windows, deliberately loose: the watchdog must stay
+// silent on every healthy CI stream, and warn-level sensitivity is tuned
+// by the noise floor of small CartPole runs.
+/// EWMA smoothing factor.
+const ALPHA: f64 = 0.2;
+/// Consecutive breaching samples required to fire.
+const CONFIRM: u32 = 3;
+/// Consecutive healthy samples required to re-arm after a firing.
+const REARM: u32 = 8;
+/// Samples before the EWMA detectors judge; a [`Level`]'s warmup
+/// reference is its EWMA at the last of them.
+const WARMUP: u64 = 5;
+/// Entropy collapse: EWMA below this fraction of the baseline.
+const ENTROPY_FRAC: f64 = 0.2;
+/// Grad explosion: a finite norm above this multiple of its EWMA.
+const GRAD_MARGIN: f64 = 12.0;
+/// Reward regression: EWMA below `best − frac·max(|best|, 1)`.
+const REWARD_FRAC: f64 = 0.6;
+/// Throughput regression: EWMA below this fraction of its peak.
+const TPUT_FRAC: f64 = 0.25;
 
 /// Exponentially weighted moving average; the first sample seeds it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -345,58 +331,109 @@ impl Detector {
     }
 }
 
+/// A level detector: a signal's EWMA, judged once warm against a floor
+/// under a reference the run set itself — the EWMA at the end of warmup,
+/// or the highest since. The entropy, reward and throughput detectors.
+struct Level {
+    ewma: Ewma,
+    /// Whether the reference is the highest EWMA since warmup.
+    peak: bool,
+    reference: Option<f64>,
+    /// The floor under a reference, `None` for one too small to judge by.
+    floor: fn(f64) -> Option<f64>,
+    /// A firing's diagnosis from the EWMA and the reference.
+    detail: fn(f64, f64) -> String,
+    det: Detector,
+}
+
+impl Level {
+    fn new(
+        name: &'static str,
+        peak: bool,
+        floor: fn(f64) -> Option<f64>,
+        detail: fn(f64, f64) -> String,
+    ) -> Self {
+        let det = Detector::new(name, Severity::Warn, CONFIRM, REARM);
+        Level { ewma: Ewma::default(), peak, reference: None, floor, detail, det }
+    }
+
+    /// Folds the `n`-th sample's value `x` in and judges the EWMA.
+    fn observe(&mut self, n: u64, x: f64, it: u64, findings: &mut Vec<HealthFinding>) {
+        let ewma = self.ewma.update(ALPHA, x);
+        if self.peak && n > WARMUP {
+            self.reference = Some(self.reference.map_or(ewma, |r| r.max(ewma)));
+        } else if !self.peak && n == WARMUP {
+            self.reference = Some(ewma);
+        }
+        if n > WARMUP {
+            let breach = self.reference.and_then(self.floor).is_some_and(|f| ewma < f);
+            let detail = || (self.detail)(ewma, self.reference.unwrap_or_default());
+            self.det.observe(breach, it, detail, findings);
+        }
+    }
+}
+
 /// The streaming detector bank. Feed one [`HealthSample`] per iteration
 /// via [`HealthMonitor::observe`]; read the run-level verdict back via
 /// [`HealthMonitor::verdict`].
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     n: u64,
-    reward: Ewma,
-    best_reward: f64,
-    entropy: Ewma,
-    entropy_baseline: Option<f64>,
-    tput: Ewma,
-    tput_peak: f64,
     grad: Ewma,
     nonfinite: Detector,
-    entropy_collapse: Detector,
+    entropy_collapse: Level,
     grad_explosion: Detector,
-    reward_regression: Detector,
-    tput_regression: Detector,
+    reward_regression: Level,
+    tput_regression: Level,
     findings: Vec<HealthFinding>,
 }
 
-impl HealthMonitor {
-    /// A monitor with the given window parameters.
-    pub fn new(cfg: HealthConfig) -> Self {
-        let (c, r) = (cfg.confirm, cfg.rearm);
+impl Default for HealthMonitor {
+    fn default() -> Self {
         HealthMonitor {
             n: 0,
-            reward: Ewma::default(),
-            best_reward: f64::NEG_INFINITY,
-            entropy: Ewma::default(),
-            entropy_baseline: None,
-            tput: Ewma::default(),
-            tput_peak: 0.0,
             grad: Ewma::default(),
             // The numeric-poison detector confirms on the first
             // breaching sample: one NaN is already fatal.
-            nonfinite: Detector::new("nonfinite", Severity::Critical, 1, r),
-            entropy_collapse: Detector::new("entropy_collapse", Severity::Warn, c, r),
-            grad_explosion: Detector::new("grad_explosion", Severity::Warn, c, r),
-            reward_regression: Detector::new("reward_regression", Severity::Warn, c, r),
-            tput_regression: Detector::new("tput_regression", Severity::Warn, c, r),
+            nonfinite: Detector::new("nonfinite", Severity::Critical, 1, REARM),
+            entropy_collapse: Level::new(
+                "entropy_collapse",
+                false,
+                |baseline| (baseline > 1e-9).then_some(ENTROPY_FRAC * baseline),
+                |ewma, baseline| {
+                    let pct = ENTROPY_FRAC * 100.0;
+                    format!("entropy EWMA {ewma:.4} below {pct:.0}% of baseline {baseline:.4}")
+                },
+            ),
+            grad_explosion: Detector::new("grad_explosion", Severity::Warn, CONFIRM, REARM),
+            reward_regression: Level::new(
+                "reward_regression",
+                true,
+                |best| Some(best - REWARD_FRAC * best.abs().max(1.0)),
+                |ewma, best| {
+                    let slack = REWARD_FRAC * best.abs().max(1.0);
+                    format!("reward EWMA {ewma:.3} fell below best {best:.3} − slack {slack:.3}")
+                },
+            ),
+            tput_regression: Level::new(
+                "tput_regression",
+                true,
+                |peak| Some(TPUT_FRAC * peak),
+                |ewma, peak| {
+                    let pct = TPUT_FRAC * 100.0;
+                    format!("it/s EWMA {ewma:.3} below {pct:.0}% of peak {peak:.3}")
+                },
+            ),
             findings: Vec::new(),
-            cfg,
         }
     }
+}
 
+impl HealthMonitor {
     /// Feeds one iteration; returns the per-iteration status block
     /// (including any findings that fired exactly this iteration).
     pub fn observe(&mut self, s: &HealthSample) -> HealthStatus {
         self.n += 1;
-        let a = self.cfg.alpha;
-        let it = s.iteration;
+        let (n, it) = (self.n, s.iteration);
         let mut new = Vec::new();
 
         let bad_loss = s.loss.is_some_and(|l| !l.is_finite());
@@ -422,31 +459,8 @@ impl HealthMonitor {
             &mut new,
         );
 
-        let warm = self.n > self.cfg.warmup;
-
-        // Entropy: baseline snapshotted at the end of warmup; collapse =
-        // EWMA below a fraction of that baseline.
         if let Some(e) = s.entropy.filter(|e| e.is_finite()) {
-            let ewma = self.entropy.update(a, e);
-            if self.n == self.cfg.warmup {
-                self.entropy_baseline = Some(ewma);
-            }
-            let breach = warm
-                && self
-                    .entropy_baseline
-                    .is_some_and(|b| b > 1e-9 && ewma < self.cfg.entropy_frac * b);
-            let baseline = self.entropy_baseline.unwrap_or(0.0);
-            self.entropy_collapse.observe(
-                breach,
-                it,
-                || {
-                    format!(
-                        "entropy EWMA {ewma:.4} below {:.0}% of baseline {baseline:.4}",
-                        self.cfg.entropy_frac * 100.0
-                    )
-                },
-                &mut new,
-            );
+            self.entropy_collapse.observe(n, e, it, &mut new);
         }
 
         // Gradient norm: compare against the healthy-sample EWMA, and
@@ -455,73 +469,39 @@ impl HealthMonitor {
         // would break after one sample and `confirm` never be reached.
         if let Some(g) = s.grad_norm.filter(|g| g.is_finite()) {
             let prev = self.grad.value;
-            let breach = warm && prev.is_some_and(|p| g > self.cfg.grad_margin * p.max(1e-9));
+            let breach = n > WARMUP && prev.is_some_and(|p| g > GRAD_MARGIN * p.max(1e-9));
             let p = prev.unwrap_or(0.0);
             self.grad_explosion.observe(
                 breach,
                 it,
-                || format!("grad norm {g:.3e} over {}x its EWMA {p:.3e}", self.cfg.grad_margin),
+                || format!("grad norm {g:.3e} over {GRAD_MARGIN}x its EWMA {p:.3e}"),
                 &mut new,
             );
             if !breach {
-                self.grad.update(a, g);
+                self.grad.update(ALPHA, g);
             }
         }
 
-        // Reward: regression against the best EWMA level reached.
         if s.reward.is_finite() {
-            let ewma = self.reward.update(a, s.reward);
-            if warm {
-                self.best_reward = self.best_reward.max(ewma);
-                let slack = self.cfg.reward_frac * self.best_reward.abs().max(1.0);
-                let best = self.best_reward;
-                self.reward_regression.observe(
-                    ewma < self.best_reward - slack,
-                    it,
-                    || {
-                        format!(
-                            "reward EWMA {ewma:.3} fell below best {best:.3} − slack {slack:.3}"
-                        )
-                    },
-                    &mut new,
-                );
-            }
+            self.reward_regression.observe(n, s.reward, it, &mut new);
         }
-
-        // Throughput: collapse against the peak EWMA.
         if s.iters_per_sec.is_finite() && s.iters_per_sec > 0.0 {
-            let ewma = self.tput.update(a, s.iters_per_sec);
-            if warm {
-                self.tput_peak = self.tput_peak.max(ewma);
-                let peak = self.tput_peak;
-                self.tput_regression.observe(
-                    ewma < self.cfg.tput_frac * self.tput_peak,
-                    it,
-                    || {
-                        format!(
-                            "it/s EWMA {ewma:.3} below {:.0}% of peak {peak:.3}",
-                            self.cfg.tput_frac * 100.0
-                        )
-                    },
-                    &mut new,
-                );
-            }
+            self.tput_regression.observe(n, s.iters_per_sec, it, &mut new);
         }
 
         self.findings.extend(new.iter().cloned());
 
-        let mut status = Severity::Ok;
-        for d in [
+        let status = [
             &self.nonfinite,
-            &self.entropy_collapse,
+            &self.entropy_collapse.det,
             &self.grad_explosion,
-            &self.reward_regression,
-            &self.tput_regression,
-        ] {
-            if d.hyst.active() {
-                status = status.max(d.severity);
-            }
-        }
+            &self.reward_regression.det,
+            &self.tput_regression.det,
+        ]
+        .into_iter()
+        .filter(|d| d.hyst.active())
+        .map(|d| d.severity)
+        .fold(Severity::Ok, Severity::max);
 
         HealthStatus {
             status,
@@ -549,12 +529,6 @@ impl HealthMonitor {
             iterations: self.n,
             findings: self.findings.clone(),
         }
-    }
-}
-
-impl Default for HealthMonitor {
-    fn default() -> Self {
-        HealthMonitor::new(HealthConfig::default())
     }
 }
 
@@ -739,6 +713,40 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].detector, "grad_explosion");
         assert_eq!(fired[0].severity, Severity::Warn, "finite spike is a warning, not critical");
+    }
+
+    /// The findings of ten healthy samples, then twenty with `bad`
+    /// applied.
+    fn regression(bad: impl Fn(&mut HealthSample)) -> Vec<HealthFinding> {
+        let mut m = HealthMonitor::default();
+        for i in 0..10 {
+            m.observe(&healthy(i));
+        }
+        let mut fired = Vec::new();
+        for i in 10..30 {
+            let mut s = healthy(i);
+            bad(&mut s);
+            fired.extend(m.observe(&s).findings);
+        }
+        fired
+    }
+
+    #[test]
+    fn reward_regression_fires_once_against_the_best_level() {
+        let fired = regression(|s| s.reward = -40.0);
+        assert_eq!(fired.len(), 1, "one regression firing: {fired:?}");
+        assert_eq!(fired[0].detector, "reward_regression");
+        assert_eq!(fired[0].severity, Severity::Warn);
+        assert_eq!(fired[0].iteration, 13);
+    }
+
+    #[test]
+    fn tput_regression_fires_once_against_the_peak_level() {
+        let fired = regression(|s| s.iters_per_sec = 10.0);
+        assert_eq!(fired.len(), 1, "one regression firing: {fired:?}");
+        assert_eq!(fired[0].detector, "tput_regression");
+        assert_eq!(fired[0].severity, Severity::Warn);
+        assert_eq!(fired[0].iteration, 20);
     }
 
     /// The metrics line the observer writes for sample `s`.

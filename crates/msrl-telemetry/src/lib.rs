@@ -88,8 +88,8 @@ pub use attribution::{
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
 pub use health::{
-    health_enabled, replay_stream, set_health_enabled, set_last_verdict, Ewma, HealthConfig,
-    HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Hysteresis, Severity,
+    health_enabled, replay_stream, set_health_enabled, set_last_verdict, Ewma, HealthFinding,
+    HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Hysteresis, Severity,
 };
 pub use histogram::{
     bucket_estimate, bucket_index, bucket_lower_bound, histogram_record, histogram_stats,

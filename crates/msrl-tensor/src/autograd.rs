@@ -394,7 +394,7 @@ impl Tape {
     /// `carried` pairs leaves of this tape whose value every block
     /// shares (parameters) with their gradients over the blocks before
     /// this one; the result holds their gradients over those blocks and
-    /// this one. A leaf reached through a [`Rule::Continued`] — the
+    /// this one. A leaf reached through a `Rule::Continued` — the
     /// weight and bias of [`Var::linear`], the right operand of
     /// [`Var::matmul`], a bias added by [`Var::add`] — has the carried
     /// reduction continued over this block's rows, so after the last

@@ -33,7 +33,7 @@
 //! Outside an x86 trampoline (the portable family, or a scalar `fast_*`
 //! called from baseline code) each fused step is a libm `fmaf` call: the
 //! same bits, many times the cost. Row reductions (the softmax max and
-//! sum) use a 16-lane tree fixed by [`RLANES`], not by the register width,
+//! sum) use a 16-lane tree fixed by `RLANES`, not by the register width,
 //! so their bits are identical on every dispatch level too. Tests pin
 //! vector == scalar equality on every instantiation; only the gap to libm
 //! needs a tolerance.
@@ -288,7 +288,7 @@ unsafe fn exp_shifted<V: Lanes>(p: *mut f32, j: usize, max: f32) {
 
 /// Softmax of one row in place: tree max, `fast_exp(x − max)`, tree sum,
 /// scale — on every dispatch level the same body, so bitwise-identical
-/// across them: the reduction tree is fixed at [`RLANES`] lanes and the
+/// across them: the reduction tree is fixed at `RLANES` lanes and the
 /// exp pass is elementwise.
 ///
 /// Against the libm spelling in [`crate::reference::softmax_rows`] both

@@ -337,7 +337,7 @@ impl MlpBinding {
         self.params.iter().map(|p| grads.get_or_zeros(p)).collect()
     }
 
-    /// Like [`Mlp::grads`], but moves the gradients out instead of
+    /// Like [`MlpBinding::grads`], but moves the gradients out instead of
     /// cloning them — each parameter's gradient is owned by exactly one
     /// module, so learners extract without a copy.
     pub fn take_grads(&self, grads: &mut Gradients) -> Vec<Tensor> {
