@@ -170,7 +170,6 @@ fn telemetry_cost() -> TelemetryCost {
             comm_bytes: 4096,
             staleness: 1,
             attr: None,
-            actsrv: None,
             health: None,
         })
     });
@@ -535,12 +534,12 @@ impl OverlapRow {
 }
 
 /// End-to-end PPO CartPole throughput under DP-A and DP-C, overlap off
-/// vs on — the macro counterpart of `profile_report`'s span analysis,
-/// tracked release over release like the backend numbers. The workload
-/// matches `profile_report`: a simulated 10 ms wire latency and a
-/// rollout/learn balance that is communication-bound, so the overlap
-/// machinery has real transfer time to hide. Telemetry stays disabled:
-/// these are wall-clock numbers.
+/// vs on — the wall-clock counterpart of `tests/overlap_e2e.rs`' exact
+/// span counts, tracked release over release like the backend numbers.
+/// The workload has a simulated 10 ms wire latency and a rollout/learn
+/// balance that is communication-bound, so the overlap machinery has
+/// real transfer time to hide. Telemetry stays disabled: these are
+/// wall-clock numbers.
 fn comm_overlap_rows() -> Vec<OverlapRow> {
     let base = DistPpoConfig {
         actors: 2,
@@ -596,8 +595,7 @@ fn main() {
     // a share of the DP-A iteration period is the iteration-level
     // counterpart of `disabled_probe_share_pct` and is held to the same
     // <5% acceptance bound.
-    let attr_report = msrl_telemetry::TelemetryReport::from_spans(&[]).with_registry();
-    let attr_finish = attr_report.histogram("attr.finish_iteration");
+    let attr_finish = msrl_telemetry::histogram_stats("attr.finish_iteration");
     let attr_finish_iter_ns = attr_finish.as_ref().map_or(0.0, |h| h.p50_ns as f64);
     let attr_finish_count = attr_finish.as_ref().map_or(0, |h| h.count);
     let dp_a_period_ns = overlap

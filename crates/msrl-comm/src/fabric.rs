@@ -56,9 +56,12 @@
 //! in profiles), and the always-on counters
 //! `comm.bytes_sent` / `comm.bytes_recv` / `comm.msgs_sent` total traffic
 //! while `comm.sim_latency_ns` attributes time spent waiting out the
-//! injected latency. Each blocking site also records its latency into an
-//! always-on `comm.*` histogram, so reports carry per-collective and
-//! blocked-recv p50/p99 even without tracing.
+//! injected latency. The endpoints of one group also share a scoped
+//! count of the bytes they send ([`Endpoint::group_bytes_sent`]), so a
+//! run reports its own traffic whatever else the process sends. Each
+//! blocking site also records its latency into an always-on `comm.*`
+//! histogram, so reports carry per-collective and blocked-recv p50/p99
+//! even without tracing.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -340,11 +343,13 @@ impl Fabric {
     /// by the *receiver* when it claims the message; senders never block.
     pub fn with_latency(n: usize, latency: Duration) -> Vec<Endpoint> {
         let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new(n))).collect();
+        let bytes_sent = msrl_telemetry::Counter::scoped("comm.bytes_sent");
         (0..n)
             .map(|rank| Endpoint {
                 rank,
                 size: n,
                 inboxes: inboxes.clone(),
+                bytes_sent: bytes_sent.clone(),
                 latency,
                 next_tag: 1,
                 _not_sync: PhantomData,
@@ -364,6 +369,9 @@ pub struct Endpoint {
     /// `inboxes[i]` is rank `i`'s inbox; `inboxes[rank]` is this
     /// endpoint's own.
     inboxes: Vec<Arc<Inbox>>,
+    /// The group's bytes sent, shared by all its endpoints; feeds the
+    /// process-wide `comm.bytes_sent` too.
+    bytes_sent: msrl_telemetry::Counter,
     latency: Duration,
     next_tag: u64,
     _not_sync: PhantomData<Cell<()>>,
@@ -389,6 +397,11 @@ impl Endpoint {
     /// The group size.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Payload bytes every endpoint of this group has sent so far.
+    pub fn group_bytes_sent(&self) -> u64 {
+        self.bytes_sent.get()
     }
 
     fn inbox(&self) -> &Inbox {
@@ -421,8 +434,7 @@ impl Endpoint {
     fn send_tagged(&self, to: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
         let _span = msrl_telemetry::span!("comm.send");
         msrl_telemetry::static_counter!("comm.msgs_sent").add(1);
-        msrl_telemetry::static_counter!("comm.bytes_sent")
-            .add(payload.len() as u64 * std::mem::size_of::<f32>() as u64);
+        self.bytes_sent.add(payload.len() as u64 * std::mem::size_of::<f32>() as u64);
         let deliver_at = (!self.latency.is_zero()).then(|| Instant::now() + self.latency);
         let inbox =
             self.inboxes.get(to).ok_or(CommError::UnknownRank { rank: to, size: self.size })?;
@@ -643,6 +655,32 @@ mod tests {
         let a = eps.pop().unwrap();
         a.send(1, vec![1.0, 2.0]).unwrap();
         assert_eq!(b.recv(0).unwrap(), vec![1.0, 2.0]);
+    }
+
+    /// A group counts the bytes its own endpoints send, exactly, while
+    /// another group sends at the same time; both feed the process-wide
+    /// total.
+    #[test]
+    fn group_byte_count_is_exact_beside_another_group() {
+        let ours = Fabric::new(2);
+        let theirs = Fabric::new(2);
+        let before = msrl_telemetry::counter_total("comm.bytes_sent");
+        let noise = thread::spawn(move || {
+            for _ in 0..1000 {
+                theirs[0].send(1, vec![0.0; 64]).unwrap();
+            }
+            theirs
+        });
+        for _ in 0..100 {
+            ours[0].send(1, vec![1.0; 3]).unwrap();
+            ours[1].send(0, vec![2.0; 5]).unwrap();
+        }
+        let theirs = noise.join().unwrap();
+        let (own, other) = (100 * (3 + 5) * 4, 1000 * 64 * 4);
+        assert_eq!((ours[0].group_bytes_sent(), ours[1].group_bytes_sent()), (own, own));
+        assert_eq!(theirs[1].group_bytes_sent(), other);
+        let total = msrl_telemetry::counter_total("comm.bytes_sent") - before;
+        assert!(total >= own + other, "both groups feed the total: {total}");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Policy advisor: ranks DP-A..DP-F for a profiled workload.
+//! Policy advisor: ranks DP-A..DP-F for the workload a run's event
+//! stream describes.
 //!
-//! Consumes the `TelemetryReport` JSON artifacts that `profile_report`
-//! commits under `results/profile_*.json` and combines the measured
-//! per-fragment costs with a simple analytic fragment/comm cost model to
-//! predict the per-iteration period of each distribution policy at a
-//! given actor count and link latency. The point is the paper's: the
-//! best policy is workload- and network-dependent, and a profile of one
-//! run is enough to choose the next one.
+//! [`LiveAdvisor`] folds the `attr` block of each [`RunEvent`] into a
+//! simple analytic fragment/comm cost model and predicts the
+//! per-iteration period of each distribution policy at a given actor
+//! count and link latency. The point is the paper's: the best policy is
+//! workload- and network-dependent, and the profile of one run — its
+//! stream — is enough to choose the next one.
 //!
 //! ## Cost model
 //!
-//! With `r` the per-actor rollout compute (p50), `l` the whole-batch
-//! learn compute per iteration (all epochs), `l1 = l / p` its per-actor
+//! With `r` the per-actor rollout compute, `l` the whole-batch learn
+//! compute per iteration (all epochs), `l1 = l / p` its per-actor
 //! share, `L` the one-way per-message link latency, `p` the actor
 //! count, `E` the epoch (sync-round) count, and `s` the env steps per
 //! iteration:
@@ -27,144 +27,21 @@
 //!
 //! The model deliberately ignores serialisation and contention — it is
 //! a ranking device, not a simulator — and the `advise` binary prints
-//! the measured per-iteration periods from the artifacts next to the
-//! modelled ones so disagreement is visible.
+//! each policy's measured per-iteration period from the stream next to
+//! the modelled ones ([`render_table`]) so disagreement is visible.
 //!
-//! ## Live mode
+//! ## Folding
 //!
-//! [`LiveAdvisor`] feeds the same cost model from the always-on
-//! attribution stream instead of a post-hoc profile: it folds the `attr`
-//! block of each [`RunEvent`], smooths the per-iteration rollout and
-//! learn terms with the health watchdog's [`Ewma`], and re-ranks a
-//! candidate set on every event. A recommendation is printed only when
-//! the bottleneck shift persists through a [`Hysteresis`] window
-//! (margin × consecutive confirmations), and it is advice only — the
-//! advisor never re-plans the run itself.
+//! The advisor smooths the per-iteration rollout and learn terms with
+//! the health watchdog's [`Ewma`] and re-ranks a candidate set on every
+//! event. A recommendation is printed only when the bottleneck shift
+//! persists through a [`Hysteresis`] window (margin × consecutive
+//! confirmations), and it is advice only — the advisor never re-plans
+//! the run itself.
 
 use std::time::Duration;
 
 use msrl_telemetry::{Ewma, Hysteresis, RunEvent};
-use serde::{Deserialize, Value};
-
-/// What the advisor extracts from one `profile_*.json` artifact.
-#[derive(Debug, Clone)]
-pub struct ProfileSummary {
-    /// Artifact the summary came from (file name or label).
-    pub source: String,
-    /// Distribution policy inferred from the artifact name (e.g.
-    /// `dp_a`), or `"unknown"`.
-    pub policy: String,
-    /// Actor-side fragment replicas (max count over `fragment.*` spans).
-    pub actors: usize,
-    /// Training iterations (rollout phases per actor).
-    pub iterations: usize,
-    /// p50 of one `phase.rollout` (per-actor rollout compute), ns.
-    pub rollout_p50_ns: u64,
-    /// p50 of one `phase.learn`, ns. Pure compute only when the profile
-    /// has a dedicated learner fragment; under fused policies it
-    /// includes the in-phase collective.
-    pub learn_p50_ns: u64,
-    /// Vectorised env steps per iteration per actor.
-    pub steps_per_iter: u64,
-    /// Measured wall-clock per iteration of the fragment that closes
-    /// each iteration: the dedicated learner when the run has one
-    /// (actor fragments also carry startup and the trailing drain of
-    /// overlapped broadcasts), else the busiest fragment, ns.
-    pub measured_period_ns: Option<u64>,
-    /// Whether the run had a dedicated learner fragment
-    /// (`fragment.learner`), making `learn_p50_ns` comm-free.
-    pub has_dedicated_learner: bool,
-}
-
-fn span_stat(spans: &Value, name: &str, stat: &str) -> Option<u64> {
-    let Value::Seq(items) = spans else { return None };
-    for item in items {
-        if let Ok(Value::Str(n)) = item.field("name") {
-            if n == name {
-                return item.field(stat).ok().and_then(|v| u64::from_value(v).ok());
-            }
-        }
-    }
-    None
-}
-
-/// Parses one profile artifact (`TelemetryReport::to_json` output).
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem: not JSON, no
-/// `spans` array, or no `phase.rollout`/`fragment.*` spans to size the
-/// workload from.
-pub fn parse_profile(json: &str, source: &str) -> Result<ProfileSummary, String> {
-    let root = serde_json::value_from_str(json).map_err(|e| format!("{source}: {e}"))?;
-    let spans = root.field("spans").map_err(|e| format!("{source}: {e}"))?;
-    let Value::Seq(items) = spans else {
-        return Err(format!("{source}: `spans` is not an array"));
-    };
-
-    // Actor count: the widest replicated fragment.
-    let mut actors = 0u64;
-    // The busiest fragment carries the run's critical path.
-    let mut busiest: Option<(u64, u64)> = None; // (total_ns, count)
-    for item in items {
-        let Ok(Value::Str(name)) = item.field("name") else { continue };
-        if !name.starts_with("fragment.") {
-            continue;
-        }
-        let count = item.field("count").ok().and_then(|v| u64::from_value(v).ok()).unwrap_or(0);
-        let total = item.field("total_ns").ok().and_then(|v| u64::from_value(v).ok()).unwrap_or(0);
-        actors = actors.max(count);
-        if busiest.is_none_or(|(t, _)| total > t) {
-            busiest = Some((total, count.max(1)));
-        }
-    }
-    if actors == 0 {
-        return Err(format!("{source}: no fragment.* spans"));
-    }
-
-    let rollout_count = span_stat(spans, "phase.rollout", "count")
-        .filter(|&c| c > 0)
-        .ok_or_else(|| format!("{source}: no phase.rollout span"))?;
-    let iterations = (rollout_count / actors).max(1);
-    let rollout_p50_ns = span_stat(spans, "phase.rollout", "p50_ns").unwrap_or(0);
-    let learn_p50_ns = span_stat(spans, "phase.learn", "p50_ns").unwrap_or(0);
-
-    let env_steps = root
-        .field("counters")
-        .ok()
-        .and_then(|c| c.field("env.steps").ok())
-        .and_then(|v| u64::from_value(v).ok())
-        .unwrap_or(0);
-    let steps_per_iter = env_steps / (actors * iterations).max(1);
-
-    let has_dedicated_learner = span_stat(spans, "fragment.learner", "count").is_some();
-    let measured_period_ns = if has_dedicated_learner {
-        span_stat(spans, "fragment.learner", "total_ns")
-            .zip(span_stat(spans, "fragment.learner", "count"))
-            .map(|(total, count)| total / count.max(1) / iterations)
-    } else {
-        busiest.map(|(total, count)| total / count / iterations)
-    };
-
-    let policy = source
-        .rsplit('/')
-        .next()
-        .and_then(|f| f.strip_prefix("profile_"))
-        .map(|rest| rest.trim_end_matches(".json").split('_').take(2).collect::<Vec<_>>().join("_"))
-        .unwrap_or_else(|| "unknown".to_string());
-
-    Ok(ProfileSummary {
-        source: source.to_string(),
-        policy,
-        actors: actors as usize,
-        iterations: iterations as usize,
-        rollout_p50_ns,
-        learn_p50_ns,
-        steps_per_iter,
-        measured_period_ns,
-        has_dedicated_learner,
-    })
-}
 
 /// Workload + network parameters the cost model runs on.
 #[derive(Debug, Clone)]
@@ -182,26 +59,6 @@ pub struct CostModelInputs {
     pub steps_per_iter: u64,
     /// One-way per-message link latency `L`.
     pub latency: Duration,
-}
-
-impl CostModelInputs {
-    /// Builds model inputs from a profile, overriding the actor count
-    /// and network parameters the caller wants to plan for.
-    pub fn from_profile(
-        profile: &ProfileSummary,
-        actors: usize,
-        latency: Duration,
-        epochs: usize,
-    ) -> CostModelInputs {
-        CostModelInputs {
-            rollout_ns: profile.rollout_p50_ns as f64,
-            learn_ns: profile.learn_p50_ns as f64,
-            actors: actors.max(1),
-            epochs: epochs.max(1),
-            steps_per_iter: profile.steps_per_iter.max(1),
-            latency,
-        }
-    }
 }
 
 /// One row of the advisor's ranking.
@@ -429,8 +286,10 @@ impl LiveAdvisor {
     }
 }
 
-/// Renders the ranking (and any measured periods) as an aligned table.
-pub fn render_table(rows: &[PolicyEstimate], measured: &[ProfileSummary]) -> String {
+/// Renders the ranking as an aligned table, followed by the measured
+/// per-iteration period of each `(policy, ns)` in `measured`, fastest
+/// first.
+pub fn render_table(rows: &[PolicyEstimate], measured: &[(String, f64)]) -> String {
     let mut out = String::new();
     out.push_str("rank  policy  model ms/iter  model it/s  note\n");
     for (i, row) in rows.iter().enumerate() {
@@ -444,19 +303,12 @@ pub fn render_table(rows: &[PolicyEstimate], measured: &[ProfileSummary]) -> Str
         ));
     }
     if !measured.is_empty() {
-        out.push_str("\nmeasured (from profile artifacts):\n");
-        out.push_str("policy  ms/iter  source\n");
-        let mut sorted: Vec<&ProfileSummary> = measured.iter().collect();
-        sorted.sort_by_key(|s| s.measured_period_ns.unwrap_or(u64::MAX));
-        for s in sorted {
-            if let Some(period) = s.measured_period_ns {
-                out.push_str(&format!(
-                    "{:<6}  {:>7.3}  {}\n",
-                    s.policy,
-                    period as f64 / 1e6,
-                    s.source
-                ));
-            }
+        out.push_str("\nmeasured (median over the stream's events):\n");
+        out.push_str("policy  ms/iter\n");
+        let mut sorted: Vec<&(String, f64)> = measured.iter().collect();
+        sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for (policy, period_ns) in sorted {
+            out.push_str(&format!("{policy:<6}  {:>7.3}\n", period_ns / 1e6));
         }
     }
     out
@@ -466,58 +318,45 @@ pub fn render_table(rows: &[PolicyEstimate], measured: &[ProfileSummary]) -> Str
 mod tests {
     use super::*;
 
-    fn load(name: &str) -> ProfileSummary {
-        let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
-        let json = std::fs::read_to_string(&path).expect("committed profile artifact");
-        parse_profile(&json, name).expect("parse committed profile")
+    /// The CartPole workload the last DP-A profile artifact described
+    /// (2 actors, 128 steps per iteration, 10 ms link): its rollout and
+    /// learn medians, planned for `actors`, `latency` and `epochs`.
+    fn cartpole(actors: usize, latency: Duration, epochs: usize) -> CostModelInputs {
+        CostModelInputs {
+            rollout_ns: 634_148.0,
+            learn_ns: 581_531.0,
+            actors,
+            epochs,
+            steps_per_iter: 128,
+            latency,
+        }
     }
 
     #[test]
     fn advisor_ranks_dp_a_ahead_of_dp_c_for_rollout_heavy_cartpole() {
-        let dp_a = load("profile_dp_a_overlap.json");
-        let dp_c = load("profile_dp_c_overlap.json");
-        assert!(dp_a.has_dedicated_learner, "DP-A profile separates learn from comm");
-        assert!(dp_a.actors >= 2 && dp_a.iterations >= 2);
-
-        // Model ranking at the profiled 10 ms link latency.
-        let inputs =
-            CostModelInputs::from_profile(&dp_a, dp_a.actors, Duration::from_millis(10), 1);
-        let rows = rank_policies(&inputs);
+        let rows = rank_policies(&cartpole(2, Duration::from_millis(10), 1));
         let pos = |name: &str| rows.iter().position(|r| r.policy == name).unwrap();
-        assert!(pos("dp_a") < pos("dp_c"), "model must rank DP-A ahead of DP-C: {rows:?}");
-        assert_eq!(rows[0].policy, "dp_a", "DP-A wins the rollout-heavy profile");
-        // The per-step policies must be heavily penalised at 10 ms.
-        assert!(pos("dp_b") > pos("dp_c") && pos("dp_e") > pos("dp_c"));
-
-        // The artifacts agree: DP-A's measured period beats DP-C's.
-        let (ma, mc) = (
-            dp_a.measured_period_ns.expect("dp_a busiest fragment"),
-            dp_c.measured_period_ns.expect("dp_c busiest fragment"),
-        );
-        assert!(ma < mc, "measured DP-A ({ma} ns/iter) must beat DP-C ({mc} ns/iter)");
-        // And the model's absolute estimate is in the right regime
-        // (latency-dominated ≈ 10–15 ms, not µs or seconds).
-        let dpa_model = rows[pos("dp_a")].period_ns;
-        assert!((5e6..5e7).contains(&dpa_model), "DP-A model period: {dpa_model}");
+        // DP-A hides the rollout behind the 10 ms link and pays the
+        // learn once: 10 + 0.58 = 10.58 ms.
+        assert_eq!((rows[0].policy, rows[0].period_ns), ("dp_a", 10_581_531.0), "{rows:?}");
+        // DP-C and DP-D pay the rollout, half the learn and one link
+        // each: 0.63 + 0.29 + 10 = 10.92 ms.
+        for (rank, policy) in [(1, "dp_c"), (2, "dp_d")] {
+            assert_eq!((rows[rank].policy, rows[rank].period_ns), (policy, 10_924_913.5));
+        }
+        // The per-step policies pay 2·128 links per iteration.
+        assert!(pos("dp_b") > pos("dp_c") && pos("dp_e") > pos("dp_c"), "{rows:?}");
     }
 
     #[test]
     fn zero_latency_ranking_is_compute_dominated() {
-        let dp_a = load("profile_dp_a_overlap.json");
-        let inputs = CostModelInputs::from_profile(&dp_a, 4, Duration::ZERO, 4);
-        let rows = rank_policies(&inputs);
+        let rows = rank_policies(&cartpole(4, Duration::ZERO, 4));
         // With a free network, every period collapses to compute terms
         // and nothing should be latency-dominated.
         assert!(rows.iter().all(|r| r.period_ns < 1e8), "{rows:?}");
-        let table = render_table(&rows, &[dp_a]);
+        let table = render_table(&rows, &[("dp_a".to_string(), 10_581_531.0)]);
         assert!(table.contains("rank") && table.contains("dp_a"));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_profiles() {
-        assert!(parse_profile("not json", "x").is_err());
-        assert!(parse_profile("{\"spans\": []}", "x").is_err());
-        assert!(parse_profile("{\"spans\": 3}", "x").is_err());
+        assert!(table.contains("dp_a     10.582"), "the measured period is listed: {table}");
     }
 
     /// Builds a real attributed run event: `actors` actor fragments
@@ -554,7 +393,6 @@ mod tests {
             comm_bytes: 0,
             staleness: 0,
             attr: Some(tel::attribute(&stamps, 0, wall, 2.0)),
-            actsrv: None,
             health: None,
         };
         RunEvent::parse(&ev.to_json_line()).expect("the stream reads back what it writes")
@@ -629,13 +467,13 @@ mod tests {
 
     #[test]
     fn live_advisor_agrees_with_committed_profile_ranking() {
-        // Folding the committed DP-A profile's workload terms into the
-        // live path must reproduce the offline ranking: DP-A beats DP-C
-        // on rollout-heavy CartPole at the profiled 10 ms latency.
-        let dp_a = load("profile_dp_a_overlap.json");
-        let sample = event(0, dp_a.actors as u64, dp_a.rollout_p50_ns, dp_a.learn_p50_ns);
+        // Folding the CartPole profile's workload terms into the live
+        // path must reproduce the offline ranking: DP-A beats DP-C on
+        // rollout-heavy CartPole at the profiled 10 ms latency.
+        let sample = event(0, 2, 634_148, 581_531);
         let mut adv = LiveAdvisor::new(LiveAdvisorConfig::default());
         let rec = adv.observe(&sample).expect("first sample recommends");
         assert_eq!(rec.policy, "dp_a");
+        assert_eq!(rec.period_ns, 10_581_531.0);
     }
 }

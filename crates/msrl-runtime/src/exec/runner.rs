@@ -98,7 +98,8 @@ impl Frame<'_> {
 
     /// The report tail: records the iteration's reward and, on the
     /// reporting seat, streams its RunEvent with `learner`'s training
-    /// signal (and scans its weights when the watchdog is on).
+    /// signal (and scans its weights when the watchdog is on) and the
+    /// bytes this run's fabric sent.
     ///
     /// # Errors
     ///
@@ -107,7 +108,7 @@ impl Frame<'_> {
     pub fn close(&mut self, reward: f32, learner: Option<&dyn Learner>) -> Result<()> {
         self.report.iteration_rewards.push(reward);
         let Some(o) = self.observer.as_mut() else { return Ok(()) };
-        o.observe(reward, learner)
+        o.observe(reward, learner, self.ep.group_bytes_sent())
     }
 
     /// [`Frame::close`] on the mean return of the episodes that

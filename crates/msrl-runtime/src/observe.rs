@@ -10,20 +10,19 @@ use msrl_core::{FdgError, Result};
 
 /// Per-iteration observability for the run's reporting seat: emits
 /// one [`msrl_telemetry::RunEvent`] per iteration (reward, loss,
-/// entropy, it/s, comm-byte delta, staleness) and records the iteration
-/// period into the always-on `fragment.eval` histogram — one
+/// entropy, it/s, the run's comm-byte delta, staleness) and records the
+/// iteration period into the always-on `fragment.eval` histogram — one
 /// fragment-body execution per iteration, so DP runs carry latency
 /// quantiles even with `MSRL_TRACE` unset. The training signal comes
 /// from the seat's own learner ([`Learner::signals`]) and nowhere else,
-/// so two runs in one process cannot read each other's. A critical
-/// health finding ends the run ([`RunObserver::observe`]).
+/// and the byte count from the run's own fabric, so two runs in one
+/// process cannot read each other's. A critical health finding ends the
+/// run ([`RunObserver::observe`]).
 pub(crate) struct RunObserver {
     policy: &'static str,
     staleness: u64,
     last: std::time::Instant,
     bytes_prev: u64,
-    actsrv_batches_prev: u64,
-    actsrv_rows_prev: u64,
     iteration: u64,
     /// Streaming health detectors over this run's metrics (None when
     /// `MSRL_HEALTH=0`).
@@ -43,9 +42,7 @@ impl RunObserver {
             policy,
             staleness: staleness as u64,
             last: std::time::Instant::now(),
-            bytes_prev: msrl_telemetry::counter_total("comm.bytes_sent"),
-            actsrv_batches_prev: msrl_telemetry::counter_total("actsrv.batches"),
-            actsrv_rows_prev: msrl_telemetry::counter_total("actsrv.rows"),
+            bytes_prev: 0,
             iteration: 0,
             monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
         }
@@ -98,13 +95,19 @@ impl RunObserver {
     /// over `learner`'s signals and weights, and streams the
     /// training-metrics event — with an `attr` block, and a `health`
     /// block when the watchdog is on. A seat without a learner reports
-    /// the reward alone.
+    /// the reward alone. `bytes_sent` is the run's fabric total so far
+    /// (`Endpoint::group_bytes_sent`); the event carries its delta.
     ///
     /// # Errors
     ///
     /// [`FdgError::Unhealthy`] for the first critical finding that fired
     /// this iteration, after its event line and dump are written.
-    pub(crate) fn observe(&mut self, reward: f32, learner: Option<&dyn Learner>) -> Result<()> {
+    pub(crate) fn observe(
+        &mut self,
+        reward: f32,
+        learner: Option<&dyn Learner>,
+        bytes_sent: u64,
+    ) -> Result<()> {
         let now = std::time::Instant::now();
         let dt = now.duration_since(self.last);
         self.last = now;
@@ -112,17 +115,6 @@ impl RunObserver {
         let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
         let attr = msrl_telemetry::finish_iteration();
         drop(t);
-        let bytes = msrl_telemetry::counter_total("comm.bytes_sent");
-        // Act-server deltas: an active server runs ≥1 batched forward
-        // per iteration, so a zero delta means it is off — omit the
-        // block rather than streaming noise.
-        let actsrv_batches = msrl_telemetry::counter_total("actsrv.batches");
-        let actsrv_rows = msrl_telemetry::counter_total("actsrv.rows");
-        let actsrv =
-            (actsrv_batches > self.actsrv_batches_prev).then(|| msrl_telemetry::ActsrvStats {
-                batches: actsrv_batches.saturating_sub(self.actsrv_batches_prev),
-                rows: actsrv_rows.saturating_sub(self.actsrv_rows_prev),
-            });
         let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
         let signals = learner.map(Learner::signals).unwrap_or_default();
         let (health, critical) = self.health_block(reward, &signals, iters_per_sec, learner);
@@ -133,15 +125,12 @@ impl RunObserver {
             loss: signals.loss.map(f64::from),
             entropy: signals.entropy.map(f64::from),
             iters_per_sec,
-            comm_bytes: bytes.saturating_sub(self.bytes_prev),
+            comm_bytes: bytes_sent - self.bytes_prev,
             staleness: self.staleness,
             attr: Some(attr),
-            actsrv,
             health,
         });
-        self.bytes_prev = bytes;
-        self.actsrv_batches_prev = actsrv_batches;
-        self.actsrv_rows_prev = actsrv_rows;
+        self.bytes_prev = bytes_sent;
         self.iteration += 1;
         critical.map_or(Ok(()), Err)
     }

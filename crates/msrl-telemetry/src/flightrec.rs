@@ -263,4 +263,21 @@ mod tests {
         let kept = crate::recorder::with_lane(|lane| lane.lock().recent.len()).expect("lane");
         assert_eq!(kept, RING_CAPACITY, "the ring is bounded");
     }
+
+    #[test]
+    fn dump_escapes_names_and_writes_non_finite_gauges_as_null() {
+        crate::counter("flightrec.test counter \\ \"x\"", 3);
+        crate::Gauge::handle("flightrec.test.nan").set(f64::NAN);
+        crate::Gauge::handle("flightrec.test gauge \"inf\"").set(f64::INFINITY);
+        crate::Gauge::handle("flightrec.test.finite").set(0.5);
+        let json = render_dump("test", "gauges");
+        validate_flightrec(&json).expect("dump validates");
+        let v = serde_json::value_from_str(&json).expect("dump parses");
+        let counters = v.field("counters").unwrap();
+        assert_eq!(counters.field("flightrec.test counter \\ \"x\""), Ok(&Value::I64(3)));
+        let gauges = v.field("gauges").unwrap();
+        assert_eq!(gauges.field("flightrec.test.nan"), Ok(&Value::Null));
+        assert_eq!(gauges.field("flightrec.test gauge \"inf\""), Ok(&Value::Null));
+        assert_eq!(gauges.field("flightrec.test.finite"), Ok(&Value::F64(0.5)));
+    }
 }

@@ -761,7 +761,6 @@ mod tests {
             comm_bytes: 0,
             staleness: 1,
             attr: None,
-            actsrv: None,
             health,
         };
         ev.to_json_line() + "\n"

@@ -4,15 +4,15 @@
 //! atomics living in the process-wide registry next to counters and
 //! gauges. Recording a value is one `leading_zeros` plus one relaxed
 //! `fetch_add` — cheap enough to stay on in ordinary (untraced) runs, so
-//! [`TelemetryReport`](crate::TelemetryReport) carries real p50/p90/p99
-//! latency quantiles even when `MSRL_TRACE` is unset.
+//! [`histogram_stats`] gives real p50/p90/p99 latency quantiles and every
+//! flight-recorder dump carries them, even when `MSRL_TRACE` is unset.
 //!
 //! Bucketing: bucket 0 holds the value 0; bucket `i` (1 ≤ i < 63) holds
 //! values in `[2^(i-1), 2^i)`; bucket 63 holds everything at or above
 //! `2^62`. Quantiles are estimated by nearest-rank walk over the
 //! cumulative bucket counts, reporting the bucket midpoint — the
 //! estimate is always within one bucket of the exact percentile
-//! (property-tested in `tests/histogram_props.rs`).
+//! ([`percentile_ns`], property-tested in `tests/histogram_props.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +82,17 @@ pub fn bucket_estimate(index: usize) -> u64 {
         let lo = bucket_lower_bound(index);
         lo + lo / 2
     }
+}
+
+/// Nearest-rank percentile of an ascending-sorted list: the exact value
+/// a bucket estimate approximates. `percentile_ns(&d, 50.0)` is the
+/// median, `percentile_ns(&d, 99.0)` the p99; an empty list yields 0.
+pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// A handle on a named always-on histogram. Hot call sites cache one
@@ -247,7 +258,7 @@ pub fn histograms_raw_snapshot() -> Vec<(String, [u64; HISTOGRAM_BUCKETS], u64)>
         .collect()
 }
 
-/// Zeroes every histogram bucket. Used between profiled runs so
+/// Zeroes every histogram bucket. Tests call it between runs so
 /// quantiles attribute cleanly.
 pub fn reset_histograms() {
     let m = histograms().lock().expect("telemetry histogram registry poisoned");
@@ -280,6 +291,18 @@ mod tests {
             let est = bucket_estimate(i);
             assert_eq!(bucket_index(est), i, "estimate lies inside its bucket");
         }
+    }
+
+    #[test]
+    fn percentiles_on_known_sequence() {
+        // 1..=100 ns: median 50, p99 99, p100 100.
+        let d: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_ns(&d, 50.0), 50);
+        assert_eq!(percentile_ns(&d, 99.0), 99);
+        assert_eq!(percentile_ns(&d, 100.0), 100);
+        assert_eq!(percentile_ns(&d, 0.0), 1);
+        assert_eq!(percentile_ns(&[], 50.0), 0);
+        assert_eq!(percentile_ns(&[7], 99.0), 7);
     }
 
     #[test]

@@ -36,16 +36,15 @@
 //! per-iteration critical-path and time-attribution breakdown (rollout /
 //! learn / comm-blocked / idle / straggler slack per fragment) carried in
 //! each `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
-//! hands every record to the exporters. Live-run observability rides on
-//! top: the [`sink`] module streams one [`RunEvent`] per driver iteration
-//! as JSONL (`MSRL_METRICS_FILE`); the [`health`] watchdog's streaming
-//! detectors add a `health` block.
+//! hands every record to [`chrome_trace`], which emits Chrome
+//! trace-event JSON (open it in Perfetto or `chrome://tracing`; thread
+//! lanes are worker threads, async lanes are fragments).
 //!
-//! Two exporters turn drained spans into artefacts: [`chrome_trace`]
-//! emits Chrome trace-event JSON (open it in Perfetto or
-//! `chrome://tracing`; thread lanes are worker threads, async lanes are
-//! fragments), and [`TelemetryReport`] aggregates p50/p99 span durations
-//! plus counter/gauge snapshots into text or JSON summaries.
+//! A run's profile is its event stream: the [`sink`] module streams one
+//! [`RunEvent`] per driver iteration as JSONL (`MSRL_METRICS_FILE`),
+//! with the attribution in its `attr` block and the [`health`]
+//! watchdog's streaming detectors in its `health` block. `doctor`, `top`
+//! and `advise` all read that stream.
 //!
 //! # Quick start
 //!
@@ -77,7 +76,6 @@ pub mod health;
 mod histogram;
 mod recorder;
 mod registry;
-mod report;
 pub mod sink;
 
 pub use attribution::{
@@ -93,18 +91,15 @@ pub use health::{
 };
 pub use histogram::{
     bucket_estimate, bucket_index, bucket_lower_bound, histogram_record, histogram_stats,
-    histograms_raw_snapshot, histograms_snapshot, reset_histograms, HistTimer, Histogram,
-    HistogramStats, HISTOGRAM_BUCKETS,
+    histograms_raw_snapshot, histograms_snapshot, percentile_ns, reset_histograms, HistTimer,
+    Histogram, HistogramStats, HISTOGRAM_BUCKETS,
 };
 pub use recorder::{clear_spans, drain, span, Span, SpanGuard};
 pub use registry::{
-    counter, counter_total, counters_snapshot, gauge_max, gauge_set, gauges_snapshot,
-    reset_counters, reset_gauges, Counter, Gauge,
+    counter, counter_total, counters_snapshot, gauges_snapshot, reset_counters, Counter, Gauge,
 };
-pub use report::{percentile_ns, SpanStats, TelemetryReport};
 pub use sink::{
-    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, validate_metrics,
-    ActsrvStats, RunEvent,
+    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, validate_metrics, RunEvent,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -305,10 +300,14 @@ pub(crate) mod tests {
         assert_eq!(check.fragment_spans, 1);
         assert_eq!(check.async_pairs, 1, "fragment span gets an async lane");
 
-        let report = TelemetryReport::from_spans(&spans);
-        let frag = report.span("fragment.eval").expect("span aggregated");
-        assert_eq!(frag.count, 1);
-        assert!(frag.p50_ns <= frag.p99_ns && frag.p99_ns <= frag.max_ns);
+        let frag = spans.iter().find(|s| s.name == "fragment.eval").expect("span drained");
+        let inner = spans.iter().find(|s| s.name == "lib.op").expect("span drained");
+        assert_eq!((frag.id, frag.tid), (Some(7), inner.tid));
+        let end = |s: &Span| s.start_ns + s.duration_ns();
+        assert!(
+            frag.start_ns <= inner.start_ns && end(inner) <= end(frag),
+            "the inner span nests in the outer one"
+        );
     }
 
     /// One classed span is one record that all three readers see: the

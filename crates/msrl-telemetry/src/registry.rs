@@ -97,7 +97,7 @@ pub fn counters_snapshot() -> Vec<(String, u64)> {
 }
 
 /// Zeroes every global counter (scoped handles keep their private
-/// counts). Used between profiled runs so totals attribute cleanly.
+/// counts). Tests call it between runs so totals attribute cleanly.
 pub fn reset_counters() {
     let m = counters().lock().expect("telemetry registry poisoned");
     for v in m.values() {
@@ -146,29 +146,11 @@ impl Gauge {
     }
 }
 
-/// Stores a reading on the named gauge (cold-path convenience).
-pub fn gauge_set(name: &str, value: f64) {
-    Gauge { cell: intern(gauges(), name) }.set(value);
-}
-
-/// High-water update on the named gauge (cold-path convenience).
-pub fn gauge_max(name: &str, value: f64) {
-    Gauge { cell: intern(gauges(), name) }.maximum(value);
-}
-
 /// All gauges, name-sorted (guaranteed, like
 /// [`counters_snapshot`]).
 pub fn gauges_snapshot() -> Vec<(String, f64)> {
     let m = gauges().lock().expect("telemetry registry poisoned");
     m.iter().map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed)))).collect()
-}
-
-/// Zeroes every gauge.
-pub fn reset_gauges() {
-    let m = gauges().lock().expect("telemetry registry poisoned");
-    for v in m.values() {
-        v.store(0f64.to_bits(), Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +170,8 @@ mod tests {
         // Register out of order; snapshots must come back sorted.
         counter("registry.sort.zz", 1);
         counter("registry.sort.aa", 1);
-        gauge_set("registry.sort.z", 1.0);
-        gauge_set("registry.sort.a", 1.0);
+        Gauge::handle("registry.sort.z").set(1.0);
+        Gauge::handle("registry.sort.a").set(1.0);
         let c: Vec<String> = counters_snapshot().into_iter().map(|(k, _)| k).collect();
         let mut cs = c.clone();
         cs.sort_unstable();
@@ -202,8 +184,9 @@ mod tests {
 
     #[test]
     fn gauge_set_and_max() {
-        gauge_set("registry.test.g", 2.5);
-        gauge_max("registry.test.g", 1.0);
+        let g = Gauge::handle("registry.test.g");
+        g.set(2.5);
+        g.maximum(1.0);
         assert_eq!(
             gauges_snapshot().iter().find(|(k, _)| k == "registry.test.g").unwrap().1,
             2.5,

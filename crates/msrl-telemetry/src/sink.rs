@@ -11,13 +11,17 @@
 //! (the e2e test binaries in CI share one metrics file) never interleave
 //! partial lines.
 //!
-//! One schema, [`RUN_EVENT_SCHEMA`], whatever is switched on: the
-//! `attr` (critical-path attribution), `actsrv` (act-server batching)
-//! and `health` (watchdog) blocks are optional, and an absent block has
-//! no key at all. [`RunEvent::to_json_line`] and [`RunEvent::parse`] are
-//! the one serialise/parse pair; every reader — [`validate_metrics`],
+//! The stream is the one profile a run leaves: where each iteration's
+//! time went (`attr`), how fast it ran and how much it sent, and whether
+//! it was healthy. One schema, [`RUN_EVENT_SCHEMA`], whatever is
+//! switched on: the `attr` (critical-path attribution) and `health`
+//! (watchdog) blocks are optional, and an absent block has no key at
+//! all. A key the schema does not name is ignored, so older streams
+//! that carry an `actsrv` block or a plan-cache hit rate still parse.
+//! [`RunEvent::to_json_line`] and [`RunEvent::parse`] are the one
+//! serialise/parse pair; every reader — [`validate_metrics`],
 //! [`replay_stream`](crate::replay_stream) behind `doctor`, the live
-//! advisor behind `advise --live`, `top` — takes the typed event. Key
+//! advisor behind `advise`, `top` — takes the typed event. Key
 //! names, integer `_ns` fields, absent-not-`null` blocks and `null` for
 //! a non-finite number are the wire contract the frozen ledger reader
 //! (`benchmark/src/stream.rs`) depends on.
@@ -40,19 +44,6 @@ pub const RUN_EVENT_SCHEMA: &str = "msrl.run_event.v4";
 /// Schema tag of a serialised [`HealthVerdict`].
 const HEALTH_VERDICT_SCHEMA: &str = "msrl.health_verdict.v1";
 
-/// Act-server activity during one iteration (counter deltas of the
-/// `actsrv.*` family): how many cross-actor batched forwards ran and
-/// how many observation rows they covered. Carried on [`RunEvent`] only
-/// when the act server is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ActsrvStats {
-    /// Batched forwards run by round leaders this iteration.
-    pub batches: u64,
-    /// Observation rows those forwards covered (≥ `batches`: every
-    /// round batches at least one live client's rows).
-    pub rows: u64,
-}
-
 /// One per-iteration training-metrics record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunEvent {
@@ -69,7 +60,7 @@ pub struct RunEvent {
     pub entropy: Option<f64>,
     /// Iterations per second over the last iteration.
     pub iters_per_sec: f64,
-    /// Fabric bytes sent during the iteration (process-wide delta).
+    /// Bytes the run's own fabric sent during the iteration.
     pub comm_bytes: u64,
     /// Configured staleness bound the iteration ran under.
     pub staleness: u64,
@@ -77,9 +68,6 @@ pub struct RunEvent {
     /// writes carries one; the schema keeps it optional (an absent block
     /// has no key).
     pub attr: Option<IterAttribution>,
-    /// Act-server batching activity this iteration; `None` when the
-    /// cross-actor act server is off.
-    pub actsrv: Option<ActsrvStats>,
     /// Per-iteration health block from the watchdog (see
     /// [`crate::health`]); `None` when `MSRL_HEALTH=0`.
     pub health: Option<HealthStatus>,
@@ -103,9 +91,8 @@ impl RunEvent {
     }
 
     /// The invariants the types cannot state: a non-empty policy,
-    /// fragment components that sum exactly to the
-    /// fragment's wall, a clamped critical path, and act-server rows
-    /// covering its batches.
+    /// fragment components that sum exactly to the fragment's wall, and
+    /// a clamped critical path.
     fn check(&self) -> Result<(), String> {
         if self.policy.is_empty() {
             return Err("empty policy".to_string());
@@ -125,21 +112,15 @@ impl RunEvent {
                 }
             }
         }
-        match self.actsrv {
-            Some(s) if s.rows < s.batches => Err(format!(
-                "actsrv rows ({}) below batches ({}): every batched forward covers at least one row",
-                s.rows, s.batches
-            )),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
 // Wire format. Hand-written where the shim's derive falls short: it can
 // neither omit an absent block, nor write a non-finite number as `null`,
-// nor read a label back into a closed set. `ActsrvStats` and
-// `FragmentAttr` derive theirs.
+// nor read a label back into a closed set. `FragmentAttr` derives its
+// own.
 // ---------------------------------------------------------------------------
 
 pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -210,9 +191,6 @@ impl Serialize for RunEvent {
         if let Some(a) = &self.attr {
             m.push(("attr", a.to_value()));
         }
-        if let Some(s) = &self.actsrv {
-            m.push(("actsrv", s.to_value()));
-        }
         if let Some(h) = &self.health {
             m.push(("health", h.to_value()));
         }
@@ -233,7 +211,6 @@ impl Deserialize for RunEvent {
             comm_bytes: get(v, "comm_bytes")?,
             staleness: get(v, "staleness")?,
             attr: get_block(v, "attr")?,
-            actsrv: get_block(v, "actsrv")?,
             health: get_block(v, "health")?,
         })
     }
@@ -492,7 +469,6 @@ mod tests {
             comm_bytes: 13400,
             staleness: 1,
             attr: None,
-            actsrv: None,
             health: None,
         }
     }
@@ -545,11 +521,15 @@ mod tests {
         assert_eq!(validate_metrics(&ev.to_json_line()).unwrap(), 1);
         assert_eq!(RunEvent::parse(&ev.to_json_line()).unwrap(), ev);
         // Streams written while events still carried a plan-cache hit
-        // rate validate too: a key the schema does not name is ignored.
-        let old = ev.to_json_line().replacen('}', ",\"plan_cache_hit_rate\":0.9}", 1);
-        assert_ne!(old, ev.to_json_line());
-        assert_eq!(validate_metrics(&old).unwrap(), 1);
-        assert_eq!(RunEvent::parse(&old).unwrap(), ev);
+        // rate or an act-server block validate too, whatever the block
+        // holds: a key the schema does not name is ignored.
+        for extra in ["\"plan_cache_hit_rate\":0.9", "\"actsrv\":{\"batches\":32,\"rows\":7}"] {
+            let old = ev.to_json_line().replacen('}', &format!(",{extra}}}"), 1);
+            assert_ne!(old, ev.to_json_line());
+            assert_eq!(validate_metrics(&old).unwrap(), 1);
+            assert_eq!(RunEvent::parse(&old).unwrap(), ev);
+        }
+        assert!(!ev.to_json_line().contains("actsrv"), "the block is no longer written");
     }
 
     #[test]
@@ -626,11 +606,10 @@ mod tests {
         // present `attr` key for a block and reads its `_ns` fields as
         // numbers: an absent block must not be written as `null`.
         let bare = serde_json::value_from_str(&sample(1).to_json_line()).unwrap();
-        for key in ["attr", "actsrv", "health"] {
+        for key in ["attr", "health"] {
             assert!(bare.field(key).is_err(), "absent {key} has no key");
         }
-        let line = RunEvent { actsrv: Some(ActsrvStats { batches: 2, rows: 9 }), ..with_attr(2) };
-        let v = serde_json::value_from_str(&line.to_json_line()).unwrap();
+        let v = serde_json::value_from_str(&with_attr(2).to_json_line()).unwrap();
         let attr = v.field("attr").unwrap();
         let frag = attr.field("fragments").unwrap().index(0).unwrap();
         for key in
@@ -662,22 +641,6 @@ mod tests {
         assert!(run_events_emitted() >= 1);
         assert!(crate::counter_total("sink.io_errors") > before);
         assert!(err.is_err(), "held write error surfaces on flush");
-    }
-
-    #[test]
-    fn actsrv_stats_render_and_validate() {
-        let ev = RunEvent { actsrv: Some(ActsrvStats { batches: 32, rows: 192 }), ..sample(4) };
-        let line = ev.to_json_line();
-        assert!(line.contains("\"actsrv\":{\"batches\":32,\"rows\":192}"));
-        assert!(!sample(4).to_json_line().contains("actsrv"));
-        let mixed = format!("{}\n{}", line, sample(5).to_json_line());
-        assert_eq!(validate_metrics(&mixed).expect("actsrv lines validate"), 2);
-        // rows < batches breaks the at-least-one-row-per-forward
-        // invariant and is rejected.
-        let broken = line.replacen("\"rows\":192", "\"rows\":7", 1);
-        assert!(validate_metrics(&broken).is_err());
-        let bad_type = line.replacen("\"batches\":32", "\"batches\":\"32\"", 1);
-        assert!(validate_metrics(&bad_type).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property test for the metrics stream's one serialise/parse pair:
 //! `RunEvent::parse(&ev.to_json_line()) == ev` for arbitrary finite
-//! events, with every combination of the optional `attr`, `actsrv` and
-//! `health` blocks present and absent.
+//! events, with every combination of the optional `attr` and `health`
+//! blocks present and absent.
 
 use msrl_telemetry::{
-    attribute, ActsrvStats, HealthFinding, HealthStatus, RunEvent, Severity, StepClass, StepStamp,
+    attribute, HealthFinding, HealthStatus, RunEvent, Severity, StepClass, StepStamp,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -48,7 +48,7 @@ fn health(rng: &mut TestRng) -> HealthStatus {
     }
 }
 
-/// An event and all eight block combinations of it.
+/// An event and all four block combinations of it.
 struct EventStrategy;
 
 impl proptest::strategy::Strategy for EventStrategy {
@@ -68,8 +68,6 @@ impl proptest::strategy::Strategy for EventStrategy {
             })
             .collect();
         let attr = attribute(&stamps, 0, 1 + rng.below(1 << 31), 2.0);
-        let batches = rng.below(64);
-        let actsrv = ActsrvStats { batches, rows: batches + rng.below(512) };
         let health = health(rng);
         let base = RunEvent {
             policy: ["dp_a", "dp_c", "a3c"][rng.below(3) as usize].to_string(),
@@ -81,14 +79,12 @@ impl proptest::strategy::Strategy for EventStrategy {
             comm_bytes: rng.next_u64(),
             staleness: rng.below(4),
             attr: None,
-            actsrv: None,
             health: None,
         };
-        (0..8)
+        (0..4)
             .map(|mask| RunEvent {
                 attr: (mask & 1 != 0).then(|| attr.clone()),
-                actsrv: (mask & 2 != 0).then_some(actsrv),
-                health: (mask & 4 != 0).then(|| health.clone()),
+                health: (mask & 2 != 0).then(|| health.clone()),
                 ..base.clone()
             })
             .collect()

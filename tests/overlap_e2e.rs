@@ -3,12 +3,44 @@
 //! Everything runs in one test body because the telemetry enable flag,
 //! the event sink and the counter registry are process-global and
 //! `cargo test` runs sibling tests on parallel threads.
+//!
+//! The overlap contract is stated in exact counts from the one lane
+//! record, not in timings: which weight receives an actor had made
+//! before each rollout, and which collectives a DP-C replica ran.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use msrl_algos::ppo::PpoConfig;
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
+use msrl_telemetry::Span;
+
+/// Per `fragment.actor` lane: how many `comm.recv` spans had opened
+/// inside a `phase.weight_sync` when each `phase.rollout` opened, and
+/// how many `comm.recv` spans the lane opened in all.
+fn weight_receives(spans: &[Span]) -> Vec<(Vec<usize>, usize)> {
+    let lanes: BTreeSet<u64> =
+        spans.iter().filter(|s| s.name == "fragment.actor").map(|s| s.tid).collect();
+    let lane_receives = |tid: u64| {
+        let on = |name: &'static str| spans.iter().filter(move |s| s.tid == tid && s.name == name);
+        let syncs: Vec<&Span> = on("phase.weight_sync").collect();
+        let in_sync =
+            |t: u64| syncs.iter().any(|w| w.start_ns <= t && t < w.start_ns + w.duration_ns());
+        let synced: Vec<u64> =
+            on("comm.recv").map(|s| s.start_ns).filter(|&t| in_sync(t)).collect();
+        let before = |r: &Span| synced.iter().filter(|&&t| t < r.start_ns).count();
+        let mut rollouts: Vec<&Span> = on("phase.rollout").collect();
+        rollouts.sort_by_key(|r| r.start_ns);
+        (rollouts.into_iter().map(before).collect(), on("comm.recv").count())
+    };
+    lanes.into_iter().map(lane_receives).collect()
+}
+
+/// How many spans named `name` the drained record holds.
+fn count(spans: &[Span], name: &str) -> usize {
+    spans.iter().filter(|s| s.name == name).count()
+}
 
 #[test]
 fn overlap_contract_end_to_end() {
@@ -51,6 +83,7 @@ fn overlap_contract_end_to_end() {
         hidden: vec![16],
         seed: 9,
         staleness: 1,
+        ppo: PpoConfig { epochs: 3, ..PpoConfig::default() },
         ..DistPpoConfig::default()
     };
     let run_c = |overlap: bool| {
@@ -69,28 +102,38 @@ fn overlap_contract_end_to_end() {
         "fused and unfused DP-C must report identical reward curves"
     );
 
-    // 3. Trace shape: with overlap on, DP-C pays one collective per
-    //    final epoch — the returns ride the fused all-reduce, so no
-    //    standalone all_gather span may appear.
+    // 3. DP-C's collectives, counted per replica and iteration. With
+    //    overlap on, the returns ride the last epoch's reduction: one
+    //    fused all-reduce per iteration, a plain one for every other
+    //    epoch and no all-gather. With it off, every epoch is a plain
+    //    all-reduce and the returns pay an all-gather of their own. Fails
+    //    if DP-C's `fused` is `false` (the on run counts like the off
+    //    run).
+    let (p, iters, epochs) = (dp_c.actors, dp_c.iterations, dp_c.ppo.epochs);
     msrl_telemetry::set_enabled(true);
-    msrl_telemetry::clear_spans();
-    msrl_telemetry::reset_counters();
-    run_c(true);
-    let spans = msrl_telemetry::drain();
-    assert!(
-        !spans.iter().any(|s| s.name == "comm.all_gather"),
-        "fused DP-C must not open a standalone comm.all_gather span"
-    );
-    assert!(
-        spans.iter().any(|s| s.name == "comm.all_reduce_fused"),
-        "fused DP-C must trace its fused collective"
-    );
+    for overlap in [true, false] {
+        msrl_telemetry::clear_spans();
+        run_c(overlap);
+        let spans = msrl_telemetry::drain();
+        let counts = ["comm.all_reduce_fused", "comm.all_reduce", "comm.all_gather"]
+            .map(|name| count(&spans, name));
+        let expect = if overlap {
+            [p * iters, p * iters * (epochs - 1), 0]
+        } else {
+            [0, p * iters * epochs, p * iters]
+        };
+        assert_eq!(counts, expect, "DP-C overlap {overlap}: fused, all_reduce, all_gather");
+    }
 
-    // 4. Under wire latency, DP-A actors actually roll out on stale
-    //    weights while the next broadcast is in flight: the overlap span
-    //    and the staleness counter must both fire.
-    msrl_telemetry::clear_spans();
-    msrl_telemetry::reset_counters();
+    // 4. DP-A under a 5 ms wire latency, staleness bound 1. With overlap
+    //    on, an actor rolls out twice on the initial weights and then
+    //    one version behind: before its six rollouts it has received
+    //    0, 0, 1, 2, 3, 4 weight replies, and five of its six rollouts
+    //    are stale, each wrapped in a comm.overlap span. With it off,
+    //    every rollout after the first waits for the reply to the
+    //    previous push: 0, 1, … 5, none stale. Either way an actor
+    //    receives one reply per iteration, no more. Fails if
+    //    `stale_bound()` returns 0 (the on run counts like the off run).
     let latent = DistPpoConfig {
         actors: 2,
         envs_per_actor: 1,
@@ -98,18 +141,27 @@ fn overlap_contract_end_to_end() {
         iterations: 6,
         hidden: vec![16],
         seed: 4,
-        overlap: true,
         staleness: 1,
         link_latency: Duration::from_millis(5),
         ..DistPpoConfig::default()
     };
-    run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &latent).expect("dp_a runs");
-    let spans = msrl_telemetry::drain();
-    let stale = msrl_telemetry::counter_total("comm.stale_iters");
-    assert!(stale > 0, "latency must force stale rollouts, got {stale}");
-    assert!(
-        spans.iter().any(|s| s.name == "comm.overlap"),
-        "stale rollouts must be wrapped in a comm.overlap span"
-    );
+    for overlap in [true, false] {
+        msrl_telemetry::clear_spans();
+        msrl_telemetry::reset_counters();
+        let dist = DistPpoConfig { overlap, ..latent.clone() };
+        run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");
+        let spans = msrl_telemetry::drain();
+        let (synced, stale): (Vec<usize>, usize) =
+            if overlap { (vec![0, 0, 1, 2, 3, 4], 5) } else { ((0..6).collect(), 0) };
+        let lanes = weight_receives(&spans);
+        assert_eq!(lanes.len(), latent.actors, "one lane per actor");
+        for (before_each_rollout, receives) in lanes {
+            assert_eq!(before_each_rollout, synced, "DP-A overlap {overlap}: replies per rollout");
+            assert_eq!(receives, latent.iterations, "DP-A overlap {overlap}: one reply each");
+        }
+        let stale_iters = msrl_telemetry::counter_total("comm.stale_iters");
+        assert_eq!(stale_iters, (latent.actors * stale) as u64, "DP-A overlap {overlap}");
+        assert_eq!(count(&spans, "comm.overlap"), latent.actors * stale, "DP-A overlap {overlap}");
+    }
     msrl_telemetry::set_enabled(false);
 }

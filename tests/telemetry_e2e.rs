@@ -94,9 +94,9 @@ fn telemetry_observes_without_perturbing() {
     };
     run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");
     // The same run through the cross-actor act server, which forces the
-    // fully synchronous schedule. Its RunEvents carry the `actsrv` block
-    // and go to `MSRL_METRICS_FILE` when one is set, so the stream CI
-    // produces here is the one its readers see that block in.
+    // fully synchronous schedule. Its RunEvents go to `MSRL_METRICS_FILE`
+    // when one is set, so the stream CI's readers see holds an act-server
+    // run too.
     let batches0 = msrl_telemetry::counter_total("actsrv.batches");
     let served = DistPpoConfig { act_server: true, ..dist.clone() };
     run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &served).expect("dp_a act server runs");
@@ -113,23 +113,18 @@ fn telemetry_observes_without_perturbing() {
         check.fragment_spans
     );
 
-    let report = msrl_telemetry::TelemetryReport::from_spans(&spans).with_registry();
     for phase in ["phase.rollout", "phase.learn", "phase.weight_sync"] {
-        let s = report.span(phase).unwrap_or_else(|| panic!("{phase} must appear"));
-        assert!(s.count > 0 && s.p50_ns <= s.p99_ns && s.p99_ns <= s.max_ns);
+        let closed = spans.iter().filter(|s| s.name == phase && s.end_ns >= Some(s.start_ns));
+        assert!(closed.count() > 0, "{phase} must appear, closed");
     }
-    assert!(report.counter("comm.bytes_sent").unwrap_or(0) > 0, "comm volume is counted");
-    assert!(report.counter("env.steps").unwrap_or(0) > 0, "env steps are counted");
-
-    // 3. The report's JSON form parses with the vendored reader.
-    let json = report.to_json();
-    serde_json::value_from_str(&json).expect("report JSON parses");
+    assert!(msrl_telemetry::counter_total("comm.bytes_sent") > 0, "comm volume is counted");
+    assert!(msrl_telemetry::counter_total("env.steps") > 0, "env steps are counted");
     msrl_telemetry::set_enabled(false);
 
-    // 4. Always-on observability with tracing OFF: a DP-A run streams
+    // 3. Always-on observability with tracing OFF: a DP-A run streams
     //    one valid RunEvent per iteration to the metrics file, and the
-    //    registry-backed report carries real latency quantiles from the
-    //    always-on histograms — no MSRL_TRACE required.
+    //    registry carries real latency quantiles from the always-on
+    //    histograms — no MSRL_TRACE required.
     msrl_telemetry::clear_spans();
     msrl_telemetry::reset_counters();
     msrl_telemetry::reset_histograms();
@@ -152,7 +147,7 @@ fn telemetry_observes_without_perturbing() {
     let lines = msrl_telemetry::validate_metrics(&stream).expect("every line is a valid RunEvent");
     assert_eq!(lines, dist.iterations, "the file holds exactly this run's events");
 
-    // 4b. Untraced, every event still carries the critical-path
+    // 3b. Untraced, every event still carries the critical-path
     //     attribution, and the breakdown accounts for the iteration wall
     //     time within 2% — no MSRL_TRACE, no extra flags. (With the
     //     health watchdog on, the default, it also carries a health
@@ -161,7 +156,7 @@ fn telemetry_observes_without_perturbing() {
     msrl_telemetry::set_metrics_file(None);
     let _ = std::fs::remove_file(&metrics_path);
 
-    // 4c. Same contract under a fused data-parallel policy: DP-C has no
+    // 3c. Same contract under a fused data-parallel policy: DP-C has no
     //     dedicated learner, its comm (per-epoch AllReduce) nests inside
     //     phase.learn, and the attribution must still account for wall
     //     time exactly per fragment (validate_metrics) and within 2% in
@@ -184,18 +179,15 @@ fn telemetry_observes_without_perturbing() {
         let _ = std::fs::remove_file(&metrics_path_c);
     }
 
-    let quiet_report = msrl_telemetry::TelemetryReport::from_spans(&[]).with_registry();
-    let eval = quiet_report.histogram("fragment.eval").expect("fragment.eval histogram");
+    let eval = msrl_telemetry::histogram_stats("fragment.eval").expect("fragment.eval histogram");
     assert_eq!(eval.count, dist.iterations as u64);
     assert!(
         eval.p50_ns > 0 && eval.p50_ns <= eval.p99_ns && eval.p99_ns <= eval.max_ns,
         "non-trivial quantiles: {eval:?}"
     );
+    let histograms = msrl_telemetry::histograms_snapshot();
     assert!(
-        quiet_report.histograms.iter().any(|(name, s)| name.starts_with("comm.") && s.count > 0),
-        "at least one comm.* histogram records blocked time: {:?}",
-        quiet_report.histograms
+        histograms.iter().any(|(name, s)| name.starts_with("comm.") && s.count > 0),
+        "at least one comm.* histogram records blocked time: {histograms:?}"
     );
-    let quiet_json = quiet_report.to_json();
-    serde_json::value_from_str(&quiet_json).expect("registry-only report JSON parses");
 }
