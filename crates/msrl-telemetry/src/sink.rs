@@ -521,15 +521,33 @@ mod tests {
         assert_eq!(validate_metrics(&ev.to_json_line()).unwrap(), 1);
         assert_eq!(RunEvent::parse(&ev.to_json_line()).unwrap(), ev);
         // Streams written while events still carried a plan-cache hit
-        // rate or an act-server block validate too, whatever the block
-        // holds: a key the schema does not name is ignored.
-        for extra in ["\"plan_cache_hit_rate\":0.9", "\"actsrv\":{\"batches\":32,\"rows\":7}"] {
-            let old = ev.to_json_line().replacen('}', &format!(",{extra}}}"), 1);
-            assert_ne!(old, ev.to_json_line());
-            assert_eq!(validate_metrics(&old).unwrap(), 1);
-            assert_eq!(RunEvent::parse(&old).unwrap(), ev);
-        }
+        // rate validate too: a key the schema does not name is ignored.
+        let old = ev.to_json_line().replacen('}', ",\"plan_cache_hit_rate\":0.9}", 1);
+        assert_ne!(old, ev.to_json_line());
+        assert_eq!(validate_metrics(&old).unwrap(), 1);
+        assert_eq!(RunEvent::parse(&old).unwrap(), ev);
+    }
+
+    #[test]
+    fn actsrv_stats_render_and_validate() {
+        // The act-server block is no longer written; its counters live in
+        // the telemetry registry (`actsrv.batches`, `actsrv.rows`).
+        let ev = sample(4);
         assert!(!ev.to_json_line().contains("actsrv"), "the block is no longer written");
+        // Older lines that carry it still validate and parse to the same
+        // event, mixed with new lines and whatever the block holds: rows
+        // below batches or a mistyped field is an unknown key's business.
+        for block in [
+            "\"actsrv\":{\"batches\":32,\"rows\":192}",
+            "\"actsrv\":{\"batches\":32,\"rows\":7}",
+            "\"actsrv\":{\"batches\":\"32\",\"rows\":192}",
+        ] {
+            let old = ev.to_json_line().replacen('}', &format!(",{block}}}"), 1);
+            assert!(old.contains(block));
+            assert_eq!(RunEvent::parse(&old).unwrap(), ev);
+            let mixed = format!("{}\n{}", old, sample(5).to_json_line());
+            assert_eq!(validate_metrics(&mixed).expect("old actsrv lines validate"), 2);
+        }
     }
 
     #[test]
