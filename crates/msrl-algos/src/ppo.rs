@@ -189,10 +189,9 @@ impl PpoPolicy {
 
     /// The deterministic forward half of [`PpoPolicy::act`]: actor head
     /// outputs (`[batch, act]` logits or means) and critic values
-    /// (`[batch]`). Split out so a micro-batching act server can run
-    /// one forward over rows concatenated from many actors and hand
-    /// each actor its row slice — matmul rows are independent, so the
-    /// batched forward is bit-identical to per-actor forwards.
+    /// (`[batch]`). Matmul rows are independent, so one forward over
+    /// rows stacked from many actors (DP-B's hub) is bit-identical to
+    /// each actor's forward over its own rows.
     ///
     /// # Errors
     ///
@@ -233,10 +232,8 @@ impl PpoPolicy {
     }
 
     /// The sampling half of [`PpoPolicy::act`]: builds the action
-    /// distribution from forward outputs and draws with `rng`. Operates
-    /// on whatever row block it is given, so an act server can apply it
-    /// per-client slice with each client's own generator — the same
-    /// draws the unbatched path would make.
+    /// distribution from forward outputs and draws with `rng`. It
+    /// operates on whatever row block it is given.
     ///
     /// # Errors
     ///

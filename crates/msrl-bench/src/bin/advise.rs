@@ -6,29 +6,30 @@
 //!     [--actors N] [--latency-ms X] [--epochs E]
 //! ```
 //!
-//! Folds every RunEvent of the stream (`MSRL_METRICS_FILE`) through the
-//! [`msrl_runtime::advisor::LiveAdvisor`] and prints each re-partition
-//! recommendation as it would have fired during the run: the `attr`
-//! block's rollout and learn terms feed the cost model, and a bottleneck
-//! shift must survive the hysteresis window. Recommendation only —
-//! nothing is re-planned.
+//! Cuts the stream (`MSRL_METRICS_FILE`) into runs
+//! ([`msrl_telemetry::split_runs`]: a run ends where `iteration` returns
+//! to 0) and folds each run on its own through a fresh
+//! [`msrl_runtime::advisor::LiveAdvisor`], so one file holding a 2-actor
+//! DP-A run and a 3-replica DP-C run is two workloads, not one. For each
+//! run it prints every re-partition recommendation as it would have
+//! fired during the run: the `attr` block's rollout and learn terms feed
+//! the cost model, and a bottleneck shift must survive the hysteresis
+//! window. Recommendation only — nothing is re-planned.
 //!
 //! It then prints the cost model's ranking of all six policies over the
-//! folded terms, and beside it each policy's measured ms/iter in the
-//! stream (the median of its events' `iters_per_sec`). Defaults: actors
-//! from the stream, latency 10 ms, epochs 1. The stream carries no step
-//! count, so the per-step policies (DP-B, DP-E) are priced one round
-//! trip per iteration. Exits non-zero when no event carries an
-//! attribution.
+//! run's folded terms, and beside it the run's measured ms/iter (the
+//! median of its events' `iters_per_sec`). Defaults: actors from the
+//! run, latency 10 ms, epochs 1. The stream carries no step count, so
+//! the per-step policies (DP-B, DP-E) print as unpriced rather than at
+//! a guessed one. Exits non-zero when no event carries an attribution.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use msrl_runtime::advisor::{
     rank_policies, render_table, CostModelInputs, LiveAdvisor, LiveAdvisorConfig,
 };
-use msrl_telemetry::RunEvent;
+use msrl_telemetry::{split_runs, RunEvent};
 
 fn main() -> ExitCode {
     let mut stream: Option<String> = None;
@@ -71,21 +72,38 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = LiveAdvisorConfig { latency, epochs: epochs.max(1), ..LiveAdvisorConfig::default() };
-    let mut adv = LiveAdvisor::new(cfg);
-    let mut rates: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    let mut events = Vec::new();
     for line in content.lines().filter(|l| !l.trim().is_empty()) {
-        let ev = match RunEvent::parse(line) {
-            Ok(ev) => ev,
-            Err(e) => {
-                eprintln!("advise: skipping line: {e}");
-                continue;
-            }
-        };
-        if ev.iters_per_sec.is_finite() && ev.iters_per_sec > 0.0 {
-            rates.entry(ev.policy.clone()).or_default().push(ev.iters_per_sec);
+        match RunEvent::parse(line) {
+            Ok(ev) => events.push(ev),
+            Err(e) => eprintln!("advise: skipping line: {e}"),
         }
-        let Some(rec) = adv.observe(&ev) else { continue };
+    }
+    let cfg = LiveAdvisorConfig { latency, epochs: epochs.max(1), ..LiveAdvisorConfig::default() };
+    let mut attributed = false;
+    for (k, run) in split_runs(events).iter().enumerate() {
+        println!("== run {} ({}, {} event(s)) ==", k + 1, run[0].policy, run.len());
+        attributed |= advise_run(run, &cfg, actors);
+        println!();
+    }
+    if !attributed {
+        eprintln!("advise: no attributed events in {path}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Folds one run through a fresh advisor and prints its
+/// recommendations, folded terms and ranking. Returns whether any of
+/// its events carried an attribution.
+fn advise_run(run: &[RunEvent], cfg: &LiveAdvisorConfig, actors: Option<usize>) -> bool {
+    let mut adv = LiveAdvisor::new(cfg.clone());
+    let mut rates = Vec::new();
+    for ev in run {
+        if ev.iters_per_sec.is_finite() && ev.iters_per_sec > 0.0 {
+            rates.push(ev.iters_per_sec);
+        }
+        let Some(rec) = adv.observe(ev) else { continue };
         match rec.previous {
             None => println!(
                 "event {:>4}: start on {} (modelled {:.3} ms/iter, bottleneck {})",
@@ -106,12 +124,12 @@ fn main() -> ExitCode {
         }
     }
     if adv.events() == 0 {
-        eprintln!("advise: no attributed events in {path}");
-        return ExitCode::FAILURE;
+        println!("no attributed events");
+        return false;
     }
     let folded = adv.inputs();
     println!(
-        "\nfolded {} attribution event(s): rollout {:.3} ms, learn {:.3} ms, {} actor(s)",
+        "folded {} attribution event(s): rollout {:.3} ms, learn {:.3} ms, {} actor(s)",
         adv.events(),
         folded.rollout_ns / 1e6,
         folded.learn_ns / 1e6,
@@ -126,13 +144,16 @@ fn main() -> ExitCode {
     println!(
         "\nplanning for: {} actors, {:.1} ms link latency, {} sync round(s)/iter\n",
         inputs.actors,
-        latency.as_secs_f64() * 1e3,
+        cfg.latency.as_secs_f64() * 1e3,
         inputs.epochs,
     );
-    let measured: Vec<(String, f64)> =
-        rates.into_iter().map(|(policy, mut r)| (policy, 1e9 / median(&mut r))).collect();
+    let measured: Vec<(String, f64)> = if rates.is_empty() {
+        Vec::new()
+    } else {
+        vec![(run[0].policy.clone(), 1e9 / median(&mut rates))]
+    };
     print!("{}", render_table(&rank_policies(&inputs), &measured));
-    ExitCode::SUCCESS
+    true
 }
 
 /// The median of a non-empty list (the mean of the middle two when even).

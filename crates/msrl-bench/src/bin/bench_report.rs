@@ -36,8 +36,8 @@
 //! `softmax_rows` on [512, 64] and the tanh-MLP batched rollout forward
 //! on the e2e policy shape — as host-dependent ns rows (there is no
 //! second arithmetic to take a ratio against). The `actsrv` section
-//! prices the act server's one-forward-per-round over all actors' rows
-//! vs the per-actor packed loop at 128 actors (floor ≥1.5x). Every
+//! prices DP-B's hub forward, one forward over 128 actors' rows, vs 128
+//! one-row forwards (floor ≥1.5x). Every
 //! kernel section also records
 //! `dispatch` — the microkernel family `kernels::select()` actually
 //! chose on this host (avx512/avx2/portable) — so trend comparisons
@@ -55,7 +55,7 @@ use msrl_algos::ppo::{PackedPpo, PpoConfig, PpoPolicy};
 use msrl_core::interp::Interpreter;
 use msrl_core::trace::{trace_mlp, TraceCtx};
 use msrl_env::cartpole::CartPole;
-use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
+use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 use msrl_tensor::autograd::{Tape, Var};
 use msrl_tensor::nn::{Activation, Mlp, MlpBinding};
 use msrl_tensor::{init, ops, par, Backend, Tensor};
@@ -448,11 +448,11 @@ struct Transcendentals {
     rollout_tanh_ns: f64,
 }
 
-/// One rollout step's policy forwards for 128 actors × 1 row: the
-/// per-actor packed loop (each actor forwards its own rows, the
-/// pack-cache path) vs the act server's single forward over the
-/// concatenated block — the exact kernels `ActServer::submit`'s round
-/// leader runs, priced without thread-rendezvous noise.
+/// One rollout step's policy forwards for 128 actors × 1 row: each
+/// actor forwarding its own row on the packed weights vs one forward
+/// over the stacked block, as DP-B's hub runs every step over all its
+/// actors' rows. The section keeps the `actsrv` name of the act server
+/// it first priced, so its trend stays comparable.
 struct ActSrv {
     per_actor_ns: f64,
     batched_ns: f64,
@@ -520,9 +520,10 @@ fn actsrv_cost() -> ActSrv {
     })
 }
 
-/// Iterations/sec of one distribution policy with overlap off vs on.
+/// DP-A's iterations/sec with every reply waited for (staleness 0,
+/// the `off` column) and with one reply hidden behind each rollout
+/// (staleness 1, `on`).
 struct OverlapRow {
-    policy: &'static str,
     off_iters_per_sec: f64,
     on_iters_per_sec: f64,
 }
@@ -533,14 +534,14 @@ impl OverlapRow {
     }
 }
 
-/// End-to-end PPO CartPole throughput under DP-A and DP-C, overlap off
-/// vs on — the wall-clock counterpart of `tests/overlap_e2e.rs`' exact
-/// span counts, tracked release over release like the backend numbers.
-/// The workload has a simulated 10 ms wire latency and a rollout/learn
-/// balance that is communication-bound, so the overlap machinery has
-/// real transfer time to hide. Telemetry stays disabled: these are
-/// wall-clock numbers.
-fn comm_overlap_rows() -> Vec<OverlapRow> {
+/// End-to-end PPO CartPole throughput under DP-A at staleness 0 vs 1 —
+/// the wall-clock counterpart of `tests/overlap_e2e.rs`' exact span
+/// counts, tracked release over release like the backend numbers. The
+/// workload has a simulated 10 ms wire latency and a rollout/learn
+/// balance that is communication-bound, so a reply owed during the
+/// rollout has real transfer time to hide. Telemetry stays disabled:
+/// these are wall-clock numbers.
+fn comm_overlap_row() -> OverlapRow {
     let base = DistPpoConfig {
         actors: 2,
         envs_per_actor: 1,
@@ -548,35 +549,17 @@ fn comm_overlap_rows() -> Vec<OverlapRow> {
         iterations: 8,
         hidden: vec![32],
         seed: 7,
-        staleness: 1,
         link_latency: Duration::from_millis(10),
         ppo: PpoConfig { epochs: 1, ..PpoConfig::default() },
         ..DistPpoConfig::default()
     };
-    let iters_per_sec = |run: &dyn Fn(&DistPpoConfig), overlap: bool| {
-        let dist = DistPpoConfig { overlap, ..base.clone() };
+    let iters_per_sec = |staleness: usize| {
+        let dist = DistPpoConfig { staleness, ..base.clone() };
         let t0 = Instant::now();
-        run(&dist);
+        run_dp_a(|a, i| CartPole::new((a * 13 + i) as u64), &dist).expect("dp_a runs");
         base.iterations as f64 / t0.elapsed().as_secs_f64().max(1e-9)
     };
-    let dp_a = |dist: &DistPpoConfig| {
-        run_dp_a(|a, i| CartPole::new((a * 13 + i) as u64), dist).expect("dp_a runs");
-    };
-    let dp_c = |dist: &DistPpoConfig| {
-        run_dp_c(|a, i| CartPole::new((a * 13 + i) as u64), dist).expect("dp_c runs");
-    };
-    vec![
-        OverlapRow {
-            policy: "dp_a",
-            off_iters_per_sec: iters_per_sec(&dp_a, false),
-            on_iters_per_sec: iters_per_sec(&dp_a, true),
-        },
-        OverlapRow {
-            policy: "dp_c",
-            off_iters_per_sec: iters_per_sec(&dp_c, false),
-            on_iters_per_sec: iters_per_sec(&dp_c, true),
-        },
-    ]
+    OverlapRow { off_iters_per_sec: iters_per_sec(0), on_iters_per_sec: iters_per_sec(1) }
 }
 
 fn main() {
@@ -587,21 +570,18 @@ fn main() {
     let mat = matmul_at_cost();
     let tc = transcendental_cost();
     let actsrv = actsrv_cost();
-    let overlap = comm_overlap_rows();
+    let overlap = comm_overlap_row();
 
     // Per-iteration attribution cost, measured on the macro runs above:
     // the always-on `attr.finish_iteration` histogram timed every
-    // critical-path computation the DP-A/DP-C runs performed. Its p50 as
+    // critical-path computation the DP-A runs performed. Its p50 as
     // a share of the DP-A iteration period is the iteration-level
     // counterpart of `disabled_probe_share_pct` and is held to the same
     // <5% acceptance bound.
     let attr_finish = msrl_telemetry::histogram_stats("attr.finish_iteration");
     let attr_finish_iter_ns = attr_finish.as_ref().map_or(0.0, |h| h.p50_ns as f64);
     let attr_finish_count = attr_finish.as_ref().map_or(0, |h| h.count);
-    let dp_a_period_ns = overlap
-        .iter()
-        .find(|r| r.policy == "dp_a")
-        .map_or(f64::INFINITY, |r| 1e9 / r.off_iters_per_sec.max(1e-9));
+    let dp_a_period_ns = 1e9 / overlap.off_iters_per_sec.max(1e-9);
     let attr_share_pct = attr_finish_iter_ns / dp_a_period_ns * 100.0;
 
     // Health-watchdog probe cost per iteration (detector pass +
@@ -677,18 +657,13 @@ fn main() {
         hc.per_iter_ns(),
         health_share_pct,
     ));
-    json.push_str("  \"comm_overlap\": [\n");
-    for (i, r) in overlap.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"off_iters_per_sec\": {:.2}, \"on_iters_per_sec\": {:.2}, \"speedup\": {:.2}}}{}\n",
-            r.policy,
-            r.off_iters_per_sec,
-            r.on_iters_per_sec,
-            r.speedup(),
-            if i + 1 == overlap.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str(&format!(
+        "  \"comm_overlap\": [\n    {{\"policy\": \"dp_a\", \"off_iters_per_sec\": {:.2}, \
+         \"on_iters_per_sec\": {:.2}, \"speedup\": {:.2}}}\n  ]\n}}\n",
+        overlap.off_iters_per_sec,
+        overlap.on_iters_per_sec,
+        overlap.speedup(),
+    ));
 
     let mut gated = vec![
         Gated {
@@ -799,15 +774,12 @@ fn main() {
         hc.per_iter_ns(),
         health_share_pct,
     );
-    for r in &overlap {
-        println!(
-            "comm_overlap {:<6} off {:>6.2} it/s, on {:>6.2} it/s ({:.2}x)",
-            r.policy,
-            r.off_iters_per_sec,
-            r.on_iters_per_sec,
-            r.speedup()
-        );
-    }
+    println!(
+        "comm_overlap dp_a staleness 0 {:.2} it/s, staleness 1 {:.2} it/s ({:.2}x)",
+        overlap.off_iters_per_sec,
+        overlap.on_iters_per_sec,
+        overlap.speedup()
+    );
     println!("wrote {out_path}");
 
     // The acceptance bound on always-on instrumentation, histogram
@@ -833,7 +805,7 @@ fn main() {
         eprintln!("bench_report: health-probe share {health_share_pct:.3}% breaches the 5% bound");
         std::process::exit(1);
     }
-    // Act-server and weight-gradient kernel acceptance floors, each
+    // Batched-forward and weight-gradient kernel acceptance floors, each
     // well under the ratio measured on the reference host so a loaded
     // runner does not trip them.
     let mut floors = vec![("actsrv.batch_speedup", actsrv.batch_speedup(), 1.5)];

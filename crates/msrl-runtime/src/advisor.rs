@@ -30,6 +30,11 @@
 //! each policy's measured per-iteration period from the stream next to
 //! the modelled ones ([`render_table`]) so disagreement is visible.
 //!
+//! A RunEvent carries no step count, so [`LiveAdvisor`] leaves `s`
+//! unknown and DP-B and DP-E, whose periods grow with it, print as
+//! unpriced: priced at one step, DP-B would look within ×2 of DP-A where
+//! it runs 32–128 round trips per iteration.
+//!
 //! ## Folding
 //!
 //! The advisor smooths the per-iteration rollout and learn terms with
@@ -55,8 +60,9 @@ pub struct CostModelInputs {
     /// Synchronisation rounds per iteration `E` (PPO epochs for the
     /// per-epoch-sync policies).
     pub epochs: usize,
-    /// Env steps per iteration `s` (drives the per-step policies).
-    pub steps_per_iter: u64,
+    /// Env steps per iteration `s` (drives the per-step policies);
+    /// `None` leaves DP-B and DP-E unpriced.
+    pub steps_per_iter: Option<u64>,
     /// One-way per-message link latency `L`.
     pub latency: Duration,
 }
@@ -66,64 +72,64 @@ pub struct CostModelInputs {
 pub struct PolicyEstimate {
     /// Policy name (`dp_a`..`dp_f`).
     pub policy: &'static str,
-    /// Modelled per-iteration period, ns.
-    pub period_ns: f64,
+    /// Modelled per-iteration period, ns; `None` when the inputs lack a
+    /// term the policy's period needs.
+    pub period_ns: Option<f64>,
     /// What dominates the period under this policy.
     pub note: &'static str,
 }
 
 impl PolicyEstimate {
-    /// Modelled iteration throughput.
-    pub fn iters_per_sec(&self) -> f64 {
-        if self.period_ns > 0.0 {
-            1e9 / self.period_ns
-        } else {
-            0.0
-        }
+    /// Modelled iteration throughput (0 for a zero period).
+    pub fn iters_per_sec(&self) -> Option<f64> {
+        self.period_ns.map(|p| if p > 0.0 { 1e9 / p } else { 0.0 })
     }
 }
 
-/// Ranks all six policies for the given inputs, fastest first.
+/// Ranks all six policies for the given inputs, fastest first and the
+/// unpriced ones last.
 pub fn rank_policies(inp: &CostModelInputs) -> Vec<PolicyEstimate> {
     let r = inp.rollout_ns;
     let l1 = inp.learn_ns / inp.actors as f64;
     let p = inp.actors as f64;
     let e = inp.epochs as f64;
-    let s = inp.steps_per_iter as f64;
     let lat = inp.latency.as_nanos() as f64;
+    // The round trips of the per-step policies, when the step count is known.
+    let per_step = inp.steps_per_iter.map(|s| 2.0 * s as f64 * lat);
     let mut rows = vec![
         PolicyEstimate {
             policy: "dp_a",
-            period_ns: r.max(lat) + p * l1,
+            period_ns: Some(r.max(lat) + p * l1),
             note: "batched exchange, broadcast overlapped with rollout",
         },
         PolicyEstimate {
             policy: "dp_b",
-            period_ns: r + 2.0 * s * lat + p * l1,
+            period_ns: per_step.map(|trips| r + trips + p * l1),
             note: "per-step round trip to the learner",
         },
         PolicyEstimate {
             policy: "dp_c",
-            period_ns: r + e * (l1 + lat),
+            period_ns: Some(r + e * (l1 + lat)),
             note: "per-epoch gradient AllReduce",
         },
         PolicyEstimate {
             policy: "dp_d",
-            period_ns: r + e * l1 + lat,
+            period_ns: Some(r + e * l1 + lat),
             note: "fused on-device loop, one weight sync per episode",
         },
         PolicyEstimate {
             policy: "dp_e",
-            period_ns: r + 2.0 * s * lat + e * l1 + lat,
+            period_ns: per_step.map(|trips| r + trips + e * l1 + lat),
             note: "env-worker message per step plus weight sync",
         },
         PolicyEstimate {
             policy: "dp_f",
-            period_ns: r.max(2.0 * lat) + p * l1,
+            period_ns: Some(r.max(2.0 * lat) + p * l1),
             note: "parameter-server push+pull, pulls overlapped",
         },
     ];
-    rows.sort_by(|a, b| a.period_ns.total_cmp(&b.period_ns));
+    let key = |row: &PolicyEstimate| row.period_ns.unwrap_or(f64::INFINITY);
+    rows.sort_by(|a, b| key(a).total_cmp(&key(b)));
     rows
 }
 
@@ -224,13 +230,14 @@ impl LiveAdvisor {
     }
 
     /// The smoothed cost-model inputs the advisor currently ranks on.
+    /// The stream carries no step count, so DP-B and DP-E stay unpriced.
     pub fn inputs(&self) -> CostModelInputs {
         CostModelInputs {
             rollout_ns: self.rollout.value.unwrap_or(0.0),
             learn_ns: self.learn.value.unwrap_or(0.0),
             actors: self.actors,
             epochs: self.cfg.epochs,
-            steps_per_iter: 1,
+            steps_per_iter: None,
             latency: self.cfg.latency,
         }
     }
@@ -255,7 +262,7 @@ impl LiveAdvisor {
         self.learn.update(a, learn_ns as f64);
 
         let rows = rank_policies(&self.inputs());
-        let candidate = |name: &str| rows.iter().find(|r| r.policy == name).map(|r| r.period_ns);
+        let candidate = |name: &str| rows.iter().find(|r| r.policy == name)?.period_ns;
         let mut best: Option<(&'static str, f64)> = None;
         for &name in &self.cfg.candidates {
             if let Some(period) = candidate(name) {
@@ -293,17 +300,19 @@ pub fn render_table(rows: &[PolicyEstimate], measured: &[(String, f64)]) -> Stri
     let mut out = String::new();
     out.push_str("rank  policy  model ms/iter  model it/s  note\n");
     for (i, row) in rows.iter().enumerate() {
+        let (period, rate) = match (row.period_ns, row.iters_per_sec()) {
+            (Some(p), Some(r)) => (format!("{:.3}", p / 1e6), format!("{r:.1}")),
+            _ => ("unpriced".to_string(), "-".to_string()),
+        };
         out.push_str(&format!(
-            "{:>4}  {:<6}  {:>13.3}  {:>10.1}  {}\n",
+            "{:>4}  {:<6}  {period:>13}  {rate:>10}  {}\n",
             i + 1,
             row.policy,
-            row.period_ns / 1e6,
-            row.iters_per_sec(),
             row.note
         ));
     }
     if !measured.is_empty() {
-        out.push_str("\nmeasured (median over the stream's events):\n");
+        out.push_str("\nmeasured (median over the run's events):\n");
         out.push_str("policy  ms/iter\n");
         let mut sorted: Vec<&(String, f64)> = measured.iter().collect();
         sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -327,7 +336,7 @@ mod tests {
             learn_ns: 581_531.0,
             actors,
             epochs,
-            steps_per_iter: 128,
+            steps_per_iter: Some(128),
             latency,
         }
     }
@@ -338,11 +347,11 @@ mod tests {
         let pos = |name: &str| rows.iter().position(|r| r.policy == name).unwrap();
         // DP-A hides the rollout behind the 10 ms link and pays the
         // learn once: 10 + 0.58 = 10.58 ms.
-        assert_eq!((rows[0].policy, rows[0].period_ns), ("dp_a", 10_581_531.0), "{rows:?}");
+        assert_eq!((rows[0].policy, rows[0].period_ns), ("dp_a", Some(10_581_531.0)), "{rows:?}");
         // DP-C and DP-D pay the rollout, half the learn and one link
         // each: 0.63 + 0.29 + 10 = 10.92 ms.
         for (rank, policy) in [(1, "dp_c"), (2, "dp_d")] {
-            assert_eq!((rows[rank].policy, rows[rank].period_ns), (policy, 10_924_913.5));
+            assert_eq!((rows[rank].policy, rows[rank].period_ns), (policy, Some(10_924_913.5)));
         }
         // The per-step policies pay 2·128 links per iteration.
         assert!(pos("dp_b") > pos("dp_c") && pos("dp_e") > pos("dp_c"), "{rows:?}");
@@ -353,7 +362,7 @@ mod tests {
         let rows = rank_policies(&cartpole(4, Duration::ZERO, 4));
         // With a free network, every period collapses to compute terms
         // and nothing should be latency-dominated.
-        assert!(rows.iter().all(|r| r.period_ns < 1e8), "{rows:?}");
+        assert!(rows.iter().all(|r| r.period_ns.is_some_and(|p| p < 1e8)), "{rows:?}");
         let table = render_table(&rows, &[("dp_a".to_string(), 10_581_531.0)]);
         assert!(table.contains("rank") && table.contains("dp_a"));
         assert!(table.contains("dp_a     10.582"), "the measured period is listed: {table}");
@@ -409,6 +418,16 @@ mod tests {
         assert_eq!(inputs.learn_ns, 300_000.0, "summed learn compute");
         assert_eq!(inputs.actors, 3);
         assert_eq!(rec.bottleneck, "rollout");
+        // No step count in the stream: the per-step policies go unpriced,
+        // ranked after every priced one.
+        assert_eq!(inputs.steps_per_iter, None);
+        let rows = rank_policies(&inputs);
+        let unpriced: Vec<&str> =
+            rows.iter().filter(|r| r.period_ns.is_none()).map(|r| r.policy).collect();
+        assert_eq!(unpriced, ["dp_b", "dp_e"]);
+        assert!(rows[4..].iter().all(|r| r.period_ns.is_none()), "{rows:?}");
+        let table = render_table(&rows, &[]);
+        assert!(table.lines().any(|l| l.contains("dp_b") && l.contains("unpriced")), "{table}");
         // Events without an attribution are passed over, not counted.
         let bare = RunEvent { attr: None, ..event(4, 3, 1, 1) };
         assert!(adv.observe(&bare).is_none());

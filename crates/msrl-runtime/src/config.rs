@@ -7,8 +7,8 @@
 //! [`ConfigError`] naming the variable — never a silent default.
 //! Binaries call `from_env` first so a bad value is reported as an error
 //! before any work starts. No driver config reads the environment: how a
-//! run synchronises (overlap, staleness, the act server) is a field of
-//! its config and nothing else.
+//! PPO run synchronises is one field of its config,
+//! [`DistPpoConfig::staleness`], and nothing else.
 //!
 //! The run configurations live here too — [`DistPpoConfig`] for the four
 //! PPO rules that share it, [`DpDConfig`], [`DpEConfig`],
@@ -89,13 +89,16 @@ pub struct DistPpoConfig {
     pub ppo: PpoConfig,
     /// Base RNG seed (replicas derive their own deterministically).
     pub seed: u64,
-    /// Overlap communication with computation (deferred weight pulls
-    /// under DP-A/DP-F, fused collective under DP-C). On by default; off
-    /// means every sync is fully blocking.
+    /// Not read: how a run synchronises is [`Self::staleness`] alone,
+    /// and DP-C's returns always ride its last gradient all-reduce. Kept
+    /// only because the frozen ledger spells it in struct literals;
+    /// elsewhere use `..Default::default()`.
     pub overlap: bool,
-    /// Bounded-staleness window for overlapped weight sync: actors may
-    /// roll out on weights at most this many iterations old. 1 by
-    /// default; ignored when `overlap` is off.
+    /// How many weight replies a push–pull worker (DP-A, DP-F) may still
+    /// be owed when it starts a rollout: at iteration `i` it acts on the
+    /// weights that answered its push `i − 1 − staleness`. 0 is fully
+    /// synchronous; 1 (the default) hides one reply behind each rollout.
+    /// DP-B and DP-C synchronise every step or epoch and ignore it.
     pub staleness: usize,
     /// Simulated per-message wire latency on the comm fabric — the
     /// in-process analogue of the paper's `tc`-injected network latency
@@ -107,10 +110,10 @@ pub struct DistPpoConfig {
     /// field could change a run. Kept only because the frozen ledger
     /// spells it in struct literals; elsewhere use `..Default::default()`.
     pub fusion: bool,
-    /// Micro-batch policy forwards *across* actor fragments through the
-    /// shared [`crate::actsrv::ActServer`] (DP-A). Bit-identical to the
-    /// per-actor path; forces the staleness bound to zero (all actors
-    /// share one weight snapshot). Off by default.
+    /// Not read: DP-A's actors each forward their own rows (DP-B's hub
+    /// is the seat that forwards every actor's rows at once). Kept only
+    /// because the frozen ledger spells it in struct literals; elsewhere
+    /// use `..Default::default()`.
     pub act_server: bool,
 }
 
@@ -129,20 +132,6 @@ impl Default for DistPpoConfig {
             link_latency: std::time::Duration::ZERO,
             fusion: true,
             act_server: false,
-        }
-    }
-}
-
-impl DistPpoConfig {
-    /// The effective staleness bound: `staleness` when overlap is on,
-    /// zero (fully synchronous) otherwise — one code path for both. The
-    /// act server also forces zero: its clients share one policy
-    /// snapshot, so per-actor weight versions cannot diverge.
-    pub(crate) fn stale_bound(&self) -> usize {
-        if self.overlap && !self.act_server {
-            self.staleness
-        } else {
-            0
         }
     }
 }

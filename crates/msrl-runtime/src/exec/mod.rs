@@ -49,13 +49,11 @@ pub use crate::config::{A3cDistConfig, DistPpoConfig, DpDConfig, DpEConfig};
 
 use msrl_algos::a3c::{A3cLearner, A3cWorker};
 use msrl_algos::ppo::{PpoActor, PpoAgent, PpoLearner};
-use msrl_core::api::Actor;
 use msrl_core::config::PolicyName;
 use msrl_core::{FdgError, Result};
 use msrl_env::batched::BatchedEnv;
 use msrl_env::{ActionSpec, Environment, MultiAgentEnvironment, VecEnv};
 
-use crate::actsrv::ActServer;
 use crate::policy::Role::{self, ActorEnv, ActorLearner, Env, FusedLoop, Learner, ParamServer};
 use crate::policy::SyncGranularity::{self, PerEpisode, PerEpoch, PerStep};
 use runner::{no_hub, run, Setup};
@@ -201,7 +199,7 @@ where
     let (p, n) = (dist.actors.max(1), dist.envs_per_actor.max(1));
     let envs = |worker: usize| VecEnv::from_fn(n, |i| make_env(worker, i));
     // The push–pull rows (per episode): rounds, steps, staleness bound.
-    let (rounds, steps, bound) = (dist.iterations, dist.steps_per_iter, dist.stale_bound());
+    let (rounds, steps, bound) = (dist.iterations, dist.steps_per_iter, dist.staleness);
     let setup = Setup {
         link_latency: dist.link_latency,
         staleness: if rule.sync == PerEpisode { bound } else { 0 },
@@ -209,19 +207,12 @@ where
     };
     match (rule.hub.map(|hub| hub.role), rule.worker.role, rule.sync) {
         (Some(Learner), ActorEnv, PerEpisode) => {
-            // With an act server the forwards of all actors are
-            // micro-batched across fragments (bit-identical: `crate::actsrv`).
-            let srv = dist.act_server.then(|| ActServer::new(setup.policy.clone(), p));
             let learner = PpoLearner::new(setup.policy.clone(), dist.ppo.clone());
             run(
                 rule,
                 &setup,
                 |f| {
-                    let seed = dist.seed + 1 + f.rank as u64;
-                    let actor: Box<dyn Actor> = match &srv {
-                        Some(srv) => Box::new(srv.client(f.rank, seed)),
-                        None => Box::new(PpoActor::new(f.policy.clone(), seed)),
-                    };
+                    let actor = PpoActor::new(f.policy.clone(), dist.seed + 1 + f.rank as u64);
                     rules::push_pull_worker(f, actor, envs(f.rank), rounds, steps, bound)
                 },
                 move |f| rules::push_pull_hub(f, learner, rounds, p, p, rules::learn_union),

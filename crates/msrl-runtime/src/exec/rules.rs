@@ -5,7 +5,7 @@
 
 use msrl_algos::a3c::A3cWorker;
 use msrl_algos::buffer::{step_batch, TrajectoryBuffer};
-use msrl_algos::ppo::{PpoAgent, PpoLearner};
+use msrl_algos::ppo::{PpoActor, PpoAgent, PpoLearner};
 use msrl_algos::rollout::{collect, decode_actions};
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_core::Result;
@@ -198,38 +198,31 @@ pub(super) fn actor_rows(t: Tensor, p: usize, n: usize) -> Vec<Tensor> {
 // batch, all-reduce-averages the gradient with its peers and applies the
 // average. Identical starting weights and identical averaged gradients
 // keep the replicas bit-synchronised without a weight ever travelling.
-// With overlap on, the episode returns ride the final epoch's reduction
-// (`all_reduce_mean_concat`, bit-identical to the unfused path), so an
-// iteration pays exactly one collective barrier per epoch.
+// The episode returns ride the last epoch's reduction
+// (`all_reduce_mean_concat`), so an iteration pays exactly one
+// collective barrier per epoch; an iteration with no epoch sends them on
+// one reduction of nothing.
 
 /// The fused actor+learner seat.
 pub(super) fn grad_all_reduce(f: &mut Frame, mut envs: VecEnv, dist: &DistPpoConfig) -> Result<()> {
     let mut agent =
         PpoAgent::new(f.policy.clone(), dist.ppo.clone(), dist.seed + 1 + f.rank as u64);
     let epochs = dist.ppo.epochs;
-    let fused = dist.overlap && epochs > 0;
     for _ in 0..dist.iterations {
         let batch = rollout(|| collect(&mut agent, &mut envs, dist.steps_per_iter))?;
-        let mut fused_returns: Option<Vec<f32>> = None;
-        learn(|| -> Result<()> {
-            for epoch in 0..epochs {
-                let local = agent.learner_mut().grads(&batch)?;
-                let averaged = if fused && epoch + 1 == epochs {
-                    let (averaged, extras) =
-                        f.ep.all_reduce_mean_concat(local, envs.take_finished_returns())?;
-                    fused_returns = Some(extras.into_iter().flatten().collect());
-                    averaged
-                } else {
-                    f.ep.all_reduce_mean(local)?
-                };
+        let finished = learn(|| -> Result<Vec<f32>> {
+            for _ in 1..epochs {
+                let averaged = f.ep.all_reduce_mean(agent.learner_mut().grads(&batch)?)?;
                 agent.learner_mut().apply_grads(&averaged)?;
             }
-            Ok(())
+            let last = if epochs > 0 { agent.learner_mut().grads(&batch)? } else { Vec::new() };
+            let (averaged, returns) =
+                f.ep.all_reduce_mean_concat(last, envs.take_finished_returns())?;
+            if epochs > 0 {
+                agent.learner_mut().apply_grads(&averaged)?;
+            }
+            Ok(returns.into_iter().flatten().collect())
         })?;
-        let finished: Vec<f32> = match fused_returns {
-            Some(returns) => returns,
-            None => f.ep.all_gather(envs.take_finished_returns())?.into_iter().flatten().collect(),
-        };
         f.close_finished(&finished, Some(agent.learner()))?;
     }
     f.report.final_params = agent.learner().policy_params();
@@ -417,10 +410,9 @@ pub(super) fn env_worker<M: MultiAgentEnvironment>(
 // order, folds the group into its learner in rank order and answers each
 // push with the learner's weights. The rows differ only in arguments.
 // DP-A: the push is the encoded trajectory, the group every actor, the
-// fold one `learn` on their union (bound 0 — overlap off, or the act
-// server — is the synchronous exchange). DP-F: the push is a gradient
-// and the group one push, applied in arrival order, so a worker waits
-// only for the reply to its own push. A3C: DP-F with bound 0, one
+// fold one `learn` on their union (bound 0 is the synchronous exchange).
+// DP-F: the push is a gradient and the group one push, applied in
+// arrival order, so a worker waits only for the reply to its own push. A3C: DP-F with bound 0, one
 // environment per worker, `A3cLearner` and a report per push.
 
 /// What sits in the push–pull worker seat: something that acts and
@@ -431,9 +423,9 @@ pub(super) trait PushPullSeat {
 }
 
 /// DP-A: the trajectory goes.
-impl PushPullSeat for Box<dyn Actor> {
+impl PushPullSeat for PpoActor {
     fn actor(&mut self) -> &mut dyn Actor {
-        self.as_mut()
+        self
     }
     fn push(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         Ok(encode_batch(batch))

@@ -34,39 +34,6 @@ mod dp_a {
             );
         }
 
-        #[test]
-        fn act_server_run_is_bit_identical_to_per_actor_run() {
-            // Same config, same seeds; the only difference is routing policy
-            // forwards through the cross-actor act server. Overlap is off so
-            // both runs use the same (zero) staleness bound — the act server
-            // forces zero regardless, and a differing bound would change
-            // which weights actors roll out on.
-            let base = DistPpoConfig {
-                actors: 3,
-                envs_per_actor: 2,
-                steps_per_iter: 32,
-                iterations: 4,
-                hidden: vec![16],
-                seed: 11,
-                overlap: false,
-                act_server: false,
-                ..DistPpoConfig::default()
-            };
-            let plain = run_dp_a(|a, i| CartPole::new((a * 10 + i) as u64), &base).unwrap();
-            let batched = run_dp_a(
-                |a, i| CartPole::new((a * 10 + i) as u64),
-                &DistPpoConfig { act_server: true, ..base },
-            )
-            .unwrap();
-            assert_eq!(plain.final_params, batched.final_params, "weights must match bitwise");
-            assert_eq!(plain.iteration_rewards, batched.iteration_rewards);
-            assert_eq!(plain.losses, batched.losses);
-            assert!(
-                msrl_telemetry::counter_total("actsrv.batches") >= 4 * 32,
-                "act server must have run one batched forward per rollout step"
-            );
-        }
-
         /// An actor fragment that dies drops its endpoint; the learner
         /// blocked on it must come back with the typed comm error, not a
         /// `MissingKernel` string.
@@ -366,6 +333,33 @@ mod dp_c {
             let make = |r: usize| msrl_env::batched::BatchedCartPole::new(4, r as u64);
             let report = run_dp_d(make, &cfg).unwrap();
             assert!(report.final_params.iter().all(|v| v.is_finite()));
+        }
+
+        #[test]
+        fn an_iteration_with_no_epoch_still_reports_its_returns() {
+            // With no epoch there is no gradient to reduce: the returns
+            // travel on one all-reduce of nothing, the weights never move
+            // and every iteration still reports the episodes it finished.
+            let dist = DistPpoConfig {
+                actors: 2,
+                envs_per_actor: 2,
+                steps_per_iter: 64,
+                iterations: 3,
+                hidden: vec![8],
+                seed: 4,
+                ppo: msrl_algos::ppo::PpoConfig {
+                    epochs: 0,
+                    ..msrl_algos::ppo::PpoConfig::default()
+                },
+                ..DistPpoConfig::default()
+            };
+            let report = run_dp_c(|a, i| CartPole::new((a * 5 + i) as u64), &dist).unwrap();
+            let start = msrl_algos::ppo::PpoPolicy::discrete(4, 2, &dist.hidden, dist.seed);
+            assert_eq!(report.final_params, start.flatten(), "no epoch, no update");
+            assert_eq!(report.iteration_rewards.len(), 3);
+            // A random CartPole policy ends an episode within ~20 steps,
+            // so both replicas' returns reach every iteration's report.
+            assert!(report.iteration_rewards.iter().all(|&r| r > 0.0), "{report:?}");
         }
 
         #[test]

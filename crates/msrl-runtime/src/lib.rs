@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod actsrv;
 pub mod advisor;
 pub mod config;
 pub mod coordinator;

@@ -565,26 +565,28 @@ impl From<&crate::RunEvent> for HealthSample {
 }
 
 /// Replays a completed RunEvent JSONL stream through fresh detector
-/// banks (one per policy — CI streams interleave policies) and merges in
-/// every finding recorded on `health` blocks. The result is the
-/// post-hoc verdict the `doctor` bin reports.
+/// banks, one per run ([`crate::split_runs`]: a CI stream holds many
+/// runs, of one policy or several, and each is judged against its own
+/// levels), and merges in every finding recorded on `health` blocks. The
+/// result is the post-hoc verdict the `doctor` bin reports.
 ///
 /// # Errors
 ///
 /// A description of the first unparsable line.
 pub fn replay_stream(content: &str) -> Result<HealthVerdict, String> {
-    let mut monitors: std::collections::BTreeMap<String, HealthMonitor> =
-        std::collections::BTreeMap::new();
+    let mut events = Vec::new();
     for (i, line) in content.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-        let ev = crate::RunEvent::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let m = monitors.entry(ev.policy.clone()).or_default();
-        m.observe(&HealthSample::from(&ev));
-        for f in ev.health.into_iter().flat_map(|h| h.findings) {
-            m.ingest(HealthFinding { detail: format!("{} (recorded)", f.detail), ..f });
-        }
+        events.push(crate::RunEvent::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     let mut verdict = HealthVerdict::default();
-    for m in monitors.values() {
+    for run in crate::split_runs(events) {
+        let mut m = HealthMonitor::default();
+        for ev in run {
+            m.observe(&HealthSample::from(&ev));
+            for f in ev.health.into_iter().flat_map(|h| h.findings) {
+                m.ingest(HealthFinding { detail: format!("{} (recorded)", f.detail), ..f });
+            }
+        }
         let v = m.verdict();
         verdict.status = verdict.status.max(v.status);
         verdict.iterations += v.iterations;
@@ -811,5 +813,26 @@ mod tests {
         }
         let verdict = replay_stream(&lines).expect("replay parses");
         assert_eq!(verdict.status, Severity::Ok, "{}", verdict.render());
+    }
+
+    #[test]
+    fn a_slower_second_run_is_not_a_throughput_regression() {
+        // Two healthy runs of one policy in one stream, the second at a
+        // tenth of the first's rate: each is judged against its own
+        // level, so the second run's it/s is no collapse.
+        let mut lines = String::new();
+        for rate in [100.0, 10.0] {
+            for i in 0..20 {
+                let s = HealthSample { iters_per_sec: rate, ..healthy(i) };
+                lines.push_str(&line("dp_a", &s, None));
+            }
+        }
+        let verdict = replay_stream(&lines).expect("replay parses");
+        assert_eq!(verdict.iterations, 40);
+        assert!(
+            verdict.findings.iter().all(|f| f.detector != "tput_regression"),
+            "{}",
+            verdict.render()
+        );
     }
 }

@@ -99,7 +99,8 @@ pub use registry::{
     counter, counter_total, counters_snapshot, gauges_snapshot, reset_counters, Counter, Gauge,
 };
 pub use sink::{
-    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, validate_metrics, RunEvent,
+    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, split_runs,
+    validate_metrics, RunEvent,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -454,9 +454,42 @@ pub fn validate_metrics(content: &str) -> Result<usize, String> {
     Ok(valid)
 }
 
+/// Cuts a stream's events into runs, in the order the runs start. A run
+/// ends where an event of its policy carries `iteration` 0 again (the
+/// rule the ledger's stream summary uses). Runs written into one file at
+/// once interleave their lines; they are told apart by policy.
+pub fn split_runs(events: impl IntoIterator<Item = RunEvent>) -> Vec<Vec<RunEvent>> {
+    let mut runs: Vec<Vec<RunEvent>> = Vec::new();
+    let mut open = std::collections::BTreeMap::<String, usize>::new();
+    for ev in events {
+        match open.get(&ev.policy) {
+            Some(&run) if ev.iteration != 0 => runs[run].push(ev),
+            _ => {
+                open.insert(ev.policy.clone(), runs.len());
+                runs.push(vec![ev]);
+            }
+        }
+    }
+    runs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_split_where_iteration_returns_to_zero() {
+        let ev = |policy: &str, iteration| RunEvent { policy: policy.into(), ..sample(iteration) };
+        let stream = [ev("dp_a", 0), ev("dp_c", 0), ev("dp_a", 1), ev("dp_c", 1), ev("dp_a", 0)];
+        let runs: Vec<Vec<(String, u64)>> = split_runs(stream)
+            .into_iter()
+            .map(|run| run.into_iter().map(|e| (e.policy, e.iteration)).collect())
+            .collect();
+        let at = |policy: &str, iterations: &[u64]| -> Vec<(String, u64)> {
+            iterations.iter().map(|&i| (policy.to_string(), i)).collect()
+        };
+        assert_eq!(runs, [at("dp_a", &[0, 1]), at("dp_c", &[0, 1]), at("dp_a", &[0])]);
+    }
 
     fn sample(iteration: u64) -> RunEvent {
         RunEvent {
@@ -530,8 +563,8 @@ mod tests {
 
     #[test]
     fn actsrv_stats_render_and_validate() {
-        // The act-server block is no longer written; its counters live in
-        // the telemetry registry (`actsrv.batches`, `actsrv.rows`).
+        // The act-server block is no longer written: the act server that
+        // filled it is gone.
         let ev = sample(4);
         assert!(!ev.to_json_line().contains("actsrv"), "the block is no longer written");
         // Older lines that carry it still validate and parse to the same

@@ -116,10 +116,13 @@ mod golden {
     /// the MPE environments began counting their steps. `dp_f_stale` was
     /// added when DP-F's worker began taking DP-A's weight schedule. The
     /// two `dp_a` rows' bytes fell by 32 when the hub's replies lost
-    /// their one-float version stamp (8 replies × 4 B).
+    /// their one-float version stamp (8 replies × 4 B). `dp_a_sync` ran
+    /// through a cross-actor act server until it was deleted; the act
+    /// server forced staleness 0 and forwarded bit for bit as each actor
+    /// does, so the row kept its values.
     const PINNED: [&str; 9] = [
         "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256",
-        "dp_a_actsrv 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256",
+        "dp_a_sync 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256",
         "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
         "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
         "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600",
@@ -140,10 +143,8 @@ mod golden {
             hidden: vec![16],
             ppo: PpoConfig::default(),
             seed,
-            overlap: true,
             staleness: 1,
             link_latency: std::time::Duration::ZERO,
-            act_server: false,
             ..DistPpoConfig::default()
         }
     }
@@ -176,8 +177,8 @@ mod golden {
         let ppo = PpoConfig { epochs: 2, ..PpoConfig::default() };
         vec![
             line("dp_a", || run_dp_a(cart, &dist(2, 21)).unwrap()),
-            line("dp_a_actsrv", || {
-                run_dp_a(cart, &DistPpoConfig { act_server: true, ..dist(2, 21) }).unwrap()
+            line("dp_a_sync", || {
+                run_dp_a(cart, &DistPpoConfig { staleness: 0, ..dist(2, 21) }).unwrap()
             }),
             line("dp_b", || run_dp_b(cart, &dist(2, 22)).unwrap()),
             line("dp_c", || run_dp_c(cart, &dist(2, 23)).unwrap()),
@@ -205,7 +206,7 @@ mod golden {
             // One worker, blocking pulls: with more workers the server's
             // arrival order decides the result.
             line("dp_f", || {
-                run_dp_f(cart, &DistPpoConfig { overlap: false, ..dist(1, 26) }).unwrap()
+                run_dp_f(cart, &DistPpoConfig { staleness: 0, ..dist(1, 26) }).unwrap()
             }),
             line("a3c", || {
                 let cfg = A3cDistConfig {

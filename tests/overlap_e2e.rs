@@ -59,7 +59,6 @@ fn overlap_contract_end_to_end() {
         iterations: 25,
         hidden: vec![32],
         seed: 1,
-        overlap: true,
         staleness: 1,
         ppo: PpoConfig { lr: 2e-3, ..PpoConfig::default() },
         ..DistPpoConfig::default()
@@ -73,8 +72,13 @@ fn overlap_contract_end_to_end() {
         report.recent_reward(5)
     );
 
-    // 2. DP-C's fused collective is bit-identical to the unfused path:
-    //    overlap on/off must end with exactly the same policy.
+    // 2. DP-C's collectives, counted per replica and iteration: the
+    //    returns ride the last epoch's reduction, so one fused all-reduce
+    //    per iteration, a plain one for every other epoch and no
+    //    all-gather. Fails if the returns travel on an all-gather of
+    //    their own (a plain all-reduce per epoch and one all-gather per
+    //    iteration). That the fused collective averages exactly as a
+    //    plain one does is `comm_props::fused_collective_matches_separate_calls`.
     let dp_c = DistPpoConfig {
         actors: 3,
         envs_per_actor: 2,
@@ -82,58 +86,28 @@ fn overlap_contract_end_to_end() {
         iterations: 5,
         hidden: vec![16],
         seed: 9,
-        staleness: 1,
         ppo: PpoConfig { epochs: 3, ..PpoConfig::default() },
         ..DistPpoConfig::default()
     };
-    let run_c = |overlap: bool| {
-        let dist = DistPpoConfig { overlap, ..dp_c.clone() };
-        run_dp_c(|a, i| CartPole::new((a * 31 + i) as u64), &dist).expect("dp_c runs")
-    };
-    let fused = run_c(true);
-    let unfused = run_c(false);
-    assert_eq!(
-        fused.final_params.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        unfused.final_params.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "fused and unfused DP-C must produce bit-identical weights"
-    );
-    assert_eq!(
-        fused.iteration_rewards, unfused.iteration_rewards,
-        "fused and unfused DP-C must report identical reward curves"
-    );
-
-    // 3. DP-C's collectives, counted per replica and iteration. With
-    //    overlap on, the returns ride the last epoch's reduction: one
-    //    fused all-reduce per iteration, a plain one for every other
-    //    epoch and no all-gather. With it off, every epoch is a plain
-    //    all-reduce and the returns pay an all-gather of their own. Fails
-    //    if DP-C's `fused` is `false` (the on run counts like the off
-    //    run).
     let (p, iters, epochs) = (dp_c.actors, dp_c.iterations, dp_c.ppo.epochs);
     msrl_telemetry::set_enabled(true);
-    for overlap in [true, false] {
-        msrl_telemetry::clear_spans();
-        run_c(overlap);
-        let spans = msrl_telemetry::drain();
-        let counts = ["comm.all_reduce_fused", "comm.all_reduce", "comm.all_gather"]
-            .map(|name| count(&spans, name));
-        let expect = if overlap {
-            [p * iters, p * iters * (epochs - 1), 0]
-        } else {
-            [0, p * iters * epochs, p * iters]
-        };
-        assert_eq!(counts, expect, "DP-C overlap {overlap}: fused, all_reduce, all_gather");
-    }
+    msrl_telemetry::clear_spans();
+    run_dp_c(|a, i| CartPole::new((a * 31 + i) as u64), &dp_c).expect("dp_c runs");
+    let spans = msrl_telemetry::drain();
+    let counts = ["comm.all_reduce_fused", "comm.all_reduce", "comm.all_gather"]
+        .map(|name| count(&spans, name));
+    let expect = [p * iters, p * iters * (epochs - 1), 0];
+    assert_eq!(counts, expect, "DP-C: fused, all_reduce, all_gather");
 
-    // 4. DP-A under a 5 ms wire latency, staleness bound 1. With overlap
-    //    on, an actor rolls out twice on the initial weights and then
-    //    one version behind: before its six rollouts it has received
-    //    0, 0, 1, 2, 3, 4 weight replies, and five of its six rollouts
-    //    are stale, each wrapped in a comm.overlap span. With it off,
-    //    every rollout after the first waits for the reply to the
-    //    previous push: 0, 1, … 5, none stale. Either way an actor
-    //    receives one reply per iteration, no more. Fails if
-    //    `stale_bound()` returns 0 (the on run counts like the off run).
+    // 3. DP-A under a 5 ms wire latency. At staleness 1 an actor rolls
+    //    out twice on the initial weights and then one version behind:
+    //    before its six rollouts it has received 0, 0, 1, 2, 3, 4 weight
+    //    replies, and five of its six rollouts are stale, each wrapped in
+    //    a comm.overlap span. At staleness 0 every rollout after the
+    //    first waits for the reply to the previous push: 0, 1, … 5, none
+    //    stale. Either way an actor receives one reply per iteration, no
+    //    more. Fails if the worker ignores `staleness` (both runs count
+    //    alike).
     let latent = DistPpoConfig {
         actors: 2,
         envs_per_actor: 1,
@@ -141,27 +115,30 @@ fn overlap_contract_end_to_end() {
         iterations: 6,
         hidden: vec![16],
         seed: 4,
-        staleness: 1,
         link_latency: Duration::from_millis(5),
         ..DistPpoConfig::default()
     };
-    for overlap in [true, false] {
+    for staleness in [1, 0] {
         msrl_telemetry::clear_spans();
         msrl_telemetry::reset_counters();
-        let dist = DistPpoConfig { overlap, ..latent.clone() };
+        let dist = DistPpoConfig { staleness, ..latent.clone() };
         run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");
         let spans = msrl_telemetry::drain();
         let (synced, stale): (Vec<usize>, usize) =
-            if overlap { (vec![0, 0, 1, 2, 3, 4], 5) } else { ((0..6).collect(), 0) };
+            if staleness == 1 { (vec![0, 0, 1, 2, 3, 4], 5) } else { ((0..6).collect(), 0) };
         let lanes = weight_receives(&spans);
         assert_eq!(lanes.len(), latent.actors, "one lane per actor");
         for (before_each_rollout, receives) in lanes {
-            assert_eq!(before_each_rollout, synced, "DP-A overlap {overlap}: replies per rollout");
-            assert_eq!(receives, latent.iterations, "DP-A overlap {overlap}: one reply each");
+            assert_eq!(
+                before_each_rollout, synced,
+                "DP-A staleness {staleness}: replies per rollout"
+            );
+            assert_eq!(receives, latent.iterations, "DP-A staleness {staleness}: one reply each");
         }
         let stale_iters = msrl_telemetry::counter_total("comm.stale_iters");
-        assert_eq!(stale_iters, (latent.actors * stale) as u64, "DP-A overlap {overlap}");
-        assert_eq!(count(&spans, "comm.overlap"), latent.actors * stale, "DP-A overlap {overlap}");
+        assert_eq!(stale_iters, (latent.actors * stale) as u64, "DP-A staleness {staleness}");
+        let overlapped = count(&spans, "comm.overlap");
+        assert_eq!(overlapped, latent.actors * stale, "DP-A staleness {staleness}");
     }
     msrl_telemetry::set_enabled(false);
 }

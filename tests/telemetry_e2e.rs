@@ -93,17 +93,6 @@ fn telemetry_observes_without_perturbing() {
         ..DistPpoConfig::default()
     };
     run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");
-    // The same run through the cross-actor act server, which forces the
-    // fully synchronous schedule. Its RunEvents go to `MSRL_METRICS_FILE`
-    // when one is set, so the stream CI's readers see holds an act-server
-    // run too.
-    let batches0 = msrl_telemetry::counter_total("actsrv.batches");
-    let served = DistPpoConfig { act_server: true, ..dist.clone() };
-    run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &served).expect("dp_a act server runs");
-    assert!(
-        msrl_telemetry::counter_total("actsrv.batches") > batches0,
-        "the act server ran batched forwards"
-    );
     let spans = msrl_telemetry::drain();
     let trace = msrl_telemetry::chrome_trace(&spans);
     let check = msrl_telemetry::validate_chrome_trace(&trace).expect("trace validates");
@@ -160,24 +149,21 @@ fn telemetry_observes_without_perturbing() {
     //     dedicated learner, its comm (per-epoch AllReduce) nests inside
     //     phase.learn, and the attribution must still account for wall
     //     time exactly per fragment (validate_metrics) and within 2% in
-    //     the summary components — with the returns riding the last
-    //     all-reduce (overlap on) and with a standalone all-gather (off).
-    for overlap in [true, false] {
-        msrl_telemetry::reset_histograms();
-        let metrics_path_c = std::env::temp_dir()
-            .join(format!("msrl-telemetry-e2e-c-{overlap}-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&metrics_path_c);
-        msrl_telemetry::set_metrics_file(metrics_path_c.to_str());
-        let dist_c = DistPpoConfig { overlap, ..dist.clone() };
-        run_dp_c(|a, i| CartPole::new((a * 11 + i) as u64), &dist_c).expect("dp_c runs untraced");
-        msrl_telemetry::set_metrics_file(None);
-        let stream_c = std::fs::read_to_string(&metrics_path_c).expect("dp_c metrics written");
-        let lines_c =
-            msrl_telemetry::validate_metrics(&stream_c).expect("dp_c events validate (exact sums)");
-        assert_eq!(lines_c, dist.iterations, "one attributed event per DP-C iteration");
-        check_attribution_accounts_for_wall(&stream_c, "dp_c");
-        let _ = std::fs::remove_file(&metrics_path_c);
-    }
+    //     the summary components, with the returns riding the last
+    //     all-reduce.
+    msrl_telemetry::reset_histograms();
+    let metrics_path_c =
+        std::env::temp_dir().join(format!("msrl-telemetry-e2e-c-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&metrics_path_c);
+    msrl_telemetry::set_metrics_file(metrics_path_c.to_str());
+    run_dp_c(|a, i| CartPole::new((a * 11 + i) as u64), &dist).expect("dp_c runs untraced");
+    msrl_telemetry::set_metrics_file(None);
+    let stream_c = std::fs::read_to_string(&metrics_path_c).expect("dp_c metrics written");
+    let lines_c =
+        msrl_telemetry::validate_metrics(&stream_c).expect("dp_c events validate (exact sums)");
+    assert_eq!(lines_c, dist.iterations, "one attributed event per DP-C iteration");
+    check_attribution_accounts_for_wall(&stream_c, "dp_c");
+    let _ = std::fs::remove_file(&metrics_path_c);
 
     let eval = msrl_telemetry::histogram_stats("fragment.eval").expect("fragment.eval histogram");
     assert_eq!(eval.count, dist.iterations as u64);
