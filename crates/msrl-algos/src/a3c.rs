@@ -150,21 +150,16 @@ impl Learner for A3cLearner {
     }
 
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
-        let sentinel = msrl_telemetry::health_enabled();
-        if sentinel {
-            crate::sentinel::snapshot(&mut self.before, self.policy.params());
-        }
+        crate::sentinel::snapshot(&mut self.before, self.policy.params());
         let mut params = self.policy.actor.params_mut();
         params.extend(self.policy.critic.params_mut());
         self.opt.step_flat(&mut params, flat).map_err(FdgError::Tensor)?;
         self.updates += 1;
-        if sentinel {
-            self.signals = Signals {
-                grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
-                update: Some(crate::sentinel::update(&self.before, self.policy.params())),
-                ..Signals::default()
-            };
-        }
+        self.signals = Signals {
+            grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
+            update: Some(crate::sentinel::update(&self.before, self.policy.params())),
+            ..Signals::default()
+        };
         Ok(())
     }
 

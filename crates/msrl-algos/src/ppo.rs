@@ -784,20 +784,15 @@ impl Learner for PpoLearner {
             return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
         }
         let inputs = self.loss_inputs(batch, self.block_rows())?;
-        let sentinel = msrl_telemetry::health_enabled();
-        if sentinel {
-            crate::sentinel::snapshot(&mut self.before, self.policy.params());
-        }
+        crate::sentinel::snapshot(&mut self.before, self.policy.params());
         let mut loss = 0.0;
         for _ in 0..self.cfg.epochs {
             let (epoch_loss, grads) = self.loss_and_grads(&inputs)?;
             self.apply(&grads)?;
             loss = epoch_loss;
         }
-        if sentinel {
-            let update = Some(crate::sentinel::update(&self.before, self.policy.params()));
-            self.signals.set(Signals { update, ..self.signals.get() });
-        }
+        let update = Some(crate::sentinel::update(&self.before, self.policy.params()));
+        self.signals.set(Signals { update, ..self.signals.get() });
         Ok(loss)
     }
 
@@ -819,24 +814,19 @@ impl Learner for PpoLearner {
     }
 
     fn apply_grads(&mut self, flat: &[f32]) -> Result<()> {
-        let sentinel = msrl_telemetry::health_enabled();
-        if sentinel {
-            crate::sentinel::snapshot(&mut self.before, self.policy.params());
-        }
+        crate::sentinel::snapshot(&mut self.before, self.policy.params());
         // Read in place: a copy per parameter would be, on the wide model,
         // two weight-sized allocations the allocator maps and unmaps each
         // call.
         self.opt.step_flat(&mut trained(&mut self.policy), flat).map_err(FdgError::Tensor)?;
-        if sentinel {
-            // External-gradient path (DP-C/DP-F): the pre-clip norm was
-            // computed worker-side, so report the norm of the flat
-            // gradient actually applied.
-            self.signals.set(Signals {
-                grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
-                update: Some(crate::sentinel::update(&self.before, self.policy.params())),
-                ..self.signals.get()
-            });
-        }
+        // External-gradient path (DP-C/DP-F): the pre-clip norm was
+        // computed worker-side, so report the norm of the flat gradient
+        // actually applied.
+        self.signals.set(Signals {
+            grad_norm: Some(crate::sentinel::l2_norm(flat) as f32),
+            update: Some(crate::sentinel::update(&self.before, self.policy.params())),
+            ..self.signals.get()
+        });
         Ok(())
     }
 

@@ -14,8 +14,7 @@
 //! The last two are [`update`] of a [`snapshot`] taken before the step.
 //! Nothing here is process-wide: a learner's numbers reach only the run
 //! that holds it, and a seat without a learner (DP-E's env worker)
-//! reports none. With the watchdog off (`MSRL_HEALTH=0`) learners skip
-//! the snapshot and the norms.
+//! reports none.
 //!
 //! [`Signals`]: msrl_core::api::Signals
 

@@ -223,8 +223,7 @@ fn telemetry_cost() -> TelemetryCost {
 }
 
 /// Measured per-iteration cost of the run-health watchdog on this host
-/// (DESIGN §3.15): the three pieces every learner-side iteration pays
-/// when `MSRL_HEALTH` is on.
+/// (DESIGN §3.15): the three pieces every learner-side iteration pays.
 struct HealthCost {
     /// One streaming-detector pass over a fully populated sample.
     observe_ns: f64,
@@ -574,7 +573,9 @@ fn main() {
 
     // Per-iteration attribution cost, measured on the macro runs above:
     // the always-on `attr.finish_iteration` histogram timed every
-    // critical-path computation the DP-A runs performed. Its p50 as
+    // iteration's take of the classed records and the priority sweep
+    // that prices them per fragment (there is no dependency graph to
+    // build), over the DP-A runs. Its p50 as
     // a share of the DP-A iteration period is the iteration-level
     // counterpart of `disabled_probe_share_pct` and is held to the same
     // <5% acceptance bound.
@@ -793,8 +794,8 @@ fn main() {
         std::process::exit(1);
     }
     // The same bound applies to the iteration-level attribution cost:
-    // the critical-path computation at every iteration end must stay
-    // under 5% of a DP-A iteration period.
+    // the per-fragment sweep at every iteration end must stay under 5%
+    // of a DP-A iteration period.
     if attr_share_pct >= 5.0 {
         eprintln!("bench_report: attribution share {attr_share_pct:.3}% breaches the 5% bound");
         std::process::exit(1);

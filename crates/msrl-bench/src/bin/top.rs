@@ -3,12 +3,11 @@
 //! Tails the run-event JSONL file the telemetry sink appends to (the
 //! `MSRL_METRICS_FILE` stream) and renders the `attr` block of the
 //! latest event that carries one as a per-fragment table: busy share,
-//! the rollout/learn/comm/eval split, idle and straggler slack, plus
-//! critical-path membership, straggler flags and — when the event
-//! carries a `health` block — a health column (the run watchdog's status
-//! on the fragment that trains). The footer shows the iteration's
-//! bottleneck, how much of the wall time the critical path covers, and
-//! the health gauges with any active findings.
+//! the rollout/learn/comm split, idle and slack (waiting for the busiest
+//! peer of the same role), plus — when the event carries a `health`
+//! block — a health column (the run watchdog's status on the fragment
+//! that trains). The footer shows the iteration's bottleneck and the
+//! health gauges with any active findings.
 //!
 //! ```text
 //! cargo run -p msrl-bench --bin top -- [metrics.jsonl] [--once] [--interval-ms N]
@@ -41,17 +40,10 @@ fn render(ev: &RunEvent, source: &str, seen: usize) -> Option<String> {
         ev.policy, ev.iteration
     ));
     out.push_str(&format!(
-        "{:<16} {:>6} {:>9} {:>7} {:>6} {:>6} {:>7} {:>6}  {}\n",
-        "fragment", "busy%", "rollout%", "learn%", "comm%", "idle%", "slack%", "health", "flags"
+        "{:<16} {:>6} {:>9} {:>7} {:>6} {:>6} {:>7} {:>6}\n",
+        "fragment", "busy%", "rollout%", "learn%", "comm%", "idle%", "slack%", "health"
     ));
     for f in &attr.fragments {
-        let mut flags = Vec::new();
-        if f.critical {
-            flags.push("crit");
-        }
-        if f.straggler {
-            flags.push("strag");
-        }
         // The run watchdog's status on the fragment that trains (whose
         // learner the signals come from), blank elsewhere.
         let trains =
@@ -63,7 +55,7 @@ fn render(ev: &RunEvent, source: &str, seen: usize) -> Option<String> {
             _ => "-",
         };
         out.push_str(&format!(
-            "{:<16} {:>6.1} {:>9.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} {:>6}  {}\n",
+            "{:<16} {:>6.1} {:>9.1} {:>7.1} {:>6.1} {:>6.1} {:>7.1} {:>6}\n",
             format!("{}/{}", f.role, f.id),
             pct(f.busy_ns, f.wall_ns),
             pct(f.rollout_ns, f.wall_ns),
@@ -72,15 +64,12 @@ fn render(ev: &RunEvent, source: &str, seen: usize) -> Option<String> {
             pct(f.idle_ns, f.wall_ns),
             pct(f.slack_ns, f.wall_ns),
             health,
-            flags.join(","),
         ));
     }
     out.push_str(&format!(
-        "\nbottleneck: {}   critical path: {:.3} ms / wall {:.3} ms ({:.1}%)\n",
+        "\nbottleneck: {}   wall {:.3} ms\n",
         attr.bottleneck,
-        attr.critical_path_ns as f64 / 1e6,
-        attr.wall_ns as f64 / 1e6,
-        pct(attr.critical_path_ns, attr.wall_ns),
+        attr.wall_ns as f64 / 1e6
     ));
     if let Some(h) = &ev.health {
         let gauge = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.3e}"));

@@ -29,7 +29,7 @@ fn event(
         iters_per_sec: 100.0,
         comm_bytes: 0,
         staleness: 0,
-        attr: Some(attribute(&stamps, 0, 2_600_000, 2.0)),
+        attr: Some(attribute(&stamps, 0, 2_600_000)),
         health: None,
     }
     .to_json_line()

@@ -401,7 +401,7 @@ mod tests {
             iters_per_sec: 10.0,
             comm_bytes: 0,
             staleness: 0,
-            attr: Some(tel::attribute(&stamps, 0, wall, 2.0)),
+            attr: Some(tel::attribute(&stamps, 0, wall)),
             health: None,
         };
         RunEvent::parse(&ev.to_json_line()).expect("the stream reads back what it writes")

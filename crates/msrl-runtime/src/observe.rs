@@ -24,9 +24,8 @@ pub(crate) struct RunObserver {
     last: std::time::Instant,
     bytes_prev: u64,
     iteration: u64,
-    /// Streaming health detectors over this run's metrics (None when
-    /// `MSRL_HEALTH=0`).
-    monitor: Option<msrl_telemetry::HealthMonitor>,
+    /// Streaming health detectors over this run's metrics.
+    monitor: msrl_telemetry::HealthMonitor,
 }
 
 impl RunObserver {
@@ -44,24 +43,23 @@ impl RunObserver {
             last: std::time::Instant::now(),
             bytes_prev: 0,
             iteration: 0,
-            monitor: msrl_telemetry::health_enabled().then(msrl_telemetry::HealthMonitor::default),
+            monitor: msrl_telemetry::HealthMonitor::default(),
         }
     }
 
     /// One health pass over the just-closed iteration: takes the
     /// learner's signals, scans its policy parameters for non-finite
     /// values with the fused kernel, and feeds both to the streaming
-    /// detectors. A freshly fired Critical finding snapshots the verdict,
-    /// triggers a flight-recorder dump carrying it (DESIGN §3.15) and
-    /// comes back as the run's error.
+    /// detectors. A freshly fired Critical finding triggers a
+    /// flight-recorder dump carrying this run's verdict (DESIGN §3.15)
+    /// and comes back as the run's error.
     fn health_block(
         &mut self,
         reward: f32,
         signals: &Signals,
         iters_per_sec: f64,
         learner: Option<&dyn Learner>,
-    ) -> (Option<msrl_telemetry::HealthStatus>, Option<FdgError>) {
-        let Some(monitor) = self.monitor.as_mut() else { return (None, None) };
+    ) -> (msrl_telemetry::HealthStatus, Option<FdgError>) {
         let _t = msrl_telemetry::static_histogram!("health.observe").time();
         let params = learner.map(|l| l.policy_params());
         let sample = msrl_telemetry::HealthSample {
@@ -75,26 +73,25 @@ impl RunObserver {
             update_ratio: signals.update.map(|(_, ratio)| ratio),
             nonfinite_params: params.as_deref().map(msrl_tensor::kernels::count_nonfinite),
         };
-        let status = monitor.observe(&sample);
+        let status = self.monitor.observe(&sample);
         let critical =
             status.findings.iter().find(|f| f.severity == msrl_telemetry::Severity::Critical);
         let err = critical.map(|f| {
-            msrl_telemetry::set_last_verdict(&monitor.verdict());
             let reason = format!("{}: {}", f.detector, f.detail);
-            if let Err(e) = msrl_telemetry::flightrec::dump("health", &reason) {
+            let verdict = self.monitor.verdict();
+            if let Err(e) = msrl_telemetry::flightrec::dump("health", &reason, Some(&verdict)) {
                 eprintln!("msrl: health-triggered flightrec dump failed: {e}");
             }
             FdgError::Unhealthy { detector: f.detector, iteration: f.iteration }
         });
-        (Some(status), err)
+        (status, err)
     }
 
-    /// Closes one iteration: records its period, computes the
-    /// critical-path attribution over the iteration window (taking
-    /// every fragment thread's classed spans), runs the health detectors
-    /// over `learner`'s signals and weights, and streams the
-    /// training-metrics event — with an `attr` block, and a `health`
-    /// block when the watchdog is on. A seat without a learner reports
+    /// Closes one iteration: records its period, prices the iteration
+    /// window per fragment (taking every fragment thread's classed
+    /// spans), runs the health detectors over `learner`'s signals and
+    /// weights, and streams the training-metrics event with its `attr`
+    /// and `health` blocks. A seat without a learner reports
     /// the reward alone. `bytes_sent` is the run's fabric total so far
     /// (`Endpoint::group_bytes_sent`); the event carries its delta.
     ///
@@ -128,7 +125,7 @@ impl RunObserver {
             comm_bytes: bytes_sent - self.bytes_prev,
             staleness: self.staleness,
             attr: Some(attr),
-            health,
+            health: Some(health),
         });
         self.bytes_prev = bytes_sent;
         self.iteration += 1;
@@ -149,6 +146,6 @@ pub(crate) fn close_run<T>(policy: &'static str, result: &Result<T>) {
         eprintln!("msrl: metrics stream write failed for {policy}: {e}");
     }
     if let Err(e) = result {
-        let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"));
+        let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"), None);
     }
 }

@@ -9,8 +9,8 @@
 //! (`end_ns: null` for a span with no class closed while tracing was
 //! off: only its start is timed) and the open ones (`end_ns: null` —
 //! what the thread was inside when it died). Counter, gauge and histogram totals come from the registry
-//! snapshots, the `MSRL_*` environment and the run's latest health
-//! verdict ride along.
+//! snapshots and the `MSRL_*` environment ride along, and a dump the
+//! health watchdog triggers carries that run's verdict.
 //!
 //! [`install_panic_hook`] chains onto the existing panic hook, so a
 //! panicking worker writes a dump before the usual backtrace. Drivers
@@ -60,8 +60,9 @@ fn record(s: &Span) -> Value {
 }
 
 /// Renders the dump JSON: every lane's recent and open records,
-/// counter/gauge/histogram snapshots, and the `MSRL_*` environment.
-pub fn render_dump(trigger: &str, reason: &str) -> String {
+/// counter/gauge/histogram snapshots, the `MSRL_*` environment, and
+/// `health`, the verdict of the run whose watchdog triggered the dump.
+pub fn render_dump(trigger: &str, reason: &str, health: Option<&crate::HealthVerdict>) -> String {
     let mut lanes = Vec::new();
     crate::recorder::for_each_lane(|lane| {
         let s = lane.lock();
@@ -105,11 +106,10 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
         ("reason", reason.to_value()),
         ("pid", std::process::id().to_value()),
     ];
-    // The run's latest health verdict, when the watchdog has stored one
-    // (a critical detector firing is itself a dump trigger): the
-    // post-mortem carries *why* training was judged unhealthy.
-    if let Some(verdict) = crate::health::last_verdict_value() {
-        dump.push(("health", verdict));
+    // A critical detector firing is itself a dump trigger: the
+    // post-mortem carries *why* that run was judged unhealthy.
+    if let Some(verdict) = health {
+        dump.push(("health", verdict.to_value()));
     }
     dump.extend([
         ("config", Value::Map(env)),
@@ -121,19 +121,23 @@ pub fn render_dump(trigger: &str, reason: &str) -> String {
     serde_json::to_string_pretty(&obj(dump)).expect("a value tree always renders")
 }
 
-/// Writes a flight-recorder dump to
+/// Writes a flight-recorder dump ([`render_dump`]) to
 /// `<dump dir>/flightrec-<pid>-<seq>.json` and returns the path.
 ///
 /// # Errors
 ///
 /// Propagates the I/O error when the directory or file cannot be
 /// written.
-pub fn dump(trigger: &str, reason: &str) -> std::io::Result<String> {
+pub fn dump(
+    trigger: &str,
+    reason: &str,
+    health: Option<&crate::HealthVerdict>,
+) -> std::io::Result<String> {
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = format!("{dir}/flightrec-{}-{seq}.json", std::process::id());
-    std::fs::write(&path, render_dump(trigger, reason))?;
+    std::fs::write(&path, render_dump(trigger, reason, health))?;
     Ok(path)
 }
 
@@ -146,7 +150,7 @@ pub fn install_panic_hook() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let _ = dump("panic", &info.to_string());
+            let _ = dump("panic", &info.to_string(), None);
             prev(info);
         }));
     });
@@ -230,7 +234,7 @@ mod tests {
         drop(crate::span!(name, 3, class: Comm));
         let _open = crate::span!("flightrec.test.open");
         crate::histogram_record("flightrec.test.hist", 12);
-        let json = render_dump("test", "unit test");
+        let json = render_dump("test", "unit test", None);
         assert!(validate_flightrec(&json).expect("dump validates") >= 2);
 
         let v = serde_json::value_from_str(&json).expect("dump parses");
@@ -270,7 +274,7 @@ mod tests {
         crate::Gauge::handle("flightrec.test.nan").set(f64::NAN);
         crate::Gauge::handle("flightrec.test gauge \"inf\"").set(f64::INFINITY);
         crate::Gauge::handle("flightrec.test.finite").set(0.5);
-        let json = render_dump("test", "gauges");
+        let json = render_dump("test", "gauges", None);
         validate_flightrec(&json).expect("dump validates");
         let v = serde_json::value_from_str(&json).expect("dump parses");
         let counters = v.field("counters").unwrap();

@@ -30,54 +30,12 @@
 //! reference the run set itself — the EWMA at the end of warmup
 //! (entropy) or the highest EWMA since (reward, throughput).
 //!
-//! Firings accumulate into a [`HealthVerdict`]; the drivers embed the
-//! latest verdict in flight-recorder dumps (a critical firing triggers
-//! one automatically) and stamp each RunEvent with a per-iteration
-//! `health` block. [`replay_stream`] runs the same detectors over a
-//! completed JSONL stream — the engine behind the `doctor` bin's
-//! post-hoc verdict report.
-
-use std::sync::Mutex;
-
-use crate::Switch;
-
-// ---------------------------------------------------------------------------
-// Gates and cross-thread plumbing
-// ---------------------------------------------------------------------------
-
-pub(crate) static HEALTH: Switch = Switch::new("MSRL_HEALTH", true);
-
-/// Whether the health watchdog is active (default **on**). Resolved from
-/// `MSRL_HEALTH` on first call ([`crate::parse_switch`]), then one
-/// relaxed atomic load.
-#[inline]
-pub fn health_enabled() -> bool {
-    HEALTH.get()
-}
-
-/// Programmatically enables or disables the health watchdog (takes
-/// precedence over `MSRL_HEALTH`).
-pub fn set_health_enabled(on: bool) {
-    HEALTH.set(on);
-}
-
-fn last_verdict() -> &'static Mutex<Option<HealthVerdict>> {
-    static LAST: std::sync::OnceLock<Mutex<Option<HealthVerdict>>> = std::sync::OnceLock::new();
-    LAST.get_or_init(|| Mutex::new(None))
-}
-
-/// Stores the run's latest verdict so flight-recorder dumps can embed it
-/// (drivers call this when a detector fires).
-pub fn set_last_verdict(v: &HealthVerdict) {
-    *last_verdict().lock().expect("health verdict store poisoned") = Some(v.clone());
-}
-
-/// The latest stored verdict as a value tree — the `health` section of
-/// a flight-recorder dump. `None` when no verdict has been stored.
-pub(crate) fn last_verdict_value() -> Option<serde::Value> {
-    let verdict = last_verdict().lock().expect("health verdict store poisoned");
-    verdict.as_ref().map(serde::Serialize::to_value)
-}
+//! The watchdog always runs. Firings accumulate into a
+//! [`HealthVerdict`]; a critical firing triggers a flight-recorder dump
+//! that carries the run's verdict, and the drivers stamp each RunEvent
+//! with a per-iteration `health` block. [`replay_stream`] runs the same
+//! detectors over a completed JSONL stream — the engine behind the
+//! `doctor` bin's post-hoc verdict report.
 
 // ---------------------------------------------------------------------------
 // Samples, findings, verdicts

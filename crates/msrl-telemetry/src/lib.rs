@@ -33,9 +33,9 @@
 //! the [`flightrec`] module dumps every lane's last 256 closed records
 //! and its open spans, with registry snapshots, on panic or driver error;
 //! the [`attribution`] module turns the classed records into a
-//! per-iteration critical-path and time-attribution breakdown (rollout /
-//! learn / comm-blocked / idle / straggler slack per fragment) carried in
-//! each `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
+//! per-iteration time budget (rollout / learn / comm-blocked / idle /
+//! slack per fragment, summing to the wall) carried in each
+//! `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
 //! hands every record to [`chrome_trace`], which emits Chrome
 //! trace-event JSON (open it in Perfetto or `chrome://tracing`; thread
 //! lanes are worker threads, async lanes are fragments).
@@ -80,14 +80,14 @@ pub mod sink;
 
 pub use attribution::{
     attribute, computing_fragments, enter_computing, finish_iteration, pause_computing,
-    reset_window, resume_computing, set_fragment, ComputingGuard, CriticalPath, DagNode,
-    FragmentAttr, IterAttribution, StepClass, StepDag, StepStamp,
+    reset_window, resume_computing, set_fragment, ComputingGuard, FragmentAttr, IterAttribution,
+    StepClass, StepStamp,
 };
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
 pub use health::{
-    health_enabled, replay_stream, set_health_enabled, set_last_verdict, Ewma, HealthFinding,
-    HealthMonitor, HealthSample, HealthStatus, HealthVerdict, Hysteresis, Severity,
+    replay_stream, Ewma, HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict,
+    Hysteresis, Severity,
 };
 pub use histogram::{
     bucket_estimate, bucket_index, bucket_lower_bound, histogram_record, histogram_stats,
@@ -121,12 +121,11 @@ pub fn parse_switch(value: &str) -> Option<bool> {
     }
 }
 
-/// A process-wide on/off gate: resolved from `var` ([`parse_switch`];
-/// `default` when unset or unrecognised) on first use, or set by the
-/// program first, then one relaxed atomic load.
+/// A process-wide on/off gate, off by default: resolved from `var`
+/// ([`parse_switch`]; off when unset or unrecognised) on first use, or
+/// set by the program first, then one relaxed atomic load.
 pub(crate) struct Switch {
     var: &'static str,
-    default: bool,
     state: AtomicU8,
 }
 
@@ -135,8 +134,8 @@ impl Switch {
     const OFF: u8 = 1;
     const ON: u8 = 2;
 
-    pub(crate) const fn new(var: &'static str, default: bool) -> Switch {
-        Switch { var, default, state: AtomicU8::new(Switch::UNSET) }
+    pub(crate) const fn new(var: &'static str) -> Switch {
+        Switch { var, state: AtomicU8::new(Switch::UNSET) }
     }
 
     #[inline]
@@ -154,7 +153,7 @@ impl Switch {
 
     /// What `lookup(var)` turns the switch to.
     fn resolved(&self, lookup: impl Fn(&str) -> Option<String>) -> bool {
-        lookup(self.var).as_deref().and_then(parse_switch).unwrap_or(self.default)
+        lookup(self.var).as_deref().and_then(parse_switch).unwrap_or(false)
     }
 
     #[cold]
@@ -176,7 +175,7 @@ impl Switch {
 
 /// Whether lanes keep every record for [`drain`], off unless
 /// `MSRL_TRACE` turns it on.
-static TRACE: Switch = Switch::new("MSRL_TRACE", false);
+static TRACE: Switch = Switch::new("MSRL_TRACE");
 
 /// Whether tracing is on: lanes keep every span they close for
 /// [`drain`]. Resolved from `MSRL_TRACE` on first call (default off),
@@ -327,7 +326,7 @@ pub(crate) mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             set_enabled(false);
-            let dump = flightrec::render_dump("test", "three readers");
+            let dump = flightrec::render_dump("test", "three readers", None);
             assert!(dump.contains("\"lib.test.classed\""), "the record is in the dump");
             let attr = finish_iteration();
             let row = attr.fragments.iter().find(|f| f.role == "lib_test" && f.id == 41);
@@ -357,12 +356,12 @@ pub(crate) mod tests {
         assert_eq!(g.get(), 9.5);
     }
 
-    /// Every switch reads one vocabulary: each spelling of off turns a
-    /// default-on switch off, each spelling of on turns a default-off
-    /// switch on, and unset or unrecognised values keep the default.
+    /// Every switch reads one vocabulary: each spelling of on turns the
+    /// switch on, each spelling of off keeps it off, and unset or
+    /// unrecognised values leave it off (`MSRL_TRACE` is the one switch).
     #[test]
     fn every_switch_reads_one_vocabulary() {
-        let switches = [(&TRACE, "MSRL_TRACE", false), (&health::HEALTH, "MSRL_HEALTH", true)];
+        assert_eq!(TRACE.var, "MSRL_TRACE");
         let table: [(Option<&str>, Option<bool>); 17] = [
             (None, None),
             (Some("0"), Some(false)),
@@ -382,14 +381,10 @@ pub(crate) mod tests {
             (Some("disabled"), None),
             (Some("maybe"), None),
         ];
-        for (switch, var, default) in switches {
-            assert_eq!((switch.var, switch.default), (var, default));
-            for (value, expect) in table {
-                let lookup = |name: &str| value.filter(|_| name == var).map(str::to_owned);
-                let got = switch.resolved(lookup);
-                assert_eq!(got, expect.unwrap_or(default), "{var}={value:?}");
-                assert_eq!(parse_switch(value.unwrap_or("")), expect, "{value:?}");
-            }
+        for (value, expect) in table {
+            let lookup = |name: &str| value.filter(|_| name == TRACE.var).map(str::to_owned);
+            assert_eq!(TRACE.resolved(lookup), expect.unwrap_or(false), "{value:?}");
+            assert_eq!(parse_switch(value.unwrap_or("")), expect, "{value:?}");
         }
     }
 }

@@ -14,10 +14,11 @@
 //! The stream is the one profile a run leaves: where each iteration's
 //! time went (`attr`), how fast it ran and how much it sent, and whether
 //! it was healthy. One schema, [`RUN_EVENT_SCHEMA`], whatever is
-//! switched on: the `attr` (critical-path attribution) and `health`
+//! switched on: the `attr` (per-fragment time budget) and `health`
 //! (watchdog) blocks are optional, and an absent block has no key at
 //! all. A key the schema does not name is ignored, so older streams
-//! that carry an `actsrv` block or a plan-cache hit rate still parse.
+//! that carry an `actsrv` block, a plan-cache hit rate, or a critical
+//! path with its per-fragment flags still parse.
 //! [`RunEvent::to_json_line`] and [`RunEvent::parse`] are the one
 //! serialise/parse pair; every reader — [`validate_metrics`],
 //! [`replay_stream`](crate::replay_stream) behind `doctor`, the live
@@ -64,12 +65,13 @@ pub struct RunEvent {
     pub comm_bytes: u64,
     /// Configured staleness bound the iteration ran under.
     pub staleness: u64,
-    /// Critical-path attribution for the iteration. Every event a run
+    /// The iteration's per-fragment time budget. Every event a run
     /// writes carries one; the schema keeps it optional (an absent block
     /// has no key).
     pub attr: Option<IterAttribution>,
     /// Per-iteration health block from the watchdog (see
-    /// [`crate::health`]); `None` when `MSRL_HEALTH=0`.
+    /// [`crate::health`]). Every event a run writes carries one; the
+    /// schema keeps it optional.
     pub health: Option<HealthStatus>,
 }
 
@@ -90,17 +92,13 @@ impl RunEvent {
         serde_json::from_str(line)
     }
 
-    /// The invariants the types cannot state: a non-empty policy,
-    /// fragment components that sum exactly to the fragment's wall, and
-    /// a clamped critical path.
+    /// The invariants the types cannot state: a non-empty policy and
+    /// fragment components that sum exactly to the fragment's wall.
     fn check(&self) -> Result<(), String> {
         if self.policy.is_empty() {
             return Err("empty policy".to_string());
         }
         if let Some(a) = &self.attr {
-            if a.critical_path_ns > a.wall_ns {
-                return Err("critical_path_ns exceeds wall_ns (clamp missing)".to_string());
-            }
             for (i, f) in a.fragments.iter().enumerate() {
                 let parts = [f.rollout_ns, f.learn_ns, f.comm_ns, f.eval_ns, f.idle_ns, f.slack_ns];
                 let sum: u128 = parts.iter().map(|&p| u128::from(p)).sum();
@@ -220,8 +218,6 @@ impl Serialize for IterAttribution {
     fn to_value(&self) -> Value {
         obj(vec![
             ("wall_ns", self.wall_ns.to_value()),
-            ("critical_path_ns", self.critical_path_ns.to_value()),
-            ("cp_clamped", self.cp_clamped.to_value()),
             ("rollout_ns", self.rollout_ns.to_value()),
             ("learn_ns", self.learn_ns.to_value()),
             ("comm_ns", self.comm_ns.to_value()),
@@ -238,8 +234,6 @@ impl Deserialize for IterAttribution {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(IterAttribution {
             wall_ns: get(v, "wall_ns")?,
-            critical_path_ns: get(v, "critical_path_ns")?,
-            cp_clamped: get(v, "cp_clamped")?,
             rollout_ns: get(v, "rollout_ns")?,
             learn_ns: get(v, "learn_ns")?,
             comm_ns: get(v, "comm_ns")?,
@@ -523,7 +517,7 @@ mod tests {
                 end_ns: 90,
             },
         ];
-        RunEvent { attr: Some(crate::attribute(&stamps, 0, 100, 2.0)), ..sample(iteration) }
+        RunEvent { attr: Some(crate::attribute(&stamps, 0, 100)), ..sample(iteration) }
     }
 
     fn with_health(iteration: u64) -> RunEvent {
@@ -584,6 +578,36 @@ mod tests {
     }
 
     #[test]
+    fn critical_path_keys_parse_and_validate() {
+        // The critical path and the per-fragment `critical` /
+        // `straggler` flags are no longer written.
+        let ev = with_attr(6);
+        let line = ev.to_json_line();
+        for key in ["critical_path_ns", "cp_clamped", "critical", "straggler"] {
+            assert!(!line.contains(key), "{key} is no longer written");
+        }
+        // Older lines that carry them still validate and parse to the
+        // same event, whatever they held: a path past the wall was the
+        // clamp rule's business, and that rule went with the path.
+        for path in ["90000000", "101", "\"x\""] {
+            let old = line
+                .replacen(
+                    "\"wall_ns\"",
+                    &format!("\"critical_path_ns\":{path},\"cp_clamped\":true,\"wall_ns\""),
+                    1,
+                )
+                .replace(
+                    "\"wall_ns\":100}",
+                    "\"wall_ns\":100,\"straggler\":false,\"critical\":true}",
+                );
+            assert!(old.contains("critical_path_ns") && old.contains("\"critical\":true"));
+            assert_eq!(RunEvent::parse(&old).unwrap(), ev);
+            let mixed = format!("{}\n{}", old, sample(7).to_json_line());
+            assert_eq!(validate_metrics(&mixed).expect("old critical-path lines validate"), 2);
+        }
+    }
+
+    #[test]
     fn attr_blocks_validate_and_must_sum_to_wall() {
         let ev = with_attr(3);
         let line = ev.to_json_line();
@@ -595,10 +619,7 @@ mod tests {
         let mut broken = ev.clone();
         broken.attr.as_mut().unwrap().fragments[0].rollout_ns += 1;
         assert!(validate_metrics(&broken.to_json_line()).is_err());
-        // So is an unclamped critical path and an unknown bottleneck.
-        let mut unclamped = ev.clone();
-        unclamped.attr.as_mut().unwrap().critical_path_ns = 101;
-        assert!(validate_metrics(&unclamped.to_json_line()).is_err());
+        // So is an unknown bottleneck.
         let unknown = line.replacen("\"bottleneck\":\"rollout\"", "\"bottleneck\":\"nap\"", 1);
         assert_ne!(unknown, line);
         assert!(validate_metrics(&unknown).is_err());

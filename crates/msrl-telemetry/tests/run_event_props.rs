@@ -67,7 +67,7 @@ impl proptest::strategy::Strategy for EventStrategy {
                 }
             })
             .collect();
-        let attr = attribute(&stamps, 0, 1 + rng.below(1 << 31), 2.0);
+        let attr = attribute(&stamps, 0, 1 + rng.below(1 << 31));
         let health = health(rng);
         let base = RunEvent {
             policy: ["dp_a", "dp_c", "a3c"][rng.below(3) as usize].to_string(),

@@ -4,10 +4,11 @@
 //! flight-recorder dump carrying the health verdict, end the run with a
 //! typed error naming the detector and the iteration, and convict the
 //! stream on replay (the `doctor` path). The fault is injected by the
-//! push–pull hub, so DP-A and DP-F runs both exercise it.
+//! push–pull hub, so DP-A and DP-F runs both exercise it. A later run
+//! that fails for another reason leaves a dump without that verdict.
 //!
-//! One test body: the health gate, metrics sink, flight recorder and
-//! registry are process-global.
+//! One test body: the metrics sink, flight recorder and registry are
+//! process-global.
 //!
 //! Set `MSRL_HEALTH_E2E_KEEP=<path>` to keep a copy of the poisoned
 //! stream — CI uses this to demonstrate `doctor` exiting non-zero on a
@@ -15,13 +16,62 @@
 
 use msrl_core::FdgError;
 use msrl_env::cartpole::CartPole;
+use msrl_env::{Action, ActionSpec, Environment};
 use msrl_runtime::exec::{run_dp_a, run_dp_f, DistPpoConfig};
 use msrl_telemetry::{HealthStatus, HealthVerdict, RunEvent, Severity};
 use serde::Deserialize;
 
+/// CartPole that claims `dim` observation columns.
+struct Claims(usize, CartPole);
+
+impl Environment for Claims {
+    fn obs_dim(&self) -> usize {
+        self.0
+    }
+    fn action_spec(&self) -> ActionSpec {
+        self.1.action_spec()
+    }
+    fn reset_into(&mut self, obs: &mut [f32]) {
+        self.1.reset_into(obs)
+    }
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
+        self.1.step_into(action, obs)
+    }
+}
+
+/// The flight-recorder dumps in `dir` with their triggers, parsed and
+/// validated, in the order they were written.
+fn dumps(dir: &std::path::Path) -> Vec<(String, serde::Value)> {
+    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .expect("dump dir readable")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("flightrec-") && n.ends_with(".json"))
+        })
+        .collect();
+    // `flightrec-<pid>-<seq>.json`: write order is sequence order.
+    let seq = |p: &std::path::PathBuf| -> u64 {
+        let stem = p.file_stem().and_then(|n| n.to_str()).expect("utf8 dump name");
+        stem.rsplit('-').next().and_then(|s| s.parse().ok()).expect("dump sequence number")
+    };
+    paths.sort_by_key(seq);
+    paths
+        .iter()
+        .map(|p| {
+            let dump = std::fs::read_to_string(p).expect("dump readable");
+            msrl_telemetry::flightrec::validate_flightrec(&dump).expect("dump validates");
+            let dump: serde::Value = serde_json::from_str(&dump).expect("dump parses");
+            let trigger = String::from_value(dump.field("trigger").expect("trigger")).unwrap();
+            (trigger, dump)
+        })
+        .collect()
+}
+
 #[test]
 fn induced_nan_fires_watchdog_dump_and_doctor() {
-    msrl_telemetry::set_health_enabled(true);
     let tmp = std::env::temp_dir().join(format!("msrl-health-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("temp dir creatable");
@@ -84,22 +134,11 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     assert!(verdict.render().starts_with("verdict: CRITICAL"));
 
     // The detector firing triggered a flight-recorder dump with the
-    // health verdict embedded.
-    let dumps: Vec<std::path::PathBuf> = std::fs::read_dir(&tmp)
-        .expect("dump dir readable")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("flightrec-") && n.ends_with(".json"))
-        })
-        .collect();
-    assert!(!dumps.is_empty(), "the critical firing dumps the flight recorder");
-    let dump = std::fs::read_to_string(&dumps[0]).expect("dump readable");
-    msrl_telemetry::flightrec::validate_flightrec(&dump).expect("dump validates");
-    let dump: serde::Value = serde_json::from_str(&dump).expect("dump parses");
-    let embedded = dump.field("health").expect("dump embeds the health verdict");
+    // health verdict embedded; the run's `driver_error` dump follows it.
+    let written = dumps(&tmp);
+    let triggers: Vec<&str> = written.iter().map(|(t, _)| t.as_str()).collect();
+    assert_eq!(triggers, ["health", "driver_error"], "the critical firing dumps the recorder");
+    let embedded = written[0].1.field("health").expect("dump embeds the health verdict");
     let embedded = HealthVerdict::from_value(embedded).expect("the verdict parses");
     assert!(
         embedded.findings.iter().any(|f| f.detector == "nonfinite"),
@@ -116,18 +155,21 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     let err = result.expect_err("the hub's fault seam fails a DP-F run too");
     assert_eq!(err, FdgError::Unhealthy { detector: "nonfinite", iteration: poisoned });
 
-    // `MSRL_HEALTH=0` is the one override: the same poisoned run then
-    // completes and hands back the poisoned weights.
-    msrl_telemetry::set_health_enabled(false);
-    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
-    let unwatched = run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist);
-    std::env::remove_var("MSRL_FAULT_NAN_ITER");
-    msrl_telemetry::set_health_enabled(true);
-    let report = unwatched.expect("with the watchdog off the run returns Ok");
-    assert!(
-        report.final_params.iter().any(|v| !v.is_finite()),
-        "the fault injection must actually poison the final weights"
-    );
+    // A later run that ends in a driver error of its own (the probe
+    // sizes the policy for 5 columns, the actor's envs have 4) leaves a
+    // dump that carries no health verdict: the poisoned runs' verdicts
+    // went with their own dumps.
+    let calls = std::sync::atomic::AtomicUsize::new(0);
+    let make_env = |_: usize, i: usize| {
+        let probe = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0;
+        Claims(if probe { 5 } else { 4 }, CartPole::new(i as u64))
+    };
+    let shape = DistPpoConfig { actors: 1, envs_per_actor: 1, iterations: 1, ..dist.clone() };
+    let err = run_dp_a(make_env, &shape).expect_err("the learner's peer is gone");
+    assert!(!matches!(err, FdgError::Unhealthy { .. }), "not a health error: {err:?}");
+    let (trigger, dump) = dumps(&tmp).pop().expect("the failed run dumps the recorder");
+    assert_eq!(trigger, "driver_error");
+    assert!(dump.field("health").is_err(), "another run's verdict leaked into the dump");
 
     // Keep the poisoned stream for the CI doctor demo, or clean up.
     match std::env::var("MSRL_HEALTH_E2E_KEEP") {

@@ -20,8 +20,9 @@ fn events(stream: &str) -> Vec<RunEvent> {
 /// Asserts every event of an untraced metrics stream carries an
 /// attribution whose components account for the iteration wall time
 /// within 2% (they are exact modulo the per-component floor division),
-/// with a sane critical path and at least one fragment on it.
-fn check_attribution_accounts_for_wall(stream: &str, policy: &str) {
+/// with exactly one row per fragment of the policy: `rows` lists each
+/// `role/id`, in the (role, id) order the rows are sorted in.
+fn check_attribution_accounts_for_wall(stream: &str, policy: &str, rows: &[&str]) {
     let mut checked = 0usize;
     for ev in events(stream) {
         assert_eq!(ev.policy, policy);
@@ -32,10 +33,9 @@ fn check_attribution_accounts_for_wall(stream: &str, policy: &str) {
             "{policy}: attribution components ({parts} ns) must account for the \
              iteration wall time ({wall} ns) within 2%: {attr:?}"
         );
-        assert!(!attr.fragments.is_empty(), "{policy}: at least one fragment attributed");
-        let on_path = attr.fragments.iter().filter(|f| f.critical).count();
-        assert!(on_path >= 1, "{policy}: the critical path touches at least one fragment");
-        assert!(attr.critical_path_ns > 0, "{policy}: non-trivial critical path");
+        let got: Vec<String> =
+            attr.fragments.iter().map(|f| format!("{}/{}", f.role, f.id)).collect();
+        assert_eq!(got, rows, "{policy}: one row per fragment, iteration {}", ev.iteration);
         checked += 1;
     }
     assert!(checked > 0, "{policy}: stream holds attribution events");
@@ -136,12 +136,12 @@ fn telemetry_observes_without_perturbing() {
     let lines = msrl_telemetry::validate_metrics(&stream).expect("every line is a valid RunEvent");
     assert_eq!(lines, dist.iterations, "the file holds exactly this run's events");
 
-    // 3b. Untraced, every event still carries the critical-path
-    //     attribution, and the breakdown accounts for the iteration wall
+    // 3b. Untraced, every event still carries the per-fragment time
+    //     budget, and the breakdown accounts for the iteration wall
     //     time within 2% — no MSRL_TRACE, no extra flags. (With the
     //     health watchdog on, the default, it also carries a health
     //     block; the schema is the same either way.)
-    check_attribution_accounts_for_wall(&stream, "dp_a");
+    check_attribution_accounts_for_wall(&stream, "dp_a", &["actor/0", "actor/1", "learner/2"]);
     msrl_telemetry::set_metrics_file(None);
     let _ = std::fs::remove_file(&metrics_path);
 
@@ -162,7 +162,7 @@ fn telemetry_observes_without_perturbing() {
     let lines_c =
         msrl_telemetry::validate_metrics(&stream_c).expect("dp_c events validate (exact sums)");
     assert_eq!(lines_c, dist.iterations, "one attributed event per DP-C iteration");
-    check_attribution_accounts_for_wall(&stream_c, "dp_c");
+    check_attribution_accounts_for_wall(&stream_c, "dp_c", &["actor_learner/0", "actor_learner/1"]);
     let _ = std::fs::remove_file(&metrics_path_c);
 
     let eval = msrl_telemetry::histogram_stats("fragment.eval").expect("fragment.eval histogram");
