@@ -6,9 +6,9 @@
 //!     [--actors N] [--latency-ms X] [--epochs E]
 //! ```
 //!
-//! Cuts the stream (`MSRL_METRICS_FILE`) into runs
-//! ([`msrl_telemetry::split_runs`]: a run ends where `iteration` returns
-//! to 0) and folds each run on its own through a fresh
+//! Groups the stream (`MSRL_METRICS_FILE`) into runs
+//! ([`msrl_telemetry::split_runs`]: the events of one `run` id and
+//! policy) and folds each run on its own through a fresh
 //! [`msrl_runtime::advisor::LiveAdvisor`], so one file holding a 2-actor
 //! DP-A run and a 3-replica DP-C run is two workloads, not one. For each
 //! run it prints every re-partition recommendation as it would have

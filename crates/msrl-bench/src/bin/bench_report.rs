@@ -15,10 +15,10 @@
 //! `fragment.eval`), plus the per-eval histogram record, as a share of
 //! that evaluation — the number the <5% acceptance bound applies to. The bound is enforced
 //! here: the binary exits non-zero when the share reaches 5%. The
-//! attribution engine's iteration-level cost (`attr_finish_iter_ns`, the
-//! p50 of the always-on `attr.finish_iteration` histogram over the macro
-//! runs) is held to the same 5% bound as a share of a DP-A iteration
-//! period.
+//! attribution engine's iteration-level cost (`attr_finish_iter_mean_ns`,
+//! the mean of the always-on `attr.finish_iteration` histogram over the
+//! macro runs, from its exact sum and count) is held to the same 5% bound
+//! as a share of a DP-A iteration period.
 //!
 //! The `matmul_at` section prices the weight-gradient product `aᵀ·b`
 //! at the shapes the learners actually run (25,600-row hidden layer and
@@ -115,23 +115,23 @@ struct TelemetryCost {
     traced_on_overhead_pct: f64,
 }
 
-/// Median ns of one span over nine samples of 4,000 — inside the lane's
-/// 4,096 classed records, with the attribution window closed (untimed)
-/// between samples, as an iteration boundary does in a run.
-fn span_cost_ns(class: Option<msrl_telemetry::StepClass>, traced: bool) -> f64 {
+/// Median ns of one span over nine samples of 4,000 on a lane hosting
+/// run `run` — inside its 4,096 classed records, with the run's window
+/// closed (untimed) between samples, as an iteration boundary does.
+fn span_cost_ns(run: u64, class: Option<msrl_telemetry::StepClass>, traced: bool) -> f64 {
     use msrl_telemetry as tel;
     const SPANS: u32 = 4000;
     tel::set_enabled(traced);
+    let mut window = tel::now_ns();
     let mut med: Vec<f64> = (0..9)
         .map(|_| {
-            tel::reset_window();
             let start = Instant::now();
             for _ in 0..SPANS {
                 let _s = tel::span("bench.probe", None, class);
             }
             let ns = start.elapsed().as_nanos() as f64 / f64::from(SPANS);
-            let _ = tel::finish_iteration();
-            tel::clear_spans();
+            let _ = tel::finish_iteration(run, &mut window);
+            tel::drain();
             ns
         })
         .collect();
@@ -142,10 +142,12 @@ fn span_cost_ns(class: Option<msrl_telemetry::StepClass>, traced: bool) -> f64 {
 
 fn telemetry_cost() -> TelemetryCost {
     use msrl_telemetry as tel;
-    tel::set_fragment("bench", 0);
-    let span_ns = span_cost_ns(None, false);
-    let span_classed_ns = span_cost_ns(Some(tel::StepClass::Eval), false);
-    let span_traced_ns = span_cost_ns(None, true);
+    let run = tel::next_run();
+    tel::set_fragment(run, "bench", 0);
+    let span_ns = span_cost_ns(run, None, false);
+    let span_classed_ns = span_cost_ns(run, Some(tel::StepClass::Eval), false);
+    let span_traced_ns = span_cost_ns(run, None, true);
+    tel::release_run(run);
     let counter_add_ns = time_ns(9, || tel::static_counter!("bench.counter").add(1));
     let mut v = 0u64;
     let hist_record_ns = time_ns(9, || {
@@ -161,6 +163,7 @@ fn telemetry_cost() -> TelemetryCost {
     let run_event_emit_ns = time_ns(9, || {
         iter += 1;
         tel::emit_run_event(&tel::RunEvent {
+            run,
             policy: "bench".into(),
             iteration: iter,
             reward: 1.5,
@@ -198,7 +201,7 @@ fn telemetry_cost() -> TelemetryCost {
     let mlp_off_ns = time_ns(9, || interp.eval(&g).expect("evaluates"));
     tel::set_enabled(true);
     let mlp_on_ns = time_ns(9, || interp.eval(&g).expect("evaluates"));
-    tel::clear_spans();
+    tel::drain();
     tel::set_enabled(false);
 
     TelemetryCost {
@@ -573,17 +576,17 @@ fn main() {
 
     // Per-iteration attribution cost, measured on the macro runs above:
     // the always-on `attr.finish_iteration` histogram timed every
-    // iteration's take of the classed records and the priority sweep
-    // that prices them per fragment (there is no dependency graph to
-    // build), over the DP-A runs. Its p50 as
-    // a share of the DP-A iteration period is the iteration-level
-    // counterpart of `disabled_probe_share_pct` and is held to the same
-    // <5% acceptance bound.
-    let attr_finish = msrl_telemetry::histogram_stats("attr.finish_iteration");
-    let attr_finish_iter_ns = attr_finish.as_ref().map_or(0.0, |h| h.p50_ns as f64);
-    let attr_finish_count = attr_finish.as_ref().map_or(0, |h| h.count);
+    // iteration's take of its run's classed records and the priority
+    // sweep that prices them per fragment, over the DP-A runs. Its mean,
+    // from the histogram's exact sum and count (a log₂-bucket p50 cannot
+    // see a change below 2×), as a share of the DP-A iteration period is
+    // the iteration-level counterpart of `disabled_probe_share_pct` and
+    // is held to the same <5% acceptance bound.
+    let attr_finish = msrl_telemetry::Histogram::handle("attr.finish_iteration");
+    let attr_finish_count = attr_finish.snapshot().count;
+    let attr_finish_mean_ns = attr_finish.sum() as f64 / attr_finish_count.max(1) as f64;
     let dp_a_period_ns = 1e9 / overlap.off_iters_per_sec.max(1e-9);
-    let attr_share_pct = attr_finish_iter_ns / dp_a_period_ns * 100.0;
+    let attr_share_pct = attr_finish_mean_ns / dp_a_period_ns * 100.0;
 
     // Health-watchdog probe cost per iteration (detector pass +
     // non-finite scan + parameter clone), held to the same <5% share of
@@ -596,7 +599,7 @@ fn main() {
         "  \"telemetry\": {{\"span_ns\": {:.2}, \"span_classed_ns\": {:.2}, \
          \"span_traced_ns\": {:.2}, \
          \"counter_add_ns\": {:.2}, \"hist_record_ns\": {:.2}, \
-         \"run_event_emit_ns\": {:.0}, \"attr_finish_iter_ns\": {:.0}, \
+         \"run_event_emit_ns\": {:.0}, \"attr_finish_iter_mean_ns\": {:.0}, \
          \"attr_finish_iter_count\": {}, \"attr_share_pct\": {:.3}, \
          \"mlp_eval_traced_off_ns\": {:.0}, \
          \"mlp_eval_traced_on_ns\": {:.0}, \"probes_per_eval\": {}, \
@@ -607,7 +610,7 @@ fn main() {
         tel.counter_add_ns,
         tel.hist_record_ns,
         tel.run_event_emit_ns,
-        attr_finish_iter_ns,
+        attr_finish_mean_ns,
         attr_finish_count,
         attr_share_pct,
         tel.mlp_off_ns,
@@ -731,9 +734,9 @@ fn main() {
         tel.traced_on_overhead_pct,
     );
     println!(
-        "attribution: finish_iteration p50 {:.0} ns over {} iteration(s) = {:.3}% of a DP-A \
+        "attribution: finish_iteration mean {:.0} ns over {} iteration(s) = {:.3}% of a DP-A \
          iteration",
-        attr_finish_iter_ns, attr_finish_count, attr_share_pct,
+        attr_finish_mean_ns, attr_finish_count, attr_share_pct,
     );
     println!(
         "graph_compile: mlp fwd+bwd unfused {:.0} ns / fused {:.0} ns ({:.2}x, scalar backend)",

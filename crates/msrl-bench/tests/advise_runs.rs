@@ -21,6 +21,7 @@ fn event(
         false => StepStamp { start_ns: 2_000_000, ..stamp(role, 0, StepClass::Learn, 2_500_000) },
     });
     RunEvent {
+        run: 0,
         policy: policy.into(),
         iteration,
         reward: 10.0,

@@ -393,6 +393,7 @@ mod tests {
         });
         let wall = r_ns.max(l_ns) + 1;
         let ev = RunEvent {
+            run: 1,
             policy: "dp_a".into(),
             iteration: iter,
             reward: 1.0,

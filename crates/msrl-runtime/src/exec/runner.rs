@@ -73,11 +73,13 @@ pub(crate) struct Frame<'a> {
 }
 
 impl Frame<'_> {
-    /// Runs a seat's body on a fresh frame and hands back its report.
-    /// The frame, and the endpoint in it, die here on either outcome.
+    /// Runs a seat's body of run `run` on a fresh frame and hands back
+    /// its report. The frame, and the endpoint in it, die here on either
+    /// outcome.
     fn fill(
         rule: &Rule,
         setup: &Setup,
+        run: u64,
         rank: usize,
         ep: Endpoint,
         body: impl FnOnce(&mut Frame) -> Result<()>,
@@ -90,7 +92,7 @@ impl Frame<'_> {
             policy: &setup.policy,
             report: TrainingReport::default(),
             prev_reward: 0.0,
-            observer: reporting.then(|| RunObserver::new(rule.name, setup.staleness)),
+            observer: reporting.then(|| RunObserver::new(run, rule.name, setup.staleness)),
         };
         body(&mut frame)?;
         Ok(frame.report)
@@ -150,7 +152,8 @@ pub(crate) fn no_hub(_: &mut Frame) -> Result<()> {
 
 /// Runs `rule`: `worker` on `setup.workers` fragment threads and `hub`,
 /// when the rule's row has a hub seat, on the calling thread — all under
-/// the caller's backend.
+/// the caller's backend, under a fresh run id
+/// ([`msrl_telemetry::next_run`]) on its lanes, events and dumps.
 ///
 /// Every handle is joined before anything is returned. The hub's error
 /// comes first, else the first worker error in rank order, else the
@@ -161,19 +164,20 @@ where
     H: FnOnce(&mut Frame) -> Result<()>,
 {
     let p = setup.workers;
+    let id = msrl_telemetry::next_run();
     let mut endpoints =
         Fabric::with_latency(p + usize::from(rule.hub.is_some()), setup.link_latency);
     let hub = rule.hub.map(|seat| (seat, hub, endpoints.pop().expect("the hub's is the last")));
     let result = std::thread::scope(|scope| {
         let worker = &worker;
         let spawn = |(rank, ep)| {
-            let body = move || Frame::fill(rule, setup, rank, ep, worker);
-            spawn_fragment(scope, rule.worker.span, rank, body)
+            let body = move || Frame::fill(rule, setup, id, rank, ep, worker);
+            spawn_fragment(scope, id, rule.worker.span, rank, body)
         };
         let handles: Vec<_> = endpoints.into_iter().enumerate().map(spawn).collect();
         let hub_report = hub.map(|(seat, body, ep)| {
-            let _frag = enter_fragment(seat.span, p);
-            Frame::fill(rule, setup, p, ep, body)
+            let _frag = enter_fragment(id, seat.span, p);
+            Frame::fill(rule, setup, id, p, ep, body)
         });
         let mut reports = Vec::with_capacity(p);
         let mut worker_err = None;
@@ -189,7 +193,7 @@ where
             (None, None) => Ok(merge_replicas(reports, setup.mean_rewards)),
         }
     });
-    close_run(rule.name, &result);
+    close_run(id, rule.name, &result);
     result
 }
 
@@ -212,17 +216,18 @@ fn merge_replicas(mut reports: Vec<TrainingReport>, mean_rewards: bool) -> Train
     TrainingReport { iteration_rewards: rewards.unwrap_or(first.iteration_rewards), ..first }
 }
 
-/// Declares the fragment the calling thread hosts: opens the
-/// `fragment.<role>` span named by `span` and counts the thread as a
+/// Declares the fragment of run `run` the calling thread hosts: opens
+/// the `fragment.<role>` span named by `span` and counts the thread as a
 /// computing fragment (both held until the returned guards drop), and
 /// tags the thread's classed spans (comm waits deep in the fabric
-/// included) with `<role>` and `rank`.
+/// included) with `run`, `<role>` and `rank`.
 fn enter_fragment(
+    run: u64,
     span: &'static str,
     rank: usize,
 ) -> (msrl_telemetry::SpanGuard, msrl_telemetry::ComputingGuard) {
     let role = span.strip_prefix("fragment.").expect("fragment spans are named fragment.<role>");
-    msrl_telemetry::set_fragment(role, rank as u64);
+    msrl_telemetry::set_fragment(run, role, rank as u64);
     (msrl_telemetry::span!(span, rank), msrl_telemetry::enter_computing())
 }
 
@@ -231,6 +236,7 @@ fn enter_fragment(
 /// crosses threads — and runs `body` inside [`enter_fragment`].
 fn spawn_fragment<'scope, T: Send + 'scope>(
     scope: &'scope Scope<'scope, '_>,
+    run: u64,
     span: &'static str,
     rank: usize,
     body: impl FnOnce() -> T + Send + 'scope,
@@ -238,7 +244,7 @@ fn spawn_fragment<'scope, T: Send + 'scope>(
     let backend = par::backend();
     scope.spawn(move || {
         par::with_backend(backend, || {
-            let _frag = enter_fragment(span, rank);
+            let _frag = enter_fragment(run, span, rank);
             body()
         })
     })

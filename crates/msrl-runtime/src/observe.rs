@@ -16,12 +16,16 @@ use msrl_core::{FdgError, Result};
 /// quantiles even with `MSRL_TRACE` unset. The training signal comes
 /// from the seat's own learner ([`Learner::signals`]) and nowhere else,
 /// and the byte count from the run's own fabric, so two runs in one
-/// process cannot read each other's. A critical health finding ends the
-/// run ([`RunObserver::observe`]).
+/// process cannot read each other's; so does the time budget, priced
+/// over the run's own fragments in the window the observer owns. A
+/// critical health finding ends the run ([`RunObserver::observe`]).
 pub(crate) struct RunObserver {
+    /// The run's id ([`msrl_telemetry::next_run`]).
+    run: u64,
+    /// Where the current iteration began, on the telemetry clock.
+    window_start: u64,
     policy: &'static str,
     staleness: u64,
-    last: std::time::Instant,
     bytes_prev: u64,
     iteration: u64,
     /// Streaming health detectors over this run's metrics.
@@ -29,18 +33,17 @@ pub(crate) struct RunObserver {
 }
 
 impl RunObserver {
-    /// Starts observing a run. Also installs the flight recorder's
+    /// Starts observing run `run`. Also installs the flight recorder's
     /// panic hook so a dying worker leaves post-mortem state on disk,
-    /// and opens the first attribution window so classed spans from
-    /// before the run don't leak into iteration 0 (which also drops the
-    /// telemetry lanes of threads an earlier run left behind).
-    pub(crate) fn new(policy: &'static str, staleness: usize) -> RunObserver {
+    /// and opens the run's first iteration window at "now" (its
+    /// fragments' classed spans that closed before are clipped away).
+    pub(crate) fn new(run: u64, policy: &'static str, staleness: usize) -> RunObserver {
         msrl_telemetry::install_panic_hook();
-        msrl_telemetry::reset_window();
         RunObserver {
+            run,
+            window_start: msrl_telemetry::now_ns(),
             policy,
             staleness: staleness as u64,
-            last: std::time::Instant::now(),
             bytes_prev: 0,
             iteration: 0,
             monitor: msrl_telemetry::HealthMonitor::default(),
@@ -79,7 +82,9 @@ impl RunObserver {
         let err = critical.map(|f| {
             let reason = format!("{}: {}", f.detector, f.detail);
             let verdict = self.monitor.verdict();
-            if let Err(e) = msrl_telemetry::flightrec::dump("health", &reason, Some(&verdict)) {
+            let dump =
+                msrl_telemetry::flightrec::dump("health", &reason, Some(self.run), Some(&verdict));
+            if let Err(e) = dump {
                 eprintln!("msrl: health-triggered flightrec dump failed: {e}");
             }
             FdgError::Unhealthy { detector: f.detector, iteration: f.iteration }
@@ -88,10 +93,10 @@ impl RunObserver {
     }
 
     /// Closes one iteration: records its period, prices the iteration
-    /// window per fragment (taking every fragment thread's classed
-    /// spans), runs the health detectors over `learner`'s signals and
-    /// weights, and streams the training-metrics event with its `attr`
-    /// and `health` blocks. A seat without a learner reports
+    /// window per fragment (taking the classed spans of the run's
+    /// fragment threads), runs the health detectors over `learner`'s
+    /// signals and weights, and streams the training-metrics event with
+    /// its `attr` and `health` blocks. A seat without a learner reports
     /// the reward alone. `bytes_sent` is the run's fabric total so far
     /// (`Endpoint::group_bytes_sent`); the event carries its delta.
     ///
@@ -105,17 +110,16 @@ impl RunObserver {
         learner: Option<&dyn Learner>,
         bytes_sent: u64,
     ) -> Result<()> {
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.last);
-        self.last = now;
-        msrl_telemetry::static_histogram!("fragment.eval").record_duration(dt);
         let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
-        let attr = msrl_telemetry::finish_iteration();
+        let attr = msrl_telemetry::finish_iteration(self.run, &mut self.window_start);
         drop(t);
-        let iters_per_sec = if dt.as_secs_f64() > 0.0 { 1.0 / dt.as_secs_f64() } else { 0.0 };
+        // The iteration's window is its period.
+        msrl_telemetry::static_histogram!("fragment.eval").record(attr.wall_ns);
+        let iters_per_sec = if attr.wall_ns > 0 { 1e9 / attr.wall_ns as f64 } else { 0.0 };
         let signals = learner.map(Learner::signals).unwrap_or_default();
         let (health, critical) = self.health_block(reward, &signals, iters_per_sec, learner);
         msrl_telemetry::emit_run_event(&msrl_telemetry::RunEvent {
+            run: self.run,
             policy: self.policy.to_string(),
             iteration: self.iteration,
             reward: f64::from(reward),
@@ -133,19 +137,23 @@ impl RunObserver {
     }
 }
 
-/// Closes a run's evidence trail: flushes the metrics stream and, on an
-/// error outcome, writes a flight-recorder dump so failed runs leave
-/// evidence.
+/// Closes run `run`'s evidence trail: flushes the metrics stream, on an
+/// error outcome writes a flight-recorder dump of the run so failed runs
+/// leave evidence, and releases the run's telemetry lanes
+/// ([`msrl_telemetry::release_run`]). A run the watchdog ended already
+/// left its `health` dump: one failure writes one dump.
 ///
 /// A flush failure is surfaced, not swallowed: the stream is the health
 /// subsystem's evidence trail, and a silently truncated JSONL file
 /// would read as a healthy run. The `sink.io_errors` counter carries
 /// the same signal into every flight-recorder dump.
-pub(crate) fn close_run<T>(policy: &'static str, result: &Result<T>) {
+pub(crate) fn close_run<T>(run: u64, policy: &'static str, result: &Result<T>) {
     if let Err(e) = msrl_telemetry::flush_metrics() {
         eprintln!("msrl: metrics stream write failed for {policy}: {e}");
     }
-    if let Err(e) = result {
-        let _ = msrl_telemetry::flightrec::dump("driver_error", &format!("{policy}: {e:?}"), None);
+    if let Some(e) = result.as_ref().err().filter(|e| !matches!(e, FdgError::Unhealthy { .. })) {
+        let reason = format!("{policy}: {e:?}");
+        let _ = msrl_telemetry::flightrec::dump("driver_error", &reason, Some(run), None);
     }
+    msrl_telemetry::release_run(run);
 }

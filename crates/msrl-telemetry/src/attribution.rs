@@ -5,14 +5,15 @@
 //! This module makes that observable on every run, without `MSRL_TRACE`:
 //! phase executions, collective waits and interpreter evaluations open
 //! *classed* spans (`span!("phase.learn", class: Learn)`), whose records
-//! each thread's lane keeps for this reader (see `crate::recorder`), and
-//! at each iteration boundary the driver's observer calls
-//! [`finish_iteration`], which takes the classed records and prices the
-//! window per fragment: rollout / learn / comm-blocked / interpreter
-//! compute / scheduler idle / slack (idle spent waiting for the busiest
-//! fragment of the same role). A priority sweep over each fragment's
-//! records assigns every instant to one class, so the components sum to
-//! the iteration wall time by construction; their means across fragments
+//! the lane of a thread hosting a run's fragment ([`set_fragment`])
+//! keeps for this reader (see `crate::recorder`). At each iteration
+//! boundary the run's observer calls [`finish_iteration`], which takes
+//! the classed records of that run's lanes alone and prices the window
+//! per fragment: rollout / learn / comm-blocked / interpreter compute /
+//! scheduler idle / slack (idle spent waiting for the busiest fragment
+//! of the same role). A priority sweep over each fragment's records
+//! assigns every instant to one class, so the components sum to the
+//! iteration wall time by construction; their means across fragments
 //! name the iteration's bottleneck.
 //!
 //! A lane keeps at most [`STEP_CAPACITY`] classed records between
@@ -98,11 +99,20 @@ pub struct StepStamp {
     pub end_ns: u64,
 }
 
-/// Declares the fragment the calling thread hosts; its lane's classed
-/// records (comm waits deep in the fabric included) attach to it.
-/// Drivers call this once at each fragment thread's entry.
-pub fn set_fragment(role: &'static str, fragment: u64) {
-    crate::recorder::with_lane(|lane| lane.lock().fragment = Some((role, fragment)));
+/// A fresh run id: the process id in the high 32 bits (so runs that
+/// several processes append to one stream keep apart), this process's
+/// run count in the low. Never 0, the run of a line that names none.
+pub fn next_run() -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    dropped(); // Registered at 0, so every dump shows the count.
+    u64::from(std::process::id()) << 32 | SEQ.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Declares the fragment the calling thread hosts in run `run`: its
+/// classed records (comm waits deep in the fabric included) are that
+/// run's until it closes. Drivers call this at each fragment's entry.
+pub fn set_fragment(run: u64, role: &'static str, fragment: u64) {
+    crate::recorder::with_lane(|lane| lane.lock().fragment = Some((run, role, fragment)));
 }
 
 /// Fragment threads computing right now, process-wide: entered for a
@@ -174,31 +184,16 @@ pub fn resume_computing(n: usize) {
     }
 }
 
-static WINDOW_START: AtomicU64 = AtomicU64::new(0);
-
-/// Opens a fresh iteration window at "now", dropping the classed
-/// records that closed before it (the next [`finish_iteration`] would
-/// clip them away). Drivers' observers call it once at run start, so it
-/// also drops the lanes of exited threads that hold nothing unread.
-pub fn reset_window() {
-    let start = crate::recorder::now_ns();
-    WINDOW_START.store(start, Ordering::Relaxed);
-    crate::recorder::prune(start);
-    // Registered at 0, so every dump shows the count.
-    dropped();
-}
-
-/// Closes the current iteration window: takes every lane's classed
-/// records that closed by now, attributes the window
-/// `[last boundary, now)`, and opens the next window at "now". Returns
-/// the iteration's attribution.
-pub fn finish_iteration() -> IterAttribution {
+/// Closes run `run`'s iteration window: takes the classed records that
+/// closed by now on the run's lanes and attributes `[*window_start,
+/// now)`, one row per fragment; the next window starts now.
+pub fn finish_iteration(run: u64, window_start: &mut u64) -> IterAttribution {
     let end = crate::recorder::now_ns();
-    let start = WINDOW_START.swap(end, Ordering::Relaxed).min(end);
-    let mut stamps = Vec::new();
-    crate::recorder::for_each_lane(|lane| {
-        let mut s = lane.lock();
-        let (role, fragment) = s.fragment.unwrap_or(("thread", lane.tid));
+    let start = std::mem::replace(window_start, end);
+    let (mut hosts, mut stamps) = (Vec::new(), Vec::new());
+    crate::recorder::for_each_lane(|_, s| {
+        let Some((_, role, fragment)) = s.fragment.filter(|&(r, _, _)| r == run) else { return };
+        hosts.push((role, fragment));
         // A lane closes records in time order, so the ones that closed
         // after the boundary (for the next window) are a suffix.
         while let Some(span) = s.classed.front().filter(|span| span.end_ns <= Some(end)).copied() {
@@ -218,7 +213,7 @@ pub fn finish_iteration() -> IterAttribution {
             }
         }
     });
-    attribute(&stamps, start, end)
+    price(&hosts, &stamps, start, end)
 }
 
 /// Per-fragment share of one iteration window. All `_ns` components sum
@@ -319,13 +314,25 @@ fn sweep(stamps: &[&StepStamp], window: (u64, u64)) -> [u64; 4] {
 /// property tests. Components of every returned [`FragmentAttr`] sum to
 /// the window length exactly.
 pub fn attribute(stamps: &[StepStamp], start_ns: u64, end_ns: u64) -> IterAttribution {
+    price(&[], stamps, start_ns, end_ns)
+}
+
+/// [`attribute`], with a row for each of `hosts` (an idle one if it ran
+/// nothing classed in the window).
+fn price(
+    hosts: &[(&str, u64)],
+    stamps: &[StepStamp],
+    start_ns: u64,
+    end_ns: u64,
+) -> IterAttribution {
     let wall = end_ns.saturating_sub(start_ns);
     let mut attr = IterAttribution { wall_ns: wall, bottleneck: "idle", ..Default::default() };
     if wall == 0 {
         return attr;
     }
     // Group stamps by fragment, deterministically ordered.
-    let mut by_frag: BTreeMap<(&str, u64), Vec<&StepStamp>> = BTreeMap::new();
+    let mut by_frag: BTreeMap<(&str, u64), Vec<&StepStamp>> =
+        hosts.iter().map(|&host| (host, Vec::new())).collect();
     for s in stamps {
         if s.end_ns > start_ns && s.start_ns < end_ns {
             by_frag.entry((s.role, s.fragment)).or_default().push(s);
@@ -445,21 +452,25 @@ mod tests {
         }
     }
 
+    /// Opens a window for a fresh run whose fragment `role`/`id` the
+    /// calling thread hosts.
+    fn hosted(role: &'static str, id: u64) -> (u64, u64) {
+        let run = next_run();
+        set_fragment(run, role, id);
+        (run, crate::now_ns())
+    }
+
     #[test]
     fn guard_records_into_window() {
-        let _serial = crate::tests::serial();
-        set_fragment("test_guard", 7);
-        reset_window();
+        let (run, mut window) = hosted("test_guard", 7);
         {
             let _s = crate::span!("attribution.test.learn", class: Learn);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let attr = finish_iteration();
-        let f = attr
-            .fragments
-            .iter()
-            .find(|f| f.role == "test_guard" && f.id == 7)
-            .expect("stamped fragment appears");
+        let attr = finish_iteration(run, &mut window);
+        crate::release_run(run);
+        let [f] = attr.fragments.as_slice() else { panic!("the run's one fragment: {attr:?}") };
+        assert_eq!((f.role.as_str(), f.id), ("test_guard", 7));
         assert!(f.learn_ns > 0, "guard must have stamped learn time: {f:?}");
         assert_eq!(
             f.rollout_ns + f.learn_ns + f.comm_ns + f.eval_ns + f.idle_ns + f.slack_ns,
@@ -471,21 +482,19 @@ mod tests {
     /// its part so far in the first, the rest in the window it closes in.
     #[test]
     fn an_open_span_splits_at_the_boundary() {
-        let _serial = crate::tests::serial();
-        set_fragment("test_open", 3);
-        reset_window();
+        let (run, mut window) = hosted("test_open", 3);
         let span = crate::span!("attribution.test.open", class: Rollout);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let first = finish_iteration();
+        let first = finish_iteration(run, &mut window);
         std::thread::sleep(std::time::Duration::from_millis(2));
         drop(span);
-        let second = finish_iteration();
+        let second = finish_iteration(run, &mut window);
+        crate::release_run(run);
         for attr in [&first, &second] {
-            let f = attr
-                .fragments
-                .iter()
-                .find(|f| f.role == "test_open" && f.id == 3)
-                .expect("the open span's fragment has a row in each window");
+            let [f] = attr.fragments.as_slice() else {
+                panic!("the open span's fragment has a row in each window: {attr:?}")
+            };
+            assert_eq!((f.role.as_str(), f.id), ("test_open", 3));
             assert!(f.rollout_ns >= 2_000_000, "{f:?}");
             assert!(f.rollout_ns <= f.wall_ns, "no window holds more than its wall: {f:?}");
         }
@@ -495,10 +504,10 @@ mod tests {
     /// dropped unattributed.
     #[test]
     fn overflow_counts_attr_dropped() {
-        let _serial = crate::tests::serial();
-        reset_window();
+        let (run, mut window) = (next_run(), crate::now_ns());
         let before = crate::counter_total("attr.dropped");
-        std::thread::spawn(|| {
+        std::thread::spawn(move || {
+            set_fragment(run, "test_flood", 0);
             for _ in 0..STEP_CAPACITY + 100 {
                 let _s = crate::span!("attribution.test.flood", class: Comm);
             }
@@ -506,6 +515,7 @@ mod tests {
         .join()
         .expect("flood ran");
         assert!(crate::counter_total("attr.dropped") >= before + 100, "the overflow is counted");
-        let _ = finish_iteration();
+        let _ = finish_iteration(run, &mut window);
+        crate::release_run(run);
     }
 }

@@ -1,20 +1,21 @@
-//! Flight recorder: the recent past of every thread, dumped to
+//! Flight recorder: the recent past of a run's threads, dumped to
 //! `results/flightrec-*.json` on panic or driver error for post-mortem
 //! debugging.
 //!
 //! It records nothing of its own. Each thread's lane (see
 //! `crate::recorder`) keeps its last [`RING_CAPACITY`] closed span
-//! records and its spans still open, tracing on or off, and a dump reads
-//! them: per lane, its tid, the fragment it hosts, the closed records
-//! (`end_ns: null` for a span with no class closed while tracing was
-//! off: only its start is timed) and the open ones (`end_ns: null` —
-//! what the thread was inside when it died). Counter, gauge and histogram totals come from the registry
-//! snapshots and the `MSRL_*` environment ride along, and a dump the
-//! health watchdog triggers carries that run's verdict.
+//! records and its spans still open, tracing on or off, and a dump of a
+//! run reads its lanes (a dump of no run, every lane): per lane, its tid,
+//! the run, role and rank it hosts, the closed records (`end_ns: null`
+//! for a span with no class closed while tracing was off) and the open
+//! ones (`end_ns: null` — what the thread was inside when it died). The
+//! process's counter, gauge and histogram totals and the `MSRL_*`
+//! environment ride along, and a dump the health watchdog triggers
+//! carries that run's verdict.
 //!
 //! [`install_panic_hook`] chains onto the existing panic hook, so a
-//! panicking worker writes a dump before the usual backtrace. Drivers
-//! also call [`dump`] on their error paths.
+//! panicking worker writes a dump of its run before the usual backtrace.
+//! Drivers also call [`dump`] on their error paths.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
@@ -59,18 +60,27 @@ fn record(s: &Span) -> Value {
     ])
 }
 
-/// Renders the dump JSON: every lane's recent and open records,
-/// counter/gauge/histogram snapshots, the `MSRL_*` environment, and
-/// `health`, the verdict of the run whose watchdog triggered the dump.
-pub fn render_dump(trigger: &str, reason: &str, health: Option<&crate::HealthVerdict>) -> String {
+/// Renders the dump JSON: run `run`'s lanes' recent and open records
+/// (every lane's for `None`), the process's counter/gauge/histogram
+/// snapshots, the `MSRL_*` environment, and `health`, the verdict of
+/// the run whose watchdog triggered the dump.
+pub fn render_dump(
+    trigger: &str,
+    reason: &str,
+    run: Option<u64>,
+    health: Option<&crate::HealthVerdict>,
+) -> String {
     let mut lanes = Vec::new();
-    crate::recorder::for_each_lane(|lane| {
-        let s = lane.lock();
-        let (role, fragment) = s.fragment.unzip();
+    crate::recorder::for_each_lane(|lane, s| {
+        let tag = s.fragment;
+        if run.is_some_and(|run| tag.map(|t| t.0) != Some(run)) {
+            return;
+        }
         lanes.push(obj(vec![
             ("tid", lane.tid.to_value()),
-            ("role", role.to_value()),
-            ("fragment", fragment.to_value()),
+            ("run", tag.map(|t| t.0).to_value()),
+            ("role", tag.map(|t| t.1).to_value()),
+            ("fragment", tag.map(|t| t.2).to_value()),
             ("closed", Value::Seq(s.recent.iter().map(record).collect())),
             ("open", Value::Seq(s.open.iter().map(|(_, r)| record(r)).collect())),
         ]));
@@ -105,6 +115,7 @@ pub fn render_dump(trigger: &str, reason: &str, health: Option<&crate::HealthVer
         ("trigger", trigger.to_value()),
         ("reason", reason.to_value()),
         ("pid", std::process::id().to_value()),
+        ("run", run.to_value()),
     ];
     // A critical detector firing is itself a dump trigger: the
     // post-mortem carries *why* that run was judged unhealthy.
@@ -131,26 +142,28 @@ pub fn render_dump(trigger: &str, reason: &str, health: Option<&crate::HealthVer
 pub fn dump(
     trigger: &str,
     reason: &str,
+    run: Option<u64>,
     health: Option<&crate::HealthVerdict>,
 ) -> std::io::Result<String> {
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = format!("{dir}/flightrec-{}-{seq}.json", std::process::id());
-    std::fs::write(&path, render_dump(trigger, reason, health))?;
+    std::fs::write(&path, render_dump(trigger, reason, run, health))?;
     Ok(path)
 }
 
 /// Installs a process-wide panic hook (idempotent) that writes a
-/// flight-recorder dump before chaining to the previous hook. Drivers
-/// call this at entry so a panicking worker leaves post-mortem state on
-/// disk.
+/// flight-recorder dump of the panicking thread's run before chaining
+/// to the previous hook. Drivers call this at entry so a panicking
+/// worker leaves post-mortem state on disk.
 pub fn install_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let _ = dump("panic", &info.to_string(), None);
+            let run = crate::recorder::with_lane(|l| l.lock().fragment.map(|t| t.0)).flatten();
+            let _ = dump("panic", &info.to_string(), run, None);
             prev(info);
         }));
     });
@@ -234,7 +247,7 @@ mod tests {
         drop(crate::span!(name, 3, class: Comm));
         let _open = crate::span!("flightrec.test.open");
         crate::histogram_record("flightrec.test.hist", 12);
-        let json = render_dump("test", "unit test", None);
+        let json = render_dump("test", "unit test", None, None);
         assert!(validate_flightrec(&json).expect("dump validates") >= 2);
 
         let v = serde_json::value_from_str(&json).expect("dump parses");
@@ -274,7 +287,7 @@ mod tests {
         crate::Gauge::handle("flightrec.test.nan").set(f64::NAN);
         crate::Gauge::handle("flightrec.test gauge \"inf\"").set(f64::INFINITY);
         crate::Gauge::handle("flightrec.test.finite").set(0.5);
-        let json = render_dump("test", "gauges", None);
+        let json = render_dump("test", "gauges", None, None);
         validate_flightrec(&json).expect("dump validates");
         let v = serde_json::value_from_str(&json).expect("dump parses");
         let counters = v.field("counters").unwrap();
@@ -283,5 +296,46 @@ mod tests {
         assert_eq!(gauges.field("flightrec.test.nan"), Ok(&Value::Null));
         assert_eq!(gauges.field("flightrec.test gauge \"inf\""), Ok(&Value::Null));
         assert_eq!(gauges.field("flightrec.test.finite"), Ok(&Value::F64(0.5)));
+    }
+
+    /// A dump for one run holds that run's lanes alone, while another
+    /// run's lanes are live, and every counter of the process.
+    #[test]
+    fn a_run_s_dump_holds_its_lanes_and_every_counter() {
+        let (a, b) = (crate::next_run(), crate::next_run());
+        crate::set_fragment(a, "flightrec_a", 0);
+        drop(crate::span!("flightrec.test.a", class: Learn));
+        let (ready_tx, ready) = std::sync::mpsc::channel();
+        let (done, done_rx) = std::sync::mpsc::channel::<()>();
+        let other = std::thread::spawn(move || {
+            crate::set_fragment(b, "flightrec_b", 1);
+            let _open = crate::span!("flightrec.test.b", class: Rollout);
+            crate::counter("flightrec.test.b_counter", 2);
+            ready_tx.send(()).expect("test waits");
+            done_rx.recv().expect("test signals");
+        });
+        ready.recv().expect("run b is live");
+        let roles = |json: &str| -> Vec<(Value, Value)> {
+            validate_flightrec(json).expect("dump validates");
+            let v = serde_json::value_from_str(json).expect("dump parses");
+            let Ok(Value::Seq(lanes)) = v.field("lanes") else { panic!("lanes") };
+            lanes
+                .iter()
+                .map(|l| (l.field("run").unwrap().clone(), l.field("role").unwrap().clone()))
+                .collect()
+        };
+        let run = |r: u64, role: &str| (Value::I64(r as i64), Value::Str(role.into()));
+        let json = render_dump("test", "run a", Some(a), None);
+        assert_eq!(roles(&json), [run(a, "flightrec_a")], "run a's one lane, alone");
+        let v = serde_json::value_from_str(&json).expect("dump parses");
+        assert_eq!(v.field("run"), Ok(&Value::I64(a as i64)));
+        let counter = v.field("counters").and_then(|c| c.field("flightrec.test.b_counter"));
+        assert!(matches!(counter, Ok(Value::I64(n)) if *n >= 2), "every counter: {counter:?}");
+        let every = roles(&render_dump("test", "every lane", None, None));
+        assert!(every.contains(&run(a, "flightrec_a")) && every.contains(&run(b, "flightrec_b")));
+        done.send(()).expect("run b waits");
+        other.join().expect("run b ran");
+        crate::release_run(a);
+        crate::release_run(b);
     }
 }

@@ -709,9 +709,10 @@ mod tests {
         assert_eq!(fired[0].iteration, 20);
     }
 
-    /// The metrics line the observer writes for sample `s`.
-    fn line(policy: &str, s: &HealthSample, health: Option<HealthStatus>) -> String {
+    /// The metrics line run `run`'s observer writes for sample `s`.
+    fn line(run: u64, policy: &str, s: &HealthSample, health: Option<HealthStatus>) -> String {
         let ev = crate::RunEvent {
+            run,
             policy: policy.to_string(),
             iteration: s.iteration,
             reward: s.reward,
@@ -737,7 +738,7 @@ mod tests {
                 s.nonfinite_params = Some(2);
             }
             let st = m.observe(&s);
-            lines.push_str(&line("dp_a", &s, Some(st)));
+            lines.push_str(&line(1, "dp_a", &s, Some(st)));
         }
         let verdict = m.verdict();
         assert_eq!(verdict.status, Severity::Critical);
@@ -767,7 +768,7 @@ mod tests {
                 iters_per_sec: 50.0,
                 ..HealthSample::default()
             };
-            lines.push_str(&line("dp_c", &s, None));
+            lines.push_str(&line(1, "dp_c", &s, None));
         }
         let verdict = replay_stream(&lines).expect("replay parses");
         assert_eq!(verdict.status, Severity::Ok, "{}", verdict.render());
@@ -779,10 +780,10 @@ mod tests {
         // tenth of the first's rate: each is judged against its own
         // level, so the second run's it/s is no collapse.
         let mut lines = String::new();
-        for rate in [100.0, 10.0] {
+        for (run, rate) in [(1, 100.0), (2, 10.0)] {
             for i in 0..20 {
                 let s = HealthSample { iters_per_sec: rate, ..healthy(i) };
-                lines.push_str(&line("dp_a", &s, None));
+                lines.push_str(&line(run, "dp_a", &s, None));
             }
         }
         let verdict = replay_stream(&lines).expect("replay parses");

@@ -30,15 +30,13 @@
 //!   enabling tracing.
 //!
 //! Three readers share the lanes' records, each with its own retention:
-//! the [`flightrec`] module dumps every lane's last 256 closed records
-//! and its open spans, with registry snapshots, on panic or driver error;
-//! the [`attribution`] module turns the classed records into a
-//! per-iteration time budget (rollout / learn / comm-blocked / idle /
-//! slack per fragment, summing to the wall) carried in each
-//! `RunEvent`'s `attr` block; and, while tracing is on, [`drain`]
-//! hands every record to [`chrome_trace`], which emits Chrome
-//! trace-event JSON (open it in Perfetto or `chrome://tracing`; thread
-//! lanes are worker threads, async lanes are fragments).
+//! [`flightrec`] dumps a run's lanes (last 256 closed records, open
+//! spans) with registry snapshots on panic or driver error;
+//! [`attribution`] turns a run's classed records into its per-iteration
+//! time budget, the `RunEvent` `attr` block; and, while tracing is on,
+//! [`drain`] hands every record to [`chrome_trace`] (Chrome trace-event
+//! JSON for Perfetto or `chrome://tracing`; thread lanes are worker
+//! threads, async lanes are fragments).
 //!
 //! A run's profile is its event stream: the [`sink`] module streams one
 //! [`RunEvent`] per driver iteration as JSONL (`MSRL_METRICS_FILE`),
@@ -79,9 +77,9 @@ mod registry;
 pub mod sink;
 
 pub use attribution::{
-    attribute, computing_fragments, enter_computing, finish_iteration, pause_computing,
-    reset_window, resume_computing, set_fragment, ComputingGuard, FragmentAttr, IterAttribution,
-    StepClass, StepStamp,
+    attribute, computing_fragments, enter_computing, finish_iteration, next_run, pause_computing,
+    resume_computing, set_fragment, ComputingGuard, FragmentAttr, IterAttribution, StepClass,
+    StepStamp,
 };
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use flightrec::{install_panic_hook, validate_flightrec};
@@ -94,13 +92,12 @@ pub use histogram::{
     histograms_raw_snapshot, histograms_snapshot, percentile_ns, reset_histograms, HistTimer,
     Histogram, HistogramStats, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{clear_spans, drain, span, Span, SpanGuard};
+pub use recorder::{drain, now_ns, release_run, span, Span, SpanGuard};
 pub use registry::{
     counter, counter_total, counters_snapshot, gauges_snapshot, reset_counters, Counter, Gauge,
 };
 pub use sink::{
-    emit_run_event, flush_metrics, run_events_emitted, set_metrics_file, split_runs,
-    validate_metrics, RunEvent,
+    emit_run_event, flush_metrics, set_metrics_file, split_runs, validate_metrics, RunEvent,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -121,74 +118,41 @@ pub fn parse_switch(value: &str) -> Option<bool> {
     }
 }
 
-/// A process-wide on/off gate, off by default: resolved from `var`
-/// ([`parse_switch`]; off when unset or unrecognised) on first use, or
-/// set by the program first, then one relaxed atomic load.
-pub(crate) struct Switch {
-    var: &'static str,
-    state: AtomicU8,
+/// Whether lanes keep every record for [`drain`]: unresolved (0), off
+/// (1) or on (2).
+static TRACE: AtomicU8 = AtomicU8::new(0);
+
+/// What `MSRL_TRACE`, read through `lookup`, turns tracing to: off when
+/// unset or unrecognised ([`parse_switch`]).
+fn trace_var(lookup: impl Fn(&str) -> Option<String>) -> bool {
+    lookup("MSRL_TRACE").as_deref().and_then(parse_switch).unwrap_or(false)
 }
-
-impl Switch {
-    const UNSET: u8 = 0;
-    const OFF: u8 = 1;
-    const ON: u8 = 2;
-
-    pub(crate) const fn new(var: &'static str) -> Switch {
-        Switch { var, state: AtomicU8::new(Switch::UNSET) }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self) -> bool {
-        match self.state.load(Ordering::Relaxed) {
-            Switch::ON => true,
-            Switch::OFF => false,
-            _ => self.resolve(),
-        }
-    }
-
-    pub(crate) fn set(&self, on: bool) {
-        self.state.store(if on { Switch::ON } else { Switch::OFF }, Ordering::Relaxed);
-    }
-
-    /// What `lookup(var)` turns the switch to.
-    fn resolved(&self, lookup: impl Fn(&str) -> Option<String>) -> bool {
-        lookup(self.var).as_deref().and_then(parse_switch).unwrap_or(false)
-    }
-
-    #[cold]
-    fn resolve(&self) -> bool {
-        let on = self.resolved(|var| std::env::var(var).ok());
-        let state = if on { Switch::ON } else { Switch::OFF };
-        // A `set` that raced the lookup wins.
-        match self.state.compare_exchange(
-            Switch::UNSET,
-            state,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => on,
-            Err(now) => now == Switch::ON,
-        }
-    }
-}
-
-/// Whether lanes keep every record for [`drain`], off unless
-/// `MSRL_TRACE` turns it on.
-static TRACE: Switch = Switch::new("MSRL_TRACE");
 
 /// Whether tracing is on: lanes keep every span they close for
 /// [`drain`]. Resolved from `MSRL_TRACE` on first call (default off),
 /// then a single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    TRACE.get()
+    match TRACE.load(Ordering::Relaxed) {
+        0 => resolve_trace(),
+        state => state == 2,
+    }
+}
+
+#[cold]
+fn resolve_trace() -> bool {
+    let state = 1 + u8::from(trace_var(|var| std::env::var(var).ok()));
+    // A `set_enabled` that raced the lookup wins.
+    match TRACE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => state == 2,
+        Err(set) => set == 2,
+    }
 }
 
 /// Turns tracing on or off (takes precedence over `MSRL_TRACE`). Spans,
 /// counters and gauges record either way.
 pub fn set_enabled(on: bool) {
-    TRACE.set(on);
+    TRACE.store(1 + u8::from(on), Ordering::Relaxed);
 }
 
 /// Opens a span on the calling thread's lane. Four forms:
@@ -260,8 +224,8 @@ pub(crate) mod tests {
     use super::*;
 
     /// Serialises the tests that touch process-wide capture state: the
-    /// trace switch, [`drain`] and the attribution window. `cargo test`
-    /// runs sibling tests on parallel threads.
+    /// trace switch and [`drain`]. `cargo test` runs sibling tests on
+    /// parallel threads.
     pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
         SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -271,7 +235,7 @@ pub(crate) mod tests {
     fn end_to_end_record_export_report() {
         let _serial = serial();
         set_enabled(false);
-        clear_spans();
+        drain();
         {
             let _s = span!("quiet.section");
         }
@@ -318,19 +282,22 @@ pub(crate) mod tests {
         let _serial = serial();
         for traced in [false, true] {
             set_enabled(traced);
-            clear_spans();
-            set_fragment("lib_test", 41);
-            reset_window();
+            drain();
+            let run = next_run();
+            set_fragment(run, "lib_test", 41);
+            let mut window = now_ns();
             {
                 let _s = span!("lib.test.classed", 5, class: Rollout);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             set_enabled(false);
-            let dump = flightrec::render_dump("test", "three readers", None);
+            let dump = flightrec::render_dump("test", "three readers", Some(run), None);
             assert!(dump.contains("\"lib.test.classed\""), "the record is in the dump");
-            let attr = finish_iteration();
-            let row = attr.fragments.iter().find(|f| f.role == "lib_test" && f.id == 41);
-            assert!(row.expect("attributed").rollout_ns >= 1_000_000, "attributed to its class");
+            let attr = finish_iteration(run, &mut window);
+            release_run(run);
+            let [row] = attr.fragments.as_slice() else { panic!("one fragment: {attr:?}") };
+            assert_eq!((row.role.as_str(), row.id), ("lib_test", 41));
+            assert!(row.rollout_ns >= 1_000_000, "attributed to its class");
             let drained = drain().into_iter().filter(|s| s.name == "lib.test.classed").count();
             assert_eq!(drained, usize::from(traced), "drain returns it only if tracing was on");
         }
@@ -361,7 +328,6 @@ pub(crate) mod tests {
     /// unrecognised values leave it off (`MSRL_TRACE` is the one switch).
     #[test]
     fn every_switch_reads_one_vocabulary() {
-        assert_eq!(TRACE.var, "MSRL_TRACE");
         let table: [(Option<&str>, Option<bool>); 17] = [
             (None, None),
             (Some("0"), Some(false)),
@@ -382,8 +348,8 @@ pub(crate) mod tests {
             (Some("maybe"), None),
         ];
         for (value, expect) in table {
-            let lookup = |name: &str| value.filter(|_| name == TRACE.var).map(str::to_owned);
-            assert_eq!(TRACE.resolved(lookup), expect.unwrap_or(false), "{value:?}");
+            let lookup = |name: &str| value.filter(|_| name == "MSRL_TRACE").map(str::to_owned);
+            assert_eq!(trace_var(lookup), expect.unwrap_or(false), "{value:?}");
             assert_eq!(parse_switch(value.unwrap_or("")), expect, "{value:?}");
         }
     }

@@ -2,26 +2,29 @@
 //!
 //! A span is one record, [`Span`]: a name, an optional fragment id, an
 //! optional attribution class, and its start and end on the process-wide
-//! telemetry clock. Opening a [`span!`](crate::span!) puts the record on
-//! the calling thread's lane as open; dropping its guard closes it. The
-//! end is timed when a reader needs it: for a classed span, and while
-//! tracing is on. A clock read is most of what a span costs, so a span
-//! with no class closed while tracing is off keeps its start alone. Three
-//! readers keep their own retention over the same records:
+//! telemetry clock ([`now_ns`]). Opening a [`span!`](crate::span!) puts
+//! the record on the calling thread's lane as open; dropping its guard
+//! closes it. The end is timed when a reader needs it: for a classed
+//! span, and while tracing is on. A clock read is most of what a span
+//! costs, so a span with no class closed while tracing is off keeps its
+//! start alone. Three readers keep their own retention over the same
+//! records:
 //!
 //! * the flight recorder reads the last [`RING_CAPACITY`] closed records
 //!   and the spans still open ([`crate::flightrec`]);
-//! * attribution takes the classed records that closed since the last
+//! * attribution takes a run's lanes' classed records at the run's
 //!   iteration boundary, at most [`STEP_CAPACITY`] per lane
 //!   ([`crate::finish_iteration`]); a classed record dropped before it
-//!   was attributed counts `attr.dropped`;
+//!   was attributed counts `attr.dropped`, and a lane that hosts no
+//!   fragment ([`crate::set_fragment`]) keeps none;
 //! * while tracing is on ([`crate::enabled`]), the lane also keeps every
 //!   record it closes for [`drain`].
 //!
 //! A lane is one lock, taken once to open a span and once to close it,
 //! and contended only by a reader walking the registry. Lanes live in
-//! one process-wide registry; [`prune`] drops the lanes whose thread has
-//! exited and that hold nothing a reader has not taken yet.
+//! one process-wide registry; a run's close ([`release_run`]) and
+//! [`drain`] drop the lanes of exited threads that no run holds and
+//! whose traced records `drain` has taken.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -67,7 +70,8 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-pub(crate) fn now_ns() -> u64 {
+/// Nanoseconds on the telemetry clock, which every span is stamped on.
+pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -122,15 +126,15 @@ impl Drop for LaneGuard<'_> {
 
 #[derive(Default)]
 pub(crate) struct LaneState {
-    /// The fragment the thread hosts ([`crate::set_fragment`]).
-    pub(crate) fragment: Option<(&'static str, u64)>,
+    /// The run, role and rank the thread hosts ([`crate::set_fragment`]).
+    pub(crate) fragment: Option<(u64, &'static str, u64)>,
     next_key: u64,
     /// Spans still open, oldest first, keyed by their guard's key.
     pub(crate) open: Vec<(u64, Span)>,
     /// The last [`RING_CAPACITY`] closed records: the flight recorder's.
     pub(crate) recent: VecDeque<Span>,
-    /// Classed records closed since the last iteration boundary, in
-    /// closing order: attribution's.
+    /// Classed records closed since the hosted run's last iteration
+    /// boundary, in closing order: attribution's.
     pub(crate) classed: VecDeque<Span>,
     /// Every record closed while tracing was on: [`drain`]'s.
     traced: Vec<Span>,
@@ -145,7 +149,7 @@ impl LaneState {
             self.recent.pop_front();
         }
         self.recent.push_back(span);
-        if span.class.is_some() {
+        if span.class.is_some() && self.fragment.is_some() {
             if self.classed.len() == STEP_CAPACITY {
                 self.classed.pop_front();
                 crate::attribution::dropped().add(1);
@@ -183,22 +187,31 @@ pub(crate) fn with_lane<R>(f: impl FnOnce(&Lane) -> R) -> Option<R> {
 
 /// Runs `f` on every registered lane, under the registry lock (taken
 /// before any lane's).
-pub(crate) fn for_each_lane(f: impl FnMut(&Arc<Lane>)) {
-    lanes().iter().for_each(f);
+pub(crate) fn for_each_lane(mut f: impl FnMut(&Lane, &mut LaneState)) {
+    lanes().iter().for_each(|lane| f(lane, &mut lane.lock()));
 }
 
-/// Drops the classed records that closed by `before` (attribution would
-/// clip them to nothing), then the lanes whose thread has exited and
-/// that hold no classed or traced record a reader has not taken.
-pub(crate) fn prune(before: u64) {
+/// [`for_each_lane`], then drops the lanes nothing reads any more: their
+/// thread has exited, no run holds them and `drain` has taken their
+/// traced records. Only a run's close and `drain` sweep, so an
+/// iteration's attribution pass never frees a lane.
+fn sweep_lanes(mut f: impl FnMut(&mut LaneState)) {
     lanes().retain(|lane| {
         let mut s = lane.lock();
-        while s.classed.front().is_some_and(|r| r.end_ns <= Some(before)) {
-            s.classed.pop_front();
+        f(&mut s);
+        // The registry alone holds an exited thread's lane.
+        Arc::strong_count(lane) > 1 || s.fragment.is_some() || !s.traced.is_empty()
+    });
+}
+
+/// Ends run `run`'s hold on its lanes (and on the classed records no
+/// window of it will take), so its exited threads' lanes go.
+pub fn release_run(run: u64) {
+    sweep_lanes(|s| {
+        if s.fragment.is_some_and(|(r, _, _)| r == run) {
+            s.fragment = None;
+            s.classed.clear();
         }
-        // The registry and the thread-local hold one reference each:
-        // the registry alone holds an exited thread's lane.
-        Arc::strong_count(lane) > 1 || !s.classed.is_empty() || !s.traced.is_empty()
     });
 }
 
@@ -244,26 +257,20 @@ pub fn span(name: &'static str, id: Option<u64>, class: Option<StepClass>) -> Sp
 /// every lane, ordered by start.
 pub fn drain() -> Vec<Span> {
     let mut spans = Vec::new();
-    for_each_lane(|lane| spans.append(&mut lane.lock().traced));
+    sweep_lanes(|s| spans.append(&mut s.traced));
     spans.sort_by_key(|s| s.start_ns);
     spans
-}
-
-/// Discards every traced span.
-pub fn clear_spans() {
-    for_each_lane(|lane| lane.lock().traced.clear());
-}
-
-#[cfg(test)]
-pub(crate) fn lane_tids() -> Vec<u64> {
-    let mut tids = Vec::new();
-    for_each_lane(|lane| tids.push(lane.tid));
-    tids
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lane_tids() -> Vec<u64> {
+        let mut tids = Vec::new();
+        for_each_lane(|lane, _| tids.push(lane.tid));
+        tids
+    }
 
     #[test]
     fn timestamps_are_monotonic_per_thread() {
@@ -306,19 +313,20 @@ mod tests {
         crate::set_enabled(true);
         assert!(last_end(None).is_some(), "traced");
         crate::set_enabled(false);
-        clear_spans();
+        drain();
     }
 
-    /// Short-lived threads leave no lane behind once a window reset
-    /// prunes, classed records that closed before the reset included,
-    /// except the one that still holds a traced record, which `drain`
-    /// then takes.
+    /// A run holds the lanes of its exited threads until it closes. Its
+    /// close drops them, classed records and all, except the one that
+    /// still holds a traced record, which stays until `drain` takes it.
     #[test]
-    fn prune_drops_exited_lanes_but_keeps_unread_records() {
+    fn run_close_releases_exited_lanes_but_keeps_unread_records() {
         let _serial = crate::tests::serial();
+        let run = crate::next_run();
         let idle: Vec<u64> = (0..200)
             .map(|i| {
                 std::thread::spawn(move || {
+                    crate::set_fragment(run, "test_short_lived", i);
                     let class = (i % 2 == 0).then_some(StepClass::Comm);
                     drop(span("recorder.test.short_lived", None, class));
                     with_lane(|lane| lane.tid).expect("lane")
@@ -328,20 +336,22 @@ mod tests {
             })
             .collect();
         crate::set_enabled(true);
-        let traced = std::thread::spawn(|| {
+        let traced = std::thread::spawn(move || {
+            crate::set_fragment(run, "test_traced", 0);
             drop(span("recorder.test.traced", None, None));
             with_lane(|lane| lane.tid).expect("lane")
         })
         .join()
         .expect("thread ran");
         crate::set_enabled(false);
-        crate::reset_window();
         let live = lane_tids();
-        assert!(idle.iter().all(|t| !live.contains(t)), "exited lanes are pruned");
+        assert!(idle.iter().all(|t| live.contains(t)), "the open run holds its exited lanes");
+        release_run(run);
+        let live = lane_tids();
+        assert!(idle.iter().all(|t| !live.contains(t)), "the run's close drops exited lanes");
         assert!(live.contains(&traced), "a lane with a traced record stays");
         let drained = drain();
         assert!(drained.iter().any(|s| s.tid == traced && s.name == "recorder.test.traced"));
-        crate::reset_window();
         assert!(!lane_tids().contains(&traced), "once drained, it goes");
     }
 }

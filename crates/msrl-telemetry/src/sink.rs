@@ -2,23 +2,19 @@
 //! written as JSONL to `MSRL_METRICS_FILE`.
 //!
 //! The fragment runner's observer (`msrl-runtime`'s `observe.rs`) is the
-//! one writer: once per iteration of every policy it emits the training
+//! one writer: once per iteration of every run it emits the training
 //! signal — episode return, loss, entropy, throughput, comm bytes,
-//! staleness — the raw data behind the paper's
-//! throughput/convergence figures, streamed live instead of
-//! reconstructed post-hoc. Each JSONL line is written with a single
-//! `write` on a file opened in append mode, so concurrent processes
-//! (the e2e test binaries in CI share one metrics file) never interleave
-//! partial lines.
+//! staleness — under the run's id, streamed live. Each line is one
+//! `write` on a file opened in append mode, so concurrent processes (the
+//! e2e test binaries in CI share one metrics file) never interleave
+//! partial lines, and the run id keeps their runs apart ([`split_runs`]).
 //!
 //! The stream is the one profile a run leaves: where each iteration's
 //! time went (`attr`), how fast it ran and how much it sent, and whether
-//! it was healthy. One schema, [`RUN_EVENT_SCHEMA`], whatever is
-//! switched on: the `attr` (per-fragment time budget) and `health`
-//! (watchdog) blocks are optional, and an absent block has no key at
-//! all. A key the schema does not name is ignored, so older streams
-//! that carry an `actsrv` block, a plan-cache hit rate, or a critical
-//! path with its per-fragment flags still parse.
+//! it was healthy. One schema, [`RUN_EVENT_SCHEMA`]: the `attr` and
+//! `health` blocks are optional, and an absent block has no key at all.
+//! A key the schema does not name is ignored, so older streams (an
+//! `actsrv` block, a plan-cache hit rate, a critical path) still parse.
 //! [`RunEvent::to_json_line`] and [`RunEvent::parse`] are the one
 //! serialise/parse pair; every reader — [`validate_metrics`],
 //! [`replay_stream`](crate::replay_stream) behind `doctor`, the live
@@ -48,6 +44,9 @@ const HEALTH_VERDICT_SCHEMA: &str = "msrl.health_verdict.v1";
 /// One per-iteration training-metrics record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunEvent {
+    /// The run that wrote the event ([`crate::next_run`]); 0 for a line
+    /// written before events carried one.
+    pub run: u64,
     /// Distribution policy (`"dp_a"` … `"dp_f"`, `"a3c"`).
     pub policy: String,
     /// Zero-based iteration (for A3C: applied gradient push) index.
@@ -149,7 +148,7 @@ fn get_num(v: &Value, key: &str) -> Result<f64, DeError> {
     Ok(get::<Option<f64>>(v, key)?.unwrap_or(f64::NAN))
 }
 
-/// An optional block: absent is `None`, present must parse.
+/// An optional field: absent is `None`, present must parse.
 fn get_block<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, DeError> {
     v.field(key).map_or(Ok(None), |_| get(v, key).map(Some))
 }
@@ -177,6 +176,7 @@ impl Serialize for RunEvent {
     fn to_value(&self) -> Value {
         let mut m = vec![
             ("schema", RUN_EVENT_SCHEMA.to_value()),
+            ("run", self.run.to_value()),
             ("policy", self.policy.to_value()),
             ("iteration", self.iteration.to_value()),
             ("reward", num(self.reward)),
@@ -200,6 +200,7 @@ impl Deserialize for RunEvent {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         check_schema(v, RUN_EVENT_SCHEMA)?;
         Ok(RunEvent {
+            run: get_block(v, "run")?.unwrap_or(0),
             policy: get(v, "policy")?,
             iteration: get(v, "iteration")?,
             reward: get_num(v, "reward")?,
@@ -344,8 +345,6 @@ struct SinkState {
     file: Option<File>,
     /// Whether the env var has been consulted yet.
     resolved: bool,
-    /// Total events emitted by this process.
-    emitted: u64,
     /// First write error since the last [`flush_metrics`] — emit is
     /// called on the iteration hot loop and cannot return it, so the
     /// error is held (and counted on `sink.io_errors`) until the next
@@ -355,9 +354,7 @@ struct SinkState {
 
 fn sink() -> &'static Mutex<SinkState> {
     static SINK: OnceLock<Mutex<SinkState>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        Mutex::new(SinkState { file: None, resolved: false, emitted: 0, io_error: None })
-    })
+    SINK.get_or_init(|| Mutex::new(SinkState { file: None, resolved: false, io_error: None }))
 }
 
 fn open_append(path: &str) -> Option<File> {
@@ -378,9 +375,9 @@ pub fn set_metrics_file(path: Option<&str>) {
     s.resolved = true;
 }
 
-/// Emits one [`RunEvent`]: appends a JSONL line to the metrics file (if
-/// configured) and counts it. Called once per driver iteration — file
-/// I/O cost, not hot-path cost.
+/// Emits one [`RunEvent`]: appends a JSONL line to the metrics file, if
+/// configured. Called once per driver iteration — file I/O cost, not
+/// hot-path cost.
 pub fn emit_run_event(ev: &RunEvent) {
     let mut s = sink().lock().expect("metrics sink poisoned");
     if !s.resolved {
@@ -402,12 +399,6 @@ pub fn emit_run_event(ev: &RunEvent) {
             }
         }
     }
-    s.emitted += 1;
-}
-
-/// Events emitted by this process so far.
-pub fn run_events_emitted() -> u64 {
-    sink().lock().expect("metrics sink poisoned").emitted
 }
 
 /// Flushes the metrics stream. Drivers call this at the end of a run;
@@ -448,20 +439,16 @@ pub fn validate_metrics(content: &str) -> Result<usize, String> {
     Ok(valid)
 }
 
-/// Cuts a stream's events into runs, in the order the runs start. A run
-/// ends where an event of its policy carries `iteration` 0 again (the
-/// rule the ledger's stream summary uses). Runs written into one file at
-/// once interleave their lines; they are told apart by policy.
+/// Groups a stream's events into runs, in the order the runs start: a
+/// run is the events of one `(run, policy)` pair, however the lines of
+/// runs written into one file at once interleave. Lines written before
+/// events carried a run id all read as run 0: one run per policy.
 pub fn split_runs(events: impl IntoIterator<Item = RunEvent>) -> Vec<Vec<RunEvent>> {
     let mut runs: Vec<Vec<RunEvent>> = Vec::new();
-    let mut open = std::collections::BTreeMap::<String, usize>::new();
     for ev in events {
-        match open.get(&ev.policy) {
-            Some(&run) if ev.iteration != 0 => runs[run].push(ev),
-            _ => {
-                open.insert(ev.policy.clone(), runs.len());
-                runs.push(vec![ev]);
-            }
+        match runs.iter_mut().find(|r| r[0].run == ev.run && r[0].policy == ev.policy) {
+            Some(run) => run.push(ev),
+            None => runs.push(vec![ev]),
         }
     }
     runs
@@ -471,22 +458,49 @@ pub fn split_runs(events: impl IntoIterator<Item = RunEvent>) -> Vec<Vec<RunEven
 mod tests {
     use super::*;
 
+    /// Two runs of one policy interleave their lines, a second policy's
+    /// run sits between them, and a line written before events carried a
+    /// run id reads as run 0: a run of its own.
     #[test]
-    fn runs_split_where_iteration_returns_to_zero() {
-        let ev = |policy: &str, iteration| RunEvent { policy: policy.into(), ..sample(iteration) };
-        let stream = [ev("dp_a", 0), ev("dp_c", 0), ev("dp_a", 1), ev("dp_c", 1), ev("dp_a", 0)];
-        let runs: Vec<Vec<(String, u64)>> = split_runs(stream)
-            .into_iter()
-            .map(|run| run.into_iter().map(|e| (e.policy, e.iteration)).collect())
-            .collect();
-        let at = |policy: &str, iterations: &[u64]| -> Vec<(String, u64)> {
-            iterations.iter().map(|&i| (policy.to_string(), i)).collect()
+    fn runs_split_by_run_id_and_policy() {
+        let ev = |run, policy: &str, iteration| RunEvent {
+            run,
+            policy: policy.into(),
+            ..sample(iteration)
         };
-        assert_eq!(runs, [at("dp_a", &[0, 1]), at("dp_c", &[0, 1]), at("dp_a", &[0])]);
+        let old = ev(7, "dp_a", 5).to_json_line().replacen("\"run\":7,", "", 1);
+        assert!(!old.contains("\"run\""));
+        let stream = [
+            ev(1, "dp_a", 0),
+            ev(2, "dp_a", 0),
+            ev(2, "dp_a", 1),
+            ev(3, "dp_c", 0),
+            ev(1, "dp_a", 1),
+            RunEvent::parse(&old).expect("a line without a run parses"),
+            ev(2, "dp_a", 2),
+            ev(1, "dp_a", 2),
+        ];
+        let runs: Vec<Vec<(u64, String, u64)>> = split_runs(stream)
+            .into_iter()
+            .map(|run| run.into_iter().map(|e| (e.run, e.policy, e.iteration)).collect())
+            .collect();
+        let at = |run: u64, policy: &str, iterations: &[u64]| -> Vec<(u64, String, u64)> {
+            iterations.iter().map(|&i| (run, policy.to_string(), i)).collect()
+        };
+        assert_eq!(
+            runs,
+            [
+                at(1, "dp_a", &[0, 1, 2]),
+                at(2, "dp_a", &[0, 1, 2]),
+                at(3, "dp_c", &[0]),
+                at(0, "dp_a", &[5]),
+            ]
+        );
     }
 
     fn sample(iteration: u64) -> RunEvent {
         RunEvent {
+            run: 1,
             policy: "dp_a".into(),
             iteration,
             reward: 21.5,
@@ -707,10 +721,8 @@ mod tests {
         emit_run_event(&sample(1));
         let err = flush_metrics();
         set_metrics_file(None);
-        // The registry and sink are process-global and sibling tests
-        // emit concurrently, so assert lower bounds only. An event whose
-        // write failed was still emitted.
-        assert!(run_events_emitted() >= 1);
+        // The registry is process-global and sibling tests emit
+        // concurrently, so assert a lower bound only.
         assert!(crate::counter_total("sink.io_errors") > before);
         assert!(err.is_err(), "held write error surfaces on flush");
     }

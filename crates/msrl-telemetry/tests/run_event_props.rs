@@ -70,6 +70,7 @@ impl proptest::strategy::Strategy for EventStrategy {
         let attr = attribute(&stamps, 0, 1 + rng.below(1 << 31));
         let health = health(rng);
         let base = RunEvent {
+            run: rng.next_u64(),
             policy: ["dp_a", "dp_c", "a3c"][rng.below(3) as usize].to_string(),
             iteration: rng.next_u64(),
             reward: number(rng),

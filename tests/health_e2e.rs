@@ -4,11 +4,12 @@
 //! flight-recorder dump carrying the health verdict, end the run with a
 //! typed error naming the detector and the iteration, and convict the
 //! stream on replay (the `doctor` path). The fault is injected by the
-//! push–pull hub, so DP-A and DP-F runs both exercise it. A later run
-//! that fails for another reason leaves a dump without that verdict.
+//! push–pull hub, so DP-A and DP-F runs both exercise it. The failure
+//! writes that one dump, not a second. A later run that fails for
+//! another reason leaves a dump of its own, without that verdict.
 //!
-//! One test body: the metrics sink, flight recorder and registry are
-//! process-global.
+//! One test body: the metrics sink, the flight recorder's dump
+//! directory and the fault variable are process-global.
 //!
 //! Set `MSRL_HEALTH_E2E_KEEP=<path>` to keep a copy of the poisoned
 //! stream — CI uses this to demonstrate `doctor` exiting non-zero on a
@@ -134,10 +135,10 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     assert!(verdict.render().starts_with("verdict: CRITICAL"));
 
     // The detector firing triggered a flight-recorder dump with the
-    // health verdict embedded; the run's `driver_error` dump follows it.
+    // health verdict embedded, and it is the failure's one dump.
     let written = dumps(&tmp);
     let triggers: Vec<&str> = written.iter().map(|(t, _)| t.as_str()).collect();
-    assert_eq!(triggers, ["health", "driver_error"], "the critical firing dumps the recorder");
+    assert_eq!(triggers, ["health"], "the critical firing dumps the recorder, once");
     let embedded = written[0].1.field("health").expect("dump embeds the health verdict");
     let embedded = HealthVerdict::from_value(embedded).expect("the verdict parses");
     assert!(
@@ -167,9 +168,18 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     let shape = DistPpoConfig { actors: 1, envs_per_actor: 1, iterations: 1, ..dist.clone() };
     let err = run_dp_a(make_env, &shape).expect_err("the learner's peer is gone");
     assert!(!matches!(err, FdgError::Unhealthy { .. }), "not a health error: {err:?}");
-    let (trigger, dump) = dumps(&tmp).pop().expect("the failed run dumps the recorder");
+    let written = dumps(&tmp);
+    let triggers: Vec<&str> = written.iter().map(|(t, _)| t.as_str()).collect();
+    assert_eq!(triggers, ["health", "health", "driver_error"], "each failure dumps once");
+    let (trigger, dump) = written.last().expect("the failed run dumps the recorder");
     assert_eq!(trigger, "driver_error");
     assert!(dump.field("health").is_err(), "another run's verdict leaked into the dump");
+    // It holds the failed run's lanes alone: the learner and its actor.
+    let run = dump.field("run").expect("the dump names its run");
+    let Ok(serde::Value::Seq(lanes)) = dump.field("lanes") else { panic!("lanes") };
+    let roles: Vec<&serde::Value> = lanes.iter().map(|l| l.field("role").unwrap()).collect();
+    assert_eq!(roles.len(), 2, "{roles:?}");
+    assert!(lanes.iter().all(|l| l.field("run") == Ok(run)), "another run's lane in the dump");
 
     // Keep the poisoned stream for the CI doctor demo, or clean up.
     match std::env::var("MSRL_HEALTH_E2E_KEEP") {

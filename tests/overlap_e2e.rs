@@ -91,7 +91,7 @@ fn overlap_contract_end_to_end() {
     };
     let (p, iters, epochs) = (dp_c.actors, dp_c.iterations, dp_c.ppo.epochs);
     msrl_telemetry::set_enabled(true);
-    msrl_telemetry::clear_spans();
+    msrl_telemetry::drain();
     run_dp_c(|a, i| CartPole::new((a * 31 + i) as u64), &dp_c).expect("dp_c runs");
     let spans = msrl_telemetry::drain();
     let counts = ["comm.all_reduce_fused", "comm.all_reduce", "comm.all_gather"]
@@ -119,7 +119,7 @@ fn overlap_contract_end_to_end() {
         ..DistPpoConfig::default()
     };
     for staleness in [1, 0] {
-        msrl_telemetry::clear_spans();
+        msrl_telemetry::drain();
         msrl_telemetry::reset_counters();
         let dist = DistPpoConfig { staleness, ..latent.clone() };
         run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist).expect("dp_a runs");

@@ -1,9 +1,11 @@
 //! End-to-end telemetry contract: tracing must be an observer, never a
 //! participant.
 //!
-//! Everything runs in one test body because the enable flag, the traced
-//! spans and the counter registry are process-global and `cargo test`
-//! runs sibling tests on parallel threads.
+//! Everything runs in one test body because the trace switch, the
+//! traced spans `drain` takes, the counter and histogram registries and
+//! the metrics sink are process-global and `cargo test` runs sibling
+//! tests on parallel threads. (Attribution is not: each run prices only
+//! its own fragments, `tests/two_runs_e2e.rs`.)
 
 use msrl_core::interp::Interpreter;
 use msrl_core::trace::{trace_mlp, TraceCtx};
@@ -62,7 +64,7 @@ fn telemetry_observes_without_perturbing() {
     // 1. Disabled tracing: the instrumented interpreter records no
     //    spans and produces bit-identical results to an enabled run.
     msrl_telemetry::set_enabled(false);
-    msrl_telemetry::clear_spans();
+    msrl_telemetry::drain();
     let quiet = mlp_output_bits();
     assert!(
         msrl_telemetry::drain().is_empty(),
@@ -70,7 +72,7 @@ fn telemetry_observes_without_perturbing() {
     );
 
     msrl_telemetry::set_enabled(true);
-    msrl_telemetry::clear_spans();
+    msrl_telemetry::drain();
     let ops_before = msrl_telemetry::counter_total("interp.ops");
     let traced = mlp_output_bits();
     assert_eq!(quiet, traced, "tracing must not change computed values");
@@ -81,7 +83,7 @@ fn telemetry_observes_without_perturbing() {
 
     // 2. A real distributed run under tracing yields a valid Chrome
     //    trace with fragment lanes, phase spans and comm volume.
-    msrl_telemetry::clear_spans();
+    msrl_telemetry::drain();
     msrl_telemetry::reset_counters();
     let dist = DistPpoConfig {
         actors: 2,
@@ -114,27 +116,26 @@ fn telemetry_observes_without_perturbing() {
     //    one valid RunEvent per iteration to the metrics file, and the
     //    registry carries real latency quantiles from the always-on
     //    histograms — no MSRL_TRACE required.
-    msrl_telemetry::clear_spans();
+    msrl_telemetry::drain();
     msrl_telemetry::reset_counters();
     msrl_telemetry::reset_histograms();
     let metrics_path =
         std::env::temp_dir().join(format!("msrl-telemetry-e2e-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&metrics_path);
     msrl_telemetry::set_metrics_file(metrics_path.to_str());
-    let emitted0 = msrl_telemetry::run_events_emitted();
     run_dp_a(|a, i| CartPole::new((a * 7 + i) as u64), &dist).expect("dp_a runs untraced");
     assert!(
         msrl_telemetry::drain().is_empty(),
         "the metrics stream must not depend on span recording"
     );
-    assert_eq!(
-        msrl_telemetry::run_events_emitted() - emitted0,
-        dist.iterations as u64,
-        "one RunEvent per training iteration"
-    );
     let stream = std::fs::read_to_string(&metrics_path).expect("metrics file written");
     let lines = msrl_telemetry::validate_metrics(&stream).expect("every line is a valid RunEvent");
     assert_eq!(lines, dist.iterations, "the file holds exactly this run's events");
+    let runs = msrl_telemetry::split_runs(events(&stream));
+    let iterations: Vec<Vec<u64>> =
+        runs.iter().map(|run| run.iter().map(|e| e.iteration).collect()).collect();
+    let whole: Vec<u64> = (0..dist.iterations as u64).collect();
+    assert_eq!(iterations, [whole], "one run, one RunEvent per training iteration");
 
     // 3b. Untraced, every event still carries the per-fragment time
     //     budget, and the breakdown accounts for the iteration wall
