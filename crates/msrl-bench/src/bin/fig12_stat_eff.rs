@@ -11,7 +11,7 @@ use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     banner(
         "Fig 12",
         "reward vs episodes for environment counts (real DP-A training)",

@@ -16,7 +16,7 @@ use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 use msrl_sim::scenarios::{local, msrl_ppo_episode, raylike_ppo_episode, PpoWorkload};
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     banner(
         "Fig 9a",
         "PPO episode time: MSRL vs Ray-like (320 envs, local cluster)",

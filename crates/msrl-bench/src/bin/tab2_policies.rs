@@ -12,7 +12,7 @@ use msrl_runtime::exec::{run_dp_a, run_dp_b, run_dp_c, run_dp_f, DistPpoConfig};
 use msrl_runtime::Coordinator;
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     banner(
         "Tab 2",
         "default distribution policies",

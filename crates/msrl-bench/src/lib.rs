@@ -7,13 +7,14 @@
 
 #![warn(missing_docs)]
 
-use msrl_runtime::RuntimeConfig;
+use msrl_tensor::Backend;
 
-/// Resolves the environment's [`RuntimeConfig`] before any work starts,
-/// so a rejected `MSRL_*` value ends the binary with the error message
-/// and exit status 2 instead of a panic somewhere inside a driver.
-pub fn runtime_config_or_exit() -> RuntimeConfig {
-    RuntimeConfig::from_env().unwrap_or_else(|e| {
+/// Resolves the environment's [`Backend`] (`MSRL_BACKEND`) before any
+/// work starts, so a rejected value ends the binary with the error
+/// message and exit status 2 instead of a panic somewhere inside a
+/// driver.
+pub fn backend_or_exit() -> Backend {
+    Backend::from_env().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     })

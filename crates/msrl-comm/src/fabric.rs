@@ -51,17 +51,14 @@
 //! holds a lock across the latency simulation.
 //!
 //! Every operation feeds the [`msrl_telemetry`] pipeline: blocking calls
-//! record `comm.*` spans when `MSRL_TRACE` is on (a receive covers only
-//! the *residual* blocked time, which is how reclaimed overlap shows up
-//! in profiles), and the always-on counters
+//! record `comm.*` spans classed `Comm` for attribution (a receive
+//! covers only the *residual* blocked time, which is how reclaimed
+//! overlap shows up in profiles), and the always-on counters
 //! `comm.bytes_sent` / `comm.bytes_recv` / `comm.msgs_sent` total traffic
 //! while `comm.sim_latency_ns` attributes time spent waiting out the
 //! injected latency. The endpoints of one group also share a scoped
 //! count of the bytes they send ([`Endpoint::group_bytes_sent`]), so a
-//! run reports its own traffic whatever else the process sends. Each
-//! blocking site also records its latency into an always-on `comm.*`
-//! histogram, so reports carry per-collective and blocked-recv p50/p99
-//! even without tracing.
+//! run reports its own traffic whatever else the process sends.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -456,7 +453,6 @@ impl Endpoint {
 
     fn recv_tagged(&self, from: usize) -> Result<(u64, Vec<f32>), CommError> {
         let _span = msrl_telemetry::span!("comm.recv", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
         self.check_rank(from)?;
         let (_, msg) = self.inbox().claim(&[from])?;
         count_recv(&msg.payload);
@@ -477,7 +473,6 @@ impl Endpoint {
     /// a polled peer is gone.
     pub fn recv_any(&self, from: &[usize]) -> Result<(usize, Vec<f32>), CommError> {
         let _span = msrl_telemetry::span!("comm.recv", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.recv").time();
         for &f in from {
             self.check_rank(f)?;
         }
@@ -531,7 +526,6 @@ impl Endpoint {
     /// Returns an error on disconnection or collective mismatch.
     pub fn all_gather(&mut self, payload: Vec<f32>) -> Result<Vec<Vec<f32>>, CommError> {
         let _span = msrl_telemetry::span!("comm.all_gather", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.all_gather").time();
         self.exchange_tagged(payload)
     }
 
@@ -544,7 +538,6 @@ impl Endpoint {
     /// ragged payload lengths.
     pub fn all_reduce_mean(&mut self, payload: Vec<f32>) -> Result<Vec<f32>, CommError> {
         let _span = msrl_telemetry::span!("comm.all_reduce", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.all_reduce").time();
         let len = payload.len();
         let parts = self.exchange_tagged(payload)?;
         reduce_mean_parts(parts.iter().map(Vec::as_slice), len, self.size)
@@ -574,7 +567,6 @@ impl Endpoint {
         extra: Vec<f32>,
     ) -> Result<(Vec<f32>, Vec<Vec<f32>>), CommError> {
         let _span = msrl_telemetry::span!("comm.all_reduce_fused", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.all_reduce_fused").time();
         let len = reduce.len();
         let mut framed = Vec::with_capacity(1 + len + extra.len());
         framed.push(len as f32);
@@ -602,7 +594,6 @@ impl Endpoint {
     /// Returns an error on disconnection or collective mismatch.
     pub fn broadcast(&mut self, root: usize, payload: Vec<f32>) -> Result<Vec<f32>, CommError> {
         let _span = msrl_telemetry::span!("comm.broadcast", class: Comm);
-        let _hist = msrl_telemetry::static_histogram!("comm.broadcast").time();
         self.check_rank(root)?;
         let tag = self.advance_tag();
         if self.rank == root {

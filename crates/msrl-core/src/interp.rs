@@ -17,9 +17,9 @@
 //! # Telemetry
 //!
 //! Fragment evaluations record a `fragment.eval` span labelled with the
-//! fragment id, a `fragment.eval` histogram sample and an attribution
-//! `Eval` stamp; macro-op kernel invocations record `interp.macro` spans
-//! (spans are no-ops unless `MSRL_TRACE` is set). The always-on
+//! fragment id and classed `Eval` for attribution; macro-op kernel
+//! invocations record `interp.macro` spans (kept for the Chrome trace
+//! only while `MSRL_TRACE` is set). The always-on
 //! `interp.ops` counter totals evaluated nodes; with tracing enabled,
 //! per-op-class totals land under `interp.op.<Name>`.
 
@@ -95,7 +95,6 @@ impl<'a> Interpreter<'a> {
         preset: HashMap<NodeId, Tensor>,
     ) -> Result<HashMap<NodeId, Tensor>> {
         let _span = msrl_telemetry::span!("fragment.eval", fragment.id.0, class: Eval);
-        let _hist = msrl_telemetry::static_histogram!("fragment.eval").time();
         self.run(graph, &fragment.all_nodes(), preset)
     }
 

@@ -234,7 +234,6 @@ impl BatchedEnv for BatchedTag {
 
     fn step(&mut self, actions: &[usize]) -> BatchedStep {
         let _span = msrl_telemetry::span!("env.batched_step");
-        let _hist = msrl_telemetry::static_histogram!("env.batched_step").time();
         debug_assert_eq!(actions.len(), self.total_agents());
         msrl_telemetry::static_counter!("env.steps").add(self.n_worlds as u64);
         let pw = self.per_world();
@@ -317,7 +316,6 @@ impl BatchedEnv for BatchedCartPole {
 
     fn step(&mut self, actions: &[usize]) -> BatchedStep {
         let _span = msrl_telemetry::span!("env.batched_step");
-        let _hist = msrl_telemetry::static_histogram!("env.batched_step").time();
         debug_assert_eq!(actions.len(), self.n);
         msrl_telemetry::static_counter!("env.steps").add(self.n as u64);
         let mut rewards = msrl_tensor::alloc::take_zeroed(self.n);

@@ -118,7 +118,6 @@ impl VecEnv {
     /// batch size is fixed at construction.
     pub fn step(&mut self, actions: &[Action]) -> VecStep {
         let _span = msrl_telemetry::span!("env.vec_step");
-        let _hist = msrl_telemetry::static_histogram!("env.vec_step").time();
         let (n, d) = (self.envs.len(), self.obs_dim);
         assert_eq!(actions.len(), n, "one action per instance");
         msrl_telemetry::static_counter!("env.steps").add(n as u64);

@@ -1,75 +1,19 @@
-//! The resolved runtime configuration: every non-telemetry `MSRL_*`
-//! variable, parsed in one place and strictly.
+//! The run configurations — [`DistPpoConfig`] for the four PPO rules
+//! that share it, [`DpDConfig`], [`DpEConfig`], [`A3cDistConfig`] —
+//! re-exported from `crate::exec`, whose entry points take them.
 //!
-//! [`RuntimeConfig::from_env`] is the only reader of
-//! `MSRL_FAULT_NAN_ITER`, and it delegates `MSRL_BACKEND` to
-//! [`Backend::parse`]. A value outside a variable's accepted set is a
-//! [`ConfigError`] naming the variable — never a silent default.
-//! Binaries call `from_env` first so a bad value is reported as an error
-//! before any work starts. No driver config reads the environment: how a
-//! PPO run synchronises is one field of its config,
-//! [`DistPpoConfig::staleness`], and nothing else.
-//!
-//! The run configurations live here too — [`DistPpoConfig`] for the four
-//! PPO rules that share it, [`DpDConfig`], [`DpEConfig`],
-//! [`A3cDistConfig`] — re-exported from `crate::exec`, whose entry
-//! points take them.
+//! No run configuration reads the environment: how a PPO run
+//! synchronises is one field of its config, [`DistPpoConfig::staleness`],
+//! and nothing else. The one non-telemetry `MSRL_*` variable,
+//! `MSRL_BACKEND`, is resolved strictly by
+//! [`Backend::parse`](msrl_tensor::par::Backend::parse): a value outside
+//! its accepted set is a [`ConfigError`] naming the variable — never a
+//! silent default. Binaries call `Backend::from_env` first so a bad value
+//! is reported as an error before any work starts.
 
 use msrl_algos::a3c::A3cConfig;
 use msrl_algos::ppo::PpoConfig;
 pub use msrl_tensor::par::ConfigError;
-use msrl_tensor::par::{parse_var, Backend};
-
-/// Everything the environment can say about how a run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// Whether a learn pass may fork onto a free core (`MSRL_BACKEND`).
-    pub backend: Backend,
-    /// Fault injection for the health e2e: after this (0-based)
-    /// iteration of the push–pull hub (DP-A, DP-F, A3C) one learner
-    /// weight is set to infinity (`MSRL_FAULT_NAN_ITER`, default none).
-    pub fault_nan_iter: Option<u64>,
-}
-
-impl RuntimeConfig {
-    /// Resolves a configuration from `lookup(name)`, the pure core of
-    /// [`Self::from_env`]: unset variables take their defaults, set
-    /// ones must parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`]: those of [`Backend::parse`],
-    /// or an `MSRL_FAULT_NAN_ITER` that is not a non-negative integer.
-    pub fn parse(
-        lookup: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<RuntimeConfig, ConfigError> {
-        const COUNT: &str = "a non-negative integer";
-        let fault_nan_iter = parse_var(&lookup, "MSRL_FAULT_NAN_ITER", COUNT, |v| v.parse().ok())?;
-        Ok(RuntimeConfig { backend: Backend::parse(lookup)?, fault_nan_iter })
-    }
-
-    /// [`Self::parse`] over the process environment.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::parse`].
-    pub fn from_env() -> Result<RuntimeConfig, ConfigError> {
-        RuntimeConfig::parse(|name| std::env::var(name).ok())
-    }
-}
-
-impl Default for RuntimeConfig {
-    /// The environment's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message on a rejected value;
-    /// binaries call [`RuntimeConfig::from_env`] up front to report it
-    /// as an error instead.
-    fn default() -> Self {
-        RuntimeConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
 
 /// Configuration shared by the PPO distribution policies
 /// ([`crate::exec::run_ppo`]: DP-A, DP-B, DP-C, DP-F).
@@ -232,20 +176,17 @@ impl Default for A3cDistConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msrl_tensor::par::Backend;
 
-    fn parse(vars: &[(&'static str, &str)]) -> Result<RuntimeConfig, ConfigError> {
-        RuntimeConfig::parse(|name| {
-            vars.iter().find(|(k, _)| *k == name).map(|(_, v)| (*v).to_string())
-        })
+    fn parse(vars: &[(&'static str, &str)]) -> Result<Backend, ConfigError> {
+        Backend::parse(|name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| (*v).to_string()))
     }
 
     #[test]
     fn bad_values_are_errors_naming_the_variable_and_what_it_accepts() {
-        for (var, value, accepted) in [
-            ("MSRL_BACKEND", "gpu", "scalar|threaded"),
-            ("MSRL_FAULT_NAN_ITER", "soon", "a non-negative integer"),
-            ("MSRL_FAULT_NAN_ITER", "-1", "a non-negative integer"),
-        ] {
+        for (var, value, accepted) in
+            [("MSRL_BACKEND", "gpu", "scalar|threaded"), ("MSRL_BACKEND", "-1", "scalar|threaded")]
+        {
             let err = parse(&[(var, value)]).expect_err("bad value must be rejected");
             assert_eq!(err, ConfigError { var, value: value.to_string(), accepted });
             let msg = err.to_string();
@@ -255,15 +196,13 @@ mod tests {
 
     #[test]
     fn unset_takes_defaults_and_good_values_parse() {
-        let d = parse(&[]).unwrap();
-        assert_eq!((d.backend, d.fault_nan_iter), (Backend::Threaded, None));
-        let c = parse(&[("MSRL_BACKEND", "scalar"), ("MSRL_FAULT_NAN_ITER", "7")]).unwrap();
-        assert_eq!((c.backend, c.fault_nan_iter), (Backend::Scalar, Some(7)));
+        assert_eq!(parse(&[]).unwrap(), Backend::Threaded);
+        assert_eq!(parse(&[("MSRL_BACKEND", "scalar")]).unwrap(), Backend::Scalar);
+        assert_eq!(parse(&[("MSRL_BACKEND", " threaded\n")]).unwrap(), Backend::Threaded);
     }
 
     /// `MSRL_THREADS` is not read, and the benchmark harness still sets
-    /// it: whatever it holds, the configuration parses as if it were
-    /// unset.
+    /// it: whatever it holds, the backend parses as if it were unset.
     #[test]
     fn msrl_threads_is_ignored() {
         let ignored = parse(&[("MSRL_THREADS", "abc")]).expect("MSRL_THREADS is not parsed");

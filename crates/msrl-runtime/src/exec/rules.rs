@@ -15,7 +15,6 @@ use msrl_tensor::{Tensor, TensorError};
 
 use super::runner::{learn, rollout, Frame};
 use super::{DistPpoConfig, DpDConfig, DpEConfig};
-use crate::config::RuntimeConfig;
 use crate::wire::{decode_batch, encode_batch};
 
 // ── per-step exchange (DP-B) ───────────────────────────────────────────
@@ -503,8 +502,6 @@ pub(super) type Group = [(usize, Vec<f32>)];
 /// The hub seat: takes `rounds` pushes from every worker, `group` at a
 /// time, folds each group into `learner`, answers every push with the
 /// learner's weights and closes an iteration every `per_report` pushes.
-/// It is the run's one fault seam: `MSRL_FAULT_NAN_ITER` poisons the
-/// weights after the fold that ends that iteration.
 pub(super) fn push_pull_hub<L: Learner>(
     f: &mut Frame,
     mut learner: L,
@@ -514,12 +511,10 @@ pub(super) fn push_pull_hub<L: Learner>(
     mut fold: impl FnMut(&mut L, &Group) -> Result<()>,
 ) -> Result<()> {
     let p = f.workers;
-    // Resolved once, at entry: the fault hook is not a config field.
-    let fault_nan = RuntimeConfig::default().fault_nan_iter;
     let mut owed = vec![rounds; p];
-    for iter in 0..rounds * p / per_report {
+    for _ in 0..rounds * p / per_report {
         let mut finished = Vec::new();
-        for g in 0..per_report / group {
+        for _ in 0..per_report / group {
             let mut pushes: Vec<(usize, Vec<f32>)> = Vec::with_capacity(group);
             while pushes.len() < group {
                 // Arrival order: with overlapped workers a fast rank's
@@ -536,13 +531,7 @@ pub(super) fn push_pull_hub<L: Learner>(
                 finished.extend(f.ep.recv(rank)?);
             }
             fold(&mut learner, &pushes)?;
-            let mut weights = learner.policy_params();
-            if g + 1 == per_report / group && fault_nan == Some(iter as u64) {
-                // `MSRL_FAULT_NAN_ITER`: the health pass must flag this
-                // iteration. At the run's last, workers only drain it.
-                weights[0] = f32::INFINITY;
-                learner.set_policy_params(&weights)?;
-            }
+            let weights = learner.policy_params();
             let _s = msrl_telemetry::span!("phase.weight_sync");
             for &(rank, _) in &pushes {
                 f.ep.send(rank, weights.clone())?;

@@ -137,11 +137,9 @@ pub(crate) fn rollout<T>(body: impl FnOnce() -> T) -> T {
     body()
 }
 
-/// The learn phase of a seat: a span classed for attribution, and the
-/// always-on histogram.
+/// The learn phase of a seat: one span, classed for attribution.
 pub(crate) fn learn<T>(body: impl FnOnce() -> T) -> T {
     let _s = msrl_telemetry::span!("phase.learn", class: Learn);
-    let _h = msrl_telemetry::static_histogram!("phase.learn").time();
     body()
 }
 

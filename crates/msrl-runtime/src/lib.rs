@@ -44,7 +44,7 @@ pub mod policy;
 pub mod trace_algos;
 pub mod wire;
 
-pub use config::{ConfigError, RuntimeConfig};
+pub use config::ConfigError;
 pub use coordinator::{Coordinator, Deployment};
 pub use exec::TrainingReport;
 pub use policy::{Placement, Role};

@@ -1,7 +1,9 @@
 //! The evidence a run leaves behind: one [`RunEvent`] per iteration with
-//! the health watchdog's verdict in it, and at the end a flushed metrics
-//! stream and — on an error — a flight-recorder dump. The fragment
-//! runner (`crate::exec`) is the only caller.
+//! the time budget and the health watchdog's verdict in it, and at the
+//! end a flushed metrics stream and — on an error — a flight-recorder
+//! dump. What a site took is in its span; the observer keeps no second
+//! aggregate of it, only two counters pricing the attribution pass
+//! itself. The fragment runner (`crate::exec`) is the only caller.
 //!
 //! [`RunEvent`]: msrl_telemetry::RunEvent
 
@@ -10,12 +12,12 @@ use msrl_core::{FdgError, Result};
 
 /// Per-iteration observability for the run's reporting seat: emits
 /// one [`msrl_telemetry::RunEvent`] per iteration (reward, loss,
-/// entropy, it/s, the run's comm-byte delta, staleness) and records the
-/// iteration period into the always-on `fragment.eval` histogram — one
-/// fragment-body execution per iteration, so DP runs carry latency
-/// quantiles even with `MSRL_TRACE` unset. The training signal comes
-/// from the seat's own learner ([`Learner::signals`]) and nowhere else,
-/// and the byte count from the run's own fabric, so two runs in one
+/// entropy, it/s, the run's comm-byte delta, staleness, the time budget
+/// and the health block), and counts what pricing the budget cost in
+/// `attr.finish_iteration.ns` and `attr.finish_iteration.calls`. The
+/// training signal comes from the seat's own learner
+/// ([`Learner::signals`]) and nowhere else, and the byte count from the
+/// run's own fabric, so two runs in one
 /// process cannot read each other's; so does the time budget, priced
 /// over the run's own fragments in the window the observer owns. A
 /// critical health finding ends the run ([`RunObserver::observe`]).
@@ -63,7 +65,6 @@ impl RunObserver {
         iters_per_sec: f64,
         learner: Option<&dyn Learner>,
     ) -> (msrl_telemetry::HealthStatus, Option<FdgError>) {
-        let _t = msrl_telemetry::static_histogram!("health.observe").time();
         let params = learner.map(|l| l.policy_params());
         let sample = msrl_telemetry::HealthSample {
             iteration: self.iteration,
@@ -92,11 +93,10 @@ impl RunObserver {
         (status, err)
     }
 
-    /// Closes one iteration: records its period, prices the iteration
-    /// window per fragment (taking the classed spans of the run's
-    /// fragment threads), runs the health detectors over `learner`'s
-    /// signals and weights, and streams the training-metrics event with
-    /// its `attr` and `health` blocks. A seat without a learner reports
+    /// Closes one iteration: prices the iteration window per fragment
+    /// (taking the classed spans of the run's fragment threads), runs the
+    /// health detectors over `learner`'s signals and weights, and streams
+    /// the training-metrics event with its `attr` and `health` blocks. A seat without a learner reports
     /// the reward alone. `bytes_sent` is the run's fabric total so far
     /// (`Endpoint::group_bytes_sent`); the event carries its delta.
     ///
@@ -110,11 +110,11 @@ impl RunObserver {
         learner: Option<&dyn Learner>,
         bytes_sent: u64,
     ) -> Result<()> {
-        let t = msrl_telemetry::static_histogram!("attr.finish_iteration").time();
+        let t = std::time::Instant::now();
         let attr = msrl_telemetry::finish_iteration(self.run, &mut self.window_start);
-        drop(t);
-        // The iteration's window is its period.
-        msrl_telemetry::static_histogram!("fragment.eval").record(attr.wall_ns);
+        msrl_telemetry::static_counter!("attr.finish_iteration.ns")
+            .add(t.elapsed().as_nanos() as u64);
+        msrl_telemetry::static_counter!("attr.finish_iteration.calls").add(1);
         let iters_per_sec = if attr.wall_ns > 0 { 1e9 / attr.wall_ns as f64 } else { 0.0 };
         let signals = learner.map(Learner::signals).unwrap_or_default();
         let (health, critical) = self.health_block(reward, &signals, iters_per_sec, learner);

@@ -18,9 +18,10 @@
 //!
 //! A lane keeps at most [`STEP_CAPACITY`] classed records between
 //! boundaries; overflow drops the oldest and counts `attr.dropped`
-//! (in every flight-recorder dump). The iteration
-//! pass is timed by the always-on `attr.finish_iteration` histogram and
-//! held inside `bench_report`'s <5% bound.
+//! (in every flight-recorder dump). The run's observer counts the
+//! iteration pass's nanoseconds and calls (`attr.finish_iteration.ns`,
+//! `attr.finish_iteration.calls`), whose mean `bench_report` holds
+//! inside its <5% bound.
 //!
 //! The budget rides the run-metrics stream: each `RunEvent`'s `attr`
 //! block carries one [`IterAttribution`] per iteration, consumed live by

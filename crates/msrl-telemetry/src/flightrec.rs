@@ -9,9 +9,8 @@
 //! the run, role and rank it hosts, the closed records (`end_ns: null`
 //! for a span with no class closed while tracing was off) and the open
 //! ones (`end_ns: null` — what the thread was inside when it died). The
-//! process's counter, gauge and histogram totals and the `MSRL_*`
-//! environment ride along, and a dump the health watchdog triggers
-//! carries that run's verdict.
+//! process's counter totals and the `MSRL_*` environment ride along, and
+//! a dump the health watchdog triggers carries that run's verdict.
 //!
 //! [`install_panic_hook`] chains onto the existing panic hook, so a
 //! panicking worker writes a dump of its run before the usual backtrace.
@@ -23,13 +22,13 @@ use std::sync::{Mutex, Once};
 use serde::{Serialize, Value};
 
 use crate::recorder::Span;
-use crate::sink::{num, obj};
+use crate::sink::obj;
 
 /// Closed span records a lane keeps for the dump.
 pub const RING_CAPACITY: usize = 256;
 
 /// Schema tag of a dump.
-const FLIGHTREC_SCHEMA: &str = "msrl.flightrec.v2";
+const FLIGHTREC_SCHEMA: &str = "msrl.flightrec.v3";
 
 static DUMP_DIR: Mutex<Option<String>> = Mutex::new(None);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -61,9 +60,9 @@ fn record(s: &Span) -> Value {
 }
 
 /// Renders the dump JSON: run `run`'s lanes' recent and open records
-/// (every lane's for `None`), the process's counter/gauge/histogram
-/// snapshots, the `MSRL_*` environment, and `health`, the verdict of
-/// the run whose watchdog triggered the dump.
+/// (every lane's for `None`), the process's counter snapshot, the
+/// `MSRL_*` environment, and `health`, the verdict of the run whose
+/// watchdog triggered the dump.
 pub fn render_dump(
     trigger: &str,
     reason: &str,
@@ -90,26 +89,7 @@ pub fn render_dump(
         .map(|(k, v)| (k, Value::Str(v)))
         .collect();
     env.sort_by(|a, b| a.0.cmp(&b.0));
-    // Name-sorted quantile state plus the raw log₂ buckets (non-zero
-    // only) and exact sum, so a post-mortem carries the full
-    // distribution as recorded at crash time, not just estimates.
-    let histograms =
-        crate::histogram::histograms_raw_snapshot().into_iter().map(|(name, buckets, sum)| {
-            let s = crate::HistogramStats::from_buckets(&buckets);
-            let raw = buckets.iter().enumerate().filter(|(_, &c)| c > 0);
-            let stats = obj(vec![
-                ("count", s.count.to_value()),
-                ("sum", sum.to_value()),
-                ("p50_ns", s.p50_ns.to_value()),
-                ("p90_ns", s.p90_ns.to_value()),
-                ("p99_ns", s.p99_ns.to_value()),
-                ("max_ns", s.max_ns.to_value()),
-                ("buckets", Value::Map(raw.map(|(b, c)| (b.to_string(), c.to_value())).collect())),
-            ]);
-            (name, stats)
-        });
     let counters = crate::registry::counters_snapshot().into_iter();
-    let gauges = crate::registry::gauges_snapshot().into_iter();
     let mut dump = vec![
         ("schema", FLIGHTREC_SCHEMA.to_value()),
         ("trigger", trigger.to_value()),
@@ -126,8 +106,6 @@ pub fn render_dump(
         ("config", Value::Map(env)),
         ("lanes", Value::Seq(lanes)),
         ("counters", Value::Map(counters.map(|(n, v)| (n, v.to_value())).collect())),
-        ("gauges", Value::Map(gauges.map(|(n, v)| (n, num(v))).collect())),
-        ("histograms", Value::Map(histograms.collect())),
     ]);
     serde_json::to_string_pretty(&obj(dump)).expect("a value tree always renders")
 }
@@ -187,21 +165,9 @@ pub fn validate_flightrec(content: &str) -> Result<usize, String> {
     if v.field("schema") != Ok(&Value::Str(FLIGHTREC_SCHEMA.to_string())) {
         return Err(format!("bad schema field: {:?}", v.field("schema")));
     }
-    for key in ["config", "counters", "gauges", "histograms"] {
+    for key in ["config", "counters"] {
         if !matches!(v.field(key), Ok(Value::Map(_))) {
             return Err(format!("missing object field {key:?}"));
-        }
-    }
-    if let Ok(Value::Map(hists)) = v.field("histograms") {
-        for (name, h) in hists {
-            for key in ["count", "sum"] {
-                if !is_num(h.field(key)) {
-                    return Err(format!("histogram {name:?}: missing numeric field {key:?}"));
-                }
-            }
-            if !matches!(h.field("buckets"), Ok(Value::Map(_))) {
-                return Err(format!("histogram {name:?}: missing buckets object"));
-            }
         }
     }
     let Ok(Value::Seq(lanes)) = v.field("lanes") else {
@@ -246,9 +212,18 @@ mod tests {
         let name = "flightrec.test \"quoted\"\nspan";
         drop(crate::span!(name, 3, class: Comm));
         let _open = crate::span!("flightrec.test.open");
-        crate::histogram_record("flightrec.test.hist", 12);
         let json = render_dump("test", "unit test", None, None);
         assert!(validate_flightrec(&json).expect("dump validates") >= 2);
+        assert!(json.contains("\"msrl.flightrec.v3\""), "the dump is tagged v3");
+        // The previous schema, with its `gauges` and `histograms`
+        // sections, does not validate as this one.
+        let v2 = json.replacen(FLIGHTREC_SCHEMA, "msrl.flightrec.v2", 1).replacen(
+            "\"counters\":",
+            "\"gauges\": {}, \"histograms\": {}, \"counters\":",
+            1,
+        );
+        let err = validate_flightrec(&v2).expect_err("a v2 dump is rejected");
+        assert!(err.contains("schema"), "{err}");
 
         let v = serde_json::value_from_str(&json).expect("dump parses");
         let Ok(Value::Seq(lanes)) = v.field("lanes") else { panic!("lanes") };
@@ -265,14 +240,9 @@ mod tests {
         let open = open.last().expect("the open span is listed");
         assert_eq!(open.field("name"), Ok(&Value::Str("flightrec.test.open".to_string())));
         assert_eq!(open.field("end_ns"), Ok(&Value::Null));
-        let hist = v.field("histograms").and_then(|h| h.field("flightrec.test.hist"));
-        let hist = hist.expect("dump carries raw histogram state");
-        assert_eq!(
-            (hist.field("count"), hist.field("sum")),
-            (Ok(&Value::I64(1)), Ok(&Value::I64(12)))
-        );
-        let bucket = hist.field("buckets").and_then(|b| b.field("4"));
-        assert_eq!(bucket, Ok(&Value::I64(1)), "12 lands in bucket 4");
+        for gone in ["histograms", "gauges"] {
+            assert!(v.field(gone).is_err(), "a v3 dump has no {gone:?} key");
+        }
 
         for _ in 0..(RING_CAPACITY * 3) {
             drop(crate::span!("flightrec.test.flood"));
@@ -282,20 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn dump_escapes_names_and_writes_non_finite_gauges_as_null() {
+    fn dump_escapes_counter_names() {
         crate::counter("flightrec.test counter \\ \"x\"", 3);
-        crate::Gauge::handle("flightrec.test.nan").set(f64::NAN);
-        crate::Gauge::handle("flightrec.test gauge \"inf\"").set(f64::INFINITY);
-        crate::Gauge::handle("flightrec.test.finite").set(0.5);
-        let json = render_dump("test", "gauges", None, None);
+        let json = render_dump("test", "counters", None, None);
         validate_flightrec(&json).expect("dump validates");
         let v = serde_json::value_from_str(&json).expect("dump parses");
         let counters = v.field("counters").unwrap();
         assert_eq!(counters.field("flightrec.test counter \\ \"x\""), Ok(&Value::I64(3)));
-        let gauges = v.field("gauges").unwrap();
-        assert_eq!(gauges.field("flightrec.test.nan"), Ok(&Value::Null));
-        assert_eq!(gauges.field("flightrec.test gauge \"inf\""), Ok(&Value::Null));
-        assert_eq!(gauges.field("flightrec.test.finite"), Ok(&Value::F64(0.5)));
     }
 
     /// A dump for one run holds that run's lanes alone, while another

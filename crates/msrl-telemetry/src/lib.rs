@@ -7,7 +7,7 @@
 //! them (§6): per-fragment execution time, communication volume, and
 //! phase breakdowns, all from a single metric pipeline.
 //!
-//! Four primitive kinds:
+//! Two primitive kinds:
 //!
 //! * **Spans** — timed intervals, each one record ([`Span`]) on the
 //!   calling thread's *lane*: one per thread, one lock taken to open and
@@ -16,22 +16,18 @@
 //!   attribution class ([`StepClass`]); `span!("comm.recv", class: Comm)`
 //!   is the one guard a comm wait, a phase or a fragment eval opens.
 //!   Spans always record; `MSRL_TRACE` (or [`set_enabled`]) only decides
-//!   whether the lane also keeps every record for [`drain`].
+//!   whether the lane also keeps every record for [`drain`]. A timed
+//!   site's latency is its span, nothing else.
 //! * **Counters** — named monotonic totals held in a process-wide
 //!   registry of relaxed atomics. Counters are *always on*: an increment
 //!   is one `fetch_add`, cheap enough that reports (baseline comparisons,
 //!   byte totals) work without enabling tracing. Hot call sites cache a
 //!   [`Counter`] handle (or use [`static_counter!`]) to skip the registry
 //!   lookup.
-//! * **Gauges** — named last-value/high-water readings ([`Gauge`]).
-//! * **Histograms** — always-on lock-free log₂-bucket latency
-//!   distributions ([`Histogram`]): record = one relaxed `fetch_add`,
-//!   read back as estimated p50/p90/p99 — real quantiles without
-//!   enabling tracing.
 //!
 //! Three readers share the lanes' records, each with its own retention:
 //! [`flightrec`] dumps a run's lanes (last 256 closed records, open
-//! spans) with registry snapshots on panic or driver error;
+//! spans) with the counter snapshot on panic or driver error;
 //! [`attribution`] turns a run's classed records into its per-iteration
 //! time budget, the `RunEvent` `attr` block; and, while tracing is on,
 //! [`drain`] hands every record to [`chrome_trace`] (Chrome trace-event
@@ -71,7 +67,6 @@ pub mod attribution;
 mod chrome;
 pub mod flightrec;
 pub mod health;
-mod histogram;
 mod recorder;
 mod registry;
 pub mod sink;
@@ -87,15 +82,8 @@ pub use health::{
     replay_stream, Ewma, HealthFinding, HealthMonitor, HealthSample, HealthStatus, HealthVerdict,
     Hysteresis, Severity,
 };
-pub use histogram::{
-    bucket_estimate, bucket_index, bucket_lower_bound, histogram_record, histogram_stats,
-    histograms_raw_snapshot, histograms_snapshot, percentile_ns, reset_histograms, HistTimer,
-    Histogram, HistogramStats, HISTOGRAM_BUCKETS,
-};
 pub use recorder::{drain, now_ns, release_run, span, Span, SpanGuard};
-pub use registry::{
-    counter, counter_total, counters_snapshot, gauges_snapshot, reset_counters, Counter, Gauge,
-};
+pub use registry::{counter, counter_total, counters_snapshot, reset_counters, Counter};
 pub use sink::{
     emit_run_event, flush_metrics, set_metrics_file, split_runs, validate_metrics, RunEvent,
 };
@@ -149,8 +137,8 @@ fn resolve_trace() -> bool {
     }
 }
 
-/// Turns tracing on or off (takes precedence over `MSRL_TRACE`). Spans,
-/// counters and gauges record either way.
+/// Turns tracing on or off (takes precedence over `MSRL_TRACE`). Spans
+/// and counters record either way.
 pub fn set_enabled(on: bool) {
     TRACE.store(1 + u8::from(on), Ordering::Relaxed);
 }
@@ -187,17 +175,6 @@ macro_rules! static_counter {
     ($name:expr) => {{
         static CELL: std::sync::OnceLock<$crate::Counter> = std::sync::OnceLock::new();
         CELL.get_or_init(|| $crate::Counter::handle($name))
-    }};
-}
-
-/// Interns a [`Histogram`] handle once per call site and returns a
-/// `&'static Histogram` — like [`static_counter!`], for hot paths that
-/// record latency observations every call.
-#[macro_export]
-macro_rules! static_histogram {
-    ($name:expr) => {{
-        static CELL: std::sync::OnceLock<$crate::Histogram> = std::sync::OnceLock::new();
-        CELL.get_or_init(|| $crate::Histogram::handle($name))
     }};
 }
 
@@ -312,15 +289,6 @@ pub(crate) mod tests {
         assert_eq!(a.get(), 3, "scoped handle sees only its own increments");
         assert_eq!(b.get(), 4);
         assert!(counter_total("test.scoped_feed") >= 7, "global total sees both");
-    }
-
-    #[test]
-    fn gauges_track_max() {
-        let g = Gauge::handle("test.hw");
-        g.maximum(3.0);
-        g.maximum(9.5);
-        g.maximum(1.0);
-        assert_eq!(g.get(), 9.5);
     }
 
     /// Every switch reads one vocabulary: each spelling of on turns the

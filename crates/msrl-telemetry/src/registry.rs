@@ -1,6 +1,6 @@
-//! The always-on counter and gauge registry.
+//! The always-on counter registry.
 //!
-//! Counters and gauges are named process-wide atomics: incrementing one
+//! Counters are named process-wide atomics: incrementing one
 //! is a relaxed `fetch_add`, reading a snapshot locks the registry map
 //! briefly. They are deliberately *not* gated by the `MSRL_TRACE` flag —
 //! baseline reports and byte totals must work in ordinary runs — so hot
@@ -24,13 +24,8 @@ fn counters() -> &'static Cells {
     CELLS.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-fn gauges() -> &'static Cells {
-    static CELLS: OnceLock<Cells> = OnceLock::new();
-    CELLS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn intern(map: &'static Cells, name: &str) -> Arc<AtomicU64> {
-    let mut m = map.lock().expect("telemetry registry poisoned");
+fn intern(name: &str) -> Arc<AtomicU64> {
+    let mut m = counters().lock().expect("telemetry registry poisoned");
     if let Some(cell) = m.get(name) {
         return Arc::clone(cell);
     }
@@ -52,13 +47,13 @@ impl Counter {
     /// A plain handle: increments go to (and [`get`](Counter::get) reads)
     /// the global named total.
     pub fn handle(name: &str) -> Counter {
-        Counter { scoped: None, global: intern(counters(), name) }
+        Counter { scoped: None, global: intern(name) }
     }
 
     /// A scoped handle: increments feed both a private count and the
     /// global named total; [`get`](Counter::get) reads the private count.
     pub fn scoped(name: &str) -> Counter {
-        Counter { scoped: Some(Arc::new(AtomicU64::new(0))), global: intern(counters(), name) }
+        Counter { scoped: Some(Arc::new(AtomicU64::new(0))), global: intern(name) }
     }
 
     /// Adds `delta`.
@@ -79,7 +74,7 @@ impl Counter {
 /// Adds `delta` to the named counter (registry lookup per call — fine
 /// for cold paths; hot sites cache a [`Counter`]).
 pub fn counter(name: &str, delta: u64) {
-    intern(counters(), name).fetch_add(delta, Ordering::Relaxed);
+    intern(name).fetch_add(delta, Ordering::Relaxed);
 }
 
 /// The named counter's global total (0 if never touched).
@@ -105,54 +100,6 @@ pub fn reset_counters() {
     }
 }
 
-/// A handle on a named gauge (an `f64` reading stored as bits).
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// A handle on the named gauge.
-    pub fn handle(name: &str) -> Gauge {
-        Gauge { cell: intern(gauges(), name) }
-    }
-
-    /// Stores a reading.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.cell.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `value` if it exceeds the current reading —
-    /// the high-water-mark update.
-    pub fn maximum(&self, value: f64) {
-        let mut cur = self.cell.load(Ordering::Relaxed);
-        while value > f64::from_bits(cur) {
-            match self.cell.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The current reading.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
-/// All gauges, name-sorted (guaranteed, like
-/// [`counters_snapshot`]).
-pub fn gauges_snapshot() -> Vec<(String, f64)> {
-    let m = gauges().lock().expect("telemetry registry poisoned");
-    m.iter().map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed)))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,27 +117,9 @@ mod tests {
         // Register out of order; snapshots must come back sorted.
         counter("registry.sort.zz", 1);
         counter("registry.sort.aa", 1);
-        Gauge::handle("registry.sort.z").set(1.0);
-        Gauge::handle("registry.sort.a").set(1.0);
         let c: Vec<String> = counters_snapshot().into_iter().map(|(k, _)| k).collect();
         let mut cs = c.clone();
         cs.sort_unstable();
         assert_eq!(c, cs, "counters_snapshot is name-sorted");
-        let g: Vec<String> = gauges_snapshot().into_iter().map(|(k, _)| k).collect();
-        let mut gs = g.clone();
-        gs.sort_unstable();
-        assert_eq!(g, gs, "gauges_snapshot is name-sorted");
-    }
-
-    #[test]
-    fn gauge_set_and_max() {
-        let g = Gauge::handle("registry.test.g");
-        g.set(2.5);
-        g.maximum(1.0);
-        assert_eq!(
-            gauges_snapshot().iter().find(|(k, _)| k == "registry.test.g").unwrap().1,
-            2.5,
-            "maximum() never lowers a gauge"
-        );
     }
 }

@@ -30,15 +30,15 @@
 //! grow it without bound (the element cap alone would still admit
 //! millions of tiny buffers whose `Vec` headers dominate).
 //!
-//! Hits, misses and the pooled-storage high-water mark also feed the
-//! [`msrl_telemetry`] registry (`pool.hit`, `pool.miss`,
-//! `pool.pooled_elems_hw`), so profiling reports see recycling behaviour
-//! across every thread without poking at thread-locals.
+//! Hits and misses also feed the [`msrl_telemetry`] registry
+//! (`pool.hit`, `pool.miss`), so profiling reports see recycling
+//! behaviour across every thread without poking at thread-locals; the
+//! high-water mark is the thread's own ([`PoolStats::high_water_elems`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use msrl_telemetry::{Counter, Gauge};
+use msrl_telemetry::Counter;
 
 /// Upper bound on pooled storage per thread, in `f32` elements (16 Mi
 /// elements = 64 MiB).
@@ -67,7 +67,6 @@ struct Pool {
     /// Shared-pipeline mirrors of the thread-local stats.
     hit_counter: Counter,
     miss_counter: Counter,
-    high_water: Gauge,
 }
 
 impl Default for Pool {
@@ -77,7 +76,6 @@ impl Default for Pool {
             stats: PoolStats::default(),
             hit_counter: Counter::handle("pool.hit"),
             miss_counter: Counter::handle("pool.miss"),
-            high_water: Gauge::handle("pool.pooled_elems_hw"),
         }
     }
 }
@@ -146,10 +144,7 @@ pub fn give(buf: Vec<f32>) {
         }
         bucket.push(buf);
         pool.stats.pooled_elems += len;
-        if pool.stats.pooled_elems > pool.stats.high_water_elems {
-            pool.stats.high_water_elems = pool.stats.pooled_elems;
-            pool.high_water.maximum(pool.stats.high_water_elems as f64);
-        }
+        pool.stats.high_water_elems = pool.stats.high_water_elems.max(pool.stats.pooled_elems);
     });
 }
 

@@ -96,30 +96,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses one optional variable: `Ok(None)` when unset, the parsed
-/// value when `parse` accepts it, otherwise a [`ConfigError`] carrying
-/// `accepted`. Shared by [`Backend::parse`] and
-/// `msrl_runtime::RuntimeConfig::parse`.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when the variable is set to a value
-/// `parse` rejects.
-pub fn parse_var<T>(
-    lookup: &impl Fn(&'static str) -> Option<String>,
-    var: &'static str,
-    accepted: &'static str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<Option<T>, ConfigError> {
-    match lookup(var) {
-        None => Ok(None),
-        Some(value) => match parse(value.trim()) {
-            Some(v) => Ok(Some(v)),
-            None => Err(ConfigError { var, value, accepted }),
-        },
-    }
-}
-
 impl Backend {
     /// Resolves `MSRL_BACKEND` from `lookup(name)`, the pure core of
     /// [`Self::from_env`]: unset is [`Backend::Threaded`].
@@ -129,12 +105,15 @@ impl Backend {
     /// Returns a [`ConfigError`] for `MSRL_BACKEND` outside
     /// `scalar|threaded`.
     pub fn parse(lookup: impl Fn(&'static str) -> Option<String>) -> Result<Backend, ConfigError> {
-        let backend = parse_var(&lookup, "MSRL_BACKEND", "scalar|threaded", |v| match v {
-            "scalar" => Some(Backend::Scalar),
-            "threaded" => Some(Backend::Threaded),
-            _ => None,
-        })?;
-        Ok(backend.unwrap_or(Backend::Threaded))
+        let var = "MSRL_BACKEND";
+        match lookup(var) {
+            None => Ok(Backend::Threaded),
+            Some(value) => match value.trim() {
+                "scalar" => Ok(Backend::Scalar),
+                "threaded" => Ok(Backend::Threaded),
+                _ => Err(ConfigError { var, value, accepted: "scalar|threaded" }),
+            },
+        }
     }
 
     /// [`Self::parse`] over the process environment.
@@ -159,7 +138,7 @@ thread_local! {
 ///
 /// Panics with the [`ConfigError`] message when the process default is
 /// first needed and the environment holds a rejected value (binaries
-/// call `RuntimeConfig::from_env` up front to report it as an error
+/// call [`Backend::from_env`] up front to report it as an error
 /// instead).
 #[inline]
 pub fn backend() -> Backend {

@@ -14,7 +14,7 @@ use msrl_env::halfcheetah::HalfCheetah;
 use msrl_runtime::exec::{run_dp_a, run_dp_c, DistPpoConfig};
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     let dist = DistPpoConfig {
         actors: 2,
         envs_per_actor: 4,

@@ -17,7 +17,7 @@ use msrl_env::MultiAgentEnvironment;
 use msrl_runtime::exec::{run_dp_e, DpEConfig};
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     // 1. Cooperative coverage with in-process MAPPO.
     println!("— MAPPO on simple_spread (3 agents cover 3 landmarks) —");
     let mut env = SimpleSpread::new(3, 1).with_horizon(20);

@@ -17,7 +17,7 @@ use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_ppo, DistPpoConfig};
 
 fn main() {
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     let dist = DistPpoConfig {
         actors: 2,
         envs_per_actor: 4,

@@ -17,7 +17,7 @@ use msrl_runtime::Coordinator;
 
 fn main() {
     // A rejected `MSRL_*` value is an error up front, not a panic mid-run.
-    msrl_bench::runtime_config_or_exit();
+    msrl_bench::backend_or_exit();
     // 1. The algorithm configuration: logical components only.
     let algo = AlgorithmConfig::ppo(/* actors */ 3, /* envs each */ 4);
 

@@ -3,13 +3,15 @@
 //! critical finding in the metrics stream's `health` block, trigger a
 //! flight-recorder dump carrying the health verdict, end the run with a
 //! typed error naming the detector and the iteration, and convict the
-//! stream on replay (the `doctor` path). The fault is injected by the
-//! push–pull hub, so DP-A and DP-F runs both exercise it. The failure
-//! writes that one dump, not a second. A later run that fails for
-//! another reason leaves a dump of its own, without that verdict.
+//! stream on replay (the `doctor` path). The fault rides in the
+//! environment — a CartPole whose reward turns NaN from a given step —
+//! so DP-A, DP-F and DP-C runs all meet it the same way, and nothing
+//! process-global steers it. Each failure writes that one dump, not a
+//! second. A later run that fails for another reason leaves a dump of
+//! its own, without that verdict.
 //!
-//! One test body: the metrics sink, the flight recorder's dump
-//! directory and the fault variable are process-global.
+//! One test body: the metrics sink and the flight recorder's dump
+//! directory are process-global.
 //!
 //! Set `MSRL_HEALTH_E2E_KEEP=<path>` to keep a copy of the poisoned
 //! stream — CI uses this to demonstrate `doctor` exiting non-zero on a
@@ -18,7 +20,7 @@
 use msrl_core::FdgError;
 use msrl_env::cartpole::CartPole;
 use msrl_env::{Action, ActionSpec, Environment};
-use msrl_runtime::exec::{run_dp_a, run_dp_f, DistPpoConfig};
+use msrl_runtime::exec::{run_dp_a, run_dp_c, run_dp_f, DistPpoConfig};
 use msrl_telemetry::{HealthStatus, HealthVerdict, RunEvent, Severity};
 use serde::Deserialize;
 
@@ -37,6 +39,37 @@ impl Environment for Claims {
     }
     fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
         self.1.step_into(action, obs)
+    }
+}
+
+/// CartPole whose reward is NaN from its `from`-th (0-based) step on.
+struct Poisoned {
+    env: CartPole,
+    steps: usize,
+    from: usize,
+}
+
+impl Poisoned {
+    fn new(seed: u64, from: usize) -> Poisoned {
+        Poisoned { env: CartPole::new(seed), steps: 0, from }
+    }
+}
+
+impl Environment for Poisoned {
+    fn obs_dim(&self) -> usize {
+        self.env.obs_dim()
+    }
+    fn action_spec(&self) -> ActionSpec {
+        self.env.action_spec()
+    }
+    fn reset_into(&mut self, obs: &mut [f32]) {
+        self.env.reset_into(obs)
+    }
+    fn step_into(&mut self, action: &Action, obs: &mut [f32]) -> (f32, bool) {
+        let (reward, done) = self.env.step_into(action, obs);
+        let poisoned = self.steps >= self.from;
+        self.steps += 1;
+        (if poisoned { f32::NAN } else { reward }, done)
     }
 }
 
@@ -89,13 +122,12 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
         seed: 3,
         ..DistPpoConfig::default()
     };
-    // Inject at the run's last (0-based) iteration: the learner's
-    // post-learn weights are scaled to infinity there, so the final
-    // broadcast is poisoned but drained unused by the exiting actors.
+    // Poison the run's last (0-based) iteration: every environment's
+    // reward is NaN from that iteration's first step, so the batch the
+    // learner folds there carries it into the loss and the weights.
     let poisoned = dist.iterations as u64 - 1;
-    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
-    let result = run_dp_a(|a, i| CartPole::new((a * 3 + i) as u64), &dist);
-    std::env::remove_var("MSRL_FAULT_NAN_ITER");
+    let from = poisoned as usize * dist.steps_per_iter;
+    let result = run_dp_a(|a, i| Poisoned::new((a * 3 + i) as u64, from), &dist);
     msrl_telemetry::set_metrics_file(None);
     // The critical finding ends the run: its error names the detector
     // and the iteration it fired at.
@@ -146,14 +178,16 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
         "verdict names the firing detector: {embedded:?}"
     );
 
-    // The hook sits in the push–pull hub, so a one-worker DP-F run (its
-    // hub applies gradients instead of learning on batches) ends the
-    // same way at the same iteration.
+    // The fault rides in the environment, so a one-worker DP-F run (its
+    // hub applies the worker's gradients instead of learning on
+    // batches) and a DP-C run (no hub: replicas all-reduce gradients)
+    // end the same way at the same iteration, each with a dump.
     let dp_f = DistPpoConfig { actors: 1, ..dist.clone() };
-    std::env::set_var("MSRL_FAULT_NAN_ITER", poisoned.to_string());
-    let result = run_dp_f(|a, i| CartPole::new((a * 3 + i) as u64), &dp_f);
-    std::env::remove_var("MSRL_FAULT_NAN_ITER");
-    let err = result.expect_err("the hub's fault seam fails a DP-F run too");
+    let result = run_dp_f(|a, i| Poisoned::new((a * 3 + i) as u64, from), &dp_f);
+    let err = result.expect_err("a poisoned environment fails a DP-F run");
+    assert_eq!(err, FdgError::Unhealthy { detector: "nonfinite", iteration: poisoned });
+    let result = run_dp_c(|a, i| Poisoned::new((a * 3 + i) as u64, from), &dist);
+    let err = result.expect_err("a poisoned environment fails a DP-C run");
     assert_eq!(err, FdgError::Unhealthy { detector: "nonfinite", iteration: poisoned });
 
     // A later run that ends in a driver error of its own (the probe
@@ -170,7 +204,7 @@ fn induced_nan_fires_watchdog_dump_and_doctor() {
     assert!(!matches!(err, FdgError::Unhealthy { .. }), "not a health error: {err:?}");
     let written = dumps(&tmp);
     let triggers: Vec<&str> = written.iter().map(|(t, _)| t.as_str()).collect();
-    assert_eq!(triggers, ["health", "health", "driver_error"], "each failure dumps once");
+    assert_eq!(triggers, ["health", "health", "health", "driver_error"], "each failure dumps once");
     let (trigger, dump) = written.last().expect("the failed run dumps the recorder");
     assert_eq!(trigger, "driver_error");
     assert!(dump.field("health").is_err(), "another run's verdict leaked into the dump");
