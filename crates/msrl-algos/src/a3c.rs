@@ -59,8 +59,8 @@ impl A3cWorker {
     /// # Errors
     ///
     /// Propagates tensor failures.
-    pub fn local_grads(&self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        let policy = &self.actor.policy;
+    pub fn local_grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        let policy = &mut self.actor.policy;
         let n = batch.len();
         if n == 0 {
             return Err(FdgError::MissingKernel { op: "A3C grads on empty rollout".into() });
@@ -78,9 +78,9 @@ impl A3cWorker {
             discounted_returns(batch.rewards.data(), &batch.dones, self.cfg.gamma, last_value);
         let adv: Vec<f32> = returns.iter().zip(batch.values.data()).map(|(r, v)| r - v).collect();
 
+        let (actor, critic) = (policy.actor.share(), policy.critic.share());
         let tape = Tape::new();
-        let actor = policy.actor.bind(&tape);
-        let critic = policy.critic.bind(&tape);
+        let (actor, critic) = (actor.bind(&tape), critic.bind(&tape));
         let obs = tape.constant(batch.obs.clone());
         let logits = actor.forward(&obs)?;
         let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
@@ -135,7 +135,7 @@ impl Learner for A3cLearner {
     fn learn(&mut self, batch: &SampleBatch) -> Result<f32> {
         // A3C learners consume gradients, not batches; route through a
         // local worker for single-process configurations.
-        let worker = A3cWorker::new(self.policy.clone(), self.cfg.clone(), 0);
+        let mut worker = A3cWorker::new(self.policy.clone(), self.cfg.clone(), 0);
         let g = worker.local_grads(batch)?;
         self.apply_grads(&g)?;
         Ok(0.0)
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn local_grads_have_full_length() {
         let policy = PpoPolicy::discrete(4, 2, &[8], 0);
-        let worker = A3cWorker::new(policy.clone(), A3cConfig::default(), 1);
+        let mut worker = A3cWorker::new(policy.clone(), A3cConfig::default(), 1);
         let mut actor = PpoActor::new(policy.clone(), 2);
         let mut envs = VecEnv::from_fn(1, |_| CartPole::new(0));
         let batch = collect(&mut actor, &mut envs, 20).unwrap();
@@ -192,7 +192,7 @@ mod tests {
     fn learner_applies_gradients() {
         let policy = PpoPolicy::discrete(4, 2, &[8], 3);
         let cfg = A3cConfig::default();
-        let worker = A3cWorker::new(policy.clone(), cfg.clone(), 4);
+        let mut worker = A3cWorker::new(policy.clone(), cfg.clone(), 4);
         let mut learner = A3cLearner::new(policy.clone(), &cfg);
         let mut actor = PpoActor::new(policy, 5);
         let mut envs = VecEnv::from_fn(1, |_| CartPole::new(1));

@@ -499,27 +499,31 @@ fn pooled(shape: &[usize]) -> Tensor {
 
 /// The value branch of the PPO loss: the critic and the value loss
 /// `mean((v − ret)²)` over `rows` rows, differentiated block by block
-/// as [`PpoLearner::policy_branch`] is, scaled by `value_coef` as the
+/// as [`policy_branch`] is, scaled by `value_coef` as the
 /// loss weighs it. Writes the critic's gradients into `grads` and
 /// returns the value loss.
 ///
 /// It may run on another thread than the learner's, and a tape recycles
 /// every buffer it holds into the pool of the thread it runs on: so it
 /// draws everything from that pool, its copies of `obs` and `ret`
-/// included, and recycles its own gradients there once copied out.
+/// included, and recycles its own gradients there once copied out. It
+/// shares the critic on that thread too ([`Mlp::share`]): the panels of
+/// each weight are packed from that pool by the first block that needs
+/// them and go back to it when the branch ends.
 fn value_branch(
-    critic: &Mlp,
+    critic: &mut Mlp,
     blocks: &[(&Tensor, &Tensor)],
     rows: usize,
     value_coef: f32,
     grads: &mut [Tensor],
 ) -> Result<f32> {
+    let shared = critic.share();
     let mut gs: Vec<Tensor> = Vec::new();
     let mut sum = None;
     let mut value_loss = 0.0;
     for &(obs, ret) in blocks {
         let tape = Tape::new();
-        let critic = critic.bind(&tape);
+        let critic = shared.bind(&tape);
         let obs = tape.constant(obs.reshape(obs.shape())?);
         let ret_t = tape.constant(ret.reshape(ret.shape())?);
         let values = critic.forward(&obs)?.reshape(&[ret.len()])?;
@@ -536,6 +540,78 @@ fn value_branch(
         g.recycle();
     }
     Ok(value_loss)
+}
+
+/// The policy branch of the loss on the calling thread: the actor,
+/// log-std, the action distribution's statistics, the clipped surrogate
+/// and the entropy bonus. Returns the surrogate loss, the mean entropy
+/// and the gradients of the actor's parameters, then of log-std
+/// (continuous only).
+///
+/// The batch is differentiated block by block, each block on a tape of
+/// its own that is dropped — its buffers back in the pool — before the
+/// next one is recorded, so the working set is one block's. Each mean is
+/// over the *batch*: a sum going on from the previous block's, seeded
+/// backwards with `g / n` for the batch's `n` ([`Var::mean_over`]), and
+/// the parameter gradients of one block are handed to the next block's
+/// backward pass, where every `Linear` weight and bias continues its
+/// reduction over the rows ([`Tape::backward_onto`]) — bit for bit what
+/// one tape over the whole batch computes. `log_std`, reached through
+/// broadcasts of interior nodes, is the sum of its per-block gradients.
+/// A batch of one block runs the loop once: one tape, plain means,
+/// nothing carried. Every block's tape registers the actor that
+/// [`Mlp::share`] lent the pass — no copy of a weight, and each weight's
+/// panels packed once between the blocks — and one copy of `log_std`.
+/// [`value_branch`] runs the same loop.
+///
+/// [`Var::mean_over`]: msrl_tensor::autograd::Var::mean_over
+/// [`Tape::backward_onto`]: msrl_tensor::autograd::Tape::backward_onto
+fn policy_branch(
+    actor: &mut Mlp,
+    log_std: &Tensor,
+    cfg: &PpoConfig,
+    inputs: &LossInputs,
+) -> Result<(f32, f32, Vec<Tensor>)> {
+    let n = inputs.rows;
+    let shared = actor.share();
+    let log_std = Rc::new(log_std.clone());
+    let mut gs: Vec<Tensor> = Vec::new();
+    let [mut policy_sum, mut entropy_sum] = [None; 2];
+    let mut means = (0.0, 0.0);
+    for block in &inputs.blocks {
+        let tape = Tape::new();
+        let actor = shared.bind(&tape);
+        let obs = tape.constant(Rc::clone(&block.obs));
+        let out = actor.forward(&obs)?;
+
+        let mut log_std_var = None;
+        let (log_prob, entropy) = match &block.actions {
+            Actions::Discrete(idx) => categorical_stats(&out, idx)?,
+            Actions::Continuous(actions) => {
+                let log_std = tape.var(Rc::clone(&log_std));
+                let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
+                log_std_var = Some(log_std);
+                stats
+            }
+        };
+
+        let adv_t = tape.constant(Rc::clone(&block.adv));
+        let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
+        let ratio = log_prob.sub(&old_lp)?.exp();
+        let unclipped = ratio.mul(&adv_t)?;
+        let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv_t)?;
+        let policy_loss = unclipped.min(&clipped)?.mean_over(n, &mut policy_sum).neg();
+        let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
+        let loss = policy_loss.add(&entropy_mean.mul_scalar(-cfg.entropy_coef))?;
+
+        let params: Vec<&Var> = actor.param_vars().iter().chain(&log_std_var).collect();
+        let carried = params.iter().copied().zip(gs.drain(..)).collect();
+        let mut grads = tape.backward_onto(&loss, carried)?;
+        gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
+        // Of the batch once the last block is in.
+        means = (policy_loss.value().item()?, entropy_mean.value().item()?);
+    }
+    Ok((means.0, means.1, gs))
 }
 
 /// The training half of PPO (`Learner.learn()` in the paper's API).
@@ -654,10 +730,12 @@ impl PpoLearner {
     }
 
     /// One clipped-surrogate optimisation pass; returns `(loss, grads)`
-    /// without mutating the policy. The loss's two branches run side by
-    /// side through `par::join`: the value branch on a helper when a core
-    /// is free, else after the policy branch on this thread.
-    fn loss_and_grads(&self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
+    /// and leaves the policy's values as it found them (each branch lends
+    /// its network to the pass, [`Mlp::share`], an error included). The
+    /// loss's two branches run side by side through `par::join`: the
+    /// value branch on a helper when a core is free, else after the
+    /// policy branch on this thread.
+    fn loss_and_grads(&mut self, inputs: &LossInputs) -> Result<(f32, Vec<Tensor>)> {
         self.loss_and_grads_joined(inputs, &mut |policy, value| {
             msrl_tensor::par::join(policy, value);
         })
@@ -669,22 +747,27 @@ impl PpoLearner {
     /// The loss is `policy + value_coef·value − entropy_coef·entropy`,
     /// and its dataflow is two branches that meet only in that sum and
     /// the global norm clip: the actor with the surrogate and entropy
-    /// terms ([`PpoLearner::policy_branch`]), and the critic with the
+    /// terms ([`policy_branch`]), and the critic with the
     /// value loss ([`value_branch`]). Each is differentiated on tapes of
     /// its own; every gradient it sends to its parameters is the one the
     /// single tape over both sends, in the same order, so the split is
     /// bit for bit that tape. Gradients come back in actor, critic,
     /// log-std order, and the loss is summed in the single tape's `f32`
     /// order.
-    fn loss_and_grads_joined(&self, inputs: &LossInputs, join: Join) -> Result<(f32, Vec<Tensor>)> {
+    fn loss_and_grads_joined(
+        &mut self,
+        inputs: &LossInputs,
+        join: Join,
+    ) -> Result<(f32, Vec<Tensor>)> {
         // Drawn here: each thread recycles only what its own pool lent.
         let mut critic_grads: Vec<Tensor> =
             self.policy.critic.params().iter().map(|p| pooled(p.shape())).collect();
         let blocks: Vec<(&Tensor, &Tensor)> =
             inputs.blocks.iter().map(|b| (&*b.obs, &*b.ret)).collect();
-        let (critic, n, value_coef) = (&self.policy.critic, inputs.rows, self.cfg.value_coef);
+        let PpoPolicy { actor, critic, log_std, .. } = &mut self.policy;
+        let (cfg, n, value_coef) = (&self.cfg, inputs.rows, self.cfg.value_coef);
         let (mut policy, mut value) = (None, None);
-        join(&mut || policy = Some(self.policy_branch(inputs)), &mut || {
+        join(&mut || policy = Some(policy_branch(actor, log_std, cfg, inputs)), &mut || {
             value = Some(value_branch(critic, &blocks, n, value_coef, &mut critic_grads));
         });
         let (policy_loss, entropy, mut gs) = policy.expect("the join ran the policy branch")?;
@@ -699,67 +782,19 @@ impl PpoLearner {
         Ok((loss, gs))
     }
 
-    /// The policy branch of the loss on the calling thread: the actor,
-    /// log-std, the action distribution's statistics, the clipped
-    /// surrogate and the entropy bonus. Returns the surrogate loss, the
-    /// mean entropy and the gradients of the actor's parameters, then of
-    /// log-std (continuous only).
-    ///
-    /// The batch is differentiated block by block, each block on a tape
-    /// of its own that is dropped — its buffers back in the pool — before
-    /// the next one is recorded, so the working set is one block's. Each
-    /// mean is over the *batch*: a sum going on from the previous block's,
-    /// seeded backwards with `g / n` for the batch's `n`
-    /// ([`Var::mean_over`]), and the parameter gradients of one block are
-    /// handed to the next block's backward pass, where every `Linear`
-    /// weight and bias continues its reduction over the rows
-    /// ([`Tape::backward_onto`]) — bit for bit what one tape over the
-    /// whole batch computes. `log_std`, reached through broadcasts of
-    /// interior nodes, is the sum of its per-block gradients. A batch of
-    /// one block runs the loop once: one tape, plain means, nothing
-    /// carried. [`value_branch`] runs the same loop.
-    ///
-    /// [`Var::mean_over`]: msrl_tensor::autograd::Var::mean_over
-    /// [`Tape::backward_onto`]: msrl_tensor::autograd::Tape::backward_onto
-    fn policy_branch(&self, inputs: &LossInputs) -> Result<(f32, f32, Vec<Tensor>)> {
-        let n = inputs.rows;
-        let mut gs: Vec<Tensor> = Vec::new();
-        let [mut policy_sum, mut entropy_sum] = [None; 2];
-        let mut means = (0.0, 0.0);
-        for block in &inputs.blocks {
-            let tape = Tape::new();
-            let actor = self.policy.actor.bind(&tape);
-            let obs = tape.constant(Rc::clone(&block.obs));
-            let out = actor.forward(&obs)?;
-
-            let mut log_std_var = None;
-            let (log_prob, entropy) = match &block.actions {
-                Actions::Discrete(idx) => categorical_stats(&out, idx)?,
-                Actions::Continuous(actions) => {
-                    let log_std = tape.var(self.policy.log_std.clone());
-                    let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
-                    log_std_var = Some(log_std);
-                    stats
-                }
-            };
-
-            let adv_t = tape.constant(Rc::clone(&block.adv));
-            let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
-            let ratio = log_prob.sub(&old_lp)?.exp();
-            let unclipped = ratio.mul(&adv_t)?;
-            let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip).mul(&adv_t)?;
-            let policy_loss = unclipped.min(&clipped)?.mean_over(n, &mut policy_sum).neg();
-            let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
-            let loss = policy_loss.add(&entropy_mean.mul_scalar(-self.cfg.entropy_coef))?;
-
-            let params: Vec<&Var> = actor.param_vars().iter().chain(&log_std_var).collect();
-            let carried = params.iter().copied().zip(gs.drain(..)).collect();
-            let mut grads = tape.backward_onto(&loss, carried)?;
-            gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
-            // Of the batch once the last block is in.
-            means = (policy_loss.value().item()?, entropy_mean.value().item()?);
+    /// [`Learner::learn`] from the batch's leaves: `epochs` passes, each
+    /// followed by its update.
+    fn learn_from(&mut self, inputs: &LossInputs) -> Result<f32> {
+        crate::sentinel::snapshot(&mut self.before, self.policy.params());
+        let mut loss = 0.0;
+        for _ in 0..self.cfg.epochs {
+            let (epoch_loss, grads) = self.loss_and_grads(inputs)?;
+            self.apply(&grads)?;
+            loss = epoch_loss;
         }
-        Ok((means.0, means.1, gs))
+        let update = Some(crate::sentinel::update(&self.before, self.policy.params()));
+        self.signals.set(Signals { update, ..self.signals.get() });
+        Ok(loss)
     }
 
     fn apply(&mut self, grads: &[Tensor]) -> Result<()> {
@@ -784,16 +819,7 @@ impl Learner for PpoLearner {
             return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
         }
         let inputs = self.loss_inputs(batch, self.block_rows())?;
-        crate::sentinel::snapshot(&mut self.before, self.policy.params());
-        let mut loss = 0.0;
-        for _ in 0..self.cfg.epochs {
-            let (epoch_loss, grads) = self.loss_and_grads(&inputs)?;
-            self.apply(&grads)?;
-            loss = epoch_loss;
-        }
-        let update = Some(crate::sentinel::update(&self.before, self.policy.params()));
-        self.signals.set(Signals { update, ..self.signals.get() });
-        Ok(loss)
+        self.learn_from(&inputs)
     }
 
     fn policy_params(&self) -> Vec<f32> {
@@ -805,7 +831,8 @@ impl Learner for PpoLearner {
     }
 
     fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
-        let (_, grads) = self.loss_and_grads(&self.loss_inputs(batch, self.block_rows())?)?;
+        let inputs = self.loss_inputs(batch, self.block_rows())?;
+        let (_, grads) = self.loss_and_grads(&inputs)?;
         let mut flat = Vec::with_capacity(self.policy.num_params());
         for g in &grads {
             flat.extend_from_slice(g.data());
@@ -1092,6 +1119,38 @@ mod tests {
         }
     }
 
+    /// A pass that fails mid-way — the third of four blocks'
+    /// observations a column too wide, after both branches bound their
+    /// network to the first two — returns `Err` and leaves the policy as
+    /// it found it: the lent parameters move back on the error path too.
+    /// A good `learn()` after it is a fresh learner's bit for bit.
+    #[test]
+    fn a_pass_that_fails_mid_way_leaves_the_policy_unchanged() {
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+        for policy in
+            [PpoPolicy::discrete(4, 2, &[16, 16], 3), PpoPolicy::continuous(5, 2, &[16], 4)]
+        {
+            let batch = synthetic_batch(64, &policy, 5);
+            let mut learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+            let mut inputs = learner.loss_inputs(&batch, 16).unwrap();
+            assert_eq!(inputs.blocks.len(), 4);
+            let width = batch.obs.shape()[1];
+            inputs.blocks[2].obs = Rc::new(Tensor::zeros(&[16, width + 1]));
+            let before = bits(learner.policy_params());
+            assert!(learner.learn_from(&inputs).is_err(), "discrete {}", policy.discrete);
+            assert_eq!(bits(learner.policy_params()), before, "discrete {}", policy.discrete);
+            let mut fresh = PpoLearner::new(policy.clone(), PpoConfig::default());
+            fresh.learn(&batch).unwrap();
+            learner.learn(&batch).unwrap();
+            assert_eq!(
+                bits(learner.policy_params()),
+                bits(fresh.policy_params()),
+                "discrete {}",
+                policy.discrete
+            );
+        }
+    }
+
     /// `(loss bits, entropy bits, gradient bits per parameter)` of one
     /// pass over `batch` in blocks of `block` rows.
     fn pass_bits(
@@ -1099,7 +1158,7 @@ mod tests {
         batch: &SampleBatch,
         block: usize,
     ) -> (u32, u32, Vec<Vec<u32>>) {
-        let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+        let mut learner = PpoLearner::new(policy.clone(), PpoConfig::default());
         let inputs = learner.loss_inputs(batch, block).unwrap();
         assert_eq!(inputs.blocks.len(), batch.len().div_ceil(block));
         let (loss, grads) = learner.loss_and_grads(&inputs).unwrap();
@@ -1204,15 +1263,16 @@ mod tests {
     /// The learn pass as it was spelled before its branches split: both
     /// on one tape per block, one loss, one backward pass.
     fn one_tape_pass(learner: &PpoLearner, inputs: &LossInputs) -> PassBits {
-        let (policy, cfg) = (&learner.policy, &learner.cfg);
+        let (mut policy, cfg) = (learner.policy.clone(), &learner.cfg);
+        let (shared_actor, shared_critic) = (policy.actor.share(), policy.critic.share());
         let n = inputs.rows;
         let mut gs: Vec<Tensor> = Vec::new();
         let [mut policy_sum, mut value_sum, mut entropy_sum] = [None; 3];
         let mut metrics = (0.0, 0.0);
         for block in &inputs.blocks {
             let tape = Tape::new();
-            let actor = policy.actor.bind(&tape);
-            let critic = policy.critic.bind(&tape);
+            let actor = shared_actor.bind(&tape);
+            let critic = shared_critic.bind(&tape);
             let obs = tape.constant(Rc::clone(&block.obs));
             let out = actor.forward(&obs).unwrap();
             let mut log_std_var = None;
@@ -1252,7 +1312,7 @@ mod tests {
     }
 
     /// The split pass with its branches joined by `join`.
-    fn split_pass(learner: &PpoLearner, inputs: &LossInputs, join: Join) -> PassBits {
+    fn split_pass(learner: &mut PpoLearner, inputs: &LossInputs, join: Join) -> PassBits {
         let (loss, grads) = learner.loss_and_grads_joined(inputs, join).unwrap();
         let Signals { entropy, grad_norm, .. } = learner.signals();
         bits_of(loss, entropy.unwrap(), grad_norm.unwrap(), &grads)
@@ -1273,11 +1333,11 @@ mod tests {
             for rows in [300, 2 * 1024 + 77] {
                 let what = format!("discrete {}, {rows} rows", policy.discrete);
                 let batch = synthetic_batch(rows, policy, 11);
-                let learner = PpoLearner::new(policy.clone(), PpoConfig::default());
+                let mut learner = PpoLearner::new(policy.clone(), PpoConfig::default());
                 let inputs = learner.loss_inputs(&batch, learner.block_rows()).unwrap();
                 assert_eq!(inputs.blocks.len(), rows.div_ceil(1024));
                 let reference = one_tape_pass(&learner, &inputs);
-                let inline = split_pass(&learner, &inputs, &mut |policy, value| {
+                let inline = split_pass(&mut learner, &inputs, &mut |policy, value| {
                     policy();
                     value();
                 });
@@ -1286,7 +1346,7 @@ mod tests {
                 // value branch ran on it.
                 for attempt in 0.. {
                     let mut ran_on = me;
-                    let forked = split_pass(&learner, &inputs, &mut |policy, value| {
+                    let forked = split_pass(&mut learner, &inputs, &mut |policy, value| {
                         let on = || {
                             value();
                             std::thread::current().id()

@@ -127,6 +127,8 @@ struct Shape {
     policy: PpoPolicy,
     max_big_calls: usize,
     max_bytes: usize,
+    /// Exact `tensor.pack_b` calls of one `learn()`.
+    packs: u64,
     /// Most `f32`s any one tensor pool may ever hold — the caller's, or a
     /// helper's: the working set of what runs on one thread as an exact
     /// count, where `peak_rss_mb` drifts with the host.
@@ -139,12 +141,22 @@ struct Shape {
 fn steady_state_learn_allocates_within_bounds() {
     // The shapes of the ledger's dpd / dpa / dpc learn passes. The
     // copying tape measured 96 big calls and 657 MB, 53 MB and 110 MB.
-    // Every `g·wᵀ` and every wide-enough forward layer packs its weight
-    // per call; the dpa and dpc bounds sit under what those packs cost
+    // Each branch of a pass packs each weight at most twice, whatever
+    // the number of row blocks: its `x·w` panels if a block's forward is
+    // wide and tall enough, its `g·wᵀ` panels if a gradient flows into
+    // the layer's input (not into the first layer's, the observations).
+    // Every block's tape reads those panels; a pass that packs per block
+    // again multiplies the count by the blocks (dpd's 25, dpc's four:
+    // 801 and 129 a `learn()`). At each shape that is 8 packs an epoch,
+    // 32 over four, plus one at dpd for the GAE bootstrap forward over
+    // 200 rows; dpc's is 8 rows, under `PACK_MIN_ROWS`. In a debug build
+    // dpa's single 512-row block is under `PACK_MIN_FLOPS` at its first
+    // layer (`[512,4]·[4,64]`), 6 an epoch, and dpd's 50-row bootstrap
+    // is too. The dpa and dpc byte bounds sit under what the packs cost
     // when they bypass the pool (9.3 MB at the dpc shape).
     // The pass runs in 1,024-row blocks, the policy branch on the
     // caller and the value branch on a helper. At the dpd shape (25
-    // blocks, 200 tapes a `learn()`) that is 5.17 MB, 801 packs and
+    // blocks, 200 tapes a `learn()`) that is 5.16 MB, 33 packs and
     // pools that peak at 0.39 M + 0.35 M elements; one pool of 2,048-row
     // tapes held 1.50 M, one 25,600-row tape 12.32 M. At the dpa shape
     // (2 blocks) 0.37 M + 0.35 M against one pool's 0.99 M. Inline, on a
@@ -152,8 +164,8 @@ fn steady_state_learn_allocates_within_bounds() {
     // fail when a pass runs in 2,048-row blocks again. The dpc shape's
     // blocks are sized by bytes: 256 rows of its `[256,256]` policy keep
     // an operand at 256 KB, as 1,024 rows of a 64-wide one do. Its four
-    // blocks peak at 0.49 M + 0.55 M elements split (inline 0.57 M,
-    // 2.95 MB a `learn()`); in one 1,024-row block they held 1.46 M +
+    // blocks peak at 0.49 M + 0.54 M elements split (2.96 MB a
+    // `learn()`); in one 1,024-row block they held 1.46 M +
     // 1.48 M (inline 1.55 M), and both dpc bounds fail there. A
     // value branch handed owned copies of `obs` and `ret` drawn on the
     // caller, which its tape then recycles into the helper's pool,
@@ -164,6 +176,7 @@ fn steady_state_learn_allocates_within_bounds() {
     // still above 1 MiB, and the copying tape still breaks every bound
     // (EXPERIMENTS.md has both sets of numbers).
     let rows = |full: usize| if cfg!(debug_assertions) { full / 4 } else { full };
+    let packs = |debug: u64, release: u64| if cfg!(debug_assertions) { debug } else { release };
     let shapes = [
         Shape {
             name: "dpd: 25600 rows x [64,64] discrete",
@@ -171,6 +184,7 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
+            packs: packs(32, 33),
             max_pool_high_water_elems: 600_000,
             max_total_high_water_elems: 1_000_000,
         },
@@ -180,6 +194,7 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 1_000_000,
+            packs: packs(24, 32),
             max_pool_high_water_elems: 600_000,
             max_total_high_water_elems: 800_000,
         },
@@ -189,6 +204,7 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::continuous(17, 6, &[256, 256], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
+            packs: packs(32, 32),
             max_pool_high_water_elems: 650_000,
             max_total_high_water_elems: 1_150_000,
         },
@@ -218,6 +234,7 @@ fn steady_state_learn_allocates_within_bounds() {
              first, then each helper)",
             shape.name, shape.rows, third.calls, third.bytes, third.big_calls
         );
+        assert_eq!(packs, shape.packs, "{}: tensor.pack_b calls of one learn()", shape.name);
         assert!(
             third.big_calls <= shape.max_big_calls,
             "{}: {} allocations >= 1 MiB, bound {}",

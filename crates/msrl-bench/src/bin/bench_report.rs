@@ -336,7 +336,7 @@ fn graph_compile_cost() -> GraphCompile {
     // of three separate kernels; at this scale the extra memory passes
     // dominate, which is exactly the regime RL training lives in.
     let mut rng = init::rng(42);
-    let mlp = Mlp::seven_layer(17, 6, 32, &mut rng);
+    let mut mlp = Mlp::seven_layer(17, 6, 32, &mut rng);
     let x = Tensor::full(&[2, 17], 0.1);
     // The same layers as `matmul → add → tanh`, the output layer linear.
     let composed = |net: &MlpBinding, x: &Var| {
@@ -351,10 +351,13 @@ fn graph_compile_cost() -> GraphCompile {
         h
     };
     let fused = |net: &MlpBinding, x: &Var| net.forward(x).expect("shapes conform");
-    let time = |forward: &dyn Fn(&MlpBinding, &Var) -> Var| {
+    // One pass a call: the lent parameters and their panels are the
+    // pass's, as a learner's are.
+    let mut time = |forward: &dyn Fn(&MlpBinding, &Var) -> Var| {
         let mut fwd_bwd = || {
+            let shared = mlp.share();
             let tape = Tape::new();
-            let net = mlp.bind(&tape);
+            let net = shared.bind(&tape);
             let loss = forward(&net, &tape.var(x.clone())).square().sum();
             let mut grads = tape.backward(&loss).expect("loss is scalar");
             net.take_grads(&mut grads)

@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::error::TensorError;
-use crate::ops;
+use crate::ops::{self, Panels};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -85,6 +85,9 @@ struct Node {
     /// for [`Tape::var`] leaves, false for [`Tape::constant`] leaves,
     /// and for an interior node whether any parent needs one.
     needs_grad: bool,
+    /// The panels every product with this value as its weight reads
+    /// ([`Tape::weight`]); `None` packs per product.
+    panels: Option<Rc<Panels>>,
 }
 
 #[derive(Default)]
@@ -308,9 +311,19 @@ fn masked(a: &Tensor, b: &Tensor, g: &Tensor, pick: impl Fn(f32, f32) -> bool + 
     res
 }
 
-/// `g · bᵀ` for backward rules, without materialising the transpose.
-fn grad_matmul_bt(g: &Tensor, b: &Tensor) -> Tensor {
-    ops::matmul_bt(g, b).expect("fwd shapes")
+/// `f` on `shared`, or on panels of its own when there are none: the
+/// products of a weight registered without panels pack per call.
+fn on_panels<R>(shared: Option<&Panels>, f: impl FnOnce(&Panels) -> R) -> R {
+    match shared {
+        Some(panels) => f(panels),
+        None => f(&Panels::default()),
+    }
+}
+
+/// `g · bᵀ` for backward rules, without materialising the transpose,
+/// from `b`'s transposed panels.
+fn grad_matmul_bt(g: &Tensor, b: &Tensor, panels: Option<&Panels>) -> Tensor {
+    on_panels(panels, |panels| ops::matmul_bt(g, b, panels)).expect("fwd shapes")
 }
 
 /// `aᵀ · g` for backward rules, without materialising the transpose,
@@ -340,7 +353,18 @@ impl Tape {
     /// gradient the caller wants). Pass an `Rc<Tensor>` to register one
     /// buffer on several tapes without copying it.
     pub fn var(&self, value: impl Into<Rc<Tensor>>) -> Var {
-        self.leaf(value.into(), true)
+        self.leaf(value.into(), true, None)
+    }
+
+    /// [`Tape::var`] for a weight whose products read `panels`: a
+    /// [`Var::linear`] with this leaf as its weight multiplies from them,
+    /// forwards and backwards, packing them only if no product before it
+    /// did. Registering one weight version on several tapes
+    /// with the same handles packs it once for all of them. The caller
+    /// pairs `panels` with `value` and keeps them paired: panels are
+    /// never re-checked against the values they were packed from.
+    pub fn weight(&self, value: Rc<Tensor>, panels: Rc<Panels>) -> Var {
+        self.leaf(value, true, Some(panels))
     }
 
     /// Records a non-differentiable leaf (observations, targets, masks).
@@ -348,13 +372,13 @@ impl Tape {
     /// depends only on such leaves, and [`Gradients::get`] returns
     /// `None` for its id.
     pub fn constant(&self, value: impl Into<Rc<Tensor>>) -> Var {
-        self.leaf(value.into(), false)
+        self.leaf(value.into(), false, None)
     }
 
-    fn leaf(&self, value: Rc<Tensor>, needs_grad: bool) -> Var {
+    fn leaf(&self, value: Rc<Tensor>, needs_grad: bool, panels: Option<Rc<Panels>>) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
-        inner.nodes.push(Node { value, parents: Vec::new(), needs_grad });
+        inner.nodes.push(Node { value, parents: Vec::new(), needs_grad, panels });
         Var { tape: self.clone(), id }
     }
 
@@ -366,12 +390,16 @@ impl Tape {
         parents.retain(|(pid, _)| inner.nodes[*pid].needs_grad);
         let id = inner.nodes.len();
         let needs_grad = !parents.is_empty();
-        inner.nodes.push(Node { value, parents, needs_grad });
+        inner.nodes.push(Node { value, parents, needs_grad, panels: None });
         Var { tape: self.clone(), id }
     }
 
     fn needs_grad(&self, id: usize) -> bool {
         self.inner.borrow().nodes[id].needs_grad
+    }
+
+    fn panels(&self, id: usize) -> Option<Rc<Panels>> {
+        self.inner.borrow().nodes[id].panels.clone()
     }
 
     /// Runs reverse-mode differentiation from the scalar `loss`.
@@ -588,7 +616,7 @@ impl Var {
             out.into(),
             vec![
                 // dL/dA = G · Bᵀ
-                (self.id, Rule::Fresh(Box::new(move |g| grad_matmul_bt(g, &b)))),
+                (self.id, Rule::Fresh(Box::new(move |g| grad_matmul_bt(g, &b, None)))),
                 // dL/dB = Aᵀ · G, summed over the rows of A
                 (other.id, Rule::Continued(Box::new(move |g, e| grad_matmul_at(&a, g, e)))),
             ],
@@ -599,7 +627,11 @@ impl Var {
     ///
     /// The forward pass runs the fused kernel ([`ops::linear_act`]) —
     /// one traversal of the output instead of three, with no
-    /// intermediate tensors — and each backward rule composes exactly
+    /// intermediate tensors. `w`'s products — this forward and the
+    /// `g·wᵀ` of `self`'s gradient — read the panels `w` was registered
+    /// with ([`Tape::weight`]), so the row blocks of a pass pack each
+    /// weight once between them; a `w` registered without panels packs
+    /// per product. Each backward rule composes exactly
     /// the primitive gradient ops the separate matmul/add/activation
     /// nodes would use, so values *and* gradients are bit-identical to
     /// the unfused composition (ReLU's output mask `out > 0` agrees
@@ -611,7 +643,8 @@ impl Var {
     /// Returns the shape errors of [`ops::linear_act`].
     pub fn linear(&self, w: &Var, b: &Var, act: ops::Act) -> Result<Var> {
         let (x, wv, bv) = (self.value(), w.value(), b.value());
-        let out = Rc::new(ops::linear_act(&x, &wv, &bv, act)?);
+        let panels = self.tape.panels(w.id);
+        let out = Rc::new(on_panels(panels.as_deref(), |p| ops::linear_act(&x, &wv, p, &bv, act))?);
         let b_shape = bv.shape().to_vec();
         // The three rules share the activation-mapped gradient `gp`, as
         // the separate activation node of the unfused composition
@@ -627,7 +660,8 @@ impl Var {
             .unwrap_or_default();
         let fused = Rc::new(FusedGrad { act, out: Rc::clone(&out), gp: RefCell::new(None), last });
         let (fused_x, fused_w) = (Rc::clone(&fused), Rc::clone(&fused));
-        let x_rule = move |g: &Tensor| fused_x.with(0, g, |gp| grad_matmul_bt(gp, &wv));
+        let x_rule =
+            move |g: &Tensor| fused_x.with(0, g, |gp| grad_matmul_bt(gp, &wv, panels.as_deref()));
         let w_rule = move |g: &Tensor, earlier: Option<Tensor>| {
             fused_w.with(1, g, |gp| grad_matmul_at(&x, gp, earlier))
         };
@@ -1011,7 +1045,7 @@ mod tests {
 
     /// The fused layer against `matmul → add → act` on the shapes of
     /// `ops::linear_act_matches_unfused_bitwise`: below and above
-    /// `PACK_MIN_FLOPS`, 1- and 2-wide heads, a row count no row block
+    /// `PACK_MIN_FLOPS` and `PACK_MIN_ROWS`, 1- and 2-wide heads, a row count no row block
     /// divides, and outputs wider than a 16 KB row. Forward values and
     /// the `x`, `w` and `b` gradients must agree bit for bit.
     #[test]
@@ -1025,6 +1059,7 @@ mod tests {
             (1037, 64, 1),
             (7, 64, 1),
             (6, 32, 4100),
+            (30, 32, 4100),
         ];
         for (m, k, n) in shapes {
             let xs: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -1221,6 +1256,8 @@ mod tests {
         let critic = Mlp::new(&[4, 8, 1], Activation::Tanh, Activation::Linear, &mut r);
         for discrete in [true, false] {
             let run = |leaf: fn(&Tape, Tensor) -> Var| {
+                let (mut actor, mut critic) = (actor.clone(), critic.clone());
+                let (actor, critic) = (actor.share(), critic.share());
                 let tape = Tape::new();
                 let (pi, vf) = (actor.bind(&tape), critic.bind(&tape));
                 let obs = leaf(&tape, obs_t.clone());

@@ -3,18 +3,21 @@
 //!
 //! The paper's evaluation uses "a seven-layer DNN" policy (§7.1); [`Mlp`]
 //! is that policy's implementation here. Modules own their parameters as
-//! plain [`Tensor`]s; to train, a module is *bound* to a [`Tape`], which
-//! registers the parameters as differentiable variables for one training
-//! step. Inference-only paths ([`Mlp::infer`]) skip the tape entirely —
-//! this mirrors the original system, where actor fragments run policy
-//! inference without building a gradient graph.
+//! plain [`Tensor`]s; to train, a module lends them to a pass
+//! ([`Mlp::share`]) and the pass binds them to each tape it records
+//! ([`SharedMlp::bind`]), which registers them as differentiable
+//! variables. Inference-only paths ([`Mlp::infer`]) skip the tape
+//! entirely — this mirrors the original system, where actor fragments
+//! run policy inference without building a gradient graph.
+
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::autograd::{Gradients, Tape, Var};
 use crate::init;
-use crate::ops;
+use crate::ops::{self, Panels};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -141,7 +144,9 @@ impl Mlp {
         let mut h: Option<Tensor> = None;
         for (i, layer) in self.layers.iter().enumerate() {
             let act = if i == last { self.output_activation } else { self.hidden_activation };
-            let next = ops::linear_act(h.as_ref().unwrap_or(x), &layer.w, &layer.b, act.fused())?;
+            let (w, b) = (&layer.w, &layer.b);
+            let next =
+                ops::linear_act(h.as_ref().unwrap_or(x), w, &Panels::default(), b, act.fused())?;
             if let Some(dead) = h.replace(next) {
                 dead.recycle();
             }
@@ -149,20 +154,25 @@ impl Mlp {
         Ok(h.unwrap_or_else(|| x.clone()))
     }
 
-    /// Registers the parameters on `tape` for one differentiable step.
-    ///
-    /// The tape gets pool-drawn copies (a same-shape
-    /// [`Tensor::reshape`]), because it recycles them when it drops: a
-    /// learner that records one tape per row block would otherwise feed
-    /// the pool a set of buffers per block that nothing ever takes out.
-    pub fn bind(&self, tape: &Tape) -> MlpBinding {
-        let pooled = |p: &Tensor| tape.var(p.reshape(p.shape()).expect("same shape, same volume"));
-        let params = self.layers.iter().flat_map(|l| [pooled(&l.w), pooled(&l.b)]).collect();
-        MlpBinding {
-            params,
-            hidden_activation: self.hidden_activation,
-            output_activation: self.output_activation,
-        }
+    /// Lends the parameters to the tapes of one pass. Each weight and
+    /// bias moves, without a copy, into one shared handle that every
+    /// tape the pass records registers as it is ([`SharedMlp::bind`]),
+    /// and each weight gets one [`Panels`]: whichever block first needs
+    /// the weight's panels for `x·w` or `g·wᵀ` packs them, and every later
+    /// block reads them, so a pass packs each weight at most twice
+    /// however many row blocks it runs. The parameters move back, and the
+    /// panels go to the dropping thread's pool, when the [`SharedMlp`]
+    /// drops — on an error path too.
+    pub fn share(&mut self) -> SharedMlp<'_> {
+        let params = self
+            .layers
+            .iter_mut()
+            .map(|l| {
+                let (w, b) = (std::mem::take(&mut l.w), std::mem::take(&mut l.b));
+                (Rc::new(w), Rc::default(), Rc::new(b))
+            })
+            .collect();
+        SharedMlp { mlp: self, params }
     }
 
     /// Overwrites this module's parameters from another module of the same
@@ -299,6 +309,48 @@ impl PackedMlp {
     }
 }
 
+/// An [`Mlp`]'s parameters lent to one pass ([`Mlp::share`]): per layer
+/// the weight, its [`Panels`] and the bias, each one handle that every
+/// tape of the pass shares.
+pub struct SharedMlp<'a> {
+    mlp: &'a mut Mlp,
+    params: Vec<(Rc<Tensor>, Rc<Panels>, Rc<Tensor>)>,
+}
+
+impl SharedMlp<'_> {
+    /// Registers the parameters on `tape` for one differentiable step:
+    /// the shared handles themselves, no copy, each weight with its
+    /// panels ([`Tape::weight`]). A tape leaves a handle someone else
+    /// holds to its holder, so these are neither recycled nor copied
+    /// when the tape drops.
+    pub fn bind(&self, tape: &Tape) -> MlpBinding {
+        let params = self
+            .params
+            .iter()
+            .flat_map(|(w, panels, b)| {
+                [tape.weight(Rc::clone(w), Rc::clone(panels)), tape.var(Rc::clone(b))]
+            })
+            .collect();
+        MlpBinding {
+            params,
+            hidden_activation: self.mlp.hidden_activation,
+            output_activation: self.mlp.output_activation,
+        }
+    }
+}
+
+impl Drop for SharedMlp<'_> {
+    /// Moves the parameters back. A handle a tape or a [`Var::value`]
+    /// still holds is copied instead: the module gets its values either
+    /// way.
+    fn drop(&mut self) {
+        let back = |p: Rc<Tensor>| Rc::try_unwrap(p).unwrap_or_else(|p| (*p).clone());
+        for (layer, (w, _panels, b)) in self.mlp.layers.iter_mut().zip(self.params.drain(..)) {
+            (layer.w, layer.b) = (back(w), back(b));
+        }
+    }
+}
+
 /// An [`Mlp`] whose parameters are live variables on a tape.
 pub struct MlpBinding {
     params: Vec<Var>,
@@ -375,8 +427,10 @@ mod tests {
         let mlp = Mlp::new(&[3, 5, 2], Activation::Relu, Activation::Linear, &mut r);
         let x = Tensor::from_vec(vec![0.1, -0.2, 0.3, 0.5, 0.5, -0.5], &[2, 3]).unwrap();
         let plain = mlp.infer(&x).unwrap();
+        let mut shared = mlp.clone();
+        let shared = shared.share();
         let tape = Tape::new();
-        let binding = mlp.bind(&tape);
+        let binding = shared.bind(&tape);
         let traced = binding.forward(&tape.var(x)).unwrap().value();
         for (a, b) in plain.data().iter().zip(traced.data()) {
             assert!((a - b).abs() < 1e-6);
@@ -404,8 +458,10 @@ mod tests {
 
     /// Loss and gradients of `Σ forward(x)²` as bits.
     fn pass_bits(mlp: &Mlp, x: &Tensor, forward: impl Fn(&MlpBinding, &Var) -> Var) -> Vec<u32> {
+        let mut mlp = mlp.clone();
+        let shared = mlp.share();
         let tape = Tape::new();
-        let binding = mlp.bind(&tape);
+        let binding = shared.bind(&tape);
         let loss = forward(&binding, &tape.var(x.clone())).square().sum();
         let grads = tape.backward(&loss).unwrap();
         let mut bits: Vec<u32> = loss.value().data().iter().map(|v| v.to_bits()).collect();
@@ -425,8 +481,10 @@ mod tests {
         let mlp = Mlp::new(&[4, 8, 8, 2], Activation::Tanh, Activation::Linear, &mut r);
         let x =
             Tensor::from_vec((0..12).map(|i| (i as f32 * 0.3).sin()).collect(), &[3, 4]).unwrap();
+        let mut shared = mlp.clone();
+        let shared = shared.share();
         let tape = Tape::new();
-        let composed = composed_forward(&mlp.bind(&tape), &tape.var(x.clone())).value();
+        let composed = composed_forward(&shared.bind(&tape), &tape.var(x.clone())).value();
         assert_eq!(mlp.infer(&x).unwrap().data(), composed.data(), "fused infer diverged");
         let composed = pass_bits(&mlp, &x, composed_forward);
         assert_eq!(fused_bits(&mlp, &x), composed, "fused loss and grads diverged");
@@ -465,6 +523,92 @@ mod tests {
         });
     }
 
+    /// `(y per block, x's gradient per block, w's and b's gradients)` as
+    /// bits, of one `Linear` run over `x` in `block`-row tapes with the
+    /// loss `Σ y²`; `shared` registers the layer once for every tape
+    /// ([`Mlp::share`]), else each tape packs per product from a copy.
+    type LayerBits = (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>);
+
+    fn blocked_layer_bits(mlp: &mut Mlp, x: &Tensor, block: usize, shared: bool) -> LayerBits {
+        let bits = |v: &Tensor| v.data().iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let (rows, k) = (x.shape()[0], x.shape()[1]);
+        let act = mlp.output_activation.fused();
+        let copies = mlp.layers[0].clone();
+        let lent = shared.then(|| mlp.share());
+        let (mut ys, mut gxs, mut carried) = (Vec::new(), Vec::new(), Vec::new());
+        for lo in (0..rows).step_by(block) {
+            let hi = (lo + block).min(rows);
+            let tape = Tape::new();
+            let params = match &lent {
+                Some(lent) => lent.bind(&tape).params,
+                // Copies drawn from the pool the tape recycles them into.
+                None => {
+                    [&copies.w, &copies.b].map(|p| tape.var(p.reshape(p.shape()).unwrap())).into()
+                }
+            };
+            // Drawn from the pool the tape recycles it into.
+            let mut xb = crate::alloc::take_for_overwrite((hi - lo) * k);
+            xb.copy_from_slice(&x.data()[lo * k..hi * k]);
+            let xb = tape.var(Tensor::from_vec(xb, &[hi - lo, k]).unwrap());
+            let y = xb.linear(&params[0], &params[1], act).unwrap();
+            let onto = params.iter().zip(carried.drain(..)).collect();
+            let mut g = tape.backward_onto(&y.square().sum(), onto).unwrap();
+            ys.push(bits(&y.value()));
+            gxs.push(bits(g.get(xb.id()).unwrap()));
+            carried = params.iter().map(|p| g.take_or_zeros(p)).collect();
+        }
+        let grads = carried.iter().map(bits).collect();
+        carried.into_iter().for_each(Tensor::recycle);
+        (ys, gxs, grads)
+    }
+
+    /// One `Linear` recorded on several tapes that share its panels gives
+    /// the values and the `x`, `w` and `b` gradients of per-call packing
+    /// bit for bit: heads 1, 2 and 6 wide, a layer below
+    /// `PACK_MIN_FLOPS`, a wide one whose ragged last block falls under
+    /// it (and so reads panels it would not have packed), under both
+    /// backends. The parameters come back unchanged, and the caller's
+    /// pool settles: a pass returns the panels it packed.
+    #[test]
+    fn shared_panels_match_per_call_packing_bitwise() {
+        use crate::par::{self, Backend};
+        // (rows, block, fan_in, fan_out)
+        let shapes = [
+            (300, 128, 64, 1),
+            (300, 128, 64, 2),
+            (300, 128, 64, 6),
+            (40, 16, 8, 8),
+            (300, 128, 64, 40),
+            (600, 256, 96, 70),
+        ];
+        for (rows, block, k, n) in shapes {
+            let mut r = rng(k as u64 + n as u64);
+            let mut mlp = Mlp::new(&[k, n], Activation::Tanh, Activation::Tanh, &mut r);
+            let before = mlp.clone();
+            let x = Tensor::from_vec(
+                (0..rows * k).map(|i| (i as f32 * 0.013).sin()).collect(),
+                &[rows, k],
+            )
+            .unwrap();
+            for backend in [Backend::Scalar, Backend::Threaded] {
+                let what = format!("({rows} in {block}s, {k}, {n}) {backend:?}");
+                par::with_backend(backend, || {
+                    let per_call = blocked_layer_bits(&mut mlp, &x, block, false);
+                    let mut pooled = Vec::new();
+                    for pass in 0..3 {
+                        let got = blocked_layer_bits(&mut mlp, &x, block, true);
+                        assert_eq!(got.0, per_call.0, "{what}: values, pass {pass}");
+                        assert_eq!(got.1, per_call.1, "{what}: x gradients, pass {pass}");
+                        assert_eq!(got.2, per_call.2, "{what}: w and b gradients, pass {pass}");
+                        assert_eq!(mlp, before, "{what}: parameters after pass {pass}");
+                        pooled.push(crate::alloc::stats().pooled_elems);
+                    }
+                    assert_eq!(pooled[1], pooled[2], "{what}: the caller's pool must settle");
+                });
+            }
+        }
+    }
+
     #[test]
     fn packed_infer_is_bit_identical_to_plain_infer() {
         let mut r = rng(11);
@@ -485,15 +629,20 @@ mod tests {
     #[test]
     fn gradients_flow_to_all_params() {
         let mut r = rng(5);
-        let mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Linear, &mut r);
+        let mut mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Linear, &mut r);
+        let expect = mlp.clone();
+        let shared = mlp.share();
         let tape = Tape::new();
-        let binding = mlp.bind(&tape);
+        let binding = shared.bind(&tape);
         let x = tape.var(Tensor::from_vec(vec![1.0, -1.0], &[1, 2]).unwrap());
         let loss = binding.forward(&x).unwrap().square().sum();
         let grads = tape.backward(&loss).unwrap();
         let gs = binding.grads(&grads);
         assert_eq!(gs.len(), 4);
         assert!(gs.iter().any(|g| g.data().iter().any(|v| *v != 0.0)));
+        // Tape handles first, then the loan: nothing is left to copy.
+        drop((loss, x, binding, tape, shared));
+        assert_eq!(mlp, expect, "the parameters move back when the pass ends");
         for (g, p) in gs.iter().zip(mlp.params()) {
             assert_eq!(g.shape(), p.shape());
         }

@@ -7,6 +7,8 @@
 //! nodes onto exactly these functions, the same way the original system
 //! lowers onto MindSpore operators.
 
+use std::cell::OnceCell;
+
 use crate::error::TensorError;
 use crate::fastmath::{self, Unary};
 use crate::kernels;
@@ -208,15 +210,50 @@ fn continued_output(
 /// of a rollout run the unpacked row kernel.
 pub const PACK_MIN_FLOPS: usize = 64 * 64 * 64;
 
-/// Right operand of [`product`]: the three sources its panels come from.
+/// Rows of the left operand below which a row-major right operand is not
+/// packed, whatever [`PACK_MIN_FLOPS`] says: at `k = n = 256` one pack
+/// plus the tile overtakes the row kernel between 16 and 24 rows
+/// (EXPERIMENTS.md, "Each weight packed once a pass"), so an 8-row
+/// forward of a wide layer multiplies in place.
+pub const PACK_MIN_ROWS: usize = 24;
+
+/// The column panels of one weight `[k, n]`: `b` for `x · w`
+/// ([`kernels::pack_b`]) and `bt` for `g · wᵀ` ([`kernels::pack_bt`]),
+/// each packed by the first product that needs it and read by every
+/// product after it. Per-call packing is a fresh `Panels` used once; a
+/// learn pass hands every row block's products of one weight version
+/// the same `Panels` ([`crate::nn::SharedMlp`]), so each weight is
+/// packed once a pass. Whoever holds one pairs it with one weight
+/// version: the panels are not checked against the operand's values,
+/// only against its shape.
+///
+/// Panels come from the pool of the thread that packs them and go back,
+/// when the `Panels` drops, to the pool of the thread that drops it.
+#[derive(Debug, Default)]
+pub struct Panels {
+    b: OnceCell<kernels::PackedB>,
+    bt: OnceCell<kernels::PackedB>,
+}
+
+impl Drop for Panels {
+    fn drop(&mut self) {
+        for packed in [self.b.take(), self.bt.take()].into_iter().flatten() {
+            packed.recycle();
+        }
+    }
+}
+
+/// Right operand of [`product`]: the sources its panels come from.
 #[derive(Clone, Copy)]
 enum Rhs<'a> {
-    /// Row-major `[k, n]`: packed per call at or above
-    /// [`PACK_MIN_FLOPS`], multiplied in place below.
-    RowMajor(&'a [f32]),
-    /// Row-major `[n, k]`, the `b` of `a · bᵀ`: always packed per call
-    /// ([`kernels::pack_bt`]) — the pack is the transpose.
-    Transposed(&'a [f32]),
+    /// Row-major `[k, n]`: multiplied from its panels once they exist,
+    /// packed into them by a product at or above [`PACK_MIN_FLOPS`] and
+    /// [`PACK_MIN_ROWS`], multiplied in place below.
+    RowMajor(&'a [f32], &'a Panels),
+    /// Row-major `[n, k]`, the `b` of `a · bᵀ`: always multiplied from
+    /// its transposed panels, packed by the first product that reads them
+    /// — the pack is the transpose.
+    Transposed(&'a [f32], &'a Panels),
     /// Packed ahead of time, once per weight version, by a
     /// [`crate::nn::PackedMlp`].
     Packed(&'a kernels::PackedB),
@@ -231,10 +268,11 @@ enum Rhs<'a> {
 /// An output narrower than the kernel family's vector
 /// ([`kernels::MatKernel::lanes`]) runs on row lanes from whatever
 /// operand it has: a row-major one is never packed for it, whatever
-/// [`PACK_MIN_FLOPS`] says. A per-call pack happens once, before any
-/// in storage drawn from and returned to the thread-local pool. Every
-/// element accumulates over `k` in ascending order in either kernel,
-/// keeping them bit-exact with each other.
+/// [`PACK_MIN_FLOPS`] says. A pack happens once per [`Panels`], before
+/// any product that reads it, in storage drawn from the thread-local
+/// pool. Every element accumulates over `k` in ascending order in
+/// either kernel, keeping them bit-exact with each other: which one a
+/// product runs never moves a bit.
 /// Both kernels overwrite every element, so the output is not zeroed
 /// first.
 fn product(
@@ -243,25 +281,26 @@ fn product(
     rhs: Rhs<'_>,
     epilogue: impl FnOnce(&mut [f32]),
 ) -> Result<Tensor> {
-    let flops = m * k * n;
+    let worth_packing = m * k * n >= PACK_MIN_FLOPS && m >= PACK_MIN_ROWS;
     let narrow = n < kernels::select().lanes();
-    let transient = match rhs {
-        Rhs::RowMajor(bd) if flops >= PACK_MIN_FLOPS && !narrow => Some(kernels::pack_b(bd, k, n)),
-        Rhs::Transposed(bd) => Some(kernels::pack_bt(bd, k, n)),
-        Rhs::RowMajor(_) | Rhs::Packed(_) => None,
+    let packed = match rhs {
+        Rhs::RowMajor(bd, panels) => match panels.b.get() {
+            Some(bp) => Some(bp),
+            None if worth_packing && !narrow => {
+                Some(panels.b.get_or_init(|| kernels::pack_b(bd, k, n)))
+            }
+            None => None,
+        },
+        Rhs::Transposed(bd, panels) => Some(panels.bt.get_or_init(|| kernels::pack_bt(bd, k, n))),
+        Rhs::Packed(bp) => Some(bp),
     };
     let mut out = crate::alloc::take_for_overwrite(m * n);
-    match (transient.as_ref(), rhs) {
-        (Some(bp), _) | (None, Rhs::Packed(bp)) => {
-            kernels::matmul_packed_rows(ad, &mut out, k, n, bp);
-        }
-        (None, Rhs::RowMajor(bd)) => kernels::matmul_simd_rows(ad, &mut out, k, n, bd),
-        (None, Rhs::Transposed(_)) => unreachable!("a transposed operand is always packed"),
+    match (packed, rhs) {
+        (Some(bp), _) => kernels::matmul_packed_rows(ad, &mut out, k, n, bp),
+        (None, Rhs::RowMajor(bd, _)) => kernels::matmul_simd_rows(ad, &mut out, k, n, bd),
+        (None, _) => unreachable!("only a row-major operand runs unpacked"),
     }
     epilogue(&mut out);
-    if let Some(bp) = transient {
-        bp.recycle();
-    }
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -274,7 +313,7 @@ fn product(
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let ((m, k), (k2, n)) = (dims2("matmul", a)?, dims2("matmul", b)?);
     same_inner("matmul", (k, k2), a.shape(), b.shape())?;
-    product(a.data(), [m, k, n], Rhs::RowMajor(b.data()), |_| {})
+    product(a.data(), [m, k, n], Rhs::RowMajor(b.data(), &Panels::default()), |_| {})
 }
 
 /// Transposed-LHS product without materialising the transpose:
@@ -328,16 +367,17 @@ pub fn matmul_at_onto(a: &Tensor, b: &Tensor, carried: Option<Tensor>) -> Result
 /// `transpose(b)` ([`kernels::pack_bt`]) and the packed tile runs on
 /// them, so each output element is the dot product of row `i` of `a`
 /// and row `j` of `b` accumulated over `kk` ascending — bit-identical to
-/// `matmul(a, &transpose(b)?)`.
+/// `matmul(a, &transpose(b)?)`. The panels are `panels`' transposed
+/// ones, packed here unless an earlier product of `b` packed them.
 ///
 /// # Errors
 ///
 /// Returns the same rank/shape errors as [`matmul`] (shared second axis
 /// `p` plays the inner-dimension role).
-pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+pub fn matmul_bt(a: &Tensor, b: &Tensor, panels: &Panels) -> Result<Tensor> {
     let ((m, p), (n, p2)) = (dims2("matmul_bt", a)?, dims2("matmul_bt", b)?);
     same_inner("matmul_bt", (p, p2), a.shape(), b.shape())?;
-    product(a.data(), [m, p, n], Rhs::Transposed(b.data()), |_| {})
+    product(a.data(), [m, p, n], Rhs::Transposed(b.data(), panels), |_| {})
 }
 
 /// Activation selector for the fused linear kernel.
@@ -427,20 +467,25 @@ fn layer_dims(op: &'static str, x: &Tensor, w_shape: &[usize], b: &Tensor) -> Re
 /// accumulate, broadcast bias add, activation map) and round-trips two
 /// intermediate tensors through the allocator; here the bias+activation
 /// epilogue runs on the output while it is still cache-hot.
-/// Accumulation is [`matmul`]'s — the same [`PACK_MIN_FLOPS`] rule packs
-/// `w` once per call for the register tile — and the epilogue applies
-/// `act(v + b[j])` per element: the same floating-point sequence as the
-/// separate operators, so results are bit-identical.
+/// Accumulation is [`matmul`]'s — `w` is multiplied from `panels` when
+/// an earlier product packed them, else the [`PACK_MIN_FLOPS`] and
+/// [`PACK_MIN_ROWS`] rules decide whether this one packs them for the
+/// register tile — and the epilogue applies `act(v + b[j])` per element:
+/// the same floating-point sequence as the separate operators, so
+/// results are bit-identical. A caller with no panels to share passes a
+/// fresh [`Panels`]: the pack, if any, is per call.
 ///
 /// # Errors
 ///
 /// Returns the same rank/shape errors as [`matmul`], plus
 /// [`TensorError::ShapeMismatch`] when `b` is not a length-`n` vector.
-pub fn linear_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Act) -> Result<Tensor> {
+pub fn linear_act(x: &Tensor, w: &Tensor, panels: &Panels, b: &Tensor, act: Act) -> Result<Tensor> {
     let dims @ [_, _, n] = layer_dims("linear_act", x, w.shape(), b)?;
     msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
     let bd = b.data();
-    product(x.data(), dims, Rhs::RowMajor(w.data()), |chunk| act_epilogue(chunk, bd, n, act))
+    product(x.data(), dims, Rhs::RowMajor(w.data(), panels), |chunk| {
+        act_epilogue(chunk, bd, n, act)
+    })
 }
 
 /// [`linear_act`] against a pre-packed weight operand, for a
@@ -965,7 +1010,8 @@ mod tests {
         let x = t(&logits[..20], &[4, 5]);
         let w = t(&logits[40..], &[5, 4]);
         let b = t(&[0.1, f32::NAN, 0.2, 0.3], &[4]);
-        let head = softmax_rows(&linear_act(&x, &w, &b, Act::Linear).unwrap()).unwrap();
+        let head = softmax_rows(&linear_act(&x, &w, &Panels::default(), &b, Act::Linear).unwrap())
+            .unwrap();
         assert!(head.data().iter().all(|v| v.is_nan()), "{head:?}");
     }
 
@@ -1021,13 +1067,17 @@ mod tests {
 
     #[test]
     fn linear_act_matches_unfused_bitwise() {
-        // Below `PACK_MIN_FLOPS` (the unpacked row kernel) and above it
-        // (`w` packed per call: 70 columns are two panels and a 6-wide
-        // right edge, 70 rows leave a row remainder; 2 columns are the
-        // policy head; 4,100 columns make one output row longer than
-        // 16 KB).
-        for (m, k, n) in [(5, 4, 3), (3, 2, 4100), (70, 64, 70), (1100, 120, 2), (6, 32, 4100)] {
-            assert_eq!(m * k * n >= PACK_MIN_FLOPS, m > 5, "({m},{k},{n}) vs the pack rule");
+        // Below `PACK_MIN_FLOPS` or `PACK_MIN_ROWS` (the unpacked row
+        // kernel) and above both (`w` packed per call: 70 columns are two
+        // panels and a 6-wide right edge, 70 rows leave a row remainder;
+        // 2 columns are the policy head; 4,100 columns make one output
+        // row longer than 16 KB, on 6 rows under the row floor and 30
+        // over it).
+        let cases =
+            [(5, 4, 3), (3, 2, 4100), (70, 64, 70), (1100, 120, 2), (6, 32, 4100), (30, 32, 4100)];
+        for (m, k, n) in cases {
+            let packs = m * k * n >= PACK_MIN_FLOPS && m >= PACK_MIN_ROWS;
+            assert_eq!(packs, m > 6, "({m},{k},{n}) vs the pack rule");
             let x = t(&(0..m * k).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, k]);
             let w = t(&(0..k * n).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[k, n]);
             let b = t(&(0..n).map(|i| i as f32 - 1.0).collect::<Vec<_>>(), &[n]);
@@ -1036,7 +1086,7 @@ mod tests {
             assert_eq!(product.data(), &naive[..], "({m},{k},{n})");
             let pre = add(&product, &b).unwrap();
             for act in [Act::Relu, Act::Tanh, Act::Sigmoid, Act::Linear] {
-                let fused = linear_act(&x, &w, &b, act).unwrap();
+                let fused = linear_act(&x, &w, &Panels::default(), &b, act).unwrap();
                 let unfused = match act {
                     Act::Relu => relu(&pre),
                     Act::Tanh => tanh(&pre),
@@ -1060,7 +1110,7 @@ mod tests {
             let (m, n) = (9, 35);
             let a = t(&(0..m * p).map(|i| (i as f32 * 0.37).sin()).collect::<Vec<_>>(), &[m, p]);
             let b = t(&(0..n * p).map(|i| (i as f32 * 0.61).cos()).collect::<Vec<_>>(), &[n, p]);
-            let got = matmul_bt(&a, &b).unwrap();
+            let got = matmul_bt(&a, &b, &Panels::default()).unwrap();
             for i in 0..m {
                 for j in 0..n {
                     let mut dot = 0.0f32;
@@ -1078,10 +1128,12 @@ mod tests {
         let x = t(&[1.0, 2.0], &[1, 2]);
         let w = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = t(&[1.0, 2.0], &[2]);
-        assert!(linear_act(&x, &w, &b, Act::Linear).is_ok());
-        assert!(linear_act(&x, &w, &t(&[1.0], &[1]), Act::Linear).is_err());
-        assert!(linear_act(&x, &w, &t(&[1.0, 2.0], &[1, 2]), Act::Linear).is_err());
-        assert!(linear_act(&x, &t(&[1.0], &[1, 1]), &b, Act::Linear).is_err());
+        assert!(linear_act(&x, &w, &Panels::default(), &b, Act::Linear).is_ok());
+        assert!(linear_act(&x, &w, &Panels::default(), &t(&[1.0], &[1]), Act::Linear).is_err());
+        assert!(
+            linear_act(&x, &w, &Panels::default(), &t(&[1.0, 2.0], &[1, 2]), Act::Linear).is_err()
+        );
+        assert!(linear_act(&x, &t(&[1.0], &[1, 1]), &Panels::default(), &b, Act::Linear).is_err());
     }
 
     #[test]

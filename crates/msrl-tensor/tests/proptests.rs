@@ -262,7 +262,7 @@ proptest! {
         let a2 = Tensor::from_vec(av[..m * p].to_vec(), &[m, p]).unwrap();
         let b2 = Tensor::from_vec(bv[..n * p].to_vec(), &[n, p]).unwrap();
         let via_t2 = ops::matmul(&a2, &ops::transpose(&b2).unwrap()).unwrap();
-        let (s2, t2) = on_both_backends(|| ops::matmul_bt(&a2, &b2).unwrap());
+        let (s2, t2) = on_both_backends(|| ops::matmul_bt(&a2, &b2, &ops::Panels::default()).unwrap());
         prop_assert_eq!(&s2, &t2);
         prop_assert_eq!(&s2, &via_t2);
         // And the transposed pack against the naive loop on the
@@ -317,10 +317,10 @@ proptest! {
         let (s, t) = on_both_backends(|| ops::matmul(&a, &b).unwrap());
         prop_assert_eq!(bits(s.data()), bits(t.data()));
         prop_assert_eq!(bits(s.data()), bits(&product));
-        let (s, t) = on_both_backends(|| ops::matmul_bt(&a, &bt).unwrap());
+        let (s, t) = on_both_backends(|| ops::matmul_bt(&a, &bt, &ops::Panels::default()).unwrap());
         prop_assert_eq!(bits(s.data()), bits(t.data()));
         prop_assert_eq!(bits(s.data()), bits(&product));
-        let (s, t) = on_both_backends(|| ops::linear_act(&a, &b, &bias, act).unwrap());
+        let (s, t) = on_both_backends(|| ops::linear_act(&a, &b, &ops::Panels::default(), &bias, act).unwrap());
         prop_assert_eq!(bits(s.data()), bits(t.data()));
         prop_assert_eq!(bits(s.data()), bits(&activated));
     }
@@ -506,7 +506,7 @@ proptest! {
         for (f, e) in fast_s.data().iter().zip(&exact) {
             prop_assert!((f - e).abs() < 1e-5, "fast={f} exact={e}");
         }
-        let fused = ops::softmax_rows(&ops::linear_act(&x, &w, &b, ops::Act::Linear).unwrap()).unwrap();
+        let fused = ops::softmax_rows(&ops::linear_act(&x, &w, &ops::Panels::default(), &b, ops::Act::Linear).unwrap()).unwrap();
         let unfused =
             ops::softmax_rows(&ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap()).unwrap();
         prop_assert_eq!(fused, unfused);
@@ -525,7 +525,7 @@ proptest! {
         let b = Tensor::from_vec(bv[..n].to_vec(), &[n]).unwrap();
         let act = if which == 0 { ops::Act::Tanh } else { ops::Act::Sigmoid };
         let ((fused_s, unfused), (fused_t, _)) = on_both_backends(|| {
-            let fused = ops::linear_act(&x, &w, &b, act).unwrap();
+            let fused = ops::linear_act(&x, &w, &ops::Panels::default(), &b, act).unwrap();
             let lin = ops::add(&ops::matmul(&x, &w).unwrap(), &b).unwrap();
             let unfused = if which == 0 { ops::tanh(&lin) } else { ops::sigmoid(&lin) };
             (fused, unfused)
