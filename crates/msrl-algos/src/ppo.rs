@@ -15,9 +15,10 @@ use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::{Tape, Var};
 use msrl_tensor::dist::{categorical_stats, gaussian_stats, Categorical, DiagGaussian};
-use msrl_tensor::nn::{Activation, Mlp, PackedMlp};
+use msrl_tensor::nn::{Activation, Mlp};
+use msrl_tensor::ops::{self, Panels};
 use msrl_tensor::optim::{clip_grad_norm, Adam, Optimizer};
-use msrl_tensor::{init, ops, Tensor};
+use msrl_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,9 +171,9 @@ impl PpoPolicy {
         self.act_with(obs, rng, None)
     }
 
-    /// [`PpoPolicy::act`], optionally over a pre-packed weight snapshot
-    /// (the batched-rollout fast path). The packed forward replays the
-    /// same fused per-layer arithmetic, so both paths are bit-identical.
+    /// [`PpoPolicy::act`], optionally over this policy's packed weights
+    /// (the rollout fast path). The packed forward replays the same fused
+    /// per-layer arithmetic, so both paths are bit-identical.
     ///
     /// # Errors
     ///
@@ -212,10 +213,7 @@ impl PpoPolicy {
     ///
     /// Returns an error on malformed observations.
     pub fn head_with(&self, obs: &Tensor, packed: Option<&PackedPpo>) -> Result<Tensor> {
-        Ok(match packed {
-            Some(p) => p.actor.infer(obs)?,
-            None => self.actor.infer(obs)?,
-        })
+        Ok(self.actor.infer_with(obs, packed.map(|p| &p.actor[..]))?)
     }
 
     /// The critic of [`PpoPolicy::forward_with`] alone, `[batch]`.
@@ -224,10 +222,7 @@ impl PpoPolicy {
     ///
     /// Returns an error on malformed observations.
     pub fn values_with(&self, obs: &Tensor, packed: Option<&PackedPpo>) -> Result<Tensor> {
-        let values = match packed {
-            Some(p) => p.critic.infer(obs)?,
-            None => self.critic.infer(obs)?,
-        };
+        let values = self.critic.infer_with(obs, packed.map(|p| &p.critic[..]))?;
         Ok(values.reshape(&[obs.shape()[0]])?)
     }
 
@@ -276,94 +271,47 @@ impl PpoPolicy {
     }
 }
 
-/// A policy's weights packed into the kernel tier's panel layout —
-/// one `pack_b` per layer per weight version, amortized over every
-/// rollout forward until the next weight sync.
+/// A policy's weights packed into the kernel tier's panel layout: one
+/// [`Panels::packed`] per actor and critic weight, paid once per weight
+/// version and read by every rollout forward until the next change.
+/// It holds no bias and no weight values: it is read against the
+/// policy it was packed from ([`PpoPolicy::forward_with`]), whose
+/// outputs it keeps bit for bit while every layer, the narrow heads and
+/// the small per-step batches included, runs the packed tile.
 pub struct PackedPpo {
-    actor: PackedMlp,
-    critic: PackedMlp,
+    actor: Vec<Panels>,
+    critic: Vec<Panels>,
 }
 
 impl PackedPpo {
-    /// Packs both heads of a policy snapshot.
+    /// Packs every weight of both heads of `p`.
     pub fn pack(p: &PpoPolicy) -> Self {
-        PackedPpo { actor: p.actor.pack(), critic: p.critic.pack() }
-    }
-
-    /// Re-packs `p`'s current weights into this snapshot's panels, in
-    /// place ([`PackedMlp::repack`]).
-    pub fn repack(&mut self, p: &PpoPolicy) {
-        self.actor.repack(&p.actor);
-        self.critic.repack(&p.critic);
-    }
-}
-
-/// The weights a seat acts with: a [`PackedPpo`] of its policy, packed
-/// on first use and, after every weight change the seat reports with
-/// [`ActingSnapshot::invalidate`], re-packed in place — the same panels
-/// for the whole run, one pack per layer per weight version. Every
-/// rollout forward of a version is then a panel sweep: the small
-/// per-step batches (`[16, 64] · [64, 64]` is below
-/// `msrl_tensor::ops::PACK_MIN_FLOPS`) stop running the unpacked row
-/// kernel, and the tall ones stop packing per call. Outputs are
-/// bit-identical to the unpacked forward.
-#[derive(Default)]
-pub struct ActingSnapshot {
-    packed: Option<PackedPpo>,
-    fresh: bool,
-    generation: u64,
-}
-
-impl ActingSnapshot {
-    /// The snapshot of `policy`'s weights, re-packed first if they
-    /// changed since.
-    pub fn of(&mut self, policy: &PpoPolicy) -> &PackedPpo {
-        if !self.fresh {
-            if let Some(packed) = &mut self.packed {
-                packed.repack(policy);
-            }
-            self.fresh = true;
-            self.generation += 1;
-        }
-        self.packed.get_or_insert_with(|| PackedPpo::pack(policy))
-    }
-
-    /// The weights changed: the next [`ActingSnapshot::of`] re-packs.
-    pub fn invalidate(&mut self) {
-        self.fresh = false;
-    }
-
-    /// Whether the snapshot holds the current weights.
-    pub fn is_fresh(&self) -> bool {
-        self.fresh
-    }
-
-    /// How many weight versions have been packed.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        let pack = |m: &Mlp| m.layers.iter().map(|l| Panels::packed(&l.w)).collect();
+        PackedPpo { actor: pack(&p.actor), critic: pack(&p.critic) }
     }
 }
 
 /// The data-collection half of PPO (`Actor.act()` in the paper's API):
-/// a policy replica acting through an [`ActingSnapshot`] of its weights,
-/// which a weight sync ([`Actor::set_policy_params`]) invalidates.
+/// a policy replica acting through a [`PackedPpo`] of its weights,
+/// packed on the first act after a weight change; a sync that changes
+/// them ([`Actor::set_policy_params`]) drops it.
 pub struct PpoActor {
     /// The (replicated) policy.
     pub policy: PpoPolicy,
     rng: StdRng,
-    snapshot: ActingSnapshot,
+    packed: Option<PackedPpo>,
 }
 
 impl PpoActor {
     /// Creates an actor over a policy replica.
     pub fn new(policy: PpoPolicy, seed: u64) -> Self {
-        PpoActor { policy, rng: StdRng::seed_from_u64(seed), snapshot: ActingSnapshot::default() }
+        PpoActor { policy, rng: StdRng::seed_from_u64(seed), packed: None }
     }
 }
 
 impl Actor for PpoActor {
     fn act(&mut self, obs: &Tensor) -> Result<ActOutput> {
-        let packed = self.snapshot.of(&self.policy);
+        let packed = self.packed.get_or_insert_with(|| PackedPpo::pack(&self.policy));
         self.policy.act_with(obs, &mut self.rng, Some(packed))
     }
 
@@ -373,26 +321,24 @@ impl Actor for PpoActor {
 
     fn set_policy_params(&mut self, flat: &[f32]) -> Result<()> {
         // A sync carrying the weights the actor already holds (a
-        // re-broadcast of the same epoch) must not invalidate the
-        // packed snapshot — repacking is the expensive half of the
-        // batched fast path, and the partial-update path can deliver
-        // the same version more than once.
-        if self.snapshot.is_fresh() && self.policy.holds(flat) {
+        // re-broadcast of the same epoch) keeps the packed weights: the
+        // partial-update path can deliver the same version more than once.
+        if self.packed.is_some() && self.policy.holds(flat) {
             return Ok(());
         }
-        self.snapshot.invalidate();
+        self.packed = None;
         self.policy.unflatten(flat)
     }
 }
 
 /// A seat that acts and learns on one copy of the weights: a
 /// [`PpoLearner`] that acts, as a [`PpoActor`] with the same seed does,
-/// through an [`ActingSnapshot`] of its own policy. Every mutable
-/// reach into the learner ([`PpoAgent::learner_mut`]) invalidates the
-/// snapshot, so there is no second policy to re-sync after an update.
+/// through a [`PackedPpo`] of its own policy. Every mutable reach into
+/// the learner ([`PpoAgent::learner_mut`]) drops the packed weights, so
+/// there is no second policy to re-sync after an update.
 pub struct PpoAgent {
     learner: PpoLearner,
-    snapshot: ActingSnapshot,
+    packed: Option<PackedPpo>,
     rng: StdRng,
 }
 
@@ -400,7 +346,7 @@ impl PpoAgent {
     /// An agent training `policy` under `cfg`, sampling from `seed`.
     pub fn new(policy: PpoPolicy, cfg: PpoConfig, seed: u64) -> Self {
         let (learner, rng) = (PpoLearner::new(policy, cfg), StdRng::seed_from_u64(seed));
-        PpoAgent { learner, snapshot: ActingSnapshot::default(), rng }
+        PpoAgent { learner, packed: None, rng }
     }
 
     /// The learner, to read.
@@ -408,17 +354,17 @@ impl PpoAgent {
         &self.learner
     }
 
-    /// The learner, to train or overwrite: the next act re-packs.
+    /// The learner, to train or overwrite: the next act packs again.
     pub fn learner_mut(&mut self) -> &mut PpoLearner {
-        self.snapshot.invalidate();
+        self.packed = None;
         &mut self.learner
     }
 
-    /// The policy, its packed snapshot and the generator, for a seat that
+    /// The policy, its packed weights and the generator, for a seat that
     /// splits a step into head, sampling and critic.
     pub fn acting(&mut self) -> (&PpoPolicy, &PackedPpo, &mut StdRng) {
-        let packed = self.snapshot.of(&self.learner.policy);
-        (&self.learner.policy, packed, &mut self.rng)
+        let policy = &self.learner.policy;
+        (policy, self.packed.get_or_insert_with(|| PackedPpo::pack(policy)), &mut self.rng)
     }
 }
 
@@ -931,22 +877,22 @@ mod tests {
         let policy = PpoPolicy::discrete(4, 3, &[32, 32], 5);
         let obs =
             Tensor::from_vec((0..24).map(|i| (i as f32 * 0.21).sin()).collect(), &[6, 4]).unwrap();
-        // Same seed → same sampling stream; the actor's packed snapshot
+        // Same seed → same sampling stream; the actor's packed weights
         // vs the per-call forward: actions, log-probs and values must
         // agree bitwise.
         let mut actor = PpoActor::new(policy.clone(), 9);
         let packed = actor.act(&obs).unwrap();
-        assert!(actor.snapshot.is_fresh(), "acting packs");
+        assert!(actor.packed.is_some(), "acting packs");
         let per_call = policy.act(&obs, &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(packed.actions.data(), per_call.actions.data());
         assert_eq!(packed.log_probs.data(), per_call.log_probs.data());
         assert_eq!(packed.values.unwrap().data(), per_call.values.unwrap().data());
-        // A weight sync carrying *new* weights invalidates the
-        // snapshot; the next act repacks, in place, every weight and bias
-        // of both heads: it acts as a policy built on those weights does.
+        // A weight sync carrying *new* weights drops the packed weights;
+        // the next act packs every weight of both heads again: it acts as
+        // a policy built on those weights does.
         let mut actor = PpoActor::new(policy.clone(), 9);
         actor.act(&obs).unwrap();
-        assert!(actor.snapshot.is_fresh());
+        assert!(actor.packed.is_some());
         let flat: Vec<f32> = actor
             .policy_params()
             .iter()
@@ -954,10 +900,9 @@ mod tests {
             .map(|(i, v)| v + 0.01 * (i % 7) as f32)
             .collect();
         actor.set_policy_params(&flat).unwrap();
-        assert!(!actor.snapshot.is_fresh(), "sync must drop the snapshot");
+        assert!(actor.packed.is_none(), "sync must drop the packed weights");
         let repacked = actor.act(&obs).unwrap();
-        assert!(actor.snapshot.is_fresh(), "next act must repack");
-        assert_eq!(actor.snapshot.generation(), 2);
+        assert!(actor.packed.is_some(), "next act must pack again");
         let mut synced = policy.clone();
         synced.unflatten(&flat).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
@@ -969,8 +914,8 @@ mod tests {
     }
 
     /// The partial-update gap: a sync that delivers the *identical*
-    /// epoch (a re-broadcast) must keep the packed snapshot — no
-    /// invalidation, and no repack on the next act.
+    /// epoch (a re-broadcast) must keep the packed weights, so the next
+    /// act does not pack (`tests/learn_alloc.rs` counts the packs).
     #[test]
     fn identical_weight_sync_does_not_repack() {
         let policy = PpoPolicy::discrete(4, 3, &[16, 16], 7);
@@ -978,26 +923,24 @@ mod tests {
             Tensor::from_vec((0..16).map(|i| (i as f32 * 0.3).cos()).collect(), &[4, 4]).unwrap();
         let mut actor = PpoActor::new(policy, 11);
         actor.act(&obs).unwrap();
-        assert!(actor.snapshot.is_fresh());
+        assert!(actor.packed.is_some());
         let flat = actor.policy_params();
-        assert_eq!(actor.snapshot.generation(), 1);
         actor.set_policy_params(&flat).unwrap();
-        assert!(actor.snapshot.is_fresh(), "identical sync keeps the snapshot");
+        assert!(actor.packed.is_some(), "identical sync keeps the packed weights");
         actor.act(&obs).unwrap();
-        assert_eq!(actor.snapshot.generation(), 1, "identical sync must not repack");
-        // A genuinely new epoch still invalidates.
+        // A genuinely new epoch still drops them.
         let mut changed = flat.clone();
         changed[1] -= 0.25;
         actor.set_policy_params(&changed).unwrap();
-        assert!(!actor.snapshot.is_fresh());
+        assert!(actor.packed.is_none(), "changed sync must drop the packed weights");
         actor.act(&obs).unwrap();
-        assert_eq!(actor.snapshot.generation(), 2, "changed sync must repack");
+        assert!(actor.packed.is_some());
     }
 
     /// The single-copy seat acts on its learner's current weights: after
     /// `apply_grads`, `learn` and `set_policy_params` alike it draws what
     /// a `PpoActor` synced to those weights draws from the same seed, bit
-    /// for bit: the snapshot is re-packed, not left on the old weights.
+    /// for bit: the weights are packed again, not left on the old ones.
     #[test]
     fn agent_acts_on_the_weights_it_learned() {
         for policy in

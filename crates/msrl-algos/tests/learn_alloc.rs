@@ -1,4 +1,5 @@
-//! Exact allocation counts of one steady-state `PpoLearner::learn`.
+//! Exact allocation counts of one steady-state `PpoLearner::learn`, and
+//! the exact weight packs of acting.
 //!
 //! The tape shares its values and hands every dead buffer back to the
 //! tensor pool, so once the pool is warm a learn pass allocates little
@@ -16,8 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use msrl_algos::ppo::{PpoConfig, PpoLearner, PpoPolicy};
-use msrl_core::api::{Learner, SampleBatch};
+use msrl_algos::ppo::{PpoActor, PpoAgent, PpoConfig, PpoLearner, PpoPolicy};
+use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_tensor::alloc::PoolStats;
 use msrl_tensor::{alloc, par, Tensor};
 use rand::rngs::StdRng;
@@ -87,6 +88,13 @@ fn counted(f: impl FnOnce()) -> Counts {
         bytes: BYTES.load(Ordering::Relaxed),
         big_calls: BIG_CALLS.load(Ordering::Relaxed),
     }
+}
+
+/// The `tensor.pack_b` calls of `f`, on every thread.
+fn packs_of(f: impl FnOnce()) -> u64 {
+    let before = msrl_telemetry::counter_total("tensor.pack_b");
+    f();
+    msrl_telemetry::counter_total("tensor.pack_b") - before
 }
 
 /// The caller's pool first, then every helper's.
@@ -218,11 +226,12 @@ fn steady_state_learn_allocates_within_bounds() {
         let mut learner = PpoLearner::new(shape.policy, PpoConfig::default());
         learner.learn(&batch).expect("warm-up learn");
         learner.learn(&batch).expect("second learn");
-        let packs = msrl_telemetry::counter_total("tensor.pack_b");
-        let third = counted(|| {
-            learner.learn(&batch).expect("third learn");
+        let mut third = Counts::default();
+        let packs = packs_of(|| {
+            third = counted(|| {
+                learner.learn(&batch).expect("third learn");
+            });
         });
-        let packs = msrl_telemetry::counter_total("tensor.pack_b") - packs;
         let after_third = pools();
         learner.learn(&batch).expect("fourth learn");
         let after_fourth = pools();
@@ -272,6 +281,30 @@ fn steady_state_learn_allocates_within_bounds() {
             shape.max_total_high_water_elems
         );
     }
+    // Acting packs each weight of both heads once per weight version
+    // (`PackedPpo`): a changed sync or a reach into the learner drops the
+    // panels, and only the next act packs them again, every layer — the
+    // 2-wide and 1-wide heads and the 16-row batch included, which a
+    // per-call forward would not pack. A count that moves means acting
+    // packs per call again, or keeps panels across a weight change.
+    let policy = PpoPolicy::discrete(4, 2, &[64, 64], 1);
+    let layers = (policy.actor.layers.len() + policy.critic.layers.len()) as u64;
+    let obs = Tensor::from_vec((0..16 * 4).map(|i| (i as f32 * 0.1).sin()).collect(), &[16, 4])
+        .expect("obs shape");
+    let mut actor = PpoActor::new(policy.clone(), 3);
+    let flat = actor.policy_params();
+    let changed: Vec<f32> = flat.iter().map(|v| v * 0.5).collect();
+    assert_eq!(packs_of(|| drop(actor.act(&obs))), layers, "PpoActor: first act");
+    assert_eq!(packs_of(|| drop(actor.act(&obs))), 0, "PpoActor: act on packed weights");
+    actor.set_policy_params(&changed).expect("changed sync");
+    assert_eq!(packs_of(|| drop(actor.act(&obs))), layers, "PpoActor: act after a changed sync");
+    actor.set_policy_params(&changed).expect("identical sync");
+    assert_eq!(packs_of(|| drop(actor.act(&obs))), 0, "PpoActor: act after an identical sync");
+    let mut agent = PpoAgent::new(policy, PpoConfig::default(), 3);
+    assert_eq!(packs_of(|| drop(agent.act(&obs))), layers, "PpoAgent: first act");
+    assert_eq!(packs_of(|| drop(agent.act(&obs))), 0, "PpoAgent: act on packed weights");
+    agent.learner_mut();
+    assert_eq!(packs_of(|| drop(agent.act(&obs))), layers, "PpoAgent: act after learner_mut()");
     alloc::clear();
     par::on_helpers(alloc::clear);
 }

@@ -314,13 +314,6 @@ fn msrl_wire_decode(wire: &[f32]) -> Result<SampleBatch> {
     })
 }
 
-/// Counts the work the MSRL side does for the same rollout volume —
-/// *batched* inference (one fused call per step) and parallel env
-/// stepping — for the mechanism comparison of Fig. 9a.
-pub fn msrl_equivalent_infer_calls(steps_per_iter: usize, iterations: usize) -> u64 {
-    (steps_per_iter * iterations) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +343,6 @@ mod tests {
         // calls (MSRL would do 10 fused calls).
         assert_eq!(actor.env_steps.get(), 30);
         assert_eq!(actor.infer_calls.get(), 30);
-        assert_eq!(msrl_equivalent_infer_calls(10, 1), 10);
     }
 
     #[test]

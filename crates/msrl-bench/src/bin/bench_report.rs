@@ -58,7 +58,8 @@ use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 use msrl_tensor::autograd::{Tape, Var};
 use msrl_tensor::nn::{Activation, Mlp, MlpBinding};
-use msrl_tensor::{init, ops, par, Backend, Tensor};
+use msrl_tensor::ops::{self, Panels};
+use msrl_tensor::{init, par, Backend, Tensor};
 
 /// Median ns/iter of `f` over `samples` timed samples, auto-scaling the
 /// per-sample iteration count to ~2 ms (mirrors the criterion shim).
@@ -439,8 +440,9 @@ struct Transcendentals {
     /// `softmax_rows` on [512, 64].
     softmax_ns: f64,
     /// The batched rollout forward on the e2e policy shape — a tanh
-    /// [17, 32, 32, 6] MLP over 128 actors' rows through the pack
-    /// cache; the tanh epilogue dominates it.
+    /// [17, 32, 32, 6] MLP over 128 actors' rows on panels packed once
+    /// (`Panels::packed`), as an acting seat holds them; the tanh
+    /// epilogue dominates it.
     rollout_tanh_ns: f64,
 }
 
@@ -472,15 +474,15 @@ fn transcendental_cost() -> Transcendentals {
             .expect("shape matches");
     let mut rng = init::rng(42);
     let mlp = Mlp::new(&[17, 32, 32, 6], Activation::Tanh, Activation::Linear, &mut rng);
-    let packed = mlp.pack();
+    let panels: Vec<Panels> = mlp.layers.iter().map(|l| Panels::packed(&l.w)).collect();
     let big = rollout_block();
     par::with_backend(Backend::Scalar, || {
         let mut softmax_ns = f64::INFINITY;
         let mut rollout_tanh_ns = f64::INFINITY;
         for _ in 0..5 {
             softmax_ns = softmax_ns.min(time_ns(3, || ops::softmax_rows(&s).expect("rank 2")));
-            rollout_tanh_ns =
-                rollout_tanh_ns.min(time_ns(3, || packed.infer(&big).expect("shapes conform")));
+            rollout_tanh_ns = rollout_tanh_ns
+                .min(time_ns(3, || mlp.infer_with(&big, Some(&panels)).expect("shapes conform")));
         }
         Transcendentals { softmax_ns, rollout_tanh_ns }
     })

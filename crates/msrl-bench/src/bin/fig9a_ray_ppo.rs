@@ -14,6 +14,7 @@ use msrl_bench::{banner, series};
 use msrl_env::cartpole::CartPole;
 use msrl_runtime::exec::{run_dp_a, DistPpoConfig};
 use msrl_sim::scenarios::{local, msrl_ppo_episode, raylike_ppo_episode, PpoWorkload};
+use msrl_telemetry::counter_total;
 
 fn main() {
     msrl_bench::backend_or_exit();
@@ -46,16 +47,17 @@ fn main() {
         seed: 0,
         ..DistPpoConfig::default()
     };
-    let t0 = Instant::now();
+    let (t0, steps) = (Instant::now(), counter_total("env.steps"));
     let _msrl = run_dp_a(|a, i| CartPole::new((a * 5 + i) as u64), &dist).expect("msrl run");
     let msrl_wall = t0.elapsed().as_secs_f64();
+    // Each actor runs one batched forward per step of its environments.
+    let fused = (counter_total("env.steps") - steps) / dist.envs_per_actor as u64;
     println!(
         "Ray-like: wall {ray_wall:.2}s, env_steps {}, unbatched inference calls {}",
         ray.env_steps, ray.infer_calls
     );
     println!(
-        "MSRL DP-A: wall {msrl_wall:.2}s, fused inference calls {} ({}× fewer launches)",
-        64 * 10,
-        ray.infer_calls / (64 * 10)
+        "MSRL DP-A: wall {msrl_wall:.2}s, fused inference calls {fused} ({}× fewer launches)",
+        ray.infer_calls / fused.max(1)
     );
 }

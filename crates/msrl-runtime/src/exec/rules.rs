@@ -27,7 +27,7 @@ use crate::wire::{decode_batch, encode_batch};
 // round trip per step.
 //
 // The round trip waits only on what the actions need: the learner runs
-// the policy head over a packed snapshot of the iteration's weights,
+// the policy head over the iteration's weights, packed once (`PackedPpo`),
 // samples and sends. The critic over the same rows, which only GAE
 // reads, and the recording of the previous step's transitions run while
 // the actors step their environments. Rows are independent and the

@@ -204,7 +204,7 @@ mod dp_b {
             .unwrap()
         }
 
-        /// The shipped DP-B round trip (a packed acting snapshot, the
+        /// The shipped DP-B round trip (packed acting panels, the
         /// critic and the recording in the shadow of the env step) trains
         /// exactly what acting, valuing and recording one step at a time
         /// trains: `p` actors × `n` environments each, CartPole and one

@@ -6,10 +6,9 @@
 //! output, which bounds it at one scalar fused multiply–add per element
 //! per pass. The kernels here restructure the
 //! *memory layout and instruction schedule only*: `b` is packed once
-//! into [`PackedB`] column panels ([`NR`][PackedB::nr] columns wide,
-//! k-major within each panel, zero-padded at the right edge), and the
-//! microkernel holds an `MR × NR` accumulator tile in registers while
-//! sweeping `k`.
+//! into [`PackedB`] column panels (`NR` columns wide, k-major within
+//! each panel, zero-padded at the right edge), and the microkernel
+//! holds an `MR × NR` accumulator tile in registers while sweeping `k`.
 //!
 //! # Why the results are bit-identical to the naive kernel
 //!
@@ -157,36 +156,10 @@ pub struct PackedB {
     data: Vec<f32>,
     k: usize,
     n: usize,
-    nr: usize,
     kernel: MatKernel,
 }
 
 impl PackedB {
-    /// Rows of the packed matrix (`b.shape()[0]`).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Columns of the packed matrix (`b.shape()[1]`).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Panel width in columns.
-    pub fn nr(&self) -> usize {
-        self.nr
-    }
-
-    /// Packed storage footprint in elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the packed matrix has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Consumes the pack, returning its panels to the thread-local
     /// buffer pool they were drawn from ([`crate::alloc`]) — what keeps
     /// a per-call pack from allocating in steady state.
@@ -197,8 +170,9 @@ impl PackedB {
 
 /// Packs a row-major `[k, n]` matrix into [`PackedB`] panels for this
 /// host's microkernel. Cost is one copy of `b`, paid once per weight
-/// version by a [`crate::nn::PackedMlp`] (or once per call for ad-hoc
-/// large products); the microkernel then reads panels sequentially.
+/// version by whoever holds its [`crate::ops::Panels`] (a learn pass, an
+/// acting seat) or once per call for an ad-hoc large product; the
+/// microkernel then reads panels sequentially.
 ///
 /// # Panics
 ///
@@ -220,61 +194,39 @@ pub fn pack_bt(bd: &[f32], k: usize, n: usize) -> PackedB {
     pack_for(select(), bd, k, n, true)
 }
 
-/// Packs for a named tile family. Private: [`matmul_packed_rows`] runs
-/// the family a pack records, so only [`select`]'s answer (or, in tests,
-/// a family whose CPU feature was just detected) may be passed.
+/// Packs `bd` (row-major `[k, n]`, or `[n, k]` when `transposed`) for
+/// a named tile family. Private: [`matmul_packed_rows`] runs the family
+/// a pack records, so only [`select`]'s answer (or, in tests, a family
+/// whose CPU feature was just detected) may be passed.
 fn pack_for(kernel: MatKernel, bd: &[f32], k: usize, n: usize, transposed: bool) -> PackedB {
     let nr = dispatch!(kernel, V => V::NR);
+    assert!(bd.len() >= k * n, "pack: operand extents");
+    msrl_telemetry::static_counter!("tensor.pack_b").add(1);
     // Zeroed, not merely pooled: the right-edge padding is multiplied.
-    let data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
-    let mut packed = PackedB { data, k, n, nr, kernel };
-    packed.fill(bd, transposed);
-    packed
-}
-
-impl PackedB {
-    /// Packs a new row-major `[k, n]` matrix of this pack's shape into
-    /// the panels it already holds: one copy of `b`, as [`pack_b`], and
-    /// no allocation. The right-edge padding keeps the zeros it was packed
-    /// with. What a snapshot packed once per weight version does when
-    /// the next version arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bd` is shorter than `k × n`.
-    pub(crate) fn repack(&mut self, bd: &[f32]) {
-        self.fill(bd, false);
-    }
-
-    /// Writes every real element of the panels from `bd` (row-major
-    /// `[k, n]`, or `[n, k]` when `transposed`).
-    fn fill(&mut self, bd: &[f32], transposed: bool) {
-        let (k, n, nr) = (self.k, self.n, self.nr);
-        assert!(bd.len() >= k * n, "pack: operand extents");
-        msrl_telemetry::static_counter!("tensor.pack_b").add(1);
-        for p in 0..n.div_ceil(nr) {
-            let j0 = p * nr;
-            let w = nr.min(n - j0);
-            let panel = &mut self.data[p * k * nr..(p + 1) * k * nr];
-            if transposed {
-                // A cache line of each source row at a time, so the block's
-                // panel rows stay in L1 while every column visits them.
-                for kk0 in (0..k).step_by(16) {
-                    let kk1 = (kk0 + 16).min(k);
-                    for c in 0..w {
-                        let col = &bd[(j0 + c) * k + kk0..(j0 + c) * k + kk1];
-                        for (row, &v) in panel[kk0 * nr..kk1 * nr].chunks_exact_mut(nr).zip(col) {
-                            row[c] = v;
-                        }
+    let mut data = crate::alloc::take_zeroed(n.div_ceil(nr) * k * nr);
+    for p in 0..n.div_ceil(nr) {
+        let j0 = p * nr;
+        let w = nr.min(n - j0);
+        let panel = &mut data[p * k * nr..(p + 1) * k * nr];
+        if transposed {
+            // A cache line of each source row at a time, so the block's
+            // panel rows stay in L1 while every column visits them.
+            for kk0 in (0..k).step_by(16) {
+                let kk1 = (kk0 + 16).min(k);
+                for c in 0..w {
+                    let col = &bd[(j0 + c) * k + kk0..(j0 + c) * k + kk1];
+                    for (row, &v) in panel[kk0 * nr..kk1 * nr].chunks_exact_mut(nr).zip(col) {
+                        row[c] = v;
                     }
                 }
-            } else {
-                for kk in 0..k {
-                    panel[kk * nr..kk * nr + w].copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
-                }
+            }
+        } else {
+            for kk in 0..k {
+                panel[kk * nr..kk * nr + w].copy_from_slice(&bd[kk * n + j0..kk * n + j0 + w]);
             }
         }
     }
+    PackedB { data, k, n, kernel }
 }
 
 /// Computes the first `out_rows.len()/n` rows of `a × b` into

@@ -6,9 +6,10 @@
 //! plain [`Tensor`]s; to train, a module lends them to a pass
 //! ([`Mlp::share`]) and the pass binds them to each tape it records
 //! ([`SharedMlp::bind`]), which registers them as differentiable
-//! variables. Inference-only paths ([`Mlp::infer`]) skip the tape
-//! entirely — this mirrors the original system, where actor fragments
-//! run policy inference without building a gradient graph.
+//! variables. Inference-only paths ([`Mlp::infer`], [`Mlp::infer_with`]
+//! over panels an acting seat packed once per weight version) skip the
+//! tape entirely — this mirrors the original system, where actor
+//! fragments run policy inference without building a gradient graph.
 
 use std::rc::Rc;
 
@@ -133,20 +134,35 @@ impl Mlp {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Forward pass without gradients: `[batch, in] → [batch, out]`.
+    /// Forward pass without gradients: `[batch, in] → [batch, out]`,
+    /// each layer packing its weight per call if the product is worth it
+    /// ([`Mlp::infer_with`] without panels).
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        self.infer_with(x, None)
+    }
+
+    /// [`Mlp::infer`] over `panels`, when given: one [`Panels`] per layer,
+    /// of that layer's current weight (for acting, [`Panels::packed`]
+    /// once per weight version, so every layer runs the packed tile).
     ///
     /// Each layer runs as one fused matmul+bias+activation pass
     /// ([`ops::linear_act`], bit-identical to the three separate
-    /// operators) and the previous layer's intermediate is recycled
-    /// straight back to the buffer pool.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+    /// operators, packed or not) and the previous layer's intermediate is
+    /// recycled straight back to the buffer pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `panels` has fewer entries than there are layers, or
+    /// one of another shape than its layer's weight.
+    pub fn infer_with(&self, x: &Tensor, panels: Option<&[Panels]>) -> Result<Tensor> {
         let last = self.layers.len() - 1;
         let mut h: Option<Tensor> = None;
         for (i, layer) in self.layers.iter().enumerate() {
             let act = if i == last { self.output_activation } else { self.hidden_activation };
-            let (w, b) = (&layer.w, &layer.b);
+            let per_call = Panels::default();
+            let p = panels.map_or(&per_call, |p| &p[i]);
             let next =
-                ops::linear_act(h.as_ref().unwrap_or(x), w, &Panels::default(), b, act.fused())?;
+                ops::linear_act(h.as_ref().unwrap_or(x), &layer.w, p, &layer.b, act.fused())?;
             if let Some(dead) = h.replace(next) {
                 dead.recycle();
             }
@@ -234,78 +250,6 @@ impl Mlp {
             offset += n;
         }
         Ok(())
-    }
-
-    /// Packs every layer's weight into the kernel tier's panel layout
-    /// for repeated batched inference ([`PackedMlp::infer`]).
-    ///
-    /// One `pack_b` per layer, paid once per weight version and
-    /// amortized over every forward that follows — the one weight
-    /// tier-up runs use. The caller owns
-    /// invalidation: a [`PackedMlp`] is a snapshot of the weights at
-    /// pack time and must be rebuilt after any parameter update.
-    pub fn pack(&self) -> PackedMlp {
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                let (k, n) = (l.fan_in(), l.fan_out());
-                (crate::kernels::pack_b(l.w.data(), k, n), l.b.clone())
-            })
-            .collect();
-        PackedMlp {
-            layers,
-            hidden_activation: self.hidden_activation,
-            output_activation: self.output_activation,
-        }
-    }
-}
-
-/// An inference-only [`Mlp`] snapshot whose weights are pre-packed into
-/// the kernel tier's cache-blocked panels.
-///
-/// [`PackedMlp::infer`] mirrors the fused [`Mlp::infer`] loop exactly —
-/// same per-layer [`ops::linear_act_prepacked`] accumulation order, same
-/// intermediate recycling — so outputs are bit-identical to the plain
-/// module the snapshot was packed from.
-#[derive(Debug)]
-pub struct PackedMlp {
-    layers: Vec<(crate::kernels::PackedB, Tensor)>,
-    hidden_activation: Activation,
-    output_activation: Activation,
-}
-
-impl PackedMlp {
-    /// Re-packs `mlp`'s current weights into this snapshot's panels, in
-    /// place: one copy of each weight, nothing allocated. What a holder
-    /// of a snapshot does when its weights change, instead of building
-    /// a new one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mlp` is not the architecture the snapshot was packed
-    /// from.
-    pub fn repack(&mut self, mlp: &Mlp) {
-        assert_eq!(self.layers.len(), mlp.layers.len(), "repack: another architecture");
-        for ((wp, b), l) in self.layers.iter_mut().zip(&mlp.layers) {
-            assert_eq!((wp.k(), wp.n()), (l.fan_in(), l.fan_out()), "repack: another architecture");
-            wp.repack(l.w.data());
-            b.data_mut().copy_from_slice(l.b.data());
-        }
-    }
-
-    /// Forward pass over the packed panels: `[batch, in] → [batch, out]`.
-    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        let last = self.layers.len() - 1;
-        let mut h: Option<Tensor> = None;
-        for (i, (wp, b)) in self.layers.iter().enumerate() {
-            let act = if i == last { self.output_activation } else { self.hidden_activation };
-            let next = ops::linear_act_prepacked(h.as_ref().unwrap_or(x), wp, b, act.fused())?;
-            if let Some(dead) = h.replace(next) {
-                dead.recycle();
-            }
-        }
-        Ok(h.unwrap_or_else(|| x.clone()))
     }
 }
 
@@ -609,11 +553,14 @@ mod tests {
         }
     }
 
+    /// Eagerly packed panels run the packed tile on every layer, the
+    /// 3-wide head and batches below the per-call packing rules included,
+    /// and keep every bit of the per-call forward.
     #[test]
     fn packed_infer_is_bit_identical_to_plain_infer() {
         let mut r = rng(11);
         let mlp = Mlp::new(&[6, 32, 32, 3], Activation::Tanh, Activation::Linear, &mut r);
-        let packed = mlp.pack();
+        let panels: Vec<Panels> = mlp.layers.iter().map(|l| Panels::packed(&l.w)).collect();
         for batch in [1usize, 7, 33] {
             let x = Tensor::from_vec(
                 (0..batch * 6).map(|i| (i as f32 * 0.17).cos()).collect(),
@@ -621,7 +568,7 @@ mod tests {
             )
             .unwrap();
             let plain = mlp.infer(&x).unwrap();
-            let fast = packed.infer(&x).unwrap();
+            let fast = mlp.infer_with(&x, Some(&panels)).unwrap();
             assert_eq!(plain.data(), fast.data(), "batch {batch} diverged");
         }
     }

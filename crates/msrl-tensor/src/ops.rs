@@ -223,9 +223,10 @@ pub const PACK_MIN_ROWS: usize = 24;
 /// product after it. Per-call packing is a fresh `Panels` used once; a
 /// learn pass hands every row block's products of one weight version
 /// the same `Panels` ([`crate::nn::SharedMlp`]), so each weight is
-/// packed once a pass. Whoever holds one pairs it with one weight
-/// version: the panels are not checked against the operand's values,
-/// only against its shape.
+/// packed once a pass; an acting seat holds [`Panels::packed`] ones per
+/// weight version ([`crate::nn::Mlp::infer_with`]). Whoever holds one
+/// pairs it with one weight version: the panels are not checked against
+/// the operand's values, only against its shape.
 ///
 /// Panels come from the pool of the thread that packs them and go back,
 /// when the `Panels` drops, to the pool of the thread that drops it.
@@ -233,6 +234,21 @@ pub const PACK_MIN_ROWS: usize = 24;
 pub struct Panels {
     b: OnceCell<kernels::PackedB>,
     bt: OnceCell<kernels::PackedB>,
+}
+
+impl Panels {
+    /// Panels whose `x · w` half is packed from `w: [k, n]` now. Every
+    /// `x · w` that reads them runs the packed tile, whatever
+    /// [`PACK_MIN_FLOPS`], [`PACK_MIN_ROWS`] or a narrow output would
+    /// decide: the pack is paid once per weight version, not per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w` is not a matrix.
+    pub fn packed(w: &Tensor) -> Panels {
+        let &[k, n] = w.shape() else { panic!("Panels::packed: a weight is [k, n]") };
+        Panels { b: OnceCell::from(kernels::pack_b(w.data(), k, n)), bt: OnceCell::new() }
+    }
 }
 
 impl Drop for Panels {
@@ -246,33 +262,31 @@ impl Drop for Panels {
 /// Right operand of [`product`]: the sources its panels come from.
 #[derive(Clone, Copy)]
 enum Rhs<'a> {
-    /// Row-major `[k, n]`: multiplied from its panels once they exist,
-    /// packed into them by a product at or above [`PACK_MIN_FLOPS`] and
+    /// Row-major `[k, n]`: multiplied from its panels once they exist
+    /// (packed by an earlier product or by [`Panels::packed`]), packed
+    /// into them by a product at or above [`PACK_MIN_FLOPS`] and
     /// [`PACK_MIN_ROWS`], multiplied in place below.
     RowMajor(&'a [f32], &'a Panels),
     /// Row-major `[n, k]`, the `b` of `a · bᵀ`: always multiplied from
     /// its transposed panels, packed by the first product that reads them
     /// — the pack is the transpose.
     Transposed(&'a [f32], &'a Panels),
-    /// Packed ahead of time, once per weight version, by a
-    /// [`crate::nn::PackedMlp`].
-    Packed(&'a kernels::PackedB),
 }
 
 /// The one body behind every `[m, k] · [k, n]`-shaped product:
-/// [`matmul`], [`matmul_bt`], [`linear_act`] and
-/// [`linear_act_prepacked`] differ only in where the right operand's
-/// panels come from and in the `epilogue` run over the output right
-/// after the kernel writes it.
+/// [`matmul`], [`matmul_bt`] and [`linear_act`] differ only in where the
+/// right operand's panels come from and in the `epilogue` run over the
+/// output right after the kernel writes it.
 ///
-/// An output narrower than the kernel family's vector
-/// ([`kernels::MatKernel::lanes`]) runs on row lanes from whatever
-/// operand it has: a row-major one is never packed for it, whatever
-/// [`PACK_MIN_FLOPS`] says. A pack happens once per [`Panels`], before
-/// any product that reads it, in storage drawn from the thread-local
-/// pool. Every element accumulates over `k` in ascending order in
-/// either kernel, keeping them bit-exact with each other: which one a
-/// product runs never moves a bit.
+/// Panels that exist are read whatever the product's size. Otherwise an
+/// output narrower than the kernel family's vector
+/// ([`kernels::MatKernel::lanes`]) runs on row lanes from the row-major
+/// operand, which is never packed for it, whatever [`PACK_MIN_FLOPS`]
+/// says. A pack happens once per [`Panels`], before any product that
+/// reads it, in storage drawn from the thread-local pool. Every element
+/// accumulates over `k` in ascending order in either kernel, keeping
+/// them bit-exact with each other: which one a product runs never moves
+/// a bit.
 /// Both kernels overwrite every element, so the output is not zeroed
 /// first.
 fn product(
@@ -292,7 +306,6 @@ fn product(
             None => None,
         },
         Rhs::Transposed(bd, panels) => Some(panels.bt.get_or_init(|| kernels::pack_bt(bd, k, n))),
-        Rhs::Packed(bp) => Some(bp),
     };
     let mut out = crate::alloc::take_for_overwrite(m * n);
     match (packed, rhs) {
@@ -414,9 +427,9 @@ impl Act {
     }
 }
 
-/// Bias + activation epilogue over the `[m, n]` output, shared
-/// by [`linear_act`] and [`linear_act_prepacked`]. Tanh/Sigmoid fold the
-/// bias add into the vectorized [`crate::fastmath`] lane pass
+/// Bias + activation epilogue of [`linear_act`] over the `[m, n]`
+/// output. Tanh/Sigmoid fold the bias add into the vectorized
+/// [`crate::fastmath`] lane pass
 /// ([`fastmath::apply_rows_biased`]); Relu/Linear apply `act(v + b[j])`
 /// per element, spelled out ([`Act::apply`]'s other arms would bring
 /// the polynomial into a body compiled for the baseline target). Either
@@ -446,20 +459,6 @@ fn act_epilogue(chunk: &mut [f32], bd: &[f32], n: usize, act: Act) {
     }
 }
 
-/// The checked `[m, k, n]` of a fused layer `x: [m, k]`, weight `[k, n]`
-/// (`w_shape`), bias `b: [n]`, or `op`'s rank/shape error.
-fn layer_dims(op: &'static str, x: &Tensor, w_shape: &[usize], b: &Tensor) -> Result<[usize; 3]> {
-    let (m, k) = dims2(op, x)?;
-    let &[k2, n] = w_shape else {
-        return Err(TensorError::RankMismatch { op, expected: 2, actual: w_shape.len() });
-    };
-    same_inner(op, (k, k2), x.shape(), w_shape)?;
-    if b.shape() != [n] {
-        return Err(TensorError::ShapeMismatch { op, lhs: vec![n], rhs: b.shape().to_vec() });
-    }
-    Ok([m, k, n])
-}
-
 /// Fused linear layer: `act(x·w + b)` for `x: [m, k]`, `w: [k, n]`,
 /// `b: [n]` in one pass over the output.
 ///
@@ -473,39 +472,25 @@ fn layer_dims(op: &'static str, x: &Tensor, w_shape: &[usize], b: &Tensor) -> Re
 /// register tile — and the epilogue applies `act(v + b[j])` per element:
 /// the same floating-point sequence as the separate operators, so
 /// results are bit-identical. A caller with no panels to share passes a
-/// fresh [`Panels`]: the pack, if any, is per call.
+/// fresh [`Panels`]: the pack, if any, is per call. `panels` must be
+/// `w`'s: they are checked against its shape only.
 ///
 /// # Errors
 ///
 /// Returns the same rank/shape errors as [`matmul`], plus
 /// [`TensorError::ShapeMismatch`] when `b` is not a length-`n` vector.
 pub fn linear_act(x: &Tensor, w: &Tensor, panels: &Panels, b: &Tensor, act: Act) -> Result<Tensor> {
-    let dims @ [_, _, n] = layer_dims("linear_act", x, w.shape(), b)?;
+    const OP: &str = "linear_act";
+    let ((m, k), (k2, n)) = (dims2(OP, x)?, dims2(OP, w)?);
+    same_inner(OP, (k, k2), x.shape(), w.shape())?;
+    if b.shape() != [n] {
+        return Err(TensorError::ShapeMismatch { op: OP, lhs: vec![n], rhs: b.shape().to_vec() });
+    }
     msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
     let bd = b.data();
-    product(x.data(), dims, Rhs::RowMajor(w.data(), panels), |chunk| {
+    product(x.data(), [m, k, n], Rhs::RowMajor(w.data(), panels), |chunk| {
         act_epilogue(chunk, bd, n, act)
     })
-}
-
-/// [`linear_act`] against a pre-packed weight operand, for a
-/// [`crate::nn::PackedMlp`]'s layers. Bit-identical to the unpacked
-/// kernel.
-///
-/// # Errors
-///
-/// Same contract as [`linear_act`], with the packed operand's recorded
-/// `[k, n]` standing in for `w.shape()`.
-pub fn linear_act_prepacked(
-    x: &Tensor,
-    wp: &kernels::PackedB,
-    b: &Tensor,
-    act: Act,
-) -> Result<Tensor> {
-    let dims @ [_, _, n] = layer_dims("linear_act", x, &[wp.k(), wp.n()], b)?;
-    msrl_telemetry::static_counter!("tensor.fused_linear").add(1);
-    let bd = b.data();
-    product(x.data(), dims, Rhs::Packed(wp), |chunk| act_epilogue(chunk, bd, n, act))
 }
 
 /// Transpose of a rank-2 tensor.

@@ -91,10 +91,11 @@ fn drivers_share_one_configuration_type() {
 /// hand-written drivers that preceded the fragment runner; the runner
 /// must reproduce every one of them.
 ///
-/// `comm.msgs_sent`, `comm.bytes_sent` and `env.steps` are process-wide
-/// counters and the tests of this file run concurrently, so the cases
-/// run in a child process of this test binary (`golden_child`, filtered
-/// with `--exact`), one after another, and print one line each.
+/// `comm.msgs_sent`, `comm.bytes_sent`, `env.steps` and `tensor.pack_b`
+/// are process-wide counters and the tests of this file run
+/// concurrently, so the cases run in a child process of this test
+/// binary (`golden_child`, filtered with `--exact`), one after another,
+/// and print one line each.
 mod golden {
     use msrl_algos::a3c::A3cConfig;
     use msrl_algos::ppo::PpoConfig;
@@ -108,9 +109,13 @@ mod golden {
     use msrl_telemetry::counter_total;
 
     const CHILD_ENV: &str = "EQUIVALENCE_GOLDEN_CHILD";
-    const COUNTERS: [&str; 3] = ["comm.msgs_sent", "comm.bytes_sent", "env.steps"];
+    const COUNTERS: [&str; 4] = ["comm.msgs_sent", "comm.bytes_sent", "env.steps", "tensor.pack_b"];
 
-    /// `case params rewards losses msgs bytes env_steps`, checksums in hex.
+    /// `case params rewards losses msgs bytes env_steps packs`, checksums
+    /// in hex; `packs` counts `tensor.pack_b`, every weight panel packed
+    /// for acting or learning. It was recorded while acting still kept
+    /// its own panel cache and held, unchanged, when acting moved onto
+    /// the learner's `ops::Panels`: one pack per weight per version.
     /// The `dp_e` row's params checksum and step count were re-recorded
     /// when the env worker began reporting the agents' shared weights and
     /// the MPE environments began counting their steps. `dp_f_stale` was
@@ -121,15 +126,15 @@ mod golden {
     /// server forced staleness 0 and forwarded bit for bit as each actor
     /// does, so the row kept its values.
     const PINNED: [&str; 9] = [
-        "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256",
-        "dp_a_sync 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256",
-        "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256",
-        "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256",
-        "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600",
-        "dp_e cc8bb9bc5a68abdf 9dd402fa701a38d2 cbf29ce484222325 144 25200 60",
-        "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128",
-        "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80",
-        "dp_f_stale 42fe7e802d71182b d5b267f92adcd405 cbf29ce484222325 12 6764 128",
+        "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256 56",
+        "dp_a_sync 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256 64",
+        "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256 48",
+        "dp_c 5c37d20d61a913c8 48499eb4ccd12c25 cbf29ce484222325 32 27088 256 96",
+        "dp_d cd2a4dd4d834c204 2174271dce75576b cbf29ce484222325 6 5064 9600 48",
+        "dp_e cc8bb9bc5a68abdf 9dd402fa701a38d2 cbf29ce484222325 144 25200 60 48",
+        "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
+        "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80 30",
+        "dp_f_stale 42fe7e802d71182b d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
     ];
 
     /// Every field that decides how the seats synchronise is spelled
@@ -162,13 +167,14 @@ mod golden {
         let delta: Vec<u64> =
             COUNTERS.iter().zip(before).map(|(c, b)| counter_total(c) - b).collect();
         format!(
-            "{case} {:016x} {:016x} {:016x} {} {} {}",
+            "{case} {:016x} {:016x} {:016x} {} {} {} {}",
             checksum(&r.final_params),
             checksum(&r.iteration_rewards),
             checksum(&r.losses),
             delta[0],
             delta[1],
-            delta[2]
+            delta[2],
+            delta[3]
         )
     }
 
