@@ -31,6 +31,15 @@ status=0
 for rlib in "${rlibs[@]}"; do
     [ -f "$rlib" ] || { echo "no rlib at $rlib (build with cargo build --release)" >&2; exit 1; }
     objdump -d -r -C --no-show-raw-insn "$rlib" | awk -v rlib="$rlib" '
+        # The 64-bit register a register name is part of ("r12d" -> "r12",
+        # "ebx" -> "rbx").
+        function base(r) {
+            sub(/^\*?%/, "", r)
+            if (r ~ /^r[0-9]+[dwb]?$/) { sub(/[dwb]$/, "", r); return r }
+            if (r ~ /^[re]?[abcd]x$/ || r ~ /^[abcd]l$/) return "r" substr(r, length(r) - 1, 1) "x"
+            sub(/^[re]/, "", r); sub(/l$/, "", r)
+            return "r" r
+        }
         # A function header: "<address> <name>:".
         /^[0-9a-f]+ <.*>:$/ {
             name = substr($0, index($0, "<") + 1)
@@ -38,15 +47,45 @@ for rlib in "${rlibs[@]}"; do
             inside = name ~ /^msrl_tensor::lanes::on_avx(512|2)(<|$)/
             if (inside) instances[name]++
             pending = 0
+            split("", slot)
             next
         }
         !inside { next }
+        # A register loaded from a symbol'"'"'s GOT slot: the relocation on the
+        # next line names the symbol a later "call *%reg" calls (the
+        # compiler hoists the load out of a loop of calls).
+        pending == 3 && /R_X86_64_/ {
+            sub(/.*R_X86_64_[A-Z0-9]+[ \t]+/, ""); sub(/[-+]0x[0-9a-f]+$/, "")
+            slot[loaded] = $0
+            pending = 0
+            next
+        }
+        pending == 3 { pending = 0 }
+        # Any other write to a register forgets what it held; a call
+        # clobbers the caller-saved ones.
+        /^ +[0-9a-f]+:\t/ && !/\tcall/ {
+            line = $0; sub(/ *#.*/, "", line)
+            n = split(line, ops, ","); dest = ops[n]; sub(/.*[ \t]/, "", dest)
+            if (dest ~ /^%/) delete slot[base(dest)]
+            if (line ~ /\tmov +0x0\(%rip\),%[a-z0-9]+$/) { pending = 3; loaded = base(dest); next }
+        }
+        /\tcall/ {
+            split("rax rcx rdx rsi rdi r8 r9 r10 r11", clobbered, " ")
+            reg = $NF
+            if (reg ~ /^\*%/ && base(reg) in slot) {
+                target = slot[base(reg)]
+                for (i in clobbered) delete slot[clobbered[i]]
+                pending = 4
+            } else {
+                for (i in clobbered) delete slot[clobbered[i]]
+                pending = 1; target = $0; next
+            }
+        }
         # A call, or a jump that leaves the function (a tail call: its
         # target is relocated), then the relocation line naming it.
-        /\tcall/ { pending = 1; target = $0; next }
         /\tjmp/ { pending = 2; target = $0; next }
         pending == 2 && !/R_X86_64_/ { pending = 0 }
-        pending && /R_X86_64_/ {
+        pending < 4 && pending && /R_X86_64_/ {
             sub(/.*R_X86_64_[A-Z0-9]+[ \t]+/, ""); sub(/[-+]0x[0-9a-f]+$/, "")
             target = $0
         }

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::{Tape, Var};
-use msrl_tensor::dist::{categorical_stats, gaussian_stats, Categorical, DiagGaussian};
+use msrl_tensor::dist::{ppo_policy_loss, Categorical, DiagGaussian, Head, PolicyLoss, Surrogate};
 use msrl_tensor::nn::{Activation, Mlp};
 use msrl_tensor::ops::{self, Panels};
 use msrl_tensor::optim::{clip_grad_norm, Adam, Optimizer};
@@ -44,6 +44,21 @@ pub struct PpoConfig {
     pub value_coef: f32,
     /// Global gradient-norm clip.
     pub max_grad_norm: f32,
+}
+
+impl PpoConfig {
+    /// Refuses a configuration no pass can run: a clip radius that is
+    /// negative or NaN leaves the ratio no interval to be clipped into.
+    ///
+    /// # Errors
+    ///
+    /// [`FdgError::InvalidConfig`] naming the field.
+    pub fn validate(&self) -> Result<()> {
+        if self.clip < 0.0 || self.clip.is_nan() {
+            return Err(FdgError::InvalidConfig { field: "PpoConfig::clip", value: self.clip });
+        }
+        Ok(())
+    }
 }
 
 impl Default for PpoConfig {
@@ -489,23 +504,25 @@ fn value_branch(
 }
 
 /// The policy branch of the loss on the calling thread: the actor,
-/// log-std, the action distribution's statistics, the clipped surrogate
-/// and the entropy bonus. Returns the surrogate loss, the mean entropy
-/// and the gradients of the actor's parameters, then of log-std
+/// log-std and the policy loss — the action distribution's statistics,
+/// the clipped surrogate and the entropy bonus, recorded as one tape
+/// node ([`ppo_policy_loss`]) that reads the block's advantages and old
+/// log-probabilities in place. Returns the surrogate loss, the mean
+/// entropy and the gradients of the actor's parameters, then of log-std
 /// (continuous only).
 ///
 /// The batch is differentiated block by block, each block on a tape of
 /// its own that is dropped — its buffers back in the pool — before the
 /// next one is recorded, so the working set is one block's. Each mean is
-/// over the *batch*: a sum going on from the previous block's, seeded
-/// backwards with `g / n` for the batch's `n` ([`Var::mean_over`]), and
-/// the parameter gradients of one block are handed to the next block's
-/// backward pass, where every `Linear` weight and bias continues its
-/// reduction over the rows ([`Tape::backward_onto`]) — bit for bit what
-/// one tape over the whole batch computes. `log_std`, reached through
-/// broadcasts of interior nodes, is the sum of its per-block gradients.
-/// A batch of one block runs the loop once: one tape, plain means,
-/// nothing carried. Every block's tape registers the actor that
+/// over the *batch*: the node carries both sums from the previous
+/// block's and seeds its rule with `g / n` for the batch's `n`, as
+/// [`Var::mean_over`] does, and the parameter gradients of one block are
+/// handed to the next block's backward pass, where every `Linear` weight
+/// and bias continues its reduction over the rows
+/// ([`Tape::backward_onto`]) — bit for bit what one tape over the whole
+/// batch computes. `log_std`'s gradient is the sum of its per-block
+/// gradients. A batch of one block runs the loop once: one tape, plain
+/// means, nothing carried. Every block's tape registers the actor that
 /// [`Mlp::share`] lent the pass — no copy of a weight, and each weight's
 /// panels packed once between the blocks — and one copy of `log_std`.
 /// [`value_branch`] runs the same loop.
@@ -522,40 +539,30 @@ fn policy_branch(
     let shared = actor.share();
     let log_std = Rc::new(log_std.clone());
     let mut gs: Vec<Tensor> = Vec::new();
-    let [mut policy_sum, mut entropy_sum] = [None; 2];
+    let terms = Surrogate { clip: cfg.clip, entropy_coef: cfg.entropy_coef, rows: n };
+    let mut sums = [None; 2];
     let mut means = (0.0, 0.0);
     for block in &inputs.blocks {
         let tape = Tape::new();
         let actor = shared.bind(&tape);
         let obs = tape.constant(Rc::clone(&block.obs));
         let out = actor.forward(&obs)?;
-
         let mut log_std_var = None;
-        let (log_prob, entropy) = match &block.actions {
-            Actions::Discrete(idx) => categorical_stats(&out, idx)?,
-            Actions::Continuous(actions) => {
-                let log_std = tape.var(Rc::clone(&log_std));
-                let stats = gaussian_stats(&out, &log_std, Rc::clone(actions))?;
-                log_std_var = Some(log_std);
-                stats
-            }
+        let head = match &block.actions {
+            Actions::Discrete(idx) => Head::Categorical(idx),
+            Actions::Continuous(actions) => Head::Gaussian {
+                log_std: log_std_var.insert(tape.var(Rc::clone(&log_std))),
+                actions: Rc::clone(actions),
+            },
         };
-
-        let adv_t = tape.constant(Rc::clone(&block.adv));
-        let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
-        let ratio = log_prob.sub(&old_lp)?.exp();
-        let unclipped = ratio.mul(&adv_t)?;
-        let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv_t)?;
-        let policy_loss = unclipped.min(&clipped)?.mean_over(n, &mut policy_sum).neg();
-        let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
-        let loss = policy_loss.add(&entropy_mean.mul_scalar(-cfg.entropy_coef))?;
-
+        let PolicyLoss { loss, surrogate, entropy } =
+            ppo_policy_loss(&out, head, &block.old_log_probs, &block.adv, terms, &mut sums)?;
         let params: Vec<&Var> = actor.param_vars().iter().chain(&log_std_var).collect();
         let carried = params.iter().copied().zip(gs.drain(..)).collect();
         let mut grads = tape.backward_onto(&loss, carried)?;
         gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
         // Of the batch once the last block is in.
-        means = (policy_loss.value().item()?, entropy_mean.value().item()?);
+        means = (surrogate, entropy);
     }
     Ok((means.0, means.1, gs))
 }
@@ -764,6 +771,7 @@ impl Learner for PpoLearner {
         if batch.is_empty() {
             return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
         }
+        self.cfg.validate()?;
         let inputs = self.loss_inputs(batch, self.block_rows())?;
         self.learn_from(&inputs)
     }
@@ -777,6 +785,7 @@ impl Learner for PpoLearner {
     }
 
     fn grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
+        self.cfg.validate()?;
         let inputs = self.loss_inputs(batch, self.block_rows())?;
         let (_, grads) = self.loss_and_grads(&inputs)?;
         let mut flat = Vec::with_capacity(self.policy.num_params());
@@ -844,6 +853,7 @@ mod tests {
     use crate::rollout::collect;
     use msrl_env::cartpole::CartPole;
     use msrl_env::VecEnv;
+    use msrl_tensor::dist::{categorical_stats, gaussian_stats};
 
     #[test]
     fn policy_flatten_roundtrip() {
@@ -1358,6 +1368,28 @@ mod tests {
     /// autograd, distributions, GAE, optimizer) is correct. The policy
     /// seed is one whose trajectory clears the bar with margin
     /// (EXPERIMENTS.md "One transcendental path" has the seed table).
+    /// A clip radius that is negative or NaN is refused with a typed
+    /// error before any pass: `f32::clamp` panics on it, and a panic in a
+    /// learner fragment reaches the runner's join instead of an `Err`.
+    #[test]
+    fn a_clip_without_an_interval_is_refused_before_any_pass() {
+        let policy = PpoPolicy::discrete(4, 2, &[8], 3);
+        let batch = synthetic_batch(64, &policy, 5);
+        for clip in [-0.5, f32::NAN] {
+            let cfg = PpoConfig { clip, ..PpoConfig::default() };
+            let mut learner = PpoLearner::new(policy.clone(), cfg);
+            let refused = |r: Result<()>| match r {
+                Err(FdgError::InvalidConfig { field: "PpoConfig::clip", value }) => {
+                    value.to_bits() == clip.to_bits()
+                }
+                _ => false,
+            };
+            assert!(refused(learner.learn(&batch).map(drop)), "learn() with clip {clip}");
+            assert!(refused(learner.grads(&batch).map(drop)), "grads() with clip {clip}");
+            assert_eq!(learner.policy_params(), policy.flatten(), "clip {clip}: weights moved");
+        }
+    }
+
     #[test]
     fn ppo_solves_cartpole() {
         let policy = PpoPolicy::discrete(4, 2, &[32, 32], 8);

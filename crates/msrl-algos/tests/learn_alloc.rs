@@ -97,6 +97,14 @@ fn packs_of(f: impl FnOnce()) -> u64 {
     msrl_telemetry::counter_total("tensor.pack_b") - before
 }
 
+/// The `tensor.tape_nodes` of `f`: the nodes of every tape it dropped,
+/// on every thread.
+fn nodes_of(f: impl FnOnce()) -> u64 {
+    let before = msrl_telemetry::counter_total("tensor.tape_nodes");
+    f();
+    msrl_telemetry::counter_total("tensor.tape_nodes") - before
+}
+
 /// The caller's pool first, then every helper's.
 fn pools() -> Vec<PoolStats> {
     let mut pools = vec![alloc::stats()];
@@ -137,6 +145,8 @@ struct Shape {
     max_bytes: usize,
     /// Exact `tensor.pack_b` calls of one `learn()`.
     packs: u64,
+    /// Exact tape nodes of one `learn()`.
+    nodes: u64,
     /// Most `f32`s any one tensor pool may ever hold — the caller's, or a
     /// helper's: the working set of what runs on one thread as an exact
     /// count, where `peak_rss_mb` drifts with the host.
@@ -164,27 +174,36 @@ fn steady_state_learn_allocates_within_bounds() {
     // when they bypass the pool (9.3 MB at the dpc shape).
     // The pass runs in 1,024-row blocks, the policy branch on the
     // caller and the value branch on a helper. At the dpd shape (25
-    // blocks, 200 tapes a `learn()`) that is 5.16 MB, 33 packs and
-    // pools that peak at 0.39 M + 0.35 M elements; one pool of 2,048-row
+    // blocks, 200 tapes a `learn()`) that is 2.57 MB, 33 packs and
+    // pools that peak at 0.37 M + 0.35 M elements (5.16 MB and 0.39 M
+    // while the policy loss was 17 tape ops); one pool of 2,048-row
     // tapes held 1.50 M, one 25,600-row tape 12.32 M. At the dpa shape
-    // (2 blocks) 0.37 M + 0.35 M against one pool's 0.99 M. Inline, on a
+    // (2 blocks) 0.35 M + 0.35 M against one pool's 0.99 M. Inline, on a
     // one-core host, one pool holds 0.40 M and 0.38 M. Both summed bounds
     // fail when a pass runs in 2,048-row blocks again. The dpc shape's
     // blocks are sized by bytes: 256 rows of its `[256,256]` policy keep
     // an operand at 256 KB, as 1,024 rows of a 64-wide one do. Its four
-    // blocks peak at 0.49 M + 0.54 M elements split (2.96 MB a
+    // blocks peak at 0.47 M + 0.54 M elements split (2.58 MB a
     // `learn()`); in one 1,024-row block they held 1.46 M +
     // 1.48 M (inline 1.55 M), and both dpc bounds fail there. A
     // value branch handed owned copies of `obs` and `ret` drawn on the
     // caller, which its tape then recycles into the helper's pool,
     // breaks the dpd bounds three times: 7.22 MB, 0.66 M elements in the
     // helper's pool, and 0.39 M + 0.66 M together.
+    // The tape nodes of one `learn()` are exact too: per block the
+    // policy tape holds the observations, the actor's six parameters,
+    // its three layers, `log_std` for a Gaussian head and the one
+    // policy-loss node (11, or 12), and the value tape 16. The policy
+    // loss as 17 tape ops and two leaves held 29 (37 with a Gaussian
+    // head's 26), 4,500 / 360 / 848 nodes at the dpd / dpa / dpc shapes
+    // (1,260 / 180 / 212 in a debug build); a count that moves means a
+    // learner records its loss differently.
     // Unoptimised kernels need two minutes for these, so a debug build
     // runs a quarter of each shape's rows: a `[6400, 64]` buffer is
     // still above 1 MiB, and the copying tape still breaks every bound
     // (EXPERIMENTS.md has both sets of numbers).
     let rows = |full: usize| if cfg!(debug_assertions) { full / 4 } else { full };
-    let packs = |debug: u64, release: u64| if cfg!(debug_assertions) { debug } else { release };
+    let by_build = |debug: u64, release: u64| if cfg!(debug_assertions) { debug } else { release };
     let shapes = [
         Shape {
             name: "dpd: 25600 rows x [64,64] discrete",
@@ -192,7 +211,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
-            packs: packs(32, 33),
+            packs: by_build(32, 33),
+            nodes: by_build(756, 2_700),
             max_pool_high_water_elems: 600_000,
             max_total_high_water_elems: 1_000_000,
         },
@@ -202,7 +222,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::discrete(4, 2, &[64, 64], 1),
             max_big_calls: 0,
             max_bytes: 1_000_000,
-            packs: packs(24, 32),
+            packs: by_build(24, 32),
+            nodes: by_build(108, 216),
             max_pool_high_water_elems: 600_000,
             max_total_high_water_elems: 800_000,
         },
@@ -212,7 +233,8 @@ fn steady_state_learn_allocates_within_bounds() {
             policy: PpoPolicy::continuous(17, 6, &[256, 256], 1),
             max_big_calls: 0,
             max_bytes: 6_000_000,
-            packs: packs(32, 32),
+            packs: by_build(32, 32),
+            nodes: by_build(112, 448),
             max_pool_high_water_elems: 650_000,
             max_total_high_water_elems: 1_150_000,
         },
@@ -227,9 +249,12 @@ fn steady_state_learn_allocates_within_bounds() {
         learner.learn(&batch).expect("warm-up learn");
         learner.learn(&batch).expect("second learn");
         let mut third = Counts::default();
-        let packs = packs_of(|| {
-            third = counted(|| {
-                learner.learn(&batch).expect("third learn");
+        let mut packs = 0;
+        let nodes = nodes_of(|| {
+            packs = packs_of(|| {
+                third = counted(|| {
+                    learner.learn(&batch).expect("third learn");
+                });
             });
         });
         let after_third = pools();
@@ -239,11 +264,12 @@ fn steady_state_learn_allocates_within_bounds() {
         let high_water: Vec<usize> = after_fourth.iter().map(|s| s.high_water_elems).collect();
         println!(
             "{} ({} rows run): {} allocations, {} bytes, {} >= 1 MiB, {packs} \
-             tensor.pack_b, pooled {pooled:?} elems (high water {high_water:?}; caller \
+             tensor.pack_b, {nodes} tape nodes, pooled {pooled:?} elems (high water {high_water:?}; caller \
              first, then each helper)",
             shape.name, shape.rows, third.calls, third.bytes, third.big_calls
         );
         assert_eq!(packs, shape.packs, "{}: tensor.pack_b calls of one learn()", shape.name);
+        assert_eq!(nodes, shape.nodes, "{}: tape nodes of one learn()", shape.name);
         assert!(
             third.big_calls <= shape.max_big_calls,
             "{}: {} allocations >= 1 MiB, bound {}",

@@ -95,6 +95,14 @@ pub enum FdgError {
         /// The policy's short code or custom name.
         policy: String,
     },
+    /// A configuration value outside its domain, refused before any work
+    /// that would trip on it.
+    InvalidConfig {
+        /// The field, e.g. `"PpoConfig::clip"`.
+        field: &'static str,
+        /// Its value.
+        value: f32,
+    },
     /// The run-health watchdog fired a critical finding: the run stops
     /// after that iteration's metrics line and flight-recorder dump.
     Unhealthy {
@@ -122,6 +130,9 @@ impl std::fmt::Display for FdgError {
             }
             FdgError::NoSyncRule { policy } => {
                 write!(f, "no sync rule runs distribution policy {policy} here")
+            }
+            FdgError::InvalidConfig { field, value } => {
+                write!(f, "invalid configuration: {field} = {value}")
             }
             FdgError::Unhealthy { detector, iteration } => {
                 write!(f, "critical health finding {detector} at iteration {iteration}")

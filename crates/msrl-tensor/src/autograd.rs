@@ -53,7 +53,7 @@ use crate::Result;
 
 /// A backward rule: maps the gradient of a node's output to the gradient
 /// contribution for one parent.
-type GradFn = Box<dyn Fn(&Tensor) -> Tensor>;
+pub(crate) type GradFn = Box<dyn Fn(&Tensor) -> Tensor>;
 
 /// A backward rule that continues a reduction over rows: also handed
 /// what the parent's gradient reduced to over the row blocks before this
@@ -97,6 +97,9 @@ struct TapeInner {
 
 impl Drop for TapeInner {
     fn drop(&mut self) {
+        // One bump a tape, not one a node: a per-node atomic would be
+        // contended between a learn pass's two branches.
+        msrl_telemetry::static_counter!("tensor.tape_nodes").add(self.nodes.len() as u64);
         // Rules first: they hold handles to the values they read, and
         // only a value nobody else holds may be recycled.
         for node in &mut self.nodes {
@@ -184,7 +187,7 @@ fn pass_through(grad: &Tensor) -> Tensor {
 /// A `value`-filled tensor drawn from the pool its storage will be
 /// recycled into: what the tape gives the pool it must have taken from
 /// it, or the pool fills to its cap instead of settling.
-fn filled(shape: &[usize], value: f32) -> Tensor {
+pub(crate) fn filled(shape: &[usize], value: f32) -> Tensor {
     Tensor::from_vec(crate::alloc::take_filled(shape.iter().product(), value), shape)
         .expect("volume matches shape")
 }
@@ -519,6 +522,25 @@ impl Var {
     /// The shape of the forward value.
     pub fn shape(&self) -> Vec<usize> {
         self.tape.inner.borrow().nodes[self.id].value.shape().to_vec()
+    }
+
+    /// Records a node on this variable's tape whose gradient reaches each
+    /// of `parents` through its own rule, added to whatever else the
+    /// parent has: how a node written outside this module (the fused
+    /// policy loss of [`crate::dist`]) joins the tape.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::UnknownVariable`] for a parent of another tape.
+    pub(crate) fn record(&self, value: Tensor, parents: Vec<(&Var, GradFn)>) -> Result<Var> {
+        let mut rules = Vec::with_capacity(parents.len());
+        for (v, rule) in parents {
+            if !Rc::ptr_eq(&self.tape.inner, &v.tape.inner) {
+                return Err(TensorError::UnknownVariable { id: v.id });
+            }
+            rules.push((v.id, Rule::Fresh(rule)));
+        }
+        Ok(self.tape.record(value.into(), rules))
     }
 
     fn unary(&self, value: impl Into<Rc<Tensor>>, rule: GradFn) -> Var {

@@ -5,18 +5,52 @@
 //! log-probability of the taken action. Discrete-action environments (MPE,
 //! CartPole) use [`Categorical`]; continuous-control environments
 //! (HalfCheetah) use [`DiagGaussian`]. The `*_stats` functions are the
-//! differentiable counterparts, used inside learner fragments.
+//! differentiable counterparts, composed of tape ops: A3C's loss uses
+//! [`categorical_stats`].
+//!
+//! PPO's policy loss is one tape node, [`ppo_policy_loss`]: the head
+//! output to the per-row log-probability and entropy, the clipped
+//! surrogate and both means, forwards in lane bodies with the rows
+//! across the lanes, backwards in one rule. It is the composition of
+//! `categorical_stats` or [`gaussian_stats`] and eleven surrogate ops bit
+//! for bit — the composition survives as its test oracle — and its
+//! categorical head reads the crate's one row log-sum-exp
+//! (`fastmath::lse_rows`), the body behind [`Categorical::from_logits`]
+//! too, so the ratio of a learner's first epoch is exactly 1.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
-use crate::autograd::Var;
+use crate::alloc;
+use crate::autograd::{GradFn, Var};
+use crate::fastmath::{self, exp, lse_rows};
+use crate::kernels::{self, MatKernel};
+use crate::lanes::{dispatch, scatter, Lanes, One, EQ, LE, LT};
 use crate::ops;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
+
+/// Runs `$body` over `$m` rows in order, `$r` its first row and `$W` its
+/// lane type: `$V::L` rows at a time, then the rest one row at a time
+/// ([`One`]).
+macro_rules! each_block {
+    ($V:ident, $m:expr, |$r:ident, $W:ident| $body:expr) => {{
+        let m: usize = $m;
+        let whole = m - m % <$V as Lanes>::L;
+        for $r in (0..whole).step_by(<$V as Lanes>::L) {
+            type $W = $V;
+            $body;
+        }
+        for $r in whole..m {
+            type $W = One;
+            $body;
+        }
+    }};
+}
 
 /// A batch of categorical distributions, one per row of a logits matrix.
 #[derive(Debug, Clone)]
@@ -233,7 +267,7 @@ pub fn gaussian_stats(
             rhs: actions.shape().to_vec(),
         });
     }
-    let ln_2pi = (2.0 * std::f32::consts::PI).ln();
+    let (ln_2pi, ln_2pi_e) = gaussian_logs();
     let a = mean.constant(actions);
     // z = (a - mean) / std;  log_prob = Σ_d [-0.5 z² - log_std - 0.5 ln 2π]
     let std = log_std.exp();
@@ -241,11 +275,564 @@ pub fn gaussian_stats(
     let per_dim = z.square().mul_scalar(-0.5).sub(log_std)?.add_scalar(-0.5 * ln_2pi);
     let log_prob = per_dim.sum_axis(1)?;
     // entropy = Σ_d (log_std + 0.5 ln 2πe), replicated over the batch
-    let ln_2pi_e = (2.0 * std::f32::consts::PI * std::f32::consts::E).ln();
     let ent_scalar = log_std.add_scalar(0.5 * ln_2pi_e).sum_axis(0)?;
     let ones_b = mean.constant(Tensor::ones(&[batch]));
     let ent = ones_b.mul(&ent_scalar)?;
     Ok((log_prob, ent))
+}
+
+/// The hyper-parameters of PPO's policy loss over one batch.
+#[derive(Debug, Clone, Copy)]
+pub struct Surrogate {
+    /// Clipping radius ε of the probability ratio.
+    pub clip: f32,
+    /// Entropy bonus coefficient.
+    pub entropy_coef: f32,
+    /// Rows of the whole batch: what both means divide by.
+    pub rows: usize,
+}
+
+/// The action distribution a policy head's output parameterises, and
+/// the actions taken under it.
+pub enum Head<'a> {
+    /// The output is logits `[rows, n]`; one action index per row.
+    Categorical(&'a [usize]),
+    /// The output is the means `[rows, d]` of a diagonal Gaussian with
+    /// the shared `log_std` (`[d]`, a variable on the output's tape);
+    /// `actions` is `[rows, d]`.
+    Gaussian {
+        /// Per-dimension log standard deviation.
+        log_std: &'a Var,
+        /// The actions taken.
+        actions: Rc<Tensor>,
+    },
+}
+
+/// What [`ppo_policy_loss`] records and reports.
+pub struct PolicyLoss {
+    /// The loss node, `−mean(min(r·A, clip(r)·A)) − entropy_coef ·
+    /// mean(entropy)` over the rows so far, each mean over the batch.
+    pub loss: Var,
+    /// Its first term: the batch's mean clipped surrogate, negated
+    /// (of the whole batch once its last block is in).
+    pub surrogate: f32,
+    /// The batch's mean entropy (likewise).
+    pub entropy: f32,
+}
+
+/// PPO's policy loss over one row block of a batch, recorded as **one**
+/// tape node: the head output's per-row log-probability and entropy
+/// (through the [`Categorical`] head's row log-sum-exp, or the
+/// [`DiagGaussian`] head's `log_std` terms), the ratio
+/// `r = exp(log_prob − old_log_probs)`, its clip to `1 ± clip`, the
+/// minimum of `r·adv` and `clip(r)·adv`, and the two means over the
+/// batch. `sums` carries the means' running totals (surrogate, entropy)
+/// from block to block as [`Var::mean_over`] does: `None` before the
+/// first block.
+///
+/// Forwards the node runs [`crate::fastmath::log_softmax_rows`]' one
+/// log-sum-exp body, rows across the lanes; backwards it has one rule,
+/// which writes the gradient of the head output and of `log_std`. Every
+/// element follows the float sequence of the composition it replaces
+/// (`categorical_stats` or `gaussian_stats`, then `sub`, `exp`, `mul`,
+/// `clamp`, `min`, `mean_over`, `neg`, `mul_scalar` and `add`), each
+/// contribution to a gradient added in the order that composition's
+/// tape adds it, so the loss, both means and every gradient are those
+/// of the composition bit for bit (a NaN may carry another payload).
+///
+/// # Errors
+///
+/// Returns shape errors when the head output is not a matrix, the
+/// per-row inputs do not have its rows, an action index is out of
+/// range, or the Gaussian head's `actions` and `log_std` do not match
+/// the output, and [`TensorError::UnknownVariable`] for a `log_std` of
+/// another tape.
+pub fn ppo_policy_loss(
+    out: &Var,
+    head: Head<'_>,
+    old_log_probs: &Rc<Tensor>,
+    adv: &Rc<Tensor>,
+    cfg: Surrogate,
+    sums: &mut [Option<f32>; 2],
+) -> Result<PolicyLoss> {
+    let x = out.value();
+    let family = kernels::gather_family(x.shape().get(1).copied().unwrap_or(0));
+    policy_loss_on(family, out, head, old_log_probs, adv, cfg, sums)
+}
+
+/// [`ppo_policy_loss`] with its lane bodies on `family` (the tests run
+/// every family the host has).
+fn policy_loss_on(
+    family: MatKernel,
+    out: &Var,
+    head: Head<'_>,
+    old_log_probs: &Rc<Tensor>,
+    adv: &Rc<Tensor>,
+    cfg: Surrogate,
+    sums: &mut [Option<f32>; 2],
+) -> Result<PolicyLoss> {
+    let x = out.value();
+    if x.rank() != 2 {
+        return Err(TensorError::RankMismatch {
+            op: "ppo_policy_loss",
+            expected: 2,
+            actual: x.rank(),
+        });
+    }
+    let (m, k) = (x.shape()[0], x.shape()[1]);
+    for t in [old_log_probs, adv] {
+        if t.shape() != [m] {
+            return Err(TensorError::ShapeMismatch {
+                op: "ppo_policy_loss",
+                lhs: vec![m],
+                rhs: t.shape().to_vec(),
+            });
+        }
+    }
+    let (kind, log_std) = match head {
+        Head::Categorical(actions) => {
+            if actions.len() != m {
+                return Err(TensorError::LengthMismatch { expected: m, actual: actions.len() });
+            }
+            let mut taken = alloc::take_for_overwrite(m);
+            for (slot, &a) in taken.iter_mut().zip(actions) {
+                if a >= k {
+                    alloc::give(taken);
+                    return Err(TensorError::IndexOutOfRange { index: a, len: k });
+                }
+                *slot = a as f32;
+            }
+            let kind = Kind::Categorical {
+                taken,
+                lse: alloc::take_for_overwrite(m),
+                p: alloc::take_for_overwrite(m * k),
+            };
+            (kind, None)
+        }
+        Head::Gaussian { log_std, actions } => {
+            let ls = log_std.value();
+            if ls.shape() != [k] || actions.shape() != [m, k] {
+                let rhs = if ls.shape() != [k] { ls.shape() } else { actions.shape() };
+                return Err(TensorError::ShapeMismatch {
+                    op: "ppo_policy_loss",
+                    lhs: x.shape().to_vec(),
+                    rhs: rhs.to_vec(),
+                });
+            }
+            let mut std = alloc::take_for_overwrite(k);
+            std.copy_from_slice(ls.data());
+            fastmath::apply_slice(fastmath::Unary::Exp, &mut std);
+            (Kind::Gaussian { log_std: ls, actions, std }, Some(log_std))
+        }
+    };
+    let n = cfg.rows.max(1) as f32;
+    let mut node = LossNode {
+        family,
+        x,
+        kind,
+        old: Rc::clone(old_log_probs),
+        adv: Rc::clone(adv),
+        ratio: alloc::take_for_overwrite(m),
+        clip: (1.0 - cfg.clip, 1.0 + cfg.clip),
+        coef: cfg.entropy_coef,
+        n,
+        log_std_grad: RefCell::new(None),
+    };
+    let [surrogate_sum, entropy_sum] = sums;
+    let mut totals = [surrogate_sum.unwrap_or(-0.0), entropy_sum.unwrap_or(-0.0)];
+    node.forward(&mut totals);
+    (*surrogate_sum, *entropy_sum) = (Some(totals[0]), Some(totals[1]));
+    let surrogate = -(totals[0] / n);
+    let entropy = totals[1] / n;
+    let loss = surrogate + entropy * -cfg.entropy_coef;
+    let node = Rc::new(node);
+    let on_head = Rc::clone(&node);
+    let mut parents: Vec<(&Var, GradFn)> = vec![(
+        out,
+        Box::new(move |g| {
+            let (head, log_std) = on_head.backward(g);
+            *on_head.log_std_grad.borrow_mut() = log_std;
+            head
+        }),
+    )];
+    if let Some(log_std) = log_std {
+        parents.push((
+            log_std,
+            Box::new(move |g| match node.log_std_grad.borrow_mut().take() {
+                Some(grad) => grad,
+                // The head needs no gradient, so its rule was not kept.
+                None => {
+                    let (head, log_std) = node.backward(g);
+                    head.recycle();
+                    log_std.expect("a Gaussian head has a log-std gradient")
+                }
+            }),
+        ));
+    }
+    let loss = out.record(crate::autograd::filled(&[], loss), parents)?;
+    Ok(PolicyLoss { loss, surrogate, entropy })
+}
+
+/// The head-specific half of a [`LossNode`]: its inputs, and what its
+/// forward pass keeps for the backward one. Each buffer is drawn from
+/// the pool and goes back when the tape drops.
+enum Kind {
+    Categorical {
+        /// The action of each row, as a float (exact below 2²⁴).
+        taken: Vec<f32>,
+        /// Each row's log-sum-exp.
+        lse: Vec<f32>,
+        /// `exp(log_softmax)`, `[rows, n]`.
+        p: Vec<f32>,
+    },
+    Gaussian {
+        log_std: Rc<Tensor>,
+        actions: Rc<Tensor>,
+        /// `exp(log_std)`.
+        std: Vec<f32>,
+    },
+}
+
+/// One block's fused policy loss: what its forward pass read and kept,
+/// and the `log_std` gradient its backward rule hands from the head's
+/// rule to `log_std`'s.
+struct LossNode {
+    family: MatKernel,
+    /// The head output.
+    x: Rc<Tensor>,
+    kind: Kind,
+    old: Rc<Tensor>,
+    adv: Rc<Tensor>,
+    /// The probability ratio of each row.
+    ratio: Vec<f32>,
+    /// `(1 − clip, 1 + clip)`.
+    clip: (f32, f32),
+    coef: f32,
+    /// Rows of the batch.
+    n: f32,
+    log_std_grad: RefCell<Option<Tensor>>,
+}
+
+impl Drop for LossNode {
+    fn drop(&mut self) {
+        let give = |buf: &mut Vec<f32>| alloc::give(std::mem::take(buf));
+        give(&mut self.ratio);
+        match &mut self.kind {
+            Kind::Categorical { taken, lse, p } => [taken, lse, p].into_iter().for_each(give),
+            Kind::Gaussian { std, .. } => give(std),
+        }
+    }
+}
+
+/// What the lane bodies of a [`LossNode`] read and write, as pointers
+/// every body offsets by its first row.
+struct Rows {
+    x: *const f32,
+    /// Columns of the head output.
+    k: usize,
+    old: *const f32,
+    adv: *const f32,
+    ratio: *mut f32,
+    clip: (f32, f32),
+}
+
+impl LossNode {
+    fn rows(&self) -> Rows {
+        let k = self.x.shape()[1];
+        let (x, old, adv) = (self.x.data().as_ptr(), self.old.data().as_ptr(), self.adv.data());
+        let ratio = self.ratio.as_ptr().cast_mut();
+        Rows { x, k, old, adv: adv.as_ptr(), ratio, clip: self.clip }
+    }
+
+    /// The forward pass: fills what the node keeps and goes on with the
+    /// surrogate and entropy totals.
+    fn forward(&mut self, totals: &mut [f32; 2]) {
+        let m = self.x.shape()[0];
+        let mut rows = self.rows();
+        rows.ratio = self.ratio.as_mut_ptr();
+        match &mut self.kind {
+            Kind::Categorical { taken, lse, p } => {
+                let (taken, lse, p) = (taken.as_ptr(), lse.as_mut_ptr(), p.as_mut_ptr());
+                dispatch!(self.family, V => {
+                    // SAFETY: every buffer holds `m` rows (the checks of
+                    // `policy_loss_on`), and the family was detected.
+                    unsafe {
+                        each_block!(V, m, |r, W| {
+                            categorical_fwd::<W>(&rows, r, taken, lse, p, totals)
+                        })
+                    }
+                });
+            }
+            Kind::Gaussian { log_std, actions, std } => {
+                let (ls, a, std) = (log_std.data(), actions.data().as_ptr(), &std[..]);
+                let (c, entropy) = gaussian_terms(ls);
+                dispatch!(self.family, V => {
+                    // SAFETY: as for the categorical head; `ls` and
+                    // `std` hold `k` columns.
+                    unsafe {
+                        each_block!(V, m, |r, W| {
+                            gaussian_fwd::<W>(&rows, r, a, ls, std, c, totals)
+                        });
+                    }
+                });
+                // Every row's entropy is `1 · entropy`, a constant's
+                // product with the scalar.
+                for _ in 0..m {
+                    totals[1] += 1.0 * entropy;
+                }
+            }
+        }
+    }
+
+    /// The one backward rule: the gradients of the head output and, for
+    /// a Gaussian head, of `log_std`, from the loss's gradient `g`.
+    fn backward(&self, g: &Tensor) -> (Tensor, Option<Tensor>) {
+        let g = g.item().expect("the loss is a scalar");
+        let [m, k] = [self.x.shape()[0], self.x.shape()[1]];
+        let rows = self.rows();
+        let mut head = alloc::take_for_overwrite(m * k);
+        let out = head.as_mut_ptr();
+        // The composition's rules down to its two means: `add` passes `g`
+        // to both terms, `neg` and `mul_scalar` scale it, and each
+        // `mean_over` spreads it as `g / n` over the rows.
+        let g_min = -g / self.n;
+        let g_entropy = (g * -self.coef) / self.n;
+        let log_std = match &self.kind {
+            Kind::Categorical { taken, lse, p } => {
+                // `neg` then `sum_axis`' broadcast onto zeros.
+                let g_plogp = 0.0 + -g_entropy;
+                let (taken, lse, p) = (taken.as_ptr(), lse.as_ptr(), p.as_ptr());
+                dispatch!(self.family, V => {
+                    // SAFETY: as in `forward`; `head` holds `m · k`.
+                    unsafe {
+                        each_block!(V, m, |r, W| {
+                            categorical_bwd::<W>(&rows, r, g_min, g_plogp, taken, lse, p, out)
+                        })
+                    }
+                });
+                None
+            }
+            Kind::Gaussian { actions, std, .. } => {
+                let a = actions.data().as_ptr();
+                // Per column the `exp` term's row sum; the `sub` term's
+                // is one for every column.
+                let mut exp_sums = alloc::take_zeroed(k);
+                let mut sub_sum = 0.0;
+                let (sums, std) = (exp_sums.as_mut_ptr(), &std[..]);
+                dispatch!(self.family, V => {
+                    // SAFETY: as in `forward`; `exp_sums` holds `k`.
+                    unsafe {
+                        each_block!(V, m, |r, W| {
+                            gaussian_bwd::<W>(&rows, r, g_min, a, std, out, sums, &mut sub_sum)
+                        })
+                    }
+                });
+                // `ones · entropy`'s rule: `g · 1` per row, summed.
+                let mut g_entropy_sum = 0.0;
+                for _ in 0..m {
+                    g_entropy_sum += g_entropy * 1.0;
+                }
+                // Into `log_std`, in its tape's order: the entropy's
+                // `add_scalar`, the `sub` of the log-density, the `exp`
+                // of `std`.
+                for (slot, &s) in exp_sums.iter_mut().zip(std) {
+                    *slot = ((0.0 + g_entropy_sum) + sub_sum) + *slot * s;
+                }
+                Some(Tensor::from_vec(exp_sums, &[k]).expect("k columns"))
+            }
+        };
+        (Tensor::from_vec(head, &[m, k]).expect("m rows of k"), log_std)
+    }
+}
+
+/// The constants of the Gaussian log-density and entropy, each spelled
+/// once for [`gaussian_stats`] and the fused node alike: `ln 2π` and
+/// `ln 2πe`.
+fn gaussian_logs() -> (f32, f32) {
+    let ln_2pi = (2.0 * std::f32::consts::PI).ln();
+    let ln_2pi_e = (2.0 * std::f32::consts::PI * std::f32::consts::E).ln();
+    (ln_2pi, ln_2pi_e)
+}
+
+/// The log-density's per-element offset `−½ ln 2π`, and the entropy
+/// `Σ_d (log_std + ½ ln 2πe)` every row shares, in `gaussian_stats`'
+/// order (`sum_axis` from `0.0`).
+fn gaussian_terms(log_std: &[f32]) -> (f32, f32) {
+    let (ln_2pi, ln_2pi_e) = gaussian_logs();
+    let entropy = log_std.iter().fold(0.0, |acc, &ls| acc + (ls + 0.5 * ln_2pi_e));
+    (-0.5 * ln_2pi, entropy)
+}
+
+/// `acc` gone on over the lanes of `v` in lane order: a sum over rows
+/// as one accumulator sweeping them.
+#[inline(always)]
+unsafe fn fold_into<V: Lanes>(v: V, acc: &mut f32) {
+    let mut lanes = [0.0f32; 16];
+    v.store(lanes.as_mut_ptr());
+    for &x in lanes.iter().take(V::L) {
+        *acc += x;
+    }
+}
+
+/// `clamp(r, lo, hi)` in `f32::clamp`'s order: `lo` if `r < lo`, then
+/// `hi` if above it, NaN through.
+#[inline(always)]
+unsafe fn clamped<V: Lanes>(r: V, (lo, hi): (f32, f32)) -> V {
+    V::splat(hi).min(V::splat(lo).max(r))
+}
+
+/// The surrogate of rows `r..r + V::L` from their log-probabilities:
+/// stores the ratio and adds `min(r·adv, clip(r)·adv)` to `total`.
+#[inline(always)]
+unsafe fn surrogate_fwd<V: Lanes>(rows: &Rows, r: usize, log_prob: V, total: &mut f32) {
+    let ratio = exp(log_prob.sub(V::load(rows.old.add(r))));
+    ratio.store(rows.ratio.add(r));
+    let adv = V::load(rows.adv.add(r));
+    // `f32::min`: the clipped term when the unclipped one is NaN, which
+    // (a ratio of ∞ times an advantage of 0) leaves the clipped finite.
+    let unclipped = ratio.mul(adv);
+    fold_into(unclipped.min(clamped(ratio, rows.clip).mul(adv)), total);
+}
+
+/// The gradient of rows `r..r + V::L`' log-probabilities: back through
+/// the mean, the `min` (ties to the unclipped term), the products with
+/// the advantages, the clip (zero outside `[lo, hi]`), their sum and the
+/// `exp`.
+#[inline(always)]
+unsafe fn surrogate_bwd<V: Lanes>(rows: &Rows, r: usize, g_min: f32) -> V {
+    let (zero, one) = (V::splat(0.0), V::splat(1.0));
+    let ratio = V::load(rows.ratio.add(r));
+    let adv = V::load(rows.adv.add(r));
+    let (lo, hi) = (V::splat(rows.clip.0), V::splat(rows.clip.1));
+    let unclipped = ratio.mul(adv);
+    let clipped = clamped(ratio, rows.clip).mul(adv);
+    let g = V::splat(g_min);
+    let g_unclipped = unclipped.select::<LE>(clipped, one, zero).mul(g);
+    let g_clipped = clipped.select::<LT>(unclipped, one, zero).mul(g);
+    let inside = lo.select::<LE>(ratio, ratio.select::<LE>(hi, g_clipped.mul(adv), zero), zero);
+    inside.add(g_unclipped.mul(adv)).mul(ratio)
+}
+
+/// Forward of a categorical head over rows `r..r + V::L`: the
+/// log-sum-exp, `p = exp(x − lse)`, the entropy `−Σ p·(x − lse)` and the
+/// taken action's `x − lse`, then the surrogate.
+#[inline(always)]
+unsafe fn categorical_fwd<V: Lanes>(
+    rows: &Rows,
+    r: usize,
+    taken: *const f32,
+    lse: *mut f32,
+    p: *mut f32,
+    totals: &mut [f32; 2],
+) {
+    let (k, x) = (rows.k, rows.x.add(r * rows.k));
+    lse_rows::<V>(x, k, lse.add(r));
+    let (row_lse, action) = (V::load(lse.add(r)), V::load(taken.add(r)));
+    let (mut plogp, mut log_prob) = (V::splat(0.0), V::splat(0.0));
+    for j in 0..k {
+        let log_sm = V::gather(x.add(j), k).sub(row_lse);
+        let pj = exp(log_sm);
+        scatter(pj, p.add(r * k + j), k);
+        plogp = plogp.add(pj.mul(log_sm));
+        log_prob = action.select::<EQ>(V::splat(j as f32), log_sm, log_prob);
+    }
+    surrogate_fwd(rows, r, log_prob, &mut totals[0]);
+    fold_into(plogp.neg(), &mut totals[1]);
+}
+
+/// Backward of a categorical head over rows `r..r + V::L` into `out`:
+/// per element `((g·p) + (g·log_sm)·p) + select`, the entropy's two
+/// products and the log-prob's selection, then the log-softmax rule
+/// `G − p·ΣG` (the row sum from `−0.0`, as `f32`'s `Sum`).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn categorical_bwd<V: Lanes>(
+    rows: &Rows,
+    r: usize,
+    g_min: f32,
+    g_plogp: f32,
+    taken: *const f32,
+    lse: *const f32,
+    p: *const f32,
+    out: *mut f32,
+) {
+    let g_log_prob = surrogate_bwd::<V>(rows, r, g_min);
+    let (k, x) = (rows.k, rows.x.add(r * rows.k));
+    let (row_lse, action) = (V::load(lse.add(r)), V::load(taken.add(r)));
+    let (g, zero, (p, out)) = (V::splat(g_plogp), V::splat(0.0), (p.add(r * k), out.add(r * k)));
+    let mut g_sum = V::splat(-0.0);
+    for j in 0..k {
+        let pj = V::gather(p.add(j), k);
+        let log_sm = V::gather(x.add(j), k).sub(row_lse);
+        let chosen = action.select::<EQ>(V::splat(j as f32), g_log_prob, zero);
+        let gj = g.mul(pj).add(g.mul(log_sm).mul(pj)).add(chosen);
+        scatter(gj, out.add(j), k);
+        g_sum = g_sum.add(gj);
+    }
+    for j in 0..k {
+        let gj = V::gather(out.add(j), k);
+        scatter(gj.sub(V::gather(p.add(j), k).mul(g_sum)), out.add(j), k);
+    }
+}
+
+/// Forward of a Gaussian head over rows `r..r + V::L`: the log-density
+/// `Σ_d ((z² · −½) − log_std) + c` of `z = (a − mean) / std`, summed from
+/// `0.0`, then the surrogate.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn gaussian_fwd<V: Lanes>(
+    rows: &Rows,
+    r: usize,
+    actions: *const f32,
+    log_std: &[f32],
+    std: &[f32],
+    c: f32,
+    totals: &mut [f32; 2],
+) {
+    let (k, at) = (rows.k, r * rows.k);
+    let mut log_prob = V::splat(0.0);
+    for (j, (&ls, &s)) in log_std.iter().zip(std).enumerate() {
+        let diff = V::gather(actions.add(at + j), k).sub(V::gather(rows.x.add(at + j), k));
+        let z = diff.div(V::splat(s));
+        let term = z.mul(z).mul(V::splat(-0.5)).sub(V::splat(ls)).add(V::splat(c));
+        log_prob = log_prob.add(term);
+    }
+    surrogate_fwd(rows, r, log_prob, &mut totals[0]);
+}
+
+/// Backward of a Gaussian head over rows `r..r + V::L`: the means'
+/// gradient `−(((g·−½)·2)·z / std)` into `out`, and the row sums of the
+/// two `log_std` terms gone on over these rows: `−g` (the `sub`, one
+/// for every column) into `sub_sum`, `−((g_z·(a − mean)) / std²)` (the
+/// `div` by `std`) per column into `exp_sums`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn gaussian_bwd<V: Lanes>(
+    rows: &Rows,
+    r: usize,
+    g_min: f32,
+    actions: *const f32,
+    std: &[f32],
+    out: *mut f32,
+    exp_sums: *mut f32,
+    sub_sum: &mut f32,
+) {
+    // `sum_axis`' broadcast onto zeros.
+    let g = V::splat(0.0).add(surrogate_bwd::<V>(rows, r, g_min));
+    fold_into(g.neg(), sub_sum);
+    let g_square = g.mul(V::splat(-0.5)).mul(V::splat(2.0));
+    let (k, at) = (rows.k, r * rows.k);
+    let mut lanes = [0.0f32; 16];
+    for (j, &s) in std.iter().enumerate() {
+        let diff = V::gather(actions.add(at + j), k).sub(V::gather(rows.x.add(at + j), k));
+        let g_z = g_square.mul(diff.div(V::splat(s)));
+        scatter(g_z.div(V::splat(s)).neg(), out.add(at + j), k);
+        let term = g_z.mul(diff).div(V::splat(s * s)).neg();
+        term.store(lanes.as_mut_ptr());
+        for &t in lanes.iter().take(V::L) {
+            *exp_sums.add(j) += t;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -367,5 +954,273 @@ mod tests {
         let g = tape.backward(&loss).unwrap();
         assert!(g.get(mean.id()).is_some());
         assert!(g.get(ls.id()).is_some());
+    }
+
+    /// The fused node against the composition it replaces, on every lane
+    /// family this host runs.
+    mod fused {
+        use super::*;
+        use crate::kernels::{select, MatKernel};
+
+        fn families() -> Vec<MatKernel> {
+            let mut families = vec![select(), MatKernel::Portable];
+            #[cfg(target_arch = "x86_64")]
+            if crate::kernels::has_avx2_fma() && select() != MatKernel::Avx2 {
+                families.push(MatKernel::Avx2);
+            }
+            families
+        }
+
+        /// Equal bits, or both NaN (payloads may differ between paths).
+        fn same(a: f32, b: f32) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        fn assert_same(got: &[f32], want: &[f32], what: &str) {
+            assert_eq!(got.len(), want.len(), "{what}: lengths");
+            for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    same(g, w),
+                    "{what}[{i}]: node {g} ({:#x}) vs composition {w} ({:#x})",
+                    g.to_bits(),
+                    w.to_bits()
+                );
+            }
+        }
+
+        /// The actions of a block.
+        enum Taken {
+            Discrete(Vec<usize>),
+            Continuous(Rc<Tensor>),
+        }
+
+        /// One row block of a test batch.
+        struct Block {
+            x: Tensor,
+            actions: Taken,
+            old: Rc<Tensor>,
+            adv: Rc<Tensor>,
+        }
+
+        /// The loss as `policy_branch` spelled it before the node: the
+        /// distribution's statistics, then the clipped surrogate and the
+        /// entropy bonus as tape ops.
+        fn composed(
+            x: &Var,
+            log_std: &Var,
+            b: &Block,
+            cfg: Surrogate,
+            sums: &mut [Option<f32>; 2],
+        ) -> (Var, f32, f32) {
+            let (log_prob, entropy) = match &b.actions {
+                Taken::Discrete(idx) => categorical_stats(x, idx).unwrap(),
+                Taken::Continuous(actions) => {
+                    gaussian_stats(x, log_std, Rc::clone(actions)).unwrap()
+                }
+            };
+            let adv = x.constant(Rc::clone(&b.adv));
+            let old = x.constant(Rc::clone(&b.old));
+            let ratio = log_prob.sub(&old).unwrap().exp();
+            let unclipped = ratio.mul(&adv).unwrap();
+            let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv).unwrap();
+            let [policy_sum, entropy_sum] = sums;
+            let policy = unclipped.min(&clipped).unwrap().mean_over(cfg.rows, policy_sum).neg();
+            let entropy = entropy.mean_over(cfg.rows, entropy_sum);
+            let loss = policy.add(&entropy.mul_scalar(-cfg.entropy_coef)).unwrap();
+            (loss, policy.value().item().unwrap(), entropy.value().item().unwrap())
+        }
+
+        /// Runs the blocks through the composition and, on `family`, the
+        /// node, each block on a tape of its own with the sums and the
+        /// `log_std` gradient carried, and compares every output.
+        fn check(
+            family: MatKernel,
+            blocks: &[Block],
+            log_std: &Tensor,
+            cfg: Surrogate,
+            what: &str,
+        ) {
+            let [mut node_sums, mut comp_sums] = [[None; 2]; 2];
+            let (mut node_ls, mut comp_ls): (Option<Tensor>, Option<Tensor>) = (None, None);
+            for (i, b) in blocks.iter().enumerate() {
+                let what = format!("{what}, {family:?}, block {i}");
+                let run = |fused: bool, sums: &mut [Option<f32>; 2], carried: Option<Tensor>| {
+                    let tape = Tape::new();
+                    let x = tape.var(b.x.clone());
+                    let ls = tape.var(log_std.clone());
+                    let (loss, surrogate, entropy) = if fused {
+                        let head = match &b.actions {
+                            Taken::Discrete(idx) => Head::Categorical(idx),
+                            Taken::Continuous(a) => {
+                                Head::Gaussian { log_std: &ls, actions: Rc::clone(a) }
+                            }
+                        };
+                        let l =
+                            policy_loss_on(family, &x, head, &b.old, &b.adv, cfg, sums).unwrap();
+                        (l.loss, l.surrogate, l.entropy)
+                    } else {
+                        composed(&x, &ls, b, cfg, sums)
+                    };
+                    let carried = carried.map(|g| vec![(&ls, g)]).unwrap_or_default();
+                    let mut grads = tape.backward_onto(&loss, carried).unwrap();
+                    let value = loss.value().item().unwrap();
+                    (value, surrogate, entropy, grads.take_or_zeros(&x), grads.take_or_zeros(&ls))
+                };
+                let node = run(true, &mut node_sums, node_ls.take());
+                let comp = run(false, &mut comp_sums, comp_ls.take());
+                assert_same(
+                    &[node.0, node.1, node.2],
+                    &[comp.0, comp.1, comp.2],
+                    &format!("loss, surrogate, entropy; {what}"),
+                );
+                assert_same(node.3.data(), comp.3.data(), &format!("head gradient; {what}"));
+                assert_same(node.4.data(), comp.4.data(), &format!("log_std gradient; {what}"));
+                let sums = |s: [Option<f32>; 2]| s.map(|v| v.unwrap());
+                assert_same(&sums(node_sums), &sums(comp_sums), &format!("sums; {what}"));
+                (node_ls, comp_ls) = (Some(node.4), Some(comp.4));
+            }
+        }
+
+        fn uniform(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+            (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+        }
+
+        /// Blocks of `sizes` rows: a random head output, random actions,
+        /// old log-probabilities near the node's own (ratios about the
+        /// clip range, every third exactly 1), advantages with `±0`
+        /// among them, and `poison(row, x)` applied to each output row.
+        fn blocks(
+            rng: &mut StdRng,
+            sizes: &[usize],
+            k: usize,
+            discrete: bool,
+            log_std: &Tensor,
+            poison: Poison,
+        ) -> Vec<Block> {
+            sizes
+                .iter()
+                .map(|&m| {
+                    let mut x = uniform(rng, m * k, -3.0, 3.0);
+                    for (r, row) in x.chunks_mut(k).enumerate() {
+                        poison(r, row);
+                    }
+                    let x = Tensor::from_vec(x, &[m, k]).unwrap();
+                    let (actions, own) = if discrete {
+                        let idx: Vec<usize> = (0..m).map(|_| rng.gen_range(0..k)).collect();
+                        let own = Categorical::from_logits(&x).unwrap().log_prob(&idx).unwrap();
+                        (Taken::Discrete(idx), own)
+                    } else {
+                        let a = Rc::new(
+                            Tensor::from_vec(uniform(rng, m * k, -2.0, 2.0), &[m, k]).unwrap(),
+                        );
+                        let tape = Tape::new();
+                        let (lp, _) = gaussian_stats(
+                            &tape.var(x.clone()),
+                            &tape.var(log_std.clone()),
+                            Rc::clone(&a),
+                        )
+                        .unwrap();
+                        (Taken::Continuous(a), lp.value().as_ref().clone())
+                    };
+                    let old = own
+                        .data()
+                        .iter()
+                        .enumerate()
+                        .map(
+                            |(i, &lp)| {
+                                if i % 3 == 0 {
+                                    lp
+                                } else {
+                                    lp + rng.gen_range(-0.4f32..0.4)
+                                }
+                            },
+                        )
+                        .collect();
+                    let adv = (0..m)
+                        .map(|i| match i % 7 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-2.0f32..2.0),
+                        })
+                        .collect();
+                    Block {
+                        x,
+                        actions,
+                        old: Rc::new(Tensor::from_vec(old, &[m]).unwrap()),
+                        adv: Rc::new(Tensor::from_vec(adv, &[m]).unwrap()),
+                    }
+                })
+                .collect()
+        }
+
+        /// Poisons one row of a head output in place.
+        type Poison<'a> = &'a dyn Fn(usize, &mut [f32]);
+
+        /// Three or four blocks, the last ones shorter than a lane.
+        const SIZES: [&[usize]; 3] = [&[40, 33, 5], &[16, 3, 1, 7], &[1, 2, 3]];
+
+        fn configs(rows: usize) -> [Surrogate; 3] {
+            [
+                Surrogate { clip: 0.2, entropy_coef: 0.01, rows },
+                // Every ratio of 1 sits on both bounds.
+                Surrogate { clip: 0.0, entropy_coef: 0.0, rows },
+                Surrogate { clip: 1.5, entropy_coef: -0.3, rows },
+            ]
+        }
+
+        #[test]
+        fn the_node_is_the_composition_bit_for_bit() {
+            let mut rng = rng(71);
+            let clean = |_: usize, _: &mut [f32]| {};
+            // A NaN, a +∞ and a −∞ logit; a row of −∞ but one.
+            let poisoned = |r: usize, row: &mut [f32]| match r % 11 {
+                4 => row[0] = f32::NAN,
+                5 => row[row.len() - 1] = f32::INFINITY,
+                6 => row[0] = f32::NEG_INFINITY,
+                7 => row[1..].fill(f32::NEG_INFINITY),
+                _ => {}
+            };
+            for family in families() {
+                for sizes in SIZES {
+                    let rows = sizes.iter().sum();
+                    for (discrete, k) in [(true, 2), (true, 3), (true, 6), (false, 1), (false, 6)] {
+                        let log_std =
+                            Tensor::from_vec(uniform(&mut rng, k, -1.0, 0.5), &[k]).unwrap();
+                        let none = Tensor::zeros(&[0]);
+                        let ls = if discrete { &none } else { &log_std };
+                        let poisons: [Poison; 2] = [&clean, &poisoned];
+                        for (p, poison) in poisons.into_iter().enumerate() {
+                            let data = blocks(&mut rng, sizes, k, discrete, &log_std, poison);
+                            for cfg in configs(rows) {
+                                let what = format!("{sizes:?} rows, k {k}, discrete {discrete}, poisoned {}, clip {}", p == 1, cfg.clip);
+                                check(family, &data, ls, cfg, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A clip that puts a ratio exactly on `1 + clip` or `1 − clip`.
+        #[test]
+        fn a_ratio_on_a_clip_bound_keeps_every_bit() {
+            let mut rng = rng(72);
+            let none = Tensor::zeros(&[0]);
+            let data = blocks(&mut rng, &[24, 9, 2], 3, true, &none, &|_, _| {});
+            let b = &data[0];
+            let Taken::Discrete(idx) = &b.actions else { unreachable!() };
+            let own = Categorical::from_logits(&b.x).unwrap().log_prob(idx).unwrap();
+            for row in [1, 2] {
+                // Sterbenz: `r − 1` and `1 − r` are exact for r in [½, 2].
+                let ratio = crate::fastmath::fast_exp(own.data()[row] - b.old.data()[row]);
+                assert!((0.5..=2.0).contains(&ratio) && ratio != 1.0);
+                let clip = if ratio > 1.0 { ratio - 1.0 } else { 1.0 - ratio };
+                assert!(ratio == 1.0 + clip || ratio == 1.0 - clip);
+                for family in families() {
+                    let cfg = Surrogate { clip, entropy_coef: 0.01, rows: 35 };
+                    check(family, &data, &none, cfg, &format!("ratio {ratio} on a bound"));
+                }
+            }
+        }
     }
 }

@@ -53,7 +53,7 @@
 //! finite) and flushes to exactly `0.0` below `2⁻¹²⁷`.
 
 use crate::kernels::select;
-use crate::lanes::{dispatch, widest, Lanes, One};
+use crate::lanes::{dispatch, Lanes, One};
 
 /// Which elementwise transcendental [`apply_slice`] should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ const P5: f32 = 5.000_000_2e-1_f32;
 /// overflowing to `inf` / underflowing below `2⁻¹²⁷` (which flushes to
 /// exactly `0.0`); NaN propagates (data is the clamp's second operand).
 #[inline(always)]
-unsafe fn exp<V: Lanes>(x: V) -> V {
+pub(crate) unsafe fn exp<V: Lanes>(x: V) -> V {
     let x = V::splat(EXP_HI).min(x);
     let x = V::splat(EXP_LO).max(x);
     // x = z*ln2 + r with z integer-valued: z = floor(x*log2(e) + 0.5).
@@ -313,25 +313,77 @@ pub fn softmax_rows_fast(ad: &[f32], out: &mut [f32], n: usize) {
     }
 }
 
+/// The log-sum-exp of `V::L` rows of `n` columns at `p` (row stride
+/// `n`) into `lse[..V::L]`, lanes across rows: per lane the [`max_fold`]
+/// max from `−∞`, the serial sum from `−0.0` of `exp(v − max)` in
+/// ascending column order, then `ln(sum) + max` with libm's `ln`, once
+/// per row. The one log-sum-exp body: [`log_softmax_rows`] and the
+/// fused policy loss (`crate::dist`) both run it, so a log-probability
+/// the learner recomputes is bit for bit the one acting drew with.
+///
+/// [`max_fold`]: crate::kernels::max_fold
+#[inline(always)]
+pub(crate) unsafe fn lse_rows<V: Lanes>(p: *const f32, n: usize, lse: *mut f32) {
+    let mut max = V::splat(f32::NEG_INFINITY);
+    for j in 0..n {
+        max = max.max_fold(V::gather(p.add(j), n));
+    }
+    let mut sum = V::splat(-0.0);
+    for j in 0..n {
+        sum = sum.add(exp(V::gather(p.add(j), n).sub(max)));
+    }
+    let mut maxes = [0.0f32; 16];
+    max.store(maxes.as_mut_ptr());
+    sum.store(lse);
+    for (l, &m) in maxes.iter().enumerate().take(V::L) {
+        *lse.add(l) = (*lse.add(l)).ln() + m;
+    }
+}
+
 /// Row-wise log-softmax of the first `out.len()/n` rows of the
-/// row-major source into `out`: per row a serial max, then `ln(Σ fast_exp(v − max)) +
-/// max` (the polynomial `exp`; `ln` is libm's, one per row) subtracted
-/// from every element. The scalar loop runs in the host's trampoline
-/// ([`widest`]), where each fused step of `fast_exp` is one instruction.
+/// row-major source into `out`: per row `v − lse`, the log-sum-exp of
+/// `lse_rows` (`V::L` rows at a time, the rest one at a time).
+///
+/// # Panics
+///
+/// Panics when `ad` holds fewer rows than `out` — the body indexes
+/// unchecked.
 pub fn log_softmax_rows(ad: &[f32], out: &mut [f32], n: usize) {
-    widest(
-        #[inline(always)]
-        || {
-            for (r, orow) in out.chunks_mut(n).enumerate() {
-                let row = &ad[r * n..(r + 1) * n];
-                let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-                let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
-                for (o, &v) in orow.iter_mut().zip(row) {
-                    *o = v - lse;
-                }
+    log_softmax_rows_on(crate::kernels::gather_family(n), ad, out, n);
+}
+
+/// [`log_softmax_rows`] on `family`.
+fn log_softmax_rows_on(family: crate::kernels::MatKernel, ad: &[f32], out: &mut [f32], n: usize) {
+    if out.is_empty() || n == 0 {
+        return;
+    }
+    assert!(ad.len() >= out.len() && out.len().is_multiple_of(n), "log_softmax_rows: extents");
+    let (rows, p, o) = (out.len() / n, ad.as_ptr(), out.as_mut_ptr());
+    dispatch!(family, V => {
+        // SAFETY: the assert above bounds every row the body reads and
+        // writes.
+        unsafe {
+            let whole = rows - rows % V::L;
+            for r in (0..whole).step_by(V::L) {
+                log_softmax_at::<V>(p, o, n, r);
             }
-        },
-    );
+            for r in whole..rows {
+                log_softmax_at::<One>(p, o, n, r);
+            }
+        }
+    });
+}
+
+/// Rows `r..r + V::L` of [`log_softmax_rows`].
+#[inline(always)]
+unsafe fn log_softmax_at<V: Lanes>(p: *const f32, o: *mut f32, n: usize, r: usize) {
+    let mut lse = [0.0f32; 16];
+    lse_rows::<V>(p.add(r * n), n, lse.as_mut_ptr());
+    for (l, &s) in lse.iter().enumerate().take(V::L) {
+        for j in (r + l) * n..(r + l + 1) * n {
+            *o.add(j) = *p.add(j) - s;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -714,5 +766,53 @@ mod tests {
             softmax_row_fast_inplace(row);
         }
         assert_eq!(part, expect);
+    }
+
+    /// The per-row spelling the lane body replaced: an `f32::max` fold
+    /// from `−∞`, `f32`'s `Sum` of `fast_exp(v − max)`, libm's `ln`.
+    fn log_softmax_serial(ad: &[f32], out: &mut [f32], n: usize) {
+        for (r, orow) in out.chunks_mut(n).enumerate() {
+            let row = &ad[r * n..(r + 1) * n];
+            let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
+            let lse = row.iter().map(|&v| fast_exp(v - max)).sum::<f32>().ln() + max;
+            for (o, &v) in orow.iter_mut().zip(row) {
+                *o = v - lse;
+            }
+        }
+    }
+
+    /// The lane body, rows across the lanes, is the per-row loop bit for
+    /// bit (NaN for NaN) on every family: ragged row counts, one to
+    /// seventeen columns, and rows holding NaN, ±∞, all −∞ and ±0 ties.
+    #[test]
+    fn log_softmax_lanes_are_the_serial_rows_on_every_family() {
+        let mut families = vec![select(), MatKernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernels::has_avx2_fma() {
+            families.push(MatKernel::Avx2);
+        }
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 88.0, -104.0];
+        for n in [1, 2, 3, 6, 17] {
+            for rows in [1, 7, 16, 37] {
+                let ad: Vec<f32> = (0..rows * n)
+                    .map(|i| match (i * 7 + n) % 23 {
+                        s if s < special.len() && i % 3 == 0 => special[s],
+                        _ => ((i * 37 % 101) as f32 - 50.0) * 0.173,
+                    })
+                    .chain([-0.0, 0.0].into_iter().cycle().take(n))
+                    .chain(std::iter::repeat_n(f32::NEG_INFINITY, n))
+                    .collect();
+                let mut want = vec![0.0; ad.len()];
+                log_softmax_serial(&ad, &mut want, n);
+                for &family in &families {
+                    let mut got = vec![1.0; ad.len()];
+                    log_softmax_rows_on(family, &ad, &mut got, n);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                        assert!(same, "{family:?}, n {n}, rows {rows}, [{i}]: {g} vs {w}");
+                    }
+                }
+            }
+        }
     }
 }

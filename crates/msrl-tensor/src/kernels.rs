@@ -144,6 +144,17 @@ pub fn select() -> MatKernel {
     })
 }
 
+/// The family for a body that gathers lanes `stride` floats apart:
+/// [`select`]'s, unless `16 · stride` overflows the 32-bit gather
+/// offsets of the x86 families (the portable gather's are not 32-bit).
+pub(crate) fn gather_family(stride: usize) -> MatKernel {
+    if stride.saturating_mul(16) <= i32::MAX as usize {
+        select()
+    } else {
+        MatKernel::Portable
+    }
+}
+
 /// `b` repacked into column panels for the selected microkernel.
 ///
 /// Panel `p` covers output columns `p*nr .. (p+1)*nr` and stores them
@@ -440,9 +451,7 @@ pub fn reduce_rows(
     }
     let need = out.len().checked_mul(mid);
     assert!(need.is_some_and(|need| ad.len() >= need), "reduce_rows: operand extents");
-    // Gather lane offsets are 32-bit; the portable gather's are not.
-    let kernel =
-        if mid.saturating_mul(16) <= i32::MAX as usize { select() } else { MatKernel::Portable };
+    let kernel = gather_family(mid);
     let a = ad.as_ptr();
     dispatch!(kernel, V => {
         // SAFETY: the assert above bounds every index the body forms, and

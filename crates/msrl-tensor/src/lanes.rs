@@ -61,6 +61,9 @@ pub(crate) trait Lanes: Copy {
     unsafe fn max(self, b: Self) -> Self;
     /// [`max_fold`] on every lane.
     unsafe fn max_fold(self, v: Self) -> Self;
+    /// `if self ⋈ b { t } else { f }`, `⋈` the ordered comparison `CMP`
+    /// names ([`EQ`], [`LT`] or [`LE`]): false when either is NaN.
+    unsafe fn select<const CMP: i32>(self, b: Self, t: Self, f: Self) -> Self;
     /// Rounds toward −∞.
     unsafe fn floor(self) -> Self;
     /// `2^z` for integral `z` in `[−127, 127]`: `z` truncated to an
@@ -101,6 +104,28 @@ pub(crate) type Ymm = std::arch::x86_64::__m256;
 pub(crate) type Portable = [f32; 16];
 /// One lane: the tails of the vector bodies and the scalar `fast_*`.
 pub(crate) type One = [f32; 1];
+
+/// [`Lanes::select`]'s `==` (the `_CMP_EQ_OQ` predicate).
+pub(crate) const EQ: i32 = 0x00;
+/// [`Lanes::select`]'s `<` (`_CMP_LT_OQ`).
+pub(crate) const LT: i32 = 0x11;
+/// [`Lanes::select`]'s `<=` (`_CMP_LE_OQ`).
+pub(crate) const LE: i32 = 0x12;
+
+/// Lane `l` of `v` into `p[l·stride]`: a row-lane body's column back
+/// into a row-major matrix.
+///
+/// # Safety
+///
+/// As for [`Lanes`]: `p` valid for every lane's element.
+#[inline(always)]
+pub(crate) unsafe fn scatter<V: Lanes>(v: V, p: *mut f32, stride: usize) {
+    let mut lanes = [0.0f32; 16];
+    v.store(lanes.as_mut_ptr());
+    for (l, &x) in lanes.iter().enumerate().take(V::L) {
+        *p.add(l * stride) = x;
+    }
+}
 
 /// Runs `f`, and every always-inlined body it reaches, with AVX-512F (and
 /// the AVX2 and FMA it implies) enabled.
@@ -243,6 +268,22 @@ impl<const N: usize> Lanes for [f32; N] {
         std::array::from_fn(|l| max_fold(self[l], v[l]))
     }
     #[inline(always)]
+    unsafe fn select<const CMP: i32>(self, b: Self, t: Self, f: Self) -> Self {
+        std::array::from_fn(|l| {
+            let (x, y) = (self[l], b[l]);
+            let holds = match CMP {
+                EQ => x == y,
+                LT => x < y,
+                _ => x <= y,
+            };
+            if holds {
+                t[l]
+            } else {
+                f[l]
+            }
+        })
+    }
+    #[inline(always)]
     unsafe fn floor(self) -> Self {
         self.map(f32::floor)
     }
@@ -354,6 +395,10 @@ mod x86 {
             let take = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, self)
                 | _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self, self);
             _mm512_mask_blend_ps(take, self, v)
+        }
+        #[inline(always)]
+        unsafe fn select<const CMP: i32>(self, b: Self, t: Self, f: Self) -> Self {
+            _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<CMP>(self, b), f, t)
         }
         #[inline(always)]
         unsafe fn floor(self) -> Self {
@@ -499,6 +544,10 @@ mod x86 {
                 _mm256_cmp_ps::<_CMP_UNORD_Q>(self, self),
             );
             _mm256_blendv_ps(self, v, take)
+        }
+        #[inline(always)]
+        unsafe fn select<const CMP: i32>(self, b: Self, t: Self, f: Self) -> Self {
+            _mm256_blendv_ps(f, t, _mm256_cmp_ps::<CMP>(self, b))
         }
         #[inline(always)]
         unsafe fn floor(self) -> Self {

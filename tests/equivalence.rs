@@ -101,6 +101,7 @@ mod golden {
     use msrl_algos::ppo::PpoConfig;
     use msrl_env::batched::BatchedCartPole;
     use msrl_env::cartpole::CartPole;
+    use msrl_env::halfcheetah::HalfCheetah;
     use msrl_env::mpe::SimpleSpread;
     use msrl_runtime::exec::{
         run_a3c, run_dp_a, run_dp_b, run_dp_c, run_dp_d, run_dp_e, run_dp_f, A3cDistConfig,
@@ -124,8 +125,10 @@ mod golden {
     /// their one-float version stamp (8 replies × 4 B). `dp_a_sync` ran
     /// through a cross-actor act server until it was deleted; the act
     /// server forced staleness 0 and forwarded bit for bit as each actor
-    /// does, so the row kept its values.
-    const PINNED: [&str; 9] = [
+    /// does, so the row kept its values. `dp_c_cheetah` is the one row
+    /// with a Gaussian head: it was recorded while the PPO loss was still
+    /// a composition of tape ops, before the loss became one node.
+    const PINNED: [&str; 10] = [
         "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256 56",
         "dp_a_sync 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256 64",
         "dp_b 86c7a20bbd7c0291 95f8b0fef68733ed 6d0190a80067c424 272 7448 256 48",
@@ -135,6 +138,7 @@ mod golden {
         "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
         "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80 30",
         "dp_f_stale 42fe7e802d71182b d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
+        "dp_c_cheetah ec2f18b13e4a42fe 88201fb960ff6465 cbf29ce484222325 32 89760 256 96",
     ];
 
     /// Every field that decides how the seats synchronise is spelled
@@ -230,6 +234,11 @@ mod golden {
             // reply to round `i − 2`'s push at round `i`, never whichever
             // has landed.
             line("dp_f_stale", || run_dp_f(cart, &dist(1, 26)).unwrap()),
+            line("dp_c_cheetah", || {
+                let cheetah =
+                    |a: usize, i: usize| HalfCheetah::new((60 + a * 5 + i) as u64).with_horizon(24);
+                run_dp_c(cheetah, &dist(2, 28)).unwrap()
+            }),
         ]
     }
 
