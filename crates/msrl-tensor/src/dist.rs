@@ -822,16 +822,11 @@ unsafe fn gaussian_bwd<V: Lanes>(
     fold_into(g.neg(), sub_sum);
     let g_square = g.mul(V::splat(-0.5)).mul(V::splat(2.0));
     let (k, at) = (rows.k, r * rows.k);
-    let mut lanes = [0.0f32; 16];
     for (j, &s) in std.iter().enumerate() {
         let diff = V::gather(actions.add(at + j), k).sub(V::gather(rows.x.add(at + j), k));
         let g_z = g_square.mul(diff.div(V::splat(s)));
         scatter(g_z.div(V::splat(s)).neg(), out.add(at + j), k);
-        let term = g_z.mul(diff).div(V::splat(s * s)).neg();
-        term.store(lanes.as_mut_ptr());
-        for &t in lanes.iter().take(V::L) {
-            *exp_sums.add(j) += t;
-        }
+        fold_into(g_z.mul(diff).div(V::splat(s * s)).neg(), &mut *exp_sums.add(j));
     }
 }
 
