@@ -6,13 +6,21 @@
 //! which applies them and returns fresh weights. Per-actor work is
 //! therefore independent of the actor count — the flat curves of
 //! Figs. 7b/9b.
+//!
+//! A worker's loss is `−mean(log π · A) − β·mean(H) + c_v·mean((v − R)²)`
+//! on one tape over its rollout: the actor's terms are the policy-loss
+//! node PPO records too, in its vanilla mode
+//! ([`msrl_tensor::dist::Surrogate::Vanilla`]), and the critic's the
+//! value composition PPO's value branch spells.
+
+use std::rc::Rc;
 
 use msrl_core::api::{Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::Tape;
-use msrl_tensor::dist::categorical_stats;
+use msrl_tensor::dist::{policy_loss, Head, Surrogate};
 use msrl_tensor::optim::{clip_grad_norm, Adam};
-use msrl_tensor::Tensor;
+use msrl_tensor::{Tensor, TensorError};
 
 use crate::gae::discounted_returns;
 use crate::ppo::{PpoActor, PpoPolicy};
@@ -58,12 +66,13 @@ impl A3cWorker {
     ///
     /// # Errors
     ///
-    /// Propagates tensor failures.
+    /// [`TensorError::EmptyInput`] for an empty rollout; otherwise
+    /// propagates tensor failures.
     pub fn local_grads(&mut self, batch: &SampleBatch) -> Result<Vec<f32>> {
         let policy = &mut self.actor.policy;
         let n = batch.len();
         if n == 0 {
-            return Err(FdgError::MissingKernel { op: "A3C grads on empty rollout".into() });
+            return Err(FdgError::Tensor(TensorError::EmptyInput { op: "A3C local_grads" }));
         }
         // n-step returns bootstrapped from the critic at the final state.
         let last_value = if batch.dones[n - 1] {
@@ -84,15 +93,14 @@ impl A3cWorker {
         let obs = tape.constant(batch.obs.clone());
         let logits = actor.forward(&obs)?;
         let idx: Vec<usize> = batch.actions.data().iter().map(|&a| a as usize).collect();
-        let (log_prob, entropy) = categorical_stats(&logits, &idx)?;
-        let adv_t = tape.constant(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?);
-        let pg = log_prob.mul(&adv_t)?.mean().neg();
+        let adv = Rc::new(Tensor::from_vec(adv, &[n]).map_err(FdgError::Tensor)?);
+        let surrogate = Surrogate::Vanilla { entropy_coef: self.cfg.entropy_coef, rows: n };
+        let policy =
+            policy_loss(&logits, Head::Categorical(&idx), &adv, surrogate, &mut [None; 2])?;
         let ret_t = tape.constant(Tensor::from_vec(returns, &[n]).map_err(FdgError::Tensor)?);
         let v = critic.forward(&obs)?.reshape(&[n])?;
         let value_loss = v.sub(&ret_t)?.square().mean();
-        let loss = pg
-            .add(&value_loss.mul_scalar(self.cfg.value_coef))?
-            .add(&entropy.mean().mul_scalar(-self.cfg.entropy_coef))?;
+        let loss = policy.loss.add(&value_loss.mul_scalar(self.cfg.value_coef))?;
         let mut grads = tape.backward(&loss)?;
         let mut gs = actor.take_grads(&mut grads);
         gs.extend(critic.take_grads(&mut grads));
@@ -228,6 +236,16 @@ mod tests {
         let bits =
             |l: &A3cLearner| l.policy_params().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&learner), bits(&twin));
+    }
+
+    /// An empty rollout is an empty input, not a missing kernel.
+    #[test]
+    fn learn_rejects_an_empty_batch() {
+        let policy = PpoPolicy::discrete(4, 2, &[8], 0);
+        let mut learner = A3cLearner::new(policy, &A3cConfig::default());
+        let err = learner.learn(&SampleBatch::default()).unwrap_err();
+        assert!(matches!(err, FdgError::Tensor(TensorError::EmptyInput { .. })), "{err}");
+        assert_eq!(learner.updates(), 0);
     }
 
     /// A3C improves CartPole with a few async-style workers applying

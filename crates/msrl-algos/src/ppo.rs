@@ -14,7 +14,7 @@ use std::rc::Rc;
 use msrl_core::api::{ActOutput, Actor, Learner, SampleBatch, Signals};
 use msrl_core::{FdgError, Result};
 use msrl_tensor::autograd::{Tape, Var};
-use msrl_tensor::dist::{ppo_policy_loss, Categorical, DiagGaussian, Head, PolicyLoss, Surrogate};
+use msrl_tensor::dist::{policy_loss, Categorical, DiagGaussian, Head, PolicyLoss, Surrogate};
 use msrl_tensor::nn::{Activation, Mlp};
 use msrl_tensor::ops::{self, Panels};
 use msrl_tensor::optim::{clip_grad_norm, Adam, Optimizer};
@@ -506,7 +506,7 @@ fn value_branch(
 /// The policy branch of the loss on the calling thread: the actor,
 /// log-std and the policy loss — the action distribution's statistics,
 /// the clipped surrogate and the entropy bonus, recorded as one tape
-/// node ([`ppo_policy_loss`]) that reads the block's advantages and old
+/// node ([`policy_loss`]) that reads the block's advantages and old
 /// log-probabilities in place. Returns the surrogate loss, the mean
 /// entropy and the gradients of the actor's parameters, then of log-std
 /// (continuous only).
@@ -539,7 +539,6 @@ fn policy_branch(
     let shared = actor.share();
     let log_std = Rc::new(log_std.clone());
     let mut gs: Vec<Tensor> = Vec::new();
-    let terms = Surrogate { clip: cfg.clip, entropy_coef: cfg.entropy_coef, rows: n };
     let mut sums = [None; 2];
     let mut means = (0.0, 0.0);
     for block in &inputs.blocks {
@@ -556,7 +555,7 @@ fn policy_branch(
             },
         };
         let PolicyLoss { loss, surrogate, entropy } =
-            ppo_policy_loss(&out, head, &block.old_log_probs, &block.adv, terms, &mut sums)?;
+            policy_loss(&out, head, &block.adv, clipped(cfg, &block.old_log_probs, n), &mut sums)?;
         let params: Vec<&Var> = actor.param_vars().iter().chain(&log_std_var).collect();
         let carried = params.iter().copied().zip(gs.drain(..)).collect();
         let mut grads = tape.backward_onto(&loss, carried)?;
@@ -565,6 +564,11 @@ fn policy_branch(
         means = (surrogate, entropy);
     }
     Ok((means.0, means.1, gs))
+}
+
+/// PPO's surrogate for a block of a batch of `rows` rows.
+fn clipped<'a>(cfg: &PpoConfig, old_log_probs: &'a Rc<Tensor>, rows: usize) -> Surrogate<'a> {
+    Surrogate::Clipped { clip: cfg.clip, old_log_probs, entropy_coef: cfg.entropy_coef, rows }
 }
 
 /// The training half of PPO (`Learner.learn()` in the paper's API).
@@ -769,7 +773,7 @@ fn trained(policy: &mut PpoPolicy) -> Vec<&mut Tensor> {
 impl Learner for PpoLearner {
     fn learn(&mut self, batch: &SampleBatch) -> Result<f32> {
         if batch.is_empty() {
-            return Err(FdgError::MissingKernel { op: "Learn(empty batch)".into() });
+            return Err(FdgError::Tensor(msrl_tensor::TensorError::EmptyInput { op: "PPO learn" }));
         }
         self.cfg.validate()?;
         let inputs = self.loss_inputs(batch, self.block_rows())?;
@@ -853,7 +857,6 @@ mod tests {
     use crate::rollout::collect;
     use msrl_env::cartpole::CartPole;
     use msrl_env::VecEnv;
-    use msrl_tensor::dist::{categorical_stats, gaussian_stats};
 
     #[test]
     fn policy_flatten_roundtrip() {
@@ -1018,11 +1021,16 @@ mod tests {
         assert!(learner.apply_grads(&[0.0]).is_err());
     }
 
+    /// An empty batch is an empty input, not a missing kernel.
     #[test]
     fn learn_rejects_empty_batch() {
         let policy = PpoPolicy::discrete(4, 2, &[8], 0);
         let mut learner = PpoLearner::new(policy, PpoConfig::default());
-        assert!(learner.learn(&SampleBatch::default()).is_err());
+        let err = learner.learn(&SampleBatch::default()).unwrap_err();
+        assert!(
+            matches!(err, FdgError::Tensor(msrl_tensor::TensorError::EmptyInput { .. })),
+            "{err}"
+        );
     }
 
     /// A NaN observation must reach the heads as NaN on the plain and
@@ -1220,7 +1228,7 @@ mod tests {
         let (shared_actor, shared_critic) = (policy.actor.share(), policy.critic.share());
         let n = inputs.rows;
         let mut gs: Vec<Tensor> = Vec::new();
-        let [mut policy_sum, mut value_sum, mut entropy_sum] = [None; 3];
+        let (mut sums, mut value_sum) = ([None; 2], None);
         let mut metrics = (0.0, 0.0);
         for block in &inputs.blocks {
             let tape = Tape::new();
@@ -1229,36 +1237,27 @@ mod tests {
             let obs = tape.constant(Rc::clone(&block.obs));
             let out = actor.forward(&obs).unwrap();
             let mut log_std_var = None;
-            let (log_prob, entropy) = match &block.actions {
-                Actions::Discrete(idx) => categorical_stats(&out, idx).unwrap(),
-                Actions::Continuous(actions) => {
-                    let log_std = tape.var(policy.log_std.clone());
-                    let stats = gaussian_stats(&out, &log_std, Rc::clone(actions)).unwrap();
-                    log_std_var = Some(log_std);
-                    stats
-                }
+            let head = match &block.actions {
+                Actions::Discrete(idx) => Head::Categorical(idx),
+                Actions::Continuous(actions) => Head::Gaussian {
+                    log_std: log_std_var.insert(tape.var(policy.log_std.clone())),
+                    actions: Rc::clone(actions),
+                },
             };
-            let adv_t = tape.constant(Rc::clone(&block.adv));
-            let old_lp = tape.constant(Rc::clone(&block.old_log_probs));
-            let ratio = log_prob.sub(&old_lp).unwrap().exp();
-            let unclipped = ratio.mul(&adv_t).unwrap();
-            let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv_t).unwrap();
-            let policy_loss = unclipped.min(&clipped).unwrap().mean_over(n, &mut policy_sum).neg();
+            let surrogate = clipped(cfg, &block.old_log_probs, n);
+            let pl = policy_loss(&out, head, &block.adv, surrogate, &mut sums).unwrap();
             let ret_t = tape.constant(Rc::clone(&block.ret));
             let values = critic.forward(&obs).unwrap().reshape(&[block.ret.len()]).unwrap();
             let value_loss = values.sub(&ret_t).unwrap().square().mean_over(n, &mut value_sum);
-            let entropy_mean = entropy.mean_over(n, &mut entropy_sum);
-            let loss = policy_loss
-                .add(&value_loss.mul_scalar(cfg.value_coef))
-                .unwrap()
-                .add(&entropy_mean.mul_scalar(-cfg.entropy_coef))
-                .unwrap();
+            let loss = pl.loss.add(&value_loss.mul_scalar(cfg.value_coef)).unwrap();
             let params: Vec<&Var> =
                 actor.param_vars().iter().chain(critic.param_vars()).chain(&log_std_var).collect();
             let carried = params.iter().copied().zip(gs.drain(..)).collect();
             let mut grads = tape.backward_onto(&loss, carried).unwrap();
             gs.extend(params.iter().map(|p| grads.take_or_zeros(p)));
-            metrics = (loss.value().item().unwrap(), entropy_mean.value().item().unwrap());
+            // In the `f32` order of the loss the composition summed.
+            let value = value_loss.value().item().unwrap() * cfg.value_coef;
+            metrics = ((pl.surrogate + value) + pl.entropy * -cfg.entropy_coef, pl.entropy);
         }
         let norm = clip_grad_norm(&mut gs, cfg.max_grad_norm);
         bits_of(metrics.0, metrics.1, norm, &gs)

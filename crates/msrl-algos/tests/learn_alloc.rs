@@ -1,5 +1,6 @@
-//! Exact allocation counts of one steady-state `PpoLearner::learn`, and
-//! the exact weight packs of acting.
+//! Exact allocation counts of one steady-state `PpoLearner::learn`, the
+//! exact work of one A3C `local_grads`, and the exact weight packs of
+//! acting.
 //!
 //! The tape shares its values and hands every dead buffer back to the
 //! tensor pool, so once the pool is warm a learn pass allocates little
@@ -17,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use msrl_algos::a3c::{A3cConfig, A3cWorker};
 use msrl_algos::ppo::{PpoActor, PpoAgent, PpoConfig, PpoLearner, PpoPolicy};
 use msrl_core::api::{Actor, Learner, SampleBatch};
 use msrl_tensor::alloc::PoolStats;
@@ -307,6 +309,26 @@ fn steady_state_learn_allocates_within_bounds() {
             shape.max_total_high_water_elems
         );
     }
+    // One A3C `local_grads` over a 128-step rollout is one tape: the
+    // observations, both networks' twelve parameters and six layers, the
+    // policy-loss node in its vanilla mode, the returns, and the value
+    // composition's `reshape`, `sub`, `square`, `mean` and `mul_scalar`
+    // with the `add` of the two losses: 27 nodes. The actor's loss as 15
+    // tape ops and the advantages' leaf held 39. It packs each hidden
+    // weight for `x·w` (128 rows of a 64-wide layer clear both pack
+    // rules) and the two weights a gradient flows back through for
+    // `g·wᵀ`: 3 a network, 6. The 1-row bootstrap forward packs none.
+    let policy = PpoPolicy::discrete(4, 2, &[64, 64], 1);
+    let batch = synthetic_batch(128, 4, 2, true);
+    let mut worker = A3cWorker::new(policy, A3cConfig::default(), 1);
+    worker.local_grads(&batch).expect("warm-up local_grads");
+    let mut packs = 0;
+    let nodes = nodes_of(|| {
+        packs = packs_of(|| drop(worker.local_grads(&batch).expect("local_grads")));
+    });
+    println!("a3c: 128 rows x [64,64] discrete: {packs} tensor.pack_b, {nodes} tape nodes");
+    assert_eq!(nodes, 27, "a3c: tape nodes of one local_grads()");
+    assert_eq!(packs, 6, "a3c: tensor.pack_b calls of one local_grads()");
     // Acting packs each weight of both heads once per weight version
     // (`PackedPpo`): a changed sync or a reach into the learner drops the
     // panels, and only the next act packs them again, every layer — the

@@ -304,16 +304,6 @@ impl FusedGrad {
     }
 }
 
-/// `g` where `pick(a, b)` holds and zero elsewhere (the rules of
-/// [`Var::min`]).
-fn masked(a: &Tensor, b: &Tensor, g: &Tensor, pick: impl Fn(f32, f32) -> bool + Sync) -> Tensor {
-    let mask =
-        ops::zip_broadcast(a, b, |x, y| if pick(x, y) { 1.0 } else { 0.0 }).expect("fwd shapes");
-    let res = ops::zip_broadcast(&mask, g, |m, gv| m * gv).expect("fwd shapes");
-    mask.recycle();
-    res
-}
-
 /// `f` on `shared`, or on panels of its own when there are none: the
 /// products of a weight registered without panels pack per call.
 fn on_panels<R>(shared: Option<&Panels>, f: impl FnOnce(&Panels) -> R) -> R {
@@ -583,48 +573,6 @@ impl Var {
         ))
     }
 
-    /// Element-wise multiplication with broadcasting.
-    pub fn mul(&self, other: &Var) -> Result<Var> {
-        let (a, b) = (self.value(), other.value());
-        let out = ops::mul(&a, &b)?;
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        Ok(self.binary(
-            other,
-            out,
-            Box::new(move |g| reduce_owned(ops::mul(g, &b).expect("fwd shapes"), &sa)),
-            Box::new(move |g| reduce_owned(ops::mul(g, &a).expect("fwd shapes"), &sb)),
-        ))
-    }
-
-    /// Element-wise division with broadcasting.
-    pub fn div(&self, other: &Var) -> Result<Var> {
-        let (a, b) = (self.value(), other.value());
-        let out = ops::div(&a, &b)?;
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let b2 = Rc::clone(&b);
-        Ok(self.binary(
-            other,
-            out,
-            Box::new(move |g| reduce_owned(ops::div(g, &b2).expect("fwd shapes"), &sa)),
-            Box::new(move |g| {
-                // d(a/b)/db = -a / b^2
-                let b_sq = ops::square(&b);
-                let t = ops::div(&ops::mul(g, &a).expect("fwd shapes"), &b_sq).expect("fwd shapes");
-                reduce_owned(ops::neg(&t), &sb)
-            }),
-        ))
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Var {
-        self.unary(ops::neg(&self.value()), Box::new(ops::neg))
-    }
-
-    /// Adds a constant scalar.
-    pub fn add_scalar(&self, s: f32) -> Var {
-        self.unary(ops::add_scalar(&self.value(), s), Box::new(pass_through))
-    }
-
     /// Multiplies by a constant scalar.
     pub fn mul_scalar(&self, s: f32) -> Var {
         self.unary(ops::mul_scalar(&self.value(), s), Box::new(move |g| ops::mul_scalar(g, s)))
@@ -700,20 +648,6 @@ impl Var {
         ))
     }
 
-    /// ReLU activation.
-    pub fn relu(&self) -> Var {
-        let a = self.value();
-        let out = ops::relu(&a);
-        Var::unary(
-            self,
-            out,
-            Box::new(move |g| {
-                ops::zip_broadcast(g, &a, |gv, av| if av > 0.0 { gv } else { 0.0 })
-                    .expect("same shape")
-            }),
-        )
-    }
-
     /// Hyperbolic-tangent activation.
     pub fn tanh(&self) -> Var {
         let out = Rc::new(ops::tanh(&self.value()));
@@ -723,38 +657,6 @@ impl Var {
             Box::new(move |g| {
                 // d tanh(x)/dx = 1 - tanh(x)^2
                 ops::zip_broadcast(g, &oc, |gv, ov| gv * (1.0 - ov * ov)).expect("same shape")
-            }),
-        )
-    }
-
-    /// Logistic sigmoid activation.
-    pub fn sigmoid(&self) -> Var {
-        let out = Rc::new(ops::sigmoid(&self.value()));
-        let oc = Rc::clone(&out);
-        self.unary(
-            out,
-            Box::new(move |g| {
-                ops::zip_broadcast(g, &oc, |gv, ov| gv * ov * (1.0 - ov)).expect("same shape")
-            }),
-        )
-    }
-
-    /// Element-wise exponential.
-    pub fn exp(&self) -> Var {
-        let out = Rc::new(ops::exp(&self.value()));
-        let oc = Rc::clone(&out);
-        self.unary(out, Box::new(move |g| ops::mul(g, &oc).expect("same shape")))
-    }
-
-    /// Element-wise natural log (input clamped away from zero).
-    pub fn ln(&self) -> Var {
-        let a = self.value();
-        let out = ops::ln(&a);
-        self.unary(
-            out,
-            Box::new(move |g| {
-                ops::zip_broadcast(g, &a, |gv, av| gv / av.max(f32::MIN_POSITIVE))
-                    .expect("same shape")
             }),
         )
     }
@@ -769,35 +671,6 @@ impl Var {
                 ops::zip_broadcast(g, &a, |gv, av| gv * 2.0 * av).expect("same shape")
             }),
         )
-    }
-
-    /// Element-wise clamp. Gradients pass through only inside `[lo, hi]`
-    /// (the usual sub-gradient convention, as used for PPO's ratio clip).
-    pub fn clamp(&self, lo: f32, hi: f32) -> Var {
-        let a = self.value();
-        let out = ops::clamp(&a, lo, hi);
-        self.unary(
-            out,
-            Box::new(move |g| {
-                ops::zip_broadcast(g, &a, |gv, av| if av >= lo && av <= hi { gv } else { 0.0 })
-                    .expect("same shape")
-            }),
-        )
-    }
-
-    /// Element-wise minimum of two variables; the gradient routes to
-    /// whichever operand is smaller (ties go to `self`).
-    pub fn min(&self, other: &Var) -> Result<Var> {
-        let (a, b) = (self.value(), other.value());
-        let out = ops::minimum(&a, &b)?;
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (a2, b2) = (Rc::clone(&a), Rc::clone(&b));
-        Ok(self.binary(
-            other,
-            out,
-            Box::new(move |g| reduce_owned(masked(&a, &b, g, |x, y| x <= y), &sa)),
-            Box::new(move |g| reduce_owned(masked(&a2, &b2, g, |x, y| x > y), &sb)),
-        ))
     }
 
     /// Sum of all elements (scalar output).
@@ -839,6 +712,124 @@ impl Var {
             filled(&[], total / n),
             Box::new(move |g| filled(&shape, g.item().expect("scalar grad") / n)),
         )
+    }
+
+    /// Reshape (gradient reshapes back).
+    pub fn reshape(&self, dims: &[usize]) -> Result<Var> {
+        let a = self.value();
+        let out = a.reshape(dims)?;
+        let orig = a.shape().to_vec();
+        Ok(self.unary(out, Box::new(move |g| g.reshape(&orig).expect("volume unchanged"))))
+    }
+}
+
+/// Tape ops only the tests record: the compositions the fused nodes
+/// replaced ([`crate::dist`]'s oracles, `matmul → add → act`) and the
+/// rules those tests check.
+#[cfg(test)]
+impl Var {
+    /// Element-wise multiplication with broadcasting.
+    pub fn mul(&self, other: &Var) -> Result<Var> {
+        let (a, b) = (self.value(), other.value());
+        let out = ops::mul(&a, &b)?;
+        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
+        Ok(self.binary(
+            other,
+            out,
+            Box::new(move |g| reduce_owned(ops::mul(g, &b).expect("fwd shapes"), &sa)),
+            Box::new(move |g| reduce_owned(ops::mul(g, &a).expect("fwd shapes"), &sb)),
+        ))
+    }
+
+    /// Element-wise division with broadcasting.
+    pub fn div(&self, other: &Var) -> Result<Var> {
+        let (a, b) = (self.value(), other.value());
+        let out = ops::div(&a, &b)?;
+        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
+        let b2 = Rc::clone(&b);
+        Ok(self.binary(
+            other,
+            out,
+            Box::new(move |g| reduce_owned(ops::div(g, &b2).expect("fwd shapes"), &sa)),
+            Box::new(move |g| {
+                // d(a/b)/db = -a / b^2
+                let b_sq = ops::square(&b);
+                let t = ops::div(&ops::mul(g, &a).expect("fwd shapes"), &b_sq).expect("fwd shapes");
+                reduce_owned(ops::neg(&t), &sb)
+            }),
+        ))
+    }
+
+    /// Negation.
+    pub fn neg(&self) -> Var {
+        self.unary(ops::neg(&self.value()), Box::new(ops::neg))
+    }
+
+    /// Adds a constant scalar.
+    pub fn add_scalar(&self, s: f32) -> Var {
+        self.unary(ops::add_scalar(&self.value(), s), Box::new(pass_through))
+    }
+
+    /// ReLU activation.
+    pub fn relu(&self) -> Var {
+        let a = self.value();
+        let out = ops::relu(&a);
+        Var::unary(
+            self,
+            out,
+            Box::new(move |g| {
+                ops::zip_broadcast(g, &a, |gv, av| if av > 0.0 { gv } else { 0.0 })
+                    .expect("same shape")
+            }),
+        )
+    }
+
+    /// Logistic sigmoid activation.
+    pub fn sigmoid(&self) -> Var {
+        let out = Rc::new(ops::sigmoid(&self.value()));
+        let oc = Rc::clone(&out);
+        self.unary(
+            out,
+            Box::new(move |g| {
+                ops::zip_broadcast(g, &oc, |gv, ov| gv * ov * (1.0 - ov)).expect("same shape")
+            }),
+        )
+    }
+
+    /// Element-wise exponential.
+    pub fn exp(&self) -> Var {
+        let out = Rc::new(ops::exp(&self.value()));
+        let oc = Rc::clone(&out);
+        self.unary(out, Box::new(move |g| ops::mul(g, &oc).expect("same shape")))
+    }
+
+    /// Element-wise clamp. Gradients pass through only inside `[lo, hi]`
+    /// (the usual sub-gradient convention, as used for PPO's ratio clip).
+    pub fn clamp(&self, lo: f32, hi: f32) -> Var {
+        let a = self.value();
+        let out = ops::clamp(&a, lo, hi);
+        self.unary(
+            out,
+            Box::new(move |g| {
+                ops::zip_broadcast(g, &a, |gv, av| if av >= lo && av <= hi { gv } else { 0.0 })
+                    .expect("same shape")
+            }),
+        )
+    }
+
+    /// Element-wise minimum of two variables; the gradient routes to
+    /// whichever operand is smaller (ties go to `self`).
+    pub fn min(&self, other: &Var) -> Result<Var> {
+        let (a, b) = (self.value(), other.value());
+        let out = ops::minimum(&a, &b)?;
+        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
+        let (a2, b2) = (Rc::clone(&a), Rc::clone(&b));
+        Ok(self.binary(
+            other,
+            out,
+            Box::new(move |g| reduce_owned(masked(&a, &b, g, |x, y| x <= y), &sa)),
+            Box::new(move |g| reduce_owned(masked(&a2, &b2, g, |x, y| x > y), &sb)),
+        ))
     }
 
     /// Row-wise log-softmax of a rank-2 value.
@@ -883,42 +874,6 @@ impl Var {
         ))
     }
 
-    /// Reshape (gradient reshapes back).
-    pub fn reshape(&self, dims: &[usize]) -> Result<Var> {
-        let a = self.value();
-        let out = a.reshape(dims)?;
-        let orig = a.shape().to_vec();
-        Ok(self.unary(out, Box::new(move |g| g.reshape(&orig).expect("volume unchanged"))))
-    }
-
-    /// Detaches the value from the tape: the result is a fresh constant
-    /// leaf over the same buffer, so no gradient flows through it (MSRL
-    /// uses this for advantage targets).
-    pub fn detach(&self) -> Var {
-        self.tape.constant(self.value())
-    }
-
-    /// A handle to the tape this variable lives on.
-    pub fn tape(&self) -> Tape {
-        self.tape.clone()
-    }
-
-    /// Registers a constant tensor as a fresh leaf on this variable's
-    /// tape ([`Tape::constant`]).
-    ///
-    /// Convenient for constants participating in traced expressions
-    /// (index masks, ones vectors, targets).
-    pub fn constant(&self, t: impl Into<Rc<Tensor>>) -> Var {
-        self.tape.constant(t)
-    }
-
-    /// Transpose of a rank-2 value (gradient transposes back).
-    pub fn transpose(&self) -> Result<Var> {
-        let out = ops::transpose(&self.value())?;
-        Ok(self
-            .unary(out, Box::new(|g| ops::transpose(g).expect("gradient of a matrix is a matrix"))))
-    }
-
     /// Sum along `axis`, removing that axis; the gradient broadcasts back.
     pub fn sum_axis(&self, axis: usize) -> Result<Var> {
         let a = self.value();
@@ -940,12 +895,25 @@ impl Var {
         ))
     }
 
-    /// Mean along `axis`, removing that axis.
-    pub fn mean_axis(&self, axis: usize) -> Result<Var> {
-        let shape = self.shape();
-        let n = *shape.get(axis).ok_or(TensorError::AxisOutOfRange { axis, rank: shape.len() })?;
-        Ok(self.sum_axis(axis)?.mul_scalar(1.0 / n as f32))
+    /// Registers a constant tensor as a fresh leaf on this variable's
+    /// tape ([`Tape::constant`]).
+    ///
+    /// Convenient for constants participating in traced expressions
+    /// (index masks, ones vectors, targets).
+    pub fn constant(&self, t: impl Into<Rc<Tensor>>) -> Var {
+        self.tape.constant(t)
     }
+}
+
+#[cfg(test)]
+/// `g` where `pick(a, b)` holds and zero elsewhere (the rules of
+/// `Var::min`).
+fn masked(a: &Tensor, b: &Tensor, g: &Tensor, pick: impl Fn(f32, f32) -> bool + Sync) -> Tensor {
+    let mask =
+        ops::zip_broadcast(a, b, |x, y| if pick(x, y) { 1.0 } else { 0.0 }).expect("fwd shapes");
+    let res = ops::zip_broadcast(&mask, g, |m, gv| m * gv).expect("fwd shapes");
+    mask.recycle();
+    res
 }
 
 #[cfg(test)]
@@ -1023,17 +991,6 @@ mod tests {
         let t2 = Tape::new();
         let x = t1.var(Tensor::scalar(1.0));
         assert!(t2.backward(&x).is_err());
-    }
-
-    #[test]
-    fn detach_blocks_gradient() {
-        let tape = Tape::new();
-        let x = tape.var(Tensor::scalar(2.0));
-        let d = x.mul(&x).unwrap().detach();
-        let loss = d.mul(&x).unwrap().sum();
-        let g = tape.backward(&loss).unwrap();
-        // loss = detach(x²)·x ⇒ dloss/dx = x² = 4 (no path through detach)
-        assert_eq!(g.get(x.id()).unwrap().item().unwrap(), 4.0);
     }
 
     #[test]
@@ -1237,9 +1194,8 @@ mod tests {
         let x = tape.var(t(&[1.0, -2.0], &[2]));
         let y = x.tanh();
         assert!(Rc::ptr_eq(&y.value(), &y.value()));
-        // A detached leaf and a leaf registered from a handle alias
-        // their source too.
-        assert!(Rc::ptr_eq(&y.detach().value(), &y.value()));
+        // A leaf registered from a handle aliases its source too.
+        assert!(Rc::ptr_eq(&tape.constant(y.value()).value(), &y.value()));
         assert!(Rc::ptr_eq(&tape.constant(x.value()).value(), &x.value()));
     }
 
@@ -1286,11 +1242,11 @@ mod tests {
                 let out = pi.forward(&obs).unwrap();
                 let log_std = tape.var(t(&[-0.3, 0.2], &[2]));
                 let (lp, ent) = if discrete {
-                    crate::dist::categorical_stats(&out, &[0, 1, 1, 0, 1, 0]).unwrap()
+                    crate::dist::tests::categorical_stats(&out, &[0, 1, 1, 0, 1, 0]).unwrap()
                 } else {
                     let actions =
                         t(&(0..n * 2).map(|i| (i as f32).cos()).collect::<Vec<_>>(), &[n, 2]);
-                    crate::dist::gaussian_stats(&out, &log_std, actions).unwrap()
+                    crate::dist::tests::gaussian_stats(&out, &log_std, actions).unwrap()
                 };
                 let adv = leaf(&tape, adv_t.clone());
                 let ratio = lp.sub(&leaf(&tape, old_lp_t.clone())).unwrap().exp();

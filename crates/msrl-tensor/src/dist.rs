@@ -1,22 +1,26 @@
-//! Probability distributions for stochastic policies.
+//! Probability distributions for stochastic policies, and the one tape
+//! node their learners record.
 //!
 //! Policy-gradient algorithms (PPO, MAPPO, A3C) sample actions from a
 //! distribution parameterised by the policy network and differentiate the
 //! log-probability of the taken action. Discrete-action environments (MPE,
 //! CartPole) use [`Categorical`]; continuous-control environments
-//! (HalfCheetah) use [`DiagGaussian`]. The `*_stats` functions are the
-//! differentiable counterparts, composed of tape ops: A3C's loss uses
-//! [`categorical_stats`].
+//! (HalfCheetah) use [`DiagGaussian`].
 //!
-//! PPO's policy loss is one tape node, [`ppo_policy_loss`]: the head
-//! output to the per-row log-probability and entropy, the clipped
-//! surrogate and both means, forwards in lane bodies with the rows
-//! across the lanes, backwards in one rule. It is the composition of
-//! `categorical_stats` or [`gaussian_stats`] and eleven surrogate ops bit
-//! for bit — the composition survives as its test oracle — and its
-//! categorical head reads the crate's one row log-sum-exp
-//! (`fastmath::lse_rows`), the body behind [`Categorical::from_logits`]
-//! too, so the ratio of a learner's first epoch is exactly 1.
+//! Every learner's policy loss is one tape node, [`policy_loss`]: the
+//! head output to the per-row log-probability and entropy, the surrogate
+//! ([`Surrogate::Clipped`] for PPO, [`Surrogate::Vanilla`] for A3C) and
+//! both means, forwards in lane bodies with the rows across the lanes,
+//! backwards in one rule. It is the composition of tape ops it replaced
+//! bit for bit; that composition survives as its test oracle.
+//!
+//! Each distribution quantity is spelled once, and acting reads the
+//! learner's spelling: the categorical head's row log-sum-exp
+//! (`fastmath::lse_rows`, behind [`Categorical::from_logits`]) and the
+//! Gaussian head's per-row log-density with `std = fast_exp(log_std)`
+//! (behind [`DiagGaussian::log_prob`]; [`DiagGaussian::sample`] draws with
+//! the same `std`). So the ratio of a learner's first epoch is exactly 1
+//! for both heads.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -100,12 +104,6 @@ impl Categorical {
         out
     }
 
-    /// Greedy (argmax) action per row.
-    pub fn mode(&self) -> Vec<usize> {
-        let am = ops::argmax_rows(&self.log_probs).expect("rank-2 by construction");
-        am.data().iter().map(|&v| v as usize).collect()
-    }
-
     /// Log-probability of the given action per row, `[batch]`.
     ///
     /// # Errors
@@ -114,34 +112,6 @@ impl Categorical {
     pub fn log_prob(&self, actions: &[usize]) -> Result<Tensor> {
         ops::select_per_row(&self.log_probs, actions)
     }
-
-    /// Per-row entropy, `[batch]`.
-    pub fn entropy(&self) -> Tensor {
-        let (m, n) = (self.batch(), self.n_actions());
-        let mut out = Vec::with_capacity(m);
-        for i in 0..m {
-            let row = &self.log_probs.data()[i * n..(i + 1) * n];
-            out.push(-row.iter().map(|&lp| lp.exp() * lp).sum::<f32>());
-        }
-        Tensor::from_vec(out, &[m]).expect("length matches")
-    }
-}
-
-/// Differentiable categorical log-prob and entropy over a logits variable.
-///
-/// Returns `(log_prob, entropy)`, each `[batch]`, with gradients flowing
-/// into `logits`.
-///
-/// # Errors
-///
-/// Propagates shape errors from the softmax/selection ops.
-pub fn categorical_stats(logits: &Var, actions: &[usize]) -> Result<(Var, Var)> {
-    let log_sm = logits.log_softmax_rows()?;
-    let log_prob = log_sm.select_per_row(actions)?;
-    // entropy = -Σ_j p·log p along the action axis
-    let p = log_sm.exp();
-    let entropy = p.mul(&log_sm)?.sum_axis(1)?.neg();
-    Ok((log_prob, entropy))
 }
 
 /// A batch of diagonal Gaussians: `mean [batch, dim]`, shared `log_std [dim]`.
@@ -198,11 +168,6 @@ impl DiagGaussian {
         Tensor::from_vec(out, &[m, d]).expect("length matches")
     }
 
-    /// The distribution mean (greedy action).
-    pub fn mode(&self) -> Tensor {
-        self.mean.clone()
-    }
-
     /// Log-density of `actions` (`[batch, dim]`) per row, `[batch]`.
     ///
     /// # Errors
@@ -231,65 +196,31 @@ impl DiagGaussian {
         }
         Tensor::from_vec(out, &[m])
     }
-
-    /// Entropy per row (identical across the batch for shared log-std),
-    /// `[batch]`.
-    pub fn entropy(&self) -> Tensor {
-        let ln_2pi_e = (2.0 * std::f32::consts::PI * std::f32::consts::E).ln();
-        let h: f32 = self.log_std.data().iter().map(|ls| ls + 0.5 * ln_2pi_e).sum();
-        Tensor::full(&[self.batch()], h)
-    }
 }
 
-/// Differentiable diagonal-Gaussian log-prob and entropy.
-///
-/// `mean` is `[batch, dim]` on a tape; `log_std` is a `[dim]` variable on
-/// the same tape; `actions` is a constant `[batch, dim]` tensor (an
-/// `Rc<Tensor>` is registered on the tape without a copy). Returns
-/// `(log_prob [batch], entropy [batch])` with gradients flowing into both
-/// `mean` and `log_std`.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn gaussian_stats(
-    mean: &Var,
-    log_std: &Var,
-    actions: impl Into<Rc<Tensor>>,
-) -> Result<(Var, Var)> {
-    let actions = actions.into();
-    let batch = mean.shape()[0];
-    let dim = mean.shape()[1];
-    if actions.shape() != [batch, dim] {
-        return Err(TensorError::ShapeMismatch {
-            op: "gaussian_stats",
-            lhs: mean.shape().to_vec(),
-            rhs: actions.shape().to_vec(),
-        });
-    }
-    let (ln_2pi, ln_2pi_e) = gaussian_logs();
-    let a = mean.constant(actions);
-    // z = (a - mean) / std;  log_prob = Σ_d [-0.5 z² - log_std - 0.5 ln 2π]
-    let std = log_std.exp();
-    let z = a.sub(mean)?.div(&std)?;
-    let per_dim = z.square().mul_scalar(-0.5).sub(log_std)?.add_scalar(-0.5 * ln_2pi);
-    let log_prob = per_dim.sum_axis(1)?;
-    // entropy = Σ_d (log_std + 0.5 ln 2πe), replicated over the batch
-    let ent_scalar = log_std.add_scalar(0.5 * ln_2pi_e).sum_axis(0)?;
-    let ones_b = mean.constant(Tensor::ones(&[batch]));
-    let ent = ones_b.mul(&ent_scalar)?;
-    Ok((log_prob, ent))
-}
-
-/// The hyper-parameters of PPO's policy loss over one batch.
+/// The surrogate [`policy_loss`] takes of each row's log-probability
+/// `log π` and advantage `A`, with what its batch's means need.
 #[derive(Debug, Clone, Copy)]
-pub struct Surrogate {
-    /// Clipping radius ε of the probability ratio.
-    pub clip: f32,
-    /// Entropy bonus coefficient.
-    pub entropy_coef: f32,
-    /// Rows of the whole batch: what both means divide by.
-    pub rows: usize,
+pub enum Surrogate<'a> {
+    /// PPO's clipped surrogate `min(r·A, clip(r)·A)` of the probability
+    /// ratio `r = exp(log π − old_log_probs)`, clipped to `1 ± clip`.
+    Clipped {
+        /// Clipping radius ε of the ratio.
+        clip: f32,
+        /// The behaviour policy's log-probabilities of the block's rows.
+        old_log_probs: &'a Rc<Tensor>,
+        /// Entropy bonus coefficient.
+        entropy_coef: f32,
+        /// Rows of the whole batch: what both means divide by.
+        rows: usize,
+    },
+    /// The actor-critic surrogate `log π · A` (A3C).
+    Vanilla {
+        /// Entropy bonus coefficient.
+        entropy_coef: f32,
+        /// Rows of the whole batch: what both means divide by.
+        rows: usize,
+    },
 }
 
 /// The action distribution a policy head's output parameterises, and
@@ -308,37 +239,38 @@ pub enum Head<'a> {
     },
 }
 
-/// What [`ppo_policy_loss`] records and reports.
+/// What [`policy_loss`] records and reports.
 pub struct PolicyLoss {
-    /// The loss node, `−mean(min(r·A, clip(r)·A)) − entropy_coef ·
-    /// mean(entropy)` over the rows so far, each mean over the batch.
+    /// The loss node, `−mean(surrogate) − entropy_coef · mean(entropy)`
+    /// over the rows so far, each mean over the batch.
     pub loss: Var,
-    /// Its first term: the batch's mean clipped surrogate, negated
-    /// (of the whole batch once its last block is in).
+    /// Its first term: the batch's mean surrogate, negated (of the whole
+    /// batch once its last block is in).
     pub surrogate: f32,
     /// The batch's mean entropy (likewise).
     pub entropy: f32,
 }
 
-/// PPO's policy loss over one row block of a batch, recorded as **one**
-/// tape node: the head output's per-row log-probability and entropy
-/// (through the [`Categorical`] head's row log-sum-exp, or the
-/// [`DiagGaussian`] head's `log_std` terms), the ratio
-/// `r = exp(log_prob − old_log_probs)`, its clip to `1 ± clip`, the
-/// minimum of `r·adv` and `clip(r)·adv`, and the two means over the
+/// A learner's policy loss over one row block of a batch, recorded as
+/// **one** tape node: the head output's per-row log-probability and
+/// entropy (through the [`Categorical`] head's row log-sum-exp, or the
+/// [`DiagGaussian`] head's log-density), the `surrogate` of each row
+/// against its advantage `adv` — PPO's ratio `r = exp(log_prob −
+/// old_log_probs)`, its clip to `1 ± clip` and the minimum of `r·adv` and
+/// `clip(r)·adv`, or A3C's `log_prob · adv` — and the two means over the
 /// batch. `sums` carries the means' running totals (surrogate, entropy)
 /// from block to block as [`Var::mean_over`] does: `None` before the
 /// first block.
 ///
-/// Forwards the node runs [`crate::fastmath::log_softmax_rows`]' one
-/// log-sum-exp body, rows across the lanes; backwards it has one rule,
-/// which writes the gradient of the head output and of `log_std`. Every
-/// element follows the float sequence of the composition it replaces
-/// (`categorical_stats` or `gaussian_stats`, then `sub`, `exp`, `mul`,
-/// `clamp`, `min`, `mean_over`, `neg`, `mul_scalar` and `add`), each
-/// contribution to a gradient added in the order that composition's
-/// tape adds it, so the loss, both means and every gradient are those
-/// of the composition bit for bit (a NaN may carry another payload).
+/// Forwards the node runs the lane bodies acting runs too, rows across
+/// the lanes; backwards it has one rule, which writes the gradient of the
+/// head output and of `log_std`. Every element follows the float sequence
+/// of the composition it replaces (the head's statistics, then for PPO
+/// `sub`, `exp`, `mul`, `clamp` and `min`, for A3C `mul`, then
+/// `mean_over`, `neg`, `mul_scalar` and `add`), each contribution to a
+/// gradient added in the order that composition's tape adds it, so the
+/// loss, both means and every gradient are those of the composition bit
+/// for bit (a NaN may carry another payload).
 ///
 /// # Errors
 ///
@@ -347,48 +279,48 @@ pub struct PolicyLoss {
 /// range, or the Gaussian head's `actions` and `log_std` do not match
 /// the output, and [`TensorError::UnknownVariable`] for a `log_std` of
 /// another tape.
-pub fn ppo_policy_loss(
+pub fn policy_loss(
     out: &Var,
     head: Head<'_>,
-    old_log_probs: &Rc<Tensor>,
     adv: &Rc<Tensor>,
-    cfg: Surrogate,
+    surrogate: Surrogate<'_>,
     sums: &mut [Option<f32>; 2],
 ) -> Result<PolicyLoss> {
     let x = out.value();
     let family = kernels::gather_family(x.shape().get(1).copied().unwrap_or(0));
-    policy_loss_on(family, out, head, old_log_probs, adv, cfg, sums)
+    policy_loss_on(family, out, head, adv, surrogate, sums)
 }
 
-/// [`ppo_policy_loss`] with its lane bodies on `family` (the tests run
-/// every family the host has).
+/// [`policy_loss`] with its lane bodies on `family` (the tests run every
+/// family the host has).
 fn policy_loss_on(
     family: MatKernel,
     out: &Var,
     head: Head<'_>,
-    old_log_probs: &Rc<Tensor>,
     adv: &Rc<Tensor>,
-    cfg: Surrogate,
+    surrogate: Surrogate<'_>,
     sums: &mut [Option<f32>; 2],
 ) -> Result<PolicyLoss> {
+    const OP: &str = "policy_loss";
     let x = out.value();
     if x.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "ppo_policy_loss",
-            expected: 2,
-            actual: x.rank(),
-        });
+        return Err(TensorError::RankMismatch { op: OP, expected: 2, actual: x.rank() });
     }
     let (m, k) = (x.shape()[0], x.shape()[1]);
-    for t in [old_log_probs, adv] {
-        if t.shape() != [m] {
-            return Err(TensorError::ShapeMismatch {
-                op: "ppo_policy_loss",
-                lhs: vec![m],
-                rhs: t.shape().to_vec(),
-            });
+    let per_row = |t: &Tensor| {
+        if t.shape() == [m] {
+            return Ok(());
         }
-    }
+        Err(TensorError::ShapeMismatch { op: OP, lhs: vec![m], rhs: t.shape().to_vec() })
+    };
+    let (clip, coef, rows) = match surrogate {
+        Surrogate::Clipped { clip, old_log_probs, entropy_coef, rows } => {
+            per_row(old_log_probs)?;
+            (Some((old_log_probs, clip)), entropy_coef, rows)
+        }
+        Surrogate::Vanilla { entropy_coef, rows } => (None, entropy_coef, rows),
+    };
+    per_row(adv)?;
     let (kind, log_std) = match head {
         Head::Categorical(actions) => {
             if actions.len() != m {
@@ -414,37 +346,41 @@ fn policy_loss_on(
             if ls.shape() != [k] || actions.shape() != [m, k] {
                 let rhs = if ls.shape() != [k] { ls.shape() } else { actions.shape() };
                 return Err(TensorError::ShapeMismatch {
-                    op: "ppo_policy_loss",
+                    op: OP,
                     lhs: x.shape().to_vec(),
                     rhs: rhs.to_vec(),
                 });
             }
-            let mut std = alloc::take_for_overwrite(k);
-            std.copy_from_slice(ls.data());
-            fastmath::apply_slice(fastmath::Unary::Exp, &mut std);
+            let std = gaussian_std(ls.data());
             (Kind::Gaussian { log_std: ls, actions, std }, Some(log_std))
         }
     };
-    let n = cfg.rows.max(1) as f32;
+    let clip = clip.map(|(old, clip)| Clip {
+        old: Rc::clone(old),
+        ratio: alloc::take_for_overwrite(m),
+        bounds: (1.0 - clip, 1.0 + clip),
+    });
+    let n = rows.max(1) as f32;
     let mut node = LossNode {
         family,
         x,
         kind,
-        old: Rc::clone(old_log_probs),
         adv: Rc::clone(adv),
-        ratio: alloc::take_for_overwrite(m),
-        clip: (1.0 - cfg.clip, 1.0 + cfg.clip),
-        coef: cfg.entropy_coef,
+        clip,
+        coef,
         n,
         log_std_grad: RefCell::new(None),
     };
     let [surrogate_sum, entropy_sum] = sums;
     let mut totals = [surrogate_sum.unwrap_or(-0.0), entropy_sum.unwrap_or(-0.0)];
-    node.forward(&mut totals);
+    match node.clip {
+        Some(_) => node.forward::<true>(&mut totals),
+        None => node.forward::<false>(&mut totals),
+    }
     (*surrogate_sum, *entropy_sum) = (Some(totals[0]), Some(totals[1]));
     let surrogate = -(totals[0] / n);
     let entropy = totals[1] / n;
-    let loss = surrogate + entropy * -cfg.entropy_coef;
+    let loss = surrogate + entropy * -coef;
     let node = Rc::new(node);
     let on_head = Rc::clone(&node);
     let mut parents: Vec<(&Var, GradFn)> = vec![(
@@ -488,9 +424,18 @@ enum Kind {
     Gaussian {
         log_std: Rc<Tensor>,
         actions: Rc<Tensor>,
-        /// `exp(log_std)`.
+        /// [`gaussian_std`] of `log_std`.
         std: Vec<f32>,
     },
+}
+
+/// What the clipped surrogate reads and keeps: the old log-probability
+/// and the ratio of each row, and the clip's bounds `(1 − clip, 1 +
+/// clip)`.
+struct Clip {
+    old: Rc<Tensor>,
+    ratio: Vec<f32>,
+    bounds: (f32, f32),
 }
 
 /// One block's fused policy loss: what its forward pass read and kept,
@@ -501,12 +446,9 @@ struct LossNode {
     /// The head output.
     x: Rc<Tensor>,
     kind: Kind,
-    old: Rc<Tensor>,
     adv: Rc<Tensor>,
-    /// The probability ratio of each row.
-    ratio: Vec<f32>,
-    /// `(1 − clip, 1 + clip)`.
-    clip: (f32, f32),
+    /// `None` for the vanilla surrogate.
+    clip: Option<Clip>,
     coef: f32,
     /// Rows of the batch.
     n: f32,
@@ -516,7 +458,9 @@ struct LossNode {
 impl Drop for LossNode {
     fn drop(&mut self) {
         let give = |buf: &mut Vec<f32>| alloc::give(std::mem::take(buf));
-        give(&mut self.ratio);
+        if let Some(clip) = &mut self.clip {
+            give(&mut clip.ratio);
+        }
         match &mut self.kind {
             Kind::Categorical { taken, lse, p } => [taken, lse, p].into_iter().for_each(give),
             Kind::Gaussian { std, .. } => give(std),
@@ -525,7 +469,8 @@ impl Drop for LossNode {
 }
 
 /// What the lane bodies of a [`LossNode`] read and write, as pointers
-/// every body offsets by its first row.
+/// every body offsets by its first row. `old`, `ratio` and `clip` are
+/// the clipped surrogate's (null and unread for the vanilla one).
 struct Rows {
     x: *const f32,
     /// Columns of the head output.
@@ -538,18 +483,23 @@ struct Rows {
 
 impl LossNode {
     fn rows(&self) -> Rows {
-        let k = self.x.shape()[1];
-        let (x, old, adv) = (self.x.data().as_ptr(), self.old.data().as_ptr(), self.adv.data());
-        let ratio = self.ratio.as_ptr().cast_mut();
-        Rows { x, k, old, adv: adv.as_ptr(), ratio, clip: self.clip }
+        let (x, k, adv) = (self.x.data().as_ptr(), self.x.shape()[1], self.adv.data().as_ptr());
+        let (old, ratio, clip) = match &self.clip {
+            Some(c) => (c.old.data().as_ptr(), c.ratio.as_ptr().cast_mut(), c.bounds),
+            None => (std::ptr::null(), std::ptr::null_mut(), (1.0, 1.0)),
+        };
+        Rows { x, k, old, adv, ratio, clip }
     }
 
-    /// The forward pass: fills what the node keeps and goes on with the
+    /// The forward pass of the clipped (`CLIPPED`) or the vanilla
+    /// surrogate: fills what the node keeps and goes on with the
     /// surrogate and entropy totals.
-    fn forward(&mut self, totals: &mut [f32; 2]) {
+    fn forward<const CLIPPED: bool>(&mut self, totals: &mut [f32; 2]) {
         let m = self.x.shape()[0];
         let mut rows = self.rows();
-        rows.ratio = self.ratio.as_mut_ptr();
+        if let Some(clip) = &mut self.clip {
+            rows.ratio = clip.ratio.as_mut_ptr();
+        }
         match &mut self.kind {
             Kind::Categorical { taken, lse, p } => {
                 let (taken, lse, p) = (taken.as_ptr(), lse.as_mut_ptr(), p.as_mut_ptr());
@@ -558,7 +508,7 @@ impl LossNode {
                     // `policy_loss_on`), and the family was detected.
                     unsafe {
                         each_block!(V, m, |r, W| {
-                            categorical_fwd::<W>(&rows, r, taken, lse, p, totals)
+                            categorical_fwd::<W, CLIPPED>(&rows, r, taken, lse, p, totals)
                         })
                     }
                 });
@@ -571,7 +521,8 @@ impl LossNode {
                     // `std` hold `k` columns.
                     unsafe {
                         each_block!(V, m, |r, W| {
-                            gaussian_fwd::<W>(&rows, r, a, ls, std, c, totals)
+                            let log_prob = gaussian_log_prob::<W>(rows.x, a, rows.k, r, ls, std, c);
+                            score_fwd::<W, CLIPPED>(&rows, r, log_prob, &mut totals[0])
                         });
                     }
                 });
@@ -587,6 +538,15 @@ impl LossNode {
     /// The one backward rule: the gradients of the head output and, for
     /// a Gaussian head, of `log_std`, from the loss's gradient `g`.
     fn backward(&self, g: &Tensor) -> (Tensor, Option<Tensor>) {
+        match self.clip {
+            Some(_) => self.backward_as::<true>(g),
+            None => self.backward_as::<false>(g),
+        }
+    }
+
+    /// [`LossNode::backward`] of the clipped (`CLIPPED`) or the vanilla
+    /// surrogate.
+    fn backward_as<const CLIPPED: bool>(&self, g: &Tensor) -> (Tensor, Option<Tensor>) {
         let g = g.item().expect("the loss is a scalar");
         let [m, k] = [self.x.shape()[0], self.x.shape()[1]];
         let rows = self.rows();
@@ -595,7 +555,7 @@ impl LossNode {
         // The composition's rules down to its two means: `add` passes `g`
         // to both terms, `neg` and `mul_scalar` scale it, and each
         // `mean_over` spreads it as `g / n` over the rows.
-        let g_min = -g / self.n;
+        let g_term = -g / self.n;
         let g_entropy = (g * -self.coef) / self.n;
         let log_std = match &self.kind {
             Kind::Categorical { taken, lse, p } => {
@@ -606,7 +566,8 @@ impl LossNode {
                     // SAFETY: as in `forward`; `head` holds `m · k`.
                     unsafe {
                         each_block!(V, m, |r, W| {
-                            categorical_bwd::<W>(&rows, r, g_min, g_plogp, taken, lse, p, out)
+                            let g_log_prob = score_bwd::<W, CLIPPED>(&rows, r, g_term);
+                            categorical_bwd::<W>(&rows, r, g_log_prob, g_plogp, taken, lse, p, out)
                         })
                     }
                 });
@@ -623,7 +584,8 @@ impl LossNode {
                     // SAFETY: as in `forward`; `exp_sums` holds `k`.
                     unsafe {
                         each_block!(V, m, |r, W| {
-                            gaussian_bwd::<W>(&rows, r, g_min, a, std, out, sums, &mut sub_sum)
+                            let g_log_prob = score_bwd::<W, CLIPPED>(&rows, r, g_term);
+                            gaussian_bwd::<W>(&rows, r, g_log_prob, a, std, out, sums, &mut sub_sum)
                         })
                     }
                 });
@@ -645,22 +607,30 @@ impl LossNode {
     }
 }
 
+/// `std = exp(log_std)` by the crate's one `exp`
+/// ([`fastmath::fast_exp`]), in a pooled buffer: what sampling, acting's
+/// log-density and the learner's node all read.
+fn gaussian_std(log_std: &[f32]) -> Vec<f32> {
+    let mut std = alloc::take_for_overwrite(log_std.len());
+    std.copy_from_slice(log_std);
+    fastmath::apply_slice(fastmath::Unary::Exp, &mut std);
+    std
+}
+
 /// The constants of the Gaussian log-density and entropy, each spelled
-/// once for [`gaussian_stats`] and the fused node alike: `ln 2π` and
-/// `ln 2πe`.
+/// once: the log-density's per-element offset `−½ ln 2π`, and `ln 2πe`.
 fn gaussian_logs() -> (f32, f32) {
     let ln_2pi = (2.0 * std::f32::consts::PI).ln();
     let ln_2pi_e = (2.0 * std::f32::consts::PI * std::f32::consts::E).ln();
-    (ln_2pi, ln_2pi_e)
+    (-0.5 * ln_2pi, ln_2pi_e)
 }
 
-/// The log-density's per-element offset `−½ ln 2π`, and the entropy
-/// `Σ_d (log_std + ½ ln 2πe)` every row shares, in `gaussian_stats`'
-/// order (`sum_axis` from `0.0`).
+/// The log-density's per-element offset, and the entropy
+/// `Σ_d (log_std + ½ ln 2πe)` every row shares, summed from `0.0`.
 fn gaussian_terms(log_std: &[f32]) -> (f32, f32) {
-    let (ln_2pi, ln_2pi_e) = gaussian_logs();
+    let (c, ln_2pi_e) = gaussian_logs();
     let entropy = log_std.iter().fold(0.0, |acc, &ls| acc + (ls + 0.5 * ln_2pi_e));
-    (-0.5 * ln_2pi, entropy)
+    (c, entropy)
 }
 
 /// `acc` gone on over the lanes of `v` in lane order: a sum over rows
@@ -681,32 +651,44 @@ unsafe fn clamped<V: Lanes>(r: V, (lo, hi): (f32, f32)) -> V {
     V::splat(hi).min(V::splat(lo).max(r))
 }
 
-/// The surrogate of rows `r..r + V::L` from their log-probabilities:
-/// stores the ratio and adds `min(r·adv, clip(r)·adv)` to `total`.
+/// The surrogate of rows `r..r + V::L` from their log-probabilities,
+/// added to `total`. Clipped: stores the ratio and adds `min(r·adv,
+/// clip(r)·adv)`; vanilla: adds `log_prob · adv`.
 #[inline(always)]
-unsafe fn surrogate_fwd<V: Lanes>(rows: &Rows, r: usize, log_prob: V, total: &mut f32) {
+unsafe fn score_fwd<V: Lanes, const CLIPPED: bool>(
+    rows: &Rows,
+    r: usize,
+    log_prob: V,
+    total: &mut f32,
+) {
+    let adv = V::load(rows.adv.add(r));
+    if !CLIPPED {
+        return fold_into(log_prob.mul(adv), total);
+    }
     let ratio = exp(log_prob.sub(V::load(rows.old.add(r))));
     ratio.store(rows.ratio.add(r));
-    let adv = V::load(rows.adv.add(r));
     // `f32::min`: the clipped term when the unclipped one is NaN, which
     // (a ratio of ∞ times an advantage of 0) leaves the clipped finite.
     let unclipped = ratio.mul(adv);
     fold_into(unclipped.min(clamped(ratio, rows.clip).mul(adv)), total);
 }
 
-/// The gradient of rows `r..r + V::L`' log-probabilities: back through
-/// the mean, the `min` (ties to the unclipped term), the products with
-/// the advantages, the clip (zero outside `[lo, hi]`), their sum and the
-/// `exp`.
+/// The gradient of rows `r..r + V::L`' log-probabilities from `g_term`,
+/// the gradient the surrogate's mean hands each row's term. Clipped:
+/// back through the `min` (ties to the unclipped term), the products
+/// with the advantages, the clip (zero outside `[lo, hi]`), their sum and
+/// the `exp`; vanilla: the product's rule, `g_term · adv`.
 #[inline(always)]
-unsafe fn surrogate_bwd<V: Lanes>(rows: &Rows, r: usize, g_min: f32) -> V {
+unsafe fn score_bwd<V: Lanes, const CLIPPED: bool>(rows: &Rows, r: usize, g_term: f32) -> V {
+    let (g, adv) = (V::splat(g_term), V::load(rows.adv.add(r)));
+    if !CLIPPED {
+        return g.mul(adv);
+    }
     let (zero, one) = (V::splat(0.0), V::splat(1.0));
     let ratio = V::load(rows.ratio.add(r));
-    let adv = V::load(rows.adv.add(r));
     let (lo, hi) = (V::splat(rows.clip.0), V::splat(rows.clip.1));
     let unclipped = ratio.mul(adv);
     let clipped = clamped(ratio, rows.clip).mul(adv);
-    let g = V::splat(g_min);
     let g_unclipped = unclipped.select::<LE>(clipped, one, zero).mul(g);
     let g_clipped = clipped.select::<LT>(unclipped, one, zero).mul(g);
     let inside = lo.select::<LE>(ratio, ratio.select::<LE>(hi, g_clipped.mul(adv), zero), zero);
@@ -717,7 +699,7 @@ unsafe fn surrogate_bwd<V: Lanes>(rows: &Rows, r: usize, g_min: f32) -> V {
 /// log-sum-exp, `p = exp(x − lse)`, the entropy `−Σ p·(x − lse)` and the
 /// taken action's `x − lse`, then the surrogate.
 #[inline(always)]
-unsafe fn categorical_fwd<V: Lanes>(
+unsafe fn categorical_fwd<V: Lanes, const CLIPPED: bool>(
     rows: &Rows,
     r: usize,
     taken: *const f32,
@@ -736,27 +718,27 @@ unsafe fn categorical_fwd<V: Lanes>(
         plogp = plogp.add(pj.mul(log_sm));
         log_prob = action.select::<EQ>(V::splat(j as f32), log_sm, log_prob);
     }
-    surrogate_fwd(rows, r, log_prob, &mut totals[0]);
+    score_fwd::<V, CLIPPED>(rows, r, log_prob, &mut totals[0]);
     fold_into(plogp.neg(), &mut totals[1]);
 }
 
-/// Backward of a categorical head over rows `r..r + V::L` into `out`:
-/// per element `((g·p) + (g·log_sm)·p) + select`, the entropy's two
-/// products and the log-prob's selection, then the log-softmax rule
-/// `G − p·ΣG` (the row sum from `−0.0`, as `f32`'s `Sum`).
+/// Backward of a categorical head over rows `r..r + V::L` into `out`,
+/// from the gradient of their log-probabilities: per element `((g·p) +
+/// (g·log_sm)·p) + select`, the entropy's two products and the
+/// log-prob's selection, then the log-softmax rule `G − p·ΣG` (the row
+/// sum from `−0.0`, as `f32`'s `Sum`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn categorical_bwd<V: Lanes>(
     rows: &Rows,
     r: usize,
-    g_min: f32,
+    g_log_prob: V,
     g_plogp: f32,
     taken: *const f32,
     lse: *const f32,
     p: *const f32,
     out: *mut f32,
 ) {
-    let g_log_prob = surrogate_bwd::<V>(rows, r, g_min);
     let (k, x) = (rows.k, rows.x.add(r * rows.k));
     let (row_lse, action) = (V::load(lse.add(r)), V::load(taken.add(r)));
     let (g, zero, (p, out)) = (V::splat(g_plogp), V::splat(0.0), (p.add(r * k), out.add(r * k)));
@@ -775,42 +757,44 @@ unsafe fn categorical_bwd<V: Lanes>(
     }
 }
 
-/// Forward of a Gaussian head over rows `r..r + V::L`: the log-density
-/// `Σ_d ((z² · −½) − log_std) + c` of `z = (a − mean) / std`, summed from
-/// `0.0`, then the surrogate.
-#[allow(clippy::too_many_arguments)]
+/// The log-density of rows `r..r + V::L` of a batch of diagonal
+/// Gaussians, `mean` and `actions` of `k` columns: `Σ_d ((z² · −½) −
+/// log_std) + c` of `z = (a − mean) / std`, summed from `0.0`, `c` the
+/// offset of [`gaussian_logs`]. Its one spelling: acting
+/// ([`DiagGaussian::log_prob`]) and the learner's node run it.
 #[inline(always)]
-unsafe fn gaussian_fwd<V: Lanes>(
-    rows: &Rows,
-    r: usize,
+unsafe fn gaussian_log_prob<V: Lanes>(
+    mean: *const f32,
     actions: *const f32,
+    k: usize,
+    r: usize,
     log_std: &[f32],
     std: &[f32],
     c: f32,
-    totals: &mut [f32; 2],
-) {
-    let (k, at) = (rows.k, r * rows.k);
+) -> V {
+    let at = r * k;
     let mut log_prob = V::splat(0.0);
     for (j, (&ls, &s)) in log_std.iter().zip(std).enumerate() {
-        let diff = V::gather(actions.add(at + j), k).sub(V::gather(rows.x.add(at + j), k));
+        let diff = V::gather(actions.add(at + j), k).sub(V::gather(mean.add(at + j), k));
         let z = diff.div(V::splat(s));
         let term = z.mul(z).mul(V::splat(-0.5)).sub(V::splat(ls)).add(V::splat(c));
         log_prob = log_prob.add(term);
     }
-    surrogate_fwd(rows, r, log_prob, &mut totals[0]);
+    log_prob
 }
 
-/// Backward of a Gaussian head over rows `r..r + V::L`: the means'
-/// gradient `−(((g·−½)·2)·z / std)` into `out`, and the row sums of the
-/// two `log_std` terms gone on over these rows: `−g` (the `sub`, one
-/// for every column) into `sub_sum`, `−((g_z·(a − mean)) / std²)` (the
-/// `div` by `std`) per column into `exp_sums`.
+/// Backward of a Gaussian head over rows `r..r + V::L`, from the
+/// gradient of their log-probabilities: the means' gradient
+/// `−(((g·−½)·2)·z / std)` into `out`, and the row sums of the two
+/// `log_std` terms gone on over these rows: `−g` (the `sub`, one for
+/// every column) into `sub_sum`, `−((g_z·(a − mean)) / std²)` (the `div`
+/// by `std`) per column into `exp_sums`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn gaussian_bwd<V: Lanes>(
     rows: &Rows,
     r: usize,
-    g_min: f32,
+    g_log_prob: V,
     actions: *const f32,
     std: &[f32],
     out: *mut f32,
@@ -818,7 +802,7 @@ unsafe fn gaussian_bwd<V: Lanes>(
     sub_sum: &mut f32,
 ) {
     // `sum_axis`' broadcast onto zeros.
-    let g = V::splat(0.0).add(surrogate_bwd::<V>(rows, r, g_min));
+    let g = V::splat(0.0).add(g_log_prob);
     fold_into(g.neg(), sub_sum);
     let g_square = g.mul(V::splat(-0.5)).mul(V::splat(2.0));
     let (k, at) = (rows.k, r * rows.k);
@@ -831,19 +815,67 @@ unsafe fn gaussian_bwd<V: Lanes>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::autograd::Tape;
     use crate::init::rng;
+
+    /// Differentiable categorical log-prob and entropy over a logits
+    /// variable, `(log_prob, entropy)` each `[batch]`, as tape ops: the
+    /// composition [`policy_loss`]'s categorical head replaces.
+    pub(crate) fn categorical_stats(logits: &Var, actions: &[usize]) -> Result<(Var, Var)> {
+        let log_sm = logits.log_softmax_rows()?;
+        let log_prob = log_sm.select_per_row(actions)?;
+        // entropy = -Σ_j p·log p along the action axis
+        let p = log_sm.exp();
+        let entropy = p.mul(&log_sm)?.sum_axis(1)?.neg();
+        Ok((log_prob, entropy))
+    }
+
+    /// Differentiable diagonal-Gaussian log-prob and entropy of constant
+    /// `actions` under `mean` (`[batch, dim]`) and `log_std` (`[dim]`, on
+    /// the same tape), `(log_prob [batch], entropy [batch])`, as tape
+    /// ops: the composition [`policy_loss`]'s Gaussian head replaces.
+    pub(crate) fn gaussian_stats(
+        mean: &Var,
+        log_std: &Var,
+        actions: impl Into<Rc<Tensor>>,
+    ) -> Result<(Var, Var)> {
+        let actions = actions.into();
+        let batch = mean.shape()[0];
+        let (c, ln_2pi_e) = gaussian_logs();
+        let a = mean.constant(actions);
+        // z = (a - mean) / std;  log_prob = Σ_d [-0.5 z² - log_std - 0.5 ln 2π]
+        let std = log_std.exp();
+        let z = a.sub(mean)?.div(&std)?;
+        let log_prob = z.square().mul_scalar(-0.5).sub(log_std)?.add_scalar(c).sum_axis(1)?;
+        // entropy = Σ_d (log_std + 0.5 ln 2πe), replicated over the batch
+        let ent_scalar = log_std.add_scalar(0.5 * ln_2pi_e).sum_axis(0)?;
+        let ones_b = mean.constant(Tensor::ones(&[batch]));
+        Ok((log_prob, ones_b.mul(&ent_scalar)?))
+    }
+
+    /// `−Σ_j p·log p` of every row of `log_probs` (`[m, n]`).
+    fn entropies(log_probs: &Tensor) -> Vec<f32> {
+        let n = log_probs.shape()[1];
+        log_probs
+            .data()
+            .chunks(n)
+            .map(|row| -row.iter().map(|&lp| lp.exp() * lp).sum::<f32>())
+            .collect()
+    }
 
     #[test]
     fn categorical_probs_normalised() {
         let logits = Tensor::from_vec(vec![1.0, 2.0, 3.0, 0.0, 0.0, 0.0], &[2, 3]).unwrap();
         let c = Categorical::from_logits(&logits).unwrap();
-        let e = c.entropy();
-        // Uniform row has entropy ln 3.
-        assert!((e.data()[1] - 3.0f32.ln()).abs() < 1e-5);
-        assert!(e.data()[0] < e.data()[1]);
+        for row in c.log_probs.data().chunks(3) {
+            assert!((row.iter().map(|lp| lp.exp()).sum::<f32>() - 1.0).abs() < 1e-6);
+        }
+        // A uniform row has entropy ln 3, and the other less.
+        let e = entropies(&c.log_probs);
+        assert!((e[1] - 3.0f32.ln()).abs() < 1e-5);
+        assert!(e[0] < e[1]);
     }
 
     #[test]
@@ -858,13 +890,6 @@ mod tests {
         let p1 = counts[1] as f32 / 5000.0;
         let expect = (2.0f32.exp()) / (1.0 + 2.0f32.exp());
         assert!((p1 - expect).abs() < 0.03, "p1 {p1} vs {expect}");
-    }
-
-    #[test]
-    fn categorical_mode_is_argmax() {
-        let logits = Tensor::from_vec(vec![0.0, 5.0, -1.0], &[1, 3]).unwrap();
-        let c = Categorical::from_logits(&logits).unwrap();
-        assert_eq!(c.mode(), vec![1]);
     }
 
     #[test]
@@ -917,10 +942,8 @@ mod tests {
         let (lp, ent) = categorical_stats(&logits, &[2, 0]).unwrap();
         let plain = Categorical::from_logits(&logits_t).unwrap();
         let plain_lp = plain.log_prob(&[2, 0]).unwrap();
-        for (a, b) in lp.value().data().iter().zip(plain_lp.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        for (a, b) in ent.value().data().iter().zip(plain.entropy().data()) {
+        assert_eq!(lp.value().data(), plain_lp.data(), "one row log-sum-exp");
+        for (a, b) in ent.value().data().iter().zip(entropies(&plain.log_probs)) {
             assert!((a - b).abs() < 1e-4);
         }
         let loss = lp.sum();
@@ -937,13 +960,15 @@ mod tests {
         let mean = tape.var(mean_t.clone());
         let ls = tape.var(ls_t.clone());
         let (lp, ent) = gaussian_stats(&mean, &ls, actions.clone()).unwrap();
-        let plain = DiagGaussian::new(mean_t, ls_t).unwrap();
+        let plain = DiagGaussian::new(mean_t, ls_t.clone()).unwrap();
         let plain_lp = plain.log_prob(&actions).unwrap();
         for (a, b) in lp.value().data().iter().zip(plain_lp.data()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-        for (a, b) in ent.value().data().iter().zip(plain.entropy().data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        let ln_2pi_e = gaussian_logs().1;
+        let h: f32 = ls_t.data().iter().map(|ls| ls + 0.5 * ln_2pi_e).sum();
+        for &a in ent.value().data() {
+            assert!((a - h).abs() < 1e-5, "{a} vs {h}");
         }
         let loss = lp.sum();
         let g = tape.backward(&loss).unwrap();
@@ -955,16 +980,7 @@ mod tests {
     /// family this host runs.
     mod fused {
         use super::*;
-        use crate::kernels::{select, MatKernel};
-
-        fn families() -> Vec<MatKernel> {
-            let mut families = vec![select(), MatKernel::Portable];
-            #[cfg(target_arch = "x86_64")]
-            if crate::kernels::has_avx2_fma() && select() != MatKernel::Avx2 {
-                families.push(MatKernel::Avx2);
-            }
-            families
-        }
+        use crate::kernels::{families, MatKernel};
 
         /// Equal bits, or both NaN (payloads may differ between paths).
         fn same(a: f32, b: f32) -> bool {
@@ -997,14 +1013,35 @@ mod tests {
             adv: Rc<Tensor>,
         }
 
-        /// The loss as `policy_branch` spelled it before the node: the
-        /// distribution's statistics, then the clipped surrogate and the
-        /// entropy bonus as tape ops.
+        /// A surrogate for any block: the clipped one of radius `clip`,
+        /// or the vanilla one.
+        #[derive(Debug, Clone, Copy)]
+        struct Cfg {
+            clip: Option<f32>,
+            entropy_coef: f32,
+            rows: usize,
+        }
+
+        impl Cfg {
+            fn on(self, b: &Block) -> Surrogate<'_> {
+                let Cfg { entropy_coef, rows, .. } = self;
+                match self.clip {
+                    Some(clip) => {
+                        Surrogate::Clipped { clip, old_log_probs: &b.old, entropy_coef, rows }
+                    }
+                    None => Surrogate::Vanilla { entropy_coef, rows },
+                }
+            }
+        }
+
+        /// The loss as the learners spelled it before the node: the
+        /// distribution's statistics, then PPO's clipped surrogate or
+        /// A3C's `log π · A`, and the entropy bonus, as tape ops.
         fn composed(
             x: &Var,
             log_std: &Var,
             b: &Block,
-            cfg: Surrogate,
+            cfg: Cfg,
             sums: &mut [Option<f32>; 2],
         ) -> (Var, f32, f32) {
             let (log_prob, entropy) = match &b.actions {
@@ -1014,12 +1051,18 @@ mod tests {
                 }
             };
             let adv = x.constant(Rc::clone(&b.adv));
-            let old = x.constant(Rc::clone(&b.old));
-            let ratio = log_prob.sub(&old).unwrap().exp();
-            let unclipped = ratio.mul(&adv).unwrap();
-            let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip).mul(&adv).unwrap();
             let [policy_sum, entropy_sum] = sums;
-            let policy = unclipped.min(&clipped).unwrap().mean_over(cfg.rows, policy_sum).neg();
+            let term = match cfg.clip {
+                Some(clip) => {
+                    let old = x.constant(Rc::clone(&b.old));
+                    let ratio = log_prob.sub(&old).unwrap().exp();
+                    let unclipped = ratio.mul(&adv).unwrap();
+                    let clipped = ratio.clamp(1.0 - clip, 1.0 + clip).mul(&adv).unwrap();
+                    unclipped.min(&clipped).unwrap()
+                }
+                None => log_prob.mul(&adv).unwrap(),
+            };
+            let policy = term.mean_over(cfg.rows, policy_sum).neg();
             let entropy = entropy.mean_over(cfg.rows, entropy_sum);
             let loss = policy.add(&entropy.mul_scalar(-cfg.entropy_coef)).unwrap();
             (loss, policy.value().item().unwrap(), entropy.value().item().unwrap())
@@ -1028,13 +1071,7 @@ mod tests {
         /// Runs the blocks through the composition and, on `family`, the
         /// node, each block on a tape of its own with the sums and the
         /// `log_std` gradient carried, and compares every output.
-        fn check(
-            family: MatKernel,
-            blocks: &[Block],
-            log_std: &Tensor,
-            cfg: Surrogate,
-            what: &str,
-        ) {
+        fn check(family: MatKernel, blocks: &[Block], log_std: &Tensor, cfg: Cfg, what: &str) {
             let [mut node_sums, mut comp_sums] = [[None; 2]; 2];
             let (mut node_ls, mut comp_ls): (Option<Tensor>, Option<Tensor>) = (None, None);
             for (i, b) in blocks.iter().enumerate() {
@@ -1050,8 +1087,7 @@ mod tests {
                                 Head::Gaussian { log_std: &ls, actions: Rc::clone(a) }
                             }
                         };
-                        let l =
-                            policy_loss_on(family, &x, head, &b.old, &b.adv, cfg, sums).unwrap();
+                        let l = policy_loss_on(family, &x, head, &b.adv, cfg.on(b), sums).unwrap();
                         (l.loss, l.surrogate, l.entropy)
                     } else {
                         composed(&x, &ls, b, cfg, sums)
@@ -1108,14 +1144,8 @@ mod tests {
                         let a = Rc::new(
                             Tensor::from_vec(uniform(rng, m * k, -2.0, 2.0), &[m, k]).unwrap(),
                         );
-                        let tape = Tape::new();
-                        let (lp, _) = gaussian_stats(
-                            &tape.var(x.clone()),
-                            &tape.var(log_std.clone()),
-                            Rc::clone(&a),
-                        )
-                        .unwrap();
-                        (Taken::Continuous(a), lp.value().as_ref().clone())
+                        let own = DiagGaussian::new(x.clone(), log_std.clone()).unwrap();
+                        (Taken::Continuous(Rc::clone(&a)), own.log_prob(&a).unwrap())
                     };
                     let old = own
                         .data()
@@ -1154,20 +1184,13 @@ mod tests {
         /// Three or four blocks, the last ones shorter than a lane.
         const SIZES: [&[usize]; 3] = [&[40, 33, 5], &[16, 3, 1, 7], &[1, 2, 3]];
 
-        fn configs(rows: usize) -> [Surrogate; 3] {
-            [
-                Surrogate { clip: 0.2, entropy_coef: 0.01, rows },
-                // Every ratio of 1 sits on both bounds.
-                Surrogate { clip: 0.0, entropy_coef: 0.0, rows },
-                Surrogate { clip: 1.5, entropy_coef: -0.3, rows },
-            ]
-        }
-
-        #[test]
-        fn the_node_is_the_composition_bit_for_bit() {
-            let mut rng = rng(71);
+        /// Every size, head and poison of [`SIZES`] under each of
+        /// `configs(rows)`, on every family: random batches, a NaN, a +∞
+        /// and a −∞ logit and a row of −∞ but one, advantages of `±0`,
+        /// 2, 3 and 6 actions and 1 and 6 Gaussian dimensions.
+        fn check_everything(seed: u64, configs: impl Fn(usize) -> Vec<Cfg>) {
+            let mut rng = rng(seed);
             let clean = |_: usize, _: &mut [f32]| {};
-            // A NaN, a +∞ and a −∞ logit; a row of −∞ but one.
             let poisoned = |r: usize, row: &mut [f32]| match r % 11 {
                 4 => row[0] = f32::NAN,
                 5 => row[row.len() - 1] = f32::INFINITY,
@@ -1187,13 +1210,39 @@ mod tests {
                         for (p, poison) in poisons.into_iter().enumerate() {
                             let data = blocks(&mut rng, sizes, k, discrete, &log_std, poison);
                             for cfg in configs(rows) {
-                                let what = format!("{sizes:?} rows, k {k}, discrete {discrete}, poisoned {}, clip {}", p == 1, cfg.clip);
+                                let what = format!("{sizes:?} rows, k {k}, discrete {discrete}, poisoned {}, {cfg:?}", p == 1);
                                 check(family, &data, ls, cfg, &what);
                             }
                         }
                     }
                 }
             }
+        }
+
+        #[test]
+        fn the_node_is_the_composition_bit_for_bit() {
+            check_everything(71, |rows| {
+                vec![
+                    Cfg { clip: Some(0.2), entropy_coef: 0.01, rows },
+                    // Every ratio of 1 sits on both bounds.
+                    Cfg { clip: Some(0.0), entropy_coef: 0.0, rows },
+                    Cfg { clip: Some(1.5), entropy_coef: -0.3, rows },
+                ]
+            });
+        }
+
+        /// A3C's loss, `−mean(log π · A) − β·mean(H)`: the vanilla
+        /// surrogate against `categorical_stats` (and `gaussian_stats`)
+        /// with the product, the means and the bonus as tape ops.
+        #[test]
+        fn the_vanilla_mode_is_a3cs_composition_bit_for_bit() {
+            check_everything(73, |rows| {
+                vec![
+                    Cfg { clip: None, entropy_coef: 0.01, rows },
+                    Cfg { clip: None, entropy_coef: 0.0, rows },
+                    Cfg { clip: None, entropy_coef: -0.3, rows },
+                ]
+            });
         }
 
         /// A clip that puts a ratio exactly on `1 + clip` or `1 − clip`.
@@ -1212,7 +1261,7 @@ mod tests {
                 let clip = if ratio > 1.0 { ratio - 1.0 } else { 1.0 - ratio };
                 assert!(ratio == 1.0 + clip || ratio == 1.0 - clip);
                 for family in families() {
-                    let cfg = Surrogate { clip, entropy_coef: 0.01, rows: 35 };
+                    let cfg = Cfg { clip: Some(clip), entropy_coef: 0.01, rows: 35 };
                     check(family, &data, &none, cfg, &format!("ratio {ratio} on a bound"));
                 }
             }

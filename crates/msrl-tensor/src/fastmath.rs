@@ -786,11 +786,7 @@ mod tests {
     /// seventeen columns, and rows holding NaN, ±∞, all −∞ and ±0 ties.
     #[test]
     fn log_softmax_lanes_are_the_serial_rows_on_every_family() {
-        let mut families = vec![select(), MatKernel::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if crate::kernels::has_avx2_fma() {
-            families.push(MatKernel::Avx2);
-        }
+        let families = crate::kernels::families();
         let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 88.0, -104.0];
         for n in [1, 2, 3, 6, 17] {
             for rows in [1, 7, 16, 37] {

@@ -127,21 +127,41 @@ pub(crate) fn has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// Returns the microkernel family for this host, detected once.
+/// The family every [`select`] returns: detected by the first one, or
+/// set by a [`pin`] before it.
+static KERNEL: OnceLock<MatKernel> = OnceLock::new();
+
+/// Returns the microkernel family for this host, detected once: the
+/// widest of [`families`].
 pub fn select() -> MatKernel {
-    static KERNEL: OnceLock<MatKernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return MatKernel::Avx512;
-            }
-            if has_avx2_fma() {
-                return MatKernel::Avx2;
-            }
+    *KERNEL.get_or_init(|| families()[0])
+}
+
+/// Every family this host runs, widest first; `Portable` is always
+/// last.
+#[doc(hidden)]
+pub fn families() -> Vec<MatKernel> {
+    let mut families = Vec::with_capacity(3);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            families.push(MatKernel::Avx512);
         }
-        MatKernel::Portable
-    })
+        if has_avx2_fma() {
+            families.push(MatKernel::Avx2);
+        }
+    }
+    families.push(MatKernel::Portable);
+    families
+}
+
+/// Makes `family` the one every [`select`] of this process returns, when
+/// no kernel has selected one yet and the host runs it: a whole run on
+/// one lane family (the pinned equivalence runs take each in turn, a
+/// process apiece). Returns whether [`select`] now returns `family`.
+#[doc(hidden)]
+pub fn pin(family: MatKernel) -> bool {
+    families().contains(&family) && *KERNEL.get_or_init(|| family) == family
 }
 
 /// The family for a body that gathers lanes `stride` floats apart:

@@ -50,7 +50,7 @@ pub fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Res
 }
 
 /// Applies `f` element-wise to a single tensor.
-pub fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let ad = a.data();
     let mut data = crate::alloc::take_for_overwrite(ad.len());
     for (slot, &x) in data.iter_mut().zip(ad) {
@@ -84,19 +84,6 @@ binary_op!(
     /// Element-wise division with broadcasting.
     div, |x, y| x / y
 );
-binary_op!(
-    /// Element-wise maximum with broadcasting.
-    maximum, |x, y| x.max(y)
-);
-binary_op!(
-    /// Element-wise minimum with broadcasting.
-    minimum, |x, y| x.min(y)
-);
-
-/// Adds a scalar to every element.
-pub fn add_scalar(a: &Tensor, s: f32) -> Tensor {
-    map(a, |x| x + s)
-}
 
 /// Multiplies every element by a scalar.
 pub fn mul_scalar(a: &Tensor, s: f32) -> Tensor {
@@ -128,11 +115,6 @@ pub fn exp(a: &Tensor) -> Tensor {
 /// standard DL-engine convention for `Log` operators.
 pub fn ln(a: &Tensor) -> Tensor {
     map(a, |x| x.max(f32::MIN_POSITIVE).ln())
-}
-
-/// Element-wise square root (of the clamped-to-zero input).
-pub fn sqrt(a: &Tensor) -> Tensor {
-    map(a, |x| x.max(0.0).sqrt())
 }
 
 /// Element-wise ReLU.
@@ -526,39 +508,28 @@ pub fn mean_all(a: &Tensor) -> Tensor {
     Tensor::scalar(sum_all(a).data()[0] / a.len() as f32)
 }
 
-/// Maximum of all elements, as a scalar tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyInput`] for empty tensors.
-pub fn max_all(a: &Tensor) -> Result<Tensor> {
-    if a.is_empty() {
-        return Err(TensorError::EmptyInput { op: "max_all" });
-    }
-    Ok(Tensor::scalar(a.data().iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))))
+/// Sum along `axis`, removing that axis.
+pub fn sum_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
+    sum_axis_onto(a, axis, None)
 }
 
-/// Reduces along `axis`, removing that axis.
+/// [`sum_axis`] continued across blocks of `axis`: `carried`, when
+/// given, is the sum over the slices that precede `a`, and each slot
+/// goes on from it with the one accumulator and ascending order of a
+/// single sweep — a column sum fed in consecutive row blocks is
+/// bit-identical to the sum over all rows (the bias gradient's
+/// counterpart of [`matmul_at_onto`]).
 ///
-/// Every slot folds over the reduced axis in ascending order. The fold
-/// runs in the SIMD reduction microkernels ([`kernels::reduce_rows`] /
+/// Every slot folds over the reduced axis in ascending order, in the
+/// SIMD reduction microkernels ([`kernels::reduce_rows`] /
 /// [`kernels::reduce_groups`]), whose lanes span independent output
 /// slots and replay the per-slot order of [`crate::reference::reduce`].
 ///
-/// `scale`, when set, multiplies each output slot right after its own
-/// fold completes — the single-pass `mean_axis` epilogue; per element it
-/// is the same multiply a separate rescale traversal would perform.
+/// # Errors
 ///
-/// `carried`, when given, is the same reduction over the slices that
-/// precede `a` along `axis`: every slot's fold starts from it instead of
-/// the identity and the result lands in its buffer.
-fn reduce_axis(
-    a: &Tensor,
-    axis: usize,
-    op: kernels::RedOp,
-    scale: Option<f32>,
-    carried: Option<Tensor>,
-) -> Result<Tensor> {
+/// As [`sum_axis`], plus [`TensorError::ShapeMismatch`] when `carried`
+/// does not have the output's shape.
+pub fn sum_axis_onto(a: &Tensor, axis: usize, carried: Option<Tensor>) -> Result<Tensor> {
     if axis >= a.rank() {
         return Err(TensorError::AxisOutOfRange { axis, rank: a.rank() });
     }
@@ -574,53 +545,13 @@ fn reduce_axis(
     let (mut out, resume) = continued_output("sum_axis_onto", &out_dims, carried, || {
         crate::alloc::take_for_overwrite(outer * inner)
     })?;
+    let sum = kernels::RedOp::Sum;
     match inner {
         0 => {}
-        1 => kernels::reduce_rows(ad, &mut out, mid, op, scale, resume),
-        _ => kernels::reduce_groups(ad, &mut out, mid, inner, op, scale, resume),
+        1 => kernels::reduce_rows(ad, &mut out, mid, sum, None, resume),
+        _ => kernels::reduce_groups(ad, &mut out, mid, inner, sum, None, resume),
     }
     Tensor::from_vec(out, &out_dims)
-}
-
-/// Sum along `axis`, removing that axis.
-pub fn sum_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
-    sum_axis_onto(a, axis, None)
-}
-
-/// [`sum_axis`] continued across blocks of `axis`: `carried`, when
-/// given, is the sum over the slices that precede `a`, and each slot
-/// goes on from it with the one accumulator and ascending order of a
-/// single sweep — a column sum fed in consecutive row blocks is
-/// bit-identical to the sum over all rows (the bias gradient's
-/// counterpart of [`matmul_at_onto`]).
-///
-/// # Errors
-///
-/// As [`sum_axis`], plus [`TensorError::ShapeMismatch`] when `carried`
-/// does not have the output's shape.
-pub fn sum_axis_onto(a: &Tensor, axis: usize, carried: Option<Tensor>) -> Result<Tensor> {
-    reduce_axis(a, axis, kernels::RedOp::Sum, None, carried)
-}
-
-/// Mean along `axis`, removing that axis.
-///
-/// Single pass: each output slot is scaled by `1/n` immediately after
-/// its own sum finishes, instead of materializing `sum_axis` and
-/// rescaling in a second full traversal — bit-identical to the former
-/// two-pass form because the per-element multiply is unchanged.
-pub fn mean_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
-    let n =
-        *a.shape().get(axis).ok_or(TensorError::AxisOutOfRange { axis, rank: a.rank() })? as f32;
-    reduce_axis(a, axis, kernels::RedOp::Sum, Some(1.0 / n), None)
-}
-
-/// Maximum along `axis`, removing that axis.
-///
-/// Uses the pinned [`kernels::max_fold`] step (NaN operands ignored as
-/// `f32::max` does; the ±0 tie resolved to the earlier element) so the
-/// scalar reference and the SIMD kernels agree bitwise on every input.
-pub fn max_axis(a: &Tensor, axis: usize) -> Result<Tensor> {
-    reduce_axis(a, axis, kernels::RedOp::Max, None, None)
 }
 
 /// Index of the maximum along the last axis of a rank-2 tensor.
@@ -793,50 +724,6 @@ pub fn stack(parts: &[&Tensor]) -> Result<Tensor> {
     Tensor::from_vec(out, &dims)
 }
 
-/// Splits a tensor along its leading axis into `n` equal parts — the
-/// inverse of [`stack`] and the "unfuse" step of fragment fusion.
-///
-/// # Errors
-///
-/// Returns an error for scalars or when the leading axis is not divisible
-/// by `n`.
-pub fn unstack(a: &Tensor, n: usize) -> Result<Vec<Tensor>> {
-    if a.rank() == 0 || n == 0 {
-        return Err(TensorError::EmptyInput { op: "unstack" });
-    }
-    let lead = a.shape()[0];
-    if !lead.is_multiple_of(n) {
-        return Err(TensorError::ShapeMismatch {
-            op: "unstack",
-            lhs: a.shape().to_vec(),
-            rhs: vec![n],
-        });
-    }
-    let mut dims = a.shape().to_vec();
-    dims[0] = lead / n;
-    a.data().chunks(a.len() / n).map(|part| Tensor::from_vec(part.to_vec(), &dims)).collect()
-}
-
-/// Gathers rows of a rank-2 tensor by index.
-///
-/// # Errors
-///
-/// Returns an error for non-matrix input or out-of-range indices.
-pub fn gather_rows(a: &Tensor, indices: &[usize]) -> Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { op: "gather_rows", expected: 2, actual: a.rank() });
-    }
-    let (m, n) = (a.shape()[0], a.shape()[1]);
-    let mut out = Vec::with_capacity(indices.len() * n);
-    for &i in indices {
-        if i >= m {
-            return Err(TensorError::IndexOutOfRange { index: i, len: m });
-        }
-        out.extend_from_slice(&a.data()[i * n..(i + 1) * n]);
-    }
-    Tensor::from_vec(out, &[indices.len(), n])
-}
-
 /// Selects one element per row of a rank-2 tensor: `out[i] = a[i, idx[i]]`.
 ///
 /// Used to pick the log-probability of the taken action from a policy's
@@ -866,6 +753,19 @@ pub fn select_per_row(a: &Tensor, idx: &[usize]) -> Result<Tensor> {
     }
     Tensor::from_vec(out, &[m])
 }
+
+/// What only the tests' tape ops compute (`Var::add_scalar`, `Var::min`).
+#[cfg(test)]
+/// Adds a scalar to every element.
+pub fn add_scalar(a: &Tensor, s: f32) -> Tensor {
+    map(a, |x| x + s)
+}
+
+#[cfg(test)]
+binary_op!(
+    /// Element-wise minimum with broadcasting.
+    minimum, |x, y| x.min(y)
+);
 
 #[cfg(test)]
 mod tests {
@@ -944,11 +844,8 @@ mod tests {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         assert_eq!(sum_all(&a).item().unwrap(), 21.0);
         assert_eq!(mean_all(&a).item().unwrap(), 3.5);
-        assert_eq!(max_all(&a).unwrap().item().unwrap(), 6.0);
         assert_eq!(sum_axis(&a, 0).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(sum_axis(&a, 1).unwrap().data(), &[6.0, 15.0]);
-        assert_eq!(mean_axis(&a, 1).unwrap().data(), &[2.0, 5.0]);
-        assert_eq!(max_axis(&a, 0).unwrap().data(), &[4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -1030,24 +927,22 @@ mod tests {
     }
 
     #[test]
-    fn stack_unstack_roundtrip() {
+    fn stack_lays_the_parts_end_to_end() {
         let a = t(&[1.0, 2.0], &[2]);
         let b = t(&[3.0, 4.0], &[2]);
         let s = stack(&[&a, &b]).unwrap();
         assert_eq!(s.shape(), &[2, 2]);
-        let parts = unstack(&s, 2).unwrap();
-        assert_eq!(parts[0].data(), a.data());
-        assert_eq!(parts[1].data(), b.data());
+        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert!(stack(&[&a, &t(&[5.0], &[1])]).is_err());
     }
 
     #[test]
     fn gather_and_select() {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        let g = gather_rows(&a, &[2, 0]).unwrap();
-        assert_eq!(g.data(), &[5.0, 6.0, 1.0, 2.0]);
-        assert!(gather_rows(&a, &[3]).is_err());
         let s = select_per_row(&a, &[1, 0, 1]).unwrap();
         assert_eq!(s.data(), &[2.0, 3.0, 6.0]);
+        assert!(select_per_row(&a, &[1, 2, 0]).is_err());
+        assert!(select_per_row(&a, &[1, 0]).is_err());
     }
 
     #[test]

@@ -108,6 +108,7 @@ mod golden {
         DistPpoConfig, DpDConfig, DpEConfig, TrainingReport,
     };
     use msrl_telemetry::counter_total;
+    use msrl_tensor::kernels;
 
     const CHILD_ENV: &str = "EQUIVALENCE_GOLDEN_CHILD";
     const COUNTERS: [&str; 4] = ["comm.msgs_sent", "comm.bytes_sent", "env.steps", "tensor.pack_b"];
@@ -242,28 +243,42 @@ mod golden {
         ]
     }
 
-    /// The body of the child process; a no-op in an ordinary run.
+    /// The body of the child process, a no-op in an ordinary run. The
+    /// variable names the lane family the whole run is pinned to
+    /// (`Avx512`, `Avx2`, `Portable`); any other value runs on the one
+    /// `kernels::select` detects.
     #[test]
     fn golden_child() {
-        if std::env::var_os(CHILD_ENV).is_some() {
-            for l in lines() {
-                println!("GOLDEN {l}");
-            }
+        let Some(family) = std::env::var_os(CHILD_ENV) else { return };
+        let named = kernels::families().into_iter().find(|f| *format!("{f:?}") == *family);
+        if let Some(family) = named {
+            assert!(kernels::pin(family), "{family:?}: a kernel ran before the pin");
+        }
+        for l in lines() {
+            println!("GOLDEN {l}");
         }
     }
 
+    /// Each row on every lane family this host runs, one child process a
+    /// family (a process selects its family once): a kernel or lane body
+    /// whose bits depend on the family's width fails here.
     #[test]
     fn every_policy_reproduces_its_pinned_run() {
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "golden::golden_child", "--nocapture", "--test-threads=1"])
-            .env(CHILD_ENV, "1")
-            .output()
-            .expect("the test binary re-executes");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let got: Vec<&str> =
-            stdout.lines().filter_map(|l| Some(l.split_once("GOLDEN ")?.1)).collect();
-        assert_eq!(got, PINNED, "a distribution policy no longer computes what it did");
+        for family in kernels::families() {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", "golden::golden_child", "--nocapture", "--test-threads=1"])
+                .env(CHILD_ENV, format!("{family:?}"))
+                .output()
+                .expect("the test binary re-executes");
+            assert!(out.status.success(), "{family:?}: {}", String::from_utf8_lossy(&out.stderr));
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let got: Vec<&str> =
+                stdout.lines().filter_map(|l| Some(l.split_once("GOLDEN ")?.1)).collect();
+            assert_eq!(
+                got, PINNED,
+                "on {family:?}: a distribution policy no longer computes what it did"
+            );
+        }
     }
 }
 
