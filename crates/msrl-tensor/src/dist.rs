@@ -155,20 +155,26 @@ impl DiagGaussian {
         self.mean.shape()[1]
     }
 
-    /// Samples one action vector per row, `[batch, dim]`.
+    /// Samples one action vector per row, `[batch, dim]`: `mean + std·z`
+    /// with the learner's `std` ([`gaussian_std`]).
     pub fn sample(&self, rng: &mut StdRng) -> Tensor {
         let (m, d) = (self.batch(), self.dim());
+        let std = gaussian_std(self.log_std.data());
         let mut out = Vec::with_capacity(m * d);
         for i in 0..m {
-            for j in 0..d {
+            for (j, &s) in std.iter().enumerate() {
                 let z: f32 = StandardNormal.sample(rng);
-                out.push(self.mean.data()[i * d + j] + self.log_std.data()[j].exp() * z);
+                out.push(self.mean.data()[i * d + j] + s * z);
             }
         }
+        alloc::give(std);
         Tensor::from_vec(out, &[m, d]).expect("length matches")
     }
 
-    /// Log-density of `actions` (`[batch, dim]`) per row, `[batch]`.
+    /// Log-density of `actions` (`[batch, dim]`) per row, `[batch]`: the
+    /// learner's lane body ([`gaussian_log_prob`]), so a log-probability
+    /// stored while acting is bit for bit the one the first learn epoch
+    /// recomputes.
     ///
     /// # Errors
     ///
@@ -181,19 +187,21 @@ impl DiagGaussian {
                 rhs: actions.shape().to_vec(),
             });
         }
-        let (m, d) = (self.batch(), self.dim());
-        let ln_2pi = (2.0 * std::f32::consts::PI).ln();
-        let mut out = Vec::with_capacity(m);
-        for i in 0..m {
-            let mut lp = 0.0;
-            for j in 0..d {
-                let ls = self.log_std.data()[j];
-                let std = ls.exp();
-                let z = (actions.data()[i * d + j] - self.mean.data()[i * d + j]) / std;
-                lp += -0.5 * (z * z + ln_2pi) - ls;
+        let (m, k) = (self.batch(), self.dim());
+        let (log_std, std) = (self.log_std.data(), gaussian_std(self.log_std.data()));
+        let c = gaussian_logs().0;
+        let mut out = alloc::take_for_overwrite(m);
+        let (mean, a, o) = (self.mean.data().as_ptr(), actions.data().as_ptr(), out.as_mut_ptr());
+        dispatch!(kernels::gather_family(k), V => {
+            // SAFETY: `mean` and `actions` hold `m` rows of `k`, `out` `m`
+            // and `log_std` and `std` `k`; the family was detected.
+            unsafe {
+                each_block!(V, m, |r, W| {
+                    gaussian_log_prob::<W>(mean, a, k, r, log_std, &std, c).store(o.add(r))
+                })
             }
-            out.push(lp);
-        }
+        });
+        alloc::give(std);
         Tensor::from_vec(out, &[m])
     }
 }
@@ -962,9 +970,7 @@ pub(crate) mod tests {
         let (lp, ent) = gaussian_stats(&mean, &ls, actions.clone()).unwrap();
         let plain = DiagGaussian::new(mean_t, ls_t.clone()).unwrap();
         let plain_lp = plain.log_prob(&actions).unwrap();
-        for (a, b) in lp.value().data().iter().zip(plain_lp.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        assert_eq!(lp.value().data(), plain_lp.data(), "one log-density");
         let ln_2pi_e = gaussian_logs().1;
         let h: f32 = ls_t.data().iter().map(|ls| ls + 0.5 * ln_2pi_e).sum();
         for &a in ent.value().data() {

@@ -128,7 +128,11 @@ mod golden {
     /// server forced staleness 0 and forwarded bit for bit as each actor
     /// does, so the row kept its values. `dp_c_cheetah` is the one row
     /// with a Gaussian head: it was recorded while the PPO loss was still
-    /// a composition of tape ops, before the loss became one node.
+    /// a composition of tape ops, held when the loss became one node, and
+    /// its params checksum was re-recorded (from `ec2f18b13e4a42fe`) when
+    /// acting's sampled actions and stored log-probabilities moved onto
+    /// the learner's `fast_exp` standard deviation and log-density.
+    /// Every row holds on every lane family the host runs.
     const PINNED: [&str; 10] = [
         "dp_a f24fe81df38fc20f 09d13124a175800d 135f03777098274d 24 20208 256 56",
         "dp_a_sync 4d0e6d802c2ca75e 09d13124a175800d e566de11611a2491 24 20208 256 64",
@@ -139,7 +143,7 @@ mod golden {
         "dp_f de2386011304c3f0 d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
         "a3c 513c333b2238c052 3624fd7a0381b465 cbf29ce484222325 15 8452 80 30",
         "dp_f_stale 42fe7e802d71182b d5b267f92adcd405 cbf29ce484222325 12 6764 128 24",
-        "dp_c_cheetah ec2f18b13e4a42fe 88201fb960ff6465 cbf29ce484222325 32 89760 256 96",
+        "dp_c_cheetah 3824e8f23d07ee52 88201fb960ff6465 cbf29ce484222325 32 89760 256 96",
     ];
 
     /// Every field that decides how the seats synchronise is spelled
