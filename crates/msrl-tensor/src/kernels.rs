@@ -439,7 +439,7 @@ pub fn count_nonfinite(data: &[f32]) -> u64 {
 
 /// Row reductions (`inner == 1`): `out[r] = fold(ad[r·mid ..
 /// (r+1)·mid])`, then optionally `· scale` — the single-pass
-/// `mean_axis` epilogue, applied to each output element right after its
+/// epilogue of a mean, applied to each output element right after its
 /// own fold finishes (the same per-element multiply a separate rescale
 /// traversal would perform).
 ///

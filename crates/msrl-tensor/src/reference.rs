@@ -41,7 +41,7 @@ pub fn transpose(ad: &[f32], m: usize, n: usize) -> Vec<f32> {
 
 /// Folds the middle axis of `a: [outer, mid, inner]` away: each output
 /// slot starts at `op.init()`, folds its `mid` values ascending, then
-/// takes the optional `scale` multiply (the `mean_axis` epilogue).
+/// takes the optional `scale` multiply (a mean's epilogue).
 pub fn reduce(
     ad: &[f32],
     outer: usize,
