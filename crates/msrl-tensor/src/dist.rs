@@ -156,7 +156,7 @@ impl DiagGaussian {
     }
 
     /// Samples one action vector per row, `[batch, dim]`: `mean + std·z`
-    /// with the learner's `std` ([`gaussian_std`]).
+    /// with the learner's `std` (`gaussian_std`).
     pub fn sample(&self, rng: &mut StdRng) -> Tensor {
         let (m, d) = (self.batch(), self.dim());
         let std = gaussian_std(self.log_std.data());
@@ -172,7 +172,7 @@ impl DiagGaussian {
     }
 
     /// Log-density of `actions` (`[batch, dim]`) per row, `[batch]`: the
-    /// learner's lane body ([`gaussian_log_prob`]), so a log-probability
+    /// learner's lane body (`gaussian_log_prob`), so a log-probability
     /// stored while acting is bit for bit the one the first learn epoch
     /// recomputes.
     ///
